@@ -6,9 +6,9 @@
 
 GO ?= go
 
-.PHONY: ci vet lint-globals build test race bench benchsmoke fuzzsmoke fuzz
+.PHONY: ci vet lint-globals build test test-portable race bench benchsmoke fuzzsmoke fuzz
 
-ci: vet lint-globals build test race fuzzsmoke benchsmoke
+ci: vet lint-globals build test test-portable race fuzzsmoke benchsmoke
 
 vet:
 	$(GO) vet ./...
@@ -37,6 +37,14 @@ build:
 test:
 	$(GO) test ./...
 
+# The BLAS suite again with the assembly kernels off: on AVX2 hardware plain
+# `go test` only ever selects the asm rows of the kernel table
+# (internal/blas/kernel.go), so this is what exercises the portable row of
+# every type — including the complex fallback from 1m to the generic 4×4 —
+# on every gate rather than only on machines without AVX2.
+test-portable:
+	LA90_NO_ASM=1 $(GO) test -count=1 ./internal/blas/
+
 # The race run covers the threaded engine, the factorizations driving it,
 # the la boundary — including the chaos tests that panic workers on purpose,
 # so panic containment is itself exercised under the detector — and the
@@ -61,7 +69,8 @@ fuzz:
 	$(GO) test ./la/ -fuzz='^$(TARGET)$$' -fuzztime=10m
 
 # Compile-and-run check for the benchmarks: one iteration each of the GEMM
-# engine and factorization benchmarks, no timing claims.
+# engine (float64, and the complex 1m rows) and factorization benchmarks, no
+# timing claims.
 benchsmoke:
 	$(GO) test -run=NONE -bench='Getrf|Gemm' -benchtime=1x .
 	$(GO) run ./cmd/la90bench -reduce -maxn 256 -reps 1 -out /tmp/BENCH_reduce_smoke.json

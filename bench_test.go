@@ -346,35 +346,45 @@ func BenchmarkAblationGEQRF(b *testing.B) {
 // seed kernel, and the blocked LU riding on it. BENCH_blas.json is the
 // machine-readable form, regenerated with `go run ./cmd/la90bench -blas`.
 
-func benchGemmEngine(b *testing.B, n int, naive bool) {
+func benchGemmEngine[T core.Scalar](b *testing.B, n int, naive bool) {
 	rng := lapack.NewRng([4]int{n, 7, 7, 7})
-	a0 := make([]float64, n*n)
-	b0 := make([]float64, n*n)
+	a0 := make([]T, n*n)
+	b0 := make([]T, n*n)
 	lapack.Larnv(2, rng, n*n, a0)
 	lapack.Larnv(2, rng, n*n, b0)
-	c := make([]float64, n*n)
+	c := make([]T, n*n)
+	one := core.FromFloat[T](1)
 	// Untimed warm-up so -benchtime 1x measures steady state, not page
 	// faults on the freshly allocated operands.
-	blas.Gemm(core.Default(), blas.NoTrans, blas.NoTrans, n, n, n, 1.0, a0, n, b0, n, 0.0, c, n)
+	blas.Gemm(core.Default(), blas.NoTrans, blas.NoTrans, n, n, n, one, a0, n, b0, n, 0, c, n)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if naive {
-			blas.GemmNaive(blas.NoTrans, blas.NoTrans, n, n, n, 1.0, a0, n, b0, n, 0.0, c, n)
+			blas.GemmNaive(blas.NoTrans, blas.NoTrans, n, n, n, one, a0, n, b0, n, 0, c, n)
 		} else {
-			blas.Gemm(core.Default(), blas.NoTrans, blas.NoTrans, n, n, n, 1.0, a0, n, b0, n, 0.0, c, n)
+			blas.Gemm(core.Default(), blas.NoTrans, blas.NoTrans, n, n, n, one, a0, n, b0, n, 0, c, n)
 		}
 	}
+	// Real flops: a complex multiply-add is four real ones.
 	flops := 2 * float64(n) * float64(n) * float64(n)
+	if core.IsComplex[T]() {
+		flops *= 4
+	}
 	b.ReportMetric(flops*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOPS")
 }
 
 // BenchmarkGemm compares the packed engine (with its worker pool, sized by
 // GOMAXPROCS or blas.SetThreads) against the retained naive kernel across
-// the size sweep of the acceptance criteria.
+// the size sweep of the acceptance criteria, and runs the packed engine on
+// the two complex types (the 1m rows of the kernel table).
 func BenchmarkGemm(b *testing.B) {
 	for _, n := range []int{64, 256, 512, 1024} {
-		b.Run("packed/N="+itoa(n), func(b *testing.B) { benchGemmEngine(b, n, false) })
-		b.Run("naive/N="+itoa(n), func(b *testing.B) { benchGemmEngine(b, n, true) })
+		b.Run("packed/N="+itoa(n), func(b *testing.B) { benchGemmEngine[float64](b, n, false) })
+		b.Run("naive/N="+itoa(n), func(b *testing.B) { benchGemmEngine[float64](b, n, true) })
+	}
+	for _, n := range []int{64, 256, 512} {
+		b.Run("packed/c64/N="+itoa(n), func(b *testing.B) { benchGemmEngine[complex64](b, n, false) })
+		b.Run("packed/c128/N="+itoa(n), func(b *testing.B) { benchGemmEngine[complex128](b, n, false) })
 	}
 }
 
@@ -386,7 +396,7 @@ func BenchmarkGemmParallel(b *testing.B) {
 			b.Run("T="+itoa(threads)+"/N="+itoa(n), func(b *testing.B) {
 				old := blas.SetThreads(threads)
 				defer blas.SetThreads(old)
-				benchGemmEngine(b, n, false)
+				benchGemmEngine[float64](b, n, false)
 			})
 		}
 	}

@@ -29,49 +29,8 @@ import (
 // op(·) transposition/conjugation is resolved during packing, so one
 // micro-kernel serves all nine (transA, transB) combinations.
 //
-// The micro-tile geometry (mr×nr) is chosen per element type: float64 and
-// float32 use the wide AVX2+FMA assembly kernels on amd64 hardware that
-// supports them (see gemmkernel_amd64.s), everything else the portable 4×4
-// register kernel below.
-
-// asmF64/asmF32 report whether the assembly micro-kernels may be used right
-// now: the static CPU + LA90_NO_ASM gate, minus the test-only fault-injection
-// override that forces the portable kernels. Every dispatch site reads these
-// instead of the raw gate variables so a single toggle reroutes the whole
-// engine consistently (geometry and kernel must always agree).
-func asmF64() bool { return useAsmF64 && !faultinject.PortableOnly() }
-func asmF32() bool { return useAsmF32 && !faultinject.PortableOnly() }
-
-// microGeom returns the register micro-tile geometry for element type T,
-// matching the kernel macroKernel will dispatch to.
-func microGeom[T core.Scalar]() (mr, nr int) {
-	var z T
-	switch any(z).(type) {
-	case float64:
-		if asmF64() {
-			return asmF64MR, asmF64NR
-		}
-	case float32:
-		if asmF32() {
-			return asmF32MR, asmF32NR
-		}
-	}
-	return gemmMR, gemmNR
-}
-
-// hasFastKernel reports whether element type T has an assembly micro-kernel
-// on this CPU; Gemm only routes problems through the packed engine without
-// one when blocking pays for itself anyway (huge sizes or multiple workers).
-func hasFastKernel[T core.Scalar]() bool {
-	var z T
-	switch any(z).(type) {
-	case float64:
-		return asmF64()
-	case float32:
-		return asmF32()
-	}
-	return false
-}
+// The micro-tile geometry, the packed formats and the kernels that consume
+// them come from the element type's row of the kernel table (kernel.go).
 
 // packScratch recycles packing buffers and diagonal-block scratch across
 // Level-3 calls. Factorizations issue thousands of modest Gemm calls, and
@@ -116,8 +75,9 @@ func PutScratch[T core.Scalar](s []T) { putScratch(s) }
 // kc-deep slab of macro-tiles), the coarsest boundary at which no packed
 // panel is left half-consumed.
 func gemmEngine[T core.Scalar](cfg *core.Config, transA, transB Trans, m, n, k int, alpha T, a []T, lda int, b []T, ldb int, c []T, ldc int) {
+	kern := kernelFor[T]()
+	mr, nr := kern.mr, kern.nr
 	mc, kc, nc := blockFor[T](cfg)
-	mr, nr := microGeom[T]()
 	mc = max(mr, mc-mc%mr)
 	workers := level3Workers(cfg, m*n*k)
 
@@ -128,22 +88,23 @@ func gemmEngine[T core.Scalar](cfg *core.Config, transA, transB Trans, m, n, k i
 		for pc := 0; pc < k; pc += kc {
 			cfg.Checkpoint()
 			kb := min(kc, k-pc)
-			packB(bPack[:kb*nbR], nr, transB, b, ldb, pc, kb, jc, nb)
+			kern.packB(bPack[:kb*nbR], nr, transB, b, ldb, pc, kb, jc, nb)
 
 			nTiles := (m + mc - 1) / mc
 			parallelRange(nTiles, workers, func(lo, hi int) {
-				aPack := getScratch[T](kb * roundUp(min(mc, m), mr))
+				buf := getScratch[T](tileScratch + kb*roundUp(min(mc, m), mr)*kern.kScale)
+				tile, aPack := buf[:tileScratch], buf[tileScratch:]
 				for t := lo; t < hi; t++ {
 					ic := t * mc
 					mb := min(mc, m-ic)
-					ap := aPack[:kb*roundUp(mb, mr)]
-					packA(ap, mr, transA, alpha, a, lda, ic, mb, pc, kb)
+					ap := aPack[:kb*roundUp(mb, mr)*kern.kScale]
+					kern.packA(ap, mr, transA, alpha, a, lda, ic, mb, pc, kb)
 					if faultinject.TakePackPoison() {
 						ap[0] = core.NaN[T]()
 					}
-					macroKernel(kb, mb, nb, mr, nr, ap, bPack, c[ic+jc*ldc:], ldc)
+					macroKernel(kern, kb, mb, nb, ap, bPack, c[ic+jc*ldc:], ldc, tile)
 				}
-				putScratch(aPack)
+				putScratch(buf)
 			})
 		}
 	}
@@ -168,13 +129,6 @@ func packA[T core.Scalar](dst []T, mr int, trans Trans, alpha T, a []T, lda int,
 		case NoTrans:
 			// op(A)(i, p) = A(i, p): each panel step reads a contiguous
 			// run down column p0+p.
-			if rows == 16 && kb > 0 && asmF32() {
-				if af, ok := any(a).([]float32); ok {
-					spackA16(int64(kb), any(alpha).(float32),
-						&af[i0+r0+p0*lda], int64(lda), &(any(panel).([]float32))[0])
-					break
-				}
-			}
 			if alpha == core.FromFloat[T](1) {
 				for p := 0; p < kb; p++ {
 					copy(panel[p*mr:p*mr+rows], a[i0+r0+(p0+p)*lda:])
@@ -234,15 +188,6 @@ func packB[T core.Scalar](dst []T, nr int, trans Trans, b []T, ldb int, p0, kb, 
 				// Full micro-panel: interleave the four source columns in
 				// one pass so every panel row is written contiguously
 				// instead of revisiting it at stride nr per column.
-				if kb > 0 && asmF32() {
-					if bf, ok := any(b).([]float32); ok {
-						spackB4(int64(kb),
-							&bf[p0+(j0+c0)*ldb], &bf[p0+(j0+c0+1)*ldb],
-							&bf[p0+(j0+c0+2)*ldb], &bf[p0+(j0+c0+3)*ldb],
-							&(any(panel).([]float32))[0])
-						break
-					}
-				}
 				s0 := b[p0+(j0+c0)*ldb:][:kb]
 				s1 := b[p0+(j0+c0+1)*ldb:][:kb]
 				s2 := b[p0+(j0+c0+2)*ldb:][:kb]
@@ -277,70 +222,24 @@ func packB[T core.Scalar](dst []T, nr int, trans Trans, b []T, ldb int, p0, kb, 
 	}
 }
 
-// macroKernel sweeps the register micro-kernel over one packed (mb×kb)·(kb×nb)
+// macroKernel sweeps the micro-kernel over one packed (mb×kb)·(kb×nb)
 // product, accumulating into the C tile at c (leading dimension ldc). Full
-// tiles go to the fastest kernel for the element type; ragged edge tiles use
-// the portable variable-size kernel.
-func macroKernel[T core.Scalar](kb, mb, nb, mr, nr int, aPack, bPack []T, c []T, ldc int) {
-	switch cc := any(c).(type) {
-	case []float64:
-		if asmF64() {
-			macroKernelF64(kb, mb, nb, any(aPack).([]float64), any(bPack).([]float64), cc, ldc)
-			return
-		}
-	case []float32:
-		if asmF32() {
-			macroKernelF32(kb, mb, nb, any(aPack).([]float32), any(bPack).([]float32), cc, ldc)
-			return
-		}
-	}
+// tiles go to the row's micro-kernel, ragged edge tiles to its edge kernel
+// with tile as scratch.
+func macroKernel[T core.Scalar](kern *kernel[T], kb, mb, nb int, aPack, bPack []T, c []T, ldc int, tile []T) {
+	mr, nr := kern.mr, kern.nr
+	ka := kb * kern.kScale // packed A elements per tile row
 	for jr := 0; jr < nb; jr += nr {
 		bp := bPack[jr*kb : jr*kb+nr*kb]
 		cols := min(nr, nb-jr)
 		for ir := 0; ir < mb; ir += mr {
-			ap := aPack[ir*kb : ir*kb+mr*kb]
-			rows := min(mr, mb-ir)
-			ct := c[ir+jr*ldc:]
-			if rows == gemmMR && cols == gemmNR {
-				microKernel4x4(kb, ap, bp, ct, ldc)
-			} else {
-				microEdge(kb, mr, nr, ap, bp, ct, ldc, rows, cols)
-			}
-		}
-	}
-}
-
-func macroKernelF64(kb, mb, nb int, aPack, bPack []float64, c []float64, ldc int) {
-	const mr, nr = asmF64MR, asmF64NR
-	for jr := 0; jr < nb; jr += nr {
-		bp := bPack[jr*kb : jr*kb+nr*kb]
-		cols := min(nr, nb-jr)
-		for ir := 0; ir < mb; ir += mr {
-			ap := aPack[ir*kb : ir*kb+mr*kb]
+			ap := aPack[ir*ka : ir*ka+mr*ka]
 			rows := min(mr, mb-ir)
 			ct := c[ir+jr*ldc:]
 			if rows == mr && cols == nr {
-				dgemmKernel8x4(int64(kb), &ap[0], &bp[0], &ct[0], int64(ldc))
+				kern.micro(kb, ap, bp, ct, ldc)
 			} else {
-				microEdge(kb, mr, nr, ap, bp, ct, ldc, rows, cols)
-			}
-		}
-	}
-}
-
-func macroKernelF32(kb, mb, nb int, aPack, bPack []float32, c []float32, ldc int) {
-	const mr, nr = asmF32MR, asmF32NR
-	for jr := 0; jr < nb; jr += nr {
-		bp := bPack[jr*kb : jr*kb+nr*kb]
-		cols := min(nr, nb-jr)
-		for ir := 0; ir < mb; ir += mr {
-			ap := aPack[ir*kb : ir*kb+mr*kb]
-			rows := min(mr, mb-ir)
-			ct := c[ir+jr*ldc:]
-			if rows == mr && cols == nr {
-				sgemmKernel16x4(int64(kb), &ap[0], &bp[0], &ct[0], int64(ldc))
-			} else {
-				microEdge(kb, mr, nr, ap, bp, ct, ldc, rows, cols)
+				kern.edge(kb, mr, nr, ap, bp, ct, ldc, rows, cols, tile)
 			}
 		}
 	}
@@ -402,18 +301,19 @@ func microKernel4x4[T core.Scalar](kb int, ap, bp []T, c []T, ldc int) {
 
 // microEdge is the variable-size kernel for ragged tiles at the right and
 // bottom borders of a macro-tile: it accumulates the full padded mr×nr tile
-// in a local buffer and scatters only the live rows×cols region into C.
-func microEdge[T core.Scalar](kb, mr, nr int, ap, bp []T, c []T, ldc, rows, cols int) {
-	var accBuf [maxMR * maxNR]T
-	acc := accBuf[: mr*nr : mr*nr]
+// in the scratch tile and scatters only the live rows×cols region into C.
+// Zeros in the packed panels are multiplied like any other value, never
+// skipped: 0·NaN and 0·Inf must reach C here exactly as they do through the
+// full-tile kernels, or whether a NaN in A propagates would depend on which
+// tile its row falls in.
+func microEdge[T core.Scalar](kb, mr, nr int, ap, bp []T, c []T, ldc, rows, cols int, tile []T) {
+	acc := tile[: mr*nr : mr*nr]
+	clear(acc)
 	for p := 0; p < kb; p++ {
 		av := ap[p*mr : p*mr+mr]
 		bv := bp[p*nr : p*nr+nr]
 		for j := 0; j < cols; j++ {
 			bj := bv[j]
-			if bj == 0 {
-				continue
-			}
 			arow := acc[j*mr : j*mr+mr]
 			for i := 0; i < rows; i++ {
 				arow[i] += av[i] * bj
@@ -428,9 +328,3 @@ func microEdge[T core.Scalar](kb, mr, nr int, ap, bp []T, c []T, ldc, rows, cols
 		}
 	}
 }
-
-// Upper bounds over every kernel geometry, sizing microEdge's accumulator.
-const (
-	maxMR = 16
-	maxNR = 4
-)

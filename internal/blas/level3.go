@@ -68,7 +68,8 @@ func Gemm[T core.Scalar](cfg *core.Config, transA, transB Trans, m, n, k int, al
 		}
 		return
 	}
-	if gemmSmallOK(cfg, transA, transB, m, n, k) {
+	kern := kernelFor[T]()
+	if gemmSmallOK(cfg, transA, transB, m, n, k) && m*n*k < kern.smallMaxVol {
 		// Pack-free small-matrix regime: the micro-kernel runs directly on
 		// the caller's strided operands, no pack buffers and no Fork.
 		gemmSmall(m, n, k, alpha, a, lda, b, ldb, c, ldc)
@@ -103,7 +104,7 @@ func Gemm[T core.Scalar](cfg *core.Config, transA, transB Trans, m, n, k int, al
 	// the low-latency path. This matters for the factorizations, whose
 	// recursive panels issue many tall-skinny products well under the
 	// portable crossover.
-	if m*n*k < packedMinVol[T]() {
+	if m*n*k < kern.minVol {
 		gemmAccumNaive(transA, transB, m, n, k, alpha, a, lda, b, ldb, c, ldc)
 		return
 	}
@@ -729,11 +730,7 @@ func trsmRec[T core.Scalar](cfg *core.Config, side Side, uplo Uplo, trans Trans,
 	if side == Right {
 		nt = n
 	}
-	leaf := trsmLeafSize
-	if _, ok := any(b).([]float32); ok {
-		leaf = trsmLeafSizeF32
-	}
-	if nt <= leaf {
+	if nt <= kernelFor[T]().trsmLeaf {
 		trsmBase(side, uplo, trans, diag, m, n, alpha, a, lda, b, ldb)
 		return
 	}

@@ -260,9 +260,16 @@ func TestQuickGemmPackedMatchesNaive(t *testing.T) {
 	}
 }
 
-// Same cross-check for the complex instantiation, which always runs the
-// portable micro-kernel but shares all packing and threading code paths.
+// Same cross-check for the complex instantiations, which run the 1m rows of
+// the kernel table on AVX2 hardware and the portable 4×4 kernel elsewhere
+// (kernel_test.go sweeps both deterministically); leading dimensions down to
+// the bare row count are part of the draw.
 func TestQuickGemmPackedMatchesNaiveComplex(t *testing.T) {
+	t.Run("complex128", quickGemmPackedComplex[complex128])
+	t.Run("complex64", quickGemmPackedComplex[complex64])
+}
+
+func quickGemmPackedComplex[T core.Scalar](t *testing.T) {
 	trs := []Trans{NoTrans, TransT, ConjTrans}
 	f := func(seed int64, mRaw, nRaw, kRaw, cfg uint8) bool {
 		m := int(mRaw%48) + 1
@@ -282,23 +289,23 @@ func TestQuickGemmPackedMatchesNaiveComplex(t *testing.T) {
 		lda := rowsA + int(cfg%5)
 		ldb := rowsB + int(cfg%3)
 		ldc := m + int(cfg%4)
-		cvec := func(n int) []complex128 {
-			v := make([]complex128, n)
+		cvec := func(n int) []T {
+			v := make([]T, n)
 			for i := range v {
-				v[i] = complex(r.NormFloat64(), r.NormFloat64())
+				v[i] = core.FromComplex[T](complex(r.NormFloat64(), r.NormFloat64()))
 			}
 			return v
 		}
 		a := cvec(lda * colsA)
 		b := cvec(ldb * colsB)
 		c0 := cvec(ldc * n)
-		alpha := complex(1.5, -0.5)
+		alpha := core.FromComplex[T](complex(1.5, -0.5))
 
-		want := append([]complex128(nil), c0...)
+		want := append([]T(nil), c0...)
 		GemmNaive(ta, tb, m, n, k, alpha, a, lda, b, ldb, 1, want, ldc)
-		got := append([]complex128(nil), c0...)
+		got := append([]T(nil), c0...)
 		gemmEngine(tcfg(), ta, tb, m, n, k, alpha, a, lda, b, ldb, got, ldc)
-		tolerance := 1e-11 * float64(k+1)
+		tolerance := 64 * core.Eps[T]() * float64(k+1)
 		for i := range got {
 			if core.Abs(got[i]-want[i]) > tolerance*(1+core.Abs(want[i])) {
 				return false

@@ -68,8 +68,9 @@ func syrkEngine[T core.Scalar](cfg *core.Config, uplo Uplo, trans Trans, n, k in
 // opA(A) is packed per macro tile with alpha folded in, and only tiles that
 // intersect the stored triangle are visited.
 func triEngine[T core.Scalar](cfg *core.Config, uplo Uplo, transA, transB Trans, n, k int, alpha T, a []T, lda int, b []T, ldb int, c []T, ldc int) {
+	kern := kernelFor[T]()
+	mr, nr := kern.mr, kern.nr
 	mc, kc, nc := blockFor[T](cfg)
-	mr, nr := microGeom[T]()
 	mc = max(mr, mc-mc%mr)
 	workers := level3Workers(cfg, n*n*k/2)
 
@@ -89,22 +90,23 @@ func triEngine[T core.Scalar](cfg *core.Config, uplo Uplo, transA, transB Trans,
 		for pc := 0; pc < k; pc += kc {
 			cfg.Checkpoint()
 			kb := min(kc, k-pc)
-			packB(bPack[:kb*nbR], nr, transB, b, ldb, pc, kb, jc, nb)
+			kern.packB(bPack[:kb*nbR], nr, transB, b, ldb, pc, kb, jc, nb)
 			parallelRange(tHi-tLo, workers, func(lo, hi int) {
-				aPack := getScratch[T](kb * roundUp(min(mc, n), mr))
+				buf := getScratch[T](tileScratch + kb*roundUp(min(mc, n), mr)*kern.kScale)
+				tile, aPack := buf[:tileScratch], buf[tileScratch:]
 				for t := tLo + lo; t < tLo+hi; t++ {
 					ic := t * mc
 					mb := min(mc, n-ic)
-					ap := aPack[:kb*roundUp(mb, mr)]
-					packA(ap, mr, transA, alpha, a, lda, ic, mb, pc, kb)
+					ap := aPack[:kb*roundUp(mb, mr)*kern.kScale]
+					kern.packA(ap, mr, transA, alpha, a, lda, ic, mb, pc, kb)
 					ct := c[ic+jc*ldc:]
 					if (uplo == Lower && ic >= jc+nb-1) || (uplo == Upper && ic+mb-1 <= jc) {
-						macroKernel(kb, mb, nb, mr, nr, ap, bPack, ct, ldc)
+						macroKernel(kern, kb, mb, nb, ap, bPack, ct, ldc, tile)
 					} else {
-						macroKernelTri(uplo, kb, mb, nb, mr, nr, ap, bPack, ct, ldc, jc-ic)
+						macroKernelTri(kern, uplo, kb, mb, nb, ap, bPack, ct, ldc, jc-ic, tile)
 					}
 				}
-				putScratch(aPack)
+				putScratch(buf)
 			})
 		}
 	}
@@ -114,11 +116,17 @@ func triEngine[T core.Scalar](cfg *core.Config, uplo Uplo, transA, transB Trans,
 // macroKernelTri sweeps one packed macro tile like macroKernel but only
 // writes the stored triangle: local element (i, j) belongs to the diagonal
 // when i == j+d (d is the local row index of the diagonal for local column
-// 0). Micro tiles entirely in the stored part run the fast kernels straight
-// into C; micro tiles crossing the diagonal accumulate into a zeroed scratch
-// tile and merge only their stored elements.
-func macroKernelTri[T core.Scalar](uplo Uplo, kb, mb, nb, mr, nr int, aPack, bPack []T, c []T, ldc, d int) {
-	var tmp [maxMR * maxNR]T
+// 0). Micro tiles entirely in the stored part run the row's micro-kernel
+// straight into C; micro tiles crossing the diagonal accumulate into a zeroed
+// scratch tile and merge only their stored elements. Everything here counts
+// in elements of T, so under the 1m rows (whose kernels see tmp, like C, as a
+// real tile of twice the rows) the diagonal test needs no adjustment.
+func macroKernelTri[T core.Scalar](kern *kernel[T], uplo Uplo, kb, mb, nb int, aPack, bPack []T, c []T, ldc, d int, tile []T) {
+	mr, nr := kern.mr, kern.nr
+	ka := kb * kern.kScale
+	// The first half of the scratch is the crossing tile, the second the
+	// edge kernel's own scratch.
+	tmp, tile := tile[:mr*nr], tile[mr*nr:]
 	for jr := 0; jr < nb; jr += nr {
 		bp := bPack[jr*kb : jr*kb+nr*kb]
 		cols := min(nr, nb-jr)
@@ -131,7 +139,7 @@ func macroKernelTri[T core.Scalar](uplo Uplo, kb, mb, nb, mr, nr int, aPack, bPa
 		}
 		for ir := irLo; ir < irHi; ir += mr {
 			rows := min(mr, mb-ir)
-			ap := aPack[ir*kb : ir*kb+mr*kb]
+			ap := aPack[ir*ka : ir*ka+mr*ka]
 			ct := c[ir+jr*ldc:]
 			var fullyStored bool
 			if uplo == Lower {
@@ -140,14 +148,14 @@ func macroKernelTri[T core.Scalar](uplo Uplo, kb, mb, nb, mr, nr int, aPack, bPa
 				fullyStored = ir+rows-1 <= jr+d
 			}
 			if fullyStored && rows == mr && cols == nr {
-				microTile(kb, mr, nr, ap, bp, ct, ldc)
+				kern.micro(kb, ap, bp, ct, ldc)
 				continue
 			}
-			clear(tmp[:mr*nr])
+			clear(tmp)
 			if rows == mr && cols == nr {
-				microTile(kb, mr, nr, ap, bp, tmp[:], mr)
+				kern.micro(kb, ap, bp, tmp, mr)
 			} else {
-				microEdge(kb, mr, nr, ap, bp, tmp[:], mr, rows, cols)
+				kern.edge(kb, mr, nr, ap, bp, tmp, mr, rows, cols, tile)
 			}
 			for j := 0; j < cols; j++ {
 				lo, hi := 0, rows
@@ -164,22 +172,4 @@ func macroKernelTri[T core.Scalar](uplo Uplo, kb, mb, nb, mr, nr int, aPack, bPa
 			}
 		}
 	}
-}
-
-// microTile runs one full mr×nr micro-kernel accumulation into c, dispatching
-// to the assembly kernels exactly as macroKernel does.
-func microTile[T core.Scalar](kb, mr, nr int, ap, bp []T, c []T, ldc int) {
-	switch cc := any(c).(type) {
-	case []float64:
-		if asmF64() {
-			dgemmKernel8x4(int64(kb), &any(ap).([]float64)[0], &any(bp).([]float64)[0], &cc[0], int64(ldc))
-			return
-		}
-	case []float32:
-		if asmF32() {
-			sgemmKernel16x4(int64(kb), &any(ap).([]float32)[0], &any(bp).([]float32)[0], &cc[0], int64(ldc))
-			return
-		}
-	}
-	microKernel4x4(kb, ap, bp, c, ldc)
 }

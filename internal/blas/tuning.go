@@ -5,8 +5,9 @@ import "repro/internal/core"
 // Cache-blocking parameters for the packed Level-3 engine (gemm.go), following
 // the three-level BLIS/GotoBLAS decomposition: C is updated in nc-wide column
 // slabs, each slab in kc-deep rank updates, each rank update in mc-tall row
-// tiles, and every (mc×kc)·(kc×nc) product runs a gemmMR×gemmNR register
-// micro-kernel over packed, contiguous panels.
+// tiles, and every (mc×kc)·(kc×nc) product runs an mr×nr register
+// micro-kernel over packed, contiguous panels (kernel.go has the per-type
+// geometry).
 //
 // The block sizes are element counts for float64 and are scaled by element
 // size in blockFor, so the byte footprint of a packed panel is roughly
@@ -25,14 +26,6 @@ import "repro/internal/core"
 // LA90_GEMM_NC / LA90_GEMM_SMALL / LA90_GEMV_MINVOL environment variables
 // (element counts for float64, parsed once by core.FromEnv).
 const (
-	// gemmMR×gemmNR is the register micro-tile: the micro-kernel keeps the
-	// full mr×nr accumulator block in locals so the hot loop performs
-	// mr+nr loads per 2·mr·nr flops and no stores.
-	gemmMR = 4
-	gemmNR = 4
-)
-
-const (
 	// gemmPackedMinVol is the m·n·k volume below which Gemm stays on the
 	// naive column-walking kernel: packing two operands only pays for
 	// itself once each packed element is reused across enough micro-tiles.
@@ -40,10 +33,18 @@ const (
 	// factorizations) on the low-latency path.
 	gemmPackedMinVol = 80 * 80 * 80
 
-	// gemmPackedMinVolAsm replaces gemmPackedMinVol when the element type
-	// has an assembly micro-kernel (see hasFastKernel): the kernel's higher
+	// gemmPackedMinVolAsm replaces gemmPackedMinVol on the asm rows of the
+	// kernel table (all four types on AVX2 hardware): the kernel's higher
 	// flop rate amortizes packing at a fraction of the portable crossover.
 	gemmPackedMinVolAsm = 44 * 44 * 44
+
+	// gemmPackedMinVol1m is the crossover of the complex 1m rows. Their
+	// unpacked alternative is the generic complex loop, an order of magnitude
+	// slower than the real asm kernel (Go evaluates complex64 products
+	// through float64 on top), so packing wins from about 12³ on; 16³ keeps
+	// the n < nr shapes, which are all edge tiles, on the loops a while
+	// longer.
+	gemmPackedMinVol1m = 16 * 16 * 16
 
 	// level3BlockSize is the diagonal block size used when Symm/Hemm are
 	// decomposed into GEMM-shaped updates, and the problem size below which
@@ -55,7 +56,8 @@ const (
 	// leaf flops into rectangular GEMM updates but pays a packing pass per
 	// recursion level; with the FMA substitution kernels the leaf is cheap
 	// enough that 64 beats both finer and coarser splits on the LU/Cholesky
-	// benchmark shapes.
+	// benchmark shapes. The portable rows of every type keep it too: their
+	// GEMM is no faster than the substitution loops.
 	trsmLeafSize = 64
 
 	// trsmLeafSizeF32 replaces trsmLeafSize for float32 operands. The
@@ -64,6 +66,15 @@ const (
 	// pass win: 96 beats 64 by ~5% on the n=1024 single-precision LU that
 	// the mixed-precision solvers run.
 	trsmLeafSizeF32 = 96
+
+	// trsmLeafSizeC128/C64 replace it on the complex 1m rows. Complex
+	// substitution has no assembly kernel while the 1m GEMM runs ~10× faster
+	// than the generic complex loops, so the recursion pays down to small
+	// triangles — smaller still for complex64, whose scalar loops are the
+	// slower (n=384 GESV: leaf 64/32/16/8 → 9.0/8.0/7.5/7.9 ms complex128,
+	// 11.2/8.1/6.8/6.1 ms complex64; EXPERIMENTS.md, "Complex Level-3").
+	trsmLeafSizeC128 = 16
+	trsmLeafSizeC64  = 8
 )
 
 // SetGemmSmall overrides the default pack-free small-matrix crossover
@@ -109,10 +120,7 @@ func level3Workers(cfg *core.Config, vol int) int {
 // Symm/Hemm so no entry point pays pack traffic on shapes where Gemm itself
 // would stay on the low-latency path.
 func packedMinVol[T core.Scalar]() int {
-	if hasFastKernel[T]() {
-		return gemmPackedMinVolAsm
-	}
-	return gemmPackedMinVol
+	return kernelFor[T]().minVol
 }
 
 // SetBlockSizes overrides the default packed-engine cache block sizes

@@ -26,7 +26,10 @@ func testGetrf[T core.Scalar](t *testing.T, n int) {
 	if r := testutil.LUResidual(n, n, a, lda, af, lda, ipiv); r > thresh {
 		t.Fatalf("LU residual %v > %v", r, thresh)
 	}
-	// Blocked result must match the unblocked oracle bit for bit.
+	// The blocked result must choose the unblocked oracle's pivots and match
+	// its factors to rounding: the trailing updates run as GEMM and recursive
+	// Trsm instead of rank-1 sweeps, which reorders every sum, so the entries
+	// agree to n·ε relative to the largest one, not bit for bit.
 	af2 := make([]T, lda*n)
 	lapack.Lacpy('A', n, n, a, lda, af2, lda)
 	ipiv2 := make([]int, n)
@@ -36,8 +39,9 @@ func testGetrf[T core.Scalar](t *testing.T, n int) {
 			t.Fatalf("blocked/unblocked pivots differ at %d: %d vs %d", i, ipiv[i], ipiv2[i])
 		}
 	}
-	if d := testutil.MaxDiff(af, af2); d > 1e3*core.Eps[T]() {
-		t.Fatalf("blocked vs unblocked factors differ by %v", d)
+	luMax := lapack.Lange(lapack.MaxAbs, n, n, af2, lda)
+	if d := testutil.MaxDiff(af, af2); d > float64(n)*core.Eps[T]()*luMax {
+		t.Fatalf("blocked vs unblocked factors differ by %v (max |LU| = %v)", d, luMax)
 	}
 }
 

@@ -18,6 +18,7 @@ import (
 	"repro/internal/blas"
 	"repro/internal/core"
 	"repro/internal/lapack"
+	"repro/internal/matgen"
 )
 
 // mixedWellCond builds a well-conditioned n×n system: Larnv entries with
@@ -31,6 +32,17 @@ func mixedWellCond[T core.Scalar](seed, n, nrhs int) (a, b []T) {
 	for i := 0; i < n; i++ {
 		a[i+i*n] += core.FromFloat[T](float64(n))
 	}
+	return a, b
+}
+
+// mixedCond builds an n×n system whose matrix has condition number cond
+// (geometrically spaced singular values between random unitary factors).
+func mixedCond[T core.Scalar](seed, n, nrhs int, cond float64) (a, b []T) {
+	rng := lapack.NewRng([4]int{seed, 11, 13, 1})
+	a = make([]T, n*n)
+	b = make([]T, n*nrhs)
+	matgen.Latms(tcfg(), rng, n, cond, a, n)
+	lapack.Larnv(2, rng, n*nrhs, b)
 	return a, b
 }
 
@@ -174,15 +186,20 @@ func expectGesvFallbackIdentity[T lapack.MixedScalar](t *testing.T, n, nrhs int,
 }
 
 // TestGesvMixedStallFallback forces the stall path deterministically: with
-// ITERMAX = 1 a large system cannot pass the convergence test (the first
-// residual checks miss by orders of magnitude), so the engine must fall
-// back, bit-identical to the plain driver.
+// ITERMAX = 1 a system of condition 1e4 cannot pass the convergence test —
+// each sweep contracts the error by about cond·eps32 ≈ 1e-3, so after one
+// the residual still misses n·eps64 by orders of magnitude, however good the
+// low-precision factorization is, while rcond stays far above the
+// ill-conditioning screen — and the engine must fall back, bit-identical to
+// the plain driver. (A diagonally dominant system does not do: its one-sweep
+// residual sits right at the threshold and lands on either side of it with
+// the rounding order of the float32/complex64 factorization.)
 func TestGesvMixedStallFallback(t *testing.T) {
 	old := lapack.SetMixedIterMax(1)
 	defer lapack.SetMixedIterMax(old)
-	a, b := mixedWellCond[float64](5, 100, 2)
+	a, b := mixedCond[float64](5, 100, 2, 1e4)
 	expectGesvFallbackIdentity(t, 100, 2, a, b, lapack.MixedFallbackStalled)
-	ac, bc := mixedWellCond[complex128](5, 100, 2)
+	ac, bc := mixedCond[complex128](5, 100, 2, 1e4)
 	expectGesvFallbackIdentity(t, 100, 2, ac, bc, lapack.MixedFallbackStalled)
 }
 

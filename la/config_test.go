@@ -134,6 +134,8 @@ func TestThreadsBitIdentical(t *testing.T) {
 		sig  func(*testing.T, ...la.Opt) []float64
 	}{
 		{"GESV", gesvSig}, {"POSV", posvSig}, {"SYEV", syevSig}, {"GESVD", gesvdSig},
+		{"solves/complex128", complexSolveSig[complex128]},
+		{"solves/complex64", complexSolveSig[complex64]},
 	}
 	for _, d := range drivers {
 		t.Run(d.name, func(t *testing.T) {
@@ -145,6 +147,55 @@ func TestThreadsBitIdentical(t *testing.T) {
 			}
 		})
 	}
+}
+
+// complexSolveSig runs GESV, POSV (both triangles) and SYSV on complex
+// operands large enough for the packed engine, with the parallel cutoff
+// lowered so the macro-tile fan-out really runs, and flattens every output.
+// The complex types ride the real micro-kernels through the 1m packing, whose
+// tiles are as disjoint per worker as the real ones.
+func complexSolveSig[T la.Scalar](t *testing.T, opts ...la.Opt) []float64 {
+	t.Helper()
+	const n, nrhs = 150, 5
+	opts = append(opts, la.WithConfig(la.Config{GemmParallelMinVol: 1 << 12}))
+	var sig []float64
+	flat := func(m *la.Matrix[T]) {
+		for _, v := range m.Data {
+			c := toC(v)
+			sig = append(sig, real(c), imag(c))
+		}
+	}
+	a, b := randMat[T](41, n, n), randMat[T](42, n, nrhs)
+	ipiv, err := la.GESV(a, b, opts...)
+	if err != nil {
+		t.Fatalf("GESV: %v", err)
+	}
+	flat(a)
+	flat(b)
+	for _, uplo := range []la.UpLo{la.Upper, la.Lower} {
+		a, b = spdMat[T](43, n), randMat[T](44, n, nrhs)
+		if err := la.POSV(a, b, append(opts, la.WithUpLo(uplo))...); err != nil {
+			t.Fatalf("POSV: %v", err)
+		}
+		flat(a)
+		flat(b)
+	}
+	a, b = randMat[T](45, n, n), randMat[T](46, n, nrhs)
+	for j := 0; j < n; j++ {
+		for i := 0; i < j; i++ {
+			a.Set(j, i, a.At(i, j))
+		}
+	}
+	spiv, err := la.SYSV(a, b, opts...)
+	if err != nil {
+		t.Fatalf("SYSV: %v", err)
+	}
+	flat(a)
+	flat(b)
+	for _, p := range append(ipiv, spiv...) {
+		sig = append(sig, float64(p))
+	}
+	return sig
 }
 
 // fullPin returns a Config that pins every numerics-affecting knob, so a job
