@@ -6,9 +6,9 @@
 
 GO ?= go
 
-.PHONY: ci vet lint-globals build test test-portable race bench benchsmoke fuzzsmoke fuzz
+.PHONY: ci vet lint-globals build test test-portable race bench benchsmoke bench-smoke fuzzsmoke fuzz
 
-ci: vet lint-globals build test test-portable race fuzzsmoke benchsmoke
+ci: vet lint-globals build test test-portable race fuzzsmoke benchsmoke bench-smoke
 
 vet:
 	$(GO) vet ./...
@@ -69,15 +69,22 @@ fuzz:
 	$(GO) test ./la/ -fuzz='^$(TARGET)$$' -fuzztime=10m
 
 # Compile-and-run check for the benchmarks: one iteration each of the GEMM
-# engine (float64, and the complex 1m rows) and factorization benchmarks, no
-# timing claims.
+# engine (float64, and the complex 1m rows), the factorization benchmarks
+# (square and the 4096×256 QR) and the tall GELSD driver, no timing claims.
 benchsmoke:
-	$(GO) test -run=NONE -bench='Getrf|Gemm' -benchtime=1x .
+	$(GO) test -run=NONE -bench='Getrf|Gemm|Geqrf|GelsdTall' -benchtime=1x .
 	$(GO) run ./cmd/la90bench -reduce -maxn 256 -reps 1 -out /tmp/BENCH_reduce_smoke.json
 	$(GO) run ./cmd/la90bench -batch -maxbatch 64 -reps 1 -out /tmp/BENCH_batch_smoke.json
 	$(GO) run ./cmd/la90bench -mixed -maxn 256 -maxbatch 16 -reps 1 -out /tmp/BENCH_mixed_smoke.json
 	$(GO) run ./cmd/la90bench -cond -maxn 256 -reps 1 -out /tmp/BENCH_cond_smoke.json
 	$(GO) run ./cmd/la90bench -svd -maxn 256 -reps 1 -out /tmp/BENCH_svd_smoke.json
+
+# The repository benchmark's own smoke test (bench/ is a module of its own,
+# so `go test ./...` above does not reach it): every workload's op list runs
+# once at reduced size and is verified, in under 5 s. A driver change that
+# breaks a workload's verification fails here, before a benchmark run does.
+bench-smoke:
+	$(GO) -C bench test ./...
 
 # Quick performance snapshot (see README "Performance" for the full story).
 bench:

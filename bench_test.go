@@ -460,22 +460,55 @@ func BenchmarkPotrf(b *testing.B) {
 // BenchmarkGeqrf tracks the blocked Householder QR: panel Geqr2 plus a
 // Larft/Larfb pair per panel, both now routed through the GEMM engine.
 func BenchmarkGeqrf(b *testing.B) {
-	for _, n := range []int{64, 256, 512, 1024} {
+	for _, sh := range [][2]int{{64, 64}, {256, 256}, {512, 512}, {1024, 1024}, {4096, 256}} {
+		m, n := sh[0], sh[1]
+		name := "N=" + itoa(n)
+		if m != n {
+			name = "M=" + itoa(m) + "/" + name
+		}
 		rng := lapack.NewRng([4]int{n, 9, 9, 9})
-		a0 := make([]float64, n*n)
-		lapack.Larnv(2, rng, n*n, a0)
-		b.Run("N="+itoa(n), func(b *testing.B) {
-			aw := make([]float64, n*n)
+		a0 := make([]float64, m*n)
+		lapack.Larnv(2, rng, m*n, a0)
+		b.Run(name, func(b *testing.B) {
+			aw := make([]float64, m*n)
 			tau := make([]float64, n)
 			copy(aw, a0)
-			lapack.Geqrf(core.Default(), n, n, aw, n, tau) // untimed warm-up
+			lapack.Geqrf(core.Default(), m, n, aw, m, tau) // untimed warm-up
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				copy(aw, a0)
-				lapack.Geqrf(core.Default(), n, n, aw, n, tau)
+				lapack.Geqrf(core.Default(), m, n, aw, m, tau)
 			}
-			flops := 4.0 / 3.0 * float64(n) * float64(n) * float64(n)
+			flops := 2*float64(m)*float64(n)*float64(n) - 2.0/3.0*float64(n)*float64(n)*float64(n)
 			b.ReportMetric(flops*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOPS")
 		})
+	}
+}
+
+// BenchmarkGelsdTall times the tall least-squares D&C driver at the
+// benchmark's ls_tall shape: QR, Qᴴ·B from the factored form, and the n×n
+// SVD solve.
+func BenchmarkGelsdTall(b *testing.B) {
+	const m, n, nrhs = 4096, 256, 8
+	rng := lapack.NewRng([4]int{m, n, 9, 9})
+	a0 := make([]float64, m*n)
+	b0 := make([]float64, m*nrhs)
+	lapack.Larnv(2, rng, m*n, a0)
+	lapack.Larnv(2, rng, m*nrhs, b0)
+	aw := make([]float64, m*n)
+	bw := make([]float64, m*nrhs)
+	s := make([]float64, n)
+	run := func() {
+		copy(aw, a0)
+		copy(bw, b0)
+		if rank, info := lapack.Gelsd(core.Default(), m, n, nrhs, aw, m, bw, m, s, -1); info != 0 || rank != n {
+			b.Fatalf("Gelsd: rank %d info %d", rank, info)
+		}
+	}
+	run() // untimed warm-up
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		run()
 	}
 }

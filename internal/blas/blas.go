@@ -20,7 +20,11 @@
 // tests rather than silently corrupting memory.
 package blas
 
-import "fmt"
+import (
+	"fmt"
+
+	"repro/internal/core"
+)
 
 // Trans specifies the operation applied to a matrix operand.
 type Trans uint8
@@ -31,6 +35,17 @@ const (
 	TransT                 // op(A) = Aᵀ
 	ConjTrans              // op(A) = Aᴴ
 )
+
+// realTrans is t with ConjTrans mapped to TransT for real element types, for
+// which they are the same operation. The Level-2/3 entry points and the
+// packers apply it once on entry, so no loop below them conjugates real data
+// (core.Conj under gcshape stenciling is a type switch per element).
+func realTrans[T core.Scalar](t Trans) Trans {
+	if t == ConjTrans && !core.IsComplex[T]() {
+		return TransT
+	}
+	return t
+}
 
 func (t Trans) String() string {
 	switch t {

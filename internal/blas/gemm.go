@@ -1,6 +1,7 @@
 package blas
 
 import (
+	"math/bits"
 	"sync"
 
 	"repro/internal/core"
@@ -32,30 +33,48 @@ import (
 // The micro-tile geometry, the packed formats and the kernels that consume
 // them come from the element type's row of the kernel table (kernel.go).
 
-// packScratch recycles packing buffers and diagonal-block scratch across
-// Level-3 calls. Factorizations issue thousands of modest Gemm calls, and
-// allocating (and page-zeroing) a fresh packed panel for each one shows up as
-// several percent of a whole LU. Buffers come back uninitialized; every user
-// either overwrites its slice fully or clears the ragged tail explicitly
-// (packA/packB zero-pad edge panels, the Syrk/Herk scratch is written with
-// beta = 0).
-var packScratch sync.Pool
+// scratchPools recycles packing buffers, diagonal-block scratch and the
+// lapack layer's workspaces across calls. Factorizations issue thousands of
+// modest Gemm calls, and allocating (and page-zeroing) a fresh packed panel
+// for each one shows up as several percent of a whole LU. There is one pool
+// per element type and power-of-two size class, and a buffer's capacity is
+// its class size, so whatever a class hands out fits every request mapped to
+// it: a small request can neither consume nor discard a large buffer.
+// Buffers come back uninitialized; every user either overwrites its slice
+// fully or clears what it needs zero explicitly (packA/packB zero-pad edge
+// panels, the Syrk/Herk scratch is written with beta = 0).
+var scratchPools [4][bits.UintSize]sync.Pool
 
 // getScratch returns an uninitialized length-n slice, reusing a pooled buffer
-// when one of the right element type and capacity is available.
+// of n's size class when there is one.
 func getScratch[T core.Scalar](n int) []T {
-	if v := packScratch.Get(); v != nil {
-		if s, ok := v.([]T); ok && cap(s) >= n {
-			return s[:n]
-		}
+	class := bits.Len(uint(max(n, 1) - 1))
+	if v := scratchPool[T](class).Get(); v != nil {
+		return v.([]T)[:n]
 	}
-	return make([]T, n)
+	return make([]T, n, 1<<class)
 }
 
+// putScratch takes back a slice from getScratch. Foreign slices are filed
+// under the largest class their capacity covers.
 func putScratch[T core.Scalar](s []T) {
 	if cap(s) > 0 {
-		packScratch.Put(s[:cap(s)])
+		scratchPool[T](bits.Len(uint(cap(s))) - 1).Put(s[:cap(s)])
 	}
+}
+
+func scratchPool[T core.Scalar](class int) *sync.Pool {
+	var z T
+	t := 0
+	switch any(z).(type) {
+	case float32:
+		t = 1
+	case complex128:
+		t = 2
+	case complex64:
+		t = 3
+	}
+	return &scratchPools[t][class]
 }
 
 // GetScratch hands out a pooled, UNINITIALIZED length-n workspace slice for
@@ -119,6 +138,7 @@ func roundUp(v, unit int) int {
 // zero-padding the ragged last panel so full-tile kernels never branch on
 // row count. dst must have length kb*roundUp(mb, mr).
 func packA[T core.Scalar](dst []T, mr int, trans Trans, alpha T, a []T, lda int, i0, mb, p0, kb int) {
+	trans = realTrans[T](trans)
 	for r0 := 0; r0 < mb; r0 += mr {
 		panel := dst[r0*kb : r0*kb+mr*kb]
 		rows := min(mr, mb-r0)
@@ -155,13 +175,24 @@ func packA[T core.Scalar](dst []T, mr int, trans Trans, alpha T, a []T, lda int,
 				}
 			}
 		case TransT:
-			for r := 0; r < rows; r++ {
-				src := a[p0+(i0+r0+r)*lda:]
-				for p := 0; p < kb; p++ {
-					panel[p*mr+r] = alpha * src[p]
+			// op(A)(i, p) = A(p, i): panel row r is a contiguous run down
+			// column i0+r0+r. Eight (then four) of those columns are read
+			// together so that each panel step is written in one piece
+			// instead of being revisited at stride mr once per row.
+			src := a[p0+(i0+r0)*lda:]
+			r := 0
+			for ; r+8 <= rows; r += 8 {
+				gatherCols8(panel[r:], mr, alpha, src[r*lda:], lda, kb)
+			}
+			for ; r+4 <= rows; r += 4 {
+				gatherCols4(panel[r:], mr, alpha, src[r*lda:], lda, kb)
+			}
+			for ; r < rows; r++ {
+				for p, v := range src[r*lda:][:kb] {
+					panel[p*mr+r] = alpha * v
 				}
 			}
-		default: // ConjTrans
+		default: // ConjTrans, complex T
 			for r := 0; r < rows; r++ {
 				src := a[p0+(i0+r0+r)*lda:]
 				for p := 0; p < kb; p++ {
@@ -172,10 +203,43 @@ func packA[T core.Scalar](dst []T, mr int, trans Trans, alpha T, a []T, lda int,
 	}
 }
 
+// gatherCols8 writes dst[p·ld+c] = alpha·src[p+c·lds] for c < 8, p < kb: eight
+// source columns transposed into eight adjacent slots of each ld-strided
+// destination step. gatherCols4 is the four-column form, which also packs
+// the full NoTrans micro-panels of B. Measured against an AVX2 4×4-transpose
+// kernel in EXPERIMENTS.md ("Transposing pack").
+func gatherCols8[T core.Scalar](dst []T, ld int, alpha T, src []T, lds, kb int) {
+	s0 := src[:kb]
+	s1 := src[lds:][:len(s0)]
+	s2 := src[2*lds:][:len(s0)]
+	s3 := src[3*lds:][:len(s0)]
+	s4 := src[4*lds:][:len(s0)]
+	s5 := src[5*lds:][:len(s0)]
+	s6 := src[6*lds:][:len(s0)]
+	s7 := src[7*lds:][:len(s0)]
+	for p := range s0 {
+		d := dst[p*ld : p*ld+8 : p*ld+8]
+		d[0], d[1], d[2], d[3] = alpha*s0[p], alpha*s1[p], alpha*s2[p], alpha*s3[p]
+		d[4], d[5], d[6], d[7] = alpha*s4[p], alpha*s5[p], alpha*s6[p], alpha*s7[p]
+	}
+}
+
+func gatherCols4[T core.Scalar](dst []T, ld int, alpha T, src []T, lds, kb int) {
+	s0 := src[:kb]
+	s1 := src[lds:][:len(s0)]
+	s2 := src[2*lds:][:len(s0)]
+	s3 := src[3*lds:][:len(s0)]
+	for p := range s0 {
+		d := dst[p*ld : p*ld+4 : p*ld+4]
+		d[0], d[1], d[2], d[3] = alpha*s0[p], alpha*s1[p], alpha*s2[p], alpha*s3[p]
+	}
+}
+
 // packB packs op(B)(p0:p0+kb, j0:j0+nb) into nr-column micro-panels with the
 // same zero-padding convention as packA. dst must have length
 // kb*roundUp(nb, nr).
 func packB[T core.Scalar](dst []T, nr int, trans Trans, b []T, ldb int, p0, kb, j0, nb int) {
+	trans = realTrans[T](trans)
 	for c0 := 0; c0 < nb; c0 += nr {
 		panel := dst[c0*kb : c0*kb+nr*kb]
 		cols := min(nr, nb-c0)
@@ -188,14 +252,7 @@ func packB[T core.Scalar](dst []T, nr int, trans Trans, b []T, ldb int, p0, kb, 
 				// Full micro-panel: interleave the four source columns in
 				// one pass so every panel row is written contiguously
 				// instead of revisiting it at stride nr per column.
-				s0 := b[p0+(j0+c0)*ldb:][:kb]
-				s1 := b[p0+(j0+c0+1)*ldb:][:kb]
-				s2 := b[p0+(j0+c0+2)*ldb:][:kb]
-				s3 := b[p0+(j0+c0+3)*ldb:][:kb]
-				for p := range s0 {
-					d := panel[p*4 : p*4+4 : p*4+4]
-					d[0], d[1], d[2], d[3] = s0[p], s1[p], s2[p], s3[p]
-				}
+				gatherCols4(panel, 4, core.FromFloat[T](1), b[p0+(j0+c0)*ldb:], ldb, kb)
 				break
 			}
 			for c := 0; c < cols; c++ {
@@ -210,7 +267,7 @@ func packB[T core.Scalar](dst []T, nr int, trans Trans, b []T, ldb int, p0, kb, 
 			for p := 0; p < kb; p++ {
 				copy(panel[p*nr:p*nr+cols], b[j0+c0+(p0+p)*ldb:])
 			}
-		default: // ConjTrans
+		default: // ConjTrans, complex T
 			for p := 0; p < kb; p++ {
 				src := b[j0+c0+(p0+p)*ldb:]
 				d := panel[p*nr:]

@@ -1,0 +1,309 @@
+package blas
+
+import (
+	"fmt"
+	"math"
+	"math/big"
+	"math/rand"
+	"testing"
+
+	"repro/internal/core"
+)
+
+// Tests of the Level-1/2 leaves and packers under the Householder path: the
+// column-stream transposing packers against the element-by-element
+// definition of the packed format, real Gerc (= Ger) and the Nrm2 fast path
+// against their reference loops, and the size-class scratch pool.
+
+// packARef and packBRef write the packed formats from their definitions:
+// panel step p of an mr-row (nr-column) micro-panel holds
+// alpha·op(A)(r0:r0+mr, p) (op(B)(p, c0:c0+nr)), zero beyond the operand.
+func packARef[T core.Scalar](dst []T, mr int, trans Trans, alpha T, a []T, lda int, i0, mb, p0, kb int) {
+	clear(dst)
+	for i := 0; i < mb; i++ {
+		for p := 0; p < kb; p++ {
+			var v T
+			switch trans {
+			case NoTrans:
+				v = a[i0+i+(p0+p)*lda]
+			case TransT:
+				v = a[p0+p+(i0+i)*lda]
+			default:
+				v = core.Conj(a[p0+p+(i0+i)*lda])
+			}
+			dst[(i/mr)*mr*kb+p*mr+i%mr] = alpha * v
+		}
+	}
+}
+
+func packBRef[T core.Scalar](dst []T, nr int, trans Trans, b []T, ldb int, p0, kb, j0, nb int) {
+	clear(dst)
+	for j := 0; j < nb; j++ {
+		for p := 0; p < kb; p++ {
+			var v T
+			switch trans {
+			case NoTrans:
+				v = b[p0+p+(j0+j)*ldb]
+			case TransT:
+				v = b[j0+j+(p0+p)*ldb]
+			default:
+				v = core.Conj(b[j0+j+(p0+p)*ldb])
+			}
+			dst[(j/nr)*nr*kb+p*nr+j%nr] = v
+		}
+	}
+}
+
+func sameBits[T core.Scalar](a, b []T) bool {
+	for i := range a {
+		x, y := core.ToComplex(a[i]), core.ToComplex(b[i])
+		if math.Float64bits(real(x)) != math.Float64bits(real(y)) ||
+			math.Float64bits(imag(x)) != math.Float64bits(imag(y)) {
+			return false
+		}
+	}
+	return len(a) == len(b)
+}
+
+// testPackers checks one (packA, packB) pair at geometry mr×nr bit for bit
+// against the reference packers: every trans, the alphas the factorizations
+// use and a general one, extents ragged against 4, 8 and 16, padded leading
+// dimensions, and nonzero offsets into the operand.
+func testPackers[T core.Scalar](t *testing.T, mr, nr int,
+	pa func(dst []T, mr int, trans Trans, alpha T, a []T, lda int, i0, mb, p0, kb int),
+	pb func(dst []T, nr int, trans Trans, b []T, ldb int, p0, kb, j0, nb int)) {
+	rng := rand.New(rand.NewSource(33))
+	const dim = 45 // operand is dim×dim inside lda = dim+3
+	lda := dim + 3
+	a := randSlice[T](rng, lda*dim)
+	for _, trans := range allTrans {
+		for _, ext := range []int{1, 3, 4, 7, 8, 9, 16, 21, 37} {
+			for _, kb := range []int{1, 2, 5, 8, 33} {
+				i0, p0 := 2, 5
+				wantA := make([]T, kb*roundUp(ext, mr))
+				gotA := randSlice[T](rng, len(wantA)) // stale contents must not survive
+				for _, al := range []float64{1, -1, 1.5} {
+					alpha := core.FromFloat[T](al)
+					packARef(wantA, mr, trans, alpha, a, lda, i0, ext, p0, kb)
+					pa(gotA, mr, trans, alpha, a, lda, i0, ext, p0, kb)
+					if !sameBits(gotA, wantA) {
+						t.Fatalf("packA mr=%d %v alpha=%v mb=%d kb=%d differs from the reference", mr, trans, al, ext, kb)
+					}
+				}
+				wantB := make([]T, kb*roundUp(ext, nr))
+				gotB := randSlice[T](rng, len(wantB))
+				packBRef(wantB, nr, trans, a, lda, p0, kb, i0, ext)
+				pb(gotB, nr, trans, a, lda, p0, kb, i0, ext)
+				if !sameBits(gotB, wantB) {
+					t.Fatalf("packB nr=%d %v nb=%d kb=%d differs from the reference", nr, trans, ext, kb)
+				}
+			}
+		}
+	}
+}
+
+func TestPackersMatchReference(t *testing.T) {
+	for _, mr := range []int{4, 8, 16} {
+		t.Run(fmt.Sprintf("generic/mr=%d", mr), func(t *testing.T) {
+			testPackers(t, mr, 4, packA[float64], packB[float64])
+			testPackers(t, mr, 4, packA[float32], packB[float32])
+			testPackers(t, mr, 4, packA[complex128], packB[complex128])
+			testPackers(t, mr, 4, packA[complex64], packB[complex64])
+		})
+	}
+	// The real rows of the kernel table as the engines use them (the complex
+	// asm rows pack in 1m form, covered by TestGemmPackedComplex).
+	eachRoute(t, func(t *testing.T) {
+		k64, k32 := kernelFor[float64](), kernelFor[float32]()
+		testPackers(t, k64.mr, k64.nr, k64.packA, k64.packB)
+		testPackers(t, k32.mr, k32.nr, k32.packA, k32.packB)
+	})
+}
+
+// ulps returns |got − want| in units of the last place of want at T's
+// precision.
+func ulps[T core.Scalar](got, want float64) float64 {
+	if got == want {
+		return 0
+	}
+	return math.Abs(got-want) / (math.Abs(want) * core.Eps[T]())
+}
+
+// gercRef is the rank-one update from its definition, one rounding per
+// multiply and add.
+func gercRef[T core.Scalar](m, n int, alpha T, x []T, incX int, y []T, incY int, a []T, lda int) {
+	for j := 0; j < n; j++ {
+		t := alpha * core.Conj(y[j*incY])
+		for i := 0; i < m; i++ {
+			a[i+j*lda] += x[i*incX] * t
+		}
+	}
+}
+
+func testGerc[T core.Scalar](t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for _, sh := range [][2]int{{1, 1}, {7, 3}, {8, 8}, {33, 5}, {100, 17}} {
+		m, n := sh[0], sh[1]
+		for _, inc := range [][2]int{{1, 1}, {1, 3}, {2, 1}} {
+			incX, incY := inc[0], inc[1]
+			lda := m + 2
+			x, y := randSlice[T](rng, m*incX), randSlice[T](rng, n*incY)
+			a0 := randSlice[T](rng, lda*n)
+			alpha := core.FromComplex[T](complex(-0.75, 0.5))
+			want := append([]T(nil), a0...)
+			gercRef(m, n, alpha, x, incX, y, incY, want, lda)
+			got := append([]T(nil), a0...)
+			Gerc(m, n, alpha, x, incX, y, incY, got, lda)
+			if core.IsComplex[T]() {
+				// The complex loop is the reference loop, untouched.
+				if !sameBits(got, want) {
+					t.Fatalf("%dx%d inc %v: complex Gerc changed", m, n, inc)
+				}
+				continue
+			}
+			// Real Gerc is Ger: FMA kernels may round once where the
+			// reference rounds twice.
+			for i := range got {
+				g, w := core.Re(got[i]), core.Re(want[i])
+				if math.Abs(g-w) > 2*core.Eps[T]()*math.Max(math.Abs(w), 1) {
+					t.Fatalf("%dx%d inc %v: Gerc[%d] = %v, reference %v", m, n, inc, i, g, w)
+				}
+			}
+			ger := append([]T(nil), a0...)
+			Ger(m, n, alpha, x, incX, y, incY, ger, lda)
+			if !sameBits(got, ger) {
+				t.Fatalf("%dx%d inc %v: real Gerc is not Ger", m, n, inc)
+			}
+		}
+	}
+}
+
+func TestGercRealIsGer(t *testing.T) {
+	eachRoute(t, func(t *testing.T) {
+		testGerc[float64](t)
+		testGerc[float32](t)
+		testGerc[complex128](t)
+		testGerc[complex64](t)
+	})
+}
+
+// nrm2Exact is the correctly rounded norm: the squares summed exactly.
+func nrm2Exact[T core.Scalar](x []T) float64 {
+	sum := new(big.Float).SetPrec(2200)
+	for _, v := range x {
+		for _, part := range [2]float64{core.Re(v), core.Im(v)} {
+			p := new(big.Float).SetPrec(2200).SetFloat64(part)
+			sum.Add(sum, p.Mul(p, p))
+		}
+	}
+	r, _ := sum.Sqrt(sum).Float64()
+	return r
+}
+
+// testNrm2 checks the fast path's contract: whatever it declines — or would
+// get wrong — gives exactly the scaled loop's answer, and what it accepts is
+// within 2 ulp of T of the true norm (the scaled loop's own sequential sum
+// is no closer than that).
+func testNrm2[T core.Scalar](t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	big, small := 1e300, 1e-300
+	if core.Eps[T]() > 1e-10 { // single precision
+		big, small = 1e30, 1e-30
+	}
+	sub := core.SafeMin[T]() / 16 // subnormal in T
+	for _, n := range []int{1, 2, 7, 8, 31, 100, 1000} {
+		base := randSlice[T](rng, n)
+		scaled := func(f float64) []T {
+			x := append([]T(nil), base...)
+			Scal(n, core.FromFloat[T](f), x, 1)
+			return x
+		}
+		with := func(v float64, at int) []T {
+			x := append([]T(nil), base...)
+			x[at] = core.FromFloat[T](v)
+			return x
+		}
+		exact := map[string][]T{
+			"huge": scaled(big), "tiny": scaled(small), "subnormal": scaled(sub),
+			"zero":      make([]T, n),
+			"NaN first": with(math.NaN(), 0), "NaN last": with(math.NaN(), n-1),
+			"Inf": with(math.Inf(1), n/2), "-Inf": with(math.Inf(-1), n/2),
+			"one huge": with(big, n/2),
+		}
+		for name, x := range exact {
+			got, want := Nrm2(n, x, 1), nrm2Scaled(n, x, 1)
+			if math.Float64bits(got) != math.Float64bits(want) && !(math.IsNaN(got) && math.IsNaN(want)) {
+				t.Errorf("n=%d %s: Nrm2 = %v, scaled loop %v", n, name, got, want)
+			}
+		}
+		for _, f := range []float64{1, 1e-3, 4096} {
+			x := scaled(f)
+			got := Nrm2(n, x, 1)
+			if _, fast := sumSquares(x); !fast {
+				// No vector kernels on this route: the scaled loop, as ever.
+				if want := nrm2Scaled(n, x, 1); got != want {
+					t.Errorf("n=%d scale %g: Nrm2 = %v, scaled loop %v", n, f, got, want)
+				}
+			} else if want := nrm2Exact(x); ulps[T](got, want) > 2 {
+				t.Errorf("n=%d scale %g: Nrm2 = %v, true norm %v (%.1f ulp)", n, f, got, want, ulps[T](got, want))
+			}
+		}
+		// Strided vectors always take the scaled loop.
+		if n > 1 {
+			got, want := Nrm2(n/2, base, 2), nrm2Scaled(n/2, base, 2)
+			if got != want {
+				t.Errorf("n=%d strided: %v vs %v", n, got, want)
+			}
+		}
+	}
+}
+
+func TestNrm2FastPath(t *testing.T) {
+	eachRoute(t, func(t *testing.T) {
+		testNrm2[float64](t)
+		testNrm2[float32](t)
+		testNrm2[complex128](t)
+		testNrm2[complex64](t)
+	})
+}
+
+// TestScratchSizeClasses pins the pool's invariants: a buffer's capacity is
+// its power-of-two class, so a small request never returns (or consumes) a
+// large buffer, a large one never gets a short buffer, and foreign slices of
+// odd capacity are filed where they fit every request of the class.
+func TestScratchSizeClasses(t *testing.T) {
+	for _, n := range []int{0, 1, 2, 3, 4, 5, 31, 32, 33, 1000, 1 << 16, 1<<16 + 1} {
+		s := getScratch[float64](n)
+		if len(s) != n || cap(s) < n || cap(s) > max(1, 2*n) || cap(s)&(cap(s)-1) != 0 {
+			t.Fatalf("getScratch(%d): len %d cap %d", n, len(s), cap(s))
+		}
+		putScratch(s)
+	}
+	// An odd-capacity foreign buffer lands in the class below its capacity.
+	putScratch(make([]float32, 100)) // class 64
+	for i := 0; i < 8; i++ {
+		if s := getScratch[float32](100); cap(s) < 100 {
+			t.Fatalf("request for 100 got capacity %d", cap(s))
+		}
+		if s := getScratch[float32](64); cap(s) < 64 {
+			t.Fatalf("request for 64 got capacity %d", cap(s))
+		}
+	}
+	// A large buffer survives any number of small requests of its type and
+	// of other types (sync.Pool may drop it on its own, so only the sizes
+	// handed out are asserted).
+	putScratch(make([]float64, 1<<20))
+	for i := 0; i < 8; i++ {
+		small := getScratch[float64](10)
+		if cap(small) != 16 {
+			t.Fatalf("small request got capacity %d", cap(small))
+		}
+		putScratch(small)
+		if c := getScratch[complex128](10); cap(c) != 16 {
+			t.Fatalf("small complex request got capacity %d", cap(c))
+		}
+	}
+	if s := getScratch[float64](1 << 20); cap(s) != 1<<20 {
+		t.Fatalf("large request got capacity %d", cap(s))
+	}
+}

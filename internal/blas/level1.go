@@ -167,14 +167,28 @@ func Dotc[T core.Scalar](n int, x []T, incX int, y []T, incY int) T {
 	return sum
 }
 
-// Nrm2 returns the Euclidean norm of the n-element vector x, computed with
-// the scaled-sum-of-squares update of the reference xNRM2 so that it neither
-// overflows nor underflows for representable results.
+// Nrm2 returns the Euclidean norm of the n-element vector x. Unit-stride
+// vectors whose plain sum of squares lands in a safe window return its
+// square root (sumSquares); everything else — strided, huge, tiny, NaN or
+// Inf data, no vector kernels — takes the scaled-sum-of-squares update of
+// the reference xNRM2, which neither overflows nor underflows for
+// representable results.
 func Nrm2[T core.Scalar](n int, x []T, incX int) float64 {
 	if n <= 0 {
 		return 0
 	}
 	checkInc(incX)
+	if incX == 1 {
+		if s, ok := sumSquares(x[:n]); ok {
+			return math.Sqrt(s)
+		}
+	}
+	return nrm2Scaled(n, x, incX)
+}
+
+// nrm2Scaled is the reference xNRM2 loop: one compare, one divide and a
+// dependent update per element, safe over the whole exponent range.
+func nrm2Scaled[T core.Scalar](n int, x []T, incX int) float64 {
 	scale, ssq := 0.0, 1.0
 	for i, ix := 0, 0; i < n; i, ix = i+1, ix+incX {
 		updateSSQ(core.Re(x[ix]), &scale, &ssq)
@@ -183,6 +197,44 @@ func Nrm2[T core.Scalar](n int, x []T, incX int) float64 {
 		}
 	}
 	return scale * math.Sqrt(ssq)
+}
+
+// sumSquares returns Σ|xᵢ|² from the FMA dot kernels (complex vectors through
+// their real view) and whether it can stand in for the scaled loop: the
+// kernels must be available and the sum must sit inside the window of the
+// kernel's precision (1e±280 for float64 lanes, 1e±28 for float32). A sum of non-negative FMA terms is only ever wrong by
+// overflow — then it is Inf, as it is for Inf input, and NaN input gives NaN —
+// or by terms lost below the subnormal threshold, which cannot matter once
+// the total is a factor 1/ε clear of it; both windows keep a wide margin on
+// top of that.
+func sumSquares[T core.Scalar](x []T) (float64, bool) {
+	switch xs := any(x).(type) {
+	case []float64:
+		return sumSquaresF64(xs)
+	case []complex128:
+		return sumSquaresF64(realView128(xs))
+	case []float32:
+		return sumSquaresF32(xs)
+	case []complex64:
+		return sumSquaresF32(realView64(xs))
+	}
+	return 0, false
+}
+
+func sumSquaresF64(x []float64) (float64, bool) {
+	if !asmF64() {
+		return 0, false
+	}
+	s := ddotFma(int64(len(x)), &x[0], &x[0])
+	return s, s > 1e-280 && s < 1e280
+}
+
+func sumSquaresF32(x []float32) (float64, bool) {
+	if !asmF32() {
+		return 0, false
+	}
+	s := float64(sdotFma(int64(len(x)), &x[0], &x[0]))
+	return s, s > 1e-28 && s < 1e28
 }
 
 func updateSSQ(v float64, scale, ssq *float64) {

@@ -14,6 +14,7 @@ func Gemv[T core.Scalar](cfg *core.Config, trans Trans, m, n int, alpha T, a []T
 	lenY := m
 	if trans != NoTrans {
 		lenY = n
+		trans = realTrans[T](trans)
 	}
 	if beta != core.FromFloat[T](1) {
 		if beta == 0 {
@@ -241,8 +242,17 @@ func Ger[T core.Scalar](m, n int, alpha T, x []T, incX int, y []T, incY int, a [
 	}
 }
 
-// Gerc computes the conjugated rank-one update A += alpha*x*yᴴ.
+// Gerc computes the conjugated rank-one update A += alpha*x*yᴴ. For real
+// element types that is Ger, vector kernels included.
 func Gerc[T core.Scalar](m, n int, alpha T, x []T, incX int, y []T, incY int, a []T, lda int) {
+	if core.IsComplex[T]() {
+		gercComplex(m, n, alpha, x, incX, y, incY, a, lda)
+		return
+	}
+	Ger(m, n, alpha, x, incX, y, incY, a, lda)
+}
+
+func gercComplex[T core.Scalar](m, n int, alpha T, x []T, incX int, y []T, incY int, a []T, lda int) {
 	if m == 0 || n == 0 || alpha == 0 {
 		return
 	}

@@ -46,6 +46,7 @@ func Gemm[T core.Scalar](cfg *core.Config, transA, transB Trans, m, n, k int, al
 	}
 	checkLD(rowsA, lda)
 	checkLD(rowsB, ldb)
+	transA, transB = realTrans[T](transA), realTrans[T](transB)
 
 	// The beta scaling runs exactly once, up front, whether or not a product
 	// is accumulated afterwards; both kernels below only ever add to C.
@@ -618,7 +619,8 @@ func Trmm[T core.Scalar](side Side, uplo Uplo, trans Trans, diag Diag, m, n int,
 		return
 	}
 	// Right side: B = alpha * B * op(A). Work row-wise on B via explicit
-	// column combinations; op(A) is na×na.
+	// column combinations (Scal for the diagonal, one Axpy per off-diagonal
+	// entry, so real types run on the vector kernels); op(A) is na×na.
 	cj := func(v T) T { return v }
 	if trans == ConjTrans {
 		cj = core.Conj[T]
@@ -636,13 +638,9 @@ func Trmm[T core.Scalar](side Side, uplo Uplo, trans Trans, diag Diag, m, n int,
 				djj = cj(a[j+j*lda])
 			}
 			if nonUnit {
-				for i := range bj {
-					bj[i] *= alpha * djj
-				}
+				Scal(m, alpha*djj, bj, 1)
 			} else if alpha != core.FromFloat[T](1) {
-				for i := range bj {
-					bj[i] *= alpha
-				}
+				Scal(m, alpha, bj, 1)
 			}
 			for l := 0; l < j; l++ {
 				var alj T
@@ -654,11 +652,7 @@ func Trmm[T core.Scalar](side Side, uplo Uplo, trans Trans, diag Diag, m, n int,
 				if alj == 0 {
 					continue
 				}
-				t := alpha * alj
-				bl := b[l*ldb : l*ldb+m]
-				for i := range bj {
-					bj[i] += t * bl[i]
-				}
+				Axpy(m, alpha*alj, b[l*ldb:l*ldb+m], 1, bj, 1)
 			}
 		}
 	} else {
@@ -673,13 +667,9 @@ func Trmm[T core.Scalar](side Side, uplo Uplo, trans Trans, diag Diag, m, n int,
 				djj = cj(a[j+j*lda])
 			}
 			if nonUnit {
-				for i := range bj {
-					bj[i] *= alpha * djj
-				}
+				Scal(m, alpha*djj, bj, 1)
 			} else if alpha != core.FromFloat[T](1) {
-				for i := range bj {
-					bj[i] *= alpha
-				}
+				Scal(m, alpha, bj, 1)
 			}
 			for l := j + 1; l < n; l++ {
 				var alj T
@@ -691,11 +681,7 @@ func Trmm[T core.Scalar](side Side, uplo Uplo, trans Trans, diag Diag, m, n int,
 				if alj == 0 {
 					continue
 				}
-				t := alpha * alj
-				bl := b[l*ldb : l*ldb+m]
-				for i := range bj {
-					bj[i] += t * bl[i]
-				}
+				Axpy(m, alpha*alj, b[l*ldb:l*ldb+m], 1, bj, 1)
 			}
 		}
 	}

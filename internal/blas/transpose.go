@@ -13,6 +13,7 @@ const transposeBlock = 32
 // kernels use — instead of a strided element-by-element sweep, so one of
 // the two access patterns in every tile is contiguous.
 func ConjTransposeTo[T core.Scalar](m, n int, src []T, lds int, dst []T, ldd int) {
+	cplx := core.IsComplex[T]()
 	for j0 := 0; j0 < n; j0 += transposeBlock {
 		j1 := min(j0+transposeBlock, n)
 		for i0 := 0; i0 < m; i0 += transposeBlock {
@@ -20,7 +21,11 @@ func ConjTransposeTo[T core.Scalar](m, n int, src []T, lds int, dst []T, ldd int
 			for j := j0; j < j1; j++ {
 				col := src[j*lds:]
 				for i := i0; i < i1; i++ {
-					dst[j+i*ldd] = core.Conj(col[i])
+					v := col[i]
+					if cplx { // hoisted: Conj on real data is a type switch per element
+						v = core.Conj(v)
+					}
+					dst[j+i*ldd] = v
 				}
 			}
 		}

@@ -121,8 +121,8 @@ func Lange[T core.Scalar](norm Norm, m, n int, a []T, lda int) float64 {
 	case MaxAbs:
 		v := 0.0
 		for j := 0; j < n; j++ {
-			for i := 0; i < m; i++ {
-				v = math.Max(v, core.Abs(a[i+j*lda]))
+			for _, e := range a[j*lda : j*lda+m] {
+				v = maxNaN(v, core.Abs(e))
 			}
 		}
 		return v
@@ -137,7 +137,9 @@ func Lange[T core.Scalar](norm Norm, m, n int, a []T, lda int) float64 {
 		}
 		return v
 	case InfNorm:
-		rows := make([]float64, m)
+		rows := blas.GetScratch[float64](m)
+		defer blas.PutScratch(rows)
+		clear(rows)
 		for j := 0; j < n; j++ {
 			col := a[j*lda : j*lda+m]
 			for i, e := range col {
@@ -172,7 +174,7 @@ func langeFloat[F float32 | float64](norm Norm, m, n int, a []F, lda int) float6
 		v := 0.0
 		for j := 0; j < n; j++ {
 			for _, e := range a[j*lda : j*lda+m] {
-				v = math.Max(v, math.Abs(float64(e)))
+				v = maxNaN(v, math.Abs(float64(e)))
 			}
 		}
 		return v
@@ -187,7 +189,9 @@ func langeFloat[F float32 | float64](norm Norm, m, n int, a []F, lda int) float6
 		}
 		return v
 	default: // InfNorm
-		rows := make([]float64, m)
+		rows := blas.GetScratch[float64](m)
+		defer blas.PutScratch(rows)
+		clear(rows)
 		for j := 0; j < n; j++ {
 			for i, e := range a[j*lda : j*lda+m] {
 				rows[i] += math.Abs(float64(e))
@@ -199,6 +203,17 @@ func langeFloat[F float32 | float64](norm Norm, m, n int, a []F, lda int) float6
 		}
 		return v
 	}
+}
+
+// maxNaN is math.Max for the per-element sweeps of the norm routines, which
+// never see −0 or −Inf: the larger of v and e, and NaN as soon as either is
+// NaN (a NaN v fails both tests and stays; a NaN e replaces v). A compare and
+// a predictable branch instead of math.Max's call.
+func maxNaN(v, e float64) float64 {
+	if e > v || e != e {
+		return e
+	}
+	return v
 }
 
 func lassq(v float64, scale, ssq *float64) {

@@ -27,7 +27,8 @@ func svdTallQRFirst[T core.Scalar](cfg *core.Config, inner svdDriver[T], jobu, j
 	one := core.FromFloat[T](1)
 	zero := core.FromFloat[T](0)
 	tau := make([]T, n)
-	Geqrf(cfg, m, n, a, lda, tau)
+	ts := geqrfT(cfg, m, n, a, lda, tau)
+	defer ts.release()
 	r := blas.GetScratch[T](n * n)
 	defer blas.PutScratch(r)
 	Laset('A', n, n, 0, 0, r, n)
@@ -50,7 +51,7 @@ func svdTallQRFirst[T core.Scalar](cfg *core.Config, inner svdDriver[T], jobu, j
 			ucols = m
 		}
 		Lacpy('L', m, n, a, lda, u, ldu)
-		Orgqr(cfg, m, ucols, n, u, ldu, tau)
+		orgqr(cfg, m, ucols, n, u, ldu, tau, ts)
 		// First n columns become Q(:, 0:n)·U_R; for jobu 'A' the trailing
 		// m−n columns of Q are already the remaining left vectors.
 		tmp := blas.GetScratch[T](m * n)
@@ -87,29 +88,36 @@ func Gesdd[T core.Scalar](cfg *core.Config, jobu, jobvt SVDJob, m, n int, a []T,
 	// their low bits when squared. Singular vectors are scale-invariant;
 	// the σ are multiplied back on the way out (overflowing to Inf only
 	// when the true value does).
-	if anrm := Lange(MaxAbs, m, n, a, lda); anrm > 0 && !math.IsInf(anrm, 0) && !math.IsNaN(anrm) {
-		eps := core.Eps[T]()
-		smlnum := math.Sqrt(core.SafeMin[T]()) / eps
-		bignum := 1 / smlnum
-		var target float64
-		if anrm < smlnum {
-			target = smlnum
-		} else if anrm > bignum {
-			target = bignum
-		}
-		if target != 0 {
-			Lascl(MatGeneral, anrm, target, m, n, a, lda)
-			info := gesddScaled(cfg, jobu, jobvt, m, n, a, lda, s, u, ldu, vt, ldvt)
-			if info == 0 {
-				scl := anrm / target
-				for i := 0; i < mn; i++ {
-					s[i] *= scl
-				}
+	if anrm, target := svdScaleTarget[T](Lange(MaxAbs, m, n, a, lda)); target != 0 {
+		Lascl(MatGeneral, anrm, target, m, n, a, lda)
+		info := gesddScaled(cfg, jobu, jobvt, m, n, a, lda, s, u, ldu, vt, ldvt)
+		if info == 0 {
+			scl := anrm / target
+			for i := 0; i < mn; i++ {
+				s[i] *= scl
 			}
-			return info
 		}
+		return info
 	}
 	return gesddScaled(cfg, jobu, jobvt, m, n, a, lda, s, u, ldu, vt, ldvt)
+}
+
+// svdScaleTarget returns anrm and the magnitude ‖A‖max should be scaled to
+// before a drive that squares singular values: sqrt(safmin)/ε when anrm is
+// below it, its reciprocal when above, 0 (leave A alone) when anrm is inside
+// that range, zero, Inf or NaN.
+func svdScaleTarget[T core.Scalar](anrm float64) (float64, float64) {
+	if !(anrm > 0) || math.IsInf(anrm, 0) {
+		return anrm, 0
+	}
+	smlnum := math.Sqrt(core.SafeMin[T]()) / core.Eps[T]()
+	switch bignum := 1 / smlnum; {
+	case anrm < smlnum:
+		return anrm, smlnum
+	case anrm > bignum:
+		return anrm, bignum
+	}
+	return anrm, 0
 }
 
 // gesddScaled is the Gesdd drive proper, entered once the input is known to
@@ -225,8 +233,48 @@ func gesddScaled[T core.Scalar](cfg *core.Config, jobu, jobvt SVDJob, m, n int, 
 //
 // Unlike Gelss's per-column Gemv sweeps, the pseudo-inverse application
 // x = V·Σ⁺·Uᴴ·b runs as two multi-RHS GEMM calls, so the whole drive —
-// bidiagonal D&C included — stays on the Level-3 engine.
+// bidiagonal D&C included — stays on the Level-3 engine. Tall problems past
+// the svdQRCross crossover never form U at all (gelsdTall).
 func Gelsd[T core.Scalar](cfg *core.Config, m, n, nrhs int, a []T, lda int, b []T, ldb int, s []float64, rcond float64) (rank, info int) {
+	if svdQRCross(m, n) && n > 0 {
+		return gelsdTall(cfg, m, n, nrhs, a, lda, b, ldb, s, rcond)
+	}
+	return gelsdSVD(cfg, m, n, nrhs, a, lda, b, ldb, s, rcond)
+}
+
+// gelsdTall is Gelsd for m well above n, the way xGELSD does it: A = Q·R,
+// B := Qᴴ·B applied from the factored form, then the n×n problem
+// min ‖(QᴴB)(0:n) − R·x‖. Q is never generated, so the m×n products of the
+// direct drive (Q·U_R and Uᴴ·B) and their scratch disappear. The ‖A‖max
+// pre-scaling of Gesdd comes first, in front of the QR, so entries near the
+// overflow or underflow thresholds are safe to square from the first
+// reflector on; x and σ are scaled back at the end.
+func gelsdTall[T core.Scalar](cfg *core.Config, m, n, nrhs int, a []T, lda int, b []T, ldb int, s []float64, rcond float64) (rank, info int) {
+	anrm, target := svdScaleTarget[T](Lange(MaxAbs, m, n, a, lda))
+	if target != 0 {
+		Lascl(MatGeneral, anrm, target, m, n, a, lda)
+	}
+	tau := blas.GetScratch[T](n)
+	defer blas.PutScratch(tau)
+	ts := geqrfT(cfg, m, n, a, lda, tau)
+	ormqr(cfg, Left, ConjTrans, m, nrhs, n, a, lda, tau, b, ldb, ts)
+	ts.release()
+	r := blas.GetScratch[T](n * n)
+	defer blas.PutScratch(r)
+	Laset('A', n, n, 0, 0, r, n)
+	Lacpy('U', n, n, a, lda, r, n)
+	rank, info = gelsdSVD(cfg, n, n, nrhs, r, n, b, ldb, s, rcond)
+	if info == 0 && target != 0 {
+		// (c·A)·x' = b has x = c·x' and σ = σ'/c, c = target/anrm.
+		Lascl(MatGeneral, anrm, target, n, nrhs, b, ldb)
+		Lascl(MatGeneral, target, anrm, n, 1, s, n)
+	}
+	return rank, info
+}
+
+// gelsdSVD is the direct Gelsd drive: SVD of A by Gesdd, then the
+// pseudo-inverse as two GEMMs.
+func gelsdSVD[T core.Scalar](cfg *core.Config, m, n, nrhs int, a []T, lda int, b []T, ldb int, s []float64, rcond float64) (rank, info int) {
 	mn := min(m, n)
 	if mn == 0 {
 		return 0, 0

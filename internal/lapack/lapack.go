@@ -78,6 +78,16 @@ const (
 	nxGehrd = 128
 )
 
+// Leaves of the recursive QR panel (geqrt3), from the EXPERIMENTS.md table
+// "QR panel leaf width". A panel no wider than qrLeafWidth, or shorter than
+// qrRecurseMinRows, is factored by Geqr2 plus the Level-2 Larft: every split
+// adds a Larfb and a T12 fill whose k-long, width-wide products only reach
+// the packed engine (and beat the vector Level-2 leaves) on tall panels.
+const (
+	qrLeafWidth      = 16
+	qrRecurseMinRows = 512
+)
+
 // Ilaenv returns algorithm tuning parameters, the analogue of LAPACK's
 // ILAENV. ispec 1 requests the optimal block size for the named routine
 // (name "GETRF2" is the leaf order below which the recursive LU panel falls

@@ -19,6 +19,12 @@ func Larft[T core.Scalar](cfg *core.Config, n, k int, v []T, ldv int, tau []T, t
 		larftGemm(cfg, n, k, v, ldv, tau, t, ldt)
 		return
 	}
+	larft2(cfg, n, k, v, ldv, tau, t, ldt)
+}
+
+// larft2 is the Level-2 Larft: one Gemv and one Trmv per reflector. It is
+// the leaf of the recursive QR panel (geqrt3).
+func larft2[T core.Scalar](cfg *core.Config, n, k int, v []T, ldv int, tau []T, t []T, ldt int) {
 	for i := 0; i < k; i++ {
 		if tau[i] == 0 {
 			for j := 0; j <= i; j++ {
@@ -42,15 +48,20 @@ func Larft[T core.Scalar](cfg *core.Config, n, k int, v []T, ldv int, tau []T, t
 // usual triangular recurrence t(0:i,i) = T·(−tau_i·s(0:i,i)) per column.
 // The strict upper triangle of s(j,i), j < i, equals V(i:n,j)ᴴ·V(i:n,i)
 // exactly because the cleaned copy has an explicit unit diagonal and zeros
-// above it.
+// above it. Both scratch arrays are pooled and uninitialized: of vc only
+// the rows above the diagonal need clearing, and Herk with beta = 0 writes
+// every entry of s that is read.
 func larftGemm[T core.Scalar](cfg *core.Config, n, k int, v []T, ldv int, tau []T, t []T, ldt int) {
-	vc := make([]T, n*k)
+	vc := blas.GetScratch[T](n * k)
+	defer blas.PutScratch(vc)
 	for j := 0; j < k; j++ {
 		col := vc[j*n : j*n+n]
+		clear(col[:j])
 		col[j] = core.FromFloat[T](1)
 		copy(col[j+1:], v[j+1+j*ldv:j*ldv+n])
 	}
-	s := make([]T, k*k)
+	s := blas.GetScratch[T](k * k)
+	defer blas.PutScratch(s)
 	blas.Herk(cfg, Upper, ConjTrans, k, n, 1, vc, n, 0, s, k)
 	for i := 0; i < k; i++ {
 		if tau[i] == 0 {
@@ -78,11 +89,7 @@ func Larfb[T core.Scalar](cfg *core.Config, trans Trans, m, n, k int, v []T, ldv
 	ldw := max(1, n)
 	w := work[:ldw*k]
 	// W := C1ᴴ (n×k), where C1 = C(0:k, :).
-	for j := 0; j < k; j++ {
-		for i := 0; i < n; i++ {
-			w[i+j*ldw] = core.Conj(c[j+i*ldc])
-		}
-	}
+	blas.ConjTransposeTo(k, n, c, ldc, w, ldw)
 	// W := W · V1 (V1 unit lower triangular k×k).
 	blas.Trmm(Right, Lower, NoTrans, Unit, n, k, one, v, ldv, w, ldw)
 	if m > k {
@@ -102,9 +109,14 @@ func Larfb[T core.Scalar](cfg *core.Config, trans Trans, m, n, k int, v []T, ldv
 	// W := W · V1ᴴ.
 	blas.Trmm(Right, Lower, ConjTrans, Unit, n, k, one, v, ldv, w, ldw)
 	// C1 −= Wᴴ.
+	cplx := core.IsComplex[T]()
 	for j := 0; j < n; j++ {
 		for i := 0; i < k; i++ {
-			c[i+j*ldc] -= core.Conj(w[j+i*ldw])
+			v := w[j+i*ldw]
+			if cplx {
+				v = core.Conj(v)
+			}
+			c[i+j*ldc] -= v
 		}
 	}
 }
@@ -150,24 +162,92 @@ func larfbRight[T core.Scalar](cfg *core.Config, trans Trans, m, n, k int, v []T
 	}
 }
 
-// geqrfBlocked is the Level-3 QR factorization (xGEQRF): panels are
-// factored with the unblocked kernel and the trailing matrix is updated
-// with block reflectors.
-func geqrfBlocked[T core.Scalar](cfg *core.Config, m, n int, a []T, lda int, tau []T, nb int) {
+// blockT is the stack of compact-WY triangles a blocked QR factorization
+// leaves behind: the factor T of the block reflector that starts at column i
+// (a multiple of nb) is the upper triangle at t[i*nb:], leading dimension nb.
+// Drivers that go on to apply or generate Q hand it to ormqr/orgqr, whose
+// blocked loops then skip their own Larft pass over V. A stack with nil t
+// carries only the block size: every triangle is built on demand.
+type blockT[T core.Scalar] struct {
+	nb int
+	t  []T
+}
+
+// block returns the triangle of the block reflector made of columns
+// i:i+ib of a factored form: the stack's own, or — with nothing handed over —
+// Larft's, built into scratch from the block's rows×ib reflectors v and
+// their tau.
+func (b *blockT[T]) block(cfg *core.Config, i, ib, rows int, v []T, ldv int, tau []T, scratch []T) []T {
+	if b.t != nil {
+		return b.t[i*b.nb:]
+	}
+	Larft(cfg, rows, ib, v, ldv, tau, scratch, b.nb)
+	return scratch
+}
+
+// release returns the stack's storage to the scratch pool; nil is a no-op.
+func (b *blockT[T]) release() {
+	if b != nil {
+		blas.PutScratch(b.t)
+	}
+}
+
+// geqrfBlocked is the Level-3 QR factorization (xGEQRF): each panel is
+// factored by the recursive compact-WY geqrt3, which leaves the panel's T in
+// its slot of the returned stack (pooled; the caller releases it), and the
+// trailing matrix is updated with that block reflector.
+func geqrfBlocked[T core.Scalar](cfg *core.Config, m, n int, a []T, lda int, tau []T, nb int) *blockT[T] {
 	mn := min(m, n)
-	work := make([]T, max(1, n)*nb)
-	tmat := make([]T, nb*nb)
-	panelWork := make([]T, max(1, n))
+	ts := &blockT[T]{nb: nb, t: blas.GetScratch[T](nb * mn)}
+	work := blas.GetScratch[T](max(1, n) * nb)
+	defer blas.PutScratch(work)
 	for j := 0; j < mn; j += nb {
 		jb := min(nb, mn-j)
 		cfg.Checkpoint() // once per panel
-		Geqr2(cfg, m-j, jb, a[j+j*lda:], lda, tau[j:j+jb], panelWork)
+		t := ts.t[j*nb:]
+		geqrt3(cfg, m-j, jb, a[j+j*lda:], lda, tau[j:j+jb], t, nb, work)
 		if j+jb < n {
-			Larft(cfg, m-j, jb, a[j+j*lda:], lda, tau[j:j+jb], tmat, nb)
-			Larfb(cfg, ConjTrans, m-j, n-j-jb, jb, a[j+j*lda:], lda, tmat, nb,
+			Larfb(cfg, ConjTrans, m-j, n-j-jb, jb, a[j+j*lda:], lda, t, nb,
 				a[j+(j+jb)*lda:], lda, work)
 		}
 	}
+	return ts
+}
+
+// geqrt3 computes the QR factorization of an m×n panel (m ≥ n) together
+// with the triangular factor T of its block reflector, recursively
+// (Elmroth–Gustavson; xGEQRT3): factor the left half, apply its block
+// reflector to the right half, factor the right half below the left's R, and
+// fill in T12 = −T11·(V1ᴴ·V2)·T22. At qrLeafWidth columns, and on panels
+// shorter than qrRecurseMinRows, Geqr2 and the Level-2 Larft finish. All
+// O(m·n²) work above the leaves runs in Gemm, and T costs no second pass over
+// V. tau receives the scalar factors (the diagonal of T); t is n×n upper
+// triangular, its lower triangle is not referenced; work must hold n²/4
+// elements and at least n.
+func geqrt3[T core.Scalar](cfg *core.Config, m, n int, a []T, lda int, tau []T, t []T, ldt int, work []T) {
+	if n <= qrLeafWidth || m < qrRecurseMinRows {
+		Geqr2(cfg, m, n, a, lda, tau, work)
+		larft2(cfg, m, n, a, lda, tau, t, ldt)
+		return
+	}
+	one := core.FromFloat[T](1)
+	n1 := n / 2
+	n2 := n - n1
+	a12, a22 := a[n1*lda:], a[n1+n1*lda:]
+	t12, t22 := t[n1*ldt:], t[n1+n1*ldt:]
+	geqrt3(cfg, m, n1, a, lda, tau[:n1], t, ldt, work)
+	Larfb(cfg, ConjTrans, m, n2, n1, a, lda, t, ldt, a12, lda, work)
+	geqrt3(cfg, m-n1, n2, a22, lda, tau[n1:], t22, ldt, work)
+	// T12 := V1ᴴ·V2 over the rows the two halves share: rows n1:n of V1
+	// against the unit lower triangle of V2, then everything below row n.
+	blas.ConjTransposeTo(n2, n1, a[n1:], lda, t12, ldt)
+	blas.Trmm(Right, Lower, NoTrans, Unit, n1, n2, one, a22, lda, t12, ldt)
+	if m > n {
+		blas.Gemm(cfg, ConjTrans, NoTrans, n1, n2, m-n, one, a[n:], lda, a12[n:], lda, one, t12, ldt)
+	}
+	// T12 := −T11·T12·T22.
+	blas.Trmm(Left, Upper, NoTrans, NonUnit, n1, n2, -one, t, ldt, t12, ldt)
+	blas.Trmm(Right, Upper, NoTrans, NonUnit, n1, n2, one, t22, ldt, t12, ldt)
 }
 
 // gelqfBlocked is the Level-3 LQ factorization (xGELQF). Gelq2 stores row i
@@ -177,13 +257,15 @@ func geqrfBlocked[T core.Scalar](cfg *core.Config, m, n int, a []T, lda int, tau
 // Larft and the right-side Larfb — no rowwise variants needed.
 func gelqfBlocked[T core.Scalar](cfg *core.Config, m, n int, a []T, lda int, tau []T, nb int) {
 	mn := min(m, n)
-	work := make([]T, max(1, m)*nb)
-	tmat := make([]T, nb*nb)
-	panelWork := make([]T, max(1, m))
-	vbuf := make([]T, max(1, n)*nb)
+	work := blas.GetScratch[T](max(1, m) * nb)
+	defer blas.PutScratch(work)
+	tmat := blas.GetScratch[T](nb * nb)
+	defer blas.PutScratch(tmat)
+	vbuf := blas.GetScratch[T](max(1, n) * nb)
+	defer blas.PutScratch(vbuf)
 	for j := 0; j < mn; j += nb {
 		jb := min(nb, mn-j)
-		Gelq2(cfg, jb, n-j, a[j+j*lda:], lda, tau[j:j+jb], panelWork)
+		Gelq2(cfg, jb, n-j, a[j+j*lda:], lda, tau[j:j+jb], work)
 		if j+jb < m {
 			nv := n - j
 			for i := 0; i < jb; i++ {
@@ -205,8 +287,10 @@ func gelqfBlocked[T core.Scalar](cfg *core.Config, m, n int, a []T, lda int, tau
 
 // orgqrBlocked generates the explicit Q factor from Geqrf output using block
 // reflectors (xORGQR/xUNGQR): blocks are applied back-to-front, each via one
-// Larft + Larfb pair plus an unblocked Org2r on the block's own columns.
-func orgqrBlocked[T core.Scalar](cfg *core.Config, m, n, k int, a []T, lda int, tau []T, nb int) {
+// Larfb plus an unblocked Org2r on the block's own columns. The block
+// triangles are ts's: handed over by the factorization, or built by Larft.
+func orgqrBlocked[T core.Scalar](cfg *core.Config, m, n, k int, a []T, lda int, tau []T, ts *blockT[T]) {
+	nb := ts.nb
 	ki := ((k - 1) / nb) * nb
 	kk := min(k, ki+nb)
 	// Columns kk:n only see reflectors kk:k; handle them unblocked first.
@@ -218,13 +302,15 @@ func orgqrBlocked[T core.Scalar](cfg *core.Config, m, n, k int, a []T, lda int, 
 	if kk < n {
 		Org2r(cfg, m-kk, n-kk, k-kk, a[kk+kk*lda:], lda, tau[kk:])
 	}
-	tmat := make([]T, nb*nb)
-	work := make([]T, max(1, n)*nb)
+	tmat := blas.GetScratch[T](nb * nb)
+	defer blas.PutScratch(tmat)
+	work := blas.GetScratch[T](max(1, n) * nb)
+	defer blas.PutScratch(work)
 	for i := ki; i >= 0; i -= nb {
 		ib := min(nb, k-i)
 		if i+ib < n {
-			Larft(cfg, m-i, ib, a[i+i*lda:], lda, tau[i:i+ib], tmat, nb)
-			Larfb(cfg, NoTrans, m-i, n-i-ib, ib, a[i+i*lda:], lda, tmat, nb,
+			t := ts.block(cfg, i, ib, m-i, a[i+i*lda:], lda, tau[i:i+ib], tmat)
+			Larfb(cfg, NoTrans, m-i, n-i-ib, ib, a[i+i*lda:], lda, t, nb,
 				a[i+(i+ib)*lda:], lda, work)
 		}
 		Org2r(cfg, m-i, ib, ib, a[i+i*lda:], lda, tau[i:i+ib])
@@ -237,26 +323,28 @@ func orgqrBlocked[T core.Scalar](cfg *core.Config, m, n, k int, a []T, lda int, 
 }
 
 // ormqrBlocked applies Q or Qᴴ from Geqrf output to C using block
-// reflectors (xORMQR/xUNMQR).
-func ormqrBlocked[T core.Scalar](cfg *core.Config, side Side, trans Trans, m, n, k int, a []T, lda int, tau []T, c []T, ldc int, nb int) {
+// reflectors (xORMQR/xUNMQR). The block triangles are ts's: handed over by
+// the factorization, or built by Larft.
+func ormqrBlocked[T core.Scalar](cfg *core.Config, side Side, trans Trans, m, n, k int, a []T, lda int, tau []T, c []T, ldc int, ts *blockT[T]) {
+	nb := ts.nb
 	notran := trans == NoTrans
 	// Block order: same reflector ordering as the unblocked Ormqr loop.
 	forward := (side == Left) != notran
-	tmat := make([]T, nb*nb)
-	var work []T
-	if side == Left {
-		work = make([]T, max(1, n)*nb)
-	} else {
-		work = make([]T, max(1, m)*nb)
+	nq, nw := m, n // order of Q, rows of the Larfb workspace
+	if side == Right {
+		nq, nw = n, m
 	}
+	tmat := blas.GetScratch[T](nb * nb)
+	defer blas.PutScratch(tmat)
+	work := blas.GetScratch[T](max(1, nw) * nb)
+	defer blas.PutScratch(work)
 	step := func(i int) {
 		ib := min(nb, k-i)
+		t := ts.block(cfg, i, ib, nq-i, a[i+i*lda:], lda, tau[i:i+ib], tmat)
 		if side == Left {
-			Larft(cfg, m-i, ib, a[i+i*lda:], lda, tau[i:i+ib], tmat, nb)
-			Larfb(cfg, trans, m-i, n, ib, a[i+i*lda:], lda, tmat, nb, c[i:], ldc, work)
+			Larfb(cfg, trans, m-i, n, ib, a[i+i*lda:], lda, t, nb, c[i:], ldc, work)
 		} else {
-			Larft(cfg, n-i, ib, a[i+i*lda:], lda, tau[i:i+ib], tmat, nb)
-			larfbRight(cfg, trans, m, n-i, ib, a[i+i*lda:], lda, tmat, nb, c[i*ldc:], ldc, work)
+			larfbRight(cfg, trans, m, n-i, ib, a[i+i*lda:], lda, t, nb, c[i*ldc:], ldc, work)
 		}
 	}
 	if forward {

@@ -33,10 +33,12 @@ func Gels[T core.Scalar](cfg *core.Config, trans Trans, m, n, nrhs int, a []T, l
 	tau := make([]T, mn)
 	ctrans := ConjTrans
 	if m >= n {
-		Geqrf(cfg, m, n, a, lda, tau)
+		// The factorization's block triangles go straight to the apply.
+		ts := geqrfT(cfg, m, n, a, lda, tau)
+		defer ts.release()
 		if trans == NoTrans {
 			// Least squares: x = R⁻¹·(Qᴴ·b)(1:n).
-			Ormqr(cfg, Left, ctrans, m, nrhs, n, a, lda, tau, b, ldb)
+			ormqr(cfg, Left, ctrans, m, nrhs, n, a, lda, tau, b, ldb, ts)
 			return Trtrs(cfg, Upper, NoTrans, NonUnit, n, nrhs, a, lda, b, ldb)
 		}
 		// Minimum-norm solution of Aᴴ·x = b: x = Q·[R⁻ᴴ·b; 0].
@@ -48,7 +50,7 @@ func Gels[T core.Scalar](cfg *core.Config, trans Trans, m, n, nrhs int, a []T, l
 				b[i+j*ldb] = 0
 			}
 		}
-		Ormqr(cfg, Left, NoTrans, m, nrhs, n, a, lda, tau, b, ldb)
+		ormqr(cfg, Left, NoTrans, m, nrhs, n, a, lda, tau, b, ldb, ts)
 		return 0
 	}
 	Gelqf(cfg, m, n, a, lda, tau)

@@ -87,14 +87,21 @@ func Geqr2[T core.Scalar](cfg *core.Config, m, n int, a []T, lda int, tau []T, w
 // Geqrf computes the QR factorization of an m×n matrix (xGEQRF), using
 // blocked Level-3 updates above the ILAENV crossover.
 func Geqrf[T core.Scalar](cfg *core.Config, m, n int, a []T, lda int, tau []T) {
+	geqrfT(cfg, m, n, a, lda, tau).release()
+}
+
+// geqrfT is Geqrf for drivers that go on to use Q: it returns the block
+// reflector triangles of the blocked path (nil when the unblocked one ran)
+// for ormqr/orgqr. The caller releases the stack when done.
+func geqrfT[T core.Scalar](cfg *core.Config, m, n int, a []T, lda int, tau []T) *blockT[T] {
 	nb := Ilaenv(cfg, 1, "GEQRF", m, n, -1, -1)
 	if nb > 1 && min(m, n) > Ilaenv(cfg, 3, "GEQRF", m, n, -1, -1) {
-		geqrfBlocked(cfg, m, n, a, lda, tau, nb)
-		return
+		return geqrfBlocked(cfg, m, n, a, lda, tau, nb)
 	}
 	work := blas.GetScratch[T](max(1, n))
 	defer blas.PutScratch(work)
 	Geqr2(cfg, m, n, a, lda, tau, work)
+	return nil
 }
 
 // Org2r generates the first k columns of the unitary matrix Q from the
@@ -131,9 +138,19 @@ func Org2r[T core.Scalar](cfg *core.Config, m, n, k int, a []T, lda int, tau []T
 // (xORGQR/xUNGQR), applying block reflectors when k exceeds the ILAENV
 // crossover.
 func Orgqr[T core.Scalar](cfg *core.Config, m, n, k int, a []T, lda int, tau []T) {
+	orgqr(cfg, m, n, k, a, lda, tau, nil)
+}
+
+// orgqr is Orgqr with the optional T stack of the geqrfT call that produced
+// a and tau (all k = min(m, n) reflectors of it).
+func orgqr[T core.Scalar](cfg *core.Config, m, n, k int, a []T, lda int, tau []T, ts *blockT[T]) {
+	if ts != nil {
+		orgqrBlocked(cfg, m, n, k, a, lda, tau, ts)
+		return
+	}
 	nb := Ilaenv(cfg, 1, "ORGQR", m, n, k, -1)
 	if nb > 1 && k > Ilaenv(cfg, 3, "ORGQR", m, n, k, -1) {
-		orgqrBlocked(cfg, m, n, k, a, lda, tau, nb)
+		orgqrBlocked(cfg, m, n, k, a, lda, tau, &blockT[T]{nb: nb})
 		return
 	}
 	Org2r(cfg, m, n, k, a, lda, tau)
@@ -144,12 +161,22 @@ func Orgqr[T core.Scalar](cfg *core.Config, m, n, k int, a []T, lda int, tau []T
 // its first k columns. trans must be NoTrans or ConjTrans (use ConjTrans
 // for Qᵀ in real arithmetic).
 func Ormqr[T core.Scalar](cfg *core.Config, side Side, trans Trans, m, n, k int, a []T, lda int, tau []T, c []T, ldc int) {
+	ormqr(cfg, side, trans, m, n, k, a, lda, tau, c, ldc, nil)
+}
+
+// ormqr is Ormqr with the optional T stack of the geqrfT call that produced
+// a and tau.
+func ormqr[T core.Scalar](cfg *core.Config, side Side, trans Trans, m, n, k int, a []T, lda int, tau []T, c []T, ldc int, ts *blockT[T]) {
 	if m == 0 || n == 0 || k == 0 {
+		return
+	}
+	if ts != nil {
+		ormqrBlocked(cfg, side, trans, m, n, k, a, lda, tau, c, ldc, ts)
 		return
 	}
 	nb := Ilaenv(cfg, 1, "ORMQR", m, n, k, -1)
 	if nb > 1 && k > Ilaenv(cfg, 3, "ORMQR", m, n, k, -1) {
-		ormqrBlocked(cfg, side, trans, m, n, k, a, lda, tau, c, ldc, nb)
+		ormqrBlocked(cfg, side, trans, m, n, k, a, lda, tau, c, ldc, &blockT[T]{nb: nb})
 		return
 	}
 	wlen := n
@@ -266,7 +293,9 @@ func Ormlq[T core.Scalar](cfg *core.Config, side Side, trans Trans, m, n, k int,
 	if forward {
 		start, end, step = 0, k, 1
 	}
-	v := make([]T, 0, max(m, n))
+	vbuf := blas.GetScratch[T](max(m, n))
+	defer blas.PutScratch(vbuf)
+	v := vbuf[:0]
 	for i := start; i != end; i += step {
 		var taui T
 		if notran {

@@ -228,7 +228,8 @@ func Org2l[T core.Scalar](cfg *core.Config, m, n, k int, a []T, lda int, tau []T
 	if n <= 0 {
 		return
 	}
-	work := make([]T, n)
+	work := blas.GetScratch[T](n)
+	defer blas.PutScratch(work)
 	// First n-k columns are unit vectors ending at row m-n+j.
 	for j := 0; j < n-k; j++ {
 		for i := 0; i < m; i++ {

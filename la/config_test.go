@@ -93,6 +93,31 @@ func gesvdSig(t *testing.T, opts ...la.Opt) []float64 {
 	return append(sig, res.VT.Data...)
 }
 
+// lsSig runs GELS and GELSD on a tall problem past the QR-first crossover and
+// the blocked-QR one (recursive panels, T hand-over, apply-Qᴴ GELSD), with the
+// parallel cutoffs lowered so the panel-shaped products really fan out.
+func lsSig(t *testing.T, opts ...la.Opt) []float64 {
+	t.Helper()
+	const m, n, nrhs = 700, 96, 3
+	opts = append(opts, la.WithConfig(la.Config{GemmParallelMinVol: 1 << 12}))
+	a, b := randMat[float64](37, m, n), randMat[float64](38, m, nrhs)
+	if err := la.GELS(a, b, opts...); err != nil {
+		t.Fatalf("GELS: %v", err)
+	}
+	sig := append([]float64(nil), b.Data...)
+	sig = append(sig, a.Data...)
+	a, b = randMat[float64](37, m, n), randMat[float64](38, m, nrhs)
+	rank, s, err := la.GELSD(a, b, opts...)
+	if err != nil || rank != n {
+		t.Fatalf("GELSD: rank %d, %v", rank, err)
+	}
+	sig = append(sig, s...)
+	for j := 0; j < nrhs; j++ {
+		sig = append(sig, b.Data[j*m:j*m+n]...)
+	}
+	return sig
+}
+
 // TestDefaultConfigBitIdentical checks that the default execution context is
 // the same object no matter how it is spelled: no options at all, an empty
 // WithConfig overlay (every field inherits), an overlay of the full default
@@ -134,6 +159,7 @@ func TestThreadsBitIdentical(t *testing.T) {
 		sig  func(*testing.T, ...la.Opt) []float64
 	}{
 		{"GESV", gesvSig}, {"POSV", posvSig}, {"SYEV", syevSig}, {"GESVD", gesvdSig},
+		{"GELS+GELSD", lsSig},
 		{"solves/complex128", complexSolveSig[complex128]},
 		{"solves/complex64", complexSolveSig[complex64]},
 	}
