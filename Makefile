@@ -41,9 +41,12 @@ test:
 # `go test` only ever selects the asm rows of the kernel table
 # (internal/blas/kernel.go), so this is what exercises the portable row of
 # every type — including the complex fallback from 1m to the generic 4×4 —
-# on every gate rather than only on machines without AVX2.
+# on every gate rather than only on machines without AVX2. The eigenvalue
+# iterations run again too: their rotation and reflector kernels
+# (internal/blas/iterate.go) have a portable route of their own.
 test-portable:
 	LA90_NO_ASM=1 $(GO) test -count=1 ./internal/blas/
+	LA90_NO_ASM=1 $(GO) test -count=1 ./internal/lapack/ -run 'Steqr|Syev|Stedc|Hseqr|Geev'
 
 # The race run covers the threaded engine, the factorizations driving it,
 # the la boundary — including the chaos tests that panic workers on purpose,
@@ -70,9 +73,10 @@ fuzz:
 
 # Compile-and-run check for the benchmarks: one iteration each of the GEMM
 # engine (float64, and the complex 1m rows), the factorization benchmarks
-# (square and the 4096×256 QR) and the tall GELSD driver, no timing claims.
+# (square and the 4096×256 QR), the tall GELSD driver and the eigenvalue
+# iteration phase with its kernels, no timing claims.
 benchsmoke:
-	$(GO) test -run=NONE -bench='Getrf|Gemm|Geqrf|GelsdTall' -benchtime=1x .
+	$(GO) test -run=NONE -bench='Getrf|Gemm|Geqrf|GelsdTall|Steqr|Stedc|Hseqr|RotSeq|Secular' -benchtime=1x .
 	$(GO) run ./cmd/la90bench -reduce -maxn 256 -reps 1 -out /tmp/BENCH_reduce_smoke.json
 	$(GO) run ./cmd/la90bench -batch -maxbatch 64 -reps 1 -out /tmp/BENCH_batch_smoke.json
 	$(GO) run ./cmd/la90bench -mixed -maxn 256 -maxbatch 16 -reps 1 -out /tmp/BENCH_mixed_smoke.json

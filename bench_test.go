@@ -6,12 +6,13 @@
 package main
 
 import (
-	"repro/internal/core"
-
+	"math"
 	"testing"
 
 	"repro/f77"
 	"repro/internal/blas"
+	"repro/internal/core"
+	"repro/internal/faultinject"
 	"repro/internal/lapack"
 	"repro/la"
 )
@@ -511,4 +512,123 @@ func BenchmarkGelsdTall(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		run()
 	}
+}
+
+// ---- the eigen/SVD iteration phase: the routines under LA_SYEV, LA_SYEVD,
+// LA_GESVD and LA_GEEV that run between the reduction and the
+// back-transformation, at the benchmark's eig_svd sizes ----
+
+// benchTridiag times f on a fresh copy of one random symmetric tridiagonal
+// matrix of order n with the identity as the vector accumulation.
+func benchTridiag(b *testing.B, n int, f func(d, e, z []float64) int) {
+	rng := lapack.NewRng([4]int{n, 3, 5, 7})
+	d0, e0 := make([]float64, n), make([]float64, n-1)
+	lapack.Larnv(2, rng, n, d0)
+	lapack.Larnv(2, rng, n-1, e0)
+	d, e, z := make([]float64, n), make([]float64, n-1), make([]float64, n*n)
+	run := func() {
+		copy(d, d0)
+		copy(e, e0)
+		lapack.Laset('A', n, n, 0.0, 1.0, z, n)
+		if info := f(d, e, z); info != 0 {
+			b.Fatalf("info %d", info)
+		}
+	}
+	run() // untimed warm-up
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		run()
+	}
+}
+
+func BenchmarkSteqr(b *testing.B) {
+	const n = 384
+	benchTridiag(b, n, func(d, e, z []float64) int { return lapack.Steqr(core.Default(), n, d, e, z, n) })
+}
+
+func BenchmarkStedc(b *testing.B) {
+	const n = 384
+	benchTridiag(b, n, func(d, e, z []float64) int { return lapack.Stedc(core.Default(), n, d, e, z, n) })
+}
+
+// BenchmarkHseqr times the double-shift QR iteration with Schur vectors on
+// the Hessenberg form of a random matrix, the reduction left outside.
+func BenchmarkHseqr(b *testing.B) {
+	const n = 192
+	cfg := core.Default()
+	rng := lapack.NewRng([4]int{n, 2, 4, 9})
+	h0 := make([]float64, n*n)
+	lapack.Larnv(2, rng, n*n, h0)
+	tau := make([]float64, n-1)
+	lapack.Gehrd(cfg, n, 0, n-1, h0, n, tau)
+	z0 := append([]float64(nil), h0...)
+	lapack.Orghr(cfg, n, 0, n-1, z0, n, tau)
+	h, z := make([]float64, n*n), make([]float64, n*n)
+	wr, wi := make([]float64, n), make([]float64, n)
+	run := func() {
+		copy(h, h0)
+		copy(z, z0)
+		if info := lapack.Hseqr(cfg, true, n, 0, n-1, h, n, wr, wi, z, n); info != 0 {
+			b.Fatalf("Hseqr: info %d", info)
+		}
+	}
+	run() // untimed warm-up
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		run()
+	}
+}
+
+// BenchmarkRotSeq sweeps 383 rotations forward and backward over a 384×384
+// block — one Steqr QL/QR sweep's worth of eigenvector updates — on the asm
+// wavefront kernel and on the portable loop. GB/s counts one load and one
+// store per element and rotation, GFLOP/s six flops.
+func BenchmarkRotSeq(b *testing.B) {
+	const n = 384
+	rng := lapack.NewRng([4]int{n, 1, 1, 3})
+	c, s := make([]float64, n-1), make([]float64, n-1)
+	for j := range c {
+		s[j], c[j] = math.Sincos(2 * math.Pi * rng.Uniform())
+	}
+	a := make([]float64, n*n)
+	lapack.Larnv(2, rng, n*n, a)
+	for _, route := range []string{"asm", "portable"} {
+		b.Run(route, func(b *testing.B) {
+			faultinject.ForcePortable(route == "portable")
+			defer faultinject.ForcePortable(false)
+			for i := 0; i < b.N; i++ {
+				blas.RotSeq(i%2 == 0, n, n, c, s, a, n)
+			}
+			perSec := n * (n - 1) * float64(b.N) / b.Elapsed().Seconds() / 1e9
+			b.ReportMetric(2*8*perSec, "GB/s")
+			b.ReportMetric(6*perSec, "GFLOP/s")
+		})
+	}
+}
+
+// BenchmarkSecular solves one k = 200 secular equation with eigenvectors —
+// the rank-one merge at the top of a 400-order divide & conquer — and
+// reports the secular-function evaluations spent per root.
+func BenchmarkSecular(b *testing.B) {
+	const k = 200
+	rng := lapack.NewRng([4]int{k, 5, 5, 1})
+	d, z := make([]float64, k), make([]float64, k)
+	nrm := 0.0
+	for j := range d {
+		d[j] = float64(j) + 0.5*rng.Uniform()
+		z[j] = rng.Uniform11()
+		nrm += z[j] * z[j]
+	}
+	for j := range z {
+		z[j] /= math.Sqrt(nrm)
+	}
+	lam, u := make([]float64, k), make([]float64, k*k)
+	evals := 0
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		evals += lapack.SolveSecularForTest(k, 0.7, d, z, lam, u)
+	}
+	b.ReportMetric(float64(evals)/float64(b.N)/k, "evals/root")
 }

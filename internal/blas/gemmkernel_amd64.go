@@ -104,6 +104,25 @@ func dluPanelF64(rows, w int64, inv float64, col, rest *float64, lda int64) int6
 //go:noescape
 func dtrsmLLU8x4F64(groups int64, l *float64, b *float64, ldb int64)
 
+// drotSeqFma carries a block of rows through nrot chained plane rotations of
+// adjacent columns (RotSeq's inner step; the formulation is spelled out in
+// iterate.go). cstep and colStride are in bytes and signed, flip is ±0.
+//
+//go:noescape
+func drotSeqFma(m, nrot int64, c, s *float64, cstep int64, a *float64, colStride int64, flip float64)
+
+// drefl3Fma applies one three-element Householder reflector from the right
+// to three unit-stride columns (Refl3's asm route): sum = x0 + v2·x1 + v3·x2,
+// then x0 −= sum·t1, x1 −= sum·t2, x2 −= sum·t3, every step one FMA.
+//
+//go:noescape
+func drefl3Fma(n int64, x0, x1, x2 *float64, v2, v3, t1, t2, t3 float64)
+
+// drefl2Fma is the two-column form of drefl3Fma.
+//
+//go:noescape
+func drefl2Fma(n int64, x0, x1 *float64, v2, t1, t2 float64)
+
 // cpuidAsm executes CPUID with the given leaf/subleaf.
 func cpuidAsm(eaxIn, ecxIn uint32) (eax, ebx, ecx, edx uint32)
 

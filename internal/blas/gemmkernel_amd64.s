@@ -1116,3 +1116,317 @@ trsm8loop:
 
 	VZEROUPPER
 	RET
+
+// Iteration-phase kernels (iterate.go): chains of plane rotations and
+// three-element reflectors applied to adjacent unit-stride columns, a block
+// of rows at a time with the column two consecutive links share held in
+// registers.
+
+// ROTVEC advances one 4-row vector of the carried column P through a
+// rotation: the finished column goes to off(R10), P becomes the carry of the
+// next link. Y12 = c, Y13 = σ, R13 = the loaded column. The products with
+// the loaded column are rounded, the carried column's are fused in, so only
+// the final FMA sits on P's dependency chain.
+#define ROTVEC(P, off) \
+	VMULPD       off(R13), Y13, Y8 \
+	VMULPD       off(R13), Y12, Y9 \
+	VFMADD231PD  P, Y12, Y8        \
+	VFNMADD213PD Y9, Y13, P        \
+	VMOVUPD      Y8, off(R10)
+
+// ROTLINK opens a link: broadcast c and σ = s xor flip, point R13 at the
+// column to load. ROTNEXT closes it: the loaded column's place becomes the
+// carry's, the coefficient cursors step.
+#define ROTLINK \
+	VBROADCASTSD (R11), Y12 \
+	VBROADCASTSD (R12), Y13 \
+	VXORPD       Y15, Y13, Y13 \
+	LEAQ         (R10)(R9*1), R13
+
+#define ROTNEXT \
+	MOVQ R13, R10 \
+	ADDQ R8, R11  \
+	ADDQ R8, R12  \
+	DECQ CX
+
+// ROTBLOCK restarts the chain for the next row block at DX.
+#define ROTBLOCK \
+	MOVQ DX, R10 \
+	MOVQ SI, R11 \
+	MOVQ DI, R12 \
+	MOVQ BX, CX
+
+// func drotSeqFma(m, nrot int64, c, s *float64, cstep int64, a *float64, colStride int64, flip float64)
+// Applies nrot ≥ 1 chained rotations to the m rows starting at a: the carry
+// starts in the column at a, link t uses c[t·cstep], s[t·cstep] (cstep and
+// colStride in bytes, either sign), loads the column colStride further on,
+// and flip is +0 (σ = s) or −0 (σ = −s). Row blocks of 32 (eight carried
+// vectors: 16 cycles of FMA-port work per link over a 4-cycle carry chain),
+// then 16, then 4, then single rows with the scalar forms of the same
+// instructions, so every element sees the same operations whatever block it
+// falls in.
+TEXT ·drotSeqFma(SB), NOSPLIT, $0-64
+	MOVQ         m+0(FP), AX
+	MOVQ         nrot+8(FP), BX
+	MOVQ         c+16(FP), SI
+	MOVQ         s+24(FP), DI
+	MOVQ         cstep+32(FP), R8
+	MOVQ         a+40(FP), DX
+	MOVQ         colStride+48(FP), R9
+	VBROADCASTSD flip+56(FP), Y15
+
+rotblock32:
+	CMPQ AX, $32
+	JLT  rotblock16
+	ROTBLOCK
+	VMOVUPD (R10), Y0
+	VMOVUPD 32(R10), Y1
+	VMOVUPD 64(R10), Y2
+	VMOVUPD 96(R10), Y3
+	VMOVUPD 128(R10), Y4
+	VMOVUPD 160(R10), Y5
+	VMOVUPD 192(R10), Y6
+	VMOVUPD 224(R10), Y7
+
+rotloop32:
+	ROTLINK
+	ROTVEC(Y0, 0)
+	ROTVEC(Y1, 32)
+	ROTVEC(Y2, 64)
+	ROTVEC(Y3, 96)
+	ROTVEC(Y4, 128)
+	ROTVEC(Y5, 160)
+	ROTVEC(Y6, 192)
+	ROTVEC(Y7, 224)
+	ROTNEXT
+	JNZ rotloop32
+
+	VMOVUPD Y0, (R10)
+	VMOVUPD Y1, 32(R10)
+	VMOVUPD Y2, 64(R10)
+	VMOVUPD Y3, 96(R10)
+	VMOVUPD Y4, 128(R10)
+	VMOVUPD Y5, 160(R10)
+	VMOVUPD Y6, 192(R10)
+	VMOVUPD Y7, 224(R10)
+	ADDQ    $256, DX
+	SUBQ    $32, AX
+	JMP     rotblock32
+
+rotblock16:
+	CMPQ AX, $16
+	JLT  rotblock4
+	ROTBLOCK
+	VMOVUPD (R10), Y0
+	VMOVUPD 32(R10), Y1
+	VMOVUPD 64(R10), Y2
+	VMOVUPD 96(R10), Y3
+
+rotloop16:
+	ROTLINK
+	ROTVEC(Y0, 0)
+	ROTVEC(Y1, 32)
+	ROTVEC(Y2, 64)
+	ROTVEC(Y3, 96)
+	ROTNEXT
+	JNZ rotloop16
+
+	VMOVUPD Y0, (R10)
+	VMOVUPD Y1, 32(R10)
+	VMOVUPD Y2, 64(R10)
+	VMOVUPD Y3, 96(R10)
+	ADDQ    $128, DX
+	SUBQ    $16, AX
+	JMP     rotblock16
+
+rotblock4:
+	CMPQ AX, $4
+	JLT  rotblock1
+	ROTBLOCK
+	VMOVUPD (R10), Y0
+
+rotloop4:
+	ROTLINK
+	ROTVEC(Y0, 0)
+	ROTNEXT
+	JNZ rotloop4
+
+	VMOVUPD Y0, (R10)
+	ADDQ    $32, DX
+	SUBQ    $4, AX
+	JMP     rotblock4
+
+rotblock1:
+	TESTQ AX, AX
+	JZ    rotdone
+	ROTBLOCK
+	VMOVSD (R10), X0
+
+rotloop1:
+	VMOVSD       (R11), X12
+	VMOVSD       (R12), X13
+	VXORPD       X15, X13, X13
+	LEAQ         (R10)(R9*1), R13
+	VMULSD       (R13), X13, X8
+	VMULSD       (R13), X12, X9
+	VFMADD231SD  X0, X12, X8
+	VFNMADD213SD X9, X13, X0
+	VMOVSD       X8, (R10)
+	ROTNEXT
+	JNZ rotloop1
+
+	VMOVSD X0, (R10)
+	ADDQ   $8, DX
+	DECQ   AX
+	JMP    rotblock1
+
+rotdone:
+	VZEROUPPER
+	RET
+
+// func drefl3Fma(n int64, x0, x1, x2 *float64, v2, v3, t1, t2, t3 float64)
+// One three-element reflector applied from the right to the columns x0, x1,
+// x2: sum = x0 + v2·x1 + v3·x2 accumulated by two FMAs in that order, then
+// x0 −= sum·t1, x1 −= sum·t2, x2 −= sum·t3, one FMA each.
+TEXT ·drefl3Fma(SB), NOSPLIT, $0-72
+	MOVQ         n+0(FP), CX
+	MOVQ         x0+8(FP), SI
+	MOVQ         x1+16(FP), DI
+	MOVQ         x2+24(FP), DX
+	VBROADCASTSD v2+32(FP), Y11
+	VBROADCASTSD v3+40(FP), Y12
+	VBROADCASTSD t1+48(FP), Y13
+	VBROADCASTSD t2+56(FP), Y14
+	VBROADCASTSD t3+64(FP), Y15
+
+	MOVQ CX, BX
+	SHRQ $3, BX
+	JZ   refl3tail4
+
+refl3loop8:
+	VMOVUPD      (SI), Y0
+	VMOVUPD      32(SI), Y1
+	VMOVUPD      (DI), Y2
+	VMOVUPD      32(DI), Y3
+	VMOVUPD      (DX), Y4
+	VMOVUPD      32(DX), Y5
+	VMOVAPD      Y0, Y6
+	VMOVAPD      Y1, Y7
+	VFMADD231PD  Y2, Y11, Y6
+	VFMADD231PD  Y3, Y11, Y7
+	VFMADD231PD  Y4, Y12, Y6
+	VFMADD231PD  Y5, Y12, Y7
+	VFNMADD231PD Y6, Y13, Y0
+	VFNMADD231PD Y7, Y13, Y1
+	VFNMADD231PD Y6, Y14, Y2
+	VFNMADD231PD Y7, Y14, Y3
+	VFNMADD231PD Y6, Y15, Y4
+	VFNMADD231PD Y7, Y15, Y5
+	VMOVUPD      Y0, (SI)
+	VMOVUPD      Y1, 32(SI)
+	VMOVUPD      Y2, (DI)
+	VMOVUPD      Y3, 32(DI)
+	VMOVUPD      Y4, (DX)
+	VMOVUPD      Y5, 32(DX)
+	ADDQ         $64, SI
+	ADDQ         $64, DI
+	ADDQ         $64, DX
+	DECQ         BX
+	JNZ          refl3loop8
+
+refl3tail4:
+	TESTQ $4, CX
+	JZ    refl3tail1
+	VMOVUPD      (SI), Y0
+	VMOVUPD      (DI), Y2
+	VMOVUPD      (DX), Y4
+	VMOVAPD      Y0, Y6
+	VFMADD231PD  Y2, Y11, Y6
+	VFMADD231PD  Y4, Y12, Y6
+	VFNMADD231PD Y6, Y13, Y0
+	VFNMADD231PD Y6, Y14, Y2
+	VFNMADD231PD Y6, Y15, Y4
+	VMOVUPD      Y0, (SI)
+	VMOVUPD      Y2, (DI)
+	VMOVUPD      Y4, (DX)
+	ADDQ         $32, SI
+	ADDQ         $32, DI
+	ADDQ         $32, DX
+
+refl3tail1:
+	ANDQ $3, CX
+	JZ   refl3done
+
+refl3loop1:
+	VMOVSD       (SI), X0
+	VMOVSD       (DI), X2
+	VMOVSD       (DX), X4
+	VMOVAPD      X0, X6
+	VFMADD231SD  X2, X11, X6
+	VFMADD231SD  X4, X12, X6
+	VFNMADD231SD X6, X13, X0
+	VFNMADD231SD X6, X14, X2
+	VFNMADD231SD X6, X15, X4
+	VMOVSD       X0, (SI)
+	VMOVSD       X2, (DI)
+	VMOVSD       X4, (DX)
+	ADDQ         $8, SI
+	ADDQ         $8, DI
+	ADDQ         $8, DX
+	DECQ         CX
+	JNZ          refl3loop1
+
+refl3done:
+	VZEROUPPER
+	RET
+
+// func drefl2Fma(n int64, x0, x1 *float64, v2, t1, t2 float64)
+// The two-column reflector that ends a double-shift sweep:
+// sum = x0 + v2·x1, x0 −= sum·t1, x1 −= sum·t2.
+TEXT ·drefl2Fma(SB), NOSPLIT, $0-48
+	MOVQ         n+0(FP), CX
+	MOVQ         x0+8(FP), SI
+	MOVQ         x1+16(FP), DI
+	VBROADCASTSD v2+24(FP), Y11
+	VBROADCASTSD t1+32(FP), Y13
+	VBROADCASTSD t2+40(FP), Y14
+
+	MOVQ CX, BX
+	SHRQ $2, BX
+	JZ   refl2tail1
+
+refl2loop4:
+	VMOVUPD      (SI), Y0
+	VMOVUPD      (DI), Y2
+	VMOVAPD      Y0, Y6
+	VFMADD231PD  Y2, Y11, Y6
+	VFNMADD231PD Y6, Y13, Y0
+	VFNMADD231PD Y6, Y14, Y2
+	VMOVUPD      Y0, (SI)
+	VMOVUPD      Y2, (DI)
+	ADDQ         $32, SI
+	ADDQ         $32, DI
+	DECQ         BX
+	JNZ          refl2loop4
+
+refl2tail1:
+	ANDQ $3, CX
+	JZ   refl2done
+
+refl2loop1:
+	VMOVSD       (SI), X0
+	VMOVSD       (DI), X2
+	VMOVAPD      X0, X6
+	VFMADD231SD  X2, X11, X6
+	VFNMADD231SD X6, X13, X0
+	VFNMADD231SD X6, X14, X2
+	VMOVSD       X0, (SI)
+	VMOVSD       X2, (DI)
+	ADDQ         $8, SI
+	ADDQ         $8, DI
+	DECQ         CX
+	JNZ          refl2loop1
+
+refl2done:
+	VZEROUPPER
+	RET

@@ -40,3 +40,10 @@ func ddotFma(n int64, x, y *float64) float64 { panic("blas: no asm kernel") }
 func daxpyDotFma(n int64, alpha float64, a, x, y *float64) float64 {
 	panic("blas: no asm kernel")
 }
+func drotSeqFma(m, nrot int64, c, s *float64, cstep int64, a *float64, colStride int64, flip float64) {
+	panic("blas: no asm kernel")
+}
+func drefl3Fma(n int64, x0, x1, x2 *float64, v2, v3, t1, t2, t3 float64) {
+	panic("blas: no asm kernel")
+}
+func drefl2Fma(n int64, x0, x1 *float64, v2, t1, t2 float64) { panic("blas: no asm kernel") }

@@ -1,0 +1,174 @@
+package blas
+
+import (
+	"math"
+
+	"repro/internal/core"
+)
+
+// Kernels of the eigenvalue/SVD iteration phase. The QL/QR and Hessenberg
+// iterations spend their vector-accumulation time applying long chains of
+// tiny orthogonal transformations — plane rotations, three-element
+// Householder reflectors — to adjacent columns of a column-major block. One
+// transformation alone is a Level-1 operation with two (three) loads and
+// stores per element; a chain shares a column between consecutive links, so
+// the kernels here walk a block of rows across the whole chain with the
+// shared column held in registers. Every element still sees exactly the
+// scalar operations of the link-by-link definition, in the same order — only
+// the traversal (rows outer, links inner) changes — so results do not depend
+// on the row-block height and need no threading to be deterministic.
+
+// RotSeq applies a sweep of z−1 real plane rotations to adjacent column
+// pairs of the m×z column-major block a from the right (xLASR with
+// side = 'R', pivot = 'V'). Rotation j acts on columns j and j+1:
+//
+//	a[:, j+1], a[:, j] = c[j]·a[:, j+1] − s[j]·a[:, j], s[j]·a[:, j+1] + c[j]·a[:, j]
+//
+// forward applies rotation 0 first, otherwise rotation z−2 first. Identity
+// rotations (c = 1, s = 0) are skipped, so they leave their columns
+// bit-identical. Rotations are real: a complex block is swept as the real
+// block of twice the height.
+func RotSeq[T core.Scalar](forward bool, m, z int, c, s []float64, a []T, lda int) {
+	if m <= 0 || z < 2 {
+		return
+	}
+	switch av := any(a).(type) {
+	case []float64:
+		rotSeq(forward, m, z, c, s, av, lda)
+	case []float32:
+		rotSeq(forward, m, z, c, s, av, lda)
+	case []complex128:
+		rotSeq(forward, 2*m, z, c, s, realView128(av), 2*lda)
+	case []complex64:
+		rotSeq(forward, 2*m, z, c, s, realView64(av), 2*lda)
+	}
+}
+
+// rotSeq cuts the sweep at its identity rotations into maximal runs of
+// proper ones — the runs touch disjoint columns, so each is a sweep of its
+// own — and hands every run to the asm or the portable wavefront.
+func rotSeq[T core.Float](forward bool, m, z int, c, s []float64, a []T, lda int) {
+	for j0 := 0; j0 < z-1; {
+		if c[j0] == 1 && s[j0] == 0 {
+			j0++
+			continue
+		}
+		j1 := j0 + 1
+		for j1 < z-1 && !(c[j1] == 1 && s[j1] == 0) {
+			j1++
+		}
+		if a64, ok := any(a).([]float64); ok && asmF64() {
+			rotRunAsm(forward, m, j1-j0, c[j0:j1], s[j0:j1], a64[j0*lda:], lda)
+		} else {
+			rotRun(forward, m, j1-j0, c[j0:j1], s[j0:j1], a[j0*lda:], lda)
+		}
+		j0 = j1
+	}
+}
+
+// Both routes walk the chain in one formulation. The carried column p starts
+// at the end the sweep enters from; link t loads the next column q, writes
+// the finished column over p's place and carries on with
+//
+//	store = σ·q + c·p        carry = c·q − σ·p
+//
+// where σ = s forward (p is column j, q is column j+1) and σ = −s backward
+// (p is column j+1, q is column j) — the two lines of the rotation with the
+// roles of the columns exchanged.
+
+// rotRunAsm is the AVX2+FMA route: drotSeqFma rounds the products with the
+// loaded column and fuses the carried column's in (store = fma(c, p, σ·q),
+// carry = fma(−σ, p, c·q)), which keeps one FMA on the carry's dependency
+// chain.
+func rotRunAsm(forward bool, m, nrot int, c, s []float64, a []float64, lda int) {
+	_ = a[nrot*lda+m-1]
+	if forward {
+		drotSeqFma(int64(m), int64(nrot), &c[0], &s[0], 8, &a[0], int64(8*lda), 0)
+	} else {
+		drotSeqFma(int64(m), int64(nrot), &c[nrot-1], &s[nrot-1], -8, &a[nrot*lda], int64(-8*lda), math.Copysign(0, -1))
+	}
+}
+
+// rotRun is the portable wavefront: four rows at a time cross the whole
+// chain with the carried column in locals. Bit for bit the rotation-by-
+// rotation loop (negating s is exact and x + (−y) = x − y).
+func rotRun[T core.Float](forward bool, m, nrot int, c, s []float64, a []T, lda int) {
+	// Link t applies rotation j0 + t·step, its carried column is stride
+	// elements before the one it loads.
+	j0, p0, step, stride, sign := 0, 0, 1, lda, 1.0
+	if !forward {
+		j0, p0, step, stride, sign = nrot-1, nrot*lda, -1, -lda, -1.0
+	}
+	i := 0
+	for ; i+4 <= m; i += 4 {
+		off := p0 + i
+		x0, x1, x2, x3 := a[off], a[off+1], a[off+2], a[off+3]
+		for t, j := 0, j0; t < nrot; t, j = t+1, j+step {
+			ct, st := T(c[j]), T(sign*s[j])
+			p := a[off : off+4 : off+4]
+			off += stride
+			q := a[off : off+4 : off+4]
+			y0, y1, y2, y3 := q[0], q[1], q[2], q[3]
+			p[0] = st*y0 + ct*x0
+			p[1] = st*y1 + ct*x1
+			p[2] = st*y2 + ct*x2
+			p[3] = st*y3 + ct*x3
+			x0 = ct*y0 - st*x0
+			x1 = ct*y1 - st*x1
+			x2 = ct*y2 - st*x2
+			x3 = ct*y3 - st*x3
+		}
+		a[off], a[off+1], a[off+2], a[off+3] = x0, x1, x2, x3
+	}
+	for ; i < m; i++ {
+		off := p0 + i
+		x := a[off]
+		for t, j := 0, j0; t < nrot; t, j = t+1, j+step {
+			ct, st := T(c[j]), T(sign*s[j])
+			y := a[off+stride]
+			a[off] = st*y + ct*x
+			x = ct*y - st*x
+			off += stride
+		}
+		a[off] = x
+	}
+}
+
+// Refl3 applies the Householder reflector H = I − τ·v·vᵀ with v = (1, v2, v3)
+// from the right to the three m-row columns x0, x1, x2 — the step of the
+// double-shift QR sweep (xLAHQR) on the Schur vectors and on the columns of
+// H. The caller passes the products t1 = τ, t2 = τ·v2, t3 = τ·v3 it already
+// holds.
+func Refl3(m int, x0, x1, x2 []float64, v2, v3, t1, t2, t3 float64) {
+	if m <= 0 {
+		return
+	}
+	x0, x1, x2 = x0[:m], x1[:m], x2[:m]
+	if asmF64() {
+		drefl3Fma(int64(m), &x0[0], &x1[0], &x2[0], v2, v3, t1, t2, t3)
+		return
+	}
+	for i := range x0 {
+		sum := x0[i] + v2*x1[i] + v3*x2[i]
+		x0[i] -= sum * t1
+		x1[i] -= sum * t2
+		x2[i] -= sum * t3
+	}
+}
+
+// Refl2 is Refl3 for the two-element reflector v = (1, v2) that ends a sweep.
+func Refl2(m int, x0, x1 []float64, v2, t1, t2 float64) {
+	if m <= 0 {
+		return
+	}
+	x0, x1 = x0[:m], x1[:m]
+	if asmF64() {
+		drefl2Fma(int64(m), &x0[0], &x1[0], v2, t1, t2)
+		return
+	}
+	for i := range x0 {
+		sum := x0[i] + v2*x1[i]
+		x0[i] -= sum * t1
+		x1[i] -= sum * t2
+	}
+}

@@ -307,3 +307,93 @@ func TestScratchSizeClasses(t *testing.T) {
 		t.Fatalf("large request got capacity %d", cap(s))
 	}
 }
+
+// gemvRef is Gemv from its definition, the index loop that served every
+// strided operand before the gather/scatter route: one rounding per multiply
+// and add, columns in order.
+func gemvRef[T core.Scalar](trans Trans, m, n int, alpha T, a []T, lda int, x []T, incX int, beta T, y []T, incY int) {
+	lenY := m
+	if trans != NoTrans {
+		lenY = n
+	}
+	for i := 0; i < lenY; i++ {
+		if beta == 0 {
+			y[i*incY] = 0
+		} else {
+			y[i*incY] *= beta
+		}
+	}
+	for j := 0; j < n; j++ {
+		col := a[j*lda:]
+		switch trans {
+		case NoTrans:
+			t := alpha * x[j*incX]
+			for i := 0; i < m; i++ {
+				y[i*incY] += t * col[i]
+			}
+		case TransT:
+			var sum T
+			for i := 0; i < m; i++ {
+				sum += col[i] * x[i*incX]
+			}
+			y[j*incY] += alpha * sum
+		default:
+			var sum T
+			for i := 0; i < m; i++ {
+				sum += core.Conj(col[i]) * x[i*incX]
+			}
+			y[j*incY] += alpha * sum
+		}
+	}
+}
+
+// testGemvStrided: every increment pair 1..7 on both vectors — in particular
+// the vector-shaped operand strided (y for NoTrans, x for the transposed
+// forms), which Gemv gathers into scratch — against the definition, on
+// ragged shapes and the three β cases; elements between the strides must
+// come back untouched.
+func testGemvStrided[T core.Scalar](t *testing.T) {
+	rng := rand.New(rand.NewSource(77))
+	shapes := [][2]int{{1, 1}, {3, 5}, {17, 4}, {33, 9}, {8, 31}, {70, 13}}
+	for _, trans := range allTrans {
+		for _, sh := range shapes {
+			m, n := sh[0], sh[1]
+			lenX, lenY := n, m
+			if trans != NoTrans {
+				lenX, lenY = m, n
+			}
+			lda := m + 2
+			a := randSlice[T](rng, lda*n)
+			for incX := 1; incX <= 7; incX++ {
+				for incY := 1; incY <= 7; incY++ {
+					for _, beta := range []float64{0, 1, -0.5} {
+						alpha := core.FromFloat[T](0.75)
+						x := randSlice[T](rng, lenX*incX)
+						y := randSlice[T](rng, lenY*incY)
+						want := append([]T(nil), y...)
+						Gemv(nil, trans, m, n, alpha, a, lda, x, incX, core.FromFloat[T](beta), y, incY)
+						gemvRef(trans, m, n, alpha, a, lda, x, incX, core.FromFloat[T](beta), want, incY)
+						bound := 4 * float64(max(m, n)) * core.Eps[T]()
+						for i := range y {
+							if i%incY != 0 && y[i] != want[i] {
+								t.Fatalf("%v %dx%d incX=%d incY=%d: element %d between the strides changed", trans, m, n, incX, incY, i)
+							}
+							if core.Abs(y[i]-want[i]) > bound {
+								t.Fatalf("%v %dx%d incX=%d incY=%d beta=%v: y[%d] = %v, want %v", trans, m, n, incX, incY, beta, i, y[i], want[i])
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+func TestGemvStrided(t *testing.T) {
+	eachRoute(t, func(t *testing.T) {
+		t.Run("float64", testGemvStrided[float64])
+		t.Run("float32", testGemvStrided[float32])
+		t.Run("complex128", testGemvStrided[complex128])
+		t.Run("complex64", testGemvStrided[complex64])
+	})
+}

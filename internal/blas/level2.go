@@ -32,11 +32,14 @@ func Gemv[T core.Scalar](cfg *core.Config, trans Trans, m, n int, alpha T, a []T
 	}
 	// The vectorizable operand is y for NoTrans (column axpys; x is only
 	// read one scalar per column) and x for the transposed forms (column
-	// dots; y is written one scalar per column). Whenever that operand has
-	// unit stride the dedicated loops run — no generic index arithmetic in
-	// the hot path, bounds checks hoisted by slicing, and the float64 FMA
-	// kernels when the CPU has them — even if the scalar-side vector is a
-	// strided matrix row, as in the Latrd/Labrd panel sweeps.
+	// dots; y is written one scalar per column). The dedicated loops run on
+	// it at unit stride — no generic index arithmetic in the hot path,
+	// bounds checks hoisted by slicing, and the float64 FMA kernels when the
+	// CPU has them — while the scalar-side vector may be a strided matrix
+	// row, as in the Latrd/Labrd panel sweeps. When the vector-shaped
+	// operand is itself strided (Labrd's row updates, where y is a row of
+	// A), it is gathered into pooled scratch for the sweep and, for y,
+	// scattered back: O(m) copies against the O(m·n) sweep.
 	//
 	// Large sweeps additionally fan out over the worker pool, partitioned
 	// by output elements (y rows for NoTrans, y columns for the transposed
@@ -49,57 +52,45 @@ func Gemv[T core.Scalar](cfg *core.Config, trans Trans, m, n int, alpha T, a []T
 	if workers > 1 && m*n < cfg.GemvParallelMinVol {
 		workers = 1
 	}
-	if trans == NoTrans && incY == 1 {
+	if trans == NoTrans {
+		yu := y
+		if incY != 1 {
+			yu = getScratch[T](m)
+			for i, iy := 0, 0; i < m; i, iy = i+1, iy+incY {
+				yu[i] = y[iy]
+			}
+		}
 		if workers > 1 {
 			parallelRange(m, workers, func(lo, hi int) {
-				gemvNUnit(hi-lo, n, alpha, a[lo:], lda, x, incX, y[lo:])
+				gemvNUnit(hi-lo, n, alpha, a[lo:], lda, x, incX, yu[lo:])
 			})
-			return
+		} else {
+			gemvNUnit(m, n, alpha, a, lda, x, incX, yu)
 		}
-		gemvNUnit(m, n, alpha, a, lda, x, incX, y)
-		return
-	}
-	if trans != NoTrans && incX == 1 {
-		if workers > 1 {
-			parallelRange(n, workers, func(lo, hi int) {
-				gemvTUnit(m, hi-lo, alpha, a[lo*lda:], lda, x, y[lo*incY:], incY, trans == ConjTrans)
-			})
-			return
-		}
-		gemvTUnit(m, n, alpha, a, lda, x, y, incY, trans == ConjTrans)
-		return
-	}
-	switch trans {
-	case NoTrans:
-		// y += alpha * A * x, traversing A by columns.
-		for j, jx := 0, 0; j < n; j, jx = j+1, jx+incX {
-			t := alpha * x[jx]
-			if t == 0 {
-				continue
-			}
-			col := a[j*lda:]
+		if incY != 1 {
 			for i, iy := 0, 0; i < m; i, iy = i+1, iy+incY {
-				y[iy] += t * col[i]
+				y[iy] = yu[i]
 			}
+			putScratch(yu)
 		}
-	case TransT:
-		for j, jy := 0, 0; j < n; j, jy = j+1, jy+incY {
-			col := a[j*lda:]
-			var sum T
-			for i, ix := 0, 0; i < m; i, ix = i+1, ix+incX {
-				sum += col[i] * x[ix]
-			}
-			y[jy] += alpha * sum
+		return
+	}
+	xu := x
+	if incX != 1 {
+		xu = getScratch[T](m)
+		for i, ix := 0, 0; i < m; i, ix = i+1, ix+incX {
+			xu[i] = x[ix]
 		}
-	case ConjTrans:
-		for j, jy := 0, 0; j < n; j, jy = j+1, jy+incY {
-			col := a[j*lda:]
-			var sum T
-			for i, ix := 0, 0; i < m; i, ix = i+1, ix+incX {
-				sum += core.Conj(col[i]) * x[ix]
-			}
-			y[jy] += alpha * sum
-		}
+	}
+	if workers > 1 {
+		parallelRange(n, workers, func(lo, hi int) {
+			gemvTUnit(m, hi-lo, alpha, a[lo*lda:], lda, xu, y[lo*incY:], incY, trans == ConjTrans)
+		})
+	} else {
+		gemvTUnit(m, n, alpha, a, lda, xu, y, incY, trans == ConjTrans)
+	}
+	if incX != 1 {
+		putScratch(xu)
 	}
 }
 

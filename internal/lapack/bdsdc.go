@@ -1,8 +1,9 @@
 package lapack
 
 import (
+	"cmp"
 	"math"
-	"sort"
+	"slices"
 
 	"repro/internal/blas"
 	"repro/internal/core"
@@ -23,7 +24,7 @@ import (
 // The merge reuses the Stedc secular machinery (dc.go): with the extra
 // column folded away, the merged matrix M satisfies MᵀM = D² + z·zᵀ, so
 // the squared singular values are the roots of the same secular equation
-// solveSecular bisects for the eigensolver, with ρ = 1.
+// solveSecularCore solves for the eigensolver, with ρ = 1.
 // bdsdcCutoff is the leaf size of the bidiagonal divide & conquer — a
 // variable only so the tests can force deep recursions on tiny matrices.
 var bdsdcCutoff = dcCutoff
@@ -78,11 +79,7 @@ func bdsdcLeaf(cfg *core.Config, n, sqre int, d, e []float64, u []float64, ldu i
 		for i := n - 1; i >= 0 && f != 0; i-- {
 			c, s, r := Lartg(d[i], f)
 			d[i] = r
-			for col := 0; col < m; col++ {
-				x, y := vt[i+col*ldvt], vt[n+col*ldvt]
-				vt[i+col*ldvt] = c*x + s*y
-				vt[n+col*ldvt] = -s*x + c*y
-			}
+			rotRows(vt, ldvt, i, n, 0, m-1, c, s)
 			if i > 0 {
 				f = -s * e[i-1]
 				e[i-1] = c * e[i-1]
@@ -114,10 +111,16 @@ func bdsdcLeaf(cfg *core.Config, n, sqre int, d, e []float64, u []float64, ldu i
 func bdsdcMerge(cfg *core.Config, n, sqre, nl int, alpha, beta float64, d []float64, u []float64, ldu int, vt []float64, ldvt int) int {
 	m := n + sqre
 	eps := core.EpsDouble
+	// Pooled workspace, every part written before it is read.
+	work := blas.GetScratch[float64](m + 8*n + n*n + n*m)
+	defer blas.PutScratch(work)
+	z, vecs, ub, vb := work[:m], work[m:m+8*n], work[m+8*n:m+8*n+n*n], work[m+8*n+n*n:]
+	ds, zs, sig := vecs[:n], vecs[n:2*n], vecs[2*n:3*n]
+	idx := make([]int, 3*n)
+	perm, order, sec := idx[:n], idx[n:2*n], idx[2*n:2*n]
 	// Assemble the dense row in the children's right bases. V[i,j] = VT[j,i]
 	// in real arithmetic, so the needed V rows are columns nl and nl+1 of
 	// the accumulated vt.
-	z := make([]float64, m)
 	for c := 0; c <= nl; c++ {
 		z[c] = alpha * vt[c+nl*ldvt]
 	}
@@ -134,17 +137,12 @@ func bdsdcMerge(cfg *core.Config, n, sqre, nl int, alpha, beta float64, d []floa
 			s0 := z[m-1] / r
 			z[nl] = r
 			z[m-1] = 0
-			for col := 0; col < m; col++ {
-				x, y := vt[nl+col*ldvt], vt[m-1+col*ldvt]
-				vt[nl+col*ldvt] = c0*x + s0*y
-				vt[m-1+col*ldvt] = -s0*x + c0*y
-			}
+			rotRows(vt, ldvt, nl, m-1, 0, m-1, c0, s0)
 		}
 	}
 	// Sort the n active columns by diagonal value ascending. The z-column
 	// (original index nl) has no diagonal; key it below every d ≥ 0 so it
 	// always lands at compressed index 0.
-	perm := make([]int, n)
 	for i := range perm {
 		perm[i] = i
 	}
@@ -154,10 +152,9 @@ func bdsdcMerge(cfg *core.Config, n, sqre, nl int, alpha, beta float64, d []floa
 		}
 		return d[c]
 	}
-	sort.SliceStable(perm, func(a, b int) bool { return key(perm[a]) < key(perm[b]) })
-	ds := make([]float64, n)
-	zs := make([]float64, n)
+	slices.SortStableFunc(perm, func(a, b int) int { return cmp.Compare(key(a), key(b)) })
 	for j, p := range perm {
+		ds[j] = 0
 		if p != nl {
 			ds[j] = d[p]
 		}
@@ -202,11 +199,7 @@ func bdsdcMerge(cfg *core.Config, n, sqre, nl int, alpha, beta float64, d []floa
 					zs[0] = r
 					zs[j] = 0
 					rj := perm[j]
-					for col := 0; col < m; col++ {
-						x, y := vt[nl+col*ldvt], vt[rj+col*ldvt]
-						vt[nl+col*ldvt] = c*x + s*y
-						vt[rj+col*ldvt] = -s*x + c*y
-					}
+					rotRows(vt, ldvt, nl, rj, 0, m-1, c, s)
 					dj := c * ds[j]
 					if dj < 0 {
 						dj = -dj
@@ -228,16 +221,8 @@ func bdsdcMerge(cfg *core.Config, n, sqre, nl int, alpha, beta float64, d []floa
 				// the off-diagonal coupling c·s·(d_last − d_j) ≤ tol is
 				// dropped and the diagonal pair takes the c²/s² mix.
 				rl, rj := perm[last], perm[j]
-				for col := 0; col < m; col++ {
-					x, y := vt[rl+col*ldvt], vt[rj+col*ldvt]
-					vt[rl+col*ldvt] = c*x - s*y
-					vt[rj+col*ldvt] = s*x + c*y
-				}
-				for row := 0; row < n; row++ {
-					x, y := u[row+rl*ldu], u[row+rj*ldu]
-					u[row+rl*ldu] = c*x - s*y
-					u[row+rj*ldu] = s*x + c*y
-				}
+				rotRows(vt, ldvt, rl, rj, 0, m-1, c, -s)
+				rotCols(u, ldu, rl, rj, 0, n-1, c, -s)
 				dl, dj := ds[last], ds[j]
 				ds[last] = c*c*dl + s*s*dj
 				ds[j] = s*s*dl + c*c*dj
@@ -250,27 +235,16 @@ func bdsdcMerge(cfg *core.Config, n, sqre, nl int, alpha, beta float64, d []floa
 			last = j
 		}
 	}
+	// Candidate singular triples are built in scratch (ub, vb) so the final
+	// descending write-back never reads a slot it has already overwritten.
 	// Partition into the secular and deflated sets. Compressed index 0 (the
-	// z-column) is always secular.
-	var sec, defl []int
+	// z-column) is always secular. Deflated pairs pass through: their u
+	// column and vt row are already singular vectors of the block.
 	for j := 0; j < n; j++ {
-		if deflated[j] {
-			defl = append(defl, j)
-		} else {
+		if !deflated[j] {
 			sec = append(sec, j)
+			continue
 		}
-	}
-	k := len(sec)
-	// Candidate singular triples, built in scratch so the final descending
-	// write-back never reads a slot it has already overwritten.
-	sig := make([]float64, n)
-	ub := blas.GetScratch[float64](n * n)
-	defer blas.PutScratch(ub)
-	vb := blas.GetScratch[float64](n * m)
-	defer blas.PutScratch(vb)
-	// Deflated pairs pass through: their u column and vt row are already
-	// singular vectors of the block.
-	for _, j := range defl {
 		sig[j] = ds[j]
 		p := perm[j]
 		copy(ub[j*n:j*n+n], u[p*ldu:p*ldu+n])
@@ -278,6 +252,7 @@ func bdsdcMerge(cfg *core.Config, n, sqre, nl int, alpha, beta float64, d []floa
 			vb[j+col*n] = vt[p+col*ldvt]
 		}
 	}
+	k := len(sec)
 	if k == 1 {
 		// Everything except the z-column deflated: the active matrix is the
 		// single column z₀·e_nl, so σ = |z₀| with the right vector already
@@ -296,22 +271,21 @@ func bdsdcMerge(cfg *core.Config, n, sqre, nl int, alpha, beta float64, d []floa
 		}
 	} else if k > 0 {
 		// Secular solve on the squared values: MᵀM = D² + z·zᵀ, ρ = 1.
-		dd := make([]float64, k)
-		dsec := make([]float64, k)
-		zz := make([]float64, k)
+		dd, dsec, zz, lams, zhat := vecs[3*n:3*n+k], vecs[4*n:4*n+k], vecs[5*n:5*n+k], vecs[6*n:6*n+k], vecs[7*n:7*n+k]
 		for a, j := range sec {
 			dsec[a] = ds[j]
 			dd[a] = ds[j] * ds[j]
 			zz[a] = zs[j]
 		}
-		lams := make([]float64, k)
-		uh := make([]float64, k*k)
-		zhat, denom := solveSecularCore(k, 1.0, dd, zz, lams, uh)
+		mats := blas.GetScratch[float64](3*k*k + 2*n*k + 2*k*m)
+		defer blas.PutScratch(mats)
+		uh, lh, denom, mats := mats[:k*k], mats[k*k:2*k*k], mats[2*k*k:3*k*k], mats[3*k*k:]
+		gu, unew, gv, vnew := mats[:n*k], mats[n*k:2*n*k], mats[2*n*k:2*n*k+k*m], mats[2*n*k+k*m:]
+		solveSecularCore(k, 1.0, dd, zz, lams, uh, zhat, denom)
 		// Left vectors from M·v = σ·u: component j is d_j·ẑ_j/(d_j² − σ²),
 		// and the z-row component (compressed index 0, where d is 0) is −1 —
 		// the value Σ ẑ²/(d² − σ²) takes at a secular root. Normalizing the
 		// positive multiple of M·v keeps U·Σ·Vᵀ reconstructing with +σ.
-		lh := make([]float64, k*k)
 		for i := 0; i < k; i++ {
 			nrm := 0.0
 			for a := 0; a < k; a++ {
@@ -329,10 +303,6 @@ func bdsdcMerge(cfg *core.Config, n, sqre, nl int, alpha, beta float64, d []floa
 		}
 		// Gather the secular u columns and vt rows and apply the compressed
 		// bases with one GEMM each (the rotation-traffic → Level-3 move).
-		gu := blas.GetScratch[float64](n * k)
-		defer blas.PutScratch(gu)
-		gv := blas.GetScratch[float64](k * m)
-		defer blas.PutScratch(gv)
 		for a, j := range sec {
 			p := perm[j]
 			copy(gu[a*n:a*n+n], u[p*ldu:p*ldu+n])
@@ -340,10 +310,6 @@ func bdsdcMerge(cfg *core.Config, n, sqre, nl int, alpha, beta float64, d []floa
 				gv[a+col*k] = vt[p+col*ldvt]
 			}
 		}
-		unew := blas.GetScratch[float64](n * k)
-		defer blas.PutScratch(unew)
-		vnew := blas.GetScratch[float64](k * m)
-		defer blas.PutScratch(vnew)
 		blas.Gemm(cfg, NoTrans, NoTrans, n, k, k, 1.0, gu, n, lh, k, 0.0, unew, n)
 		blas.Gemm(cfg, ConjTrans, NoTrans, k, m, k, 1.0, uh, k, gv, k, 0.0, vnew, k)
 		for a, j := range sec {
@@ -356,11 +322,10 @@ func bdsdcMerge(cfg *core.Config, n, sqre, nl int, alpha, beta float64, d []floa
 	}
 	// Final descending order, matching the Bdsqr convention the rest of the
 	// SVD stack expects.
-	order := make([]int, n)
 	for i := range order {
 		order[i] = i
 	}
-	sort.SliceStable(order, func(a, b int) bool { return sig[order[a]] > sig[order[b]] })
+	slices.SortStableFunc(order, func(a, b int) int { return cmp.Compare(sig[b], sig[a]) })
 	for i, p := range order {
 		d[i] = sig[p]
 		copy(u[i*ldu:i*ldu+n], ub[p*n:p*n+n])

@@ -1,6 +1,7 @@
 package lapack
 
 import (
+	"math"
 	"testing"
 	"time"
 
@@ -91,6 +92,31 @@ func TestSteqrNaNBounded(t *testing.T) {
 		info := Steqr[float64](tcfg(), chaosN, d, e, nil, 1)
 		if info == 0 {
 			t.Error("Steqr converged on a NaN off-diagonal; expected INFO > 0")
+		}
+	})
+}
+
+// TestSecularNaNBounded: a NaN in d or z must cost at most the evaluation cap
+// per root, not hang the bracket loop.
+func TestSecularNaNBounded(t *testing.T) {
+	bounded(t, 30*time.Second, "solveSecularCore", func() {
+		const k = 60
+		for _, poison := range []string{"d", "z"} {
+			d, z := make([]float64, k), make([]float64, k)
+			for j := range d {
+				d[j] = float64(j)
+				z[j] = 1 / math.Sqrt(k)
+			}
+			if poison == "d" {
+				d[k/2] = math.NaN()
+			} else {
+				z[k/2] = math.NaN()
+			}
+			lam, u := make([]float64, k), make([]float64, k*k)
+			evals := solveSecularCore(k, 0.5, d, z, lam, u, make([]float64, k), make([]float64, k*k))
+			if evals > k*secularMaxEvals {
+				t.Errorf("NaN in %s: %d evaluations for %d roots, cap is %d each", poison, evals, k, secularMaxEvals)
+			}
 		}
 	})
 }

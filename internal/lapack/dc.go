@@ -1,8 +1,9 @@
 package lapack
 
 import (
+	"cmp"
 	"math"
-	"sort"
+	"slices"
 
 	"repro/internal/blas"
 	"repro/internal/core"
@@ -28,26 +29,26 @@ func Stedc[T core.Scalar](cfg *core.Config, n int, d, e []float64, z []T, ldz in
 		return Sterf(cfg, n, d, e)
 	}
 	// Compute the eigenvector matrix of T in float64 and apply it to z.
-	qt := make([]float64, n*n)
-	for i := 0; i < n; i++ {
-		qt[i+i*n] = 1
-	}
+	qt := blas.GetScratch[float64](n * n)
+	defer blas.PutScratch(qt)
+	Laset('A', n, n, 0.0, 1.0, qt, n)
 	if info := stedcRec(cfg, n, d, e, qt, n); info != 0 {
 		return info
 	}
-	// z := z · qt, done in the element type of z.
-	qtT := make([]T, n*n)
-	for i := range qt {
-		qtT[i] = core.FromFloat[T](qt[i])
-	}
-	prod := make([]T, n*n)
-	one := core.FromFloat[T](1)
-	zero := core.FromFloat[T](0)
-	// Use a dense multiply on the full z panel.
-	zcopy := make([]T, n*n)
+	// z := z · qt in the element type of z: one dense multiply from a copy
+	// of z straight back into it.
+	zcopy := blas.GetScratch[T](n * n)
+	defer blas.PutScratch(zcopy)
 	Lacpy('A', n, n, z, ldz, zcopy, n)
-	blas.Gemm(cfg, NoTrans, NoTrans, n, n, n, one, zcopy, n, qtT, n, zero, prod, n)
-	Lacpy('A', n, n, prod, n, z, ldz)
+	qtT, ok := any(qt).([]T)
+	if !ok {
+		qtT = blas.GetScratch[T](n * n)
+		defer blas.PutScratch(qtT)
+		for i, v := range qt {
+			qtT[i] = core.FromFloat[T](v)
+		}
+	}
+	blas.Gemm(cfg, NoTrans, NoTrans, n, n, n, core.FromFloat[T](1), zcopy, n, qtT, n, core.FromFloat[T](0), z, ldz)
 	return 0
 }
 
@@ -77,7 +78,8 @@ func stedcRec(cfg *core.Config, n int, d, e []float64, q []float64, ldq int) int
 	}
 	// Merge: eigenproblem of D + |rho|·z·zᵀ with
 	// z = [last row of Q1; sgn · first row of Q2].
-	zv := make([]float64, n)
+	zv := blas.GetScratch[float64](n)
+	defer blas.PutScratch(zv)
 	for i := 0; i < m; i++ {
 		zv[i] = q[m-1+i*ldq]
 	}
@@ -90,23 +92,24 @@ func stedcRec(cfg *core.Config, n int, d, e []float64, q []float64, ldq int) int
 // dcMerge solves the rank-one modified diagonal eigenproblem
 // D + rho·z·zᵀ (rho > 0) and updates the eigenvector accumulation q,
 // whose relevant block structure is [Q1 0; 0 Q2] with the split at m.
+// Every workspace is pooled scratch that is written before it is read.
 func dcMerge(cfg *core.Config, n, m int, rho float64, d, zv []float64, q []float64, ldq int) int {
 	eps := core.EpsDouble
+	idx := make([]int, 3*n)
+	perm, order, sec := idx[:n], idx[n:2*n], idx[2*n:]
+	work := blas.GetScratch[float64](7*n + n*n)
+	defer blas.PutScratch(work)
+	vecs, qp := work[:7*n], work[7*n:]
+	ds, zs, lam := vecs[:n], vecs[n:2*n], vecs[2*n:3*n]
 	// Sort the diagonal entries ascending, permuting z and the q columns.
-	perm := make([]int, n)
 	for i := range perm {
 		perm[i] = i
 	}
-	sort.SliceStable(perm, func(a, b int) bool { return d[perm[a]] < d[perm[b]] })
-	ds := make([]float64, n)
-	zs := make([]float64, n)
-	qp := make([]float64, n*n)
+	slices.SortStableFunc(perm, func(a, b int) int { return cmp.Compare(d[a], d[b]) })
 	for k, p := range perm {
 		ds[k] = d[p]
 		zs[k] = zv[p]
-		for i := 0; i < n; i++ {
-			qp[i+k*n] = q[i+p*ldq]
-		}
+		copy(qp[k*n:k*n+n], q[p*ldq:p*ldq+n])
 	}
 	// Normalize z to unit norm, folding the factor into rho (dlaed2).
 	znorm := blas.Nrm2(n, zs, 1)
@@ -116,7 +119,8 @@ func dcMerge(cfg *core.Config, n, m int, rho float64, d, zv []float64, q []float
 		}
 	}
 	rho *= znorm * znorm
-	// Deflation (dlaed2-lite).
+	// Deflation (dlaed2-lite); sec collects the secular (non-deflated) set.
+	// Deflated eigenpairs pass through unchanged.
 	dmax := 0.0
 	zmax := 0.0
 	for i := 0; i < n; i++ {
@@ -124,19 +128,15 @@ func dcMerge(cfg *core.Config, n, m int, rho float64, d, zv []float64, q []float
 		zmax = math.Max(zmax, math.Abs(zs[i]))
 	}
 	tol := 8 * eps * math.Max(dmax, zmax)
-	deflated := make([]bool, n)
-	// Rule 1: negligible z component.
-	for i := 0; i < n; i++ {
-		if rho*math.Abs(zs[i]) <= tol {
-			deflated[i] = true
-		}
-	}
-	// Rule 2: nearly equal diagonal entries — rotate one z component away.
+	k := 0
 	last := -1
 	for i := 0; i < n; i++ {
-		if deflated[i] {
+		// Rule 1: negligible z component.
+		if rho*math.Abs(zs[i]) <= tol {
+			lam[i] = ds[i]
 			continue
 		}
+		// Rule 2: nearly equal diagonal entries — rotate one z component away.
 		if last >= 0 && math.Abs(ds[i]-ds[last]) <= tol {
 			r := math.Hypot(zs[last], zs[i])
 			c := zs[i] / r
@@ -147,55 +147,37 @@ func dcMerge(cfg *core.Config, n, m int, rho float64, d, zv []float64, q []float
 			if r > 0 && math.Abs((ds[i]-ds[last])*c*s) <= tol {
 				// Rotate columns (last, i) of qp and the z pair so that
 				// zs[last] becomes 0; adjust the diagonal pair.
-				for row := 0; row < n; row++ {
-					x, y := qp[row+last*n], qp[row+i*n]
-					qp[row+last*n] = c*x - s*y
-					qp[row+i*n] = s*x + c*y
-				}
+				rotCols(qp, n, last, i, 0, n-1, c, -s)
 				dl := ds[last]
 				di := ds[i]
 				ds[last] = dl*c*c + di*s*s
 				ds[i] = dl*s*s + di*c*c
 				zs[i] = r
 				zs[last] = 0
-				deflated[last] = true
+				lam[last] = ds[last]
+				k-- // last was the newest member of the secular set
 			}
 		}
+		sec[k] = i
+		k++
 		last = i
 	}
-	// Partition into the secular (non-deflated) set and the deflated set.
-	var sec []int
-	var defl []int
-	for i := 0; i < n; i++ {
-		if deflated[i] {
-			defl = append(defl, i)
-		} else {
-			sec = append(sec, i)
-		}
-	}
-	k := len(sec)
-	lam := make([]float64, n)
-	// Deflated eigenpairs pass through unchanged.
-	for _, i := range defl {
-		lam[i] = ds[i]
-	}
+	sec = sec[:k]
 	if k > 0 {
-		dd := make([]float64, k)
-		zz := make([]float64, k)
+		dd, zz, lams, zhat := vecs[3*n:3*n+k], vecs[4*n:4*n+k], vecs[5*n:5*n+k], vecs[6*n:6*n+k]
 		for a, i := range sec {
 			dd[a] = ds[i]
 			zz[a] = zs[i]
 		}
-		lams := make([]float64, k)
-		uhat := make([]float64, k*k)
-		solveSecular(k, rho, dd, zz, lams, uhat)
+		mats := blas.GetScratch[float64](2*k*k + 2*n*k)
+		defer blas.PutScratch(mats)
+		uhat, denom, qsec, qnew := mats[:k*k], mats[k*k:2*k*k], mats[2*k*k:2*k*k+n*k], mats[2*k*k+n*k:]
+		solveSecularCore(k, rho, dd, zz, lams, uhat, zhat, denom)
 		// Scatter back and form the updated eigenvectors:
 		// columns sec of qp combined with uhat.
-		qsec := make([]float64, n*k)
 		for a, i := range sec {
 			copy(qsec[a*n:a*n+n], qp[i*n:i*n+n])
 		}
-		qnew := make([]float64, n*k)
 		blas.Gemm(cfg, NoTrans, NoTrans, n, k, k, 1.0, qsec, n, uhat, k, 0.0, qnew, n)
 		for a, i := range sec {
 			lam[i] = lams[a]
@@ -203,94 +185,52 @@ func dcMerge(cfg *core.Config, n, m int, rho float64, d, zv []float64, q []float
 		}
 	}
 	// Final ascending sort of all eigenpairs.
-	order := make([]int, n)
 	for i := range order {
 		order[i] = i
 	}
-	sort.SliceStable(order, func(a, b int) bool { return lam[order[a]] < lam[order[b]] })
-	for i := 0; i < n; i++ {
-		d[i] = lam[order[i]]
-	}
+	slices.SortStableFunc(order, func(a, b int) int { return cmp.Compare(lam[a], lam[b]) })
 	for kcol, p := range order {
-		for i := 0; i < n; i++ {
-			q[i+kcol*ldq] = qp[i+p*n]
-		}
+		d[kcol] = lam[p]
+		copy(q[kcol*ldq:kcol*ldq+n], qp[p*n:p*n+n])
 	}
 	return 0
 }
 
-// solveSecular solves the secular equation 1 + rho·Σ zⱼ²/(dⱼ − λ) = 0 for
+// secularMaxEvals caps the evaluations of the secular function spent on one
+// root. The rational iteration needs 3–6; the cap only binds on non-finite
+// input, where it bounds the bisection fallback.
+const secularMaxEvals = 100
+
+// solveSecularCore solves the secular equation 1 + rho·Σ zⱼ²/(dⱼ − λ) = 0 for
 // each of its k roots (d ascending, rho > 0, all z non-negligible), and
 // builds the stabilized eigenvectors by the Gu–Eisenstat z-recomputation
 // (xLAED4/xLAED3 roles). u receives the k×k eigenvector matrix of the
-// rank-one update.
+// rank-one update; zhat (k) and denom (k×k) are caller workspace that return
+// the recomputed ẑ and the pole differences denom[j+i*k] = dⱼ − λᵢ, which
+// Bdsdc needs to build the left singular vectors of its rank-one merge
+// (whose components are dⱼ·ẑⱼ/(dⱼ² − σᵢ²) on top of the right-vector
+// formula). Returns the number of secular-function evaluations spent.
 //
-// Each root is computed in the shifted variable τᵢ = λᵢ − dᵢ, so the
-// denominators dⱼ − λᵢ = (dⱼ − dᵢ) − τᵢ are formed from exact differences
-// of the dⱼ and never suffer catastrophic cancellation or exact pole hits
-// (the essential idea of xLAED4).
-func solveSecular(k int, rho float64, d, z []float64, lam []float64, u []float64) {
-	solveSecularCore(k, rho, d, z, lam, u)
-}
-
-// solveSecularCore is solveSecular returning its internal stabilized
-// quantities: the Gu–Eisenstat recomputed ẑ and the pole-difference
-// denominators denom[j+i*k] = dⱼ − λᵢ. Bdsdc needs both to build the left
-// singular vectors of its rank-one merge (whose components are
-// dⱼ·ẑⱼ/(dⱼ² − σᵢ²) on top of the right-vector formula).
-func solveSecularCore(k int, rho float64, d, z []float64, lam []float64, u []float64) (zhatOut, denomOut []float64) {
+// Each root is computed in the shifted variable τᵢ = λᵢ − d_base with base
+// the nearer of the two poles enclosing it, so the denominators
+// dⱼ − λᵢ = (dⱼ − d_base) − τᵢ are formed from exact differences of the dⱼ
+// and never suffer catastrophic cancellation or exact pole hits (the
+// essential idea of xLAED4).
+func solveSecularCore(k int, rho float64, d, z []float64, lam []float64, u, zhat, denom []float64) (evals int) {
 	if k == 1 {
 		lam[0] = d[0] + rho*z[0]*z[0]
 		u[0] = 1
-		return []float64{z[0]}, []float64{d[0] - lam[0]}
+		zhat[0] = z[0]
+		denom[0] = d[0] - lam[0]
+		return 0
 	}
 	zz := 0.0
 	for j := 0; j < k; j++ {
 		zz += z[j] * z[j]
 	}
-	// denom[j + i*k] = dⱼ − λᵢ, kept in difference form relative to the
-	// anchoring pole so the smallest denominator is always accurate (the
-	// essential device of xLAED4: roots clinging to the right pole of
-	// their interval are shifted from that pole, with negative τ).
-	denom := make([]float64, k*k)
 	for i := 0; i < k; i++ {
-		// f(base; τ) = 1 + ρ Σ zⱼ²/((dⱼ−d_base) − τ), increasing in τ
-		// between consecutive poles.
-		f := func(base int, t float64) float64 {
-			s := 1.0
-			for j := 0; j < k; j++ {
-				s += rho * z[j] * z[j] / ((d[j] - d[base]) - t)
-			}
-			return s
-		}
-		base := i
-		var a, b float64
-		if i == k-1 {
-			// Last root lies in (d[k-1], d[k-1] + ρ·Σz²); anchor left.
-			a, b = 0, rho*zz
-		} else {
-			gap := d[i+1] - d[i]
-			if f(i, 0.5*gap) > 0 {
-				// Root in the left half: anchor at dᵢ, τ ∈ (0, gap/2].
-				a, b = 0, 0.5*gap
-			} else {
-				// Root in the right half: anchor at dᵢ₊₁, τ ∈ [−gap/2, 0).
-				base = i + 1
-				a, b = -0.5*gap, 0
-			}
-		}
-		for it := 0; it < 140; it++ {
-			mid := 0.5 * (a + b)
-			if mid <= a || mid >= b {
-				break
-			}
-			if f(base, mid) < 0 {
-				a = mid
-			} else {
-				b = mid
-			}
-		}
-		tau := 0.5 * (a + b)
+		base, tau, ev := secularRoot(k, i, rho, d, z, zz)
+		evals += ev
 		if tau == 0 {
 			// Keep λ strictly off the pole.
 			tau = math.SmallestNonzeroFloat64
@@ -304,8 +244,8 @@ func solveSecularCore(k int, rho float64, d, z []float64, lam []float64, u []flo
 		}
 	}
 	// Gu–Eisenstat: recompute ẑ so the eigenvector formula is stable.
-	// (λᵢ − dⱼ) = −denom[j+i*k], exactly the quantities bisection produced.
-	zhat := make([]float64, k)
+	// (λᵢ − dⱼ) = −denom[j+i*k], exactly the quantities the root finder
+	// produced.
 	for j := 0; j < k; j++ {
 		p := -denom[j+(k-1)*k] / rho
 		for i := 0; i < k-1; i++ {
@@ -333,7 +273,172 @@ func solveSecularCore(k int, rho float64, d, z []float64, lam []float64, u []flo
 			u[j+i*k] /= nrm
 		}
 	}
-	return zhat, denom
+	return evals
+}
+
+// secularEval evaluates w(τ) = 1 + ρ·Σ zⱼ²/(δⱼ − τ), δⱼ = dⱼ − d[base], with
+// the anchoring pole's own term −ρ·z²/τ kept apart: w = rest + pole and
+// w′ = dpsi + dphi + dpole, dpsi summing ρ·zⱼ²/(δⱼ − τ)² over the other
+// poles 0..split and dphi over the other poles above split. base is split
+// or split+1. Each side is summed from its far end towards the root, so the
+// terms grow as they are added; sumAbs is Σ|terms| (all terms of a side
+// have one sign).
+func secularEval(k, split, base int, rho float64, d, z []float64, tau float64) (rest, pole, dpsi, dphi, dpole, sumAbs float64) {
+	db := d[base]
+	var psi, phi float64
+	for j := 0; j < min(split+1, base); j++ {
+		t := z[j] / ((d[j] - db) - tau)
+		psi += z[j] * t
+		dpsi += t * t
+	}
+	for j := k - 1; j > max(split, base); j-- {
+		t := z[j] / ((d[j] - db) - tau)
+		phi += z[j] * t
+		dphi += t * t
+	}
+	t := -z[base] / tau
+	pole = rho * z[base] * t
+	return 1 + rho*(psi+phi), pole, rho * dpsi, rho * dphi, rho * t * t, rho*(math.Abs(psi)+math.Abs(phi)) + math.Abs(pole)
+}
+
+// secularRoot finds root i of the secular equation: the pole d[base] it is
+// anchored to, the shift τ with λᵢ = d[base] + τ, and the number of function
+// evaluations spent (at most secularMaxEvals).
+//
+// An interior root lies between dᵢ and dᵢ₊₁; the sign of w at the midpoint
+// picks the nearer pole as anchor and halves the bracket, so τ ∈ (0, gap/2]
+// from dᵢ or τ ∈ [−gap/2, 0) from dᵢ₊₁. The last root lies in
+// (d[k−1], d[k−1] + ρ·‖z‖²) and is anchored at d[k−1]. From there the
+// iteration is xLAED4's: each step replaces w by c + S/(δ₀ − t) + R/(δ₁ − t),
+// δ₀ < δ₁ the two poles enclosing the root (the last two poles for the last
+// root), and moves to the root of that rational function inside the bracket.
+// The first step takes both weights as the poles' exact ρ·z² and solves for
+// the shift itself; the later ones match w and w′ at τ and solve for the
+// correction. For an interior root the anchoring pole keeps its exact
+// weight and the other weight and c are fitted (the "middle way"), switching
+// to both weights fitted (S = ψ′·(δ₀−τ)², R = φ′·(δ₁−τ)², what the last root
+// always uses) and back whenever a step fails to cut |w| tenfold.
+//
+// w is increasing between poles, so every evaluation tightens one end of the
+// bracket, and bisection survives as the safeguard: the step goes to the
+// bracket's midpoint — the geometric one once the bracket is clear of the
+// pole and spans binades — when the rational root is NaN or outside the
+// bracket, or when the previous rational step did not at least halve |w|.
+// Iteration stops on xLAED4's rule |w| ≤ ε·(8·Σ|terms| + 1 + |τ|·w′), the
+// rounding error of w itself, or once the bracket has no float strictly
+// inside it.
+func secularRoot(k, i int, rho float64, d, z []float64, zz float64) (base int, tau float64, evals int) {
+	split, base := i, i
+	var lo, hi float64
+	if i == k-1 {
+		split = k - 2
+		hi = rho * zz
+		tau = 0.5 * hi
+	} else {
+		tau = 0.5 * (d[i+1] - d[i])
+	}
+	rest, pole, dpsi, dphi, dpole, sumAbs := secularEval(k, split, base, rho, d, z, tau)
+	evals = 1
+	if i < k-1 && rest+pole <= 0 {
+		// The root is in the upper half: anchor at dᵢ₊₁ and split w around
+		// the new anchor at the same midpoint.
+		base, lo, tau = i+1, -tau, -tau
+		rest, pole, dpsi, dphi, dpole, sumAbs = secularEval(k, split, base, rho, d, z, tau)
+		evals = 2
+	} else if i < k-1 {
+		hi = tau
+	}
+	far := split + 1 // the enclosing pole that is not the anchor
+	if base == far {
+		far = split
+	}
+	pfar := d[far] - d[base]
+	sfar := rho * z[far] * z[far]
+	first := true       // the next rational step is the initial guess
+	both := i == k-1    // fit both pole weights, not only the far one
+	prev := math.Inf(1) // |w| where the previous rational step started
+	for {
+		w := rest + pole
+		dw := dpsi + dphi + dpole
+		if math.Abs(w) <= core.EpsDouble*(8*sumAbs+1+math.Abs(tau)*dw) {
+			break
+		}
+		if w < 0 {
+			lo = tau
+		} else {
+			hi = tau
+		}
+		// The fallback point: the bracket's midpoint — in magnitude, once the
+		// bracket is clear of the pole and spans binades.
+		next := 0.5 * (lo + hi)
+		switch {
+		case lo > 0 && hi > 4*lo:
+			next = math.Sqrt(lo) * math.Sqrt(hi)
+		case hi < 0 && lo < 4*hi:
+			next = -math.Sqrt(-lo) * math.Sqrt(-hi)
+		}
+		if !(lo < next && next < hi) || evals >= secularMaxEvals {
+			break
+		}
+		if aw := math.Abs(w); aw <= 0.5*prev {
+			if aw > 0.1*prev && i < k-1 {
+				both = !both
+			}
+			prev = aw
+			dfar := pfar - tau
+			var r1, r2 float64
+			if first {
+				first, prev = false, math.Inf(1)
+				// From the midpoint the root may be many orders of magnitude
+				// closer to the anchoring pole than τ is, and a correction
+				// to τ would cancel: solve for the new shift itself, both
+				// enclosing poles at their exact weights and c the rest of
+				// w (xLAED4's initial guess). With the anchor at 0 the
+				// rational function is c − S/t + R/(p − t).
+				sbase := rho * z[base] * z[base]
+				c := rest - sfar/dfar
+				a := c*pfar + sbase + sfar
+				b := sbase * pfar
+				q := 0.5 * (a + math.Copysign(math.Sqrt(math.Abs(a*a-4*b*c)), a))
+				r1, r2 = q/c, b/q
+			} else {
+				// Correction η: c·η² − a·η + b = 0 with a and b fixed by w
+				// and w′ and c by the choice of fit. Formed from the sums
+				// that exclude the anchoring pole, c has no cancellation at
+				// the scale of the pole's own term.
+				a := (dfar-tau)*w + tau*dfar*dw
+				b := -tau * dfar * w
+				c := rest - dfar*(dpsi+dphi)
+				if both {
+					if base == split {
+						c = w + tau*(dpsi+dpole) - dfar*dphi
+					} else {
+						c = w - dfar*dpsi + tau*(dphi+dpole)
+					}
+					if i == k-1 {
+						c = math.Abs(c)
+					}
+				}
+				// Both roots, cancellation-free; with c = 0 the first is
+				// infinite and the second is b/a.
+				q := 0.5 * (a + math.Copysign(math.Sqrt(math.Abs(a*a-4*b*c)), a))
+				r1, r2 = tau+q/c, tau+b/q
+			}
+			in1, in2 := lo < r1 && r1 < hi, lo < r2 && r2 < hi
+			switch {
+			case in1 && (!in2 || math.Abs(r1-tau) <= math.Abs(r2-tau)):
+				next = r1
+			case in2:
+				next = r2
+			}
+		} else {
+			prev = math.Inf(1) // a bisection step; the next one is rational again
+		}
+		tau = next
+		rest, pole, dpsi, dphi, dpole, sumAbs = secularEval(k, split, base, rho, d, z, tau)
+		evals++
+	}
+	return base, tau, evals
 }
 
 // Syevd computes all eigenvalues and, optionally, eigenvectors of a
@@ -367,7 +472,8 @@ func Stevd[T core.Scalar](cfg *core.Config, n int, d, e []float64, z []T, ldz in
 }
 
 // SolveSecularForTest exposes the secular solver to the package tests,
-// which validate it against brute-force eigensolves.
-func SolveSecularForTest(k int, rho float64, d, z []float64, lam []float64, u []float64) {
-	solveSecular(k, rho, d, z, lam, u)
+// which validate it against brute-force eigensolves, and to the root
+// benchmark; it returns the number of secular-function evaluations spent.
+func SolveSecularForTest(k int, rho float64, d, z []float64, lam []float64, u []float64) (evals int) {
+	return solveSecularCore(k, rho, d, z, lam, u, make([]float64, k), make([]float64, k*k))
 }

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/blas"
 	"repro/internal/core"
+	"repro/internal/faultinject"
 	"repro/internal/lapack"
 	"repro/internal/testutil"
 )
@@ -384,6 +385,54 @@ func TestGebalIdentityInvariance(t *testing.T) {
 	for i := range wr1 {
 		if math.Abs(wr1[i]-wr2[i]) > 1e-7*(1+math.Abs(wr1[i])) {
 			t.Fatalf("balanced eigenvalues differ at %d: %v vs %v", i, wr1[i], wr2[i])
+		}
+	}
+}
+
+// TestHseqrRoutesAgree runs the double-shift QR iteration with Schur vectors
+// on the asm reflector kernels and on the portable loops (what LA90_NO_ASM=1
+// selects): each route's Schur form reproduces the matrix and has orthogonal
+// vectors to the Appendix-F ratios, and the two spectra agree to n·ε·‖A‖
+// times the slack a nonsymmetric spectrum's conditioning needs.
+func TestHseqrRoutesAgree(t *testing.T) {
+	for _, n := range []int{4, 37, 120} {
+		rng := lapack.NewRng([4]int{n, 7, 7, 9})
+		a := testutil.RandGeneral[float64](rng, n, n, n)
+		h0 := append([]float64(nil), a...)
+		tau := make([]float64, n-1)
+		lapack.Gehrd(tcfg(), n, 0, n-1, h0, n, tau)
+		z0 := append([]float64(nil), h0...)
+		lapack.Orghr(tcfg(), n, 0, n-1, z0, n, tau)
+		var spectra [2][]complex128
+		for r, portable := range []bool{false, true} {
+			h, z := append([]float64(nil), h0...), append([]float64(nil), z0...)
+			wr, wi := make([]float64, n), make([]float64, n)
+			faultinject.ForcePortable(portable)
+			info := lapack.Hseqr(tcfg(), true, n, 0, n-1, h, n, wr, wi, z, n)
+			faultinject.ForcePortable(false)
+			if info != 0 {
+				t.Fatalf("n=%d portable=%v: hseqr info=%d", n, portable, info)
+			}
+			if res := testutil.OrthoResidual(n, n, z, n); res > thresh {
+				t.Errorf("n=%d portable=%v: Schur vectors orthogonality %v", n, portable, res)
+			}
+			if res := schurResidual(n, a, h, z); res > 10*thresh {
+				t.Errorf("n=%d portable=%v: Schur residual %v", n, portable, res)
+			}
+			w := evalPairs(wr, wi)
+			sort.Slice(w, func(i, j int) bool {
+				if real(w[i]) != real(w[j]) {
+					return real(w[i]) < real(w[j])
+				}
+				return imag(w[i]) < imag(w[j])
+			})
+			spectra[r] = w
+		}
+		tol := 1e3 * float64(n) * core.EpsDouble * lapack.Lange(lapack.OneNorm, n, n, a, n)
+		for i := range spectra[0] {
+			if cmplx.Abs(spectra[0][i]-spectra[1][i]) > tol {
+				t.Errorf("n=%d: eigenvalue %d is %v on the asm route, %v on the portable one", n, i, spectra[0][i], spectra[1][i])
+			}
 		}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/cmplx"
 
+	"repro/internal/blas"
 	"repro/internal/core"
 )
 
@@ -192,19 +193,9 @@ func Hseqr(cfg *core.Config, wantt bool, n, ilo, ihi int, h []float64, ldh int, 
 						h[k+1+j*ldh] -= sum * t2
 						h[k+2+j*ldh] -= sum * t3
 					}
-					for j := i1; j <= min(k+3, i); j++ {
-						sum := h[j+k*ldh] + v2*h[j+(k+1)*ldh] + v3*h[j+(k+2)*ldh]
-						h[j+k*ldh] -= sum * t1
-						h[j+(k+1)*ldh] -= sum * t2
-						h[j+(k+2)*ldh] -= sum * t3
-					}
+					blas.Refl3(min(k+3, i)-i1+1, h[i1+k*ldh:], h[i1+(k+1)*ldh:], h[i1+(k+2)*ldh:], v2, v3, t1, t2, t3)
 					if wantz {
-						for j := 0; j < n; j++ {
-							sum := z[j+k*ldz] + v2*z[j+(k+1)*ldz] + v3*z[j+(k+2)*ldz]
-							z[j+k*ldz] -= sum * t1
-							z[j+(k+1)*ldz] -= sum * t2
-							z[j+(k+2)*ldz] -= sum * t3
-						}
+						blas.Refl3(n, z[k*ldz:], z[(k+1)*ldz:], z[(k+2)*ldz:], v2, v3, t1, t2, t3)
 					}
 				} else if nr == 2 {
 					for j := k; j <= i2; j++ {
@@ -212,17 +203,9 @@ func Hseqr(cfg *core.Config, wantt bool, n, ilo, ihi int, h []float64, ldh int, 
 						h[k+j*ldh] -= sum * t1
 						h[k+1+j*ldh] -= sum * t2
 					}
-					for j := i1; j <= i; j++ {
-						sum := h[j+k*ldh] + v2*h[j+(k+1)*ldh]
-						h[j+k*ldh] -= sum * t1
-						h[j+(k+1)*ldh] -= sum * t2
-					}
+					blas.Refl2(i-i1+1, h[i1+k*ldh:], h[i1+(k+1)*ldh:], v2, t1, t2)
 					if wantz {
-						for j := 0; j < n; j++ {
-							sum := z[j+k*ldz] + v2*z[j+(k+1)*ldz]
-							z[j+k*ldz] -= sum * t1
-							z[j+(k+1)*ldz] -= sum * t2
-						}
+						blas.Refl2(n, z[k*ldz:], z[(k+1)*ldz:], v2, t1, t2)
 					}
 				}
 			}
@@ -265,13 +248,18 @@ func rotRows(a []float64, lda, r1, r2, jlo, jhi int, cs, sn float64) {
 	}
 }
 
-// rotCols applies a plane rotation to columns c1, c2 over rows ilo..ihi.
+// rotCols applies a plane rotation to columns c1, c2 over rows ilo..ihi:
+// x, y = cs·x + sn·y, cs·y − sn·x with x column c1 and y column c2 — the
+// two-column case of blas.RotSeq, whose leading dimension spans the distance
+// between the columns.
 func rotCols(a []float64, lda, c1, c2, ilo, ihi int, cs, sn float64) {
-	for i := ilo; i <= ihi; i++ {
-		x, y := a[i+c1*lda], a[i+c2*lda]
-		a[i+c1*lda] = cs*x + sn*y
-		a[i+c2*lda] = cs*y - sn*x
+	if ihi < ilo {
+		return
 	}
+	if c1 > c2 {
+		c1, c2, sn = c2, c1, -sn
+	}
+	blas.RotSeq(true, ihi-ilo+1, 2, []float64{cs}, []float64{sn}, a[ilo+c1*lda:], (c2-c1)*lda)
 }
 
 // HseqrC computes the eigenvalues and Schur factorization of a complex

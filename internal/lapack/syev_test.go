@@ -2,11 +2,13 @@ package lapack_test
 
 import (
 	"math"
+	"math/big"
 	"sort"
 	"testing"
 
 	"repro/internal/blas"
 	"repro/internal/core"
+	"repro/internal/faultinject"
 	"repro/internal/lapack"
 	"repro/internal/testutil"
 )
@@ -295,5 +297,146 @@ func TestSyevClusteredEigenvalues(t *testing.T) {
 	}
 	if r := testutil.OrthoResidual(n, n, z, n); r > thresh {
 		t.Fatalf("cluster orthogonality %v", r)
+	}
+}
+
+// lartgHypot is Lartg with the norm always from math.Hypot, the form it had
+// before the safe-range shortcut.
+func lartgHypot(f, g float64) (c, s, r float64) {
+	switch {
+	case g == 0:
+		return 1, 0, f
+	case f == 0:
+		return 0, 1, g
+	}
+	r = math.Hypot(f, g)
+	c, s = f/r, g/r
+	if math.Abs(f) > math.Abs(g) && c < 0 {
+		c, s, r = -c, -s, -r
+	}
+	return c, s, r
+}
+
+// TestLartgRanges: inside the safe range Lartg takes sqrt(f²+g²) directly,
+// outside it the scaled norm. Against the exact rotation (200-bit
+// arithmetic) r is within one ulp and c, s within two (the rounded quotients
+// f/r, g/r inherit r's error); against the always-scaled form, whose
+// math.Hypot is itself an ulp or two off, everything agrees to three ulps.
+// Zeros keep their exact special cases, and NaN and Inf arguments give the
+// same class of result as before.
+func TestLartgRanges(t *testing.T) {
+	within := func(got, want float64, ulps float64) bool {
+		if math.IsNaN(want) || math.IsInf(want, 0) || want == 0 {
+			return math.IsNaN(got) == math.IsNaN(want) && (math.IsNaN(want) || got == want)
+		}
+		ulp := math.Nextafter(math.Abs(want), math.Inf(1)) - math.Abs(want)
+		return math.Abs(got-want) <= ulps*ulp
+	}
+	exact := func(f, g float64) (c, s, r float64) {
+		bf, bg := new(big.Float).SetPrec(200).SetFloat64(f), new(big.Float).SetPrec(200).SetFloat64(g)
+		br := new(big.Float).SetPrec(200)
+		br.Sqrt(br.Add(new(big.Float).Mul(bf, bf), new(big.Float).Mul(bg, bg)))
+		if math.Abs(f) > math.Abs(g) && f < 0 {
+			br.Neg(br)
+		}
+		c, _ = new(big.Float).Quo(bf, br).Float64()
+		s, _ = new(big.Float).Quo(bg, br).Float64()
+		r, _ = br.Float64()
+		return c, s, r
+	}
+	check := func(f, g float64) {
+		t.Helper()
+		c, s, r := lapack.Lartg(f, g)
+		wc, ws, wr := lartgHypot(f, g)
+		if !within(c, wc, 3) || !within(s, ws, 3) || !within(r, wr, 3) {
+			t.Errorf("Lartg(%v, %v) = (%v, %v, %v), scaled form gives (%v, %v, %v)", f, g, c, s, r, wc, ws, wr)
+		}
+		safe := func(v float64) bool { return math.Abs(v) > 0x1p-511 && math.Abs(v) < 0x1p510 }
+		if !safe(f) || !safe(g) {
+			// Outside the safe range the scaled path is the only path.
+			same := func(a, b float64) bool { return a == b || (math.IsNaN(a) && math.IsNaN(b)) }
+			if !same(c, wc) || !same(s, ws) || !same(r, wr) {
+				t.Errorf("Lartg(%v, %v) = (%v, %v, %v) left the scaled path, which gives (%v, %v, %v)", f, g, c, s, r, wc, ws, wr)
+			}
+			return
+		}
+		if ec, es, er := exact(f, g); !within(c, ec, 2) || !within(s, es, 2) || !within(r, er, 1) {
+			t.Errorf("Lartg(%v, %v) = (%v, %v, %v), exactly (%v, %v, %v)", f, g, c, s, r, ec, es, er)
+		}
+	}
+	rng := lapack.NewRng([4]int{3, 1, 4, 1})
+	scales := []float64{1, 0x1p500, 0x1p-500, 0x1p-511, 0x1p510, 0x1p-1040, 0x1p1000}
+	for _, sf := range scales {
+		for _, sg := range scales {
+			for n := 0; n < 200; n++ {
+				check(sf*rng.Uniform11(), sg*rng.Uniform11())
+			}
+		}
+	}
+	specials := []float64{0, math.Copysign(0, -1), 1, -2, math.NaN(), math.Inf(1), math.Inf(-1),
+		math.SmallestNonzeroFloat64, math.MaxFloat64}
+	for _, f := range specials {
+		for _, g := range specials {
+			check(f, g)
+		}
+	}
+	// The rotation it returns is a rotation: c² + s² = 1 and −s·f + c·g = 0.
+	for n := 0; n < 200; n++ {
+		f, g := rng.Uniform11(), rng.Uniform11()
+		c, s, r := lapack.Lartg(f, g)
+		if math.Abs(c*c+s*s-1) > 4*core.EpsDouble || math.Abs(c*g-s*f) > 4*core.EpsDouble || math.Abs(c*f+s*g-r) > 4*core.EpsDouble {
+			t.Errorf("Lartg(%v, %v) = (%v, %v, %v) is not the rotation onto r", f, g, c, s, r)
+		}
+	}
+}
+
+// testSteqrRoutes runs Steqr with vectors once on the asm kernels and once
+// on the portable ones (what LA90_NO_ASM=1 selects): the spectra agree to
+// n·ε·‖T‖ and each route passes the Appendix-F residual and orthogonality
+// ratios on its own.
+func testSteqrRoutes[T core.Scalar](t *testing.T, n int) {
+	rng := lapack.NewRng([4]int{n, 61, 62, 63})
+	d0, e0 := make([]float64, n), make([]float64, n-1)
+	lapack.Larnv(2, rng, n, d0)
+	lapack.Larnv(2, rng, n-1, e0)
+	a := make([]T, n*n)
+	for i := 0; i < n; i++ {
+		a[i+i*n] = core.FromFloat[T](d0[i])
+		if i+1 < n {
+			a[i+1+i*n] = core.FromFloat[T](e0[i])
+			a[i+(i+1)*n] = core.FromFloat[T](e0[i])
+		}
+	}
+	var spectra [2][]float64
+	for r, portable := range []bool{false, true} {
+		d, e := append([]float64(nil), d0...), append([]float64(nil), e0...)
+		z := make([]T, n*n)
+		lapack.Laset('A', n, n, core.FromFloat[T](0), core.FromFloat[T](1), z, n)
+		faultinject.ForcePortable(portable)
+		info := lapack.Steqr(tcfg(), n, d, e, z, n)
+		faultinject.ForcePortable(false)
+		if info != 0 {
+			t.Fatalf("n=%d portable=%v: steqr info=%d", n, portable, info)
+		}
+		if res := testutil.EigResidual(n, a, n, d, z, n); res > thresh {
+			t.Errorf("n=%d portable=%v: residual ratio %v", n, portable, res)
+		}
+		if res := testutil.OrthoResidual(n, n, z, n); res > thresh {
+			t.Errorf("n=%d portable=%v: orthogonality ratio %v", n, portable, res)
+		}
+		spectra[r] = d
+	}
+	tol := 4 * float64(n) * core.EpsDouble * 3 // ‖T‖₁ ≤ 3 for entries in (−1, 1)
+	for i := range spectra[0] {
+		if math.Abs(spectra[0][i]-spectra[1][i]) > tol {
+			t.Errorf("n=%d: λ[%d] = %v on the asm route, %v on the portable one", n, i, spectra[0][i], spectra[1][i])
+		}
+	}
+}
+
+func TestSteqrRoutesAgree(t *testing.T) {
+	for _, n := range []int{5, 33, 150} {
+		testSteqrRoutes[float64](t, n)
+		testSteqrRoutes[complex128](t, n)
 	}
 }

@@ -3,6 +3,7 @@ package lapack
 import (
 	"math"
 
+	"repro/internal/blas"
 	"repro/internal/core"
 )
 
@@ -15,7 +16,15 @@ func Lartg(f, g float64) (c, s, r float64) {
 	case f == 0:
 		return 0, 1, g
 	}
-	r = math.Hypot(f, g)
+	// Inside [√safmin, √(safmax/2)] neither square can underflow or the sum
+	// overflow, so the norm needs no scaling (the LAPACK 3.10 la_xlartg
+	// rule); outside it, and for NaN, math.Hypot does the scaling.
+	const rtmin, rtmax = 0x1p-511, 0x1.6a09e667f3bcdp510
+	if af, ag := math.Abs(f), math.Abs(g); af > rtmin && af < rtmax && ag > rtmin && ag < rtmax {
+		r = math.Sqrt(f*f + g*g)
+	} else {
+		r = math.Hypot(f, g)
+	}
 	c = f / r
 	s = g / r
 	// Sign convention of the reference xLARTG: when |f| > |g| force c >= 0.
@@ -98,35 +107,6 @@ func Lae2(a, b, c float64) (rt1, rt2 float64) {
 	return rt1, rt2
 }
 
-// lasrRV applies a sequence of plane rotations to the columns of the m×z
-// matrix A from the right with variable pivots (xLASR side='R', pivot='V').
-// direct 'F' applies P(0) first, 'B' applies P(z-2) first, matching the
-// reference order so that A := A·Pᵀ.
-func lasrRV[T core.Scalar](direct byte, m, z int, c, s []float64, a []T, lda int) {
-	apply := func(j int) {
-		cj, sj := c[j], s[j]
-		if cj == 1 && sj == 0 {
-			return
-		}
-		ct, st := core.FromFloat[T](cj), core.FromFloat[T](sj)
-		col, col1 := a[j*lda:], a[(j+1)*lda:]
-		for i := 0; i < m; i++ {
-			tmp := col1[i]
-			col1[i] = ct*tmp - st*col[i]
-			col[i] = st*tmp + ct*col[i]
-		}
-	}
-	if direct == 'F' {
-		for j := 0; j < z-1; j++ {
-			apply(j)
-		}
-	} else {
-		for j := z - 2; j >= 0; j-- {
-			apply(j)
-		}
-	}
-}
-
 // Steqr computes all eigenvalues and, optionally, eigenvectors of a
 // symmetric tridiagonal matrix by the implicit QL/QR method (xSTEQR).
 // d (length n) and e (length n-1) are the diagonal and sub-diagonal and
@@ -144,8 +124,13 @@ func Steqr[T core.Scalar](cfg *core.Config, n int, d, e []float64, z []T, ldz in
 	eps2 := eps * eps
 	safmin := math.SmallestNonzeroFloat64 * 0x1p52
 	wantz := z != nil
-	cwork := make([]float64, max(0, n-1))
-	swork := make([]float64, max(0, n-1))
+	var cwork, swork []float64
+	if wantz {
+		// Every sweep writes the rotations it hands to RotSeq first.
+		work := blas.GetScratch[float64](2 * (n - 1))
+		defer blas.PutScratch(work)
+		cwork, swork = work[:n-1], work[n-1:]
+	}
 
 	nmaxit := n * 30
 	jtot := 0
@@ -214,7 +199,7 @@ func Steqr[T core.Scalar](cfg *core.Config, n int, d, e []float64, z []T, ldz in
 						rt1, rt2, cs, sn = Laev2(d[l], e[l], d[l+1])
 						cwork[l] = cs
 						swork[l] = sn
-						lasrRV('B', n, 2, cwork[l:], swork[l:], z[l*ldz:], ldz)
+						blas.RotSeq(false, n, 2, cwork[l:], swork[l:], z[l*ldz:], ldz)
 					} else {
 						rt1, rt2 = Lae2(d[l], e[l], d[l+1])
 					}
@@ -255,7 +240,7 @@ func Steqr[T core.Scalar](cfg *core.Config, n int, d, e []float64, z []T, ldz in
 					}
 				}
 				if wantz {
-					lasrRV('B', n, m-l+1, cwork[l:], swork[l:], z[l*ldz:], ldz)
+					blas.RotSeq(false, n, m-l+1, cwork[l:], swork[l:], z[l*ldz:], ldz)
 				}
 				d[l] -= p
 				e[l] = g
@@ -293,7 +278,7 @@ func Steqr[T core.Scalar](cfg *core.Config, n int, d, e []float64, z []T, ldz in
 						rt1, rt2, cs, sn = Laev2(d[l-1], e[l-1], d[l])
 						cwork[m] = cs
 						swork[m] = sn
-						lasrRV('F', n, 2, cwork[m:], swork[m:], z[(l-1)*ldz:], ldz)
+						blas.RotSeq(true, n, 2, cwork[m:], swork[m:], z[(l-1)*ldz:], ldz)
 					} else {
 						rt1, rt2 = Lae2(d[l-1], e[l-1], d[l])
 					}
@@ -334,7 +319,7 @@ func Steqr[T core.Scalar](cfg *core.Config, n int, d, e []float64, z []T, ldz in
 					}
 				}
 				if wantz {
-					lasrRV('F', n, l-m+1, cwork[m:], swork[m:], z[m*ldz:], ldz)
+					blas.RotSeq(true, n, l-m+1, cwork[m:], swork[m:], z[m*ldz:], ldz)
 				}
 				d[l] -= p
 				e[l-1] = g

@@ -81,6 +81,32 @@ func syevSig(t *testing.T, opts ...la.Opt) []float64 {
 	return append(sig, a.Data...)
 }
 
+func syevdSig(t *testing.T, opts ...la.Opt) []float64 {
+	t.Helper()
+	const n = 90
+	a := spdMat[float64](35, n)
+	w, err := la.SYEVD(a, append(opts, la.WithVectors())...)
+	if err != nil {
+		t.Fatalf("SYEVD: %v", err)
+	}
+	sig := append([]float64(nil), w...)
+	return append(sig, a.Data...)
+}
+
+func geevSig(t *testing.T, opts ...la.Opt) []float64 {
+	t.Helper()
+	a := randMat[float64](39, 80, 80)
+	w, _, vr, err := la.GEEV(a, append(opts, la.WithRight())...)
+	if err != nil {
+		t.Fatalf("GEEV: %v", err)
+	}
+	sig := append([]float64(nil), vr.Data...)
+	for _, v := range w {
+		sig = append(sig, real(v), imag(v))
+	}
+	return sig
+}
+
 func gesvdSig(t *testing.T, opts ...la.Opt) []float64 {
 	t.Helper()
 	a := randMat[float64](36, 100, 70)
@@ -159,6 +185,7 @@ func TestThreadsBitIdentical(t *testing.T) {
 		sig  func(*testing.T, ...la.Opt) []float64
 	}{
 		{"GESV", gesvSig}, {"POSV", posvSig}, {"SYEV", syevSig}, {"GESVD", gesvdSig},
+		{"SYEVD", syevdSig}, {"GEEV", geevSig},
 		{"GELS+GELSD", lsSig},
 		{"solves/complex128", complexSolveSig[complex128]},
 		{"solves/complex64", complexSolveSig[complex64]},
