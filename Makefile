@@ -6,9 +6,9 @@
 
 GO ?= go
 
-.PHONY: ci vet lint-globals build test test-portable race bench benchsmoke bench-smoke fuzzsmoke fuzz
+.PHONY: ci vet lint-globals lint-knobs build test test-portable race bench benchsmoke bench-smoke fuzzsmoke fuzz
 
-ci: vet lint-globals build test test-portable race fuzzsmoke benchsmoke bench-smoke
+ci: vet lint-globals lint-knobs build test test-portable race fuzzsmoke benchsmoke bench-smoke
 
 vet:
 	$(GO) vet ./...
@@ -17,19 +17,37 @@ vet:
 # Execution-context hygiene: since the per-call Config refactor, kernels and
 # drivers must read every tunable from the *core.Config threaded down from
 # the API boundary — never from the process-wide default store mid-call.
-# Direct default reads in internal/lapack are therefore confined to
-# defaults.go (the documented Set*/getter shims); anywhere else they would
-# let a concurrent SetThreads/SetBlockSizes change a call's behavior
-# mid-flight.
+# A direct default read anywhere in internal/lapack would let a concurrent
+# SetThreads change a call's behavior mid-flight.
 lint-globals:
-	@bad=$$(grep -rn 'blas\.Threads()\|blas\.GemmSmallDim()\|core\.Default()' \
-		internal/lapack --include='*.go' \
-		| grep -v '_test\.go' | grep -v '^internal/lapack/defaults\.go:'); \
+	@bad=$$(grep -rn 'blas\.Threads()\|core\.Default()' \
+		internal/lapack --include='*.go' | grep -v '_test\.go'); \
 	if [ -n "$$bad" ]; then \
-		echo 'lint-globals: default-store reads outside internal/lapack/defaults.go:'; \
+		echo 'lint-globals: default-store reads in internal/lapack:'; \
 		echo "$$bad"; exit 1; \
 	fi
 	@echo "lint-globals: ok"
+
+# One knob table: every LA90_* name mentioned in non-test Go (code or
+# comment, bench/ aside — it is a module of its own) must be an Env of the
+# core.Knobs table and vice versa, so a variable cannot be parsed, or
+# documented, anywhere the table does not know about; and blas.SetThreads is
+# the only process-wide setter — everything else is a With* option per call
+# or a table variable per process.
+lint-knobs:
+	@src=$$(grep -rhoE 'LA90_[A-Z0-9_]+' --include='*.go' --exclude='*_test.go' --exclude-dir=bench . | sort -u); \
+	tab=$$(grep -oE 'Env: "LA90_[A-Z0-9_]+"' internal/core/config.go | grep -oE 'LA90_[A-Z0-9_]+' | sort -u); \
+	if [ "$$src" != "$$tab" ]; then \
+		echo 'lint-knobs: LA90_* names in the sources differ from the core.Knobs env column:'; \
+		printf '%s\n%s\n' "$$src" "$$tab" | sort | uniq -u; exit 1; \
+	fi
+	@bad=$$(grep -rnE '^func Set[A-Z]' --include='*.go' --exclude='*_test.go' --exclude-dir=bench . \
+		| grep -v 'internal/blas/parallel.go:[0-9]*:func SetThreads('); \
+	if [ -n "$$bad" ]; then \
+		echo 'lint-knobs: process-wide setters other than blas.SetThreads:'; \
+		echo "$$bad"; exit 1; \
+	fi
+	@echo "lint-knobs: ok"
 
 build:
 	$(GO) build ./...
@@ -73,13 +91,14 @@ fuzz:
 
 # Compile-and-run check for the benchmarks: one iteration each of the GEMM
 # engine (float64, and the complex 1m rows), the factorization benchmarks
-# (square and the 4096×256 QR), the tall GELSD driver and the eigenvalue
-# iteration phase with its kernels, no timing claims.
+# (square and the 4096×256 QR), the tall GELSD driver, the eigenvalue
+# iteration phase with its kernels and the per-call option overhead, no
+# timing claims.
 benchsmoke:
-	$(GO) test -run=NONE -bench='Getrf|Gemm|Geqrf|GelsdTall|Steqr|Stedc|Hseqr|RotSeq|Secular' -benchtime=1x .
+	$(GO) test -run=NONE -bench='Getrf|Gemm|Geqrf|GelsdTall|Steqr|Stedc|Hseqr|RotSeq|Secular|ApplyOptions' -benchtime=1x .
 	$(GO) run ./cmd/la90bench -reduce -maxn 256 -reps 1 -out /tmp/BENCH_reduce_smoke.json
 	$(GO) run ./cmd/la90bench -batch -maxbatch 64 -reps 1 -out /tmp/BENCH_batch_smoke.json
-	$(GO) run ./cmd/la90bench -mixed -maxn 256 -maxbatch 16 -reps 1 -out /tmp/BENCH_mixed_smoke.json
+	$(GO) run ./cmd/la90bench -mixed -maxn 256 -reps 1 -out /tmp/BENCH_mixed_smoke.json
 	$(GO) run ./cmd/la90bench -cond -maxn 256 -reps 1 -out /tmp/BENCH_cond_smoke.json
 	$(GO) run ./cmd/la90bench -svd -maxn 256 -reps 1 -out /tmp/BENCH_svd_smoke.json
 

@@ -3,7 +3,7 @@
 // per size:
 //
 //   - gesv-looped-seed: a serial loop over la.GESV with the pack-free path
-//     disabled (SetGemmSmall(0)), i.e. the dispatch the seed tree had —
+//     disabled per call (-config small=0), i.e. the dispatch the seed tree had —
 //     the baseline the batched drivers are measured against;
 //   - gesv-looped: the same loop with the small-matrix path enabled,
 //     isolating how much of the win is the regime vs the batching;
@@ -21,6 +21,7 @@ import (
 	"time"
 
 	"repro/internal/blas"
+	"repro/internal/core"
 	"repro/internal/lapack"
 	"repro/la"
 )
@@ -90,7 +91,7 @@ func runBatch() {
 		GOARCH:       runtime.GOARCH,
 		CPUs:         runtime.NumCPU(),
 		Threads:      blas.Threads(),
-		GemmSmallDim: blas.GemmSmallDim(),
+		GemmSmallDim: benchCfg().GemmSmallDim,
 	}
 
 	var seed32, batched32 float64
@@ -108,18 +109,18 @@ func runBatch() {
 				})
 			}
 
-			loop := func() {
-				for i := range p.as {
-					if _, err := la.GESV(p.as[i], p.bs[i], benchLaOpts()...); err != nil {
-						panic(err)
+			loopWith := func(opts []la.Opt) func() {
+				return func() {
+					for i := range p.as {
+						if _, err := la.GESV(p.as[i], p.bs[i], opts...); err != nil {
+							panic(err)
+						}
 					}
 				}
 			}
-			seedLoop := func() {
-				old := blas.SetGemmSmall(0)
-				defer blas.SetGemmSmall(old)
-				loop()
-			}
+			loop := loopWith(benchLaOpts())
+			seedLoop := loopWith(append(append([]la.Opt(nil), benchLaOpts()...),
+				la.WithConfig(la.Config{GemmSmallDim: -1})))
 			batchedRun := func() {
 				_, errs, err := la.BatchGesv(p.as, p.bs, benchLaOpts()...)
 				if err != nil {
@@ -192,9 +193,10 @@ func runBatch() {
 		// One timed call is far below timer resolution; batch the calls and
 		// divide.
 		inner := 1 << 12
+		cfg := benchCfg()
 		run := func() {
 			for r := 0; r < inner; r++ {
-				blas.Gemm(benchCfg(), blas.NoTrans, blas.NoTrans, n, n, n, 1.0, a, n, b, n, 0.0, c, n)
+				blas.Gemm(cfg, blas.NoTrans, blas.NoTrans, n, n, n, 1.0, a, n, b, n, 0.0, c, n)
 			}
 		}
 		run()
@@ -206,10 +208,9 @@ func runBatch() {
 			small48 = s
 		}
 
-		old := blas.SetGemmSmall(0)
+		cfg = cfg.With(func(c *core.Config) { c.GemmSmallDim = 0 })
 		run()
 		s = minTime(*reps, run) / float64(inner)
-		blas.SetGemmSmall(old)
 		rep.Results = append(rep.Results, batchResult{
 			Kernel: "gemm-seed", Dtype: "float64", N: n, Seconds: s, GFLOPS: flops / s / 1e9,
 		})

@@ -3,8 +3,7 @@ package main
 // Per-call execution-context flags. Every benchmark leg routes its la driver
 // calls through benchLaOpts() and its direct blas/lapack calls through
 // benchCfg(), so -threads and -config exercise exactly the per-call path a
-// library user gets from la.WithThreads / la.WithConfig — never the
-// process-wide Set* shims.
+// library user gets from la.WithThreads / la.WithConfig.
 //
 //	la90bench -lapack -threads 1
 //	la90bench -blas -config mc=128,kc=128,nc=1024
@@ -24,9 +23,19 @@ import (
 
 var (
 	threadsFlag = flag.Int("threads", 0, "per-call Level-3 worker budget (0 = process default)")
-	configFlag  = flag.String("config", "", "per-call tuning overrides: comma-separated key=value pairs "+
-		"(mc, kc, nc, small, minvol, gemvminvol, nbgetrf, nbpotrf, nbgeqrf, nbsytrf, nxgeqrf, nbgetrf2, nbtrd, nbbrd, nbhrd, itermax)")
+	configFlag  = flag.String("config", "", "per-call tuning overrides: comma-separated key=value pairs ("+configKeys()+")")
 )
+
+// configKeys lists the -config keys: the integer rows of core.Knobs.
+func configKeys() string {
+	var names []string
+	for i := range core.Knobs {
+		if core.Knobs[i].IsInt() {
+			names = append(names, core.Knobs[i].Name)
+		}
+	}
+	return strings.Join(names, ", ")
+}
 
 // parseBenchConfig builds the la.Config overlay from -threads and -config.
 func parseBenchConfig() la.Config {
@@ -37,29 +46,11 @@ func parseBenchConfig() la.Config {
 	if *configFlag == "" {
 		return c
 	}
-	fields := map[string]*int{
-		"mc":         &c.GemmMC,
-		"kc":         &c.GemmKC,
-		"nc":         &c.GemmNC,
-		"small":      &c.GemmSmallDim,
-		"minvol":     &c.GemmParallelMinVol,
-		"gemvminvol": &c.GemvParallelMinVol,
-		"nbgetrf":    &c.NBGetrf,
-		"nbpotrf":    &c.NBPotrf,
-		"nbgeqrf":    &c.NBGeqrf,
-		"nbsytrf":    &c.NBSytrf,
-		"nxgeqrf":    &c.NXGeqrf,
-		"nbgetrf2":   &c.NBGetrf2,
-		"nbtrd":      &c.NBSytrd,
-		"nbbrd":      &c.NBGebrd,
-		"nbhrd":      &c.NBGehrd,
-		"itermax":    &c.MixedIterMax,
-	}
 	for _, kv := range strings.Split(*configFlag, ",") {
 		key, val, ok := strings.Cut(strings.TrimSpace(kv), "=")
-		p := fields[strings.ToLower(strings.TrimSpace(key))]
-		if !ok || p == nil {
-			fmt.Fprintf(os.Stderr, "la90bench: bad -config entry %q\n", kv)
+		k := core.KnobByName(strings.ToLower(strings.TrimSpace(key)))
+		if !ok || k == nil || !k.IsInt() {
+			fmt.Fprintf(os.Stderr, "la90bench: bad -config entry %q (keys: %s)\n", kv, configKeys())
 			os.Exit(2)
 		}
 		n, err := strconv.Atoi(strings.TrimSpace(val))
@@ -67,10 +58,10 @@ func parseBenchConfig() la.Config {
 			fmt.Fprintf(os.Stderr, "la90bench: bad -config value %q: %v\n", kv, err)
 			os.Exit(2)
 		}
-		if key == "small" && n == 0 {
+		if n == 0 && k.Lo == 0 {
 			n = -1 // la.Config: negative disables, 0 inherits
 		}
-		*p = n
+		k.Set(&c, n)
 	}
 	return c
 }
@@ -81,41 +72,13 @@ var (
 	benchOptsVal []la.Opt
 )
 
-// benchInit resolves the flag overlay once, after flag.Parse.
+// benchInit resolves the flag overlay once, after flag.Parse: as an la
+// option for the driver legs, and applied to the process default the same
+// way la.WithConfig does for the legs that drive blas/lapack directly.
 func benchInit() {
 	over := parseBenchConfig()
 	benchOptsVal = []la.Opt{la.WithConfig(over)}
-	// Mirror of the la.WithConfig merge for the legs that drive the
-	// internal blas/lapack layers directly.
-	benchCfgVal = core.Default().With(func(c *core.Config) {
-		set := func(dst *int, v int) {
-			if v > 0 {
-				*dst = v
-			}
-		}
-		set(&c.Threads, over.Threads)
-		set(&c.GemmMC, over.GemmMC)
-		set(&c.GemmKC, over.GemmKC)
-		set(&c.GemmNC, over.GemmNC)
-		if over.GemmSmallDim > 0 {
-			c.GemmSmallDim = over.GemmSmallDim
-		} else if over.GemmSmallDim < 0 {
-			c.GemmSmallDim = 0
-		}
-		set(&c.GemmParallelMinVol, over.GemmParallelMinVol)
-		set(&c.GemvParallelMinVol, over.GemvParallelMinVol)
-		set(&c.NBGetrf, over.NBGetrf)
-		set(&c.NBGetrfLg, over.NBGetrf)
-		set(&c.NBPotrf, over.NBPotrf)
-		set(&c.NBGeqrf, over.NBGeqrf)
-		set(&c.NBSytrf, over.NBSytrf)
-		set(&c.NXGeqrf, over.NXGeqrf)
-		set(&c.NBGetrf2, over.NBGetrf2)
-		set(&c.NBSytrd, over.NBSytrd)
-		set(&c.NBGebrd, over.NBGebrd)
-		set(&c.NBGehrd, over.NBGehrd)
-		set(&c.MixedIterMax, over.MixedIterMax)
-	})
+	benchCfgVal = core.Default().With(func(c *core.Config) { c.Overlay(&over) })
 }
 
 // benchCfg returns the per-run execution context for direct blas/lapack

@@ -24,11 +24,10 @@ import (
 )
 
 type mixedResult struct {
-	Mode    string  `json:"mode"`  // gesv-f64 | gesv-mixed | batch-f64 | batch-mixed
+	Mode    string  `json:"mode"`  // gesv-f64 | gesv-mixed
 	Dtype   string  `json:"dtype"` // float64
 	N       int     `json:"n"`
 	Nrhs    int     `json:"nrhs"`
-	Batch   int     `json:"batch,omitempty"`
 	Seconds float64 `json:"seconds"` // minimum over repetitions
 	// Refinement sweeps the mixed path needed (mixed rows; < 0 is a
 	// lapack.MixedFallback* reason code).
@@ -44,10 +43,8 @@ type mixedReport struct {
 	CPUs    int           `json:"cpus"`
 	Threads int           `json:"threads"`
 	Results []mixedResult `json:"results"`
-	// Plain-over-mixed time ratio for the single large solve and the batch
-	// of small ones.
-	Speedup      float64 `json:"mixed_gesv_speedup_n1024"`
-	BatchSpeedup float64 `json:"mixed_batch_speedup_n32"`
+	// Plain-over-mixed time ratio for the single large solve.
+	Speedup float64 `json:"mixed_gesv_speedup_n1024"`
 }
 
 // mixedSystem builds a well-conditioned random n×n float64 system: Larnv
@@ -130,46 +127,6 @@ func runMixed() {
 		rep.Speedup = plainS / mixedS
 	}
 
-	// Batch of small systems, paired legs through the batched drivers.
-	bn := 32
-	batch := min(*maxbatch, 256)
-	ba, bb := make([][]float64, batch), make([][]float64, batch)
-	as, bs := make([]*la.Matrix[float64], batch), make([]*la.Matrix[float64], batch)
-	for i := range as {
-		ba[i], bb[i] = mixedSystem(bn, 1)
-		ba[i][0] += float64(i) // decorrelate the items
-		as[i] = la.NewMatrix[float64](bn, bn)
-		bs[i] = la.NewMatrix[float64](bn, 1)
-	}
-	loadB := func() {
-		for i := range as {
-			copy(as[i].Data, ba[i])
-			copy(bs[i].Data, bb[i])
-		}
-	}
-	loadB()
-	la.BatchGesv(as, bs, benchLaOpts()...) // warm-up
-	plainBatchBE := backwardError(bn, 1, ba[0], bb[0], bs[0].Data)
-	loadB()
-	la.BatchGesvMixed(as, bs, benchLaOpts()...)
-	mixedBatchBE := backwardError(bn, 1, ba[0], bb[0], bs[0].Data)
-
-	var plainB, mixedB float64
-	for r := 0; r < *reps; r++ {
-		if s := minTimeSetup(1, loadB, func() { la.BatchGesv(as, bs, benchLaOpts()...) }); r == 0 || s < plainB {
-			plainB = s
-		}
-		if s := minTimeSetup(1, loadB, func() { la.BatchGesvMixed(as, bs, benchLaOpts()...) }); r == 0 || s < mixedB {
-			mixedB = s
-		}
-	}
-	rep.Results = append(rep.Results,
-		mixedResult{Mode: "batch-f64", Dtype: "float64", N: bn, Nrhs: 1, Batch: batch, Seconds: plainB, BackwardError: plainBatchBE},
-		mixedResult{Mode: "batch-mixed", Dtype: "float64", N: bn, Nrhs: 1, Batch: batch, Seconds: mixedB, BackwardError: mixedBatchBE})
-	if mixedB > 0 {
-		rep.BatchSpeedup = plainB / mixedB
-	}
-
 	enc, err := json.MarshalIndent(&rep, "", "  ")
 	if err != nil {
 		panic(err)
@@ -183,10 +140,9 @@ func runMixed() {
 		fmt.Fprintf(os.Stderr, "la90bench: %v\n", err)
 		os.Exit(1)
 	}
-	fmt.Printf("%-12s %6s %6s %6s %12s %12s %6s\n", "mode", "N", "nrhs", "batch", "seconds", "berr", "iter")
+	fmt.Printf("%-12s %6s %6s %12s %12s %6s\n", "mode", "N", "nrhs", "seconds", "berr", "iter")
 	for _, r := range rep.Results {
-		fmt.Printf("%-12s %6d %6d %6d %12.6f %12.3e %6d\n", r.Mode, r.N, r.Nrhs, r.Batch, r.Seconds, r.BackwardError, r.Iter)
+		fmt.Printf("%-12s %6d %6d %12.6f %12.3e %6d\n", r.Mode, r.N, r.Nrhs, r.Seconds, r.BackwardError, r.Iter)
 	}
-	fmt.Printf("LA_GESV N=%d mixed vs f64 speedup: %.2fx; batch N=%d×%d: %.2fx (written to %s)\n",
-		n, rep.Speedup, bn, batch, rep.BatchSpeedup, out)
+	fmt.Printf("LA_GESV N=%d mixed vs f64 speedup: %.2fx (written to %s)\n", n, rep.Speedup, out)
 }

@@ -1,7 +1,7 @@
 // The -svd mode: price the divide-and-conquer SVD (PR 9). Each leg runs the
 // same input through the D&C drive (Bdsdc singular vectors applied with one
 // GEMM per side) and through the classic QR-iteration path (the
-// WithQRIteration kill-switch, i.e. what LA90_NO_DC=1 selects), so the
+// WithQRIteration option), so the
 // speedup column is measured in the same process on the same matrix. Both
 // legs are held to the same quality bar — orthogonality of U and Vᴴ and the
 // reconstruction residual ‖A − U·Σ·Vᴴ‖, in units of machine epsilon — and

@@ -2,7 +2,7 @@
 
 package blas
 
-import "os"
+import "repro/internal/core"
 
 // AVX2+FMA micro-kernels for the packed GEMM engine. The packing layout is
 // the generic one from gemm.go (mr rows / nr columns interleaved k-major);
@@ -151,10 +151,10 @@ var haveAVX2FMA = func() bool {
 	return bx&(1<<5) != 0 // AVX2
 }()
 
-// useAsmF64/useAsmF32 gate the assembly kernels; LA90_NO_ASM=1 forces the
-// portable Go kernels (for debugging and for apples-to-apples comparisons of
-// the blocking itself).
+// useAsmF64/useAsmF32 gate the assembly kernels; LA90_NO_ASM=1 (the "noasm"
+// row of core.Knobs, read here once) forces the portable Go kernels, for
+// debugging and for apples-to-apples comparisons of the blocking itself.
 var (
-	useAsmF64 = haveAVX2FMA && os.Getenv("LA90_NO_ASM") == ""
+	useAsmF64 = haveAVX2FMA && !core.EnvFlag("LA90_NO_ASM")
 	useAsmF32 = useAsmF64
 )

@@ -15,7 +15,7 @@ import "repro/internal/core"
 // worker with zero steady-state garbage.
 //
 // Dispatch is gated by gemmSmallOK: NoTrans/NoTrans products with every
-// dimension at or below gemmSmallDim (LA90_GEMM_SMALL / SetGemmSmall).
+// dimension at or below Config.GemmSmallDim (LA90_GEMM_SMALL).
 // float64 rides an AVX2 strip kernel (dgemmSmallStripF64) behind the same
 // CPUID gate as the packed kernels; every other type, and amd64-less or
 // LA90_NO_ASM builds, use the portable strided 4×4 micro-tile below.

@@ -13,8 +13,7 @@ import (
 
 func testGemmSmallVsNaive[T core.Scalar](t *testing.T, tol float64) {
 	rng := rand.New(rand.NewSource(7))
-	defer SetGemmSmall(SetGemmSmall(-1))
-	SetGemmSmall(64)
+	cfg := tcfg().With(func(c *core.Config) { c.GemmSmallDim = 64 })
 	for trial := 0; trial < 200; trial++ {
 		m := 1 + rng.Intn(64)
 		n := 1 + rng.Intn(64)
@@ -29,10 +28,10 @@ func testGemmSmallVsNaive[T core.Scalar](t *testing.T, tol float64) {
 		alpha := core.FromFloat[T](float64(rng.Intn(5)) - 2)
 		beta := core.FromFloat[T](float64(rng.Intn(3)) - 1)
 
-		if !gemmSmallOK(tcfg(), NoTrans, NoTrans, m, n, k) {
+		if !gemmSmallOK(cfg, NoTrans, NoTrans, m, n, k) {
 			t.Fatalf("gemmSmallOK false for m=%d n=%d k=%d", m, n, k)
 		}
-		Gemm(tcfg(), NoTrans, NoTrans, m, n, k, alpha, a, lda, b, ldb, beta, c, ldc)
+		Gemm(cfg, NoTrans, NoTrans, m, n, k, alpha, a, lda, b, ldb, beta, c, ldc)
 		GemmNaive(NoTrans, NoTrans, m, n, k, alpha, a, lda, b, ldb, beta, want, ldc)
 		for j := 0; j < n; j++ {
 			for i := 0; i < m; i++ {
@@ -78,12 +77,12 @@ func TestGemmSmallPortableVsAsm(t *testing.T) {
 	}
 }
 
-// TestGemmSmallDisabled checks that SetGemmSmall(0) routes small products
+// TestGemmSmallDisabled checks that GemmSmallDim = 0 routes small products
 // back through the seed dispatch (the result must still be right, and
 // gemmSmallOK must not claim them).
 func TestGemmSmallDisabled(t *testing.T) {
-	defer SetGemmSmall(SetGemmSmall(0))
-	if gemmSmallOK(tcfg(), NoTrans, NoTrans, 8, 8, 8) {
+	cfg := tcfg().With(func(c *core.Config) { c.GemmSmallDim = 0 })
+	if gemmSmallOK(cfg, NoTrans, NoTrans, 8, 8, 8) {
 		t.Fatal("gemmSmallOK claims products with the path disabled")
 	}
 	rng := rand.New(rand.NewSource(3))
@@ -92,7 +91,7 @@ func TestGemmSmallDisabled(t *testing.T) {
 	b := randSlice[float64](rng, n*n)
 	c := make([]float64, n*n)
 	want := make([]float64, n*n)
-	Gemm(tcfg(), NoTrans, NoTrans, n, n, n, 1, a, n, b, n, 0, c, n)
+	Gemm(cfg, NoTrans, NoTrans, n, n, n, 1, a, n, b, n, 0, c, n)
 	GemmNaive(NoTrans, NoTrans, n, n, n, 1, a, n, b, n, 0, want, n)
 	for i := range c {
 		if core.Abs(c[i]-want[i]) > 1e-12 {

@@ -47,8 +47,12 @@ type kernel[T core.Scalar] struct {
 	// every dimension is under the pack-free crossover.
 	minVol, smallMaxVol int
 	// trsmLeaf is the triangle order at which the recursive Trsm stops
-	// splitting into GEMM updates and runs direct substitution.
+	// splitting into GEMM updates and runs direct substitution (trsmBase),
+	// whose eight-wide leaves are trsvOct — A·X = B for eight right-hand
+	// sides, left side — and gemvSub8 — y -= Σ t[q]·b(:,q), right side.
 	trsmLeaf int
+	trsvOct  func(uplo Uplo, diag Diag, m int, a []T, lda int, b []T, ldb int)
+	gemvSub8 func(m int, t [8]T, b []T, ldb int, y []T)
 
 	// packA packs alpha·op(A)(i0:i0+mb, p0:p0+kb) into mr-row micro-panels,
 	// packB packs op(B)(p0:p0+kb, j0:j0+nb) into nr-column micro-panels;
@@ -76,6 +80,7 @@ const (
 func portableKernel[T core.Scalar](trsmLeaf int) kernel[T] {
 	return kernel[T]{
 		mr: gemmMR, nr: gemmNR, kScale: 1, trsmLeaf: trsmLeaf,
+		trsvOct: trsvOct[T], gemvSub8: gemvSub8[T],
 		minVol: gemmPackedMinVol, smallMaxVol: math.MaxInt,
 		packA: packA[T], packB: packB[T],
 		micro: microKernel4x4[T], edge: microEdge[T],
@@ -90,6 +95,7 @@ func oneM[C core.Cmplx, R core.Float](rk *kernel[R], view func([]C) []R, trsmLea
 	}
 	return kernel[C]{
 		mr: rk.mr / 2, nr: rk.nr, kScale: 2, trsmLeaf: trsmLeaf,
+		trsvOct: trsvOct[C], gemvSub8: gemvSub8[C],
 		minVol: gemmPackedMinVol1m, smallMaxVol: gemmPackedMinVol1m,
 		packA: func(dst []C, mr int, trans Trans, alpha C, a []C, lda int, i0, mb, p0, kb int) {
 			packA1m(view(dst), mr, trans, R(core.Re(alpha)), R(core.Im(alpha)), view(a), lda, i0, mb, p0, kb)
@@ -124,6 +130,10 @@ var (
 
 	kernAsmF64 = kernel[float64]{
 		mr: asmF64MR, nr: asmF64NR, kScale: 1, trsmLeaf: trsmLeafSize,
+		trsvOct: trsvOctFma[float64],
+		gemvSub8: func(m int, t [8]float64, b []float64, ldb int, y []float64) {
+			dgemvSub8(int64(m), &t[0], &b[0], int64(ldb), &y[0])
+		},
 		minVol: gemmPackedMinVolAsm, smallMaxVol: math.MaxInt,
 		packA: packA[float64], packB: packB[float64],
 		micro: func(kb int, ap, bp, c []float64, ldc int) {
@@ -133,6 +143,10 @@ var (
 	}
 	kernAsmF32 = kernel[float32]{
 		mr: asmF32MR, nr: asmF32NR, kScale: 1, trsmLeaf: trsmLeafSizeF32,
+		trsvOct: trsvOctFma[float32],
+		gemvSub8: func(m int, t [8]float32, b []float32, ldb int, y []float32) {
+			sgemvSub8(int64(m), &t[0], &b[0], int64(ldb), &y[0])
+		},
 		minVol: gemmPackedMinVolAsm, smallMaxVol: math.MaxInt,
 		packA: packAF32, packB: packBF32,
 		micro: func(kb int, ap, bp, c []float32, ldc int) {

@@ -716,8 +716,8 @@ func trsmRec[T core.Scalar](cfg *core.Config, side Side, uplo Uplo, trans Trans,
 	if side == Right {
 		nt = n
 	}
-	if nt <= kernelFor[T]().trsmLeaf {
-		trsmBase(side, uplo, trans, diag, m, n, alpha, a, lda, b, ldb)
+	if k := kernelFor[T](); nt <= k.trsmLeaf {
+		trsmBase(k, side, uplo, trans, diag, m, n, alpha, a, lda, b, ldb)
 		return
 	}
 	one := core.FromFloat[T](1)
@@ -775,8 +775,9 @@ func trsmRec[T core.Scalar](cfg *core.Config, side Side, uplo Uplo, trans Trans,
 // trsmBase is the direct substitution kernel used on diagonal blocks. The
 // left-side path solves four right-hand sides per sweep of the triangle, so
 // each column of A is loaded once per four columns of B and the updates run
-// as four independent multiply-add chains.
-func trsmBase[T core.Scalar](side Side, uplo Uplo, trans Trans, diag Diag, m, n int, alpha T, a []T, lda int, b []T, ldb int) {
+// as four independent multiply-add chains. The eight-wide leaves (k.trsvOct
+// on the left, k.gemvSub8 on the right) come from the kernel-table row.
+func trsmBase[T core.Scalar](k *kernel[T], side Side, uplo Uplo, trans Trans, diag Diag, m, n int, alpha T, a []T, lda int, b []T, ldb int) {
 	if side == Left {
 		one := core.FromFloat[T](1)
 		j := 0
@@ -787,7 +788,7 @@ func trsmBase[T core.Scalar](side Side, uplo Uplo, trans Trans, diag Diag, m, n 
 						Scal(m, alpha, b[(j+q)*ldb:], 1)
 					}
 				}
-				trsvOct(uplo, diag, m, a, lda, b[j*ldb:], ldb)
+				k.trsvOct(uplo, diag, m, a, lda, b[j*ldb:], ldb)
 			}
 		}
 		for ; j+4 <= n; j += 4 {
@@ -826,41 +827,9 @@ func trsmBase[T core.Scalar](side Side, uplo Uplo, trans Trans, diag Diag, m, n 
 	subtractCols := func(bj []T, j, lo, hi int) {
 		l := lo
 		for ; l+8 <= hi; l += 8 {
-			t0, t1, t2, t3 := opA(l, j), opA(l+1, j), opA(l+2, j), opA(l+3, j)
-			t4, t5, t6, t7 := opA(l+4, j), opA(l+5, j), opA(l+6, j), opA(l+7, j)
-			if asmF64() {
-				if bjf, ok := any(bj).([]float64); ok {
-					ts := [8]float64{
-						any(t0).(float64), any(t1).(float64), any(t2).(float64), any(t3).(float64),
-						any(t4).(float64), any(t5).(float64), any(t6).(float64), any(t7).(float64),
-					}
-					dgemvSub8(int64(m), &ts[0], &any(b).([]float64)[l*ldb], int64(ldb), &bjf[0])
-					continue
-				}
-			}
-			if asmF32() {
-				if bjf, ok := any(bj).([]float32); ok {
-					ts := [8]float32{
-						any(t0).(float32), any(t1).(float32), any(t2).(float32), any(t3).(float32),
-						any(t4).(float32), any(t5).(float32), any(t6).(float32), any(t7).(float32),
-					}
-					sgemvSub8(int64(m), &ts[0], &any(b).([]float32)[l*ldb], int64(ldb), &bjf[0])
-					continue
-				}
-			}
-			bl0 := b[l*ldb : l*ldb+m]
-			bl1 := b[(l+1)*ldb : (l+1)*ldb+m]
-			bl2 := b[(l+2)*ldb : (l+2)*ldb+m]
-			bl3 := b[(l+3)*ldb : (l+3)*ldb+m]
-			bl4 := b[(l+4)*ldb : (l+4)*ldb+m]
-			bl5 := b[(l+5)*ldb : (l+5)*ldb+m]
-			bl6 := b[(l+6)*ldb : (l+6)*ldb+m]
-			bl7 := b[(l+7)*ldb : (l+7)*ldb+m]
-			for i := range bj {
-				s := t0*bl0[i] + t1*bl1[i] + t2*bl2[i] + t3*bl3[i]
-				s += t4*bl4[i] + t5*bl5[i] + t6*bl6[i] + t7*bl7[i]
-				bj[i] -= s
-			}
+			t := [8]T{opA(l, j), opA(l+1, j), opA(l+2, j), opA(l+3, j),
+				opA(l+4, j), opA(l+5, j), opA(l+6, j), opA(l+7, j)}
+			k.gemvSub8(m, t, b[l*ldb:], ldb, bj)
 		}
 		for ; l+4 <= hi; l += 4 {
 			t0, t1, t2, t3 := opA(l, j), opA(l+1, j), opA(l+2, j), opA(l+3, j)
@@ -923,20 +892,10 @@ func trsmBase[T core.Scalar](side Side, uplo Uplo, trans Trans, diag Diag, m, n 
 // trsvOct is the eight-wide NoTrans counterpart of trsvQuad: it solves
 // A·x = b for eight consecutive right-hand-side columns of b (leading
 // dimension ldb), halving the number of passes over the triangle relative to
-// the four-wide kernel. Columns must already carry any alpha scaling.
+// the four-wide kernel. Columns must already carry any alpha scaling. This
+// is the portable form (the trsvOct entry of the portable and 1m rows of the
+// kernel table); the real asm rows run trsvOctFma.
 func trsvOct[T core.Scalar](uplo Uplo, diag Diag, m int, a []T, lda int, b []T, ldb int) {
-	if asmF64() {
-		if bf, ok := any(b).([]float64); ok {
-			trsvOctF64(uplo, diag, m, any(a).([]float64), lda, bf, ldb)
-			return
-		}
-	}
-	if asmF32() {
-		if bf, ok := any(b).([]float32); ok {
-			trsvOctF32(uplo, diag, m, any(a).([]float32), lda, bf, ldb)
-			return
-		}
-	}
 	nonUnit := diag == NonUnit
 	c0 := b[0*ldb : 0*ldb+m]
 	c1 := b[1*ldb : 1*ldb+m]
@@ -997,13 +956,13 @@ func trsvOct[T core.Scalar](uplo Uplo, diag Diag, m int, a []T, lda int, b []T, 
 	}
 }
 
-// trsvOctF64 is the float64 specialization of trsvOct: the per-step update of
-// the trailing rows runs in the dsubFma8 assembly kernel, whose fused
-// negate-multiply-adds roughly halve the arithmetic of the portable loop and
-// process four rows per step.
-func trsvOctF64(uplo Uplo, diag Diag, m int, a []float64, lda int, b []float64, ldb int) {
+// trsvOctFma is trsvOct on the real asm rows (float64 and float32): the
+// per-step update of the trailing rows runs in the eight-column substitution
+// kernel behind subFma8, whose fused negate-multiply-adds roughly halve the
+// arithmetic of the portable loop.
+func trsvOctFma[F core.Float](uplo Uplo, diag Diag, m int, a []F, lda int, b []F, ldb int) {
 	nonUnit := diag == NonUnit
-	var x [8]float64
+	var x [8]F
 	if uplo == Lower {
 		for i := 0; i < m; i++ {
 			for q := 0; q < 8; q++ {
@@ -1017,7 +976,7 @@ func trsvOctF64(uplo Uplo, diag Diag, m int, a []float64, lda int, b []float64, 
 				}
 			}
 			if r := m - i - 1; r > 0 {
-				dsubFma8(int64(r), &x[0], &a[i*lda+i+1], &b[i+1], int64(ldb))
+				subFma8(int64(r), &x, &a[i*lda+i+1], &b[i+1], int64(ldb))
 			}
 		}
 		return
@@ -1034,49 +993,36 @@ func trsvOctF64(uplo Uplo, diag Diag, m int, a []float64, lda int, b []float64, 
 			}
 		}
 		if i > 0 {
-			dsubFma8(int64(i), &x[0], &a[i*lda], &b[0], int64(ldb))
+			subFma8(int64(i), &x, &a[i*lda], &b[0], int64(ldb))
 		}
 	}
 }
 
-// trsvOctF32 is the float32 specialization of trsvOct, dispatching the
-// trailing-row update of each elimination step to the ssubFma8 kernel
-// (eight float32 lanes per fused negate-multiply-add).
-func trsvOctF32(uplo Uplo, diag Diag, m int, a []float32, lda int, b []float32, ldb int) {
-	nonUnit := diag == NonUnit
-	var x [8]float32
-	if uplo == Lower {
-		for i := 0; i < m; i++ {
-			for q := 0; q < 8; q++ {
-				x[q] = b[q*ldb+i]
-			}
-			if nonUnit {
-				d := a[i*lda+i]
-				for q := 0; q < 8; q++ {
-					x[q] /= d
-					b[q*ldb+i] = x[q]
-				}
-			}
-			if r := m - i - 1; r > 0 {
-				ssubFma8(int64(r), &x[0], &a[i*lda+i+1], &b[i+1], int64(ldb))
-			}
-		}
-		return
+// subFma8 is the substitution sweep c(r, q) -= a(r)·x[q], q < 8, under
+// trsvOctFma: dsubFma8 (four rows per step) or ssubFma8 (eight float32
+// lanes) by element type. The kernel is named here rather than passed to
+// trsvOctFma as a func value because a pointer handed to a func value
+// escapes: x would cost a heap allocation per leaf or, copied by value,
+// ~8 ns per elimination step (13 % of Getrf at n = 256, measured).
+func subFma8[F core.Float](n int64, x *[8]F, a, c *F, ldc int64) {
+	switch x := any(x).(type) {
+	case *[8]float64:
+		dsubFma8(n, &x[0], any(a).(*float64), any(c).(*float64), ldc)
+	case *[8]float32:
+		ssubFma8(n, &x[0], any(a).(*float32), any(c).(*float32), ldc)
 	}
-	for i := m - 1; i >= 0; i-- {
-		for q := 0; q < 8; q++ {
-			x[q] = b[q*ldb+i]
-		}
-		if nonUnit {
-			d := a[i*lda+i]
-			for q := 0; q < 8; q++ {
-				x[q] /= d
-				b[q*ldb+i] = x[q]
-			}
-		}
-		if i > 0 {
-			ssubFma8(int64(i), &x[0], &a[i*lda], &b[0], int64(ldb))
-		}
+}
+
+// gemvSub8 folds eight scaled source columns into y, y -= Σ_q t[q]·b(:,q):
+// the portable form of the kernel table's gemvSub8 entry (the real asm rows
+// run dgemvSub8/sgemvSub8).
+func gemvSub8[T core.Scalar](m int, t [8]T, b []T, ldb int, y []T) {
+	b0, b1, b2, b3 := b[:m], b[ldb:ldb+m], b[2*ldb:2*ldb+m], b[3*ldb:3*ldb+m]
+	b4, b5, b6, b7 := b[4*ldb:4*ldb+m], b[5*ldb:5*ldb+m], b[6*ldb:6*ldb+m], b[7*ldb:7*ldb+m]
+	for i := range y[:m] {
+		s := t[0]*b0[i] + t[1]*b1[i] + t[2]*b2[i] + t[3]*b3[i]
+		s += t[4]*b4[i] + t[5]*b5[i] + t[6]*b6[i] + t[7]*b7[i]
+		y[i] -= s
 	}
 }
 

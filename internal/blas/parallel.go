@@ -37,14 +37,16 @@ import (
 // no goroutine outlives the call that spawned it.
 
 // SetThreads sets the default maximum number of goroutines Level-3 kernels
-// may use and returns the previous setting. n < 1 leaves the setting
-// unchanged; n == 1 forces fully serial execution; values above an internal
-// bound are clamped. Safe to call concurrently; calls already in flight
-// keep the budget they captured at their API boundary.
+// may use and returns the previous setting — the one process-wide default
+// that can change at run time (every other knob is fixed at startup by its
+// environment variable and overridden per call). n < 1 leaves the setting
+// unchanged; n == 1 forces fully serial execution; values above
+// core.MaxThreads are clamped. Safe to call concurrently; calls already in
+// flight keep the budget they captured at their API boundary.
 func SetThreads(n int) int {
 	old := core.UpdateDefault(func(c *core.Config) {
 		if n >= 1 {
-			c.Threads = core.ClampInt(n, 1, core.MaxThreads)
+			c.Threads = n
 		}
 	})
 	return old.Threads

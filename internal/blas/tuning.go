@@ -17,14 +17,9 @@ import "repro/internal/core"
 //   - mc·kc·8  ≈ 256 KiB — the packed A block stays resident in L2,
 //   - kc·nc·8  ≈ 2 MiB  — the packed B slab targets L3.
 //
-// Since the execution-context refactor every tunable lives in core.Config:
-// kernels read the *Config threaded down from the API boundary and never
-// consult package state mid-kernel. The process-wide defaults live in the
-// atomic store behind core.Default and can be changed at any time — even
-// concurrently with running kernels — with SetBlockSizes / SetGemmSmall /
-// SetThreads or pinned at startup with the LA90_GEMM_MC / LA90_GEMM_KC /
-// LA90_GEMM_NC / LA90_GEMM_SMALL / LA90_GEMV_MINVOL environment variables
-// (element counts for float64, parsed once by core.FromEnv).
+// Every tunable lives in core.Config (the core.Knobs table lists them with
+// their ranges and environment variables): kernels read the *Config threaded
+// down from the API boundary and never consult package state mid-kernel.
 const (
 	// gemmPackedMinVol is the m·n·k volume below which Gemm stays on the
 	// naive column-walking kernel: packing two operands only pays for
@@ -77,27 +72,6 @@ const (
 	trsmLeafSizeC64  = 8
 )
 
-// SetGemmSmall overrides the default pack-free small-matrix crossover
-// dimension (see core.Config.GemmSmallDim); 0 disables the path entirely,
-// routing every product through the seed dispatch (naive below the packed
-// crossover, packed engine above). A negative argument keeps the current
-// value. Returns the previous value so benchmarks and tests can restore it.
-// Safe to call concurrently, including with running kernels: in-flight calls
-// keep the configuration they captured at their API boundary.
-func SetGemmSmall(dim int) int {
-	old := core.UpdateDefault(func(c *core.Config) {
-		if dim >= 0 {
-			c.GemmSmallDim = core.ClampInt(dim, 0, core.MaxGemmSmallDim)
-		}
-	})
-	return old.GemmSmallDim
-}
-
-// GemmSmallDim reports the default pack-free small-matrix crossover
-// dimension (0 when the path is disabled). Kernels never call this: they
-// read the crossover from their threaded *Config.
-func GemmSmallDim() int { return core.Default().GemmSmallDim }
-
 // level3Workers is the one shared serial small-size cutoff for the Level-3
 // engines: every entry point that can fan work onto the worker pool — the
 // packed GEMM engine and the triangle rank-k engine, and through their
@@ -121,28 +95,6 @@ func level3Workers(cfg *core.Config, vol int) int {
 // would stay on the low-latency path.
 func packedMinVol[T core.Scalar]() int {
 	return kernelFor[T]().minVol
-}
-
-// SetBlockSizes overrides the default packed-engine cache block sizes
-// (element counts for float64; other types are scaled by element width
-// automatically). A zero or negative argument keeps the current value. It
-// returns the previous (mc, kc, nc) so tests and tuning sweeps can restore
-// them. Safe to call concurrently, including with running kernels: the
-// default-config store swaps atomically and in-flight calls keep the
-// configuration captured at their API boundary.
-func SetBlockSizes(mc, kc, nc int) (omc, okc, onc int) {
-	old := core.UpdateDefault(func(c *core.Config) {
-		if mc > 0 {
-			c.GemmMC = core.ClampInt(mc, gemmMR, core.MaxBlockDim)
-		}
-		if kc > 0 {
-			c.GemmKC = core.ClampInt(kc, 4, core.MaxBlockDim)
-		}
-		if nc > 0 {
-			c.GemmNC = core.ClampInt(nc, gemmNR, core.MaxBlockDim)
-		}
-	})
-	return old.GemmMC, old.GemmKC, old.GemmNC
 }
 
 // blockFor returns the (mc, kc, nc) block sizes for element type T from the

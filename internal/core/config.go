@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"os"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -24,6 +23,29 @@ import (
 // driver it must never be written again. Derive variants with With, which
 // copies, mutates and re-clamps.
 type Config struct {
+	// Tuning is the block of integer knobs (worker budget, block sizes,
+	// crossovers); its fields are promoted, so kernels read cfg.GemmMC.
+	Tuning
+
+	// Mixed routes GESV/POSV through the mixed-precision
+	// factor-low/refine-high path by default.
+	Mixed bool
+
+	// CheckInputs screens matrix arguments for non-finite values at the la
+	// boundary before any computation.
+	CheckInputs bool
+
+	// Ctx, when non-nil, enables cooperative cancellation: kernels poll it
+	// at macro-tile, panel and refinement-iteration boundaries and unwind
+	// with a *CancelError once it is done. A nil Ctx makes Checkpoint free.
+	Ctx context.Context
+}
+
+// Tuning holds every integer knob of the execution context. It is the type
+// behind la.Config, so its zero value is the "inherit everything" overlay
+// (see Overlay). Each field is described, bounded and bound to its -config
+// key and environment variable by exactly one row of Knobs.
+type Tuning struct {
 	// Threads is the maximum number of goroutines the Level-3 engines may
 	// use for this call. 1 forces fully serial execution. The floating-point
 	// schedule never depends on it: results are bit-identical at any budget.
@@ -31,13 +53,15 @@ type Config struct {
 
 	// GemmMC, GemmKC, GemmNC are the packed-engine cache block sizes
 	// (element counts calibrated for float64; other types are re-scaled so
-	// packed-panel byte footprints stay constant — see blas.blockFor).
+	// packed-panel byte footprints stay constant — see blas.blockFor). They
+	// change the summation blocking, so overriding them changes results at
+	// the rounding level — deterministically for a fixed Tuning.
 	GemmMC, GemmKC, GemmNC int
 
 	// GemmSmallDim is the pack-free small-matrix crossover: a NoTrans
 	// product with every dimension at or below it runs BLASFEO-style
 	// register kernels directly on the strided operands. 0 disables the
-	// path.
+	// path (in an overlay: negative disables, 0 inherits).
 	GemmSmallDim int
 
 	// GemmParallelMinVol is the m·n·k multiply volume below which Level-3
@@ -48,10 +72,10 @@ type Config struct {
 	// serial.
 	GemvParallelMinVol int
 
-	// Ilaenv block-size overrides for the blocked factorizations and
-	// condensed-form reductions (see lapack.Ilaenv).
-	NBGetrf   int // LU block, n < 512
-	NBGetrfLg int // LU block, n >= 512
+	// Ilaenv block sizes for the blocked factorizations and condensed-form
+	// reductions (see lapack.Ilaenv).
+	NBGetrf   int // LU block, n < 512; setting it pins NBGetrfLg too
+	NBGetrfLg int // LU block, n >= 512; set only through NBGetrf
 	NBPotrf   int // recursive Cholesky leaf
 	NBGeqrf   int // QR/LQ/Orgqr/Ormqr block
 	NBSytrf   int // Bunch–Kaufman panel width
@@ -61,40 +85,22 @@ type Config struct {
 	NBGebrd   int // bidiagonal reduction panel width
 	NBGehrd   int // Hessenberg reduction panel width
 
-	// Lookahead enables the depth-1 panel pipeline in the blocked LU
-	// (bit-identical to the serial schedule either way).
-	Lookahead bool
-
-	// Mixed routes GESV/POSV through the mixed-precision
-	// factor-low/refine-high path by default; MixedIterMax bounds its
-	// refinement sweeps.
-	Mixed        bool
+	// MixedIterMax bounds the refinement sweeps of the mixed-precision
+	// solvers.
 	MixedIterMax int
-
-	// CheckInputs screens matrix arguments for non-finite values at the la
-	// boundary before any computation.
-	CheckInputs bool
-
-	// QRIterationSVD routes LA_GESVD/LA_GELSS through the classic
-	// QR-iteration path instead of divide & conquer.
-	QRIterationSVD bool
-
-	// Ctx, when non-nil, enables cooperative cancellation: kernels poll it
-	// at macro-tile, panel and refinement-iteration boundaries and unwind
-	// with a *CancelError once it is done. A nil Ctx makes Checkpoint free.
-	Ctx context.Context
 }
 
-// Clamp bounds shared by the environment loader, the Set* compatibility
-// shims and With-derived configs, so no route can smuggle in a value that
-// would allocate absurd workspaces or zero-width loops.
+// Clamp bounds of the table below, shared by every route a value can arrive
+// by (environment, per-call overlay, UpdateDefault, -config), so none can
+// smuggle in a value that would allocate absurd workspaces or zero-width
+// loops.
 const (
 	// MaxThreads bounds the worker budget; far above useful
 	// oversubscription, it only keeps a mistyped LA90_NUM_THREADS from
 	// provisioning absurd goroutine counts.
 	MaxThreads = 1024
 	// MaxBlockDim bounds the packed-engine cache block sizes: a mistyped
-	// LA90_GEMM_* degrades to a slow-but-safe blocking instead of a packed
+	// LA90_GEMM_MC degrades to a slow-but-safe blocking instead of a packed
 	// panel measured in gigabytes.
 	MaxBlockDim = 1 << 16
 	// MaxGemmSmallDim bounds the pack-free crossover: above it the strided
@@ -109,11 +115,141 @@ const (
 	MaxParallelMinVol = 1 << 30
 )
 
+// Knob is one row of the configuration table: everything that is said about
+// a setting — its name, where it can be set from, its legal range, what it
+// does and which field holds it — is said here once. Environment parsing,
+// clamping, the per-call overlay behind la.WithConfig, la90bench -config and
+// the README "Configuration" table are all loops over Knobs.
+type Knob struct {
+	Name   string // la90bench -config key and README row
+	Env    string // LA90_* variable read once at startup; "" if there is none
+	Lo, Hi int    // legal range of an integer knob
+	Doc    string
+
+	ptr  func(*Tuning) *int  // the integer knob's field; nil on boolean rows
+	also func(*Tuning) *int  // a second field that takes the same value
+	flag func(*Config) *bool // the boolean policy's field; nil on a row read only at startup
+}
+
+// Knobs is the complete list of settings. Integer rows first, in Tuning
+// field order; then the boolean policies, which share one parsing rule (set
+// and not "0" means on) and are set per call by their la.With* option; then
+// the rows read once at package initialisation by the package that owns
+// them.
+var Knobs = []Knob{
+	{Name: "threads", Env: "LA90_NUM_THREADS", Lo: 1, Hi: MaxThreads,
+		Doc: "worker budget of the Level-3 engines; 1 is fully serial; results are bit-identical at any value",
+		ptr: func(t *Tuning) *int { return &t.Threads }},
+	{Name: "mc", Env: "LA90_GEMM_MC", Lo: 4, Hi: MaxBlockDim,
+		Doc: "packed GEMM row block (float64 elements; the A block mc·kc stays in L2)",
+		ptr: func(t *Tuning) *int { return &t.GemmMC }},
+	{Name: "kc", Env: "LA90_GEMM_KC", Lo: 4, Hi: MaxBlockDim,
+		Doc: "packed GEMM depth block (one kc·nr B micro-panel stays in L1)",
+		ptr: func(t *Tuning) *int { return &t.GemmKC }},
+	{Name: "nc", Env: "LA90_GEMM_NC", Lo: 4, Hi: MaxBlockDim,
+		Doc: "packed GEMM column block (the B slab kc·nc targets L3)",
+		ptr: func(t *Tuning) *int { return &t.GemmNC }},
+	{Name: "small", Env: "LA90_GEMM_SMALL", Lo: 0, Hi: MaxGemmSmallDim,
+		Doc: "pack-free small-matrix crossover: products and LU panels with every dimension at or below it skip packing; 0 disables the path",
+		ptr: func(t *Tuning) *int { return &t.GemmSmallDim }},
+	{Name: "minvol", Lo: 1, Hi: MaxParallelMinVol,
+		Doc: "m·n·k volume below which Level-3 operations stay serial",
+		ptr: func(t *Tuning) *int { return &t.GemmParallelMinVol }},
+	{Name: "gemvminvol", Env: "LA90_GEMV_MINVOL", Lo: 1, Hi: MaxParallelMinVol,
+		Doc: "m·n element count below which Gemv stays serial",
+		ptr: func(t *Tuning) *int { return &t.GemvParallelMinVol }},
+	{Name: "nbgetrf", Env: "LA90_NB_GETRF", Lo: 1, Hi: MaxNB,
+		Doc:  "LU block size; setting it pins both size regimes (default 64 below n = 512, 256 from there)",
+		ptr:  func(t *Tuning) *int { return &t.NBGetrf },
+		also: func(t *Tuning) *int { return &t.NBGetrfLg }},
+	{Name: "nbpotrf", Env: "LA90_NB_POTRF", Lo: 1, Hi: MaxNB,
+		Doc: "recursive Cholesky leaf size",
+		ptr: func(t *Tuning) *int { return &t.NBPotrf }},
+	{Name: "nbgeqrf", Env: "LA90_NB_GEQRF", Lo: 1, Hi: MaxNB,
+		Doc: "QR/LQ/Orgqr/Ormqr block size",
+		ptr: func(t *Tuning) *int { return &t.NBGeqrf }},
+	{Name: "nbsytrf", Env: "LA90_NB_SYTRF", Lo: 1, Hi: MaxNB,
+		Doc: "Bunch–Kaufman panel width",
+		ptr: func(t *Tuning) *int { return &t.NBSytrf }},
+	{Name: "nxgeqrf", Env: "LA90_NX_GEQRF", Lo: 1, Hi: MaxNB,
+		Doc: "min(m, n) at or below which QR/LQ stay unblocked",
+		ptr: func(t *Tuning) *int { return &t.NXGeqrf }},
+	{Name: "nbgetrf2", Env: "LA90_NB_GETRF2", Lo: 1, Hi: MaxNB,
+		Doc: "recursive LU panel leaf width",
+		ptr: func(t *Tuning) *int { return &t.NBGetrf2 }},
+	{Name: "nbtrd", Env: "LA90_NB_TRD", Lo: 1, Hi: MaxNB,
+		Doc: "tridiagonal reduction panel width; 1 forces the unblocked Sytd2",
+		ptr: func(t *Tuning) *int { return &t.NBSytrd }},
+	{Name: "nbbrd", Env: "LA90_NB_BRD", Lo: 1, Hi: MaxNB,
+		Doc: "bidiagonal reduction panel width; 1 forces the unblocked Gebd2",
+		ptr: func(t *Tuning) *int { return &t.NBGebrd }},
+	{Name: "nbhrd", Env: "LA90_NB_HRD", Lo: 1, Hi: MaxNB,
+		Doc: "Hessenberg reduction panel width; 1 forces the unblocked Gehd2",
+		ptr: func(t *Tuning) *int { return &t.NBGehrd }},
+	{Name: "itermax", Env: "LA90_MIXED_ITERMAX", Lo: 1, Hi: MaxMixedIterMax,
+		Doc: "refinement sweeps of the mixed-precision solvers before the full-precision fallback (LAPACK's DSGESV ITERMAX)",
+		ptr: func(t *Tuning) *int { return &t.MixedIterMax }},
+
+	{Name: "mixed", Env: "LA90_MIXED",
+		Doc:  "GESV/POSV factor in reduced precision and refine to full (per call: la.WithMixed)",
+		flag: func(c *Config) *bool { return &c.Mixed }},
+	{Name: "check", Env: "LA90_CHECK_INPUTS",
+		Doc:  "screen matrix arguments for NaN/Inf at the la boundary (per call: la.WithCheck)",
+		flag: func(c *Config) *bool { return &c.CheckInputs }},
+
+	{Name: "noasm", Env: "LA90_NO_ASM",
+		Doc: "run the portable Go kernels instead of the AVX2 assembly; read by blas at startup only"},
+}
+
+// IsInt reports whether the row is an integer knob (a Tuning field) rather
+// than a boolean policy or a startup-only switch.
+func (k *Knob) IsInt() bool { return k.ptr != nil }
+
+// Value returns the knob's current value in t.
+func (k *Knob) Value(t *Tuning) int { return *k.ptr(t) }
+
+// Set stores v in the knob's field of t, and in the field it pins.
+func (k *Knob) Set(t *Tuning, v int) {
+	*k.ptr(t) = v
+	if k.also != nil {
+		*k.also(t) = v
+	}
+}
+
+// KnobByName returns the row with the given Name, or nil.
+func KnobByName(name string) *Knob {
+	for i := range Knobs {
+		if Knobs[i].Name == name {
+			return &Knobs[i]
+		}
+	}
+	return nil
+}
+
+// Overlay applies the per-call override block ov to t, knob by knob: zero
+// inherits t's value, a positive value replaces it, and a negative value on
+// a knob whose range starts at 0 (GemmSmallDim) sets 0, which disables the
+// path. Fields that are only pinned by another knob (NBGetrfLg) are not read
+// from ov; ov is only read. The caller re-clamps (Config.With does).
+func (t *Tuning) Overlay(ov *Tuning) {
+	for i := range Knobs {
+		k := &Knobs[i]
+		if !k.IsInt() {
+			continue
+		}
+		if v := k.Value(ov); v > 0 {
+			k.Set(t, v)
+		} else if v < 0 && k.Lo == 0 {
+			k.Set(t, 0)
+		}
+	}
+}
+
 // baseConfig returns the hard-coded defaults, before environment overrides:
 // the block sizes and crossovers measured in PRs 1–9 and a thread budget of
 // GOMAXPROCS.
 func baseConfig() Config {
-	return Config{
+	return Config{Tuning: Tuning{
 		Threads:            runtime.GOMAXPROCS(0),
 		GemmMC:             256,
 		GemmKC:             256,
@@ -131,78 +267,63 @@ func baseConfig() Config {
 		NBSytrd:            32,
 		NBGebrd:            32,
 		NBGehrd:            32,
-		Lookahead:          true,
 		MixedIterMax:       30,
-	}
+	}}
 }
 
-// FromEnv applies every LA90_* tuning knob to c and returns the result.
-// This is the one place the environment is parsed: the per-layer init
-// parsing that used to live in blas/tuning.go, blas/parallel.go,
-// lapack/lapack.go, lapack/getrf.go, lapack/mixed.go, la/check.go,
-// la/mixed.go and la/svd_dc.go all funnels through here. Parsing follows
-// the EnvInt hardening policy: garbage is ignored, out-of-range values are
-// clamped.
-func FromEnv(c Config) Config {
-	c.Threads = EnvInt("LA90_NUM_THREADS", c.Threads, 1, MaxThreads)
-	c.GemmMC = EnvInt("LA90_GEMM_MC", c.GemmMC, 4, MaxBlockDim)
-	c.GemmKC = EnvInt("LA90_GEMM_KC", c.GemmKC, 4, MaxBlockDim)
-	c.GemmNC = EnvInt("LA90_GEMM_NC", c.GemmNC, 4, MaxBlockDim)
-	c.GemmSmallDim = EnvInt("LA90_GEMM_SMALL", c.GemmSmallDim, 0, MaxGemmSmallDim)
-	c.GemvParallelMinVol = EnvInt("LA90_GEMV_MINVOL", c.GemvParallelMinVol, 1, MaxParallelMinVol)
-	c.NBGetrf = EnvInt("LA90_NB_GETRF", c.NBGetrf, 1, MaxNB)
-	c.NBGetrfLg = EnvInt("LA90_NB_GETRF", c.NBGetrfLg, 1, MaxNB) // one knob pins both size regimes
-	c.NBPotrf = EnvInt("LA90_NB_POTRF", c.NBPotrf, 1, MaxNB)
-	c.NBGeqrf = EnvInt("LA90_NB_GEQRF", c.NBGeqrf, 1, MaxNB)
-	c.NBSytrf = EnvInt("LA90_NB_SYTRF", c.NBSytrf, 1, MaxNB)
-	c.NXGeqrf = EnvInt("LA90_NX_GEQRF", c.NXGeqrf, 1, MaxNB)
-	c.NBGetrf2 = EnvInt("LA90_NB_GETRF2", c.NBGetrf2, 1, MaxNB)
-	c.NBSytrd = EnvInt("LA90_NB_TRD", c.NBSytrd, 1, MaxNB)
-	c.NBGebrd = EnvInt("LA90_NB_BRD", c.NBGebrd, 1, MaxNB)
-	c.NBGehrd = EnvInt("LA90_NB_HRD", c.NBGehrd, 1, MaxNB)
-	if os.Getenv("LA90_NO_LOOKAHEAD") != "" {
-		c.Lookahead = false
+// FromEnv applies every environment row of Knobs to base and returns the
+// result. Together with EnvFlag — which blas calls at initialisation for the
+// startup-only LA90_NO_ASM row — this is the one place the environment is
+// parsed. Integers follow the EnvInt hardening policy: garbage is ignored,
+// out-of-range values are clamped. Booleans follow EnvFlag.
+func FromEnv(base Config) Config {
+	for i := range Knobs {
+		k := &Knobs[i]
+		switch {
+		case k.Env == "":
+		case k.ptr != nil:
+			// Lo-1 cannot come back from a parsed (hence clamped) value, so
+			// it marks "unset or garbage": the field, and the one it would
+			// pin, keep their defaults.
+			if v := EnvInt(k.Env, k.Lo-1, k.Lo, k.Hi); v >= k.Lo {
+				k.Set(&base.Tuning, v)
+			}
+		case k.flag != nil:
+			if EnvFlag(k.Env) {
+				*k.flag(&base) = true
+			}
+		}
 	}
-	if EnvInt("LA90_MIXED", 0, 0, 1) == 1 {
-		c.Mixed = true
-	}
-	c.MixedIterMax = EnvInt("LA90_MIXED_ITERMAX", c.MixedIterMax, 1, MaxMixedIterMax)
-	if s := os.Getenv("LA90_CHECK_INPUTS"); s != "" && s != "0" {
-		c.CheckInputs = true
-	}
-	if EnvInt("LA90_NO_DC", 0, 0, 1) == 1 {
-		c.QRIterationSVD = true
-	}
-	return c.clamped()
+	base.clamp()
+	return base
 }
 
-// clamped returns c with every knob forced into its legal range, so a
-// hand-built Config cannot produce zero-width panels, absurd workspaces or a
-// non-positive worker budget no matter how it was constructed.
-func (c Config) clamped() Config {
-	c.Threads = ClampInt(c.Threads, 1, MaxThreads)
-	c.GemmMC = ClampInt(c.GemmMC, 4, MaxBlockDim)
-	c.GemmKC = ClampInt(c.GemmKC, 4, MaxBlockDim)
-	c.GemmNC = ClampInt(c.GemmNC, 4, MaxBlockDim)
-	c.GemmSmallDim = ClampInt(c.GemmSmallDim, 0, MaxGemmSmallDim)
-	c.GemmParallelMinVol = ClampInt(c.GemmParallelMinVol, 1, MaxParallelMinVol)
-	c.GemvParallelMinVol = ClampInt(c.GemvParallelMinVol, 1, MaxParallelMinVol)
-	for _, p := range []*int{
-		&c.NBGetrf, &c.NBGetrfLg, &c.NBPotrf, &c.NBGeqrf, &c.NBSytrf,
-		&c.NXGeqrf, &c.NBGetrf2, &c.NBSytrd, &c.NBGebrd, &c.NBGehrd,
-	} {
-		*p = ClampInt(*p, 1, MaxNB)
+// clamp forces every knob of c into its legal range, so a hand-built Config
+// cannot produce zero-width panels, absurd workspaces or a non-positive
+// worker budget no matter how it was constructed. It works in place, on a
+// Config that is already on the heap: a field pointer obtained through a
+// table row's func value escapes, and With runs on every optioned call.
+func (c *Config) clamp() {
+	for i := range Knobs {
+		k := &Knobs[i]
+		if k.ptr == nil {
+			continue
+		}
+		p := k.ptr(&c.Tuning)
+		*p = ClampInt(*p, k.Lo, k.Hi)
+		if k.also != nil {
+			p = k.also(&c.Tuning)
+			*p = ClampInt(*p, k.Lo, k.Hi)
+		}
 	}
-	c.MixedIterMax = ClampInt(c.MixedIterMax, 1, MaxMixedIterMax)
-	return c
 }
 
 // defaultConfig is the process-wide default-config store. Readers load the
-// pointer atomically and never write through it; writers (the Set*
-// compatibility shims) serialize on defaultMu and swap in a fresh copy, so
-// SetBlockSizes/SetGemmSmall/SetThreads are race-free against running
-// kernels: an in-flight call keeps the snapshot it captured at its API
-// boundary, and the next call sees the update.
+// pointer atomically and never write through it; writers (UpdateDefault,
+// behind blas.SetThreads — the one runtime setter — and tests) serialize on
+// defaultMu and swap in a fresh copy, so an update is race-free against
+// running kernels: an in-flight call keeps the snapshot it captured at its
+// API boundary, and the next call sees the update.
 var (
 	defaultConfig atomic.Pointer[Config]
 	defaultMu     sync.Mutex
@@ -229,7 +350,7 @@ func UpdateDefault(mutate func(*Config)) *Config {
 	old := defaultConfig.Load()
 	next := *old
 	mutate(&next)
-	next = next.clamped()
+	next.clamp()
 	defaultConfig.Store(&next)
 	return old
 }
@@ -240,8 +361,8 @@ func ResetDefault(c Config) *Config {
 	defaultMu.Lock()
 	defer defaultMu.Unlock()
 	old := defaultConfig.Load()
-	next := c.clamped()
-	defaultConfig.Store(&next)
+	c.clamp()
+	defaultConfig.Store(&c)
 	return old
 }
 
@@ -251,7 +372,7 @@ func ResetDefault(c Config) *Config {
 func (c *Config) With(mutate func(*Config)) *Config {
 	next := *c
 	mutate(&next)
-	next = next.clamped()
+	next.clamp()
 	return &next
 }
 

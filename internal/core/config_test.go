@@ -3,103 +3,213 @@ package core
 import (
 	"context"
 	"errors"
+	"fmt"
+	"os"
+	"reflect"
+	"strconv"
+	"strings"
 	"testing"
 )
 
-// TestFromEnvEveryKnob enumerates every LA90_* environment knob the
-// consolidated loader understands and proves each one lands on its Config
-// field, clamped. If a new knob is added to FromEnv without a row here the
-// completeness check at the bottom fails.
+// TestKnobTable checks the table against the struct it describes, by
+// reflection (the library itself never reflects): every int field of Tuning
+// is addressed by exactly one row's ptr or also, every default lies inside
+// its row's range, and names and environment names are unique.
+func TestKnobTable(t *testing.T) {
+	var probe Tuning
+	base := baseConfig()
+	rv := reflect.ValueOf(&probe).Elem()
+	owners := map[uintptr]int{}
+	names, envs := map[string]bool{}, map[string]bool{}
+	for i := range Knobs {
+		k := &Knobs[i]
+		if names[k.Name] || k.Name == "" {
+			t.Errorf("row %d: name %q empty or repeated", i, k.Name)
+		}
+		names[k.Name] = true
+		if k.Env != "" {
+			if envs[k.Env] || !strings.HasPrefix(k.Env, "LA90_") {
+				t.Errorf("%s: env %q repeated or not LA90_*", k.Name, k.Env)
+			}
+			envs[k.Env] = true
+		}
+		if k.Doc == "" {
+			t.Errorf("%s: no doc", k.Name)
+		}
+		if k.ptr != nil && k.flag != nil {
+			t.Errorf("%s: both an integer and a boolean row", k.Name)
+		}
+		if k.ptr == nil {
+			if k.also != nil || k.Env == "" {
+				t.Errorf("%s: a non-integer row needs an env and no also", k.Name)
+			}
+			continue
+		}
+		for _, f := range []func(*Tuning) *int{k.ptr, k.also} {
+			if f == nil {
+				continue
+			}
+			owners[reflect.ValueOf(f(&probe)).Pointer()]++
+			if def := *f(&base.Tuning); def < k.Lo || def > k.Hi {
+				t.Errorf("%s: default %d outside [%d, %d]", k.Name, def, k.Lo, k.Hi)
+			}
+		}
+	}
+	for i := 0; i < rv.NumField(); i++ {
+		f := rv.Field(i)
+		if f.Kind() != reflect.Int {
+			t.Errorf("Tuning.%s is not an int", rv.Type().Field(i).Name)
+			continue
+		}
+		if n := owners[f.Addr().Pointer()]; n != 1 {
+			t.Errorf("Tuning.%s is addressed by %d rows, want exactly 1", rv.Type().Field(i).Name, n)
+		}
+	}
+}
+
+// TestFromEnvEveryKnob round-trips every environment row of the table,
+// one subtest per variable. Integer rows: an in-range value lands on its
+// field (and the field it pins), values below and above the range clamp,
+// garbage keeps the default — the EnvInt hardening policy. Boolean rows:
+// the one rule, set and not "0" means on.
 func TestFromEnvEveryKnob(t *testing.T) {
-	get := func(c Config) map[string]int {
-		b := func(v bool) int {
-			if v {
-				return 1
-			}
-			return 0
-		}
-		return map[string]int{
-			"LA90_NUM_THREADS":   c.Threads,
-			"LA90_GEMM_MC":       c.GemmMC,
-			"LA90_GEMM_KC":       c.GemmKC,
-			"LA90_GEMM_NC":       c.GemmNC,
-			"LA90_GEMM_SMALL":    c.GemmSmallDim,
-			"LA90_GEMV_MINVOL":   c.GemvParallelMinVol,
-			"LA90_NB_GETRF":      c.NBGetrf,
-			"LA90_NB_POTRF":      c.NBPotrf,
-			"LA90_NB_GEQRF":      c.NBGeqrf,
-			"LA90_NB_SYTRF":      c.NBSytrf,
-			"LA90_NX_GEQRF":      c.NXGeqrf,
-			"LA90_NB_GETRF2":     c.NBGetrf2,
-			"LA90_NB_TRD":        c.NBSytrd,
-			"LA90_NB_BRD":        c.NBGebrd,
-			"LA90_NB_HRD":        c.NBGehrd,
-			"LA90_NO_LOOKAHEAD":  b(!c.Lookahead),
-			"LA90_MIXED":         b(c.Mixed),
-			"LA90_MIXED_ITERMAX": c.MixedIterMax,
-			"LA90_CHECK_INPUTS":  b(c.CheckInputs),
-			"LA90_NO_DC":         b(c.QRIterationSVD),
+	base := baseConfig()
+	for i := range Knobs {
+		k := &Knobs[i]
+		switch {
+		case k.Env == "":
+		case k.IsInt():
+			t.Run(k.Env, func(t *testing.T) { testEnvIntRow(t, k, &base.Tuning) })
+		default:
+			t.Run(k.Env, func(t *testing.T) { testEnvBoolRow(t, k) })
 		}
 	}
+}
 
-	cases := []struct {
-		env   string
-		set   string
-		want  int // expected field value after FromEnv(baseConfig())
-		garb  int // expected field value when the env holds garbage
-		huge  int // expected field value when the env holds 1<<40 (clamp)
-		boolK bool
+func testEnvIntRow(t *testing.T, k *Knob, base *Tuning) {
+	def := k.Value(base)
+	in := k.Lo + (k.Hi-k.Lo)/3
+	for _, tc := range []struct {
+		set  string
+		want int
 	}{
-		{"LA90_NUM_THREADS", "3", 3, baseConfig().Threads, MaxThreads, false},
-		{"LA90_GEMM_MC", "128", 128, 256, MaxBlockDim, false},
-		{"LA90_GEMM_KC", "96", 96, 256, MaxBlockDim, false},
-		{"LA90_GEMM_NC", "512", 512, 2048, MaxBlockDim, false},
-		{"LA90_GEMM_SMALL", "32", 32, 64, MaxGemmSmallDim, false},
-		{"LA90_GEMV_MINVOL", "1000", 1000, 512 * 512, MaxParallelMinVol, false},
-		{"LA90_NB_GETRF", "96", 96, 64, MaxNB, false},
-		{"LA90_NB_POTRF", "32", 32, 64, MaxNB, false},
-		{"LA90_NB_GEQRF", "48", 48, 32, MaxNB, false},
-		{"LA90_NB_SYTRF", "24", 24, 48, MaxNB, false},
-		{"LA90_NX_GEQRF", "96", 96, 64, MaxNB, false},
-		{"LA90_NB_GETRF2", "16", 16, 8, MaxNB, false},
-		{"LA90_NB_TRD", "64", 64, 32, MaxNB, false},
-		{"LA90_NB_BRD", "64", 64, 32, MaxNB, false},
-		{"LA90_NB_HRD", "64", 64, 32, MaxNB, false},
-		{"LA90_NO_LOOKAHEAD", "1", 1, 0, 0, true},
-		{"LA90_MIXED", "1", 1, 0, 0, true},
-		{"LA90_MIXED_ITERMAX", "7", 7, 30, MaxMixedIterMax, false},
-		{"LA90_CHECK_INPUTS", "1", 1, 0, 0, true},
-		{"LA90_NO_DC", "1", 1, 0, 0, true},
-	}
-
-	covered := map[string]bool{}
-	for _, tc := range cases {
-		covered[tc.env] = true
-		t.Run(tc.env, func(t *testing.T) {
-			t.Setenv(tc.env, tc.set)
-			if got := get(FromEnv(baseConfig()))[tc.env]; got != tc.want {
-				t.Errorf("%s=%s: got %d, want %d", tc.env, tc.set, got, tc.want)
-			}
-			if tc.boolK {
-				return // boolean knobs have no numeric garbage/clamp story
-			}
-			t.Setenv(tc.env, "banana")
-			if got := get(FromEnv(baseConfig()))[tc.env]; got != tc.garb {
-				t.Errorf("%s=banana: got %d, want default %d", tc.env, got, tc.garb)
-			}
-			t.Setenv(tc.env, "1099511627776") // 1<<40: clamps to the knob's cap
-			if got := get(FromEnv(baseConfig()))[tc.env]; got != tc.huge {
-				t.Errorf("%s=1<<40: got %d, want clamp %d", tc.env, got, tc.huge)
-			}
-		})
-	}
-
-	// Completeness: every knob the loader reports must have a table row.
-	// LA90_NB_GETRF also pins NBGetrfLg; it is covered by its own row.
-	for env := range get(baseConfig()) {
-		if !covered[env] {
-			t.Errorf("env knob %s has no table row", env)
+		{strconv.Itoa(in), in},
+		{strconv.Itoa(k.Lo - 1), k.Lo},
+		{"-7", k.Lo},
+		{"1099511627776", k.Hi}, // 1<<40
+		{"banana", def},
+		{"", def},
+	} {
+		t.Setenv(k.Env, tc.set)
+		got := FromEnv(baseConfig())
+		if v := k.Value(&got.Tuning); v != tc.want {
+			t.Errorf("%s=%q: got %d, want %d", k.Env, tc.set, v, tc.want)
 		}
+		if k.also == nil {
+			continue
+		}
+		wantAlso := tc.want
+		if tc.set == "banana" || tc.set == "" { // the pinned field keeps its own default
+			wantAlso = *k.also(base)
+		}
+		if v := *k.also(&got.Tuning); v != wantAlso {
+			t.Errorf("%s=%q: pinned field got %d, want %d", k.Env, tc.set, v, wantAlso)
+		}
+	}
+}
+
+func testEnvBoolRow(t *testing.T, k *Knob) {
+	for _, tc := range []struct {
+		set  string
+		want bool
+	}{{"", false}, {"0", false}, {"1", true}, {"yes", true}} {
+		t.Setenv(k.Env, tc.set)
+		if got := EnvFlag(k.Env); got != tc.want {
+			t.Errorf("EnvFlag(%s=%q) = %v, want %v", k.Env, tc.set, got, tc.want)
+		}
+		if k.flag == nil {
+			continue // startup-only row: its owner calls EnvFlag
+		}
+		c := FromEnv(baseConfig())
+		if got := *k.flag(&c); got != tc.want {
+			t.Errorf("%s=%q: policy %v, want %v", k.Env, tc.set, got, tc.want)
+		}
+	}
+}
+
+// TestOverlay pins the per-call overlay rule behind la.WithConfig and
+// la90bench -config: zero inherits, positive replaces, negative disables a
+// knob whose range starts at 0 and is ignored elsewhere, NBGetrf pins both
+// LU regimes, and NBGetrfLg is not read on its own.
+func TestOverlay(t *testing.T) {
+	base := baseConfig().Tuning
+	got := base
+	got.Overlay(&Tuning{})
+	if got != base {
+		t.Errorf("zero overlay changed the tuning: %+v", got)
+	}
+	got.Overlay(&Tuning{GemmMC: 128, GemmSmallDim: -1, NBPotrf: -5, NBGetrf: 32})
+	want := base
+	want.GemmMC, want.GemmSmallDim, want.NBGetrf, want.NBGetrfLg = 128, 0, 32, 32
+	if got != want {
+		t.Errorf("overlay: got %+v, want %+v", got, want)
+	}
+	got = base
+	got.Overlay(&Tuning{NBGetrfLg: 17})
+	if got != base {
+		t.Errorf("NBGetrfLg must only be set through NBGetrf: %+v", got)
+	}
+}
+
+// TestReadmeConfigurationTable checks the README "Configuration" table
+// against Knobs row by row: name, environment variable, range, default and
+// description are all derived from the table, so the documentation cannot
+// drift from the code.
+func TestReadmeConfigurationTable(t *testing.T) {
+	readme, err := os.ReadFile("../../README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, section, ok := strings.Cut(string(readme), "\n## Configuration\n")
+	if !ok {
+		t.Fatal(`README.md has no "## Configuration" section`)
+	}
+	var rows []string
+	for _, line := range strings.Split(section, "\n") {
+		if strings.HasPrefix(line, "## ") {
+			break
+		}
+		if strings.HasPrefix(line, "| `") {
+			rows = append(rows, line)
+		}
+	}
+	base := baseConfig()
+	var want []string
+	for i := range Knobs {
+		k := &Knobs[i]
+		env, rng, def := "—", "on/off", "off"
+		if k.Env != "" {
+			env = "`" + k.Env + "`"
+		}
+		if k.IsInt() {
+			rng = fmt.Sprintf("%d–%d", k.Lo, k.Hi)
+			def = strconv.Itoa(k.Value(&base.Tuning))
+			if k.Name == "threads" {
+				def = "GOMAXPROCS"
+			}
+		}
+		want = append(want, fmt.Sprintf("| `%s` | %s | %s | %s | %s |", k.Name, env, rng, def, k.Doc))
+	}
+	if len(rows) != len(want) {
+		t.Errorf("README table has %d rows, core.Knobs has %d", len(rows), len(want))
+	}
+	for i := 0; i < min(len(rows), len(want)); i++ {
+		if rows[i] != want[i] {
+			t.Errorf("README row %d:\n got  %s\n want %s", i, rows[i], want[i])
+		}
+	}
+	if t.Failed() {
+		t.Log("expected table:\n" + strings.Join(want, "\n"))
 	}
 }
 

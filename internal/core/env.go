@@ -34,3 +34,10 @@ func ClampInt(n, lo, hi int) int {
 	}
 	return n
 }
+
+// EnvFlag is the one parsing rule of the boolean LA90_* variables: set, and
+// not "0", means on.
+func EnvFlag(name string) bool {
+	s := os.Getenv(name)
+	return s != "" && s != "0"
+}

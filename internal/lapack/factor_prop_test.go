@@ -61,34 +61,27 @@ func TestGetrf2VsGetf2(t *testing.T) {
 }
 
 // testLookaheadBitIdentity checks the acceptance criterion that the
-// pipelined Getrf is bit-identical to the serial schedule: with the worker
-// pool forced on, lookahead on/off must produce identical ipiv and factors
-// that agree bit for bit, because both schedules issue the same partitioned
-// Gemm calls on the same operand blocks.
+// pipelined Getrf is bit-identical to the serial schedule: a Threads budget
+// of 4 runs the depth-1 lookahead pipeline, a budget of 1 the serial loop,
+// and the two must produce identical ipiv and factors that agree bit for
+// bit, because both schedules issue the same partitioned Gemm calls on the
+// same operand blocks.
 func testLookaheadBitIdentity[T core.Scalar](t *testing.T, m, n int) {
 	t.Helper()
-	oldThreads := blas.SetThreads(4)
-	defer blas.SetThreads(oldThreads)
-
 	rng := lapack.NewRng([4]int{m, n, 1999, 5})
 	lda := m + 1
 	a := testutil.RandGeneral[T](rng, m, n, lda)
 	mn := min(m, n)
 
-	if !lapack.Lookahead() {
-		t.Skip("lookahead disabled in environment")
+	factor := func(threads int) ([]T, []int, int) {
+		cfg := tcfg().With(func(c *core.Config) { c.Threads = threads })
+		af := make([]T, lda*n)
+		lapack.Lacpy('A', m, n, a, lda, af, lda)
+		ipiv := make([]int, mn)
+		return af, ipiv, lapack.Getrf(cfg, m, n, af, lda, ipiv)
 	}
-	afPipe := make([]T, lda*n)
-	lapack.Lacpy('A', m, n, a, lda, afPipe, lda)
-	ipivPipe := make([]int, mn)
-	infoPipe := lapack.Getrf(tcfg(), m, n, afPipe, lda, ipivPipe)
-
-	oldLA := lapack.SetLookahead(false)
-	defer lapack.SetLookahead(oldLA)
-	afSer := make([]T, lda*n)
-	lapack.Lacpy('A', m, n, a, lda, afSer, lda)
-	ipivSer := make([]int, mn)
-	infoSer := lapack.Getrf(tcfg(), m, n, afSer, lda, ipivSer)
+	afPipe, ipivPipe, infoPipe := factor(4)
+	afSer, ipivSer, infoSer := factor(1)
 
 	if infoPipe != infoSer {
 		t.Fatalf("info: pipelined %d vs serial %d", infoPipe, infoSer)

@@ -94,9 +94,9 @@ func Getrf2[T core.Scalar](cfg *core.Config, m, n int, a []T, lda int, ipiv []in
 // (Level-3) panels and a static depth-1 lookahead: while the bulk of the
 // trailing matrix absorbs the Gemm update for panel j, the next panel —
 // whose columns are updated first — is already being factored on a second
-// worker (see SetLookahead). The serial path executes the exact same
-// partitioned updates in order, so results are bit-identical with lookahead
-// on or off, and identical to earlier non-pipelined versions of this
+// worker. A Threads budget of 1 runs the serial schedule, which executes the
+// exact same partitioned updates in order, so results are bit-identical
+// pipelined or not, and identical to earlier non-pipelined versions of this
 // routine. Semantics are identical to Getf2.
 func Getrf[T core.Scalar](cfg *core.Config, m, n int, a []T, lda int, ipiv []int) int {
 	cfg = core.Cfg(cfg)
@@ -126,7 +126,7 @@ func getrfBlocked[T core.Scalar](cfg *core.Config, m, n int, a []T, lda int, ipi
 	mn := min(m, n)
 	info := 0
 	one := core.FromFloat[T](1)
-	pipelined := cfg.Lookahead && cfg.Threads > 1
+	pipelined := cfg.Threads > 1
 	// The first panel has no pending update; factor it up front so that each
 	// loop iteration below starts with panel j already factored (either here
 	// or by the lookahead task of the previous iteration).

@@ -97,8 +97,8 @@ const (
 //
 // Block sizes come from the execution context threaded down from the API
 // boundary (cfg may be nil, meaning the process default): the NB* fields of
-// core.Config carry measured defaults, may be pinned at startup with the
-// LA90_NB_* / LA90_NX_GEQRF environment variables (parsed once by
+// core.Config carry measured defaults, may be pinned at startup with their
+// environment variables (the nb… and nx… rows of core.Knobs, parsed once by
 // core.FromEnv), and may be overridden per call. The defaults were
 // re-measured against the packed Level-3 engine when the factorizations
 // moved their panels onto it: with recursive, Level-3 panels the old nb²

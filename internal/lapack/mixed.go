@@ -58,12 +58,12 @@ const (
 	// operands, a residual, or a demoted correction.
 	MixedFallbackNonFinite = -2
 	// MixedFallbackStalled: refinement did not converge within
-	// MixedIterMax() sweeps.
+	// Config.MixedIterMax sweeps.
 	MixedFallbackStalled = -3
 	// MixedFallbackIllConditioned: the condition estimate of the
 	// low-precision factors says refinement cannot converge (rcond below
 	// the single-precision floor), so the engine fell back immediately
-	// instead of burning MixedIterMax() sweeps to discover the stall.
+	// instead of burning MixedIterMax sweeps to discover the stall.
 	MixedFallbackIllConditioned = -4
 )
 

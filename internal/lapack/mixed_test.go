@@ -195,8 +195,7 @@ func expectGesvFallbackIdentity[T lapack.MixedScalar](t *testing.T, n, nrhs int,
 // residual sits right at the threshold and lands on either side of it with
 // the rounding order of the float32/complex64 factorization.)
 func TestGesvMixedStallFallback(t *testing.T) {
-	old := lapack.SetMixedIterMax(1)
-	defer lapack.SetMixedIterMax(old)
+	withDefault(t, func(c *core.Config) { c.MixedIterMax = 1 })
 	a, b := mixedCond[float64](5, 100, 2, 1e4)
 	expectGesvFallbackIdentity(t, 100, 2, a, b, lapack.MixedFallbackStalled)
 	ac, bc := mixedCond[complex128](5, 100, 2, 1e4)
@@ -289,24 +288,27 @@ func TestMixedChaosNonFinite(t *testing.T) {
 	}
 }
 
-// TestSetMixedIterMax checks the knob's clamp-and-swap contract.
+// TestSetMixedIterMax checks the refinement bound's clamp-and-swap contract
+// in the default store: an update returns the configuration it replaced and
+// the new value is clamped into the knob's range.
 func TestSetMixedIterMax(t *testing.T) {
-	orig := lapack.MixedIterMax()
-	defer lapack.SetMixedIterMax(orig)
-	if old := lapack.SetMixedIterMax(5); old != orig {
+	orig := tcfg().MixedIterMax
+	defer core.ResetDefault(*core.Default())
+	set := func(n int) int {
+		return core.UpdateDefault(func(c *core.Config) { c.MixedIterMax = n }).MixedIterMax
+	}
+	if old := set(5); old != orig {
 		t.Fatalf("swap returned %d, want %d", old, orig)
 	}
-	if got := lapack.MixedIterMax(); got != 5 {
+	if got := tcfg().MixedIterMax; got != 5 {
 		t.Fatalf("MixedIterMax = %d, want 5", got)
 	}
-	// n < 1 leaves the setting unchanged.
-	if lapack.SetMixedIterMax(0); lapack.MixedIterMax() != 5 {
-		t.Fatal("SetMixedIterMax(0) must not change the bound")
+	// Below one sweep clamps up; huge values clamp to the cap.
+	if set(0); tcfg().MixedIterMax != 1 {
+		t.Fatalf("clamped bound = %d, want 1", tcfg().MixedIterMax)
 	}
-	// Huge values clamp to the internal cap.
-	lapack.SetMixedIterMax(1 << 30)
-	if got := lapack.MixedIterMax(); got != 1<<12 {
-		t.Fatalf("clamped bound = %d, want %d", got, 1<<12)
+	if set(1 << 30); tcfg().MixedIterMax != core.MaxMixedIterMax {
+		t.Fatalf("clamped bound = %d, want %d", tcfg().MixedIterMax, core.MaxMixedIterMax)
 	}
 }
 
@@ -316,7 +318,7 @@ func TestSetMixedIterMax(t *testing.T) {
 // nearest bound and garbage keeps the default.
 func TestMixedIterMaxEnvKnob(t *testing.T) {
 	if os.Getenv("LA90_MIXED_HELPER") == "1" {
-		fmt.Printf("MIXEDMAX %d\n", lapack.MixedIterMax())
+		fmt.Printf("MIXEDMAX %d\n", tcfg().MixedIterMax)
 		return
 	}
 	cases := []struct {
@@ -356,8 +358,7 @@ func TestMixedIterMaxEnvKnob(t *testing.T) {
 // Stalled — and deliver the plain driver's bits. ITERMAX is raised so a
 // stall (if the screen failed) would show up as the wrong reason code.
 func TestGesvMixedRcondScreen(t *testing.T) {
-	old := lapack.SetMixedIterMax(64)
-	defer lapack.SetMixedIterMax(old)
+	withDefault(t, func(c *core.Config) { c.MixedIterMax = 64 })
 	n := 50
 	a, b := mixedWellCond[float64](21, n, 2)
 	for i := 0; i < n; i++ { // grade one column: cond ≈ 1e9, exact in f32
@@ -375,8 +376,7 @@ func TestGesvMixedRcondScreen(t *testing.T) {
 // graded spectrum (diagonal 1e-9..1, factors exactly in float32) must trip
 // the Pocon screen and fall back bit-identically to plain Posv.
 func TestPosvMixedRcondScreen(t *testing.T) {
-	old := lapack.SetMixedIterMax(64)
-	defer lapack.SetMixedIterMax(old)
+	withDefault(t, func(c *core.Config) { c.MixedIterMax = 64 })
 	n := 32
 	a := make([]float64, n*n)
 	for i := 0; i < n; i++ {

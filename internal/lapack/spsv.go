@@ -42,27 +42,53 @@ func repackTri[T core.Scalar](uplo Uplo, n int, a []T, ap []T) {
 	}
 }
 
+// Each packed routine has one body taking herm (false: xSP*, symmetric;
+// true: xHP*, Hermitian), like the dense family in sytrf.go.
+
 // Sptrf computes the Bunch–Kaufman factorization of a symmetric matrix in
 // packed storage (xSPTRF).
 func Sptrf[T core.Scalar](uplo Uplo, n int, ap []T, ipiv []int) int {
+	return sptrf(false, uplo, n, ap, ipiv)
+}
+
+// Hptrf is Sptrf for a Hermitian matrix (xHPTRF).
+func Hptrf[T core.Scalar](uplo Uplo, n int, ap []T, ipiv []int) int {
+	return sptrf(true, uplo, n, ap, ipiv)
+}
+
+func sptrf[T core.Scalar](herm bool, uplo Uplo, n int, ap []T, ipiv []int) int {
 	a := unpackTri(uplo, n, ap)
-	info := Sytf2(uplo, n, a, n, ipiv)
+	info := sytf2(herm, uplo, n, a, n, ipiv)
 	repackTri(uplo, n, a, ap)
 	return info
 }
 
 // Sptrs solves A·X = B using the packed factorization from Sptrf (xSPTRS).
 func Sptrs[T core.Scalar](cfg *core.Config, uplo Uplo, n, nrhs int, ap []T, ipiv []int, b []T, ldb int) {
-	a := unpackTri(uplo, n, ap)
-	Sytrs(cfg, uplo, n, nrhs, a, n, ipiv, b, ldb)
+	sytrs(cfg, false, uplo, n, nrhs, unpackTri(uplo, n, ap), n, ipiv, b, ldb)
+}
+
+// Hptrs solves A·X = B using the packed Hermitian factorization from Hptrf
+// (xHPTRS).
+func Hptrs[T core.Scalar](cfg *core.Config, uplo Uplo, n, nrhs int, ap []T, ipiv []int, b []T, ldb int) {
+	sytrs(cfg, true, uplo, n, nrhs, unpackTri(uplo, n, ap), n, ipiv, b, ldb)
 }
 
 // Spsv solves A·X = B for a symmetric indefinite matrix in packed storage
 // (the xSPSV driver).
 func Spsv[T core.Scalar](cfg *core.Config, uplo Uplo, n, nrhs int, ap []T, ipiv []int, b []T, ldb int) int {
-	info := Sptrf(uplo, n, ap, ipiv)
+	return spsv(cfg, false, uplo, n, nrhs, ap, ipiv, b, ldb)
+}
+
+// Hpsv is Spsv for a Hermitian matrix (the xHPSV driver).
+func Hpsv[T core.Scalar](cfg *core.Config, uplo Uplo, n, nrhs int, ap []T, ipiv []int, b []T, ldb int) int {
+	return spsv(cfg, true, uplo, n, nrhs, ap, ipiv, b, ldb)
+}
+
+func spsv[T core.Scalar](cfg *core.Config, herm bool, uplo Uplo, n, nrhs int, ap []T, ipiv []int, b []T, ldb int) int {
+	info := sptrf(herm, uplo, n, ap, ipiv)
 	if info == 0 {
-		Sptrs(cfg, uplo, n, nrhs, ap, ipiv, b, ldb)
+		sytrs(cfg, herm, uplo, n, nrhs, unpackTri(uplo, n, ap), n, ipiv, b, ldb)
 	}
 	return info
 }
@@ -70,77 +96,36 @@ func Spsv[T core.Scalar](cfg *core.Config, uplo Uplo, n, nrhs int, ap []T, ipiv 
 // Spcon estimates the reciprocal 1-norm condition number from the packed
 // factorization (xSPCON).
 func Spcon[T core.Scalar](cfg *core.Config, uplo Uplo, n int, ap []T, ipiv []int, anorm float64) float64 {
-	if n == 0 {
-		return 1
-	}
-	if anorm == 0 {
-		return 0
-	}
-	a := unpackTri(uplo, n, ap)
-	return Sycon(cfg, uplo, n, a, n, ipiv, anorm)
-}
-
-// Sprfs iteratively refines the solution of a packed symmetric indefinite
-// system (xSPRFS).
-func Sprfs[T core.Scalar](cfg *core.Config, uplo Uplo, n, nrhs int, ap, afp []T, ipiv []int, b []T, ldb int, x []T, ldx int, ferr, berr []float64) {
-	af := unpackTri(uplo, n, afp)
-	rfs(NoTrans, n, nrhs,
-		func(_ Trans, alpha T, x []T, beta T, y []T) {
-			blas.Spmv(uplo, n, alpha, ap, x, 1, beta, y, 1)
-		},
-		func(_ Trans, xa, y []float64) { absSpmv(uplo, n, ap, xa, y) },
-		func(_ Trans, r []T) { Sytrs(cfg, uplo, n, 1, af, n, ipiv, r, n) },
-		b, ldb, x, ldx, ferr, berr)
-}
-
-// Hptrf computes the Bunch–Kaufman factorization of a Hermitian matrix in
-// packed storage (xHPTRF).
-func Hptrf[T core.Scalar](uplo Uplo, n int, ap []T, ipiv []int) int {
-	a := unpackTri(uplo, n, ap)
-	info := Hetf2(uplo, n, a, n, ipiv)
-	repackTri(uplo, n, a, ap)
-	return info
-}
-
-// Hptrs solves A·X = B using the packed Hermitian factorization from Hptrf
-// (xHPTRS).
-func Hptrs[T core.Scalar](cfg *core.Config, uplo Uplo, n, nrhs int, ap []T, ipiv []int, b []T, ldb int) {
-	a := unpackTri(uplo, n, ap)
-	Hetrs(cfg, uplo, n, nrhs, a, n, ipiv, b, ldb)
-}
-
-// Hpsv solves A·X = B for a Hermitian indefinite matrix in packed storage
-// (the xHPSV driver).
-func Hpsv[T core.Scalar](cfg *core.Config, uplo Uplo, n, nrhs int, ap []T, ipiv []int, b []T, ldb int) int {
-	info := Hptrf(uplo, n, ap, ipiv)
-	if info == 0 {
-		Hptrs(cfg, uplo, n, nrhs, ap, ipiv, b, ldb)
-	}
-	return info
+	return sycon(cfg, false, uplo, n, unpackTri(uplo, n, ap), n, ipiv, anorm)
 }
 
 // Hpcon estimates the reciprocal 1-norm condition number from the packed
 // Hermitian factorization (xHPCON).
 func Hpcon[T core.Scalar](cfg *core.Config, uplo Uplo, n int, ap []T, ipiv []int, anorm float64) float64 {
-	if n == 0 {
-		return 1
-	}
-	if anorm == 0 {
-		return 0
-	}
-	a := unpackTri(uplo, n, ap)
-	return Hecon(cfg, uplo, n, a, n, ipiv, anorm)
+	return sycon(cfg, true, uplo, n, unpackTri(uplo, n, ap), n, ipiv, anorm)
+}
+
+// Sprfs iteratively refines the solution of a packed symmetric indefinite
+// system (xSPRFS).
+func Sprfs[T core.Scalar](cfg *core.Config, uplo Uplo, n, nrhs int, ap, afp []T, ipiv []int, b []T, ldb int, x []T, ldx int, ferr, berr []float64) {
+	sprfs(cfg, false, uplo, n, nrhs, ap, afp, ipiv, b, ldb, x, ldx, ferr, berr)
 }
 
 // Hprfs iteratively refines the solution of a packed Hermitian indefinite
 // system (xHPRFS).
 func Hprfs[T core.Scalar](cfg *core.Config, uplo Uplo, n, nrhs int, ap, afp []T, ipiv []int, b []T, ldb int, x []T, ldx int, ferr, berr []float64) {
+	sprfs(cfg, true, uplo, n, nrhs, ap, afp, ipiv, b, ldb, x, ldx, ferr, berr)
+}
+
+func sprfs[T core.Scalar](cfg *core.Config, herm bool, uplo Uplo, n, nrhs int, ap, afp []T, ipiv []int, b []T, ldb int, x []T, ldx int, ferr, berr []float64) {
 	af := unpackTri(uplo, n, afp)
+	mv := blas.Spmv[T]
+	if herm {
+		mv = blas.Hpmv[T]
+	}
 	rfs(NoTrans, n, nrhs,
-		func(_ Trans, alpha T, x []T, beta T, y []T) {
-			blas.Hpmv(uplo, n, alpha, ap, x, 1, beta, y, 1)
-		},
+		func(_ Trans, alpha T, x []T, beta T, y []T) { mv(uplo, n, alpha, ap, x, 1, beta, y, 1) },
 		func(_ Trans, xa, y []float64) { absSpmv(uplo, n, ap, xa, y) },
-		func(_ Trans, r []T) { Hetrs(cfg, uplo, n, 1, af, n, ipiv, r, n) },
+		func(_ Trans, r []T) { sytrs(cfg, herm, uplo, n, 1, af, n, ipiv, r, n) },
 		b, ldb, x, ldx, ferr, berr)
 }

@@ -7,8 +7,33 @@ import (
 	"repro/internal/core"
 )
 
+// This file holds the one Bunch–Kaufman implementation. Every routine takes
+// herm: false is the symmetric family (A = U·D·Uᵀ, xSY*/xSP*; for complex
+// element types the complex-symmetric factorization), true the Hermitian one
+// (A = U·D·Uᴴ, xHE*/xHP*). The branch points are the same everywhere and are
+// taken per column or per pivot, never per element: pivot candidates on the
+// diagonal are compared by |Re| and diagonals are kept real (herm) vs Abs1;
+// the vectors entering the panel Gemv products are conjugated around the
+// call; the rank-1 step is 1/Re(d)·Her·ScalReal vs Div·Syr·Scal; the
+// trailing Gemm and the Sytrs back-multiplications use ConjTrans vs TransT;
+// and each variant keeps its own 2×2-pivot arithmetic. Real element types
+// take the herm branch too when called through the He*/Hp* names: its
+// rank-1 step (reciprocal formed in float64, Her) does not round like the
+// symmetric one, and both are pinned bit for bit (TestBunchKaufmanGolden).
+
 // bkAlpha is the Bunch–Kaufman pivot threshold (1+sqrt(17))/8.
 var bkAlpha = (1 + math.Sqrt(17)) / 8
+
+// absDiag is the magnitude a diagonal pivot candidate is compared by.
+func absDiag[T core.Scalar](herm bool, v T) float64 {
+	if herm {
+		return math.Abs(core.Re(v))
+	}
+	return core.Abs1(v)
+}
+
+// realPart returns v with its imaginary part dropped.
+func realPart[T core.Scalar](v T) T { return core.FromFloat[T](core.Re(v)) }
 
 // Sytf2 computes the Bunch–Kaufman factorization A = U·D·Uᵀ or A = L·D·Lᵀ
 // of a symmetric matrix (xSYTF2; for complex element types this is the
@@ -20,15 +45,35 @@ var bkAlpha = (1 + math.Sqrt(17)) / 8
 // Lower) marks a 2×2 pivot block with row p interchanged.
 // Returns k+1 (1-based) if D(k,k) is exactly singular.
 func Sytf2[T core.Scalar](uplo Uplo, n int, a []T, lda int, ipiv []int) int {
+	return sytf2(false, uplo, n, a, lda, ipiv)
+}
+
+// Hetf2 computes the Bunch–Kaufman factorization A = U·D·Uᴴ or A = L·D·Lᴴ
+// of a Hermitian matrix (xHETF2). Pivot encoding and the info return follow
+// Sytf2.
+func Hetf2[T core.Scalar](uplo Uplo, n int, a []T, lda int, ipiv []int) int {
+	return sytf2(true, uplo, n, a, lda, ipiv)
+}
+
+func sytf2[T core.Scalar](herm bool, uplo Uplo, n int, a []T, lda int, ipiv []int) int {
 	info := 0
 	at := func(i, j int) T { return a[i+j*lda] }
 	set := func(i, j int, v T) { a[i+j*lda] = v }
+	// fixDiag drops the imaginary parts the Hermitian variant ignores from
+	// the diagonal entries a pivot step has read or moved.
+	fixDiag := func(idx ...int) {
+		if herm {
+			for _, i := range idx {
+				set(i, i, realPart(at(i, i)))
+			}
+		}
+	}
 	one := core.FromFloat[T](1)
 	if uplo == Upper {
 		for k := n - 1; k >= 0; {
 			kstep := 1
 			kp := k
-			absakk := core.Abs1(at(k, k))
+			absakk := absDiag(herm, at(k, k))
 			imax, colmax := 0, 0.0
 			if k > 0 {
 				imax = blas.Iamax(k, a[k*lda:], 1)
@@ -38,6 +83,7 @@ func Sytf2[T core.Scalar](uplo Uplo, n int, a []T, lda int, ipiv []int) int {
 				if info == 0 {
 					info = k + 1
 				}
+				fixDiag(k)
 			} else {
 				if absakk >= bkAlpha*colmax {
 					kp = k
@@ -52,7 +98,7 @@ func Sytf2[T core.Scalar](uplo Uplo, n int, a []T, lda int, ipiv []int) int {
 					}
 					if absakk >= bkAlpha*colmax*(colmax/rowmax) {
 						kp = k
-					} else if core.Abs1(at(imax, imax)) >= bkAlpha*rowmax {
+					} else if absDiag(herm, at(imax, imax)) >= bkAlpha*rowmax {
 						kp = imax
 					} else {
 						kp = imax
@@ -63,6 +109,11 @@ func Sytf2[T core.Scalar](uplo Uplo, n int, a []T, lda int, ipiv []int) int {
 				if kp != kk {
 					blas.Swap(kp, a[kk*lda:], 1, a[kp*lda:], 1)
 					blas.Swap(kk-kp-1, a[kp+1+kk*lda:], 1, a[kp+(kp+1)*lda:], lda)
+					if herm {
+						lacgv(kk-kp-1, a[kp+1+kk*lda:], 1)
+						lacgv(kk-kp-1, a[kp+(kp+1)*lda:], lda)
+						set(kp, kk, core.Conj(at(kp, kk)))
+					}
 					t := at(kk, kk)
 					set(kk, kk, at(kp, kp))
 					set(kp, kp, t)
@@ -72,11 +123,34 @@ func Sytf2[T core.Scalar](uplo Uplo, n int, a []T, lda int, ipiv []int) int {
 						set(kp, k, t)
 					}
 				}
-				if kstep == 1 {
+				fixDiag(k, kk, kp)
+				switch {
+				case kstep == 1 && herm:
+					r1 := 1 / core.Re(at(k, k))
+					blas.Her(Upper, k, -r1, a[k*lda:], 1, a, lda)
+					blas.ScalReal(k, r1, a[k*lda:], 1)
+				case kstep == 1:
 					r1 := core.Div(one, at(k, k))
 					blas.Syr(Upper, k, -r1, a[k*lda:], 1, a, lda)
 					blas.Scal(k, r1, a[k*lda:], 1)
-				} else if k > 1 {
+				case k > 1 && herm:
+					d := core.Abs(at(k-1, k))
+					d22 := core.Re(at(k-1, k-1)) / d
+					d11 := core.Re(at(k, k)) / d
+					tt := 1 / (d11*d22 - 1)
+					d12 := core.FromComplex[T](core.ToComplex(at(k-1, k)) / complex(d, 0))
+					dd := core.FromFloat[T](tt / d)
+					for j := k - 2; j >= 0; j-- {
+						wkm1 := dd * (core.FromFloat[T](d11)*at(j, k-1) - core.Conj(d12)*at(j, k))
+						wk := dd * (core.FromFloat[T](d22)*at(j, k) - d12*at(j, k-1))
+						for i := j; i >= 0; i-- {
+							set(i, j, at(i, j)-at(i, k)*core.Conj(wk)-at(i, k-1)*core.Conj(wkm1))
+						}
+						set(j, k, wk)
+						set(j, k-1, wkm1)
+						set(j, j, realPart(at(j, j)))
+					}
+				case k > 1:
 					d12 := at(k-1, k)
 					d22 := core.Div(at(k-1, k-1), d12)
 					d11 := core.Div(at(k, k), d12)
@@ -107,7 +181,7 @@ func Sytf2[T core.Scalar](uplo Uplo, n int, a []T, lda int, ipiv []int) int {
 	for k := 0; k < n; {
 		kstep := 1
 		kp := k
-		absakk := core.Abs1(at(k, k))
+		absakk := absDiag(herm, at(k, k))
 		imax, colmax := 0, 0.0
 		if k < n-1 {
 			imax = k + 1 + blas.Iamax(n-k-1, a[k+1+k*lda:], 1)
@@ -117,6 +191,7 @@ func Sytf2[T core.Scalar](uplo Uplo, n int, a []T, lda int, ipiv []int) int {
 			if info == 0 {
 				info = k + 1
 			}
+			fixDiag(k)
 		} else {
 			if absakk >= bkAlpha*colmax {
 				kp = k
@@ -131,7 +206,7 @@ func Sytf2[T core.Scalar](uplo Uplo, n int, a []T, lda int, ipiv []int) int {
 				}
 				if absakk >= bkAlpha*colmax*(colmax/rowmax) {
 					kp = k
-				} else if core.Abs1(at(imax, imax)) >= bkAlpha*rowmax {
+				} else if absDiag(herm, at(imax, imax)) >= bkAlpha*rowmax {
 					kp = imax
 				} else {
 					kp = imax
@@ -144,6 +219,11 @@ func Sytf2[T core.Scalar](uplo Uplo, n int, a []T, lda int, ipiv []int) int {
 					blas.Swap(n-kp-1, a[kp+1+kk*lda:], 1, a[kp+1+kp*lda:], 1)
 				}
 				blas.Swap(kp-kk-1, a[kk+1+kk*lda:], 1, a[kp+(kk+1)*lda:], lda)
+				if herm {
+					lacgv(kp-kk-1, a[kk+1+kk*lda:], 1)
+					lacgv(kp-kk-1, a[kp+(kk+1)*lda:], lda)
+					set(kp, kk, core.Conj(at(kp, kk)))
+				}
 				t := at(kk, kk)
 				set(kk, kk, at(kp, kp))
 				set(kp, kp, t)
@@ -153,13 +233,36 @@ func Sytf2[T core.Scalar](uplo Uplo, n int, a []T, lda int, ipiv []int) int {
 					set(kp, k, t)
 				}
 			}
-			if kstep == 1 {
-				if k < n-1 {
-					r1 := core.Div(one, at(k, k))
-					blas.Syr(Lower, n-k-1, -r1, a[k+1+k*lda:], 1, a[k+1+(k+1)*lda:], lda)
-					blas.Scal(n-k-1, r1, a[k+1+k*lda:], 1)
+			fixDiag(k, kk, kp)
+			switch {
+			case kstep == 1 && k == n-1:
+				// last column: nothing below the pivot to update
+			case kstep == 1 && herm:
+				r1 := 1 / core.Re(at(k, k))
+				blas.Her(Lower, n-k-1, -r1, a[k+1+k*lda:], 1, a[k+1+(k+1)*lda:], lda)
+				blas.ScalReal(n-k-1, r1, a[k+1+k*lda:], 1)
+			case kstep == 1:
+				r1 := core.Div(one, at(k, k))
+				blas.Syr(Lower, n-k-1, -r1, a[k+1+k*lda:], 1, a[k+1+(k+1)*lda:], lda)
+				blas.Scal(n-k-1, r1, a[k+1+k*lda:], 1)
+			case k < n-2 && herm:
+				d := core.Abs(at(k+1, k))
+				d11 := core.Re(at(k+1, k+1)) / d
+				d22 := core.Re(at(k, k)) / d
+				tt := 1 / (d11*d22 - 1)
+				d21 := core.FromComplex[T](core.ToComplex(at(k+1, k)) / complex(d, 0))
+				dd := core.FromFloat[T](tt / d)
+				for j := k + 2; j < n; j++ {
+					wk := dd * (core.FromFloat[T](d11)*at(j, k) - d21*at(j, k+1))
+					wkp1 := dd * (core.FromFloat[T](d22)*at(j, k+1) - core.Conj(d21)*at(j, k))
+					for i := j; i < n; i++ {
+						set(i, j, at(i, j)-at(i, k)*core.Conj(wk)-at(i, k+1)*core.Conj(wkp1))
+					}
+					set(j, k, wk)
+					set(j, k+1, wkp1)
+					set(j, j, realPart(at(j, j)))
 				}
-			} else if k < n-2 {
+			case k < n-2:
 				d21 := at(k+1, k)
 				d11 := core.Div(at(k+1, k+1), d21)
 				d22 := core.Div(at(k, k), d21)
@@ -187,15 +290,32 @@ func Sytf2[T core.Scalar](uplo Uplo, n int, a []T, lda int, ipiv []int) int {
 	return info
 }
 
-// lasyf factors the last (Upper) or first (Lower) panel of a symmetric
-// matrix with the Bunch–Kaufman pivoting strategy and applies the panel's
-// transformations to the rest of the matrix with Level-3 updates (xLASYF).
-// w is an n×nb workspace holding the updated panel columns (the columns of
-// U·D or L·D); kb is the number of columns actually factored — possibly
-// nb-1, and one less than requested when the last pivot turned out 2×2.
-// Pivots in ipiv and the info return follow Sytf2.
-func lasyf[T core.Scalar](cfg *core.Config, uplo Uplo, n, nb int, a []T, lda int, ipiv []int, w []T, ldw int) (kb, info int) {
+// lasyf factors the last (Upper) or first (Lower) panel of a symmetric or
+// Hermitian matrix with the Bunch–Kaufman pivoting strategy and applies the
+// panel's transformations to the rest of the matrix with Level-3 updates
+// (xLASYF / xLAHEF). w is an n×nb workspace holding the updated panel columns
+// (the columns of U·D or L·D); kb is the number of columns actually factored
+// — possibly nb-1, and one less than requested when the last pivot turned out
+// 2×2. Pivots in ipiv and the info return follow Sytf2.
+func lasyf[T core.Scalar](cfg *core.Config, herm bool, uplo Uplo, n, nb int, a []T, lda int, ipiv []int, w []T, ldw int) (kb, info int) {
 	one := core.FromFloat[T](1)
+	trans := TransT
+	if herm {
+		trans = ConjTrans
+	}
+	// update computes y -= A·xᵀ for a row x of w (stride ldw) — A·xᴴ when
+	// herm, by conjugating x around the product — and, when herm, drops the
+	// imaginary part the product leaves in the diagonal entry *diag.
+	update := func(m, cols int, ap []T, x []T, y []T, diag *T) {
+		if herm {
+			lacgv(cols, x, ldw)
+		}
+		blas.Gemv(cfg, NoTrans, m, cols, -one, ap, lda, x, ldw, one, y, 1)
+		if herm {
+			lacgv(cols, x, ldw)
+			*diag = realPart(*diag)
+		}
+	}
 	if uplo == Upper {
 		// Factor columns n-1 down to at most n-nb+1, storing updated
 		// columns in the trailing columns of w: A column k lives in w
@@ -206,12 +326,14 @@ func lasyf[T core.Scalar](cfg *core.Config, uplo Uplo, n, nb int, a []T, lda int
 			// Copy column k and apply the updates from the columns already
 			// factored in this panel.
 			blas.Copy(k+1, a[k*lda:], 1, w[kw*ldw:], 1)
+			if herm {
+				w[k+kw*ldw] = realPart(w[k+kw*ldw])
+			}
 			if k < n-1 {
-				blas.Gemv(cfg, NoTrans, k+1, n-1-k, -one, a[(k+1)*lda:], lda,
-					w[k+(kw+1)*ldw:], ldw, one, w[kw*ldw:], 1)
+				update(k+1, n-1-k, a[(k+1)*lda:], w[k+(kw+1)*ldw:], w[kw*ldw:], &w[k+kw*ldw])
 			}
 			kstep := 1
-			absakk := core.Abs1(w[k+kw*ldw])
+			absakk := absDiag(herm, w[k+kw*ldw])
 			imax, colmax := 0, 0.0
 			if k > 0 {
 				imax = blas.Iamax(k, w[kw*ldw:], 1)
@@ -226,14 +348,19 @@ func lasyf[T core.Scalar](cfg *core.Config, uplo Uplo, n, nb int, a []T, lda int
 			} else {
 				if absakk < bkAlpha*colmax {
 					// Build the updated column imax in w column kw-1 to run
-					// the rook-style comparison against its row maximum.
+					// the rook-style comparison against its row maximum:
+					// rows above the diagonal from the column, rows below
+					// from the (conjugated, when herm) row.
 					blas.Copy(imax+1, a[imax*lda:], 1, w[(kw-1)*ldw:], 1)
 					for j := imax + 1; j <= k; j++ {
 						w[j+(kw-1)*ldw] = a[imax+j*lda]
 					}
+					if herm {
+						w[imax+(kw-1)*ldw] = realPart(w[imax+(kw-1)*ldw])
+						lacgv(k-imax, w[imax+1+(kw-1)*ldw:], 1)
+					}
 					if k < n-1 {
-						blas.Gemv(cfg, NoTrans, k+1, n-1-k, -one, a[(k+1)*lda:], lda,
-							w[imax+(kw+1)*ldw:], ldw, one, w[(kw-1)*ldw:], 1)
+						update(k+1, n-1-k, a[(k+1)*lda:], w[imax+(kw+1)*ldw:], w[(kw-1)*ldw:], &w[imax+(kw-1)*ldw])
 					}
 					jmax := imax + 1 + blas.Iamax(k-imax, w[imax+1+(kw-1)*ldw:], 1)
 					rowmax := core.Abs1(w[jmax+(kw-1)*ldw])
@@ -244,7 +371,7 @@ func lasyf[T core.Scalar](cfg *core.Config, uplo Uplo, n, nb int, a []T, lda int
 					switch {
 					case absakk >= bkAlpha*colmax*(colmax/rowmax):
 						// kp = k: 1×1 pivot, no interchange.
-					case core.Abs1(w[imax+(kw-1)*ldw]) >= bkAlpha*rowmax:
+					case absDiag(herm, w[imax+(kw-1)*ldw]) >= bkAlpha*rowmax:
 						kp = imax
 						blas.Copy(k+1, w[(kw-1)*ldw:], 1, w[kw*ldw:], 1)
 					default:
@@ -261,6 +388,10 @@ func lasyf[T core.Scalar](cfg *core.Config, uplo Uplo, n, nb int, a []T, lda int
 					for j := kp + 1; j < kk; j++ {
 						a[kp+j*lda] = a[j+kk*lda]
 					}
+					if herm {
+						a[kp+kp*lda] = realPart(a[kp+kp*lda])
+						lacgv(kk-kp-1, a[kp+(kp+1)*lda:], lda)
+					}
 					if kp > 0 {
 						blas.Copy(kp, a[kk*lda:], 1, a[kp*lda:], 1)
 					}
@@ -272,20 +403,30 @@ func lasyf[T core.Scalar](cfg *core.Config, uplo Uplo, n, nb int, a []T, lda int
 				if kstep == 1 {
 					// Store U(:,k) = w(:,kw)/d(k,k).
 					blas.Copy(k+1, w[kw*ldw:], 1, a[k*lda:], 1)
-					r1 := core.Div(one, a[k+k*lda])
-					blas.Scal(k, r1, a[k*lda:], 1)
+					if herm {
+						blas.ScalReal(k, 1/core.Re(a[k+k*lda]), a[k*lda:], 1)
+					} else {
+						blas.Scal(k, core.Div(one, a[k+k*lda]), a[k*lda:], 1)
+					}
 				} else {
-					// 2×2 pivot in rows/columns k-1:k; store the two columns
-					// of U = W·D⁻¹.
+					// 2×2 pivot in rows/columns k-1:k (herm: D = [d11̂ d12;
+					// conj(d12) d22̂]); store the two columns of U = W·D⁻¹.
 					if k > 1 {
 						d12 := w[k-1+kw*ldw]
-						d11 := core.Div(w[k+kw*ldw], d12)
 						d22 := core.Div(w[k-1+(kw-1)*ldw], d12)
-						t := core.Div(one, d11*d22-one)
-						d12 = core.Div(t, d12)
+						var d11, d12c T
+						if herm {
+							d11 = core.Div(w[k+kw*ldw], core.Conj(d12))
+							d12 = core.Div(core.FromFloat[T](1/(core.Re(d11*d22)-1)), d12)
+							d12c = core.Conj(d12)
+						} else {
+							d11 = core.Div(w[k+kw*ldw], d12)
+							d12 = core.Div(core.Div(one, d11*d22-one), d12)
+							d12c = d12
+						}
 						for j := 0; j < k-1; j++ {
 							a[j+(k-1)*lda] = d12 * (d11*w[j+(kw-1)*ldw] - w[j+kw*ldw])
-							a[j+k*lda] = d12 * (d22*w[j+kw*ldw] - w[j+(kw-1)*ldw])
+							a[j+k*lda] = d12c * (d22*w[j+kw*ldw] - w[j+(kw-1)*ldw])
 						}
 					}
 					a[k-1+(k-1)*lda] = w[k-1+(kw-1)*ldw]
@@ -302,19 +443,19 @@ func lasyf[T core.Scalar](cfg *core.Config, uplo Uplo, n, nb int, a []T, lda int
 			k -= kstep
 		}
 		// Level-3 update of the unfactored leading block
-		// A(0:k+1, 0:k+1) -= U12·(D·U12ᵀ), processed in nb-wide column
-		// blocks: a triangular Gemv strip plus one rectangular Gemm each.
+		// A(0:k+1, 0:k+1) -= U12·(D·U12ᵀ) (ᴴ when herm, keeping the diagonal
+		// real), processed in nb-wide column blocks: a triangular Gemv strip
+		// plus one rectangular Gemm each.
 		kRem := k + 1
 		kwr := nb - n + kRem
 		for j0 := ((kRem - 1) / nb) * nb; j0 >= 0; j0 -= nb {
 			cfg.Checkpoint() // once per panel
 			jb := min(nb, kRem-j0)
 			for jj := j0; jj < j0+jb; jj++ {
-				blas.Gemv(cfg, NoTrans, jj-j0+1, n-kRem, -one, a[j0+kRem*lda:], lda,
-					w[jj+kwr*ldw:], ldw, one, a[j0+jj*lda:], 1)
+				update(jj-j0+1, n-kRem, a[j0+kRem*lda:], w[jj+kwr*ldw:], a[j0+jj*lda:], &a[jj+jj*lda])
 			}
 			if j0 > 0 {
-				blas.Gemm(cfg, NoTrans, TransT, j0, jb, n-kRem, -one, a[kRem*lda:], lda,
+				blas.Gemm(cfg, NoTrans, trans, j0, jb, n-kRem, -one, a[kRem*lda:], lda,
 					w[j0+kwr*ldw:], ldw, one, a[j0*lda:], lda)
 			}
 		}
@@ -339,11 +480,14 @@ func lasyf[T core.Scalar](cfg *core.Config, uplo Uplo, n, nb int, a []T, lda int
 	k := 0
 	for !((k >= nb-1 && nb < n) || k >= n) {
 		blas.Copy(n-k, a[k+k*lda:], 1, w[k+k*ldw:], 1)
+		if herm {
+			w[k+k*ldw] = realPart(w[k+k*ldw])
+		}
 		if k > 0 {
-			blas.Gemv(cfg, NoTrans, n-k, k, -one, a[k:], lda, w[k:], ldw, one, w[k+k*ldw:], 1)
+			update(n-k, k, a[k:], w[k:], w[k+k*ldw:], &w[k+k*ldw])
 		}
 		kstep := 1
-		absakk := core.Abs1(w[k+k*ldw])
+		absakk := absDiag(herm, w[k+k*ldw])
 		imax, colmax := 0, 0.0
 		if k < n-1 {
 			imax = k + 1 + blas.Iamax(n-k-1, w[k+1+k*ldw:], 1)
@@ -362,9 +506,12 @@ func lasyf[T core.Scalar](cfg *core.Config, uplo Uplo, n, nb int, a []T, lda int
 					w[j+(k+1)*ldw] = a[imax+j*lda]
 				}
 				blas.Copy(n-imax, a[imax+imax*lda:], 1, w[imax+(k+1)*ldw:], 1)
+				if herm {
+					lacgv(imax-k, w[k+(k+1)*ldw:], 1)
+					w[imax+(k+1)*ldw] = realPart(w[imax+(k+1)*ldw])
+				}
 				if k > 0 {
-					blas.Gemv(cfg, NoTrans, n-k, k, -one, a[k:], lda, w[imax:], ldw,
-						one, w[k+(k+1)*ldw:], 1)
+					update(n-k, k, a[k:], w[imax:], w[k+(k+1)*ldw:], &w[imax+(k+1)*ldw])
 				}
 				jmax := k + blas.Iamax(imax-k, w[k+(k+1)*ldw:], 1)
 				rowmax := core.Abs1(w[jmax+(k+1)*ldw])
@@ -375,7 +522,7 @@ func lasyf[T core.Scalar](cfg *core.Config, uplo Uplo, n, nb int, a []T, lda int
 				switch {
 				case absakk >= bkAlpha*colmax*(colmax/rowmax):
 					// kp = k: 1×1 pivot, no interchange.
-				case core.Abs1(w[imax+(k+1)*ldw]) >= bkAlpha*rowmax:
+				case absDiag(herm, w[imax+(k+1)*ldw]) >= bkAlpha*rowmax:
 					kp = imax
 					blas.Copy(n-k, w[k+(k+1)*ldw:], 1, w[k+k*ldw:], 1)
 				default:
@@ -389,6 +536,10 @@ func lasyf[T core.Scalar](cfg *core.Config, uplo Uplo, n, nb int, a []T, lda int
 				for j := kk + 1; j < kp; j++ {
 					a[kp+j*lda] = a[j+kk*lda]
 				}
+				if herm {
+					a[kp+kp*lda] = realPart(a[kp+kp*lda])
+					lacgv(kp-kk-1, a[kp+(kk+1)*lda:], lda)
+				}
 				if kp < n-1 {
 					blas.Copy(n-kp-1, a[kp+1+kk*lda:], 1, a[kp+1+kp*lda:], 1)
 				}
@@ -399,19 +550,32 @@ func lasyf[T core.Scalar](cfg *core.Config, uplo Uplo, n, nb int, a []T, lda int
 			}
 			if kstep == 1 {
 				blas.Copy(n-k, w[k+k*ldw:], 1, a[k+k*lda:], 1)
-				if k < n-1 {
-					r1 := core.Div(one, a[k+k*lda])
-					blas.Scal(n-k-1, r1, a[k+1+k*lda:], 1)
+				switch {
+				case k == n-1:
+					// last column: nothing below the pivot to scale
+				case herm:
+					blas.ScalReal(n-k-1, 1/core.Re(a[k+k*lda]), a[k+1+k*lda:], 1)
+				default:
+					blas.Scal(n-k-1, core.Div(one, a[k+k*lda]), a[k+1+k*lda:], 1)
 				}
 			} else {
+				// 2×2 pivot in rows/columns k:k+1 (herm: D = [d11̂ conj(d21);
+				// d21 d22̂]).
 				if k < n-2 {
 					d21 := w[k+1+k*ldw]
 					d11 := core.Div(w[k+1+(k+1)*ldw], d21)
-					d22 := core.Div(w[k+k*ldw], d21)
-					t := core.Div(one, d11*d22-one)
-					d21 = core.Div(t, d21)
+					var d22, d21c T
+					if herm {
+						d22 = core.Div(w[k+k*ldw], core.Conj(d21))
+						d21 = core.Div(core.FromFloat[T](1/(core.Re(d11*d22)-1)), d21)
+						d21c = core.Conj(d21)
+					} else {
+						d22 = core.Div(w[k+k*ldw], d21)
+						d21 = core.Div(core.Div(one, d11*d22-one), d21)
+						d21c = d21
+					}
 					for j := k + 2; j < n; j++ {
-						a[j+k*lda] = d21 * (d11*w[j+k*ldw] - w[j+(k+1)*ldw])
+						a[j+k*lda] = d21c * (d11*w[j+k*ldw] - w[j+(k+1)*ldw])
 						a[j+(k+1)*lda] = d21 * (d22*w[j+(k+1)*ldw] - w[j+k*ldw])
 					}
 				}
@@ -428,16 +592,16 @@ func lasyf[T core.Scalar](cfg *core.Config, uplo Uplo, n, nb int, a []T, lda int
 		}
 		k += kstep
 	}
-	// Level-3 update of the trailing block A(k:n, k:n) -= L21·(D·L21ᵀ).
+	// Level-3 update of the trailing block A(k:n, k:n) -= L21·(D·L21ᵀ) (ᴴ
+	// when herm).
 	for j0 := k; j0 < n; j0 += nb {
 		cfg.Checkpoint() // once per panel
 		jb := min(nb, n-j0)
 		for jj := j0; jj < j0+jb; jj++ {
-			blas.Gemv(cfg, NoTrans, j0+jb-jj, k, -one, a[jj:], lda, w[jj:], ldw,
-				one, a[jj+jj*lda:], 1)
+			update(j0+jb-jj, k, a[jj:], w[jj:], a[jj+jj*lda:], &a[jj+jj*lda])
 		}
 		if j0+jb < n {
-			blas.Gemm(cfg, NoTrans, TransT, n-j0-jb, jb, k, -one, a[j0+jb:], lda,
+			blas.Gemm(cfg, NoTrans, trans, n-j0-jb, jb, k, -one, a[j0+jb:], lda,
 				w[j0:], ldw, one, a[j0+jb+j0*lda:], lda)
 		}
 	}
@@ -462,9 +626,23 @@ func lasyf[T core.Scalar](cfg *core.Config, uplo Uplo, n, nb int, a []T, lda int
 // run as Level-3 Gemm calls, with an unblocked Sytf2 cleanup on the last
 // sub-panel block.
 func Sytrf[T core.Scalar](cfg *core.Config, uplo Uplo, n int, a []T, lda int, ipiv []int) int {
-	nb := Ilaenv(cfg, 1, "SYTRF", n, -1, -1, -1)
+	return sytrf(cfg, false, uplo, n, a, lda, ipiv)
+}
+
+// Hetrf computes the Bunch–Kaufman factorization of a Hermitian matrix
+// (xHETRF), blocked like Sytrf.
+func Hetrf[T core.Scalar](cfg *core.Config, uplo Uplo, n int, a []T, lda int, ipiv []int) int {
+	return sytrf(cfg, true, uplo, n, a, lda, ipiv)
+}
+
+func sytrf[T core.Scalar](cfg *core.Config, herm bool, uplo Uplo, n int, a []T, lda int, ipiv []int) int {
+	name := "SYTRF"
+	if herm {
+		name = "HETRF"
+	}
+	nb := Ilaenv(cfg, 1, name, n, -1, -1, -1)
 	if nb <= 1 || nb >= n {
-		return Sytf2(uplo, n, a, lda, ipiv)
+		return sytf2(herm, uplo, n, a, lda, ipiv)
 	}
 	info := 0
 	w := make([]T, n*nb)
@@ -472,12 +650,12 @@ func Sytrf[T core.Scalar](cfg *core.Config, uplo Uplo, n int, a []T, lda int, ip
 		// Peel panels off the trailing columns; the leading block shrinks.
 		for k := n; k > 0; {
 			if k <= nb {
-				if iinfo := Sytf2(Upper, k, a, lda, ipiv[:k]); iinfo != 0 && info == 0 {
+				if iinfo := sytf2(herm, Upper, k, a, lda, ipiv[:k]); iinfo != 0 && info == 0 {
 					info = iinfo
 				}
 				break
 			}
-			kb, iinfo := lasyf(cfg, Upper, k, nb, a, lda, ipiv, w, n)
+			kb, iinfo := lasyf(cfg, herm, Upper, k, nb, a, lda, ipiv, w, n)
 			if iinfo != 0 && info == 0 {
 				info = iinfo
 			}
@@ -498,13 +676,13 @@ func Sytrf[T core.Scalar](cfg *core.Config, uplo Uplo, n int, a []T, lda int, ip
 	}
 	for k := 0; k < n; {
 		if n-k <= nb {
-			if iinfo := Sytf2(Lower, n-k, a[k+k*lda:], lda, ipiv[k:]); iinfo != 0 && info == 0 {
+			if iinfo := sytf2(herm, Lower, n-k, a[k+k*lda:], lda, ipiv[k:]); iinfo != 0 && info == 0 {
 				info = iinfo + k
 			}
 			adjust(k, n, k)
 			break
 		}
-		kb, iinfo := lasyf(cfg, Lower, n-k, nb, a[k+k*lda:], lda, ipiv[k:], w, n-k)
+		kb, iinfo := lasyf(cfg, herm, Lower, n-k, nb, a[k+k*lda:], lda, ipiv[k:], w, n-k)
 		if iinfo != 0 && info == 0 {
 			info = iinfo + k
 		}
@@ -516,11 +694,64 @@ func Sytrf[T core.Scalar](cfg *core.Config, uplo Uplo, n int, a []T, lda int, ip
 
 // Sytrs solves A·X = B using the factorization from Sytrf (xSYTRS).
 func Sytrs[T core.Scalar](cfg *core.Config, uplo Uplo, n, nrhs int, a []T, lda int, ipiv []int, b []T, ldb int) {
+	sytrs(cfg, false, uplo, n, nrhs, a, lda, ipiv, b, ldb)
+}
+
+// Hetrs solves A·X = B using the Hermitian factorization from Hetrf
+// (xHETRS).
+func Hetrs[T core.Scalar](cfg *core.Config, uplo Uplo, n, nrhs int, a []T, lda int, ipiv []int, b []T, ldb int) {
+	sytrs(cfg, true, uplo, n, nrhs, a, lda, ipiv, b, ldb)
+}
+
+func sytrs[T core.Scalar](cfg *core.Config, herm bool, uplo Uplo, n, nrhs int, a []T, lda int, ipiv []int, b []T, ldb int) {
 	if n == 0 || nrhs == 0 {
 		return
 	}
 	one := core.FromFloat[T](1)
 	at := func(i, j int) T { return a[i+j*lda] }
+	// scalRow applies the inverse of the 1×1 pivot d to row k of B.
+	scalRow := func(k int, d T) {
+		if herm {
+			blas.ScalReal(nrhs, 1/core.Re(d), b[k:], ldb)
+		} else {
+			blas.Scal(nrhs, core.Div(one, d), b[k:], ldb)
+		}
+	}
+	// solve2 applies the inverse of the 2×2 pivot [p off; offᴴ q] (offᵀ for
+	// the symmetric variant) to rows r and r+1 of B; off is the stored
+	// off-diagonal entry, which sits in row r for Upper and r+1 for Lower.
+	solve2 := func(r int, p, q, off T) {
+		offP, offQ := off, off
+		if herm && uplo == Upper {
+			offQ = core.Conj(off)
+		} else if herm {
+			offP = core.Conj(off)
+		}
+		akm1 := core.Div(p, offP)
+		ak := core.Div(q, offQ)
+		denom := akm1*ak - one
+		for j := 0; j < nrhs; j++ {
+			bkm1 := core.Div(b[r+j*ldb], offP)
+			bk := core.Div(b[r+1+j*ldb], offQ)
+			b[r+j*ldb] = core.Div(ak*bkm1-bk, denom)
+			b[r+1+j*ldb] = core.Div(akm1*bk-bkm1, denom)
+		}
+	}
+	// backMul computes B(k,:) -= xᵀ·B(rows,:) for a column x of the factor
+	// (xᴴ when herm, by conjugating the row around a ConjTrans product).
+	trans := TransT
+	if herm {
+		trans = ConjTrans
+	}
+	backMul := func(k, m int, rows, x []T) {
+		if herm {
+			lacgv(nrhs, b[k:], ldb)
+		}
+		blas.Gemv(cfg, trans, m, nrhs, -one, rows, ldb, x, 1, one, b[k:], ldb)
+		if herm {
+			lacgv(nrhs, b[k:], ldb)
+		}
+	}
 	if uplo == Upper {
 		// First solve U·D·x' = b, walking the blocks from the bottom.
 		for k := n - 1; k >= 0; {
@@ -529,7 +760,7 @@ func Sytrs[T core.Scalar](cfg *core.Config, uplo Uplo, n, nrhs int, a []T, lda i
 					blas.Swap(nrhs, b[k:], ldb, b[kp:], ldb)
 				}
 				blas.Ger(k, nrhs, -one, a[k*lda:], 1, b[k:], ldb, b, ldb)
-				blas.Scal(nrhs, core.Div(one, at(k, k)), b[k:], ldb)
+				scalRow(k, at(k, k))
 				k--
 			} else {
 				if kp := -ipiv[k] - 1; kp != k-1 {
@@ -537,30 +768,20 @@ func Sytrs[T core.Scalar](cfg *core.Config, uplo Uplo, n, nrhs int, a []T, lda i
 				}
 				blas.Ger(k-1, nrhs, -one, a[k*lda:], 1, b[k:], ldb, b, ldb)
 				blas.Ger(k-1, nrhs, -one, a[(k-1)*lda:], 1, b[k-1:], ldb, b, ldb)
-				akm1k := at(k-1, k)
-				akm1 := core.Div(at(k-1, k-1), akm1k)
-				ak := core.Div(at(k, k), akm1k)
-				denom := akm1*ak - one
-				for j := 0; j < nrhs; j++ {
-					bkm1 := core.Div(b[k-1+j*ldb], akm1k)
-					bk := core.Div(b[k+j*ldb], akm1k)
-					b[k-1+j*ldb] = core.Div(ak*bkm1-bk, denom)
-					b[k+j*ldb] = core.Div(akm1*bk-bkm1, denom)
-				}
+				solve2(k-1, at(k-1, k-1), at(k, k), at(k-1, k))
 				k -= 2
 			}
 		}
 		// Then multiply by inv(Uᵀ), walking the blocks from the top.
 		for k := 0; k < n; {
+			backMul(k, k, b, a[k*lda:])
 			if ipiv[k] >= 0 {
-				blas.Gemv(cfg, TransT, k, nrhs, -one, b, ldb, a[k*lda:], 1, one, b[k:], ldb)
 				if kp := ipiv[k]; kp != k {
 					blas.Swap(nrhs, b[k:], ldb, b[kp:], ldb)
 				}
 				k++
 			} else {
-				blas.Gemv(cfg, TransT, k, nrhs, -one, b, ldb, a[k*lda:], 1, one, b[k:], ldb)
-				blas.Gemv(cfg, TransT, k, nrhs, -one, b, ldb, a[(k+1)*lda:], 1, one, b[k+1:], ldb)
+				backMul(k+1, k, b, a[(k+1)*lda:])
 				if kp := -ipiv[k] - 1; kp != k {
 					blas.Swap(nrhs, b[k:], ldb, b[kp:], ldb)
 				}
@@ -578,7 +799,7 @@ func Sytrs[T core.Scalar](cfg *core.Config, uplo Uplo, n, nrhs int, a []T, lda i
 			if k < n-1 {
 				blas.Ger(n-k-1, nrhs, -one, a[k+1+k*lda:], 1, b[k:], ldb, b[k+1:], ldb)
 			}
-			blas.Scal(nrhs, core.Div(one, at(k, k)), b[k:], ldb)
+			scalRow(k, at(k, k))
 			k++
 		} else {
 			if kp := -ipiv[k] - 1; kp != k+1 {
@@ -588,25 +809,16 @@ func Sytrs[T core.Scalar](cfg *core.Config, uplo Uplo, n, nrhs int, a []T, lda i
 				blas.Ger(n-k-2, nrhs, -one, a[k+2+k*lda:], 1, b[k:], ldb, b[k+2:], ldb)
 				blas.Ger(n-k-2, nrhs, -one, a[k+2+(k+1)*lda:], 1, b[k+1:], ldb, b[k+2:], ldb)
 			}
-			akm1k := at(k+1, k)
-			akm1 := core.Div(at(k, k), akm1k)
-			ak := core.Div(at(k+1, k+1), akm1k)
-			denom := akm1*ak - one
-			for j := 0; j < nrhs; j++ {
-				bkm1 := core.Div(b[k+j*ldb], akm1k)
-				bk := core.Div(b[k+1+j*ldb], akm1k)
-				b[k+j*ldb] = core.Div(ak*bkm1-bk, denom)
-				b[k+1+j*ldb] = core.Div(akm1*bk-bkm1, denom)
-			}
+			solve2(k, at(k, k), at(k+1, k+1), at(k+1, k))
 			k += 2
 		}
 	}
 	// ...then multiply by inv(Lᵀ) from the bottom.
 	for k := n - 1; k >= 0; {
+		if k < n-1 {
+			backMul(k, n-k-1, b[k+1:], a[k+1+k*lda:])
+		}
 		if ipiv[k] >= 0 {
-			if k < n-1 {
-				blas.Gemv(cfg, TransT, n-k-1, nrhs, -one, b[k+1:], ldb, a[k+1+k*lda:], 1, one, b[k:], ldb)
-			}
 			if kp := ipiv[k]; kp != k {
 				blas.Swap(nrhs, b[k:], ldb, b[kp:], ldb)
 			}
@@ -614,8 +826,7 @@ func Sytrs[T core.Scalar](cfg *core.Config, uplo Uplo, n, nrhs int, a []T, lda i
 		} else {
 			// 2×2 block occupying rows k-1 and k.
 			if k < n-1 {
-				blas.Gemv(cfg, TransT, n-k-1, nrhs, -one, b[k+1:], ldb, a[k+1+k*lda:], 1, one, b[k:], ldb)
-				blas.Gemv(cfg, TransT, n-k-1, nrhs, -one, b[k+1:], ldb, a[k+1+(k-1)*lda:], 1, one, b[k-1:], ldb)
+				backMul(k-1, n-k-1, b[k+1:], a[k+1+(k-1)*lda:])
 			}
 			if kp := -ipiv[k] - 1; kp != k {
 				blas.Swap(nrhs, b[k:], ldb, b[kp:], ldb)
@@ -627,9 +838,18 @@ func Sytrs[T core.Scalar](cfg *core.Config, uplo Uplo, n, nrhs int, a []T, lda i
 
 // Sysv solves A·X = B for a symmetric indefinite matrix (the xSYSV driver).
 func Sysv[T core.Scalar](cfg *core.Config, uplo Uplo, n, nrhs int, a []T, lda int, ipiv []int, b []T, ldb int) int {
-	info := Sytrf(cfg, uplo, n, a, lda, ipiv)
+	return sysv(cfg, false, uplo, n, nrhs, a, lda, ipiv, b, ldb)
+}
+
+// Hesv solves A·X = B for a Hermitian indefinite matrix (the xHESV driver).
+func Hesv[T core.Scalar](cfg *core.Config, uplo Uplo, n, nrhs int, a []T, lda int, ipiv []int, b []T, ldb int) int {
+	return sysv(cfg, true, uplo, n, nrhs, a, lda, ipiv, b, ldb)
+}
+
+func sysv[T core.Scalar](cfg *core.Config, herm bool, uplo Uplo, n, nrhs int, a []T, lda int, ipiv []int, b []T, ldb int) int {
+	info := sytrf(cfg, herm, uplo, n, a, lda, ipiv)
 	if info == 0 {
-		Sytrs(cfg, uplo, n, nrhs, a, lda, ipiv, b, ldb)
+		sytrs(cfg, herm, uplo, n, nrhs, a, lda, ipiv, b, ldb)
 	}
 	return info
 }
@@ -637,6 +857,16 @@ func Sysv[T core.Scalar](cfg *core.Config, uplo Uplo, n, nrhs int, a []T, lda in
 // Sycon estimates the reciprocal 1-norm condition number of a symmetric
 // indefinite matrix from its Bunch–Kaufman factorization (xSYCON).
 func Sycon[T core.Scalar](cfg *core.Config, uplo Uplo, n int, a []T, lda int, ipiv []int, anorm float64) float64 {
+	return sycon(cfg, false, uplo, n, a, lda, ipiv, anorm)
+}
+
+// Hecon estimates the reciprocal 1-norm condition number of a Hermitian
+// indefinite matrix from its factorization (xHECON).
+func Hecon[T core.Scalar](cfg *core.Config, uplo Uplo, n int, a []T, lda int, ipiv []int, anorm float64) float64 {
+	return sycon(cfg, true, uplo, n, a, lda, ipiv, anorm)
+}
+
+func sycon[T core.Scalar](cfg *core.Config, herm bool, uplo Uplo, n int, a []T, lda int, ipiv []int, anorm float64) float64 {
 	if n == 0 {
 		return 1
 	}
@@ -644,7 +874,7 @@ func Sycon[T core.Scalar](cfg *core.Config, uplo Uplo, n int, a []T, lda int, ip
 		return 0
 	}
 	ainvnm := Lacn2(n, func(conjTrans bool, x []T) {
-		Sytrs(cfg, uplo, n, 1, a, lda, ipiv, x, n)
+		sytrs(cfg, herm, uplo, n, 1, a, lda, ipiv, x, n)
 	})
 	return rcondFromEst(ainvnm, anorm)
 }
@@ -652,12 +882,24 @@ func Sycon[T core.Scalar](cfg *core.Config, uplo Uplo, n int, a []T, lda int, ip
 // Syrfs iteratively refines the solution of a symmetric indefinite system
 // and returns error bounds (xSYRFS).
 func Syrfs[T core.Scalar](cfg *core.Config, uplo Uplo, n, nrhs int, a []T, lda int, af []T, ldaf int, ipiv []int, b []T, ldb int, x []T, ldx int, ferr, berr []float64) {
+	syrfs(cfg, false, uplo, n, nrhs, a, lda, af, ldaf, ipiv, b, ldb, x, ldx, ferr, berr)
+}
+
+// Herfs iteratively refines the solution of a Hermitian indefinite system
+// and returns error bounds (xHERFS).
+func Herfs[T core.Scalar](cfg *core.Config, uplo Uplo, n, nrhs int, a []T, lda int, af []T, ldaf int, ipiv []int, b []T, ldb int, x []T, ldx int, ferr, berr []float64) {
+	syrfs(cfg, true, uplo, n, nrhs, a, lda, af, ldaf, ipiv, b, ldb, x, ldx, ferr, berr)
+}
+
+func syrfs[T core.Scalar](cfg *core.Config, herm bool, uplo Uplo, n, nrhs int, a []T, lda int, af []T, ldaf int, ipiv []int, b []T, ldb int, x []T, ldx int, ferr, berr []float64) {
+	mv := blas.Symv[T]
+	if herm {
+		mv = blas.Hemv[T]
+	}
 	rfs(NoTrans, n, nrhs,
-		func(_ Trans, alpha T, x []T, beta T, y []T) {
-			blas.Symv(uplo, n, alpha, a, lda, x, 1, beta, y, 1)
-		},
+		func(_ Trans, alpha T, x []T, beta T, y []T) { mv(uplo, n, alpha, a, lda, x, 1, beta, y, 1) },
 		func(_ Trans, xa, y []float64) { absSymv(uplo, n, a, lda, xa, y) },
-		func(_ Trans, r []T) { Sytrs(cfg, uplo, n, 1, af, ldaf, ipiv, r, n) },
+		func(_ Trans, r []T) { sytrs(cfg, herm, uplo, n, 1, af, ldaf, ipiv, r, n) },
 		b, ldb, x, ldx, ferr, berr)
 }
 
@@ -671,19 +913,28 @@ type SysvxResult struct {
 
 // Sysvx is the expert driver for symmetric indefinite systems (xSYSVX).
 func Sysvx[T core.Scalar](cfg *core.Config, fact Fact, uplo Uplo, n, nrhs int, a []T, lda int, af []T, ldaf int, ipiv []int, b []T, ldb int, x []T, ldx int) SysvxResult {
+	return sysvx(cfg, false, fact, uplo, n, nrhs, a, lda, af, ldaf, ipiv, b, ldb, x, ldx)
+}
+
+// Hesvx is the expert driver for Hermitian indefinite systems (xHESVX).
+func Hesvx[T core.Scalar](cfg *core.Config, fact Fact, uplo Uplo, n, nrhs int, a []T, lda int, af []T, ldaf int, ipiv []int, b []T, ldb int, x []T, ldx int) SysvxResult {
+	return sysvx(cfg, true, fact, uplo, n, nrhs, a, lda, af, ldaf, ipiv, b, ldb, x, ldx)
+}
+
+func sysvx[T core.Scalar](cfg *core.Config, herm bool, fact Fact, uplo Uplo, n, nrhs int, a []T, lda int, af []T, ldaf int, ipiv []int, b []T, ldb int, x []T, ldx int) SysvxResult {
 	res := SysvxResult{Ferr: make([]float64, nrhs), Berr: make([]float64, nrhs)}
 	if fact != FactFact {
 		Lacpy('A', n, n, a, lda, af, ldaf)
-		res.Info = Sytrf(cfg, uplo, n, af, ldaf, ipiv)
+		res.Info = sytrf(cfg, herm, uplo, n, af, ldaf, ipiv)
 	}
 	if res.Info > 0 {
 		return res
 	}
 	anorm := Lansy(OneNorm, uplo, n, a, lda)
-	res.RCond = Sycon(cfg, uplo, n, af, ldaf, ipiv, anorm)
+	res.RCond = sycon(cfg, herm, uplo, n, af, ldaf, ipiv, anorm)
 	Lacpy('A', n, nrhs, b, ldb, x, ldx)
-	Sytrs(cfg, uplo, n, nrhs, af, ldaf, ipiv, x, ldx)
-	Syrfs(cfg, uplo, n, nrhs, a, lda, af, ldaf, ipiv, b, ldb, x, ldx, res.Ferr, res.Berr)
+	sytrs(cfg, herm, uplo, n, nrhs, af, ldaf, ipiv, x, ldx)
+	syrfs(cfg, herm, uplo, n, nrhs, a, lda, af, ldaf, ipiv, b, ldb, x, ldx, res.Ferr, res.Berr)
 	if res.RCond < core.Eps[T]() {
 		res.Info = n + 1
 	}

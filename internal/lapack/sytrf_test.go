@@ -1,10 +1,20 @@
 package lapack_test
 
 import (
+	"encoding/binary"
+	"flag"
+	"fmt"
+	"hash"
+	"hash/fnv"
+	"math"
+	"runtime"
+	"sort"
+	"strings"
 	"testing"
 
 	"repro/internal/blas"
 	"repro/internal/core"
+	"repro/internal/faultinject"
 	"repro/internal/lapack"
 	"repro/internal/testutil"
 )
@@ -275,6 +285,182 @@ func TestSpsvHpsv(t *testing.T) {
 			t.Run("spsv/float64", func(t *testing.T) { testSpsv[float64](t, uplo, n, false) })
 			t.Run("spsv/complex128", func(t *testing.T) { testSpsv[complex128](t, uplo, n, false) })
 			t.Run("hpsv/complex128", func(t *testing.T) { testSpsv[complex128](t, uplo, n, true) })
+		}
+	}
+}
+
+// Golden fingerprints of the Bunch–Kaufman family, generated at the commit
+// before Sytrf and Hetrf were folded into one body (PR 15) and pinned since:
+// an FNV-64a over the factor array (all lda×n elements, so the unreferenced
+// triangle and the padding row are covered) and ipiv for the factorizations,
+// and over the solution for Sytrs/Hetrs with 4 right-hand sides. Each entry
+// folds both uplo, n ∈ bkGoldenN (below, at and past NBSytrf = 48, including
+// the kb = nb−1 panels), three random seeds, and the forced-2×2-pivot and
+// singular matrices. Columns: assembly route, portable route (LA90_NO_ASM=1,
+// reached here through the same gate with faultinject.ForcePortable).
+// Regenerate with `go test ./internal/lapack -run BunchKaufmanGolden -bkprint`.
+var bkGolden = map[string][2]uint64{
+	"Hetf2/complex128": {0xeb9d0f635df37747, 0xeb9d0f635df37747},
+	"Hetf2/complex64":  {0xf39430b1a81ea159, 0xf39430b1a81ea159},
+	"Hetf2/float32":    {0xdc45b1a664ef604a, 0xdc45b1a664ef604a},
+	"Hetf2/float64":    {0xa388656fe6848271, 0xa388656fe6848271},
+	"Hetrf/complex128": {0x8a4eddc63469c870, 0xcb555e1eb51ba9be},
+	"Hetrf/complex64":  {0xa4d3859dd94aac35, 0xe77e12e4ae02e565},
+	"Hetrf/float32":    {0x0f4f99ab338c46ce, 0xaefc0dab01f3a0e7},
+	"Hetrf/float64":    {0x4bf77a2c90f8d001, 0xdaaa93d3c76bd43b},
+	"Hetrs/complex128": {0x22c386ea7996f2e6, 0x15dc12deb9f0cf3c},
+	"Hetrs/complex64":  {0xc36ebd2b6e25fde3, 0x4089ff196b004678},
+	"Hetrs/float32":    {0x5fc64587f48d65c8, 0xb3ae706297cb7b4e},
+	"Hetrs/float64":    {0x47fc2afa8ab3934f, 0x7a23c73618cb79da},
+	"Sytf2/complex128": {0x1dc460ad59e35ef1, 0x1dc460ad59e35ef1},
+	"Sytf2/complex64":  {0xe27fc07d80202066, 0xe27fc07d80202066},
+	"Sytf2/float32":    {0x0fcdf3412de1d1be, 0x0fcdf3412de1d1be},
+	"Sytf2/float64":    {0xb9e2386413247cf1, 0xb9e2386413247cf1},
+	"Sytrf/complex128": {0x493a9a4f7bd6fc53, 0xe7afa5be2d0ac6c6},
+	"Sytrf/complex64":  {0x73f10c2413668b0b, 0x90ad88e4bca6956c},
+	"Sytrf/float32":    {0xb7c3b4336b680882, 0x0e0845ef9dfe74d7},
+	"Sytrf/float64":    {0x045a0c06da4c2701, 0x3b47e9b84d49a63b},
+	"Sytrs/complex128": {0xb4f691898eeadaf8, 0x200181784cd34d82},
+	"Sytrs/complex64":  {0xf10a384765eb53f5, 0x79cf83b4d75e3a76},
+	"Sytrs/float32":    {0x8290623cf7a6e468, 0x218f4e3ceb76ac91},
+	"Sytrs/float64":    {0x47fc2afa8ab3934f, 0x7a23c73618cb79da},
+}
+
+var (
+	bkGoldenN = []int{1, 2, 3, 7, 47, 48, 49, 97, 200}
+	bkPrint   = flag.Bool("bkprint", false, "print the bkGolden table instead of checking it")
+)
+
+func bkHash[T core.Scalar](h hash.Hash64, x []T, ipiv []int) {
+	var buf [16]byte
+	for _, v := range x {
+		c := core.ToComplex(v)
+		binary.LittleEndian.PutUint64(buf[:8], math.Float64bits(real(c)))
+		binary.LittleEndian.PutUint64(buf[8:], math.Float64bits(imag(c)))
+		h.Write(buf[:])
+	}
+	for _, p := range ipiv {
+		binary.LittleEndian.PutUint64(buf[:8], uint64(int64(p)))
+		h.Write(buf[:8])
+	}
+}
+
+// bkMatrices lists the inputs of one (type, n): three random matrices, one
+// with row/column n/2 zeroed (a singular pivot mid-panel), the zero matrix,
+// and a zero-diagonal matrix that forces 2×2 pivots.
+func bkMatrices[T core.Scalar](herm bool, n, lda int) [][]T {
+	var ms [][]T
+	gen := randSym[T]
+	if herm {
+		gen = randHerm[T]
+	}
+	for seed := 1; seed <= 3; seed++ {
+		ms = append(ms, gen(lapack.NewRng([4]int{seed, n, 5, 7}), n, lda))
+	}
+	z := gen(lapack.NewRng([4]int{4, n, 5, 7}), n, lda)
+	for i := 0; i < n; i++ {
+		z[i+(n/2)*lda], z[n/2+i*lda] = 0, 0
+	}
+	ms = append(ms, z, make([]T, lda*n))
+	f := make([]T, lda*n)
+	for j := 0; j < n; j++ {
+		for i := 0; i < j; i++ {
+			v := core.FromComplex[T](complex(float64((i+1)*(j+2)%7-3), float64((i+2*j)%3-1)))
+			f[i+j*lda] = v
+			f[j+i*lda] = v
+			if herm {
+				f[j+i*lda] = core.Conj(v)
+			}
+		}
+	}
+	return append(ms, f)
+}
+
+func bkFingerprints[T core.Scalar](cfg *core.Config, out map[string]uint64) {
+	var z T
+	type routine struct {
+		name    string
+		herm    bool
+		blocked bool
+	}
+	for _, r := range []routine{{"Sytf2", false, false}, {"Hetf2", true, false}, {"Sytrf", false, true}, {"Hetrf", true, true}} {
+		hf, hs := fnv.New64a(), fnv.New64a()
+		for _, uplo := range []lapack.Uplo{lapack.Upper, lapack.Lower} {
+			for _, n := range bkGoldenN {
+				lda := n + 1
+				for _, a := range bkMatrices[T](r.herm, n, lda) {
+					ipiv := make([]int, n)
+					var info int
+					switch {
+					case !r.blocked && !r.herm:
+						info = lapack.Sytf2(uplo, n, a, lda, ipiv)
+					case !r.blocked:
+						info = lapack.Hetf2(uplo, n, a, lda, ipiv)
+					case !r.herm:
+						info = lapack.Sytrf(cfg, uplo, n, a, lda, ipiv)
+					default:
+						info = lapack.Hetrf(cfg, uplo, n, a, lda, ipiv)
+					}
+					bkHash(hf, a, append(ipiv, info))
+					if !r.blocked || info != 0 {
+						continue
+					}
+					b := testutil.RandGeneral[T](lapack.NewRng([4]int{n, 3, 5, 9}), n, 4, lda)
+					if r.herm {
+						lapack.Hetrs(cfg, uplo, n, 4, a, lda, ipiv, b, lda)
+					} else {
+						lapack.Sytrs(cfg, uplo, n, 4, a, lda, ipiv, b, lda)
+					}
+					bkHash(hs, b, nil)
+				}
+			}
+		}
+		out[fmt.Sprintf("%s/%T", r.name, z)] = hf.Sum64()
+		if r.blocked {
+			out[fmt.Sprintf("%s/%T", strings.Replace(r.name, "trf", "trs", 1), z)] = hs.Sum64()
+		}
+	}
+}
+
+func TestBunchKaufmanGolden(t *testing.T) {
+	if runtime.GOARCH != "amd64" {
+		t.Skip("golden bits were recorded on amd64 (other targets fuse multiply-adds in the portable kernels)")
+	}
+	cfg := tcfg().With(func(c *core.Config) { c.NBSytrf = 48 })
+	var got [2]map[string]uint64
+	for route := range got {
+		got[route] = map[string]uint64{}
+		faultinject.ForcePortable(route == 1)
+		bkFingerprints[float32](cfg, got[route])
+		bkFingerprints[float64](cfg, got[route])
+		bkFingerprints[complex64](cfg, got[route])
+		bkFingerprints[complex128](cfg, got[route])
+	}
+	faultinject.ForcePortable(false)
+	keys := make([]string, 0, len(got[0]))
+	for k := range got[0] {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	if *bkPrint {
+		for _, k := range keys {
+			fmt.Printf("\t%q: {%#016x, %#016x},\n", k, got[0][k], got[1][k])
+		}
+		return
+	}
+	if len(keys) != len(bkGolden) {
+		t.Fatalf("%d fingerprints computed, table has %d", len(keys), len(bkGolden))
+	}
+	for _, k := range keys {
+		want := bkGolden[k]
+		if got[1][k] != want[1] {
+			t.Errorf("%s portable route: %#016x, want %#016x", k, got[1][k], want[1])
+		}
+		// The default route is the assembly one on AVX2 hardware and the
+		// portable one under LA90_NO_ASM=1 or without AVX2; either way it
+		// must land on its recorded bits.
+		if got[0][k] != want[0] && got[0][k] != want[1] {
+			t.Errorf("%s default route: %#016x, want %#016x (asm) or %#016x (portable)", k, got[0][k], want[0], want[1])
 		}
 	}
 }

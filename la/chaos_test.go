@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/blas"
+	"repro/internal/core"
 	"repro/internal/faultinject"
 	"repro/la"
 )
@@ -293,12 +294,13 @@ func TestCheckModeAcceptsFiniteInput(t *testing.T) {
 	}
 }
 
-// TestSetCheckInputs verifies the process-wide toggle: with it on, a plain
-// call (no WithCheck option) screens inputs; restoring the old value turns
-// screening back off.
+// TestSetCheckInputs verifies the process-wide default (what
+// LA90_CHECK_INPUTS sets at startup): with it on, a plain call (no WithCheck
+// option) screens inputs; with it off again, screening is off.
 func TestSetCheckInputs(t *testing.T) {
-	old := la.SetCheckInputs(true)
-	defer la.SetCheckInputs(old)
+	setCheck := func(on bool) { core.UpdateDefault(func(c *core.Config) { c.CheckInputs = on }) }
+	defer core.ResetDefault(*core.Default())
+	setCheck(true)
 
 	a := newSPD(4)
 	a.Set(2, 2, math.NaN())
@@ -308,13 +310,13 @@ func TestSetCheckInputs(t *testing.T) {
 		t.Fatalf("global check mode did not screen: err = %v", err)
 	}
 
-	la.SetCheckInputs(false)
+	setCheck(false)
 	a2 := newSPD(4)
 	a2.Set(2, 2, math.NaN())
 	if _, err := la.GESV(a2, newRHS(4, 1)); err != nil {
 		var e2 *la.Error
 		if errors.As(err, &e2) && strings.Contains(e2.Detail, "non-finite") {
-			t.Fatal("screening still active after SetCheckInputs(false)")
+			t.Fatal("screening still active with the default off")
 		}
 	}
 }

@@ -15,7 +15,7 @@ package la
 //   - opt-in non-finite input screening. LAPACK's contract says nothing
 //     about NaN/Inf input: drivers may return garbage (and before the
 //     iteration bounds were audited, could conceivably spin). With screening
-//     on — per call via WithCheck, or process-wide via SetCheckInputs or the
+//     on — per call via WithCheck, or process-wide via the
 //     LA90_CHECK_INPUTS environment variable — each driver scans its matrix
 //     arguments with a vectorized finiteness check (core.AllFinite) and
 //     fails fast with the ERINFO argument error for the offending argument.
@@ -27,16 +27,6 @@ import (
 	"repro/internal/blas"
 	"repro/internal/core"
 )
-
-// SetCheckInputs sets the process-wide default for non-finite input
-// screening and returns the previous setting. The initial default is false
-// unless the LA90_CHECK_INPUTS environment variable is set to a non-empty,
-// non-"0" value (parsed once by core.FromEnv). Safe to call concurrently;
-// calls in flight keep the setting captured at their API boundary.
-func SetCheckInputs(on bool) bool {
-	old := core.UpdateDefault(func(c *core.Config) { c.CheckInputs = on })
-	return old.CheckInputs
-}
 
 // WithCheck enables non-finite input screening for this call: matrix and
 // vector arguments are scanned for NaN/Inf before any computation, and an

@@ -14,8 +14,8 @@ package la
 //	x, err = la.GESV(a, b, la.WithContext(ctx)) // cancelable
 //
 // Concurrent calls with different per-call settings are fully isolated: a
-// call keeps the configuration it captured even if SetThreads,
-// SetBlockSizes or any other default-store shim runs mid-flight.
+// call keeps the configuration it captured even if the process default
+// changes mid-flight.
 
 import (
 	"context"
@@ -25,79 +25,27 @@ import (
 
 // Config is the public per-call tuning surface: the integer knobs of the
 // execution context, in the units of the corresponding LA90_* environment
-// variables. The zero value of every field means "inherit the process-wide
-// default", so callers set only the knobs they care about:
+// variables. The README's "Configuration" table lists every field with its
+// range, default and effect (a test keeps it equal to the table that bounds
+// and parses them). The zero value of every field means "inherit the
+// process-wide default", so callers set only the knobs they care about:
 //
 //	la.WithConfig(la.Config{Threads: 1, NBGetrf: 32})
 //
 // GemmSmallDim is the one knob whose useful values include zero (disable
 // the pack-free path); pass a negative value to disable it explicitly.
-// Boolean policies (mixed precision, input screening, SVD algorithm,
-// lookahead) keep their dedicated options and setters: WithMixed,
-// WithCheck, WithQRIteration, lapack.SetLookahead.
-type Config struct {
-	// Threads is the worker budget of the call's Level-3 kernels; 1 forces
-	// fully serial execution. Results are bit-identical at any budget.
-	Threads int
-
-	// GemmMC, GemmKC, GemmNC are the packed-engine cache block sizes
-	// (element counts calibrated for float64). These change the summation
-	// blocking, so overriding them changes results at the rounding level —
-	// deterministically for a fixed Config.
-	GemmMC, GemmKC, GemmNC int
-
-	// GemmSmallDim is the pack-free small-matrix crossover; negative
-	// disables the path, 0 inherits the default.
-	GemmSmallDim int
-
-	// GemmParallelMinVol and GemvParallelMinVol are the serial cutoffs of
-	// the Level-3 and Level-2 engines (multiply volume and element count).
-	GemmParallelMinVol int
-	GemvParallelMinVol int
-
-	// Blocked-factorization block sizes (lapack.Ilaenv). NBGetrf pins both
-	// LU size regimes, exactly like the LA90_NB_GETRF variable.
-	NBGetrf  int
-	NBPotrf  int
-	NBGeqrf  int
-	NBSytrf  int
-	NXGeqrf  int
-	NBGetrf2 int
-	NBSytrd  int
-	NBGebrd  int
-	NBGehrd  int
-
-	// MixedIterMax bounds the refinement sweeps of the mixed-precision
-	// solvers.
-	MixedIterMax int
-}
+// NBGetrf pins both LU size regimes, exactly like the LA90_NB_GETRF
+// variable; NBGetrfLg reports the large-n regime in DefaultConfig and is
+// not read by WithConfig. Boolean policies (mixed precision, input
+// screening, SVD algorithm) have their own options: WithMixed, WithCheck,
+// WithQRIteration.
+type Config = core.Tuning
 
 // DefaultConfig returns a snapshot of the process-wide default tuning
 // configuration, ready to be edited and passed to WithConfig. The snapshot
-// reflects the built-in defaults, the LA90_* environment variables parsed at
-// startup, and any Set* shim calls made so far.
-func DefaultConfig() Config {
-	c := core.Default()
-	return Config{
-		Threads:            c.Threads,
-		GemmMC:             c.GemmMC,
-		GemmKC:             c.GemmKC,
-		GemmNC:             c.GemmNC,
-		GemmSmallDim:       c.GemmSmallDim,
-		GemmParallelMinVol: c.GemmParallelMinVol,
-		GemvParallelMinVol: c.GemvParallelMinVol,
-		NBGetrf:            c.NBGetrf,
-		NBPotrf:            c.NBPotrf,
-		NBGeqrf:            c.NBGeqrf,
-		NBSytrf:            c.NBSytrf,
-		NXGeqrf:            c.NXGeqrf,
-		NBGetrf2:           c.NBGetrf2,
-		NBSytrd:            c.NBSytrd,
-		NBGebrd:            c.NBGebrd,
-		NBGehrd:            c.NBGehrd,
-		MixedIterMax:       c.MixedIterMax,
-	}
-}
+// reflects the built-in defaults and the LA90_* environment variables parsed
+// at startup.
+func DefaultConfig() Config { return core.Default().Tuning }
 
 // WithThreads sets this call's Level-3 worker budget: 1 forces fully serial
 // execution, higher values allow up to that many goroutines. Values below 1
@@ -117,35 +65,7 @@ func WithThreads(n int) Opt {
 // call.
 func WithConfig(cfg Config) Opt {
 	return func(o *options) {
-		o.cfg = o.cfg.With(func(c *core.Config) {
-			set := func(dst *int, v int) {
-				if v > 0 {
-					*dst = v
-				}
-			}
-			set(&c.Threads, cfg.Threads)
-			set(&c.GemmMC, cfg.GemmMC)
-			set(&c.GemmKC, cfg.GemmKC)
-			set(&c.GemmNC, cfg.GemmNC)
-			if cfg.GemmSmallDim > 0 {
-				c.GemmSmallDim = cfg.GemmSmallDim
-			} else if cfg.GemmSmallDim < 0 {
-				c.GemmSmallDim = 0 // explicit disable
-			}
-			set(&c.GemmParallelMinVol, cfg.GemmParallelMinVol)
-			set(&c.GemvParallelMinVol, cfg.GemvParallelMinVol)
-			set(&c.NBGetrf, cfg.NBGetrf)
-			set(&c.NBGetrfLg, cfg.NBGetrf) // one knob pins both LU regimes
-			set(&c.NBPotrf, cfg.NBPotrf)
-			set(&c.NBGeqrf, cfg.NBGeqrf)
-			set(&c.NBSytrf, cfg.NBSytrf)
-			set(&c.NXGeqrf, cfg.NXGeqrf)
-			set(&c.NBGetrf2, cfg.NBGetrf2)
-			set(&c.NBSytrd, cfg.NBSytrd)
-			set(&c.NBGebrd, cfg.NBGebrd)
-			set(&c.NBGehrd, cfg.NBGehrd)
-			set(&c.MixedIterMax, cfg.MixedIterMax)
-		})
+		o.cfg = o.cfg.With(func(c *core.Config) { c.Overlay(&cfg) })
 	}
 }
 

@@ -14,6 +14,7 @@ import (
 	"testing"
 
 	"repro/internal/blas"
+	"repro/internal/core"
 	"repro/la"
 )
 
@@ -251,6 +252,52 @@ func complexSolveSig[T la.Scalar](t *testing.T, opts ...la.Opt) []float64 {
 	return sig
 }
 
+// TestWithConfigOverlay pins the overlay conventions of la.Config by
+// comparing each spelling, bit for bit, with the same values installed as
+// the process default: a negative GemmSmallDim disables the pack-free path,
+// NBGetrf pins both LU size regimes (n = 600 sits in the large one),
+// out-of-range values clamp to the table's bounds, and NBGetrfLg on its own
+// is not read. (A zero overlay inheriting everything is a spelling in
+// TestDefaultConfigBitIdentical.)
+func TestWithConfigOverlay(t *testing.T) {
+	sig := func(opts ...la.Opt) []float64 {
+		const n = 600
+		a := randMat[float64](51, n, n)
+		for i := 0; i < n; i++ {
+			a.Set(i, i, a.At(i, i)+float64(n))
+		}
+		b := randMat[float64](52, n, 2)
+		if _, err := la.GESV(a, b, opts...); err != nil {
+			t.Fatalf("GESV: %v", err)
+		}
+		return append(b.Data, a.Data...)
+	}
+	underDefault := func(mutate func(*core.Config)) []float64 {
+		defer core.ResetDefault(*core.Default())
+		core.UpdateDefault(mutate)
+		return sig()
+	}
+	for _, tc := range []struct {
+		name    string
+		overlay la.Config
+		same    func(*core.Config) // the default this overlay must reproduce
+	}{
+		{"GemmSmallDim<0 disables", la.Config{GemmSmallDim: -1}, func(c *core.Config) { c.GemmSmallDim = 0 }},
+		{"NBGetrf pins both regimes", la.Config{NBGetrf: 32}, func(c *core.Config) { c.NBGetrf, c.NBGetrfLg = 32, 32 }},
+		{"out of range clamps", la.Config{NBGetrf: 1 << 20, GemmKC: 1}, func(c *core.Config) { c.NBGetrf, c.NBGetrfLg, c.GemmKC = core.MaxNB, core.MaxNB, 4 }},
+		{"NBGetrfLg alone is not read", la.Config{NBGetrfLg: 32}, func(*core.Config) {}},
+	} {
+		if !bitsEqual(sig(la.WithConfig(tc.overlay)), underDefault(tc.same)) {
+			t.Errorf("%s: overlay and process default disagree bitwise", tc.name)
+		}
+	}
+	// The pin binds: with only the small regime at 32 the n = 600 factors
+	// differ from the pinned run.
+	if bitsEqual(sig(la.WithConfig(la.Config{NBGetrf: 32})), underDefault(func(c *core.Config) { c.NBGetrf = 32 })) {
+		t.Error("NBGetrfLg = 256 vs 32 made no difference at n = 600; the pin test is vacuous")
+	}
+}
+
 // fullPin returns a Config that pins every numerics-affecting knob, so a job
 // carrying it is completely insulated from concurrent default-store churn:
 // nothing is left to inherit. base chooses the block-size family so distinct
@@ -279,8 +326,9 @@ func fullPin(threads, base int) la.Config {
 
 // TestConcurrentPerCallConfigs runs five drivers simultaneously, each with
 // its own thread budget and fully pinned block sizes, while a sixth
-// goroutine hammers the process-wide default store (SetThreads,
-// SetBlockSizes, SetGemmSmall). Every concurrent result must match the
+// goroutine hammers the process-wide default store (blas.SetThreads and
+// core.UpdateDefault on the block sizes and the pack-free crossover). Every
+// concurrent result must match the
 // job's own serial baseline bit for bit: per-call configs are captured once
 // at the API boundary and never see mid-flight default changes. Run under
 // -race this is also the data-race gate for the atomic default store.
@@ -303,14 +351,7 @@ func TestConcurrentPerCallConfigs(t *testing.T) {
 		want[i] = j.sig(t, j.opts...)
 	}
 
-	origThreads := blas.Threads()
-	origMC, origKC, origNC := blas.SetBlockSizes(0, 0, 0)
-	origSmall := blas.SetGemmSmall(-1)
-	defer func() {
-		blas.SetThreads(origThreads)
-		blas.SetBlockSizes(origMC, origKC, origNC)
-		blas.SetGemmSmall(origSmall)
-	}()
+	defer core.ResetDefault(*core.Default())
 
 	const iters = 3
 	done := make(chan struct{})
@@ -326,8 +367,10 @@ func TestConcurrentPerCallConfigs(t *testing.T) {
 			default:
 			}
 			blas.SetThreads(1 + k%8)
-			blas.SetBlockSizes(32+32*(k%4), 32+32*((k+1)%4), 256+128*(k%3))
-			blas.SetGemmSmall(8 * (k % 5))
+			core.UpdateDefault(func(c *core.Config) {
+				c.GemmMC, c.GemmKC, c.GemmNC = 32+32*(k%4), 32+32*((k+1)%4), 256+128*(k%3)
+				c.GemmSmallDim = 8 * (k % 5)
+			})
 		}
 	}()
 	var wg sync.WaitGroup

@@ -410,7 +410,7 @@ type options struct {
 	haveSeed    bool
 	check       bool // screen inputs for non-finite values (WithCheck / LA90_CHECK_INPUTS)
 	mixed       bool // factor in reduced precision, refine to full (WithMixed / LA90_MIXED)
-	qrIteration bool // classic QR-iteration SVD instead of D&C (WithQRIteration / LA90_NO_DC)
+	qrIteration bool // classic QR-iteration SVD instead of D&C (WithQRIteration)
 
 	// cfg is the execution context of the call: the process-wide default
 	// configuration captured exactly once, here at the API boundary, then
@@ -424,22 +424,21 @@ type options struct {
 func defaults() options {
 	cfg := core.Default()
 	return options{
-		cfg:         cfg,
-		check:       cfg.CheckInputs,
-		mixed:       cfg.Mixed,
-		qrIteration: cfg.QRIterationSVD,
-		uplo:        Upper,
-		trans:       None,
-		transB:      None,
-		itype:       1,
-		norm:        '1',
-		rcond:       -1,
-		fact:        lapack.FactNone,
-		rng:         lapack.RangeAll,
-		il:          1,
-		iu:          0, // 0 means "n" at call time
-		jobU:        lapack.SVDSome,
-		jobVT:       lapack.SVDSome,
+		cfg:    cfg,
+		check:  cfg.CheckInputs,
+		mixed:  cfg.Mixed,
+		uplo:   Upper,
+		trans:  None,
+		transB: None,
+		itype:  1,
+		norm:   '1',
+		rcond:  -1,
+		fact:   lapack.FactNone,
+		rng:    lapack.RangeAll,
+		il:     1,
+		iu:     0, // 0 means "n" at call time
+		jobU:   lapack.SVDSome,
+		jobVT:  lapack.SVDSome,
 	}
 }
 

@@ -294,24 +294,7 @@ func PTSV1[T Scalar](d []float64, e []T, b []T, opts ...Opt) error {
 // Hermitian one). The returned ipiv encodes the pivot blocks as in
 // LAPACK.
 func SYSV[T Scalar](a, b *Matrix[T], opts ...Opt) (ipiv []int, err error) {
-	const routine = "LA_SYSV"
-	defer guard(routine, &err)
-	o := apply(opts)
-	cfg := o.cfg
-	if !square(a) {
-		return nil, erinfo(routine, -1, "")
-	}
-	if !rhsMatch(a.Rows, b) {
-		return nil, erinfo(routine, -2, "")
-	}
-	if o.check {
-		if err := firstErr(finiteMat(routine, 1, "A", a), finiteMat(routine, 2, "B", b)); err != nil {
-			return nil, err
-		}
-	}
-	ipiv = make([]int, a.Rows)
-	info := lapack.Sysv(cfg, o.uplo, a.Rows, b.Cols, a.Data, a.Stride, ipiv, b.Data, b.Stride)
-	return ipiv, erdiag(routine, info, "D(i,i) is exactly zero; the factorization is singular", DiagSingular)
+	return sysv("LA_SYSV", false, a, b, opts)
 }
 
 // SYSV1 is LA_SYSV with a vector right-hand side.
@@ -323,10 +306,19 @@ func SYSV1[T Scalar](a *Matrix[T], b []T, opts ...Opt) (ipiv []int, err error) {
 // HESV solves a Hermitian indefinite system of linear equations (the
 // paper's LA_HESV). For real element types it coincides with SYSV.
 func HESV[T Scalar](a, b *Matrix[T], opts ...Opt) (ipiv []int, err error) {
-	const routine = "LA_HESV"
+	return sysv("LA_HESV", true, a, b, opts)
+}
+
+// HESV1 is LA_HESV with a vector right-hand side.
+func HESV1[T Scalar](a *Matrix[T], b []T, opts ...Opt) (ipiv []int, err error) {
+	bm := &Matrix[T]{Rows: len(b), Cols: 1, Stride: max(1, len(b)), Data: b}
+	return HESV(a, bm, opts...)
+}
+
+// sysv is the one body of SYSV (herm false) and HESV (herm true).
+func sysv[T Scalar](routine string, herm bool, a, b *Matrix[T], opts []Opt) (ipiv []int, err error) {
 	defer guard(routine, &err)
 	o := apply(opts)
-	cfg := o.cfg
 	if !square(a) {
 		return nil, erinfo(routine, -1, "")
 	}
@@ -338,39 +330,19 @@ func HESV[T Scalar](a, b *Matrix[T], opts ...Opt) (ipiv []int, err error) {
 			return nil, err
 		}
 	}
+	solve := lapack.Sysv[T]
+	if herm {
+		solve = lapack.Hesv[T]
+	}
 	ipiv = make([]int, a.Rows)
-	info := lapack.Hesv(cfg, o.uplo, a.Rows, b.Cols, a.Data, a.Stride, ipiv, b.Data, b.Stride)
+	info := solve(o.cfg, o.uplo, a.Rows, b.Cols, a.Data, a.Stride, ipiv, b.Data, b.Stride)
 	return ipiv, erdiag(routine, info, "D(i,i) is exactly zero; the factorization is singular", DiagSingular)
-}
-
-// HESV1 is LA_HESV with a vector right-hand side.
-func HESV1[T Scalar](a *Matrix[T], b []T, opts ...Opt) (ipiv []int, err error) {
-	bm := &Matrix[T]{Rows: len(b), Cols: 1, Stride: max(1, len(b)), Data: b}
-	return HESV(a, bm, opts...)
 }
 
 // SPSV solves a symmetric indefinite system in packed storage (the
 // paper's LA_SPSV).
 func SPSV[T Scalar](ap []T, b *Matrix[T], opts ...Opt) (ipiv []int, err error) {
-	const routine = "LA_SPSV"
-	defer guard(routine, &err)
-	o := apply(opts)
-	cfg := o.cfg
-	n := packedOrder(len(ap))
-	if n < 0 {
-		return nil, erinfo(routine, -1, "")
-	}
-	if !rhsMatch(n, b) {
-		return nil, erinfo(routine, -2, "")
-	}
-	if o.check {
-		if err := firstErr(finiteSlice(routine, 1, "AP", ap), finiteMat(routine, 2, "B", b)); err != nil {
-			return nil, err
-		}
-	}
-	ipiv = make([]int, n)
-	info := lapack.Spsv(cfg, o.uplo, n, b.Cols, ap, ipiv, b.Data, b.Stride)
-	return ipiv, erdiag(routine, info, "D(i,i) is exactly zero; the factorization is singular", DiagSingular)
+	return spsv("LA_SPSV", false, ap, b, opts)
 }
 
 // SPSV1 is LA_SPSV with a vector right-hand side.
@@ -382,10 +354,13 @@ func SPSV1[T Scalar](ap []T, b []T, opts ...Opt) (ipiv []int, err error) {
 // HPSV solves a Hermitian indefinite system in packed storage (the
 // paper's LA_HPSV).
 func HPSV[T Scalar](ap []T, b *Matrix[T], opts ...Opt) (ipiv []int, err error) {
-	const routine = "LA_HPSV"
+	return spsv("LA_HPSV", true, ap, b, opts)
+}
+
+// spsv is the one body of SPSV (herm false) and HPSV (herm true).
+func spsv[T Scalar](routine string, herm bool, ap []T, b *Matrix[T], opts []Opt) (ipiv []int, err error) {
 	defer guard(routine, &err)
 	o := apply(opts)
-	cfg := o.cfg
 	n := packedOrder(len(ap))
 	if n < 0 {
 		return nil, erinfo(routine, -1, "")
@@ -398,8 +373,12 @@ func HPSV[T Scalar](ap []T, b *Matrix[T], opts ...Opt) (ipiv []int, err error) {
 			return nil, err
 		}
 	}
+	solve := lapack.Spsv[T]
+	if herm {
+		solve = lapack.Hpsv[T]
+	}
 	ipiv = make([]int, n)
-	info := lapack.Hpsv(cfg, o.uplo, n, b.Cols, ap, ipiv, b.Data, b.Stride)
+	info := solve(o.cfg, o.uplo, n, b.Cols, ap, ipiv, b.Data, b.Stride)
 	return ipiv, erdiag(routine, info, "D(i,i) is exactly zero; the factorization is singular", DiagSingular)
 }
 

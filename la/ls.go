@@ -71,7 +71,7 @@ func GELSX[T Scalar](a, b *Matrix[T], opts ...Opt) (rank int, jpvt []int, err er
 // paper's LA_GELSS). It returns the effective rank and the singular
 // values of A. B must have max(m, n) rows and is overwritten with the
 // solution. The SVD runs on the divide-and-conquer engine by default;
-// WithQRIteration (or LA90_NO_DC=1) selects the classic path instead.
+// WithQRIteration selects the classic path instead.
 func GELSS[T Scalar](a, b *Matrix[T], opts ...Opt) (rank int, s []float64, err error) {
 	const routine = "LA_GELSS"
 	defer guard(routine, &err)

@@ -2,8 +2,8 @@ package la
 
 // Mixed-precision opt-in for the linear-system drivers.
 //
-// With WithMixed (per call), SetMixed (process default), or LA90_MIXED=1
-// (environment), LA_GESV and LA_POSV on float64/complex128 data factor a
+// With WithMixed (per call) or LA90_MIXED=1 (process, read at startup),
+// LA_GESV and LA_POSV on float64/complex128 data factor a
 // float32/complex64 demotion of A — riding the f32 GEMM kernels at roughly
 // twice the f64 flop rate — and recover full float64 accuracy by iterative
 // refinement (see internal/lapack/mixed.go for the convergence criterion
@@ -26,20 +26,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/lapack"
 )
-
-// SetMixed sets the process-wide default for the mixed-precision solve path
-// and returns the previous setting. The initial default is false unless the
-// LA90_MIXED environment variable parses to 1 (any other value, including
-// garbage, keeps the default off; parsed once by core.FromEnv). Safe to
-// call concurrently; calls in flight keep the setting captured at their API
-// boundary.
-func SetMixed(on bool) bool {
-	old := core.UpdateDefault(func(c *core.Config) { c.Mixed = on })
-	return old.Mixed
-}
-
-// Mixed reports the current process-wide mixed-precision default.
-func Mixed() bool { return core.Default().Mixed }
 
 // WithMixed enables the mixed-precision path for this call: factor in
 // float32/complex64, refine the solution to full precision, silently fall
@@ -91,81 +77,4 @@ func mixedPosv[T Scalar](cfg *core.Config, uplo UpLo, a, b *Matrix[T]) (iter, in
 		lapack.Lacpy('A', n, nrhs, x, ldx, b.Data, b.Stride)
 	}
 	return iter, info, true
-}
-
-// BatchGesvMixed solves the general linear systems A[i]·X[i] = B[i] for
-// every i through the mixed-precision engine (the batched LA_GESV with
-// WithMixed implied). Each B[i] is overwritten with its solution; each A[i]
-// is unchanged when its mixed solve converged and holds the float64 L·U
-// factors when that item fell back. iters[i] reports problem i's path: ≥ 0
-// is the refinement sweep count of a converged mixed solve, < 0 one of the
-// lapack.MixedFallback* codes. ipivs[i] holds the pivots of whichever
-// factorization ran, carved from one flat allocation; errs[i] is problem
-// i's GESV error (nil on success) with per-item fault containment as in
-// BatchGesv; err reports batch-level misuse only.
-//
-// Scheduling reuses the PR-5 batch engine (blas.BatchRange): the
-// item→worker assignment depends only on the batch length and worker
-// budget, and each item performs exactly the work the single-call mixed
-// driver would, so results are bit-identical to a serial loop at any
-// SetThreads value. The low-precision factor, right-hand-side, and residual
-// backings come from the pooled kernel scratch: a worker that finishes an
-// item returns its buffers and immediately reacquires them for the next
-// item it owns, so the steady-state cost of an item is the solve itself.
-// float32/complex64 batches have no lower precision to factor in and run
-// the plain per-item Gesv with iters[i] = 0.
-func BatchGesvMixed[T Scalar](as, bs []*Matrix[T], opts ...Opt) (ipivs [][]int, iters []int, errs []error, err error) {
-	const routine = "LA_GESV"
-	defer guard(routine, &err)
-	if len(as) != len(bs) {
-		return nil, nil, nil, erinfo(routine, -2, "batch slice lengths differ")
-	}
-	o := apply(opts)
-	cfg := o.cfg
-	errs = make([]error, len(as))
-	iters = make([]int, len(as))
-	ipivs = make([][]int, len(as))
-	total := 0
-	for i, a := range as {
-		if !square(a) {
-			errs[i] = erinfo(routine, -1, "")
-			continue
-		}
-		if !rhsMatch(a.Rows, bs[i]) {
-			errs[i] = erinfo(routine, -2, "")
-			continue
-		}
-		total += a.Rows
-	}
-	flat := make([]int, total)
-	off := 0
-	for i, a := range as {
-		if errs[i] != nil {
-			continue
-		}
-		ipivs[i] = flat[off : off+a.Rows : off+a.Rows]
-		off += a.Rows
-	}
-	blas.BatchRange(cfg, len(as), func(i int) {
-		if errs[i] != nil {
-			return
-		}
-		a, b := as[i], bs[i]
-		if o.check {
-			if e := firstErr(finiteMat(routine, 1, "A", a), finiteMat(routine, 2, "B", b)); e != nil {
-				errs[i] = e
-				return
-			}
-		}
-		iter, info, ok := mixedGesv(cfg, a, b, ipivs[i])
-		if !ok {
-			info = lapack.Gesv(cfg, a.Rows, b.Cols, a.Data, a.Stride, ipivs[i], b.Data, b.Stride)
-			iter = 0
-		}
-		iters[i] = iter
-		errs[i] = erdiag(routine, info, "matrix is exactly singular", DiagSingular)
-	}, func(i int, pe *blas.PanicError) {
-		errs[i] = batchItemError(routine, pe)
-	})
-	return ipivs, iters, errs, nil
 }

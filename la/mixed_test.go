@@ -1,10 +1,8 @@
 package la_test
 
-// Tests for the mixed-precision opt-in surface: WithMixed / SetMixed /
-// LA90_MIXED routing on LA_GESV and LA_POSV, the "A unchanged on a
-// converged mixed solve" contract, and BatchGesvMixed — accuracy against
-// the plain driver, bit-identity across worker counts and with the serial
-// single-call loop, and per-item fault containment.
+// Tests for the mixed-precision opt-in surface: WithMixed / LA90_MIXED
+// routing on LA_GESV and LA_POSV, the "A unchanged on a converged mixed
+// solve" contract and accuracy against the plain driver.
 
 import (
 	"repro/internal/core"
@@ -74,11 +72,11 @@ func slicesBitEqual(a, b []float64) bool {
 	return true
 }
 
+// TestGESVSetMixedDefault: with the process default on (what LA90_MIXED
+// sets at startup), a plain GESV takes the mixed path.
 func TestGESVSetMixedDefault(t *testing.T) {
-	defer la.SetMixed(la.SetMixed(true))
-	if !la.Mixed() {
-		t.Fatal("SetMixed(true) did not take")
-	}
+	defer core.ResetDefault(*core.Default())
+	core.UpdateDefault(func(c *core.Config) { c.Mixed = true })
 	n := 64
 	_, aAfter, err := mixedProbe(n) // no WithMixed: default routes mixed
 	if err != nil {
@@ -89,7 +87,7 @@ func TestGESVSetMixedDefault(t *testing.T) {
 		orig.Set(i, i, orig.At(i, i)+float64(n))
 	}
 	if !slicesBitEqual(aAfter, orig.Data) {
-		t.Fatal("SetMixed(true) default did not route GESV through the mixed path")
+		t.Fatal("the Mixed default did not route GESV through the mixed path")
 	}
 }
 
@@ -172,100 +170,18 @@ func TestGESVMixedFloat32Passthrough(t *testing.T) {
 	}
 }
 
-// TestBatchGesvMixedBitIdentical pins the batched determinism claim: the
-// mixed batch over mixed problem sizes must produce byte-for-byte the
-// solutions, post-solve A contents, pivots, and sweep counts of a serial
-// loop over GESV WithMixed, at every worker count.
-func TestBatchGesvMixedBitIdentical(t *testing.T) {
-	sizes := []int{1, 3, 7, 16, 17, 33, 48, 64, 96}
-	var as0, bs0 []*la.Matrix[float64]
-	for i, n := range sizes {
-		as0 = append(as0, newGen(n, i))
-		bs0 = append(bs0, newRHS(n, 1+i%3))
-	}
-	asRef, bsRef := cloneBatch(as0), cloneBatch(bs0)
-	ipivRef := make([][]int, len(sizes))
-	for i := range asRef {
-		ipiv, err := la.GESV(asRef[i], bsRef[i], la.WithMixed())
-		if err != nil {
-			t.Fatalf("reference GESV[%d]: %v", i, err)
-		}
-		ipivRef[i] = ipiv
-	}
-	var itersRef []int
-	for _, threads := range []int{1, 2, 4, 8} {
-		func() {
-			defer blas.SetThreads(blas.SetThreads(threads))
-			as, bs := cloneBatch(as0), cloneBatch(bs0)
-			ipivs, iters, errs, err := la.BatchGesvMixed(as, bs)
-			if err != nil {
-				t.Fatalf("threads=%d: batch error: %v", threads, err)
-			}
-			if itersRef == nil {
-				itersRef = iters
-			}
-			for i := range as {
-				if errs[i] != nil {
-					t.Fatalf("threads=%d: item %d: %v", threads, i, errs[i])
-				}
-				if iters[i] != itersRef[i] {
-					t.Fatalf("threads=%d: item %d: iter %d, want %d", threads, i, iters[i], itersRef[i])
-				}
-				for k, p := range ipivs[i] {
-					if p != ipivRef[i][k] {
-						t.Fatalf("threads=%d: item %d: ipiv[%d] differs", threads, i, k)
-					}
-				}
-				if !slicesBitEqual(as[i].Data, asRef[i].Data) {
-					t.Fatalf("threads=%d: item %d: post-solve A not bit-identical to serial", threads, i)
-				}
-				if !slicesBitEqual(bs[i].Data, bsRef[i].Data) {
-					t.Fatalf("threads=%d: item %d: solution not bit-identical to serial", threads, i)
-				}
-			}
-		}()
-	}
-}
-
-// TestBatchGesvMixedPerItemErrors checks fault containment: an invalid item
-// reports its own error while the rest of the batch solves.
-func TestBatchGesvMixedPerItemErrors(t *testing.T) {
-	as := []*la.Matrix[float64]{newGen(8, 0), la.NewMatrix[float64](4, 5), newGen(6, 2)}
-	bs := []*la.Matrix[float64]{newRHS(8, 1), newRHS(4, 1), newRHS(5, 1)} // item 2: rhs mismatch
-	ipivs, iters, errs, err := la.BatchGesvMixed(as, bs)
-	if err != nil {
-		t.Fatalf("batch-level error: %v", err)
-	}
-	if errs[0] != nil {
-		t.Fatalf("valid item 0 failed: %v", errs[0])
-	}
-	if errs[1] == nil || errs[2] == nil {
-		t.Fatal("invalid items must report their own errors")
-	}
-	if iters[0] < 0 {
-		t.Fatalf("well-conditioned item 0 fell back: iter=%d", iters[0])
-	}
-	if len(ipivs[0]) != 8 {
-		t.Fatalf("ipivs[0] length %d", len(ipivs[0]))
-	}
-	// Batch-level misuse still reports via err.
-	if _, _, _, err := la.BatchGesvMixed(as, bs[:2]); err == nil {
-		t.Fatal("length mismatch must produce a batch-level error")
-	}
-}
-
 // TestMixedEnvKnob re-executes the test binary with LA90_MIXED set (read
-// once at init) and checks the process default lands; garbage keeps the
-// default off.
+// once at init) and checks the process default lands, by the one rule of
+// the boolean variables: set and not "0" means on.
 func TestMixedEnvKnob(t *testing.T) {
 	if os.Getenv("LA90_MIXED_LA_HELPER") == "1" {
-		fmt.Printf("MIXEDDEF %v\n", la.Mixed())
+		fmt.Printf("MIXEDDEF %v\n", core.Default().Mixed)
 		return
 	}
 	for _, c := range []struct {
 		env  string
 		want bool
-	}{{"1", true}, {"0", false}, {"banana", false}} {
+	}{{"1", true}, {"0", false}, {"", false}, {"yes", true}} {
 		cmd := exec.Command(os.Args[0], "-test.run", "TestMixedEnvKnob$", "-test.v")
 		cmd.Env = append(os.Environ(), "LA90_MIXED_LA_HELPER=1", "LA90_MIXED="+c.env)
 		out, err := cmd.CombinedOutput()

@@ -184,8 +184,8 @@ type SVDResult[T Scalar] struct {
 // GESVD computes the singular value decomposition A = U·Σ·Vᴴ (the paper's
 // LA_GESVD). WithSingularVectors selects how much of U and Vᴴ to form
 // (default 'S', 'S': the economy factors). A is destroyed. The drive runs
-// on the divide-and-conquer engine by default; WithQRIteration (or
-// LA90_NO_DC=1) selects the classic QR-iteration path instead.
+// on the divide-and-conquer engine by default; WithQRIteration selects the
+// classic QR-iteration path instead.
 func GESVD[T Scalar](a *Matrix[T], opts ...Opt) (result *SVDResult[T], err error) {
 	const routine = "LA_GESVD"
 	defer guard(routine, &err)

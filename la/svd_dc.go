@@ -7,34 +7,19 @@ package la
 // are accumulated in float64 and applied to the orthogonal bases with one
 // GEMM per side, and tall problems take a blocked QR first at the m ≥ 5n/3
 // crossover — the Level-3 shape the PR-1/2 engine is built for. The
-// QR-iteration path (lapack.Gesvd / lapack.Gelss) remains available as a
-// kill-switch, selectable per call with WithQRIteration, process-wide with
-// SetQRIterationSVD, or at startup with LA90_NO_DC=1; it reproduces the
-// classic Bdsqr results bit-identically.
+// QR-iteration path (lapack.Gesvd / lapack.Gelss) remains selectable per
+// call with WithQRIteration; it reproduces the classic Bdsqr results
+// bit-identically.
 
 import (
 	"repro/internal/blas"
-	"repro/internal/core"
 	"repro/internal/lapack"
 )
 
-// SetQRIterationSVD sets the process-wide default for the SVD algorithm
-// choice — true routes LA_GESVD/LA_GELSS through the classic QR-iteration
-// path — and returns the previous setting. The initial default is false
-// (divide & conquer) unless the LA90_NO_DC environment variable parses
-// to 1 (parsed once by core.FromEnv). Safe to call concurrently; calls in
-// flight keep the setting captured at their API boundary.
-func SetQRIterationSVD(on bool) bool {
-	old := core.UpdateDefault(func(c *core.Config) { c.QRIterationSVD = on })
-	return old.QRIterationSVD
-}
-
-// QRIterationSVD reports the current process-wide SVD algorithm default.
-func QRIterationSVD() bool { return core.Default().QRIterationSVD }
-
 // WithQRIteration routes this call's SVD through the classic QR-iteration
-// path (xGESVD/xGELSS) instead of divide & conquer — the kill-switch for
-// the D&C engine, bit-identical to the pre-D&C drivers.
+// path (xGESVD/xGELSS) instead of divide & conquer, bit-identical to the
+// pre-D&C drivers: the route f77 and GGSVD take, and the reference the
+// D&C agreement tests and BENCH_svd.json compare against.
 func WithQRIteration() Opt { return func(o *options) { o.qrIteration = true } }
 
 // GELSD computes the minimum-norm solution to a possibly rank-deficient
