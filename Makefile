@@ -6,9 +6,9 @@
 
 GO ?= go
 
-.PHONY: ci vet lint-globals lint-knobs build test test-portable race bench benchsmoke bench-smoke fuzzsmoke fuzz
+.PHONY: ci vet lint-globals lint-knobs lint-dispatch build test test-portable race bench benchsmoke bench-smoke fuzzsmoke fuzz
 
-ci: vet lint-globals lint-knobs build test test-portable race fuzzsmoke benchsmoke bench-smoke
+ci: vet lint-globals lint-knobs lint-dispatch build test test-portable race fuzzsmoke benchsmoke bench-smoke
 
 vet:
 	$(GO) vet ./...
@@ -48,6 +48,30 @@ lint-knobs:
 		echo "$$bad"; exit 1; \
 	fi
 	@echo "lint-knobs: ok"
+
+# One dispatch table: kernelFor (internal/blas/kernel.go) is the only place a
+# BLAS routine's kernel is chosen by element type. A `any(x).(…)` type
+# assertion in non-test internal/blas is a second dispatch point, so their
+# number may not grow past the six that are not kernel choices — the switch
+# in kernelFor itself, the per-type pool index in scratchPool (gemm.go), the
+# block-size scaling in blockFor (tuning.go), and the three lines of the
+# subFma8 shim (level3.go; a typed shim because a pointer handed to a func
+# value escapes, measured there) — and the Level-1/2 and pack-free files may
+# contain none at all.
+DISPATCH_MAX = 6
+lint-dispatch:
+	@n=$$(grep -nE 'any\([A-Za-z0-9]+\)\.\(' internal/blas/*.go | grep -vc '_test\.go:'); \
+	if [ $$n -gt $(DISPATCH_MAX) ]; then \
+		echo "lint-dispatch: $$n type-assertion lines in internal/blas, at most $(DISPATCH_MAX) allowed:"; \
+		grep -nE 'any\([A-Za-z0-9]+\)\.\(' internal/blas/*.go | grep -v '_test\.go:'; exit 1; \
+	fi
+	@bad=$$(grep -nE 'any\([A-Za-z0-9]+\)\.\(' internal/blas/level1.go internal/blas/level2*.go \
+		internal/blas/gemmsmall.go internal/blas/leaves.go internal/blas/iterate.go); \
+	if [ -n "$$bad" ]; then \
+		echo 'lint-dispatch: type assertions below the kernel table:'; \
+		echo "$$bad"; exit 1; \
+	fi
+	@echo "lint-dispatch: ok"
 
 build:
 	$(GO) build ./...
@@ -92,10 +116,10 @@ fuzz:
 # Compile-and-run check for the benchmarks: one iteration each of the GEMM
 # engine (float64, and the complex 1m rows), the factorization benchmarks
 # (square and the 4096×256 QR), the tall GELSD driver, the eigenvalue
-# iteration phase with its kernels and the per-call option overhead, no
-# timing claims.
+# iteration phase with its kernels, the Level-1/2 leaves and the per-call
+# option overhead, no timing claims.
 benchsmoke:
-	$(GO) test -run=NONE -bench='Getrf|Gemm|Geqrf|GelsdTall|Steqr|Stedc|Hseqr|RotSeq|Secular|ApplyOptions' -benchtime=1x .
+	$(GO) test -run=NONE -bench='Getrf|Gemm|Geqrf|GelsdTall|Steqr|Stedc|Hseqr|RotSeq|Secular|ApplyOptions|Level2' -benchtime=1x .
 	$(GO) run ./cmd/la90bench -reduce -maxn 256 -reps 1 -out /tmp/BENCH_reduce_smoke.json
 	$(GO) run ./cmd/la90bench -batch -maxbatch 64 -reps 1 -out /tmp/BENCH_batch_smoke.json
 	$(GO) run ./cmd/la90bench -mixed -maxn 256 -reps 1 -out /tmp/BENCH_mixed_smoke.json

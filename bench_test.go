@@ -441,24 +441,81 @@ func BenchmarkGemmParallel(b *testing.B) {
 // regenerated with `go run ./cmd/la90bench -lapack`.
 func BenchmarkGetrf(b *testing.B) {
 	for _, n := range []int{64, 256, 512, 1024} {
-		rng := lapack.NewRng([4]int{n, 3, 3, 3})
-		a0 := make([]float64, n*n)
-		lapack.Larnv(2, rng, n*n, a0)
-		b.Run("N="+itoa(n), func(b *testing.B) {
-			aw := make([]float64, n*n)
-			ipiv := make([]int, n)
-			copy(aw, a0)
-			lapack.Getrf(core.Default(), n, n, aw, n, ipiv) // untimed warm-up
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				copy(aw, a0)
-				lapack.Getrf(core.Default(), n, n, aw, n, ipiv)
-			}
-			flops := 2.0 / 3.0 * float64(n) * float64(n) * float64(n)
-			b.ReportMetric(flops*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOPS")
-		})
+		b.Run("N="+itoa(n), func(b *testing.B) { benchGetrf[float64](b, n) })
+	}
+	// The orders under the small-matrix crossover, per element type: only
+	// float64 has a dedicated small LU there (internal/lapack/smalllu.go).
+	for _, n := range []int{8, 16, 32, 64} {
+		b.Run("small/f64/N="+itoa(n), func(b *testing.B) { benchGetrf[float64](b, n) })
+		b.Run("small/f32/N="+itoa(n), func(b *testing.B) { benchGetrf[float32](b, n) })
+		b.Run("small/c64/N="+itoa(n), func(b *testing.B) { benchGetrf[complex64](b, n) })
+		b.Run("small/c128/N="+itoa(n), func(b *testing.B) { benchGetrf[complex128](b, n) })
 	}
 }
+
+func benchGetrf[T core.Scalar](b *testing.B, n int) {
+	rng := lapack.NewRng([4]int{n, 3, 3, 3})
+	a0 := make([]T, n*n)
+	lapack.Larnv(2, rng, n*n, a0)
+	aw := make([]T, n*n)
+	ipiv := make([]int, n)
+	copy(aw, a0)
+	lapack.Getrf(core.Default(), n, n, aw, n, ipiv) // untimed warm-up
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		copy(aw, a0)
+		lapack.Getrf(core.Default(), n, n, aw, n, ipiv)
+	}
+	flops := 2.0 / 3.0 * float64(n) * float64(n) * float64(n)
+	if core.IsComplex[T]() {
+		flops *= 4
+	}
+	b.ReportMetric(flops*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOPS")
+}
+
+// BenchmarkLevel2 tracks the Level-1/2 leaves every factorization panel and
+// reduction sits on, at a length where the call overhead dominates (8), one
+// in cache (64) and one streaming (512): what a change to how a leaf picks
+// its kernel (internal/blas/kernel.go) costs per call.
+func BenchmarkLevel2(b *testing.B) {
+	for _, n := range []int{8, 64, 512} {
+		benchLevel2[float64](b, "f64/N="+itoa(n), n)
+		benchLevel2[float32](b, "f32/N="+itoa(n), n)
+		benchLevel2[complex128](b, "c128/N="+itoa(n), n)
+	}
+}
+
+func benchLevel2[T core.Scalar](b *testing.B, suffix string, n int) {
+	rng := lapack.NewRng([4]int{n, 9, 9, 9})
+	a := make([]T, n*n)
+	x, x0, y := make([]T, n), make([]T, n), make([]T, n)
+	lapack.Larnv(2, rng, n*n, a)
+	lapack.Larnv(2, rng, n, x0)
+	for j := 0; j < n; j++ {
+		a[j+j*n] += core.FromFloat[T](float64(n)) // a well-conditioned triangle for Trsv
+	}
+	copy(x, x0)
+	cfg := core.Default()
+	alpha := core.FromFloat[T](0.5)
+	run := func(name string, f func()) {
+		b.Run(name+"/"+suffix, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				f()
+			}
+		})
+	}
+	run("Gemv-N", func() { blas.Gemv(cfg, blas.NoTrans, n, n, alpha, a, n, x, 1, 0, y, 1) })
+	run("Gemv-T", func() { blas.Gemv(cfg, blas.TransT, n, n, alpha, a, n, x, 1, 0, y, 1) })
+	run("Symv", func() { blas.Symv(blas.Upper, n, alpha, a, n, x, 1, 0, y, 1) })
+	run("Trsv-N", func() { copy(y, x0); blas.Trsv(blas.Lower, blas.NoTrans, blas.NonUnit, n, a, n, y, 1) })
+	run("Trsv-T", func() { copy(y, x0); blas.Trsv(blas.Lower, blas.TransT, blas.NonUnit, n, a, n, y, 1) })
+	run("Axpy", func() { blas.Axpy(n, alpha, x, 1, y, 1) })
+	run("Iamax", func() { sinkInt = blas.Iamax(n, x, 1) })
+	// Last: the rank-one update is the one case that changes its matrix.
+	run("Ger", func() { blas.Ger(n, n, core.FromFloat[T](1e-9), x, 1, x0, 1, a, n) })
+}
+
+var sinkInt int
 
 // BenchmarkPotrf tracks the recursive Cholesky, whose flops are one Trsm
 // and one Herk per level — all Level 3.

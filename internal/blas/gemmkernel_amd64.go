@@ -57,17 +57,22 @@ func dsubFma8(n int64, x, a, c *float64, ldc int64)
 //go:noescape
 func dgemvSub8(n int64, t, b *float64, ldb int64, y *float64)
 
-// daxpyFma computes y[0:n] += alpha·x[0:n], the unit-stride column step of
-// Gemv (NoTrans) and Ger. Implemented in gemmkernel_amd64.s.
+// daxpyFma computes y[i] += alpha·x[i] over x, the unit-stride column step of
+// Gemv (NoTrans) and Ger. It, ddotFma and daxpyDotFma have the signatures of
+// the kernel table's axpy, dot and axpyDot leaves (kernel.go) and are the
+// float64 asm row's entries as they stand — a Go wrapper between the row and
+// the kernel would cost a second call per matrix column. The length is that
+// of the first vector (at least 1); the other lengths and conj are not looked
+// at. Implemented in gemmkernel_amd64.s.
 //
 //go:noescape
-func daxpyFma(n int64, alpha float64, x, y *float64)
+func daxpyFma(alpha float64, x, y []float64)
 
 // ddotFma returns Σ x[i]·y[i] over unit-stride vectors, the column step of
 // the transposed Gemv.
 //
 //go:noescape
-func ddotFma(n int64, x, y *float64) float64
+func ddotFma(x, y []float64, conj bool) float64
 
 // daxpyDotFma fuses the two passes of a symmetric matrix–vector column:
 // y[0:n] += alpha·a[0:n] and the return value is Σ a[i]·x[i], so the column
@@ -75,7 +80,7 @@ func ddotFma(n int64, x, y *float64) float64
 // under the Latrd panel reductions.
 //
 //go:noescape
-func daxpyDotFma(n int64, alpha float64, a, x, y *float64) float64
+func daxpyDotFma(alpha float64, a, x, y []float64, conj bool) float64
 
 // diamaxF64 returns the index of the first element of x[0:n] with the
 // largest |x[i]|: a branch-free vector max pass, then a compare pass that

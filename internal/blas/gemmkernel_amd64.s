@@ -377,11 +377,11 @@ dgv8done:
 // func daxpyFma(n int64, alpha float64, x, y *float64)
 // y[0:n] += alpha * x[0:n]. The shared inner step of unit-stride Gemv
 // (NoTrans, one column) and Ger (one column).
-TEXT ·daxpyFma(SB), NOSPLIT, $0-32
-	MOVQ         n+0(FP), CX
-	VBROADCASTSD alpha+8(FP), Y8
-	MOVQ         x+16(FP), SI
-	MOVQ         y+24(FP), DX
+TEXT ·daxpyFma(SB), NOSPLIT, $0-56
+	VBROADCASTSD alpha+0(FP), Y8
+	MOVQ         x_base+8(FP), SI
+	MOVQ         x_len+16(FP), CX
+	MOVQ         y_base+32(FP), DX
 
 	MOVQ CX, BX
 	SHRQ $3, BX
@@ -432,10 +432,10 @@ daxpydone:
 // func ddotFma(n int64, x, y *float64) float64
 // Returns sum x[i]*y[i]. Four accumulators split the FMA chains; the
 // horizontal reduction happens once, before the scalar tail.
-TEXT ·ddotFma(SB), NOSPLIT, $0-32
-	MOVQ   n+0(FP), CX
-	MOVQ   x+8(FP), SI
-	MOVQ   y+16(FP), DX
+TEXT ·ddotFma(SB), NOSPLIT, $0-64
+	MOVQ   x_base+0(FP), SI
+	MOVQ   x_len+8(FP), CX
+	MOVQ   y_base+24(FP), DX
 	VXORPD Y0, Y0, Y0
 	VXORPD Y1, Y1, Y1
 	VXORPD Y2, Y2, Y2
@@ -498,7 +498,7 @@ ddotloop1:
 	JNZ         ddotloop1
 
 ddotdone:
-	VMOVSD     X0, ret+24(FP)
+	VMOVSD     X0, ret+56(FP)
 	VZEROUPPER
 	RET
 
@@ -507,12 +507,12 @@ ddotdone:
 // value is sum a[i]*x[i] — one read of the column a serves both the axpy
 // into y and the dot against x, which is the whole inner loop of the
 // unit-stride Symv used by the Latrd panels.
-TEXT ·daxpyDotFma(SB), NOSPLIT, $0-48
-	MOVQ         n+0(FP), CX
-	VBROADCASTSD alpha+8(FP), Y8
-	MOVQ         a+16(FP), SI
-	MOVQ         x+24(FP), AX
-	MOVQ         y+32(FP), DX
+TEXT ·daxpyDotFma(SB), NOSPLIT, $0-96
+	VBROADCASTSD alpha+0(FP), Y8
+	MOVQ         a_base+8(FP), SI
+	MOVQ         a_len+16(FP), CX
+	MOVQ         x_base+32(FP), AX
+	MOVQ         y_base+56(FP), DX
 	VXORPD       Y0, Y0, Y0
 	VXORPD       Y1, Y1, Y1
 
@@ -574,7 +574,7 @@ dadloop1:
 	JNZ         dadloop1
 
 daddone:
-	VMOVSD     X0, ret+40(FP)
+	VMOVSD     X0, ret+88(FP)
 	VZEROUPPER
 	RET
 

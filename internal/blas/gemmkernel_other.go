@@ -28,16 +28,16 @@ func dsubFma8(n int64, x, a, c *float64, ldc int64) { panic("blas: no asm kernel
 func dgemvSub8(n int64, t, b *float64, ldb int64, y *float64) {
 	panic("blas: no asm kernel")
 }
-func daxpyFma(n int64, alpha float64, x, y *float64) { panic("blas: no asm kernel") }
+func daxpyFma(alpha float64, x, y []float64) { panic("blas: no asm kernel") }
 func dluPanelF64(rows, w int64, inv float64, col, rest *float64, lda int64) int64 {
 	panic("blas: no asm kernel")
 }
 func dtrsmLLU8x4F64(groups int64, l *float64, b *float64, ldb int64) {
 	panic("blas: no asm kernel")
 }
-func diamaxF64(n int64, x *float64) int64    { panic("blas: no asm kernel") }
-func ddotFma(n int64, x, y *float64) float64 { panic("blas: no asm kernel") }
-func daxpyDotFma(n int64, alpha float64, a, x, y *float64) float64 {
+func diamaxF64(n int64, x *float64) int64       { panic("blas: no asm kernel") }
+func ddotFma(x, y []float64, conj bool) float64 { panic("blas: no asm kernel") }
+func daxpyDotFma(alpha float64, a, x, y []float64, conj bool) float64 {
 	panic("blas: no asm kernel")
 }
 func drotSeqFma(m, nrot int64, c, s *float64, cstep int64, a *float64, colStride int64, flip float64) {

@@ -16,9 +16,9 @@ import "repro/internal/core"
 //
 // Dispatch is gated by gemmSmallOK: NoTrans/NoTrans products with every
 // dimension at or below Config.GemmSmallDim (LA90_GEMM_SMALL).
-// float64 rides an AVX2 strip kernel (dgemmSmallStripF64) behind the same
-// CPUID gate as the packed kernels; every other type, and amd64-less or
-// LA90_NO_ASM builds, use the portable strided 4×4 micro-tile below.
+// The float64 asm row of the kernel table rides an AVX2 strip kernel
+// (gemmSmallF64); every other row uses the portable strided 4×4 micro-tile
+// (gemmSmallPortable).
 
 // gemmSmallOK reports whether the pack-free small-matrix path handles this
 // product: path enabled, both operands untransposed, and every dimension
@@ -29,19 +29,9 @@ func gemmSmallOK(cfg *core.Config, transA, transB Trans, m, n, k int) bool {
 		m <= d && n <= d && k <= d
 }
 
-// gemmSmall accumulates C += alpha·A·B (beta already applied by the caller)
-// over column-major operands A (m×k, stride lda) and B (k×n, stride ldb).
-// alpha must be non-zero and m, n, k positive.
-func gemmSmall[T core.Scalar](m, n, k int, alpha T, a []T, lda int, b []T, ldb int, c []T, ldc int) {
-	if asmF64() {
-		if cc, ok := any(c).([]float64); ok {
-			gemmSmallF64(m, n, k, any(alpha).(float64),
-				any(a).([]float64), lda, any(b).([]float64), ldb, cc, ldc)
-			return
-		}
-	}
-	gemmSmallPortable(m, n, k, alpha, a, lda, b, ldb, c, ldc)
-}
+// The row's small leaf accumulates C += alpha·A·B (beta already applied by
+// the caller) over column-major operands A (m×k, stride lda) and B (k×n,
+// stride ldb). alpha must be non-zero and m, n, k positive.
 
 // gemmSmallF64 tiles the product for the assembly strip kernel: each group
 // of four C columns is one kernel call covering every full 8-row strip, with

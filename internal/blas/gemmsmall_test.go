@@ -66,7 +66,7 @@ func TestGemmSmallPortableVsAsm(t *testing.T) {
 		b := randSlice[float64](rng, ldb*n)
 		c := randSlice[float64](rng, ldc*n)
 		want := append([]float64(nil), c...)
-		gemmSmall(m, n, k, 1.5, a, lda, b, ldb, c, ldc)
+		kernelFor[float64]().small(m, n, k, 1.5, a, lda, b, ldb, c, ldc)
 		gemmSmallPortable(m, n, k, 1.5, a, lda, b, ldb, want, ldc)
 		for i := range c {
 			if core.Abs(c[i]-want[i]) > 1e-12 {

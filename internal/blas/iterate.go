@@ -26,28 +26,16 @@ import (
 //
 // forward applies rotation 0 first, otherwise rotation z−2 first. Identity
 // rotations (c = 1, s = 0) are skipped, so they leave their columns
-// bit-identical. Rotations are real: a complex block is swept as the real
-// block of twice the height.
+// bit-identical. Rotations are real: the complex rows of the kernel table
+// sweep a complex block as the real block of twice the height.
 func RotSeq[T core.Scalar](forward bool, m, z int, c, s []float64, a []T, lda int) {
 	if m <= 0 || z < 2 {
 		return
 	}
-	switch av := any(a).(type) {
-	case []float64:
-		rotSeq(forward, m, z, c, s, av, lda)
-	case []float32:
-		rotSeq(forward, m, z, c, s, av, lda)
-	case []complex128:
-		rotSeq(forward, 2*m, z, c, s, realView128(av), 2*lda)
-	case []complex64:
-		rotSeq(forward, 2*m, z, c, s, realView64(av), 2*lda)
-	}
-}
-
-// rotSeq cuts the sweep at its identity rotations into maximal runs of
-// proper ones — the runs touch disjoint columns, so each is a sweep of its
-// own — and hands every run to the asm or the portable wavefront.
-func rotSeq[T core.Float](forward bool, m, z int, c, s []float64, a []T, lda int) {
+	// Cut the sweep at its identity rotations into maximal runs of proper
+	// ones — the runs touch disjoint columns, so each is a sweep of its own —
+	// and hand every run to the row's wavefront.
+	k := kernelFor[T]()
 	for j0 := 0; j0 < z-1; {
 		if c[j0] == 1 && s[j0] == 0 {
 			j0++
@@ -57,11 +45,7 @@ func rotSeq[T core.Float](forward bool, m, z int, c, s []float64, a []T, lda int
 		for j1 < z-1 && !(c[j1] == 1 && s[j1] == 0) {
 			j1++
 		}
-		if a64, ok := any(a).([]float64); ok && asmF64() {
-			rotRunAsm(forward, m, j1-j0, c[j0:j1], s[j0:j1], a64[j0*lda:], lda)
-		} else {
-			rotRun(forward, m, j1-j0, c[j0:j1], s[j0:j1], a[j0*lda:], lda)
-		}
+		k.rotRun(forward, m, j1-j0, c[j0:j1], s[j0:j1], a[j0*lda:], lda)
 		j0 = j1
 	}
 }
@@ -143,17 +127,7 @@ func Refl3(m int, x0, x1, x2 []float64, v2, v3, t1, t2, t3 float64) {
 	if m <= 0 {
 		return
 	}
-	x0, x1, x2 = x0[:m], x1[:m], x2[:m]
-	if asmF64() {
-		drefl3Fma(int64(m), &x0[0], &x1[0], &x2[0], v2, v3, t1, t2, t3)
-		return
-	}
-	for i := range x0 {
-		sum := x0[i] + v2*x1[i] + v3*x2[i]
-		x0[i] -= sum * t1
-		x1[i] -= sum * t2
-		x2[i] -= sum * t3
-	}
+	kernelFor[float64]().refl3(x0[:m], x1[:m], x2[:m], v2, v3, t1, t2, t3)
 }
 
 // Refl2 is Refl3 for the two-element reflector v = (1, v2) that ends a sweep.
@@ -161,14 +135,5 @@ func Refl2(m int, x0, x1 []float64, v2, t1, t2 float64) {
 	if m <= 0 {
 		return
 	}
-	x0, x1 = x0[:m], x1[:m]
-	if asmF64() {
-		drefl2Fma(int64(m), &x0[0], &x1[0], v2, t1, t2)
-		return
-	}
-	for i := range x0 {
-		sum := x0[i] + v2*x1[i]
-		x0[i] -= sum * t1
-		x1[i] -= sum * t2
-	}
+	kernelFor[float64]().refl2(x0[:m], x1[:m], v2, t1, t2)
 }

@@ -7,18 +7,34 @@ import (
 	"repro/internal/faultinject"
 )
 
-// The kernel table of the packed Level-3 engines (gemm.go, rankk.go): one
-// descriptor per scalar type and kernel flavour, selected once per call by
-// kernelFor. The engines themselves are type-generic and know only the
-// descriptor — the tile geometry, how operands are packed, and the two
-// routines that consume a packed tile — so supporting an element type means
-// adding a row here, not another type switch in the loops.
+// The kernel table of package blas: one descriptor per scalar type and kernel
+// flavour, selected once per call by kernelFor — the only place a routine's
+// kernel is chosen by element type. The packed Level-3 engines (gemm.go,
+// rankk.go) and the Level-1/2 routines are type-generic and know only the
+// descriptor — the tile geometry, how operands are packed, and the leaves —
+// so supporting an element type, or moving one onto a vector kernel, means
+// editing a row here, not another type switch in the loops. "Go" is the
+// portable loop of that leaf (leaves.go, and beside each engine), "view" the
+// real row's entry on the real view of the complex data:
 //
-//	type        asm row (amd64, AVX2+FMA)                 portable row
-//	float64     8×4 dgemmKernel8x4                         4×4 Go kernel
-//	float32     16×4 sgemmKernel16x4, asm pack fast paths  4×4 Go kernel
-//	complex128  1m over the float64 row (4×4 complex)      4×4 Go kernel
-//	complex64   1m over the float32 row (8×4 complex)      4×4 Go kernel
+//	leaf       float64 asm          float32 asm        complex 1m         portable
+//	micro      8×4 dgemmKernel8x4   16×4 sgemmKernel   real row's, 1m     4×4 Go
+//	packA/B    Go                   spackA16/spackB4   packA1m/packB1m    Go
+//	trsvOct    dsubFma8             ssubFma8           Go                 Go
+//	gemvSub8   dgemvSub8            sgemvSub8          Go                 Go
+//	axpy       daxpyFma             saxpyFma           Go                 Go
+//	scal       Go                   sscalFma           Go                 Go
+//	dot        ddotFma              sdotFma            Go                 Go
+//	axpyDot    daxpyDotFma          Go                 Go                 Go
+//	iamax      diamaxF64, n ≥ 16    siamaxF32, n ≥ 16  Go                 Go
+//	sumSq      ddotFma              sdotFma            view               none
+//	rotRun     drotSeqFma           Go                 view               Go (view)
+//	refl3/2    drefl3Fma/drefl2Fma  Go                 Go                 Go
+//	small      dgemmSmallStripF64   Go 4×4 tile        Go 4×4 tile        Go 4×4 tile
+//	skinny     strip kernel         Gemv per column    none               none
+//
+// The asm rows need amd64 with AVX2+FMA; the portable row of each type serves
+// LA90_NO_ASM=1, other CPUs and other ports.
 //
 // The complex asm rows use the 1m method (Van Zee, "Implementing
 // high-performance complex matrix multiplication via the 1m method"): a
@@ -54,6 +70,31 @@ type kernel[T core.Scalar] struct {
 	trsvOct  func(uplo Uplo, diag Diag, m int, a []T, lda int, b []T, ldb int)
 	gemvSub8 func(m int, t [8]T, b []T, ldb int, y []T)
 
+	// The Level-1/2 leaves, over unit-stride vectors as long as the first one
+	// (at least one element; leaves.go has the portable form of each):
+	// y += alpha·x; x *= alpha; Σ op(x_i)·y_i; the symmetric column
+	// y += alpha·a returning Σ op(a_i)·x_i; the first largest |re|+|im|. op
+	// conjugates when conj is set, which callers only do for complex T. sumSq
+	// returns Σ|x_i|² and whether it is safe to use (Nrm2), and is nil on
+	// rows without a vector dot.
+	axpy    func(alpha T, x, y []T)
+	scal    func(alpha T, x []T)
+	dot     func(x, y []T, conj bool) T
+	axpyDot func(alpha T, a, x, y []T, conj bool) T
+	iamax   func(x []T) int
+	sumSq   func(x []T) (float64, bool)
+	// rotRun carries m rows through nrot chained proper rotations (RotSeq);
+	// refl3/refl2 apply one reflector to three/two columns as long as the
+	// first (Refl3, Refl2).
+	rotRun func(forward bool, m, nrot int, c, s []float64, a []T, lda int)
+	refl3  func(x0, x1, x2 []T, v2, v3, t1, t2, t3 T)
+	refl2  func(x0, x1 []T, v2, t1, t2 T)
+	// small is the pack-free product C += alpha·A·B of gemmsmall.go; skinny,
+	// where a row has one, takes NoTrans products of n ≤ 8 columns (a block
+	// of right-hand sides) off the packed engine at any m and k.
+	small  func(m, n, k int, alpha T, a []T, lda int, b []T, ldb int, c []T, ldc int)
+	skinny func(cfg *core.Config, m, n, k int, alpha T, a []T, lda int, b []T, ldb int, c []T, ldc int)
+
 	// packA packs alpha·op(A)(i0:i0+mb, p0:p0+kb) into mr-row micro-panels,
 	// packB packs op(B)(p0:p0+kb, j0:j0+nb) into nr-column micro-panels;
 	// both zero-pad the ragged last panel.
@@ -77,13 +118,25 @@ const (
 	tileScratch = 2 * asmF32MR * asmF32NR
 )
 
-func portableKernel[T core.Scalar](trsmLeaf int) kernel[T] {
+// portableKernel is the all-Go row of element type T. rotRun and iamax are
+// the two leaves whose Go form differs between real and complex types.
+func portableKernel[T core.Scalar](trsmLeaf int, rotRun func(bool, int, int, []float64, []float64, []T, int), iamax func([]T) int) kernel[T] {
 	return kernel[T]{
 		mr: gemmMR, nr: gemmNR, kScale: 1, trsmLeaf: trsmLeaf,
 		trsvOct: trsvOct[T], gemvSub8: gemvSub8[T],
+		axpy: axpyGo[T], scal: scalGo[T], dot: dotGo[T], axpyDot: axpyDotGo[T], iamax: iamax,
+		rotRun: rotRun, refl3: refl3Go[T], refl2: refl2Go[T], small: gemmSmallPortable[T],
 		minVol: gemmPackedMinVol, smallMaxVol: math.MaxInt,
 		packA: packA[T], packB: packB[T],
 		micro: microKernel4x4[T], edge: microEdge[T],
+	}
+}
+
+// rotView is a complex row's rotRun: the rotations are real, so the block is
+// swept as the real block of twice the height by the real row's run.
+func rotView[C core.Cmplx, R core.Float](view func([]C) []R, run func(bool, int, int, []float64, []float64, []R, int)) func(bool, int, int, []float64, []float64, []C, int) {
+	return func(forward bool, m, nrot int, c, s []float64, a []C, lda int) {
+		run(forward, 2*m, nrot, c, s, view(a), 2*lda)
 	}
 }
 
@@ -93,46 +146,79 @@ func oneM[C core.Cmplx, R core.Float](rk *kernel[R], view func([]C) []R, trsmLea
 	micro := func(kb int, ap, bp, c []C, ldc int) {
 		rk.micro(2*kb, view(ap), view(bp), view(c), 2*ldc)
 	}
-	return kernel[C]{
-		mr: rk.mr / 2, nr: rk.nr, kScale: 2, trsmLeaf: trsmLeaf,
-		trsvOct: trsvOct[C], gemvSub8: gemvSub8[C],
-		minVol: gemmPackedMinVol1m, smallMaxVol: gemmPackedMinVol1m,
-		packA: func(dst []C, mr int, trans Trans, alpha C, a []C, lda int, i0, mb, p0, kb int) {
-			packA1m(view(dst), mr, trans, R(core.Re(alpha)), R(core.Im(alpha)), view(a), lda, i0, mb, p0, kb)
-		},
-		packB: func(dst []C, nr int, trans Trans, b []C, ldb int, p0, kb, j0, nb int) {
-			packB1m(view(dst), nr, trans, view(b), ldb, p0, kb, j0, nb)
-		},
-		micro: micro,
-		// Ragged tiles run the full-tile kernel into the scratch tile (the
-		// packed panels are zero-padded) and add the live part to C: the
-		// scalar edge kernel is several times slower, and with every
-		// n < nr product made of edge tiles only that would show.
-		edge: func(kb, mr, nr int, ap, bp, c []C, ldc, rows, cols int, tile []C) {
-			tile = tile[:mr*nr]
-			clear(tile)
-			micro(kb, ap, bp, tile, mr)
-			for j := 0; j < cols; j++ {
-				col := c[j*ldc : j*ldc+rows]
-				for i, v := range tile[j*mr : j*mr+rows] {
-					col[i] += v
-				}
-			}
-		},
+	// The Level-1/2 leaves stay on the Go loops, but for the two that are
+	// real operations on the real view: the sum of squares and the rotations.
+	k := portableKernel(trsmLeaf, rotView(view, rk.rotRun), iamaxGo[C])
+	k.sumSq = func(x []C) (float64, bool) { return rk.sumSq(view(x)) }
+	k.mr, k.nr, k.kScale = rk.mr/2, rk.nr, 2
+	k.minVol, k.smallMaxVol = gemmPackedMinVol1m, gemmPackedMinVol1m
+	k.micro = micro
+	k.packA = func(dst []C, mr int, trans Trans, alpha C, a []C, lda int, i0, mb, p0, kb int) {
+		packA1m(view(dst), mr, trans, R(core.Re(alpha)), R(core.Im(alpha)), view(a), lda, i0, mb, p0, kb)
 	}
+	k.packB = func(dst []C, nr int, trans Trans, b []C, ldb int, p0, kb, j0, nb int) {
+		packB1m(view(dst), nr, trans, view(b), ldb, p0, kb, j0, nb)
+	}
+	// Ragged tiles run the full-tile kernel into the scratch tile (the
+	// packed panels are zero-padded) and add the live part to C: the scalar
+	// edge kernel is several times slower, and with every n < nr product
+	// made of edge tiles only that would show.
+	k.edge = func(kb, mr, nr int, ap, bp, c []C, ldc, rows, cols int, tile []C) {
+		tile = tile[:mr*nr]
+		clear(tile)
+		micro(kb, ap, bp, tile, mr)
+		for j := 0; j < cols; j++ {
+			col := c[j*ldc : j*ldc+rows]
+			for i, v := range tile[j*mr : j*mr+rows] {
+				col[i] += v
+			}
+		}
+	}
+	return k
 }
 
 var (
-	kernGoF64  = portableKernel[float64](trsmLeafSize)
-	kernGoF32  = portableKernel[float32](trsmLeafSizeF32)
-	kernGoC128 = portableKernel[complex128](trsmLeafSize)
-	kernGoC64  = portableKernel[complex64](trsmLeafSize)
+	kernGoF64  = portableKernel(trsmLeafSize, rotRun[float64], iamaxFloat[float64])
+	kernGoF32  = portableKernel(trsmLeafSizeF32, rotRun[float32], iamaxFloat[float32])
+	kernGoC128 = portableKernel(trsmLeafSize, rotView(realView128, rotRun[float64]), iamaxGo[complex128])
+	kernGoC64  = portableKernel(trsmLeafSize, rotView(realView64, rotRun[float32]), iamaxGo[complex64])
 
 	kernAsmF64 = kernel[float64]{
 		mr: asmF64MR, nr: asmF64NR, kScale: 1, trsmLeaf: trsmLeafSize,
 		trsvOct: trsvOctFma[float64],
 		gemvSub8: func(m int, t [8]float64, b []float64, ldb int, y []float64) {
 			dgemvSub8(int64(m), &t[0], &b[0], int64(ldb), &y[0])
+		},
+		axpy: daxpyFma, dot: ddotFma, axpyDot: daxpyDotFma,
+		scal: scalGo[float64],
+		iamax: func(x []float64) int {
+			if len(x) >= iamaxAsmMin && x[0] == x[0] {
+				return int(diamaxF64(int64(len(x)), &x[0]))
+			}
+			return iamaxFloat(x)
+		},
+		// The sum-of-squares windows: a sum of non-negative FMA terms is only
+		// ever wrong by overflow — then it is Inf, as it is for Inf input, and
+		// NaN input gives NaN — or by terms lost below the subnormal
+		// threshold, which cannot matter once the total is a factor 1/ε clear
+		// of it; 1e±280 for float64 lanes and 1e±28 for float32 keep a wide
+		// margin on top of that.
+		sumSq: func(x []float64) (float64, bool) {
+			s := ddotFma(x, x, false)
+			return s, s > 1e-280 && s < 1e280
+		},
+		rotRun: rotRunAsm,
+		refl3: func(x0, x1, x2 []float64, v2, v3, t1, t2, t3 float64) {
+			drefl3Fma(int64(len(x0)), &x0[0], &x1[0], &x2[0], v2, v3, t1, t2, t3)
+		},
+		refl2: func(x0, x1 []float64, v2, t1, t2 float64) {
+			drefl2Fma(int64(len(x0)), &x0[0], &x1[0], v2, t1, t2)
+		},
+		small: gemmSmallF64,
+		// The packed engine would copy all of A to produce a few columns;
+		// the strip kernel makes one pass of A per four columns of C.
+		skinny: func(_ *core.Config, m, n, k int, alpha float64, a []float64, lda int, b []float64, ldb int, c []float64, ldc int) {
+			gemmSmallF64(m, n, k, alpha, a, lda, b, ldb, c, ldc)
 		},
 		minVol: gemmPackedMinVolAsm, smallMaxVol: math.MaxInt,
 		packA: packA[float64], packB: packB[float64],
@@ -147,6 +233,19 @@ var (
 		gemvSub8: func(m int, t [8]float32, b []float32, ldb int, y []float32) {
 			sgemvSub8(int64(m), &t[0], &b[0], int64(ldb), &y[0])
 		},
+		axpy: saxpyFma, scal: sscalFma, dot: sdotFma, axpyDot: axpyDotGo[float32],
+		iamax: func(x []float32) int {
+			if len(x) >= iamaxAsmMin && x[0] == x[0] {
+				return int(siamaxF32(int64(len(x)), &x[0]))
+			}
+			return iamaxFloat(x)
+		},
+		sumSq: func(x []float32) (float64, bool) {
+			s := float64(sdotFma(x, x, false))
+			return s, s > 1e-28 && s < 1e28
+		},
+		rotRun: rotRun[float32], refl3: refl3Go[float32], refl2: refl2Go[float32],
+		small:  gemmSmallPortable[float32],
 		minVol: gemmPackedMinVolAsm, smallMaxVol: math.MaxInt,
 		packA: packAF32, packB: packBF32,
 		micro: func(kb int, ap, bp, c []float32, ldc int) {
@@ -157,6 +256,18 @@ var (
 	kern1mC128 = oneM(&kernAsmF64, realView128, trsmLeafSizeC128)
 	kern1mC64  = oneM(&kernAsmF32, realView64, trsmLeafSizeC64)
 )
+
+// The float32 skinny product is one vectorized column sweep per column of C
+// (the recursive LU panels of the mixed-precision solvers issue this shape
+// constantly). Gemv itself looks its row up in the table, so the entry cannot
+// be part of the row's initializer.
+func init() {
+	kernAsmF32.skinny = func(cfg *core.Config, m, n, k int, alpha float32, a []float32, lda int, b []float32, ldb int, c []float32, ldc int) {
+		for j := 0; j < n; j++ {
+			Gemv(cfg, NoTrans, m, k, alpha, a, lda, b[j*ldb:], 1, 1, c[j*ldc:], 1)
+		}
+	}
+}
 
 // asmF64/asmF32 report whether the assembly kernels may be used right now:
 // the static CPU + LA90_NO_ASM gate, minus the test-only fault-injection

@@ -130,13 +130,13 @@ func testRankKPacked[T core.Scalar](t *testing.T) {
 							scaleTriangle(uplo, n, 0.5, c, n)
 							syrkEngine(cfg, uplo, tr, n, k, alpha, a, lda, c, n, false)
 						},
-						op: func(c []T) { syrkBase(uplo, tr, n, k, alpha, a, lda, 0.5, c, n) }},
+						op: func(c []T) { rankKBase(uplo, tr, n, k, alpha, a, lda, 0.5, c, n, false) }},
 					{name: "Herk", hermitian: true,
 						engine: func(c []T) {
 							scaleTriangle(uplo, n, 0.5, c, n)
 							syrkEngine(cfg, uplo, ctr, n, k, -1, a, lda, c, n, core.IsComplex[T]())
 						},
-						op: func(c []T) { herkBase(uplo, ctr, n, k, -1, a, lda, 0.5, c, n) }},
+						op: func(c []T) { rankKBase(uplo, ctr, n, k, -1, a, lda, 0.5, c, n, core.IsComplex[T]()) }},
 					{name: "Syr2k",
 						engine: func(c []T) {
 							scaleTriangle(uplo, n, 0.5, c, n)

@@ -159,7 +159,7 @@ func TestIamaxF32AsmVsScalar(t *testing.T) {
 				lo, hi := min(i, j), max(i, j)
 				x[lo], x[hi] = 8, -8
 			}
-			want := iamaxFloat(n, x)
+			want := iamaxFloat(x[:n])
 			if got := Iamax(n, x, 1); got != want {
 				t.Fatalf("n=%d rep=%d: Iamax=%d want %d (x=%v)", n, rep, got, want, x)
 			}
@@ -167,7 +167,7 @@ func TestIamaxF32AsmVsScalar(t *testing.T) {
 	}
 	// Interior NaN: both paths skip it (comparisons with NaN are false).
 	x := []float32{1, float32(math.NaN()), 3, -2, float32(math.NaN()), 2, 1, 0, 1, 2, 3, 4, -5, 1, 2, 3, 0, 1}
-	if got, want := Iamax(len(x), x, 1), iamaxFloat(len(x), x); got != want {
+	if got, want := Iamax(len(x), x, 1), iamaxFloat(x); got != want {
 		t.Fatalf("interior NaN: Iamax=%d want %d", got, want)
 	}
 }

@@ -31,245 +31,48 @@ func Gbmv[T core.Scalar](trans Trans, m, n, kl, ku int, alpha T, ab []T, ldab in
 	if alpha == 0 {
 		return
 	}
+	conj := realTrans[T](trans) == ConjTrans
 	for j := 0; j < n; j++ {
 		lo := max(0, j-ku)
 		hi := min(m-1, j+kl)
-		col := ab[j*ldab:]
-		switch trans {
-		case NoTrans:
-			t := alpha * x[j*incX]
-			for i := lo; i <= hi; i++ {
-				y[i*incY] += t * col[ku+i-j]
-			}
-		case TransT:
-			var sum T
-			for i := lo; i <= hi; i++ {
-				sum += col[ku+i-j] * x[i*incX]
-			}
-			y[j*incY] += alpha * sum
-		case ConjTrans:
-			var sum T
-			for i := lo; i <= hi; i++ {
-				sum += core.Conj(col[ku+i-j]) * x[i*incX]
-			}
-			y[j*incY] += alpha * sum
+		var col []T // empty when column j lies wholly outside the band
+		if hi >= lo {
+			col = ab[j*ldab+ku+lo-j : j*ldab+ku+hi-j+1]
+		}
+		if trans == NoTrans {
+			axpyInc(alpha*x[j*incX], col, from(y, lo, incY), incY, false)
+		} else {
+			y[j*incY] += alpha * dotAcc(0, col, from(x, lo, incX), incX, conj, false, false)
 		}
 	}
+}
+
+func bandTri[T core.Scalar](uplo Uplo, n, k int, ab []T, ldab int) *triCols[T] {
+	if n > 0 {
+		checkLD(k+1, ldab)
+	}
+	return &triCols[T]{ab, uplo, n, ldab, k}
 }
 
 // Sbmv computes y = alpha*A*x + beta*y for a symmetric band matrix A with k
 // super-diagonals stored in the uplo triangle of band storage.
 func Sbmv[T core.Scalar](uplo Uplo, n, k int, alpha T, ab []T, ldab int, x []T, incX int, beta T, y []T, incY int) {
-	sbHbmv(uplo, n, k, alpha, ab, ldab, x, incX, beta, y, incY, false)
+	symHemv(bandTri(uplo, n, k, ab, ldab), alpha, x, incX, beta, y, incY, false)
 }
 
 // Hbmv is the Hermitian band analogue of Sbmv.
 func Hbmv[T core.Scalar](uplo Uplo, n, k int, alpha T, ab []T, ldab int, x []T, incX int, beta T, y []T, incY int) {
-	sbHbmv(uplo, n, k, alpha, ab, ldab, x, incX, beta, y, incY, true)
-}
-
-func sbHbmv[T core.Scalar](uplo Uplo, n, k int, alpha T, ab []T, ldab int, x []T, incX int, beta T, y []T, incY int, conj bool) {
-	if n == 0 {
-		return
-	}
-	checkLD(k+1, ldab)
-	checkInc(incX)
-	checkInc(incY)
-	cj := func(v T) T {
-		if conj {
-			return core.Conj(v)
-		}
-		return v
-	}
-	for i, iy := 0, 0; i < n; i, iy = i+1, iy+incY {
-		if beta == 0 {
-			y[iy] = 0
-		} else {
-			y[iy] *= beta
-		}
-	}
-	if alpha == 0 {
-		return
-	}
-	for j := 0; j < n; j++ {
-		col := ab[j*ldab:]
-		t1 := alpha * x[j*incX]
-		var t2 T
-		if uplo == Upper {
-			// Column j holds rows max(0,j-k)..j at offset k+i-j.
-			lo := max(0, j-k)
-			for i := lo; i < j; i++ {
-				v := col[k+i-j]
-				y[i*incY] += t1 * v
-				t2 += cj(v) * x[i*incX]
-			}
-			d := col[k]
-			if conj {
-				d = core.FromFloat[T](core.Re(d))
-			}
-			y[j*incY] += t1*d + alpha*t2
-		} else {
-			// Column j holds rows j..min(n-1,j+k) at offset i-j.
-			d := col[0]
-			if conj {
-				d = core.FromFloat[T](core.Re(d))
-			}
-			y[j*incY] += t1 * d
-			hi := min(n-1, j+k)
-			for i := j + 1; i <= hi; i++ {
-				v := col[i-j]
-				y[i*incY] += t1 * v
-				t2 += cj(v) * x[i*incX]
-			}
-			y[j*incY] += alpha * t2
-		}
-	}
+	symHemv(bandTri(uplo, n, k, ab, ldab), alpha, x, incX, beta, y, incY, core.IsComplex[T]())
 }
 
 // Tbsv solves op(A)*x = b for a triangular band matrix A with k off-
 // diagonals; b is passed in x and overwritten.
 func Tbsv[T core.Scalar](uplo Uplo, trans Trans, diag Diag, n, k int, ab []T, ldab int, x []T, incX int) {
-	if n == 0 {
-		return
-	}
-	checkLD(k+1, ldab)
-	checkInc(incX)
-	nonUnit := diag == NonUnit
-	cj := func(v T) T { return v }
-	if trans == ConjTrans {
-		cj = core.Conj[T]
-	}
-	switch {
-	case trans == NoTrans && uplo == Upper:
-		for j := n - 1; j >= 0; j-- {
-			col := ab[j*ldab:]
-			if x[j*incX] != 0 {
-				if nonUnit {
-					x[j*incX] = core.Div(x[j*incX], col[k])
-				}
-				t := x[j*incX]
-				lo := max(0, j-k)
-				for i := j - 1; i >= lo; i-- {
-					x[i*incX] -= t * col[k+i-j]
-				}
-			}
-		}
-	case trans == NoTrans && uplo == Lower:
-		for j := 0; j < n; j++ {
-			col := ab[j*ldab:]
-			if x[j*incX] != 0 {
-				if nonUnit {
-					x[j*incX] = core.Div(x[j*incX], col[0])
-				}
-				t := x[j*incX]
-				hi := min(n-1, j+k)
-				for i := j + 1; i <= hi; i++ {
-					x[i*incX] -= t * col[i-j]
-				}
-			}
-		}
-	case uplo == Upper: // Trans/ConjTrans
-		for j := 0; j < n; j++ {
-			col := ab[j*ldab:]
-			t := x[j*incX]
-			lo := max(0, j-k)
-			for i := lo; i < j; i++ {
-				t -= cj(col[k+i-j]) * x[i*incX]
-			}
-			if nonUnit {
-				t = core.Div(t, cj(col[k]))
-			}
-			x[j*incX] = t
-		}
-	default: // Trans/ConjTrans, Lower
-		for j := n - 1; j >= 0; j-- {
-			col := ab[j*ldab:]
-			t := x[j*incX]
-			hi := min(n-1, j+k)
-			for i := hi; i > j; i-- {
-				t -= cj(col[i-j]) * x[i*incX]
-			}
-			if nonUnit {
-				t = core.Div(t, cj(col[0]))
-			}
-			x[j*incX] = t
-		}
-	}
+	triSolve(bandTri(uplo, n, k, ab, ldab), nil, trans, diag, x, incX)
 }
 
 // Tbmv computes x = op(A)*x for a triangular band matrix A with k
-// off-diagonals.
+// off-diagonals. (Only the Upper sweep skips the axpy of a zero x_j.)
 func Tbmv[T core.Scalar](uplo Uplo, trans Trans, diag Diag, n, k int, ab []T, ldab int, x []T, incX int) {
-	if n == 0 {
-		return
-	}
-	checkLD(k+1, ldab)
-	checkInc(incX)
-	nonUnit := diag == NonUnit
-	cj := func(v T) T { return v }
-	if trans == ConjTrans {
-		cj = core.Conj[T]
-	}
-	switch {
-	case trans == NoTrans && uplo == Upper:
-		for j := 0; j < n; j++ {
-			col := ab[j*ldab:]
-			if x[j*incX] == 0 {
-				if nonUnit {
-					x[j*incX] *= col[k]
-				}
-				continue
-			}
-			t := x[j*incX]
-			lo := max(0, j-k)
-			for i := lo; i < j; i++ {
-				x[i*incX] += t * col[k+i-j]
-			}
-			if nonUnit {
-				x[j*incX] *= col[k]
-			}
-		}
-	case trans == NoTrans && uplo == Lower:
-		for j := n - 1; j >= 0; j-- {
-			col := ab[j*ldab:]
-			t := x[j*incX]
-			hi := min(n-1, j+k)
-			for i := hi; i > j; i-- {
-				x[i*incX] += t * col[i-j]
-			}
-			if nonUnit {
-				x[j*incX] *= col[0]
-			}
-		}
-	case uplo == Upper: // Trans/ConjTrans
-		for j := n - 1; j >= 0; j-- {
-			col := ab[j*ldab:]
-			var t T
-			if nonUnit {
-				t = cj(col[k]) * x[j*incX]
-			} else {
-				t = x[j*incX]
-			}
-			lo := max(0, j-k)
-			for i := lo; i < j; i++ {
-				t += cj(col[k+i-j]) * x[i*incX]
-			}
-			x[j*incX] = t
-		}
-	default: // Trans/ConjTrans, Lower
-		for j := 0; j < n; j++ {
-			col := ab[j*ldab:]
-			var t T
-			if nonUnit {
-				t = cj(col[0]) * x[j*incX]
-			} else {
-				t = x[j*incX]
-			}
-			hi := min(n-1, j+k)
-			for i := j + 1; i <= hi; i++ {
-				t += cj(col[i-j]) * x[i*incX]
-			}
-			x[j*incX] = t
-		}
-	}
+	triMulStored(bandTri(uplo, n, k, ab, ldab), uplo == Upper, trans, diag, x, incX)
 }

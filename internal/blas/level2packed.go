@@ -17,306 +17,86 @@ func PackIdx(uplo Uplo, n, i, j int) int {
 	return i - j + j*(2*n-j+1)/2
 }
 
+func packedTri[T core.Scalar](uplo Uplo, n int, ap []T) *triCols[T] {
+	return &triCols[T]{ap, uplo, n, 0, -1}
+}
+
 // Spmv computes y = alpha*A*x + beta*y for a symmetric matrix A in packed
 // storage.
 func Spmv[T core.Scalar](uplo Uplo, n int, alpha T, ap []T, x []T, incX int, beta T, y []T, incY int) {
-	spHpmv(uplo, n, alpha, ap, x, incX, beta, y, incY, false)
+	symHemv(packedTri(uplo, n, ap), alpha, x, incX, beta, y, incY, false)
 }
 
 // Hpmv computes y = alpha*A*x + beta*y for a Hermitian matrix A in packed
 // storage.
 func Hpmv[T core.Scalar](uplo Uplo, n int, alpha T, ap []T, x []T, incX int, beta T, y []T, incY int) {
-	spHpmv(uplo, n, alpha, ap, x, incX, beta, y, incY, true)
-}
-
-func spHpmv[T core.Scalar](uplo Uplo, n int, alpha T, ap []T, x []T, incX int, beta T, y []T, incY int, conj bool) {
-	if n == 0 {
-		return
-	}
-	checkInc(incX)
-	checkInc(incY)
-	cj := func(v T) T {
-		if conj {
-			return core.Conj(v)
-		}
-		return v
-	}
-	for i, iy := 0, 0; i < n; i, iy = i+1, iy+incY {
-		if beta == 0 {
-			y[iy] = 0
-		} else {
-			y[iy] *= beta
-		}
-	}
-	if alpha == 0 {
-		return
-	}
-	for j := 0; j < n; j++ {
-		t1 := alpha * x[j*incX]
-		var t2 T
-		if uplo == Upper {
-			base := j * (j + 1) / 2
-			for i := 0; i < j; i++ {
-				v := ap[base+i]
-				y[i*incY] += t1 * v
-				t2 += cj(v) * x[i*incX]
-			}
-			d := ap[base+j]
-			if conj {
-				d = core.FromFloat[T](core.Re(d))
-			}
-			y[j*incY] += t1*d + alpha*t2
-		} else {
-			base := j * (2*n - j + 1) / 2
-			d := ap[base]
-			if conj {
-				d = core.FromFloat[T](core.Re(d))
-			}
-			y[j*incY] += t1 * d
-			for i := j + 1; i < n; i++ {
-				v := ap[base+i-j]
-				y[i*incY] += t1 * v
-				t2 += cj(v) * x[i*incX]
-			}
-			y[j*incY] += alpha * t2
-		}
-	}
+	symHemv(packedTri(uplo, n, ap), alpha, x, incX, beta, y, incY, core.IsComplex[T]())
 }
 
 // Spr computes the symmetric packed rank-one update A += alpha*x*xᵀ.
 func Spr[T core.Scalar](uplo Uplo, n int, alpha T, x []T, incX int, ap []T) {
-	if n == 0 || alpha == 0 {
-		return
-	}
-	checkInc(incX)
-	for j := 0; j < n; j++ {
-		t := alpha * x[j*incX]
-		if t == 0 {
-			continue
-		}
-		if uplo == Upper {
-			base := j * (j + 1) / 2
-			for i := 0; i <= j; i++ {
-				ap[base+i] += x[i*incX] * t
-			}
-		} else {
-			base := j * (2*n - j + 1) / 2
-			for i := j; i < n; i++ {
-				ap[base+i-j] += x[i*incX] * t
-			}
-		}
-	}
+	syrHer(packedTri(uplo, n, ap), alpha, x, incX, false)
 }
 
 // Hpr computes the Hermitian packed rank-one update A += alpha*x*xᴴ with
 // real alpha.
 func Hpr[T core.Scalar](uplo Uplo, n int, alpha float64, x []T, incX int, ap []T) {
-	if n == 0 || alpha == 0 {
-		return
-	}
-	checkInc(incX)
-	al := core.FromFloat[T](alpha)
-	for j := 0; j < n; j++ {
-		t := al * core.Conj(x[j*incX])
-		if uplo == Upper {
-			base := j * (j + 1) / 2
-			for i := 0; i < j; i++ {
-				ap[base+i] += x[i*incX] * t
-			}
-			ap[base+j] = core.FromFloat[T](core.Re(ap[base+j]) + core.Re(x[j*incX]*t))
-		} else {
-			base := j * (2*n - j + 1) / 2
-			ap[base] = core.FromFloat[T](core.Re(ap[base]) + core.Re(x[j*incX]*t))
-			for i := j + 1; i < n; i++ {
-				ap[base+i-j] += x[i*incX] * t
-			}
-		}
-	}
+	syrHer(packedTri(uplo, n, ap), core.FromFloat[T](alpha), x, incX, true)
 }
 
 // Spr2 computes the symmetric packed rank-two update
 // A += alpha*x*yᵀ + alpha*y*xᵀ.
 func Spr2[T core.Scalar](uplo Uplo, n int, alpha T, x []T, incX int, y []T, incY int, ap []T) {
-	if n == 0 || alpha == 0 {
-		return
-	}
-	checkInc(incX)
-	checkInc(incY)
-	for j := 0; j < n; j++ {
-		t1 := alpha * y[j*incY]
-		t2 := alpha * x[j*incX]
-		if uplo == Upper {
-			base := j * (j + 1) / 2
-			for i := 0; i <= j; i++ {
-				ap[base+i] += x[i*incX]*t1 + y[i*incY]*t2
-			}
-		} else {
-			base := j * (2*n - j + 1) / 2
-			for i := j; i < n; i++ {
-				ap[base+i-j] += x[i*incX]*t1 + y[i*incY]*t2
-			}
-		}
-	}
+	syr2Her2(packedTri(uplo, n, ap), alpha, x, incX, y, incY, false)
 }
 
 // Hpr2 computes the Hermitian packed rank-two update
 // A += alpha*x*yᴴ + conj(alpha)*y*xᴴ.
 func Hpr2[T core.Scalar](uplo Uplo, n int, alpha T, x []T, incX int, y []T, incY int, ap []T) {
-	if n == 0 || alpha == 0 {
-		return
-	}
-	checkInc(incX)
-	checkInc(incY)
-	for j := 0; j < n; j++ {
-		t1 := alpha * core.Conj(y[j*incY])
-		t2 := core.Conj(alpha) * core.Conj(x[j*incX])
-		if uplo == Upper {
-			base := j * (j + 1) / 2
-			for i := 0; i < j; i++ {
-				ap[base+i] += x[i*incX]*t1 + y[i*incY]*t2
-			}
-			ap[base+j] = core.FromFloat[T](core.Re(ap[base+j]) + core.Re(x[j*incX]*t1+y[j*incY]*t2))
-		} else {
-			base := j * (2*n - j + 1) / 2
-			ap[base] = core.FromFloat[T](core.Re(ap[base]) + core.Re(x[j*incX]*t1+y[j*incY]*t2))
-			for i := j + 1; i < n; i++ {
-				ap[base+i-j] += x[i*incX]*t1 + y[i*incY]*t2
-			}
-		}
-	}
+	syr2Her2(packedTri(uplo, n, ap), alpha, x, incX, y, incY, core.IsComplex[T]())
 }
 
 // Tpmv computes x = op(A)*x for a triangular matrix A in packed storage.
 func Tpmv[T core.Scalar](uplo Uplo, trans Trans, diag Diag, n int, ap []T, x []T, incX int) {
-	if n == 0 {
-		return
-	}
-	checkInc(incX)
-	nonUnit := diag == NonUnit
-	cj := func(v T) T { return v }
-	if trans == ConjTrans {
-		cj = core.Conj[T]
-	}
-	switch {
-	case trans == NoTrans && uplo == Upper:
-		for j := 0; j < n; j++ {
-			base := j * (j + 1) / 2
-			t := x[j*incX]
-			if t != 0 {
-				for i := 0; i < j; i++ {
-					x[i*incX] += t * ap[base+i]
-				}
-			}
-			if nonUnit {
-				x[j*incX] *= ap[base+j]
-			}
-		}
-	case trans == NoTrans && uplo == Lower:
-		for j := n - 1; j >= 0; j-- {
-			base := j * (2*n - j + 1) / 2
-			t := x[j*incX]
-			if t != 0 {
-				for i := n - 1; i > j; i-- {
-					x[i*incX] += t * ap[base+i-j]
-				}
-			}
-			if nonUnit {
-				x[j*incX] *= ap[base]
-			}
-		}
-	case uplo == Upper: // Trans/ConjTrans
-		for j := n - 1; j >= 0; j-- {
-			base := j * (j + 1) / 2
-			var t T
-			if nonUnit {
-				t = cj(ap[base+j]) * x[j*incX]
-			} else {
-				t = x[j*incX]
-			}
-			for i := 0; i < j; i++ {
-				t += cj(ap[base+i]) * x[i*incX]
-			}
-			x[j*incX] = t
-		}
-	default: // Trans/ConjTrans, Lower
-		for j := 0; j < n; j++ {
-			base := j * (2*n - j + 1) / 2
-			var t T
-			if nonUnit {
-				t = cj(ap[base]) * x[j*incX]
-			} else {
-				t = x[j*incX]
-			}
-			for i := j + 1; i < n; i++ {
-				t += cj(ap[base+i-j]) * x[i*incX]
-			}
-			x[j*incX] = t
-		}
-	}
+	triMulStored(packedTri(uplo, n, ap), true, trans, diag, x, incX)
 }
 
 // Tpsv solves op(A)*x = b for a triangular matrix A in packed storage; b is
 // passed in x and overwritten.
 func Tpsv[T core.Scalar](uplo Uplo, trans Trans, diag Diag, n int, ap []T, x []T, incX int) {
-	if n == 0 {
-		return
-	}
+	triSolve(packedTri(uplo, n, ap), nil, trans, diag, x, incX)
+}
+
+// triMulStored is x ← op(A)·x for the packed and band layouts (the dense
+// Trmv differs in its zero shortcut and in the order of its dots). skipZero
+// says whether a zero x_j skips its column's axpy.
+func triMulStored[T core.Scalar](cols *triCols[T], skipZero bool, trans Trans, diag Diag, x []T, incX int) {
 	checkInc(incX)
-	nonUnit := diag == NonUnit
-	cj := func(v T) T { return v }
-	if trans == ConjTrans {
-		cj = core.Conj[T]
+	n := cols.n
+	conj := realTrans[T](trans) == ConjTrans
+	j, step := 0, 1
+	if (cols.uplo == Upper) != (trans == NoTrans) {
+		j, step = n-1, -1
 	}
-	switch {
-	case trans == NoTrans && uplo == Upper:
-		for j := n - 1; j >= 0; j-- {
-			base := j * (j + 1) / 2
-			if x[j*incX] != 0 {
-				if nonUnit {
-					x[j*incX] = core.Div(x[j*incX], ap[base+j])
-				}
-				t := x[j*incX]
-				for i := j - 1; i >= 0; i-- {
-					x[i*incX] -= t * ap[base+i]
-				}
+	for ; j >= 0 && j < n; j += step {
+		off, lo, d := cols.offDiag(j)
+		xj := &x[j*incX]
+		if trans == NoTrans {
+			if *xj != 0 || !skipZero {
+				axpyInc(*xj, off, from(x, lo, incX), incX, false)
 			}
+			if diag == NonUnit {
+				*xj *= d
+			}
+			continue
 		}
-	case trans == NoTrans && uplo == Lower:
-		for j := 0; j < n; j++ {
-			base := j * (2*n - j + 1) / 2
-			if x[j*incX] != 0 {
-				if nonUnit {
-					x[j*incX] = core.Div(x[j*incX], ap[base])
-				}
-				t := x[j*incX]
-				for i := j + 1; i < n; i++ {
-					x[i*incX] -= t * ap[base+i-j]
-				}
+		t := *xj
+		if diag == NonUnit {
+			if conj {
+				d = core.Conj(d)
 			}
+			t = d * t
 		}
-	case uplo == Upper: // Trans/ConjTrans
-		for j := 0; j < n; j++ {
-			base := j * (j + 1) / 2
-			t := x[j*incX]
-			for i := 0; i < j; i++ {
-				t -= cj(ap[base+i]) * x[i*incX]
-			}
-			if nonUnit {
-				t = core.Div(t, cj(ap[base+j]))
-			}
-			x[j*incX] = t
-		}
-	default: // Trans/ConjTrans, Lower
-		for j := n - 1; j >= 0; j-- {
-			base := j * (2*n - j + 1) / 2
-			t := x[j*incX]
-			for i := n - 1; i > j; i-- {
-				t -= cj(ap[base+i-j]) * x[i*incX]
-			}
-			if nonUnit {
-				t = core.Div(t, cj(ap[base]))
-			}
-			x[j*incX] = t
-		}
+		*xj = dotAcc(t, off, from(x, lo, incX), incX, conj, false, false)
 	}
 }

@@ -73,31 +73,12 @@ func Gemm[T core.Scalar](cfg *core.Config, transA, transB Trans, m, n, k int, al
 	if gemmSmallOK(cfg, transA, transB, m, n, k) && m*n*k < kern.smallMaxVol {
 		// Pack-free small-matrix regime: the micro-kernel runs directly on
 		// the caller's strided operands, no pack buffers and no Fork.
-		gemmSmall(m, n, k, alpha, a, lda, b, ldb, c, ldc)
+		kern.small(m, n, k, alpha, a, lda, b, ldb, c, ldc)
 		return
 	}
-	if n <= 8 && transA == NoTrans && transB == NoTrans && asmF64() {
-		if _, ok := any(c).([]float64); ok {
-			// Skinny float64 product (a block of right-hand sides): the
-			// packed engine would copy all of A to produce a few columns,
-			// so run the pack-free strip kernel over the strided operands —
-			// one pass of A per four columns of C.
-			gemmSmall(m, n, k, alpha, a, lda, b, ldb, c, ldc)
-			return
-		}
-	}
-	if n <= 8 && transA == NoTrans && transB == NoTrans && asmF32() {
-		if _, ok := any(c).([]float32); ok {
-			// Skinny float32 product: same rationale as the float64 strip
-			// dispatch above, as one vectorized column sweep per column of
-			// C. The recursive LU panels of the mixed-precision solvers
-			// issue this shape constantly.
-			for j := 0; j < n; j++ {
-				Gemv(cfg, NoTrans, m, k, alpha, a, lda, b[j*ldb:], 1,
-					core.FromFloat[T](1), c[j*ldc:], 1)
-			}
-			return
-		}
+	if n <= 8 && transA == NoTrans && transB == NoTrans && kern.skinny != nil {
+		kern.skinny(cfg, m, n, k, alpha, a, lda, b, ldb, c, ldc)
+		return
 	}
 	// With an assembly micro-kernel the packed engine overtakes the naive
 	// loop far sooner: packing cost is linear in the operand sizes while the
@@ -371,7 +352,7 @@ func Syrk[T core.Scalar](cfg *core.Config, uplo Uplo, trans Trans, n, k int, alp
 	}
 	checkLD(n, ldc)
 	if n*n*k < packedMinVol[T]() {
-		syrkBase(uplo, trans, n, k, alpha, a, lda, beta, c, ldc)
+		rankKBase(uplo, trans, n, k, alpha, a, lda, beta, c, ldc, false)
 		return
 	}
 	if beta != core.FromFloat[T](1) {
@@ -387,7 +368,15 @@ func Syrk[T core.Scalar](cfg *core.Config, uplo Uplo, trans Trans, n, k int, alp
 	syrkEngine(cfg, uplo, tr, n, k, alpha, a, lda, c, ldc, false)
 }
 
-func syrkBase[T core.Scalar](uplo Uplo, trans Trans, n, k int, alpha T, a []T, lda int, beta T, c []T, ldc int) {
+// rankKBase is the unpacked rank-k update of the stored triangle:
+// C = alpha·op(A)·op(A)ᵀ + beta·C, or with conj set (Herk on complex data)
+// alpha·op(A)·op(A)ᴴ + beta·C with the diagonal kept real.
+func rankKBase[T core.Scalar](uplo Uplo, trans Trans, n, k int, alpha T, a []T, lda int, beta T, c []T, ldc int, conj bool) {
+	// Element (i, l) of op(A) is a[i·ri + l·rl].
+	ri, rl := 1, lda
+	if trans != NoTrans {
+		ri, rl = lda, 1
+	}
 	for j := 0; j < n; j++ {
 		lo, hi := 0, j+1
 		if uplo == Lower {
@@ -396,20 +385,28 @@ func syrkBase[T core.Scalar](uplo Uplo, trans Trans, n, k int, alpha T, a []T, l
 		ccol := c[j*ldc:]
 		for i := lo; i < hi; i++ {
 			var sum T
-			if trans == NoTrans {
+			switch {
+			case !conj:
 				for l := 0; l < k; l++ {
-					sum += a[i+l*lda] * a[j+l*lda]
+					sum += a[i*ri+l*rl] * a[j*ri+l*rl]
 				}
-			} else {
+			case trans == NoTrans:
 				for l := 0; l < k; l++ {
-					sum += a[l+i*lda] * a[l+j*lda]
+					sum += a[i+l*lda] * core.Conj(a[j+l*lda])
+				}
+			default:
+				for l := 0; l < k; l++ {
+					sum += core.Conj(a[l+i*lda]) * a[l+j*lda]
 				}
 			}
-			if beta == 0 {
-				ccol[i] = alpha * sum
-			} else {
-				ccol[i] = alpha*sum + beta*ccol[i]
+			v := alpha * sum
+			if beta != 0 {
+				v += beta * ccol[i]
 			}
+			if conj && i == j {
+				v = core.FromFloat[T](core.Re(v))
+			}
+			ccol[i] = v
 		}
 	}
 }
@@ -425,7 +422,7 @@ func Herk[T core.Scalar](cfg *core.Config, uplo Uplo, trans Trans, n, k int, alp
 	}
 	checkLD(n, ldc)
 	if n*n*k < packedMinVol[T]() {
-		herkBase(uplo, trans, n, k, alpha, a, lda, beta, c, ldc)
+		rankKBase(uplo, trans, n, k, core.FromFloat[T](alpha), a, lda, core.FromFloat[T](beta), c, ldc, core.IsComplex[T]())
 		return
 	}
 	if beta != 1 {
@@ -443,38 +440,6 @@ func Herk[T core.Scalar](cfg *core.Config, uplo Uplo, trans Trans, n, k int, alp
 		// away any imaginary parts the input C carried in.
 		for j := 0; j < n; j++ {
 			c[j+j*ldc] = core.FromFloat[T](core.Re(c[j+j*ldc]))
-		}
-	}
-}
-
-func herkBase[T core.Scalar](uplo Uplo, trans Trans, n, k int, alpha float64, a []T, lda int, beta float64, c []T, ldc int) {
-	al := core.FromFloat[T](alpha)
-	bt := core.FromFloat[T](beta)
-	for j := 0; j < n; j++ {
-		lo, hi := 0, j+1
-		if uplo == Lower {
-			lo, hi = j, n
-		}
-		ccol := c[j*ldc:]
-		for i := lo; i < hi; i++ {
-			var sum T
-			if trans == NoTrans {
-				for l := 0; l < k; l++ {
-					sum += a[i+l*lda] * core.Conj(a[j+l*lda])
-				}
-			} else {
-				for l := 0; l < k; l++ {
-					sum += core.Conj(a[l+i*lda]) * a[l+j*lda]
-				}
-			}
-			v := al * sum
-			if beta != 0 {
-				v += bt * ccol[i]
-			}
-			if i == j {
-				v = core.FromFloat[T](core.Re(v))
-			}
-			ccol[i] = v
 		}
 	}
 }
@@ -506,30 +471,7 @@ func Syr2k[T core.Scalar](cfg *core.Config, uplo Uplo, trans Trans, n, k int, al
 		}
 		return
 	}
-	for j := 0; j < n; j++ {
-		lo, hi := 0, j+1
-		if uplo == Lower {
-			lo, hi = j, n
-		}
-		ccol := c[j*ldc:]
-		for i := lo; i < hi; i++ {
-			var sum T
-			if trans == NoTrans {
-				for l := 0; l < k; l++ {
-					sum += a[i+l*lda]*b[j+l*ldb] + b[i+l*ldb]*a[j+l*lda]
-				}
-			} else {
-				for l := 0; l < k; l++ {
-					sum += a[l+i*lda]*b[l+j*ldb] + b[l+i*ldb]*a[l+j*lda]
-				}
-			}
-			if beta == 0 {
-				ccol[i] = alpha * sum
-			} else {
-				ccol[i] = alpha*sum + beta*ccol[i]
-			}
-		}
-	}
+	rank2KBase(uplo, trans, n, k, alpha, a, lda, b, ldb, beta, c, ldc, false)
 }
 
 // Her2k computes the Hermitian rank-2k update
@@ -564,7 +506,23 @@ func Her2k[T core.Scalar](cfg *core.Config, uplo Uplo, trans Trans, n, k int, al
 		}
 		return
 	}
-	bt := core.FromFloat[T](beta)
+	rank2KBase(uplo, trans, n, k, alpha, a, lda, b, ldb, core.FromFloat[T](beta), c, ldc, true)
+}
+
+// rank2KBase is the unpacked rank-2k update of the stored triangle:
+// alpha·(op(A)·op(B)ᵀ + op(B)·op(A)ᵀ) + beta·C, or with herm set
+// alpha·op(A)·op(B)ᴴ + conj(alpha)·op(B)·op(A)ᴴ + beta·C, every term scaled
+// on its own and the diagonal kept real.
+func rank2KBase[T core.Scalar](uplo Uplo, trans Trans, n, k int, alpha T, a []T, lda int, b []T, ldb int, beta T, c []T, ldc int, herm bool) {
+	ra, rla, rb, rlb := 1, lda, 1, ldb
+	if trans != NoTrans {
+		ra, rla, rb, rlb = lda, 1, ldb, 1
+	}
+	conj := herm && core.IsComplex[T]()
+	ca := alpha
+	if conj {
+		ca = core.Conj(alpha)
+	}
 	for j := 0; j < n; j++ {
 		lo, hi := 0, j+1
 		if uplo == Lower {
@@ -573,22 +531,28 @@ func Her2k[T core.Scalar](cfg *core.Config, uplo Uplo, trans Trans, n, k int, al
 		ccol := c[j*ldc:]
 		for i := lo; i < hi; i++ {
 			var sum T
-			if trans == NoTrans {
-				for l := 0; l < k; l++ {
-					sum += alpha*a[i+l*lda]*core.Conj(b[j+l*ldb]) +
-						core.Conj(alpha)*b[i+l*ldb]*core.Conj(a[j+l*lda])
+			for l := 0; l < k; l++ {
+				ai, aj, bi, bj := a[i*ra+l*rla], a[j*ra+l*rla], b[i*rb+l*rlb], b[j*rb+l*rlb]
+				switch {
+				case !herm:
+					sum += ai*bj + bi*aj
+					continue
+				case !conj:
+				case trans == NoTrans:
+					aj, bj = core.Conj(aj), core.Conj(bj)
+				default:
+					ai, bi = core.Conj(ai), core.Conj(bi)
 				}
-			} else {
-				for l := 0; l < k; l++ {
-					sum += alpha*core.Conj(a[l+i*lda])*b[l+j*ldb] +
-						core.Conj(alpha)*core.Conj(b[l+i*ldb])*a[l+j*lda]
-				}
+				sum += alpha*ai*bj + ca*bi*aj
 			}
 			v := sum
-			if beta != 0 {
-				v += bt * ccol[i]
+			if !herm {
+				v = alpha * sum
 			}
-			if i == j {
+			if beta != 0 {
+				v += beta * ccol[i]
+			}
+			if conj && i == j {
 				v = core.FromFloat[T](core.Re(v))
 			}
 			ccol[i] = v
@@ -618,69 +582,37 @@ func Trmm[T core.Scalar](side Side, uplo Uplo, trans Trans, diag Diag, m, n int,
 		}
 		return
 	}
-	// Right side: B = alpha * B * op(A). Work row-wise on B via explicit
-	// column combinations (Scal for the diagonal, one Axpy per off-diagonal
-	// entry, so real types run on the vector kernels); op(A) is na×na.
-	cj := func(v T) T { return v }
-	if trans == ConjTrans {
-		cj = core.Conj[T]
-	}
-	nonUnit := diag == NonUnit
-	if (trans == NoTrans) == (uplo == Upper) {
-		// Columns of the result depend on earlier columns: process j from
-		// high to low for Upper/NoTrans (result col j = sum_{l<=j}).
-		for j := n - 1; j >= 0; j-- {
-			bj := b[j*ldb : j*ldb+m]
-			var djj T
-			if trans == NoTrans {
-				djj = a[j+j*lda]
-			} else {
-				djj = cj(a[j+j*lda])
-			}
-			if nonUnit {
-				Scal(m, alpha*djj, bj, 1)
-			} else if alpha != core.FromFloat[T](1) {
-				Scal(m, alpha, bj, 1)
-			}
-			for l := 0; l < j; l++ {
-				var alj T
-				if trans == NoTrans {
-					alj = a[l+j*lda] // A(l,j), upper
-				} else {
-					alj = cj(a[j+l*lda]) // op(A)(l,j) = conj(A(j,l)), A lower
-				}
-				if alj == 0 {
-					continue
-				}
-				Axpy(m, alpha*alj, b[l*ldb:l*ldb+m], 1, bj, 1)
-			}
+	// Right side: B = alpha * B * op(A), by explicit column combinations
+	// (Scal for the diagonal, one Axpy per off-diagonal entry, so every type
+	// runs on its row's leaves). Column j of the result is
+	// Σ_l B(:,l)·op(A)(l,j) over l ≤ j for an upper triangular op(A), l ≥ j
+	// for a lower one; sweeping away from that side leaves every source
+	// column untouched until it is used.
+	conj := realTrans[T](trans) == ConjTrans
+	opUpper := (trans == NoTrans) == (uplo == Upper)
+	for s := 0; s < n; s++ {
+		j, lo, hi := s, s+1, n
+		if opUpper {
+			j, lo, hi = n-1-s, 0, n-1-s
 		}
-	} else {
-		// op(A) is lower triangular: result col j = sum_{l>=j}, process j
-		// from low to high.
-		for j := 0; j < n; j++ {
-			bj := b[j*ldb : j*ldb+m]
-			var djj T
+		// opA(l) is op(A)(l, j).
+		opA := func(l int) T {
 			if trans == NoTrans {
-				djj = a[j+j*lda]
-			} else {
-				djj = cj(a[j+j*lda])
+				return a[l+j*lda]
 			}
-			if nonUnit {
-				Scal(m, alpha*djj, bj, 1)
-			} else if alpha != core.FromFloat[T](1) {
-				Scal(m, alpha, bj, 1)
+			if conj {
+				return core.Conj(a[j+l*lda])
 			}
-			for l := j + 1; l < n; l++ {
-				var alj T
-				if trans == NoTrans {
-					alj = a[l+j*lda] // A(l,j), lower
-				} else {
-					alj = cj(a[j+l*lda]) // conj(A(j,l)), A upper
-				}
-				if alj == 0 {
-					continue
-				}
+			return a[j+l*lda]
+		}
+		bj := b[j*ldb : j*ldb+m]
+		if diag == NonUnit {
+			Scal(m, alpha*opA(j), bj, 1)
+		} else if alpha != core.FromFloat[T](1) {
+			Scal(m, alpha, bj, 1)
+		}
+		for l := lo; l < hi; l++ {
+			if alj := opA(l); alj != 0 {
 				Axpy(m, alpha*alj, b[l*ldb:l*ldb+m], 1, bj, 1)
 			}
 		}
@@ -703,7 +635,7 @@ func Trsm[T core.Scalar](cfg *core.Config, side Side, uplo Uplo, trans Trans, di
 	}
 	checkLD(na, lda)
 	checkLD(m, ldb)
-	trsmRec(cfg, side, uplo, trans, diag, m, n, alpha, a, lda, b, ldb)
+	trsmRec(cfg, side, uplo, realTrans[T](trans), diag, m, n, alpha, a, lda, b, ldb)
 }
 
 // trsmRec splits the triangular operand A = [A11 .; A21/A12 A22] and reduces
@@ -811,16 +743,16 @@ func trsmBase[T core.Scalar](k *kernel[T], side Side, uplo Uplo, trans Trans, di
 	}
 	// Right side: X*op(A) = alpha*B  <=>  op(A)ᵀ Xᵀ = alpha Bᵀ. Solve
 	// column by column over the columns of X in dependency order.
-	cj := func(v T) T { return v }
-	if trans == ConjTrans {
-		cj = core.Conj[T]
-	}
+	conj := trans == ConjTrans
 	nonUnit := diag == NonUnit
 	opA := func(i, j int) T {
 		if trans == NoTrans {
 			return a[i+j*lda]
 		}
-		return cj(a[j+i*lda])
+		if conj {
+			return core.Conj(a[j+i*lda])
+		}
+		return a[j+i*lda]
 	}
 	// subtractCols folds sum_l X(:,l)*opA(l,j) into bj, four source columns
 	// per pass so bj is streamed once per four axpys.
@@ -852,38 +784,26 @@ func trsmBase[T core.Scalar](k *kernel[T], side Side, uplo Uplo, trans Trans, di
 			}
 		}
 	}
+	// X(:,j) = (alpha*B(:,j) - sum_l X(:,l)*opA(l,j)) / opA(j,j), over l < j
+	// left to right for an upper triangular op(A), over l > j right to left
+	// for a lower one.
 	opUpper := (trans == NoTrans) == (uplo == Upper)
-	if opUpper {
-		// X(:,j) = (alpha*B(:,j) - sum_{l<j} X(:,l)*opA(l,j)) / opA(j,j)
-		for j := 0; j < n; j++ {
-			bj := b[j*ldb : j*ldb+m]
-			if alpha != core.FromFloat[T](1) {
-				for i := range bj {
-					bj[i] *= alpha
-				}
-			}
-			subtractCols(bj, j, 0, j)
-			if nonUnit {
-				d := opA(j, j)
-				for i := range bj {
-					bj[i] = core.Div(bj[i], d)
-				}
+	for s := 0; s < n; s++ {
+		j, lo, hi := s, 0, s
+		if !opUpper {
+			j, lo, hi = n-1-s, n-s, n
+		}
+		bj := b[j*ldb : j*ldb+m]
+		if alpha != core.FromFloat[T](1) {
+			for i := range bj {
+				bj[i] *= alpha
 			}
 		}
-	} else {
-		for j := n - 1; j >= 0; j-- {
-			bj := b[j*ldb : j*ldb+m]
-			if alpha != core.FromFloat[T](1) {
-				for i := range bj {
-					bj[i] *= alpha
-				}
-			}
-			subtractCols(bj, j, j+1, n)
-			if nonUnit {
-				d := opA(j, j)
-				for i := range bj {
-					bj[i] = core.Div(bj[i], d)
-				}
+		subtractCols(bj, j, lo, hi)
+		if nonUnit {
+			d := opA(j, j)
+			for i := range bj {
+				bj[i] = core.Div(bj[i], d)
 			}
 		}
 	}
@@ -905,33 +825,13 @@ func trsvOct[T core.Scalar](uplo Uplo, diag Diag, m int, a []T, lda int, b []T, 
 	c5 := b[5*ldb : 5*ldb+m]
 	c6 := b[6*ldb : 6*ldb+m]
 	c7 := b[7*ldb : 7*ldb+m]
-	if uplo == Lower {
-		for i := 0; i < m; i++ {
-			acol := a[i*lda : i*lda+m]
-			x0, x1, x2, x3 := c0[i], c1[i], c2[i], c3[i]
-			x4, x5, x6, x7 := c4[i], c5[i], c6[i], c7[i]
-			if nonUnit {
-				d := acol[i]
-				x0, x1, x2, x3 = core.Div(x0, d), core.Div(x1, d), core.Div(x2, d), core.Div(x3, d)
-				x4, x5, x6, x7 = core.Div(x4, d), core.Div(x5, d), core.Div(x6, d), core.Div(x7, d)
-				c0[i], c1[i], c2[i], c3[i] = x0, x1, x2, x3
-				c4[i], c5[i], c6[i], c7[i] = x4, x5, x6, x7
-			}
-			for r := i + 1; r < m; r++ {
-				t := acol[r]
-				c0[r] -= t * x0
-				c1[r] -= t * x1
-				c2[r] -= t * x2
-				c3[r] -= t * x3
-				c4[r] -= t * x4
-				c5[r] -= t * x5
-				c6[r] -= t * x6
-				c7[r] -= t * x7
-			}
+	// Forward substitution for Lower, backward for Upper: step s eliminates
+	// row i from the rows [lo, hi) still to come.
+	for s := 0; s < m; s++ {
+		i, lo, hi := s, s+1, m
+		if uplo == Upper {
+			i, lo, hi = m-1-s, 0, m-1-s
 		}
-		return
-	}
-	for i := m - 1; i >= 0; i-- {
 		acol := a[i*lda : i*lda+m]
 		x0, x1, x2, x3 := c0[i], c1[i], c2[i], c3[i]
 		x4, x5, x6, x7 := c4[i], c5[i], c6[i], c7[i]
@@ -942,7 +842,7 @@ func trsvOct[T core.Scalar](uplo Uplo, diag Diag, m int, a []T, lda int, b []T, 
 			c0[i], c1[i], c2[i], c3[i] = x0, x1, x2, x3
 			c4[i], c5[i], c6[i], c7[i] = x4, x5, x6, x7
 		}
-		for r := 0; r < i; r++ {
+		for r := lo; r < hi; r++ {
 			t := acol[r]
 			c0[r] -= t * x0
 			c1[r] -= t * x1
@@ -963,25 +863,11 @@ func trsvOct[T core.Scalar](uplo Uplo, diag Diag, m int, a []T, lda int, b []T, 
 func trsvOctFma[F core.Float](uplo Uplo, diag Diag, m int, a []F, lda int, b []F, ldb int) {
 	nonUnit := diag == NonUnit
 	var x [8]F
-	if uplo == Lower {
-		for i := 0; i < m; i++ {
-			for q := 0; q < 8; q++ {
-				x[q] = b[q*ldb+i]
-			}
-			if nonUnit {
-				d := a[i*lda+i]
-				for q := 0; q < 8; q++ {
-					x[q] /= d
-					b[q*ldb+i] = x[q]
-				}
-			}
-			if r := m - i - 1; r > 0 {
-				subFma8(int64(r), &x, &a[i*lda+i+1], &b[i+1], int64(ldb))
-			}
+	for s := 0; s < m; s++ {
+		i, lo, hi := s, s+1, m
+		if uplo == Upper {
+			i, lo, hi = m-1-s, 0, m-1-s
 		}
-		return
-	}
-	for i := m - 1; i >= 0; i-- {
 		for q := 0; q < 8; q++ {
 			x[q] = b[q*ldb+i]
 		}
@@ -992,8 +878,8 @@ func trsvOctFma[F core.Float](uplo Uplo, diag Diag, m int, a []F, lda int, b []F
 				b[q*ldb+i] = x[q]
 			}
 		}
-		if i > 0 {
-			subFma8(int64(i), &x, &a[i*lda], &b[0], int64(ldb))
+		if hi > lo {
+			subFma8(int64(hi-lo), &x, &a[i*lda+lo], &b[lo], int64(ldb))
 		}
 	}
 }
@@ -1032,82 +918,57 @@ func gemvSub8[T core.Scalar](m int, t [8]T, b []T, ldb int, y []T) {
 // independent chains. Column q of B must already carry any alpha scaling.
 func trsvQuad[T core.Scalar](uplo Uplo, trans Trans, diag Diag, m int, a []T, lda int, c0, c1, c2, c3 []T) {
 	nonUnit := diag == NonUnit
-	cj := func(v T) T { return v }
-	if trans == ConjTrans {
-		cj = core.Conj[T]
-	}
+	conj := trans == ConjTrans
 	c0, c1, c2, c3 = c0[:m], c1[:m], c2[:m], c3[:m]
-	switch {
-	case trans == NoTrans && uplo == Lower:
-		// Forward substitution, axpy down the column.
-		for i := 0; i < m; i++ {
-			acol := a[i*lda : i*lda+m]
+	// op(A) lower triangular is forward substitution, upper backward; the
+	// off-diagonal rows of stored column i are [lo, hi) either way.
+	forward := (uplo == Lower) == (trans == NoTrans)
+	for s := 0; s < m; s++ {
+		i := s
+		if !forward {
+			i = m - 1 - s
+		}
+		lo, hi := i+1, m
+		if uplo == Upper {
+			lo, hi = 0, i
+		}
+		acol := a[i*lda : i*lda+m]
+		d := acol[i]
+		if trans == NoTrans {
+			// Axpy down (up) the column.
 			x0, x1, x2, x3 := c0[i], c1[i], c2[i], c3[i]
 			if nonUnit {
-				d := acol[i]
 				x0, x1, x2, x3 = core.Div(x0, d), core.Div(x1, d), core.Div(x2, d), core.Div(x3, d)
 				c0[i], c1[i], c2[i], c3[i] = x0, x1, x2, x3
 			}
-			for r := i + 1; r < m; r++ {
+			for r := lo; r < hi; r++ {
 				t := acol[r]
 				c0[r] -= t * x0
 				c1[r] -= t * x1
 				c2[r] -= t * x2
 				c3[r] -= t * x3
 			}
+			continue
 		}
-	case trans == NoTrans: // Upper: backward substitution.
-		for i := m - 1; i >= 0; i-- {
-			acol := a[i*lda : i*lda+m]
-			x0, x1, x2, x3 := c0[i], c1[i], c2[i], c3[i]
-			if nonUnit {
-				d := acol[i]
-				x0, x1, x2, x3 = core.Div(x0, d), core.Div(x1, d), core.Div(x2, d), core.Div(x3, d)
-				c0[i], c1[i], c2[i], c3[i] = x0, x1, x2, x3
+		// Dot products against the rows already solved.
+		var s0, s1, s2, s3 T
+		for r := lo; r < hi; r++ {
+			t := acol[r]
+			if conj {
+				t = core.Conj(t)
 			}
-			for r := 0; r < i; r++ {
-				t := acol[r]
-				c0[r] -= t * x0
-				c1[r] -= t * x1
-				c2[r] -= t * x2
-				c3[r] -= t * x3
-			}
+			s0 += t * c0[r]
+			s1 += t * c1[r]
+			s2 += t * c2[r]
+			s3 += t * c3[r]
 		}
-	case uplo == Lower: // op(A) upper triangular: backward, dot products.
-		for i := m - 1; i >= 0; i-- {
-			acol := a[i*lda : i*lda+m]
-			var s0, s1, s2, s3 T
-			for r := i + 1; r < m; r++ {
-				t := cj(acol[r])
-				s0 += t * c0[r]
-				s1 += t * c1[r]
-				s2 += t * c2[r]
-				s3 += t * c3[r]
+		x0, x1, x2, x3 := c0[i]-s0, c1[i]-s1, c2[i]-s2, c3[i]-s3
+		if nonUnit {
+			if conj {
+				d = core.Conj(d)
 			}
-			x0, x1, x2, x3 := c0[i]-s0, c1[i]-s1, c2[i]-s2, c3[i]-s3
-			if nonUnit {
-				d := cj(acol[i])
-				x0, x1, x2, x3 = core.Div(x0, d), core.Div(x1, d), core.Div(x2, d), core.Div(x3, d)
-			}
-			c0[i], c1[i], c2[i], c3[i] = x0, x1, x2, x3
+			x0, x1, x2, x3 = core.Div(x0, d), core.Div(x1, d), core.Div(x2, d), core.Div(x3, d)
 		}
-	default: // Upper with trans: op(A) lower triangular, forward, dots.
-		for i := 0; i < m; i++ {
-			acol := a[i*lda : i*lda+m]
-			var s0, s1, s2, s3 T
-			for r := 0; r < i; r++ {
-				t := cj(acol[r])
-				s0 += t * c0[r]
-				s1 += t * c1[r]
-				s2 += t * c2[r]
-				s3 += t * c3[r]
-			}
-			x0, x1, x2, x3 := c0[i]-s0, c1[i]-s1, c2[i]-s2, c3[i]-s3
-			if nonUnit {
-				d := cj(acol[i])
-				x0, x1, x2, x3 = core.Div(x0, d), core.Div(x1, d), core.Div(x2, d), core.Div(x3, d)
-			}
-			c0[i], c1[i], c2[i], c3[i] = x0, x1, x2, x3
-		}
+		c0[i], c1[i], c2[i], c3[i] = x0, x1, x2, x3
 	}
 }

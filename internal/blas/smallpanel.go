@@ -40,7 +40,7 @@ func LUPanelF64(rows, w int, inv float64, col, rest []float64, lda int) int {
 	if w == 0 {
 		return -1
 	}
-	return iamaxFloat(rows, rest[1:1+rows])
+	return iamaxFloat(rest[1 : 1+rows])
 }
 
 // placeholderF64 stands in for the rest pointer when w == 0 and the caller's
@@ -68,7 +68,13 @@ func TrsmLLU8F64(cols int, l *[56]float64, b []float64, ldb int) int {
 
 // GemvSub8F64 folds eight scaled source columns into y:
 // y[0:n] -= Σ_q t[q]·b_q[0:n], the eight columns of b spaced ldb apart.
-// It is the block update of the small-matrix forward/back substitution.
+// It is the block update of the small-matrix forward/back substitution
+// (getrsSmallF64). On the asm route it is the kernel table's float64
+// gemvSub8 leaf; its portable loop — one axpy per column, zero multipliers
+// skipped — is not the table's portable gemvSub8 (an eight-term sum per
+// element, under trsmBase's right side): the two round differently and each
+// caller's portable-route bits are pinned by TestLevel12Golden (GemvSub8F64,
+// Trsm), so they stay two loops.
 func GemvSub8F64(n int, t, b []float64, ldb int, y []float64) {
 	if n <= 0 {
 		return

@@ -91,7 +91,7 @@ func TestLUPanelF64Direct(t *testing.T) {
 				}
 			}
 			if w > 0 {
-				want = iamaxFloat(rows, ref[lda+1:lda+1+rows])
+				want = iamaxFloat(ref[lda+1 : lda+1+rows])
 			}
 			var rest []float64
 			if w > 0 {

@@ -9,7 +9,9 @@ package blas
 // without these the triangular solves and panel sweeps of that path fall to
 // the portable loops while the trailing GEMM runs at twice the float64 flop
 // rate, halving the end-to-end win. Same AVX2+FMA requirements and
-// useAsmF32 gating as the f32 GEMM micro-kernel.
+// useAsmF32 gating as the f32 GEMM micro-kernel. saxpyFma, sdotFma and
+// sscalFma are the float32 asm row's axpy, dot and scal entries as they stand
+// (see daxpyFma).
 
 // ssubFma8 performs the eight-column substitution sweep
 // c_q[0:n] -= x[q]*a[0:n] for q = 0..7, the destination columns spaced ldc
@@ -30,13 +32,13 @@ func sgemvSub8(n int64, t, b *float32, ldb int64, y *float32)
 // vectors: the column step of Gemv (NoTrans) and Ger.
 //
 //go:noescape
-func saxpyFma(n int64, alpha float32, x, y *float32)
+func saxpyFma(alpha float32, x, y []float32)
 
 // sdotFma returns Σ x[i]*y[i] over unit-stride float32 vectors: the column
 // step of Gemv (Trans).
 //
 //go:noescape
-func sdotFma(n int64, x, y *float32) float32
+func sdotFma(x, y []float32, conj bool) float32
 
 // spackA16 packs one full 16-row A micro-panel column run,
 // dst[16p:16p+16] = alpha*src[p·lda:p·lda+16] for p in [0,kb): the
@@ -65,4 +67,4 @@ func siamaxF32(n int64, x *float32) int64
 // pivot scaling of the single-precision LU panel columns.
 //
 //go:noescape
-func sscalFma(n int64, alpha float32, x *float32)
+func sscalFma(alpha float32, x []float32)

@@ -225,11 +225,11 @@ sgv8done:
 // func saxpyFma(n int64, alpha float32, x, y *float32)
 // y[0:n] += alpha * x[0:n]. The shared inner step of unit-stride Gemv
 // (NoTrans, one column) and Ger (one column).
-TEXT ·saxpyFma(SB), NOSPLIT, $0-32
-	MOVQ         n+0(FP), CX
-	VBROADCASTSS alpha+8(FP), Y8
-	MOVQ         x+16(FP), SI
-	MOVQ         y+24(FP), DX
+TEXT ·saxpyFma(SB), NOSPLIT, $0-56
+	VBROADCASTSS alpha+0(FP), Y8
+	MOVQ         x_base+8(FP), SI
+	MOVQ         x_len+16(FP), CX
+	MOVQ         y_base+32(FP), DX
 
 	MOVQ CX, BX
 	SHRQ $4, BX
@@ -280,10 +280,10 @@ saxpydone:
 // func sdotFma(n int64, x, y *float32) float32
 // Returns sum x[i]*y[i]. Four accumulators split the FMA chains; the
 // horizontal reduction happens once, before the scalar tail.
-TEXT ·sdotFma(SB), NOSPLIT, $0-28
-	MOVQ   n+0(FP), CX
-	MOVQ   x+8(FP), SI
-	MOVQ   y+16(FP), DX
+TEXT ·sdotFma(SB), NOSPLIT, $0-60
+	MOVQ   x_base+0(FP), SI
+	MOVQ   x_len+8(FP), CX
+	MOVQ   y_base+24(FP), DX
 	VXORPS Y0, Y0, Y0
 	VXORPS Y1, Y1, Y1
 	VXORPS Y2, Y2, Y2
@@ -347,7 +347,7 @@ sdotloop1:
 	JNZ         sdotloop1
 
 sdotdone:
-	VMOVSS     X0, ret+24(FP)
+	VMOVSS     X0, ret+56(FP)
 	VZEROUPPER
 	RET
 
@@ -384,10 +384,10 @@ spackdone:
 // func sscalFma(n int64, alpha float32, x *float32)
 // x[0:n] *= alpha. Unit-stride float32 Scal, the per-column pivot scaling
 // of the single-precision LU panels.
-TEXT ·sscalFma(SB), NOSPLIT, $0-24
-	MOVQ         n+0(FP), CX
-	VBROADCASTSS alpha+8(FP), Y8
-	MOVQ         x+16(FP), SI
+TEXT ·sscalFma(SB), NOSPLIT, $0-32
+	VBROADCASTSS alpha+0(FP), Y8
+	MOVQ         x_base+8(FP), SI
+	MOVQ         x_len+16(FP), CX
 
 	MOVQ CX, BX
 	SHRQ $4, BX

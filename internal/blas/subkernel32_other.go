@@ -8,12 +8,12 @@ package blas
 
 func ssubFma8(n int64, x, a, c *float32, ldc int64)           { panic("blas: no asm kernel") }
 func sgemvSub8(n int64, t, b *float32, ldb int64, y *float32) { panic("blas: no asm kernel") }
-func saxpyFma(n int64, alpha float32, x, y *float32)          { panic("blas: no asm kernel") }
-func sdotFma(n int64, x, y *float32) float32                  { panic("blas: no asm kernel") }
+func saxpyFma(alpha float32, x, y []float32)                  { panic("blas: no asm kernel") }
+func sdotFma(x, y []float32, conj bool) float32               { panic("blas: no asm kernel") }
 
 func spackA16(kb int64, alpha float32, src *float32, lda int64, dst *float32) {
 	panic("blas: no asm kernel")
 }
-func sscalFma(n int64, alpha float32, x *float32)    { panic("blas: no asm kernel") }
+func sscalFma(alpha float32, x []float32)            { panic("blas: no asm kernel") }
 func siamaxF32(n int64, x *float32) int64            { panic("blas: no asm kernel") }
 func spackB4(kb int64, s0, s1, s2, s3, dst *float32) { panic("blas: no asm kernel") }

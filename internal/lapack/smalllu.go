@@ -8,13 +8,13 @@ import (
 )
 
 // Small-matrix LU, the factorization-side half of the pack-free regime: for
-// problems that fit entirely under the blas.GemmSmallDim crossover, the
+// problems that fit entirely under the Config.GemmSmallDim crossover, the
 // general-purpose machinery (Ilaenv lookup, recursion, lookahead plumbing)
 // costs more than the factorization itself. getrfSmall is a right-looking
 // blocked LU with a fixed narrow panel tuned so that ~80% of the flops land
 // in the pack-free trailing GEMM and the panel work is column-contiguous:
-// contiguous rank-1 axpys in the generic path (which ride the FMA fast path
-// of blas.Axpy, unlike Getf2's Ger whose row operand is strided), a single
+// contiguous rank-1 axpys in the generic path (which ride the axpy leaf of
+// blas.Axpy, unlike Getf2's Ger whose row operand is strided), a single
 // fused scale+update+pivot-scan kernel per column in the float64
 // specialization. The path is gated by the same LA90_GEMM_SMALL
 // knob as the kernel regime, so disabling one disables both and every result
@@ -33,12 +33,22 @@ const smallLUNB = 8
 // vector win and a plain scalar loop is faster.
 const smallAxpyMin = 16
 
-// smallLUOK reports whether the m×n factorization should take the
-// small-matrix path: the pack-free kernel regime is enabled and the whole
-// problem sits under its crossover.
-func smallLUOK(cfg *core.Config, m, n int) bool {
-	d := core.Cfg(cfg).GemmSmallDim
-	return d > 0 && m <= d && n <= d
+// smallLUOK reports whether the m×n factorization (or, with b, the solve
+// from it) should take the small-matrix path: the pack-free kernel regime is
+// enabled and the whole problem sits under its crossover. It is also the
+// path's one type decision: float64 carries the batched-solver acceptance
+// target and runs hand-specialized bodies (getrfSmallF64, getrsSmallF64) that
+// keep every inner loop free of generic dispatch, so for float64 operands af
+// and bf are a and b as such; for the other types they are nil and the
+// generic bodies run (13–15 % faster than Getrf2 on complex128 at n = 64,
+// though slower on float32; EXPERIMENTS.md, "Small LU by element type").
+func smallLUOK[T core.Scalar](cfg *core.Config, m, n int, a, b []T) (ok bool, af, bf []float64) {
+	if d := core.Cfg(cfg).GemmSmallDim; d <= 0 || m > d || n > d {
+		return false, nil, nil
+	}
+	af, _ = any(a).([]float64)
+	bf, _ = any(b).([]float64)
+	return true, af, bf
 }
 
 // getrfSmall computes the LU factorization with partial pivoting of an m×n
@@ -48,12 +58,6 @@ func smallLUOK(cfg *core.Config, m, n int) bool {
 // in one deferred Laswp pass per panel, and the trailing matrix absorbs one
 // pack-free Gemm per panel.
 func getrfSmall[T core.Scalar](cfg *core.Config, m, n int, a []T, lda int, ipiv []int) int {
-	if af, ok := any(a).([]float64); ok {
-		// float64 carries the batched-solver acceptance target; its panels
-		// run a hand-specialized path that keeps every inner loop free of
-		// generic dispatch.
-		return getrfSmallF64(cfg, m, n, af, lda, ipiv)
-	}
 	info := 0
 	one := core.FromFloat[T](1)
 	mn := min(m, n)
@@ -116,10 +120,6 @@ func getrfSmall[T core.Scalar](cfg *core.Config, m, n int, a []T, lda int, ipiv 
 // column — the Trsm machinery's per-call dispatch and edge handling cost
 // more than these solves. Callers route wider B through the regular Getrs.
 func getrsSmall[T core.Scalar](n, nrhs int, a []T, lda int, ipiv []int, b []T, ldb int) {
-	if af, ok := any(a).([]float64); ok {
-		getrsSmallF64(n, nrhs, af, lda, ipiv, any(b).([]float64), ldb)
-		return
-	}
 	for r := 0; r < nrhs; r++ {
 		x := b[r*ldb : r*ldb+n]
 		for i := 0; i < n; i++ {
