@@ -115,11 +115,12 @@ fuzz:
 
 # Compile-and-run check for the benchmarks: one iteration each of the GEMM
 # engine (float64, and the complex 1m rows), the factorization benchmarks
-# (square and the 4096×256 QR), the tall GELSD driver, the eigenvalue
-# iteration phase with its kernels, the Level-1/2 leaves and the per-call
-# option overhead, no timing claims.
+# (square and the 4096×256 QR, Cholesky, Bunch–Kaufman on all four types),
+# Trsm on each leaf form, the tall GELSD driver, the eigenvalue iteration
+# phase with its kernels, the Level-1/2 leaves and the per-call option
+# overhead, no timing claims.
 benchsmoke:
-	$(GO) test -run=NONE -bench='Getrf|Gemm|Geqrf|GelsdTall|Steqr|Stedc|Hseqr|RotSeq|Secular|ApplyOptions|Level2' -benchtime=1x .
+	$(GO) test -run=NONE -bench='Getrf|Gemm|Geqrf|GelsdTall|Steqr|Stedc|Hseqr|RotSeq|Secular|ApplyOptions|Level2|Sytrf|Trsm|Potrf' -benchtime=1x .
 	$(GO) run ./cmd/la90bench -reduce -maxn 256 -reps 1 -out /tmp/BENCH_reduce_smoke.json
 	$(GO) run ./cmd/la90bench -batch -maxbatch 64 -reps 1 -out /tmp/BENCH_batch_smoke.json
 	$(GO) run ./cmd/la90bench -mixed -maxn 256 -reps 1 -out /tmp/BENCH_mixed_smoke.json

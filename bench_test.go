@@ -482,6 +482,7 @@ func BenchmarkLevel2(b *testing.B) {
 		benchLevel2[float64](b, "f64/N="+itoa(n), n)
 		benchLevel2[float32](b, "f32/N="+itoa(n), n)
 		benchLevel2[complex128](b, "c128/N="+itoa(n), n)
+		benchLevel2[complex64](b, "c64/N="+itoa(n), n)
 	}
 }
 
@@ -545,6 +546,81 @@ func BenchmarkPotrf(b *testing.B) {
 			b.ReportMetric(flops*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOPS")
 		})
 	}
+}
+
+// BenchmarkSytrf tracks the blocked Bunch–Kaufman factorization on all four
+// element types and both triangles: a Level-2 panel (lasyf) and one
+// triangle-restricted Level-3 update (blas.Gemmt) per panel.
+func BenchmarkSytrf(b *testing.B) {
+	for _, n := range []int{64, 384, 1024} {
+		for _, uplo := range []lapack.Uplo{lapack.Upper, lapack.Lower} {
+			suffix := "/" + uplo.String() + "/N=" + itoa(n)
+			b.Run("f64"+suffix, func(b *testing.B) { benchSytrf[float64](b, uplo, n) })
+			b.Run("f32"+suffix, func(b *testing.B) { benchSytrf[float32](b, uplo, n) })
+			b.Run("c128"+suffix, func(b *testing.B) { benchSytrf[complex128](b, uplo, n) })
+			b.Run("c64"+suffix, func(b *testing.B) { benchSytrf[complex64](b, uplo, n) })
+		}
+	}
+}
+
+func benchSytrf[T core.Scalar](b *testing.B, uplo lapack.Uplo, n int) {
+	rng := lapack.NewRng([4]int{n, 11, 11, 11})
+	a0 := make([]T, n*n)
+	lapack.Larnv(2, rng, n*n, a0) // only the uplo triangle is read: symmetric indefinite
+	aw := make([]T, n*n)
+	ipiv := make([]int, n)
+	copy(aw, a0)
+	lapack.Sytrf(core.Default(), uplo, n, aw, n, ipiv) // untimed warm-up
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		copy(aw, a0)
+		if info := lapack.Sytrf(core.Default(), uplo, n, aw, n, ipiv); info != 0 {
+			b.Fatalf("info=%d", info)
+		}
+	}
+	flops := 1.0 / 3.0 * float64(n) * float64(n) * float64(n)
+	if core.IsComplex[T]() {
+		flops *= 4
+	}
+	b.ReportMetric(flops*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOPS")
+}
+
+// BenchmarkTrsm tracks the triangular solve with as many right-hand sides as
+// the triangle has rows, on both sides and with and without transposition:
+// the four leaf forms of trsmBase around the same GEMM updates.
+func BenchmarkTrsm(b *testing.B) {
+	for _, side := range []blas.Side{blas.Left, blas.Right} {
+		for _, trans := range []blas.Trans{blas.NoTrans, blas.TransT} {
+			name := map[blas.Side]string{blas.Left: "Left", blas.Right: "Right"}[side] + "/" + trans.String()
+			b.Run(name+"/f64", func(b *testing.B) { benchTrsm[float64](b, side, trans) })
+			b.Run(name+"/f32", func(b *testing.B) { benchTrsm[float32](b, side, trans) })
+			b.Run(name+"/c128", func(b *testing.B) { benchTrsm[complex128](b, side, trans) })
+		}
+	}
+}
+
+func benchTrsm[T core.Scalar](b *testing.B, side blas.Side, trans blas.Trans) {
+	const n = 512
+	rng := lapack.NewRng([4]int{n, 13, 13, 13})
+	a := make([]T, n*n)
+	x0 := make([]T, n*n)
+	lapack.Larnv(2, rng, n*n, a)
+	lapack.Larnv(2, rng, n*n, x0)
+	for j := 0; j < n; j++ {
+		a[j+j*n] += core.FromFloat[T](float64(n)) // a well-conditioned triangle
+	}
+	x := make([]T, n*n)
+	one := core.FromFloat[T](1)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		copy(x, x0)
+		blas.Trsm(core.Default(), side, blas.Lower, trans, blas.NonUnit, n, n, one, a, n, x, n)
+	}
+	flops := float64(n) * float64(n) * float64(n)
+	if core.IsComplex[T]() {
+		flops *= 4
+	}
+	b.ReportMetric(flops*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOPS")
 }
 
 // BenchmarkGeqrf tracks the blocked Householder QR: panel Geqr2 plus a

@@ -140,6 +140,7 @@ func runLapack() {
 	f64 := benchFactorizations[float64](&rep, "float64", sizes)
 	f32 := benchFactorizations[float32](&rep, "float32", sizes)
 	benchFactorizations[complex128](&rep, "complex128", sizes)
+	benchFactorizations[complex64](&rep, "complex64", sizes)
 	if g := f64["gemm-packed"]; g > 0 {
 		rep.GetrfVsGemm = f64["getrf"] / g
 		rep.PotrfVsGemm = f64["potrf"] / g

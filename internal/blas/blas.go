@@ -68,6 +68,15 @@ const (
 	Lower
 )
 
+// flip returns the other triangle: where the transpose of the u triangle is
+// stored.
+func (u Uplo) flip() Uplo {
+	if u == Upper {
+		return Lower
+	}
+	return Upper
+}
+
 func (u Uplo) String() string {
 	if u == Upper {
 		return "U"

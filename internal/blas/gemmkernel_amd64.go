@@ -82,6 +82,22 @@ func ddotFma(x, y []float64, conj bool) float64
 //go:noescape
 func daxpyDotFma(alpha float64, a, x, y []float64, conj bool) float64
 
+// zaxpyFma, zdotFma and zscalFma are the complex128 1m row's axpy, dot and
+// scal entries as they stand (see daxpyFma): y[i] += alpha·x[i]; Σ x[i]·y[i],
+// with x conjugated when conj is set; x[i] *= alpha — over len(x) ≥ 1
+// elements, two multiply-adds per vector of two elements on the real view. Nothing is
+// skipped: a zero in alpha or x still multiplies, so NaN and Inf propagate as
+// in the Go loops. Implemented in gemmkernel_amd64.s.
+//
+//go:noescape
+func zaxpyFma(alpha complex128, x, y []complex128)
+
+//go:noescape
+func zdotFma(x, y []complex128, conj bool) complex128
+
+//go:noescape
+func zscalFma(alpha complex128, x []complex128)
+
 // diamaxF64 returns the index of the first element of x[0:n] with the
 // largest |x[i]|: a branch-free vector max pass, then a compare pass that
 // stops at the first equal lane. NaN elements are skipped, matching the

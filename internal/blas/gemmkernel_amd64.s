@@ -1430,3 +1430,230 @@ refl2loop1:
 refl2done:
 	VZEROUPPER
 	RET
+
+// Complex Level-1 leaves on the real view: a YMM register holds two
+// complex128 values as [re, im, re, im], and a complex multiply-add is two
+// real FMAs per vector — one with the vector as loaded, one with re and im
+// swapped inside each element.
+
+// negEvenPD flips the sign of the even (real-part) lanes.
+DATA negEvenPD<>+0(SB)/8, $0x8000000000000000
+DATA negEvenPD<>+8(SB)/8, $0x0000000000000000
+DATA negEvenPD<>+16(SB)/8, $0x8000000000000000
+DATA negEvenPD<>+24(SB)/8, $0x0000000000000000
+GLOBL negEvenPD<>(SB), RODATA|NOPTR, $32
+
+// func zaxpyFma(alpha complex128, x, y []complex128)
+// y[0:n] += alpha·x[0:n] over len(x) elements: with Y8 = [ar, ar, …] and
+// Y9 = [−ai, ai, …], y += Y8·x, then y += Y9·swap(x), which adds
+// ar·xr − ai·xi to the real lanes and ar·xi + ai·xr to the imaginary ones.
+TEXT ·zaxpyFma(SB), NOSPLIT, $0-64
+	VBROADCASTSD alpha_real+0(FP), Y8
+	VBROADCASTSD alpha_imag+8(FP), Y9
+	VXORPD       negEvenPD<>(SB), Y9, Y9
+	MOVQ         x_base+16(FP), SI
+	MOVQ         x_len+24(FP), CX
+	MOVQ         y_base+40(FP), DX
+
+	MOVQ CX, BX
+	SHRQ $2, BX
+	JZ   zaxpytail2
+
+zaxpyloop4:
+	VMOVUPD     (SI), Y0
+	VMOVUPD     32(SI), Y1
+	VPERMILPD   $5, Y0, Y2
+	VPERMILPD   $5, Y1, Y3
+	VMOVUPD     (DX), Y4
+	VMOVUPD     32(DX), Y5
+	VFMADD231PD Y0, Y8, Y4
+	VFMADD231PD Y1, Y8, Y5
+	VFMADD231PD Y2, Y9, Y4
+	VFMADD231PD Y3, Y9, Y5
+	VMOVUPD     Y4, (DX)
+	VMOVUPD     Y5, 32(DX)
+	ADDQ        $64, SI
+	ADDQ        $64, DX
+	DECQ        BX
+	JNZ         zaxpyloop4
+
+zaxpytail2:
+	TESTQ $2, CX
+	JZ    zaxpytail1
+	VMOVUPD     (SI), Y0
+	VPERMILPD   $5, Y0, Y2
+	VMOVUPD     (DX), Y4
+	VFMADD231PD Y0, Y8, Y4
+	VFMADD231PD Y2, Y9, Y4
+	VMOVUPD     Y4, (DX)
+	ADDQ        $32, SI
+	ADDQ        $32, DX
+
+zaxpytail1:
+	TESTQ $1, CX
+	JZ    zaxpydone
+	VMOVUPD     (SI), X0
+	VPERMILPD   $1, X0, X2
+	VMOVUPD     (DX), X4
+	VFMADD231PD X0, X8, X4
+	VFMADD231PD X2, X9, X4
+	VMOVUPD     X4, (DX)
+
+zaxpydone:
+	VZEROUPPER
+	RET
+
+// func zdotFma(x, y []complex128, conj bool) complex128
+// Returns Σ x[i]·y[i], or Σ conj(x[i])·y[i] when conj is set, over len(x)
+// elements. The sweep is the same for both: one set of accumulators gathers
+// x·y lane by lane ([xr·yr, xi·yi]), the other x·swap(y) ([xr·yi, xi·yr]);
+// the conjugation only decides how the lanes combine at the end —
+// (rr − ii, ri + ir) plain, (rr + ii, ri − ir) conjugated. Four vectors per
+// step on eight accumulators, the last odd element on the XMM halves after
+// the reduction.
+TEXT ·zdotFma(SB), NOSPLIT, $0-72
+	MOVQ   x_base+0(FP), SI
+	MOVQ   x_len+8(FP), CX
+	MOVQ   y_base+24(FP), DX
+	VXORPD Y0, Y0, Y0
+	VXORPD Y1, Y1, Y1
+	VXORPD Y2, Y2, Y2
+	VXORPD Y3, Y3, Y3
+	VXORPD Y4, Y4, Y4
+	VXORPD Y5, Y5, Y5
+	VXORPD Y6, Y6, Y6
+	VXORPD Y7, Y7, Y7
+
+	MOVQ CX, BX
+	SHRQ $3, BX
+	JZ   zdottail2
+
+zdotloop8:
+	VMOVUPD     (SI), Y8
+	VMOVUPD     32(SI), Y9
+	VMOVUPD     64(SI), Y10
+	VMOVUPD     96(SI), Y11
+	VMOVUPD     (DX), Y12
+	VPERMILPD   $5, Y12, Y13
+	VFMADD231PD Y12, Y8, Y0
+	VFMADD231PD Y13, Y8, Y1
+	VMOVUPD     32(DX), Y14
+	VPERMILPD   $5, Y14, Y15
+	VFMADD231PD Y14, Y9, Y2
+	VFMADD231PD Y15, Y9, Y3
+	VMOVUPD     64(DX), Y12
+	VPERMILPD   $5, Y12, Y13
+	VFMADD231PD Y12, Y10, Y4
+	VFMADD231PD Y13, Y10, Y5
+	VMOVUPD     96(DX), Y14
+	VPERMILPD   $5, Y14, Y15
+	VFMADD231PD Y14, Y11, Y6
+	VFMADD231PD Y15, Y11, Y7
+	ADDQ        $128, SI
+	ADDQ        $128, DX
+	DECQ        BX
+	JNZ         zdotloop8
+
+zdottail2:
+	MOVQ CX, BX
+	ANDQ $7, BX
+	SHRQ $1, BX
+	JZ   zdotreduce
+
+zdotloop2:
+	VMOVUPD     (SI), Y8
+	VMOVUPD     (DX), Y12
+	VPERMILPD   $5, Y12, Y13
+	VFMADD231PD Y12, Y8, Y0
+	VFMADD231PD Y13, Y8, Y1
+	ADDQ        $32, SI
+	ADDQ        $32, DX
+	DECQ        BX
+	JNZ         zdotloop2
+
+zdotreduce:
+	VADDPD       Y2, Y0, Y0
+	VADDPD       Y6, Y4, Y4
+	VADDPD       Y4, Y0, Y0
+	VADDPD       Y3, Y1, Y1
+	VADDPD       Y7, Y5, Y5
+	VADDPD       Y5, Y1, Y1
+	VEXTRACTF128 $1, Y0, X2
+	VADDPD       X2, X0, X0
+	VEXTRACTF128 $1, Y1, X3
+	VADDPD       X3, X1, X1
+	TESTQ        $1, CX
+	JZ           zdotcombine
+	VMOVUPD      (SI), X8
+	VMOVUPD      (DX), X12
+	VPERMILPD    $1, X12, X13
+	VFMADD231PD  X12, X8, X0
+	VFMADD231PD  X13, X8, X1
+
+zdotcombine:
+	CMPB conj+48(FP), $0
+	JNE  zdotconj
+	VHSUBPD X0, X0, X4
+	VHADDPD X1, X1, X5
+	JMP     zdotstore
+
+zdotconj:
+	VHADDPD X0, X0, X4
+	VHSUBPD X1, X1, X5
+
+zdotstore:
+	VMOVSD X4, ret_real+56(FP)
+	VMOVSD X5, ret_imag+64(FP)
+	VZEROUPPER
+	RET
+
+// func zscalFma(alpha complex128, x []complex128)
+// x[0:n] *= alpha: with t = ai·swap(x), the product is ar·x ∓ t — real lanes
+// ar·xr − ai·xi, imaginary lanes ar·xi + ai·xr — in one VFMADDSUB.
+TEXT ·zscalFma(SB), NOSPLIT, $0-40
+	VBROADCASTSD alpha_real+0(FP), Y8
+	VBROADCASTSD alpha_imag+8(FP), Y9
+	MOVQ         x_base+16(FP), SI
+	MOVQ         x_len+24(FP), CX
+
+	MOVQ CX, BX
+	SHRQ $2, BX
+	JZ   zscaltail2
+
+zscalloop4:
+	VMOVUPD        (SI), Y0
+	VMOVUPD        32(SI), Y1
+	VPERMILPD      $5, Y0, Y2
+	VPERMILPD      $5, Y1, Y3
+	VMULPD         Y2, Y9, Y2
+	VMULPD         Y3, Y9, Y3
+	VFMADDSUB231PD Y0, Y8, Y2
+	VFMADDSUB231PD Y1, Y8, Y3
+	VMOVUPD        Y2, (SI)
+	VMOVUPD        Y3, 32(SI)
+	ADDQ           $64, SI
+	DECQ           BX
+	JNZ            zscalloop4
+
+zscaltail2:
+	TESTQ $2, CX
+	JZ    zscaltail1
+	VMOVUPD        (SI), Y0
+	VPERMILPD      $5, Y0, Y2
+	VMULPD         Y2, Y9, Y2
+	VFMADDSUB231PD Y0, Y8, Y2
+	VMOVUPD        Y2, (SI)
+	ADDQ           $32, SI
+
+zscaltail1:
+	TESTQ $1, CX
+	JZ    zscaldone
+	VMOVUPD        (SI), X0
+	VPERMILPD      $1, X0, X2
+	VMULPD         X2, X9, X2
+	VFMADDSUB231PD X0, X8, X2
+	VMOVUPD        X2, (SI)
+
+zscaldone:
+	VZEROUPPER
+	RET

@@ -20,11 +20,11 @@ import (
 //	leaf       float64 asm          float32 asm        complex 1m         portable
 //	micro      8×4 dgemmKernel8x4   16×4 sgemmKernel   real row's, 1m     4×4 Go
 //	packA/B    Go                   spackA16/spackB4   packA1m/packB1m    Go
-//	trsvOct    dsubFma8             ssubFma8           Go                 Go
-//	gemvSub8   dgemvSub8            sgemvSub8          Go                 Go
-//	axpy       daxpyFma             saxpyFma           Go                 Go
-//	scal       Go                   sscalFma           Go                 Go
-//	dot        ddotFma              sdotFma            Go                 Go
+//	trsvOct    dsubFma8             ssubFma8           view, 1e triangle  Go
+//	gemvSub8   dgemvSub8            sgemvSub8          eight axpy         Go
+//	axpy       daxpyFma             saxpyFma           zaxpyFma/caxpyFma  Go
+//	scal       Go                   sscalFma           zscalFma/cscalFma  Go
+//	dot        ddotFma              sdotFma            zdotFma/cdotFma    Go
 //	axpyDot    daxpyDotFma          Go                 Go                 Go
 //	iamax      diamaxF64, n ≥ 16    siamaxF32, n ≥ 16  Go                 Go
 //	sumSq      ddotFma              sdotFma            view               none
@@ -64,10 +64,11 @@ type kernel[T core.Scalar] struct {
 	minVol, smallMaxVol int
 	// trsmLeaf is the triangle order at which the recursive Trsm stops
 	// splitting into GEMM updates and runs direct substitution (trsmBase),
-	// whose eight-wide leaves are trsvOct — A·X = B for eight right-hand
-	// sides, left side — and gemvSub8 — y -= Σ t[q]·b(:,q), right side.
+	// whose eight-wide leaves are trsvOct — A·X = B for n right-hand sides,
+	// n a multiple of eight, left side — and gemvSub8 — y -= Σ t[q]·b(:,q),
+	// right side.
 	trsmLeaf int
-	trsvOct  func(uplo Uplo, diag Diag, m int, a []T, lda int, b []T, ldb int)
+	trsvOct  func(uplo Uplo, diag Diag, m, n int, a []T, lda int, b []T, ldb int)
 	gemvSub8 func(m int, t [8]T, b []T, ldb int, y []T)
 
 	// The Level-1/2 leaves, over unit-stride vectors as long as the first one
@@ -141,14 +142,23 @@ func rotView[C core.Cmplx, R core.Float](view func([]C) []R, run func(bool, int,
 }
 
 // oneM builds the 1m row of complex type C from the real row rk it runs on;
-// view is the matching real view from realview.go.
-func oneM[C core.Cmplx, R core.Float](rk *kernel[R], view func([]C) []R, trsmLeaf int) kernel[C] {
+// view is the matching real view from realview.go, axpy, dot and scal the
+// type's vector kernels.
+func oneM[C core.Cmplx, R core.Float](rk *kernel[R], view func([]C) []R, trsmLeaf int, axpy func(C, []C, []C), dot func([]C, []C, bool) C, scal func(C, []C)) kernel[C] {
 	micro := func(kb int, ap, bp, c []C, ldc int) {
 		rk.micro(2*kb, view(ap), view(bp), view(c), 2*ldc)
 	}
-	// The Level-1/2 leaves stay on the Go loops, but for the two that are
-	// real operations on the real view: the sum of squares and the rotations.
+	// The Level-1/2 leaves that are not the type's own vector kernels are the
+	// real row's on the real view — the sum of squares, the rotations, the
+	// substitution sweep under trsvOct — or stay on the Go loops.
 	k := portableKernel(trsmLeaf, rotView(view, rk.rotRun), iamaxGo[C])
+	k.axpy, k.dot, k.scal = axpy, dot, scal
+	k.trsvOct = trsvOct1e(view)
+	k.gemvSub8 = func(m int, t [8]C, b []C, ldb int, y []C) {
+		for q, tq := range t {
+			axpy(-tq, b[q*ldb:q*ldb+m], y)
+		}
+	}
 	k.sumSq = func(x []C) (float64, bool) { return rk.sumSq(view(x)) }
 	k.mr, k.nr, k.kScale = rk.mr/2, rk.nr, 2
 	k.minVol, k.smallMaxVol = gemmPackedMinVol1m, gemmPackedMinVol1m
@@ -253,8 +263,8 @@ var (
 		},
 		edge: microEdge[float32],
 	}
-	kern1mC128 = oneM(&kernAsmF64, realView128, trsmLeafSizeC128)
-	kern1mC64  = oneM(&kernAsmF32, realView64, trsmLeafSizeC64)
+	kern1mC128 = oneM(&kernAsmF64, realView128, trsmLeafSizeC128, zaxpyFma, zdotFma, zscalFma)
+	kern1mC64  = oneM(&kernAsmF32, realView64, trsmLeafSizeC64, caxpyFma, cdotFma, cscalFma)
 )
 
 // The float32 skinny product is one vectorized column sweep per column of C

@@ -355,3 +355,121 @@ const (
 	goldenGoF64  = "bc92bbd2a56fa80a"
 	goldenGoF32  = "6ac6c6356297af22"
 )
+
+// testGemmt checks Gemmt against GemmNaive into a copy, on the stored triangle
+// only: all nine (transA, transB) pairs, both triangles, the alphas and betas
+// the factorizations use and general ones, and orders that straddle the
+// packed crossover of every row and the blocks of smallBlocks. The strict
+// other triangle of C is poisoned with NaN: it must come back bit for bit
+// (never written) and the stored part finite (never read), and with beta = 0
+// a NaN in the stored part is cleared. With the general alpha and beta every
+// shape also runs on 2, 4 and 7 workers, which must reproduce the serial
+// bits.
+func testGemmt[T core.Scalar](t *testing.T) {
+	rng := rand.New(rand.NewSource(21))
+	nan := core.NaN[T]()
+	for _, sh := range [][2]int{{1, 1}, {5, 3}, {13, 21}, {30, 23}, {50, 41}, {90, 70}} {
+		n, k := sh[0], sh[1]
+		for _, ta := range allTrans {
+			for _, tb := range allTrans {
+				rowsA, colsA, rowsB, colsB := n, k, k, n
+				if ta != NoTrans {
+					rowsA, colsA = k, n
+				}
+				if tb != NoTrans {
+					rowsB, colsB = n, k
+				}
+				lda, ldb, ldc := rowsA+1, rowsB+2*(n%2), n+1
+				a := randSlice[T](rng, lda*colsA)
+				b := randSlice[T](rng, ldb*colsB)
+				c0 := randSlice[T](rng, ldc*n)
+				for _, uplo := range []Uplo{Upper, Lower} {
+					stored := inTri(uplo)
+					for ai, al := range complexAlphas {
+						for bi, be := range []float64{0, 1, 0.5} {
+							if n > 50 && (ai != 2 || bi != 2) {
+								continue // the largest shape only with the general scalars
+							}
+							alpha, beta := core.FromComplex[T](al), core.FromFloat[T](be)
+							want := clone(c0)
+							GemmNaive(ta, tb, n, n, k, alpha, a, lda, b, ldb, beta, want, ldc)
+							in := clone(c0)
+							for j := 0; j < n; j++ {
+								for i := 0; i < n; i++ {
+									if !stored(i, j) || (be == 0 && i == j) {
+										in[i+j*ldc] = nan
+									}
+								}
+							}
+							var serial []T
+							threads := []int{1}
+							if ai == 2 && bi == 2 {
+								threads = []int{1, 2, 4, 7}
+							}
+							for _, th := range threads {
+								got := clone(in)
+								Gemmt(smallBlocks(th), uplo, ta, tb, n, k, alpha, a, lda, b, ldb, beta, got, ldc)
+								name := fmt.Sprintf("n=%d k=%d %v%v %v alpha=%v beta=%v threads=%d", n, k, ta, tb, uplo, al, be, th)
+								if th > 1 {
+									if !sameBits(got, serial) {
+										t.Fatalf("%s: differs from the serial bits", name)
+									}
+									continue
+								}
+								serial = got
+								for j := 0; j < n; j++ {
+									for i := 0; i < ldc; i++ {
+										g := got[i+j*ldc]
+										if i >= n || !stored(i, j) {
+											if !sameBits([]T{g}, []T{in[i+j*ldc]}) {
+												t.Fatalf("%s: wrote (%d,%d) outside the triangle", name, i, j)
+											}
+										} else if d := core.Abs(g - want[i+j*ldc]); !(d <= 8*float64(k+1)*core.Eps[T]()) {
+											t.Fatalf("%s: (%d,%d) = %v, Gemm %v", name, i, j, g, want[i+j*ldc])
+										}
+									}
+								}
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+func TestGemmt(t *testing.T) {
+	eachRoute(t, func(t *testing.T) {
+		t.Run("float64", testGemmt[float64])
+		t.Run("float32", testGemmt[float32])
+		t.Run("complex128", testGemmt[complex128])
+		t.Run("complex64", testGemmt[complex64])
+	})
+}
+
+// testGemmtRoutesAgree runs one update above every row's packed crossover on
+// the table's row and on the portable row: they differ only in rounding
+// order.
+func testGemmtRoutesAgree[T core.Scalar](t *testing.T) {
+	const n, k = 96, 64
+	rng := rand.New(rand.NewSource(22))
+	a, b, c0 := randSlice[T](rng, n*k), randSlice[T](rng, n*k), randSlice[T](rng, n*n)
+	var out [2][]T
+	for i, portable := range []bool{false, true} {
+		faultinject.ForcePortable(portable)
+		out[i] = clone(c0)
+		Gemmt(tcfg(), Lower, NoTrans, ConjTrans, n, k, core.FromFloat[T](-1), a, n, b, n, core.FromFloat[T](1), out[i], n)
+	}
+	faultinject.ForcePortable(false)
+	if d := diffMax(out[0], out[1]); d > 4*k*core.Eps[T]() {
+		t.Fatalf("table row and portable row differ by %g", d)
+	}
+}
+
+func TestGemmtRoutesAgree(t *testing.T) {
+	defer faultinject.Reset()
+	t.Run("float64", testGemmtRoutesAgree[float64])
+	t.Run("float32", testGemmtRoutesAgree[float32])
+	t.Run("complex128", testGemmtRoutesAgree[complex128])
+	t.Run("complex64", testGemmtRoutesAgree[complex64])
+}

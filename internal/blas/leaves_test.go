@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/big"
+	"math/cmplx"
 	"math/rand"
 	"testing"
 
@@ -154,21 +155,17 @@ func testGerc[T core.Scalar](t *testing.T) {
 			gercRef(m, n, alpha, x, incX, y, incY, want, lda)
 			got := append([]T(nil), a0...)
 			Gerc(m, n, alpha, x, incX, y, incY, got, lda)
-			if core.IsComplex[T]() {
-				// The complex loop is the reference loop, untouched.
-				if !sameBits(got, want) {
-					t.Fatalf("%dx%d inc %v: complex Gerc changed", m, n, inc)
+			// FMA kernels may round once where the reference rounds twice
+			// (and complex64 products in float32 where Go uses float64).
+			for i := range got {
+				if d := core.Abs(got[i] - want[i]); d > 4*core.Eps[T]()*math.Max(core.Abs(want[i]), 1) {
+					t.Fatalf("%dx%d inc %v: Gerc[%d] = %v, reference %v", m, n, inc, i, got[i], want[i])
 				}
+			}
+			if core.IsComplex[T]() {
 				continue
 			}
-			// Real Gerc is Ger: FMA kernels may round once where the
-			// reference rounds twice.
-			for i := range got {
-				g, w := core.Re(got[i]), core.Re(want[i])
-				if math.Abs(g-w) > 2*core.Eps[T]()*math.Max(math.Abs(w), 1) {
-					t.Fatalf("%dx%d inc %v: Gerc[%d] = %v, reference %v", m, n, inc, i, g, w)
-				}
-			}
+			// Real Gerc is Ger.
 			ger := append([]T(nil), a0...)
 			Ger(m, n, alpha, x, incX, y, incY, ger, lda)
 			if !sameBits(got, ger) {
@@ -395,5 +392,274 @@ func TestGemvStrided(t *testing.T) {
 		t.Run("float32", testGemvStrided[float32])
 		t.Run("complex128", testGemvStrided[complex128])
 		t.Run("complex64", testGemvStrided[complex64])
+	})
+}
+
+// trsmRef solves op(A)·X = alpha·B (Left) or X·op(A) = alpha·B (Right) by
+// plain substitution in complex128, one right-hand side at a time.
+func trsmRef[T core.Scalar](side Side, uplo Uplo, trans Trans, diag Diag, m, n int, alpha T, a []T, lda int, b []T, ldb int) cmat {
+	na := m
+	if side == Right {
+		na = n
+	}
+	tr := lift(na, na, a, lda).tri(uplo, diag).op(trans)
+	rhs := lift(m, n, b, ldb).scale(core.ToComplex(alpha))
+	lower := (uplo == Lower) == (trans == NoTrans)
+	if side == Right {
+		// X·op(A) = R  ⇔  op(A)ᵀ·Xᵀ = Rᵀ.
+		tr, rhs, lower = tr.op(TransT), rhs.op(TransT), !lower
+	}
+	x := newCmat(rhs.m, rhs.n)
+	for j := 0; j < rhs.n; j++ {
+		for s := 0; s < tr.m; s++ {
+			i := s
+			if !lower {
+				i = tr.m - 1 - s
+			}
+			sum := rhs.at(i, j)
+			for l := 0; l < tr.m; l++ {
+				if l != i {
+					sum -= tr.at(i, l) * x.at(l, j)
+				}
+			}
+			x.set(i, j, sum/tr.at(i, i))
+		}
+	}
+	if side == Right {
+		x = x.op(TransT)
+	}
+	return x
+}
+
+// testTrsmLeaves holds all sixteen (side, uplo, trans, diag) forms of Trsm to
+// the substitution reference, with alpha ≠ 1, at triangle orders under, at
+// and across the recursion's leaf and right-hand-side counts on every leaf
+// width: Trsv columns (1, 3), a quad (4, 7), octets (8, 16), octets with each
+// remainder (9, 67).
+func testTrsmLeaves[T core.Scalar](t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	alpha := core.FromComplex[T](complex(-0.75, 0.5))
+	for _, na := range []int{7, 40, 100} {
+		widths := []int{1, 3, 4, 7, 8, 9, 16, 67}
+		if na == 100 {
+			widths = []int{8, 67}
+		}
+		lda := na + 1
+		a := randSlice[T](rng, lda*na)
+		for i := 0; i < na; i++ {
+			a[i+i*lda] += core.FromFloat[T](float64(na)) // well conditioned
+		}
+		for _, w := range widths {
+			for _, side := range []Side{Left, Right} {
+				m, n := na, w
+				if side == Right {
+					m, n = w, na
+				}
+				ldb := m + 2
+				b0 := randSlice[T](rng, ldb*n)
+				for _, uplo := range []Uplo{Upper, Lower} {
+					for _, trans := range allTrans {
+						for _, diag := range []Diag{NonUnit, Unit} {
+							want := trsmRef(side, uplo, trans, diag, m, n, alpha, a, lda, b0, ldb)
+							b := clone(b0)
+							Trsm(tcfg(), side, uplo, trans, diag, m, n, alpha, a, lda, b, ldb)
+							got := lift(m, n, b, ldb)
+							scale := 0.0
+							for _, v := range want.v {
+								scale = math.Max(scale, cmplx.Abs(v))
+							}
+							for i, v := range want.v {
+								if d := cmplx.Abs(got.v[i] - v); !(d <= 2*float64(na)*core.Eps[T]()*scale) {
+									t.Fatalf("order %d, %d right-hand sides, %v %v %v %v: element %d = %v, reference %v",
+										na, w, side, uplo, trans, diag, i, got.v[i], v)
+								}
+							}
+							for j := 0; j < n; j++ {
+								if !sameBits(b[j*ldb+m:(j+1)*ldb], b0[j*ldb+m:(j+1)*ldb]) {
+									t.Fatalf("order %d, %d right-hand sides, %v %v %v %v: wrote the padding of column %d",
+										na, w, side, uplo, trans, diag, j)
+								}
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+func TestTrsmLeaves(t *testing.T) {
+	eachRoute(t, func(t *testing.T) {
+		t.Run("float64", testTrsmLeaves[float64])
+		t.Run("float32", testTrsmLeaves[float32])
+		t.Run("complex128", testTrsmLeaves[complex128])
+		t.Run("complex64", testTrsmLeaves[complex64])
+	})
+}
+
+// bigParts is v's components at 200 bits.
+func bigParts[T core.Scalar](v T) (re, im *big.Float) {
+	return new(big.Float).SetPrec(200).SetFloat64(core.Re(v)), new(big.Float).SetPrec(200).SetFloat64(core.Im(v))
+}
+
+// cmulAdd returns (sum + a·b, mag + the magnitudes of the four products)
+// at 200 bits, sum and mag as [re, im] pairs; a is conjugated when conj is
+// set.
+func cmulAdd[T core.Scalar](sum, mag *[2]*big.Float, a, b T, conj bool) {
+	ar, ai := bigParts(a)
+	br, bi := bigParts(b)
+	if conj {
+		ai.Neg(ai)
+	}
+	mul := func(x, y *big.Float) *big.Float { return new(big.Float).SetPrec(200).Mul(x, y) }
+	rr, ii, ri, ir := mul(ar, br), mul(ai, bi), mul(ar, bi), mul(ai, br)
+	sum[0].Add(sum[0], rr).Sub(sum[0], ii)
+	sum[1].Add(sum[1], ri).Add(sum[1], ir)
+	mag[0].Add(mag[0], rr.Abs(rr)).Add(mag[0], ii.Abs(ii))
+	mag[1].Add(mag[1], ri.Abs(ri)).Add(mag[1], ir.Abs(ir))
+}
+
+func bigPair() *[2]*big.Float {
+	return &[2]*big.Float{new(big.Float).SetPrec(200), new(big.Float).SetPrec(200)}
+}
+
+// offBy returns the error of got against the exact value want, component by
+// component, in units of eps·mag: ulps at the scale of the terms summed.
+func offBy[T core.Scalar](got T, want, mag *[2]*big.Float) float64 {
+	worst := 0.0
+	for c, g := range [2]float64{core.Re(got), core.Im(got)} {
+		w, _ := want[c].Float64()
+		m, _ := mag[c].Float64()
+		if d := math.Abs(g - w); d > 0 {
+			worst = math.Max(worst, d/(core.Eps[T]()*m))
+		}
+	}
+	return worst
+}
+
+// testComplexLeaves checks the axpy, scal and dot entries of T's table row
+// against their definitions evaluated exactly, for every length up to 67
+// (every tail of the vector loops): axpy and scal to 2 ulp per component at
+// the scale of their terms, dot to 2 ulp plus one per eight terms at the
+// scale of the summed magnitudes. Length zero goes through the exported entry points.
+func testComplexLeaves[T core.Scalar](t *testing.T) {
+	rng := rand.New(rand.NewSource(41))
+	k := kernelFor[T]()
+	alpha := core.FromComplex[T](complex(-0.75, 0.5))
+	y0 := randSlice[T](rng, 4)
+	Axpy(0, alpha, nil, 1, y0, 1)
+	if d := Dotc(0, []T(nil), 1, y0, 1); d != 0 {
+		t.Fatalf("Dotc of length 0 = %v", d)
+	}
+	for n := 1; n <= 67; n++ {
+		x, y := randSlice[T](rng, n), randSlice[T](rng, n+1)
+		got := clone(y)
+		k.axpy(alpha, x, got)
+		for i := range x {
+			want, mag := bigPair(), bigPair()
+			cmulAdd(want, mag, 1, y[i], false)
+			cmulAdd(want, mag, alpha, x[i], false)
+			if u := offBy(got[i], want, mag); u > 2 {
+				t.Fatalf("axpy n=%d: y[%d] = %v is %.2f ulp off", n, i, got[i], u)
+			}
+		}
+		if got[n] != y[n] {
+			t.Fatalf("axpy n=%d wrote past the end", n)
+		}
+		got = clone(y)
+		k.scal(alpha, got[:n])
+		for i := range x {
+			want, mag := bigPair(), bigPair()
+			cmulAdd(want, mag, alpha, y[i], false)
+			if u := offBy(got[i], want, mag); u > 2 {
+				t.Fatalf("scal n=%d: x[%d] = %v is %.2f ulp off", n, i, got[i], u)
+			}
+		}
+		if got[n] != y[n] {
+			t.Fatalf("scal n=%d wrote past the end", n)
+		}
+		for _, conj := range []bool{false, true} {
+			want, mag := bigPair(), bigPair()
+			for i := range x {
+				cmulAdd(want, mag, x[i], y[i], conj)
+			}
+			if u := offBy(k.dot(x, y, conj), want, mag); u > 2+float64(n)/8 {
+				t.Fatalf("dot n=%d conj=%v is %.2f ulp off", n, conj, u)
+			}
+		}
+	}
+}
+
+// class is how a component propagates: finite, +Inf, −Inf or NaN.
+func class(v float64) int {
+	switch {
+	case math.IsNaN(v):
+		return 3
+	case math.IsInf(v, 0):
+		return 1 + int(math.Float64bits(v)>>63)
+	}
+	return 0
+}
+
+func sameClass[T core.Scalar](a, b T) bool {
+	return class(core.Re(a)) == class(core.Re(b)) && class(core.Im(a)) == class(core.Im(b))
+}
+
+// testComplexLeavesNonFinite plants NaN, ±Inf and zeros in x, y and alpha, at
+// every position of lengths that cover the vector body and each tail, and
+// requires every component to come out finite, infinite or NaN exactly where
+// the Go loops leave it so: no kernel skips a zero multiplier.
+func testComplexLeavesNonFinite[T core.Scalar](t *testing.T) {
+	rng := rand.New(rand.NewSource(43))
+	k := kernelFor[T]()
+	inf := math.Inf(1)
+	specials := []complex128{complex(math.NaN(), 1), complex(inf, -2), complex(0.5, -inf), complex(inf, inf), 0}
+	alphas := append([]complex128{complex(-0.75, 0.5), complex(0, 1), complex(1, 0)}, specials...)
+	for _, n := range []int{1, 2, 3, 5, 9, 19} {
+		for pos := 0; pos < n; pos++ {
+			for _, sp := range specials {
+				for inY := 0; inY < 2; inY++ {
+					x, y := randSlice[T](rng, n), randSlice[T](rng, n)
+					if inY == 1 {
+						y[pos] = core.FromComplex[T](sp)
+					} else {
+						x[pos] = core.FromComplex[T](sp)
+					}
+					for _, al := range alphas {
+						alpha := core.FromComplex[T](al)
+						got, want := clone(y), clone(y)
+						k.axpy(alpha, x, got)
+						axpyGo(alpha, x, want)
+						for i := range got {
+							if !sameClass(got[i], want[i]) {
+								t.Fatalf("axpy n=%d alpha=%v special %v at %d (in y: %d): y[%d] = %v, Go loop %v", n, al, sp, pos, inY, i, got[i], want[i])
+							}
+						}
+						got, want = clone(y), clone(y)
+						k.scal(alpha, got)
+						scalGo(alpha, want)
+						for i := range got {
+							if !sameClass(got[i], want[i]) {
+								t.Fatalf("scal n=%d alpha=%v special %v at %d: x[%d] = %v, Go loop %v", n, al, sp, pos, i, got[i], want[i])
+							}
+						}
+					}
+					for _, conj := range []bool{false, true} {
+						if g, w := k.dot(x, y, conj), dotGo(x, y, conj); !sameClass(g, w) {
+							t.Fatalf("dot n=%d conj=%v special %v at %d (in y: %d) = %v, Go loop %v", n, conj, sp, pos, inY, g, w)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+func TestComplexLeaves(t *testing.T) {
+	eachRoute(t, func(t *testing.T) {
+		t.Run("complex128", testComplexLeaves[complex128])
+		t.Run("complex64", testComplexLeaves[complex64])
+		t.Run("complex128/nonfinite", testComplexLeavesNonFinite[complex128])
+		t.Run("complex64/nonfinite", testComplexLeavesNonFinite[complex64])
 	})
 }

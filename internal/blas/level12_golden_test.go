@@ -30,14 +30,19 @@ import (
 // Columns: assembly route, portable route (faultinject.ForcePortable, the
 // same gate as LA90_NO_ASM=1). The same sweep holds every result to the one
 // dense definition in check.
-// Regenerate with `go test ./internal/blas -run Level12Golden -l12print`.
+// Regenerated once on purpose (PR 17): the Trsm rows — transposed left-side
+// leaves substitute on a transposed copy, the right side scales by a
+// reciprocal — and the asm column of the complex rows that reach the new
+// vector axpy/dot/scal kernels (Axpy, Scal, Gemv, Ger, Gerc, Trsv, Trmm and
+// the single-column Gemm); every other entry is the PR 16 bits.
+// Regenerate with `go test ./internal/blas -run Level12Golden -l12print -v`.
 var level12Golden = map[string][2]uint64{
 	"Asum/complex128":     {0x536b19813327ac4f, 0x536b19813327ac4f},
 	"Asum/complex64":      {0x7078ce60af8ec7ac, 0x7078ce60af8ec7ac},
 	"Asum/float32":        {0x150edd78a9e921e2, 0x150edd78a9e921e2},
 	"Asum/float64":        {0xf140b5b34f557e02, 0xf140b5b34f557e02},
-	"Axpy/complex128":     {0x0d921ae21cdcc8f8, 0x0d921ae21cdcc8f8},
-	"Axpy/complex64":      {0x4702472bc29a8dba, 0x4702472bc29a8dba},
+	"Axpy/complex128":     {0x794307bffbebcd61, 0x0d921ae21cdcc8f8},
+	"Axpy/complex64":      {0x595c3bcd7954be15, 0x4702472bc29a8dba},
 	"Axpy/float32":        {0xa34c32b66636024b, 0x0d1616ab669b19c0},
 	"Axpy/float64":        {0xc6c62dfcfe2a920d, 0xe80f24e2dbd7e86e},
 	"Copy/complex128":     {0x99327a1c8b275ee1, 0x99327a1c8b275ee1},
@@ -59,21 +64,21 @@ var level12Golden = map[string][2]uint64{
 	"Gbmv/complex64":      {0xd7380e22a3743d30, 0xd7380e22a3743d30},
 	"Gbmv/float32":        {0x9e285a12a35b4268, 0x9e285a12a35b4268},
 	"Gbmv/float64":        {0x71d29b47265e42c7, 0x71d29b47265e42c7},
-	"Gemm/complex128":     {0x34b56b7a9e77c7a3, 0x1ff380270fc80cb6},
-	"Gemm/complex64":      {0x813c088da51f352a, 0x2323216fc3bb37f1},
+	"Gemm/complex128":     {0xf377f70fbe6f5242, 0x1ff380270fc80cb6},
+	"Gemm/complex64":      {0x9b8f3c63418b8590, 0x2323216fc3bb37f1},
 	"Gemm/float32":        {0xf8b420952ad2d2d1, 0xfa915f8000724342},
 	"Gemm/float64":        {0x33fe53825e5ae465, 0x1e770e628d90958a},
-	"Gemv/complex128":     {0x1275f715b325d327, 0x1275f715b325d327},
-	"Gemv/complex64":      {0x80fd19e47d4b2b75, 0x80fd19e47d4b2b75},
+	"Gemv/complex128":     {0x09bb70ba0e5e3189, 0x1275f715b325d327},
+	"Gemv/complex64":      {0x6c582689be453ed3, 0x80fd19e47d4b2b75},
 	"Gemv/float32":        {0x86c420de17baddbc, 0xe0c209569e95cd0a},
 	"Gemv/float64":        {0x0db59044ee8d07e0, 0x398ba2ffb40a3411},
 	"GemvSub8F64/float64": {0xa8115ba8186f35a8, 0xa7c0391dddea76c0},
-	"Ger/complex128":      {0x3308bf10a8fff100, 0x3308bf10a8fff100},
-	"Ger/complex64":       {0xdd905a33060fbf79, 0xdd905a33060fbf79},
+	"Ger/complex128":      {0x44c4f3a3c82227a1, 0x3308bf10a8fff100},
+	"Ger/complex64":       {0x77598b0e59de7d1b, 0xdd905a33060fbf79},
 	"Ger/float32":         {0x8a515551a3cf9514, 0xfad8c533e16f6b25},
 	"Ger/float64":         {0xcdea35635cf3c9e5, 0x74e57500b08fbec6},
-	"Gerc/complex128":     {0xe5f4c8a3fd18c0ad, 0xe5f4c8a3fd18c0ad},
-	"Gerc/complex64":      {0x292b90774d3f4c59, 0x292b90774d3f4c59},
+	"Gerc/complex128":     {0xf23ad0df506fcad4, 0xe5f4c8a3fd18c0ad},
+	"Gerc/complex64":      {0x3eb9b57b75130dd1, 0x292b90774d3f4c59},
 	"Gerc/float32":        {0x8a515551a3cf9514, 0xfad8c533e16f6b25},
 	"Gerc/float64":        {0xcdea35635cf3c9e5, 0x74e57500b08fbec6},
 	"Hbmv/complex128":     {0x3ddec6963f20b824, 0x3ddec6963f20b824},
@@ -142,7 +147,7 @@ var level12Golden = map[string][2]uint64{
 	"Sbmv/complex64":      {0x68d3ad0a59840c0d, 0x68d3ad0a59840c0d},
 	"Sbmv/float32":        {0x866fbf5c6c030cca, 0x866fbf5c6c030cca},
 	"Sbmv/float64":        {0x99adfcce0adf02d2, 0x99adfcce0adf02d2},
-	"Scal/complex128":     {0x6aaaa3800f476d39, 0x6aaaa3800f476d39},
+	"Scal/complex128":     {0xa983cdfc0988275a, 0x6aaaa3800f476d39},
 	"Scal/complex64":      {0x6620ddbed1d81972, 0x6620ddbed1d81972},
 	"Scal/float32":        {0xf929aade8a69d58d, 0xf929aade8a69d58d},
 	"Scal/float64":        {0x18db60504f95a381, 0x18db60504f95a381},
@@ -202,20 +207,20 @@ var level12Golden = map[string][2]uint64{
 	"Tpsv/complex64":      {0xa48cf226ddeb99b7, 0xa48cf226ddeb99b7},
 	"Tpsv/float32":        {0x694d949e07744bd4, 0x694d949e07744bd4},
 	"Tpsv/float64":        {0x362de7483691c60c, 0x362de7483691c60c},
-	"Trmm/complex128":     {0x47d03c44e3a9365f, 0x47d03c44e3a9365f},
-	"Trmm/complex64":      {0x18ba69bed6583900, 0x18ba69bed6583900},
+	"Trmm/complex128":     {0x7e07125fa6aa9154, 0x47d03c44e3a9365f},
+	"Trmm/complex64":      {0x7eeb10f5135edf20, 0x18ba69bed6583900},
 	"Trmm/float32":        {0x75e9a838a88d0112, 0x2474db5b71bab571},
 	"Trmm/float64":        {0x702adfeaad2da947, 0x43dd852ca0f2d884},
 	"Trmv/complex128":     {0x2e0363c2cf1dd3bd, 0x2e0363c2cf1dd3bd},
 	"Trmv/complex64":      {0x255054816c4533da, 0x255054816c4533da},
 	"Trmv/float32":        {0x413177c6a53a9654, 0x413177c6a53a9654},
 	"Trmv/float64":        {0x4a8cb9ae61507180, 0x4a8cb9ae61507180},
-	"Trsm/complex128":     {0xf32a4f25dbc381e3, 0x6f5939eb1a671f41},
-	"Trsm/complex64":      {0x2c9bc7bc9c67b474, 0x76c9fd9e3b946969},
-	"Trsm/float32":        {0x5ee5894355e4aef9, 0xae2d7e8e46e5a4b6},
-	"Trsm/float64":        {0xbd91150ad733627d, 0xf9b03c1808efdc4f},
-	"Trsv/complex128":     {0x1d0eae99164135ef, 0x1d0eae99164135ef},
-	"Trsv/complex64":      {0xa48cf226ddeb99b7, 0xa48cf226ddeb99b7},
+	"Trsm/complex128":     {0x8637e7a010f0244c, 0x8c3ba6d54a3e526d},
+	"Trsm/complex64":      {0x09137fd1cefa17e0, 0xd508876be5a23620},
+	"Trsm/float32":        {0x82223bcbe8e575be, 0x0de8e5b0a5e0562c},
+	"Trsm/float64":        {0x9e5e9985c3e7d6d7, 0xa6c436d9a68ad7ff},
+	"Trsv/complex128":     {0xe7b16fe436b59bff, 0x1d0eae99164135ef},
+	"Trsv/complex64":      {0x090a5ce134413dfd, 0xa48cf226ddeb99b7},
 	"Trsv/float32":        {0xc84b9b29c1ee8a0c, 0x694d949e07744bd4},
 	"Trsv/float64":        {0x7e5bcec9d908674a, 0x362de7483691c60c},
 }

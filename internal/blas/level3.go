@@ -474,6 +474,73 @@ func Syr2k[T core.Scalar](cfg *core.Config, uplo Uplo, trans Trans, n, k int, al
 	rank2KBase(uplo, trans, n, k, alpha, a, lda, b, ldb, beta, c, ldc, false)
 }
 
+// Gemmt computes C = alpha*op(A)*op(B) + beta*C on the uplo triangle of the
+// n×n matrix C only, where op(A) is n×k and op(B) is k×n: the general product
+// for callers who know the result is symmetric or Hermitian (the trailing
+// update of the Bunch–Kaufman panels, L21·(D·L21ᵀ)). The other triangle of C
+// is neither read nor written. Large updates are one pass of the packed
+// triangle engine, so each operand is packed once however wide C is.
+func Gemmt[T core.Scalar](cfg *core.Config, uplo Uplo, transA, transB Trans, n, k int, alpha T, a []T, lda int, b []T, ldb int, beta T, c []T, ldc int) {
+	cfg = core.Cfg(cfg)
+	if n == 0 {
+		return
+	}
+	checkLD(n, ldc)
+	rowsA, rowsB := n, k
+	if transA != NoTrans {
+		rowsA = k
+	}
+	if transB != NoTrans {
+		rowsB = n
+	}
+	checkLD(rowsA, lda)
+	checkLD(rowsB, ldb)
+	transA, transB = realTrans[T](transA), realTrans[T](transB)
+	if n*n*k >= packedMinVol[T]() {
+		if beta != core.FromFloat[T](1) {
+			scaleTriangle(uplo, n, beta, c, ldc)
+		}
+		if alpha != 0 && k != 0 {
+			triEngine(cfg, uplo, transA, transB, n, k, alpha, a, lda, b, ldb, c, ldc)
+		}
+		return
+	}
+	// Element (i, l) of op(A) is a[i·ai + l·al], (l, j) of op(B) b[l·bl + j·bj].
+	ai, al, bl, bj := 1, lda, 1, ldb
+	if transA != NoTrans {
+		ai, al = lda, 1
+	}
+	if transB != NoTrans {
+		bl, bj = ldb, 1
+	}
+	cjA, cjB := transA == ConjTrans, transB == ConjTrans
+	for j := 0; j < n; j++ {
+		lo, hi := 0, j+1
+		if uplo == Lower {
+			lo, hi = j, n
+		}
+		ccol := c[j*ldc:]
+		for i := lo; i < hi; i++ {
+			var sum T
+			for l := 0; l < k; l++ {
+				av, bv := a[i*ai+l*al], b[l*bl+j*bj]
+				if cjA {
+					av = core.Conj(av)
+				}
+				if cjB {
+					bv = core.Conj(bv)
+				}
+				sum += av * bv
+			}
+			v := alpha * sum
+			if beta != 0 {
+				v += beta * ccol[i]
+			}
+			ccol[i] = v
+		}
+	}
+}
+
 // Her2k computes the Hermitian rank-2k update
 // C = alpha*A*Bᴴ + conj(alpha)*B*Aᴴ + beta*C (NoTrans) or the conj-
 // transposed form, with real beta. Large updates run as two passes of the
@@ -704,89 +771,56 @@ func trsmRec[T core.Scalar](cfg *core.Config, side Side, uplo Uplo, trans Trans,
 	}
 }
 
-// trsmBase is the direct substitution kernel used on diagonal blocks. The
-// left-side path solves four right-hand sides per sweep of the triangle, so
-// each column of A is loaded once per four columns of B and the updates run
-// as four independent multiply-add chains. The eight-wide leaves (k.trsvOct
-// on the left, k.gemvSub8 on the right) come from the kernel-table row.
+// trsmBase is the direct substitution kernel used on diagonal blocks. Both
+// sides run on the eight-wide leaves of the kernel-table row: k.trsvOct on
+// the left — every column of A loaded once per eight columns of B — and
+// k.gemvSub8 on the right.
 func trsmBase[T core.Scalar](k *kernel[T], side Side, uplo Uplo, trans Trans, diag Diag, m, n int, alpha T, a []T, lda int, b []T, ldb int) {
+	one := core.FromFloat[T](1)
 	if side == Left {
-		one := core.FromFloat[T](1)
+		if alpha != one {
+			for j := 0; j < n; j++ {
+				k.scal(alpha, b[j*ldb:j*ldb+m])
+			}
+		}
+		// The leaves substitute down (up) the columns of A, which for a
+		// transposed solve are its rows: with at least one octet of right-hand
+		// sides the triangle is copied transposed into pooled scratch — m²/2
+		// copies against m²/2 multiply-adds per column — and solved as the
+		// other triangle, untransposed. Narrower solves are not worth the
+		// scratch and go column by column through Trsv.
+		var at []T
+		if trans != NoTrans && n >= 8 {
+			at = getScratch[T](m * m)
+			transposeTriangle(uplo, trans == ConjTrans, m, a, lda, at)
+			a, lda, uplo, trans = at, m, uplo.flip(), NoTrans
+		}
 		j := 0
 		if trans == NoTrans {
-			for ; j+8 <= n; j += 8 {
-				if alpha != one {
-					for q := 0; q < 8; q++ {
-						Scal(m, alpha, b[(j+q)*ldb:], 1)
-					}
-				}
-				k.trsvOct(uplo, diag, m, a, lda, b[j*ldb:], ldb)
+			if n8 := n &^ 7; n8 > 0 {
+				k.trsvOct(uplo, diag, m, n8, a, lda, b, ldb)
+				j = n8
 			}
-		}
-		for ; j+4 <= n; j += 4 {
-			if alpha != one {
-				for q := 0; q < 4; q++ {
-					Scal(m, alpha, b[(j+q)*ldb:], 1)
-				}
+			if j+4 <= n {
+				trsvQuad(uplo, diag, m, a, lda, b[j*ldb:], b[(j+1)*ldb:], b[(j+2)*ldb:], b[(j+3)*ldb:])
+				j += 4
 			}
-			trsvQuad(uplo, trans, diag, m, a, lda,
-				b[j*ldb:], b[(j+1)*ldb:], b[(j+2)*ldb:], b[(j+3)*ldb:])
 		}
 		for ; j < n; j++ {
-			col := b[j*ldb:]
-			if alpha != one {
-				Scal(m, alpha, col, 1)
-			}
-			Trsv(uplo, trans, diag, m, a, lda, col, 1)
+			Trsv(uplo, trans, diag, m, a, lda, b[j*ldb:], 1)
+		}
+		if at != nil {
+			putScratch(at)
 		}
 		return
 	}
-	// Right side: X*op(A) = alpha*B  <=>  op(A)ᵀ Xᵀ = alpha Bᵀ. Solve
-	// column by column over the columns of X in dependency order.
-	conj := trans == ConjTrans
-	nonUnit := diag == NonUnit
-	opA := func(i, j int) T {
-		if trans == NoTrans {
-			return a[i+j*lda]
-		}
-		if conj {
-			return core.Conj(a[j+i*lda])
-		}
-		return a[j+i*lda]
-	}
-	// subtractCols folds sum_l X(:,l)*opA(l,j) into bj, four source columns
-	// per pass so bj is streamed once per four axpys.
-	subtractCols := func(bj []T, j, lo, hi int) {
-		l := lo
-		for ; l+8 <= hi; l += 8 {
-			t := [8]T{opA(l, j), opA(l+1, j), opA(l+2, j), opA(l+3, j),
-				opA(l+4, j), opA(l+5, j), opA(l+6, j), opA(l+7, j)}
-			k.gemvSub8(m, t, b[l*ldb:], ldb, bj)
-		}
-		for ; l+4 <= hi; l += 4 {
-			t0, t1, t2, t3 := opA(l, j), opA(l+1, j), opA(l+2, j), opA(l+3, j)
-			bl0 := b[l*ldb : l*ldb+m]
-			bl1 := b[(l+1)*ldb : (l+1)*ldb+m]
-			bl2 := b[(l+2)*ldb : (l+2)*ldb+m]
-			bl3 := b[(l+3)*ldb : (l+3)*ldb+m]
-			for i := range bj {
-				bj[i] -= t0*bl0[i] + t1*bl1[i] + t2*bl2[i] + t3*bl3[i]
-			}
-		}
-		for ; l < hi; l++ {
-			t := opA(l, j)
-			if t == 0 {
-				continue
-			}
-			bl := b[l*ldb : l*ldb+m]
-			for i := range bj {
-				bj[i] -= t * bl[i]
-			}
-		}
-	}
-	// X(:,j) = (alpha*B(:,j) - sum_l X(:,l)*opA(l,j)) / opA(j,j), over l < j
+	// Right side: X·op(A) = alpha·B, column by column in dependency order —
+	// X(:,j) = (alpha·B(:,j) − Σ_l X(:,l)·op(A)(l,j)) / op(A)(j,j), over l < j
 	// left to right for an upper triangular op(A), over l > j right to left
-	// for a lower one.
+	// for a lower one. The solved columns are folded in eight per pass of
+	// X(:,j), and the division is one reciprocal per column and a scaling
+	// (the reference xTRSM's right-side form).
+	conj := trans == ConjTrans
 	opUpper := (trans == NoTrans) == (uplo == Upper)
 	for s := 0; s < n; s++ {
 		j, lo, hi := s, 0, s
@@ -794,64 +828,112 @@ func trsmBase[T core.Scalar](k *kernel[T], side Side, uplo Uplo, trans Trans, di
 			j, lo, hi = n-1-s, n-s, n
 		}
 		bj := b[j*ldb : j*ldb+m]
-		if alpha != core.FromFloat[T](1) {
-			for i := range bj {
-				bj[i] *= alpha
-			}
+		if alpha != one {
+			k.scal(alpha, bj)
 		}
-		subtractCols(bj, j, lo, hi)
-		if nonUnit {
-			d := opA(j, j)
-			for i := range bj {
-				bj[i] = core.Div(bj[i], d)
+		// op(A)(l, j) is a[base+l·step], conjugated under ConjTrans.
+		base, step := j*lda, 1
+		if trans != NoTrans {
+			base, step = j, lda
+		}
+		l := lo
+		for ; l+8 <= hi; l += 8 {
+			var t [8]T
+			for q := range t {
+				t[q] = a[base+(l+q)*step]
 			}
+			if conj {
+				for q := range t {
+					t[q] = core.Conj(t[q])
+				}
+			}
+			k.gemvSub8(m, t, b[l*ldb:], ldb, bj)
+		}
+		for ; l < hi; l++ {
+			t := a[base+l*step]
+			if conj {
+				t = core.Conj(t)
+			}
+			k.axpy(-t, b[l*ldb:l*ldb+m], bj)
+		}
+		if diag == NonUnit {
+			d := a[j+j*lda]
+			if conj {
+				d = core.Conj(d)
+			}
+			k.scal(core.Div(one, d), bj)
 		}
 	}
 }
 
-// trsvOct is the eight-wide NoTrans counterpart of trsvQuad: it solves
-// A·x = b for eight consecutive right-hand-side columns of b (leading
-// dimension ldb), halving the number of passes over the triangle relative to
-// the four-wide kernel. Columns must already carry any alpha scaling. This
-// is the portable form (the trsvOct entry of the portable and 1m rows of the
-// kernel table); the real asm rows run trsvOctFma.
-func trsvOct[T core.Scalar](uplo Uplo, diag Diag, m int, a []T, lda int, b []T, ldb int) {
+// transposeTriangle writes the transpose (the conjugate transpose when conj
+// is set) of the uplo triangle of the m×m matrix a, diagonal included, into
+// the other triangle of dst, leading dimension m. The rest of dst is not
+// written.
+func transposeTriangle[T core.Scalar](uplo Uplo, conj bool, m int, a []T, lda int, dst []T) {
+	for j := 0; j < m; j++ {
+		lo, hi := 0, j+1
+		if uplo == Lower {
+			lo, hi = j, m
+		}
+		col := a[j*lda : j*lda+m]
+		if conj {
+			for i := lo; i < hi; i++ {
+				dst[j+i*m] = core.Conj(col[i])
+			}
+			continue
+		}
+		for i := lo; i < hi; i++ {
+			dst[j+i*m] = col[i]
+		}
+	}
+}
+
+// trsvOct solves A·X = B in place for n right-hand-side columns of b, n a
+// multiple of eight, eight columns per sweep of the triangle. Columns must
+// already carry any alpha scaling. This is the portable form (the trsvOct
+// entry of the portable rows of the kernel table); the real asm rows run
+// trsvOctFma, the complex 1m rows trsvOct1e.
+func trsvOct[T core.Scalar](uplo Uplo, diag Diag, m, n int, a []T, lda int, b []T, ldb int) {
 	nonUnit := diag == NonUnit
-	c0 := b[0*ldb : 0*ldb+m]
-	c1 := b[1*ldb : 1*ldb+m]
-	c2 := b[2*ldb : 2*ldb+m]
-	c3 := b[3*ldb : 3*ldb+m]
-	c4 := b[4*ldb : 4*ldb+m]
-	c5 := b[5*ldb : 5*ldb+m]
-	c6 := b[6*ldb : 6*ldb+m]
-	c7 := b[7*ldb : 7*ldb+m]
-	// Forward substitution for Lower, backward for Upper: step s eliminates
-	// row i from the rows [lo, hi) still to come.
-	for s := 0; s < m; s++ {
-		i, lo, hi := s, s+1, m
-		if uplo == Upper {
-			i, lo, hi = m-1-s, 0, m-1-s
-		}
-		acol := a[i*lda : i*lda+m]
-		x0, x1, x2, x3 := c0[i], c1[i], c2[i], c3[i]
-		x4, x5, x6, x7 := c4[i], c5[i], c6[i], c7[i]
-		if nonUnit {
-			d := acol[i]
-			x0, x1, x2, x3 = core.Div(x0, d), core.Div(x1, d), core.Div(x2, d), core.Div(x3, d)
-			x4, x5, x6, x7 = core.Div(x4, d), core.Div(x5, d), core.Div(x6, d), core.Div(x7, d)
-			c0[i], c1[i], c2[i], c3[i] = x0, x1, x2, x3
-			c4[i], c5[i], c6[i], c7[i] = x4, x5, x6, x7
-		}
-		for r := lo; r < hi; r++ {
-			t := acol[r]
-			c0[r] -= t * x0
-			c1[r] -= t * x1
-			c2[r] -= t * x2
-			c3[r] -= t * x3
-			c4[r] -= t * x4
-			c5[r] -= t * x5
-			c6[r] -= t * x6
-			c7[r] -= t * x7
+	for j := 0; j < n; j += 8 {
+		b := b[j*ldb:]
+		c0 := b[0*ldb : 0*ldb+m]
+		c1 := b[1*ldb : 1*ldb+m]
+		c2 := b[2*ldb : 2*ldb+m]
+		c3 := b[3*ldb : 3*ldb+m]
+		c4 := b[4*ldb : 4*ldb+m]
+		c5 := b[5*ldb : 5*ldb+m]
+		c6 := b[6*ldb : 6*ldb+m]
+		c7 := b[7*ldb : 7*ldb+m]
+		// Forward substitution for Lower, backward for Upper: step s
+		// eliminates row i from the rows [lo, hi) still to come.
+		for s := 0; s < m; s++ {
+			i, lo, hi := s, s+1, m
+			if uplo == Upper {
+				i, lo, hi = m-1-s, 0, m-1-s
+			}
+			acol := a[i*lda : i*lda+m]
+			x0, x1, x2, x3 := c0[i], c1[i], c2[i], c3[i]
+			x4, x5, x6, x7 := c4[i], c5[i], c6[i], c7[i]
+			if nonUnit {
+				d := acol[i]
+				x0, x1, x2, x3 = core.Div(x0, d), core.Div(x1, d), core.Div(x2, d), core.Div(x3, d)
+				x4, x5, x6, x7 = core.Div(x4, d), core.Div(x5, d), core.Div(x6, d), core.Div(x7, d)
+				c0[i], c1[i], c2[i], c3[i] = x0, x1, x2, x3
+				c4[i], c5[i], c6[i], c7[i] = x4, x5, x6, x7
+			}
+			for r := lo; r < hi; r++ {
+				t := acol[r]
+				c0[r] -= t * x0
+				c1[r] -= t * x1
+				c2[r] -= t * x2
+				c3[r] -= t * x3
+				c4[r] -= t * x4
+				c5[r] -= t * x5
+				c6[r] -= t * x6
+				c7[r] -= t * x7
+			}
 		}
 	}
 }
@@ -860,27 +942,87 @@ func trsvOct[T core.Scalar](uplo Uplo, diag Diag, m int, a []T, lda int, b []T, 
 // per-step update of the trailing rows runs in the eight-column substitution
 // kernel behind subFma8, whose fused negate-multiply-adds roughly halve the
 // arithmetic of the portable loop.
-func trsvOctFma[F core.Float](uplo Uplo, diag Diag, m int, a []F, lda int, b []F, ldb int) {
+func trsvOctFma[F core.Float](uplo Uplo, diag Diag, m, n int, a []F, lda int, b []F, ldb int) {
 	nonUnit := diag == NonUnit
 	var x [8]F
-	for s := 0; s < m; s++ {
-		i, lo, hi := s, s+1, m
-		if uplo == Upper {
-			i, lo, hi = m-1-s, 0, m-1-s
-		}
-		for q := 0; q < 8; q++ {
-			x[q] = b[q*ldb+i]
-		}
-		if nonUnit {
-			d := a[i*lda+i]
+	for j := 0; j < n; j += 8 {
+		b := b[j*ldb:]
+		for s := 0; s < m; s++ {
+			i, lo, hi := s, s+1, m
+			if uplo == Upper {
+				i, lo, hi = m-1-s, 0, m-1-s
+			}
 			for q := 0; q < 8; q++ {
-				x[q] /= d
-				b[q*ldb+i] = x[q]
+				x[q] = b[q*ldb+i]
+			}
+			if nonUnit {
+				d := a[i*lda+i]
+				for q := 0; q < 8; q++ {
+					x[q] /= d
+					b[q*ldb+i] = x[q]
+				}
+			}
+			if hi > lo {
+				subFma8(int64(hi-lo), &x, &a[i*lda+lo], &b[lo], int64(ldb))
 			}
 		}
-		if hi > lo {
-			subFma8(int64(hi-lo), &x, &a[i*lda+lo], &b[lo], int64(ldb))
+	}
+}
+
+// trsvOct1e builds the trsvOct of a complex 1m row: the real row's
+// substitution kernel on the real views. Eliminating the complex entry
+// x = xr + xi·i with the column t of A is, on the view of B, subtracting
+// xr·[t.re, t.im, …] and xi·[−t.im, t.re, …]: two real sweeps over the
+// triangle in the 1e form of packA1m, expanded once per call into pooled
+// scratch. A pivot row is divided by one reciprocal of its diagonal entry.
+func trsvOct1e[C core.Cmplx, R core.Float](view func([]C) []R) func(uplo Uplo, diag Diag, m, n int, a []C, lda int, b []C, ldb int) {
+	return func(uplo Uplo, diag Diag, m, n int, a []C, lda int, b []C, ldb int) {
+		ld := 2 * m
+		e := getScratch[R](2 * m * ld)
+		for i := 0; i < m; i++ {
+			lo, hi := i+1, m
+			if uplo == Upper {
+				lo, hi = 0, i
+			}
+			src := view(a[i*lda+lo : i*lda+hi])
+			e0 := e[2*i*ld+2*lo:][:len(src)]
+			e1 := e[(2*i+1)*ld+2*lo:][:len(src)]
+			copy(e0, src)
+			for p := 1; p < len(src); p += 2 {
+				e1[p-1], e1[p] = -src[p], src[p-1]
+			}
 		}
+		bv := view(b[:(n-1)*ldb+m])
+		var xr, xi [8]R
+		for j := 0; j < n; j += 8 {
+			for s := 0; s < m; s++ {
+				i, lo, hi := s, s+1, m
+				if uplo == Upper {
+					i, lo, hi = m-1-s, 0, m-1-s
+				}
+				row := bv[2*(j*ldb+i):]
+				if diag == NonUnit {
+					r := core.Div(1, a[i*lda+i])
+					rr, ri := R(core.Re(r)), R(core.Im(r))
+					for q := 0; q < 8; q++ {
+						vr, vi := row[2*q*ldb], row[2*q*ldb+1]
+						vr, vi = vr*rr-vi*ri, vr*ri+vi*rr
+						row[2*q*ldb], row[2*q*ldb+1] = vr, vi
+						xr[q], xi[q] = vr, vi
+					}
+				} else {
+					for q := 0; q < 8; q++ {
+						xr[q], xi[q] = row[2*q*ldb], row[2*q*ldb+1]
+					}
+				}
+				if hi > lo {
+					c := &bv[2*(j*ldb+lo)]
+					subFma8(int64(2*(hi-lo)), &xr, &e[2*i*ld+2*lo], c, int64(2*ldb))
+					subFma8(int64(2*(hi-lo)), &xi, &e[(2*i+1)*ld+2*lo], c, int64(2*ldb))
+				}
+			}
+		}
+		putScratch(e)
 	}
 }
 
@@ -912,63 +1054,32 @@ func gemvSub8[T core.Scalar](m int, t [8]T, b []T, ldb int, y []T) {
 	}
 }
 
-// trsvQuad is the four-wide left-side substitution: it solves
-// op(A)·x = b for four right-hand-side columns simultaneously. Every A
-// column is read once per four solves and the inner loops carry four
-// independent chains. Column q of B must already carry any alpha scaling.
-func trsvQuad[T core.Scalar](uplo Uplo, trans Trans, diag Diag, m int, a []T, lda int, c0, c1, c2, c3 []T) {
+// trsvQuad is the four-wide left-side substitution, the remainder leaf after
+// the octets: it solves A·x = b for four right-hand-side columns
+// simultaneously. Every A column is read once per four solves and the inner
+// loop carries four independent chains. Column q of B must already carry any
+// alpha scaling.
+func trsvQuad[T core.Scalar](uplo Uplo, diag Diag, m int, a []T, lda int, c0, c1, c2, c3 []T) {
 	nonUnit := diag == NonUnit
-	conj := trans == ConjTrans
 	c0, c1, c2, c3 = c0[:m], c1[:m], c2[:m], c3[:m]
-	// op(A) lower triangular is forward substitution, upper backward; the
-	// off-diagonal rows of stored column i are [lo, hi) either way.
-	forward := (uplo == Lower) == (trans == NoTrans)
 	for s := 0; s < m; s++ {
-		i := s
-		if !forward {
-			i = m - 1 - s
-		}
-		lo, hi := i+1, m
+		i, lo, hi := s, s+1, m
 		if uplo == Upper {
-			lo, hi = 0, i
+			i, lo, hi = m-1-s, 0, m-1-s
 		}
 		acol := a[i*lda : i*lda+m]
-		d := acol[i]
-		if trans == NoTrans {
-			// Axpy down (up) the column.
-			x0, x1, x2, x3 := c0[i], c1[i], c2[i], c3[i]
-			if nonUnit {
-				x0, x1, x2, x3 = core.Div(x0, d), core.Div(x1, d), core.Div(x2, d), core.Div(x3, d)
-				c0[i], c1[i], c2[i], c3[i] = x0, x1, x2, x3
-			}
-			for r := lo; r < hi; r++ {
-				t := acol[r]
-				c0[r] -= t * x0
-				c1[r] -= t * x1
-				c2[r] -= t * x2
-				c3[r] -= t * x3
-			}
-			continue
+		x0, x1, x2, x3 := c0[i], c1[i], c2[i], c3[i]
+		if nonUnit {
+			d := acol[i]
+			x0, x1, x2, x3 = core.Div(x0, d), core.Div(x1, d), core.Div(x2, d), core.Div(x3, d)
+			c0[i], c1[i], c2[i], c3[i] = x0, x1, x2, x3
 		}
-		// Dot products against the rows already solved.
-		var s0, s1, s2, s3 T
 		for r := lo; r < hi; r++ {
 			t := acol[r]
-			if conj {
-				t = core.Conj(t)
-			}
-			s0 += t * c0[r]
-			s1 += t * c1[r]
-			s2 += t * c2[r]
-			s3 += t * c3[r]
+			c0[r] -= t * x0
+			c1[r] -= t * x1
+			c2[r] -= t * x2
+			c3[r] -= t * x3
 		}
-		x0, x1, x2, x3 := c0[i]-s0, c1[i]-s1, c2[i]-s2, c3[i]-s3
-		if nonUnit {
-			if conj {
-				d = core.Conj(d)
-			}
-			x0, x1, x2, x3 = core.Div(x0, d), core.Div(x1, d), core.Div(x2, d), core.Div(x3, d)
-		}
-		c0[i], c1[i], c2[i], c3[i] = x0, x1, x2, x3
 	}
 }

@@ -68,3 +68,17 @@ func siamaxF32(n int64, x *float32) int64
 //
 //go:noescape
 func sscalFma(alpha float32, x []float32)
+
+// caxpyFma, cdotFma and cscalFma are the complex64 1m row's axpy, dot and
+// scal entries, the single-precision forms of zaxpyFma, zdotFma and zscalFma: products and sums are
+// rounded to float32, where the Go loops evaluate a complex64 product in
+// float64.
+//
+//go:noescape
+func caxpyFma(alpha complex64, x, y []complex64)
+
+//go:noescape
+func cdotFma(x, y []complex64, conj bool) complex64
+
+//go:noescape
+func cscalFma(alpha complex64, x []complex64)

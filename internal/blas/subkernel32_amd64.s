@@ -580,3 +580,263 @@ spb4tail:
 spb4done:
 	VZEROUPPER
 	RET
+
+// Complex64 Level-1 leaves on the real view, the single-precision forms of
+// zaxpyFma/zdotFma in gemmkernel_amd64.s: a YMM register holds four
+// complex64 values, VPERMILPS $0xB1 swaps re and im inside each.
+
+// negEvenPS flips the sign of the even (real-part) lanes.
+DATA negEvenPS<>+0(SB)/8, $0x0000000080000000
+DATA negEvenPS<>+8(SB)/8, $0x0000000080000000
+DATA negEvenPS<>+16(SB)/8, $0x0000000080000000
+DATA negEvenPS<>+24(SB)/8, $0x0000000080000000
+GLOBL negEvenPS<>(SB), RODATA|NOPTR, $32
+
+// func caxpyFma(alpha complex64, x, y []complex64)
+// y[0:n] += alpha·x[0:n] over len(x) elements (see zaxpyFma). The last odd
+// element is loaded into the low half of an XMM register; the zeroed lanes
+// above it are computed on and not stored.
+TEXT ·caxpyFma(SB), NOSPLIT, $0-56
+	VBROADCASTSS alpha_real+0(FP), Y8
+	VBROADCASTSS alpha_imag+4(FP), Y9
+	VXORPS       negEvenPS<>(SB), Y9, Y9
+	MOVQ         x_base+8(FP), SI
+	MOVQ         x_len+16(FP), CX
+	MOVQ         y_base+32(FP), DX
+
+	MOVQ CX, BX
+	SHRQ $3, BX
+	JZ   caxpytail4
+
+caxpyloop8:
+	VMOVUPS     (SI), Y0
+	VMOVUPS     32(SI), Y1
+	VPERMILPS   $0xB1, Y0, Y2
+	VPERMILPS   $0xB1, Y1, Y3
+	VMOVUPS     (DX), Y4
+	VMOVUPS     32(DX), Y5
+	VFMADD231PS Y0, Y8, Y4
+	VFMADD231PS Y1, Y8, Y5
+	VFMADD231PS Y2, Y9, Y4
+	VFMADD231PS Y3, Y9, Y5
+	VMOVUPS     Y4, (DX)
+	VMOVUPS     Y5, 32(DX)
+	ADDQ        $64, SI
+	ADDQ        $64, DX
+	DECQ        BX
+	JNZ         caxpyloop8
+
+caxpytail4:
+	TESTQ $4, CX
+	JZ    caxpytail2
+	VMOVUPS     (SI), Y0
+	VPERMILPS   $0xB1, Y0, Y2
+	VMOVUPS     (DX), Y4
+	VFMADD231PS Y0, Y8, Y4
+	VFMADD231PS Y2, Y9, Y4
+	VMOVUPS     Y4, (DX)
+	ADDQ        $32, SI
+	ADDQ        $32, DX
+
+caxpytail2:
+	TESTQ $2, CX
+	JZ    caxpytail1
+	VMOVUPS     (SI), X0
+	VPERMILPS   $0xB1, X0, X2
+	VMOVUPS     (DX), X4
+	VFMADD231PS X0, X8, X4
+	VFMADD231PS X2, X9, X4
+	VMOVUPS     X4, (DX)
+	ADDQ        $16, SI
+	ADDQ        $16, DX
+
+caxpytail1:
+	TESTQ $1, CX
+	JZ    caxpydone
+	VMOVSD      (SI), X0
+	VPERMILPS   $0xB1, X0, X2
+	VMOVSD      (DX), X4
+	VFMADD231PS X0, X8, X4
+	VFMADD231PS X2, X9, X4
+	VMOVSD      X4, (DX)
+
+caxpydone:
+	VZEROUPPER
+	RET
+
+// func cdotFma(x, y []complex64, conj bool) complex64
+// Returns Σ x[i]·y[i], or Σ conj(x[i])·y[i] when conj is set, over len(x)
+// elements (see zdotFma): four vectors of four elements per step on eight
+// accumulators, the last one to three elements on the XMM halves after the
+// reduction.
+TEXT ·cdotFma(SB), NOSPLIT, $0-64
+	MOVQ   x_base+0(FP), SI
+	MOVQ   x_len+8(FP), CX
+	MOVQ   y_base+24(FP), DX
+	VXORPS Y0, Y0, Y0
+	VXORPS Y1, Y1, Y1
+	VXORPS Y2, Y2, Y2
+	VXORPS Y3, Y3, Y3
+	VXORPS Y4, Y4, Y4
+	VXORPS Y5, Y5, Y5
+	VXORPS Y6, Y6, Y6
+	VXORPS Y7, Y7, Y7
+
+	MOVQ CX, BX
+	SHRQ $4, BX
+	JZ   cdottail4
+
+cdotloop16:
+	VMOVUPS     (SI), Y8
+	VMOVUPS     32(SI), Y9
+	VMOVUPS     64(SI), Y10
+	VMOVUPS     96(SI), Y11
+	VMOVUPS     (DX), Y12
+	VPERMILPS   $0xB1, Y12, Y13
+	VFMADD231PS Y12, Y8, Y0
+	VFMADD231PS Y13, Y8, Y1
+	VMOVUPS     32(DX), Y14
+	VPERMILPS   $0xB1, Y14, Y15
+	VFMADD231PS Y14, Y9, Y2
+	VFMADD231PS Y15, Y9, Y3
+	VMOVUPS     64(DX), Y12
+	VPERMILPS   $0xB1, Y12, Y13
+	VFMADD231PS Y12, Y10, Y4
+	VFMADD231PS Y13, Y10, Y5
+	VMOVUPS     96(DX), Y14
+	VPERMILPS   $0xB1, Y14, Y15
+	VFMADD231PS Y14, Y11, Y6
+	VFMADD231PS Y15, Y11, Y7
+	ADDQ        $128, SI
+	ADDQ        $128, DX
+	DECQ        BX
+	JNZ         cdotloop16
+
+cdottail4:
+	MOVQ CX, BX
+	ANDQ $15, BX
+	SHRQ $2, BX
+	JZ   cdotreduce
+
+cdotloop4:
+	VMOVUPS     (SI), Y8
+	VMOVUPS     (DX), Y12
+	VPERMILPS   $0xB1, Y12, Y13
+	VFMADD231PS Y12, Y8, Y0
+	VFMADD231PS Y13, Y8, Y1
+	ADDQ        $32, SI
+	ADDQ        $32, DX
+	DECQ        BX
+	JNZ         cdotloop4
+
+cdotreduce:
+	VADDPS       Y2, Y0, Y0
+	VADDPS       Y6, Y4, Y4
+	VADDPS       Y4, Y0, Y0
+	VADDPS       Y3, Y1, Y1
+	VADDPS       Y7, Y5, Y5
+	VADDPS       Y5, Y1, Y1
+	VEXTRACTF128 $1, Y0, X2
+	VADDPS       X2, X0, X0
+	VEXTRACTF128 $1, Y1, X3
+	VADDPS       X3, X1, X1
+	TESTQ        $2, CX
+	JZ           cdottail1
+	VMOVUPS      (SI), X8
+	VMOVUPS      (DX), X12
+	VPERMILPS    $0xB1, X12, X13
+	VFMADD231PS  X12, X8, X0
+	VFMADD231PS  X13, X8, X1
+	ADDQ         $16, SI
+	ADDQ         $16, DX
+
+cdottail1:
+	TESTQ        $1, CX
+	JZ           cdotcombine
+	VMOVSD       (SI), X8
+	VMOVSD       (DX), X12
+	VPERMILPS    $0xB1, X12, X13
+	VFMADD231PS  X12, X8, X0
+	VFMADD231PS  X13, X8, X1
+
+cdotcombine:
+	// Fold the two elements of each XMM accumulator, then combine the lanes.
+	VPERMILPS $0x4E, X0, X2
+	VADDPS    X2, X0, X0
+	VPERMILPS $0x4E, X1, X3
+	VADDPS    X3, X1, X1
+	CMPB      conj+48(FP), $0
+	JNE       cdotconj
+	VHSUBPS   X0, X0, X4
+	VHADDPS   X1, X1, X5
+	JMP       cdotstore
+
+cdotconj:
+	VHADDPS X0, X0, X4
+	VHSUBPS X1, X1, X5
+
+cdotstore:
+	VMOVSS X4, ret_real+56(FP)
+	VMOVSS X5, ret_imag+60(FP)
+	VZEROUPPER
+	RET
+
+// func cscalFma(alpha complex64, x []complex64)
+// x[0:n] *= alpha (see zscalFma).
+TEXT ·cscalFma(SB), NOSPLIT, $0-32
+	VBROADCASTSS alpha_real+0(FP), Y8
+	VBROADCASTSS alpha_imag+4(FP), Y9
+	MOVQ         x_base+8(FP), SI
+	MOVQ         x_len+16(FP), CX
+
+	MOVQ CX, BX
+	SHRQ $3, BX
+	JZ   cscaltail4
+
+cscalloop8:
+	VMOVUPS        (SI), Y0
+	VMOVUPS        32(SI), Y1
+	VPERMILPS      $0xB1, Y0, Y2
+	VPERMILPS      $0xB1, Y1, Y3
+	VMULPS         Y2, Y9, Y2
+	VMULPS         Y3, Y9, Y3
+	VFMADDSUB231PS Y0, Y8, Y2
+	VFMADDSUB231PS Y1, Y8, Y3
+	VMOVUPS        Y2, (SI)
+	VMOVUPS        Y3, 32(SI)
+	ADDQ           $64, SI
+	DECQ           BX
+	JNZ            cscalloop8
+
+cscaltail4:
+	TESTQ $4, CX
+	JZ    cscaltail2
+	VMOVUPS        (SI), Y0
+	VPERMILPS      $0xB1, Y0, Y2
+	VMULPS         Y2, Y9, Y2
+	VFMADDSUB231PS Y0, Y8, Y2
+	VMOVUPS        Y2, (SI)
+	ADDQ           $32, SI
+
+cscaltail2:
+	TESTQ $2, CX
+	JZ    cscaltail1
+	VMOVUPS        (SI), X0
+	VPERMILPS      $0xB1, X0, X2
+	VMULPS         X2, X9, X2
+	VFMADDSUB231PS X0, X8, X2
+	VMOVUPS        X2, (SI)
+	ADDQ           $16, SI
+
+cscaltail1:
+	TESTQ $1, CX
+	JZ    cscaldone
+	VMOVSD         (SI), X0
+	VPERMILPS      $0xB1, X0, X2
+	VMULPS         X2, X9, X2
+	VFMADDSUB231PS X0, X8, X2
+	VMOVSD         X2, (SI)
+
+cscaldone:
+	VZEROUPPER
+	RET

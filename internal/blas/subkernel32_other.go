@@ -17,3 +17,6 @@ func spackA16(kb int64, alpha float32, src *float32, lda int64, dst *float32) {
 func sscalFma(alpha float32, x []float32)            { panic("blas: no asm kernel") }
 func siamaxF32(n int64, x *float32) int64            { panic("blas: no asm kernel") }
 func spackB4(kb int64, s0, s1, s2, s3, dst *float32) { panic("blas: no asm kernel") }
+func caxpyFma(alpha complex64, x, y []complex64)     { panic("blas: no asm kernel") }
+func cdotFma(x, y []complex64, conj bool) complex64  { panic("blas: no asm kernel") }
+func cscalFma(alpha complex64, x []complex64)        { panic("blas: no asm kernel") }

@@ -62,14 +62,15 @@ const (
 	// the mixed-precision solvers run.
 	trsmLeafSizeF32 = 96
 
-	// trsmLeafSizeC128/C64 replace it on the complex 1m rows. Complex
-	// substitution has no assembly kernel while the 1m GEMM runs ~10× faster
-	// than the generic complex loops, so the recursion pays down to small
-	// triangles — smaller still for complex64, whose scalar loops are the
-	// slower (n=384 GESV: leaf 64/32/16/8 → 9.0/8.0/7.5/7.9 ms complex128,
-	// 11.2/8.1/6.8/6.1 ms complex64; EXPERIMENTS.md, "Complex Level-3").
-	trsmLeafSizeC128 = 16
-	trsmLeafSizeC64  = 8
+	// trsmLeafSizeC128/C64 replace it on the complex 1m rows, whose leaf is
+	// the real row's substitution kernel on the 1e expansion of the triangle
+	// (trsvOct1e): two short real sweeps per pivot, so the leaf stays smaller
+	// than the real rows' (n=384, leaf 16/32/64: POSV Lower 5.03/4.82/4.97 ms
+	// complex128; leaf 8/16/32/64: POSV 3.88/3.45/3.29/3.28, GESV
+	// 5.77/5.59/5.41/5.58 ms complex64; EXPERIMENTS.md, "Symmetric drivers at
+	// Level-3 rate").
+	trsmLeafSizeC128 = 32
+	trsmLeafSizeC64  = 32
 )
 
 // level3Workers is the one shared serial small-size cutoff for the Level-3

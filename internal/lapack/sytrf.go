@@ -35,6 +35,14 @@ func absDiag[T core.Scalar](herm bool, v T) float64 {
 // realPart returns v with its imaginary part dropped.
 func realPart[T core.Scalar](v T) T { return core.FromFloat[T](core.Re(v)) }
 
+// realDiag drops the imaginary parts a Hermitian update leaves on the
+// diagonal of the n×n matrix a.
+func realDiag[T core.Scalar](n int, a []T, lda int) {
+	for j := 0; j < n; j++ {
+		a[j+j*lda] = realPart(a[j+j*lda])
+	}
+}
+
 // Sytf2 computes the Bunch–Kaufman factorization A = U·D·Uᵀ or A = L·D·Lᵀ
 // of a symmetric matrix (xSYTF2; for complex element types this is the
 // complex-symmetric factorization, not the Hermitian one — see Hetf2).
@@ -444,20 +452,13 @@ func lasyf[T core.Scalar](cfg *core.Config, herm bool, uplo Uplo, n, nb int, a [
 		}
 		// Level-3 update of the unfactored leading block
 		// A(0:k+1, 0:k+1) -= U12·(D·U12ᵀ) (ᴴ when herm, keeping the diagonal
-		// real), processed in nb-wide column blocks: a triangular Gemv strip
-		// plus one rectangular Gemm each.
+		// real): one triangle update per panel.
 		kRem := k + 1
 		kwr := nb - n + kRem
-		for j0 := ((kRem - 1) / nb) * nb; j0 >= 0; j0 -= nb {
-			cfg.Checkpoint() // once per panel
-			jb := min(nb, kRem-j0)
-			for jj := j0; jj < j0+jb; jj++ {
-				update(jj-j0+1, n-kRem, a[j0+kRem*lda:], w[jj+kwr*ldw:], a[j0+jj*lda:], &a[jj+jj*lda])
-			}
-			if j0 > 0 {
-				blas.Gemm(cfg, NoTrans, trans, j0, jb, n-kRem, -one, a[kRem*lda:], lda,
-					w[j0+kwr*ldw:], ldw, one, a[j0*lda:], lda)
-			}
+		blas.Gemmt(cfg, Upper, NoTrans, trans, kRem, n-kRem, -one, a[kRem*lda:], lda,
+			w[kwr*ldw:], ldw, one, a, lda)
+		if herm {
+			realDiag(kRem, a, lda)
 		}
 		// Put U12 in standard form: partially undo the interchanges in the
 		// factored columns so Sytrs can apply ipiv sequentially.
@@ -594,16 +595,9 @@ func lasyf[T core.Scalar](cfg *core.Config, herm bool, uplo Uplo, n, nb int, a [
 	}
 	// Level-3 update of the trailing block A(k:n, k:n) -= L21·(D·L21ᵀ) (ᴴ
 	// when herm).
-	for j0 := k; j0 < n; j0 += nb {
-		cfg.Checkpoint() // once per panel
-		jb := min(nb, n-j0)
-		for jj := j0; jj < j0+jb; jj++ {
-			update(j0+jb-jj, k, a[jj:], w[jj:], a[jj+jj*lda:], &a[jj+jj*lda])
-		}
-		if j0+jb < n {
-			blas.Gemm(cfg, NoTrans, trans, n-j0-jb, jb, k, -one, a[j0+jb:], lda,
-				w[j0:], ldw, one, a[j0+jb+j0*lda:], lda)
-		}
+	blas.Gemmt(cfg, Lower, NoTrans, trans, n-k, k, -one, a[k:], lda, w[k:], ldw, one, a[k+k*lda:], lda)
+	if herm {
+		realDiag(n-k, a[k+k*lda:], lda)
 	}
 	// Partially undo the interchanges to put L21 in standard form.
 	for j := k - 1; j > 0; {
@@ -623,8 +617,8 @@ func lasyf[T core.Scalar](cfg *core.Config, herm bool, uplo Uplo, n, nb int, a [
 
 // Sytrf computes the Bunch–Kaufman factorization of a symmetric matrix
 // (xSYTRF): panels are factored with lasyf so the bulk of the update flops
-// run as Level-3 Gemm calls, with an unblocked Sytf2 cleanup on the last
-// sub-panel block.
+// run as one Level-3 triangle update per panel, with an unblocked Sytf2
+// cleanup on the last sub-panel block.
 func Sytrf[T core.Scalar](cfg *core.Config, uplo Uplo, n int, a []T, lda int, ipiv []int) int {
 	return sytrf(cfg, false, uplo, n, a, lda, ipiv)
 }
@@ -645,7 +639,10 @@ func sytrf[T core.Scalar](cfg *core.Config, herm bool, uplo Uplo, n int, a []T, 
 		return sytf2(herm, uplo, n, a, lda, ipiv)
 	}
 	info := 0
-	w := make([]T, n*nb)
+	// lasyf writes every element of w it reads, so the panel workspace is
+	// pooled scratch.
+	w := blas.GetScratch[T](n * nb)
+	defer blas.PutScratch(w)
 	if uplo == Upper {
 		// Peel panels off the trailing columns; the leading block shrinks.
 		for k := n; k > 0; {

@@ -290,40 +290,44 @@ func TestSpsvHpsv(t *testing.T) {
 }
 
 // Golden fingerprints of the Bunch–Kaufman family, generated at the commit
-// before Sytrf and Hetrf were folded into one body (PR 15) and pinned since:
-// an FNV-64a over the factor array (all lda×n elements, so the unreferenced
+// before Sytrf and Hetrf were folded into one body (PR 15) and regenerated
+// once since, on purpose: PR 17 made the trailing update one blas.Gemmt per
+// panel (the blocked rows round in a new order for n > NBSytrf) and gave the
+// complex asm rows vector axpy/dot/scal kernels (their Sytf2 column); the
+// real Sytf2/Hetf2 rows are the PR 15 bits.
+// An FNV-64a over the factor array (all lda×n elements, so the unreferenced
 // triangle and the padding row are covered) and ipiv for the factorizations,
 // and over the solution for Sytrs/Hetrs with 4 right-hand sides. Each entry
 // folds both uplo, n ∈ bkGoldenN (below, at and past NBSytrf = 48, including
 // the kb = nb−1 panels), three random seeds, and the forced-2×2-pivot and
 // singular matrices. Columns: assembly route, portable route (LA90_NO_ASM=1,
 // reached here through the same gate with faultinject.ForcePortable).
-// Regenerate with `go test ./internal/lapack -run BunchKaufmanGolden -bkprint`.
+// Regenerate with `go test ./internal/lapack -run BunchKaufmanGolden -bkprint -v`.
 var bkGolden = map[string][2]uint64{
 	"Hetf2/complex128": {0xeb9d0f635df37747, 0xeb9d0f635df37747},
 	"Hetf2/complex64":  {0xf39430b1a81ea159, 0xf39430b1a81ea159},
 	"Hetf2/float32":    {0xdc45b1a664ef604a, 0xdc45b1a664ef604a},
 	"Hetf2/float64":    {0xa388656fe6848271, 0xa388656fe6848271},
-	"Hetrf/complex128": {0x8a4eddc63469c870, 0xcb555e1eb51ba9be},
-	"Hetrf/complex64":  {0xa4d3859dd94aac35, 0xe77e12e4ae02e565},
-	"Hetrf/float32":    {0x0f4f99ab338c46ce, 0xaefc0dab01f3a0e7},
-	"Hetrf/float64":    {0x4bf77a2c90f8d001, 0xdaaa93d3c76bd43b},
-	"Hetrs/complex128": {0x22c386ea7996f2e6, 0x15dc12deb9f0cf3c},
-	"Hetrs/complex64":  {0xc36ebd2b6e25fde3, 0x4089ff196b004678},
-	"Hetrs/float32":    {0x5fc64587f48d65c8, 0xb3ae706297cb7b4e},
-	"Hetrs/float64":    {0x47fc2afa8ab3934f, 0x7a23c73618cb79da},
-	"Sytf2/complex128": {0x1dc460ad59e35ef1, 0x1dc460ad59e35ef1},
-	"Sytf2/complex64":  {0xe27fc07d80202066, 0xe27fc07d80202066},
+	"Hetrf/complex128": {0x9840feb49d671b4f, 0x62519bbbf7c2ec46},
+	"Hetrf/complex64":  {0x1b4ac25b2ae3e3eb, 0xc5b11cb24b063bd3},
+	"Hetrf/float32":    {0x5b509cc2c6efd965, 0x65be993a2dfda706},
+	"Hetrf/float64":    {0x25187a7d06c74aa7, 0xdd824197ac77ecff},
+	"Hetrs/complex128": {0xec740a053745bc69, 0x0a07983b9de8cf64},
+	"Hetrs/complex64":  {0x71a3b5a0474f2847, 0x0985ea43903cd8af},
+	"Hetrs/float32":    {0x70b268ab2e39f3d9, 0x1d4de17a9a57d42c},
+	"Hetrs/float64":    {0xdde48667b1a22121, 0xc83e6f908ee82d8b},
+	"Sytf2/complex128": {0x2172136e75661195, 0x1dc460ad59e35ef1},
+	"Sytf2/complex64":  {0xb376099e33a7b86f, 0xe27fc07d80202066},
 	"Sytf2/float32":    {0x0fcdf3412de1d1be, 0x0fcdf3412de1d1be},
 	"Sytf2/float64":    {0xb9e2386413247cf1, 0xb9e2386413247cf1},
-	"Sytrf/complex128": {0x493a9a4f7bd6fc53, 0xe7afa5be2d0ac6c6},
-	"Sytrf/complex64":  {0x73f10c2413668b0b, 0x90ad88e4bca6956c},
-	"Sytrf/float32":    {0xb7c3b4336b680882, 0x0e0845ef9dfe74d7},
-	"Sytrf/float64":    {0x045a0c06da4c2701, 0x3b47e9b84d49a63b},
-	"Sytrs/complex128": {0xb4f691898eeadaf8, 0x200181784cd34d82},
-	"Sytrs/complex64":  {0xf10a384765eb53f5, 0x79cf83b4d75e3a76},
-	"Sytrs/float32":    {0x8290623cf7a6e468, 0x218f4e3ceb76ac91},
-	"Sytrs/float64":    {0x47fc2afa8ab3934f, 0x7a23c73618cb79da},
+	"Sytrf/complex128": {0x9246c28399f5f59f, 0xa18d3fb3b72680e4},
+	"Sytrf/complex64":  {0x104b505a29ec0fb4, 0x8076af0889fccbed},
+	"Sytrf/float32":    {0x6e95853c4273b49d, 0xae8ad73b6f5dd082},
+	"Sytrf/float64":    {0xf22f578f92f21ca7, 0x905dab92f8e0d3ff},
+	"Sytrs/complex128": {0x243d7ea592bc0f70, 0x60cb40a7ace88194},
+	"Sytrs/complex64":  {0xb6f89d513b378290, 0x22bcf87baa4cccc7},
+	"Sytrs/float32":    {0x68a9ef754bee3905, 0xaf13dab78aef976c},
+	"Sytrs/float64":    {0xdde48667b1a22121, 0xc83e6f908ee82d8b},
 }
 
 var (

@@ -10,6 +10,7 @@ import (
 	"context"
 	"errors"
 	"runtime"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -95,6 +96,54 @@ func TestCancelMidGESVD(t *testing.T) {
 				before, runtime.NumGoroutine())
 		}
 		time.Sleep(10 * time.Millisecond)
+	}
+}
+
+// pollCtx counts the cancellation polls a call makes and, when after is
+// positive, cancels itself on poll number after: "canceled mid-call" without
+// a race against the wall clock.
+type pollCtx struct {
+	context.Context
+	cancel context.CancelFunc
+	after  int64
+	polls  atomic.Int64
+}
+
+func (p *pollCtx) Err() error {
+	if p.polls.Add(1) == p.after {
+		p.cancel()
+	}
+	return p.Context.Err()
+}
+
+// TestCancelMidSYSV pins where the blocked Bunch–Kaufman driver can be
+// stopped: its panels have no checkpoint of their own, so the polls come from
+// the triangle update that follows each one — at least one per panel — and a
+// context that fires on one of them ends the call at that very poll.
+func TestCancelMidSYSV(t *testing.T) {
+	const n, nrhs = 1024, 16
+	a0, b0 := randMat[float64](46, n, n), randMat[float64](47, n, nrhs)
+	run := func(ctx context.Context) error {
+		a, b := randMat[float64](0, n, n), randMat[float64](0, n, nrhs)
+		copy(a.Data, a0.Data)
+		copy(b.Data, b0.Data)
+		_, err := la.SYSV(a, b, la.WithContext(ctx), la.WithThreads(2))
+		return err
+	}
+	whole := &pollCtx{Context: context.Background()}
+	if err := run(whole); err != nil {
+		t.Fatalf("SYSV(n=%d): %v", n, err)
+	}
+	polls := whole.polls.Load()
+	if minPolls := int64(n / 64); polls < minPolls {
+		t.Fatalf("SYSV(n=%d) polled its context %d times, want at least one poll per panel (%d)", n, polls, minPolls)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	mid := &pollCtx{Context: ctx, cancel: cancel, after: polls / 2}
+	wantCanceled(t, run(mid))
+	if got := mid.polls.Load(); got != mid.after {
+		t.Errorf("canceled on poll %d of %d, yet the call went on to poll %d", mid.after, polls, got)
 	}
 }
 
