@@ -94,9 +94,13 @@ test-portable:
 # the la boundary — including the chaos tests that panic workers on purpose,
 # so panic containment is itself exercised under the detector — and the
 # atomic default-config store (core) plus the per-call execution-context
-# tests (la/config_test.go) that churn it while drivers run.
+# tests (la/config_test.go) that churn it while drivers run. The packages
+# that schedule tiles themselves run at three GOMAXPROCS values: the claiming
+# scheduler (blas/parallel.go) must neither deadlock nor change a bit with
+# fewer Ps than workers (-cpu 1 against Threads up to 7) or with more.
 race:
-	$(GO) test -race ./internal/core/ ./internal/blas/ ./internal/lapack/ ./la/
+	$(GO) test -race ./internal/core/ ./internal/lapack/
+	$(GO) test -race -cpu 1,2,4 ./internal/blas/ ./la/
 
 # Bounded fuzz gate: a short randomized burst per target on every CI run.
 # Failures minimize into la/testdata/fuzz/ and then replay forever under
@@ -116,11 +120,11 @@ fuzz:
 # Compile-and-run check for the benchmarks: one iteration each of the GEMM
 # engine (float64, and the complex 1m rows), the factorization benchmarks
 # (square and the 4096×256 QR, Cholesky, Bunch–Kaufman on all four types),
-# Trsm on each leaf form, the tall GELSD driver, the eigenvalue iteration
-# phase with its kernels, the Level-1/2 leaves and the per-call option
-# overhead, no timing claims.
+# Trsm on each leaf form, the Level-3 thread-scaling table, the tall GELSD
+# driver, the eigenvalue iteration phase with its kernels, the Level-1/2
+# leaves and the per-call option overhead, no timing claims.
 benchsmoke:
-	$(GO) test -run=NONE -bench='Getrf|Gemm|Geqrf|GelsdTall|Steqr|Stedc|Hseqr|RotSeq|Secular|ApplyOptions|Level2|Sytrf|Trsm|Potrf' -benchtime=1x .
+	$(GO) test -run=NONE -bench='Getrf|Gemm|Geqrf|GelsdTall|Steqr|Stedc|Hseqr|RotSeq|Secular|ApplyOptions|Level2|Level3Parallel|Sytrf|Trsm|Potrf' -benchtime=1x .
 	$(GO) run ./cmd/la90bench -reduce -maxn 256 -reps 1 -out /tmp/BENCH_reduce_smoke.json
 	$(GO) run ./cmd/la90bench -batch -maxbatch 64 -reps 1 -out /tmp/BENCH_batch_smoke.json
 	$(GO) run ./cmd/la90bench -mixed -maxn 256 -reps 1 -out /tmp/BENCH_mixed_smoke.json

@@ -435,6 +435,67 @@ func BenchmarkGemmParallel(b *testing.B) {
 	}
 }
 
+// BenchmarkLevel3Parallel is the thread-scaling table of the Level-3 layer
+// (EXPERIMENTS.md, "Tile scheduling"): the shapes the factorizations hand the
+// engines — square, the LU trailing update, short-and-wide, a Cholesky Herk,
+// the Trsm of both sides and the 16-column solve of Getrs/Potrs — at one and
+// two workers, float64. A shape scales when its T=2 time is about half its
+// T=1 time; which shapes do is what the tile grid (blas.tileGrid) and Trsm's
+// slab fork decide.
+func BenchmarkLevel3Parallel(b *testing.B) {
+	const maxDim = 2048
+	rng := lapack.NewRng([4]int{18, 18, 18, 19})
+	a := make([]float64, 1024*maxDim)
+	x := make([]float64, 1024*maxDim)
+	lapack.Larnv(2, rng, len(a), a)
+	lapack.Larnv(2, rng, len(x), x)
+	tri := make([]float64, 1024*1024)
+	lapack.Larnv(2, rng, len(tri), tri)
+	for j := 0; j < 1024; j++ {
+		tri[j+j*1024] += 1024 // a well-conditioned triangle at any order
+	}
+	c := make([]float64, 1024*maxDim)
+	type l3case struct {
+		name  string
+		flops float64
+		run   func(cfg *core.Config)
+	}
+	var cases []l3case
+	for _, sh := range [][3]int{{512, 2048, 256}, {1024, 1024, 1024}, {768, 768, 256}, {256, 1024, 256}, {128, 1024, 128}} {
+		m, n, k := sh[0], sh[1], sh[2]
+		cases = append(cases, l3case{"Gemm/" + itoa(m) + "x" + itoa(n) + "x" + itoa(k), 2 * float64(m) * float64(n) * float64(k), func(cfg *core.Config) {
+			blas.Gemm(cfg, blas.NoTrans, blas.NoTrans, m, n, k, -1.0, a, m, x, k, 1.0, c, m)
+		}})
+	}
+	trsm := func(side blas.Side, m, n int) func(cfg *core.Config) {
+		return func(cfg *core.Config) {
+			copy(c[:m*n], x)
+			blas.Trsm(cfg, side, blas.Lower, blas.NoTrans, blas.NonUnit, m, n, 1.0, tri, 1024, c, m)
+		}
+	}
+	cases = append(cases,
+		l3case{"Herk/512x512", 512 * 512 * 512, func(cfg *core.Config) {
+			blas.Herk(cfg, blas.Lower, blas.NoTrans, 512, 512, -1, a, 512, 1, c, 512)
+		}},
+		l3case{"Trsm/Left/512x512", 512 * 512 * 512, trsm(blas.Left, 512, 512)},
+		l3case{"Trsm/Right/512x512", 512 * 512 * 512, trsm(blas.Right, 512, 512)},
+		l3case{"Trsm/Left/1024x16", 1024 * 1024 * 16, trsm(blas.Left, 1024, 16)},
+	)
+	for _, tc := range cases {
+		for _, threads := range []int{1, 2} {
+			cfg := core.Default().With(func(c *core.Config) { c.Threads = threads })
+			b.Run(tc.name+"/T="+itoa(threads), func(b *testing.B) {
+				tc.run(cfg) // untimed warm-up: pack-buffer pools, page faults
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					tc.run(cfg)
+				}
+				b.ReportMetric(tc.flops*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOPS")
+			})
+		}
+	}
+}
+
 // BenchmarkGetrf tracks the lookahead-pipelined LU driver with its
 // recursive panels; the trailing updates are GEMM-shaped and ride the
 // packed engine. BENCH_lapack.json is the machine-readable form,
@@ -443,6 +504,10 @@ func BenchmarkGetrf(b *testing.B) {
 	for _, n := range []int{64, 256, 512, 1024} {
 		b.Run("N="+itoa(n), func(b *testing.B) { benchGetrf[float64](b, n) })
 	}
+	b.Run("T=2/N=1024", func(b *testing.B) {
+		defer blas.SetThreads(blas.SetThreads(2))
+		benchGetrf[float64](b, 1024)
+	})
 	// The orders under the small-matrix crossover, per element type: only
 	// float64 has a dedicated small LU there (internal/lapack/smalllu.go).
 	for _, n := range []int{8, 16, 32, 64} {
@@ -522,30 +587,36 @@ var sinkInt int
 // and one Herk per level — all Level 3.
 func BenchmarkPotrf(b *testing.B) {
 	for _, n := range []int{64, 256, 512, 1024} {
-		rng := lapack.NewRng([4]int{n, 5, 5, 5})
-		g := make([]float64, n*n)
-		lapack.Larnv(2, rng, n*n, g)
-		// a0 := G·Gᵀ + n·I is symmetric positive definite.
-		a0 := make([]float64, n*n)
-		blas.Gemm(core.Default(), blas.NoTrans, blas.TransT, n, n, n, 1.0, g, n, g, n, 0.0, a0, n)
-		for i := 0; i < n; i++ {
-			a0[i+i*n] += float64(n)
-		}
-		b.Run("N="+itoa(n), func(b *testing.B) {
-			aw := make([]float64, n*n)
-			copy(aw, a0)
-			lapack.Potrf(core.Default(), lapack.Lower, n, aw, n) // untimed warm-up
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				copy(aw, a0)
-				if info := lapack.Potrf(core.Default(), lapack.Lower, n, aw, n); info != 0 {
-					b.Fatalf("info=%d", info)
-				}
-			}
-			flops := 1.0 / 3.0 * float64(n) * float64(n) * float64(n)
-			b.ReportMetric(flops*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOPS")
-		})
+		b.Run("N="+itoa(n), func(b *testing.B) { benchPotrf(b, n) })
 	}
+	b.Run("T=2/N=1024", func(b *testing.B) {
+		defer blas.SetThreads(blas.SetThreads(2))
+		benchPotrf(b, 1024)
+	})
+}
+
+func benchPotrf(b *testing.B, n int) {
+	rng := lapack.NewRng([4]int{n, 5, 5, 5})
+	g := make([]float64, n*n)
+	lapack.Larnv(2, rng, n*n, g)
+	// a0 := G·Gᵀ + n·I is symmetric positive definite.
+	a0 := make([]float64, n*n)
+	blas.Gemm(core.Default(), blas.NoTrans, blas.TransT, n, n, n, 1.0, g, n, g, n, 0.0, a0, n)
+	for i := 0; i < n; i++ {
+		a0[i+i*n] += float64(n)
+	}
+	aw := make([]float64, n*n)
+	copy(aw, a0)
+	lapack.Potrf(core.Default(), lapack.Lower, n, aw, n) // untimed warm-up
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		copy(aw, a0)
+		if info := lapack.Potrf(core.Default(), lapack.Lower, n, aw, n); info != 0 {
+			b.Fatalf("info=%d", info)
+		}
+	}
+	flops := 1.0 / 3.0 * float64(n) * float64(n) * float64(n)
+	b.ReportMetric(flops*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOPS")
 }
 
 // BenchmarkSytrf tracks the blocked Bunch–Kaufman factorization on all four
@@ -561,6 +632,10 @@ func BenchmarkSytrf(b *testing.B) {
 			b.Run("c64"+suffix, func(b *testing.B) { benchSytrf[complex64](b, uplo, n) })
 		}
 	}
+	b.Run("f64/T=2/L/N=1024", func(b *testing.B) {
+		defer blas.SetThreads(blas.SetThreads(2))
+		benchSytrf[float64](b, lapack.Lower, 1024)
+	})
 }
 
 func benchSytrf[T core.Scalar](b *testing.B, uplo lapack.Uplo, n int) {

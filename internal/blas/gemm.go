@@ -17,10 +17,10 @@ import (
 //
 //	jc over n in nc slabs   — pick a column slab of C and op(B)
 //	pc over k in kc ranks   — pack op(B)(pc:pc+kb, jc:jc+nb) into bPack
-//	ic over m in mc tiles   — pack alpha·op(A)(ic:ic+mb, pc:pc+kb) into aPack
-//	                          (fanned across the worker pool; tiles of C are
-//	                          disjoint so workers never share output)
-//	jr over nb in nr panels — B micro-panel, L1-resident
+//	tiles of the slab       — pack alpha·op(A)(ic:ic+mb, pc:pc+kb) into aPack;
+//	                          one worker: mc-tall row tiles; several: the
+//	                          grid of tileGrid, claimed (parallel.go)
+//	jr over wb in nr panels — B micro-panel, L1-resident
 //	ir over mb in mr panels — A micro-panel, register micro-kernel
 //
 // Both packed operands store micro-panels contiguously in the order the
@@ -88,46 +88,120 @@ func GetScratch[T core.Scalar](n int) []T { return getScratch[T](n) }
 func PutScratch[T core.Scalar](s []T) { putScratch(s) }
 
 // gemmEngine accumulates C += alpha·op(A)·op(B) (beta already applied by the
-// caller) using packed panels, blocked loops and, for large enough problems,
-// the worker pool. alpha must be non-zero and m, n, k positive. The engine
-// polls the call's cancellation context once per packed rank update (a
-// kc-deep slab of macro-tiles), the coarsest boundary at which no packed
-// panel is left half-consumed.
+// caller) on the packed engine. alpha must be non-zero and m, n, k positive.
 func gemmEngine[T core.Scalar](cfg *core.Config, transA, transB Trans, m, n, k int, alpha T, a []T, lda int, b []T, ldb int, c []T, ldc int) {
+	packedEngine(cfg, wholeMatrix, transA, transB, m, n, k, alpha, a, lda, b, ldb, c, ldc)
+}
+
+// wholeMatrix is packedEngine's uplo for a general C: every tile is stored.
+const wholeMatrix Uplo = Lower + 1
+
+// packedEngine is the one packed Level-3 engine: it accumulates
+// alpha·op(A)·op(B), op(A) m×k and op(B) k×n, into C — all of it for
+// uplo == wholeMatrix (Gemm), else only the uplo triangle of the square C
+// (the rank-k family and Gemmt, rankk.go) — using packed panels, blocked
+// loops and, for large enough products, a group of tiles (parallel.go) per
+// packed rank slab. A worker packs the rows of op(A) under each tile it
+// claims, alpha folded in, and tiles outside the stored part are skipped.
+// The call's cancellation context is polled once per slab, the coarsest
+// boundary at which no packed panel is left half-consumed.
+func packedEngine[T core.Scalar](cfg *core.Config, uplo Uplo, transA, transB Trans, m, n, k int, alpha T, a []T, lda int, b []T, ldb int, c []T, ldc int) {
 	kern := kernelFor[T]()
 	mr, nr := kern.mr, kern.nr
 	mc, kc, nc := blockFor[T](cfg)
 	mc = max(mr, mc-mc%mr)
-	workers := level3Workers(cfg, m*n*k)
+	vol := m * n * k
+	if uplo != wholeMatrix {
+		vol /= 2
+	}
+	workers := level3Workers(cfg, vol)
+	h, w := tileGrid(m, min(n, nc), mr, nr, mc, workers)
+	rowTiles, packCols := (m+h-1)/h, 16*nr
 
 	bPack := getScratch[T](kc * roundUp(min(nc, n), nr))
 	for jc := 0; jc < n; jc += nc {
 		nb := min(nc, n-jc)
-		nbR := roundUp(nb, nr)
+		colTiles := (nb + w - 1) / w
 		for pc := 0; pc < k; pc += kc {
 			cfg.Checkpoint()
 			kb := min(kc, k-pc)
-			kern.packB(bPack[:kb*nbR], nr, transB, b, ldb, pc, kb, jc, nb)
+			// op(B) is packed by the workers as well, packCols columns (whole
+			// micro-panels) at a time, in a group of its own: every tile of
+			// the next group reads all of it.
+			eachTile((nb+packCols-1)/packCols, workers, func(t int) {
+				j0 := t * packCols
+				kern.packB(bPack[j0*kb:], nr, transB, b, ldb, pc, kb, jc+j0, min(packCols, nb-j0))
+			})
 
-			nTiles := (m + mc - 1) / mc
-			parallelRange(nTiles, workers, func(lo, hi int) {
-				buf := getScratch[T](tileScratch + kb*roundUp(min(mc, m), mr)*kern.kScale)
+			runTiles(rowTiles*colTiles, workers, func(q *tileQueue) {
+				buf := getScratch[T](tileScratch + kb*h*kern.kScale)
 				tile, aPack := buf[:tileScratch], buf[tileScratch:]
-				for t := lo; t < hi; t++ {
-					ic := t * mc
-					mb := min(mc, m-ic)
-					ap := aPack[:kb*roundUp(mb, mr)*kern.kScale]
-					kern.packA(ap, mr, transA, alpha, a, lda, ic, mb, pc, kb)
-					if faultinject.TakePackPoison() {
-						ap[0] = core.NaN[T]()
+				packed := -1
+				for t := q.claim(); t >= 0; t = q.claim() {
+					// Row-major numbering: consecutive tiles share their rows
+					// of op(A), packed once. Widest rows first: those of a
+					// lower triangle are taken bottom up.
+					r := t / colTiles
+					if uplo == Lower {
+						r = rowTiles - 1 - r
 					}
-					macroKernel(kern, kb, mb, nb, ap, bPack, c[ic+jc*ldc:], ldc, tile)
+					ic, j0 := r*h, jc+t%colTiles*w
+					mb, wb := min(h, m-ic), min(w, jc+nb-j0)
+					// Nothing stored, all stored, or the diagonal crosses.
+					if (uplo == Lower && ic+mb-1 < j0) || (uplo == Upper && ic > j0+wb-1) {
+						continue
+					}
+					ap := aPack[:kb*roundUp(mb, mr)*kern.kScale]
+					if r != packed {
+						kern.packA(ap, mr, transA, alpha, a, lda, ic, mb, pc, kb)
+						if faultinject.TakePackPoison() {
+							ap[0] = core.NaN[T]()
+						}
+						packed = r
+					}
+					bp, ct := bPack[(j0-jc)*kb:], c[ic+j0*ldc:]
+					if uplo == wholeMatrix || (uplo == Lower && ic >= j0+wb-1) || (uplo == Upper && ic+mb-1 <= j0) {
+						macroKernel(kern, kb, mb, wb, ap, bp, ct, ldc, tile)
+					} else {
+						macroKernelTri(kern, uplo, kb, mb, wb, ap, bp, ct, ldc, j0-ic, tile)
+					}
 				}
 				putScratch(buf)
 			})
 		}
 	}
 	putScratch(bPack)
+}
+
+// Tile policy of packedEngine with more than one worker: tilesPerWorker tiles
+// for each, so that one who starts late or loses its CPU for a while costs
+// the group a fraction of its share, but no tile less than minTilePanels
+// micro-panels high or wide — below that the packed panels are reused too
+// little to pay for streaming them.
+const (
+	tilesPerWorker = 4
+	minTilePanels  = 4
+)
+
+// tileGrid cuts an m×n block of C for `workers` workers and returns the tile
+// height h, a multiple of mr no larger than mc, and width w, a multiple of
+// nr: tile (r, c) is rows [r·h, r·h+h) × columns [c·w, c·w+w), clipped to
+// the block. Rows are cut first — a row tile packs its rows of op(A) once —
+// and columns only when m is too short to give every worker its tiles, at
+// the price of packing those rows once per worker that touches them. One
+// worker gets the serial sweep: mc-tall row tiles of full width.
+func tileGrid(m, n, mr, nr, mc, workers int) (h, w int) {
+	if workers <= 1 {
+		return min(mc, roundUp(m, mr)), roundUp(n, nr)
+	}
+	want := tilesPerWorker * workers
+	h = min(mc, max(minTilePanels*mr, roundUp((m+want-1)/want, mr)))
+	rows := (m + h - 1) / h
+	if rows >= want {
+		return h, roundUp(n, nr)
+	}
+	cols := (want + rows - 1) / rows
+	return h, max(minTilePanels*nr, roundUp((n+cols-1)/cols, nr))
 }
 
 func roundUp(v, unit int) int {

@@ -28,9 +28,10 @@ func scaleMatrix[T core.Scalar](m, n int, beta T, c []T, ldc int) {
 }
 
 // Gemm computes C = alpha*op(A)*op(B) + beta*C where op(A) is m×k and op(B)
-// is k×n. Small products run the naive unit-stride kernel (see GemmNaive);
-// everything above gemmPackedMinVol runs the packed blocked engine, which
-// fans macro-tiles across the worker pool when Threads() > 1.
+// is k×n. Small products run the naive unit-stride kernel (see GemmNaive) or
+// the pack-free kernels; everything above the row's packing crossover runs
+// the packed blocked engine, which cuts C into tiles for the worker pool when
+// the call's Threads > 1.
 func Gemm[T core.Scalar](cfg *core.Config, transA, transB Trans, m, n, k int, alpha T, a []T, lda int, b []T, ldb int, beta T, c []T, ldc int) {
 	cfg = core.Cfg(cfg)
 	if m == 0 || n == 0 {
@@ -46,17 +47,26 @@ func Gemm[T core.Scalar](cfg *core.Config, transA, transB Trans, m, n, k int, al
 	}
 	checkLD(rowsA, lda)
 	checkLD(rowsB, ldb)
-	transA, transB = realTrans[T](transA), realTrans[T](transB)
+	gemm(cfg, realTrans[T](transA), realTrans[T](transB), m, n, k, alpha, a, lda, b, ldb, beta, c, ldc, m, n)
+}
 
+// gemm is Gemm behind its argument checks, with the shape that selects the
+// route given separately: routeM×routeN×k is the call's own m×n×k, except
+// under a forked Trsm, whose slabs pass the update they are a slice of. The
+// routes differ in summation order, so a slab must take the whole update's;
+// each of them computes an element of C independently of how many other rows
+// and columns the call has (given cuts aligned as Trsm's are), so the slab
+// then produces the whole update's bits.
+func gemm[T core.Scalar](cfg *core.Config, transA, transB Trans, m, n, k int, alpha T, a []T, lda int, b []T, ldb int, beta T, c []T, ldc int, routeM, routeN int) {
 	// The beta scaling runs exactly once, up front, whether or not a product
-	// is accumulated afterwards; both kernels below only ever add to C.
+	// is accumulated afterwards; every kernel below only ever adds to C.
 	if beta != core.FromFloat[T](1) {
 		scaleMatrix(m, n, beta, c, ldc)
 	}
 	if alpha == 0 || k == 0 {
 		return
 	}
-	if n == 1 && transB == NoTrans {
+	if routeN == 1 && transB == NoTrans {
 		// Single-column product: one matrix-vector sweep. The packed engine
 		// would spend more on packing op(A) than the product costs, and even
 		// the naive kernel pays its tile bookkeeping; the recursive
@@ -70,13 +80,14 @@ func Gemm[T core.Scalar](cfg *core.Config, transA, transB Trans, m, n, k int, al
 		return
 	}
 	kern := kernelFor[T]()
-	if gemmSmallOK(cfg, transA, transB, m, n, k) && m*n*k < kern.smallMaxVol {
+	vol := routeM * routeN * k
+	if gemmSmallOK(cfg, transA, transB, routeM, routeN, k) && vol < kern.smallMaxVol {
 		// Pack-free small-matrix regime: the micro-kernel runs directly on
 		// the caller's strided operands, no pack buffers and no Fork.
 		kern.small(m, n, k, alpha, a, lda, b, ldb, c, ldc)
 		return
 	}
-	if n <= 8 && transA == NoTrans && transB == NoTrans && kern.skinny != nil {
+	if routeN <= 8 && transA == NoTrans && transB == NoTrans && kern.skinny != nil {
 		kern.skinny(cfg, m, n, k, alpha, a, lda, b, ldb, c, ldc)
 		return
 	}
@@ -86,7 +97,7 @@ func Gemm[T core.Scalar](cfg *core.Config, transA, transB Trans, m, n, k int, al
 	// the low-latency path. This matters for the factorizations, whose
 	// recursive panels issue many tall-skinny products well under the
 	// portable crossover.
-	if m*n*k < kern.minVol {
+	if vol < kern.minVol {
 		gemmAccumNaive(transA, transB, m, n, k, alpha, a, lda, b, ldb, c, ldc)
 		return
 	}
@@ -688,29 +699,69 @@ func Trmm[T core.Scalar](side Side, uplo Uplo, trans Trans, diag Diag, m, n int,
 
 // Trsm solves op(A)*X = alpha*B (side == Left) or X*op(A) = alpha*B
 // (side == Right) for X, overwriting B, where A is triangular. Triangles
-// larger than level3BlockSize are split recursively so the bulk of the work
-// becomes rectangular GEMM updates on the packed engine; only the diagonal
-// blocks run the direct substitution kernel.
+// larger than the row's leaf size are split recursively so the bulk of the
+// work becomes rectangular GEMM updates on the packed engine; only the
+// diagonal blocks run the direct substitution kernel.
+//
+// The columns of B (the rows, on the right) are independent, so a call above
+// the threading cutoff forks once, over slabs of them, and each slab runs the
+// whole recursion serially.
 func Trsm[T core.Scalar](cfg *core.Config, side Side, uplo Uplo, trans Trans, diag Diag, m, n int, alpha T, a []T, lda int, b []T, ldb int) {
 	cfg = core.Cfg(cfg)
 	if m == 0 || n == 0 {
 		return
 	}
-	na := m
+	trans = realTrans[T](trans)
+	// nt: order of the triangle; free: independent columns (rows) of B.
+	nt, free, step, unit := m, n, ldb, trsmColUnit
 	if side == Right {
-		na = n
+		nt, free, step, unit = n, m, 1, trsmRowUnit
 	}
-	checkLD(na, lda)
+	checkLD(nt, lda)
 	checkLD(m, ldb)
-	trsmRec(cfg, side, uplo, realTrans[T](trans), diag, m, n, alpha, a, lda, b, ldb)
+	workers := level3Workers(cfg, nt*nt/2*free)
+	slab := roundUp((free+workers-1)/workers, unit)
+	slabs := free / slab
+	if free-slabs*slab >= unit {
+		slabs++
+	}
+	if workers <= 1 || slabs < 2 {
+		trsmRec(cfg, side, uplo, trans, diag, m, n, alpha, a, lda, b, ldb, free)
+		return
+	}
+	serial := cfg.With(func(c *core.Config) { c.Threads = 1 })
+	eachTile(slabs, workers, func(t int) {
+		// The last slab is, or includes, the remainder.
+		lo, sz := t*slab, slab
+		if t == slabs-1 {
+			sz = free - lo
+		}
+		if side == Left {
+			trsmRec(serial, side, uplo, trans, diag, m, sz, alpha, a, lda, b[lo*step:], ldb, free)
+		} else {
+			trsmRec(serial, side, uplo, trans, diag, sz, n, alpha, a, lda, b[lo*step:], ldb, free)
+		}
+	})
 }
+
+// Cuts of a forked Trsm: column slabs (left side) start at multiples of the
+// eight-wide substitution leaf, itself a multiple of every row's nr; row
+// slabs (right side) at multiples of the tallest micro-panel and widest
+// vector step in the table. A slab thus sees each of its columns (rows) at
+// the position within a leaf or micro-tile that the undivided solve does.
+const (
+	trsmColUnit = 8
+	trsmRowUnit = asmF32MR
+)
 
 // trsmRec splits the triangular operand A = [A11 .; A21/A12 A22] and reduces
 // the solve to two half-size solves plus one GEMM update, choosing the solve
 // order the triangle's data dependencies require. alpha is applied to each
 // half of B exactly once: by the first solve touching it or by the GEMM's
-// beta, matching the reference xTRSM update B2 := alpha*B2 - A21*X1.
-func trsmRec[T core.Scalar](cfg *core.Config, side Side, uplo Uplo, trans Trans, diag Diag, m, n int, alpha T, a []T, lda int, b []T, ldb int) {
+// beta, matching the reference xTRSM update B2 := alpha*B2 - A21*X1. free is
+// the number of columns (rows, on the right) of the Trsm call's whole B, of
+// which this solve may be a slab: its updates are routed as slices (see gemm).
+func trsmRec[T core.Scalar](cfg *core.Config, side Side, uplo Uplo, trans Trans, diag Diag, m, n int, alpha T, a []T, lda int, b []T, ldb int, free int) {
 	nt := m
 	if side == Right {
 		nt = n
@@ -731,21 +782,21 @@ func trsmRec[T core.Scalar](cfg *core.Config, side Side, uplo Uplo, trans Trans,
 		b2 := b[n1:]
 		switch {
 		case uplo == Lower && trans == NoTrans:
-			trsmRec(cfg, side, uplo, trans, diag, n1, n, alpha, a11, lda, b1, ldb)
-			Gemm(cfg, NoTrans, NoTrans, n2, n, n1, -one, a21, lda, b1, ldb, alpha, b2, ldb)
-			trsmRec(cfg, side, uplo, trans, diag, n2, n, one, a22, lda, b2, ldb)
+			trsmRec(cfg, side, uplo, trans, diag, n1, n, alpha, a11, lda, b1, ldb, free)
+			gemm(cfg, NoTrans, NoTrans, n2, n, n1, -one, a21, lda, b1, ldb, alpha, b2, ldb, n2, free)
+			trsmRec(cfg, side, uplo, trans, diag, n2, n, one, a22, lda, b2, ldb, free)
 		case uplo == Upper && trans == NoTrans:
-			trsmRec(cfg, side, uplo, trans, diag, n2, n, alpha, a22, lda, b2, ldb)
-			Gemm(cfg, NoTrans, NoTrans, n1, n, n2, -one, a12, lda, b2, ldb, alpha, b1, ldb)
-			trsmRec(cfg, side, uplo, trans, diag, n1, n, one, a11, lda, b1, ldb)
+			trsmRec(cfg, side, uplo, trans, diag, n2, n, alpha, a22, lda, b2, ldb, free)
+			gemm(cfg, NoTrans, NoTrans, n1, n, n2, -one, a12, lda, b2, ldb, alpha, b1, ldb, n1, free)
+			trsmRec(cfg, side, uplo, trans, diag, n1, n, one, a11, lda, b1, ldb, free)
 		case uplo == Lower: // op(A) = A{T,H} is upper triangular
-			trsmRec(cfg, side, uplo, trans, diag, n2, n, alpha, a22, lda, b2, ldb)
-			Gemm(cfg, trans, NoTrans, n1, n, n2, -one, a21, lda, b2, ldb, alpha, b1, ldb)
-			trsmRec(cfg, side, uplo, trans, diag, n1, n, one, a11, lda, b1, ldb)
+			trsmRec(cfg, side, uplo, trans, diag, n2, n, alpha, a22, lda, b2, ldb, free)
+			gemm(cfg, trans, NoTrans, n1, n, n2, -one, a21, lda, b2, ldb, alpha, b1, ldb, n1, free)
+			trsmRec(cfg, side, uplo, trans, diag, n1, n, one, a11, lda, b1, ldb, free)
 		default: // Upper, op(A) lower triangular
-			trsmRec(cfg, side, uplo, trans, diag, n1, n, alpha, a11, lda, b1, ldb)
-			Gemm(cfg, trans, NoTrans, n2, n, n1, -one, a12, lda, b1, ldb, alpha, b2, ldb)
-			trsmRec(cfg, side, uplo, trans, diag, n2, n, one, a22, lda, b2, ldb)
+			trsmRec(cfg, side, uplo, trans, diag, n1, n, alpha, a11, lda, b1, ldb, free)
+			gemm(cfg, trans, NoTrans, n2, n, n1, -one, a12, lda, b1, ldb, alpha, b2, ldb, n2, free)
+			trsmRec(cfg, side, uplo, trans, diag, n2, n, one, a22, lda, b2, ldb, free)
 		}
 		return
 	}
@@ -753,21 +804,21 @@ func trsmRec[T core.Scalar](cfg *core.Config, side Side, uplo Uplo, trans Trans,
 	b2 := b[n1*ldb:]
 	switch {
 	case uplo == Upper && trans == NoTrans:
-		trsmRec(cfg, side, uplo, trans, diag, m, n1, alpha, a11, lda, b1, ldb)
-		Gemm(cfg, NoTrans, NoTrans, m, n2, n1, -one, b1, ldb, a12, lda, alpha, b2, ldb)
-		trsmRec(cfg, side, uplo, trans, diag, m, n2, one, a22, lda, b2, ldb)
+		trsmRec(cfg, side, uplo, trans, diag, m, n1, alpha, a11, lda, b1, ldb, free)
+		gemm(cfg, NoTrans, NoTrans, m, n2, n1, -one, b1, ldb, a12, lda, alpha, b2, ldb, free, n2)
+		trsmRec(cfg, side, uplo, trans, diag, m, n2, one, a22, lda, b2, ldb, free)
 	case uplo == Lower && trans == NoTrans:
-		trsmRec(cfg, side, uplo, trans, diag, m, n2, alpha, a22, lda, b2, ldb)
-		Gemm(cfg, NoTrans, NoTrans, m, n1, n2, -one, b2, ldb, a21, lda, alpha, b1, ldb)
-		trsmRec(cfg, side, uplo, trans, diag, m, n1, one, a11, lda, b1, ldb)
+		trsmRec(cfg, side, uplo, trans, diag, m, n2, alpha, a22, lda, b2, ldb, free)
+		gemm(cfg, NoTrans, NoTrans, m, n1, n2, -one, b2, ldb, a21, lda, alpha, b1, ldb, free, n1)
+		trsmRec(cfg, side, uplo, trans, diag, m, n1, one, a11, lda, b1, ldb, free)
 	case uplo == Upper: // op(A) lower triangular
-		trsmRec(cfg, side, uplo, trans, diag, m, n2, alpha, a22, lda, b2, ldb)
-		Gemm(cfg, NoTrans, trans, m, n1, n2, -one, b2, ldb, a12, lda, alpha, b1, ldb)
-		trsmRec(cfg, side, uplo, trans, diag, m, n1, one, a11, lda, b1, ldb)
+		trsmRec(cfg, side, uplo, trans, diag, m, n2, alpha, a22, lda, b2, ldb, free)
+		gemm(cfg, NoTrans, trans, m, n1, n2, -one, b2, ldb, a12, lda, alpha, b1, ldb, free, n1)
+		trsmRec(cfg, side, uplo, trans, diag, m, n1, one, a11, lda, b1, ldb, free)
 	default: // Lower, op(A) upper triangular
-		trsmRec(cfg, side, uplo, trans, diag, m, n1, alpha, a11, lda, b1, ldb)
-		Gemm(cfg, NoTrans, trans, m, n2, n1, -one, b1, ldb, a21, lda, alpha, b2, ldb)
-		trsmRec(cfg, side, uplo, trans, diag, m, n2, one, a22, lda, b2, ldb)
+		trsmRec(cfg, side, uplo, trans, diag, m, n1, alpha, a11, lda, b1, ldb, free)
+		gemm(cfg, NoTrans, trans, m, n2, n1, -one, b1, ldb, a21, lda, alpha, b2, ldb, free, n2)
+		trsmRec(cfg, side, uplo, trans, diag, m, n2, one, a22, lda, b2, ldb, free)
 	}
 }
 

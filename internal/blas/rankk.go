@@ -2,22 +2,21 @@ package blas
 
 import "repro/internal/core"
 
-// Packed rank-k update engine behind Syrk, Herk, Syr2k and Her2k. The
-// blocked sweep these routines used previously decomposed the update into
-// independent Gemm calls, and every call re-packed its own (overlapping)
-// slices of A — for a factorization-sized Herk the packing traffic alone
-// cost a third of the run. This engine reuses gemmEngine's loop structure
-// and packed formats but packs each kc-deep rank slab exactly once per
-// operand, and only visits macro tiles that intersect the stored triangle
-// of C. Tiles crossing the diagonal run the same micro-kernels into a small
-// scratch tile whose stored part is then merged, so the wasted flops are
+// The triangle routines — Syrk, Herk, Syr2k, Her2k and Gemmt — on the packed
+// engine (packedEngine, gemm.go). A blocked sweep over independent Gemm calls
+// would re-pack its own (overlapping) slices of A in every call — for a
+// factorization-sized Herk the packing traffic alone cost a third of the
+// run. The engine packs each kc-deep rank slab exactly once per operand and
+// only visits tiles that intersect the stored triangle of C. Tiles crossing
+// the diagonal run the same micro-kernels into a small scratch tile whose
+// stored part is then merged (macroKernelTri), so the wasted flops are
 // bounded by one micro-tile per diagonal crossing instead of a full
 // diagonal block square.
 //
-// triEngine is the shared core: it accumulates alpha·opA(A)·opB(B) into the
-// stored triangle, with the operands free to be different matrices. Syrk
-// and Herk call it once with B = A; the rank-2k updates call it twice with
-// the roles of A and B exchanged, which is exactly the
+// triEngine accumulates alpha·opA(A)·opB(B) into the stored triangle, with
+// the operands free to be different matrices. Syrk and Herk call it once
+// with B = A; the rank-2k updates call it twice with the roles of A and B
+// exchanged, which is exactly the
 // C += alpha·op(A)·op(B)' + alpha'·op(B)·op(A)' decomposition.
 
 // scaleTriangle applies C := beta*C on the uplo triangle of an n×n block,
@@ -63,54 +62,10 @@ func syrkEngine[T core.Scalar](cfg *core.Config, uplo Uplo, trans Trans, n, k in
 
 // triEngine accumulates alpha·opA(A)·opB(B) into the uplo triangle of the
 // n×n matrix C, where opA(A) is n×k and opB(B) is k×n. Any beta scaling
-// must already have been applied to the triangle. It is the packed,
-// triangle-restricted sibling of gemmEngine: opB(B) slabs are packed once,
-// opA(A) is packed per macro tile with alpha folded in, and only tiles that
-// intersect the stored triangle are visited.
+// must already have been applied to the triangle. It is packedEngine
+// (gemm.go) restricted to the stored triangle.
 func triEngine[T core.Scalar](cfg *core.Config, uplo Uplo, transA, transB Trans, n, k int, alpha T, a []T, lda int, b []T, ldb int, c []T, ldc int) {
-	kern := kernelFor[T]()
-	mr, nr := kern.mr, kern.nr
-	mc, kc, nc := blockFor[T](cfg)
-	mc = max(mr, mc-mc%mr)
-	workers := level3Workers(cfg, n*n*k/2)
-
-	nTiles := (n + mc - 1) / mc
-	bPack := getScratch[T](kc * roundUp(min(nc, n), nr))
-	for jc := 0; jc < n; jc += nc {
-		nb := min(nc, n-jc)
-		nbR := roundUp(nb, nr)
-		// Row tiles with any element in the stored triangle of this slab:
-		// Lower keeps rows >= jc, Upper keeps rows <= jc+nb-1.
-		tLo, tHi := 0, nTiles
-		if uplo == Lower {
-			tLo = jc / mc
-		} else {
-			tHi = (jc+nb-1)/mc + 1
-		}
-		for pc := 0; pc < k; pc += kc {
-			cfg.Checkpoint()
-			kb := min(kc, k-pc)
-			kern.packB(bPack[:kb*nbR], nr, transB, b, ldb, pc, kb, jc, nb)
-			parallelRange(tHi-tLo, workers, func(lo, hi int) {
-				buf := getScratch[T](tileScratch + kb*roundUp(min(mc, n), mr)*kern.kScale)
-				tile, aPack := buf[:tileScratch], buf[tileScratch:]
-				for t := tLo + lo; t < tLo+hi; t++ {
-					ic := t * mc
-					mb := min(mc, n-ic)
-					ap := aPack[:kb*roundUp(mb, mr)*kern.kScale]
-					kern.packA(ap, mr, transA, alpha, a, lda, ic, mb, pc, kb)
-					ct := c[ic+jc*ldc:]
-					if (uplo == Lower && ic >= jc+nb-1) || (uplo == Upper && ic+mb-1 <= jc) {
-						macroKernel(kern, kb, mb, nb, ap, bPack, ct, ldc, tile)
-					} else {
-						macroKernelTri(kern, uplo, kb, mb, nb, ap, bPack, ct, ldc, jc-ic, tile)
-					}
-				}
-				putScratch(buf)
-			})
-		}
-	}
-	putScratch(bPack)
+	packedEngine(cfg, uplo, transA, transB, n, n, k, alpha, a, lda, b, ldb, c, ldc)
 }
 
 // macroKernelTri sweeps one packed macro tile like macroKernel but only
@@ -147,8 +102,15 @@ func macroKernelTri[T core.Scalar](kern *kernel[T], uplo Uplo, kb, mb, nb int, a
 			} else {
 				fullyStored = ir+rows-1 <= jr+d
 			}
-			if fullyStored && rows == mr && cols == nr {
-				kern.micro(kb, ap, bp, ct, ldc)
+			if fullyStored {
+				// Exactly macroKernel's call for this micro-tile: whether a
+				// stored tile is reached through here or there depends on
+				// where the grid's cuts fall, and must not show.
+				if rows == mr && cols == nr {
+					kern.micro(kb, ap, bp, ct, ldc)
+				} else {
+					kern.edge(kb, mr, nr, ap, bp, ct, ldc, rows, cols, tile)
+				}
 				continue
 			}
 			clear(tmp)

@@ -74,13 +74,13 @@ const (
 )
 
 // level3Workers is the one shared serial small-size cutoff for the Level-3
-// engines: every entry point that can fan work onto the worker pool — the
-// packed GEMM engine and the triangle rank-k engine, and through their
-// GEMM-shaped updates also Trsm, Symm/Hemm and Syr2k/Her2k — routes its
-// threading decision through this volume threshold, so no path pays
-// goroutine hand-off on shapes where Gemm itself would stay serial. vol is
-// the operation's multiply volume (m·n·k for Gemm, n·n·k/2 for the stored
-// triangle of a rank-k update).
+// layer: every entry point that opens a tile group — the packed engine
+// under Gemm and the triangle routines, Trsm's slab fork, and through their
+// GEMM-shaped updates also Symm/Hemm — routes its threading decision
+// through this volume threshold, so no path pays goroutine hand-off on
+// shapes where Gemm itself would stay serial. vol is the operation's
+// multiply volume (m·n·k for Gemm, half that for a stored triangle, and
+// for a triangular solve).
 func level3Workers(cfg *core.Config, vol int) int {
 	workers := cfg.Threads
 	if workers > 1 && vol < cfg.GemmParallelMinVol {

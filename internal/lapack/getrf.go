@@ -130,6 +130,14 @@ func getrfBlocked[T core.Scalar](cfg *core.Config, m, n int, a []T, lda int, ipi
 	info := 0
 	one := core.FromFloat[T](1)
 	pipelined := cfg.Threads > 1
+	// The lookahead panel runs beside the trailing update's tile group on one
+	// worker of its own: groups opened inside it would only oversubscribe the
+	// CPUs. When it is done its CPU joins the update, whose tiles are
+	// claimed, not dealt out in advance (blas/parallel.go).
+	panelCfg := cfg
+	if pipelined {
+		panelCfg = cfg.With(func(c *core.Config) { c.Threads = 1 })
+	}
 	// The first panel has no pending update; factor it up front so that each
 	// loop iteration below starts with panel j already factored (either here
 	// or by the lookahead task of the previous iteration).
@@ -166,7 +174,7 @@ func getrfBlocked[T core.Scalar](cfg *core.Config, m, n int, a []T, lda int, ipi
 			a[p+j*lda:], lda, a[j+p*lda:], lda, one, a[p+p*lda:], lda)
 		pinfo := 0
 		factorNext := func() {
-			pinfo = Getrf2(cfg, m-p, pb, a[p+p*lda:], lda, ipiv[p:p+pb])
+			pinfo = Getrf2(panelCfg, m-p, pb, a[p+p*lda:], lda, ipiv[p:p+pb])
 		}
 		updateRest := func() {
 			if rest := n - p - pb; rest > 0 {

@@ -190,6 +190,12 @@ func TestThreadsBitIdentical(t *testing.T) {
 		{"GELS+GELSD", lsSig},
 		{"solves/complex128", complexSolveSig[complex128]},
 		{"solves/complex64", complexSolveSig[complex64]},
+		{"solves/float64/n=640", func(t *testing.T, opts ...la.Opt) []float64 {
+			// The size at which the drivers fork at the default
+			// GemmParallelMinVol: the cases above either stay under it
+			// (130³ < 192³) or lower it.
+			return solveSig[float64](t, 640, 16, opts...)
+		}},
 	}
 	for _, d := range drivers {
 		t.Run(d.name, func(t *testing.T) {
@@ -203,21 +209,38 @@ func TestThreadsBitIdentical(t *testing.T) {
 	}
 }
 
-// complexSolveSig runs GESV, POSV (both triangles) and SYSV on complex
-// operands large enough for the packed engine, with the parallel cutoff
-// lowered so the macro-tile fan-out really runs, and flattens every output.
-// The complex types ride the real micro-kernels through the 1m packing, whose
-// tiles are as disjoint per worker as the real ones.
+// complexSolveSig is solveSig on complex operands large enough for the packed
+// engine, with the parallel cutoff lowered so the tile groups and Trsm's slab
+// fork really run. The complex types ride the real micro-kernels through the
+// 1m packing, whose tiles are as disjoint per worker as the real ones.
 func complexSolveSig[T la.Scalar](t *testing.T, opts ...la.Opt) []float64 {
+	return solveSig[T](t, 150, 5, append(opts, la.WithConfig(la.Config{GemmParallelMinVol: 1 << 12}))...)
+}
+
+// solveSig runs GESV, POSV (both triangles) and SYSV at order n with nrhs
+// right-hand sides and flattens every output.
+func solveSig[T la.Scalar](t *testing.T, n, nrhs int, opts ...la.Opt) []float64 {
 	t.Helper()
-	const n, nrhs = 150, 5
-	opts = append(opts, la.WithConfig(la.Config{GemmParallelMinVol: 1 << 12}))
 	var sig []float64
 	flat := func(m *la.Matrix[T]) {
 		for _, v := range m.Data {
 			c := toC(v)
 			sig = append(sig, real(c), imag(c))
 		}
+	}
+	// hermitian returns (G + Gᴴ)/2 + shift·I: indefinite for shift = 0,
+	// positive definite (diagonally dominant) for shift = n.
+	hermitian := func(seed int, shift float64) *la.Matrix[T] {
+		a := randMat[T](seed, n, n)
+		for j := 0; j < n; j++ {
+			for i := 0; i < j; i++ {
+				v := (toC(a.At(i, j)) + conjOf(a.At(j, i))) / 2
+				a.Set(i, j, fromC[T](v))
+				a.Set(j, i, fromC[T](complex(real(v), -imag(v))))
+			}
+			a.Set(j, j, fromC[T](complex(real(toC(a.At(j, j)))+shift, 0)))
+		}
+		return a
 	}
 	a, b := randMat[T](41, n, n), randMat[T](42, n, nrhs)
 	ipiv, err := la.GESV(a, b, opts...)
@@ -227,7 +250,7 @@ func complexSolveSig[T la.Scalar](t *testing.T, opts ...la.Opt) []float64 {
 	flat(a)
 	flat(b)
 	for _, uplo := range []la.UpLo{la.Upper, la.Lower} {
-		a, b = spdMat[T](43, n), randMat[T](44, n, nrhs)
+		a, b = hermitian(43, float64(n)), randMat[T](44, n, nrhs)
 		if err := la.POSV(a, b, append(opts, la.WithUpLo(uplo))...); err != nil {
 			t.Fatalf("POSV: %v", err)
 		}
