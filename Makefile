@@ -88,7 +88,7 @@ test:
 # (internal/blas/iterate.go) have a portable route of their own.
 test-portable:
 	LA90_NO_ASM=1 $(GO) test -count=1 ./internal/blas/
-	LA90_NO_ASM=1 $(GO) test -count=1 ./internal/lapack/ -run 'Steqr|Syev|Stedc|Hseqr|Geev'
+	LA90_NO_ASM=1 $(GO) test -count=1 ./internal/lapack/ -run 'Steqr|Syev|Stedc|Bdsdc|Hseqr|Geev|Trevc|Orgtr|Ormtr'
 
 # The race run covers the threaded engine, the factorizations driving it,
 # the la boundary — including the chaos tests that panic workers on purpose,
@@ -124,7 +124,7 @@ fuzz:
 # driver, the eigenvalue iteration phase with its kernels, the Level-1/2
 # leaves and the per-call option overhead, no timing claims.
 benchsmoke:
-	$(GO) test -run=NONE -bench='Getrf|Gemm|Geqrf|GelsdTall|Steqr|Stedc|Hseqr|RotSeq|Secular|ApplyOptions|Level2|Level3Parallel|Sytrf|Trsm|Potrf' -benchtime=1x .
+	$(GO) test -run=NONE -bench='Getrf|Gemm|Geqrf|GelsdTall|Steqr|Stedc|Bdsdc|Hseqr|Trevc|Orgtr|Ormtr|Syevd|Gesdd|Geev|RotSeq|Secular|ApplyOptions|Level2|Level3Parallel|Sytrf|Trsm|Potrf' -benchtime=1x .
 	$(GO) run ./cmd/la90bench -reduce -maxn 256 -reps 1 -out /tmp/BENCH_reduce_smoke.json
 	$(GO) run ./cmd/la90bench -batch -maxbatch 64 -reps 1 -out /tmp/BENCH_batch_smoke.json
 	$(GO) run ./cmd/la90bench -mixed -maxn 256 -reps 1 -out /tmp/BENCH_mixed_smoke.json

@@ -766,20 +766,14 @@ func benchTridiag(b *testing.B, n int, f func(d, e, z []float64) int) {
 	lapack.Larnv(2, rng, n, d0)
 	lapack.Larnv(2, rng, n-1, e0)
 	d, e, z := make([]float64, n), make([]float64, n-1), make([]float64, n*n)
-	run := func() {
+	benchLoop(b, func() {
 		copy(d, d0)
 		copy(e, e0)
 		lapack.Laset('A', n, n, 0.0, 1.0, z, n)
 		if info := f(d, e, z); info != 0 {
 			b.Fatalf("info %d", info)
 		}
-	}
-	run() // untimed warm-up
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		run()
-	}
+	})
 }
 
 func BenchmarkSteqr(b *testing.B) {
@@ -793,7 +787,10 @@ func BenchmarkStedc(b *testing.B) {
 }
 
 // BenchmarkHseqr times the double-shift QR iteration with Schur vectors on
-// the Hessenberg form of a random matrix, the reduction left outside.
+// the Hessenberg form of a random matrix, the reduction left outside: at the
+// leading dimension Geev gives its own work matrices (an odd number of cache
+// lines, here n+8) and at ld = n = 192, where the rows the sweep walks map to
+// 8 of the L1 cache's 64 sets and every step misses.
 func BenchmarkHseqr(b *testing.B) {
 	const n = 192
 	cfg := core.Default()
@@ -804,21 +801,189 @@ func BenchmarkHseqr(b *testing.B) {
 	lapack.Gehrd(cfg, n, 0, n-1, h0, n, tau)
 	z0 := append([]float64(nil), h0...)
 	lapack.Orghr(cfg, n, 0, n-1, z0, n, tau)
-	h, z := make([]float64, n*n), make([]float64, n*n)
 	wr, wi := make([]float64, n), make([]float64, n)
-	run := func() {
-		copy(h, h0)
-		copy(z, z0)
-		if info := lapack.Hseqr(cfg, true, n, 0, n-1, h, n, wr, wi, z, n); info != 0 {
-			b.Fatalf("Hseqr: info %d", info)
-		}
+	for _, ld := range []int{n + 8, n} {
+		b.Run("ld="+itoa(ld), func(b *testing.B) {
+			h, z := make([]float64, ld*n), make([]float64, ld*n)
+			benchLoop(b, func() {
+				lapack.Lacpy('A', n, n, h0, n, h, ld)
+				lapack.Lacpy('A', n, n, z0, n, z, ld)
+				if info := lapack.Hseqr(cfg, true, n, 0, n-1, h, ld, wr, wi, z, ld); info != 0 {
+					b.Fatalf("Hseqr: info %d", info)
+				}
+			})
+		})
 	}
-	run() // untimed warm-up
+}
+
+// benchLoop times run after one untimed warm-up call.
+func benchLoop(b *testing.B, run func()) {
+	run()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		run()
 	}
+}
+
+// BenchmarkStedcTree is BenchmarkStedc without the caller's basis: the
+// divide & conquer tree alone, as LA_SYEVD and LA_STEVD run it.
+func BenchmarkStedcTree(b *testing.B) {
+	const n = 384
+	benchTridiag(b, n, func(d, e, z []float64) int { return lapack.Stevd(core.Default(), n, d, e, z, n) })
+}
+
+// BenchmarkBdsdc times the bidiagonal divide & conquer at GESVD's eig_svd
+// order on a random upper bidiagonal matrix.
+func BenchmarkBdsdc(b *testing.B) {
+	const n = 256
+	rng := lapack.NewRng([4]int{n, 7, 1, 5})
+	d0, e0 := make([]float64, n), make([]float64, n-1)
+	lapack.Larnv(2, rng, n, d0)
+	lapack.Larnv(2, rng, n-1, e0)
+	d, e := make([]float64, n), make([]float64, n-1)
+	u, vt := make([]float64, n*n), make([]float64, n*n)
+	benchLoop(b, func() {
+		copy(d, d0)
+		copy(e, e0)
+		if info := lapack.Bdsdc(core.Default(), n, d, e, u, n, vt, n); info != 0 {
+			b.Fatalf("Bdsdc: info %d", info)
+		}
+	})
+}
+
+// BenchmarkTrevc times the eigenvector back-substitution and back-transform
+// under LA_GEEV at n = 192: right and left vectors of a real Schur form (from
+// Hseqr on a random matrix) and of a random complex triangle.
+func BenchmarkTrevc(b *testing.B) {
+	const n = 192
+	cfg := core.Default()
+	rng := lapack.NewRng([4]int{n, 4, 2, 9})
+	t := make([]float64, n*n)
+	lapack.Larnv(2, rng, n*n, t)
+	tau := make([]float64, n-1)
+	lapack.Gehrd(cfg, n, 0, n-1, t, n, tau)
+	z := append([]float64(nil), t...)
+	lapack.Orghr(cfg, n, 0, n-1, z, n, tau)
+	wr, wi := make([]float64, n), make([]float64, n)
+	if info := lapack.Hseqr(cfg, true, n, 0, n-1, t, n, wr, wi, z, n); info != 0 {
+		b.Fatalf("Hseqr: info %d", info)
+	}
+	v := make([]float64, n*n)
+	b.Run("right/f64", func(b *testing.B) {
+		benchLoop(b, func() { lapack.TrevcRight(cfg, n, t, n, wr, wi, z, n, v, n) })
+	})
+	b.Run("left/f64", func(b *testing.B) {
+		benchLoop(b, func() { lapack.TrevcLeft(cfg, n, t, n, wr, wi, z, n, v, n) })
+	})
+	tc, zc, vc := make([]complex128, n*n), make([]complex128, n*n), make([]complex128, n*n)
+	lapack.Larnv(2, rng, n*n, tc)
+	lapack.Larnv(2, rng, n*n, zc)
+	for j := 0; j < n; j++ {
+		clear(tc[j+1+j*n : (j+1)*n])
+	}
+	b.Run("right/c128", func(b *testing.B) {
+		benchLoop(b, func() { lapack.TrevcRightC(cfg, n, tc, n, zc, n, vc, n) })
+	})
+	b.Run("left/c128", func(b *testing.B) {
+		benchLoop(b, func() { lapack.TrevcLeftC(cfg, n, tc, n, zc, n, vc, n) })
+	})
+}
+
+// benchTridiagBasis reduces a random symmetric matrix of order n with Sytrd
+// and times f on a fresh copy of the factored form.
+func benchTridiagBasis(b *testing.B, uplo lapack.Uplo, n int, f func(a, tau []float64)) {
+	cfg := core.Default()
+	rng := lapack.NewRng([4]int{n, 6, 2, 3})
+	a0 := make([]float64, n*n)
+	lapack.Larnv(2, rng, n*n, a0)
+	d, e, tau := make([]float64, n), make([]float64, n-1), make([]float64, n-1)
+	lapack.Sytrd(cfg, uplo, n, a0, n, d, e, tau)
+	a := make([]float64, n*n)
+	benchLoop(b, func() {
+		copy(a, a0)
+		f(a, tau)
+	})
+}
+
+func uploName(uplo lapack.Uplo) string {
+	if uplo == lapack.Upper {
+		return "U"
+	}
+	return "L"
+}
+
+// BenchmarkOrgtr generates and BenchmarkOrmtr applies (to an n×n matrix) the
+// Sytrd basis, both storage sides.
+func BenchmarkOrgtr(b *testing.B) {
+	for _, n := range []int{192, 384} {
+		for _, uplo := range []lapack.Uplo{lapack.Upper, lapack.Lower} {
+			b.Run(uploName(uplo)+"/"+itoa(n), func(b *testing.B) {
+				benchTridiagBasis(b, uplo, n, func(a, tau []float64) { lapack.Orgtr(core.Default(), uplo, n, a, n, tau) })
+			})
+		}
+	}
+}
+
+func BenchmarkOrmtr(b *testing.B) {
+	for _, n := range []int{192, 384} {
+		c := make([]float64, n*n)
+		lapack.Larnv(2, lapack.NewRng([4]int{n, 1, 8, 3}), n*n, c)
+		for _, uplo := range []lapack.Uplo{lapack.Upper, lapack.Lower} {
+			b.Run(uploName(uplo)+"/"+itoa(n), func(b *testing.B) {
+				benchTridiagBasis(b, uplo, n, func(a, tau []float64) {
+					lapack.Ormtr(core.Default(), uplo, lapack.NoTrans, n, n, a, n, tau, c, n)
+				})
+			})
+		}
+	}
+}
+
+// BenchmarkSyevd, BenchmarkGesdd and BenchmarkGeev time the lapack drivers
+// under the eig_svd workload's D&C and nonsymmetric ops at its sizes.
+func BenchmarkSyevd(b *testing.B) {
+	const n = 384
+	a0 := make([]float64, n*n)
+	lapack.Larnv(2, lapack.NewRng([4]int{n, 9, 2, 1}), n*n, a0)
+	a, w := make([]float64, n*n), make([]float64, n)
+	for _, uplo := range []lapack.Uplo{lapack.Upper, lapack.Lower} {
+		b.Run(uploName(uplo), func(b *testing.B) {
+			benchLoop(b, func() {
+				copy(a, a0)
+				if info := lapack.Syevd(core.Default(), true, uplo, n, a, n, w); info != 0 {
+					b.Fatalf("Syevd: info %d", info)
+				}
+			})
+		})
+	}
+}
+
+func BenchmarkGesdd(b *testing.B) {
+	const n = 256
+	a0 := make([]float64, n*n)
+	lapack.Larnv(2, lapack.NewRng([4]int{n, 9, 4, 1}), n*n, a0)
+	a, s := make([]float64, n*n), make([]float64, n)
+	u, vt := make([]float64, n*n), make([]float64, n*n)
+	benchLoop(b, func() {
+		copy(a, a0)
+		if info := lapack.Gesdd(core.Default(), lapack.SVDSome, lapack.SVDSome, n, n, a, n, s, u, n, vt, n); info != 0 {
+			b.Fatalf("Gesdd: info %d", info)
+		}
+	})
+}
+
+func BenchmarkGeev(b *testing.B) {
+	const n = 192
+	a0 := make([]float64, n*n)
+	lapack.Larnv(2, lapack.NewRng([4]int{n, 9, 6, 1}), n*n, a0)
+	a, vr := make([]float64, n*n), make([]float64, n*n)
+	wr, wi := make([]float64, n), make([]float64, n)
+	benchLoop(b, func() {
+		copy(a, a0)
+		if info := lapack.Geev(core.Default(), false, true, n, a, n, wr, wi, nil, 1, vr, n); info != 0 {
+			b.Fatalf("Geev: info %d", info)
+		}
+	})
 }
 
 // BenchmarkRotSeq sweeps 383 rotations forward and backward over a 384×384

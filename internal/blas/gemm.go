@@ -43,14 +43,25 @@ import (
 // Buffers come back uninitialized; every user either overwrites its slice
 // fully or clears what it needs zero explicitly (packA/packB zero-pad edge
 // panels, the Syrk/Herk scratch is written with beta = 0).
-var scratchPools [4][bits.UintSize]sync.Pool
+//
+// A pool stores *[]T: a pointer travels in an interface for free, where a
+// slice header costs an allocation per Put. The holders emptied by a Get are
+// recycled through scratchHolders, one pool per element type.
+var (
+	scratchPools   [4][bits.UintSize]sync.Pool
+	scratchHolders [4]sync.Pool
+)
 
 // getScratch returns an uninitialized length-n slice, reusing a pooled buffer
 // of n's size class when there is one.
 func getScratch[T core.Scalar](n int) []T {
 	class := bits.Len(uint(max(n, 1) - 1))
-	if v := scratchPool[T](class).Get(); v != nil {
-		return v.([]T)[:n]
+	t := scratchType[T]()
+	if h, _ := scratchPools[t][class].Get().(*[]T); h != nil {
+		s := (*h)[:n]
+		*h = nil
+		scratchHolders[t].Put(h)
+		return s
 	}
 	return make([]T, n, 1<<class)
 }
@@ -59,22 +70,28 @@ func getScratch[T core.Scalar](n int) []T {
 // under the largest class their capacity covers.
 func putScratch[T core.Scalar](s []T) {
 	if cap(s) > 0 {
-		scratchPool[T](bits.Len(uint(cap(s))) - 1).Put(s[:cap(s)])
+		t := scratchType[T]()
+		h, _ := scratchHolders[t].Get().(*[]T)
+		if h == nil {
+			h = new([]T)
+		}
+		*h = s[:cap(s)]
+		scratchPools[t][bits.Len(uint(cap(s)))-1].Put(h)
 	}
 }
 
-func scratchPool[T core.Scalar](class int) *sync.Pool {
+// scratchType is the pools' index of element type T.
+func scratchType[T core.Scalar]() int {
 	var z T
-	t := 0
 	switch any(z).(type) {
 	case float32:
-		t = 1
+		return 1
 	case complex128:
-		t = 2
+		return 2
 	case complex64:
-		t = 3
+		return 3
 	}
-	return &scratchPools[t][class]
+	return 0
 }
 
 // GetScratch hands out a pooled, UNINITIALIZED length-n workspace slice for
@@ -120,6 +137,7 @@ func packedEngine[T core.Scalar](cfg *core.Config, uplo Uplo, transA, transB Tra
 
 	bPack := getScratch[T](kc * roundUp(min(nc, n), nr))
 	for jc := 0; jc < n; jc += nc {
+		jc := jc // a copy the tile closure captures by value, not a heap cell per iteration
 		nb := min(nc, n-jc)
 		colTiles := (nb + w - 1) / w
 		for pc := 0; pc < k; pc += kc {
@@ -128,10 +146,15 @@ func packedEngine[T core.Scalar](cfg *core.Config, uplo Uplo, transA, transB Tra
 			// op(B) is packed by the workers as well, packCols columns (whole
 			// micro-panels) at a time, in a group of its own: every tile of
 			// the next group reads all of it.
-			eachTile((nb+packCols-1)/packCols, workers, func(t int) {
-				j0 := t * packCols
-				kern.packB(bPack[j0*kb:], nr, transB, b, ldb, pc, kb, jc+j0, min(packCols, nb-j0))
-			})
+			// One worker packs it in one piece: the same panels, and no group.
+			if workers <= 1 {
+				kern.packB(bPack, nr, transB, b, ldb, pc, kb, jc, nb)
+			} else {
+				eachTile((nb+packCols-1)/packCols, workers, func(t int) {
+					j0 := t * packCols
+					kern.packB(bPack[j0*kb:], nr, transB, b, ldb, pc, kb, jc+j0, min(packCols, nb-j0))
+				})
+			}
 
 			runTiles(rowTiles*colTiles, workers, func(q *tileQueue) {
 				buf := getScratch[T](tileScratch + kb*h*kern.kScale)

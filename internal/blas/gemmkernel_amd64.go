@@ -144,6 +144,17 @@ func drefl3Fma(n int64, x0, x1, x2 *float64, v2, v3, t1, t2, t3 float64)
 //go:noescape
 func drefl2Fma(n int64, x0, x1 *float64, v2, t1, t2 float64)
 
+// drefl3RowsFma and drefl2RowsFma apply the same reflectors from the left to
+// three (two) adjacent rows of 4·groups columns ldh bytes apart (Refl3Rows'
+// and Refl2Rows' asm route). drefl3RowsFma also reads and rewrites, unchanged,
+// the fourth row of every column.
+//
+//go:noescape
+func drefl3RowsFma(groups int64, h *float64, ldh int64, v2, v3, t1, t2, t3 float64)
+
+//go:noescape
+func drefl2RowsFma(groups int64, h *float64, ldh int64, v2, t1, t2 float64)
+
 // cpuidAsm executes CPUID with the given leaf/subleaf.
 func cpuidAsm(eaxIn, ecxIn uint32) (eax, ebx, ecx, edx uint32)
 

@@ -1431,6 +1431,94 @@ refl2done:
 	VZEROUPPER
 	RET
 
+// func drefl3RowsFma(groups int64, h *float64, ldh int64, v2, v3, t1, t2, t3 float64)
+// drefl3Fma's reflector applied from the left to rows 0..2 of 4·groups
+// columns ldh bytes apart. A column's rows 0..3 are loaded as two pairs and
+// the pairs of columns j and j+2 share a register, so two unpacks turn four
+// columns into the row vectors a, b, c (and the fourth row d, which rides
+// along and is stored back unchanged); the arithmetic is drefl3Fma's.
+TEXT ·drefl3RowsFma(SB), NOSPLIT, $0-64
+	MOVQ         groups+0(FP), CX
+	MOVQ         h+8(FP), SI
+	MOVQ         ldh+16(FP), R8
+	VBROADCASTSD v2+24(FP), Y11
+	VBROADCASTSD v3+32(FP), Y12
+	VBROADCASTSD t1+40(FP), Y13
+	VBROADCASTSD t2+48(FP), Y14
+	VBROADCASTSD t3+56(FP), Y15
+	LEAQ         (R8)(R8*2), R10
+
+refl3rowsloop:
+	VMOVUPD      (SI), X0
+	VMOVUPD      16(SI), X2
+	VMOVUPD      (SI)(R8*1), X1
+	VMOVUPD      16(SI)(R8*1), X3
+	VINSERTF128  $1, (SI)(R8*2), Y0, Y0
+	VINSERTF128  $1, 16(SI)(R8*2), Y2, Y2
+	VINSERTF128  $1, (SI)(R10*1), Y1, Y1
+	VINSERTF128  $1, 16(SI)(R10*1), Y3, Y3
+	VUNPCKLPD    Y1, Y0, Y4
+	VUNPCKHPD    Y1, Y0, Y5
+	VUNPCKLPD    Y3, Y2, Y6
+	VUNPCKHPD    Y3, Y2, Y7
+	VMOVAPD      Y4, Y8
+	VFMADD231PD  Y5, Y11, Y8
+	VFMADD231PD  Y6, Y12, Y8
+	VFNMADD231PD Y8, Y13, Y4
+	VFNMADD231PD Y8, Y14, Y5
+	VFNMADD231PD Y8, Y15, Y6
+	VUNPCKLPD    Y5, Y4, Y0
+	VUNPCKHPD    Y5, Y4, Y1
+	VUNPCKLPD    Y7, Y6, Y2
+	VUNPCKHPD    Y7, Y6, Y3
+	VMOVUPD      X0, (SI)
+	VMOVUPD      X2, 16(SI)
+	VMOVUPD      X1, (SI)(R8*1)
+	VMOVUPD      X3, 16(SI)(R8*1)
+	VEXTRACTF128 $1, Y0, (SI)(R8*2)
+	VEXTRACTF128 $1, Y2, 16(SI)(R8*2)
+	VEXTRACTF128 $1, Y1, (SI)(R10*1)
+	VEXTRACTF128 $1, Y3, 16(SI)(R10*1)
+	LEAQ         (SI)(R8*4), SI
+	DECQ         CX
+	JNZ          refl3rowsloop
+	VZEROUPPER
+	RET
+
+// func drefl2RowsFma(groups int64, h *float64, ldh int64, v2, t1, t2 float64)
+// The two-row form of drefl3RowsFma; it touches rows 0 and 1 only.
+TEXT ·drefl2RowsFma(SB), NOSPLIT, $0-48
+	MOVQ         groups+0(FP), CX
+	MOVQ         h+8(FP), SI
+	MOVQ         ldh+16(FP), R8
+	VBROADCASTSD v2+24(FP), Y11
+	VBROADCASTSD t1+32(FP), Y13
+	VBROADCASTSD t2+40(FP), Y14
+	LEAQ         (R8)(R8*2), R10
+
+refl2rowsloop:
+	VMOVUPD      (SI), X0
+	VMOVUPD      (SI)(R8*1), X1
+	VINSERTF128  $1, (SI)(R8*2), Y0, Y0
+	VINSERTF128  $1, (SI)(R10*1), Y1, Y1
+	VUNPCKLPD    Y1, Y0, Y4
+	VUNPCKHPD    Y1, Y0, Y5
+	VMOVAPD      Y4, Y8
+	VFMADD231PD  Y5, Y11, Y8
+	VFNMADD231PD Y8, Y13, Y4
+	VFNMADD231PD Y8, Y14, Y5
+	VUNPCKLPD    Y5, Y4, Y0
+	VUNPCKHPD    Y5, Y4, Y1
+	VMOVUPD      X0, (SI)
+	VMOVUPD      X1, (SI)(R8*1)
+	VEXTRACTF128 $1, Y0, (SI)(R8*2)
+	VEXTRACTF128 $1, Y1, (SI)(R10*1)
+	LEAQ         (SI)(R8*4), SI
+	DECQ         CX
+	JNZ          refl2rowsloop
+	VZEROUPPER
+	RET
+
 // Complex Level-1 leaves on the real view: a YMM register holds two
 // complex128 values as [re, im, re, im], and a complex multiply-add is two
 // real FMAs per vector — one with the vector as loaded, one with re and im

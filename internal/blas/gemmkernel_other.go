@@ -47,6 +47,12 @@ func drefl3Fma(n int64, x0, x1, x2 *float64, v2, v3, t1, t2, t3 float64) {
 	panic("blas: no asm kernel")
 }
 func drefl2Fma(n int64, x0, x1 *float64, v2, t1, t2 float64) { panic("blas: no asm kernel") }
-func zaxpyFma(alpha complex128, x, y []complex128)           { panic("blas: no asm kernel") }
-func zdotFma(x, y []complex128, conj bool) complex128        { panic("blas: no asm kernel") }
-func zscalFma(alpha complex128, x []complex128)              { panic("blas: no asm kernel") }
+func drefl3RowsFma(groups int64, h *float64, ldh int64, v2, v3, t1, t2, t3 float64) {
+	panic("blas: no asm kernel")
+}
+func drefl2RowsFma(groups int64, h *float64, ldh int64, v2, t1, t2 float64) {
+	panic("blas: no asm kernel")
+}
+func zaxpyFma(alpha complex128, x, y []complex128)    { panic("blas: no asm kernel") }
+func zdotFma(x, y []complex128, conj bool) complex128 { panic("blas: no asm kernel") }
+func zscalFma(alpha complex128, x []complex128)       { panic("blas: no asm kernel") }

@@ -137,3 +137,58 @@ func Refl2(m int, x0, x1 []float64, v2, t1, t2 float64) {
 	}
 	kernelFor[float64]().refl2(x0[:m], x1[:m], v2, t1, t2)
 }
+
+// Refl3Rows applies the same reflector from the left to three adjacent rows
+// of a column-major block — the other half of the sweep's step, on the rows
+// of H: h starts at the first row's entry in the first of n columns ldh
+// apart, and column j has c[0:3] -= (c[0] + v2·c[1] + v3·c[2])·(t1, t2, t3).
+func Refl3Rows(n int, h []float64, ldh int, v2, v3, t1, t2, t3 float64) {
+	if n <= 0 {
+		return
+	}
+	kernelFor[float64]().refl3Rows(n, h, ldh, v2, v3, t1, t2, t3)
+}
+
+// Refl2Rows is Refl3Rows for the two-element reflector.
+func Refl2Rows(n int, h []float64, ldh int, v2, t1, t2 float64) {
+	if n <= 0 {
+		return
+	}
+	kernelFor[float64]().refl2Rows(n, h, ldh, v2, t1, t2)
+}
+
+// refl3RowsAsm and refl2RowsAsm are the AVX2+FMA route: four columns per
+// step through drefl3RowsFma/drefl2RowsFma, the columns left over by the same
+// fused operations in Go, so a column's result does not depend on where the
+// groups fall. The three-row kernel reads a fourth row, so it stops a group
+// early when the last column's fourth row would lie past the end of h.
+func refl3RowsAsm(n int, h []float64, ldh int, v2, v3, t1, t2, t3 float64) {
+	nv := n &^ 3
+	if nv > 0 && (nv-1)*ldh+3 >= len(h) {
+		nv -= 4
+	}
+	if nv > 0 {
+		drefl3RowsFma(int64(nv/4), &h[0], int64(8*ldh), v2, v3, t1, t2, t3)
+	}
+	for j := nv; j < n; j++ {
+		c := h[j*ldh : j*ldh+3 : j*ldh+3]
+		sum := math.FMA(v3, c[2], math.FMA(v2, c[1], c[0]))
+		c[0] = math.FMA(-sum, t1, c[0])
+		c[1] = math.FMA(-sum, t2, c[1])
+		c[2] = math.FMA(-sum, t3, c[2])
+	}
+}
+
+func refl2RowsAsm(n int, h []float64, ldh int, v2, t1, t2 float64) {
+	nv := n &^ 3
+	if nv > 0 {
+		_ = h[(nv-1)*ldh+1]
+		drefl2RowsFma(int64(nv/4), &h[0], int64(8*ldh), v2, t1, t2)
+	}
+	for j := nv; j < n; j++ {
+		c := h[j*ldh : j*ldh+2 : j*ldh+2]
+		sum := math.FMA(v2, c[1], c[0])
+		c[0] = math.FMA(-sum, t1, c[0])
+		c[1] = math.FMA(-sum, t2, c[1])
+	}
+}

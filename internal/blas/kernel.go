@@ -30,6 +30,7 @@ import (
 //	sumSq      ddotFma              sdotFma            view               none
 //	rotRun     drotSeqFma           Go                 view               Go (view)
 //	refl3/2    drefl3Fma/drefl2Fma  Go                 Go                 Go
+//	refl·Rows  drefl3/2RowsFma      Go                 Go                 Go
 //	small      dgemmSmallStripF64   Go 4×4 tile        Go 4×4 tile        Go 4×4 tile
 //	skinny     strip kernel         Gemv per column    none               none
 //
@@ -86,10 +87,14 @@ type kernel[T core.Scalar] struct {
 	sumSq   func(x []T) (float64, bool)
 	// rotRun carries m rows through nrot chained proper rotations (RotSeq);
 	// refl3/refl2 apply one reflector to three/two columns as long as the
-	// first (Refl3, Refl2).
-	rotRun func(forward bool, m, nrot int, c, s []float64, a []T, lda int)
-	refl3  func(x0, x1, x2 []T, v2, v3, t1, t2, t3 T)
-	refl2  func(x0, x1 []T, v2, t1, t2 T)
+	// first (Refl3, Refl2), refl3Rows/refl2Rows the same reflector from the
+	// left to the first three/two rows of the n columns of h (Refl3Rows,
+	// Refl2Rows).
+	rotRun    func(forward bool, m, nrot int, c, s []float64, a []T, lda int)
+	refl3     func(x0, x1, x2 []T, v2, v3, t1, t2, t3 T)
+	refl2     func(x0, x1 []T, v2, t1, t2 T)
+	refl3Rows func(n int, h []T, ldh int, v2, v3, t1, t2, t3 T)
+	refl2Rows func(n int, h []T, ldh int, v2, t1, t2 T)
 	// small is the pack-free product C += alpha·A·B of gemmsmall.go; skinny,
 	// where a row has one, takes NoTrans products of n ≤ 8 columns (a block
 	// of right-hand sides) off the packed engine at any m and k.
@@ -127,6 +132,7 @@ func portableKernel[T core.Scalar](trsmLeaf int, rotRun func(bool, int, int, []f
 		trsvOct: trsvOct[T], gemvSub8: gemvSub8[T],
 		axpy: axpyGo[T], scal: scalGo[T], dot: dotGo[T], axpyDot: axpyDotGo[T], iamax: iamax,
 		rotRun: rotRun, refl3: refl3Go[T], refl2: refl2Go[T], small: gemmSmallPortable[T],
+		refl3Rows: refl3RowsGo[T], refl2Rows: refl2RowsGo[T],
 		minVol: gemmPackedMinVol, smallMaxVol: math.MaxInt,
 		packA: packA[T], packB: packB[T],
 		micro: microKernel4x4[T], edge: microEdge[T],
@@ -224,6 +230,7 @@ var (
 		refl2: func(x0, x1 []float64, v2, t1, t2 float64) {
 			drefl2Fma(int64(len(x0)), &x0[0], &x1[0], v2, t1, t2)
 		},
+		refl3Rows: refl3RowsAsm, refl2Rows: refl2RowsAsm,
 		small: gemmSmallF64,
 		// The packed engine would copy all of A to produce a few columns;
 		// the strip kernel makes one pass of A per four columns of C.
@@ -255,6 +262,7 @@ var (
 			return s, s > 1e-28 && s < 1e28
 		},
 		rotRun: rotRun[float32], refl3: refl3Go[float32], refl2: refl2Go[float32],
+		refl3Rows: refl3RowsGo[float32], refl2Rows: refl2RowsGo[float32],
 		small:  gemmSmallPortable[float32],
 		minVol: gemmPackedMinVolAsm, smallMaxVol: math.MaxInt,
 		packA: packAF32, packB: packBF32,

@@ -183,3 +183,24 @@ func refl2Go[T core.Scalar](x0, x1 []T, v2, t1, t2 T) {
 		x1[i] -= sum * t2
 	}
 }
+
+// refl3RowsGo and refl2RowsGo apply the same reflector from the left to the
+// first three (two) rows of the n columns of h.
+func refl3RowsGo[T core.Scalar](n int, h []T, ldh int, v2, v3, t1, t2, t3 T) {
+	for j := 0; j < n; j++ {
+		c := h[j*ldh : j*ldh+3 : j*ldh+3]
+		sum := c[0] + v2*c[1] + v3*c[2]
+		c[0] -= sum * t1
+		c[1] -= sum * t2
+		c[2] -= sum * t3
+	}
+}
+
+func refl2RowsGo[T core.Scalar](n int, h []T, ldh int, v2, t1, t2 T) {
+	for j := 0; j < n; j++ {
+		c := h[j*ldh : j*ldh+2 : j*ldh+2]
+		sum := c[0] + v2*c[1]
+		c[0] -= sum * t1
+		c[1] -= sum * t2
+	}
+}

@@ -663,3 +663,67 @@ func TestComplexLeaves(t *testing.T) {
 		t.Run("complex64/nonfinite", testComplexLeavesNonFinite[complex64])
 	})
 }
+
+// TestReflRows checks the row reflector leaves — what Hseqr sweeps H's rows
+// with — on the asm row against the portable one: every column count 0…40
+// (groups of four, the remainder, and the group held back when the last
+// column's fourth row would lie past the slice), leading dimensions beyond
+// the rows touched, agreement within 2 ulp of the largest term, and the rows
+// above and below the three (two) active ones bit-identical afterwards.
+func TestReflRows(t *testing.T) {
+	if !asmF64() {
+		t.Skip("no asm row")
+	}
+	rng := rand.New(rand.NewSource(19))
+	const lead = 2 // rows above the active ones
+	for _, rows := range []int{3, 2} {
+		for _, ld := range []int{lead + rows, lead + rows + 1, lead + rows + 5} {
+			for n := 0; n <= 40; n++ {
+				full := make([]float64, ld*max(n, 1))
+				for i := range full {
+					full[i] = rng.NormFloat64()
+				}
+				v2, v3, t1 := rng.NormFloat64(), rng.NormFloat64(), 1+rng.Float64()
+				t2, t3 := t1*v2, t1*v3
+				// The slice ends with the last active row of the last column
+				// when ld leaves no row below it.
+				end := len(full)
+				if n > 0 && ld == lead+rows {
+					end = (n-1)*ld + lead + rows
+				}
+				run := func(k *kernel[float64]) []float64 {
+					out := append([]float64(nil), full...)
+					if n > 0 {
+						if rows == 3 {
+							k.refl3Rows(n, out[lead:end], ld, v2, v3, t1, t2, t3)
+						} else {
+							k.refl2Rows(n, out[lead:end], ld, v2, t1, t2)
+						}
+					}
+					return out
+				}
+				got, want := run(&kernAsmF64), run(&kernGoF64)
+				for j := 0; j < n; j++ {
+					c := full[j*ld+lead:]
+					sum := math.Abs(c[0]) + math.Abs(v2*c[1])
+					if rows == 3 {
+						sum += math.Abs(v3 * c[2])
+					}
+					for i := 0; i < ld; i++ {
+						g, w := got[j*ld+i], want[j*ld+i]
+						if i < lead || i >= lead+rows {
+							if math.Float64bits(g) != math.Float64bits(full[j*ld+i]) || g != w {
+								t.Fatalf("rows=%d ld=%d n=%d: neighbour (%d,%d) modified", rows, ld, n, i, j)
+							}
+							continue
+						}
+						ti := []float64{t1, t2, t3}[i-lead]
+						if scale := math.Abs(c[i-lead]) + sum*math.Abs(ti); math.Abs(g-w) > 2*0x1p-52*scale {
+							t.Fatalf("rows=%d ld=%d n=%d: (%d,%d) asm %v portable %v", rows, ld, n, i, j, g, w)
+						}
+					}
+				}
+			}
+		}
+	}
+}

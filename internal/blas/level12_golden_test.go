@@ -22,7 +22,8 @@ import (
 // family around its unpacked loops, the small Gemm routes, RotSeq and
 // Refl3/Refl2. They were generated at the commit before the Level-1/2 leaves
 // joined the kernel table and the Sy/He, Upper/Lower and Trans/ConjTrans
-// copies were folded (PR 16) and are pinned since: an FNV-64a per routine and
+// copies were folded (PR 16) and are pinned since (Refl3Rows/Refl2Rows were
+// recorded when they were added, PR 19): an FNV-64a per routine and
 // element type over every output array in full (so strides' gaps, padding
 // rows and the unreferenced triangle are covered), folded over the sizes
 // l12Sizes, unit and non-unit strides, every uplo/trans/diag/side, and
@@ -130,7 +131,9 @@ var level12Golden = map[string][2]uint64{
 	"Nrm2/float32":        {0x1dff6bc272802829, 0x6c783a01f135425e},
 	"Nrm2/float64":        {0xf4fef05938004dea, 0xf4fef05938004dea},
 	"Refl2/float64":       {0x5c4d762ec14c52dd, 0xb0a2cc829919e5f5},
+	"Refl2Rows/float64":   {0xa09061603e950ab7, 0x2bed2e295b08ea75},
 	"Refl3/float64":       {0x123bbe72f9d36d69, 0x5e5b04d49928cfbc},
+	"Refl3Rows/float64":   {0xb840ab046b5e5b6e, 0x0da64724c186bd8c},
 	"Rot/float32":         {0xac406c5540bd1942, 0xac406c5540bd1942},
 	"Rot/float64":         {0x02828273d05a61e1, 0x02828273d05a61e1},
 	"RotG/complex128":     {0x4bc1642550a7378a, 0x4bc1642550a7378a},
@@ -987,6 +990,32 @@ func (s *l12[T]) level3(n int) {
 	}
 }
 
+// reflRowsF64 fingerprints Refl3Rows/Refl2Rows: X ← (I − t·vᵀ)·X on the w
+// rows of n columns. It draws after every older entry has, so adding it left
+// their bits alone.
+func reflRowsF64(s *l12[float64], n int) {
+	v := []float64{1, 0.5, -0.25}
+	tau := []float64{1.5, 0.75, -0.375}
+	for _, w := range []int{3, 2} {
+		x, ldx := s.mat(w, n)
+		X0 := lift(w, n, x, ldx)
+		L := newCmat(w, w).mapped(w, w, func(i, j int) complex128 {
+			l := -tau[i] * v[j]
+			if i == j {
+				l++
+			}
+			return complex(l, 0)
+		})
+		if w == 3 {
+			Refl3Rows(n, x, ldx, v[1], v[2], tau[0], tau[1], tau[2])
+		} else {
+			Refl2Rows(n, x, ldx, v[1], tau[0], tau[1])
+		}
+		s.check(fmt.Sprintf("Refl%dRows n=%d", w, n), 1, L, X0, 0, cmat{}, lift(w, n, x, ldx), nil)
+		s.sum(fmt.Sprintf("Refl%dRows", w), x)
+	}
+}
+
 func level12Fingerprints[T core.Scalar](t *testing.T, out map[string]uint64) {
 	s := &l12[T]{t: t, rng: rand.New(rand.NewSource(16)), h: map[string]hash.Hash64{}}
 	for _, n := range l12Sizes {
@@ -1004,6 +1033,11 @@ func level12Fingerprints[T core.Scalar](t *testing.T, out map[string]uint64) {
 			level1F64(r, n)
 		}
 		s.level3(n)
+	}
+	if r, ok := any(s).(*l12[float64]); ok {
+		for _, n := range l12Sizes {
+			reflRowsF64(r, n)
+		}
 	}
 	var z T
 	for name, h := range s.h {

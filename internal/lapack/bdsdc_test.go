@@ -30,8 +30,17 @@ func bdsdcCheck(t *testing.T, n int, d, e []float64) {
 	if info := lapack.Bdsdc(tcfg(), n, dc, ec, u, n, vt, n); info != 0 {
 		t.Fatalf("bdsdc info=%d", info)
 	}
+	// The same tree with the dense-GEMM merges it had before they learnt the
+	// children's block structure (dc_ref_test.go).
+	dr, er := append([]float64(nil), d...), append([]float64(nil), e...)
+	if info := lapack.BdsdcDenseRef(tcfg(), n, dr, er, make([]float64, n*n), n, make([]float64, n*n), n); info != 0 {
+		t.Fatalf("dense-merge reference info=%d", info)
+	}
 	s0 := math.Max(dq[0], 1e-300)
 	for i := 0; i < n; i++ {
+		if math.Abs(dc[i]-dr[i]) > float64(n)*eps*s0 {
+			t.Fatalf("s[%d]: structured merges %v, dense merges %v", i, dc[i], dr[i])
+		}
 		if dc[i] < 0 {
 			t.Fatalf("negative singular value s[%d]=%v", i, dc[i])
 		}
@@ -117,6 +126,30 @@ func TestBdsdcDeflationHeavy(t *testing.T) {
 	}
 	for i := range e {
 		e[i] = 0.5
+	}
+	bdsdcCheck(t, n, d, e)
+
+	// Glued Wilkinson-type bidiagonals: clusters of singular values across
+	// the tears and inside the halves, so the two-sided rule-2 rotations mix
+	// columns of both children.
+	for _, glue := range []float64{1e-3, 1e-8, 1e-14} {
+		d, e := gluedWilkinson(8, 5, glue)
+		for i := range d {
+			d[i]++ // keep the diagonal away from zero
+		}
+		bdsdcCheck(t, len(d), d, e)
+	}
+
+	// All-deflating: the couplings across every tear are far below the
+	// threshold, so every merge passes all of its columns through.
+	n = 131
+	rng := lapack.NewRng([4]int{n, 5, 1, 9})
+	d, e = make([]float64, n), make([]float64, n-1)
+	for i := range d {
+		d[i] = 1 + rng.Uniform()
+		if i < n-1 {
+			e[i] = 1e-18 * rng.Uniform11()
+		}
 	}
 	bdsdcCheck(t, n, d, e)
 }

@@ -17,10 +17,9 @@ const dcCutoff = 25
 // tridiagonal matrix by Cuppen's divide & conquer method with deflation
 // and a safeguarded secular-equation solver (xSTEDC). d (n) and e (n-1)
 // are overwritten; on success d holds the eigenvalues ascending. If z is
-// non-nil (n×n) it is multiplied by the tridiagonal eigenvector matrix:
-// pass the identity for the eigenvectors of T itself, or the Sytrd basis
-// from Orgtr for those of the original dense matrix. Returns non-zero if
-// the QL/QR fallback fails on a leaf block.
+// non-nil (n×n) it is multiplied by the tridiagonal eigenvector matrix (one
+// dense product; Stevd computes the eigenvectors of T themselves without
+// it). Returns non-zero if the QL/QR fallback fails on a leaf block.
 func Stedc[T core.Scalar](cfg *core.Config, n int, d, e []float64, z []T, ldz int) int {
 	if n == 0 {
 		return 0
@@ -28,33 +27,48 @@ func Stedc[T core.Scalar](cfg *core.Config, n int, d, e []float64, z []T, ldz in
 	if z == nil {
 		return Sterf(cfg, n, d, e)
 	}
-	// Compute the eigenvector matrix of T in float64 and apply it to z.
-	qt := blas.GetScratch[float64](n * n)
-	defer blas.PutScratch(qt)
-	Laset('A', n, n, 0.0, 1.0, qt, n)
-	if info := stedcRec(cfg, n, d, e, qt, n); info != 0 {
+	// The eigenvector matrix of T in the element type of z, then z := z·qt
+	// from a copy of z straight back into it.
+	work := blas.GetScratch[T](2 * n * n)
+	defer blas.PutScratch(work)
+	qt, zcopy := work[:n*n], work[n*n:]
+	if info := Stevd(cfg, n, d, e, qt, n); info != 0 {
 		return info
 	}
-	// z := z · qt in the element type of z: one dense multiply from a copy
-	// of z straight back into it.
-	zcopy := blas.GetScratch[T](n * n)
-	defer blas.PutScratch(zcopy)
 	Lacpy('A', n, n, z, ldz, zcopy, n)
-	qtT, ok := any(qt).([]T)
-	if !ok {
-		qtT = blas.GetScratch[T](n * n)
-		defer blas.PutScratch(qtT)
-		for i, v := range qt {
-			qtT[i] = core.FromFloat[T](v)
-		}
-	}
-	blas.Gemm(cfg, NoTrans, NoTrans, n, n, n, core.FromFloat[T](1), zcopy, n, qtT, n, core.FromFloat[T](0), z, ldz)
+	blas.Gemm(cfg, NoTrans, NoTrans, n, n, n, core.FromFloat[T](1), zcopy, n, qt, n, core.FromFloat[T](0), z, ldz)
 	return 0
 }
 
+// Stevd computes all eigenvalues and, optionally, eigenvectors of a real
+// symmetric tridiagonal matrix by divide & conquer (the xSTEVD driver): the
+// D&C tree runs on the identity in float64 — in z itself when that is its
+// type — so z receives the eigenvectors of T with no product at the end.
+func Stevd[T core.Scalar](cfg *core.Config, n int, d, e []float64, z []T, ldz int) int {
+	if n == 0 {
+		return 0
+	}
+	if z == nil {
+		return Sterf(cfg, n, d, e)
+	}
+	q, own := any(z).([]float64)
+	ldq := ldz
+	if !own {
+		q, ldq = blas.GetScratch[float64](n*n), n
+		defer blas.PutScratch(q)
+	}
+	Laset('A', n, n, 0.0, 1.0, q, ldq)
+	info := stedcRec(cfg, n, d, e, q, ldq, make([]int, mergeInts*n))
+	if info == 0 && !own {
+		blas.ConvertF64(n, n, q, n, z, ldz)
+	}
+	return info
+}
+
 // stedcRec is the recursive kernel operating on float64 eigenvector
-// accumulation (q starts as the identity of order n).
-func stedcRec(cfg *core.Config, n int, d, e []float64, q []float64, ldq int) int {
+// accumulation (q starts as the identity of order n). idx is the integer
+// workspace of the merges, mergeInts·n long.
+func stedcRec(cfg *core.Config, n int, d, e []float64, q []float64, ldq int, idx []int) int {
 	cfg.Checkpoint() // once per D&C tree node
 	if n <= dcCutoff {
 		return Steqr(cfg, n, d, e, q, ldq)
@@ -70,10 +84,10 @@ func stedcRec(cfg *core.Config, n int, d, e []float64, q []float64, ldq int) int
 	d[m-1] -= math.Abs(rho)
 	d[m] -= math.Abs(rho)
 	// Recurse on the halves, accumulating into the diagonal blocks of q.
-	if info := stedcRec(cfg, m, d[:m], e[:m-1], q, ldq); info != 0 {
+	if info := stedcRec(cfg, m, d[:m], e[:m-1], q, ldq, idx); info != 0 {
 		return info
 	}
-	if info := stedcRec(cfg, n-m, d[m:], e[m:], q[m+m*ldq:], ldq); info != 0 {
+	if info := stedcRec(cfg, n-m, d[m:], e[m:], q[m+m*ldq:], ldq, idx); info != 0 {
 		return info
 	}
 	// Merge: eigenproblem of D + |rho|·z·zᵀ with
@@ -86,30 +100,159 @@ func stedcRec(cfg *core.Config, n int, d, e []float64, q []float64, ldq int) int
 	for i := m; i < n; i++ {
 		zv[i] = sgn * q[m+i*ldq]
 	}
-	return dcMerge(cfg, n, m, math.Abs(rho), d, zv, q, ldq)
+	dcMerge(cfg, n, m, math.Abs(rho), d, zv, q, ldq, idx)
+	return 0
+}
+
+// mergeInts·n integers serve one rank-one merge of order n (mergeSets); the
+// merges of a tree run one after the other, so the root's allocation serves
+// them all.
+const mergeInts = 7
+
+// mergeSets are the index sets of a merge over its n columns in sorted
+// ("compressed") order: perm[j] is the column of the accumulation that
+// compressed column j is, kind[j] which rows of it can be non-zero — those of
+// the first child (mergeTop), of the second (mergeBottom), or, once a
+// deflating rotation has mixed two columns, both (mergeDense) — xLAED2's and
+// xLASD2's column types. sec lists the k compressed columns left in the
+// secular problem, ascending. slot[j] is where column j's result stands in
+// mergeBasis' staging block — secular root a in slot a, the deflated columns
+// behind them — cols[s] the column of the accumulation that feeds slot s, the
+// secular ones grouped by kind, and rowOf[g] the position in sec of the g-th
+// grouped column. order is the final sort.
+type mergeSets struct {
+	perm, kind, sec, slot, cols, rowOf, order []int
+	k1, k2                                    int // secular columns of kind mergeTop, mergeDense
+}
+
+const (
+	mergeTop = iota
+	mergeDense
+	mergeBottom
+)
+
+func newMergeSets(n int, idx []int) mergeSets {
+	return mergeSets{perm: idx[:n], kind: idx[n : 2*n], sec: idx[2*n : 2*n], slot: idx[3*n : 4*n],
+		cols: idx[4*n : 5*n], rowOf: idx[5*n : 6*n], order: idx[6*n : 7*n]}
+}
+
+// rotated records that a deflating rotation mixed compressed columns j and
+// last, of which j stays in the secular problem.
+func (s *mergeSets) rotated(last, j int) {
+	if s.kind[last] != s.kind[j] {
+		s.kind[j] = mergeDense
+	}
+}
+
+// partition is called once deflation has chosen sec: it assigns the slots and
+// groups the secular columns by kind.
+func (s *mergeSets) partition() {
+	n, k := len(s.perm), len(s.sec)
+	for j := range s.slot {
+		s.slot[j] = -1
+	}
+	var count [3]int
+	for a, j := range s.sec {
+		s.slot[j] = a
+		count[s.kind[j]]++
+	}
+	s.k1, s.k2 = count[mergeTop], count[mergeDense]
+	next := [3]int{0, s.k1, s.k1 + s.k2}
+	for a, j := range s.sec {
+		g := next[s.kind[j]]
+		next[s.kind[j]]++
+		s.cols[g], s.rowOf[g] = s.perm[j], a
+	}
+	for j, t := 0, k; j < n; j++ {
+		if s.slot[j] < 0 {
+			s.slot[j], s.cols[t] = t, s.perm[j]
+			t++
+		}
+	}
+}
+
+// mergeBasis replaces the first n columns of the rows×(≥n) accumulation q,
+// whose columns the two children fill above and from row r1 down, by the
+// merged basis: output column i is staging slot s.slot[s.order[i]], where
+// the slot of secular root a holds Σ_b coef[b+a·k]·(secular column b) and
+// the others the deflated columns unchanged. The secular columns are
+// gathered grouped by kind, so the product is two half-height GEMMs over the
+// rows that can be non-zero — top and dense columns for rows 0:r1, dense and
+// bottom ones below — instead of one over [Q1 0; 0 Q2] as if it were dense.
+// Both products are padded to multiples of 8 rows and roots (whole
+// micro-tiles on every row of the kernel table): the operands are copies
+// anyway, and a ragged edge tile costs several full ones.
+func mergeBasis(cfg *core.Config, s *mergeSets, rows, r1 int, q []float64, ldq int, coef []float64) {
+	n, k := len(s.perm), len(s.sec)
+	pad := func(v int) int { return (v + 7) &^ 7 }
+	kp := pad(k)
+	// The two row blocks: first row, height, first grouped column reaching
+	// it and their number; then padded height, gathered columns, product.
+	off, h := [2]int{0, r1}, [2]int{r1, rows - r1}
+	g0, gn := [2]int{0, s.k1}, [2]int{s.k1 + s.k2, k - s.k1}
+	var hp [2]int
+	var g, out [2][]float64
+	size := k*kp + rows*(n-k)
+	for b := range h {
+		hp[b] = pad(h[b])
+		size += hp[b] * (gn[b] + kp)
+	}
+	work := blas.GetScratch[float64](size)
+	defer blas.PutScratch(work)
+	cg, stage, rest := work[:k*kp], work[k*kp:k*kp+rows*(n-k)], work[k*kp+rows*(n-k):]
+	for b := range h {
+		g[b], out[b], rest = rest[:hp[b]*gn[b]], rest[hp[b]*gn[b]:hp[b]*(gn[b]+kp)], rest[hp[b]*(gn[b]+kp):]
+	}
+	clear(cg[k*k:])
+	for gi, c := range s.cols[:k] {
+		for a := 0; a < k; a++ {
+			cg[gi+a*k] = coef[s.rowOf[gi]+a*k]
+		}
+		for b := range h {
+			if j := gi - g0[b]; j >= 0 && j < gn[b] {
+				col := g[b][j*hp[b] : (j+1)*hp[b]]
+				clear(col[copy(col, q[off[b]+c*ldq:][:h[b]]):])
+			}
+		}
+	}
+	for t, c := range s.cols[k:] {
+		copy(stage[t*rows:(t+1)*rows], q[c*ldq:])
+	}
+	for b := range h {
+		blas.Gemm(cfg, NoTrans, NoTrans, hp[b], kp, gn[b], 1.0, g[b], hp[b], cg[g0[b]:], k, 0.0, out[b], hp[b])
+	}
+	for i, p := range s.order {
+		col := q[i*ldq : i*ldq+rows]
+		if sl := s.slot[p]; sl < k {
+			copy(col[:r1], out[0][sl*hp[0]:])
+			copy(col[r1:], out[1][sl*hp[1]:])
+		} else {
+			copy(col, stage[(sl-k)*rows:])
+		}
+	}
 }
 
 // dcMerge solves the rank-one modified diagonal eigenproblem
 // D + rho·z·zᵀ (rho > 0) and updates the eigenvector accumulation q,
-// whose relevant block structure is [Q1 0; 0 Q2] with the split at m.
-// Every workspace is pooled scratch that is written before it is read.
-func dcMerge(cfg *core.Config, n, m int, rho float64, d, zv []float64, q []float64, ldq int) int {
+// whose block structure is [Q1 0; 0 Q2] with the split at m. idx is
+// mergeInts·n integers of workspace; every float workspace is pooled scratch
+// that is written before it is read.
+func dcMerge(cfg *core.Config, n, m int, rho float64, d, zv []float64, q []float64, ldq int, idx []int) {
 	eps := core.EpsDouble
-	idx := make([]int, 3*n)
-	perm, order, sec := idx[:n], idx[n:2*n], idx[2*n:]
-	work := blas.GetScratch[float64](7*n + n*n)
-	defer blas.PutScratch(work)
-	vecs, qp := work[:7*n], work[7*n:]
+	s := newMergeSets(n, idx)
+	vecs := blas.GetScratch[float64](7 * n)
+	defer blas.PutScratch(vecs)
 	ds, zs, lam := vecs[:n], vecs[n:2*n], vecs[2*n:3*n]
-	// Sort the diagonal entries ascending, permuting z and the q columns.
-	for i := range perm {
-		perm[i] = i
+	// Sort the diagonal entries ascending, permuting z with them.
+	for i := range s.perm {
+		s.perm[i] = i
 	}
-	slices.SortStableFunc(perm, func(a, b int) int { return cmp.Compare(d[a], d[b]) })
-	for k, p := range perm {
-		ds[k] = d[p]
-		zs[k] = zv[p]
-		copy(qp[k*n:k*n+n], q[p*ldq:p*ldq+n])
+	slices.SortStableFunc(s.perm, func(a, b int) int { return cmp.Compare(d[a], d[b]) })
+	for j, p := range s.perm {
+		ds[j], zs[j], s.kind[j] = d[p], zv[p], mergeTop
+		if p >= m {
+			s.kind[j] = mergeBottom
+		}
 	}
 	// Normalize z to unit norm, folding the factor into rho (dlaed2).
 	znorm := blas.Nrm2(n, zs, 1)
@@ -128,7 +271,6 @@ func dcMerge(cfg *core.Config, n, m int, rho float64, d, zv []float64, q []float
 		zmax = math.Max(zmax, math.Abs(zs[i]))
 	}
 	tol := 8 * eps * math.Max(dmax, zmax)
-	k := 0
 	last := -1
 	for i := 0; i < n; i++ {
 		// Rule 1: negligible z component.
@@ -140,60 +282,53 @@ func dcMerge(cfg *core.Config, n, m int, rho float64, d, zv []float64, q []float
 		if last >= 0 && math.Abs(ds[i]-ds[last]) <= tol {
 			r := math.Hypot(zs[last], zs[i])
 			c := zs[i] / r
-			s := zs[last] / r
+			sn := zs[last] / r
 			// The rotation leaves an off-diagonal coupling of size
 			// (dᵢ − d_last)·c·s, which deflation drops; only do so when it
 			// is negligible (the xLAED2 criterion).
-			if r > 0 && math.Abs((ds[i]-ds[last])*c*s) <= tol {
-				// Rotate columns (last, i) of qp and the z pair so that
+			if r > 0 && math.Abs((ds[i]-ds[last])*c*sn) <= tol {
+				// Rotate columns (last, i) of q and the z pair so that
 				// zs[last] becomes 0; adjust the diagonal pair.
-				rotCols(qp, n, last, i, 0, n-1, c, -s)
+				rotCols(q, ldq, s.perm[last], s.perm[i], 0, n-1, c, -sn)
+				s.rotated(last, i)
 				dl := ds[last]
 				di := ds[i]
-				ds[last] = dl*c*c + di*s*s
-				ds[i] = dl*s*s + di*c*c
+				ds[last] = dl*c*c + di*sn*sn
+				ds[i] = dl*sn*sn + di*c*c
 				zs[i] = r
 				zs[last] = 0
 				lam[last] = ds[last]
-				k-- // last was the newest member of the secular set
+				s.sec = s.sec[:len(s.sec)-1] // last was the newest member of the secular set
 			}
 		}
-		sec[k] = i
-		k++
+		s.sec = append(s.sec, i)
 		last = i
 	}
-	sec = sec[:k]
+	s.partition()
+	k := len(s.sec)
+	mats := blas.GetScratch[float64](2 * k * k)
+	defer blas.PutScratch(mats)
+	uhat, denom := mats[:k*k], mats[k*k:]
 	if k > 0 {
 		dd, zz, lams, zhat := vecs[3*n:3*n+k], vecs[4*n:4*n+k], vecs[5*n:5*n+k], vecs[6*n:6*n+k]
-		for a, i := range sec {
+		for a, i := range s.sec {
 			dd[a] = ds[i]
 			zz[a] = zs[i]
 		}
-		mats := blas.GetScratch[float64](2*k*k + 2*n*k)
-		defer blas.PutScratch(mats)
-		uhat, denom, qsec, qnew := mats[:k*k], mats[k*k:2*k*k], mats[2*k*k:2*k*k+n*k], mats[2*k*k+n*k:]
 		solveSecularCore(k, rho, dd, zz, lams, uhat, zhat, denom)
-		// Scatter back and form the updated eigenvectors:
-		// columns sec of qp combined with uhat.
-		for a, i := range sec {
-			copy(qsec[a*n:a*n+n], qp[i*n:i*n+n])
-		}
-		blas.Gemm(cfg, NoTrans, NoTrans, n, k, k, 1.0, qsec, n, uhat, k, 0.0, qnew, n)
-		for a, i := range sec {
+		for a, i := range s.sec {
 			lam[i] = lams[a]
-			copy(qp[i*n:i*n+n], qnew[a*n:a*n+n])
 		}
 	}
 	// Final ascending sort of all eigenpairs.
-	for i := range order {
-		order[i] = i
+	for i := range s.order {
+		s.order[i] = i
 	}
-	slices.SortStableFunc(order, func(a, b int) int { return cmp.Compare(lam[a], lam[b]) })
-	for kcol, p := range order {
-		d[kcol] = lam[p]
-		copy(q[kcol*ldq:kcol*ldq+n], qp[p*n:p*n+n])
+	slices.SortStableFunc(s.order, func(a, b int) int { return cmp.Compare(lam[a], lam[b]) })
+	mergeBasis(cfg, &s, n, m, q, ldq, uhat)
+	for i, p := range s.order {
+		d[i] = lam[p]
 	}
-	return 0
 }
 
 // secularMaxEvals caps the evaluations of the secular function spent on one
@@ -443,32 +578,28 @@ func secularRoot(k, i int, rho float64, d, z []float64, zz float64) (base int, t
 
 // Syevd computes all eigenvalues and, optionally, eigenvectors of a
 // symmetric/Hermitian matrix using the divide & conquer algorithm when
-// eigenvectors are wanted (the xSYEVD/xHEEVD driver).
+// eigenvectors are wanted (the xSYEVD/xHEEVD driver): reduce, take the
+// eigenvectors of the tridiagonal matrix itself, and apply Q to them (Ormtr)
+// rather than forming it.
 func Syevd[T core.Scalar](cfg *core.Config, jobz bool, uplo Uplo, n int, a []T, lda int, w []float64) int {
 	if n == 0 {
 		return 0
 	}
-	e := make([]float64, max(0, n-1))
-	tau := make([]T, max(0, n-1))
+	e, tau := blas.GetScratch[float64](n), blas.GetScratch[T](n)
+	defer blas.PutScratch(e)
+	defer blas.PutScratch(tau)
 	Sytrd(cfg, uplo, n, a, lda, w, e, tau)
 	if !jobz {
 		return Sterf(cfg, n, w, e)
 	}
-	Orgtr(cfg, uplo, n, a, lda, tau)
-	return Stedc(cfg, n, w, e, a, lda)
-}
-
-// Stevd computes all eigenvalues and, optionally, eigenvectors of a real
-// symmetric tridiagonal matrix by divide & conquer (the xSTEVD driver).
-func Stevd[T core.Scalar](cfg *core.Config, n int, d, e []float64, z []T, ldz int) int {
-	if n == 0 {
-		return 0
+	z := blas.GetScratch[T](n * n)
+	defer blas.PutScratch(z)
+	if info := Stevd(cfg, n, w, e, z, n); info != 0 {
+		return info
 	}
-	if z == nil {
-		return Sterf(cfg, n, d, e)
-	}
-	Laset('A', n, n, core.FromFloat[T](0), core.FromFloat[T](1), z, ldz)
-	return Stedc(cfg, n, d, e, z, ldz)
+	Ormtr(cfg, uplo, NoTrans, n, n, a, lda, tau, z, n)
+	Lacpy('A', n, n, z, n, a, lda)
+	return 0
 }
 
 // SolveSecularForTest exposes the secular solver to the package tests,

@@ -60,44 +60,126 @@ func TestStedcAgainstSteqr(t *testing.T) {
 	}
 }
 
-func TestStedcWithClusters(t *testing.T) {
-	// A matrix with many equal diagonal entries exercises deflation hard.
-	n := 80
-	d := make([]float64, n)
-	e := make([]float64, n-1)
+// gluedWilkinson returns blocks copies of the Wilkinson matrix W⁺ of order
+// 2m+1 (diagonal |m−i|, off-diagonal 1) glued by off-diagonal entries glue:
+// its eigenvalues come in clusters of `blocks` members a distance ~glue apart,
+// pairs of which are already close inside one W⁺.
+func gluedWilkinson(m, blocks int, glue float64) (d, e []float64) {
+	w := 2*m + 1
+	d, e = make([]float64, blocks*w), make([]float64, blocks*w-1)
 	for i := range d {
-		d[i] = 2
-	}
-	for i := range e {
-		e[i] = -1
-	}
-	z := make([]float64, n*n)
-	for i := 0; i < n; i++ {
-		z[i+i*n] = 1
-	}
-	dd := append([]float64(nil), d...)
-	if info := lapack.Stedc(tcfg(), n, dd, e, z, n); info != 0 {
-		t.Fatalf("stedc info=%d", info)
-	}
-	for k := 0; k < n; k++ {
-		want := 2 - 2*math.Cos(float64(k+1)*math.Pi/float64(n+1))
-		if math.Abs(dd[k]-want) > 1e-11 {
-			t.Fatalf("λ[%d]=%v want %v", k, dd[k], want)
+		d[i] = math.Abs(float64(m - i%w))
+		if i < len(e) {
+			e[i] = 1
+			if i%w == w-1 {
+				e[i] = glue
+			}
 		}
 	}
-	a := make([]float64, n*n)
-	for i := 0; i < n; i++ {
-		a[i+i*n] = 2
-		if i < n-1 {
-			a[i+1+i*n] = -1
-			a[i+(i+1)*n] = -1
+	return d, e
+}
+
+// TestStedcWithClusters runs the tree on matrices whose merges deflate hard —
+// a Toeplitz matrix with a constant diagonal (rule 2 on every merge, analytic
+// spectrum), glued Wilkinson matrices (clusters across the tear and inside
+// the halves, so rotations mix columns of both children into dense ones) and
+// a matrix whose couplings are negligible, so that every merge deflates all
+// of its columns — and checks the structured merges against the dense-GEMM
+// merge kept in dc_ref_test.go, through Stedc (caller's basis, one product)
+// and Stevd (the tree alone).
+func TestStedcWithClusters(t *testing.T) {
+	type tri struct {
+		name string
+		d, e []float64
+	}
+	n := 80
+	toeplitz := tri{"toeplitz", make([]float64, n), make([]float64, n-1)}
+	for i := range toeplitz.d {
+		toeplitz.d[i] = 2
+	}
+	for i := range toeplitz.e {
+		toeplitz.e[i] = -1
+	}
+	cases := []tri{toeplitz}
+	for _, glue := range []float64{1e-3, 1e-8, 1e-14} {
+		d, e := gluedWilkinson(10, 5, glue)
+		cases = append(cases, tri{"glued-wilkinson", d, e})
+	}
+	allDeflate := tri{"all-deflating", make([]float64, 131), make([]float64, 130)}
+	rng := lapack.NewRng([4]int{131, 3, 1, 7})
+	for i := range allDeflate.d {
+		allDeflate.d[i] = rng.Uniform11()
+	}
+	for i := range allDeflate.e {
+		// Inside a leaf the couplings are ordinary; across every tear of the
+		// tree they are far below the deflation threshold.
+		allDeflate.e[i] = 0.3 * rng.Uniform11()
+		if i%13 == 12 {
+			allDeflate.e[i] = 1e-18 * rng.Uniform11()
 		}
 	}
-	if r := testutil.OrthoResidual(n, n, z, n); r > thresh {
-		t.Fatalf("cluster orthogonality %v", r)
-	}
-	if r := testutil.EigResidual(n, a, n, dd, z, n); r > thresh {
-		t.Fatalf("cluster residual %v", r)
+	cases = append(cases, allDeflate)
+	for _, c := range cases {
+		n := len(c.d)
+		a := make([]float64, n*n)
+		for i := 0; i < n; i++ {
+			a[i+i*n] = c.d[i]
+			if i < n-1 {
+				a[i+1+i*n] = c.e[i]
+				a[i+(i+1)*n] = c.e[i]
+			}
+		}
+		anorm := lapack.Lange(lapack.OneNorm, n, n, a, n)
+		dref, eref, zref := append([]float64(nil), c.d...), append([]float64(nil), c.e...), make([]float64, n*n)
+		if info := lapack.StedcDenseRef(tcfg(), n, dref, eref, zref, n); info != 0 {
+			t.Fatalf("%s: reference info=%d", c.name, info)
+		}
+		for _, route := range []string{"Stedc", "Stevd"} {
+			dd, ee, z := append([]float64(nil), c.d...), append([]float64(nil), c.e...), make([]float64, n*n)
+			var info int
+			if route == "Stedc" {
+				lapack.Laset('A', n, n, 0.0, 1.0, z, n)
+				info = lapack.Stedc(tcfg(), n, dd, ee, z, n)
+			} else {
+				info = lapack.Stevd(tcfg(), n, dd, ee, z, n)
+			}
+			if info != 0 {
+				t.Fatalf("%s/%s: info=%d", c.name, route, info)
+			}
+			for k := 0; k < n; k++ {
+				if math.Abs(dd[k]-dref[k]) > float64(n)*core.EpsDouble*anorm {
+					t.Fatalf("%s/%s: λ[%d]=%v, dense-merge reference %v", c.name, route, k, dd[k], dref[k])
+				}
+				if c.name == "toeplitz" {
+					if want := 2 - 2*math.Cos(float64(k+1)*math.Pi/float64(n+1)); math.Abs(dd[k]-want) > 1e-11 {
+						t.Fatalf("%s: λ[%d]=%v want %v", route, k, dd[k], want)
+					}
+				}
+				// An isolated eigenvalue's vector is determined up to its sign.
+				gap := math.Inf(1)
+				if k > 0 {
+					gap = math.Min(gap, dref[k]-dref[k-1])
+				}
+				if k < n-1 {
+					gap = math.Min(gap, dref[k+1]-dref[k])
+				}
+				if gap > 1e-3*anorm {
+					dot := 0.0
+					for i := 0; i < n; i++ {
+						dot += z[i+k*n] * zref[i+k*n]
+					}
+					if math.Abs(math.Abs(dot)-1) > 1e3*float64(n)*core.EpsDouble {
+						t.Fatalf("%s/%s: vector %d off the reference's, |cos| = %v", c.name, route, k, math.Abs(dot))
+					}
+				}
+			}
+			if r := testutil.OrthoResidual(n, n, z, n); r > thresh {
+				t.Fatalf("%s/%s: orthogonality %v", c.name, route, r)
+			}
+			if r := testutil.EigResidual(n, a, n, dd, z, n); r > thresh {
+				t.Fatalf("%s/%s: residual %v", c.name, route, r)
+			}
+		}
 	}
 }
 

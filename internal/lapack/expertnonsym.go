@@ -260,8 +260,8 @@ func Geevx[T core.Float](cfg *core.Config, jobvl, jobvr bool, n int, a []T, lda 
 	}
 	vrw := make([]float64, n*n)
 	vlw := make([]float64, n*n)
-	TrevcRight(n, h, n, wr, wi, z, n, vrw, n)
-	TrevcLeft(n, h, n, wr, wi, z, n, vlw, n)
+	TrevcRight(cfg, n, h, n, wr, wi, z, n, vrw, n)
+	TrevcLeft(cfg, n, h, n, wr, wi, z, n, vlw, n)
 	condFromVectors(n, wi, vlw, vrw, n, res.RCondE)
 	// Per-eigenvalue sep estimates on the complex triangular Schur form.
 	tc := make([]complex128, n*n)
@@ -281,8 +281,8 @@ func Geevx[T core.Float](cfg *core.Config, jobvl, jobvr bool, n int, a []T, lda 
 	// Back-transform and hand out the requested eigenvectors.
 	Gebak[float64]('B', 'R', n, res.ILo, res.IHi, res.Scale, n, vrw, n)
 	Gebak[float64]('B', 'L', n, res.ILo, res.IHi, res.Scale, n, vlw, n)
-	normalizeEvecPairs(n, wr, wi, vrw, n)
-	normalizeEvecPairs(n, wr, wi, vlw, n)
+	normalizeEvecs(n, wi, vrw, n)
+	normalizeEvecs(n, wi, vlw, n)
 	if jobvr {
 		demoteReal(n, n, vrw, vr, ldvr)
 	}
@@ -339,8 +339,8 @@ func GeevxC[T core.Cmplx](cfg *core.Config, jobvl, jobvr bool, n int, a []T, lda
 	}
 	vrw := make([]complex128, n*n)
 	vlw := make([]complex128, n*n)
-	TrevcRightC(n, h, n, z, n, vrw, n)
-	TrevcLeftC(n, h, n, z, n, vlw, n)
+	TrevcRightC(cfg, n, h, n, z, n, vrw, n)
+	TrevcLeftC(cfg, n, h, n, z, n, vlw, n)
 	for j := 0; j < n; j++ {
 		var num complex128
 		nu, nv := 0.0, 0.0

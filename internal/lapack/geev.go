@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/cmplx"
 
+	"repro/internal/blas"
 	"repro/internal/core"
 )
 
@@ -14,38 +15,49 @@ import (
 
 func promoteReal[T core.Scalar](m, n int, a []T, lda int) []float64 {
 	out := make([]float64, m*n)
-	for j := 0; j < n; j++ {
-		for i := 0; i < m; i++ {
-			out[i+j*m] = core.Re(a[i+j*lda])
-		}
-	}
+	convertMat(m, n, a, lda, out, m)
 	return out
 }
 
 func demoteReal[T core.Scalar](m, n int, src []float64, a []T, lda int) {
-	for j := 0; j < n; j++ {
-		for i := 0; i < m; i++ {
-			a[i+j*lda] = core.FromFloat[T](src[i+j*m])
-		}
-	}
+	convertMat(m, n, src, m, a, lda)
 }
 
 func promoteCmplx[T core.Scalar](m, n int, a []T, lda int) []complex128 {
 	out := make([]complex128, m*n)
-	for j := 0; j < n; j++ {
-		for i := 0; i < m; i++ {
-			out[i+j*m] = core.ToComplex(a[i+j*lda])
-		}
-	}
+	convertMat(m, n, a, lda, out, m)
 	return out
 }
 
 func demoteCmplx[T core.Scalar](m, n int, src []complex128, a []T, lda int) {
+	convertMat(m, n, src, m, a, lda)
+}
+
+// convertMat copies the m×n matrix src into dst in dst's element type (a
+// real destination takes the real part).
+func convertMat[S, D core.Scalar](m, n int, src []S, lds int, dst []D, ldd int) {
 	for j := 0; j < n; j++ {
-		for i := 0; i < m; i++ {
-			a[i+j*lda] = core.FromComplex[T](src[i+j*m])
+		col := dst[j*ldd : j*ldd+m]
+		for i, v := range src[j*lds : j*lds+m] {
+			col[i] = core.FromComplex[D](core.ToComplex(v))
 		}
 	}
+}
+
+// workLd is the leading dimension the nonsymmetric drivers give the n×n work
+// matrices they own: n rounded up to an odd number of cache lines. A row of
+// such a matrix — what the QR sweeps of Hseqr walk, three at a time — is then
+// spread over every set of the L1 cache, where a stride that is a multiple of
+// a power of two (n = 192 doubles: 8 of the 64 sets) evicts itself.
+func workLd[E core.Scalar](n int) int {
+	per := 8
+	if core.IsComplex[E]() {
+		per = 4
+	}
+	if n < 8*per {
+		return n
+	}
+	return (n+per-1)/per*per | per
 }
 
 // Geev computes the eigenvalues and, optionally, the left and/or right
@@ -55,147 +67,118 @@ func demoteCmplx[T core.Scalar](m, n int, src []complex128, a []T, lda int) {
 // (see TrevcRight). a is destroyed. Returns i > 0 if the QR algorithm
 // failed to converge.
 func Geev[T core.Float](cfg *core.Config, jobvl, jobvr bool, n int, a []T, lda int, wr, wi []float64, vl []T, ldvl int, vr []T, ldvr int) int {
-	if n == 0 {
-		return 0
-	}
-	h := promoteReal(n, n, a, lda)
-	scale := make([]float64, n)
-	ilo, ihi := Gebal[float64]('B', n, h, n, scale)
-	tau := make([]float64, max(0, n-1))
-	Gehrd(cfg, n, ilo, ihi, h, n, tau)
-	wantv := jobvl || jobvr
-	var z []float64
-	if wantv {
-		z = make([]float64, n*n)
-		Lacpy('A', n, n, h, n, z, n)
-		Orghr(cfg, n, ilo, ihi, z, n, tau)
-	}
-	info := Hseqr(cfg, wantv, n, ilo, ihi, h, n, wr, wi, z, n)
-	if info != 0 {
-		return info
-	}
-	if jobvr {
-		v := make([]float64, n*n)
-		TrevcRight(n, h, n, wr, wi, z, n, v, n)
-		Gebak[float64]('B', 'R', n, ilo, ihi, scale, n, v, n)
-		normalizeEvecPairs(n, wr, wi, v, n)
-		demoteReal(n, n, v, vr, ldvr)
-	}
-	if jobvl {
-		v := make([]float64, n*n)
-		TrevcLeft(n, h, n, wr, wi, z, n, v, n)
-		Gebak[float64]('B', 'L', n, ilo, ihi, scale, n, v, n)
-		normalizeEvecPairs(n, wr, wi, v, n)
-		demoteReal(n, n, v, vl, ldvl)
-	}
-	demoteReal(n, n, h, a, lda)
-	return 0
-}
-
-// normalizeEvecPairs scales each eigenvector to unit Euclidean norm,
-// treating a (real, imag) column pair as one complex vector, and rotates
-// complex vectors so the largest-magnitude component is real (the xGEEV
-// convention).
-func normalizeEvecPairs(n int, wr, wi []float64, v []float64, ldv int) {
-	for j := 0; j < n; j++ {
-		if wi[j] == 0 {
-			nrm := 0.0
-			for i := 0; i < n; i++ {
-				nrm += v[i+j*ldv] * v[i+j*ldv]
-			}
-			nrm = math.Sqrt(nrm)
-			if nrm > 0 {
-				for i := 0; i < n; i++ {
-					v[i+j*ldv] /= nrm
-				}
-			}
-			continue
-		}
-		// Pair (j, j+1).
-		nrm := 0.0
-		for i := 0; i < n; i++ {
-			nrm += v[i+j*ldv]*v[i+j*ldv] + v[i+(j+1)*ldv]*v[i+(j+1)*ldv]
-		}
-		nrm = math.Sqrt(nrm)
-		var rot complex128 = 1
-		maxa := -1.0
-		for i := 0; i < n; i++ {
-			c := complex(v[i+j*ldv], v[i+(j+1)*ldv])
-			if a := cmplx.Abs(c); a > maxa {
-				maxa = a
-				rot = cmplx.Conj(c) / complex(a, 0)
-			}
-		}
-		for i := 0; i < n; i++ {
-			c := complex(v[i+j*ldv], v[i+(j+1)*ldv]) * rot / complex(nrm, 0)
-			v[i+j*ldv] = real(c)
-			v[i+(j+1)*ldv] = imag(c)
-		}
-		j++
-	}
+	return geev(cfg, jobvl, jobvr, n, a, lda, wr, wi, vl, ldvl, vr, ldvr,
+		func(ilo, ihi int, h, z []float64, ld int) int {
+			return Hseqr(cfg, z != nil, n, ilo, ihi, h, ld, wr, wi, z, ld)
+		})
 }
 
 // GeevC computes the eigenvalues and, optionally, eigenvectors of a
 // complex general matrix (the xGEEV complex driver). w receives the
 // eigenvalues; eigenvectors are returned as complex columns.
 func GeevC[T core.Cmplx](cfg *core.Config, jobvl, jobvr bool, n int, a []T, lda int, w []complex128, vl []T, ldvl int, vr []T, ldvr int) int {
+	return geev(cfg, jobvl, jobvr, n, a, lda, nil, nil, vl, ldvl, vr, ldvr,
+		func(ilo, ihi int, h, z []complex128, ld int) int {
+			return HseqrC(cfg, z != nil, n, ilo, ihi, h, ld, w, z, ld)
+		})
+}
+
+// geev is the body of both drivers in their work type E (float64 or
+// complex128): balance, reduce, generate Q, iterate (hseqr, on h and — when
+// vectors are wanted — z, both ld apart), then per wanted side the
+// eigenvectors of the Schur form back-transformed by z, the balancing undone,
+// normalised. wr/wi are the real packing's eigenvalues, nil for complex E.
+// Every work array is pooled scratch that is written before it is read.
+func geev[T, E core.Scalar](cfg *core.Config, jobvl, jobvr bool, n int, a []T, lda int, wr, wi []float64, vl []T, ldvl int, vr []T, ldvr int,
+	hseqr func(ilo, ihi int, h, z []E, ld int) int) int {
 	if n == 0 {
 		return 0
 	}
-	h := promoteCmplx(n, n, a, lda)
-	scale := make([]float64, n)
-	ilo, ihi := Gebal[complex128]('B', n, h, n, scale)
-	tau := make([]complex128, max(0, n-1))
-	Gehrd(cfg, n, ilo, ihi, h, n, tau)
-	wantv := jobvl || jobvr
-	var z []complex128
-	if wantv {
-		z = make([]complex128, n*n)
-		Lacpy('A', n, n, h, n, z, n)
-		Orghr(cfg, n, ilo, ihi, z, n, tau)
+	ld := workLd[E](n)
+	nmat := 1
+	if jobvl || jobvr {
+		nmat = 3
 	}
-	info := HseqrC(cfg, wantv, n, ilo, ihi, h, n, w, z, n)
-	if info != 0 {
+	work := blas.GetScratch[E](nmat*ld*n + n)
+	defer blas.PutScratch(work)
+	scale := blas.GetScratch[float64](n)
+	defer blas.PutScratch(scale)
+	h, tau := work[:ld*n], work[nmat*ld*n:]
+	convertMat(n, n, a, lda, h, ld)
+	ilo, ihi := Gebal('B', n, h, ld, scale)
+	Gehrd(cfg, n, ilo, ihi, h, ld, tau)
+	var z, v []E
+	if nmat == 3 {
+		z, v = work[ld*n:2*ld*n], work[2*ld*n:3*ld*n]
+		Lacpy('A', n, n, h, ld, z, ld)
+		Orghr(cfg, n, ilo, ihi, z, ld, tau)
+	}
+	if info := hseqr(ilo, ihi, h, z, ld); info != 0 {
 		return info
 	}
-	normC := func(v []complex128) {
-		for j := 0; j < n; j++ {
-			nrm := 0.0
-			maxa := -1.0
-			var rot complex128 = 1
-			for i := 0; i < n; i++ {
-				c := v[i+j*n]
-				nrm += real(c)*real(c) + imag(c)*imag(c)
-				if a := cmplx.Abs(c); a > maxa {
-					maxa = a
-					rot = cmplx.Conj(c) / complex(a, 0)
-				}
-			}
-			nrm = math.Sqrt(nrm)
-			if nrm > 0 {
-				s := rot / complex(nrm, 0)
-				for i := 0; i < n; i++ {
-					v[i+j*n] *= s
-				}
-			}
-		}
+	vectors := func(left bool, side byte, out []T, ldo int) {
+		trevc(cfg, left, n, h, ld, wr, wi, z, ld, v, ld)
+		Gebak('B', side, n, ilo, ihi, scale, n, v, ld)
+		normalizeEvecs(n, wi, v, ld)
+		convertMat(n, n, v, ld, out, ldo)
 	}
 	if jobvr {
-		v := make([]complex128, n*n)
-		TrevcRightC(n, h, n, z, n, v, n)
-		Gebak[complex128]('B', 'R', n, ilo, ihi, scale, n, v, n)
-		normC(v)
-		demoteCmplx(n, n, v, vr, ldvr)
+		vectors(false, 'R', vr, ldvr)
 	}
 	if jobvl {
-		v := make([]complex128, n*n)
-		TrevcLeftC(n, h, n, z, n, v, n)
-		Gebak[complex128]('B', 'L', n, ilo, ihi, scale, n, v, n)
-		normC(v)
-		demoteCmplx(n, n, v, vl, ldvl)
+		vectors(true, 'L', vl, ldvl)
 	}
-	demoteCmplx(n, n, h, a, lda)
+	convertMat(n, n, h, ld, a, lda)
 	return 0
+}
+
+// normalizeEvecs scales each eigenvector in the columns of v to unit
+// Euclidean norm and rotates a complex one so that its largest component is
+// real (the xGEEV convention). wi marks the real packing's pairs — real part
+// in column j, imaginary part in column j+1 — and is nil for complex E. The
+// norm is Nrm2's, so components that Gebak scaled beyond the square root of
+// the range neither overflow it nor vanish from it.
+func normalizeEvecs[E core.Scalar](n int, wi []float64, v []E, ldv int) {
+	for j := 0; j < n; j++ {
+		x := v[j*ldv:][:n]
+		y := x[:0] // the imaginary column of a pair
+		if wi != nil && wi[j] != 0 {
+			j++
+			y = v[j*ldv:][:n]
+		}
+		nrm := math.Hypot(blas.Nrm2(n, x, 1), blas.Nrm2(len(y), y, 1))
+		if nrm == 0 || math.IsInf(nrm, 0) || nrm != nrm {
+			continue
+		}
+		blas.ScalReal(n, 1/nrm, x, 1)
+		blas.ScalReal(len(y), 1/nrm, y, 1)
+		if len(y) == 0 && !core.IsComplex[E]() {
+			continue
+		}
+		// With every component at most 1 the squared magnitudes are safe to
+		// compare; only the largest one's modulus is needed.
+		part := func(i int) (re, im float64) {
+			if len(y) > 0 {
+				return core.Re(x[i]), core.Re(y[i])
+			}
+			return core.Re(x[i]), core.Im(x[i])
+		}
+		k, big := 0, -1.0
+		for i := range x {
+			if re, im := part(i); re*re+im*im > big {
+				k, big = i, re*re+im*im
+			}
+		}
+		re, im := part(k)
+		abs := math.Hypot(re, im)
+		if len(y) > 0 {
+			blas.RotG(n, x, 1, y, 1, re/abs, im/abs)
+			y[k] = 0
+		} else {
+			blas.Scal(n, core.FromComplex[E](complex(re/abs, -im/abs)), x, 1)
+		}
+		x[k] = core.FromFloat[E](abs)
+	}
 }
 
 // Gees computes the real Schur factorization A = Z·T·Zᵀ of a real general

@@ -1,6 +1,7 @@
 package lapack_test
 
 import (
+	"fmt"
 	"math"
 	"math/cmplx"
 	"sort"
@@ -409,7 +410,20 @@ func TestHseqrRoutesAgree(t *testing.T) {
 			wr, wi := make([]float64, n), make([]float64, n)
 			faultinject.ForcePortable(portable)
 			info := lapack.Hseqr(tcfg(), true, n, 0, n-1, h, n, wr, wi, z, n)
+			// The same iteration in a leading dimension with rows to spare —
+			// the row leaves then run their last group of columns vectorised
+			// too — must land on the same Schur form.
+			const pad = 5
+			hp, zp := make([]float64, (n+pad)*n), make([]float64, (n+pad)*n)
+			lapack.Lacpy('A', n, n, h0, n, hp, n+pad)
+			lapack.Lacpy('A', n, n, z0, n, zp, n+pad)
+			wrp, wip := make([]float64, n), make([]float64, n)
+			infop := lapack.Hseqr(tcfg(), true, n, 0, n-1, hp, n+pad, wrp, wip, zp, n+pad)
 			faultinject.ForcePortable(false)
+			lapack.Lacpy('A', n, n, hp, n+pad, hp, n)
+			if infop != info || testutil.MaxDiff(hp[:n*n], h) > 1e3*float64(n)*core.EpsDouble*lapack.Lange(lapack.MaxAbs, n, n, a, n) {
+				t.Errorf("n=%d portable=%v: Schur form depends on the leading dimension (info %d/%d)", n, portable, info, infop)
+			}
 			if info != 0 {
 				t.Fatalf("n=%d portable=%v: hseqr info=%d", n, portable, info)
 			}
@@ -433,6 +447,103 @@ func TestHseqrRoutesAgree(t *testing.T) {
 			if cmplx.Abs(spectra[0][i]-spectra[1][i]) > tol {
 				t.Errorf("n=%d: eigenvalue %d is %v on the asm route, %v on the portable one", n, i, spectra[0][i], spectra[1][i])
 			}
+		}
+	}
+}
+
+// TestGeevNormalisationRange is the regression test of the eigenvector
+// normalisation: on a matrix scaled by 2^±520 whose balancing spreads the
+// rows of the back-transformed vectors over 2^±300 more, a bare Σv² overflows
+// (or underflows to zero) where the vector itself is representable. Every
+// eigenvector must come back finite, of unit norm, with its largest component
+// real, and satisfy A·v = λ·v to a residual ratio under 10.
+func TestGeevNormalisationRange(t *testing.T) {
+	const n = 24
+	for _, shift := range []int{520, -520} {
+		for _, grade := range []int{0, 300} {
+			name := fmt.Sprintf("2^%d/grade=%d", shift, grade)
+			// A = 2^shift · D·A0·D⁻¹, D = diag(2^(grade·i/n)): Gebal undoes D,
+			// Gebak puts it back into the vectors.
+			a0 := testutil.RandGeneral[float64](lapack.NewRng([4]int{n, 5, 2, 0}), n, n, n)
+			ar, ac := make([]float64, n*n), make([]complex128, n*n)
+			rng := lapack.NewRng([4]int{n, 5, 2, 1})
+			for j := 0; j < n; j++ {
+				for i := 0; i < n; i++ {
+					e := shift + grade*i/n - grade*j/n
+					ar[i+j*n] = math.Ldexp(a0[i+j*n], e)
+					ac[i+j*n] = complex(ar[i+j*n], math.Ldexp(rng.Uniform11(), e))
+				}
+			}
+			check := func(kind string, a []complex128, w []complex128, v []complex128) {
+				t.Helper()
+				anorm := 0.0 // ‖A‖₁ / 2^shift
+				for j := 0; j < n; j++ {
+					s := 0.0
+					for i := 0; i < n; i++ {
+						s += cmplx.Abs(a[i+j*n]) * math.Ldexp(1, -shift)
+					}
+					anorm = math.Max(anorm, s)
+				}
+				for j := 0; j < n; j++ {
+					x := v[j*n : (j+1)*n]
+					nrm, big, isReal := 0.0, 0, true
+					for i, c := range x {
+						if cmplx.IsNaN(c) || cmplx.IsInf(c) {
+							t.Fatalf("%s %s: vector %d not finite", name, kind, j)
+						}
+						nrm += real(c)*real(c) + imag(c)*imag(c)
+						isReal = isReal && imag(c) == 0
+						if cmplx.Abs(c) > cmplx.Abs(x[big]) {
+							big = i
+						}
+					}
+					if math.Abs(math.Sqrt(nrm)-1) > 10*n*core.EpsDouble {
+						t.Errorf("%s %s: vector %d has norm %v", name, kind, j, math.Sqrt(nrm))
+					}
+					if imag(x[big]) != 0 || (!isReal && real(x[big]) <= 0) {
+						t.Errorf("%s %s: largest component of vector %d is %v", name, kind, j, x[big])
+					}
+					res := 0.0
+					lambda := w[j] * complex(math.Ldexp(1, -shift), 0)
+					for i := 0; i < n; i++ {
+						var s complex128
+						for k := 0; k < n; k++ {
+							s += a[i+k*n] * complex(math.Ldexp(1, -shift), 0) * x[k]
+						}
+						res += cmplx.Abs(s - lambda*x[i])
+					}
+					if ratio := res / (anorm * n * core.EpsDouble); ratio > 10 {
+						t.Errorf("%s %s: eigenpair %d residual ratio %.3g", name, kind, j, ratio)
+					}
+				}
+			}
+			// Real driver: unpack the (re, im) column pairs.
+			wr, wi, vr := make([]float64, n), make([]float64, n), make([]float64, n*n)
+			if info := lapack.Geev(tcfg(), false, true, n, append([]float64(nil), ar...), n, wr, wi, nil, 1, vr, n); info != 0 {
+				t.Fatalf("%s: Geev info=%d", name, info)
+			}
+			w, v, af := make([]complex128, n), make([]complex128, n*n), make([]complex128, n*n)
+			for i, x := range ar {
+				af[i] = complex(x, 0)
+			}
+			for j := 0; j < n; j++ {
+				w[j] = complex(wr[j], wi[j])
+				for i := 0; i < n; i++ {
+					switch {
+					case wi[j] > 0:
+						v[i+j*n] = complex(vr[i+j*n], vr[i+(j+1)*n])
+					case wi[j] < 0:
+						v[i+j*n] = complex(vr[i+(j-1)*n], -vr[i+j*n])
+					default:
+						v[i+j*n] = complex(vr[i+j*n], 0)
+					}
+				}
+			}
+			check("real", af, w, v)
+			if info := lapack.GeevC(tcfg(), false, true, n, append([]complex128(nil), ac...), n, w, nil, 1, v, n); info != 0 {
+				t.Fatalf("%s: GeevC info=%d", name, info)
+			}
+			check("complex", ac, w, v)
 		}
 	}
 }

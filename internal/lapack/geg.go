@@ -181,7 +181,7 @@ func Gegv[T core.Float](cfg *core.Config, jobvl, jobvr bool, n int, a []T, lda i
 		// eigenvector of M (uᴴ·B⁻¹·A = λ·uᴴ ⇒ vᴴ·A = λ·vᴴ·B).
 		Getrs(cfg, TransT, n, n, blu, n, ipiv, vlf, n)
 		// Renormalize each (possibly paired) column set.
-		normalizeEvecPairs(n, alphar, alphai, vlf, n)
+		normalizeEvecs(n, alphai, vlf, n)
 		demoteReal(n, n, vlf, vl, ldvl)
 	}
 	return 0

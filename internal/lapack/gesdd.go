@@ -183,10 +183,10 @@ func gesddScaled[T core.Scalar](cfg *core.Config, jobu, jobvt SVDJob, m, n int, 
 	// Square / moderately tall: bidiagonalize, run the f64 D&C, and apply
 	// the accumulated singular vector matrices to the Orgbr bases with one
 	// GEMM on each side.
-	d := make([]float64, n)
-	e := make([]float64, max(0, n-1))
-	tauq := make([]T, n)
-	taup := make([]T, n)
+	de, tau := blas.GetScratch[float64](2*n), blas.GetScratch[T](2*n)
+	defer blas.PutScratch(de)
+	defer blas.PutScratch(tau)
+	d, e, tauq, taup := de[:n], de[n:2*n-1], tau[:n], tau[n:]
 	Gebrd(cfg, m, n, a, lda, d, e, tauq, taup)
 	u0 := blas.GetScratch[float64](n * n)
 	defer blas.PutScratch(u0)

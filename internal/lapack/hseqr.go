@@ -46,7 +46,7 @@ func Hseqr(cfg *core.Config, wantt bool, n, ilo, ihi int, h []float64, ldh int, 
 	i1, i2 := 0, n-1
 	itmax := 30 * max(10, nh)
 	kdefl := 0
-	v := make([]float64, 3)
+	var v [3]float64
 
 	i := ihi
 	for i >= ilo {
@@ -172,7 +172,7 @@ func Hseqr(cfg *core.Config, wantt bool, n, ilo, ihi int, h []float64, ldh int, 
 						v[jj] = h[k+jj+(k-1)*ldh]
 					}
 				}
-				t1 := Larfg(nr, &v[0], v[1:], 1)
+				t1 := larfg3(nr, &v)
 				if k > m {
 					h[k+(k-1)*ldh] = v[0]
 					h[k+1+(k-1)*ldh] = 0
@@ -187,22 +187,13 @@ func Hseqr(cfg *core.Config, wantt bool, n, ilo, ihi int, h []float64, ldh int, 
 				if nr == 3 {
 					v3 := v[2]
 					t3 := t1 * v3
-					for j := k; j <= i2; j++ {
-						sum := h[k+j*ldh] + v2*h[k+1+j*ldh] + v3*h[k+2+j*ldh]
-						h[k+j*ldh] -= sum * t1
-						h[k+1+j*ldh] -= sum * t2
-						h[k+2+j*ldh] -= sum * t3
-					}
+					blas.Refl3Rows(i2-k+1, h[k+k*ldh:], ldh, v2, v3, t1, t2, t3)
 					blas.Refl3(min(k+3, i)-i1+1, h[i1+k*ldh:], h[i1+(k+1)*ldh:], h[i1+(k+2)*ldh:], v2, v3, t1, t2, t3)
 					if wantz {
 						blas.Refl3(n, z[k*ldz:], z[(k+1)*ldz:], z[(k+2)*ldz:], v2, v3, t1, t2, t3)
 					}
 				} else if nr == 2 {
-					for j := k; j <= i2; j++ {
-						sum := h[k+j*ldh] + v2*h[k+1+j*ldh]
-						h[k+j*ldh] -= sum * t1
-						h[k+1+j*ldh] -= sum * t2
-					}
+					blas.Refl2Rows(i2-k+1, h[k+k*ldh:], ldh, v2, t1, t2)
 					blas.Refl2(i-i1+1, h[i1+k*ldh:], h[i1+(k+1)*ldh:], v2, t1, t2)
 					if wantz {
 						blas.Refl2(n, z[k*ldz:], z[(k+1)*ldz:], v2, t1, t2)
@@ -239,6 +230,32 @@ func Hseqr(cfg *core.Config, wantt bool, n, ilo, ihi int, h []float64, ldh int, 
 	return 0
 }
 
+// larfg3 is Larfg for the sweep's reflector: alpha = v[0] and a tail of
+// nr−1 ∈ {1, 2} elements, all real. With the sums of squares inside the
+// window where they neither overflow nor lose anything to underflow it is
+// Larfg's arithmetic without the norm calls and the rescaling loop (which
+// cannot run: |beta| ≥ 1e-140); everything else — a zero tail, extreme or
+// non-finite entries — is Larfg's.
+func larfg3(nr int, v *[3]float64) float64 {
+	tail := v[1] * v[1]
+	if nr == 3 {
+		tail += v[2] * v[2]
+	}
+	sum := v[0]*v[0] + tail
+	if !(tail > 1e-280 && sum < 1e280) {
+		return Larfg(nr, &v[0], v[1:nr], 1)
+	}
+	alpha := v[0]
+	beta := -core.Sign(math.Sqrt(sum), alpha)
+	scale := 1 / (alpha - beta)
+	v[0] = beta
+	v[1] *= scale
+	if nr == 3 {
+		v[2] *= scale
+	}
+	return (beta - alpha) / beta
+}
+
 // rotRows applies a plane rotation to rows r1, r2 over columns jlo..jhi.
 func rotRows(a []float64, lda, r1, r2, jlo, jhi int, cs, sn float64) {
 	for j := jlo; j <= jhi; j++ {
@@ -249,17 +266,9 @@ func rotRows(a []float64, lda, r1, r2, jlo, jhi int, cs, sn float64) {
 }
 
 // rotCols applies a plane rotation to columns c1, c2 over rows ilo..ihi:
-// x, y = cs·x + sn·y, cs·y − sn·x with x column c1 and y column c2 — the
-// two-column case of blas.RotSeq, whose leading dimension spans the distance
-// between the columns.
+// x, y = cs·x + sn·y, cs·y − sn·x with x column c1 and y column c2.
 func rotCols(a []float64, lda, c1, c2, ilo, ihi int, cs, sn float64) {
-	if ihi < ilo {
-		return
-	}
-	if c1 > c2 {
-		c1, c2, sn = c2, c1, -sn
-	}
-	blas.RotSeq(true, ihi-ilo+1, 2, []float64{cs}, []float64{sn}, a[ilo+c1*lda:], (c2-c1)*lda)
+	blas.RotG(ihi-ilo+1, a[ilo+c1*lda:], 1, a[ilo+c2*lda:], 1, cs, sn)
 }
 
 // HseqrC computes the eigenvalues and Schur factorization of a complex

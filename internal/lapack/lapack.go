@@ -78,6 +78,15 @@ const (
 	nxGehrd = 128
 )
 
+// nxOrgqr is the order of the square matrix up to whose area, m·n ≤ nxOrgqr²,
+// Orgqr generates Q with the unblocked Org2r when the factorization handed no
+// T stack over: while the whole matrix is L2-resident the Level-2 sweeps are
+// not the cost, and the blocked generator's Larft per block and ragged k = 32
+// products only overtake them on the square shapes Orgtr/Orghr/Orgbr/Orglq
+// call it with between n = 255 and 319, on tall ones (1024×64, 512×128) at
+// the same area (EXPERIMENTS.md, "ORGQR crossover").
+const nxOrgqr = 240
+
 // Leaves of the recursive QR panel (geqrt3), from the EXPERIMENTS.md table
 // "QR panel leaf width". A panel no wider than qrLeafWidth, or shorter than
 // qrRecurseMinRows, is factored by Geqr2 plus the Level-2 Larft: every split
@@ -142,7 +151,12 @@ func Ilaenv(cfg *core.Config, ispec int, name string, n1, n2, n3, n4 int) int {
 		switch name {
 		case "GEQRF", "GELQF":
 			return cfg.NXGeqrf
-		case "ORGQR", "ORMQR", "ORGLQ", "ORMLQ":
+		case "ORGQR":
+			if n1*n2 <= nxOrgqr*nxOrgqr {
+				return max(n1, n2) // no reflector count k ≤ min(m, n) exceeds it
+			}
+			return 8
+		case "ORMQR", "ORGLQ", "ORMLQ":
 			return 8
 		case "SYTRD", "HETRD":
 			return nxSytrd

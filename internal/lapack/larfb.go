@@ -286,38 +286,43 @@ func gelqfBlocked[T core.Scalar](cfg *core.Config, m, n int, a []T, lda int, tau
 }
 
 // orgqrBlocked generates the explicit Q factor from Geqrf output using block
-// reflectors (xORGQR/xUNGQR): blocks are applied back-to-front, each via one
-// Larfb plus an unblocked Org2r on the block's own columns. The block
-// triangles are ts's: handed over by the factorization, or built by Larft.
+// reflectors (xORGQR/xUNGQR), back-to-front: the block reflector is applied
+// to the columns to its right by one Larfb and to its own columns — where it
+// meets [I; 0] — in closed form, [I; 0] − V·W with W = T·V1ᴴ upper triangular
+// (V1 the unit lower triangle on top of V), three small Trmm instead of a
+// Level-2 Org2r. The block triangles are ts's: handed over by the
+// factorization, or built by Larft.
 func orgqrBlocked[T core.Scalar](cfg *core.Config, m, n, k int, a []T, lda int, tau []T, ts *blockT[T]) {
 	nb := ts.nb
-	ki := ((k - 1) / nb) * nb
-	kk := min(k, ki+nb)
-	// Columns kk:n only see reflectors kk:k; handle them unblocked first.
-	for j := kk; j < n; j++ {
-		for i := 0; i < kk; i++ {
-			a[i+j*lda] = 0
-		}
-	}
-	if kk < n {
-		Org2r(cfg, m-kk, n-kk, k-kk, a[kk+kk*lda:], lda, tau[kk:])
+	one := core.FromFloat[T](1)
+	// Columns k:n see no reflector of their own: unit vectors.
+	for j := k; j < n; j++ {
+		clear(a[j*lda : j*lda+m])
+		a[j+j*lda] = one
 	}
 	tmat := blas.GetScratch[T](nb * nb)
 	defer blas.PutScratch(tmat)
 	work := blas.GetScratch[T](max(1, n) * nb)
 	defer blas.PutScratch(work)
-	for i := ki; i >= 0; i -= nb {
+	for i := ((k - 1) / nb) * nb; i >= 0; i -= nb {
 		ib := min(nb, k-i)
+		v := a[i+i*lda:]
+		t := ts.block(cfg, i, ib, m-i, v, lda, tau[i:i+ib], tmat)
 		if i+ib < n {
-			t := ts.block(cfg, i, ib, m-i, a[i+i*lda:], lda, tau[i:i+ib], tmat)
-			Larfb(cfg, NoTrans, m-i, n-i-ib, ib, a[i+i*lda:], lda, t, nb,
-				a[i+(i+ib)*lda:], lda, work)
+			Larfb(cfg, NoTrans, m-i, n-i-ib, ib, v, lda, t, nb, a[i+(i+ib)*lda:], lda, work)
 		}
-		Org2r(cfg, m-i, ib, ib, a[i+i*lda:], lda, tau[i:i+ib])
-		for j := i; j < i+ib; j++ {
-			for l := 0; l < i; l++ {
-				a[l+j*lda] = 0
-			}
+		w := work[:ib*ib]
+		for j := 0; j < ib; j++ {
+			copy(w[j*ib:], t[j*nb:j*nb+j+1])
+			clear(w[j*ib+j+1 : (j+1)*ib])
+		}
+		blas.Trmm(Right, Lower, ConjTrans, Unit, ib, ib, one, v, lda, w, ib)
+		blas.Trmm(Right, Upper, NoTrans, NonUnit, m-i-ib, ib, -one, w, ib, v[ib:], lda)
+		blas.Trmm(Left, Lower, NoTrans, Unit, ib, ib, -one, v, lda, w, ib)
+		for j := 0; j < ib; j++ {
+			clear(a[(i+j)*lda : (i+j)*lda+i])
+			copy(v[j*lda:], w[j*ib:(j+1)*ib])
+			v[j+j*lda] += one
 		}
 	}
 }

@@ -341,9 +341,8 @@ func Orghr[T core.Scalar](cfg *core.Config, n, ilo, ihi int, a []T, lda int, tau
 		}
 		a[j+j*lda] = core.FromFloat[T](1)
 	}
-	nh := ihi - ilo
-	if nh > 0 {
-		Org2r(cfg, nh, nh, nh, a[ilo+1+(ilo+1)*lda:], lda, tau[ilo:])
+	if nh := ihi - ilo; nh > 0 {
+		orgqr(cfg, nh, nh, nh, a[ilo+1+(ilo+1)*lda:], lda, tau[ilo:], nil)
 	}
 }
 

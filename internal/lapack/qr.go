@@ -236,41 +236,21 @@ func Gelqf[T core.Scalar](cfg *core.Config, m, n int, a []T, lda int, tau []T) {
 	Gelq2(cfg, m, n, a, lda, tau, work)
 }
 
-// Orgl2 generates the first k rows of the unitary matrix Q from the
-// reflectors returned by Gelq2 (xORGL2/xUNGL2). a is m×n with m <= n.
-func Orgl2[T core.Scalar](cfg *core.Config, m, n, k int, a []T, lda int, tau []T) {
+// Orglq generates the first m rows of Q from an LQ factorization
+// (xORGLQ/xUNGLQ), a m×n with m <= n and the k reflectors in its first k
+// rows. The rows hold the conjugated vectors of reflectors whose product
+// H(k)ᴴ…H(1)ᴴ is the conjugate transpose of the QR product of the same
+// vectors and tau, so Q is generated columnwise by orgqr from aᴴ and
+// transposed back.
+func Orglq[T core.Scalar](cfg *core.Config, m, n, k int, a []T, lda int, tau []T) {
 	if m <= 0 {
 		return
 	}
-	work := blas.GetScratch[T](m)
-	defer blas.PutScratch(work)
-	for i := k; i < m; i++ {
-		for j := 0; j < n; j++ {
-			a[i+j*lda] = 0
-		}
-		a[i+i*lda] = core.FromFloat[T](1)
-	}
-	for i := k - 1; i >= 0; i-- {
-		if i < n-1 {
-			lacgv(n-i-1, a[i+(i+1)*lda:], lda)
-			if i < m-1 {
-				a[i+i*lda] = core.FromFloat[T](1)
-				Larf(cfg, Right, m-i-1, n-i, a[i+i*lda:], lda, core.Conj(tau[i]), a[i+1+i*lda:], lda, work)
-			}
-			blas.Scal(n-i-1, -tau[i], a[i+(i+1)*lda:], lda)
-			lacgv(n-i-1, a[i+(i+1)*lda:], lda)
-		}
-		a[i+i*lda] = core.FromFloat[T](1) - core.Conj(tau[i])
-		for j := 0; j < i; j++ {
-			a[i+j*lda] = 0
-		}
-	}
-}
-
-// Orglq generates the first k rows of Q from an LQ factorization
-// (xORGLQ/xUNGLQ).
-func Orglq[T core.Scalar](cfg *core.Config, m, n, k int, a []T, lda int, tau []T) {
-	Orgl2(cfg, m, n, k, a, lda, tau)
+	b := blas.GetScratch[T](n * m)
+	defer blas.PutScratch(b)
+	blas.ConjTransposeTo(k, n, a, lda, b, n)
+	orgqr(cfg, n, m, k, b, n, tau, nil)
+	blas.ConjTransposeTo(n, m, b, n, a, lda)
 }
 
 // Ormlq multiplies C by Q or Qᴴ from an LQ factorization (xORMLQ/xUNMLQ).

@@ -163,22 +163,21 @@ func Orgbr[T core.Scalar](cfg *core.Config, vect byte, m, n, k int, a []T, lda i
 		Orgqr(cfg, m, n, k, a, lda, tau)
 		return
 	}
-	// Pᴴ of order n from the row reflectors stored in the rows of a above
-	// the diagonal: shift each column's entries one row downward so the
-	// reflectors take the LQ layout in a(1:, 1:), then LQ-generate.
-	for j := 1; j < n; j++ {
-		for i := j - 1; i >= 1; i-- {
-			a[i+j*lda] = a[i-1+j*lda]
-		}
-		a[j*lda] = 0
-	}
-	a[0] = core.FromFloat[T](1)
-	for i := 1; i < n; i++ {
-		a[i] = 0
-	}
-	if n > 1 {
-		Orglq(cfg, n-1, n-1, min(k, n-1), a[1+lda:], lda, tau)
-	}
+	// Pᴴ = diag(1, G(0)·…)ᴴ from the row reflectors in the rows of a above
+	// the superdiagonal (conjugated, as Gelq2 leaves them): row i is column
+	// i+1 of a QR-stored set of order n whose reflector 0 is a dummy, so
+	// orgqr generates P on blocks that start on multiples of the block size,
+	// and the conjugate transpose goes back into a.
+	work := blas.GetScratch[T](n*n + n)
+	defer blas.PutScratch(work)
+	b, taub := work[:n*n], work[n*n:]
+	kk := min(k, n-1)
+	taub[0] = 0
+	copy(taub[1:], tau[:kk])
+	clear(b[1:n])
+	blas.ConjTransposeTo(kk, n, a, lda, b[n:], n)
+	orgqr(cfg, n, n, kk+1, b, n, taub, nil)
+	blas.ConjTransposeTo(n, n, b, n, a, lda)
 }
 
 // Bdsqr computes the singular value decomposition of an n×n real upper
@@ -196,7 +195,9 @@ func Bdsqr[T core.Scalar](cfg *core.Config, n int, d, e []float64, vt []T, ldvt,
 	const maxit = 60
 	eps := core.EpsDouble
 	// se is the NR-style shifted super-diagonal: se[i] couples d[i-1], d[i].
-	se := make([]float64, n)
+	se := blas.GetScratch[float64](n)
+	defer blas.PutScratch(se)
+	se[0] = 0
 	for i := 1; i < n; i++ {
 		se[i] = e[i-1]
 	}

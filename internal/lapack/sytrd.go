@@ -2,6 +2,7 @@ package lapack
 
 import (
 	"math"
+	"slices"
 
 	"repro/internal/blas"
 	"repro/internal/core"
@@ -221,33 +222,35 @@ func Hetrd[T core.Scalar](cfg *core.Config, uplo Uplo, n int, a []T, lda int, d,
 	Sytrd(cfg, uplo, n, a, lda, d, e, tau)
 }
 
-// Org2l generates the last n columns of the unitary matrix Q defined as a
-// product of k reflectors stored column-wise QL-style (xORG2L/xUNG2L). a
-// is m×n with n <= m and the reflectors in its last k columns.
-func Org2l[T core.Scalar](cfg *core.Config, m, n, k int, a []T, lda int, tau []T) {
-	if n <= 0 {
-		return
-	}
-	work := blas.GetScratch[T](n)
-	defer blas.PutScratch(work)
-	// First n-k columns are unit vectors ending at row m-n+j.
-	for j := 0; j < n-k; j++ {
-		for i := 0; i < m; i++ {
-			a[i+j*lda] = 0
+// tridiagQR hands out, in pooled scratch the caller releases, the n
+// reflectors of Sytrd's Q as a QR-stored set of order n — b (n×n, leading
+// dimension n; only the part below the diagonal is written, which is all the
+// blocked QR routines read) and its tau — so that Orgtr and Ormtr are orgqr
+// and ormqr on shapes whose blocks all start on multiples of the block size.
+// Reflector 0 is a dummy (tau 0): Lower's Q is diag(1, H(0)·…·H(n−2)) with
+// H(i) in a(i+2:n, i), i.e. column i+1 of the set. Upper's is
+// diag(H(n−2)·…·H(0), 1) with H(i) in a(0:i, i+1); with J the reversal of
+// 0..n−1, J·H(i)·J is the forward reflector n−1−i, so J·Q·J has Lower's form
+// and the callers reverse what they apply Q to, or what orgqr generated.
+func tridiagQR[T core.Scalar](uplo Uplo, n int, a []T, lda int, tau []T) (b, taub []T) {
+	work := blas.GetScratch[T](n*n + n)
+	b, taub = work[:n*n], work[n*n:]
+	taub[0] = 0
+	for c := 1; c < n; c++ {
+		col := b[c*n:]
+		if uplo == Lower {
+			copy(col[c+1:n], a[c+1+(c-1)*lda:])
+			taub[c] = tau[c-1]
+			continue
 		}
-		a[m-n+j+j*lda] = core.FromFloat[T](1)
-	}
-	for i := 0; i < k; i++ {
-		ii := n - k + i
-		// Apply H(i) to A(0:m-n+ii+1, 0:ii) from the left.
-		a[m-n+ii+ii*lda] = core.FromFloat[T](1)
-		Larf(cfg, Left, m-n+ii+1, ii, a[ii*lda:], 1, tau[i], a, lda, work)
-		blas.Scal(m-n+ii, -tau[i], a[ii*lda:], 1)
-		a[m-n+ii+ii*lda] = core.FromFloat[T](1) - tau[i]
-		for l := m - n + ii + 1; l < m; l++ {
-			a[l+ii*lda] = 0
+		src := a[(n-c)*lda:]
+		for r := c + 1; r < n; r++ {
+			col[r] = src[n-1-r]
 		}
+		taub[c] = tau[n-1-c]
 	}
+	clear(b[1:n])
+	return b, taub
 }
 
 // Orgtr generates the unitary matrix Q from the reduction computed by
@@ -256,35 +259,17 @@ func Orgtr[T core.Scalar](cfg *core.Config, uplo Uplo, n int, a []T, lda int, ta
 	if n == 0 {
 		return
 	}
-	if uplo == Upper {
-		// Q = H(n-2)…H(0) with reflector i stored in A(0:i, i+1): shift the
-		// columns left and generate QL-style.
-		for j := 0; j < n-1; j++ {
-			for i := 0; i < j; i++ {
-				a[i+j*lda] = a[i+(j+1)*lda]
-			}
-			a[n-1+j*lda] = 0
-		}
-		for i := 0; i < n-1; i++ {
-			a[i+(n-1)*lda] = 0
-		}
-		a[n-1+(n-1)*lda] = core.FromFloat[T](1)
-		Org2l(cfg, n-1, n-1, n-1, a, lda, tau)
+	b, taub := tridiagQR(uplo, n, a, lda, tau)
+	defer blas.PutScratch(b)
+	orgqr(cfg, n, n, n, b, n, taub, nil)
+	if uplo == Lower {
+		Lacpy('A', n, n, b, n, a, lda)
 		return
 	}
-	// Lower: Q = H(0)…H(n-2) with reflector i in A(i+2:n, i): shift right.
-	for j := n - 1; j >= 1; j-- {
-		a[j*lda] = 0
-		for i := j + 1; i < n; i++ {
-			a[i+j*lda] = a[i+(j-1)*lda]
-		}
-	}
-	a[0] = core.FromFloat[T](1)
-	for i := 1; i < n; i++ {
-		a[i] = 0
-	}
-	if n > 1 {
-		Org2r(cfg, n-1, n-1, n-1, a[1+lda:], lda, tau)
+	for j := 0; j < n; j++ {
+		col := a[j*lda : j*lda+n]
+		copy(col, b[(n-1-j)*n:])
+		slices.Reverse(col)
 	}
 }
 
@@ -295,36 +280,16 @@ func Ormtr[T core.Scalar](cfg *core.Config, uplo Uplo, trans Trans, m, n int, a 
 	if m <= 1 {
 		return
 	}
-	if uplo == Lower {
-		// Q = H(0)…H(m-2), reflectors stored below the first subdiagonal:
-		// exactly the QR layout on the shifted submatrix.
-		Ormqr(cfg, Left, trans, m-1, n, m-1, a[1:], lda, tau, c[1:], ldc)
-		return
-	}
-	// Upper: QL-style reflectors in A(0:i, i+1). Apply each explicitly.
-	work := make([]T, n)
-	k := m - 1
-	notran := trans == NoTrans
-	// Q = H(k-1)…H(0) (QL product): Q·C applies H(0) first, so the loop
-	// ascends for NoTrans and descends for the conjugate transpose.
-	start, end, step := k-1, -1, -1
-	if notran {
-		start, end, step = 0, k, 1
-	}
-	v := make([]T, m)
-	for i := start; i != end; i += step {
-		taui := tau[i]
-		if !notran {
-			taui = core.Conj(taui)
+	b, taub := tridiagQR(uplo, m, a, lda, tau)
+	defer blas.PutScratch(b)
+	flipRows := func() {
+		for j := 0; uplo == Upper && j < n; j++ {
+			slices.Reverse(c[j*ldc : j*ldc+m])
 		}
-		// Reflector i: stored tail in A(0:i-1, i+1), implicit 1 at row i,
-		// acting on rows 0..i.
-		for j := 0; j < i; j++ {
-			v[j] = a[j+(i+1)*lda]
-		}
-		v[i] = core.FromFloat[T](1)
-		Larf(cfg, Left, i+1, n, v, 1, taui, c, ldc, work)
 	}
+	flipRows()
+	ormqr(cfg, Left, trans, m, n, m, b, m, taub, c, ldc, nil)
+	flipRows()
 }
 
 // Syev computes all eigenvalues and, optionally, eigenvectors of a
@@ -357,8 +322,9 @@ func Syev[T core.Scalar](cfg *core.Config, jobz bool, uplo Uplo, n int, a []T, l
 		}
 		Lascl(mt, 1, sigma, n, n, a, lda)
 	}
-	e := make([]float64, max(0, n-1))
-	tau := make([]T, max(0, n-1))
+	e, tau := blas.GetScratch[float64](n), blas.GetScratch[T](n)
+	defer blas.PutScratch(e)
+	defer blas.PutScratch(tau)
 	Sytrd(cfg, uplo, n, a, lda, w, e, tau)
 	info := 0
 	if !jobz {

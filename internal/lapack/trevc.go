@@ -3,327 +3,269 @@ package lapack
 import (
 	"math"
 	"math/cmplx"
+
+	"repro/internal/blas"
+	"repro/internal/core"
 )
 
-// trevcGuard returns a safe denominator: d if |d| >= smin, else smin with
-// the phase of d (or smin itself when d == 0).
-func trevcGuard(d complex128, smin float64) complex128 {
-	if cmplx.Abs(d) >= smin {
-		return d
-	}
-	if d == 0 {
-		return complex(smin, 0)
-	}
-	return d * complex(smin/cmplx.Abs(d), 0)
-}
-
 // TrevcRight computes the right eigenvectors of a real quasi-triangular
-// Schur matrix T and back-transforms them by z (xTREVC side='R',
-// howmny='B' semantics). The eigenvalues (wr, wi) must come from Hseqr on
-// the same T. On return vr (n×n) holds the eigenvectors in the LAPACK
-// packing: a real eigenvalue's vector occupies one column; a complex
-// conjugate pair (wr±i·wi at columns ki, ki+1) stores the real part in
-// column ki and the imaginary part in column ki+1.
-//
-// The back-substitution is performed in complex arithmetic rather than the
-// reference's paired real solves; results agree to roundoff (see
-// DESIGN.md).
-func TrevcRight(n int, t []float64, ldt int, wr, wi []float64, z []float64, ldz int, vr []float64, ldvr int) {
-	if n == 0 {
-		return
-	}
-	ulp := 0x1p-52
-	smlnum := math.SmallestNonzeroFloat64 * 0x1p52 * float64(n) / ulp
-	x := make([]complex128, n)
-	for ki := n - 1; ki >= 0; ki-- {
-		pair := wi[ki] != 0
-		if pair && wi[ki] > 0 {
-			// Handled when we reach the second member of the pair.
-			continue
-		}
-		lambda := complex(wr[ki], wi[ki])
-		if pair {
-			lambda = complex(wr[ki], -wi[ki]) // use the +wi member
-		}
-		smin := math.Max(ulp*(math.Abs(wr[ki])+math.Abs(wi[ki])), smlnum)
-		for i := range x {
-			x[i] = 0
-		}
-		top := ki // highest index with nonzero component
-		if !pair {
-			x[ki] = 1
-		} else {
-			// Seed from the standardized 2×2 block at (ki-1, ki).
-			b := t[ki-1+ki*ldt]
-			c := t[ki+(ki-1)*ldt]
-			wiP := wi[ki-1] // positive member
-			if math.Abs(b) >= math.Abs(c) {
-				x[ki-1] = 1
-				x[ki] = complex(0, wiP/b)
-			} else {
-				// From c·v1 − i·wi·v2 = 0 with v2 = 1: v1 = i·wi/c.
-				x[ki] = 1
-				x[ki-1] = complex(0, wiP/c)
-			}
-		}
-		lo := ki
-		if pair {
-			lo = ki - 1
-		}
-		// Back-substitution over rows lo-1 .. 0, respecting 2×2 blocks.
-		for j := lo - 1; j >= 0; {
-			// Determine whether row j is the bottom of a 2×2 block.
-			if j > 0 && t[j+(j-1)*ldt] != 0 {
-				// 2×2 block at (j-1, j): solve both components together.
-				var r1, r2 complex128
-				for k := j + 1; k <= top; k++ {
-					r1 += complex(t[j-1+k*ldt], 0) * x[k]
-					r2 += complex(t[j+k*ldt], 0) * x[k]
-				}
-				a11 := complex(t[j-1+(j-1)*ldt], 0) - lambda
-				a12 := complex(t[j-1+j*ldt], 0)
-				a21 := complex(t[j+(j-1)*ldt], 0)
-				a22 := complex(t[j+j*ldt], 0) - lambda
-				det := a11*a22 - a12*a21
-				det = trevcGuard(det, smin*smin)
-				x[j-1] = (-r1*a22 + r2*a12) / det
-				x[j] = (-r2*a11 + r1*a21) / det
-				j -= 2
-			} else {
-				var r complex128
-				for k := j + 1; k <= top; k++ {
-					r += complex(t[j+k*ldt], 0) * x[k]
-				}
-				den := trevcGuard(complex(t[j+j*ldt], 0)-lambda, smin)
-				x[j] = -r / den
-				j--
-			}
-			// Rescale if the solution is growing dangerously.
-			maxx := 0.0
-			for k := 0; k <= top; k++ {
-				maxx = math.Max(maxx, cmplx.Abs(x[k]))
-			}
-			if maxx > 1/smlnum {
-				s := complex(1/maxx, 0)
-				for k := 0; k <= top; k++ {
-					x[k] *= s
-				}
-			}
-		}
-		// Back-transform: v = Z·x over the first top+1 components.
-		if !pair {
-			for i := 0; i < n; i++ {
-				s := 0.0
-				for k := 0; k <= top; k++ {
-					s += z[i+k*ldz] * real(x[k])
-				}
-				vr[i+ki*ldvr] = s
-			}
-		} else {
-			for i := 0; i < n; i++ {
-				var sr, si float64
-				for k := 0; k <= top; k++ {
-					sr += z[i+k*ldz] * real(x[k])
-					si += z[i+k*ldz] * imag(x[k])
-				}
-				vr[i+(ki-1)*ldvr] = sr
-				vr[i+ki*ldvr] = si
-			}
-		}
-	}
+// Schur matrix T and back-transforms them by z (xTREVC3 side='R',
+// howmny='B' semantics; a nil z leaves the eigenvectors of T itself). The
+// eigenvalues (wr, wi) must come from Hseqr on the same T. On return vr
+// (n×n) holds the eigenvectors in the LAPACK packing: a real eigenvalue's
+// vector occupies one column; a complex conjugate pair (wr±i·wi at columns
+// ki, ki+1) stores the real part in column ki and the imaginary part in
+// column ki+1.
+func TrevcRight(cfg *core.Config, n int, t []float64, ldt int, wr, wi []float64, z []float64, ldz int, vr []float64, ldvr int) {
+	trevc(cfg, false, n, t, ldt, wr, wi, z, ldz, vr, ldvr)
 }
 
 // TrevcLeft computes the left eigenvectors uᴴ·A = λ·uᴴ of a real
-// quasi-triangular Schur matrix, back-transformed by z (xTREVC side='L'
-// semantics, same packing as TrevcRight).
-func TrevcLeft(n int, t []float64, ldt int, wr, wi []float64, z []float64, ldz int, vl []float64, ldvl int) {
-	if n == 0 {
-		return
-	}
-	ulp := 0x1p-52
-	smlnum := math.SmallestNonzeroFloat64 * 0x1p52 * float64(n) / ulp
-	y := make([]complex128, n)
-	for ki := 0; ki < n; ki++ {
-		pair := wi[ki] != 0
-		if pair && wi[ki] < 0 {
-			continue // handled with the first member
-		}
-		// Want u = Z·w with wᴴ·T = λ·wᴴ. For real T this is equivalent to
-		// yᵀ·(T − λ̄·I) = 0 for y = conj(w), solved by forward substitution
-		// over components ki..n-1. Use the pair member with wi > 0.
-		lambda := complex(wr[ki], wi[ki])
-		lb := cmplx.Conj(lambda)
-		smin := math.Max(ulp*(math.Abs(wr[ki])+math.Abs(wi[ki])), smlnum)
-		for i := range y {
-			y[i] = 0
-		}
-		bot := ki
-		if !pair {
-			y[ki] = 1
-		} else {
-			// Standardized block B = [a b; c a] at (ki, ki+1), wi = √(−bc):
-			// yᵀ(B − λ̄I) = 0 has solutions (1, −i·wi/c) and (−i·wi/b, 1);
-			// pick the better-scaled one.
-			b := t[ki+(ki+1)*ldt]
-			c := t[ki+1+ki*ldt]
-			wiP := wi[ki]
-			if math.Abs(b) >= math.Abs(c) {
-				y[ki] = complex(0, -wiP/b)
-				y[ki+1] = 1
-			} else {
-				y[ki] = 1
-				y[ki+1] = complex(0, -wiP/c)
-			}
-			bot = ki + 1
-		}
-		for j := bot + 1; j < n; {
-			if j < n-1 && t[j+1+j*ldt] != 0 {
-				// 2×2 block at (j, j+1): solve the row-vector system
-				// (y_j, y_{j+1})·(B − λ̄I) = (−r1, −r2).
-				var r1, r2 complex128
-				for k := ki; k < j; k++ {
-					r1 += complex(t[k+j*ldt], 0) * y[k]
-					r2 += complex(t[k+(j+1)*ldt], 0) * y[k]
-				}
-				a11 := complex(t[j+j*ldt], 0) - lb
-				a12 := complex(t[j+(j+1)*ldt], 0)
-				a21 := complex(t[j+1+j*ldt], 0)
-				a22 := complex(t[j+1+(j+1)*ldt], 0) - lb
-				det := a11*a22 - a12*a21
-				det = trevcGuard(det, smin*smin)
-				y[j] = (-r1*a22 + r2*a21) / det
-				y[j+1] = (-r2*a11 + r1*a12) / det
-				j += 2
-			} else {
-				var r complex128
-				for k := ki; k < j; k++ {
-					r += complex(t[k+j*ldt], 0) * y[k]
-				}
-				den := trevcGuard(complex(t[j+j*ldt], 0)-lb, smin)
-				y[j] = -r / den
-				j++
-			}
-			maxy := 0.0
-			for k := 0; k < n; k++ {
-				maxy = math.Max(maxy, cmplx.Abs(y[k]))
-			}
-			if maxy > 1/smlnum {
-				s := complex(1/maxy, 0)
-				for k := 0; k < n; k++ {
-					y[k] *= s
-				}
-			}
-		}
-		// Left eigenvector of A: with A = Z·T·Zᵀ, uᴴ·A = λ·uᴴ holds for
-		// u = Z·y, since yᵀ(T − λ̄I) = 0 is equivalent to Tᵀ·y = λ̄·y.
-		if !pair {
-			for i := 0; i < n; i++ {
-				s := 0.0
-				for k := ki; k < n; k++ {
-					s += z[i+k*ldz] * real(y[k])
-				}
-				vl[i+ki*ldvl] = s
-			}
-		} else {
-			for i := 0; i < n; i++ {
-				var sr, si float64
-				for k := ki; k < n; k++ {
-					sr += z[i+k*ldz] * real(y[k])
-					si += z[i+k*ldz] * imag(y[k])
-				}
-				vl[i+ki*ldvl] = sr
-				vl[i+(ki+1)*ldvl] = si
-			}
-		}
-	}
+// quasi-triangular Schur matrix, back-transformed by z (xTREVC3 side='L',
+// same packing as TrevcRight).
+func TrevcLeft(cfg *core.Config, n int, t []float64, ldt int, wr, wi []float64, z []float64, ldz int, vl []float64, ldvl int) {
+	trevc(cfg, true, n, t, ldt, wr, wi, z, ldz, vl, ldvl)
 }
 
-// TrevcRightC computes the right eigenvectors of a complex upper
-// triangular Schur matrix T, back-transformed by z (xTREVC complex,
-// side='R', howmny='B').
-func TrevcRightC(n int, t []complex128, ldt int, z []complex128, ldz int, vr []complex128, ldvr int) {
-	if n == 0 {
-		return
-	}
-	ulp := 0x1p-52
-	smlnum := math.SmallestNonzeroFloat64 * 0x1p52 * float64(n) / ulp
-	x := make([]complex128, n)
-	for ki := n - 1; ki >= 0; ki-- {
-		lambda := t[ki+ki*ldt]
-		smin := math.Max(ulp*cmplx.Abs(lambda), smlnum)
-		for i := range x {
-			x[i] = 0
-		}
-		x[ki] = 1
-		for j := ki - 1; j >= 0; j-- {
-			var r complex128
-			for k := j + 1; k <= ki; k++ {
-				r += t[j+k*ldt] * x[k]
-			}
-			den := trevcGuard(t[j+j*ldt]-lambda, smin)
-			x[j] = -r / den
-			maxx := 0.0
-			for k := j; k <= ki; k++ {
-				maxx = math.Max(maxx, cmplx.Abs(x[k]))
-			}
-			if maxx > 1/smlnum {
-				s := complex(1/maxx, 0)
-				for k := j; k <= ki; k++ {
-					x[k] *= s
-				}
-			}
-		}
-		for i := 0; i < n; i++ {
-			var s complex128
-			for k := 0; k <= ki; k++ {
-				s += z[i+k*ldz] * x[k]
-			}
-			vr[i+ki*ldvr] = s
-		}
-	}
+// TrevcRightC computes the right eigenvectors of a complex upper triangular
+// Schur matrix T, back-transformed by z (xTREVC3 complex, side='R').
+func TrevcRightC(cfg *core.Config, n int, t []complex128, ldt int, z []complex128, ldz int, vr []complex128, ldvr int) {
+	trevc(cfg, false, n, t, ldt, nil, nil, z, ldz, vr, ldvr)
 }
 
 // TrevcLeftC computes the left eigenvectors of a complex upper triangular
-// Schur matrix, back-transformed by z (xTREVC complex, side='L').
-func TrevcLeftC(n int, t []complex128, ldt int, z []complex128, ldz int, vl []complex128, ldvl int) {
+// Schur matrix, back-transformed by z (xTREVC3 complex, side='L').
+func TrevcLeftC(cfg *core.Config, n int, t []complex128, ldt int, z []complex128, ldz int, vl []complex128, ldvl int) {
+	trevc(cfg, true, n, t, ldt, nil, nil, z, ldz, vl, ldvl)
+}
+
+// trevcNB is the number of eigenvectors one Gemm back-transforms.
+const trevcNB = 64
+
+// trevc is the one body of the four routines, in the xTREVC3 shape: the
+// eigenvectors of T are built trevcNB at a time as columns of a scratch block
+// — in the arithmetic of T, the vector of a complex pair of a real T as a
+// real and an imaginary column — and each block is back-transformed by one
+// Gemm against the columns of z its rows reach, written straight into v.
+// wi == nil means a complex triangular T, whose eigenvalues are its diagonal.
+func trevc[E core.Scalar](cfg *core.Config, left bool, n int, t []E, ldt int, wr, wi []float64, z []E, ldz int, v []E, ldv int) {
 	if n == 0 {
 		return
 	}
-	ulp := 0x1p-52
+	const ulp = 0x1p-52
 	smlnum := math.SmallestNonzeroFloat64 * 0x1p52 * float64(n) / ulp
-	y := make([]complex128, n)
-	for ki := 0; ki < n; ki++ {
-		lambda := t[ki+ki*ldt]
-		smin := math.Max(ulp*cmplx.Abs(lambda), smlnum)
-		for i := range y {
-			y[i] = 0
+	s := trevcSolver[E]{left: left, n: n, t: t, ldt: ldt, bignum: (1 - ulp) / smlnum, cnorm: blas.GetScratch[float64](n)}
+	defer blas.PutScratch(s.cnorm)
+	// The 1-norms of the strictly upper columns of T bound every update of
+	// the substitution (xTREVC's WORK), so the overflow guard never has to
+	// look at the vector itself.
+	for j := range s.cnorm {
+		s.cnorm[j] = blas.Asum(j, t[j*ldt:], 1)
+	}
+	x := blas.GetScratch[E](n * min(n, trevcNB))
+	defer blas.PutScratch(x)
+	for c0 := 0; c0 < n; {
+		c1 := min(n, c0+trevcNB)
+		if c1 < n && wi != nil && wi[c1-1] > 0 {
+			c1-- // keep the pair (c1−1, c1) in one block
 		}
-		// wᴴ·T = λ·wᴴ ⇒ conj-linear forward substitution on w.
-		y[ki] = 1
-		for j := ki + 1; j < n; j++ {
-			var r complex128
-			for k := ki; k < j; k++ {
-				r += cmplx.Conj(t[k+j*ldt]) * y[k]
-			}
-			den := trevcGuard(cmplx.Conj(t[j+j*ldt]-lambda), smin)
-			y[j] = -r / den
-			maxy := 0.0
-			for k := ki; k <= j; k++ {
-				maxy = math.Max(maxy, cmplx.Abs(y[k]))
-			}
-			if maxy > 1/smlnum {
-				s := complex(1/maxy, 0)
-				for k := ki; k <= j; k++ {
-					y[k] *= s
+		clear(x[:n*(c1-c0)])
+		for ki := c0; ki < c1; ki++ {
+			s.x[0], s.np = x[(ki-c0)*n:][:n], 1
+			lambda := core.ToComplex(t[ki+ki*ldt])
+			if wi != nil {
+				lambda = complex(wr[ki], math.Abs(wi[ki]))
+				if wi[ki] != 0 {
+					s.x[1], s.np = x[(ki+1-c0)*n:][:n], 2
 				}
 			}
+			s.smin = max(ulp*(math.Abs(real(lambda))+math.Abs(imag(lambda))), smlnum)
+			s.solve(ki, ki+s.np-1, lambda)
+			ki += s.np - 1
 		}
-		for i := 0; i < n; i++ {
-			var s complex128
-			for k := ki; k < n; k++ {
-				s += z[i+k*ldz] * y[k]
+		// Right vectors of the block reach rows 0:c1, left ones rows c0:n.
+		r0, r1 := 0, c1
+		if left {
+			r0, r1 = c0, n
+		}
+		if z == nil {
+			Lacpy('A', n, c1-c0, x, n, v[c0*ldv:], ldv)
+		} else {
+			blas.Gemm(cfg, NoTrans, NoTrans, n, c1-c0, r1-r0, core.FromFloat[E](1), z[r0*ldz:], ldz,
+				x[r0:], n, core.FromFloat[E](0), v[c0*ldv:], ldv)
+		}
+		c0 = c1
+	}
+}
+
+// trevcSolver carries one triangular solve of trevc: T, the guard constants
+// and the vector under construction — np planes of length n, one complex or
+// real plane, or a real and an imaginary one for a complex pair of a real T.
+type trevcSolver[E core.Scalar] struct {
+	left         bool
+	n, ldt, np   int
+	t            []E
+	cnorm        []float64
+	bignum, smin float64
+	x            [2][]E
+}
+
+func (s *trevcSolver[E]) at(j int) complex128 {
+	if s.np == 2 {
+		return complex(core.Re(s.x[0][j]), core.Re(s.x[1][j]))
+	}
+	return core.ToComplex(s.x[0][j])
+}
+
+func (s *trevcSolver[E]) set(j int, c complex128) {
+	if s.np == 2 {
+		s.x[0][j], s.x[1][j] = core.FromFloat[E](real(c)), core.FromFloat[E](imag(c))
+	} else {
+		s.x[0][j] = core.FromComplex[E](c)
+	}
+}
+
+func (s *trevcSolver[E]) scale(lo, hi int, f float64) {
+	for _, p := range s.x[:s.np] {
+		blas.ScalReal(hi-lo, f, p[lo:], 1)
+	}
+}
+
+// solve fills the planes with the eigenvector of lambda, whose diagonal block
+// is rows k0..k1 of T. A right vector is the back-substitution
+// (T − λ)·x = 0 upwards from the block, column-oriented: once a component is
+// known, x[0:j] −= x[j]·T[0:j, j] on the axpy leaf. A left vector is the
+// forward substitution yᴴ·(T − λ) = 0 downwards, one contiguous (conjugated)
+// dot with column j of T per component.
+func (s *trevcSolver[E]) solve(k0, k1 int, lambda complex128) {
+	t, ldt := s.t, s.ldt
+	if k0 == k1 {
+		s.set(k0, 1)
+	} else {
+		// Standardized block [a b; c a], λ = a + i·√(−bc): the vectors
+		// (1, iw/b) or (iw/c, 1), whichever is better scaled; −i and the
+		// mirrored positions for the left vector.
+		b, c := core.Re(t[k0+k1*ldt]), core.Re(t[k1+k0*ldt])
+		w, q, unit := imag(lambda), c, k1
+		if math.Abs(b) >= math.Abs(c) {
+			q, unit = b, k0
+		}
+		if s.left {
+			w, unit = -w, k0+k1-unit
+		}
+		s.set(unit, 1)
+		s.set(k0+k1-unit, complex(0, w/q))
+	}
+	if s.left {
+		vmax, vcrit := 1.0, s.bignum
+		for j := k1 + 1; j < s.n; {
+			b1 := j
+			if j < s.n-1 && t[j+1+j*ldt] != 0 {
+				b1 = j + 1
 			}
-			vl[i+ki*ldvl] = s
+			if max(s.cnorm[j], s.cnorm[b1]) > vcrit {
+				s.scale(k0, j, 1/vmax)
+				vmax, vcrit = 1, s.bignum
+			}
+			for c := j; c <= b1; c++ {
+				for _, xp := range s.x[:s.np] {
+					xp[c] = -blas.Dotc(j-k0, t[k0+c*ldt:], 1, xp[k0:], 1)
+				}
+			}
+			if f := s.block(j, b1, lambda); f != 1 {
+				s.scale(k0, j, f)
+			}
+			vmax = max(vmax, core.Abs1(s.at(j)), core.Abs1(s.at(b1)))
+			vcrit = s.bignum / vmax
+			j = b1 + 1
+		}
+		return
+	}
+	eliminate := func(b0, b1 int) {
+		for j := b0; j <= b1; j++ {
+			for _, xp := range s.x[:s.np] {
+				blas.Axpy(b0, -xp[j], t[j*ldt:], 1, xp, 1)
+			}
 		}
 	}
+	eliminate(k0, k1)
+	for j := k0 - 1; j >= 0; {
+		b0 := j
+		if j > 0 && t[j+(j-1)*ldt] != 0 {
+			b0 = j - 1
+		}
+		if f := s.block(b0, j, lambda); f != 1 {
+			s.scale(0, b0, f)
+			s.scale(j+1, k1+1, f)
+		}
+		eliminate(b0, j)
+		j = b0 - 1
+	}
+}
+
+// block solves the 1×1 or 2×2 diagonal block b0..b1 of T − λ for the
+// right-hand sides standing in the vector's components b0..b1 (xLALN2's
+// role; the only complex arithmetic on a real T), and returns the factor
+// ≤ 1 the rest of the vector must be scaled by: small divisors are moved out
+// to smin, quotients are kept under bignum, and a right vector's new
+// components are kept small enough for their columns of T (cnorm) to be
+// subtracted without overflow. The left solve is the conjugate transpose's.
+func (s *trevcSolver[E]) block(b0, b1 int, lambda complex128) float64 {
+	t, ldt := s.t, s.ldt
+	conj := func(c complex128) complex128 {
+		if s.left {
+			return cmplx.Conj(c)
+		}
+		return c
+	}
+	r := [2]complex128{s.at(b0), 0}
+	var f float64
+	if b0 == b1 {
+		f = trevcDiv(&r, conj(core.ToComplex(t[b0+b0*ldt])-lambda), s.smin, s.bignum)
+	} else {
+		a11, a22 := conj(core.ToComplex(t[b0+b0*ldt])-lambda), conj(core.ToComplex(t[b1+b1*ldt])-lambda)
+		a12, a21 := core.Re(t[b0+b1*ldt]), core.Re(t[b1+b0*ldt])
+		if s.left {
+			a12, a21 = a21, a12
+		}
+		// Cramer's rule on the block scaled to unit size, so that no product
+		// can overflow: x = adj(A/‖A‖)·r / det(A/‖A‖) / ‖A‖.
+		an := max(core.Abs1(a11), core.Abs1(a22), math.Abs(a12), math.Abs(a21))
+		a11, a22 = complex(real(a11)/an, imag(a11)/an), complex(real(a22)/an, imag(a22)/an)
+		a12, a21 = a12/an, a21/an
+		r[1] = s.at(b1)
+		r[0], r[1] = r[0]*a22-r[1]*complex(a12, 0), r[1]*a11-r[0]*complex(a21, 0)
+		gmin := s.smin / an
+		f = trevcDiv(&r, a11*a22-complex(a12*a21, 0), gmin*gmin, s.bignum)
+		f *= trevcDiv(&r, complex(an, 0), 0, s.bignum)
+	}
+	if xn := max(core.Abs1(r[0]), core.Abs1(r[1])); !s.left && xn > 1 && max(s.cnorm[b0], s.cnorm[b1]) > s.bignum/xn {
+		r[0], r[1], f = r[0]/complex(xn, 0), r[1]/complex(xn, 0), f/xn
+	}
+	s.set(b0, r[0])
+	if b1 > b0 {
+		s.set(b1, r[1])
+	}
+	return f
+}
+
+// trevcDiv divides r by d, moved out to magnitude smin (keeping its phase)
+// when it is smaller, and returns the factor ≤ 1 that r was scaled by first
+// so that the quotients stay under bignum.
+func trevcDiv(r *[2]complex128, d complex128, smin, bignum float64) float64 {
+	dn := core.Abs1(d)
+	if dn < 2*smin {
+		if a := cmplx.Abs(d); a == 0 {
+			d = complex(smin, 0)
+		} else if a < smin {
+			d *= complex(smin/a, 0)
+		}
+		dn = core.Abs1(d)
+	}
+	f := 1.0
+	if bn := max(core.Abs1(r[0]), core.Abs1(r[1])); dn < 1 && bn > bignum*dn {
+		f = 1 / bn
+	}
+	r[0], r[1] = r[0]*complex(f, 0)/d, r[1]*complex(f, 0)/d
+	return f
 }
