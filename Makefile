@@ -6,9 +6,9 @@
 
 GO ?= go
 
-.PHONY: ci vet lint-globals lint-knobs lint-dispatch build test test-portable race bench benchsmoke bench-smoke fuzzsmoke fuzz
+.PHONY: ci vet lint-globals lint-knobs lint-dispatch lint-once build test test-portable race bench benchsmoke bench-smoke fuzzsmoke fuzz
 
-ci: vet lint-globals lint-knobs lint-dispatch build test test-portable race fuzzsmoke benchsmoke bench-smoke
+ci: vet lint-globals lint-knobs lint-dispatch lint-once build test test-portable race fuzzsmoke benchsmoke bench-smoke
 
 vet:
 	$(GO) vet ./...
@@ -73,6 +73,25 @@ lint-dispatch:
 	fi
 	@echo "lint-dispatch: ok"
 
+# One expert solve pipeline (internal/lapack/expert.go, rfs.go): the FACT
+# switch, the condition estimate and the norm-estimator loops of the xyySVX /
+# xyyCON / xyyRFS family are written once, and a second copy is what this
+# target catches. In non-test internal/lapack the allowed sites are:
+# `!= FactFact` — one line, in svx; `rcondFromEst(` — one call, in
+# (*system).con; `Lacn2(` — one call in con (expert.go), one in
+# (*system).rfs (rfs.go), and the Sylvester/eigenvector condition estimates of
+# expertnonsym.go, which are not linear solves.
+lint-once:
+	@fact=$$(grep -nE '[!=]= FactFact' internal/lapack/*.go | grep -v '_test\.go:'); \
+	rcond=$$(grep -n 'rcondFromEst(' internal/lapack/*.go | grep -v '_test\.go:' | grep -v 'func rcondFromEst('); \
+	lacn2=$$(grep -n 'Lacn2(' internal/lapack/*.go | grep -v '_test\.go:' | grep -v '/expertnonsym\.go:' | cut -d: -f1 | tr '\n' ' '); \
+	if [ $$(printf '%s\n' "$$fact" | grep -c .) -ne 1 ] || [ $$(printf '%s\n' "$$rcond" | grep -c .) -ne 1 ] \
+		|| [ "$$lacn2" != "internal/lapack/expert.go internal/lapack/rfs.go " ]; then \
+		echo 'lint-once: the expert pipeline has a second copy (see the allowed sites in the Makefile):'; \
+		printf '%s\n%s\nLacn2 callers: %s\n' "$$fact" "$$rcond" "$$lacn2"; exit 1; \
+	fi
+	@echo "lint-once: ok"
+
 build:
 	$(GO) build ./...
 
@@ -122,9 +141,10 @@ fuzz:
 # (square and the 4096×256 QR, Cholesky, Bunch–Kaufman on all four types),
 # Trsm on each leaf form, the Level-3 thread-scaling table, the tall GELSD
 # driver, the eigenvalue iteration phase with its kernels, the Level-1/2
-# leaves and the per-call option overhead, no timing claims.
+# leaves, the per-call option overhead and the expert-driver legs, no timing
+# claims.
 benchsmoke:
-	$(GO) test -run=NONE -bench='Getrf|Gemm|Geqrf|GelsdTall|Steqr|Stedc|Bdsdc|Hseqr|Trevc|Orgtr|Ormtr|Syevd|Gesdd|Geev|RotSeq|Secular|ApplyOptions|Level2|Level3Parallel|Sytrf|Trsm|Potrf' -benchtime=1x .
+	$(GO) test -run=NONE -bench='Getrf|Gemm|Geqrf|GelsdTall|Steqr|Stedc|Bdsdc|Hseqr|Trevc|Orgtr|Ormtr|Syevd|Gesdd|Geev|RotSeq|Secular|ApplyOptions|Level2|Level3Parallel|Sytrf|Trsm|Potrf|AblationExpertDriver' -benchtime=1x .
 	$(GO) run ./cmd/la90bench -reduce -maxn 256 -reps 1 -out /tmp/BENCH_reduce_smoke.json
 	$(GO) run ./cmd/la90bench -batch -maxbatch 64 -reps 1 -out /tmp/BENCH_batch_smoke.json
 	$(GO) run ./cmd/la90bench -mixed -maxn 256 -reps 1 -out /tmp/BENCH_mixed_smoke.json

@@ -316,23 +316,74 @@ func BenchmarkAblationRankDeficientLS(b *testing.B) {
 }
 
 // Expert-driver cost: what refinement + condition estimation add on top
-// of the simple driver.
+// of the simple driver, for the dense, symmetric, packed and band formats of
+// the shared pipeline (internal/lapack/expert.go). n = 200, two right-hand
+// sides; the symmetric legs take A + Aᵀ of the GESVX matrix (plus n·I for the
+// positive definite ones), the band leg its kl = ku = 8 band plus 8·I.
 func BenchmarkAblationExpertDriver(b *testing.B) {
-	n := 200
+	const n, kb = 200, 8
 	a0, b0 := exampleSystem(n, 2)
-	b.Run("GESV", func(b *testing.B) { benchF90GESV(b, n, 2) })
-	b.Run("GESVX", func(b *testing.B) {
-		aw := la.NewMatrix[float64](n, n)
-		bw := la.NewMatrix[float64](n, 2)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			copy(aw.Data, a0)
-			copy(bw.Data, b0)
-			if _, err := la.GESVX(aw, bw); err != nil {
-				b.Fatal(err)
+	sym, spd, band := make([]float64, n*n), make([]float64, n*n), make([]float64, (2*kb+1)*n)
+	var spdPacked []float64
+	for j := 0; j < n; j++ {
+		for i := 0; i < n; i++ {
+			sym[i+j*n] = a0[i+j*n] + a0[j+i*n]
+			spd[i+j*n] = sym[i+j*n]
+			if i == j {
+				spd[i+j*n] += n
+			}
+			if i <= j {
+				spdPacked = append(spdPacked, spd[i+j*n])
+			}
+			if d := kb + i - j; d >= 0 && d <= 2*kb {
+				band[d+j*(2*kb+1)] = a0[i+j*n]
+				if i == j {
+					band[d+j*(2*kb+1)] += 8
+				}
 			}
 		}
+	}
+	ac, bc := make([]complex128, n*n), make([]complex128, 2*n)
+	for i := range ac {
+		ac[i] = complex(a0[i], a0[len(a0)-1-i])
+	}
+	for i := range bc {
+		bc[i] = complex(b0[i], -b0[i])
+	}
+	b.Run("GESV", func(b *testing.B) { benchF90GESV(b, n, 2) })
+	b.Run("GESVX", func(b *testing.B) {
+		benchExpert(b, n, n, a0, b0, func(a, bw *la.Matrix[float64]) error { _, err := la.GESVX(a, bw); return err })
 	})
+	b.Run("POSVX", func(b *testing.B) {
+		benchExpert(b, n, n, spd, b0, func(a, bw *la.Matrix[float64]) error { _, err := la.POSVX(a, bw); return err })
+	})
+	b.Run("SYSVX", func(b *testing.B) {
+		benchExpert(b, n, n, sym, b0, func(a, bw *la.Matrix[float64]) error { _, err := la.SYSVX(a, bw); return err })
+	})
+	b.Run("PPSVX", func(b *testing.B) {
+		benchExpert(b, len(spdPacked), 1, spdPacked, b0, func(a, bw *la.Matrix[float64]) error { _, err := la.PPSVX(a.Data, bw); return err })
+	})
+	b.Run("GBSVX", func(b *testing.B) {
+		benchExpert(b, 2*kb+1, n, band, b0, func(a, bw *la.Matrix[float64]) error { _, err := la.GBSVX(a, bw); return err })
+	})
+	b.Run("GESVXc128", func(b *testing.B) {
+		benchExpert(b, n, n, ac, bc, func(a, bw *la.Matrix[complex128]) error { _, err := la.GESVX(a, bw); return err })
+	})
+}
+
+// benchExpert times call on a fresh copy of the rows×cols matrix storage a0
+// and of the two-column right-hand side b0 per iteration.
+func benchExpert[T la.Scalar](b *testing.B, rows, cols int, a0, b0 []T, call func(a, bw *la.Matrix[T]) error) {
+	aw := la.NewMatrix[T](rows, cols)
+	bw := la.NewMatrix[T](len(b0)/2, 2)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		copy(aw.Data, a0)
+		copy(bw.Data, b0)
+		if err := call(aw, bw); err != nil {
+			b.Fatal(err)
+		}
+	}
 }
 
 func itoa(n int) string {

@@ -152,6 +152,17 @@ func TestF77ExpertAndLS(t *testing.T) {
 			t.Fatalf("gesvx solution error at %d", i)
 		}
 	}
+	// FACT = 'F' reuses the factors the first call left in af/ipiv.
+	xf := make([]float64, n*nrhs)
+	rcondF, info := f77.GESVX('F', f77.NoTrans, n, nrhs, a, n, af, n, ipiv, b, n, xf, n, ferr, berr)
+	if info != 0 || rcondF != rcond {
+		t.Fatalf("gesvx FACT='F': info=%d rcond=%v, FACT='N' gave rcond=%v", info, rcondF, rcond)
+	}
+	for i := range x {
+		if xf[i] != x[i] {
+			t.Fatalf("gesvx FACT='F' solution differs from FACT='N' at %d: %v vs %v", i, xf[i], x[i])
+		}
+	}
 	// GECON must agree with GESVX's estimate.
 	anorm := f77.LANGE('1', n, n, a, n)
 	af2 := append([]float64(nil), a...)

@@ -194,6 +194,14 @@ func (t *triCols[T]) col(j int) (seg []T, lo int) {
 	return t.a[p : p+n], lo
 }
 
+// TriCol returns the stored part of column j of the uplo triangle of an
+// order-n matrix in dense (ld > 0, k < 0), packed (ld = 0) or band (k ≥ 0
+// off-diagonals) storage, and the row index of its first element.
+func TriCol[T core.Scalar](uplo Uplo, n int, a []T, ld, k, j int) (seg []T, lo int) {
+	t := triCols[T]{a, uplo, n, ld, k}
+	return t.col(j)
+}
+
 // offDiag splits column j into its off-diagonal part, starting at row lo,
 // and the diagonal element.
 func (t *triCols[T]) offDiag(j int) (off []T, lo int, d T) {

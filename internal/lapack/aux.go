@@ -235,48 +235,7 @@ func lassq(v float64, scale, ssq *float64) {
 // triangle (xLANSY). It also serves Hermitian matrices when their diagonal
 // is real (as maintained by this library's Hermitian routines).
 func Lansy[T core.Scalar](norm Norm, uplo Uplo, n int, a []T, lda int) float64 {
-	if n == 0 {
-		return 0
-	}
-	abs := func(i, j int) float64 {
-		if (uplo == Upper) == (i <= j) {
-			return core.Abs(a[i+j*lda])
-		}
-		return core.Abs(a[j+i*lda])
-	}
-	switch norm {
-	case MaxAbs:
-		v := 0.0
-		for j := 0; j < n; j++ {
-			lo, hi := 0, j
-			if uplo == Lower {
-				lo, hi = j, n-1
-			}
-			for i := lo; i <= hi; i++ {
-				v = math.Max(v, core.Abs(a[i+j*lda]))
-			}
-		}
-		return v
-	case OneNorm, InfNorm:
-		v := 0.0
-		for j := 0; j < n; j++ {
-			s := 0.0
-			for i := 0; i < n; i++ {
-				s += abs(i, j)
-			}
-			v = math.Max(v, s)
-		}
-		return v
-	case FrobeniusNorm:
-		scale, ssq := 0.0, 1.0
-		for j := 0; j < n; j++ {
-			for i := 0; i < n; i++ {
-				lassq(abs(i, j), &scale, &ssq)
-			}
-		}
-		return scale * math.Sqrt(ssq)
-	}
-	return 0
+	return matNorm(norm, n, n, true, triSeg(uplo, n, a, lda, -1))
 }
 
 // Lantr returns the selected norm of a triangular matrix (xLANTR).
@@ -334,220 +293,15 @@ func Lantr[T core.Scalar](norm Norm, uplo Uplo, diag Diag, m, n int, a []T, lda 
 	return 0
 }
 
-// Langb returns the selected norm of an n×n band matrix with kl sub- and ku
-// super-diagonals (xLANGB).
-func Langb[T core.Scalar](norm Norm, n, kl, ku int, ab []T, ldab int) float64 {
-	if n == 0 {
-		return 0
-	}
-	switch norm {
-	case MaxAbs:
-		v := 0.0
-		for j := 0; j < n; j++ {
-			for i := max(0, j-ku); i <= min(n-1, j+kl); i++ {
-				v = math.Max(v, core.Abs(ab[ku+i-j+j*ldab]))
-			}
-		}
-		return v
-	case OneNorm:
-		v := 0.0
-		for j := 0; j < n; j++ {
-			s := 0.0
-			for i := max(0, j-ku); i <= min(n-1, j+kl); i++ {
-				s += core.Abs(ab[ku+i-j+j*ldab])
-			}
-			v = math.Max(v, s)
-		}
-		return v
-	case InfNorm:
-		rows := make([]float64, n)
-		for j := 0; j < n; j++ {
-			for i := max(0, j-ku); i <= min(n-1, j+kl); i++ {
-				rows[i] += core.Abs(ab[ku+i-j+j*ldab])
-			}
-		}
-		v := 0.0
-		for _, s := range rows {
-			v = math.Max(v, s)
-		}
-		return v
-	case FrobeniusNorm:
-		scale, ssq := 0.0, 1.0
-		for j := 0; j < n; j++ {
-			for i := max(0, j-ku); i <= min(n-1, j+kl); i++ {
-				lassq(core.Abs(ab[ku+i-j+j*ldab]), &scale, &ssq)
-			}
-		}
-		return scale * math.Sqrt(ssq)
-	}
-	return 0
-}
-
-// Langt returns the selected norm of a tridiagonal matrix given by its
-// sub-diagonal dl, diagonal d and super-diagonal du (xLANGT).
-func Langt[T core.Scalar](norm Norm, n int, dl, d, du []T) float64 {
-	if n == 0 {
-		return 0
-	}
-	switch norm {
-	case MaxAbs:
-		v := 0.0
-		for i := 0; i < n; i++ {
-			v = math.Max(v, core.Abs(d[i]))
-		}
-		for i := 0; i < n-1; i++ {
-			v = math.Max(v, math.Max(core.Abs(dl[i]), core.Abs(du[i])))
-		}
-		return v
-	case OneNorm:
-		// Column sums.
-		v := 0.0
-		for j := 0; j < n; j++ {
-			s := core.Abs(d[j])
-			if j > 0 {
-				s += core.Abs(du[j-1])
-			}
-			if j < n-1 {
-				s += core.Abs(dl[j])
-			}
-			v = math.Max(v, s)
-		}
-		return v
-	case InfNorm:
-		v := 0.0
-		for i := 0; i < n; i++ {
-			s := core.Abs(d[i])
-			if i > 0 {
-				s += core.Abs(dl[i-1])
-			}
-			if i < n-1 {
-				s += core.Abs(du[i])
-			}
-			v = math.Max(v, s)
-		}
-		return v
-	case FrobeniusNorm:
-		scale, ssq := 0.0, 1.0
-		for i := 0; i < n; i++ {
-			lassq(core.Abs(d[i]), &scale, &ssq)
-		}
-		for i := 0; i < n-1; i++ {
-			lassq(core.Abs(dl[i]), &scale, &ssq)
-			lassq(core.Abs(du[i]), &scale, &ssq)
-		}
-		return scale * math.Sqrt(ssq)
-	}
-	return 0
-}
-
 // Lanst returns the selected norm of a symmetric tridiagonal matrix (xLANST).
 func Lanst[T core.Float](norm Norm, n int, d, e []T) float64 {
-	dl := make([]T, max(0, n-1))
-	copy(dl, e)
-	return Langt(norm, n, dl, d, dl)
-}
-
-// Lansp returns the selected norm of a symmetric matrix in packed storage
-// (xLANSP; also used for Hermitian packed matrices with real diagonals).
-func Lansp[T core.Scalar](norm Norm, uplo Uplo, n int, ap []T) float64 {
-	if n == 0 {
-		return 0
-	}
-	abs := func(i, j int) float64 {
-		if (uplo == Upper) == (i <= j) {
-			return core.Abs(ap[blas.PackIdx(uplo, n, i, j)])
+	var col [2]T
+	return matNorm(norm, n, n, true, func(j int) ([]T, int) {
+		if j == n-1 {
+			return append(col[:0], d[j]), j
 		}
-		return core.Abs(ap[blas.PackIdx(uplo, n, j, i)])
-	}
-	switch norm {
-	case MaxAbs:
-		v := 0.0
-		for _, x := range ap[:n*(n+1)/2] {
-			v = math.Max(v, core.Abs(x))
-		}
-		return v
-	case OneNorm, InfNorm:
-		v := 0.0
-		for j := 0; j < n; j++ {
-			s := 0.0
-			for i := 0; i < n; i++ {
-				s += abs(i, j)
-			}
-			v = math.Max(v, s)
-		}
-		return v
-	case FrobeniusNorm:
-		scale, ssq := 0.0, 1.0
-		for j := 0; j < n; j++ {
-			for i := 0; i < n; i++ {
-				lassq(abs(i, j), &scale, &ssq)
-			}
-		}
-		return scale * math.Sqrt(ssq)
-	}
-	return 0
-}
-
-// Lansb returns the selected norm of a symmetric band matrix with k
-// off-diagonals stored in the uplo triangle (xLANSB).
-func Lansb[T core.Scalar](norm Norm, uplo Uplo, n, k int, ab []T, ldab int) float64 {
-	if n == 0 {
-		return 0
-	}
-	at := func(i, j int) float64 {
-		if i > j {
-			i, j = j, i
-		}
-		if j-i > k {
-			return 0
-		}
-		if uplo == Upper {
-			return core.Abs(ab[k+i-j+j*ldab])
-		}
-		return core.Abs(ab[j-i+i*ldab])
-	}
-	switch norm {
-	case MaxAbs:
-		v := 0.0
-		for j := 0; j < n; j++ {
-			for i := max(0, j-k); i <= min(n-1, j+k); i++ {
-				v = math.Max(v, at(i, j))
-			}
-		}
-		return v
-	case OneNorm, InfNorm:
-		v := 0.0
-		for j := 0; j < n; j++ {
-			s := 0.0
-			for i := max(0, j-k); i <= min(n-1, j+k); i++ {
-				s += at(i, j)
-			}
-			v = math.Max(v, s)
-		}
-		return v
-	case FrobeniusNorm:
-		scale, ssq := 0.0, 1.0
-		for j := 0; j < n; j++ {
-			for i := max(0, j-k); i <= min(n-1, j+k); i++ {
-				lassq(at(i, j), &scale, &ssq)
-			}
-		}
-		return scale * math.Sqrt(ssq)
-	}
-	return 0
-}
-
-// Lanhs returns the selected norm of an upper Hessenberg matrix (xLANHS).
-func Lanhs[T core.Scalar](norm Norm, n int, a []T, lda int) float64 {
-	if n == 0 {
-		return 0
-	}
-	switch norm {
-	case MaxAbs, OneNorm, FrobeniusNorm, InfNorm:
-		// A Hessenberg matrix is general with structural zeros; delegate.
-		return Lange(norm, n, n, a, lda)
-	}
-	return 0
+		return append(col[:0], d[j], e[j]), j
+	})
 }
 
 // Rng is the pseudo-random stream used by Larnv, seeded LAPACK-style with a

@@ -1,8 +1,6 @@
 package lapack
 
 import (
-	"math"
-
 	"repro/internal/blas"
 	"repro/internal/core"
 )
@@ -118,211 +116,30 @@ func Gbsv[T core.Scalar](n, kl, ku, nrhs int, ab []T, ldab int, ipiv []int, b []
 	return info
 }
 
-// Gbcon estimates the reciprocal condition number of a band matrix from its
-// LU factorization (xGBCON).
-func Gbcon[T core.Scalar](norm Norm, n, kl, ku int, ab []T, ldab int, ipiv []int, anorm float64) float64 {
-	if n == 0 {
-		return 1
-	}
-	if anorm == 0 {
-		return 0
-	}
-	flip := norm == InfNorm
-	ainvnm := Lacn2(n, func(conjTrans bool, x []T) {
-		tr := NoTrans
-		if conjTrans != flip {
-			tr = ConjTrans
-		}
-		Gbtrs(tr, n, kl, ku, 1, ab, ldab, ipiv, x, n)
-	})
-	return rcondFromEst(ainvnm, anorm)
-}
-
-// Gbequ computes row and column scalings to equilibrate a band matrix
-// (xGBEQU). The semantics match Geequ. The matrix is given in unfactored
-// band storage with leading dimension ldab and row offset rowOff (kl+ku for
-// LU-style storage with fill rows, ku for plain band storage).
-func Gbequ[T core.Scalar](m, n, kl, ku int, ab []T, ldab, rowOff int, r, c []float64) (rowcnd, colcnd, amax float64, info int) {
-	if m == 0 || n == 0 {
-		return 1, 1, 0, 0
-	}
-	smlnum := core.SafeMin[T]()
-	bignum := 1 / smlnum
-	for i := 0; i < m; i++ {
-		r[i] = 0
-	}
-	for j := 0; j < n; j++ {
-		for i := max(0, j-ku); i <= min(m-1, j+kl); i++ {
-			r[i] = math.Max(r[i], core.Abs1(ab[rowOff+i-j+j*ldab]))
-		}
-	}
-	rcmin, rcmax := bignum, 0.0
-	for i := 0; i < m; i++ {
-		rcmax = math.Max(rcmax, r[i])
-		rcmin = math.Min(rcmin, r[i])
-	}
-	amax = rcmax
-	if rcmin == 0 {
-		for i := 0; i < m; i++ {
-			if r[i] == 0 {
-				return 0, 0, amax, i + 1
+// gbSystem describes the band matrix ab, in plain band storage (ldab >=
+// kl+ku+1, row offset ku), to the expert pipeline, with its LU factorization
+// in afb (LU band storage, ldafb >= 2*kl+ku+1) and ipiv.
+func gbSystem[T core.Scalar](n, kl, ku int, ab []T, ldab int, afb []T, ldafb int, ipiv []int) *system[T] {
+	return &system[T]{
+		n: n, equil: true,
+		cols: func(j int) ([]T, int) {
+			lo, hi := max(0, j-ku), min(n-1, j+kl)
+			return ab[ku+lo-j+j*ldab : ku+hi-j+j*ldab+1], lo
+		},
+		factor: func() int {
+			for j := 0; j < n; j++ { // the band goes under the kl fill rows
+				copy(afb[kl+j*ldafb:kl+j*ldafb+kl+ku+1], ab[j*ldab:j*ldab+kl+ku+1])
 			}
-		}
-	}
-	for i := 0; i < m; i++ {
-		r[i] = 1 / math.Min(math.Max(r[i], smlnum), bignum)
-	}
-	rowcnd = math.Max(rcmin, smlnum) / math.Min(rcmax, bignum)
-	for j := 0; j < n; j++ {
-		c[j] = 0
-		for i := max(0, j-ku); i <= min(m-1, j+kl); i++ {
-			c[j] = math.Max(c[j], core.Abs1(ab[rowOff+i-j+j*ldab])*r[i])
-		}
-	}
-	rcmin, rcmax = bignum, 0.0
-	for j := 0; j < n; j++ {
-		rcmax = math.Max(rcmax, c[j])
-		rcmin = math.Min(rcmin, c[j])
-	}
-	if rcmin == 0 {
-		for j := 0; j < n; j++ {
-			if c[j] == 0 {
-				return rowcnd, 0, amax, m + j + 1
-			}
-		}
-	}
-	for j := 0; j < n; j++ {
-		c[j] = 1 / math.Min(math.Max(c[j], smlnum), bignum)
-	}
-	colcnd = math.Max(rcmin, smlnum) / math.Min(rcmax, bignum)
-	return rowcnd, colcnd, amax, 0
-}
-
-// absGbmv computes y += |op(A)|·xa for a band matrix in plain band storage
-// with row offset rowOff.
-func absGbmv[T core.Scalar](trans Trans, n, kl, ku int, ab []T, ldab, rowOff int, xa, y []float64) {
-	for j := 0; j < n; j++ {
-		for i := max(0, j-ku); i <= min(n-1, j+kl); i++ {
-			v := core.Abs1(ab[rowOff+i-j+j*ldab])
-			if trans == NoTrans {
-				y[i] += v * xa[j]
-			} else {
-				y[j] += v * xa[i]
-			}
-		}
-	}
-}
-
-// Gbrfs iteratively refines the solution of a band system and returns error
-// bounds (xGBRFS). ab is the original matrix in plain band storage (row
-// offset ku); afb is the LU factorization in LU band storage.
-func Gbrfs[T core.Scalar](trans Trans, n, kl, ku, nrhs int, ab []T, ldab int, afb []T, ldafb int, ipiv []int, b []T, ldb int, x []T, ldx int, ferr, berr []float64) {
-	rfs(trans, n, nrhs,
-		func(tr Trans, alpha T, x []T, beta T, y []T) {
+			return Gbtrf(n, n, kl, ku, afb, ldafb, ipiv)
+		},
+		solve: func(tr Trans, nrhs int, x []T, ldx int) { Gbtrs(tr, n, kl, ku, nrhs, afb, ldafb, ipiv, x, ldx) },
+		mul: func(tr Trans, alpha T, x []T, beta T, y []T) {
 			blas.Gbmv(tr, n, n, kl, ku, alpha, ab, ldab, x, 1, beta, y, 1)
 		},
-		func(tr Trans, xa, y []float64) { absGbmv(tr, n, kl, ku, ab, ldab, ku, xa, y) },
-		func(tr Trans, r []T) { Gbtrs(tr, n, kl, ku, 1, afb, ldafb, ipiv, r, n) },
-		b, ldb, x, ldx, ferr, berr)
+	}
 }
 
-// Gbsvx is the expert driver for general band systems (xGBSVX). ab holds
-// the matrix in plain band storage (ldab >= kl+ku+1); afb (ldafb >=
-// 2*kl+ku+1) receives the LU factorization. Results mirror Gesvx.
-func Gbsvx[T core.Scalar](fact Fact, trans Trans, n, kl, ku, nrhs int, ab []T, ldab int, afb []T, ldafb int, ipiv []int, b []T, ldb int, x []T, ldx int) GesvxResult {
-	res := GesvxResult{
-		Equed: EquedNone,
-		R:     make([]float64, n),
-		C:     make([]float64, n),
-		Ferr:  make([]float64, nrhs),
-		Berr:  make([]float64, nrhs),
-	}
-	for i := range res.R {
-		res.R[i], res.C[i] = 1, 1
-	}
-	if fact == FactEquilibrate {
-		rowcnd, colcnd, amax, inf := Gbequ(n, n, kl, ku, ab, ldab, ku, res.R, res.C)
-		if inf == 0 {
-			const thresh = 0.1
-			small := core.SafeMin[T]() / core.Eps[T]()
-			large := 1 / small
-			rowScale := rowcnd < thresh || amax < small || amax > large
-			colScale := colcnd < thresh
-			if rowScale || colScale {
-				for j := 0; j < n; j++ {
-					for i := max(0, j-ku); i <= min(n-1, j+kl); i++ {
-						s := 1.0
-						if rowScale {
-							s *= res.R[i]
-						}
-						if colScale {
-							s *= res.C[j]
-						}
-						ab[ku+i-j+j*ldab] *= core.FromFloat[T](s)
-					}
-				}
-				switch {
-				case rowScale && colScale:
-					res.Equed = EquedBoth
-				case rowScale:
-					res.Equed = EquedRow
-				default:
-					res.Equed = EquedCol
-				}
-			}
-		}
-	}
-	scaleRows := res.Equed == EquedRow || res.Equed == EquedBoth
-	scaleCols := res.Equed == EquedCol || res.Equed == EquedBoth
-	if trans == NoTrans && scaleRows {
-		for j := 0; j < nrhs; j++ {
-			for i := 0; i < n; i++ {
-				b[i+j*ldb] *= core.FromFloat[T](res.R[i])
-			}
-		}
-	} else if trans != NoTrans && scaleCols {
-		for j := 0; j < nrhs; j++ {
-			for i := 0; i < n; i++ {
-				b[i+j*ldb] *= core.FromFloat[T](res.C[i])
-			}
-		}
-	}
-	if fact != FactFact {
-		// Copy the band into the factored storage (rows kl..2*kl+ku).
-		for j := 0; j < n; j++ {
-			for i := 0; i <= kl+ku; i++ {
-				afb[kl+i+j*ldafb] = ab[i+j*ldab]
-			}
-		}
-		res.Info = Gbtrf(n, n, kl, ku, afb, ldafb, ipiv)
-	}
-	if res.Info > 0 {
-		return res
-	}
-	norm := OneNorm
-	if trans != NoTrans {
-		norm = InfNorm
-	}
-	anorm := Langb(norm, n, kl, ku, ab[0:], ldab)
-	res.RCond = Gbcon(norm, n, kl, ku, afb, ldafb, ipiv, anorm)
-	Lacpy('A', n, nrhs, b, ldb, x, ldx)
-	Gbtrs(trans, n, kl, ku, nrhs, afb, ldafb, ipiv, x, ldx)
-	Gbrfs(trans, n, kl, ku, nrhs, ab, ldab, afb, ldafb, ipiv, b, ldb, x, ldx, res.Ferr, res.Berr)
-	if trans == NoTrans && scaleCols {
-		for j := 0; j < nrhs; j++ {
-			for i := 0; i < n; i++ {
-				x[i+j*ldx] *= core.FromFloat[T](res.C[i])
-			}
-		}
-	} else if trans != NoTrans && scaleRows {
-		for j := 0; j < nrhs; j++ {
-			for i := 0; i < n; i++ {
-				x[i+j*ldx] *= core.FromFloat[T](res.R[i])
-			}
-		}
-	}
-	if res.RCond < core.Eps[T]() {
-		res.Info = n + 1
-	}
-	return res
+// Gbsvx is the expert driver for general band systems (xGBSVX); see Gesvx.
+func Gbsvx[T core.Scalar](fact Fact, trans Trans, n, kl, ku, nrhs int, ab []T, ldab int, afb []T, ldafb int, ipiv []int, b []T, ldb int, x []T, ldx int) SvxResult {
+	return svx(gbSystem(n, kl, ku, ab, ldab, afb, ldafb, ipiv), fact, trans, nrhs, b, ldb, x, ldx)
 }

@@ -90,22 +90,19 @@ func TestGbconGbrfs(t *testing.T) {
 	if info := lapack.Gbtrf(n, n, kl, ku, afb, ldab, ipiv); info != 0 {
 		t.Fatalf("gbtrf info=%d", info)
 	}
-	anorm := lapack.Langb(lapack.OneNorm, n, kl, ku, abPlain, ldabPlain)
-	rcond := lapack.Gbcon(lapack.OneNorm, n, kl, ku, afb, ldab, ipiv, anorm)
-	if rcond <= 0 || rcond > 1.000001 {
-		t.Fatalf("gbcon rcond=%v", rcond)
-	}
 	xTrue := testutil.RandGeneral[float64](rng, n, nrhs, n)
 	b := make([]float64, n*nrhs)
 	blas.Gemm(tcfg(), blas.NoTrans, blas.NoTrans, n, nrhs, n, 1, a, n, xTrue, n, 0, b, n)
-	x := append([]float64(nil), b...)
-	lapack.Gbtrs(lapack.NoTrans, n, kl, ku, nrhs, afb, ldab, ipiv, x, n)
-	ferr := make([]float64, nrhs)
-	berr := make([]float64, nrhs)
-	lapack.Gbrfs(lapack.NoTrans, n, kl, ku, nrhs, abPlain, ldabPlain, afb, ldab, ipiv, b, n, x, n, ferr, berr)
+	// Condition estimate and refinement off the supplied factorization
+	// (FACT = 'F'), through the shared con and rfs of the expert pipeline.
+	x := make([]float64, n*nrhs)
+	res := lapack.Gbsvx(lapack.FactFact, lapack.NoTrans, n, kl, ku, nrhs, abPlain, ldabPlain, afb, ldab, ipiv, b, n, x, n)
+	if res.Info != 0 || res.RCond <= 0 || res.RCond > 1.000001 {
+		t.Fatalf("gbcon info=%d rcond=%v", res.Info, res.RCond)
+	}
 	for j := 0; j < nrhs; j++ {
-		if berr[j] > 100*core.Eps[float64]() {
-			t.Fatalf("gbrfs berr=%v", berr[j])
+		if res.Berr[j] > 100*core.Eps[float64]() {
+			t.Fatalf("gbrfs berr=%v", res.Berr[j])
 		}
 	}
 	if d := testutil.MaxDiff(x, xTrue); d > 1e-9 {
@@ -210,10 +207,14 @@ func testGtsv[T core.Scalar](t *testing.T, n, nrhs int) {
 			t.Fatalf("gttrs %v error %v", tr, dd)
 		}
 	}
-	// Condition number and refinement.
-	anorm := lapack.Langt(lapack.OneNorm, n, dl, d, du)
-	if rc := lapack.Gtcon(lapack.OneNorm, n, dlf, df, duf, du2, ipiv, anorm); rc <= 0 || rc > 1.000001 {
-		t.Fatalf("gtcon rcond=%v", rc)
+	// Condition number and refinement off the same factorization.
+	x := make([]T, n*nrhs)
+	res := lapack.Gtsvx(lapack.FactFact, lapack.NoTrans, n, nrhs, dl, d, du, dlf, df, duf, du2, ipiv, b, n, x, n)
+	if res.Info != 0 || res.RCond <= 0 || res.RCond > 1.000001 {
+		t.Fatalf("gtcon info=%d rcond=%v", res.Info, res.RCond)
+	}
+	if dd := testutil.MaxDiff(x, sol); dd > 1e6*core.Eps[T]() {
+		t.Fatalf("gtsvx vs gtsv %v", dd)
 	}
 }
 

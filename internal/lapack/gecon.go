@@ -96,48 +96,35 @@ func argmaxAbs[T core.Scalar](x []T) int {
 	return best
 }
 
+// geSystem describes the dense general matrix a to the expert pipeline
+// (expert.go), with its LU factorization in af/ipiv.
+func geSystem[T core.Scalar](cfg *core.Config, n int, a []T, lda int, af []T, ldaf int, ipiv []int) *system[T] {
+	return &system[T]{
+		n: n, equil: true,
+		cols: func(j int) ([]T, int) { return a[j*lda : j*lda+n], 0 },
+		factor: func() int {
+			Lacpy('A', n, n, a, lda, af, ldaf)
+			return Getrf(cfg, n, n, af, ldaf, ipiv)
+		},
+		solve: func(tr Trans, nrhs int, x []T, ldx int) { Getrs(cfg, tr, n, nrhs, af, ldaf, ipiv, x, ldx) },
+		mul: func(tr Trans, alpha T, x []T, beta T, y []T) {
+			blas.Gemv(cfg, tr, n, n, alpha, a, lda, x, 1, beta, y, 1)
+		},
+		growth: func() float64 { // max|a_ij| / max|u_ij|
+			u := matNorm(MaxAbs, n, n, false, func(j int) ([]T, int) { return af[j*ldaf : j*ldaf+j+1], 0 })
+			if u == 0 {
+				return 1
+			}
+			return Lange(MaxAbs, n, n, a, lda) / u
+		},
+	}
+}
+
 // Gecon estimates the reciprocal condition number of a general matrix from
 // its LU factorization (xGECON). norm selects the 1-norm or ∞-norm; anorm
 // is the corresponding norm of the original matrix.
 func Gecon[T core.Scalar](cfg *core.Config, norm Norm, n int, a []T, lda int, ipiv []int, anorm float64) float64 {
-	if n == 0 {
-		return 1
-	}
-	if anorm == 0 {
-		return 0
-	}
-	// ∞-norm of A⁻¹ equals 1-norm of A⁻ᵀ; flip the transpose sense.
-	flip := norm == InfNorm
-	ainvnm := Lacn2(n, func(conjTrans bool, x []T) {
-		tr := NoTrans
-		if conjTrans != flip {
-			tr = ConjTrans
-		}
-		Getrs(cfg, tr, n, 1, a, lda, ipiv, x, n)
-	})
-	return rcondFromEst(ainvnm, anorm)
-}
-
-// rcondFromEst forms rcond = (1/ainvnm)/anorm from a norm estimate, guarding
-// the intermediate overflow when ainvnm is subnormal (1/ainvnm → +Inf for
-// anorm near MaxFloat64). Since ‖A‖·‖A⁻¹‖ ≥ ‖I‖ = 1 for any induced norm,
-// a value above 1 can only be a rounding or overflow artifact — clamp it.
-func rcondFromEst(ainvnm, anorm float64) float64 {
-	if ainvnm == 0 {
-		return 0
-	}
-	if math.IsInf(anorm, 1) || math.IsNaN(anorm) {
-		// The norm of a finite matrix overflowed (e.g. column sums of
-		// MaxFloat64 entries): no conditioning can be certified, and
-		// Inf/Inf below would yield NaN. Report 0 — “ill-conditioned to
-		// working precision”, the conservative truth.
-		return 0
-	}
-	rcond := (1 / ainvnm) / anorm
-	if rcond > 1 {
-		rcond = 1
-	}
-	return rcond
+	return geSystem(cfg, n, nil, 0, a, lda, ipiv).con(norm, anorm)
 }
 
 // Geequ computes row and column scalings meant to equilibrate an m×n matrix
@@ -146,112 +133,7 @@ func rcondFromEst(ainvnm, anorm float64) float64 {
 // info > 0 signals an exactly zero row (info = i) or column (info = m+j),
 // 1-based as in LAPACK.
 func Geequ[T core.Scalar](m, n int, a []T, lda int, r, c []float64) (rowcnd, colcnd, amax float64, info int) {
-	if m == 0 || n == 0 {
-		return 1, 1, 0, 0
-	}
-	smlnum := core.SafeMin[T]()
-	bignum := 1 / smlnum
-	for i := 0; i < m; i++ {
-		r[i] = 0
-	}
-	for j := 0; j < n; j++ {
-		for i := 0; i < m; i++ {
-			r[i] = math.Max(r[i], core.Abs1(a[i+j*lda]))
-		}
-	}
-	rcmin, rcmax := bignum, 0.0
-	for i := 0; i < m; i++ {
-		rcmax = math.Max(rcmax, r[i])
-		rcmin = math.Min(rcmin, r[i])
-	}
-	amax = rcmax
-	if rcmin == 0 {
-		for i := 0; i < m; i++ {
-			if r[i] == 0 {
-				return 0, 0, amax, i + 1
-			}
-		}
-	}
-	for i := 0; i < m; i++ {
-		r[i] = 1 / math.Min(math.Max(r[i], smlnum), bignum)
-	}
-	rowcnd = math.Max(rcmin, smlnum) / math.Min(rcmax, bignum)
-
-	for j := 0; j < n; j++ {
-		c[j] = 0
-		for i := 0; i < m; i++ {
-			c[j] = math.Max(c[j], core.Abs1(a[i+j*lda])*r[i])
-		}
-	}
-	rcmin, rcmax = bignum, 0.0
-	for j := 0; j < n; j++ {
-		rcmax = math.Max(rcmax, c[j])
-		rcmin = math.Min(rcmin, c[j])
-	}
-	if rcmin == 0 {
-		for j := 0; j < n; j++ {
-			if c[j] == 0 {
-				return rowcnd, 0, amax, m + j + 1
-			}
-		}
-	}
-	for j := 0; j < n; j++ {
-		c[j] = 1 / math.Min(math.Max(c[j], smlnum), bignum)
-	}
-	colcnd = math.Max(rcmin, smlnum) / math.Min(rcmax, bignum)
-	return rowcnd, colcnd, amax, 0
-}
-
-// Equed describes which equilibration was applied by an expert driver.
-type Equed byte
-
-// Equed values, matching LAPACK's EQUED character.
-const (
-	EquedNone Equed = 'N'
-	EquedRow  Equed = 'R'
-	EquedCol  Equed = 'C'
-	EquedBoth Equed = 'B'
-)
-
-// Laqge equilibrates a general matrix with the scalings from Geequ when
-// they are worthwhile (xLAQGE), returning which scaling was applied.
-func Laqge[T core.Scalar](m, n int, a []T, lda int, r, c []float64, rowcnd, colcnd, amax float64) Equed {
-	const thresh = 0.1
-	small := core.SafeMin[T]() / core.Eps[T]()
-	large := 1 / small
-	rowScale := rowcnd < thresh || amax < small || amax > large
-	colScale := colcnd < thresh
-	switch {
-	case !rowScale && !colScale:
-		return EquedNone
-	case rowScale && !colScale:
-		for j := 0; j < n; j++ {
-			for i := 0; i < m; i++ {
-				a[i+j*lda] *= core.FromFloat[T](r[i])
-			}
-		}
-		return EquedRow
-	case !rowScale && colScale:
-		for j := 0; j < n; j++ {
-			cj := core.FromFloat[T](c[j])
-			for i := 0; i < m; i++ {
-				a[i+j*lda] *= cj
-			}
-		}
-		return EquedCol
-	default:
-		for j := 0; j < n; j++ {
-			cj := core.FromFloat[T](c[j])
-			for i := 0; i < m; i++ {
-				// Apply the factors one at a time, as xLAQGE's
-				// R(i)*A(i,j)*C(j) does left-to-right: pre-combining
-				// cj*r[i] can overflow to Inf and turn a zero entry
-				// into NaN.
-				a[i+j*lda] = a[i+j*lda] * core.FromFloat[T](r[i]) * cj
-			}
-		}
-		return EquedBoth
-	}
+	return equScales(m, n, func(j int) ([]T, int) { return a[j*lda : j*lda+m], 0 }, r, c)
 }
 
 // Gerfs improves the computed solution X of op(A)·X = B by iterative
@@ -259,115 +141,14 @@ func Laqge[T core.Scalar](m, n int, a []T, lda int, r, c []float64, rowcnd, colc
 // forward error bounds ferr per right-hand side (xGERFS). a is the original
 // matrix, af/ipiv its LU factorization.
 func Gerfs[T core.Scalar](cfg *core.Config, trans Trans, n, nrhs int, a []T, lda int, af []T, ldaf int, ipiv []int, b []T, ldb int, x []T, ldx int, ferr, berr []float64) {
-	rfs(trans, n, nrhs,
-		func(tr Trans, alpha T, x []T, beta T, y []T) {
-			blas.Gemv(cfg, tr, n, n, alpha, a, lda, x, 1, beta, y, 1)
-		},
-		func(tr Trans, xa, y []float64) { absGemv(tr, n, n, a, lda, xa, y) },
-		func(tr Trans, r []T) { Getrs(cfg, tr, n, 1, af, ldaf, ipiv, r, n) },
-		b, ldb, x, ldx, ferr, berr)
+	geSystem(cfg, n, a, lda, af, ldaf, ipiv).rfs(trans, nrhs, b, ldb, x, ldx, ferr, berr)
 }
-
-// GesvxResult carries the outputs of the expert driver Gesvx.
-type GesvxResult struct {
-	Equed  Equed     // equilibration actually applied
-	R, C   []float64 // row/column scale factors (when equilibrated)
-	RCond  float64   // reciprocal condition number estimate
-	RPvGrw float64   // reciprocal pivot growth factor
-	Ferr   []float64 // forward error bound per right-hand side
-	Berr   []float64 // componentwise backward error per right-hand side
-	Info   int       // 0, i>0 for singular U(i,i), n+1 when rcond < eps
-}
-
-// Fact selects the factorization mode of an expert driver.
-type Fact byte
-
-// Fact values, matching LAPACK's FACT character.
-const (
-	FactNone        Fact = 'N' // factor A
-	FactFact        Fact = 'F' // factors are supplied in af/ipiv
-	FactEquilibrate Fact = 'E' // equilibrate A, then factor
-)
 
 // Gesvx is the expert driver for general linear systems (xGESVX): it
-// optionally equilibrates the system, factors it (unless factors are
-// supplied), solves, iteratively refines, and returns error bounds and a
-// condition estimate. a and b are overwritten only when equilibration is
-// applied; the solution is written to x.
-func Gesvx[T core.Scalar](cfg *core.Config, fact Fact, trans Trans, n, nrhs int, a []T, lda int, af []T, ldaf int, ipiv []int, b []T, ldb int, x []T, ldx int) GesvxResult {
-	res := GesvxResult{
-		Equed: EquedNone,
-		R:     make([]float64, n),
-		C:     make([]float64, n),
-		Ferr:  make([]float64, nrhs),
-		Berr:  make([]float64, nrhs),
-	}
-	for i := range res.R {
-		res.R[i], res.C[i] = 1, 1
-	}
-	if fact == FactEquilibrate {
-		rowcnd, colcnd, amax, inf := Geequ(n, n, a, lda, res.R, res.C)
-		if inf == 0 {
-			res.Equed = Laqge(n, n, a, lda, res.R, res.C, rowcnd, colcnd, amax)
-		}
-	}
-	// Scale the right-hand side to match the equilibration.
-	scaleRows := res.Equed == EquedRow || res.Equed == EquedBoth
-	scaleCols := res.Equed == EquedCol || res.Equed == EquedBoth
-	if trans == NoTrans && scaleRows {
-		for j := 0; j < nrhs; j++ {
-			for i := 0; i < n; i++ {
-				b[i+j*ldb] *= core.FromFloat[T](res.R[i])
-			}
-		}
-	} else if trans != NoTrans && scaleCols {
-		for j := 0; j < nrhs; j++ {
-			for i := 0; i < n; i++ {
-				b[i+j*ldb] *= core.FromFloat[T](res.C[i])
-			}
-		}
-	}
-	if fact != FactFact {
-		Lacpy('A', n, n, a, lda, af, ldaf)
-		res.Info = Getrf(cfg, n, n, af, ldaf, ipiv)
-	}
-	// Reciprocal pivot growth.
-	anormM := Lange(MaxAbs, n, n, a, lda)
-	unormM := Lantr(MaxAbs, Upper, NonUnit, n, n, af, ldaf)
-	if unormM == 0 {
-		res.RPvGrw = 1
-	} else {
-		res.RPvGrw = anormM / unormM
-	}
-	if res.Info > 0 {
-		return res
-	}
-	norm := OneNorm
-	if trans != NoTrans {
-		norm = InfNorm
-	}
-	anorm := Lange(norm, n, n, a, lda)
-	res.RCond = Gecon(cfg, norm, n, af, ldaf, ipiv, anorm)
-	// Solve and refine.
-	Lacpy('A', n, nrhs, b, ldb, x, ldx)
-	Getrs(cfg, trans, n, nrhs, af, ldaf, ipiv, x, ldx)
-	Gerfs(cfg, trans, n, nrhs, a, lda, af, ldaf, ipiv, b, ldb, x, ldx, res.Ferr, res.Berr)
-	// Undo equilibration on the solution.
-	if trans == NoTrans && scaleCols {
-		for j := 0; j < nrhs; j++ {
-			for i := 0; i < n; i++ {
-				x[i+j*ldx] *= core.FromFloat[T](res.C[i])
-			}
-		}
-	} else if trans != NoTrans && scaleRows {
-		for j := 0; j < nrhs; j++ {
-			for i := 0; i < n; i++ {
-				x[i+j*ldx] *= core.FromFloat[T](res.R[i])
-			}
-		}
-	}
-	if res.RCond < core.Eps[T]() {
-		res.Info = n + 1
-	}
-	return res
+// optionally equilibrates the system, factors it (unless fact is FactFact and
+// af/ipiv supply the factors), solves, iteratively refines, and returns error
+// bounds and a condition estimate. a and b are overwritten only when
+// equilibration is applied; the solution is written to x.
+func Gesvx[T core.Scalar](cfg *core.Config, fact Fact, trans Trans, n, nrhs int, a []T, lda int, af []T, ldaf int, ipiv []int, b []T, ldb int, x []T, ldx int) SvxResult {
+	return svx(geSystem(cfg, n, a, lda, af, ldaf, ipiv), fact, trans, nrhs, b, ldb, x, ldx)
 }

@@ -123,26 +123,6 @@ func Gtsv[T core.Scalar](n, nrhs int, dl, d, du []T, b []T, ldb int) int {
 	return info
 }
 
-// Gtcon estimates the reciprocal 1-norm condition number of a general
-// tridiagonal matrix from its LU factorization (xGTCON).
-func Gtcon[T core.Scalar](norm Norm, n int, dl, d, du, du2 []T, ipiv []int, anorm float64) float64 {
-	if n == 0 {
-		return 1
-	}
-	if anorm == 0 {
-		return 0
-	}
-	flip := norm == InfNorm
-	ainvnm := Lacn2(n, func(conjTrans bool, x []T) {
-		tr := NoTrans
-		if conjTrans != flip {
-			tr = ConjTrans
-		}
-		Gttrs(tr, n, 1, dl, d, du, du2, ipiv, x, n)
-	})
-	return rcondFromEst(ainvnm, anorm)
-}
-
 // gtmv computes y = alpha·op(A)·x + beta·y for a tridiagonal matrix.
 func gtmv[T core.Scalar](trans Trans, n int, dl, d, du []T, alpha T, x []T, beta T, y []T) {
 	cj := func(v T) T { return v }
@@ -177,74 +157,38 @@ func gtmv[T core.Scalar](trans Trans, n int, dl, d, du []T, alpha T, x []T, beta
 	}
 }
 
-// Gtrfs iteratively refines the solution of a tridiagonal system and
-// returns error bounds (xGTRFS). dl/d/du are the original matrix; dlf/df/
-// duf/du2/ipiv its factorization.
-func Gtrfs[T core.Scalar](trans Trans, n, nrhs int, dl, d, du, dlf, df, duf, du2 []T, ipiv []int, b []T, ldb int, x []T, ldx int, ferr, berr []float64) {
-	rfs(trans, n, nrhs,
-		func(tr Trans, alpha T, x []T, beta T, y []T) { gtmv(tr, n, dl, d, du, alpha, x, beta, y) },
-		func(tr Trans, xa, y []float64) {
-			for i := 0; i < n; i++ {
-				var s float64
-				if tr == NoTrans {
-					s = core.Abs1(d[i]) * xa[i]
-					if i > 0 {
-						s += core.Abs1(dl[i-1]) * xa[i-1]
-					}
-					if i < n-1 {
-						s += core.Abs1(du[i]) * xa[i+1]
-					}
-				} else {
-					s = core.Abs1(d[i]) * xa[i]
-					if i > 0 {
-						s += core.Abs1(du[i-1]) * xa[i-1]
-					}
-					if i < n-1 {
-						s += core.Abs1(dl[i]) * xa[i+1]
-					}
-				}
-				y[i] += s
+// gtSystem describes the tridiagonal matrix dl/d/du to the expert pipeline,
+// with its LU factorization in dlf/df/duf/du2/ipiv.
+func gtSystem[T core.Scalar](n int, dl, d, du, dlf, df, duf, du2 []T, ipiv []int) *system[T] {
+	var col [3]T
+	return &system[T]{
+		n: n,
+		cols: func(j int) ([]T, int) { // gathered: du(j−1), d(j), dl(j)
+			seg, lo := col[:0], j
+			if j > 0 {
+				seg, lo = append(seg, du[j-1]), j-1
 			}
+			seg = append(seg, d[j])
+			if j < n-1 {
+				seg = append(seg, dl[j])
+			}
+			return seg, lo
 		},
-		func(tr Trans, r []T) { Gttrs(tr, n, 1, dlf, df, duf, du2, ipiv, r, n) },
-		b, ldb, x, ldx, ferr, berr)
+		factor: func() int {
+			copy(df[:n], d[:n])
+			if n > 1 {
+				copy(dlf[:n-1], dl[:n-1])
+				copy(duf[:n-1], du[:n-1])
+			}
+			return Gttrf(n, dlf, df, duf, du2, ipiv)
+		},
+		solve: func(tr Trans, nrhs int, x []T, ldx int) { Gttrs(tr, n, nrhs, dlf, df, duf, du2, ipiv, x, ldx) },
+		mul:   func(tr Trans, alpha T, x []T, beta T, y []T) { gtmv(tr, n, dl, d, du, alpha, x, beta, y) },
+	}
 }
 
-// GtsvxResult carries the outputs of Gtsvx.
-type GtsvxResult struct {
-	RCond float64
-	Ferr  []float64
-	Berr  []float64
-	Info  int
-}
-
-// Gtsvx is the expert driver for general tridiagonal systems (xGTSVX).
-// dlf/df/duf/du2/ipiv receive the factorization (or supply it when fact is
-// FactFact); the solution is written to x.
-func Gtsvx[T core.Scalar](fact Fact, trans Trans, n, nrhs int, dl, d, du, dlf, df, duf, du2 []T, ipiv []int, b []T, ldb int, x []T, ldx int) GtsvxResult {
-	res := GtsvxResult{Ferr: make([]float64, nrhs), Berr: make([]float64, nrhs)}
-	if fact != FactFact {
-		copy(df[:n], d[:n])
-		if n > 1 {
-			copy(dlf[:n-1], dl[:n-1])
-			copy(duf[:n-1], du[:n-1])
-		}
-		res.Info = Gttrf(n, dlf, df, duf, du2, ipiv)
-	}
-	if res.Info > 0 {
-		return res
-	}
-	norm := OneNorm
-	if trans != NoTrans {
-		norm = InfNorm
-	}
-	anorm := Langt(norm, n, dl, d, du)
-	res.RCond = Gtcon(norm, n, dlf, df, duf, du2, ipiv, anorm)
-	Lacpy('A', n, nrhs, b, ldb, x, ldx)
-	Gttrs(trans, n, nrhs, dlf, df, duf, du2, ipiv, x, ldx)
-	Gtrfs(trans, n, nrhs, dl, d, du, dlf, df, duf, du2, ipiv, b, ldb, x, ldx, res.Ferr, res.Berr)
-	if res.RCond < core.Eps[T]() {
-		res.Info = n + 1
-	}
-	return res
+// Gtsvx is the expert driver for general tridiagonal systems (xGTSVX); see
+// Gesvx. There is no equilibration step.
+func Gtsvx[T core.Scalar](fact Fact, trans Trans, n, nrhs int, dl, d, du, dlf, df, duf, du2 []T, ipiv []int, b []T, ldb int, x []T, ldx int) SvxResult {
+	return svx(gtSystem(n, dl, d, du, dlf, df, duf, du2, ipiv), fact, trans, nrhs, b, ldb, x, ldx)
 }

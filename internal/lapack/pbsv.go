@@ -75,148 +75,28 @@ func Pbsv[T core.Scalar](uplo Uplo, n, kd, nrhs int, ab []T, ldab int, b []T, ld
 	return info
 }
 
-// Pbcon estimates the reciprocal 1-norm condition number of a positive
-// definite band matrix from its Cholesky factorization (xPBCON).
-func Pbcon[T core.Scalar](uplo Uplo, n, kd int, ab []T, ldab int, anorm float64) float64 {
-	if n == 0 {
-		return 1
-	}
-	if anorm == 0 {
-		return 0
-	}
-	ainvnm := Lacn2(n, func(conjTrans bool, x []T) {
-		Pbtrs(uplo, n, kd, 1, ab, ldab, x, n)
-	})
-	return rcondFromEst(ainvnm, anorm)
-}
-
-func absSbmv[T core.Scalar](uplo Uplo, n, kd int, ab []T, ldab int, xa, y []float64) {
-	at := func(i, j int) float64 {
-		if i > j {
-			i, j = j, i
-		}
-		if j-i > kd {
-			return 0
-		}
-		if uplo == Upper {
-			return core.Abs1(ab[kd+i-j+j*ldab])
-		}
-		return core.Abs1(ab[j-i+i*ldab])
-	}
-	for i := 0; i < n; i++ {
-		s := 0.0
-		for k := max(0, i-kd); k <= min(n-1, i+kd); k++ {
-			s += at(i, k) * xa[k]
-		}
-		y[i] += s
-	}
-}
-
-// Pbrfs iteratively refines the solution of a positive definite band system
-// and returns error bounds (xPBRFS).
-func Pbrfs[T core.Scalar](uplo Uplo, n, kd, nrhs int, ab []T, ldab int, afb []T, ldafb int, b []T, ldb int, x []T, ldx int, ferr, berr []float64) {
-	rfs(NoTrans, n, nrhs,
-		func(_ Trans, alpha T, x []T, beta T, y []T) {
-			if core.IsComplex[T]() {
-				blas.Hbmv(uplo, n, kd, alpha, ab, ldab, x, 1, beta, y, 1)
-			} else {
-				blas.Sbmv(uplo, n, kd, alpha, ab, ldab, x, 1, beta, y, 1)
-			}
-		},
-		func(_ Trans, xa, y []float64) { absSbmv(uplo, n, kd, ab, ldab, xa, y) },
-		func(_ Trans, r []T) { Pbtrs(uplo, n, kd, 1, afb, ldafb, r, n) },
-		b, ldb, x, ldx, ferr, berr)
-}
-
-// Pbsvx is the expert driver for positive definite band systems (xPBSVX).
-func Pbsvx[T core.Scalar](fact Fact, uplo Uplo, n, kd, nrhs int, ab []T, ldab int, afb []T, ldafb int, b []T, ldb int, x []T, ldx int) PosvxResult {
-	res := PosvxResult{
-		Equed: EquedNone,
-		S:     make([]float64, n),
-		Ferr:  make([]float64, nrhs),
-		Berr:  make([]float64, nrhs),
-	}
-	for i := range res.S {
-		res.S[i] = 1
-	}
-	diagIdx := func(j int) int {
-		if uplo == Upper {
-			return kd + j*ldab
-		}
-		return j * ldab
-	}
-	if fact == FactEquilibrate && n > 0 {
-		smin, amax := core.Re(ab[diagIdx(0)]), core.Re(ab[diagIdx(0)])
-		ok := true
-		for i := 0; i < n; i++ {
-			d := core.Re(ab[diagIdx(i)])
-			if d <= 0 {
-				ok = false
-				break
-			}
-			res.S[i] = d
-			smin = math.Min(smin, d)
-			amax = math.Max(amax, d)
-		}
-		if ok && math.Sqrt(smin)/math.Sqrt(amax) < 0.1 {
-			for i := 0; i < n; i++ {
-				res.S[i] = 1 / math.Sqrt(res.S[i])
-			}
+// pbSystem describes the Hermitian positive definite band matrix ab (kd
+// off-diagonals of the uplo triangle) to the expert pipeline, with its
+// Cholesky factor in afb.
+func pbSystem[T core.Scalar](uplo Uplo, n, kd int, ab []T, ldab int, afb []T, ldafb int) *system[T] {
+	return &system[T]{
+		n: n, sym: true, equil: true,
+		cols: triSeg(uplo, n, ab, ldab, kd),
+		factor: func() int {
 			for j := 0; j < n; j++ {
-				for i := max(0, j-kd); i <= min(n-1, j+kd); i++ {
-					var k int
-					if uplo == Upper {
-						if i > j {
-							continue
-						}
-						k = kd + i - j + j*ldab
-					} else {
-						if i < j {
-							continue
-						}
-						k = i - j + j*ldab
-					}
-					ab[k] *= core.FromFloat[T](res.S[i] * res.S[j])
-				}
+				copy(afb[j*ldafb:j*ldafb+kd+1], ab[j*ldab:j*ldab+kd+1])
 			}
-			res.Equed = EquedBoth
-		} else {
-			for i := range res.S {
-				res.S[i] = 1
-			}
-		}
+			return Pbtrf(uplo, n, kd, afb, ldafb)
+		},
+		solve: func(_ Trans, nrhs int, x []T, ldx int) { Pbtrs(uplo, n, kd, nrhs, afb, ldafb, x, ldx) },
+		mul: func(_ Trans, alpha T, x []T, beta T, y []T) {
+			blas.Hbmv(uplo, n, kd, alpha, ab, ldab, x, 1, beta, y, 1)
+		},
 	}
-	if res.Equed == EquedBoth {
-		for j := 0; j < nrhs; j++ {
-			for i := 0; i < n; i++ {
-				b[i+j*ldb] *= core.FromFloat[T](res.S[i])
-			}
-		}
-	}
-	if fact != FactFact {
-		// Copy the band into afb.
-		for j := 0; j < n; j++ {
-			copy(afb[j*ldafb:j*ldafb+kd+1], ab[j*ldab:j*ldab+kd+1])
-		}
-		res.Info = Pbtrf(uplo, n, kd, afb, ldafb)
-	}
-	if res.Info > 0 {
-		return res
-	}
-	anorm := Lansb(OneNorm, uplo, n, kd, ab, ldab)
-	res.RCond = Pbcon(uplo, n, kd, afb, ldafb, anorm)
-	Lacpy('A', n, nrhs, b, ldb, x, ldx)
-	Pbtrs(uplo, n, kd, nrhs, afb, ldafb, x, ldx)
-	Pbrfs(uplo, n, kd, nrhs, ab, ldab, afb, ldafb, b, ldb, x, ldx, res.Ferr, res.Berr)
-	if res.Equed == EquedBoth {
-		for j := 0; j < nrhs; j++ {
-			for i := 0; i < n; i++ {
-				x[i+j*ldx] *= core.FromFloat[T](res.S[i])
-			}
-		}
-	}
-	if res.RCond < core.Eps[T]() {
-		res.Info = n + 1
-	}
-	return res
+}
+
+// Pbsvx is the expert driver for positive definite band systems (xPBSVX);
+// see Posvx.
+func Pbsvx[T core.Scalar](fact Fact, uplo Uplo, n, kd, nrhs int, ab []T, ldab int, afb []T, ldafb int, b []T, ldb int, x []T, ldx int) SvxResult {
+	return svx(pbSystem(uplo, n, kd, ab, ldab, afb, ldafb), fact, NoTrans, nrhs, b, ldb, x, ldx)
 }

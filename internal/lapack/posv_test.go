@@ -116,13 +116,18 @@ func TestPoconPoequ(t *testing.T) {
 	if rcond <= 0 || rcond > 1.000001 {
 		t.Fatalf("pocon rcond = %v", rcond)
 	}
-	s := make([]float64, n)
-	scond, amax, info := lapack.Poequ(n, a, n, s)
-	if info != 0 || scond <= 0 || amax <= 0 {
-		t.Fatalf("poequ: %v %v %d", scond, amax, info)
+	// FACT = 'E' on a well-scaled matrix computes the xPOEQU factors
+	// s(i) = 1/sqrt(a_ii) and returns them without applying them.
+	b, x := make([]float64, n), make([]float64, n)
+	res := lapack.Posvx(tcfg(), lapack.FactEquilibrate, lapack.Upper, n, 1, a, n, af, n, b, n, x, n)
+	if res.Info != 0 || res.Equed != lapack.EquedNone {
+		t.Fatalf("posvx: info %d equed %q", res.Info, res.Equed)
+	}
+	if math.Abs(res.RCond-rcond) > 1e-12*rcond {
+		t.Fatalf("posvx rcond %v, pocon %v", res.RCond, rcond)
 	}
 	for i := 0; i < n; i++ {
-		if math.Abs(s[i]*math.Sqrt(a[i+i*n])-1) > 1e-12 {
+		if math.Abs(res.S[i]*math.Sqrt(a[i+i*n])-1) > 1e-12 {
 			t.Fatalf("poequ scale %d wrong", i)
 		}
 	}
@@ -204,20 +209,20 @@ func testPpsv[T core.Scalar](t *testing.T, uplo lapack.Uplo, n int) {
 	if d := testutil.MaxDiff(sol, xTrue); d > 2e5*core.Eps[T]() {
 		t.Fatalf("ppsv error %v", d)
 	}
-	// Condition estimate from the packed factorization.
-	anorm := lapack.Lansp(lapack.OneNorm, uplo, n, ap)
-	rcond := lapack.Ppcon(uplo, n, apf, anorm)
-	if rcond <= 0 || rcond > 1.000001 {
-		t.Fatalf("ppcon rcond=%v", rcond)
+	// Condition estimate and refinement off the packed factorization; the
+	// refinement must not degrade the solution.
+	x := make([]T, n*nrhs)
+	res := lapack.Ppsvx(lapack.FactFact, uplo, n, nrhs, ap, apf, b, n, x, n)
+	if res.Info != 0 || res.RCond <= 0 || res.RCond > 1.000001 {
+		t.Fatalf("ppcon info=%d rcond=%v", res.Info, res.RCond)
 	}
-	// Refinement must not degrade the solution.
-	ferr := make([]float64, nrhs)
-	berr := make([]float64, nrhs)
-	lapack.Pprfs(uplo, n, nrhs, ap, apf, b, n, sol, n, ferr, berr)
 	for j := 0; j < nrhs; j++ {
-		if berr[j] > 100*core.Eps[T]() {
-			t.Fatalf("pprfs berr=%v", berr[j])
+		if res.Berr[j] > 100*core.Eps[T]() {
+			t.Fatalf("pprfs berr=%v", res.Berr[j])
 		}
+	}
+	if d := testutil.MaxDiff(x, xTrue); d > 2e5*core.Eps[T]() {
+		t.Fatalf("ppsvx error %v", d)
 	}
 }
 
@@ -303,16 +308,14 @@ func testPbsv[T core.Scalar](t *testing.T, uplo lapack.Uplo, n, kd int) {
 	if d := testutil.MaxDiff(sol, xTrue); d > 2e5*core.Eps[T]() {
 		t.Fatalf("pbsv error %v", d)
 	}
-	anorm := lapack.Lansb(lapack.OneNorm, uplo, n, kd, ab, ldab)
-	if rcond := lapack.Pbcon(uplo, n, kd, abf, ldab, anorm); rcond <= 0 || rcond > 1.000001 {
-		t.Fatalf("pbcon rcond=%v", rcond)
+	x := make([]T, n*nrhs)
+	res := lapack.Pbsvx(lapack.FactFact, uplo, n, kd, nrhs, ab, ldab, abf, ldab, b, n, x, n)
+	if res.Info != 0 || res.RCond <= 0 || res.RCond > 1.000001 {
+		t.Fatalf("pbcon info=%d rcond=%v", res.Info, res.RCond)
 	}
-	ferr := make([]float64, nrhs)
-	berr := make([]float64, nrhs)
-	lapack.Pbrfs(uplo, n, kd, nrhs, ab, ldab, abf, ldab, b, n, sol, n, ferr, berr)
 	for j := 0; j < nrhs; j++ {
-		if berr[j] > 100*core.Eps[T]() {
-			t.Fatalf("pbrfs berr=%v", berr[j])
+		if res.Berr[j] > 100*core.Eps[T]() {
+			t.Fatalf("pbrfs berr=%v", res.Berr[j])
 		}
 	}
 }

@@ -137,159 +137,30 @@ func Posv[T core.Scalar](cfg *core.Config, uplo Uplo, n, nrhs int, a []T, lda in
 	return info
 }
 
+// poSystem describes the uplo triangle of the dense Hermitian positive
+// definite matrix a to the expert pipeline (expert.go), with its Cholesky
+// factor in af.
+func poSystem[T core.Scalar](cfg *core.Config, uplo Uplo, n int, a []T, lda int, af []T, ldaf int) *system[T] {
+	return &system[T]{
+		n: n, sym: true, equil: true,
+		cols: triSeg(uplo, n, a, lda, -1),
+		factor: func() int {
+			Lacpy('A', n, n, a, lda, af, ldaf)
+			return Potrf(cfg, uplo, n, af, ldaf)
+		},
+		solve: func(_ Trans, nrhs int, x []T, ldx int) { Potrs(cfg, uplo, n, nrhs, af, ldaf, x, ldx) },
+		mul:   func(_ Trans, alpha T, x []T, beta T, y []T) { blas.Hemv(uplo, n, alpha, a, lda, x, 1, beta, y, 1) },
+	}
+}
+
 // Pocon estimates the reciprocal 1-norm condition number of a positive
 // definite matrix from its Cholesky factorization (xPOCON).
 func Pocon[T core.Scalar](cfg *core.Config, uplo Uplo, n int, a []T, lda int, anorm float64) float64 {
-	if n == 0 {
-		return 1
-	}
-	if anorm == 0 {
-		return 0
-	}
-	ainvnm := Lacn2(n, func(conjTrans bool, x []T) {
-		// A is Hermitian: both products are the same solve.
-		Potrs(cfg, uplo, n, 1, a, lda, x, n)
-	})
-	return rcondFromEst(ainvnm, anorm)
+	return poSystem(cfg, uplo, n, nil, 0, a, lda).con(OneNorm, anorm)
 }
 
-// Poequ computes diagonal scalings to equilibrate a positive definite
-// matrix (xPOEQU): s_i = 1/sqrt(A(i,i)). Returns the ratio scond of the
-// smallest to largest scale factor, the maximum diagonal element amax, and
-// info = i > 0 if the i-th diagonal entry is non-positive.
-func Poequ[T core.Scalar](n int, a []T, lda int, s []float64) (scond, amax float64, info int) {
-	if n == 0 {
-		return 1, 0, 0
-	}
-	smin := core.Re(a[0])
-	amax = smin
-	for i := 0; i < n; i++ {
-		d := core.Re(a[i+i*lda])
-		s[i] = d
-		smin = math.Min(smin, d)
-		amax = math.Max(amax, d)
-	}
-	if smin <= 0 {
-		for i := 0; i < n; i++ {
-			if s[i] <= 0 {
-				return 0, amax, i + 1
-			}
-		}
-	}
-	for i := 0; i < n; i++ {
-		s[i] = 1 / math.Sqrt(s[i])
-	}
-	scond = math.Sqrt(smin) / math.Sqrt(amax)
-	return scond, amax, 0
-}
-
-// absSymv computes y += |A|·xa for a symmetric/Hermitian matrix stored in
-// the uplo triangle.
-func absSymv[T core.Scalar](uplo Uplo, n int, a []T, lda int, xa, y []float64) {
-	at := func(i, j int) float64 {
-		if (uplo == Upper) == (i <= j) {
-			return core.Abs1(a[i+j*lda])
-		}
-		return core.Abs1(a[j+i*lda])
-	}
-	for i := 0; i < n; i++ {
-		s := 0.0
-		for k := 0; k < n; k++ {
-			s += at(i, k) * xa[k]
-		}
-		y[i] += s
-	}
-}
-
-// Porfs iteratively refines the solution of A·X = B for a positive definite
-// matrix and returns error bounds (xPORFS).
-func Porfs[T core.Scalar](cfg *core.Config, uplo Uplo, n, nrhs int, a []T, lda int, af []T, ldaf int, b []T, ldb int, x []T, ldx int, ferr, berr []float64) {
-	rfs(NoTrans, n, nrhs,
-		func(_ Trans, alpha T, x []T, beta T, y []T) {
-			if core.IsComplex[T]() {
-				blas.Hemv(uplo, n, alpha, a, lda, x, 1, beta, y, 1)
-			} else {
-				blas.Symv(uplo, n, alpha, a, lda, x, 1, beta, y, 1)
-			}
-		},
-		func(_ Trans, xa, y []float64) { absSymv(uplo, n, a, lda, xa, y) },
-		func(_ Trans, r []T) { Potrs(cfg, uplo, n, 1, af, ldaf, r, n) },
-		b, ldb, x, ldx, ferr, berr)
-}
-
-// PosvxResult carries the outputs of the expert driver Posvx.
-type PosvxResult struct {
-	Equed Equed     // 'Y'-style scaling applied? EquedNone or EquedBoth
-	S     []float64 // diagonal scale factors
-	RCond float64
-	Ferr  []float64
-	Berr  []float64
-	Info  int
-}
-
-// Posvx is the expert driver for positive definite systems (xPOSVX):
-// optional equilibration, Cholesky factorization, solve, refinement, and
-// condition estimation.
-func Posvx[T core.Scalar](cfg *core.Config, fact Fact, uplo Uplo, n, nrhs int, a []T, lda int, af []T, ldaf int, b []T, ldb int, x []T, ldx int) PosvxResult {
-	res := PosvxResult{
-		Equed: EquedNone,
-		S:     make([]float64, n),
-		Ferr:  make([]float64, nrhs),
-		Berr:  make([]float64, nrhs),
-	}
-	for i := range res.S {
-		res.S[i] = 1
-	}
-	if fact == FactEquilibrate {
-		scond, amax, inf := Poequ(n, a, lda, res.S)
-		if inf == 0 {
-			small := core.SafeMin[T]() / core.Eps[T]()
-			large := 1 / small
-			if scond < 0.1 || amax < small || amax > large {
-				// Scale A on both sides: A := diag(S)·A·diag(S).
-				for j := 0; j < n; j++ {
-					for i := 0; i < n; i++ {
-						if uplo == Upper && i > j || uplo == Lower && i < j {
-							continue
-						}
-						// One factor at a time (xLAQSY's S(j)*A(i,j)*S(i)):
-						// the product S(i)·S(j) can overflow to Inf and turn
-						// a zero entry into NaN.
-						a[i+j*lda] = a[i+j*lda] * core.FromFloat[T](res.S[i]) * core.FromFloat[T](res.S[j])
-					}
-				}
-				res.Equed = EquedBoth
-			}
-		}
-	}
-	if res.Equed == EquedBoth {
-		for j := 0; j < nrhs; j++ {
-			for i := 0; i < n; i++ {
-				b[i+j*ldb] *= core.FromFloat[T](res.S[i])
-			}
-		}
-	}
-	if fact != FactFact {
-		Lacpy('A', n, n, a, lda, af, ldaf)
-		res.Info = Potrf(cfg, uplo, n, af, ldaf)
-	}
-	if res.Info > 0 {
-		return res
-	}
-	anorm := Lansy(OneNorm, uplo, n, a, lda)
-	res.RCond = Pocon(cfg, uplo, n, af, ldaf, anorm)
-	Lacpy('A', n, nrhs, b, ldb, x, ldx)
-	Potrs(cfg, uplo, n, nrhs, af, ldaf, x, ldx)
-	Porfs(cfg, uplo, n, nrhs, a, lda, af, ldaf, b, ldb, x, ldx, res.Ferr, res.Berr)
-	if res.Equed == EquedBoth {
-		for j := 0; j < nrhs; j++ {
-			for i := 0; i < n; i++ {
-				x[i+j*ldx] *= core.FromFloat[T](res.S[i])
-			}
-		}
-	}
-	if res.RCond < core.Eps[T]() {
-		res.Info = n + 1
-	}
-	return res
+// Posvx is the expert driver for positive definite systems (xPOSVX); see
+// Gesvx. The equilibration is the symmetric diag(S)·A·diag(S).
+func Posvx[T core.Scalar](cfg *core.Config, fact Fact, uplo Uplo, n, nrhs int, a []T, lda int, af []T, ldaf int, b []T, ldb int, x []T, ldx int) SvxResult {
+	return svx(poSystem(cfg, uplo, n, a, lda, af, ldaf), fact, NoTrans, nrhs, b, ldb, x, ldx)
 }

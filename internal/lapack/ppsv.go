@@ -69,131 +69,23 @@ func Ppsv[T core.Scalar](uplo Uplo, n, nrhs int, ap []T, b []T, ldb int) int {
 	return info
 }
 
-// Ppcon estimates the reciprocal 1-norm condition number of a packed
-// positive definite matrix from its Cholesky factorization (xPPCON).
-func Ppcon[T core.Scalar](uplo Uplo, n int, ap []T, anorm float64) float64 {
-	if n == 0 {
-		return 1
-	}
-	if anorm == 0 {
-		return 0
-	}
-	ainvnm := Lacn2(n, func(conjTrans bool, x []T) {
-		Pptrs(uplo, n, 1, ap, x, n)
-	})
-	return rcondFromEst(ainvnm, anorm)
-}
-
-func absSpmv[T core.Scalar](uplo Uplo, n int, ap []T, xa, y []float64) {
-	at := func(i, j int) float64 {
-		if (uplo == Upper) == (i <= j) {
-			return core.Abs1(ap[blas.PackIdx(uplo, n, i, j)])
-		}
-		return core.Abs1(ap[blas.PackIdx(uplo, n, j, i)])
-	}
-	for i := 0; i < n; i++ {
-		s := 0.0
-		for k := 0; k < n; k++ {
-			s += at(i, k) * xa[k]
-		}
-		y[i] += s
-	}
-}
-
-// Pprfs iteratively refines the solution of a packed positive definite
-// system and returns error bounds (xPPRFS).
-func Pprfs[T core.Scalar](uplo Uplo, n, nrhs int, ap, afp []T, b []T, ldb int, x []T, ldx int, ferr, berr []float64) {
-	rfs(NoTrans, n, nrhs,
-		func(_ Trans, alpha T, x []T, beta T, y []T) {
-			if core.IsComplex[T]() {
-				blas.Hpmv(uplo, n, alpha, ap, x, 1, beta, y, 1)
-			} else {
-				blas.Spmv(uplo, n, alpha, ap, x, 1, beta, y, 1)
-			}
+// ppSystem describes the packed Hermitian positive definite matrix ap to the
+// expert pipeline, with its Cholesky factor in afp.
+func ppSystem[T core.Scalar](uplo Uplo, n int, ap, afp []T) *system[T] {
+	return &system[T]{
+		n: n, sym: true, equil: true,
+		cols: triSeg(uplo, n, ap, 0, -1),
+		factor: func() int {
+			copy(afp[:n*(n+1)/2], ap[:n*(n+1)/2])
+			return Pptrf(uplo, n, afp)
 		},
-		func(_ Trans, xa, y []float64) { absSpmv(uplo, n, ap, xa, y) },
-		func(_ Trans, r []T) { Pptrs(uplo, n, 1, afp, r, n) },
-		b, ldb, x, ldx, ferr, berr)
+		solve: func(_ Trans, nrhs int, x []T, ldx int) { Pptrs(uplo, n, nrhs, afp, x, ldx) },
+		mul:   func(_ Trans, alpha T, x []T, beta T, y []T) { blas.Hpmv(uplo, n, alpha, ap, x, 1, beta, y, 1) },
+	}
 }
 
-// Ppsvx is the expert driver for packed positive definite systems (xPPSVX):
-// optional equilibration, factorization, solve, refinement and condition
-// estimation.
-func Ppsvx[T core.Scalar](fact Fact, uplo Uplo, n, nrhs int, ap, afp []T, b []T, ldb int, x []T, ldx int) PosvxResult {
-	res := PosvxResult{
-		Equed: EquedNone,
-		S:     make([]float64, n),
-		Ferr:  make([]float64, nrhs),
-		Berr:  make([]float64, nrhs),
-	}
-	for i := range res.S {
-		res.S[i] = 1
-	}
-	diag := func(i int) float64 { return core.Re(ap[blas.PackIdx(uplo, n, i, i)]) }
-	if fact == FactEquilibrate && n > 0 {
-		smin, amax := diag(0), diag(0)
-		ok := true
-		for i := 0; i < n; i++ {
-			d := diag(i)
-			if d <= 0 {
-				ok = false
-				break
-			}
-			res.S[i] = d
-			smin = math.Min(smin, d)
-			amax = math.Max(amax, d)
-		}
-		if ok {
-			for i := 0; i < n; i++ {
-				res.S[i] = 1 / math.Sqrt(res.S[i])
-			}
-			if math.Sqrt(smin)/math.Sqrt(amax) < 0.1 {
-				for j := 0; j < n; j++ {
-					for i := 0; i <= j; i++ {
-						ii, jj := i, j
-						if uplo == Lower {
-							ii, jj = j, i
-						}
-						k := blas.PackIdx(uplo, n, ii, jj)
-						ap[k] *= core.FromFloat[T](res.S[i] * res.S[j])
-					}
-				}
-				res.Equed = EquedBoth
-			} else {
-				for i := range res.S {
-					res.S[i] = 1
-				}
-			}
-		}
-	}
-	if res.Equed == EquedBoth {
-		for j := 0; j < nrhs; j++ {
-			for i := 0; i < n; i++ {
-				b[i+j*ldb] *= core.FromFloat[T](res.S[i])
-			}
-		}
-	}
-	if fact != FactFact {
-		copy(afp[:n*(n+1)/2], ap[:n*(n+1)/2])
-		res.Info = Pptrf(uplo, n, afp)
-	}
-	if res.Info > 0 {
-		return res
-	}
-	anorm := Lansp(OneNorm, uplo, n, ap)
-	res.RCond = Ppcon(uplo, n, afp, anorm)
-	Lacpy('A', n, nrhs, b, ldb, x, ldx)
-	Pptrs(uplo, n, nrhs, afp, x, ldx)
-	Pprfs(uplo, n, nrhs, ap, afp, b, ldb, x, ldx, res.Ferr, res.Berr)
-	if res.Equed == EquedBoth {
-		for j := 0; j < nrhs; j++ {
-			for i := 0; i < n; i++ {
-				x[i+j*ldx] *= core.FromFloat[T](res.S[i])
-			}
-		}
-	}
-	if res.RCond < core.Eps[T]() {
-		res.Info = n + 1
-	}
-	return res
+// Ppsvx is the expert driver for packed positive definite systems (xPPSVX);
+// see Posvx.
+func Ppsvx[T core.Scalar](fact Fact, uplo Uplo, n, nrhs int, ap, afp []T, b []T, ldb int, x []T, ldx int) SvxResult {
+	return svx(ppSystem(uplo, n, ap, afp), fact, NoTrans, nrhs, b, ldb, x, ldx)
 }

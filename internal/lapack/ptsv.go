@@ -52,22 +52,6 @@ func Ptsv[T core.Scalar](n, nrhs int, d []float64, e []T, b []T, ldb int) int {
 	return info
 }
 
-// Ptcon estimates the reciprocal 1-norm condition number of a positive
-// definite tridiagonal matrix from its factorization (xPTCON-style,
-// computed with the norm estimator applied to the factored solves).
-func Ptcon[T core.Scalar](n int, d []float64, e []T, anorm float64) float64 {
-	if n == 0 {
-		return 1
-	}
-	if anorm == 0 {
-		return 0
-	}
-	ainvnm := Lacn2(n, func(conjTrans bool, x []T) {
-		Pttrs(n, 1, d, e, x, n)
-	})
-	return rcondFromEst(ainvnm, anorm)
-}
-
 // ptmv computes y = alpha·A·x + beta·y for the Hermitian tridiagonal matrix
 // with real diagonal d and sub-diagonal e.
 func ptmv[T core.Scalar](n int, d []float64, e []T, alpha T, x []T, beta T, y []T) {
@@ -87,69 +71,32 @@ func ptmv[T core.Scalar](n int, d []float64, e []T, alpha T, x []T, beta T, y []
 	}
 }
 
-// Ptrfs iteratively refines the solution of a positive definite tridiagonal
-// system and returns error bounds (xPTRFS). d/e are the original matrix and
-// df/ef its factorization.
-func Ptrfs[T core.Scalar](n, nrhs int, d []float64, e []T, df []float64, ef []T, b []T, ldb int, x []T, ldx int, ferr, berr []float64) {
-	rfs(NoTrans, n, nrhs,
-		func(_ Trans, alpha T, x []T, beta T, y []T) { ptmv(n, d, e, alpha, x, beta, y) },
-		func(_ Trans, xa, y []float64) {
-			for i := 0; i < n; i++ {
-				s := math.Abs(d[i]) * xa[i]
-				if i > 0 {
-					s += core.Abs1(e[i-1]) * xa[i-1]
-				}
-				if i < n-1 {
-					s += core.Abs1(e[i]) * xa[i+1]
-				}
-				y[i] += s
+// ptSystem describes the Hermitian positive definite tridiagonal matrix d/e
+// to the expert pipeline, with its L·D·Lᴴ factorization in df/ef.
+func ptSystem[T core.Scalar](n int, d []float64, e []T, df []float64, ef []T) *system[T] {
+	var col [2]T
+	return &system[T]{
+		n: n, sym: true,
+		cols: func(j int) ([]T, int) { // gathered lower triangle: d(j), e(j)
+			if j == n-1 {
+				return append(col[:0], core.FromFloat[T](d[j])), j
 			}
+			return append(col[:0], core.FromFloat[T](d[j]), e[j]), j
 		},
-		func(_ Trans, r []T) { Pttrs(n, 1, df, ef, r, n) },
-		b, ldb, x, ldx, ferr, berr)
-}
-
-// PtsvxResult carries the outputs of Ptsvx.
-type PtsvxResult struct {
-	RCond float64
-	Ferr  []float64
-	Berr  []float64
-	Info  int
+		factor: func() int {
+			copy(df[:n], d[:n])
+			if n > 1 {
+				copy(ef[:n-1], e[:n-1])
+			}
+			return Pttrf(n, df, ef)
+		},
+		solve: func(_ Trans, nrhs int, x []T, ldx int) { Pttrs(n, nrhs, df, ef, x, ldx) },
+		mul:   func(_ Trans, alpha T, x []T, beta T, y []T) { ptmv(n, d, e, alpha, x, beta, y) },
+	}
 }
 
 // Ptsvx is the expert driver for positive definite tridiagonal systems
-// (xPTSVX): factorization, solve, refinement and condition estimation. df
-// and ef receive the factorization (or supply it when fact is FactFact).
-func Ptsvx[T core.Scalar](fact Fact, n, nrhs int, d []float64, e []T, df []float64, ef []T, b []T, ldb int, x []T, ldx int) PtsvxResult {
-	res := PtsvxResult{Ferr: make([]float64, nrhs), Berr: make([]float64, nrhs)}
-	if fact != FactFact {
-		copy(df[:n], d[:n])
-		if n > 1 {
-			copy(ef[:n-1], e[:n-1])
-		}
-		res.Info = Pttrf(n, df, ef)
-	}
-	if res.Info > 0 {
-		return res
-	}
-	// 1-norm of the Hermitian tridiagonal matrix.
-	anorm := 0.0
-	for i := 0; i < n; i++ {
-		s := math.Abs(d[i])
-		if i > 0 {
-			s += core.Abs1(e[i-1])
-		}
-		if i < n-1 {
-			s += core.Abs1(e[i])
-		}
-		anorm = math.Max(anorm, s)
-	}
-	res.RCond = Ptcon(n, df, ef, anorm)
-	Lacpy('A', n, nrhs, b, ldb, x, ldx)
-	Pttrs(n, nrhs, df, ef, x, ldx)
-	Ptrfs(n, nrhs, d, e, df, ef, b, ldb, x, ldx, res.Ferr, res.Berr)
-	if res.RCond < core.Eps[T]() {
-		res.Info = n + 1
-	}
-	return res
+// (xPTSVX); see Gesvx. There is no equilibration step.
+func Ptsvx[T core.Scalar](fact Fact, n, nrhs int, d []float64, e []T, df []float64, ef []T, b []T, ldb int, x []T, ldx int) SvxResult {
+	return svx(ptSystem(n, d, e, df, ef), fact, NoTrans, nrhs, b, ldb, x, ldx)
 }

@@ -7,24 +7,13 @@ import (
 	"repro/internal/core"
 )
 
-// rfs is the iterative-refinement engine shared by every xyyRFS routine. It
-// refines X (n×nrhs, ldx) for op(A)·X = B and fills in componentwise
-// backward errors berr and forward error bounds ferr, following the
-// algorithm of xGERFS. The matrix is abstracted through three callbacks:
-//
-//	mv     computes y = alpha·op(A)·x + beta·y,
-//	absmv  computes y += |op(A)|·xa for non-negative xa (componentwise
-//	       absolute values of the matrix),
-//	solve  overwrites r with op(A)⁻¹·r using the precomputed factorization.
-//
-// For symmetric and Hermitian coefficient matrices the trans argument is
-// always NoTrans.
-func rfs[T core.Scalar](trans Trans, n, nrhs int,
-	mv func(trans Trans, alpha T, x []T, beta T, y []T),
-	absmv func(trans Trans, xa, y []float64),
-	solve func(trans Trans, r []T),
-	b []T, ldb int, x []T, ldx int, ferr, berr []float64) {
-
+// rfs is the iterative refinement of every format (xyyRFS): it refines X
+// (n×nrhs, ldx) for op(A)·X = B and fills in the componentwise backward
+// errors berr and the forward error bounds ferr, following the algorithm of
+// xGERFS, with the matrix reached through s.mul, s.absMul and s.solve. For a
+// symmetric format trans is NoTrans.
+func (s *system[T]) rfs(trans Trans, nrhs int, b []T, ldb int, x []T, ldx int, ferr, berr []float64) {
+	n := s.n
 	if n == 0 || nrhs == 0 {
 		for j := 0; j < nrhs; j++ {
 			ferr[j], berr[j] = 0, 0
@@ -52,33 +41,33 @@ func rfs[T core.Scalar](trans Trans, n, nrhs int,
 		for count := 1; ; count++ {
 			// r = b - op(A)·x
 			blas.Copy(n, bj, 1, r, 1)
-			mv(trans, -one, xj, one, r)
+			s.mul(trans, -one, xj, one, r)
 			// w = |b| + |op(A)|·|x| componentwise.
 			for i := 0; i < n; i++ {
 				w[i] = core.Abs1(bj[i])
 				xa[i] = core.Abs1(xj[i])
 			}
-			absmv(trans, xa, w)
-			s := 0.0
+			s.absMul(trans, xa, w)
+			e := 0.0
 			for i := 0; i < n; i++ {
 				if w[i] > safe2 {
-					s = math.Max(s, core.Abs1(r[i])/w[i])
+					e = math.Max(e, core.Abs1(r[i])/w[i])
 				} else {
-					s = math.Max(s, (core.Abs1(r[i])+safe1)/(w[i]+safe1))
+					e = math.Max(e, (core.Abs1(r[i])+safe1)/(w[i]+safe1))
 				}
 			}
-			if math.IsNaN(s) {
+			if math.IsNaN(e) {
 				// Non-finite solution or residual (e.g. the true solution
 				// overflows float64): Inf − Inf poisoned the residual. The
 				// backward error is not merely large, it is unbounded —
 				// report +Inf, never NaN, and stop refining.
-				s = math.Inf(1)
+				e = math.Inf(1)
 			}
-			berr[j] = s
+			berr[j] = e
 			if !(berr[j] > eps && 2*berr[j] <= lstres && count <= itmax) {
 				break
 			}
-			solve(trans, r)
+			s.solve(trans, 1, r, n)
 			blas.Axpy(n, one, r, 1, xj, 1)
 			lstres = berr[j]
 		}
@@ -97,7 +86,7 @@ func rfs[T core.Scalar](trans Trans, n, nrhs int,
 				if trans != NoTrans {
 					tr = NoTrans
 				}
-				solve(tr, v)
+				s.solve(tr, 1, v, n)
 				for i := 0; i < n; i++ {
 					v[i] *= core.FromFloat[T](w[i])
 				}
@@ -105,7 +94,7 @@ func rfs[T core.Scalar](trans Trans, n, nrhs int,
 				for i := 0; i < n; i++ {
 					v[i] *= core.FromFloat[T](w[i])
 				}
-				solve(trans, v)
+				s.solve(trans, 1, v, n)
 			}
 		})
 		lstres = 0
@@ -120,29 +109,5 @@ func rfs[T core.Scalar](trans Trans, n, nrhs int,
 			// estimate) — the bound is unbounded, not undefined.
 			ferr[j] = math.Inf(1)
 		}
-	}
-}
-
-// absGemv computes y += |op(A)|·xa for a dense matrix, the componentwise
-// kernel used by Gerfs.
-func absGemv[T core.Scalar](trans Trans, m, n int, a []T, lda int, xa, y []float64) {
-	if trans == NoTrans {
-		for k := 0; k < n; k++ {
-			xk := xa[k]
-			if xk == 0 {
-				continue
-			}
-			for i := 0; i < m; i++ {
-				y[i] += core.Abs1(a[i+k*lda]) * xk
-			}
-		}
-		return
-	}
-	for k := 0; k < n; k++ {
-		s := 0.0
-		for i := 0; i < m; i++ {
-			s += core.Abs1(a[i+k*lda]) * xa[i]
-		}
-		y[k] += s
 	}
 }

@@ -93,39 +93,41 @@ func spsv[T core.Scalar](cfg *core.Config, herm bool, uplo Uplo, n, nrhs int, ap
 	return info
 }
 
-// Spcon estimates the reciprocal 1-norm condition number from the packed
-// factorization (xSPCON).
-func Spcon[T core.Scalar](cfg *core.Config, uplo Uplo, n int, ap []T, ipiv []int, anorm float64) float64 {
-	return sycon(cfg, false, uplo, n, unpackTri(uplo, n, ap), n, ipiv, anorm)
-}
-
-// Hpcon estimates the reciprocal 1-norm condition number from the packed
-// Hermitian factorization (xHPCON).
-func Hpcon[T core.Scalar](cfg *core.Config, uplo Uplo, n int, ap []T, ipiv []int, anorm float64) float64 {
-	return sycon(cfg, true, uplo, n, unpackTri(uplo, n, ap), n, ipiv, anorm)
-}
-
-// Sprfs iteratively refines the solution of a packed symmetric indefinite
-// system (xSPRFS).
-func Sprfs[T core.Scalar](cfg *core.Config, uplo Uplo, n, nrhs int, ap, afp []T, ipiv []int, b []T, ldb int, x []T, ldx int, ferr, berr []float64) {
-	sprfs(cfg, false, uplo, n, nrhs, ap, afp, ipiv, b, ldb, x, ldx, ferr, berr)
-}
-
-// Hprfs iteratively refines the solution of a packed Hermitian indefinite
-// system (xHPRFS).
-func Hprfs[T core.Scalar](cfg *core.Config, uplo Uplo, n, nrhs int, ap, afp []T, ipiv []int, b []T, ldb int, x []T, ldx int, ferr, berr []float64) {
-	sprfs(cfg, true, uplo, n, nrhs, ap, afp, ipiv, b, ldb, x, ldx, ferr, berr)
-}
-
-func sprfs[T core.Scalar](cfg *core.Config, herm bool, uplo Uplo, n, nrhs int, ap, afp []T, ipiv []int, b []T, ldb int, x []T, ldx int, ferr, berr []float64) {
-	af := unpackTri(uplo, n, afp)
+// spSystem describes the packed symmetric (herm false) or Hermitian
+// indefinite matrix ap to the expert pipeline, with its Bunch–Kaufman
+// factorization in afp/ipiv; the solves run on the factor expanded once.
+func spSystem[T core.Scalar](cfg *core.Config, herm bool, uplo Uplo, n int, ap, afp []T, ipiv []int) *system[T] {
 	mv := blas.Spmv[T]
 	if herm {
 		mv = blas.Hpmv[T]
 	}
-	rfs(NoTrans, n, nrhs,
-		func(_ Trans, alpha T, x []T, beta T, y []T) { mv(uplo, n, alpha, ap, x, 1, beta, y, 1) },
-		func(_ Trans, xa, y []float64) { absSpmv(uplo, n, ap, xa, y) },
-		func(_ Trans, r []T) { sytrs(cfg, herm, uplo, n, 1, af, n, ipiv, r, n) },
-		b, ldb, x, ldx, ferr, berr)
+	var af []T
+	return &system[T]{
+		n: n, sym: true,
+		cols: triSeg(uplo, n, ap, 0, -1),
+		factor: func() int {
+			copy(afp[:n*(n+1)/2], ap[:n*(n+1)/2])
+			af = nil
+			return sptrf(herm, uplo, n, afp, ipiv)
+		},
+		solve: func(_ Trans, nrhs int, x []T, ldx int) {
+			if af == nil {
+				af = unpackTri(uplo, n, afp)
+			}
+			sytrs(cfg, herm, uplo, n, nrhs, af, n, ipiv, x, ldx)
+		},
+		mul: func(_ Trans, alpha T, x []T, beta T, y []T) { mv(uplo, n, alpha, ap, x, 1, beta, y, 1) },
+	}
+}
+
+// Spsvx is the expert driver for packed symmetric indefinite systems
+// (xSPSVX); see Sysvx.
+func Spsvx[T core.Scalar](cfg *core.Config, fact Fact, uplo Uplo, n, nrhs int, ap, afp []T, ipiv []int, b []T, ldb int, x []T, ldx int) SvxResult {
+	return svx(spSystem(cfg, false, uplo, n, ap, afp, ipiv), fact, NoTrans, nrhs, b, ldb, x, ldx)
+}
+
+// Hpsvx is the expert driver for packed Hermitian indefinite systems
+// (xHPSVX).
+func Hpsvx[T core.Scalar](cfg *core.Config, fact Fact, uplo Uplo, n, nrhs int, ap, afp []T, ipiv []int, b []T, ldb int, x []T, ldx int) SvxResult {
+	return svx(spSystem(cfg, true, uplo, n, ap, afp, ipiv), fact, NoTrans, nrhs, b, ldb, x, ldx)
 }

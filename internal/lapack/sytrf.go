@@ -851,89 +851,33 @@ func sysv[T core.Scalar](cfg *core.Config, herm bool, uplo Uplo, n, nrhs int, a 
 	return info
 }
 
-// Sycon estimates the reciprocal 1-norm condition number of a symmetric
-// indefinite matrix from its Bunch–Kaufman factorization (xSYCON).
-func Sycon[T core.Scalar](cfg *core.Config, uplo Uplo, n int, a []T, lda int, ipiv []int, anorm float64) float64 {
-	return sycon(cfg, false, uplo, n, a, lda, ipiv, anorm)
-}
-
-// Hecon estimates the reciprocal 1-norm condition number of a Hermitian
-// indefinite matrix from its factorization (xHECON).
-func Hecon[T core.Scalar](cfg *core.Config, uplo Uplo, n int, a []T, lda int, ipiv []int, anorm float64) float64 {
-	return sycon(cfg, true, uplo, n, a, lda, ipiv, anorm)
-}
-
-func sycon[T core.Scalar](cfg *core.Config, herm bool, uplo Uplo, n int, a []T, lda int, ipiv []int, anorm float64) float64 {
-	if n == 0 {
-		return 1
-	}
-	if anorm == 0 {
-		return 0
-	}
-	ainvnm := Lacn2(n, func(conjTrans bool, x []T) {
-		sytrs(cfg, herm, uplo, n, 1, a, lda, ipiv, x, n)
-	})
-	return rcondFromEst(ainvnm, anorm)
-}
-
-// Syrfs iteratively refines the solution of a symmetric indefinite system
-// and returns error bounds (xSYRFS).
-func Syrfs[T core.Scalar](cfg *core.Config, uplo Uplo, n, nrhs int, a []T, lda int, af []T, ldaf int, ipiv []int, b []T, ldb int, x []T, ldx int, ferr, berr []float64) {
-	syrfs(cfg, false, uplo, n, nrhs, a, lda, af, ldaf, ipiv, b, ldb, x, ldx, ferr, berr)
-}
-
-// Herfs iteratively refines the solution of a Hermitian indefinite system
-// and returns error bounds (xHERFS).
-func Herfs[T core.Scalar](cfg *core.Config, uplo Uplo, n, nrhs int, a []T, lda int, af []T, ldaf int, ipiv []int, b []T, ldb int, x []T, ldx int, ferr, berr []float64) {
-	syrfs(cfg, true, uplo, n, nrhs, a, lda, af, ldaf, ipiv, b, ldb, x, ldx, ferr, berr)
-}
-
-func syrfs[T core.Scalar](cfg *core.Config, herm bool, uplo Uplo, n, nrhs int, a []T, lda int, af []T, ldaf int, ipiv []int, b []T, ldb int, x []T, ldx int, ferr, berr []float64) {
+// sySystem describes the uplo triangle of the dense symmetric (herm false)
+// or Hermitian indefinite matrix a to the expert pipeline (expert.go), with
+// its Bunch–Kaufman factorization in af/ipiv.
+func sySystem[T core.Scalar](cfg *core.Config, herm bool, uplo Uplo, n int, a []T, lda int, af []T, ldaf int, ipiv []int) *system[T] {
 	mv := blas.Symv[T]
 	if herm {
 		mv = blas.Hemv[T]
 	}
-	rfs(NoTrans, n, nrhs,
-		func(_ Trans, alpha T, x []T, beta T, y []T) { mv(uplo, n, alpha, a, lda, x, 1, beta, y, 1) },
-		func(_ Trans, xa, y []float64) { absSymv(uplo, n, a, lda, xa, y) },
-		func(_ Trans, r []T) { sytrs(cfg, herm, uplo, n, 1, af, ldaf, ipiv, r, n) },
-		b, ldb, x, ldx, ferr, berr)
+	return &system[T]{
+		n: n, sym: true,
+		cols: triSeg(uplo, n, a, lda, -1),
+		factor: func() int {
+			Lacpy('A', n, n, a, lda, af, ldaf)
+			return sytrf(cfg, herm, uplo, n, af, ldaf, ipiv)
+		},
+		solve: func(_ Trans, nrhs int, x []T, ldx int) { sytrs(cfg, herm, uplo, n, nrhs, af, ldaf, ipiv, x, ldx) },
+		mul:   func(_ Trans, alpha T, x []T, beta T, y []T) { mv(uplo, n, alpha, a, lda, x, 1, beta, y, 1) },
+	}
 }
 
-// SysvxResult carries the outputs of Sysvx / Hesvx.
-type SysvxResult struct {
-	RCond float64
-	Ferr  []float64
-	Berr  []float64
-	Info  int
-}
-
-// Sysvx is the expert driver for symmetric indefinite systems (xSYSVX).
-func Sysvx[T core.Scalar](cfg *core.Config, fact Fact, uplo Uplo, n, nrhs int, a []T, lda int, af []T, ldaf int, ipiv []int, b []T, ldb int, x []T, ldx int) SysvxResult {
-	return sysvx(cfg, false, fact, uplo, n, nrhs, a, lda, af, ldaf, ipiv, b, ldb, x, ldx)
+// Sysvx is the expert driver for symmetric indefinite systems (xSYSVX); see
+// Gesvx. There is no equilibration step.
+func Sysvx[T core.Scalar](cfg *core.Config, fact Fact, uplo Uplo, n, nrhs int, a []T, lda int, af []T, ldaf int, ipiv []int, b []T, ldb int, x []T, ldx int) SvxResult {
+	return svx(sySystem(cfg, false, uplo, n, a, lda, af, ldaf, ipiv), fact, NoTrans, nrhs, b, ldb, x, ldx)
 }
 
 // Hesvx is the expert driver for Hermitian indefinite systems (xHESVX).
-func Hesvx[T core.Scalar](cfg *core.Config, fact Fact, uplo Uplo, n, nrhs int, a []T, lda int, af []T, ldaf int, ipiv []int, b []T, ldb int, x []T, ldx int) SysvxResult {
-	return sysvx(cfg, true, fact, uplo, n, nrhs, a, lda, af, ldaf, ipiv, b, ldb, x, ldx)
-}
-
-func sysvx[T core.Scalar](cfg *core.Config, herm bool, fact Fact, uplo Uplo, n, nrhs int, a []T, lda int, af []T, ldaf int, ipiv []int, b []T, ldb int, x []T, ldx int) SysvxResult {
-	res := SysvxResult{Ferr: make([]float64, nrhs), Berr: make([]float64, nrhs)}
-	if fact != FactFact {
-		Lacpy('A', n, n, a, lda, af, ldaf)
-		res.Info = sytrf(cfg, herm, uplo, n, af, ldaf, ipiv)
-	}
-	if res.Info > 0 {
-		return res
-	}
-	anorm := Lansy(OneNorm, uplo, n, a, lda)
-	res.RCond = sycon(cfg, herm, uplo, n, af, ldaf, ipiv, anorm)
-	Lacpy('A', n, nrhs, b, ldb, x, ldx)
-	sytrs(cfg, herm, uplo, n, nrhs, af, ldaf, ipiv, x, ldx)
-	syrfs(cfg, herm, uplo, n, nrhs, a, lda, af, ldaf, ipiv, b, ldb, x, ldx, res.Ferr, res.Berr)
-	if res.RCond < core.Eps[T]() {
-		res.Info = n + 1
-	}
-	return res
+func Hesvx[T core.Scalar](cfg *core.Config, fact Fact, uplo Uplo, n, nrhs int, a []T, lda int, af []T, ldaf int, ipiv []int, b []T, ldb int, x []T, ldx int) SvxResult {
+	return svx(sySystem(cfg, true, uplo, n, a, lda, af, ldaf, ipiv), fact, NoTrans, nrhs, b, ldb, x, ldx)
 }

@@ -76,17 +76,15 @@ func testSysv[T core.Scalar](t *testing.T, uplo lapack.Uplo, n int) {
 	if r := testutil.SolveResidual(n, nrhs, symFullSym(uplo, n, a, lda), n, sol, n, b, n); r > thresh {
 		t.Fatalf("sysv residual %v", r)
 	}
-	// Condition estimate and refinement.
-	anorm := lapack.Lansy(lapack.OneNorm, uplo, n, a, lda)
-	if rc := lapack.Sycon(tcfg(), uplo, n, af, lda, ipiv, anorm); rc <= 0 || rc > 1.000001 {
-		t.Fatalf("sycon rcond=%v", rc)
+	// Condition estimate and refinement off the same factorization.
+	x := make([]T, n*nrhs)
+	res := lapack.Sysvx(tcfg(), lapack.FactFact, uplo, n, nrhs, a, lda, af, lda, ipiv, b, n, x, n)
+	if res.Info != 0 || res.RCond <= 0 || res.RCond > 1.000001 {
+		t.Fatalf("sycon info=%d rcond=%v", res.Info, res.RCond)
 	}
-	ferr := make([]float64, nrhs)
-	berr := make([]float64, nrhs)
-	lapack.Syrfs(tcfg(), uplo, n, nrhs, a, lda, af, lda, ipiv, b, n, sol, n, ferr, berr)
 	for j := 0; j < nrhs; j++ {
-		if berr[j] > 100*core.Eps[T]() {
-			t.Fatalf("syrfs berr=%v", berr[j])
+		if res.Berr[j] > 100*core.Eps[T]() {
+			t.Fatalf("syrfs berr=%v", res.Berr[j])
 		}
 	}
 }
@@ -120,9 +118,10 @@ func testHesv[T core.Scalar](t *testing.T, uplo lapack.Uplo, n int) {
 	if r := testutil.SolveResidual(n, nrhs, symFull(uplo, n, a, lda), n, sol, n, b, n); r > thresh {
 		t.Fatalf("hesv residual %v", r)
 	}
-	anorm := lapack.Lansy(lapack.OneNorm, uplo, n, a, lda)
-	if rc := lapack.Hecon(tcfg(), uplo, n, af, lda, ipiv, anorm); rc <= 0 || rc > 1.000001 {
-		t.Fatalf("hecon rcond=%v", rc)
+	x := make([]T, n*nrhs)
+	res := lapack.Hesvx(tcfg(), lapack.FactFact, uplo, n, nrhs, a, lda, af, lda, ipiv, b, n, x, n)
+	if res.Info != 0 || res.RCond <= 0 || res.RCond > 1.000001 {
+		t.Fatalf("hecon info=%d rcond=%v", res.Info, res.RCond)
 	}
 }
 
@@ -254,27 +253,19 @@ func testSpsv[T core.Scalar](t *testing.T, uplo lapack.Uplo, n int, herm bool) {
 	if r := testutil.SolveResidual(n, nrhs, full, n, sol, n, b, n); r > thresh {
 		t.Fatalf("sp/hpsv residual %v", r)
 	}
-	anorm := lapack.Lansp(lapack.OneNorm, uplo, n, ap)
-	var rc float64
+	// Condition estimate and refinement off the packed factorization.
+	driver := lapack.Spsvx[T]
 	if herm {
-		rc = lapack.Hpcon(tcfg(), uplo, n, apf, ipiv, anorm)
-	} else {
-		rc = lapack.Spcon(tcfg(), uplo, n, apf, ipiv, anorm)
+		driver = lapack.Hpsvx[T]
 	}
-	if rc <= 0 || rc > 1.000001 {
-		t.Fatalf("sp/hpcon rcond=%v", rc)
-	}
-	// Refinement.
-	ferr := make([]float64, nrhs)
-	berr := make([]float64, nrhs)
-	if herm {
-		lapack.Hprfs(tcfg(), uplo, n, nrhs, ap, apf, ipiv, b, n, sol, n, ferr, berr)
-	} else {
-		lapack.Sprfs(tcfg(), uplo, n, nrhs, ap, apf, ipiv, b, n, sol, n, ferr, berr)
+	x := make([]T, n*nrhs)
+	res := driver(tcfg(), lapack.FactFact, uplo, n, nrhs, ap, apf, ipiv, b, n, x, n)
+	if res.Info != 0 || res.RCond <= 0 || res.RCond > 1.000001 {
+		t.Fatalf("sp/hpcon info=%d rcond=%v", res.Info, res.RCond)
 	}
 	for j := 0; j < nrhs; j++ {
-		if berr[j] > 100*core.Eps[T]() {
-			t.Fatalf("sp/hprfs berr=%v", berr[j])
+		if res.Berr[j] > 100*core.Eps[T]() {
+			t.Fatalf("sp/hprfs berr=%v", res.Berr[j])
 		}
 	}
 }

@@ -101,7 +101,7 @@ func BatchGesv[T Scalar](as, bs []*Matrix[T], opts ...Opt) (ipivs [][]int, errs 
 			}
 		}
 		info := lapack.Gesv(cfg, a.Rows, b.Cols, a.Data, a.Stride, ipivs[i], b.Data, b.Stride)
-		errs[i] = erinfo(routine, info, "matrix is exactly singular")
+		errs[i] = erdiag(routine, info, "matrix is exactly singular", DiagSingular)
 	}, func(i int, pe *blas.PanicError) {
 		errs[i] = batchItemError(routine, pe)
 	})
@@ -139,7 +139,7 @@ func BatchPosv[T Scalar](as, bs []*Matrix[T], opts ...Opt) (errs []error, err er
 			}
 		}
 		info := lapack.Posv(cfg, o.uplo, a.Rows, b.Cols, a.Data, a.Stride, b.Data, b.Stride)
-		errs[i] = erinfo(routine, info, "matrix is not positive definite")
+		errs[i] = erdiag(routine, info, "matrix is not positive definite", DiagNotPositiveDefinite)
 	}, func(i int, pe *blas.PanicError) {
 		errs[i] = batchItemError(routine, pe)
 	})

@@ -118,6 +118,47 @@ func TestBatchGesvPerItemErrors(t *testing.T) {
 	}
 }
 
+// TestBatchItemErrorsAreSingleCallErrors: errs[i] of BatchGesv/BatchPosv on a
+// singular / not positive definite item is the error GESV/POSV returns for
+// that item — same sentinel under errors.Is, same text.
+func TestBatchItemErrorsAreSingleCallErrors(t *testing.T) {
+	sing := newGen(5, 1)
+	for j := 0; j < 5; j++ {
+		sing.Set(2, j, 0)
+	}
+	notPD := newGen(5, 2)
+	notPD.Set(3, 3, -1)
+	for _, c := range []struct {
+		name     string
+		bad      *la.Matrix[float64]
+		sentinel error
+		single   func(a, b *la.Matrix[float64]) error
+		batch    func(as, bs []*la.Matrix[float64]) []error
+	}{
+		{"GESV", sing, la.ErrSingular,
+			func(a, b *la.Matrix[float64]) error { _, err := la.GESV(a, b); return err },
+			func(as, bs []*la.Matrix[float64]) []error { _, errs, _ := la.BatchGesv(as, bs); return errs }},
+		{"POSV", notPD, la.ErrNotPositiveDefinite,
+			func(a, b *la.Matrix[float64]) error { return la.POSV(a, b) },
+			func(as, bs []*la.Matrix[float64]) []error { errs, _ := la.BatchPosv(as, bs); return errs }},
+	} {
+		want := c.single(c.bad.Clone(), newRHS(5, 1))
+		errs := c.batch([]*la.Matrix[float64]{newGen(5, 0), c.bad.Clone()}, []*la.Matrix[float64]{newRHS(5, 1), newRHS(5, 1)})
+		if errs[0] != nil {
+			t.Errorf("Batch%s item 0 (valid): %v", c.name, errs[0])
+		}
+		if !errors.Is(want, c.sentinel) {
+			t.Fatalf("%s: %v is not %v", c.name, want, c.sentinel)
+		}
+		if !errors.Is(errs[1], c.sentinel) {
+			t.Errorf("Batch%s: errors.Is(%v, %v) is false", c.name, errs[1], c.sentinel)
+		}
+		if errs[1] == nil || errs[1].Error() != want.Error() {
+			t.Errorf("Batch%s item error %q, %s returns %q", c.name, errs[1], c.name, want)
+		}
+	}
+}
+
 // TestBatchPosvMatchesLooped pins BatchPosv against looped la.POSV on both
 // triangles.
 func TestBatchPosvMatchesLooped(t *testing.T) {

@@ -1,9 +1,6 @@
 package la
 
-import (
-	"repro/internal/blas"
-	"repro/internal/lapack"
-)
+import "repro/internal/blas"
 
 // Batched expert drivers: the LA_GESVX/LA_POSVX pipeline — equilibration,
 // factorization, condition estimation, iterative refinement, error bounds —
@@ -25,45 +22,7 @@ import (
 // WithTrans selects op(A), WithEquilibration enables FACT = 'E' (A[i] and
 // B[i] are then overwritten by the scaling, exactly as GESVX documents).
 func BatchGesvx[T Scalar](as, bs []*Matrix[T], opts ...Opt) (results []*ExpertResult[T], errs []error, err error) {
-	const routine = "LA_GESVX"
-	defer guard(routine, &err)
-	if len(as) != len(bs) {
-		return nil, nil, erinfo(routine, -2, "batch slice lengths differ")
-	}
-	o := apply(opts)
-	cfg := o.cfg
-	results = make([]*ExpertResult[T], len(as))
-	errs = make([]error, len(as))
-	blas.BatchRange(cfg, len(as), func(i int) {
-		a, b := as[i], bs[i]
-		if !square(a) {
-			errs[i] = erinfo(routine, -1, "")
-			return
-		}
-		if !rhsMatch(a.Rows, b) {
-			errs[i] = erinfo(routine, -2, "")
-			return
-		}
-		if o.check {
-			if e := firstErr(finiteMat(routine, 1, "A", a), finiteMat(routine, 2, "B", b)); e != nil {
-				errs[i] = e
-				return
-			}
-		}
-		n, nrhs := a.Rows, b.Cols
-		af := NewMatrix[T](n, n)
-		x := NewMatrix[T](n, nrhs)
-		ipiv := make([]int, n)
-		res := lapack.Gesvx(cfg, o.fact, o.trans, n, nrhs, a.Data, a.Stride, af.Data, af.Stride, ipiv, b.Data, b.Stride, x.Data, x.Stride)
-		results[i] = &ExpertResult[T]{
-			X: x, RCond: res.RCond, Ferr: res.Ferr, Berr: res.Berr,
-			Equed: byte(res.Equed), R: res.R, C: res.C, RPvGrw: res.RPvGrw, IPiv: ipiv,
-		}
-		errs[i] = erexpert(routine, res.Info, n, res.RCond, byte(res.Equed), "matrix is exactly singular", DiagSingular)
-	}, func(i int, pe *blas.PanicError) {
-		errs[i] = batchItemError(routine, pe)
-	})
-	return results, errs, nil
+	return batchExpert("LA_GESVX", gesvx[T], as, bs, opts)
 }
 
 // BatchPosvx solves the symmetric/Hermitian positive definite systems
@@ -71,40 +30,21 @@ func BatchGesvx[T Scalar](as, bs []*Matrix[T], opts ...Opt) (results []*ExpertRe
 // LA_POSVX). The WithUpLo triangle of each A[i] is referenced;
 // WithEquilibration enables the diagonal scaling.
 func BatchPosvx[T Scalar](as, bs []*Matrix[T], opts ...Opt) (results []*ExpertResult[T], errs []error, err error) {
-	const routine = "LA_POSVX"
+	return batchExpert("LA_POSVX", posvx[T], as, bs, opts)
+}
+
+// batchExpert runs item — the single-call driver on applied options — over
+// the batch.
+func batchExpert[T Scalar](routine string, item func(string, *options, *Matrix[T], *Matrix[T]) (*ExpertResult[T], error), as, bs []*Matrix[T], opts []Opt) (results []*ExpertResult[T], errs []error, err error) {
 	defer guard(routine, &err)
 	if len(as) != len(bs) {
 		return nil, nil, erinfo(routine, -2, "batch slice lengths differ")
 	}
 	o := apply(opts)
-	cfg := o.cfg
 	results = make([]*ExpertResult[T], len(as))
 	errs = make([]error, len(as))
-	blas.BatchRange(cfg, len(as), func(i int) {
-		a, b := as[i], bs[i]
-		if !square(a) {
-			errs[i] = erinfo(routine, -1, "")
-			return
-		}
-		if !rhsMatch(a.Rows, b) {
-			errs[i] = erinfo(routine, -2, "")
-			return
-		}
-		if o.check {
-			if e := firstErr(finiteMat(routine, 1, "A", a), finiteMat(routine, 2, "B", b)); e != nil {
-				errs[i] = e
-				return
-			}
-		}
-		n, nrhs := a.Rows, b.Cols
-		af := NewMatrix[T](n, n)
-		x := NewMatrix[T](n, nrhs)
-		res := lapack.Posvx(cfg, o.fact, o.uplo, n, nrhs, a.Data, a.Stride, af.Data, af.Stride, b.Data, b.Stride, x.Data, x.Stride)
-		results[i] = &ExpertResult[T]{
-			X: x, RCond: res.RCond, Ferr: res.Ferr, Berr: res.Berr,
-			Equed: byte(res.Equed), S: res.S,
-		}
-		errs[i] = erexpert(routine, res.Info, n, res.RCond, byte(res.Equed), "the leading minor of order INFO is not positive definite", DiagNotPositiveDefinite)
+	blas.BatchRange(o.cfg, len(as), func(i int) {
+		results[i], errs[i] = item(routine, &o, as[i], bs[i])
 	}, func(i int, pe *blas.PanicError) {
 		errs[i] = batchItemError(routine, pe)
 	})

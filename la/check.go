@@ -156,3 +156,86 @@ func canceledError(routine string, ce *core.CancelError) *Error {
 func nonFinite(routine string, arg int, name string) error {
 	return &Error{Routine: routine, Info: -arg, Detail: name + " contains a non-finite value"}
 }
+
+// The argument checks of the linear-system drivers, one per storage format,
+// shared by the simple driver (LA_xxSV) and the expert one (LA_xxSVX): shapes
+// first, in argument order, then — with check — non-finite entries.
+
+// denseArgs checks the A and B of a dense n×n system.
+func denseArgs[T Scalar](routine string, check bool, a, b *Matrix[T]) error {
+	if !square(a) {
+		return erinfo(routine, -1, "")
+	}
+	if !rhsMatch(a.Rows, b) {
+		return erinfo(routine, -2, "")
+	}
+	if check {
+		return firstErr(finiteMat(routine, 1, "A", a), finiteMat(routine, 2, "B", b))
+	}
+	return nil
+}
+
+// packedArgs checks the AP and B of a packed system and returns its order.
+func packedArgs[T Scalar](routine string, check bool, ap []T, b *Matrix[T]) (int, error) {
+	n := packedOrder(len(ap))
+	if n < 0 {
+		return n, erinfo(routine, -1, "")
+	}
+	if !rhsMatch(n, b) {
+		return n, erinfo(routine, -2, "")
+	}
+	if check {
+		return n, firstErr(finiteSlice(routine, 1, "AP", ap), finiteMat(routine, 2, "B", b))
+	}
+	return n, nil
+}
+
+// bandArgs checks the AB (symmetric band storage, kd = AB.Rows−1) and B of a
+// positive definite band system.
+func bandArgs[T Scalar](routine string, check bool, ab, b *Matrix[T]) error {
+	if ab == nil || ab.Rows < 1 {
+		return erinfo(routine, -1, "")
+	}
+	if !rhsMatch(ab.Cols, b) {
+		return erinfo(routine, -2, "")
+	}
+	if check {
+		return firstErr(finiteMat(routine, 1, "AB", ab), finiteMat(routine, 2, "B", b))
+	}
+	return nil
+}
+
+// gtArgs checks the DL, D, DU and B of a general tridiagonal system.
+func gtArgs[T Scalar](routine string, check bool, dl, d, du []T, b *Matrix[T]) error {
+	n := len(d)
+	if n > 0 && (len(dl) != n-1 || len(du) != n-1) {
+		return erinfo(routine, -1, "")
+	}
+	if !rhsMatch(n, b) {
+		return erinfo(routine, -4, "")
+	}
+	if check {
+		return firstErr(
+			finiteSlice(routine, 1, "DL", dl),
+			finiteSlice(routine, 2, "D", d),
+			finiteSlice(routine, 3, "DU", du),
+			finiteMat(routine, 4, "B", b),
+		)
+	}
+	return nil
+}
+
+// ptArgs checks the D, E and B of a positive definite tridiagonal system.
+func ptArgs[T Scalar](routine string, check bool, d []float64, e []T, b *Matrix[T]) error {
+	n := len(d)
+	if n > 0 && len(e) != n-1 {
+		return erinfo(routine, -2, "")
+	}
+	if !rhsMatch(n, b) {
+		return erinfo(routine, -3, "")
+	}
+	if check {
+		return firstErr(finiteFloats(routine, 1, "D", d), finiteSlice(routine, 2, "E", e), finiteMat(routine, 3, "B", b))
+	}
+	return nil
+}

@@ -13,45 +13,55 @@ type ExpertResult[T Scalar] struct {
 	Equed  byte       // equilibration applied: 'N', 'R', 'C' or 'B'
 	R, C   []float64  // row/column scale factors (general drivers)
 	S      []float64  // symmetric scale factors (definite drivers)
-	RPvGrw float64    // reciprocal pivot growth (LA_GESVX/LA_GBSVX)
+	RPvGrw float64    // reciprocal pivot growth (LA_GESVX)
 	IPiv   []int      // pivots from the factorization, when applicable
+}
+
+// The failure texts of 0 < INFO ≤ n, shared by the drivers of a family.
+const (
+	detailSingular = "matrix is exactly singular"
+	detailNotPD    = "the leading minor of order INFO is not positive definite"
+)
+
+// expert is what every expert driver does once its own arguments are
+// checked: allocate X, run the pipeline — svx is the internal/lapack driver
+// of the storage format, bound to the matrix and to the factor storage the
+// caller allocated — and convert result and error. ipiv is the pivot vector
+// svx fills, nil for a format without one.
+func expert[T Scalar](routine string, n int, b *Matrix[T], ipiv []int, svx func(b, x *Matrix[T]) lapack.SvxResult, singDetail string, singDiag Diagnosis) (*ExpertResult[T], error) {
+	x := NewMatrix[T](n, b.Cols)
+	res := svx(b, x)
+	out := &ExpertResult[T]{
+		X: x, RCond: res.RCond, Ferr: res.Ferr, Berr: res.Berr,
+		Equed: byte(res.Equed), R: res.R, C: res.C, S: res.S, RPvGrw: res.RPvGrw, IPiv: ipiv,
+	}
+	return out, erexpert(routine, res.Info, n, res.RCond, byte(res.Equed), singDetail, singDiag)
 }
 
 // GESVX solves A·X = B with condition estimation, iterative refinement and
 // optional equilibration (the paper's LA_GESVX expert driver).
 //
 // Options: WithTrans selects op(A); WithEquilibration enables FACT = 'E'.
-// A and B may be overwritten by equilibration; AF-style factored reuse is
-// expressed by calling the simple driver first and passing WithFactored
-// together with the same matrices. A positive INFO <= n reports a singular
-// factor; INFO = n+1 reports RCOND below machine epsilon (the solution and
-// bounds are still returned).
+// A and B may be overwritten by equilibration. A positive INFO <= n reports
+// a singular factor; INFO = n+1 reports RCOND below machine epsilon (the
+// solution and bounds are still returned).
 func GESVX[T Scalar](a, b *Matrix[T], opts ...Opt) (result *ExpertResult[T], err error) {
 	const routine = "LA_GESVX"
 	defer guard(routine, &err)
 	o := apply(opts)
-	cfg := o.cfg
-	if !square(a) {
-		return nil, erinfo(routine, -1, "")
+	return gesvx(routine, &o, a, b)
+}
+
+// gesvx is GESVX on applied options; BatchGesvx runs it per item.
+func gesvx[T Scalar](routine string, o *options, a, b *Matrix[T]) (*ExpertResult[T], error) {
+	if err := denseArgs(routine, o.check, a, b); err != nil {
+		return nil, err
 	}
-	if !rhsMatch(a.Rows, b) {
-		return nil, erinfo(routine, -2, "")
-	}
-	if o.check {
-		if err := firstErr(finiteMat(routine, 1, "A", a), finiteMat(routine, 2, "B", b)); err != nil {
-			return nil, err
-		}
-	}
-	n, nrhs := a.Rows, b.Cols
-	af := NewMatrix[T](n, n)
-	x := NewMatrix[T](n, nrhs)
-	ipiv := make([]int, n)
-	res := lapack.Gesvx(cfg, o.fact, o.trans, n, nrhs, a.Data, a.Stride, af.Data, af.Stride, ipiv, b.Data, b.Stride, x.Data, x.Stride)
-	out := &ExpertResult[T]{
-		X: x, RCond: res.RCond, Ferr: res.Ferr, Berr: res.Berr,
-		Equed: byte(res.Equed), R: res.R, C: res.C, RPvGrw: res.RPvGrw, IPiv: ipiv,
-	}
-	return out, erexpert(routine, res.Info, n, res.RCond, byte(res.Equed), "matrix is exactly singular", DiagSingular)
+	n := a.Rows
+	af, ipiv := NewMatrix[T](n, n), make([]int, n)
+	return expert(routine, n, b, ipiv, func(b, x *Matrix[T]) lapack.SvxResult {
+		return lapack.Gesvx(o.cfg, o.fact, o.trans, n, b.Cols, a.Data, a.Stride, af.Data, af.Stride, ipiv, b.Data, b.Stride, x.Data, x.Stride)
+	}, detailSingular, DiagSingular)
 }
 
 // GBSVX is the expert driver for general band systems (the paper's
@@ -81,17 +91,11 @@ func GBSVX[T Scalar](ab, b *Matrix[T], opts ...Opt) (result *ExpertResult[T], er
 			return nil, err
 		}
 	}
-	nrhs := b.Cols
 	ldafb := 2*kl + ku + 1
-	afb := make([]T, ldafb*n)
-	x := NewMatrix[T](n, nrhs)
-	ipiv := make([]int, n)
-	res := lapack.Gbsvx(o.fact, o.trans, n, kl, ku, nrhs, ab.Data, ab.Stride, afb, ldafb, ipiv, b.Data, b.Stride, x.Data, x.Stride)
-	out := &ExpertResult[T]{
-		X: x, RCond: res.RCond, Ferr: res.Ferr, Berr: res.Berr,
-		Equed: byte(res.Equed), R: res.R, C: res.C, IPiv: ipiv,
-	}
-	return out, erexpert(routine, res.Info, n, res.RCond, byte(res.Equed), "matrix is exactly singular", DiagSingular)
+	afb, ipiv := make([]T, ldafb*n), make([]int, n)
+	return expert(routine, n, b, ipiv, func(b, x *Matrix[T]) lapack.SvxResult {
+		return lapack.Gbsvx(o.fact, o.trans, n, kl, ku, b.Cols, ab.Data, ab.Stride, afb, ldafb, ipiv, b.Data, b.Stride, x.Data, x.Stride)
+	}, detailSingular, DiagSingular)
 }
 
 // GTSVX is the expert driver for general tridiagonal systems (the paper's
@@ -100,33 +104,15 @@ func GTSVX[T Scalar](dl, d, du []T, b *Matrix[T], opts ...Opt) (result *ExpertRe
 	const routine = "LA_GTSVX"
 	defer guard(routine, &err)
 	o := apply(opts)
+	if err := gtArgs(routine, o.check, dl, d, du, b); err != nil {
+		return nil, err
+	}
 	n := len(d)
-	if n > 0 && (len(dl) != n-1 || len(du) != n-1) {
-		return nil, erinfo(routine, -1, "")
-	}
-	if !rhsMatch(n, b) {
-		return nil, erinfo(routine, -4, "")
-	}
-	if o.check {
-		if err := firstErr(
-			finiteSlice(routine, 1, "DL", dl),
-			finiteSlice(routine, 2, "D", d),
-			finiteSlice(routine, 3, "DU", du),
-			finiteMat(routine, 4, "B", b),
-		); err != nil {
-			return nil, err
-		}
-	}
-	nrhs := b.Cols
-	dlf := make([]T, max(0, n-1))
-	df := make([]T, n)
-	duf := make([]T, max(0, n-1))
-	du2 := make([]T, max(0, n-2))
+	dlf, df, duf, du2 := make([]T, max(0, n-1)), make([]T, n), make([]T, max(0, n-1)), make([]T, max(0, n-2))
 	ipiv := make([]int, n)
-	x := NewMatrix[T](n, nrhs)
-	res := lapack.Gtsvx(o.fact, o.trans, n, nrhs, dl, d, du, dlf, df, duf, du2, ipiv, b.Data, b.Stride, x.Data, x.Stride)
-	out := &ExpertResult[T]{X: x, RCond: res.RCond, Ferr: res.Ferr, Berr: res.Berr, IPiv: ipiv}
-	return out, erexpert(routine, res.Info, n, res.RCond, 0, "matrix is exactly singular", DiagSingular)
+	return expert(routine, n, b, ipiv, func(b, x *Matrix[T]) lapack.SvxResult {
+		return lapack.Gtsvx(o.fact, o.trans, n, b.Cols, dl, d, du, dlf, df, duf, du2, ipiv, b.Data, b.Stride, x.Data, x.Stride)
+	}, detailSingular, DiagSingular)
 }
 
 // POSVX is the expert driver for symmetric/Hermitian positive definite
@@ -135,27 +121,19 @@ func POSVX[T Scalar](a, b *Matrix[T], opts ...Opt) (result *ExpertResult[T], err
 	const routine = "LA_POSVX"
 	defer guard(routine, &err)
 	o := apply(opts)
-	cfg := o.cfg
-	if !square(a) {
-		return nil, erinfo(routine, -1, "")
+	return posvx(routine, &o, a, b)
+}
+
+// posvx is POSVX on applied options; BatchPosvx runs it per item.
+func posvx[T Scalar](routine string, o *options, a, b *Matrix[T]) (*ExpertResult[T], error) {
+	if err := denseArgs(routine, o.check, a, b); err != nil {
+		return nil, err
 	}
-	if !rhsMatch(a.Rows, b) {
-		return nil, erinfo(routine, -2, "")
-	}
-	if o.check {
-		if err := firstErr(finiteMat(routine, 1, "A", a), finiteMat(routine, 2, "B", b)); err != nil {
-			return nil, err
-		}
-	}
-	n, nrhs := a.Rows, b.Cols
+	n := a.Rows
 	af := NewMatrix[T](n, n)
-	x := NewMatrix[T](n, nrhs)
-	res := lapack.Posvx(cfg, o.fact, o.uplo, n, nrhs, a.Data, a.Stride, af.Data, af.Stride, b.Data, b.Stride, x.Data, x.Stride)
-	out := &ExpertResult[T]{
-		X: x, RCond: res.RCond, Ferr: res.Ferr, Berr: res.Berr,
-		Equed: byte(res.Equed), S: res.S,
-	}
-	return out, erexpert(routine, res.Info, n, res.RCond, byte(res.Equed), "the leading minor of order INFO is not positive definite", DiagNotPositiveDefinite)
+	return expert(routine, n, b, nil, func(b, x *Matrix[T]) lapack.SvxResult {
+		return lapack.Posvx(o.cfg, o.fact, o.uplo, n, b.Cols, a.Data, a.Stride, af.Data, af.Stride, b.Data, b.Stride, x.Data, x.Stride)
+	}, detailNotPD, DiagNotPositiveDefinite)
 }
 
 // PPSVX is the expert driver for packed positive definite systems (the
@@ -164,27 +142,14 @@ func PPSVX[T Scalar](ap []T, b *Matrix[T], opts ...Opt) (result *ExpertResult[T]
 	const routine = "LA_PPSVX"
 	defer guard(routine, &err)
 	o := apply(opts)
-	n := packedOrder(len(ap))
-	if n < 0 {
-		return nil, erinfo(routine, -1, "")
+	n, err := packedArgs(routine, o.check, ap, b)
+	if err != nil {
+		return nil, err
 	}
-	if !rhsMatch(n, b) {
-		return nil, erinfo(routine, -2, "")
-	}
-	if o.check {
-		if err := firstErr(finiteSlice(routine, 1, "AP", ap), finiteMat(routine, 2, "B", b)); err != nil {
-			return nil, err
-		}
-	}
-	nrhs := b.Cols
 	afp := make([]T, len(ap))
-	x := NewMatrix[T](n, nrhs)
-	res := lapack.Ppsvx(o.fact, o.uplo, n, nrhs, ap, afp, b.Data, b.Stride, x.Data, x.Stride)
-	out := &ExpertResult[T]{
-		X: x, RCond: res.RCond, Ferr: res.Ferr, Berr: res.Berr,
-		Equed: byte(res.Equed), S: res.S,
-	}
-	return out, erexpert(routine, res.Info, n, res.RCond, byte(res.Equed), "the leading minor of order INFO is not positive definite", DiagNotPositiveDefinite)
+	return expert(routine, n, b, nil, func(b, x *Matrix[T]) lapack.SvxResult {
+		return lapack.Ppsvx(o.fact, o.uplo, n, b.Cols, ap, afp, b.Data, b.Stride, x.Data, x.Stride)
+	}, detailNotPD, DiagNotPositiveDefinite)
 }
 
 // PBSVX is the expert driver for positive definite band systems (the
@@ -193,28 +158,14 @@ func PBSVX[T Scalar](ab, b *Matrix[T], opts ...Opt) (result *ExpertResult[T], er
 	const routine = "LA_PBSVX"
 	defer guard(routine, &err)
 	o := apply(opts)
-	if ab == nil || ab.Rows < 1 {
-		return nil, erinfo(routine, -1, "")
+	if err := bandArgs(routine, o.check, ab, b); err != nil {
+		return nil, err
 	}
-	n := ab.Cols
-	kd := ab.Rows - 1
-	if !rhsMatch(n, b) {
-		return nil, erinfo(routine, -2, "")
-	}
-	if o.check {
-		if err := firstErr(finiteMat(routine, 1, "AB", ab), finiteMat(routine, 2, "B", b)); err != nil {
-			return nil, err
-		}
-	}
-	nrhs := b.Cols
+	n, kd := ab.Cols, ab.Rows-1
 	afb := make([]T, (kd+1)*n)
-	x := NewMatrix[T](n, nrhs)
-	res := lapack.Pbsvx(o.fact, o.uplo, n, kd, nrhs, ab.Data, ab.Stride, afb, kd+1, b.Data, b.Stride, x.Data, x.Stride)
-	out := &ExpertResult[T]{
-		X: x, RCond: res.RCond, Ferr: res.Ferr, Berr: res.Berr,
-		Equed: byte(res.Equed), S: res.S,
-	}
-	return out, erexpert(routine, res.Info, n, res.RCond, byte(res.Equed), "the leading minor of order INFO is not positive definite", DiagNotPositiveDefinite)
+	return expert(routine, n, b, nil, func(b, x *Matrix[T]) lapack.SvxResult {
+		return lapack.Pbsvx(o.fact, o.uplo, n, kd, b.Cols, ab.Data, ab.Stride, afb, kd+1, b.Data, b.Stride, x.Data, x.Stride)
+	}, detailNotPD, DiagNotPositiveDefinite)
 }
 
 // PTSVX is the expert driver for positive definite tridiagonal systems
@@ -223,29 +174,14 @@ func PTSVX[T Scalar](d []float64, e []T, b *Matrix[T], opts ...Opt) (result *Exp
 	const routine = "LA_PTSVX"
 	defer guard(routine, &err)
 	o := apply(opts)
+	if err := ptArgs(routine, o.check, d, e, b); err != nil {
+		return nil, err
+	}
 	n := len(d)
-	if n > 0 && len(e) != n-1 {
-		return nil, erinfo(routine, -2, "")
-	}
-	if !rhsMatch(n, b) {
-		return nil, erinfo(routine, -3, "")
-	}
-	if o.check {
-		if err := firstErr(
-			finiteFloats(routine, 1, "D", d),
-			finiteSlice(routine, 2, "E", e),
-			finiteMat(routine, 3, "B", b),
-		); err != nil {
-			return nil, err
-		}
-	}
-	nrhs := b.Cols
-	df := make([]float64, n)
-	ef := make([]T, max(0, n-1))
-	x := NewMatrix[T](n, nrhs)
-	res := lapack.Ptsvx[T](o.fact, n, nrhs, d, e, df, ef, b.Data, b.Stride, x.Data, x.Stride)
-	out := &ExpertResult[T]{X: x, RCond: res.RCond, Ferr: res.Ferr, Berr: res.Berr}
-	return out, erexpert(routine, res.Info, n, res.RCond, 0, "the leading minor of order INFO is not positive definite", DiagNotPositiveDefinite)
+	df, ef := make([]float64, n), make([]T, max(0, n-1))
+	return expert(routine, n, b, nil, func(b, x *Matrix[T]) lapack.SvxResult {
+		return lapack.Ptsvx(o.fact, n, b.Cols, d, e, df, ef, b.Data, b.Stride, x.Data, x.Stride)
+	}, detailNotPD, DiagNotPositiveDefinite)
 }
 
 // SYSVX is the expert driver for symmetric indefinite systems (the
@@ -264,28 +200,18 @@ func HESVX[T Scalar](a, b *Matrix[T], opts ...Opt) (result *ExpertResult[T], err
 func sysvx[T Scalar](routine string, herm bool, a, b *Matrix[T], opts []Opt) (result *ExpertResult[T], err error) {
 	defer guard(routine, &err)
 	o := apply(opts)
-	if !square(a) {
-		return nil, erinfo(routine, -1, "")
-	}
-	if !rhsMatch(a.Rows, b) {
-		return nil, erinfo(routine, -2, "")
-	}
-	if o.check {
-		if err := firstErr(finiteMat(routine, 1, "A", a), finiteMat(routine, 2, "B", b)); err != nil {
-			return nil, err
-		}
-	}
 	driver := lapack.Sysvx[T]
 	if herm {
 		driver = lapack.Hesvx[T]
 	}
-	n, nrhs := a.Rows, b.Cols
-	af := NewMatrix[T](n, n)
-	ipiv := make([]int, n)
-	x := NewMatrix[T](n, nrhs)
-	res := driver(o.cfg, o.fact, o.uplo, n, nrhs, a.Data, a.Stride, af.Data, af.Stride, ipiv, b.Data, b.Stride, x.Data, x.Stride)
-	out := &ExpertResult[T]{X: x, RCond: res.RCond, Ferr: res.Ferr, Berr: res.Berr, IPiv: ipiv}
-	return out, erexpert(routine, res.Info, n, res.RCond, 0, "D(i,i) is exactly zero; the factorization is singular", DiagSingular)
+	if err := denseArgs(routine, o.check, a, b); err != nil {
+		return nil, err
+	}
+	n := a.Rows
+	af, ipiv := NewMatrix[T](n, n), make([]int, n)
+	return expert(routine, n, b, ipiv, func(b, x *Matrix[T]) lapack.SvxResult {
+		return driver(o.cfg, o.fact, o.uplo, n, b.Cols, a.Data, a.Stride, af.Data, af.Stride, ipiv, b.Data, b.Stride, x.Data, x.Stride)
+	}, "D(i,i) is exactly zero; the factorization is singular", DiagSingular)
 }
 
 // SPSVX is the expert driver for packed symmetric indefinite systems (the
@@ -305,38 +231,16 @@ func HPSVX[T Scalar](ap []T, b *Matrix[T], opts ...Opt) (result *ExpertResult[T]
 func spsvx[T Scalar](routine string, herm bool, ap []T, b *Matrix[T], opts []Opt) (result *ExpertResult[T], err error) {
 	defer guard(routine, &err)
 	o := apply(opts)
-	cfg := o.cfg
-	n := packedOrder(len(ap))
-	if n < 0 {
-		return nil, erinfo(routine, -1, "")
-	}
-	if !rhsMatch(n, b) {
-		return nil, erinfo(routine, -2, "")
-	}
-	if o.check {
-		if err := firstErr(finiteSlice(routine, 1, "AP", ap), finiteMat(routine, 2, "B", b)); err != nil {
-			return nil, err
-		}
-	}
-	trf, con, trs, rfs := lapack.Sptrf[T], lapack.Spcon[T], lapack.Sptrs[T], lapack.Sprfs[T]
+	driver := lapack.Spsvx[T]
 	if herm {
-		trf, con, trs, rfs = lapack.Hptrf[T], lapack.Hpcon[T], lapack.Hptrs[T], lapack.Hprfs[T]
+		driver = lapack.Hpsvx[T]
 	}
-	nrhs := b.Cols
-	afp := append([]T(nil), ap...)
-	ipiv := make([]int, n)
-	info := trf(o.uplo, n, afp, ipiv)
-	out := &ExpertResult[T]{X: NewMatrix[T](n, nrhs), Ferr: make([]float64, nrhs), Berr: make([]float64, nrhs), IPiv: ipiv}
-	if info != 0 {
-		return out, erdiag(routine, info, "D(i,i) is exactly zero", DiagSingular)
+	n, err := packedArgs(routine, o.check, ap, b)
+	if err != nil {
+		return nil, err
 	}
-	anorm := lapack.Lansp(lapack.OneNorm, o.uplo, n, ap)
-	out.RCond = con(cfg, o.uplo, n, afp, ipiv, anorm)
-	lapack.Lacpy('A', n, nrhs, b.Data, b.Stride, out.X.Data, out.X.Stride)
-	trs(cfg, o.uplo, n, nrhs, afp, ipiv, out.X.Data, out.X.Stride)
-	rfs(cfg, o.uplo, n, nrhs, ap, afp, ipiv, b.Data, b.Stride, out.X.Data, out.X.Stride, out.Ferr, out.Berr)
-	if out.RCond < epsFor[T]() {
-		info = n + 1
-	}
-	return out, erexpert(routine, info, n, out.RCond, 0, "D(i,i) is exactly zero; the factorization is singular", DiagSingular)
+	afp, ipiv := make([]T, len(ap)), make([]int, n)
+	return expert(routine, n, b, ipiv, func(b, x *Matrix[T]) lapack.SvxResult {
+		return driver(o.cfg, o.fact, o.uplo, n, b.Cols, ap, afp, ipiv, b.Data, b.Stride, x.Data, x.Stride)
+	}, "D(i,i) is exactly zero", DiagSingular)
 }

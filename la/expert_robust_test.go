@@ -468,3 +468,156 @@ func TestBatchGesvxItemIsolation(t *testing.T) {
 		t.Error("Hilbert item: bounds must still be delivered")
 	}
 }
+
+// expertStorages hands the same Hermitian matrix to POSVX, PPSVX and PBSVX
+// (full bandwidth) and, as a general matrix, to GESVX and GBSVX, each on its
+// own copy of a and b, and returns the results in that order.
+func expertStorages[T la.Scalar](t *testing.T, a, b *la.Matrix[T], general bool) (names []string, results []*la.ExpertResult[T], stored [][]T) {
+	t.Helper()
+	n := a.Rows
+	run := func(name string, storage []T, call func(bw *la.Matrix[T]) (*la.ExpertResult[T], error)) {
+		res, err := call(b.Clone())
+		if err != nil {
+			t.Errorf("%s: %v", name, err)
+		}
+		names, results, stored = append(names, name), append(results, res), append(stored, storage)
+	}
+	if general {
+		ge, gb := a.Clone(), expertBand(a, n-1, n-1)
+		run("GESVX", ge.Data, func(bw *la.Matrix[T]) (*la.ExpertResult[T], error) {
+			return la.GESVX(ge, bw, la.WithEquilibration())
+		})
+		run("GBSVX", gb.Data, func(bw *la.Matrix[T]) (*la.ExpertResult[T], error) {
+			return la.GBSVX(gb, bw, la.WithEquilibration())
+		})
+		return
+	}
+	po, pp, pb := a.Clone(), expertPacked(a, la.Upper), expertBand(a, 0, n-1)
+	run("POSVX", po.Data, func(bw *la.Matrix[T]) (*la.ExpertResult[T], error) {
+		return la.POSVX(po, bw, la.WithEquilibration())
+	})
+	run("PPSVX", pp, func(bw *la.Matrix[T]) (*la.ExpertResult[T], error) {
+		return la.PPSVX(pp, bw, la.WithEquilibration())
+	})
+	run("PBSVX", pb.Data, func(bw *la.Matrix[T]) (*la.ExpertResult[T], error) {
+		return la.PBSVX(pb, bw, la.WithEquilibration())
+	})
+	return
+}
+
+// testEquilibrationOneRule: the equilibration decision (xLAQGE/xLAQSY's
+// scond/rowcnd/colcnd and amax thresholds) and the scaling (one factor at a
+// time: S(i)·S(j) or R(i)·C(j) can overflow) exist once, so the same matrix
+// is equilibrated, solved and conditioned identically in every storage
+// format. Before PR 20 the packed and band drivers lacked the amax test and
+// multiplied by the pre-combined product.
+func testEquilibrationOneRule[T la.Scalar](t *testing.T) {
+	mat := func(rows [][]complex128, scale float64) *la.Matrix[T] {
+		a := la.NewMatrix[T](len(rows), len(rows))
+		for i, r := range rows {
+			for j, v := range r {
+				a.Set(i, j, fromC[T](v*complex(scale, 0)))
+			}
+		}
+		return a
+	}
+	off := complex(1, 0)
+	if expertIsComplex[T]() {
+		off = complex(1, 1)
+	}
+	cases := []struct {
+		name    string
+		general bool
+		a       *la.Matrix[T]
+		equed   byte
+	}{
+		{"tiny amax", false, mat([][]complex128{{4, off}, {cmplxConj(off), 3}}, 0x1p-1000), 'B'},
+		{"overflowing S(i)S(j)", false, mat([][]complex128{{0x1p-1060, 0, 0}, {0, 0x1p-1060, 0}, {0, 0, 1}}, 1), 'B'},
+		{"overflowing R(i)C(j)", true, mat([][]complex128{{0x1p-600, 0}, {1, 0x1p-600}}, 1), 'B'},
+	}
+	for _, c := range cases {
+		n := c.a.Rows
+		b := la.NewMatrix[T](n, 1)
+		for i := 0; i < n; i++ { // b = A·[1 … 1]ᵀ, exact
+			var s complex128
+			for j := 0; j < n; j++ {
+				s += toC(c.a.At(i, j))
+			}
+			b.Set(i, 0, fromC[T](s))
+		}
+		names, results, stored := expertStorages(t, c.a, b, c.general)
+		ref := results[0]
+		for k, res := range results {
+			if res == nil {
+				continue
+			}
+			for _, v := range stored[k] {
+				if z := toC(v); math.IsNaN(real(z)+imag(z)) || math.IsInf(real(z)+imag(z), 0) {
+					t.Errorf("%s, %s: non-finite entry %v left in the matrix storage", c.name, names[k], v)
+					break
+				}
+			}
+			if res.Equed != c.equed {
+				t.Errorf("%s, %s: Equed = %q, want %q", c.name, names[k], res.Equed, c.equed)
+			}
+			if math.Abs(res.RCond-ref.RCond) > 1e-12*ref.RCond {
+				t.Errorf("%s: %s RCond = %v, %s %v", c.name, names[k], res.RCond, names[0], ref.RCond)
+			}
+			for i := 0; i < n; i++ {
+				x, xr := toC(res.X.At(i, 0)), toC(ref.X.At(i, 0))
+				if d := x - xr; math.Hypot(real(d), imag(d)) > 4*0x1p-52*math.Hypot(real(xr), imag(xr)) {
+					t.Errorf("%s: %s X[%d] = %v, %s %v", c.name, names[k], i, x, names[0], xr)
+				}
+				// The last case's b(1) = 1 + 2⁻⁶⁰⁰ rounds to 1: its x is [1 0].
+				want := complex(1, 0)
+				if c.general && i == 1 {
+					want = 0
+				}
+				if d := x - want; math.Hypot(real(d), imag(d)) > 1e-12 {
+					t.Errorf("%s, %s: X[%d] = %v, want %v", c.name, names[k], i, x, want)
+				}
+			}
+		}
+	}
+}
+
+func cmplxConj(v complex128) complex128 { return complex(real(v), -imag(v)) }
+
+func TestEquilibrationOneRule(t *testing.T) {
+	t.Run("float64", testEquilibrationOneRule[float64])
+	t.Run("complex128", testEquilibrationOneRule[complex128])
+}
+
+// TestPtsvxComplexNorm: the 1-norm behind PTSVX's RCond is the same norm
+// every other format's is taken in (moduli, xLANHT), so a Hermitian
+// tridiagonal matrix has the RCond POSVX gives it as a dense one. Before
+// PR 20 PTSVX summed |re|+|im| of the off-diagonals.
+func TestPtsvxComplexNorm(t *testing.T) {
+	n := 6
+	d, e := make([]float64, n), make([]complex128, n-1)
+	a := la.NewMatrix[complex128](n, n)
+	for i := 0; i < n; i++ {
+		d[i] = 4 + float64(i%3)
+		a.Set(i, i, complex(d[i], 0))
+		if i < n-1 {
+			e[i] = complex(1+float64(i%2), 1+float64(i%2))
+			a.Set(i+1, i, e[i])
+			a.Set(i, i+1, cmplxConj(e[i]))
+		}
+	}
+	b := la.NewMatrix[complex128](n, 1)
+	for i := 0; i < n; i++ {
+		b.Set(i, 0, complex(float64(i+1), -1))
+	}
+	pt, err := la.PTSVX(d, e, b.Clone())
+	if err != nil {
+		t.Fatal(err)
+	}
+	po, err := la.POSVX(a, b.Clone(), la.WithUpLo(la.Lower))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if math.Abs(pt.RCond-po.RCond) > 1e-10*po.RCond {
+		t.Fatalf("PTSVX RCond = %v, POSVX on the same matrix %v", pt.RCond, po.RCond)
+	}
+}

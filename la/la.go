@@ -390,7 +390,6 @@ type options struct {
 	norm        byte    // NORM for LA_GETRF/LA_LANGE: 'M','1','I','F'
 	rcond       float64 // RCOND threshold for rank decisions
 	fact        lapack.Fact
-	equed       bool // allow equilibration (FACT='E')
 	rng         lapack.EigRange
 	vl, vu      float64
 	il, iu      int
@@ -471,9 +470,6 @@ func WithNorm(n byte) Opt { return func(o *options) { o.norm = n } }
 // WithRCond sets the rank-decision threshold of LA_GELSX/LA_GELSS
 // (default: machine epsilon).
 func WithRCond(r float64) Opt { return func(o *options) { o.rcond = r } }
-
-// WithFactored declares that the factored form is supplied (FACT = 'F').
-func WithFactored() Opt { return func(o *options) { o.fact = lapack.FactFact } }
 
 // WithEquilibration allows an expert driver to equilibrate the system
 // (FACT = 'E').

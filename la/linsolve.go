@@ -15,16 +15,8 @@ func GESV[T Scalar](a, b *Matrix[T], opts ...Opt) (ipiv []int, err error) {
 	defer guard(routine, &err)
 	o := apply(opts)
 	cfg := o.cfg
-	if !square(a) {
-		return nil, erinfo(routine, -1, "")
-	}
-	if !rhsMatch(a.Rows, b) {
-		return nil, erinfo(routine, -2, "")
-	}
-	if o.check {
-		if err := firstErr(finiteMat(routine, 1, "A", a), finiteMat(routine, 2, "B", b)); err != nil {
-			return nil, err
-		}
+	if err := denseArgs(routine, o.check, a, b); err != nil {
+		return nil, err
 	}
 	n := a.Rows
 	ipiv = make([]int, n)
@@ -40,31 +32,8 @@ func GESV[T Scalar](a, b *Matrix[T], opts ...Opt) (ipiv []int, err error) {
 // GESV1 is LA_GESV with a vector right-hand side (the paper's
 // SGESV1_F90 shape resolution: B has shape (:)).
 func GESV1[T Scalar](a *Matrix[T], b []T, opts ...Opt) (ipiv []int, err error) {
-	const routine = "LA_GESV"
-	defer guard(routine, &err)
-	o := apply(opts)
-	cfg := o.cfg
-	if !square(a) {
-		return nil, erinfo(routine, -1, "")
-	}
-	if len(b) != a.Rows {
-		return nil, erinfo(routine, -2, "")
-	}
-	if o.check {
-		if err := firstErr(finiteMat(routine, 1, "A", a), finiteSlice(routine, 2, "B", b)); err != nil {
-			return nil, err
-		}
-	}
-	n := a.Rows
-	ipiv = make([]int, n)
-	if o.mixed {
-		bm := &Matrix[T]{Rows: n, Cols: 1, Stride: max(1, n), Data: b}
-		if _, info, ok := mixedGesv(cfg, a, bm, ipiv); ok {
-			return ipiv, erdiag(routine, info, "matrix is exactly singular", DiagSingular)
-		}
-	}
-	info := lapack.Gesv(cfg, n, 1, a.Data, a.Stride, ipiv, b, max(1, n))
-	return ipiv, erdiag(routine, info, "matrix is exactly singular", DiagSingular)
+	bm := &Matrix[T]{Rows: len(b), Cols: 1, Stride: max(1, len(b)), Data: b}
+	return GESV(a, bm, opts...)
 }
 
 // GBSV solves a general band system of linear equations A·X = B (the
@@ -118,24 +87,10 @@ func GTSV[T Scalar](dl, d, du []T, b *Matrix[T], opts ...Opt) (err error) {
 	const routine = "LA_GTSV"
 	defer guard(routine, &err)
 	o := apply(opts)
-	n := len(d)
-	if n > 0 && (len(dl) != n-1 || len(du) != n-1) {
-		return erinfo(routine, -1, "")
+	if err := gtArgs(routine, o.check, dl, d, du, b); err != nil {
+		return err
 	}
-	if !rhsMatch(n, b) {
-		return erinfo(routine, -4, "")
-	}
-	if o.check {
-		if err := firstErr(
-			finiteSlice(routine, 1, "DL", dl),
-			finiteSlice(routine, 2, "D", d),
-			finiteSlice(routine, 3, "DU", du),
-			finiteMat(routine, 4, "B", b),
-		); err != nil {
-			return err
-		}
-	}
-	info := lapack.Gtsv(n, b.Cols, dl, d, du, b.Data, b.Stride)
+	info := lapack.Gtsv(len(d), b.Cols, dl, d, du, b.Data, b.Stride)
 	return erdiag(routine, info, "matrix is exactly singular", DiagSingular)
 }
 
@@ -155,16 +110,8 @@ func POSV[T Scalar](a, b *Matrix[T], opts ...Opt) (err error) {
 	defer guard(routine, &err)
 	o := apply(opts)
 	cfg := o.cfg
-	if !square(a) {
-		return erinfo(routine, -1, "")
-	}
-	if !rhsMatch(a.Rows, b) {
-		return erinfo(routine, -2, "")
-	}
-	if o.check {
-		if err := firstErr(finiteMat(routine, 1, "A", a), finiteMat(routine, 2, "B", b)); err != nil {
-			return err
-		}
+	if err := denseArgs(routine, o.check, a, b); err != nil {
+		return err
 	}
 	if o.mixed {
 		if _, info, ok := mixedPosv(cfg, o.uplo, a, b); ok {
@@ -189,17 +136,9 @@ func PPSV[T Scalar](ap []T, b *Matrix[T], opts ...Opt) (err error) {
 	const routine = "LA_PPSV"
 	defer guard(routine, &err)
 	o := apply(opts)
-	n := packedOrder(len(ap))
-	if n < 0 {
-		return erinfo(routine, -1, "")
-	}
-	if !rhsMatch(n, b) {
-		return erinfo(routine, -2, "")
-	}
-	if o.check {
-		if err := firstErr(finiteSlice(routine, 1, "AP", ap), finiteMat(routine, 2, "B", b)); err != nil {
-			return err
-		}
+	n, err := packedArgs(routine, o.check, ap, b)
+	if err != nil {
+		return err
 	}
 	info := lapack.Ppsv(o.uplo, n, b.Cols, ap, b.Data, b.Stride)
 	return erdiag(routine, info, "matrix is not positive definite", DiagNotPositiveDefinite)
@@ -232,19 +171,10 @@ func PBSV[T Scalar](ab, b *Matrix[T], opts ...Opt) (err error) {
 	const routine = "LA_PBSV"
 	defer guard(routine, &err)
 	o := apply(opts)
-	if ab == nil || ab.Rows < 1 {
-		return erinfo(routine, -1, "")
+	if err := bandArgs(routine, o.check, ab, b); err != nil {
+		return err
 	}
-	n := ab.Cols
-	kd := ab.Rows - 1
-	if !rhsMatch(n, b) {
-		return erinfo(routine, -2, "")
-	}
-	if o.check {
-		if err := firstErr(finiteMat(routine, 1, "AB", ab), finiteMat(routine, 2, "B", b)); err != nil {
-			return err
-		}
-	}
+	n, kd := ab.Cols, ab.Rows-1
 	info := lapack.Pbsv(o.uplo, n, kd, b.Cols, ab.Data, ab.Stride, b.Data, b.Stride)
 	return erdiag(routine, info, "matrix is not positive definite", DiagNotPositiveDefinite)
 }
@@ -262,23 +192,10 @@ func PTSV[T Scalar](d []float64, e []T, b *Matrix[T], opts ...Opt) (err error) {
 	const routine = "LA_PTSV"
 	defer guard(routine, &err)
 	o := apply(opts)
-	n := len(d)
-	if n > 0 && len(e) != n-1 {
-		return erinfo(routine, -2, "")
+	if err := ptArgs(routine, o.check, d, e, b); err != nil {
+		return err
 	}
-	if !rhsMatch(n, b) {
-		return erinfo(routine, -3, "")
-	}
-	if o.check {
-		if err := firstErr(
-			finiteFloats(routine, 1, "D", d),
-			finiteSlice(routine, 2, "E", e),
-			finiteMat(routine, 3, "B", b),
-		); err != nil {
-			return err
-		}
-	}
-	info := lapack.Ptsv(n, b.Cols, d, e, b.Data, b.Stride)
+	info := lapack.Ptsv(len(d), b.Cols, d, e, b.Data, b.Stride)
 	return erdiag(routine, info, "matrix is not positive definite", DiagNotPositiveDefinite)
 }
 
@@ -319,16 +236,8 @@ func HESV1[T Scalar](a *Matrix[T], b []T, opts ...Opt) (ipiv []int, err error) {
 func sysv[T Scalar](routine string, herm bool, a, b *Matrix[T], opts []Opt) (ipiv []int, err error) {
 	defer guard(routine, &err)
 	o := apply(opts)
-	if !square(a) {
-		return nil, erinfo(routine, -1, "")
-	}
-	if !rhsMatch(a.Rows, b) {
-		return nil, erinfo(routine, -2, "")
-	}
-	if o.check {
-		if err := firstErr(finiteMat(routine, 1, "A", a), finiteMat(routine, 2, "B", b)); err != nil {
-			return nil, err
-		}
+	if err := denseArgs(routine, o.check, a, b); err != nil {
+		return nil, err
 	}
 	solve := lapack.Sysv[T]
 	if herm {
@@ -361,17 +270,9 @@ func HPSV[T Scalar](ap []T, b *Matrix[T], opts ...Opt) (ipiv []int, err error) {
 func spsv[T Scalar](routine string, herm bool, ap []T, b *Matrix[T], opts []Opt) (ipiv []int, err error) {
 	defer guard(routine, &err)
 	o := apply(opts)
-	n := packedOrder(len(ap))
-	if n < 0 {
-		return nil, erinfo(routine, -1, "")
-	}
-	if !rhsMatch(n, b) {
-		return nil, erinfo(routine, -2, "")
-	}
-	if o.check {
-		if err := firstErr(finiteSlice(routine, 1, "AP", ap), finiteMat(routine, 2, "B", b)); err != nil {
-			return nil, err
-		}
+	n, err := packedArgs(routine, o.check, ap, b)
+	if err != nil {
+		return nil, err
 	}
 	solve := lapack.Spsv[T]
 	if herm {
