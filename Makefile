@@ -6,9 +6,9 @@
 
 GO ?= go
 
-.PHONY: ci vet lint-globals lint-knobs lint-dispatch lint-once build test test-portable race bench benchsmoke bench-smoke fuzzsmoke fuzz
+.PHONY: ci vet lint-globals lint-knobs lint-dispatch lint-once build test test-portable test-avx2 race bench benchsmoke bench-smoke fuzzsmoke fuzz
 
-ci: vet lint-globals lint-knobs lint-dispatch lint-once build test test-portable race fuzzsmoke benchsmoke bench-smoke
+ci: vet lint-globals lint-knobs lint-dispatch lint-once build test test-portable test-avx2 race fuzzsmoke benchsmoke bench-smoke
 
 vet:
 	$(GO) vet ./...
@@ -108,6 +108,16 @@ test:
 test-portable:
 	LA90_NO_ASM=1 $(GO) test -count=1 ./internal/blas/
 	LA90_NO_ASM=1 $(GO) test -count=1 ./internal/lapack/ -run 'Steqr|Syev|Stedc|Bdsdc|Hseqr|Geev|Trevc|Orgtr|Ormtr'
+
+# The same two suites with the AVX-512 row of the kernel table bypassed (the
+# -avx2 test flag sets faultinject.ForceAVX2 for the whole binary): on a
+# machine with AVX-512 plain `go test` selects the AVX2 row only in the
+# subtests that force it, so this is what runs everything else — every
+# engine, leaf and golden of internal/blas and the factorizations above them
+# — on the row an AVX2-only machine gets. Without AVX-512 it repeats `test`.
+test-avx2:
+	$(GO) test -count=1 ./internal/blas/ -args -avx2
+	$(GO) test -count=1 ./internal/lapack/ -run 'Getrf|Getrs|Gesv|Potrf|Potrs|Posv|Sytrf|Hetrf|Sysv|Hesv|BunchKaufman|Geqrf|Gels|Ormqr|Orgqr' -args -avx2
 
 # The race run covers the threaded engine, the factorizations driving it,
 # the la boundary — including the chaos tests that panic workers on purpose,

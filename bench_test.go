@@ -431,26 +431,30 @@ func BenchmarkAblationGEQRF(b *testing.B) {
 // machine-readable form, regenerated with `go run ./cmd/la90bench -blas`.
 
 func benchGemmEngine[T core.Scalar](b *testing.B, n int, naive bool) {
+	benchGemmShape[T](b, n, n, n, naive)
+}
+
+func benchGemmShape[T core.Scalar](b *testing.B, m, n, k int, naive bool) {
 	rng := lapack.NewRng([4]int{n, 7, 7, 7})
-	a0 := make([]T, n*n)
-	b0 := make([]T, n*n)
-	lapack.Larnv(2, rng, n*n, a0)
-	lapack.Larnv(2, rng, n*n, b0)
-	c := make([]T, n*n)
+	a0 := make([]T, m*k)
+	b0 := make([]T, k*n)
+	lapack.Larnv(2, rng, m*k, a0)
+	lapack.Larnv(2, rng, k*n, b0)
+	c := make([]T, m*n)
 	one := core.FromFloat[T](1)
 	// Untimed warm-up so -benchtime 1x measures steady state, not page
 	// faults on the freshly allocated operands.
-	blas.Gemm(core.Default(), blas.NoTrans, blas.NoTrans, n, n, n, one, a0, n, b0, n, 0, c, n)
+	blas.Gemm(core.Default(), blas.NoTrans, blas.NoTrans, m, n, k, one, a0, m, b0, k, 0, c, m)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if naive {
-			blas.GemmNaive(blas.NoTrans, blas.NoTrans, n, n, n, one, a0, n, b0, n, 0, c, n)
+			blas.GemmNaive(blas.NoTrans, blas.NoTrans, m, n, k, one, a0, m, b0, k, 0, c, m)
 		} else {
-			blas.Gemm(core.Default(), blas.NoTrans, blas.NoTrans, n, n, n, one, a0, n, b0, n, 0, c, n)
+			blas.Gemm(core.Default(), blas.NoTrans, blas.NoTrans, m, n, k, one, a0, m, b0, k, 0, c, m)
 		}
 	}
 	// Real flops: a complex multiply-add is four real ones.
-	flops := 2 * float64(n) * float64(n) * float64(n)
+	flops := 2 * float64(m) * float64(n) * float64(k)
 	if core.IsComplex[T]() {
 		flops *= 4
 	}
@@ -460,7 +464,11 @@ func benchGemmEngine[T core.Scalar](b *testing.B, n int, naive bool) {
 // BenchmarkGemm compares the packed engine (with its worker pool, sized by
 // GOMAXPROCS or blas.SetThreads) against the retained naive kernel across
 // the size sweep of the acceptance criteria, and runs the packed engine on
-// the two complex types (the 1m rows of the kernel table).
+// the two complex types (the 1m rows of the kernel table). The ragged shapes
+// — no dimension a multiple of any micro-tile, the k = NB panel update, a
+// 37-column block — are where the edge tiles are, and run once more with the
+// AVX2 row forced (the same row again on a machine without AVX-512), as does
+// N=1024, so both asm rows leave a rate behind.
 func BenchmarkGemm(b *testing.B) {
 	for _, n := range []int{64, 256, 512, 1024} {
 		b.Run("packed/N="+itoa(n), func(b *testing.B) { benchGemmEngine[float64](b, n, false) })
@@ -470,6 +478,22 @@ func BenchmarkGemm(b *testing.B) {
 		b.Run("packed/c64/N="+itoa(n), func(b *testing.B) { benchGemmEngine[complex64](b, n, false) })
 		b.Run("packed/c128/N="+itoa(n), func(b *testing.B) { benchGemmEngine[complex128](b, n, false) })
 	}
+	for _, avx2 := range []bool{false, true} {
+		row, shapes := "packed", [][3]int{{1000, 1000, 1000}, {1024, 1024, 48}, {1024, 37, 1024}}
+		if avx2 {
+			row, shapes = "avx2", append([][3]int{{1024, 1024, 1024}}, shapes...)
+		}
+		for _, sh := range shapes {
+			b.Run(row+"/"+itoa(sh[0])+"x"+itoa(sh[1])+"x"+itoa(sh[2]), func(b *testing.B) {
+				defer faultinject.ForceAVX2(faultinject.ForceAVX2(avx2))
+				benchGemmShape[float64](b, sh[0], sh[1], sh[2], false)
+			})
+		}
+	}
+	b.Run("avx2/c128/N=512", func(b *testing.B) {
+		defer faultinject.ForceAVX2(faultinject.ForceAVX2(true))
+		benchGemmEngine[complex128](b, 512, false)
+	})
 }
 
 // BenchmarkGemmParallel pins the worker budget explicitly so the scaling of

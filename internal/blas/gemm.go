@@ -125,8 +125,7 @@ const wholeMatrix Uplo = Lower + 1
 func packedEngine[T core.Scalar](cfg *core.Config, uplo Uplo, transA, transB Trans, m, n, k int, alpha T, a []T, lda int, b []T, ldb int, c []T, ldc int) {
 	kern := kernelFor[T]()
 	mr, nr := kern.mr, kern.nr
-	mc, kc, nc := blockFor[T](cfg)
-	mc = max(mr, mc-mc%mr)
+	mc, kc, nc := blockFor(cfg, kern)
 	vol := m * n * k
 	if uplo != wholeMatrix {
 		vol /= 2
@@ -198,12 +197,15 @@ func packedEngine[T core.Scalar](cfg *core.Config, uplo Uplo, transA, transB Tra
 
 // Tile policy of packedEngine with more than one worker: tilesPerWorker tiles
 // for each, so that one who starts late or loses its CPU for a while costs
-// the group a fraction of its share, but no tile less than minTilePanels
-// micro-panels high or wide — below that the packed panels are reused too
-// little to pay for streaming them.
+// the group a fraction of its share, but no tile less than minTileRows high
+// or minTileCols wide (rounded up to whole micro-panels) — below that the
+// packed panels are reused too little to pay for streaming them. The bounds
+// are in elements, not micro-panels: a 48-row panel is no worse reused than
+// four of 8 rows.
 const (
 	tilesPerWorker = 4
-	minTilePanels  = 4
+	minTileRows    = 32
+	minTileCols    = 16
 )
 
 // tileGrid cuts an m×n block of C for `workers` workers and returns the tile
@@ -218,13 +220,13 @@ func tileGrid(m, n, mr, nr, mc, workers int) (h, w int) {
 		return min(mc, roundUp(m, mr)), roundUp(n, nr)
 	}
 	want := tilesPerWorker * workers
-	h = min(mc, max(minTilePanels*mr, roundUp((m+want-1)/want, mr)))
+	h = min(mc, roundUp(max(minTileRows, (m+want-1)/want), mr))
 	rows := (m + h - 1) / h
 	if rows >= want {
 		return h, roundUp(n, nr)
 	}
 	cols := (want + rows - 1) / rows
-	return h, max(minTilePanels*nr, roundUp((n+cols-1)/cols, nr))
+	return h, roundUp(max(minTileCols, (n+cols-1)/cols), nr)
 }
 
 func roundUp(v, unit int) int {
@@ -453,9 +455,11 @@ func microKernel4x4[T core.Scalar](kb int, ap, bp []T, c []T, ldc int) {
 	col[3] += c33
 }
 
-// microEdge is the variable-size kernel for ragged tiles at the right and
-// bottom borders of a macro-tile: it accumulates the full padded mr×nr tile
-// in the scratch tile and scatters only the live rows×cols region into C.
+// microEdge is the portable rows' variable-size kernel for ragged tiles at
+// the right and bottom borders of a macro-tile (the asm rows run their
+// full-tile kernel masked or into a scratch tile, kernel.go): it accumulates
+// the live part of the padded mr×nr tile in the scratch tile, each element in
+// microKernel4x4's order, and scatters the rows×cols region into C.
 // Zeros in the packed panels are multiplied like any other value, never
 // skipped: 0·NaN and 0·Inf must reach C here exactly as they do through the
 // full-tile kernels, or whether a NaN in A propagates would depend on which

@@ -21,6 +21,15 @@ const (
 	asmF32NR = 4
 )
 
+// Geometry of the AVX-512 rows (gemmkernel512_amd64.s): three ZMM vectors of
+// A against eight broadcasts of B, the shape measured in EXPERIMENTS.md
+// ("AVX-512 row").
+const (
+	avx512F64MR = 24
+	avx512F32MR = 48
+	avx512NR    = 8
+)
+
 // dgemmKernel8x4 accumulates C(0:8, 0:4) += Σ_p ap[p·8 : p·8+8] ⊗
 // bp[p·4 : p·4+4] with C column-major at ldc. Implemented in
 // gemmkernel_amd64.s; requires AVX2 and FMA3.
@@ -32,6 +41,47 @@ func dgemmKernel8x4(k int64, ap, bp, c *float64, ldc int64)
 //
 //go:noescape
 func sgemmKernel16x4(k int64, ap, bp, c *float32, ldc int64)
+
+// dgemmKernel24x8 and sgemmKernel48x8 are the full-tile AVX-512 kernels,
+// dgemmEdge24x8 and sgemmEdge48x8 the same body accumulating only the leading
+// rows×cols part of the tile (1 ≤ rows ≤ mr, 1 ≤ cols ≤ 8) through opmask
+// loads and stores: the rest of the tile is neither read nor written. They
+// have the signatures of the kernel table's micro and edge leaves and are the
+// AVX-512 rows' entries as they stand; of the slices only the bases are looked
+// at, and mr, nr and tile not at all. Implemented in gemmkernel512_amd64.s;
+// require AVX512F.
+//
+//go:noescape
+func dgemmKernel24x8(kb int, ap, bp, c []float64, ldc int)
+
+//go:noescape
+func dgemmEdge24x8(kb, mr, nr int, ap, bp, c []float64, ldc, rows, cols int, tile []float64)
+
+//go:noescape
+func sgemmKernel48x8(kb int, ap, bp, c []float32, ldc int)
+
+//go:noescape
+func sgemmEdge48x8(kb, mr, nr int, ap, bp, c []float32, ldc, rows, cols int, tile []float32)
+
+// dpack512 and spack512 copy kb runs of rows elements of src, lds apart, to
+// runs of mr elements of dst, scaled by alpha and zero-padded from rows to mr
+// (mr ≤ three vectors: 24 float64, 48 float32). dgather8 and sgather8 write
+// dst[p·ld+c] = alpha·src[p+c·lds] for c < 8, p < kb: eight columns transposed
+// into eight adjacent slots of each ld-strided row. The pack kernels of the
+// AVX-512 rows (pack512.go), in gemmkernel512_amd64.s; only the bases of the
+// slices are looked at.
+//
+//go:noescape
+func dpack512(kb int, alpha float64, src []float64, lds int, dst []float64, rows, mr int)
+
+//go:noescape
+func spack512(kb int, alpha float32, src []float32, lds int, dst []float32, rows, mr int)
+
+//go:noescape
+func dgather8(kb int, alpha float64, src []float64, lds int, dst []float64, ld int)
+
+//go:noescape
+func sgather8(kb int, alpha float32, src []float32, lds int, dst []float32, ld int)
 
 // dgemmSmallStripF64 is the pack-free small-matrix kernel: it accumulates
 // C(0:8·strips, 0:4) += alpha·A(0:8·strips, 0:k)·B(0:k, 0:4) directly on
@@ -161,32 +211,37 @@ func cpuidAsm(eaxIn, ecxIn uint32) (eax, ebx, ecx, edx uint32)
 // xgetbvAsm reads XCR0, reporting which register states the OS saves.
 func xgetbvAsm() (eax, edx uint32)
 
-// haveAVX2FMA detects, once at startup, whether the vector kernels may run:
-// the CPU must advertise AVX, AVX2 and FMA3, and the OS must save the YMM
-// state (OSXSAVE set and XCR0 bits 1–2 enabled).
-var haveAVX2FMA = func() bool {
+// haveAVX2FMA and haveAVX512 detect, once at startup, which vector kernels
+// may run. AVX2: the CPU must advertise AVX, AVX2 and FMA3, and the OS must
+// save the YMM state (OSXSAVE set and XCR0 bits 1–2 enabled). AVX-512 on top
+// of that: AVX512F — the only extension gemmkernel512_amd64.s uses — and the
+// opmask and ZMM state saved too (XCR0 bits 5–7).
+var haveAVX2FMA, haveAVX512 = func() (avx2, avx512 bool) {
 	maxID, _, _, _ := cpuidAsm(0, 0)
 	if maxID < 7 {
-		return false
+		return false, false
 	}
 	_, _, cx, _ := cpuidAsm(1, 0)
 	const fma = 1 << 12
 	const osxsave = 1 << 27
 	const avx = 1 << 28
 	if cx&(fma|osxsave|avx) != fma|osxsave|avx {
-		return false
+		return false, false
 	}
-	if xcr0, _ := xgetbvAsm(); xcr0&0x6 != 0x6 {
-		return false
+	xcr0, _ := xgetbvAsm()
+	if xcr0&0x6 != 0x6 {
+		return false, false
 	}
 	_, bx, _, _ := cpuidAsm(7, 0)
-	return bx&(1<<5) != 0 // AVX2
+	avx2 = bx&(1<<5) != 0
+	return avx2, avx2 && bx&(1<<16) != 0 && xcr0&0xe0 == 0xe0
 }()
 
-// useAsmF64/useAsmF32 gate the assembly kernels; LA90_NO_ASM=1 (the "noasm"
+// useAsmF64 gates the assembly kernels of all four types; LA90_NO_ASM=1 (the "noasm"
 // row of core.Knobs, read here once) forces the portable Go kernels, for
 // debugging and for apples-to-apples comparisons of the blocking itself.
+// useAVX512 selects the AVX-512 row of the kernel table over the AVX2 one.
 var (
 	useAsmF64 = haveAVX2FMA && !core.EnvFlag("LA90_NO_ASM")
-	useAsmF32 = useAsmF64
+	useAVX512 = useAsmF64 && haveAVX512
 )

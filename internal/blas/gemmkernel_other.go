@@ -4,7 +4,7 @@ package blas
 
 // Portable stand-ins for the amd64 assembly micro-kernels. The geometry
 // constants keep the shared engine code compiling; the kernel bodies are
-// unreachable because useAsmF64/useAsmF32 are constant false, which also
+// unreachable because useAsmF64 and useAVX512 are constant false, which also
 // lets the compiler dead-code-eliminate the dispatch branches.
 
 const (
@@ -12,15 +12,39 @@ const (
 	asmF64NR = 4
 	asmF32MR = 16
 	asmF32NR = 4
+
+	avx512F64MR = 24
+	avx512F32MR = 48
+	avx512NR    = 8
 )
 
 const (
 	useAsmF64 = false
-	useAsmF32 = false
+	useAVX512 = false
 )
 
 func dgemmKernel8x4(k int64, ap, bp, c *float64, ldc int64)  { panic("blas: no asm kernel") }
 func sgemmKernel16x4(k int64, ap, bp, c *float32, ldc int64) { panic("blas: no asm kernel") }
+func dgemmKernel24x8(kb int, ap, bp, c []float64, ldc int)   { panic("blas: no asm kernel") }
+func sgemmKernel48x8(kb int, ap, bp, c []float32, ldc int)   { panic("blas: no asm kernel") }
+func dgemmEdge24x8(kb, mr, nr int, ap, bp, c []float64, ldc, rows, cols int, tile []float64) {
+	panic("blas: no asm kernel")
+}
+func sgemmEdge48x8(kb, mr, nr int, ap, bp, c []float32, ldc, rows, cols int, tile []float32) {
+	panic("blas: no asm kernel")
+}
+func dpack512(kb int, alpha float64, src []float64, lds int, dst []float64, rows, mr int) {
+	panic("blas: no asm kernel")
+}
+func spack512(kb int, alpha float32, src []float32, lds int, dst []float32, rows, mr int) {
+	panic("blas: no asm kernel")
+}
+func dgather8(kb int, alpha float64, src []float64, lds int, dst []float64, ld int) {
+	panic("blas: no asm kernel")
+}
+func sgather8(kb int, alpha float32, src []float32, lds int, dst []float32, ld int) {
+	panic("blas: no asm kernel")
+}
 func dgemmSmallStripF64(strips, k int64, a *float64, lda int64, b *float64, ldb int64, c *float64, ldc int64, alpha float64) {
 	panic("blas: no asm kernel")
 }

@@ -15,11 +15,19 @@ import (
 // so supporting an element type, or moving one onto a vector kernel, means
 // editing a row here, not another type switch in the loops. "Go" is the
 // portable loop of that leaf (leaves.go, and beside each engine), "view" the
-// real row's entry on the real view of the complex data:
+// real row's entry on the real view of the complex data. Each type has three
+// rows: AVX-512, AVX2 and portable. The two asm rows differ in the micro-tile
+// only — its geometry, kernels and packers, the first three lines below,
+// where the AVX-512 entry stands under the AVX2 one — and share every other
+// leaf and every crossover:
 //
 //	leaf       float64 asm          float32 asm        complex 1m         portable
 //	micro      8×4 dgemmKernel8x4   16×4 sgemmKernel   real row's, 1m     4×4 Go
+//	           24×8 dgemmKernel24x8 48×8 sgemmKernel48x8
+//	edge       micro → scratch tile (scratchEdge)      real row's, view   microEdge
+//	           dgemmEdge24x8        sgemmEdge48x8      (opmask rows×cols tile)
 //	packA/B    Go                   spackA16/spackB4   packA1m/packB1m    Go
+//	           dpack512/dgather8    spack512/sgather8  (packers512)
 //	trsvOct    dsubFma8             ssubFma8           view, 1e triangle  Go
 //	gemvSub8   dgemvSub8            sgemvSub8          eight axpy         Go
 //	axpy       daxpyFma             saxpyFma           zaxpyFma/caxpyFma  Go
@@ -34,8 +42,16 @@ import (
 //	small      dgemmSmallStripF64   Go 4×4 tile        Go 4×4 tile        Go 4×4 tile
 //	skinny     strip kernel         Gemv per column    none               none
 //
-// The asm rows need amd64 with AVX2+FMA; the portable row of each type serves
-// LA90_NO_ASM=1, other CPUs and other ports.
+// The asm rows need amd64 with AVX2+FMA, the AVX-512 ones AVX512F on top; the
+// portable row of each type serves LA90_NO_ASM=1, other CPUs and other ports.
+//
+// On both asm rows every element of C is one chain of fused multiply-adds
+// over the k-steps of a kc slab, started at zero and added to C once — in a
+// full tile, in a ragged one (masked on the AVX-512 rows, through the scratch
+// tile on the AVX2 rows) and in a tile that crosses a stored diagonal. What
+// the engines compute therefore does not depend on the geometry or on where
+// a tile grid or a Trsm slab cuts, and the two asm rows, which share kc and
+// the crossovers that pick a route, agree bit for bit (TestRowsAgree).
 //
 // The complex asm rows use the 1m method (Van Zee, "Implementing
 // high-performance complex matrix multiplication via the 1m method"): a
@@ -108,20 +124,21 @@ type kernel[T core.Scalar] struct {
 	packB func(dst []T, nr int, trans Trans, b []T, ldb int, p0, kb, j0, nb int)
 	// micro accumulates one full mr×nr tile into c; edge accumulates the
 	// leading rows×cols part of a ragged tile, with tile (at least mr·nr
-	// elements, contents arbitrary) as its scratch. The scratch is the
-	// caller's because a stack array handed to a func value escapes to the
-	// heap — one allocation per edge tile.
+	// elements, contents arbitrary; the AVX-512 rows ignore it) as its
+	// scratch. The scratch is the caller's because a stack array handed to a
+	// func value escapes to the heap — one allocation per edge tile.
 	micro func(kb int, ap, bp, c []T, ldc int)
 	edge  func(kb, mr, nr int, ap, bp, c []T, ldc, rows, cols int, tile []T)
 }
 
 // Geometry of the portable register kernel, and the scratch the engines
-// carve off their pooled pack buffer for the edge kernels and
-// macroKernelTri: two tiles of the largest geometry in the table.
+// carve off their pooled pack buffer for macroKernelTri's crossing tile and
+// the scratch-tile edge kernels: two tiles of the largest geometry in the
+// table.
 const (
 	gemmMR      = 4
 	gemmNR      = 4
-	tileScratch = 2 * asmF32MR * asmF32NR
+	tileScratch = 2 * avx512F32MR * avx512NR
 )
 
 // portableKernel is the all-Go row of element type T. rotRun and iamax are
@@ -147,13 +164,30 @@ func rotView[C core.Cmplx, R core.Float](view func([]C) []R, run func(bool, int,
 	}
 }
 
+// scratchEdge is the edge kernel of a row whose micro-kernel only does full
+// tiles: the full-tile kernel runs into the zeroed scratch tile (the packed
+// panels are zero-padded) and the live part is added to C, so that a ragged
+// tile's elements are the same chain of fused multiply-adds, added to C once,
+// as a full tile's — and as the AVX-512 rows' masked tiles. The scalar
+// microEdge rounds each product and is several times slower per flop.
+func scratchEdge[T core.Scalar](micro func(kb int, ap, bp, c []T, ldc int)) func(kb, mr, nr int, ap, bp, c []T, ldc, rows, cols int, tile []T) {
+	return func(kb, mr, nr int, ap, bp, c []T, ldc, rows, cols int, tile []T) {
+		tile = tile[:mr*nr]
+		clear(tile)
+		micro(kb, ap, bp, tile, mr)
+		for j := 0; j < cols; j++ {
+			col := c[j*ldc : j*ldc+rows]
+			for i, v := range tile[j*mr : j*mr+rows] {
+				col[i] += v
+			}
+		}
+	}
+}
+
 // oneM builds the 1m row of complex type C from the real row rk it runs on;
 // view is the matching real view from realview.go, axpy, dot and scal the
 // type's vector kernels.
 func oneM[C core.Cmplx, R core.Float](rk *kernel[R], view func([]C) []R, trsmLeaf int, axpy func(C, []C, []C), dot func([]C, []C, bool) C, scal func(C, []C)) kernel[C] {
-	micro := func(kb int, ap, bp, c []C, ldc int) {
-		rk.micro(2*kb, view(ap), view(bp), view(c), 2*ldc)
-	}
 	// The Level-1/2 leaves that are not the type's own vector kernels are the
 	// real row's on the real view — the sum of squares, the rotations, the
 	// substitution sweep under trsvOct — or stay on the Go loops.
@@ -168,27 +202,18 @@ func oneM[C core.Cmplx, R core.Float](rk *kernel[R], view func([]C) []R, trsmLea
 	k.sumSq = func(x []C) (float64, bool) { return rk.sumSq(view(x)) }
 	k.mr, k.nr, k.kScale = rk.mr/2, rk.nr, 2
 	k.minVol, k.smallMaxVol = gemmPackedMinVol1m, gemmPackedMinVol1m
-	k.micro = micro
+	k.micro = func(kb int, ap, bp, c []C, ldc int) {
+		rk.micro(2*kb, view(ap), view(bp), view(c), 2*ldc)
+	}
 	k.packA = func(dst []C, mr int, trans Trans, alpha C, a []C, lda int, i0, mb, p0, kb int) {
 		packA1m(view(dst), mr, trans, R(core.Re(alpha)), R(core.Im(alpha)), view(a), lda, i0, mb, p0, kb)
 	}
 	k.packB = func(dst []C, nr int, trans Trans, b []C, ldb int, p0, kb, j0, nb int) {
 		packB1m(view(dst), nr, trans, view(b), ldb, p0, kb, j0, nb)
 	}
-	// Ragged tiles run the full-tile kernel into the scratch tile (the
-	// packed panels are zero-padded) and add the live part to C: the scalar
-	// edge kernel is several times slower, and with every n < nr product
-	// made of edge tiles only that would show.
+	// A ragged tile is the real row's ragged tile of twice the rows.
 	k.edge = func(kb, mr, nr int, ap, bp, c []C, ldc, rows, cols int, tile []C) {
-		tile = tile[:mr*nr]
-		clear(tile)
-		micro(kb, ap, bp, tile, mr)
-		for j := 0; j < cols; j++ {
-			col := c[j*ldc : j*ldc+rows]
-			for i, v := range tile[j*mr : j*mr+rows] {
-				col[i] += v
-			}
-		}
+		rk.edge(2*kb, 2*mr, nr, view(ap), view(bp), view(c), 2*ldc, 2*rows, cols, view(tile))
 	}
 	return k
 }
@@ -239,10 +264,7 @@ var (
 		},
 		minVol: gemmPackedMinVolAsm, smallMaxVol: math.MaxInt,
 		packA: packA[float64], packB: packB[float64],
-		micro: func(kb int, ap, bp, c []float64, ldc int) {
-			dgemmKernel8x4(int64(kb), &ap[0], &bp[0], &c[0], int64(ldc))
-		},
-		edge: microEdge[float64],
+		micro: microAVX2F64, edge: scratchEdge(microAVX2F64),
 	}
 	kernAsmF32 = kernel[float32]{
 		mr: asmF32MR, nr: asmF32NR, kScale: 1, trsmLeaf: trsmLeafSizeF32,
@@ -266,60 +288,97 @@ var (
 		small:  gemmSmallPortable[float32],
 		minVol: gemmPackedMinVolAsm, smallMaxVol: math.MaxInt,
 		packA: packAF32, packB: packBF32,
-		micro: func(kb int, ap, bp, c []float32, ldc int) {
-			sgemmKernel16x4(int64(kb), &ap[0], &bp[0], &c[0], int64(ldc))
-		},
-		edge: microEdge[float32],
+		micro: microAVX2F32, edge: scratchEdge(microAVX2F32),
 	}
 	kern1mC128 = oneM(&kernAsmF64, realView128, trsmLeafSizeC128, zaxpyFma, zdotFma, zscalFma)
 	kern1mC64  = oneM(&kernAsmF32, realView64, trsmLeafSizeC64, caxpyFma, cdotFma, cscalFma)
+
+	// The AVX-512 rows are the AVX2 rows with the micro-tile, its packers and
+	// its kernels replaced: every other leaf, and every crossover, is shared,
+	// so the two asm rows take the same routes and — each C(i,j) being one FMA
+	// chain over a kc slab on both — produce the same bits.
+	kern512F64 = func() kernel[float64] {
+		k := kernAsmF64
+		k.mr, k.nr = avx512F64MR, avx512NR
+		k.packA, k.packB = pack512F64.packA, pack512F64.packB
+		k.micro, k.edge = dgemmKernel24x8, dgemmEdge24x8
+		return k
+	}()
+	kern512F32 = func() kernel[float32] {
+		k := kernAsmF32
+		k.mr, k.nr = avx512F32MR, avx512NR
+		k.packA, k.packB = pack512F32.packA, pack512F32.packB
+		k.micro, k.edge = sgemmKernel48x8, sgemmEdge48x8
+		return k
+	}()
+	kern1m512C128 = oneM(&kern512F64, realView128, trsmLeafSizeC128, zaxpyFma, zdotFma, zscalFma)
+	kern1m512C64  = oneM(&kern512F32, realView64, trsmLeafSizeC64, caxpyFma, cdotFma, cscalFma)
 )
+
+func microAVX2F64(kb int, ap, bp, c []float64, ldc int) {
+	dgemmKernel8x4(int64(kb), &ap[0], &bp[0], &c[0], int64(ldc))
+}
+
+func microAVX2F32(kb int, ap, bp, c []float32, ldc int) {
+	sgemmKernel16x4(int64(kb), &ap[0], &bp[0], &c[0], int64(ldc))
+}
 
 // The float32 skinny product is one vectorized column sweep per column of C
 // (the recursive LU panels of the mixed-precision solvers issue this shape
 // constantly). Gemv itself looks its row up in the table, so the entry cannot
 // be part of the row's initializer.
 func init() {
-	kernAsmF32.skinny = func(cfg *core.Config, m, n, k int, alpha float32, a []float32, lda int, b []float32, ldb int, c []float32, ldc int) {
+	skinny := func(cfg *core.Config, m, n, k int, alpha float32, a []float32, lda int, b []float32, ldb int, c []float32, ldc int) {
 		for j := 0; j < n; j++ {
 			Gemv(cfg, NoTrans, m, k, alpha, a, lda, b[j*ldb:], 1, 1, c[j*ldc:], 1)
 		}
 	}
+	kernAsmF32.skinny, kern512F32.skinny = skinny, skinny
 }
 
-// asmF64/asmF32 report whether the assembly kernels may be used right now:
-// the static CPU + LA90_NO_ASM gate, minus the test-only fault-injection
-// override that forces the portable kernels.
+// asmF64 reports whether the assembly kernels, of every element type, may be
+// used right now: the static CPU + LA90_NO_ASM gate, minus the test-only
+// fault-injection override that forces the portable kernels.
 func asmF64() bool { return useAsmF64 && !faultinject.PortableOnly() }
-func asmF32() bool { return useAsmF32 && !faultinject.PortableOnly() }
 
-// kernelFor returns the table row for element type T: the asm row when the
-// CPU gate allows it, else the portable one. An engine calls it once and uses
-// the row for the whole call, so geometry, packing and kernel always agree.
+// The rows of one element type, in the order kernelFor prefers them.
+const (
+	rowPortable = iota
+	rowAVX2
+	rowAVX512
+)
+
+var (
+	rowsF64  = [...]*kernel[float64]{&kernGoF64, &kernAsmF64, &kern512F64}
+	rowsF32  = [...]*kernel[float32]{&kernGoF32, &kernAsmF32, &kern512F32}
+	rowsC128 = [...]*kernel[complex128]{&kernGoC128, &kern1mC128, &kern1m512C128}
+	rowsC64  = [...]*kernel[complex64]{&kernGoC64, &kern1mC64, &kern1m512C64}
+)
+
+// kernelFor returns the table row for element type T: the AVX-512 row when
+// the CPU gate allows it, else the AVX2 row, else the portable one (the
+// test-only overrides of faultinject step down the same ladder). An engine
+// calls it once and uses the row for the whole call, so geometry, packing and
+// kernel always agree.
 func kernelFor[T core.Scalar]() *kernel[T] {
+	row := rowPortable
+	if asmF64() {
+		row = rowAVX2
+		if useAVX512 && !faultinject.AVX2Only() {
+			row = rowAVX512
+		}
+	}
 	var z T
 	var k any
 	switch any(z).(type) {
 	case float64:
-		k = &kernGoF64
-		if asmF64() {
-			k = &kernAsmF64
-		}
+		k = rowsF64[row]
 	case float32:
-		k = &kernGoF32
-		if asmF32() {
-			k = &kernAsmF32
-		}
+		k = rowsF32[row]
 	case complex128:
-		k = &kernGoC128
-		if asmF64() {
-			k = &kern1mC128
-		}
+		k = rowsC128[row]
 	case complex64:
-		k = &kernGoC64
-		if asmF32() {
-			k = &kern1mC64
-		}
+		k = rowsC64[row]
 	}
 	return k.(*kernel[T])
 }

@@ -16,15 +16,30 @@ import (
 // picks on AVX2 hardware and the portable rows forced through faultinject —
 // must agree with the unpacked reference loops on every operand form.
 
-// eachRoute runs f against the row kernelFor selects and against the
-// portable row. Under LA90_NO_ASM=1 or off amd64 both are the portable row.
+// eachRoute runs f against the row kernelFor selects, against the AVX2 row
+// where that is not the one selected, and against the portable row. Under
+// LA90_NO_ASM=1 or off amd64 all are the portable row.
 func eachRoute(t *testing.T, f func(t *testing.T)) {
 	t.Run("table", f)
+	onAVX2Row(t, f)
 	t.Run("portable", func(t *testing.T) {
 		faultinject.ForcePortable(true)
 		defer faultinject.ForcePortable(false)
 		f(t)
 	})
+}
+
+// onAVX2Row runs f once more as the subtest "avx2", with the AVX2 row forced,
+// where kernelFor selects the AVX-512 row: plain `go test` then covers both
+// asm rows of the machine. (`make test-avx2` forces the AVX2 row for the whole
+// binary, and then there is no second asm row to add.)
+func onAVX2Row(t *testing.T, f func(t *testing.T)) {
+	if kernelFor[float64]() == &kern512F64 {
+		t.Run("avx2", func(t *testing.T) {
+			defer faultinject.ForceAVX2(faultinject.ForceAVX2(true))
+			f(t)
+		})
+	}
 }
 
 // smallBlocks is a configuration whose cache blocks are a few micro-tiles, so
@@ -46,8 +61,8 @@ var complexAlphas = []complex128{1, -1, 1.5 - 0.5i}
 
 // testGemmPacked checks gemmEngine against GemmNaive for all nine
 // (transA, transB) pairs, each alpha, padded and bare leading dimensions, and shapes
-// ragged against the micro-tile (4 and 8 complex rows, 4 columns) and the
-// block sizes of smallBlocks, on one and on four workers.
+// ragged against the micro-tile of every row (4 to 24 complex rows, 4 or 8
+// columns) and the block sizes of smallBlocks, on one and on four workers.
 func testGemmPacked[T core.Scalar](t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
 	shapes := [][3]int{{1, 1, 1}, {3, 2, 5}, {4, 4, 10}, {9, 5, 11}, {17, 13, 7}, {31, 9, 23}, {50, 27, 41}}
@@ -239,10 +254,12 @@ func TestKernelRoutesAgree(t *testing.T) {
 // whether a non-finite value propagates may not depend on the tile its row
 // lands in (the edge kernel used to skip zeros of B and dropped it).
 func testNaNReachesC[T core.Scalar](t *testing.T) {
-	// Rows 0..15 are a full tile and rows 32..34 a ragged one for every
-	// geometry of the table (4, 8 and 16 rows); column 8 is a ragged tile too.
-	const m, n, k = 35, 9, 5
-	const interior, edge, p0 = 1, 34, 2
+	// Two full tiles and a ragged one of three rows, a full tile and a ragged
+	// one of one column, in the geometry of the selected row.
+	kern := kernelFor[T]()
+	m, n := 2*kern.mr+3, kern.nr+1
+	const k, interior, p0 = 5, 1, 2
+	edge := m - 1
 	rng := rand.New(rand.NewSource(78))
 	a := randSlice[T](rng, m*k)
 	b := randSlice[T](rng, k*n)
@@ -330,28 +347,31 @@ func TestRealEnginesBitIdenticalToPreTable(t *testing.T) {
 		"portable/float64": goldenGoF64,
 		"portable/float32": goldenGoF32,
 	}
-	for _, portable := range []bool{false, true} {
+	eachRoute(t, func(t *testing.T) {
 		route := "asm"
-		if portable || !asmF64() {
+		if !asmF64() {
 			route = "portable"
 		}
-		faultinject.ForcePortable(portable)
 		h64, h32 := fnv.New64a(), fnv.New64a()
 		realEngineDigest[float64](h64)
 		realEngineDigest[float32](h32)
-		faultinject.ForcePortable(false)
 		if got := fmt.Sprintf("%016x", h64.Sum64()); got != golden[route+"/float64"] {
 			t.Errorf("%s float64 digest %s, recorded %s", route, got, golden[route+"/float64"])
 		}
 		if got := fmt.Sprintf("%016x", h32.Sum64()); got != golden[route+"/float32"] {
 			t.Errorf("%s float32 digest %s, recorded %s", route, got, golden[route+"/float32"])
 		}
-	}
+	})
 }
 
+// The asm digests were regenerated once, when the asm rows' ragged tiles went
+// from the scalar microEdge (each product rounded, then added) to the
+// full-tile FMA chain (scratchEdge on the AVX2 row, opmask tiles on the
+// AVX-512 row): c6d2cda8ef5d0a95 / 0c47848641879fbb before. Both asm rows
+// must produce them.
 const (
-	goldenAsmF64 = "c6d2cda8ef5d0a95"
-	goldenAsmF32 = "0c47848641879fbb"
+	goldenAsmF64 = "dc265d249bc9fbe3"
+	goldenAsmF32 = "9a381d423ec5f8b9"
 	goldenGoF64  = "bc92bbd2a56fa80a"
 	goldenGoF32  = "6ac6c6356297af22"
 )
@@ -472,4 +492,142 @@ func TestGemmtRoutesAgree(t *testing.T) {
 	t.Run("float32", testGemmtRoutesAgree[float32])
 	t.Run("complex128", testGemmtRoutesAgree[complex128])
 	t.Run("complex64", testGemmtRoutesAgree[complex64])
+}
+
+// testRowsAgree runs every packed Level-3 routine above the packed crossover,
+// on shapes ragged against both asm rows' micro-tiles and with operand slices
+// that end on their last element, on the AVX-512 row and on the AVX2 row: the
+// two take the same routes and every element is the same chain of fused
+// multiply-adds per kc slab on both, so they must agree bit for bit.
+func testRowsAgree[T core.Scalar](t *testing.T) {
+	rng := rand.New(rand.NewSource(512))
+	alpha := core.FromComplex[T](1.25 - 0.5i)
+	// agree runs op into a copy of c0 on each row.
+	agree := func(name string, c0 []T, op func(c []T)) {
+		t.Helper()
+		want := clone(c0)
+		op(want)
+		got := clone(c0)
+		was := faultinject.ForceAVX2(true)
+		op(got)
+		faultinject.ForceAVX2(was)
+		if !sameBits(got, want) {
+			t.Errorf("%s: the AVX2 row differs bitwise from the AVX-512 row", name)
+		}
+	}
+	// exact is a random m×n operand whose slice ends with its last element.
+	exact := func(m, n, ld int) []T { return randSlice[T](rng, (n-1)*ld+m) }
+
+	for _, sh := range [][3]int{{67, 45, 83}, {131, 98, 300}, {56, 40, 100}, {25, 203, 64}} {
+		m, n, k := sh[0], sh[1], sh[2]
+		c0 := exact(m, n, m+1)
+		for _, ta := range allTrans {
+			for _, tb := range allTrans {
+				ra, ca, rb, cb := m, k, k, n
+				if ta != NoTrans {
+					ra, ca = k, m
+				}
+				if tb != NoTrans {
+					rb, cb = n, k
+				}
+				a, b := exact(ra, ca, ra+2), exact(rb, cb, rb)
+				agree(fmt.Sprintf("Gemm %v%v %dx%dx%d", ta, tb, m, n, k), c0, func(c []T) {
+					Gemm(tcfg(), ta, tb, m, n, k, alpha, a, ra+2, b, rb, 0.5, c, m+1)
+				})
+			}
+		}
+	}
+
+	trans := allTrans
+	if !core.IsComplex[T]() {
+		trans = allTrans[:2]
+	}
+	for _, sh := range [][2]int{{67, 83}, {133, 300}, {200, 48}} {
+		n, k := sh[0], sh[1]
+		c0 := exact(n, n, n)
+		for _, uplo := range []Uplo{Upper, Lower} {
+			for _, tr := range trans {
+				ra, ca := n, k
+				if tr != NoTrans {
+					ra, ca = k, n
+				}
+				a, b := exact(ra, ca, ra), exact(ra, ca, ra+1)
+				name := fmt.Sprintf("%v%v n=%d k=%d", uplo, tr, n, k)
+				if tr != ConjTrans {
+					agree("Syrk "+name, c0, func(c []T) { Syrk(tcfg(), uplo, tr, n, k, alpha, a, ra, 0.5, c, n) })
+				}
+				if tr != TransT || !core.IsComplex[T]() {
+					agree("Herk "+name, c0, func(c []T) { Herk(tcfg(), uplo, tr, n, k, 1.25, a, ra, 0.5, c, n) })
+				}
+				agree("Gemmt "+name, c0, func(c []T) {
+					Gemmt(tcfg(), uplo, tr, complement(tr, ConjTrans), n, k, alpha, a, ra, b, ra+1, 0.5, c, n)
+				})
+			}
+		}
+	}
+
+	for _, nt := range []int{150, 333} {
+		a := exact(nt, nt, nt)
+		for i := range a {
+			a[i] *= core.FromFloat[T](1 / float64(nt))
+		}
+		for i := 0; i < nt; i++ {
+			a[i+i*nt] += 2
+		}
+		for _, side := range []Side{Left, Right} {
+			m, n := nt, 77
+			if side == Right {
+				m, n = 77, nt
+			}
+			b0 := exact(m, n, m+3)
+			for _, uplo := range []Uplo{Upper, Lower} {
+				for _, tr := range trans {
+					agree(fmt.Sprintf("Trsm side=%d %v%v %dx%d", side, uplo, tr, m, n), b0, func(b []T) {
+						Trsm(tcfg(), side, uplo, tr, NonUnit, m, n, alpha, a, nt, b, m+3)
+					})
+				}
+			}
+		}
+	}
+}
+
+func TestRowsAgree(t *testing.T) {
+	if kernelFor[float64]() != &kern512F64 {
+		t.Skip("the AVX-512 row is not selected (no AVX-512, LA90_NO_ASM=1 or the AVX2 row forced): nothing to compare the AVX2 row with")
+	}
+	t.Run("float64", testRowsAgree[float64])
+	t.Run("float32", testRowsAgree[float32])
+	t.Run("complex128", testRowsAgree[complex128])
+	t.Run("complex64", testRowsAgree[complex64])
+}
+
+// TestKernelForLadder checks the order kernelFor prefers the rows in —
+// AVX-512, AVX2, portable, each only where the CPU gate allows it — and that
+// the test-only overrides step down it, the portable one winning over the
+// AVX2 one.
+func TestKernelForLadder(t *testing.T) {
+	defer faultinject.ForceAVX2(faultinject.ForceAVX2(false))
+	defer faultinject.ForcePortable(false)
+	want := func(row int) {
+		t.Helper()
+		if k := kernelFor[float64](); k != rowsF64[row] {
+			t.Errorf("float64 row is %dx%d, want row %d (%dx%d)", k.mr, k.nr, row, rowsF64[row].mr, rowsF64[row].nr)
+		}
+		if k := kernelFor[complex64](); k != rowsC64[row] {
+			t.Errorf("complex64 row is %dx%d, want row %d (%dx%d)", k.mr, k.nr, row, rowsC64[row].mr, rowsC64[row].nr)
+		}
+	}
+	best, second := rowPortable, rowPortable
+	if useAsmF64 {
+		best, second = rowAVX2, rowAVX2
+	}
+	if useAVX512 {
+		best = rowAVX512
+	}
+	want(best)
+	t.Logf("selected float64 row: %dx%d", kernelFor[float64]().mr, kernelFor[float64]().nr)
+	faultinject.ForceAVX2(true)
+	want(second)
+	faultinject.ForcePortable(true)
+	want(rowPortable)
 }

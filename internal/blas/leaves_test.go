@@ -68,17 +68,17 @@ func sameBits[T core.Scalar](a, b []T) bool {
 
 // testPackers checks one (packA, packB) pair at geometry mr×nr bit for bit
 // against the reference packers: every trans, the alphas the factorizations
-// use and a general one, extents ragged against 4, 8 and 16, padded leading
-// dimensions, and nonzero offsets into the operand.
+// use and a general one, extents ragged against 4, 8, 16, 24 and 48, padded
+// leading dimensions, and nonzero offsets into the operand.
 func testPackers[T core.Scalar](t *testing.T, mr, nr int,
 	pa func(dst []T, mr int, trans Trans, alpha T, a []T, lda int, i0, mb, p0, kb int),
 	pb func(dst []T, nr int, trans Trans, b []T, ldb int, p0, kb, j0, nb int)) {
 	rng := rand.New(rand.NewSource(33))
-	const dim = 45 // operand is dim×dim inside lda = dim+3
+	const dim = 60 // operand is dim×dim inside lda = dim+3
 	lda := dim + 3
 	a := randSlice[T](rng, lda*dim)
 	for _, trans := range allTrans {
-		for _, ext := range []int{1, 3, 4, 7, 8, 9, 16, 21, 37} {
+		for _, ext := range []int{1, 3, 4, 7, 8, 9, 16, 21, 24, 37, 48, 53} {
 			for _, kb := range []int{1, 2, 5, 8, 33} {
 				i0, p0 := 2, 5
 				wantA := make([]T, kb*roundUp(ext, mr))

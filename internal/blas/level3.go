@@ -744,14 +744,15 @@ func Trsm[T core.Scalar](cfg *core.Config, side Side, uplo Uplo, trans Trans, di
 	})
 }
 
-// Cuts of a forked Trsm: column slabs (left side) start at multiples of the
-// eight-wide substitution leaf, itself a multiple of every row's nr; row
-// slabs (right side) at multiples of the tallest micro-panel and widest
-// vector step in the table. A slab thus sees each of its columns (rows) at
-// the position within a leaf or micro-tile that the undivided solve does.
+// Cuts of a forked Trsm fall where the substitution leaves see every column
+// (row) at the position the undivided solve gives it: column slabs (left
+// side) start at multiples of trsvOct's eight columns, row slabs (right side)
+// at multiples of sixteen rows, which the vector step of every row's gemvSub8
+// and axpy divides. The micro-tile geometry does not enter: the GEMM updates
+// compute an element the same way wherever a tile boundary falls (kernel.go).
 const (
 	trsmColUnit = 8
-	trsmRowUnit = asmF32MR
+	trsmRowUnit = 16
 )
 
 // trsmRec splits the triangular operand A = [A11 .; A21/A12 A22] and reduces

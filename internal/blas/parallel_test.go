@@ -98,18 +98,23 @@ var partitionWorkers = []int{2, 3, 4, 7}
 // the tile grid, the slab cuts and which goroutine runs what — the result is
 // bitwise the one-worker result. Shapes: at most one mc tile, exactly three,
 // short and wide, tall and narrow, ragged against mr and nr, and volumes on
-// either side of the threading cutoff. It runs on the kernel table's rows;
-// make test-portable (LA90_NO_ASM=1) runs it again on the portable ones.
+// either side of the threading cutoff, all in units of the selected row's
+// geometry. It runs on each asm row the machine has; make test-portable
+// (LA90_NO_ASM=1) runs it again on the portable ones.
 func TestPartitionAgreement(t *testing.T) {
-	t.Run("float64", testPartitionAgreement[float64])
-	t.Run("float32", testPartitionAgreement[float32])
-	t.Run("complex128", testPartitionAgreement[complex128])
-	t.Run("complex64", testPartitionAgreement[complex64])
+	all := func(t *testing.T) {
+		t.Run("float64", testPartitionAgreement[float64])
+		t.Run("float32", testPartitionAgreement[float32])
+		t.Run("complex128", testPartitionAgreement[complex128])
+		t.Run("complex64", testPartitionAgreement[complex64])
+	}
+	all(t)
+	onAVX2Row(t, all)
 }
 
 func testPartitionAgreement[T core.Scalar](t *testing.T) {
 	rng := rand.New(rand.NewSource(18))
-	mc, _, _ := blockFor[T](partitionCfg(1))
+	mc, _, _ := blockFor(partitionCfg(1), kernelFor[T]())
 	alpha := core.FromComplex[T](1.25 - 0.5i)
 	// Below Gemm's own nine pairs, ConjTrans on real data is TransT again.
 	trans := allTrans
@@ -196,9 +201,9 @@ func testPartitionAgreement[T core.Scalar](t *testing.T) {
 	// above the leaf size, right-hand-side counts below, at and above the
 	// slab units, ragged and not.
 	for _, nt := range []int{40, 100, 3*mc + 5} {
-		frees := []int{1, 5, 8, 16, 38, 40, 100}
+		frees := []int{1, 5, trsmColUnit, trsmRowUnit, 38, 40, 100}
 		if nt > 100 {
-			frees = []int{8, 38} // two levels of recursion cost more per solve
+			frees = []int{trsmColUnit, 38} // two levels of recursion cost more per solve
 		}
 		a := randSlice[T](rng, nt*nt)
 		for i := range a {
@@ -237,16 +242,16 @@ func testPartitionAgreement[T core.Scalar](t *testing.T) {
 func TestTileGridPlan(t *testing.T) {
 	eachRoute(t, func(t *testing.T) {
 		t.Run("float64", testTileGridPlan[float64])
+		t.Run("float32", testTileGridPlan[float32])
 		t.Run("complex128", testTileGridPlan[complex128])
+		t.Run("complex64", testTileGridPlan[complex64])
 	})
-	t.Run("float32", testTileGridPlan[float32])
-	t.Run("complex64", testTileGridPlan[complex64])
 }
 
 func testTileGridPlan[T core.Scalar](t *testing.T) {
 	kern := kernelFor[T]()
 	mr, nr := kern.mr, kern.nr
-	mc, _, nc := blockFor[T](core.Default())
+	mc, _, nc := blockFor(core.Default(), kern)
 	stored := func(uplo Uplo, i, j int) bool {
 		return uplo == wholeMatrix || (uplo == Lower && i >= j) || (uplo == Upper && i <= j)
 	}

@@ -9,7 +9,7 @@ package blas
 // without these the triangular solves and panel sweeps of that path fall to
 // the portable loops while the trailing GEMM runs at twice the float64 flop
 // rate, halving the end-to-end win. Same AVX2+FMA requirements and
-// useAsmF32 gating as the f32 GEMM micro-kernel. saxpyFma, sdotFma and
+// useAsmF64 gating as the f32 GEMM micro-kernel. saxpyFma, sdotFma and
 // sscalFma are the float32 asm row's axpy, dot and scal entries as they stand
 // (see daxpyFma).
 

@@ -3,7 +3,7 @@
 package blas
 
 // Portable stand-ins for the float32 kernels in subkernel32_amd64.s. The
-// bodies are unreachable: useAsmF32 is constant false off amd64, so every
+// bodies are unreachable: useAsmF64 is constant false off amd64, so every
 // dispatch branch dead-codes away.
 
 func ssubFma8(n int64, x, a, c *float32, ldc int64)           { panic("blas: no asm kernel") }

@@ -11,11 +11,18 @@ import "repro/internal/core"
 //
 // The block sizes are element counts for float64 and are scaled by element
 // size in blockFor, so the byte footprint of a packed panel is roughly
-// type-independent:
+// type-independent. At the defaults (mc = kc = 256, nc = 2048):
 //
-//   - kc·nr·8  ≈ 8 KiB  — one B micro-panel stays resident in L1,
-//   - mc·kc·8  ≈ 256 KiB — the packed A block stays resident in L2,
-//   - kc·nc·8  ≈ 2 MiB  — the packed B slab targets L3.
+//   - kc·nr·8 = 16 KiB on the AVX-512 rows (nr = 8), 8 KiB on the others
+//     (nr = 4) — one B micro-panel stays resident in L1 (48 KiB on the
+//     AVX-512 parts, 32 KiB before) while the A micro-panels, kc·mr·8 =
+//     48 KiB at mr = 24, stream past it from L2,
+//   - mc·kc·8 = 512 KiB — the packed A block stays resident in L2 (mc is
+//     rounded down to whole micro-panels: 240 rows at mr = 24),
+//   - kc·nc·8 = 4 MiB — the packed B slab targets L3.
+//
+// kc also fixes the length of the FMA chains, so moving it moves every bit
+// above one slab (alternatives measured in EXPERIMENTS.md, "AVX-512 row").
 //
 // Every tunable lives in core.Config (the core.Knobs table lists them with
 // their ranges and environment variables): kernels read the *Config threaded
@@ -29,8 +36,10 @@ const (
 	gemmPackedMinVol = 80 * 80 * 80
 
 	// gemmPackedMinVolAsm replaces gemmPackedMinVol on the asm rows of the
-	// kernel table (all four types on AVX2 hardware): the kernel's higher
-	// flop rate amortizes packing at a fraction of the portable crossover.
+	// kernel table (all four types on AVX2 or AVX-512 hardware): the kernel's
+	// higher flop rate amortizes packing at a fraction of the portable
+	// crossover. The two asm rows share it, and every other crossover, so that
+	// they take the same route for the same shape and agree bit for bit.
 	gemmPackedMinVolAsm = 44 * 44 * 44
 
 	// gemmPackedMinVol1m is the crossover of the complex 1m rows. Their
@@ -102,8 +111,10 @@ func packedMinVol[T core.Scalar]() int {
 // call's configuration, scaling the float64-calibrated values so
 // packed-panel byte footprints stay roughly constant across the four scalar
 // types (float32 panels get 2× the elements, complex128 panels half) and
-// rounding mc/nc to register micro-tile multiples.
-func blockFor[T any](cfg *core.Config) (mc, kc, nc int) {
+// rounding mc/nc down to whole micro-panels of the row kern. kc does not
+// depend on the row: it is the length of the FMA chains, so the rows of one
+// type agree on it and with it on every bit.
+func blockFor[T core.Scalar](cfg *core.Config, kern *kernel[T]) (mc, kc, nc int) {
 	var z T
 	scale := func(v, unit int) int {
 		switch any(z).(type) {
@@ -114,5 +125,5 @@ func blockFor[T any](cfg *core.Config) (mc, kc, nc int) {
 		}
 		return max(unit, v-v%unit)
 	}
-	return scale(cfg.GemmMC, gemmMR), max(4, scale(cfg.GemmKC, 1)), scale(cfg.GemmNC, gemmNR)
+	return scale(cfg.GemmMC, kern.mr), max(4, scale(cfg.GemmKC, 1)), scale(cfg.GemmNC, kern.nr)
 }

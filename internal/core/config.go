@@ -198,7 +198,7 @@ var Knobs = []Knob{
 		flag: func(c *Config) *bool { return &c.CheckInputs }},
 
 	{Name: "noasm", Env: "LA90_NO_ASM",
-		Doc: "run the portable Go kernels instead of the AVX2 assembly; read by blas at startup only"},
+		Doc: "run the portable Go kernels instead of the AVX-512/AVX2 assembly; read by blas at startup only"},
 }
 
 // IsInt reports whether the row is an integer knob (a Tuning field) rather

@@ -14,7 +14,9 @@
 //     that lets non-finite values into the engine;
 //   - portable-kernel forcing: the assembly micro-kernels are bypassed so a
 //     suspected asm fault can be separated from the blocking logic at runtime
-//     (the env-var LA90_NO_ASM does the same at process start).
+//     (the env-var LA90_NO_ASM does the same at process start), or only the
+//     AVX-512 row of the kernel table is, so a machine that has it can test
+//     the AVX2 row it would otherwise never select.
 //
 // All state is manipulated with atomics so faults can be armed from a test
 // while worker goroutines consume them. The injection points are single
@@ -33,6 +35,7 @@ var (
 	workerPanics atomic.Int64 // pending injected worker panics
 	packPoisons  atomic.Int64 // pending packed-panel NaN poisonings
 	portableOnly atomic.Bool  // bypass assembly micro-kernels
+	avx2Only     atomic.Bool  // bypass the AVX-512 row of the kernel table
 )
 
 // ArmWorkerPanics makes the next n parallel worker goroutines panic with
@@ -46,6 +49,12 @@ func ArmPackPoisons(n int) { packPoisons.Store(int64(n)) }
 // while on. Toggling it while a Gemm is in flight is not supported (the
 // packing geometry must match the kernel); arm it between calls.
 func ForcePortable(on bool) { portableOnly.Store(on) }
+
+// ForceAVX2 keeps kernel dispatch off the AVX-512 row while on, with
+// ForcePortable's caveat, and returns the previous setting. It selects between
+// two correct kernels rather than arming a fault, and `make test-avx2` sets it
+// for a whole test binary, so Reset leaves it alone.
+func ForceAVX2(on bool) bool { return avx2Only.Swap(on) }
 
 // Reset disarms every fault.
 func Reset() {
@@ -64,6 +73,9 @@ func TakePackPoison() bool { return take(&packPoisons) }
 
 // PortableOnly reports whether assembly micro-kernels are bypassed.
 func PortableOnly() bool { return portableOnly.Load() }
+
+// AVX2Only reports whether the AVX-512 row is bypassed.
+func AVX2Only() bool { return avx2Only.Load() }
 
 // take atomically decrements c if it is positive.
 func take(c *atomic.Int64) bool {

@@ -179,39 +179,30 @@ func (s *mergeSets) partition() {
 // gathered grouped by kind, so the product is two half-height GEMMs over the
 // rows that can be non-zero — top and dense columns for rows 0:r1, dense and
 // bottom ones below — instead of one over [Q1 0; 0 Q2] as if it were dense.
-// Both products are padded to multiples of 8 rows and roots (whole
-// micro-tiles on every row of the kernel table): the operands are copies
-// anyway, and a ragged edge tile costs several full ones.
 func mergeBasis(cfg *core.Config, s *mergeSets, rows, r1 int, q []float64, ldq int, coef []float64) {
 	n, k := len(s.perm), len(s.sec)
-	pad := func(v int) int { return (v + 7) &^ 7 }
-	kp := pad(k)
 	// The two row blocks: first row, height, first grouped column reaching
-	// it and their number; then padded height, gathered columns, product.
+	// it and their number; then gathered columns and product.
 	off, h := [2]int{0, r1}, [2]int{r1, rows - r1}
 	g0, gn := [2]int{0, s.k1}, [2]int{s.k1 + s.k2, k - s.k1}
-	var hp [2]int
 	var g, out [2][]float64
-	size := k*kp + rows*(n-k)
+	size := k*k + rows*(n-k)
 	for b := range h {
-		hp[b] = pad(h[b])
-		size += hp[b] * (gn[b] + kp)
+		size += h[b] * (gn[b] + k)
 	}
 	work := blas.GetScratch[float64](size)
 	defer blas.PutScratch(work)
-	cg, stage, rest := work[:k*kp], work[k*kp:k*kp+rows*(n-k)], work[k*kp+rows*(n-k):]
+	cg, stage, rest := work[:k*k], work[k*k:k*k+rows*(n-k)], work[k*k+rows*(n-k):]
 	for b := range h {
-		g[b], out[b], rest = rest[:hp[b]*gn[b]], rest[hp[b]*gn[b]:hp[b]*(gn[b]+kp)], rest[hp[b]*(gn[b]+kp):]
+		g[b], out[b], rest = rest[:h[b]*gn[b]], rest[h[b]*gn[b]:h[b]*(gn[b]+k)], rest[h[b]*(gn[b]+k):]
 	}
-	clear(cg[k*k:])
 	for gi, c := range s.cols[:k] {
 		for a := 0; a < k; a++ {
 			cg[gi+a*k] = coef[s.rowOf[gi]+a*k]
 		}
 		for b := range h {
 			if j := gi - g0[b]; j >= 0 && j < gn[b] {
-				col := g[b][j*hp[b] : (j+1)*hp[b]]
-				clear(col[copy(col, q[off[b]+c*ldq:][:h[b]]):])
+				copy(g[b][j*h[b]:(j+1)*h[b]], q[off[b]+c*ldq:])
 			}
 		}
 	}
@@ -219,13 +210,13 @@ func mergeBasis(cfg *core.Config, s *mergeSets, rows, r1 int, q []float64, ldq i
 		copy(stage[t*rows:(t+1)*rows], q[c*ldq:])
 	}
 	for b := range h {
-		blas.Gemm(cfg, NoTrans, NoTrans, hp[b], kp, gn[b], 1.0, g[b], hp[b], cg[g0[b]:], k, 0.0, out[b], hp[b])
+		blas.Gemm(cfg, NoTrans, NoTrans, h[b], k, gn[b], 1.0, g[b], h[b], cg[g0[b]:], k, 0.0, out[b], h[b])
 	}
 	for i, p := range s.order {
 		col := q[i*ldq : i*ldq+rows]
 		if sl := s.slot[p]; sl < k {
-			copy(col[:r1], out[0][sl*hp[0]:])
-			copy(col[r1:], out[1][sl*hp[1]:])
+			copy(col[:r1], out[0][sl*h[0]:])
+			copy(col[r1:], out[1][sl*h[1]:])
 		} else {
 			copy(col, stage[(sl-k)*rows:])
 		}

@@ -59,6 +59,9 @@ func Gttrf[T core.Scalar](n int, dl, d, du, du2 []T, ipiv []int) int {
 
 // Gttrs solves op(A)·X = B using the factorization from Gttrf (xGTTRS).
 func Gttrs[T core.Scalar](trans Trans, n, nrhs int, dl, d, du, du2 []T, ipiv []int, b []T, ldb int) {
+	if n == 0 {
+		return
+	}
 	for j := 0; j < nrhs; j++ {
 		col := b[j*ldb:]
 		switch trans {
@@ -111,9 +114,6 @@ func Gttrs[T core.Scalar](trans Trans, n, nrhs int, dl, d, du, du2 []T, ipiv []i
 // Gtsv solves A·X = B for a general tridiagonal matrix (the xGTSV driver).
 // dl, d and du are overwritten by the factorization.
 func Gtsv[T core.Scalar](n, nrhs int, dl, d, du []T, b []T, ldb int) int {
-	if n == 0 {
-		return 0
-	}
 	du2 := make([]T, max(0, n-2))
 	ipiv := make([]int, n)
 	info := Gttrf(n, dl, d, du, du2, ipiv)

@@ -28,6 +28,9 @@ func Pttrf[T core.Scalar](n int, d []float64, e []T) int {
 
 // Pttrs solves A·X = B using the L·D·Lᴴ factorization from Pttrf (xPTTRS).
 func Pttrs[T core.Scalar](n, nrhs int, d []float64, e []T, b []T, ldb int) {
+	if n == 0 {
+		return
+	}
 	for j := 0; j < nrhs; j++ {
 		col := b[j*ldb:]
 		// Forward solve L·y = b.

@@ -285,13 +285,17 @@ func TestSpsvHpsv(t *testing.T) {
 // once since, on purpose: PR 17 made the trailing update one blas.Gemmt per
 // panel (the blocked rows round in a new order for n > NBSytrf) and gave the
 // complex asm rows vector axpy/dot/scal kernels (their Sytf2 column); the
-// real Sytf2/Hetf2 rows are the PR 15 bits.
+// real Sytf2/Hetf2 rows are the PR 15 bits; PR 21 put the ragged micro-tiles
+// of the real asm rows on the full tile's FMA chain (blas.scratchEdge and the
+// AVX-512 opmask tiles, where the scalar edge kernel rounded every product),
+// which moved the assembly column of the blocked float32/float64 rows.
 // An FNV-64a over the factor array (all lda×n elements, so the unreferenced
 // triangle and the padding row are covered) and ipiv for the factorizations,
 // and over the solution for Sytrs/Hetrs with 4 right-hand sides. Each entry
 // folds both uplo, n ∈ bkGoldenN (below, at and past NBSytrf = 48, including
 // the kb = nb−1 panels), three random seeds, and the forced-2×2-pivot and
-// singular matrices. Columns: assembly route, portable route (LA90_NO_ASM=1,
+// singular matrices. Columns: assembly route — the AVX-512 and the AVX2 row of
+// the kernel table must both produce it — and portable route (LA90_NO_ASM=1,
 // reached here through the same gate with faultinject.ForcePortable).
 // Regenerate with `go test ./internal/lapack -run BunchKaufmanGolden -bkprint -v`.
 var bkGolden = map[string][2]uint64{
@@ -301,24 +305,24 @@ var bkGolden = map[string][2]uint64{
 	"Hetf2/float64":    {0xa388656fe6848271, 0xa388656fe6848271},
 	"Hetrf/complex128": {0x9840feb49d671b4f, 0x62519bbbf7c2ec46},
 	"Hetrf/complex64":  {0x1b4ac25b2ae3e3eb, 0xc5b11cb24b063bd3},
-	"Hetrf/float32":    {0x5b509cc2c6efd965, 0x65be993a2dfda706},
-	"Hetrf/float64":    {0x25187a7d06c74aa7, 0xdd824197ac77ecff},
+	"Hetrf/float32":    {0x83a6efde762b2e45, 0x65be993a2dfda706},
+	"Hetrf/float64":    {0x252b02d83ad2e79d, 0xdd824197ac77ecff},
 	"Hetrs/complex128": {0xec740a053745bc69, 0x0a07983b9de8cf64},
 	"Hetrs/complex64":  {0x71a3b5a0474f2847, 0x0985ea43903cd8af},
-	"Hetrs/float32":    {0x70b268ab2e39f3d9, 0x1d4de17a9a57d42c},
-	"Hetrs/float64":    {0xdde48667b1a22121, 0xc83e6f908ee82d8b},
+	"Hetrs/float32":    {0x0bf30a2456259b74, 0x1d4de17a9a57d42c},
+	"Hetrs/float64":    {0xa8711876f74dffe8, 0xc83e6f908ee82d8b},
 	"Sytf2/complex128": {0x2172136e75661195, 0x1dc460ad59e35ef1},
 	"Sytf2/complex64":  {0xb376099e33a7b86f, 0xe27fc07d80202066},
 	"Sytf2/float32":    {0x0fcdf3412de1d1be, 0x0fcdf3412de1d1be},
 	"Sytf2/float64":    {0xb9e2386413247cf1, 0xb9e2386413247cf1},
 	"Sytrf/complex128": {0x9246c28399f5f59f, 0xa18d3fb3b72680e4},
 	"Sytrf/complex64":  {0x104b505a29ec0fb4, 0x8076af0889fccbed},
-	"Sytrf/float32":    {0x6e95853c4273b49d, 0xae8ad73b6f5dd082},
-	"Sytrf/float64":    {0xf22f578f92f21ca7, 0x905dab92f8e0d3ff},
+	"Sytrf/float32":    {0xfebbe8ab2b4fdbf9, 0xae8ad73b6f5dd082},
+	"Sytrf/float64":    {0x5630ff73a9d6e69d, 0x905dab92f8e0d3ff},
 	"Sytrs/complex128": {0x243d7ea592bc0f70, 0x60cb40a7ace88194},
 	"Sytrs/complex64":  {0xb6f89d513b378290, 0x22bcf87baa4cccc7},
-	"Sytrs/float32":    {0x68a9ef754bee3905, 0xaf13dab78aef976c},
-	"Sytrs/float64":    {0xdde48667b1a22121, 0xc83e6f908ee82d8b},
+	"Sytrs/float32":    {0x9b594425bec09d55, 0xaf13dab78aef976c},
+	"Sytrs/float64":    {0xa8711876f74dffe8, 0xc83e6f908ee82d8b},
 }
 
 var (
@@ -422,10 +426,15 @@ func TestBunchKaufmanGolden(t *testing.T) {
 		t.Skip("golden bits were recorded on amd64 (other targets fuse multiply-adds in the portable kernels)")
 	}
 	cfg := tcfg().With(func(c *core.Config) { c.NBSytrf = 48 })
-	var got [2]map[string]uint64
+	// Routes: the default row, the portable row, and the AVX2 row (the default
+	// one again unless the CPU has AVX-512).
+	var got [3]map[string]uint64
+	avx2 := faultinject.ForceAVX2(false)
+	defer faultinject.ForceAVX2(avx2)
 	for route := range got {
 		got[route] = map[string]uint64{}
 		faultinject.ForcePortable(route == 1)
+		faultinject.ForceAVX2(avx2 || route == 2)
 		bkFingerprints[float32](cfg, got[route])
 		bkFingerprints[float64](cfg, got[route])
 		bkFingerprints[complex64](cfg, got[route])
@@ -456,6 +465,9 @@ func TestBunchKaufmanGolden(t *testing.T) {
 		// must land on its recorded bits.
 		if got[0][k] != want[0] && got[0][k] != want[1] {
 			t.Errorf("%s default route: %#016x, want %#016x (asm) or %#016x (portable)", k, got[0][k], want[0], want[1])
+		}
+		if got[2][k] != got[0][k] {
+			t.Errorf("%s AVX2 row: %#016x, default row %#016x", k, got[2][k], got[0][k])
 		}
 	}
 }

@@ -15,6 +15,7 @@ import (
 
 	"repro/internal/blas"
 	"repro/internal/core"
+	"repro/internal/faultinject"
 	"repro/la"
 )
 
@@ -179,7 +180,9 @@ func TestDefaultConfigBitIdentical(t *testing.T) {
 
 // TestThreadsBitIdentical checks the per-call version of the engine's core
 // determinism contract: WithThreads(n) produces bit-identical results for
-// every budget, because the worker count never changes any summation order.
+// every budget, because the worker count never changes any summation order —
+// on each asm row of the kernel table, which moreover agree with each other
+// (on a machine without AVX-512 the second pass repeats the first).
 func TestThreadsBitIdentical(t *testing.T) {
 	drivers := []struct {
 		name string
@@ -199,11 +202,19 @@ func TestThreadsBitIdentical(t *testing.T) {
 	}
 	for _, d := range drivers {
 		t.Run(d.name, func(t *testing.T) {
-			serial := d.sig(t, la.WithThreads(1))
-			for _, n := range []int{2, 4, 7} {
-				if got := d.sig(t, la.WithThreads(n)); !bitsEqual(got, serial) {
-					t.Errorf("%s with %d workers differs bitwise from serial", d.name, n)
+			var serial [2][]float64
+			for row, avx2 := range []bool{false, true} {
+				was := faultinject.ForceAVX2(avx2)
+				serial[row] = d.sig(t, la.WithThreads(1))
+				for _, n := range []int{2, 3, 4, 7} {
+					if got := d.sig(t, la.WithThreads(n)); !bitsEqual(got, serial[row]) {
+						t.Errorf("%s with %d workers differs bitwise from serial (AVX2 row forced: %v)", d.name, n, avx2)
+					}
 				}
+				faultinject.ForceAVX2(was)
+			}
+			if !bitsEqual(serial[0], serial[1]) {
+				t.Errorf("%s on the AVX2 row differs bitwise from the selected row", d.name)
 			}
 		})
 	}
