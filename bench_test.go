@@ -109,6 +109,51 @@ func BenchmarkOverheadGESV(b *testing.B) {
 	}
 }
 
+// BenchmarkExample3Small is the paper's Example 3 — the same solve through
+// the F77-style interface and through the LAPACK90 one — at the orders of a
+// batched workload, where one call is a microsecond and the layers above the
+// factorization are a visible part of it: GESV and POSV with one right-hand
+// side at n = 4…64 through la, f77 and internal/lapack, allocations counted
+// (the restoring copies are inside the timer on every layer alike).
+func BenchmarkExample3Small(b *testing.B) {
+	for _, n := range []int{4, 8, 16, 32, 64} {
+		rng := lapack.NewRng([4]int{n, 19, 9, 8})
+		gen := make([]float64, n*n)
+		lapack.Larnv(2, rng, n*n, gen)
+		spd := spdMatrix[float64](rng, n)
+		rhs := make([]float64, n)
+		lapack.Larnv(2, rng, n, rhs)
+		aw, bw := la.NewMatrix[float64](n, n), la.NewMatrix[float64](n, 1)
+		ipiv := make([]int, n)
+		check := func(b *testing.B, failed bool) {
+			if failed {
+				b.Fatal("solve failed")
+			}
+		}
+		for _, c := range []struct {
+			name string
+			a0   []float64
+			call func() bool
+		}{
+			{"GESV/la", gen, func() bool { _, err := la.GESV(aw, bw); return err != nil }},
+			{"GESV/f77", gen, func() bool { return f77.GESV(n, 1, aw.Data, n, ipiv, bw.Data, n) != 0 }},
+			{"GESV/lapack", gen, func() bool { return lapack.Gesv(core.Default(), n, 1, aw.Data, n, ipiv, bw.Data, n) != 0 }},
+			{"POSV/la", spd, func() bool { return la.POSV(aw, bw) != nil }},
+			{"POSV/f77", spd, func() bool { return f77.POSV(f77.Upper, n, 1, aw.Data, n, bw.Data, n) != 0 }},
+			{"POSV/lapack", spd, func() bool { return lapack.Posv(core.Default(), lapack.Upper, n, 1, aw.Data, n, bw.Data, n) != 0 }},
+		} {
+			b.Run(c.name+"/N="+itoa(n), func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					copy(aw.Data, c.a0)
+					copy(bw.Data, rhs)
+					check(b, c.call())
+				}
+			})
+		}
+	}
+}
+
 func BenchmarkOverheadPOSV(b *testing.B) {
 	for _, n := range []int{50, 200} {
 		rng := lapack.NewRng([4]int{n, 9, 9, 9})
@@ -662,36 +707,217 @@ var sinkInt int
 // and one Herk per level — all Level 3.
 func BenchmarkPotrf(b *testing.B) {
 	for _, n := range []int{64, 256, 512, 1024} {
-		b.Run("N="+itoa(n), func(b *testing.B) { benchPotrf(b, n) })
+		b.Run("N="+itoa(n), func(b *testing.B) { benchPotrf[float64](b, lapack.Lower, n) })
 	}
 	b.Run("T=2/N=1024", func(b *testing.B) {
 		defer blas.SetThreads(blas.SetThreads(2))
-		benchPotrf(b, 1024)
+		benchPotrf[float64](b, lapack.Lower, 1024)
 	})
+	// The orders under the small-matrix crossover (internal/lapack/smallchol.go),
+	// per element type and triangle, hot in cache.
+	for _, n := range []int{4, 8, 16, 32, 48, 64} {
+		for _, uplo := range []lapack.Uplo{lapack.Upper, lapack.Lower} {
+			suffix := "/" + uplo.String() + "/N=" + itoa(n)
+			b.Run("small/f64"+suffix, func(b *testing.B) { benchPotrf[float64](b, uplo, n) })
+			b.Run("small/f32"+suffix, func(b *testing.B) { benchPotrf[float32](b, uplo, n) })
+			b.Run("small/c64"+suffix, func(b *testing.B) { benchPotrf[complex64](b, uplo, n) })
+			b.Run("small/c128"+suffix, func(b *testing.B) { benchPotrf[complex128](b, uplo, n) })
+		}
+	}
 }
 
-func benchPotrf(b *testing.B, n int) {
-	rng := lapack.NewRng([4]int{n, 5, 5, 5})
-	g := make([]float64, n*n)
+// spdMatrix returns G·Gᴴ + n·I for a random n×n G: Hermitian positive
+// definite, both triangles stored.
+func spdMatrix[T core.Scalar](rng *lapack.Rng, n int) []T {
+	g := make([]T, n*n)
 	lapack.Larnv(2, rng, n*n, g)
-	// a0 := G·Gᵀ + n·I is symmetric positive definite.
-	a0 := make([]float64, n*n)
-	blas.Gemm(core.Default(), blas.NoTrans, blas.TransT, n, n, n, 1.0, g, n, g, n, 0.0, a0, n)
+	a := make([]T, n*n)
+	blas.Gemm(core.Default(), blas.NoTrans, blas.ConjTrans, n, n, n, core.FromFloat[T](1), g, n, g, n, core.FromFloat[T](0), a, n)
 	for i := 0; i < n; i++ {
-		a0[i+i*n] += float64(n)
+		a[i+i*n] = core.FromFloat[T](core.Re(a[i+i*n]) + float64(n))
 	}
-	aw := make([]float64, n*n)
+	return a
+}
+
+func benchPotrf[T core.Scalar](b *testing.B, uplo lapack.Uplo, n int) {
+	a0 := spdMatrix[T](lapack.NewRng([4]int{n, 5, 5, 5}), n)
+	aw := make([]T, n*n)
 	copy(aw, a0)
-	lapack.Potrf(core.Default(), lapack.Lower, n, aw, n) // untimed warm-up
+	lapack.Potrf(core.Default(), uplo, n, aw, n) // untimed warm-up
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		copy(aw, a0)
-		if info := lapack.Potrf(core.Default(), lapack.Lower, n, aw, n); info != 0 {
+		if info := lapack.Potrf(core.Default(), uplo, n, aw, n); info != 0 {
 			b.Fatalf("info=%d", info)
 		}
 	}
 	flops := 1.0 / 3.0 * float64(n) * float64(n) * float64(n)
+	if core.IsComplex[T]() {
+		flops *= 4
+	}
 	b.ReportMetric(flops*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOPS")
+}
+
+// BenchmarkAblationSmallCholesky is the measurement behind the small
+// Cholesky's routing (EXPERIMENTS.md, "Small Cholesky by element type"): the
+// blocked body Potrf runs under the small-matrix crossover against the
+// unblocked Potf2 it replaced there, per element type, triangle and order,
+// on one matrix that stays in cache ("hot", the restoring copy timed) and
+// over 170 distinct ones — a sixth of the small_batch workload — restored
+// outside the timer ("x170").
+func BenchmarkAblationSmallCholesky(b *testing.B) {
+	for _, n := range []int{8, 16, 32, 48, 64} {
+		for _, uplo := range []lapack.Uplo{lapack.Upper, lapack.Lower} {
+			suffix := "/" + uplo.String() + "/N=" + itoa(n)
+			ablateSmallCholesky[float64](b, "f64"+suffix, uplo, n)
+			ablateSmallCholesky[float32](b, "f32"+suffix, uplo, n)
+			ablateSmallCholesky[complex64](b, "c64"+suffix, uplo, n)
+			ablateSmallCholesky[complex128](b, "c128"+suffix, uplo, n)
+		}
+	}
+}
+
+func ablateSmallCholesky[T core.Scalar](b *testing.B, name string, uplo lapack.Uplo, n int) {
+	const distinct = 170
+	rng := lapack.NewRng([4]int{n, 5, 5, 5})
+	a0, aw := make([][]T, distinct), make([][]T, distinct)
+	for i := range a0 {
+		a0[i], aw[i] = spdMatrix[T](rng, n), make([]T, n*n)
+	}
+	for _, route := range []struct {
+		name   string
+		factor func(a []T) int
+	}{
+		{"blocked", func(a []T) int { return lapack.Potrf(core.Default(), uplo, n, a, n) }},
+		{"potf2", func(a []T) int { return lapack.Potf2(core.Default(), uplo, n, a, n) }},
+	} {
+		for _, set := range []struct {
+			name string
+			k    int
+		}{{"hot", 1}, {"x170", distinct}} {
+			b.Run(route.name+"/"+set.name+"/"+name, func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					k := i % set.k
+					if set.k == 1 {
+						copy(aw[0], a0[0]) // timed, as in BenchmarkPotrf
+					} else if k == 0 {
+						b.StopTimer()
+						for j := range aw {
+							copy(aw[j], a0[j])
+						}
+						b.StartTimer()
+					}
+					if info := route.factor(aw[k]); info != 0 {
+						b.Fatalf("info=%d", info)
+					}
+				}
+			})
+		}
+	}
+}
+
+// BenchmarkPotrsSmall prices the solve pair behind a small POSV: both
+// substitutions from a Cholesky factor under the small-matrix crossover, for
+// one and for four right-hand sides.
+func BenchmarkPotrsSmall(b *testing.B) {
+	for _, n := range []int{16, 32, 48, 64} {
+		for _, nrhs := range []int{1, 4} {
+			for _, uplo := range []lapack.Uplo{lapack.Upper, lapack.Lower} {
+				b.Run(uplo.String()+"/N="+itoa(n)+"/nrhs="+itoa(nrhs), func(b *testing.B) {
+					rng := lapack.NewRng([4]int{n, 7, 7, 7})
+					a := spdMatrix[float64](rng, n)
+					if info := lapack.Potrf(core.Default(), uplo, n, a, n); info != 0 {
+						b.Fatalf("info=%d", info)
+					}
+					x0 := make([]float64, n*nrhs)
+					lapack.Larnv(2, rng, n*nrhs, x0)
+					x := make([]float64, n*nrhs)
+					b.ResetTimer()
+					for i := 0; i < b.N; i++ {
+						copy(x, x0)
+						lapack.Potrs(core.Default(), uplo, n, nrhs, a, n, x, n)
+					}
+				})
+			}
+		}
+	}
+}
+
+// BenchmarkPosvSmallBatch is the POSV half of the repository benchmark's
+// small_batch workload next to its GESV half: 1024 systems of order 4…64 in
+// equal shares, one right-hand side, one thread, as a loop of single calls
+// and as one batch call. One op is one pass over the 1024 systems; the
+// inputs are copied back outside the timer.
+func BenchmarkPosvSmallBatch(b *testing.B) {
+	const systems = 1024
+	sizes := [...]int{4, 8, 16, 32, 48, 64}
+	rng := lapack.NewRng([4]int{systems, 1, 9, 9})
+	spd0, gen0, rhs0 := make([][]float64, systems), make([][]float64, systems), make([][]float64, systems)
+	as, bs := make([]*la.Matrix[float64], systems), make([]*la.Matrix[float64], systems)
+	for i := range as {
+		n := sizes[i%len(sizes)]
+		spd0[i] = spdMatrix[float64](rng, n)
+		gen0[i] = make([]float64, n*n)
+		lapack.Larnv(2, rng, n*n, gen0[i])
+		rhs0[i] = make([]float64, n)
+		lapack.Larnv(2, rng, n, rhs0[i])
+		as[i], bs[i] = la.NewMatrix[float64](n, n), la.NewMatrix[float64](n, 1)
+	}
+	opts := []la.Opt{la.WithThreads(1)}
+	for _, c := range []struct {
+		name string
+		a0   [][]float64
+		pass func() error
+	}{
+		{"POSV.loop", spd0, func() error {
+			for i := range as {
+				if err := la.POSV(as[i], bs[i], opts...); err != nil {
+					return err
+				}
+			}
+			return nil
+		}},
+		{"BatchPosv", spd0, func() error {
+			errs, err := la.BatchPosv(as, bs, opts...)
+			return firstError(errs, err)
+		}},
+		{"GESV.loop", gen0, func() error {
+			for i := range as {
+				if _, err := la.GESV(as[i], bs[i], opts...); err != nil {
+					return err
+				}
+			}
+			return nil
+		}},
+		{"BatchGesv", gen0, func() error {
+			_, errs, err := la.BatchGesv(as, bs, opts...)
+			return firstError(errs, err)
+		}},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				for k := range as {
+					copy(as[k].Data, c.a0[k])
+					copy(bs[k].Data, rhs0[k])
+				}
+				b.StartTimer()
+				if err := c.pass(); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+func firstError(errs []error, err error) error {
+	for _, e := range errs {
+		if err == nil {
+			err = e
+		}
+	}
+	return err
 }
 
 // BenchmarkSytrf tracks the blocked Bunch–Kaufman factorization on all four

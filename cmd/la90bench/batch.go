@@ -1,13 +1,15 @@
 // The -batch mode: benchmark the batched drivers and the pack-free
 // small-matrix regime they ride on, writing BENCH_batch.json. Three legs
-// per size:
+// per driver (gesv, posv) and size:
 //
 //   - gesv-looped-seed: a serial loop over la.GESV with the pack-free path
 //     disabled per call (-config small=0), i.e. the dispatch the seed tree had —
 //     the baseline the batched drivers are measured against;
 //   - gesv-looped: the same loop with the small-matrix path enabled,
 //     isolating how much of the win is the regime vs the batching;
-//   - gesv-batched: la.BatchGesv over the whole batch.
+//   - gesv-batched: la.BatchGesv over the whole batch;
+//
+// and the same three over la.POSV / la.BatchPosv on positive definite systems.
 //
 // A second table compares the pack-free GEMM against the packed engine's
 // dispatch on single small products.
@@ -45,6 +47,7 @@ type batchReport struct {
 	GemmSmallDim     int           `json:"gemm_small_dim"`
 	Results          []batchResult `json:"results"`
 	GesvSpeedup      float64       `json:"gesv_speedup_n32_b1024"` // batched vs looped-seed
+	PosvSpeedup      float64       `json:"posv_speedup_n32_b1024"` // batched vs looped-seed
 	SmallGemmSpeedup float64       `json:"gemm_small_speedup_n48"` // pack-free vs seed dispatch
 }
 
@@ -55,7 +58,9 @@ type batchProblem struct {
 	pristineA, pristineB []*la.Matrix[float64]
 }
 
-func newBatchProblem(n, batch int) *batchProblem {
+// newBatchProblem generates batch diagonally dominant n×n systems: general
+// ones, or with spd symmetric and hence positive definite.
+func newBatchProblem(n, batch int, spd bool) *batchProblem {
 	p := &batchProblem{
 		as:        make([]*la.Matrix[float64], batch),
 		bs:        make([]*la.Matrix[float64], batch),
@@ -68,6 +73,9 @@ func newBatchProblem(n, batch int) *batchProblem {
 		lapack.Larnv(2, rng, len(a.Data), a.Data)
 		for d := 0; d < n; d++ {
 			a.Set(d, d, a.At(d, d)+float64(n)) // diagonally dominant: never singular
+			for r := d + 1; spd && r < n; r++ {
+				a.Set(d, r, a.At(r, d))
+			}
 		}
 		b := la.NewMatrix[float64](n, 1)
 		lapack.Larnv(2, rng, len(b.Data), b.Data)
@@ -94,90 +102,93 @@ func runBatch() {
 		GemmSmallDim: benchCfg().GemmSmallDim,
 	}
 
-	var seed32, batched32 float64
+	drivers := []struct {
+		name    string
+		spd     bool
+		one     func(a, b *la.Matrix[float64], opts ...la.Opt) error
+		all     func(as, bs []*la.Matrix[float64], opts ...la.Opt) ([]error, error)
+		speedup *float64
+	}{
+		{"gesv", false,
+			func(a, b *la.Matrix[float64], opts ...la.Opt) error { _, err := la.GESV(a, b, opts...); return err },
+			func(as, bs []*la.Matrix[float64], opts ...la.Opt) ([]error, error) {
+				_, errs, err := la.BatchGesv(as, bs, opts...)
+				return errs, err
+			}, &rep.GesvSpeedup},
+		{"posv", true, la.POSV[float64], la.BatchPosv[float64], &rep.PosvSpeedup},
+	}
 	batches := []int{64, 1024}
-	for _, n := range []int{4, 16, 32, 64, 128} {
-		for _, batch := range batches {
-			if batch > *maxbatch {
-				continue
-			}
-			p := newBatchProblem(n, batch)
-			record := func(kernel string, s float64) {
-				rep.Results = append(rep.Results, batchResult{
-					Kernel: kernel, Dtype: "float64", N: n, Batch: batch,
-					Seconds: s, PerSec: float64(batch) / s,
-				})
-			}
-
-			loopWith := func(opts []la.Opt) func() {
-				return func() {
-					for i := range p.as {
-						if _, err := la.GESV(p.as[i], p.bs[i], opts...); err != nil {
-							panic(err)
+	for _, drv := range drivers {
+		for _, n := range []int{4, 16, 32, 64, 128} {
+			for _, batch := range batches {
+				if batch > *maxbatch {
+					continue
+				}
+				p := newBatchProblem(n, batch, drv.spd)
+				loopWith := func(opts []la.Opt) func() {
+					return func() {
+						for i := range p.as {
+							if err := drv.one(p.as[i], p.bs[i], opts...); err != nil {
+								panic(err)
+							}
 						}
 					}
 				}
-			}
-			loop := loopWith(benchLaOpts())
-			seedLoop := loopWith(append(append([]la.Opt(nil), benchLaOpts()...),
-				la.WithConfig(la.Config{GemmSmallDim: -1})))
-			batchedRun := func() {
-				_, errs, err := la.BatchGesv(p.as, p.bs, benchLaOpts()...)
-				if err != nil {
-					panic(err)
-				}
-				for i, e := range errs {
-					if e != nil {
-						panic(fmt.Sprintf("item %d: %v", i, e))
+				batchedRun := func() {
+					errs, err := drv.all(p.as, p.bs, benchLaOpts()...)
+					if err != nil {
+						panic(err)
+					}
+					for i, e := range errs {
+						if e != nil {
+							panic(fmt.Sprintf("item %d: %v", i, e))
+						}
 					}
 				}
-			}
 
-			// The three legs run round-robin within each repetition, so a
-			// slow phase of the (noisy, virtualized) machine hits all legs
-			// alike instead of skewing whichever leg it landed on; each
-			// leg's reported time is still its own minimum over repetitions.
-			legs := []struct {
-				kernel string
-				run    func()
-			}{
-				// gesv-looped-seed is the dispatch the seed tree had: a
-				// serial loop with the pack-free path disabled.
-				{"gesv-looped-seed", seedLoop},
-				{"gesv-looped", loop},
-				{"gesv-batched", batchedRun},
-			}
-			best := make([]float64, len(legs))
-			for r := 0; r < *reps; r++ {
-				for i, l := range legs {
-					p.restore()
-					if r == 0 {
-						l.run() // warm-up
+				// The three legs run round-robin within each repetition, so a
+				// slow phase of the (noisy, virtualized) machine hits all legs
+				// alike instead of skewing whichever leg it landed on; each
+				// leg's reported time is still its own minimum over
+				// repetitions.
+				legs := []struct {
+					kernel string
+					run    func()
+				}{
+					// looped-seed is the dispatch the seed tree had: a serial
+					// loop with the pack-free path disabled.
+					{"-looped-seed", loopWith(append(append([]la.Opt(nil), benchLaOpts()...),
+						la.WithConfig(la.Config{GemmSmallDim: -1})))},
+					{"-looped", loopWith(benchLaOpts())},
+					{"-batched", batchedRun},
+				}
+				best := make([]float64, len(legs))
+				for r := 0; r < *reps; r++ {
+					for i, l := range legs {
 						p.restore()
-					}
-					t0 := time.Now()
-					l.run()
-					d := time.Since(t0).Seconds()
-					if r == 0 || d < best[i] {
-						best[i] = d
+						if r == 0 {
+							l.run() // warm-up
+							p.restore()
+						}
+						t0 := time.Now()
+						l.run()
+						d := time.Since(t0).Seconds()
+						if r == 0 || d < best[i] {
+							best[i] = d
+						}
 					}
 				}
-			}
-			for i, l := range legs {
-				record(l.kernel, best[i])
+				for i, l := range legs {
+					rep.Results = append(rep.Results, batchResult{
+						Kernel: drv.name + l.kernel, Dtype: "float64", N: n, Batch: batch,
+						Seconds: best[i], PerSec: float64(batch) / best[i],
+					})
+				}
 				if n == 32 && batch == 1024 {
-					switch l.kernel {
-					case "gesv-looped-seed":
-						seed32 = best[i]
-					case "gesv-batched":
-						batched32 = best[i]
-					}
+					*drv.speedup = best[0] / best[2]
 				}
 			}
 		}
-	}
-	if batched32 > 0 {
-		rep.GesvSpeedup = seed32 / batched32
 	}
 
 	// Single small products: pack-free kernels vs the seed dispatch.
@@ -240,5 +251,6 @@ func runBatch() {
 		fmt.Printf("%-18s %6d %6d %12.6f %14.0f %10.2f\n", r.Kernel, r.N, r.Batch, r.Seconds, r.PerSec, r.GFLOPS)
 	}
 	fmt.Printf("GESV n=32 batch=1024: batched vs looped-seed speedup: %.2fx\n", rep.GesvSpeedup)
+	fmt.Printf("POSV n=32 batch=1024: batched vs looped-seed speedup: %.2fx\n", rep.PosvSpeedup)
 	fmt.Printf("GEMM n=48 pack-free vs seed dispatch speedup: %.2fx (written to %s)\n", rep.SmallGemmSpeedup, out)
 }

@@ -92,6 +92,17 @@ func sgather8(kb int, alpha float32, src []float32, lds int, dst []float32, ld i
 //go:noescape
 func dgemmSmallStripF64(strips, k int64, a *float64, lda int64, b *float64, ldb int64, c *float64, ldc int64, alpha float64)
 
+// dcholStep8 is one full-block step of the small Cholesky on the uplo
+// triangle of the m×m matrix a, m a multiple of 8 (Small.CholStep has the
+// contract), and ddot8 the eight column sums Σ_i a(i, q)·x[i] over len(x) ≥ 1
+// rows. Implemented in smallchol_amd64.s; require AVX2 and FMA3.
+//
+//go:noescape
+func dcholStep8(upper bool, m int, a []float64, lda int) int
+
+//go:noescape
+func ddot8(a []float64, lda int, x []float64) [8]float64
+
 // dsubFma8 performs the eight-column substitution sweep
 // c_q[0:n] -= x[q]·a[0:n] (columns of c spaced ldc elements apart) with
 // fused negate-multiply-adds; it is the inner step of the left-side

@@ -48,7 +48,9 @@ func sgather8(kb int, alpha float32, src []float32, lds int, dst []float32, ld i
 func dgemmSmallStripF64(strips, k int64, a *float64, lda int64, b *float64, ldb int64, c *float64, ldc int64, alpha float64) {
 	panic("blas: no asm kernel")
 }
-func dsubFma8(n int64, x, a, c *float64, ldc int64) { panic("blas: no asm kernel") }
+func dcholStep8(upper bool, m int, a []float64, lda int) int { panic("blas: no asm kernel") }
+func ddot8(a []float64, lda int, x []float64) [8]float64     { panic("blas: no asm kernel") }
+func dsubFma8(n int64, x, a, c *float64, ldc int64)          { panic("blas: no asm kernel") }
 func dgemvSub8(n int64, t, b *float64, ldb int64, y *float64) {
 	panic("blas: no asm kernel")
 }

@@ -41,6 +41,9 @@ import (
 //	refl·Rows  drefl3/2RowsFma      Go                 Go                 Go
 //	small      dgemmSmallStripF64   Go 4×4 tile        Go 4×4 tile        Go 4×4 tile
 //	skinny     strip kernel         Gemv per column    none               none
+//	cholStep   dcholStep8 on full   Go on axpy, scal   Go on axpy, scal   Go (same)
+//	           blocks, else Go      and gemvSub8       and gemvSub8
+//	dot8       ddot8                dot per column     dot per column     dot per column
 //
 // The asm rows need amd64 with AVX2+FMA, the AVX-512 ones AVX512F on top; the
 // portable row of each type serves LA90_NO_ASM=1, other CPUs and other ports.
@@ -87,6 +90,12 @@ type kernel[T core.Scalar] struct {
 	trsmLeaf int
 	trsvOct  func(uplo Uplo, diag Diag, m, n int, a []T, lda int, b []T, ldb int)
 	gemvSub8 func(m int, t [8]T, b []T, ldb int, y []T)
+	// cholStep is one block step of the small Cholesky and dot8 the
+	// transposed counterpart of gemvSub8, out[q] = Σ_i op(a(i, q))·x[i]
+	// (Small.CholStep and Small.Dot8 have the contracts); both take the row
+	// because their portable forms run on its other leaves.
+	cholStep func(k *kernel[T], upper bool, jb, m int, a []T, lda int) int
+	dot8     func(k *kernel[T], a []T, lda int, x []T, conj bool) [CholNB]T
 
 	// The Level-1/2 leaves, over unit-stride vectors as long as the first one
 	// (at least one element; leaves.go has the portable form of each):
@@ -146,7 +155,7 @@ const (
 func portableKernel[T core.Scalar](trsmLeaf int, rotRun func(bool, int, int, []float64, []float64, []T, int), iamax func([]T) int) kernel[T] {
 	return kernel[T]{
 		mr: gemmMR, nr: gemmNR, kScale: 1, trsmLeaf: trsmLeaf,
-		trsvOct: trsvOct[T], gemvSub8: gemvSub8[T],
+		trsvOct: trsvOct[T], gemvSub8: gemvSub8[T], cholStep: cholStepGo[T], dot8: dot8Go[T],
 		axpy: axpyGo[T], scal: scalGo[T], dot: dotGo[T], axpyDot: axpyDotGo[T], iamax: iamax,
 		rotRun: rotRun, refl3: refl3Go[T], refl2: refl2Go[T], small: gemmSmallPortable[T],
 		refl3Rows: refl3RowsGo[T], refl2Rows: refl2RowsGo[T],
@@ -230,6 +239,7 @@ var (
 		gemvSub8: func(m int, t [8]float64, b []float64, ldb int, y []float64) {
 			dgemvSub8(int64(m), &t[0], &b[0], int64(ldb), &y[0])
 		},
+		cholStep: cholStepF64, dot8: dot8F64,
 		axpy: daxpyFma, dot: ddotFma, axpyDot: daxpyDotFma,
 		scal: scalGo[float64],
 		iamax: func(x []float64) int {
@@ -272,6 +282,7 @@ var (
 		gemvSub8: func(m int, t [8]float32, b []float32, ldb int, y []float32) {
 			sgemvSub8(int64(m), &t[0], &b[0], int64(ldb), &y[0])
 		},
+		cholStep: cholStepGo[float32], dot8: dot8Go[float32],
 		axpy: saxpyFma, scal: sscalFma, dot: sdotFma, axpyDot: axpyDotGo[float32],
 		iamax: func(x []float32) int {
 			if len(x) >= iamaxAsmMin && x[0] == x[0] {

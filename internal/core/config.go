@@ -376,6 +376,33 @@ func (c *Config) With(mutate func(*Config)) *Config {
 	return &next
 }
 
+// threadsMemo is the last Config WithThreads derived from a default snapshot.
+// It holds the snapshot it was derived from and matches on its address, so
+// replacing the default invalidates the memo by itself: no later default can
+// have the address of one the memo keeps alive.
+var threadsMemo atomic.Pointer[threadsDerived]
+
+type threadsDerived struct {
+	base *Config
+	n    int
+	cfg  *Config
+}
+
+// WithThreads returns c with a worker budget of n: With on that one field,
+// except that the result for the process default is kept, so a loop of calls
+// that all pass the same la.WithThreads — thousands per pass of a
+// small-system workload — derives its Config once, not once per call.
+func (c *Config) WithThreads(n int) *Config {
+	if m := threadsMemo.Load(); m != nil && m.base == c && m.n == n {
+		return m.cfg
+	}
+	next := c.With(func(c *Config) { c.Threads = n })
+	if c == defaultConfig.Load() {
+		threadsMemo.Store(&threadsDerived{base: c, n: n, cfg: next})
+	}
+	return next
+}
+
 // Cfg normalizes an execution context: nil means "the process default".
 // Entry points that accept a caller-provided *Config call this once so a
 // zero-value caller still gets a fully populated configuration.

@@ -239,6 +239,42 @@ func TestWithClampsAndPreservesReceiver(t *testing.T) {
 	}
 }
 
+// TestWithThreadsMemo: the Config derived from the default is kept and handed
+// out again, a replaced default never gets the derivation of the old one, a
+// Config that is not the default is derived afresh, and none of it allocates
+// on the repeated call.
+func TestWithThreadsMemo(t *testing.T) {
+	saved := *Default()
+	defer ResetDefault(saved)
+
+	base := Default()
+	d := base.WithThreads(3)
+	if d.Threads != 3 || d.GemmKC != base.GemmKC || d == base {
+		t.Fatalf("derived %+v from %+v", d, base)
+	}
+	if base.WithThreads(3) != d {
+		t.Fatal("the default's derivation was not kept")
+	}
+	if got := base.WithThreads(MaxThreads + 5).Threads; got != MaxThreads {
+		t.Fatalf("not clamped: %d", got)
+	}
+	if n := testing.AllocsPerRun(100, func() { Default().WithThreads(2) }); n != 0 {
+		t.Fatalf("repeated derivation allocates %v times", n)
+	}
+
+	UpdateDefault(func(c *Config) { c.GemmKC = 128 })
+	if got := Default().WithThreads(2); got.GemmKC != 128 || got.Threads != 2 {
+		t.Fatalf("derivation of the new default is %+v", got)
+	}
+	if got := base.WithThreads(2); got.GemmKC != base.GemmKC {
+		t.Fatalf("derivation of the old snapshot is %+v", got)
+	}
+	own := &Config{Tuning: base.Tuning}
+	if a, b := own.WithThreads(2), own.WithThreads(2); a == b || a.Threads != 2 {
+		t.Fatal("a Config that is not the default was memoised")
+	}
+}
+
 func TestCheckpoint(t *testing.T) {
 	var nilCfg *Config
 	nilCfg.Checkpoint() // must not panic

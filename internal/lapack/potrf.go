@@ -84,6 +84,9 @@ func lacgv[T core.Scalar](n int, x []T, incX int) {
 func Potrf[T core.Scalar](cfg *core.Config, uplo Uplo, n int, a []T, lda int) int {
 	nb := Ilaenv(cfg, 1, "POTRF", n, -1, -1, -1)
 	if nb <= 1 || n <= nb {
+		if smallCholOK(cfg, n) {
+			return potrfSmall(uplo, n, a, lda)
+		}
 		return Potf2(cfg, uplo, n, a, lda)
 	}
 	// Cancellation checkpoint: once per recursion node, between the
@@ -114,6 +117,10 @@ func Potrf[T core.Scalar](cfg *core.Config, uplo Uplo, n int, a []T, lda int) in
 // (xPOTRS). B is overwritten with the solution.
 func Potrs[T core.Scalar](cfg *core.Config, uplo Uplo, n, nrhs int, a []T, lda int, b []T, ldb int) {
 	if n == 0 || nrhs == 0 {
+		return
+	}
+	if nrhs < blas.CholNB && smallCholOK(cfg, n) {
+		potrsSmall(uplo, n, nrhs, a, lda, b, ldb)
 		return
 	}
 	one := core.FromFloat[T](1)

@@ -160,12 +160,12 @@ func TestBatchItemErrorsAreSingleCallErrors(t *testing.T) {
 }
 
 // TestBatchPosvMatchesLooped pins BatchPosv against looped la.POSV on both
-// triangles.
+// triangles — factor and solution, byte for byte, at every worker count —
+// over orders on both sides of the small-matrix crossover.
 func TestBatchPosvMatchesLooped(t *testing.T) {
-	defer blas.SetThreads(blas.SetThreads(4))
 	for _, uplo := range []la.UpLo{la.Upper, la.Lower} {
 		var as0, bs0 []*la.Matrix[float64]
-		for i, n := range []int{2, 5, 16, 33, 64} {
+		for i, n := range []int{1, 2, 4, 5, 8, 12, 16, 33, 48, 63, 64, 65, 96} {
 			as0 = append(as0, newSPD(n))
 			bs0 = append(bs0, newRHS(n, 1+i%2))
 		}
@@ -175,19 +175,30 @@ func TestBatchPosvMatchesLooped(t *testing.T) {
 				t.Fatalf("reference POSV[%d]: %v", i, err)
 			}
 		}
-		errs, err := la.BatchPosv(as0, bs0, la.WithUpLo(uplo))
-		if err != nil {
-			t.Fatalf("batch error: %v", err)
-		}
-		for i := range as0 {
-			if errs[i] != nil {
-				t.Fatalf("item %d: %v", i, errs[i])
-			}
-			for k, v := range bs0[i].Data {
-				if v != bsRef[i].Data[k] {
-					t.Fatalf("uplo=%v item %d: solution byte-diff at %d", uplo, i, k)
+		for _, threads := range []int{1, 2, 4, 8} {
+			func() {
+				defer blas.SetThreads(blas.SetThreads(threads))
+				as, bs := cloneBatch(as0), cloneBatch(bs0)
+				errs, err := la.BatchPosv(as, bs, la.WithUpLo(uplo))
+				if err != nil {
+					t.Fatalf("batch error: %v", err)
 				}
-			}
+				for i := range as {
+					if errs[i] != nil {
+						t.Fatalf("item %d: %v", i, errs[i])
+					}
+					for k, v := range as[i].Data {
+						if v != asRef[i].Data[k] {
+							t.Fatalf("uplo=%v threads=%d item %d: factor byte-diff at %d", uplo, threads, i, k)
+						}
+					}
+					for k, v := range bs[i].Data {
+						if v != bsRef[i].Data[k] {
+							t.Fatalf("uplo=%v threads=%d item %d: solution byte-diff at %d", uplo, threads, i, k)
+						}
+					}
+				}
+			}()
 		}
 	}
 }

@@ -54,7 +54,7 @@ func DefaultConfig() Config { return core.Default().Tuning }
 func WithThreads(n int) Opt {
 	return func(o *options) {
 		if n >= 1 {
-			o.cfg = o.cfg.With(func(c *core.Config) { c.Threads = n })
+			o.cfg = o.cfg.WithThreads(n)
 		}
 	}
 }

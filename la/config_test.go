@@ -71,6 +71,40 @@ func posvSig(t *testing.T, opts ...la.Opt) []float64 {
 	return append(sig, a.Data...)
 }
 
+// smallPosvSig is POSV under the small-matrix crossover, where the factor is
+// potrfSmall and the solve potrsSmall: every order class (ragged only, full
+// blocks, ragged first block), both triangles, one and three right-hand
+// sides, looped and as one BatchPosv — which must give the loop's bits.
+func smallPosvSig(t *testing.T, opts ...la.Opt) []float64 {
+	t.Helper()
+	var sig []float64
+	for _, uplo := range []la.UpLo{la.Upper, la.Lower} {
+		o := append([]la.Opt{la.WithUpLo(uplo)}, opts...)
+		var as, bs, asB, bsB []*la.Matrix[float64]
+		for i, n := range []int{1, 4, 7, 8, 9, 16, 24, 31, 32, 48, 63, 64} {
+			as, bs = append(as, spdMat[float64](50+i, n)), append(bs, randMat[float64](70+i, n, 1+2*(i%2)))
+			asB, bsB = append(asB, as[i].Clone()), append(bsB, bs[i].Clone())
+			if err := la.POSV(as[i], bs[i], o...); err != nil {
+				t.Fatalf("POSV n=%d: %v", n, err)
+			}
+			sig = append(append(sig, as[i].Data...), bs[i].Data...)
+		}
+		errs, err := la.BatchPosv(asB, bsB, o...)
+		if err != nil {
+			t.Fatalf("BatchPosv: %v", err)
+		}
+		for i := range asB {
+			if errs[i] != nil {
+				t.Fatalf("BatchPosv item %d: %v", i, errs[i])
+			}
+			if !bitsEqual(asB[i].Data, as[i].Data) || !bitsEqual(bsB[i].Data, bs[i].Data) {
+				t.Errorf("BatchPosv item %d (n=%d, %v) differs bitwise from looped POSV", i, as[i].Rows, uplo)
+			}
+		}
+	}
+	return sig
+}
+
 func syevSig(t *testing.T, opts ...la.Opt) []float64 {
 	t.Helper()
 	const n = 90
@@ -156,7 +190,7 @@ func TestDefaultConfigBitIdentical(t *testing.T) {
 		name string
 		sig  func(*testing.T, ...la.Opt) []float64
 	}{
-		{"GESV", gesvSig}, {"POSV", posvSig}, {"SYEV", syevSig}, {"GESVD", gesvdSig},
+		{"GESV", gesvSig}, {"POSV", posvSig}, {"POSV/small", smallPosvSig}, {"SYEV", syevSig}, {"GESVD", gesvdSig},
 	}
 	spellings := []struct {
 		name string
@@ -188,7 +222,7 @@ func TestThreadsBitIdentical(t *testing.T) {
 		name string
 		sig  func(*testing.T, ...la.Opt) []float64
 	}{
-		{"GESV", gesvSig}, {"POSV", posvSig}, {"SYEV", syevSig}, {"GESVD", gesvdSig},
+		{"GESV", gesvSig}, {"POSV", posvSig}, {"POSV/small", smallPosvSig}, {"SYEV", syevSig}, {"GESVD", gesvdSig},
 		{"SYEVD", syevdSig}, {"GEEV", geevSig},
 		{"GELS+GELSD", lsSig},
 		{"solves/complex128", complexSolveSig[complex128]},

@@ -67,18 +67,18 @@ var expertGolden = map[string]expertGold{
 	"BatchGesvx/float64": {[2]uint64{0xc63e5e55104c0a7f, 0x5f539804ff5cf7f6}, [2][4]float64{
 		{-3263.5924476132336, -8745.1704442915707, -8730.5478726053261, -23.2144884477676},
 		{-3263.5924476132336, -8745.8018943136085, -8164.1427104052691, -23.2144884477676}}},
-	"BatchPosvx/complex128": {[2]uint64{0x4c6da2f17fbf97fa, 0x78b46998ecbd0792}, [2][4]float64{
-		{-2422.873513169623, -8895.4401300753925, -9166.9573503113843, 0},
-		{-2422.873513169623, -8895.4482463725017, -9164.122591305897, 0}}},
-	"BatchPosvx/complex64": {[2]uint64{0xf0413167971d47b1, 0x514fb814828376de}, [2][4]float64{
-		{-1940.4430831367818, -3427.4029122793313, -4259.6008316285506, 0},
-		{-1940.4430828966752, -3426.9389484372882, -4260.3965484366918, 0}}},
-	"BatchPosvx/float32": {[2]uint64{0x965ad500caf21d5a, 0x548af9d31d52b330}, [2][4]float64{
-		{-1923.5356929462314, -3453.2164807624144, -4308.6029793965427, 0},
-		{-1923.5356928789492, -3453.2054301858257, -4306.3353227400621, 0}}},
-	"BatchPosvx/float64": {[2]uint64{0x8f109c9062df74d1, 0xc7d000e4c0642b05}, [2][4]float64{
-		{-2405.9661283967198, -8922.9632244544373, -9041.6629615837919, 0},
-		{-2405.9661283967198, -8922.9542429721205, -9032.2359648042566, 0}}},
+	"BatchPosvx/complex128": {[2]uint64{0x12ec38e76cb3d1f3, 0x51f586e64129acb2}, [2][4]float64{
+		{-2422.873513169623, -8896.0080002114937, -9189.5658169864728, 0},
+		{-2422.873513169623, -8895.6198732171852, -9149.6958465915413, 0}}},
+	"BatchPosvx/complex64": {[2]uint64{0x53b1536786811da6, 0xef6e5869e1b5f97a}, [2][4]float64{
+		{-1940.4430828239042, -3427.5951848676268, -4296.0144987761259, 0},
+		{-1940.4430813290967, -3427.1879899190153, -4257.0109567271402, 0}}},
+	"BatchPosvx/float32": {[2]uint64{0xb05ae7a1c6cd87a8, 0xa374a65339c15dbd}, [2][4]float64{
+		{-1923.5356924013945, -3453.6765649952649, -4310.7804528220659, 0},
+		{-1923.5356951260444, -3453.5448314693103, -4296.2409177692552, 0}}},
+	"BatchPosvx/float64": {[2]uint64{0x3c898ab9fd5e1287, 0x8ee61ede3ac066a9}, [2][4]float64{
+		{-2405.9661283967198, -8923.3016947976321, -9051.6048944416561, 0},
+		{-2405.9661283967198, -8923.0427747669546, -9037.0137373293346, 0}}},
 	"GBSVX/complex128": {[2]uint64{0xfdb7577f7bff3b6b, 0x43336ffa9f16d74c}, [2][4]float64{
 		{-5025.7745782150196, -13275.109061308996, -13366.112305719493, 0},
 		{-5025.7745782150196, -13274.821485041391, -13382.555239823156, 0}}},
@@ -151,18 +151,18 @@ var expertGolden = map[string]expertGold{
 	"PBSVX/float64": {[2]uint64{0x735eec350ce7b322, 0x735eec350ce7b322}, [2][4]float64{
 		{-2387.5072580731712, -8940.7156235865732, -9007.4938099810315, 0},
 		{-2387.5072580731712, -8940.7156235865732, -9007.4938099810315, 0}}},
-	"POSVX/complex128": {[2]uint64{0x4c6da2f17fbf97fa, 0x78b46998ecbd0792}, [2][4]float64{
-		{-2422.873513169623, -8895.4401300753925, -9166.9573503113843, 0},
-		{-2422.873513169623, -8895.4482463725017, -9164.122591305897, 0}}},
-	"POSVX/complex64": {[2]uint64{0xf0413167971d47b1, 0x514fb814828376de}, [2][4]float64{
-		{-1940.4430831367818, -3427.4029122793313, -4259.6008316285506, 0},
-		{-1940.4430828966752, -3426.9389484372882, -4260.3965484366918, 0}}},
-	"POSVX/float32": {[2]uint64{0x965ad500caf21d5a, 0x548af9d31d52b330}, [2][4]float64{
-		{-1923.5356929462314, -3453.2164807624144, -4308.6029793965427, 0},
-		{-1923.5356928789492, -3453.2054301858257, -4306.3353227400621, 0}}},
-	"POSVX/float64": {[2]uint64{0x8f109c9062df74d1, 0xc7d000e4c0642b05}, [2][4]float64{
-		{-2405.9661283967198, -8922.9632244544373, -9041.6629615837919, 0},
-		{-2405.9661283967198, -8922.9542429721205, -9032.2359648042566, 0}}},
+	"POSVX/complex128": {[2]uint64{0x12ec38e76cb3d1f3, 0x51f586e64129acb2}, [2][4]float64{
+		{-2422.873513169623, -8896.0080002114937, -9189.5658169864728, 0},
+		{-2422.873513169623, -8895.6198732171852, -9149.6958465915413, 0}}},
+	"POSVX/complex64": {[2]uint64{0x53b1536786811da6, 0xef6e5869e1b5f97a}, [2][4]float64{
+		{-1940.4430828239042, -3427.5951848676268, -4296.0144987761259, 0},
+		{-1940.4430813290967, -3427.1879899190153, -4257.0109567271402, 0}}},
+	"POSVX/float32": {[2]uint64{0xb05ae7a1c6cd87a8, 0xa374a65339c15dbd}, [2][4]float64{
+		{-1923.5356924013945, -3453.6765649952649, -4310.7804528220659, 0},
+		{-1923.5356951260444, -3453.5448314693103, -4296.2409177692552, 0}}},
+	"POSVX/float64": {[2]uint64{0x3c898ab9fd5e1287, 0x8ee61ede3ac066a9}, [2][4]float64{
+		{-2405.9661283967198, -8923.3016947976321, -9051.6048944416561, 0},
+		{-2405.9661283967198, -8923.0427747669546, -9037.0137373293346, 0}}},
 	"PPSVX/complex128": {[2]uint64{0x0ed1b8b6ed950808, 0x0ed1b8b6ed950808}, [2][4]float64{
 		{-2422.873513169623, -8895.397483659146, -9170.2000324051514, 0},
 		{-2422.873513169623, -8895.397483659146, -9170.2000324051514, 0}}},
