@@ -104,11 +104,12 @@ test:
 # every type — including the complex fallback from 1m to the generic 4×4 —
 # on every gate rather than only on machines without AVX2. The eigenvalue
 # iterations run again too: their rotation and reflector kernels
-# (internal/blas/iterate.go) have a portable route of their own, and so does
-# the small-matrix Cholesky (smallchol.go: the Go step under potrfSmall).
+# (internal/blas/iterate.go) have a portable route of their own, and so do
+# the small-matrix Cholesky and LU (smallchol.go, smalllu.go: the Go steps
+# under potrfSmall and getrfSmall).
 test-portable:
 	LA90_NO_ASM=1 $(GO) test -count=1 ./internal/blas/
-	LA90_NO_ASM=1 $(GO) test -count=1 ./internal/lapack/ -run 'Steqr|Syev|Stedc|Bdsdc|Hseqr|Geev|Trevc|Orgtr|Ormtr|Potrf|Potrs|Posv|Placement|Cholesky'
+	LA90_NO_ASM=1 $(GO) test -count=1 ./internal/lapack/ -run 'Steqr|Syev|Stedc|Bdsdc|Hseqr|Geev|Trevc|Orgtr|Ormtr|Potrf|Potrs|Posv|Placement|Cholesky|Getrf|Getrs|Gesv|SmallLU'
 
 # The same two suites with the AVX-512 row of the kernel table bypassed (the
 # -avx2 test flag sets faultinject.ForceAVX2 for the whole binary): on a
@@ -118,7 +119,7 @@ test-portable:
 # — on the row an AVX2-only machine gets. Without AVX-512 it repeats `test`.
 test-avx2:
 	$(GO) test -count=1 ./internal/blas/ -args -avx2
-	$(GO) test -count=1 ./internal/lapack/ -run 'Getrf|Getrs|Gesv|Potrf|Potrs|Posv|Placement|Cholesky|Sytrf|Hetrf|Sysv|Hesv|BunchKaufman|Geqrf|Gels|Ormqr|Orgqr' -args -avx2
+	$(GO) test -count=1 ./internal/lapack/ -run 'Getrf|Getrs|Gesv|SmallLU|Potrf|Potrs|Posv|Placement|Cholesky|Sytrf|Hetrf|Sysv|Hesv|BunchKaufman|Geqrf|Gels|Ormqr|Orgqr' -args -avx2
 
 # The race run covers the threaded engine, the factorizations driving it,
 # the la boundary — including the chaos tests that panic workers on purpose,
@@ -155,7 +156,7 @@ fuzz:
 # leaves, the per-call option overhead and the expert-driver legs, no timing
 # claims.
 benchsmoke:
-	$(GO) test -run=NONE -bench='Getrf|Gemm|Geqrf|GelsdTall|Steqr|Stedc|Bdsdc|Hseqr|Trevc|Orgtr|Ormtr|Syevd|Gesdd|Geev|RotSeq|Secular|ApplyOptions|Level2|Level3Parallel|Sytrf|Trsm|Potrf|PotrsSmall|PosvSmallBatch|Example3Small|AblationExpertDriver|AblationSmallCholesky' -benchtime=1x .
+	$(GO) test -run=NONE -bench='Getrf|Gemm|Geqrf|GelsdTall|Steqr|Stedc|Bdsdc|Hseqr|Trevc|Orgtr|Ormtr|Syevd|Gesdd|Geev|RotSeq|Secular|ApplyOptions|Level2|Level3Parallel|Sytrf|Trsm|Potrf|PotrsSmall|GetrsSmall|PosvSmallBatch|Example3Small|AblationExpertDriver|AblationSmallCholesky|AblationSmallLU' -benchtime=1x .
 	$(GO) run ./cmd/la90bench -reduce -maxn 256 -reps 1 -out /tmp/BENCH_reduce_smoke.json
 	$(GO) run ./cmd/la90bench -batch -maxbatch 64 -reps 1 -out /tmp/BENCH_batch_smoke.json
 	$(GO) run ./cmd/la90bench -mixed -maxn 256 -reps 1 -out /tmp/BENCH_mixed_smoke.json

@@ -628,9 +628,9 @@ func BenchmarkGetrf(b *testing.B) {
 		defer blas.SetThreads(blas.SetThreads(2))
 		benchGetrf[float64](b, 1024)
 	})
-	// The orders under the small-matrix crossover, per element type: only
-	// float64 has a dedicated small LU there (internal/lapack/smalllu.go).
-	for _, n := range []int{8, 16, 32, 64} {
+	// The orders under the small-matrix crossover
+	// (internal/lapack/smalllu.go), per element type, hot in cache.
+	for _, n := range []int{4, 8, 16, 32, 48, 64} {
 		b.Run("small/f64/N="+itoa(n), func(b *testing.B) { benchGetrf[float64](b, n) })
 		b.Run("small/f32/N="+itoa(n), func(b *testing.B) { benchGetrf[float32](b, n) })
 		b.Run("small/c64/N="+itoa(n), func(b *testing.B) { benchGetrf[complex64](b, n) })
@@ -778,28 +778,45 @@ func BenchmarkAblationSmallCholesky(b *testing.B) {
 }
 
 func ablateSmallCholesky[T core.Scalar](b *testing.B, name string, uplo lapack.Uplo, n int) {
-	const distinct = 170
 	rng := lapack.NewRng([4]int{n, 5, 5, 5})
-	a0, aw := make([][]T, distinct), make([][]T, distinct)
+	a0 := make([][]T, ablationDistinct)
 	for i := range a0 {
-		a0[i], aw[i] = spdMatrix[T](rng, n), make([]T, n*n)
+		a0[i] = spdMatrix[T](rng, n)
 	}
-	for _, route := range []struct {
-		name   string
-		factor func(a []T) int
-	}{
+	ablateFactor(b, name, a0, []factorRoute[T]{
 		{"blocked", func(a []T) int { return lapack.Potrf(core.Default(), uplo, n, a, n) }},
 		{"potf2", func(a []T) int { return lapack.Potf2(core.Default(), uplo, n, a, n) }},
-	} {
+	})
+}
+
+// ablationDistinct is the number of distinct matrices of an "x170" leg, a
+// sixth of the small_batch workload.
+const ablationDistinct = 170
+
+type factorRoute[T core.Scalar] struct {
+	name   string
+	factor func(a []T) int
+}
+
+// ablateFactor times each route of a small factorization on one of the
+// matrices a0, which stays in cache ("hot", the restoring copy timed, as in
+// BenchmarkPotrf and BenchmarkGetrf), and over all of them, restored outside
+// the timer ("x170").
+func ablateFactor[T core.Scalar](b *testing.B, name string, a0 [][]T, routes []factorRoute[T]) {
+	aw := make([][]T, len(a0))
+	for i := range aw {
+		aw[i] = make([]T, len(a0[i]))
+	}
+	for _, route := range routes {
 		for _, set := range []struct {
 			name string
 			k    int
-		}{{"hot", 1}, {"x170", distinct}} {
+		}{{"hot", 1}, {"x170", len(a0)}} {
 			b.Run(route.name+"/"+set.name+"/"+name, func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
 					k := i % set.k
 					if set.k == 1 {
-						copy(aw[0], a0[0]) // timed, as in BenchmarkPotrf
+						copy(aw[0], a0[0])
 					} else if k == 0 {
 						b.StopTimer()
 						for j := range aw {
@@ -810,6 +827,65 @@ func ablateSmallCholesky[T core.Scalar](b *testing.B, name string, uplo lapack.U
 					if info := route.factor(aw[k]); info != 0 {
 						b.Fatalf("info=%d", info)
 					}
+				}
+			})
+		}
+	}
+}
+
+// BenchmarkAblationSmallLU is the measurement behind the small LU's routing
+// (EXPERIMENTS.md, "Small-matrix LU (PR 23)"): the blocked step body Getrf
+// runs under the small-matrix crossover against the unblocked Getf2 and the
+// recursive Getrf2 it is chosen over there, per element type and order, on
+// one matrix that stays in cache ("hot", the restoring copy timed) and over
+// 170 distinct ones — a sixth of the small_batch workload — restored outside
+// the timer ("x170").
+func BenchmarkAblationSmallLU(b *testing.B) {
+	for _, n := range []int{4, 8, 16, 32, 48, 64} {
+		suffix := "/N=" + itoa(n)
+		ablateSmallLU[float64](b, "f64"+suffix, n)
+		ablateSmallLU[float32](b, "f32"+suffix, n)
+		ablateSmallLU[complex64](b, "c64"+suffix, n)
+		ablateSmallLU[complex128](b, "c128"+suffix, n)
+	}
+}
+
+func ablateSmallLU[T core.Scalar](b *testing.B, name string, n int) {
+	rng := lapack.NewRng([4]int{n, 3, 3, 3})
+	a0 := make([][]T, ablationDistinct)
+	for i := range a0 {
+		a0[i] = make([]T, n*n)
+		lapack.Larnv(2, rng, n*n, a0[i])
+	}
+	ipiv := make([]int, n)
+	ablateFactor(b, name, a0, []factorRoute[T]{
+		{"step", func(a []T) int { return lapack.Getrf(core.Default(), n, n, a, n, ipiv) }},
+		{"getf2", func(a []T) int { return lapack.Getf2(n, n, a, n, ipiv) }},
+		{"getrf2", func(a []T) int { return lapack.Getrf2(core.Default(), n, n, a, n, ipiv) }},
+	})
+}
+
+// BenchmarkGetrsSmall prices the solve behind a small GESV: the interchanges
+// and both substitutions from an LU factorization under the small-matrix
+// crossover, for one and for four right-hand sides.
+func BenchmarkGetrsSmall(b *testing.B) {
+	for _, n := range []int{16, 32, 48, 64} {
+		for _, nrhs := range []int{1, 4} {
+			b.Run("N="+itoa(n)+"/nrhs="+itoa(nrhs), func(b *testing.B) {
+				rng := lapack.NewRng([4]int{n, 7, 7, 7})
+				a := make([]float64, n*n)
+				lapack.Larnv(2, rng, n*n, a)
+				ipiv := make([]int, n)
+				if info := lapack.Getrf(core.Default(), n, n, a, n, ipiv); info != 0 {
+					b.Fatalf("info=%d", info)
+				}
+				x0 := make([]float64, n*nrhs)
+				lapack.Larnv(2, rng, n*nrhs, x0)
+				x := make([]float64, n*nrhs)
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					copy(x, x0)
+					lapack.Getrs(core.Default(), lapack.NoTrans, n, nrhs, a, n, ipiv, x, n)
 				}
 			})
 		}

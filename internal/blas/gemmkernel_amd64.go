@@ -167,24 +167,12 @@ func zscalFma(alpha complex128, x []complex128)
 //go:noescape
 func diamaxF64(n int64, x *float64) int64
 
-// dluPanelF64 is the fused LU panel step: col[0:rows] *= inv, then for each
-// of the w panel columns c (spaced lda apart starting at rest),
-// rest[c·lda+1 : c·lda+1+rows] -= rest[c·lda]·col — the multiplier is the
-// element directly above each column's update range, so the whole rank-1
-// sweep needs no separate multiplier array. The first updated column is the
-// next elimination step's pivot column, so the kernel also returns the index
-// of its first maximal |v| (diamaxF64 conventions), or -1 when w == 0.
+// dluStep8 is one full-block step of the small LU on the m×(nl+8+nr) row
+// block a: m a multiple of 8, nr a multiple of 4 (Small.LUStep has the
+// contract). Implemented in smalllu_amd64.s; requires AVX2 and FMA3.
 //
 //go:noescape
-func dluPanelF64(rows, w int64, inv float64, col, rest *float64, lda int64) int64
-
-// dtrsmLLU8x4F64 solves the unit-lower 8×8 triangle L against 4·groups
-// columns of B in place; l is L staged column-major with zeros at and above
-// the diagonal (see TrsmLLU8F64). Four columns stay in flight so the seven
-// broadcast+FMA elimination chains overlap.
-//
-//go:noescape
-func dtrsmLLU8x4F64(groups int64, l *float64, b *float64, ldb int64)
+func dluStep8(nl, m, nr int, a []float64, lda int, ipiv []int) int
 
 // drotSeqFma carries a block of rows through nrot chained plane rotations of
 // adjacent columns (RotSeq's inner step; the formulation is spelled out in

@@ -772,351 +772,6 @@ diamaxnone:
 	VZEROUPPER
 	RET
 
-// func dluPanelF64(rows, w int64, inv float64, col, rest *float64, lda int64) int64
-// Fused LU panel step: scale the pivot column by inv, then fold it into the
-// w remaining panel columns with fused negate-multiply-adds, reading each
-// column's multiplier from the element directly above its update range. The
-// first updated column is the next step's pivot column, so its update pass
-// also accumulates a branch-free |.| running max (NaN lanes never enter the
-// accumulator: VMAXPD returns the second source on NaN) and an equality
-// scan picks the first maximal index, which is returned. Returns -1 when
-// w == 0 (no column updated). Matches diamaxF64's NaN conventions.
-TEXT ·dluPanelF64(SB), NOSPLIT, $0-56
-	MOVQ         rows+0(FP), CX
-	MOVQ         w+8(FP), R9
-	VBROADCASTSD inv+16(FP), Y9
-	MOVQ         col+24(FP), SI
-	MOVQ         rest+32(FP), DI
-	MOVQ         lda+40(FP), R8
-	SHLQ         $3, R8
-
-	// Pass 1: col[0:rows] *= inv.
-	MOVQ CX, BX
-	MOVQ SI, DX
-	SHRQ $2, BX
-	JZ   lupscaltail
-
-lupscal4:
-	VMOVUPD (DX), Y0
-	VMULPD  Y9, Y0, Y0
-	VMOVUPD Y0, (DX)
-	ADDQ    $32, DX
-	DECQ    BX
-	JNZ     lupscal4
-
-lupscaltail:
-	MOVQ CX, BX
-	ANDQ $3, BX
-	JZ   lupger
-
-lupscal1:
-	VMOVSD (DX), X0
-	VMULSD X9, X0, X0
-	VMOVSD X0, (DX)
-	ADDQ   $8, DX
-	DECQ   BX
-	JNZ    lupscal1
-
-	// Pass 2: the first panel column, fused with the abs-max accumulation
-	// for the next pivot search.
-lupger:
-	MOVQ  $-1, R11
-	TESTQ R9, R9
-	JZ    lupdone
-
-	MOVQ         $0x7FFFFFFFFFFFFFFF, AX
-	VMOVQ        AX, X10
-	VPBROADCASTQ X10, Y10
-	MOVQ         $0xFFF0000000000000, AX
-	VMOVQ        AX, X11
-	VBROADCASTSD X11, Y11
-
-	VBROADCASTSD (DI), Y8
-	LEAQ         8(DI), R10
-	MOVQ         SI, DX
-	MOVQ         CX, BX
-	SHRQ         $2, BX
-	JZ           lupp1red
-
-lupp1loop:
-	VMOVUPD      (DX), Y0
-	VMOVUPD      (R10), Y1
-	VFNMADD231PD Y0, Y8, Y1
-	VMOVUPD      Y1, (R10)
-	VANDPD       Y10, Y1, Y1
-	VMAXPD       Y11, Y1, Y11
-	ADDQ         $32, DX
-	ADDQ         $32, R10
-	DECQ         BX
-	JNZ          lupp1loop
-
-	// Fold the four max lanes into one before the scalar tail (the VEX
-	// 128-bit tail ops below zero the upper lanes).
-lupp1red:
-	VEXTRACTF128 $1, Y11, X12
-	VMAXPD       X11, X12, X11
-	VPERMILPD    $1, X11, X12
-	VMAXSD       X11, X12, X11
-	MOVQ         CX, BX
-	ANDQ         $3, BX
-	JZ           luppscan
-
-lupp1tail:
-	VMOVSD       (DX), X0
-	VMOVSD       (R10), X1
-	VFNMADD231SD X0, X8, X1
-	VMOVSD       X1, (R10)
-	VANDPD       X10, X1, X1
-	VMAXSD       X11, X1, X11
-	ADDQ         $8, DX
-	ADDQ         $8, R10
-	DECQ         BX
-	JNZ          lupp1tail
-
-	// Equality scan over the column just written: first index whose |v|
-	// equals the running max.
-luppscan:
-	VBROADCASTSD X11, Y2
-	LEAQ         8(DI), R10
-	XORQ         R11, R11
-	MOVQ         CX, BX
-	SHRQ         $2, BX
-	JZ           luppscantail
-
-luppscan4:
-	VMOVUPD   (R10), Y0
-	VANDPD    Y10, Y0, Y0
-	VCMPPD    $0, Y2, Y0, Y0
-	VMOVMSKPD Y0, AX
-	TESTQ     AX, AX
-	JNZ       lupphit4
-	ADDQ      $32, R10
-	ADDQ      $4, R11
-	DECQ      BX
-	JNZ       luppscan4
-	JMP       luppscantail
-
-lupphit4:
-	BSFQ AX, AX
-	ADDQ AX, R11
-	JMP  luprest
-
-luppscantail:
-	MOVQ CX, BX
-	ANDQ $3, BX
-	JZ   luppnone
-
-luppscant1:
-	VMOVSD   (R10), X0
-	VANDPD   X10, X0, X0
-	VUCOMISD X11, X0
-	JP       luppscannext
-	JE       luprest
-
-luppscannext:
-	ADDQ $8, R10
-	INCQ R11
-	DECQ BX
-	JNZ  luppscant1
-
-luppnone:
-	XORQ R11, R11
-
-	// Remaining w-1 columns: plain fused updates.
-luprest:
-	DECQ R9
-	JZ   lupdone
-	ADDQ R8, DI
-
-lupgercol:
-	VBROADCASTSD (DI), Y8
-	LEAQ         8(DI), R10
-	MOVQ         SI, DX
-	MOVQ         CX, BX
-	SHRQ         $2, BX
-	JZ           lupgertail
-
-lupger4:
-	VMOVUPD      (DX), Y0
-	VMOVUPD      (R10), Y1
-	VFNMADD231PD Y0, Y8, Y1
-	VMOVUPD      Y1, (R10)
-	ADDQ         $32, DX
-	ADDQ         $32, R10
-	DECQ         BX
-	JNZ          lupger4
-
-lupgertail:
-	MOVQ CX, BX
-	ANDQ $3, BX
-	JZ   lupnext
-
-lupger1:
-	VMOVSD       (DX), X0
-	VMOVSD       (R10), X1
-	VFNMADD231SD X0, X8, X1
-	VMOVSD       X1, (R10)
-	ADDQ         $8, DX
-	ADDQ         $8, R10
-	DECQ         BX
-	JNZ          lupger1
-
-lupnext:
-	ADDQ R8, DI
-	DECQ R9
-	JNZ  lupgercol
-
-lupdone:
-	MOVQ R11, ret+48(FP)
-	VZEROUPPER
-	RET
-
-// func dtrsmLLU8x4F64(groups int64, l *float64, b *float64, ldb int64)
-// Unit-lower triangular solve L·X = B for an 8×8 L against 4·groups columns
-// of B in place. l points at L staged column-major 8-wide with zeros at and
-// above the diagonal, so every elimination step is two full-register FMAs
-// per column: lanes at or above the diagonal absorb an exact zero. Four
-// columns are kept in flight (eight YMM accumulators) so the seven
-// broadcast+FMA dependency chains overlap.
-TEXT ·dtrsmLLU8x4F64(SB), NOSPLIT, $0-32
-	MOVQ groups+0(FP), CX
-	MOVQ l+8(FP), SI
-	MOVQ b+16(FP), DI
-	MOVQ ldb+24(FP), R8
-	SHLQ $3, R8
-
-trsm8loop:
-	MOVQ    DI, DX
-	VMOVUPD (DX), Y0
-	VMOVUPD 32(DX), Y1
-	ADDQ    R8, DX
-	VMOVUPD (DX), Y2
-	VMOVUPD 32(DX), Y3
-	ADDQ    R8, DX
-	VMOVUPD (DX), Y4
-	VMOVUPD 32(DX), Y5
-	ADDQ    R8, DX
-	VMOVUPD (DX), Y6
-	VMOVUPD 32(DX), Y7
-
-	// q = 0
-	VMOVUPD      (SI), Y8
-	VMOVUPD      32(SI), Y9
-	VPERMPD      $0x00, Y0, Y10
-	VPERMPD      $0x00, Y2, Y11
-	VPERMPD      $0x00, Y4, Y12
-	VPERMPD      $0x00, Y6, Y13
-	VFNMADD231PD Y8, Y10, Y0
-	VFNMADD231PD Y9, Y10, Y1
-	VFNMADD231PD Y8, Y11, Y2
-	VFNMADD231PD Y9, Y11, Y3
-	VFNMADD231PD Y8, Y12, Y4
-	VFNMADD231PD Y9, Y12, Y5
-	VFNMADD231PD Y8, Y13, Y6
-	VFNMADD231PD Y9, Y13, Y7
-
-	// q = 1
-	VMOVUPD      64(SI), Y8
-	VMOVUPD      96(SI), Y9
-	VPERMPD      $0x55, Y0, Y10
-	VPERMPD      $0x55, Y2, Y11
-	VPERMPD      $0x55, Y4, Y12
-	VPERMPD      $0x55, Y6, Y13
-	VFNMADD231PD Y8, Y10, Y0
-	VFNMADD231PD Y9, Y10, Y1
-	VFNMADD231PD Y8, Y11, Y2
-	VFNMADD231PD Y9, Y11, Y3
-	VFNMADD231PD Y8, Y12, Y4
-	VFNMADD231PD Y9, Y12, Y5
-	VFNMADD231PD Y8, Y13, Y6
-	VFNMADD231PD Y9, Y13, Y7
-
-	// q = 2
-	VMOVUPD      128(SI), Y8
-	VMOVUPD      160(SI), Y9
-	VPERMPD      $0xAA, Y0, Y10
-	VPERMPD      $0xAA, Y2, Y11
-	VPERMPD      $0xAA, Y4, Y12
-	VPERMPD      $0xAA, Y6, Y13
-	VFNMADD231PD Y8, Y10, Y0
-	VFNMADD231PD Y9, Y10, Y1
-	VFNMADD231PD Y8, Y11, Y2
-	VFNMADD231PD Y9, Y11, Y3
-	VFNMADD231PD Y8, Y12, Y4
-	VFNMADD231PD Y9, Y12, Y5
-	VFNMADD231PD Y8, Y13, Y6
-	VFNMADD231PD Y9, Y13, Y7
-
-	// q = 3
-	VMOVUPD      192(SI), Y8
-	VMOVUPD      224(SI), Y9
-	VPERMPD      $0xFF, Y0, Y10
-	VPERMPD      $0xFF, Y2, Y11
-	VPERMPD      $0xFF, Y4, Y12
-	VPERMPD      $0xFF, Y6, Y13
-	VFNMADD231PD Y8, Y10, Y0
-	VFNMADD231PD Y9, Y10, Y1
-	VFNMADD231PD Y8, Y11, Y2
-	VFNMADD231PD Y9, Y11, Y3
-	VFNMADD231PD Y8, Y12, Y4
-	VFNMADD231PD Y9, Y12, Y5
-	VFNMADD231PD Y8, Y13, Y6
-	VFNMADD231PD Y9, Y13, Y7
-
-	// q = 4: lanes 0..3 of every accumulator are final; only the high
-	// halves still change, and the staged low half of L is all zero.
-	VMOVUPD      288(SI), Y9
-	VPERMPD      $0x00, Y1, Y10
-	VPERMPD      $0x00, Y3, Y11
-	VPERMPD      $0x00, Y5, Y12
-	VPERMPD      $0x00, Y7, Y13
-	VFNMADD231PD Y9, Y10, Y1
-	VFNMADD231PD Y9, Y11, Y3
-	VFNMADD231PD Y9, Y12, Y5
-	VFNMADD231PD Y9, Y13, Y7
-
-	// q = 5
-	VMOVUPD      352(SI), Y9
-	VPERMPD      $0x55, Y1, Y10
-	VPERMPD      $0x55, Y3, Y11
-	VPERMPD      $0x55, Y5, Y12
-	VPERMPD      $0x55, Y7, Y13
-	VFNMADD231PD Y9, Y10, Y1
-	VFNMADD231PD Y9, Y11, Y3
-	VFNMADD231PD Y9, Y12, Y5
-	VFNMADD231PD Y9, Y13, Y7
-
-	// q = 6
-	VMOVUPD      416(SI), Y9
-	VPERMPD      $0xAA, Y1, Y10
-	VPERMPD      $0xAA, Y3, Y11
-	VPERMPD      $0xAA, Y5, Y12
-	VPERMPD      $0xAA, Y7, Y13
-	VFNMADD231PD Y9, Y10, Y1
-	VFNMADD231PD Y9, Y11, Y3
-	VFNMADD231PD Y9, Y12, Y5
-	VFNMADD231PD Y9, Y13, Y7
-
-	MOVQ    DI, DX
-	VMOVUPD Y0, (DX)
-	VMOVUPD Y1, 32(DX)
-	ADDQ    R8, DX
-	VMOVUPD Y2, (DX)
-	VMOVUPD Y3, 32(DX)
-	ADDQ    R8, DX
-	VMOVUPD Y4, (DX)
-	VMOVUPD Y5, 32(DX)
-	ADDQ    R8, DX
-	VMOVUPD Y6, (DX)
-	VMOVUPD Y7, 32(DX)
-	ADDQ    R8, DX
-	MOVQ    DX, DI
-	DECQ    CX
-	JNZ     trsm8loop
-
-	VZEROUPPER
-	RET
-
 // Iteration-phase kernels (iterate.go): chains of plane rotations and
 // three-element reflectors applied to adjacent unit-stride columns, a block
 // of rows at a time with the column two consecutive links share held in

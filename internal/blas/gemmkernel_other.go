@@ -55,10 +55,7 @@ func dgemvSub8(n int64, t, b *float64, ldb int64, y *float64) {
 	panic("blas: no asm kernel")
 }
 func daxpyFma(alpha float64, x, y []float64) { panic("blas: no asm kernel") }
-func dluPanelF64(rows, w int64, inv float64, col, rest *float64, lda int64) int64 {
-	panic("blas: no asm kernel")
-}
-func dtrsmLLU8x4F64(groups int64, l *float64, b *float64, ldb int64) {
+func dluStep8(nl, m, nr int, a []float64, lda int, ipiv []int) int {
 	panic("blas: no asm kernel")
 }
 func diamaxF64(n int64, x *float64) int64       { panic("blas: no asm kernel") }

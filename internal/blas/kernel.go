@@ -44,6 +44,8 @@ import (
 //	cholStep   dcholStep8 on full   Go on axpy, scal   Go on axpy, scal   Go (same)
 //	           blocks, else Go      and gemvSub8       and gemvSub8
 //	dot8       ddot8                dot per column     dot per column     dot per column
+//	luStep     dluStep8 on full     Go on iamax, scal, Go on iamax, scal  Go (same)
+//	           blocks, else Go      axpy and gemvSub8  and axpy
 //
 // The asm rows need amd64 with AVX2+FMA, the AVX-512 ones AVX512F on top; the
 // portable row of each type serves LA90_NO_ASM=1, other CPUs and other ports.
@@ -96,6 +98,9 @@ type kernel[T core.Scalar] struct {
 	// because their portable forms run on its other leaves.
 	cholStep func(k *kernel[T], upper bool, jb, m int, a []T, lda int) int
 	dot8     func(k *kernel[T], a []T, lda int, x []T, conj bool) [CholNB]T
+	// luStep is one block step of the small LU (Small.LUStep has the
+	// contract), taking the row for the same reason.
+	luStep func(k *kernel[T], nl, jb, m, n int, a []T, lda int, ipiv []int) int
 
 	// The Level-1/2 leaves, over unit-stride vectors as long as the first one
 	// (at least one element; leaves.go has the portable form of each):
@@ -155,7 +160,7 @@ const (
 func portableKernel[T core.Scalar](trsmLeaf int, rotRun func(bool, int, int, []float64, []float64, []T, int), iamax func([]T) int) kernel[T] {
 	return kernel[T]{
 		mr: gemmMR, nr: gemmNR, kScale: 1, trsmLeaf: trsmLeaf,
-		trsvOct: trsvOct[T], gemvSub8: gemvSub8[T], cholStep: cholStepGo[T], dot8: dot8Go[T],
+		trsvOct: trsvOct[T], gemvSub8: gemvSub8[T], cholStep: cholStepGo[T], dot8: dot8Go[T], luStep: luStepGo[T],
 		axpy: axpyGo[T], scal: scalGo[T], dot: dotGo[T], axpyDot: axpyDotGo[T], iamax: iamax,
 		rotRun: rotRun, refl3: refl3Go[T], refl2: refl2Go[T], small: gemmSmallPortable[T],
 		refl3Rows: refl3RowsGo[T], refl2Rows: refl2RowsGo[T],
@@ -239,7 +244,7 @@ var (
 		gemvSub8: func(m int, t [8]float64, b []float64, ldb int, y []float64) {
 			dgemvSub8(int64(m), &t[0], &b[0], int64(ldb), &y[0])
 		},
-		cholStep: cholStepF64, dot8: dot8F64,
+		cholStep: cholStepF64, dot8: dot8F64, luStep: luStepF64,
 		axpy: daxpyFma, dot: ddotFma, axpyDot: daxpyDotFma,
 		scal: scalGo[float64],
 		iamax: func(x []float64) int {
@@ -282,7 +287,7 @@ var (
 		gemvSub8: func(m int, t [8]float32, b []float32, ldb int, y []float32) {
 			sgemvSub8(int64(m), &t[0], &b[0], int64(ldb), &y[0])
 		},
-		cholStep: cholStepGo[float32], dot8: dot8Go[float32],
+		cholStep: cholStepGo[float32], dot8: dot8Go[float32], luStep: luStepGo[float32],
 		axpy: saxpyFma, scal: sscalFma, dot: sdotFma, axpyDot: axpyDotGo[float32],
 		iamax: func(x []float32) int {
 			if len(x) >= iamaxAsmMin && x[0] == x[0] {

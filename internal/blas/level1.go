@@ -77,15 +77,6 @@ func Axpy[T core.Scalar](n int, alpha T, x []T, incX int, y []T, incY int) {
 	}
 }
 
-// DaxpyUnit is the unit-stride float64 Axpy without the generic entry's
-// increment checks: the small-matrix factorization paths issue thousands of
-// short axpys per solve.
-func DaxpyUnit(n int, alpha float64, x, y []float64) {
-	if n > 0 && alpha != 0 {
-		kernelFor[float64]().axpy(alpha, x[:n], y)
-	}
-}
-
 // Dot computes the dot product xᵀy of two real vectors.
 func Dot[T core.Float](n int, x []T, incX int, y []T, incY int) T {
 	return dot(n, x, incX, y, incY, false)
@@ -196,11 +187,6 @@ func Iamax[T core.Scalar](n int, x []T, incX int) int {
 	}
 	return iamaxInc(n, x, incX)
 }
-
-// IamaxUnitF64 is the unit-stride float64 Iamax without the generic entry's
-// increment check: the small-matrix LU calls it once per pivot column. n must
-// be positive.
-func IamaxUnitF64(n int, x []float64) int { return kernelFor[float64]().iamax(x[:n]) }
 
 // Rotg constructs a Givens plane rotation: given a and b it computes c, s, r
 // and z such that [c s; -s c]ᵀ[a; b] = [r; 0], following the reference

@@ -104,14 +104,11 @@ func Getrf[T core.Scalar](cfg *core.Config, m, n int, a []T, lda int, ipiv []int
 	if mn == 0 {
 		return 0
 	}
-	if ok, af, _ := smallLUOK(cfg, m, n, a, nil); ok {
-		// The whole problem sits under the pack-free crossover: the fixed
-		// narrow-panel LU beats both the recursion and the blocked loop
-		// there (see smalllu.go).
-		if af != nil {
-			return getrfSmallF64(cfg, m, n, af, lda, ipiv)
-		}
-		return getrfSmall(cfg, m, n, a, lda, ipiv)
+	if smallLUOK(cfg, m, n) {
+		// The whole problem sits under the pack-free crossover: one leaf per
+		// block step beats both the recursion and the blocked loop there
+		// (see smalllu.go).
+		return getrfSmall(m, n, a, lda, ipiv)
 	}
 	nb := Ilaenv(cfg, 1, "GETRF", m, n, -1, -1)
 	if nb <= 1 || nb >= mn {
@@ -203,14 +200,10 @@ func Getrs[T core.Scalar](cfg *core.Config, trans Trans, n, nrhs int, a []T, lda
 	if n == 0 || nrhs == 0 {
 		return
 	}
-	if ok, af, bf := smallLUOK(cfg, n, n, a, b); ok && trans == NoTrans && nrhs < 8 {
+	if trans == NoTrans && nrhs < 8 && smallLUOK(cfg, n, n) {
 		// Narrow right-hand sides under the small crossover: direct
 		// substitution, skipping the Trsm recursion entirely.
-		if af != nil {
-			getrsSmallF64(n, nrhs, af, lda, ipiv, bf, ldb)
-		} else {
-			getrsSmall(n, nrhs, a, lda, ipiv, b, ldb)
-		}
+		getrsSmall(n, nrhs, a, lda, ipiv, b, ldb)
 		return
 	}
 	one := core.FromFloat[T](1)

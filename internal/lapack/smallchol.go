@@ -116,7 +116,9 @@ func potrsSmall[T core.Scalar](uplo Uplo, n, nrhs int, a []T, lda int, b []T, ld
 // out over eight locals, with the entry that was solved last as the last term
 // of every row, and the eight divisions are reciprocals taken beforehand: the
 // dependency chain of a block is one multiply, subtract and multiply per
-// unknown.
+// unknown. triForwardUnit8 is the forward sweep for the L of an LU
+// factorization — columns lda apart, ones for a diagonal whatever is stored
+// there — whose chain has no second multiply.
 func triForward8[T core.Scalar](m []T, rs, cs int, conj bool, x *[blas.CholNB]T) {
 	if conj {
 		lacgv(blas.CholNB, x[:], 1)
@@ -135,6 +137,18 @@ func triForward8[T core.Scalar](m []T, rs, cs int, conj bool, x *[blas.CholNB]T)
 	if conj {
 		lacgv(blas.CholNB, x[:], 1)
 	}
+}
+
+func triForwardUnit8[T core.Scalar](m []T, lda int, x *[blas.CholNB]T) {
+	x0, x1, x2, x3, x4, x5, x6, x7 := x[0], x[1], x[2], x[3], x[4], x[5], x[6], x[7]
+	x1 = x1 - m[1]*x0
+	x2 = x2 - m[2]*x0 - m[2+lda]*x1
+	x3 = x3 - m[3]*x0 - m[3+lda]*x1 - m[3+2*lda]*x2
+	x4 = x4 - m[4]*x0 - m[4+lda]*x1 - m[4+2*lda]*x2 - m[4+3*lda]*x3
+	x5 = x5 - m[5]*x0 - m[5+lda]*x1 - m[5+2*lda]*x2 - m[5+3*lda]*x3 - m[5+4*lda]*x4
+	x6 = x6 - m[6]*x0 - m[6+lda]*x1 - m[6+2*lda]*x2 - m[6+3*lda]*x3 - m[6+4*lda]*x4 - m[6+5*lda]*x5
+	x7 = x7 - m[7]*x0 - m[7+lda]*x1 - m[7+2*lda]*x2 - m[7+3*lda]*x3 - m[7+4*lda]*x4 - m[7+5*lda]*x5 - m[7+6*lda]*x6
+	x[1], x[2], x[3], x[4], x[5], x[6], x[7] = x1, x2, x3, x4, x5, x6, x7
 }
 
 func triBackward8[T core.Scalar](m []T, rs, cs int, conj bool, x *[blas.CholNB]T) {

@@ -41,15 +41,45 @@ func cloneBatch(ms []*la.Matrix[float64]) []*la.Matrix[float64] {
 // mixed problem sizes must produce byte-for-byte the factors, solutions and
 // pivots of a serial loop over la.GESV, at every worker count.
 func TestBatchGesvBitIdentical(t *testing.T) {
-	sizes := []int{1, 3, 4, 7, 8, 16, 17, 31, 32, 33, 48, 64, 65, 96}
 	var as0, bs0 []*la.Matrix[float64]
-	for i, n := range sizes {
+	for i, n := range []int{1, 3, 4, 7, 8, 16, 17, 31, 32, 33, 48, 64, 65, 96} {
 		as0 = append(as0, newGen(n, i))
 		bs0 = append(bs0, newRHS(n, 1+i%3))
 	}
+	batchGesvMatchesLooped(t, as0, bs0)
+}
+
+// TestBatchGesvMatchesLooped is the same pin on the other three element
+// types: under the small-matrix crossover float64 factors on the vector step
+// kernel and they on the generic step, and a batch must give the loop's bits
+// there too, on either side of the crossover and on every order class under
+// it (ragged block only, full blocks only, ragged block first).
+func TestBatchGesvMatchesLooped(t *testing.T) {
+	t.Run("float32", randomBatchGesvMatchesLooped[float32])
+	t.Run("complex128", randomBatchGesvMatchesLooped[complex128])
+	t.Run("complex64", randomBatchGesvMatchesLooped[complex64])
+}
+
+func randomBatchGesvMatchesLooped[T la.Scalar](t *testing.T) {
+	var as0, bs0 []*la.Matrix[T]
+	for i, n := range []int{1, 2, 4, 5, 8, 12, 16, 33, 48, 63, 64, 65, 96} {
+		as0 = append(as0, randMat[T](200+i, n, n))
+		bs0 = append(bs0, randMat[T](300+i, n, 1+i%3))
+	}
+	batchGesvMatchesLooped(t, as0, bs0)
+}
+
+func batchGesvMatchesLooped[T la.Scalar](t *testing.T, as0, bs0 []*la.Matrix[T]) {
+	clone := func(ms []*la.Matrix[T]) []*la.Matrix[T] {
+		out := make([]*la.Matrix[T], len(ms))
+		for i, m := range ms {
+			out[i] = m.Clone()
+		}
+		return out
+	}
 	// Serial reference: the single-call driver, looped.
-	asRef, bsRef := cloneBatch(as0), cloneBatch(bs0)
-	ipivRef := make([][]int, len(sizes))
+	asRef, bsRef := clone(as0), clone(bs0)
+	ipivRef := make([][]int, len(as0))
 	for i := range asRef {
 		ipiv, err := la.GESV(asRef[i], bsRef[i])
 		if err != nil {
@@ -60,7 +90,7 @@ func TestBatchGesvBitIdentical(t *testing.T) {
 	for _, threads := range []int{1, 2, 4, 8} {
 		func() {
 			defer blas.SetThreads(blas.SetThreads(threads))
-			as, bs := cloneBatch(as0), cloneBatch(bs0)
+			as, bs := clone(as0), clone(bs0)
 			ipivs, errs, err := la.BatchGesv(as, bs)
 			if err != nil {
 				t.Fatalf("threads=%d: batch error: %v", threads, err)

@@ -10,6 +10,7 @@ package la_test
 
 import (
 	"math"
+	"slices"
 	"sync"
 	"testing"
 
@@ -100,6 +101,43 @@ func smallPosvSig(t *testing.T, opts ...la.Opt) []float64 {
 			if !bitsEqual(asB[i].Data, as[i].Data) || !bitsEqual(bsB[i].Data, bs[i].Data) {
 				t.Errorf("BatchPosv item %d (n=%d, %v) differs bitwise from looped POSV", i, as[i].Rows, uplo)
 			}
+		}
+	}
+	return sig
+}
+
+// smallGesvSig is GESV under the small-matrix crossover, where the factor is
+// getrfSmall and the solve getrsSmall: every order class (ragged only, full
+// blocks, ragged first block), one and three right-hand sides, looped and as
+// one BatchGesv — which must give the loop's bits, pivots included.
+func smallGesvSig(t *testing.T, opts ...la.Opt) []float64 {
+	t.Helper()
+	var sig []float64
+	var as, bs, asB, bsB []*la.Matrix[float64]
+	var ipivs [][]int
+	for i, n := range []int{1, 4, 7, 8, 9, 16, 24, 31, 32, 48, 63, 64} {
+		as, bs = append(as, randMat[float64](90+i, n, n)), append(bs, randMat[float64](110+i, n, 1+2*(i%2)))
+		asB, bsB = append(asB, as[i].Clone()), append(bsB, bs[i].Clone())
+		ipiv, err := la.GESV(as[i], bs[i], opts...)
+		if err != nil {
+			t.Fatalf("GESV n=%d: %v", n, err)
+		}
+		ipivs = append(ipivs, ipiv)
+		sig = append(append(sig, as[i].Data...), bs[i].Data...)
+		for _, p := range ipiv {
+			sig = append(sig, float64(p))
+		}
+	}
+	ipivsB, errs, err := la.BatchGesv(asB, bsB, opts...)
+	if err != nil {
+		t.Fatalf("BatchGesv: %v", err)
+	}
+	for i := range asB {
+		if errs[i] != nil {
+			t.Fatalf("BatchGesv item %d: %v", i, errs[i])
+		}
+		if !bitsEqual(asB[i].Data, as[i].Data) || !bitsEqual(bsB[i].Data, bs[i].Data) || !slices.Equal(ipivsB[i], ipivs[i]) {
+			t.Errorf("BatchGesv item %d (n=%d) differs from looped GESV", i, as[i].Rows)
 		}
 	}
 	return sig
@@ -222,7 +260,7 @@ func TestThreadsBitIdentical(t *testing.T) {
 		name string
 		sig  func(*testing.T, ...la.Opt) []float64
 	}{
-		{"GESV", gesvSig}, {"POSV", posvSig}, {"POSV/small", smallPosvSig}, {"SYEV", syevSig}, {"GESVD", gesvdSig},
+		{"GESV", gesvSig}, {"GESV/small", smallGesvSig}, {"POSV", posvSig}, {"POSV/small", smallPosvSig}, {"SYEV", syevSig}, {"GESVD", gesvdSig},
 		{"SYEVD", syevdSig}, {"GEEV", geevSig},
 		{"GELS+GELSD", lsSig},
 		{"solves/complex128", complexSolveSig[complex128]},

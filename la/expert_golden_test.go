@@ -23,6 +23,9 @@ package la_test
 // thresholds, scale products that overflow) are kept out and have tests of
 // their own in expert_robust_test.go, and so is RCond of complex PTSVX, whose
 // 1-norm was taken with |re|+|im| before PR 20 (TestPtsvxComplexNorm).
+// Regenerated once each, on purpose: the eight PO rows when the small
+// Cholesky became a step leaf (PR 22), the eight GE rows when the small LU did
+// (PR 23; EXPERIMENTS.md has the table).
 // Regenerate with `go test ./la -run ExpertGolden -expertprint`; add
 // `-expertcases` for one line per case (to diff two commits).
 
@@ -55,18 +58,18 @@ type expertGold struct {
 }
 
 var expertGolden = map[string]expertGold{
-	"BatchGesvx/complex128": {[2]uint64{0x79ceeaa0c775bd67, 0x4dc142f06c1e9a28}, [2][4]float64{
-		{-4917.0708067777623, -13047.869214943845, -13726.146793148711, -45.571304490896267},
-		{-4917.0708067777614, -13048.571285297679, -13344.193703208548, -45.571304490896274}}},
-	"BatchGesvx/complex64": {[2]uint64{0xfda358240744007f, 0x214fe39c9b5fd465}, [2][4]float64{
-		{-4193.4251753901117, -4847.9256220049165, -6310.1387128139631, -44.799771426480447},
-		{-4193.425154688488, -4847.8427442579532, -6148.4033098764794, -40.73944201284538}}},
-	"BatchGesvx/float32": {[2]uint64{0xb0af0543cfc26633, 0x40630209e2222a8d}, [2][4]float64{
-		{-2781.1620186629548, -3278.8681427286674, -4079.4596509782141, -23.214483998101979},
-		{-2781.1620430348953, -3278.439469835751, -3796.0763228014162, -23.214485709060643}}},
-	"BatchGesvx/float64": {[2]uint64{0xc63e5e55104c0a7f, 0x5f539804ff5cf7f6}, [2][4]float64{
-		{-3263.5924476132336, -8745.1704442915707, -8730.5478726053261, -23.2144884477676},
-		{-3263.5924476132336, -8745.8018943136085, -8164.1427104052691, -23.2144884477676}}},
+	"BatchGesvx/complex128": {[2]uint64{0xe449fb2c0f407a34, 0x7b57bc945ee10159}, [2][4]float64{
+		{-4917.0708067777614, -13048.156930573628, -13730.984079556163, -45.571304490896274},
+		{-4917.0708067777623, -13048.50101615355, -13341.032916489303, -45.571304490896274}}},
+	"BatchGesvx/complex64": {[2]uint64{0x81dc309c8aff588a, 0x998ec0e6fbdd177c}, [2][4]float64{
+		{-4193.4251716339004, -4848.1651307948441, -6296.3873104377126, -44.799767303524717},
+		{-4193.4251580710334, -4848.8542989364005, -6146.564837595959, -40.739436739272698}}},
+	"BatchGesvx/float32": {[2]uint64{0xa582dfa30de245f6, 0x7c52f6c3b322a944}, [2][4]float64{
+		{-2781.1620163820944, -3278.6489466404742, -4073.3772010429179, -23.214489002860486},
+		{-2781.1620240756151, -3278.0950112310902, -3796.4563713372563, -23.214487674135636}}},
+	"BatchGesvx/float64": {[2]uint64{0xf73eec44bada94e9, 0x500e2974da6a115e}, [2][4]float64{
+		{-3263.5924476132336, -8745.3457348073225, -8727.3141198366702, -23.214488447767604},
+		{-3263.5924476132336, -8747.2902167652483, -8158.7805231514294, -23.2144884477676}}},
 	"BatchPosvx/complex128": {[2]uint64{0x12ec38e76cb3d1f3, 0x51f586e64129acb2}, [2][4]float64{
 		{-2422.873513169623, -8896.0080002114937, -9189.5658169864728, 0},
 		{-2422.873513169623, -8895.6198732171852, -9149.6958465915413, 0}}},
@@ -91,18 +94,18 @@ var expertGolden = map[string]expertGold{
 	"GBSVX/float64": {[2]uint64{0x5789645bf183c76f, 0xcfc0c5ee446e770b}, [2][4]float64{
 		{-3340.1698701989621, -8881.407787019416, -8204.5723473862399, 0},
 		{-3340.1698701989621, -8881.5728682497811, -8205.9982971922072, 0}}},
-	"GESVX/complex128": {[2]uint64{0x79ceeaa0c775bd67, 0x4dc142f06c1e9a28}, [2][4]float64{
-		{-4917.0708067777623, -13047.869214943845, -13726.146793148711, -45.571304490896267},
-		{-4917.0708067777614, -13048.571285297679, -13344.193703208548, -45.571304490896274}}},
-	"GESVX/complex64": {[2]uint64{0xfda358240744007f, 0x214fe39c9b5fd465}, [2][4]float64{
-		{-4193.4251753901117, -4847.9256220049165, -6310.1387128139631, -44.799771426480447},
-		{-4193.425154688488, -4847.8427442579532, -6148.4033098764794, -40.73944201284538}}},
-	"GESVX/float32": {[2]uint64{0xb0af0543cfc26633, 0x40630209e2222a8d}, [2][4]float64{
-		{-2781.1620186629548, -3278.8681427286674, -4079.4596509782141, -23.214483998101979},
-		{-2781.1620430348953, -3278.439469835751, -3796.0763228014162, -23.214485709060643}}},
-	"GESVX/float64": {[2]uint64{0xc63e5e55104c0a7f, 0x5f539804ff5cf7f6}, [2][4]float64{
-		{-3263.5924476132336, -8745.1704442915707, -8730.5478726053261, -23.2144884477676},
-		{-3263.5924476132336, -8745.8018943136085, -8164.1427104052691, -23.2144884477676}}},
+	"GESVX/complex128": {[2]uint64{0xe449fb2c0f407a34, 0x7b57bc945ee10159}, [2][4]float64{
+		{-4917.0708067777614, -13048.156930573628, -13730.984079556163, -45.571304490896274},
+		{-4917.0708067777623, -13048.50101615355, -13341.032916489303, -45.571304490896274}}},
+	"GESVX/complex64": {[2]uint64{0x81dc309c8aff588a, 0x998ec0e6fbdd177c}, [2][4]float64{
+		{-4193.4251716339004, -4848.1651307948441, -6296.3873104377126, -44.799767303524717},
+		{-4193.4251580710334, -4848.8542989364005, -6146.564837595959, -40.739436739272698}}},
+	"GESVX/float32": {[2]uint64{0xa582dfa30de245f6, 0x7c52f6c3b322a944}, [2][4]float64{
+		{-2781.1620163820944, -3278.6489466404742, -4073.3772010429179, -23.214489002860486},
+		{-2781.1620240756151, -3278.0950112310902, -3796.4563713372563, -23.214487674135636}}},
+	"GESVX/float64": {[2]uint64{0xf73eec44bada94e9, 0x500e2974da6a115e}, [2][4]float64{
+		{-3263.5924476132336, -8745.3457348073225, -8727.3141198366702, -23.214488447767604},
+		{-3263.5924476132336, -8747.2902167652483, -8158.7805231514294, -23.2144884477676}}},
 	"GTSVX/complex128": {[2]uint64{0x9e81e21cb4465a7e, 0x9e81e21cb4465a7e}, [2][4]float64{
 		{-3963.7463342274032, -6655.6513899749152, -6559.290200675272, 0},
 		{-3963.7463342274032, -6655.6513899749152, -6559.290200675272, 0}}},
