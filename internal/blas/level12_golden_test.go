@@ -592,10 +592,13 @@ func level1Real[F core.Float](s *l12[F], n, ix, iy int) {
 
 // level1F64 covers the float64-only reflector entries.
 func level1F64(s *l12[float64], n int) {
-	// The draws of the shims for the small LU this sweep covered until they
-	// went with it (two n-vectors, an n×8 matrix, an 8-vector): what follows
-	// is pinned on its place in the stream.
-	s.rnd(2*n + 8*(n+1) + 8)
+	// A gap in the stream that every fingerprint after it is pinned on: two
+	// n-vectors, an n×8 matrix and an 8-vector, drawn through the helpers so
+	// that a change to vec or mat moves the gap with everything else.
+	s.vec(n, 1)
+	s.vec(n, 1)
+	s.mat(n, 8)
+	s.vec(8, 1)
 	// Refl3/Refl2: X ← X·(I − v·tᵀ), v = (1, v2, v3).
 	v := []float64{1, 0.5, -0.25}
 	tau := []float64{1.5, 0.75, -0.375}

@@ -25,18 +25,27 @@ func (s Small[T]) LUStep(nl, jb, m, n int, a []T, lda int, ipiv []int) int {
 	return s.k.luStep(s.k, nl, jb, m, n, a, lda, ipiv)
 }
 
+// luLeafMin is the column length from which luStepGo's real types enter the
+// scal and axpy leaves.
+const luLeafMin = 4
+
 // luStepGo is the luStep entry of every row but the float64 asm rows, and
 // those rows' route for the steps their kernel does not take. The long loops
-// are the row's own iamax, scal, axpy and gemvSub8.
+// are the row's own iamax, scal, axpy and gemvSub8; a real type scales and
+// updates a column of fewer than luLeafMin entries in place, where entering a
+// leaf costs more than the loop it runs (the complex rows' leaves win even
+// there).
 func luStepGo[T core.Scalar](k *kernel[T], nl, jb, m, n int, a []T, lda int, ipiv []int) int {
 	info := 0
 	l := a[nl*lda:]
 	sfmin := core.SafeMin[T]()
+	real := !core.IsComplex[T]()
 	for j := 0; j < jb; j++ {
 		col := l[j+j*lda : m+j*lda]
 		p := j + k.iamax(col)
 		ipiv[j] = p
 		below := col[1:]
+		short := real && len(below) < luLeafMin
 		if piv := col[p-j]; piv != 0 {
 			if p != j {
 				for c := 0; c < jb; c++ {
@@ -45,20 +54,32 @@ func luStepGo[T core.Scalar](k *kernel[T], nl, jb, m, n int, a []T, lda int, ipi
 			}
 			switch {
 			case len(below) == 0:
-			case core.Abs1(piv) >= sfmin:
-				k.scal(1/piv, below)
-			default:
+			case !(core.Abs1(piv) >= sfmin):
 				// 1/pivot would overflow: divide, as xGETF2 does.
 				for i := range below {
 					below[i] /= piv
 				}
+			case short:
+				inv := 1 / piv
+				for i := range below {
+					below[i] *= inv
+				}
+			default:
+				k.scal(1/piv, below)
 			}
 		} else if info == 0 {
 			info = j + 1
 		}
 		if len(below) > 0 {
 			for c := j + 1; c < jb; c++ {
-				k.axpy(-l[j+c*lda], below, l[j+1+c*lda:])
+				if !short {
+					k.axpy(-l[j+c*lda], below, l[j+1+c*lda:])
+					continue
+				}
+				t, y := l[j+c*lda], l[j+1+c*lda:][:len(below)]
+				for i, v := range below {
+					y[i] -= t * v
+				}
 			}
 		}
 	}

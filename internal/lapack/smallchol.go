@@ -118,7 +118,9 @@ func potrsSmall[T core.Scalar](uplo Uplo, n, nrhs int, a []T, lda int, b []T, ld
 // dependency chain of a block is one multiply, subtract and multiply per
 // unknown. triForwardUnit8 is the forward sweep for the L of an LU
 // factorization — columns lda apart, ones for a diagonal whatever is stored
-// there — whose chain has no second multiply.
+// there — whose chain has no second multiply, triBackwardBy8 the backward
+// sweep on reciprocals its caller took, and has looked at: a pivot of an LU
+// factorization, unlike a Cholesky diagonal, need not have a finite one.
 func triForward8[T core.Scalar](m []T, rs, cs int, conj bool, x *[blas.CholNB]T) {
 	if conj {
 		lacgv(blas.CholNB, x[:], 1)
@@ -152,10 +154,14 @@ func triForwardUnit8[T core.Scalar](m []T, lda int, x *[blas.CholNB]T) {
 }
 
 func triBackward8[T core.Scalar](m []T, rs, cs int, conj bool, x *[blas.CholNB]T) {
+	inv := reciprocals8(m, rs+cs)
+	triBackwardBy8(m, rs, cs, conj, &inv, x)
+}
+
+func triBackwardBy8[T core.Scalar](m []T, rs, cs int, conj bool, inv, x *[blas.CholNB]T) {
 	if conj {
 		lacgv(blas.CholNB, x[:], 1)
 	}
-	inv := reciprocals8(m, rs+cs)
 	x0, x1, x2, x3, x4, x5, x6, x7 := x[0], x[1], x[2], x[3], x[4], x[5], x[6], x[7]
 	x7 *= inv[7]
 	x6 = (x6 - m[7*rs+6*cs]*x7) * inv[6]

@@ -52,7 +52,10 @@ func getrfSmall[T core.Scalar](m, n int, a []T, lda int, ipiv []int) int {
 // sides by substitution in blocks of CholNB, both sweeps in axpy form: a
 // diagonal block is solved (L forward with its unit diagonal, U backward)
 // and folded into the rest of the vector with one GemvSub8. The full blocks
-// start at row 0; the ragged tail is substituted entry by entry.
+// start at row 0; the ragged tail is substituted entry by entry, dividing by
+// the diagonal of U, and so is a full block whose diagonal has an entry
+// without a finite reciprocal — a Cholesky diagonal is a square root and
+// always has one, a pivot can lie under SafeMin, where Getf2 divides too.
 func getrsSmall[T core.Scalar](n, nrhs int, a []T, lda int, ipiv []int, b []T, ldb int) {
 	s := blas.SmallFor[T]()
 	const nb = blas.CholNB
@@ -72,16 +75,32 @@ func getrsSmall[T core.Scalar](n, nrhs int, a []T, lda int, ipiv []int, b []T, l
 				x[j+1+i] -= x[j] * v
 			}
 		}
-		for j := n - 1; j >= n8; j-- {
-			x[j] /= a[j+j*lda]
-			for i, v := range a[j*lda : j+j*lda] {
-				x[i] -= x[j] * v
-			}
-		}
+		backDivide(n8, n, a, lda, x)
 		for j0 := n8 - nb; j0 >= 0; j0 -= nb {
+			// v−v is zero for every v but Inf and NaN, in either part.
+			inv, finite := reciprocals8(a[j0+j0*lda:], lda+1), true
+			for _, v := range inv {
+				finite = finite && v-v == 0
+			}
+			if !finite {
+				backDivide(j0, j0+nb, a, lda, x)
+				continue
+			}
 			xs := (*[nb]T)(x[j0:])
-			triBackward8(a[j0+j0*lda:], lda, 1, false, xs)
+			triBackwardBy8(a[j0+j0*lda:], lda, 1, false, &inv, xs)
 			s.GemvSub8(*xs, a[j0*lda:], lda, x[:j0])
+		}
+	}
+}
+
+// backDivide substitutes backward through rows lo…hi−1 of the upper
+// triangular a, entry by entry in axpy form: x[j] is divided by its diagonal
+// entry and taken out of every row above it.
+func backDivide[T core.Scalar](lo, hi int, a []T, lda int, x []T) {
+	for j := hi - 1; j >= lo; j-- {
+		x[j] /= a[j+j*lda]
+		for i, v := range a[j*lda : j+j*lda] {
+			x[i] -= x[j] * v
 		}
 	}
 }

@@ -132,6 +132,51 @@ func testGetrsRoutes[T core.Scalar](t *testing.T, n, nrhs int) {
 	}
 }
 
+// testGetrsTinyDiagonal solves from factors whose U has a diagonal under
+// SafeMin, in full blocks and in the ragged tail alike: 1/U(j,j) overflows,
+// so a solve that multiplies by reciprocals returns Inf where the Trsm pair,
+// which divides, returns the solution. L has a few multipliers of a half and a
+// quarter, next to the diagonal and a block away from it, U is d·I and B
+// small multiples of d, with d a power of two: every operation of either
+// route is exact, and the two agree to the bit.
+func testGetrsTinyDiagonal[T core.Scalar](t *testing.T, n, nrhs int) {
+	d := core.FromFloat[T](core.SafeMin[T]() / 256)
+	lda, ldb := n+2, n+1
+	af, ipiv := make([]T, lda*n), make([]int, n)
+	for j := 0; j < n; j++ {
+		ipiv[j] = j
+		af[j+j*lda] = d
+		if j%4 == 0 && j+1 < n {
+			af[j+1+j*lda] = core.FromFloat[T](0.5)
+		}
+		if j%4 == 0 && j+9 < n {
+			af[j+9+j*lda] = core.FromFloat[T](0.25)
+		}
+	}
+	ipiv[0] = n - 1
+	b := make([]T, ldb*nrhs)
+	for r := 0; r < nrhs; r++ {
+		for i := 0; i < n; i++ {
+			b[i+r*ldb] = d * core.FromFloat[T](float64(1+(i+2*r)%5))
+		}
+	}
+	noSmall := tcfg().With(func(c *core.Config) { c.GemmSmallDim = 0 })
+	for r := range routeNames {
+		onRoute(r, func() {
+			x, xt := append([]T(nil), b...), append([]T(nil), b...)
+			lapack.Getrs(tcfg(), lapack.NoTrans, n, nrhs, af, lda, ipiv, x, ldb)
+			lapack.Getrs(noSmall, lapack.NoTrans, n, nrhs, af, lda, ipiv, xt, ldb)
+			if big := lapack.Lange(lapack.MaxAbs, n, nrhs, xt, ldb); !(big >= 1 && big <= 8) {
+				t.Fatalf("%s: the Trsm pair returns max |x| = %v", routeNames[r], big)
+			}
+			if !bitsEqual(x, xt) {
+				t.Fatalf("%s: small solve and Trsm pair differ by %v (max |x| = %v)", routeNames[r],
+					testutil.MaxDiff(x, xt), lapack.Lange(lapack.MaxAbs, n, nrhs, x, ldb))
+			}
+		})
+	}
+}
+
 func TestGetrsRoutesAgree(t *testing.T) {
 	for _, n := range []int{1, 2, 7, 8, 9, 15, 16, 17, 31, 40, 47, 64} {
 		for nrhs := 1; nrhs <= 7; nrhs++ {
@@ -140,6 +185,15 @@ func TestGetrsRoutesAgree(t *testing.T) {
 			t.Run("float32/"+name, func(t *testing.T) { testGetrsRoutes[float32](t, n, nrhs) })
 			t.Run("complex128/"+name, func(t *testing.T) { testGetrsRoutes[complex128](t, n, nrhs) })
 			t.Run("complex64/"+name, func(t *testing.T) { testGetrsRoutes[complex64](t, n, nrhs) })
+		}
+	}
+	for _, n := range []int{4, 8, 13, 24, 64} {
+		for _, nrhs := range []int{1, 3} {
+			name := fmt.Sprintf("tinydiag/n=%d/nrhs=%d", n, nrhs)
+			t.Run("float64/"+name, func(t *testing.T) { testGetrsTinyDiagonal[float64](t, n, nrhs) })
+			t.Run("float32/"+name, func(t *testing.T) { testGetrsTinyDiagonal[float32](t, n, nrhs) })
+			t.Run("complex128/"+name, func(t *testing.T) { testGetrsTinyDiagonal[complex128](t, n, nrhs) })
+			t.Run("complex64/"+name, func(t *testing.T) { testGetrsTinyDiagonal[complex64](t, n, nrhs) })
 		}
 	}
 }
