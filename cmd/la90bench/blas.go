@@ -3,8 +3,8 @@
 // results as machine-readable JSON (BENCH_blas.json), so successive PRs can
 // track the performance trajectory of the substrate the LA_GESV stack sits
 // on. Sizes mirror BenchmarkGemm/BenchmarkGetrf in bench_test.go. Both the
-// float64 and the float32 engines are swept — the single-precision legs are
-// the substrate the mixed-precision solvers (la90bench -mixed) factor on.
+// float64 and the float32 engines are swept: float32 is a first-class
+// element type with asm rows of its own.
 package main
 
 import (
@@ -35,8 +35,8 @@ type blasReport struct {
 	Threads int          `json:"threads"` // blas worker budget during the run
 	Results []blasResult `json:"results"`
 	Speedup float64      `json:"gemm_speedup_n1024"` // packed vs naive, float64
-	// Single-precision packed GEMM rate over double, n=1024 (the flop-rate
-	// headroom the mixed-precision solvers factor into).
+	// Single-precision packed GEMM rate over double, n=1024 (twice the
+	// lanes per vector, so 2 is the ceiling).
 	F32VsF64 float64 `json:"gemm_f32_vs_f64_n1024"`
 }
 

@@ -39,7 +39,7 @@ type lapackReport struct {
 	GeqrfVsGemm float64 `json:"geqrf_vs_gemm_n1024"`
 	SytrfVsGemm float64 `json:"sytrf_vs_gemm_n1024"`
 	// Single-precision LU rate over double, n=1024 (same flop count, so this
-	// is the factorization-time ratio the mixed-precision solvers ride).
+	// is the factorization-time ratio between the two real types).
 	GetrfF32VsF64 float64 `json:"getrf_f32_vs_f64_n1024"`
 }
 

@@ -11,7 +11,6 @@
 //	la90bench -lapack              # factorization sweep  -> BENCH_lapack.json
 //	la90bench -reduce              # condensed-form reduction sweep -> BENCH_reduce.json
 //	la90bench -batch               # batched drivers & small-matrix regime -> BENCH_batch.json
-//	la90bench -mixed               # mixed-precision vs f64 LA_GESV -> BENCH_mixed.json
 //	la90bench -cond                # expert-driver condition machinery vs plain solve -> BENCH_cond.json
 //	la90bench -svd                 # divide-and-conquer SVD vs QR iteration -> BENCH_svd.json
 package main
@@ -33,7 +32,6 @@ var (
 	lapackSw = flag.Bool("lapack", false, "benchmark the blocked factorizations and write machine-readable results")
 	reduceSw = flag.Bool("reduce", false, "benchmark the blocked condensed-form reductions and write machine-readable results")
 	batchSw  = flag.Bool("batch", false, "benchmark the batched drivers and the pack-free small-matrix engine")
-	mixedSw  = flag.Bool("mixed", false, "benchmark the mixed-precision LA_GESV path against plain float64")
 	condSw   = flag.Bool("cond", false, "benchmark the expert-driver condition machinery (LA_GESVX) against the plain solve")
 	svdSw    = flag.Bool("svd", false, "benchmark the divide-and-conquer SVD against the QR-iteration path")
 	maxbatch = flag.Int("maxbatch", 1024, "largest batch size -batch may bench (smoke runs use a small cap)")
@@ -55,8 +53,6 @@ func main() {
 		runReduce()
 	case *batchSw:
 		runBatch()
-	case *mixedSw:
-		runMixed()
 	case *condSw:
 		runCond()
 	case *svdSw:

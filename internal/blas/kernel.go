@@ -340,9 +340,9 @@ func microAVX2F32(kb int, ap, bp, c []float32, ldc int) {
 }
 
 // The float32 skinny product is one vectorized column sweep per column of C
-// (the recursive LU panels of the mixed-precision solvers issue this shape
-// constantly). Gemv itself looks its row up in the table, so the entry cannot
-// be part of the row's initializer.
+// (the recursive panels of a float32 LU issue this shape constantly). Gemv
+// itself looks its row up in the table, so the entry cannot be part of the
+// row's initializer.
 func init() {
 	skinny := func(cfg *core.Config, m, n, k int, alpha float32, a []float32, lda int, b []float32, ldb int, c []float32, ldc int) {
 		for j := 0; j < n; j++ {

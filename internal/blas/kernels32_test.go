@@ -1,8 +1,7 @@
 package blas
 
-// Correctness tests for the float32 fast paths added with the
-// mixed-precision solvers (PR 7): the packed f32 GEMM engine with its
-// spackA16/spackB4 assembly packers, the f32 triangular-solve stack
+// Correctness tests for the float32 fast paths: the packed f32 GEMM engine
+// with its spackA16/spackB4 assembly packers, the f32 triangular-solve stack
 // (trsmRec leaf, trsvOct, axpy-form Trsv), and the f32 Level-1 assembly
 // kernels (saxpyFma, sscalFma, sdotFma, siamaxF32). Each is checked against
 // either the naive reference kernel or a float64 oracle on the same data.

@@ -4,11 +4,10 @@ package blas
 
 // Declarations for the float32 substitution and column-sweep kernels in
 // subkernel32_amd64.s — the single-precision counterparts of
-// dsubFma8/dgemvSub8/daxpyFma/ddotFma. They exist for the mixed-precision
-// solvers: GesvMixed/PosvMixed spend their factorization in float32, and
-// without these the triangular solves and panel sweeps of that path fall to
-// the portable loops while the trailing GEMM runs at twice the float64 flop
-// rate, halving the end-to-end win. Same AVX2+FMA requirements and
+// dsubFma8/dgemvSub8/daxpyFma/ddotFma. float32 is a first-class element
+// type: without these the triangular solves and panel sweeps of a float32
+// factorization fall to the portable loops while its trailing GEMM runs at
+// twice the float64 flop rate. Same AVX2+FMA requirements and
 // useAsmF64 gating as the f32 GEMM micro-kernel. saxpyFma, sdotFma and
 // sscalFma are the float32 asm row's axpy, dot and scal entries as they stand
 // (see daxpyFma).

@@ -67,8 +67,7 @@ const (
 	// trsmLeafSizeF32 replaces trsmLeafSize for float32 operands. The
 	// eight-wide f32 substitution kernel runs close to packed-GEMM speed on
 	// half-width elements, so larger diagonal blocks that skip the packing
-	// pass win: 96 beats 64 by ~5% on the n=1024 single-precision LU that
-	// the mixed-precision solvers run.
+	// pass win: 96 beats 64 by ~5% on the n=1024 single-precision LU.
 	trsmLeafSizeF32 = 96
 
 	// trsmLeafSizeC128/C64 replace it on the complex 1m rows, whose leaf is

@@ -17,7 +17,7 @@ import (
 // explicitly down through every lapack driver into the blas engines. Nothing
 // below the boundary re-reads ambient state mid-kernel, so two concurrent
 // calls with different Configs — different thread budgets, block sizes,
-// precision policies — never observe each other.
+// screening policies — never observe each other.
 //
 // Configs are immutable by convention: once a *Config has been handed to a
 // driver it must never be written again. Derive variants with With, which
@@ -26,10 +26,6 @@ type Config struct {
 	// Tuning is the block of integer knobs (worker budget, block sizes,
 	// crossovers); its fields are promoted, so kernels read cfg.GemmMC.
 	Tuning
-
-	// Mixed routes GESV/POSV through the mixed-precision
-	// factor-low/refine-high path by default.
-	Mixed bool
 
 	// CheckInputs screens matrix arguments for non-finite values at the la
 	// boundary before any computation.
@@ -84,10 +80,6 @@ type Tuning struct {
 	NBSytrd   int // tridiagonal reduction panel width
 	NBGebrd   int // bidiagonal reduction panel width
 	NBGehrd   int // Hessenberg reduction panel width
-
-	// MixedIterMax bounds the refinement sweeps of the mixed-precision
-	// solvers.
-	MixedIterMax int
 }
 
 // Clamp bounds of the table below, shared by every route a value can arrive
@@ -108,9 +100,6 @@ const (
 	MaxGemmSmallDim = 256
 	// MaxNB bounds the Ilaenv factorization block sizes.
 	MaxNB = 1 << 12
-	// MaxMixedIterMax bounds the mixed-precision refinement sweeps; each
-	// sweep costs O(n²·nrhs) before the guaranteed fallback.
-	MaxMixedIterMax = 1 << 12
 	// MaxParallelMinVol bounds the serial-cutoff volumes.
 	MaxParallelMinVol = 1 << 30
 )
@@ -132,10 +121,9 @@ type Knob struct {
 }
 
 // Knobs is the complete list of settings. Integer rows first, in Tuning
-// field order; then the boolean policies, which share one parsing rule (set
-// and not "0" means on) and are set per call by their la.With* option; then
-// the rows read once at package initialisation by the package that owns
-// them.
+// field order; then the boolean policy (set and not "0" means on), which is
+// set per call by its la.With* option; then the row read once at package
+// initialisation by the package that owns it.
 var Knobs = []Knob{
 	{Name: "threads", Env: "LA90_NUM_THREADS", Lo: 1, Hi: MaxThreads,
 		Doc: "worker budget of the Level-3 engines; 1 is fully serial; results are bit-identical at any value",
@@ -186,13 +174,7 @@ var Knobs = []Knob{
 	{Name: "nbhrd", Env: "LA90_NB_HRD", Lo: 1, Hi: MaxNB,
 		Doc: "Hessenberg reduction panel width; 1 forces the unblocked Gehd2",
 		ptr: func(t *Tuning) *int { return &t.NBGehrd }},
-	{Name: "itermax", Env: "LA90_MIXED_ITERMAX", Lo: 1, Hi: MaxMixedIterMax,
-		Doc: "refinement sweeps of the mixed-precision solvers before the full-precision fallback (LAPACK's DSGESV ITERMAX)",
-		ptr: func(t *Tuning) *int { return &t.MixedIterMax }},
 
-	{Name: "mixed", Env: "LA90_MIXED",
-		Doc:  "GESV/POSV factor in reduced precision and refine to full (per call: la.WithMixed)",
-		flag: func(c *Config) *bool { return &c.Mixed }},
 	{Name: "check", Env: "LA90_CHECK_INPUTS",
 		Doc:  "screen matrix arguments for NaN/Inf at the la boundary (per call: la.WithCheck)",
 		flag: func(c *Config) *bool { return &c.CheckInputs }},
@@ -267,7 +249,6 @@ func baseConfig() Config {
 		NBSytrd:            32,
 		NBGebrd:            32,
 		NBGehrd:            32,
-		MixedIterMax:       30,
 	}}
 }
 

@@ -21,6 +21,17 @@ func Spev[T core.Scalar](cfg *core.Config, jobz bool, uplo Uplo, n int, ap []T, 
 	return info
 }
 
+// Spevd is the divide & conquer variant of Spev (the xSPEVD/xHPEVD driver);
+// ap is left as it was.
+func Spevd[T core.Scalar](cfg *core.Config, jobz bool, uplo Uplo, n int, ap []T, w []float64, z []T, ldz int) int {
+	a := unpackTri(uplo, n, ap)
+	info := Syevd[T](cfg, jobz, uplo, n, a, n, w)
+	if jobz && info == 0 {
+		Lacpy('A', n, n, a, n, z, ldz)
+	}
+	return info
+}
+
 // Spevx computes selected eigenvalues/eigenvectors of a packed
 // symmetric/Hermitian matrix (the xSPEVX/xHPEVX driver).
 func Spevx[T core.Scalar](cfg *core.Config, jobz bool, rng EigRange, uplo Uplo, n int, ap []T, vl, vu float64, il, iu int, abstol float64, z []T, ldz int) SyevxResult {
@@ -33,6 +44,16 @@ func Spevx[T core.Scalar](cfg *core.Config, jobz bool, rng EigRange, uplo Uplo, 
 func Sbev[T core.Scalar](cfg *core.Config, jobz bool, uplo Uplo, n, kd int, ab []T, ldab int, w []float64, z []T, ldz int) int {
 	a := expandSymBand(uplo, n, kd, ab, ldab)
 	info := Syev[T](cfg, jobz, uplo, n, a, n, w)
+	if jobz && info == 0 {
+		Lacpy('A', n, n, a, n, z, ldz)
+	}
+	return info
+}
+
+// Sbevd is the divide & conquer variant of Sbev (the xSBEVD/xHBEVD driver).
+func Sbevd[T core.Scalar](cfg *core.Config, jobz bool, uplo Uplo, n, kd int, ab []T, ldab int, w []float64, z []T, ldz int) int {
+	a := expandSymBand(uplo, n, kd, ab, ldab)
+	info := Syevd[T](cfg, jobz, uplo, n, a, n, w)
 	if jobz && info == 0 {
 		Lacpy('A', n, n, a, n, z, ldz)
 	}

@@ -27,6 +27,21 @@ func onRoute(r int, f func()) {
 	f()
 }
 
+// bitsEqual compares two slices bit for bit (NaN payloads included), so the
+// routes can be checked for exact identity even on poisoned inputs.
+func bitsEqual[T core.Scalar](a, b []T) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	eq64 := func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) }
+	for i := range a {
+		if !eq64(core.Re(a[i]), core.Re(b[i])) || !eq64(core.Im(a[i]), core.Im(b[i])) {
+			return false
+		}
+	}
+	return true
+}
+
 // testPotrfRoutes factors one matrix by the three routes Potrf has under and
 // around the small-matrix crossover — the default one (potrfSmall up to
 // NBPotrf = 64, the recursion on potrfSmall leaves above), the recursion

@@ -294,6 +294,157 @@ func TestCheckModeAcceptsFiniteInput(t *testing.T) {
 	}
 }
 
+// eigOperand is one input of a symmetric eigenproblem wrapper in the storage
+// format its kind names: 'S' a dense n×n matrix, 'B' symmetric band storage
+// with two off-diagonals, 'P' a packed triangle, 'D' and 'E' the diagonal and
+// off-diagonal of a tridiagonal matrix. Every one holds the entries of the
+// same diagonally dominant (positive definite) matrix, so the clean problem
+// is well posed as A and as B.
+type eigOperand struct {
+	mat *la.Matrix[float64] // 'S', 'B'
+	vec []float64           // 'P', 'D', 'E'
+}
+
+func (x eigOperand) data() []float64 {
+	if x.mat != nil {
+		return x.mat.Data
+	}
+	return x.vec
+}
+
+func newEigOperand(kind byte, n int) eigOperand {
+	const kd = 2
+	at := func(i, j int) float64 {
+		if i == j {
+			return float64(n)
+		}
+		return 1 / float64(1+j-i)
+	}
+	switch kind {
+	case 'S':
+		a := la.NewMatrix[float64](n, n)
+		for j := 0; j < n; j++ {
+			for i := 0; i <= j; i++ {
+				a.Set(i, j, at(i, j))
+				a.Set(j, i, at(i, j))
+			}
+		}
+		return eigOperand{mat: a}
+	case 'B':
+		ab := la.NewMatrix[float64](kd+1, n)
+		for j := 0; j < n; j++ {
+			for i := max(0, j-kd); i <= j; i++ {
+				ab.Set(kd+i-j, j, at(i, j))
+			}
+		}
+		return eigOperand{mat: ab}
+	case 'P':
+		var ap []float64
+		for j := 0; j < n; j++ {
+			for i := 0; i <= j; i++ {
+				ap = append(ap, at(i, j))
+			}
+		}
+		return eigOperand{vec: ap}
+	case 'D':
+		v := make([]float64, n)
+		for i := range v {
+			v[i] = at(i, i)
+		}
+		return eigOperand{vec: v}
+	}
+	v := make([]float64, n-1)
+	for i := range v {
+		v[i] = at(i, i+1)
+	}
+	return eigOperand{vec: v}
+}
+
+func err2[A any](_ A, err error) error         { return err }
+func err3[A, B any](_ A, _ B, err error) error { return err }
+
+// TestWithCheckSymmetricEigen: every wrapper of la/eig.go, the Hermitian
+// names included, screens every argument under WithCheck — a NaN or +Inf at
+// the first, an interior or the last position of argument i is the ERINFO
+// argument error INFO = −i of the wrapper's routine, returned before any
+// work (the inputs keep their bits) — and accepts the clean problem.
+func TestWithCheckSymmetricEigen(t *testing.T) {
+	type operands = []eigOperand
+	chk := la.WithCheck()
+	cases := []struct {
+		name, routine, kinds string
+		call                 func(x operands) error
+	}{
+		{"SYEV", "LA_SYEV", "S", func(x operands) error { return err2(la.SYEV(x[0].mat, chk)) }},
+		{"HEEV", "LA_SYEV", "S", func(x operands) error { return err2(la.HEEV(x[0].mat, chk)) }},
+		{"SYEVD", "LA_SYEVD", "S", func(x operands) error { return err2(la.SYEVD(x[0].mat, chk)) }},
+		{"HEEVD", "LA_SYEVD", "S", func(x operands) error { return err2(la.HEEVD(x[0].mat, chk)) }},
+		{"SYEVX", "LA_SYEVX", "S", func(x operands) error { return err2(la.SYEVX(x[0].mat, chk)) }},
+		{"HEEVX", "LA_SYEVX", "S", func(x operands) error { return err2(la.HEEVX(x[0].mat, chk)) }},
+		{"SPEV", "LA_SPEV", "P", func(x operands) error { return err3(la.SPEV(x[0].vec, chk)) }},
+		{"HPEV", "LA_SPEV", "P", func(x operands) error { return err3(la.HPEV(x[0].vec, chk)) }},
+		{"SPEVD", "LA_SPEVD", "P", func(x operands) error { return err3(la.SPEVD(x[0].vec, chk)) }},
+		{"HPEVD", "LA_SPEVD", "P", func(x operands) error { return err3(la.HPEVD(x[0].vec, chk)) }},
+		{"SPEVX", "LA_SPEVX", "P", func(x operands) error { return err2(la.SPEVX(x[0].vec, chk)) }},
+		{"HPEVX", "LA_SPEVX", "P", func(x operands) error { return err2(la.HPEVX(x[0].vec, chk)) }},
+		{"SBEV", "LA_SBEV", "B", func(x operands) error { return err3(la.SBEV(x[0].mat, chk)) }},
+		{"HBEV", "LA_SBEV", "B", func(x operands) error { return err3(la.HBEV(x[0].mat, chk)) }},
+		{"SBEVD", "LA_SBEVD", "B", func(x operands) error { return err3(la.SBEVD(x[0].mat, chk)) }},
+		{"HBEVD", "LA_SBEVD", "B", func(x operands) error { return err3(la.HBEVD(x[0].mat, chk)) }},
+		{"SBEVX", "LA_SBEVX", "B", func(x operands) error { return err2(la.SBEVX(x[0].mat, chk)) }},
+		{"HBEVX", "LA_SBEVX", "B", func(x operands) error { return err2(la.HBEVX(x[0].mat, chk)) }},
+		{"STEV", "LA_STEV", "DE", func(x operands) error { return err2(la.STEV[float64](x[0].vec, x[1].vec, chk)) }},
+		{"STEVD", "LA_STEVD", "DE", func(x operands) error { return err2(la.STEVD[float64](x[0].vec, x[1].vec, chk)) }},
+		{"STEVX", "LA_STEVX", "DE", func(x operands) error { return err2(la.STEVX[float64](x[0].vec, x[1].vec, chk)) }},
+		{"SYGV", "LA_SYGV", "SS", func(x operands) error { return err2(la.SYGV(x[0].mat, x[1].mat, chk)) }},
+		{"HEGV", "LA_SYGV", "SS", func(x operands) error { return err2(la.HEGV(x[0].mat, x[1].mat, chk)) }},
+		{"SPGV", "LA_SPGV", "PP", func(x operands) error { return err3(la.SPGV(x[0].vec, x[1].vec, chk)) }},
+		{"HPGV", "LA_SPGV", "PP", func(x operands) error { return err3(la.HPGV(x[0].vec, x[1].vec, chk)) }},
+		{"SBGV", "LA_SBGV", "BB", func(x operands) error { return err3(la.SBGV(x[0].mat, x[1].mat, chk)) }},
+		{"HBGV", "LA_SBGV", "BB", func(x operands) error { return err3(la.HBGV(x[0].mat, x[1].mat, chk)) }},
+	}
+	const n = 5
+	build := func(kinds string) operands {
+		x := make(operands, len(kinds))
+		for i := range x {
+			x[i] = newEigOperand(kinds[i], n)
+		}
+		return x
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			if err := c.call(build(c.kinds)); err != nil {
+				t.Fatalf("clean input rejected: %v", err)
+			}
+			for arg, operand := range build(c.kinds) {
+				last := len(operand.data()) - 1
+				for _, bad := range []float64{math.NaN(), math.Inf(1)} {
+					for _, pos := range []int{0, last / 2, last} {
+						x := build(c.kinds)
+						x[arg].data()[pos] = bad
+						before := make([][]float64, len(x))
+						for i := range x {
+							before[i] = append([]float64(nil), x[i].data()...)
+						}
+						err := c.call(x)
+						var e *la.Error
+						if !errors.As(err, &e) || e.Routine != c.routine || e.Info != -(arg+1) || !strings.Contains(e.Detail, "non-finite") {
+							t.Fatalf("%v in argument %d at %d: got %v, want %s INFO = %d (non-finite)", bad, arg+1, pos, err, c.routine, -(arg + 1))
+						}
+						for i := range x {
+							for k, v := range x[i].data() {
+								if math.Float64bits(v) != math.Float64bits(before[i][k]) {
+									t.Fatalf("%v in argument %d at %d: argument %d was written at %d", bad, arg+1, pos, i+1, k)
+								}
+							}
+						}
+					}
+				}
+			}
+		})
+	}
+}
+
 // TestSetCheckInputs verifies the process-wide default (what
 // LA90_CHECK_INPUTS sets at startup): with it on, a plain call (no WithCheck
 // option) screens inputs; with it off again, screening is off.

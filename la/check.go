@@ -239,3 +239,75 @@ func ptArgs[T Scalar](routine string, check bool, d []float64, e []T, b *Matrix[
 	}
 	return nil
 }
+
+// The argument checks of the symmetric eigenproblem drivers (la/eig.go), one
+// per storage format. Each takes A and, for the generalized problem, the B of
+// the same order, checks them like the helpers above — shapes first, in
+// argument order, then with check the non-finite entries — and returns the
+// order of the problem.
+
+// symArgs checks the square dense A (and B).
+func symArgs[T Scalar](routine string, check bool, ms ...*Matrix[T]) (int, error) {
+	for i, m := range ms {
+		if !square(m) || m.Rows != ms[0].Rows {
+			return 0, erinfo(routine, -(i + 1), "")
+		}
+	}
+	if check {
+		for i, m := range ms {
+			if err := finiteMat(routine, i+1, "AB"[i:i+1], m); err != nil {
+				return 0, err
+			}
+		}
+	}
+	return ms[0].Rows, nil
+}
+
+// packedEigArgs checks the packed triangle AP (and BP).
+func packedEigArgs[T Scalar](routine string, check bool, aps ...[]T) (int, error) {
+	n := packedOrder(len(aps[0]))
+	for i, ap := range aps {
+		if n < 0 || packedOrder(len(ap)) != n {
+			return 0, erinfo(routine, -(i + 1), "")
+		}
+	}
+	if check {
+		for i, ap := range aps {
+			if err := finiteSlice(routine, i+1, "AB"[i:i+1]+"P", ap); err != nil {
+				return 0, err
+			}
+		}
+	}
+	return n, nil
+}
+
+// bandEigArgs checks the symmetric band storage AB (and BB; the bandwidths
+// are Rows−1 and may differ).
+func bandEigArgs[T Scalar](routine string, check bool, abs ...*Matrix[T]) (int, error) {
+	for i, ab := range abs {
+		if ab == nil || ab.Rows < 1 || ab.Cols != abs[0].Cols {
+			return 0, erinfo(routine, -(i + 1), "")
+		}
+	}
+	if check {
+		for i, ab := range abs {
+			if err := finiteMat(routine, i+1, "AB"[i:i+1]+"B", ab); err != nil {
+				return 0, err
+			}
+		}
+	}
+	return abs[0].Cols, nil
+}
+
+// tridiagArgs checks the diagonal D and off-diagonal E of a real symmetric
+// tridiagonal matrix.
+func tridiagArgs(routine string, check bool, d, e []float64) (int, error) {
+	n := len(d)
+	if n > 0 && len(e) != n-1 {
+		return 0, erinfo(routine, -2, "")
+	}
+	if check {
+		return n, firstErr(finiteFloats(routine, 1, "D", d), finiteFloats(routine, 2, "E", e))
+	}
+	return n, nil
+}

@@ -36,9 +36,8 @@ import (
 // the pack-free path); pass a negative value to disable it explicitly.
 // NBGetrf pins both LU size regimes, exactly like the LA90_NB_GETRF
 // variable; NBGetrfLg reports the large-n regime in DefaultConfig and is
-// not read by WithConfig. Boolean policies (mixed precision, input
-// screening, SVD algorithm) have their own options: WithMixed, WithCheck,
-// WithQRIteration.
+// not read by WithConfig. Input screening, the one boolean policy, has its
+// own option: WithCheck.
 type Config = core.Tuning
 
 // DefaultConfig returns a snapshot of the process-wide default tuning

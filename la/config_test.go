@@ -426,7 +426,6 @@ func fullPin(threads, base int) la.Config {
 		NBSytrd:            base / 4,
 		NBGebrd:            base / 4,
 		NBGehrd:            base / 4,
-		MixedIterMax:       30,
 	}
 }
 

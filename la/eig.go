@@ -2,6 +2,32 @@ package la
 
 import "repro/internal/lapack"
 
+// What the symmetric eigenproblem drivers report when INFO > 0.
+const (
+	qlFailed   = "the QL/QR iteration failed to converge"
+	dcFailed   = "the divide & conquer iteration failed"
+	ifailSet   = "some eigenvectors failed to converge"
+	notPosDefB = "B is not positive definite or the reduction failed"
+)
+
+// EigXResult carries the outputs of the expert eigensolvers (the paper's
+// M, W, Z, IFAIL arguments).
+type EigXResult[T Scalar] struct {
+	M     int        // number of eigenvalues found
+	W     []float64  // the eigenvalues, ascending
+	Z     *Matrix[T] // eigenvectors (first M columns), when requested
+	IFail []int      // indices of eigenvectors that failed to converge
+}
+
+// evxResult is the return of an expert eigensolver: z keeps the M columns
+// that were computed.
+func evxResult[T Scalar](routine string, res lapack.SyevxResult, z *Matrix[T]) (*EigXResult[T], error) {
+	if z != nil {
+		z.Cols = res.M
+	}
+	return &EigXResult[T]{M: res.M, W: res.W, Z: z, IFail: res.IFail}, erinfo(routine, res.Info, ifailSet)
+}
+
 // SYEV computes all eigenvalues and, with WithVectors, the orthonormal
 // eigenvectors of a real symmetric matrix — and, by genericity, of a
 // complex Hermitian one (the paper's LA_SYEV / LA_HEEV). Only the
@@ -11,18 +37,13 @@ func SYEV[T Scalar](a *Matrix[T], opts ...Opt) (w []float64, err error) {
 	const routine = "LA_SYEV"
 	defer guard(routine, &err)
 	o := apply(opts)
-	cfg := o.cfg
-	if !square(a) {
-		return nil, erinfo(routine, -1, "")
+	n, err := symArgs(routine, o.check, a)
+	if err != nil {
+		return nil, err
 	}
-	if o.check {
-		if err := finiteMat(routine, 1, "A", a); err != nil {
-			return nil, err
-		}
-	}
-	w = make([]float64, a.Rows)
-	info := lapack.Syev[T](cfg, o.vectors, o.uplo, a.Rows, a.Data, a.Stride, w)
-	return w, erdiag(routine, info, "the QL/QR iteration failed to converge", DiagNotConverged)
+	w = make([]float64, n)
+	info := lapack.Syev[T](o.cfg, o.vectors, o.uplo, n, a.Data, a.Stride, w)
+	return w, erdiag(routine, info, qlFailed, DiagNotConverged)
 }
 
 // HEEV is the Hermitian name for SYEV (the paper's LA_HEEV).
@@ -37,32 +58,18 @@ func SYEVD[T Scalar](a *Matrix[T], opts ...Opt) (w []float64, err error) {
 	const routine = "LA_SYEVD"
 	defer guard(routine, &err)
 	o := apply(opts)
-	cfg := o.cfg
-	if !square(a) {
-		return nil, erinfo(routine, -1, "")
+	n, err := symArgs(routine, o.check, a)
+	if err != nil {
+		return nil, err
 	}
-	if o.check {
-		if err := finiteMat(routine, 1, "A", a); err != nil {
-			return nil, err
-		}
-	}
-	w = make([]float64, a.Rows)
-	info := lapack.Syevd[T](cfg, o.vectors, o.uplo, a.Rows, a.Data, a.Stride, w)
-	return w, erinfo(routine, info, "the divide & conquer iteration failed")
+	w = make([]float64, n)
+	info := lapack.Syevd[T](o.cfg, o.vectors, o.uplo, n, a.Data, a.Stride, w)
+	return w, erinfo(routine, info, dcFailed)
 }
 
 // HEEVD is the Hermitian name for SYEVD (the paper's LA_HEEVD).
 func HEEVD[T Scalar](a *Matrix[T], opts ...Opt) (w []float64, err error) {
 	return SYEVD(a, opts...)
-}
-
-// EigXResult carries the outputs of the expert eigensolvers (the paper's
-// M, W, Z, IFAIL arguments).
-type EigXResult[T Scalar] struct {
-	M     int        // number of eigenvalues found
-	W     []float64  // the eigenvalues, ascending
-	Z     *Matrix[T] // eigenvectors (first M columns), when requested
-	IFail []int      // indices of eigenvectors that failed to converge
 }
 
 // SYEVX computes selected eigenvalues and, with WithVectors, eigenvectors
@@ -74,29 +81,13 @@ func SYEVX[T Scalar](a *Matrix[T], opts ...Opt) (result *EigXResult[T], err erro
 	const routine = "LA_SYEVX"
 	defer guard(routine, &err)
 	o := apply(opts)
-	cfg := o.cfg
-	if !square(a) {
-		return nil, erinfo(routine, -1, "")
+	n, err := symArgs(routine, o.check, a)
+	if err != nil {
+		return nil, err
 	}
-	n := a.Rows
-	iu := o.iu
-	if o.rng == lapack.RangeIndex && iu == 0 {
-		iu = n
-	}
-	var z *Matrix[T]
-	var zdata []T
-	ldz := 1
-	if o.vectors {
-		z = NewMatrix[T](n, n)
-		zdata = z.Data
-		ldz = z.Stride
-	}
-	res := lapack.Syevx(cfg, o.vectors, o.rng, o.uplo, n, a.Data, a.Stride, o.vl, o.vu, o.il, iu, o.abstol, zdata, ldz)
-	out := &EigXResult[T]{M: res.M, W: res.W, Z: z, IFail: res.IFail}
-	if z != nil {
-		z.Cols = res.M
-	}
-	return out, erinfo(routine, res.Info, "some eigenvectors failed to converge")
+	z, zdata, ldz := vecOut[T](o.vectors, n, n)
+	res := lapack.Syevx(o.cfg, o.vectors, o.rng, o.uplo, n, a.Data, a.Stride, o.vl, o.vu, o.il, o.iuFor(n), o.abstol, zdata, ldz)
+	return evxResult(routine, res, z)
 }
 
 // HEEVX is the Hermitian name for SYEVX (the paper's LA_HEEVX).
@@ -111,21 +102,14 @@ func SPEV[T Scalar](ap []T, opts ...Opt) (w []float64, z *Matrix[T], err error) 
 	const routine = "LA_SPEV"
 	defer guard(routine, &err)
 	o := apply(opts)
-	cfg := o.cfg
-	n := packedOrder(len(ap))
-	if n < 0 {
-		return nil, nil, erinfo(routine, -1, "")
+	n, err := packedEigArgs(routine, o.check, ap)
+	if err != nil {
+		return nil, nil, err
 	}
 	w = make([]float64, n)
-	var zdata []T
-	ldz := 1
-	if o.vectors {
-		z = NewMatrix[T](n, n)
-		zdata = z.Data
-		ldz = z.Stride
-	}
-	info := lapack.Spev(cfg, o.vectors, o.uplo, n, ap, w, zdata, ldz)
-	return w, z, erdiag(routine, info, "the QL/QR iteration failed to converge", DiagNotConverged)
+	z, zdata, ldz := vecOut[T](o.vectors, n, n)
+	info := lapack.Spev(o.cfg, o.vectors, o.uplo, n, ap, w, zdata, ldz)
+	return w, z, erdiag(routine, info, qlFailed, DiagNotConverged)
 }
 
 // HPEV is the Hermitian name for SPEV (the paper's LA_HPEV).
@@ -139,19 +123,14 @@ func SPEVD[T Scalar](ap []T, opts ...Opt) (w []float64, z *Matrix[T], err error)
 	const routine = "LA_SPEVD"
 	defer guard(routine, &err)
 	o := apply(opts)
-	cfg := o.cfg
-	n := packedOrder(len(ap))
-	if n < 0 {
-		return nil, nil, erinfo(routine, -1, "")
+	n, err := packedEigArgs(routine, o.check, ap)
+	if err != nil {
+		return nil, nil, err
 	}
-	a := NewMatrix[T](n, n)
-	unpackInto(o.uplo, n, ap, a)
 	w = make([]float64, n)
-	info := lapack.Syevd[T](cfg, o.vectors, o.uplo, n, a.Data, a.Stride, w)
-	if o.vectors {
-		z = a
-	}
-	return w, z, erinfo(routine, info, "the divide & conquer iteration failed")
+	z, zdata, ldz := vecOut[T](o.vectors, n, n)
+	info := lapack.Spevd(o.cfg, o.vectors, o.uplo, n, ap, w, zdata, ldz)
+	return w, z, erinfo(routine, info, dcFailed)
 }
 
 // HPEVD is the Hermitian name for SPEVD.
@@ -165,29 +144,13 @@ func SPEVX[T Scalar](ap []T, opts ...Opt) (result *EigXResult[T], err error) {
 	const routine = "LA_SPEVX"
 	defer guard(routine, &err)
 	o := apply(opts)
-	cfg := o.cfg
-	n := packedOrder(len(ap))
-	if n < 0 {
-		return nil, erinfo(routine, -1, "")
+	n, err := packedEigArgs(routine, o.check, ap)
+	if err != nil {
+		return nil, err
 	}
-	iu := o.iu
-	if o.rng == lapack.RangeIndex && iu == 0 {
-		iu = n
-	}
-	var z *Matrix[T]
-	var zdata []T
-	ldz := 1
-	if o.vectors {
-		z = NewMatrix[T](n, n)
-		zdata = z.Data
-		ldz = z.Stride
-	}
-	res := lapack.Spevx(cfg, o.vectors, o.rng, o.uplo, n, ap, o.vl, o.vu, o.il, iu, o.abstol, zdata, ldz)
-	out := &EigXResult[T]{M: res.M, W: res.W, Z: z, IFail: res.IFail}
-	if z != nil {
-		z.Cols = res.M
-	}
-	return out, erinfo(routine, res.Info, "some eigenvectors failed to converge")
+	z, zdata, ldz := vecOut[T](o.vectors, n, n)
+	res := lapack.Spevx(o.cfg, o.vectors, o.rng, o.uplo, n, ap, o.vl, o.vu, o.il, o.iuFor(n), o.abstol, zdata, ldz)
+	return evxResult(routine, res, z)
 }
 
 // HPEVX is the Hermitian name for SPEVX.
@@ -202,22 +165,14 @@ func SBEV[T Scalar](ab *Matrix[T], opts ...Opt) (w []float64, z *Matrix[T], err 
 	const routine = "LA_SBEV"
 	defer guard(routine, &err)
 	o := apply(opts)
-	cfg := o.cfg
-	if ab == nil || ab.Rows < 1 {
-		return nil, nil, erinfo(routine, -1, "")
+	n, err := bandEigArgs(routine, o.check, ab)
+	if err != nil {
+		return nil, nil, err
 	}
-	n := ab.Cols
-	kd := ab.Rows - 1
 	w = make([]float64, n)
-	var zdata []T
-	ldz := 1
-	if o.vectors {
-		z = NewMatrix[T](n, n)
-		zdata = z.Data
-		ldz = z.Stride
-	}
-	info := lapack.Sbev(cfg, o.vectors, o.uplo, n, kd, ab.Data, ab.Stride, w, zdata, ldz)
-	return w, z, erdiag(routine, info, "the QL/QR iteration failed to converge", DiagNotConverged)
+	z, zdata, ldz := vecOut[T](o.vectors, n, n)
+	info := lapack.Sbev(o.cfg, o.vectors, o.uplo, n, ab.Rows-1, ab.Data, ab.Stride, w, zdata, ldz)
+	return w, z, erdiag(routine, info, qlFailed, DiagNotConverged)
 }
 
 // HBEV is the Hermitian name for SBEV (the paper's LA_HBEV).
@@ -231,20 +186,14 @@ func SBEVD[T Scalar](ab *Matrix[T], opts ...Opt) (w []float64, z *Matrix[T], err
 	const routine = "LA_SBEVD"
 	defer guard(routine, &err)
 	o := apply(opts)
-	cfg := o.cfg
-	if ab == nil || ab.Rows < 1 {
-		return nil, nil, erinfo(routine, -1, "")
+	n, err := bandEigArgs(routine, o.check, ab)
+	if err != nil {
+		return nil, nil, err
 	}
-	n := ab.Cols
-	kd := ab.Rows - 1
-	a := NewMatrix[T](n, n)
-	expandBandInto(o.uplo, n, kd, ab, a)
 	w = make([]float64, n)
-	info := lapack.Syevd[T](cfg, o.vectors, o.uplo, n, a.Data, a.Stride, w)
-	if o.vectors {
-		z = a
-	}
-	return w, z, erinfo(routine, info, "the divide & conquer iteration failed")
+	z, zdata, ldz := vecOut[T](o.vectors, n, n)
+	info := lapack.Sbevd(o.cfg, o.vectors, o.uplo, n, ab.Rows-1, ab.Data, ab.Stride, w, zdata, ldz)
+	return w, z, erinfo(routine, info, dcFailed)
 }
 
 // HBEVD is the Hermitian name for SBEVD.
@@ -258,30 +207,13 @@ func SBEVX[T Scalar](ab *Matrix[T], opts ...Opt) (result *EigXResult[T], err err
 	const routine = "LA_SBEVX"
 	defer guard(routine, &err)
 	o := apply(opts)
-	cfg := o.cfg
-	if ab == nil || ab.Rows < 1 {
-		return nil, erinfo(routine, -1, "")
+	n, err := bandEigArgs(routine, o.check, ab)
+	if err != nil {
+		return nil, err
 	}
-	n := ab.Cols
-	kd := ab.Rows - 1
-	iu := o.iu
-	if o.rng == lapack.RangeIndex && iu == 0 {
-		iu = n
-	}
-	var z *Matrix[T]
-	var zdata []T
-	ldz := 1
-	if o.vectors {
-		z = NewMatrix[T](n, n)
-		zdata = z.Data
-		ldz = z.Stride
-	}
-	res := lapack.Sbevx(cfg, o.vectors, o.rng, o.uplo, n, kd, ab.Data, ab.Stride, o.vl, o.vu, o.il, iu, o.abstol, zdata, ldz)
-	out := &EigXResult[T]{M: res.M, W: res.W, Z: z, IFail: res.IFail}
-	if z != nil {
-		z.Cols = res.M
-	}
-	return out, erinfo(routine, res.Info, "some eigenvectors failed to converge")
+	z, zdata, ldz := vecOut[T](o.vectors, n, n)
+	res := lapack.Sbevx(o.cfg, o.vectors, o.rng, o.uplo, n, ab.Rows-1, ab.Data, ab.Stride, o.vl, o.vu, o.il, o.iuFor(n), o.abstol, zdata, ldz)
+	return evxResult(routine, res, z)
 }
 
 // HBEVX is the Hermitian name for SBEVX.
@@ -296,20 +228,13 @@ func STEV[T Scalar](d, e []float64, opts ...Opt) (z *Matrix[T], err error) {
 	const routine = "LA_STEV"
 	defer guard(routine, &err)
 	o := apply(opts)
-	cfg := o.cfg
-	n := len(d)
-	if n > 0 && len(e) != n-1 {
-		return nil, erinfo(routine, -2, "")
+	n, err := tridiagArgs(routine, o.check, d, e)
+	if err != nil {
+		return nil, err
 	}
-	var zdata []T
-	ldz := 1
-	if o.vectors {
-		z = NewMatrix[T](n, n)
-		zdata = z.Data
-		ldz = z.Stride
-	}
-	info := lapack.Stev(cfg, n, d, e, zdata, ldz)
-	return z, erdiag(routine, info, "the QL/QR iteration failed to converge", DiagNotConverged)
+	z, zdata, ldz := vecOut[T](o.vectors, n, n)
+	info := lapack.Stev(o.cfg, n, d, e, zdata, ldz)
+	return z, erdiag(routine, info, qlFailed, DiagNotConverged)
 }
 
 // STEVD is the divide & conquer variant of STEV (the paper's LA_STEVD).
@@ -317,20 +242,13 @@ func STEVD[T Scalar](d, e []float64, opts ...Opt) (z *Matrix[T], err error) {
 	const routine = "LA_STEVD"
 	defer guard(routine, &err)
 	o := apply(opts)
-	cfg := o.cfg
-	n := len(d)
-	if n > 0 && len(e) != n-1 {
-		return nil, erinfo(routine, -2, "")
+	n, err := tridiagArgs(routine, o.check, d, e)
+	if err != nil {
+		return nil, err
 	}
-	var zdata []T
-	ldz := 1
-	if o.vectors {
-		z = NewMatrix[T](n, n)
-		zdata = z.Data
-		ldz = z.Stride
-	}
-	info := lapack.Stevd[T](cfg, n, d, e, zdata, ldz)
-	return z, erinfo(routine, info, "the divide & conquer iteration failed")
+	z, zdata, ldz := vecOut[T](o.vectors, n, n)
+	info := lapack.Stevd[T](o.cfg, n, d, e, zdata, ldz)
+	return z, erinfo(routine, info, dcFailed)
 }
 
 // STEVX computes selected eigenvalues/eigenvectors of a real symmetric
@@ -340,65 +258,13 @@ func STEVX[T Scalar](d, e []float64, opts ...Opt) (result *EigXResult[T], err er
 	const routine = "LA_STEVX"
 	defer guard(routine, &err)
 	o := apply(opts)
-	n := len(d)
-	if n > 0 && len(e) != n-1 {
-		return nil, erinfo(routine, -2, "")
+	n, err := tridiagArgs(routine, o.check, d, e)
+	if err != nil {
+		return nil, err
 	}
-	iu := o.iu
-	if o.rng == lapack.RangeIndex && iu == 0 {
-		iu = n
-	}
-	var z *Matrix[T]
-	var zdata []T
-	ldz := 1
-	if o.vectors {
-		z = NewMatrix[T](n, n)
-		zdata = z.Data
-		ldz = z.Stride
-	}
-	res := lapack.Stevx(o.vectors, o.rng, n, d, e, o.vl, o.vu, o.il, iu, o.abstol, zdata, ldz)
-	out := &EigXResult[T]{M: res.M, W: res.W, Z: z, IFail: res.IFail}
-	if z != nil {
-		z.Cols = res.M
-	}
-	return out, erinfo(routine, res.Info, "some eigenvectors failed to converge")
-}
-
-// unpackInto expands a packed triangle into the uplo triangle of a dense
-// matrix, mirroring it for the drivers that need the full matrix.
-func unpackInto[T Scalar](uplo UpLo, n int, ap []T, a *Matrix[T]) {
-	idx := 0
-	if uplo == Upper {
-		for j := 0; j < n; j++ {
-			for i := 0; i <= j; i++ {
-				a.Set(i, j, ap[idx])
-				idx++
-			}
-		}
-	} else {
-		for j := 0; j < n; j++ {
-			for i := j; i < n; i++ {
-				a.Set(i, j, ap[idx])
-				idx++
-			}
-		}
-	}
-}
-
-// expandBandInto expands symmetric band storage into the uplo triangle of
-// a dense matrix.
-func expandBandInto[T Scalar](uplo UpLo, n, kd int, ab, a *Matrix[T]) {
-	for j := 0; j < n; j++ {
-		if uplo == Upper {
-			for i := max(0, j-kd); i <= j; i++ {
-				a.Set(i, j, ab.Data[kd+i-j+j*ab.Stride])
-			}
-		} else {
-			for i := j; i <= min(n-1, j+kd); i++ {
-				a.Set(i, j, ab.Data[i-j+j*ab.Stride])
-			}
-		}
-	}
+	z, zdata, ldz := vecOut[T](o.vectors, n, n)
+	res := lapack.Stevx(o.vectors, o.rng, n, d, e, o.vl, o.vu, o.il, o.iuFor(n), o.abstol, zdata, ldz)
+	return evxResult(routine, res, z)
 }
 
 // SYGV computes all eigenvalues and, with WithVectors, eigenvectors of a
@@ -412,21 +278,13 @@ func SYGV[T Scalar](a, b *Matrix[T], opts ...Opt) (w []float64, err error) {
 	const routine = "LA_SYGV"
 	defer guard(routine, &err)
 	o := apply(opts)
-	cfg := o.cfg
-	if !square(a) {
-		return nil, erinfo(routine, -1, "")
+	n, err := symArgs(routine, o.check, a, b)
+	if err != nil {
+		return nil, err
 	}
-	if !square(b) || b.Rows != a.Rows {
-		return nil, erinfo(routine, -2, "")
-	}
-	if o.check {
-		if err := firstErr(finiteMat(routine, 1, "A", a), finiteMat(routine, 2, "B", b)); err != nil {
-			return nil, err
-		}
-	}
-	w = make([]float64, a.Rows)
-	info := lapack.Sygv(cfg, o.itype, o.vectors, o.uplo, a.Rows, a.Data, a.Stride, b.Data, b.Stride, w)
-	return w, erinfo(routine, info, "B is not positive definite or the reduction failed")
+	w = make([]float64, n)
+	info := lapack.Sygv(o.cfg, o.itype, o.vectors, o.uplo, n, a.Data, a.Stride, b.Data, b.Stride, w)
+	return w, erinfo(routine, info, notPosDefB)
 }
 
 // HEGV is the Hermitian name for SYGV (the paper's LA_HEGV).
@@ -442,24 +300,14 @@ func SPGV[T Scalar](ap, bp []T, opts ...Opt) (w []float64, z *Matrix[T], err err
 	const routine = "LA_SPGV"
 	defer guard(routine, &err)
 	o := apply(opts)
-	cfg := o.cfg
-	n := packedOrder(len(ap))
-	if n < 0 {
-		return nil, nil, erinfo(routine, -1, "")
-	}
-	if packedOrder(len(bp)) != n {
-		return nil, nil, erinfo(routine, -2, "")
+	n, err := packedEigArgs(routine, o.check, ap, bp)
+	if err != nil {
+		return nil, nil, err
 	}
 	w = make([]float64, n)
-	var zdata []T
-	ldz := 1
-	if o.vectors {
-		z = NewMatrix[T](n, n)
-		zdata = z.Data
-		ldz = z.Stride
-	}
-	info := lapack.Spgv(cfg, o.itype, o.vectors, o.uplo, n, ap, bp, w, zdata, ldz)
-	return w, z, erinfo(routine, info, "B is not positive definite or the reduction failed")
+	z, zdata, ldz := vecOut[T](o.vectors, n, n)
+	info := lapack.Spgv(o.cfg, o.itype, o.vectors, o.uplo, n, ap, bp, w, zdata, ldz)
+	return w, z, erinfo(routine, info, notPosDefB)
 }
 
 // HPGV is the Hermitian name for SPGV.
@@ -474,24 +322,14 @@ func SBGV[T Scalar](ab, bb *Matrix[T], opts ...Opt) (w []float64, z *Matrix[T], 
 	const routine = "LA_SBGV"
 	defer guard(routine, &err)
 	o := apply(opts)
-	cfg := o.cfg
-	if ab == nil || ab.Rows < 1 {
-		return nil, nil, erinfo(routine, -1, "")
+	n, err := bandEigArgs(routine, o.check, ab, bb)
+	if err != nil {
+		return nil, nil, err
 	}
-	if bb == nil || bb.Rows < 1 || bb.Cols != ab.Cols {
-		return nil, nil, erinfo(routine, -2, "")
-	}
-	n := ab.Cols
 	w = make([]float64, n)
-	var zdata []T
-	ldz := 1
-	if o.vectors {
-		z = NewMatrix[T](n, n)
-		zdata = z.Data
-		ldz = z.Stride
-	}
-	info := lapack.Sbgv(cfg, o.vectors, o.uplo, n, ab.Rows-1, bb.Rows-1, ab.Data, ab.Stride, bb.Data, bb.Stride, w, zdata, ldz)
-	return w, z, erinfo(routine, info, "B is not positive definite or the reduction failed")
+	z, zdata, ldz := vecOut[T](o.vectors, n, n)
+	info := lapack.Sbgv(o.cfg, o.vectors, o.uplo, n, ab.Rows-1, bb.Rows-1, ab.Data, ab.Stride, bb.Data, bb.Stride, w, zdata, ldz)
+	return w, z, erinfo(routine, info, notPosDefB)
 }
 
 // HBGV is the Hermitian name for SBGV.

@@ -85,6 +85,17 @@ func NewMatrix[T Scalar](rows, cols int) *Matrix[T] {
 	}
 }
 
+// vecOut allocates the rows×cols matrix of an optional vector output (Z, U,
+// Vᴴ) and returns it with the data and leading dimension the computational
+// routine takes; when the vectors are not wanted these are nil, nil and 1.
+func vecOut[T Scalar](want bool, rows, cols int) (z *Matrix[T], data []T, ld int) {
+	if !want {
+		return nil, nil, 1
+	}
+	z = NewMatrix[T](rows, cols)
+	return z, z.Data, z.Stride
+}
+
 // checkAlloc validates an allocation shape: both extents non-negative and
 // the element count max(1, rows)·cols representable in int.
 func checkAlloc(routine string, rows, cols int) *Error {
@@ -382,34 +393,32 @@ const (
 // options collects every optional LAPACK90 argument; each routine reads
 // only the fields its LAPACK counterpart documents.
 type options struct {
-	uplo        UpLo
-	trans       Op
-	transB      Op // op(B) for the batched GEMM (WithTransB)
-	itype       int
-	vectors     bool    // JOBZ = 'V'
-	norm        byte    // NORM for LA_GETRF/LA_LANGE: 'M','1','I','F'
-	rcond       float64 // RCOND threshold for rank decisions
-	fact        lapack.Fact
-	rng         lapack.EigRange
-	vl, vu      float64
-	il, iu      int
-	abstol      float64
-	kl          int // band structure hints (LA_GBSV, LA_LAGGE)
-	ku          int
-	haveKL      bool
-	schurVec    bool // LA_GEES VS wanted
-	left        bool // LA_GEEV VL wanted
-	right       bool // LA_GEEV VR wanted
-	selReal     func(wr, wi float64) bool
-	selCmplx    func(w complex128) bool
-	job         lapack.SVDJob // LA_GESVD JOB
-	jobU        lapack.SVDJob
-	jobVT       lapack.SVDJob
-	iseed       [4]int
-	haveSeed    bool
-	check       bool // screen inputs for non-finite values (WithCheck / LA90_CHECK_INPUTS)
-	mixed       bool // factor in reduced precision, refine to full (WithMixed / LA90_MIXED)
-	qrIteration bool // classic QR-iteration SVD instead of D&C (WithQRIteration)
+	uplo     UpLo
+	trans    Op
+	transB   Op // op(B) for the batched GEMM (WithTransB)
+	itype    int
+	vectors  bool    // JOBZ = 'V'
+	norm     byte    // NORM for LA_GETRF/LA_LANGE: 'M','1','I','F'
+	rcond    float64 // RCOND threshold for rank decisions
+	fact     lapack.Fact
+	rng      lapack.EigRange
+	vl, vu   float64
+	il, iu   int
+	abstol   float64
+	kl       int // band structure hints (LA_GBSV, LA_LAGGE)
+	ku       int
+	haveKL   bool
+	schurVec bool // LA_GEES VS wanted
+	left     bool // LA_GEEV VL wanted
+	right    bool // LA_GEEV VR wanted
+	selReal  func(wr, wi float64) bool
+	selCmplx func(w complex128) bool
+	job      lapack.SVDJob // LA_GESVD JOB
+	jobU     lapack.SVDJob
+	jobVT    lapack.SVDJob
+	iseed    [4]int
+	haveSeed bool
+	check    bool // screen inputs for non-finite values (WithCheck / LA90_CHECK_INPUTS)
 
 	// cfg is the execution context of the call: the process-wide default
 	// configuration captured exactly once, here at the API boundary, then
@@ -425,7 +434,6 @@ func defaults() options {
 	return options{
 		cfg:    cfg,
 		check:  cfg.CheckInputs,
-		mixed:  cfg.Mixed,
 		uplo:   Upper,
 		trans:  None,
 		transB: None,
@@ -439,6 +447,15 @@ func defaults() options {
 		jobU:   lapack.SVDSome,
 		jobVT:  lapack.SVDSome,
 	}
+}
+
+// iuFor is the IU of an expert eigensolver of order n: WithIndexRange's
+// upper index, where 0 stands for n.
+func (o *options) iuFor(n int) int {
+	if o.rng == lapack.RangeIndex && o.iu == 0 {
+		return n
+	}
+	return o.iu
 }
 
 // Opt is a LAPACK90 optional argument.

@@ -20,11 +20,6 @@ func GESV[T Scalar](a, b *Matrix[T], opts ...Opt) (ipiv []int, err error) {
 	}
 	n := a.Rows
 	ipiv = make([]int, n)
-	if o.mixed {
-		if _, info, ok := mixedGesv(cfg, a, b, ipiv); ok {
-			return ipiv, erdiag(routine, info, "matrix is exactly singular", DiagSingular)
-		}
-	}
 	info := lapack.Gesv(cfg, n, b.Cols, a.Data, a.Stride, ipiv, b.Data, b.Stride)
 	return ipiv, erdiag(routine, info, "matrix is exactly singular", DiagSingular)
 }
@@ -112,11 +107,6 @@ func POSV[T Scalar](a, b *Matrix[T], opts ...Opt) (err error) {
 	cfg := o.cfg
 	if err := denseArgs(routine, o.check, a, b); err != nil {
 		return err
-	}
-	if o.mixed {
-		if _, info, ok := mixedPosv(cfg, o.uplo, a, b); ok {
-			return erdiag(routine, info, "matrix is not positive definite", DiagNotPositiveDefinite)
-		}
 	}
 	info := lapack.Posv(cfg, o.uplo, a.Rows, b.Cols, a.Data, a.Stride, b.Data, b.Stride)
 	return erdiag(routine, info, "matrix is not positive definite", DiagNotPositiveDefinite)

@@ -70,32 +70,9 @@ func GELSX[T Scalar](a, b *Matrix[T], opts ...Opt) (rank int, jpvt []int, err er
 // least squares problem using the singular value decomposition (the
 // paper's LA_GELSS). It returns the effective rank and the singular
 // values of A. B must have max(m, n) rows and is overwritten with the
-// solution. The SVD runs on the divide-and-conquer engine by default;
-// WithQRIteration selects the classic path instead.
+// solution. It is GELSD under the paper's name.
 func GELSS[T Scalar](a, b *Matrix[T], opts ...Opt) (rank int, s []float64, err error) {
-	const routine = "LA_GELSS"
-	defer guard(routine, &err)
-	o := apply(opts)
-	cfg := o.cfg
-	if a == nil {
-		return 0, nil, erinfo(routine, -1, "")
-	}
-	if b == nil || b.Rows != max(a.Rows, a.Cols) {
-		return 0, nil, erinfo(routine, -2, "")
-	}
-	if o.check {
-		if err := firstErr(finiteMat(routine, 1, "A", a), finiteMat(routine, 2, "B", b)); err != nil {
-			return 0, nil, err
-		}
-	}
-	s = make([]float64, min(a.Rows, a.Cols))
-	var info int
-	if o.qrIteration {
-		rank, info = lapack.Gelss(cfg, a.Rows, a.Cols, b.Cols, a.Data, a.Stride, b.Data, b.Stride, s, o.rcond)
-	} else {
-		rank, info = lapack.Gelsd(cfg, a.Rows, a.Cols, b.Cols, a.Data, a.Stride, b.Data, b.Stride, s, o.rcond)
-	}
-	return rank, s, erdiag(routine, info, "the SVD iteration failed to converge", DiagNotConverged)
+	return gelsd("LA_GELSS", a, b, opts)
 }
 
 // GGLSE solves the linear equality-constrained least squares problem

@@ -183,14 +183,11 @@ type SVDResult[T Scalar] struct {
 
 // GESVD computes the singular value decomposition A = U·Σ·Vᴴ (the paper's
 // LA_GESVD). WithSingularVectors selects how much of U and Vᴴ to form
-// (default 'S', 'S': the economy factors). A is destroyed. The drive runs
-// on the divide-and-conquer engine by default; WithQRIteration selects the
-// classic QR-iteration path instead.
+// (default 'S', 'S': the economy factors). A is destroyed.
 func GESVD[T Scalar](a *Matrix[T], opts ...Opt) (result *SVDResult[T], err error) {
 	const routine = "LA_GESVD"
 	defer guard(routine, &err)
 	o := apply(opts)
-	cfg := o.cfg
 	if a == nil {
 		return nil, erinfo(routine, -1, "")
 	}
@@ -199,34 +196,25 @@ func GESVD[T Scalar](a *Matrix[T], opts ...Opt) (result *SVDResult[T], err error
 			return nil, err
 		}
 	}
+	res := &SVDResult[T]{S: make([]float64, min(a.Rows, a.Cols))}
+	return res, erdiag(routine, res.gesdd(&o, a), "the SVD iteration failed to converge", DiagNotConverged)
+}
+
+// gesdd is the computation of LA_GESVD on one matrix, for GESVD and
+// BatchGesdd: it allocates the U and Vᴴ that WithSingularVectors asks for,
+// runs the divide & conquer driver into them and res.S, and returns INFO.
+func (res *SVDResult[T]) gesdd(o *options, a *Matrix[T]) int {
 	m, n := a.Rows, a.Cols
-	mn := min(m, n)
-	res := &SVDResult[T]{S: make([]float64, mn)}
-	var u, vt *Matrix[T]
+	ucols, vtrows := len(res.S), len(res.S)
+	if o.jobU == lapack.SVDAll {
+		ucols = m
+	}
+	if o.jobVT == lapack.SVDAll {
+		vtrows = n
+	}
 	var udata, vtdata []T
-	ldu, ldvt := 1, 1
-	if o.jobU != lapack.SVDNone {
-		cols := mn
-		if o.jobU == lapack.SVDAll {
-			cols = m
-		}
-		u = NewMatrix[T](m, cols)
-		udata, ldu = u.Data, u.Stride
-	}
-	if o.jobVT != lapack.SVDNone {
-		rows := mn
-		if o.jobVT == lapack.SVDAll {
-			rows = n
-		}
-		vt = NewMatrix[T](rows, n)
-		vtdata, ldvt = vt.Data, vt.Stride
-	}
-	var info int
-	if o.qrIteration {
-		info = lapack.Gesvd(cfg, o.jobU, o.jobVT, m, n, a.Data, a.Stride, res.S, udata, ldu, vtdata, ldvt)
-	} else {
-		info = lapack.Gesdd(cfg, o.jobU, o.jobVT, m, n, a.Data, a.Stride, res.S, udata, ldu, vtdata, ldvt)
-	}
-	res.U, res.VT = u, vt
-	return res, erdiag(routine, info, "the SVD iteration failed to converge", DiagNotConverged)
+	var ldu, ldvt int
+	res.U, udata, ldu = vecOut[T](o.jobU != lapack.SVDNone, m, ucols)
+	res.VT, vtdata, ldvt = vecOut[T](o.jobVT != lapack.SVDNone, vtrows, n)
+	return lapack.Gesdd(o.cfg, o.jobU, o.jobVT, m, n, a.Data, a.Stride, res.S, udata, ldu, vtdata, ldvt)
 }

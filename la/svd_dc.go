@@ -1,34 +1,29 @@
 package la
 
-// Divide-and-conquer routing for the SVD-based drivers.
-//
-// LA_GESVD and LA_GELSS run on the bidiagonal divide & conquer engine
-// (lapack.Gesdd / lapack.Gelsd) by default: the bidiagonal singular vectors
-// are accumulated in float64 and applied to the orthogonal bases with one
-// GEMM per side, and tall problems take a blocked QR first at the m ≥ 5n/3
-// crossover — the Level-3 shape the PR-1/2 engine is built for. The
-// QR-iteration path (lapack.Gesvd / lapack.Gelss) remains selectable per
-// call with WithQRIteration; it reproduces the classic Bdsqr results
-// bit-identically.
+// The least squares driver on the SVD and the batched SVD-based drivers. All
+// of them run the bidiagonal divide & conquer engine (lapack.Gesdd /
+// lapack.Gelsd): the bidiagonal singular vectors are accumulated in float64
+// and applied to the orthogonal bases with one GEMM per side, and tall
+// problems take a blocked QR first at the m ≥ 5n/3 crossover. The QR-iteration
+// routines (lapack.Gesvd / lapack.Gelss) are the route of the f77 layer and
+// of GGSVD, and the reference the D&C agreement tests compare against.
 
 import (
 	"repro/internal/blas"
 	"repro/internal/lapack"
 )
 
-// WithQRIteration routes this call's SVD through the classic QR-iteration
-// path (xGESVD/xGELSS) instead of divide & conquer, bit-identical to the
-// pre-D&C drivers: the route f77 and GGSVD take, and the reference the
-// D&C agreement tests and BENCH_svd.json compare against.
-func WithQRIteration() Opt { return func(o *options) { o.qrIteration = true } }
-
 // GELSD computes the minimum-norm solution to a possibly rank-deficient
 // least squares problem using the divide-and-conquer SVD (the paper
 // family's LA_GELSD). It returns the effective rank and the singular
 // values of A. B must have max(m, n) rows and is overwritten with the
-// solution. Unlike GELSS this driver always uses divide & conquer.
+// solution.
 func GELSD[T Scalar](a, b *Matrix[T], opts ...Opt) (rank int, s []float64, err error) {
-	const routine = "LA_GELSD"
+	return gelsd("LA_GELSD", a, b, opts)
+}
+
+// gelsd is the body of GELSD and of GELSS, which is the paper's name for it.
+func gelsd[T Scalar](routine string, a, b *Matrix[T], opts []Opt) (rank int, s []float64, err error) {
 	defer guard(routine, &err)
 	o := apply(opts)
 	cfg := o.cfg
@@ -50,10 +45,9 @@ func GELSD[T Scalar](a, b *Matrix[T], opts ...Opt) (rank int, s []float64, err e
 
 // BatchGesdd computes the singular value decomposition of every A[i] (the
 // batched LA_GESVD on the divide-and-conquer engine). Each item performs
-// exactly the work the single-call GESVD would — including the
-// WithQRIteration kill-switch — so results are bit-identical to a serial
-// loop at any SetThreads value; the per-item drives recycle the pooled
-// per-worker workspaces. res[i] carries problem i's factors, errs[i] its
+// exactly the work the single-call GESVD would, so results are bit-identical
+// to a serial loop at any SetThreads value; the per-item drives recycle the
+// pooled per-worker workspaces. res[i] carries problem i's factors, errs[i] its
 // error; err reports batch-level misuse.
 func BatchGesdd[T Scalar](as []*Matrix[T], opts ...Opt) (res []*SVDResult[T], errs []error, err error) {
 	const routine = "LA_GESVD"
@@ -92,33 +86,7 @@ func BatchGesdd[T Scalar](as []*Matrix[T], opts ...Opt) (res []*SVDResult[T], er
 				return
 			}
 		}
-		m, n := a.Rows, a.Cols
-		mn := min(m, n)
-		var udata, vtdata []T
-		ldu, ldvt := 1, 1
-		if o.jobU != lapack.SVDNone {
-			cols := mn
-			if o.jobU == lapack.SVDAll {
-				cols = m
-			}
-			u := NewMatrix[T](m, cols)
-			res[i].U, udata, ldu = u, u.Data, u.Stride
-		}
-		if o.jobVT != lapack.SVDNone {
-			rows := mn
-			if o.jobVT == lapack.SVDAll {
-				rows = n
-			}
-			vt := NewMatrix[T](rows, n)
-			res[i].VT, vtdata, ldvt = vt, vt.Data, vt.Stride
-		}
-		var info int
-		if o.qrIteration {
-			info = lapack.Gesvd(cfg, o.jobU, o.jobVT, m, n, a.Data, a.Stride, res[i].S, udata, ldu, vtdata, ldvt)
-		} else {
-			info = lapack.Gesdd(cfg, o.jobU, o.jobVT, m, n, a.Data, a.Stride, res[i].S, udata, ldu, vtdata, ldvt)
-		}
-		errs[i] = erdiag(routine, info, "the SVD failed to converge", DiagNotConverged)
+		errs[i] = erdiag(routine, res[i].gesdd(&o, a), "the SVD failed to converge", DiagNotConverged)
 	}, func(i int, pe *blas.PanicError) {
 		errs[i] = batchItemError(routine, pe)
 	})
@@ -126,8 +94,7 @@ func BatchGesdd[T Scalar](as []*Matrix[T], opts ...Opt) (res []*SVDResult[T], er
 }
 
 // BatchGelsd solves the least squares problems min ‖B[i] − A[i]·X[i]‖₂ for
-// every i on the divide-and-conquer SVD (the batched LA_GELSD; with
-// WithQRIteration each item runs the classic Gelss instead). Each B[i] is
+// every i on the divide-and-conquer SVD (the batched LA_GELSD). Each B[i] is
 // overwritten with its minimum-norm solution; ranks[i] and ss[i] hold the
 // effective rank and singular values of problem i, the latter carved from
 // one flat allocation. errs[i] is problem i's error; err reports
@@ -177,11 +144,7 @@ func BatchGelsd[T Scalar](as, bs []*Matrix[T], opts ...Opt) (ranks []int, ss [][
 			}
 		}
 		var info int
-		if o.qrIteration {
-			ranks[i], info = lapack.Gelss(cfg, a.Rows, a.Cols, b.Cols, a.Data, a.Stride, b.Data, b.Stride, ss[i], o.rcond)
-		} else {
-			ranks[i], info = lapack.Gelsd(cfg, a.Rows, a.Cols, b.Cols, a.Data, a.Stride, b.Data, b.Stride, ss[i], o.rcond)
-		}
+		ranks[i], info = lapack.Gelsd(cfg, a.Rows, a.Cols, b.Cols, a.Data, a.Stride, b.Data, b.Stride, ss[i], o.rcond)
 		errs[i] = erdiag(routine, info, "the SVD failed to converge", DiagNotConverged)
 	}, func(i int, pe *blas.PanicError) {
 		errs[i] = batchItemError(routine, pe)
