@@ -95,6 +95,14 @@ lint-dispatch:
 # (*system).con; `Lacn2(` — one call in con (expert.go), one in
 # (*system).rfs (rfs.go), and the Sylvester/eigenvector condition estimates of
 # expertnonsym.go, which are not linear solves.
+# The same target holds the symmetric eigensolvers to one body per storage
+# format: in non-test Go outside bench/ the QL/QR iteration (Steqr) and the
+# divide & conquer tree (Stevd) are called only by the two bodies that pick
+# between them by order — Syev and Stev (sytrd.go) — by Stedc, by the tree's
+# own leaves (stedcRec) and by f77's STEQR; a census of the calling functions
+# catches a second driver body that chooses its own tridiagonal solver.
+EIG_SITES = f77/f77ext.go:STEQR internal/lapack/dc.go:Stedc internal/lapack/dc.go:stedcRec \
+	internal/lapack/sytrd.go:Stev internal/lapack/sytrd.go:Stev internal/lapack/sytrd.go:Syev internal/lapack/sytrd.go:Syev
 lint-once:
 	@fact=$$(grep -nE '[!=]= FactFact' internal/lapack/*.go | grep -v '_test\.go:'); \
 	rcond=$$(grep -n 'rcondFromEst(' internal/lapack/*.go | grep -v '_test\.go:' | grep -v 'func rcondFromEst('); \
@@ -103,6 +111,13 @@ lint-once:
 		|| [ "$$lacn2" != "internal/lapack/expert.go internal/lapack/rfs.go " ]; then \
 		echo 'lint-once: the expert pipeline has a second copy (see the allowed sites in the Makefile):'; \
 		printf '%s\n%s\nLacn2 callers: %s\n' "$$fact" "$$rcond" "$$lacn2"; exit 1; \
+	fi
+	@sites=$$(find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' | sort | xargs awk \
+		'/^func /{f=$$0; sub(/^func (\([^)]*\) )?/, "", f); sub(/[[(].*/, "", f)} /(^|[^A-Za-z])(Steqr|Stevd)\(/{print FILENAME ":" f}' \
+		| sed 's|^\./||' | sort | tr '\n' ' '); \
+	if [ "$$sites" != "$(strip $(EIG_SITES)) " ]; then \
+		echo 'lint-once: Steqr/Stevd called outside the symmetric eigensolver bodies:'; \
+		echo "$$sites"; exit 1; \
 	fi
 	@echo "lint-once: ok"
 
@@ -166,11 +181,12 @@ fuzz:
 # engine (float64, and the complex 1m rows), the factorization benchmarks
 # (square and the 4096×256 QR, Cholesky, Bunch–Kaufman on all four types),
 # Trsm on each leaf form, the Level-3 thread-scaling table, the tall GELSD
-# driver, the eigenvalue iteration phase with its kernels, the Level-1/2
+# driver, the eigenvalue iteration phase with its kernels and the route sweep
+# that sets the symmetric eigensolver's crossover, the Level-1/2
 # leaves, the per-call option overhead and the expert-driver legs, no timing
 # claims.
 benchsmoke:
-	$(GO) test -run=NONE -bench='Getrf|Gemm|Geqrf|GelsdTall|Steqr|Stedc|Bdsdc|Hseqr|Trevc|Orgtr|Ormtr|Syevd|Gesdd|Geev|RotSeq|Secular|ApplyOptions|Level2|Level3Parallel|Sytrf|Trsm|Potrf|PotrsSmall|GetrsSmall|PosvSmallBatch|Example3Small|AblationExpertDriver|AblationSmallCholesky|AblationSmallLU' -benchtime=1x .
+	$(GO) test -run=NONE -bench='Getrf|Gemm|Geqrf|GelsdTall|Steqr|Stedc|Bdsdc|Hseqr|Trevc|Orgtr|Ormtr|Syevd|SymEigRoutes|Gesdd|Geev|RotSeq|Secular|ApplyOptions|Level2|Level3Parallel|Sytrf|Trsm|Potrf|PotrsSmall|GetrsSmall|PosvSmallBatch|Example3Small|AblationExpertDriver|AblationSmallCholesky|AblationSmallLU' -benchtime=1x .
 	$(GO) run ./cmd/la90bench -reduce -maxn 256 -reps 1 -out /tmp/BENCH_reduce_smoke.json
 	$(GO) run ./cmd/la90bench -batch -maxbatch 64 -reps 1 -out /tmp/BENCH_batch_smoke.json
 	$(GO) run ./cmd/la90bench -cond -maxn 256 -reps 1 -out /tmp/BENCH_cond_smoke.json

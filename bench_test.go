@@ -8,6 +8,7 @@ package main
 import (
 	"math"
 	"testing"
+	"unsafe"
 
 	"repro/f77"
 	"repro/internal/blas"
@@ -295,36 +296,54 @@ func BenchmarkAblationGETRF(b *testing.B) {
 	})
 }
 
-// QL/QR iteration versus divide & conquer for the full symmetric
-// eigenproblem with vectors (the SYEV vs SYEVD choice the paper's driver
-// list exposes).
-func BenchmarkAblationSymEig(b *testing.B) {
-	n := 200
-	rng := lapack.NewRng([4]int{n, 4, 4, 4})
-	a0 := make([]float64, n*n)
-	lapack.Larnv(2, rng, n*n, a0)
-	for j := 0; j < n; j++ {
-		for i := 0; i < j; i++ {
-			a0[j+i*n] = a0[i+j*n]
-		}
+// BenchmarkSymEigRoutes is the sweep that sets the order at which the
+// symmetric eigensolver with vectors (LA_SYEV and LA_SYEVD alike) leaves the
+// QL/QR iteration for divide & conquer: after the same reduction, "QR" forms
+// Q and iterates on it (Orgtr, Steqr) and "DC" takes the eigenvectors of T by
+// the D&C tree and applies Q to them (Stevd, Ormtr), per element type and
+// order. EXPERIMENTS.md, "One symmetric eigensolver body", has the table.
+func BenchmarkSymEigRoutes(b *testing.B) {
+	for _, n := range []int{16, 32, 64, 96, 128, 192, 256, 384} {
+		benchSymEigRoutes[float64](b, "f64/N="+itoa(n), n)
+		benchSymEigRoutes[float32](b, "f32/N="+itoa(n), n)
+		benchSymEigRoutes[complex128](b, "c128/N="+itoa(n), n)
+		benchSymEigRoutes[complex64](b, "c64/N="+itoa(n), n)
 	}
-	w := make([]float64, n)
-	b.Run("SYEV-QL", func(b *testing.B) {
-		aw := make([]float64, n*n)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			copy(aw, a0)
-			lapack.Syev[float64](core.Default(), true, lapack.Upper, n, aw, n, w)
-		}
-	})
-	b.Run("SYEVD-DC", func(b *testing.B) {
-		aw := make([]float64, n*n)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			copy(aw, a0)
-			lapack.Syevd[float64](core.Default(), true, lapack.Upper, n, aw, n, w)
-		}
-	})
+}
+
+func benchSymEigRoutes[T core.Scalar](b *testing.B, suffix string, n int) {
+	cfg := core.Default()
+	a0 := make([]T, n*n)
+	lapack.Larnv(2, lapack.NewRng([4]int{n, 4, 4, 4}), n*n, a0)
+	a, z := make([]T, n*n), make([]T, n*n)
+	d, e, tau := make([]float64, n), make([]float64, n), make([]T, n)
+	routes := []struct {
+		name string
+		run  func() int
+	}{
+		{"QR", func() int {
+			lapack.Orgtr(cfg, lapack.Upper, n, a, n, tau)
+			return lapack.Steqr(cfg, n, d, e, a, n)
+		}},
+		{"DC", func() int {
+			if info := lapack.Stevd(cfg, n, d, e, z, n); info != 0 {
+				return info
+			}
+			lapack.Ormtr(cfg, lapack.Upper, lapack.NoTrans, n, n, a, n, tau, z, n)
+			return 0
+		}},
+	}
+	for _, r := range routes {
+		b.Run(r.name+"/"+suffix, func(b *testing.B) {
+			benchLoop(b, func() {
+				copy(a, a0)
+				lapack.Sytrd(cfg, lapack.Upper, n, a, n, d, e, tau)
+				if info := r.run(); info != 0 {
+					b.Fatalf("info %d", info)
+				}
+			})
+		})
+	}
 }
 
 // Rank-deficient least squares: complete orthogonal factorization versus
@@ -1365,26 +1384,32 @@ func BenchmarkGeev(b *testing.B) {
 
 // BenchmarkRotSeq sweeps 383 rotations forward and backward over a 384×384
 // block — one Steqr QL/QR sweep's worth of eigenvector updates — on the asm
-// wavefront kernel and on the portable loop. GB/s counts one load and one
-// store per element and rotation, GFLOP/s six flops.
+// wavefront kernel and on the portable loop, float64 and float32. GB/s counts
+// one load and one store per element and rotation, GFLOP/s six flops.
 func BenchmarkRotSeq(b *testing.B) {
+	benchRotSeq[float64](b, "f64")
+	benchRotSeq[float32](b, "f32")
+}
+
+func benchRotSeq[T float32 | float64](b *testing.B, dtype string) {
 	const n = 384
 	rng := lapack.NewRng([4]int{n, 1, 1, 3})
 	c, s := make([]float64, n-1), make([]float64, n-1)
 	for j := range c {
 		s[j], c[j] = math.Sincos(2 * math.Pi * rng.Uniform())
 	}
-	a := make([]float64, n*n)
+	a := make([]T, n*n)
 	lapack.Larnv(2, rng, n*n, a)
+	size := float64(unsafe.Sizeof(a[0]))
 	for _, route := range []string{"asm", "portable"} {
-		b.Run(route, func(b *testing.B) {
+		b.Run(route+"/"+dtype, func(b *testing.B) {
 			faultinject.ForcePortable(route == "portable")
 			defer faultinject.ForcePortable(false)
 			for i := 0; i < b.N; i++ {
 				blas.RotSeq(i%2 == 0, n, n, c, s, a, n)
 			}
 			perSec := n * (n - 1) * float64(b.N) / b.Elapsed().Seconds() / 1e9
-			b.ReportMetric(2*8*perSec, "GB/s")
+			b.ReportMetric(2*size*perSec, "GB/s")
 			b.ReportMetric(6*perSec, "GFLOP/s")
 		})
 	}

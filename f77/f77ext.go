@@ -60,7 +60,7 @@ func LANGE[T Scalar](norm byte, m, n int, a []T, lda int) float64 {
 	return lapack.Lange(lapack.Norm(norm), m, n, a, lda)
 }
 
-// SYEVD computes the spectrum by divide & conquer
+// SYEVD is SYEV under LAPACK's divide & conquer name, one body for both
 // (xSYEVD: JOBZ, UPLO, N, A, LDA, W, …, INFO).
 func SYEVD[T Scalar](jobz bool, uplo UpLo, n int, a []T, lda int, w []float64) (info int) {
 	cfg := core.Default()

@@ -176,10 +176,15 @@ func dluStep8(nl, m, nr int, a []float64, lda int, ipiv []int) int
 
 // drotSeqFma carries a block of rows through nrot chained plane rotations of
 // adjacent columns (RotSeq's inner step; the formulation is spelled out in
-// iterate.go). cstep and colStride are in bytes and signed, flip is ±0.
+// iterate.go), srotSeqFma the same on float32 columns. cstep and colStride
+// are in elements and signed, flip is ±0; the coefficients are float64 for
+// both. Implemented in rotseq_amd64.s.
 //
 //go:noescape
 func drotSeqFma(m, nrot int64, c, s *float64, cstep int64, a *float64, colStride int64, flip float64)
+
+//go:noescape
+func srotSeqFma(m, nrot int64, c, s *float64, cstep int64, a *float32, colStride int64, flip float64)
 
 // drefl3Fma applies one three-element Householder reflector from the right
 // to three unit-stride columns (Refl3's asm route): sum = x0 + v2·x1 + v3·x2,

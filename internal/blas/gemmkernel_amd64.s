@@ -772,172 +772,9 @@ diamaxnone:
 	VZEROUPPER
 	RET
 
-// Iteration-phase kernels (iterate.go): chains of plane rotations and
-// three-element reflectors applied to adjacent unit-stride columns, a block
-// of rows at a time with the column two consecutive links share held in
-// registers.
-
-// ROTVEC advances one 4-row vector of the carried column P through a
-// rotation: the finished column goes to off(R10), P becomes the carry of the
-// next link. Y12 = c, Y13 = σ, R13 = the loaded column. The products with
-// the loaded column are rounded, the carried column's are fused in, so only
-// the final FMA sits on P's dependency chain.
-#define ROTVEC(P, off) \
-	VMULPD       off(R13), Y13, Y8 \
-	VMULPD       off(R13), Y12, Y9 \
-	VFMADD231PD  P, Y12, Y8        \
-	VFNMADD213PD Y9, Y13, P        \
-	VMOVUPD      Y8, off(R10)
-
-// ROTLINK opens a link: broadcast c and σ = s xor flip, point R13 at the
-// column to load. ROTNEXT closes it: the loaded column's place becomes the
-// carry's, the coefficient cursors step.
-#define ROTLINK \
-	VBROADCASTSD (R11), Y12 \
-	VBROADCASTSD (R12), Y13 \
-	VXORPD       Y15, Y13, Y13 \
-	LEAQ         (R10)(R9*1), R13
-
-#define ROTNEXT \
-	MOVQ R13, R10 \
-	ADDQ R8, R11  \
-	ADDQ R8, R12  \
-	DECQ CX
-
-// ROTBLOCK restarts the chain for the next row block at DX.
-#define ROTBLOCK \
-	MOVQ DX, R10 \
-	MOVQ SI, R11 \
-	MOVQ DI, R12 \
-	MOVQ BX, CX
-
-// func drotSeqFma(m, nrot int64, c, s *float64, cstep int64, a *float64, colStride int64, flip float64)
-// Applies nrot ≥ 1 chained rotations to the m rows starting at a: the carry
-// starts in the column at a, link t uses c[t·cstep], s[t·cstep] (cstep and
-// colStride in bytes, either sign), loads the column colStride further on,
-// and flip is +0 (σ = s) or −0 (σ = −s). Row blocks of 32 (eight carried
-// vectors: 16 cycles of FMA-port work per link over a 4-cycle carry chain),
-// then 16, then 4, then single rows with the scalar forms of the same
-// instructions, so every element sees the same operations whatever block it
-// falls in.
-TEXT ·drotSeqFma(SB), NOSPLIT, $0-64
-	MOVQ         m+0(FP), AX
-	MOVQ         nrot+8(FP), BX
-	MOVQ         c+16(FP), SI
-	MOVQ         s+24(FP), DI
-	MOVQ         cstep+32(FP), R8
-	MOVQ         a+40(FP), DX
-	MOVQ         colStride+48(FP), R9
-	VBROADCASTSD flip+56(FP), Y15
-
-rotblock32:
-	CMPQ AX, $32
-	JLT  rotblock16
-	ROTBLOCK
-	VMOVUPD (R10), Y0
-	VMOVUPD 32(R10), Y1
-	VMOVUPD 64(R10), Y2
-	VMOVUPD 96(R10), Y3
-	VMOVUPD 128(R10), Y4
-	VMOVUPD 160(R10), Y5
-	VMOVUPD 192(R10), Y6
-	VMOVUPD 224(R10), Y7
-
-rotloop32:
-	ROTLINK
-	ROTVEC(Y0, 0)
-	ROTVEC(Y1, 32)
-	ROTVEC(Y2, 64)
-	ROTVEC(Y3, 96)
-	ROTVEC(Y4, 128)
-	ROTVEC(Y5, 160)
-	ROTVEC(Y6, 192)
-	ROTVEC(Y7, 224)
-	ROTNEXT
-	JNZ rotloop32
-
-	VMOVUPD Y0, (R10)
-	VMOVUPD Y1, 32(R10)
-	VMOVUPD Y2, 64(R10)
-	VMOVUPD Y3, 96(R10)
-	VMOVUPD Y4, 128(R10)
-	VMOVUPD Y5, 160(R10)
-	VMOVUPD Y6, 192(R10)
-	VMOVUPD Y7, 224(R10)
-	ADDQ    $256, DX
-	SUBQ    $32, AX
-	JMP     rotblock32
-
-rotblock16:
-	CMPQ AX, $16
-	JLT  rotblock4
-	ROTBLOCK
-	VMOVUPD (R10), Y0
-	VMOVUPD 32(R10), Y1
-	VMOVUPD 64(R10), Y2
-	VMOVUPD 96(R10), Y3
-
-rotloop16:
-	ROTLINK
-	ROTVEC(Y0, 0)
-	ROTVEC(Y1, 32)
-	ROTVEC(Y2, 64)
-	ROTVEC(Y3, 96)
-	ROTNEXT
-	JNZ rotloop16
-
-	VMOVUPD Y0, (R10)
-	VMOVUPD Y1, 32(R10)
-	VMOVUPD Y2, 64(R10)
-	VMOVUPD Y3, 96(R10)
-	ADDQ    $128, DX
-	SUBQ    $16, AX
-	JMP     rotblock16
-
-rotblock4:
-	CMPQ AX, $4
-	JLT  rotblock1
-	ROTBLOCK
-	VMOVUPD (R10), Y0
-
-rotloop4:
-	ROTLINK
-	ROTVEC(Y0, 0)
-	ROTNEXT
-	JNZ rotloop4
-
-	VMOVUPD Y0, (R10)
-	ADDQ    $32, DX
-	SUBQ    $4, AX
-	JMP     rotblock4
-
-rotblock1:
-	TESTQ AX, AX
-	JZ    rotdone
-	ROTBLOCK
-	VMOVSD (R10), X0
-
-rotloop1:
-	VMOVSD       (R11), X12
-	VMOVSD       (R12), X13
-	VXORPD       X15, X13, X13
-	LEAQ         (R10)(R9*1), R13
-	VMULSD       (R13), X13, X8
-	VMULSD       (R13), X12, X9
-	VFMADD231SD  X0, X12, X8
-	VFNMADD213SD X9, X13, X0
-	VMOVSD       X8, (R10)
-	ROTNEXT
-	JNZ rotloop1
-
-	VMOVSD X0, (R10)
-	ADDQ   $8, DX
-	DECQ   AX
-	JMP    rotblock1
-
-rotdone:
-	VZEROUPPER
-	RET
+// Iteration-phase kernels (iterate.go): three-element reflectors applied to
+// adjacent unit-stride columns or rows. The rotation chains are in
+// rotseq_amd64.s.
 
 // func drefl3Fma(n int64, x0, x1, x2 *float64, v2, v3, t1, t2, t3 float64)
 // One three-element reflector applied from the right to the columns x0, x1,

@@ -66,6 +66,9 @@ func daxpyDotFma(alpha float64, a, x, y []float64, conj bool) float64 {
 func drotSeqFma(m, nrot int64, c, s *float64, cstep int64, a *float64, colStride int64, flip float64) {
 	panic("blas: no asm kernel")
 }
+func srotSeqFma(m, nrot int64, c, s *float64, cstep int64, a *float32, colStride int64, flip float64) {
+	panic("blas: no asm kernel")
+}
 func drefl3Fma(n int64, x0, x1, x2 *float64, v2, v3, t1, t2, t3 float64) {
 	panic("blas: no asm kernel")
 }

@@ -60,16 +60,18 @@ func RotSeq[T core.Scalar](forward bool, m, z int, c, s []float64, a []T, lda in
 // (p is column j+1, q is column j) — the two lines of the rotation with the
 // roles of the columns exchanged.
 
-// rotRunAsm is the AVX2+FMA route: drotSeqFma rounds the products with the
-// loaded column and fuses the carried column's in (store = fma(c, p, σ·q),
-// carry = fma(−σ, p, c·q)), which keeps one FMA on the carry's dependency
-// chain.
-func rotRunAsm(forward bool, m, nrot int, c, s []float64, a []float64, lda int) {
-	_ = a[nrot*lda+m-1]
-	if forward {
-		drotSeqFma(int64(m), int64(nrot), &c[0], &s[0], 8, &a[0], int64(8*lda), 0)
-	} else {
-		drotSeqFma(int64(m), int64(nrot), &c[nrot-1], &s[nrot-1], -8, &a[nrot*lda], int64(-8*lda), math.Copysign(0, -1))
+// rotRunFma is the AVX2+FMA route on kernel seq (drotSeqFma, srotSeqFma):
+// the products with the loaded column are rounded and the carried column's
+// fused in (store = fma(c, p, σ·q), carry = fma(−σ, p, c·q)), which keeps one
+// FMA on the carry's dependency chain.
+func rotRunFma[T float32 | float64](seq func(m, nrot int64, c, s *float64, cstep int64, a *T, colStride int64, flip float64)) func(bool, int, int, []float64, []float64, []T, int) {
+	return func(forward bool, m, nrot int, c, s []float64, a []T, lda int) {
+		_ = a[nrot*lda+m-1]
+		if forward {
+			seq(int64(m), int64(nrot), &c[0], &s[0], 1, &a[0], int64(lda), 0)
+		} else {
+			seq(int64(m), int64(nrot), &c[nrot-1], &s[nrot-1], -1, &a[nrot*lda], int64(-lda), math.Copysign(0, -1))
+		}
 	}
 }
 

@@ -43,23 +43,41 @@ func rotSeqDef[T core.Scalar](forward bool, m, z int, c, s []float64, a []T, lda
 	})
 }
 
-// rotSeqDefFMA is rotSeqDef in drotSeqFma's contraction order: the column a
-// rotation meets first in sweep order (the carried one) has its products
+// rotSeqDefFMA is rotSeqDef in the asm kernels' contraction order: the column
+// a rotation meets first in sweep order (the carried one) has its products
 // fused, the other column's are rounded.
-func rotSeqDefFMA(forward bool, m, z int, c, s []float64, a []float64, lda int) {
+func rotSeqDefFMA[T float32 | float64](forward bool, m, z int, c, s []float64, a []T, lda int) {
 	sweep(forward, z, c, s, func(j int, cj, sj float64) {
+		ct, st := T(cj), T(sj)
 		col, col1 := a[j*lda:], a[(j+1)*lda:]
 		for i := 0; i < m; i++ {
 			x, y := col[i], col1[i]
 			if forward {
-				col[i] = math.FMA(cj, x, sj*y)
-				col1[i] = math.FMA(-sj, x, cj*y)
+				col[i] = fmaT(ct, x, st*y)
+				col1[i] = fmaT(-st, x, ct*y)
 			} else {
-				col1[i] = math.FMA(cj, y, -sj*x)
-				col[i] = math.FMA(sj, y, cj*x)
+				col1[i] = fmaT(ct, y, -st*x)
+				col[i] = fmaT(st, y, ct*x)
 			}
 		}
 	})
+}
+
+// fmaT is x·y + w rounded once in T. For float32 the product is exact in
+// float64 and the sum is rounded to odd there (53 ≥ 2·24 + 2 bits), so the
+// final rounding to float32 is the single rounding of a float32 FMA
+// (Boldo–Melquiond).
+func fmaT[T float32 | float64](x, y, w T) T {
+	if _, ok := any(x).(float64); ok {
+		return T(math.FMA(float64(x), float64(y), float64(w)))
+	}
+	p, q := float64(x)*float64(y), float64(w)
+	sum := p + q
+	bq := sum - p
+	if err := (p - (sum - bq)) + (q - bq); err != 0 && math.Float64bits(sum)&1 == 0 {
+		sum = math.Nextafter(sum, math.Copysign(math.Inf(1), err))
+	}
+	return T(float32(sum))
 }
 
 // rotSeqClose fails unless got is within 2 ulp of the block's scale per
@@ -145,7 +163,7 @@ func TestRotSeqComplexRealView(t *testing.T) {
 	})
 }
 
-func TestRotSeqAsm(t *testing.T) {
+func testRotSeqAsm[T float32 | float64](t *testing.T) {
 	if !asmF64() {
 		t.Skip("no AVX2+FMA kernels in this build")
 	}
@@ -156,20 +174,20 @@ func TestRotSeqAsm(t *testing.T) {
 		for j := 2; j < len(c); j += 7 {
 			c[j], s[j] = 1, 0
 		}
-		a := randSlice[float64](rng, off+lda*z)
-		got := append([]float64(nil), a...)
+		a := randSlice[T](rng, off+lda*z)
+		got := append([]T(nil), a...)
 		RotSeq(forward, m, z, c, s, got[off:], lda)
 
-		fma := append([]float64(nil), a...)
+		fma := append([]T(nil), a...)
 		rotSeqDefFMA(forward, m, z, c, s, fma[off:], lda)
 		if !sameBits(got, fma) {
 			t.Errorf("%s: asm route differs from the FMA-ordered definition", name)
 		}
 
 		// Independent of the row-block height: the same sweep five rows at a
-		// time walks every element through a 4-row block or the scalar tail
-		// instead of the 32- and 16-row blocks.
-		strips := append([]float64(nil), a...)
+		// time walks every element through a one-vector block or the scalar
+		// tail instead of the eight- and four-vector blocks.
+		strips := append([]T(nil), a...)
 		for i := 0; i < m; i += 5 {
 			RotSeq(forward, min(5, m-i), z, c, s, strips[off+i:], lda)
 		}
@@ -178,12 +196,17 @@ func TestRotSeqAsm(t *testing.T) {
 		}
 
 		// Against the portable route: 2 ulp of the block's scale per rotation.
-		port := append([]float64(nil), a...)
+		port := append([]T(nil), a...)
 		faultinject.ForcePortable(true)
 		RotSeq(forward, m, z, c, s, port[off:], lda)
 		faultinject.ForcePortable(false)
 		rotSeqClose(t, name+" asm vs portable", z, got, port)
 	})
+}
+
+func TestRotSeqAsm(t *testing.T) {
+	t.Run("float64", testRotSeqAsm[float64])
+	t.Run("float32", testRotSeqAsm[float32])
 }
 
 // TestRotSeqIdentityAndSpecials: identity rotations leave every bit alone

@@ -36,7 +36,7 @@ import (
 //	axpyDot    daxpyDotFma          Go                 Go                 Go
 //	iamax      diamaxF64, n ≥ 16    siamaxF32, n ≥ 16  Go                 Go
 //	sumSq      ddotFma              sdotFma            view               none
-//	rotRun     drotSeqFma           Go                 view               Go (view)
+//	rotRun     drotSeqFma           srotSeqFma         view               Go (view)
 //	refl3/2    drefl3Fma/drefl2Fma  Go                 Go                 Go
 //	refl·Rows  drefl3/2RowsFma      Go                 Go                 Go
 //	small      dgemmSmallStripF64   Go 4×4 tile        Go 4×4 tile        Go 4×4 tile
@@ -263,7 +263,7 @@ var (
 			s := ddotFma(x, x, false)
 			return s, s > 1e-280 && s < 1e280
 		},
-		rotRun: rotRunAsm,
+		rotRun: rotRunFma(drotSeqFma),
 		refl3: func(x0, x1, x2 []float64, v2, v3, t1, t2, t3 float64) {
 			drefl3Fma(int64(len(x0)), &x0[0], &x1[0], &x2[0], v2, v3, t1, t2, t3)
 		},
@@ -299,7 +299,7 @@ var (
 			s := float64(sdotFma(x, x, false))
 			return s, s > 1e-28 && s < 1e28
 		},
-		rotRun: rotRun[float32], refl3: refl3Go[float32], refl2: refl2Go[float32],
+		rotRun: rotRunFma(srotSeqFma), refl3: refl3Go[float32], refl2: refl2Go[float32],
 		refl3Rows: refl3RowsGo[float32], refl2Rows: refl2RowsGo[float32],
 		small:  gemmSmallPortable[float32],
 		minVol: gemmPackedMinVolAsm, smallMaxVol: math.MaxInt,

@@ -35,7 +35,9 @@ import (
 // leaves substitute on a transposed copy, the right side scales by a
 // reciprocal — and the asm column of the complex rows that reach the new
 // vector axpy/dot/scal kernels (Axpy, Scal, Gemv, Ger, Gerc, Trsv, Trmm and
-// the single-column Gemm); every other entry is the PR 16 bits.
+// the single-column Gemm); every other entry is the PR 16 bits. The asm
+// column of RotSeq/float32 and RotSeq/complex64 was regenerated when the
+// float32 asm rows got the FMA wavefront (srotSeqFma).
 // Regenerate with `go test ./internal/blas -run Level12Golden -l12print -v`.
 var level12Golden = map[string][2]uint64{
 	"Asum/complex128":   {0x536b19813327ac4f, 0x536b19813327ac4f},
@@ -139,8 +141,8 @@ var level12Golden = map[string][2]uint64{
 	"RotG/float32":      {0xcfff595df978c402, 0xcfff595df978c402},
 	"RotG/float64":      {0xe5d556df0bf0a7b4, 0xe5d556df0bf0a7b4},
 	"RotSeq/complex128": {0x0a1bb12f1ebc9494, 0x9225ecf4c3689128},
-	"RotSeq/complex64":  {0xd981ccd6196e5556, 0xd981ccd6196e5556},
-	"RotSeq/float32":    {0xcc742df6cbda79fb, 0xcc742df6cbda79fb},
+	"RotSeq/complex64":  {0xecb150483001390f, 0xd981ccd6196e5556},
+	"RotSeq/float32":    {0x544fa116cbaf7b02, 0xcc742df6cbda79fb},
 	"RotSeq/float64":    {0x39185ea7c252ba66, 0xd6614af71cfd9289},
 	"Rotg/float32":      {0x5b44c0a3fc52f9c3, 0x5b44c0a3fc52f9c3},
 	"Rotg/float64":      {0x2594925d1bb55ec0, 0x2594925d1bb55ec0},

@@ -13,6 +13,14 @@ import (
 // eigensolver falls back to the QL/QR iteration, as LAPACK's SMLSIZ.
 const dcCutoff = 25
 
+// syevCrossover is the order up to which the symmetric eigensolvers with
+// vectors (Syev, Stev: every xSYEV/xSYEVD-family name) take the QL/QR
+// iteration on the whole eigenvector matrix, and above which divide & conquer.
+// The QL/QR route wins or ties on all four element types up to 112 and divide
+// & conquer from 128 on (root BenchmarkSymEigRoutes; EXPERIMENTS.md, "One
+// symmetric eigensolver body").
+const syevCrossover = 112
+
 // Stedc computes all eigenvalues and eigenvectors of a symmetric
 // tridiagonal matrix by Cuppen's divide & conquer method with deflation
 // and a safeguarded secular-equation solver (xSTEDC). d (n) and e (n-1)
@@ -41,9 +49,10 @@ func Stedc[T core.Scalar](cfg *core.Config, n int, d, e []float64, z []T, ldz in
 }
 
 // Stevd computes all eigenvalues and, optionally, eigenvectors of a real
-// symmetric tridiagonal matrix by divide & conquer (the xSTEVD driver): the
-// D&C tree runs on the identity in float64 — in z itself when that is its
-// type — so z receives the eigenvectors of T with no product at the end.
+// symmetric tridiagonal matrix by divide & conquer — the route of Stev and
+// Syev above syevCrossover: the D&C tree runs on the identity in float64 — in
+// z itself when that is its type — so z receives the eigenvectors of T with
+// no product at the end.
 func Stevd[T core.Scalar](cfg *core.Config, n int, d, e []float64, z []T, ldz int) int {
 	if n == 0 {
 		return 0
@@ -57,8 +66,21 @@ func Stevd[T core.Scalar](cfg *core.Config, n int, d, e []float64, z []T, ldz in
 		q, ldq = blas.GetScratch[float64](n*n), n
 		defer blas.PutScratch(q)
 	}
+	// The merges deflate against 8ε·max(|d|, |z|) with z of unit norm, which
+	// is xLAED2's tolerance only for T of at least unit scale, and square
+	// entries of T: a T below unit scale, or above ssfmax, is normalized
+	// first and its eigenvalues scaled back (xSTEDC's scaling).
+	tnrm := Lanst(MaxAbs, n, d, e)
+	scaled := tnrm > 0 && (tnrm < 1 || tnrm > ssfmax)
+	if scaled {
+		Lascl(MatGeneral, tnrm, 1, n, 1, d, n)
+		Lascl(MatGeneral, tnrm, 1, n-1, 1, e, n)
+	}
 	Laset('A', n, n, 0.0, 1.0, q, ldq)
 	info := stedcRec(cfg, n, d, e, q, ldq, make([]int, mergeInts*n))
+	if scaled {
+		Lascl(MatGeneral, 1, tnrm, n, 1, d, n)
+	}
 	if info == 0 && !own {
 		blas.ConvertF64(n, n, q, n, z, ldz)
 	}
@@ -565,32 +587,6 @@ func secularRoot(k, i int, rho float64, d, z []float64, zz float64) (base int, t
 		evals++
 	}
 	return base, tau, evals
-}
-
-// Syevd computes all eigenvalues and, optionally, eigenvectors of a
-// symmetric/Hermitian matrix using the divide & conquer algorithm when
-// eigenvectors are wanted (the xSYEVD/xHEEVD driver): reduce, take the
-// eigenvectors of the tridiagonal matrix itself, and apply Q to them (Ormtr)
-// rather than forming it.
-func Syevd[T core.Scalar](cfg *core.Config, jobz bool, uplo Uplo, n int, a []T, lda int, w []float64) int {
-	if n == 0 {
-		return 0
-	}
-	e, tau := blas.GetScratch[float64](n), blas.GetScratch[T](n)
-	defer blas.PutScratch(e)
-	defer blas.PutScratch(tau)
-	Sytrd(cfg, uplo, n, a, lda, w, e, tau)
-	if !jobz {
-		return Sterf(cfg, n, w, e)
-	}
-	z := blas.GetScratch[T](n * n)
-	defer blas.PutScratch(z)
-	if info := Stevd(cfg, n, w, e, z, n); info != 0 {
-		return info
-	}
-	Ormtr(cfg, uplo, NoTrans, n, n, a, lda, tau, z, n)
-	Lacpy('A', n, n, z, n, a, lda)
-	return 0
 }
 
 // SolveSecularForTest exposes the secular solver to the package tests,

@@ -192,7 +192,8 @@ func testSyevd[T core.Scalar](t *testing.T, n int) {
 	ref := append([]T(nil), full...)
 	wref := make([]float64, n)
 	lapack.Syev[T](tcfg(), false, lapack.Upper, n, ref, n, wref)
-	// D&C with vectors.
+	// With vectors under the D&C name (TestSyevRoutes has the route each
+	// order takes).
 	z := append([]T(nil), a...)
 	w := make([]float64, n)
 	if info := lapack.Syevd[T](tcfg(), true, lapack.Upper, n, z, n, w); info != 0 {

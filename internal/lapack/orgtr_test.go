@@ -2,7 +2,6 @@ package lapack_test
 
 import (
 	"fmt"
-	"math"
 	"testing"
 
 	"repro/internal/blas"
@@ -233,46 +232,5 @@ func TestOrglqAgainstOrgl2(t *testing.T) {
 		testOrglq[float32](t, sh[0], sh[1], sh[2])
 		testOrglq[complex128](t, sh[0], sh[1], sh[2])
 		testOrglq[complex64](t, sh[0], sh[1], sh[2])
-	}
-}
-
-// TestSyevdAgainstSyev: the apply-Q driver against the form-Q one around the
-// D&C leaf size and at the benchmark's order, both triangles, every type.
-func testSyevdVsSyev[T core.Scalar](t *testing.T, uplo lapack.Uplo, n int) {
-	t.Helper()
-	name := fmt.Sprintf("%T/uplo=%c/n=%d", *new(T), byte(uplo), n)
-	cfg := tcfg()
-	a := randHerm[T](lapack.NewRng([4]int{n, 6, 1, 7}), n, n)
-	full := symFull(uplo, n, a, n)
-	anorm := lapack.Lange(lapack.OneNorm, n, n, full, n)
-	ref, wref := append([]T(nil), a...), make([]float64, n)
-	if info := lapack.Syev(cfg, true, uplo, n, ref, n, wref); info != 0 {
-		t.Fatalf("%s: Syev info=%d", name, info)
-	}
-	z, w := append([]T(nil), a...), make([]float64, n)
-	if info := lapack.Syevd(cfg, true, uplo, n, z, n, w); info != 0 {
-		t.Fatalf("%s: Syevd info=%d", name, info)
-	}
-	for i := range w {
-		if math.Abs(w[i]-wref[i]) > float64(n)*core.Eps[T]()*anorm {
-			t.Fatalf("%s: w[%d] = %v, Syev %v", name, i, w[i], wref[i])
-		}
-	}
-	if r := testutil.EigResidual(n, full, n, w, z, n); r > 10 {
-		t.Errorf("%s: residual ratio %.3g", name, r)
-	}
-	if r := testutil.OrthoResidual(n, n, z, n); r > 10 {
-		t.Errorf("%s: orthogonality ratio %.3g", name, r)
-	}
-}
-
-func TestSyevdAgainstSyev(t *testing.T) {
-	for _, n := range []int{1, 2, 24, 26, 100, 384} {
-		for _, uplo := range []lapack.Uplo{lapack.Upper, lapack.Lower} {
-			testSyevdVsSyev[float64](t, uplo, n)
-			testSyevdVsSyev[float32](t, uplo, n)
-			testSyevdVsSyev[complex128](t, uplo, n)
-			testSyevdVsSyev[complex64](t, uplo, n)
-		}
 	}
 }

@@ -9,27 +9,12 @@ import "repro/internal/core"
 // compact storage is traded for a single shared implementation).
 
 // Spev computes all eigenvalues and, optionally, eigenvectors of a
-// symmetric/Hermitian matrix in packed storage (the xSPEV/xHPEV driver).
-// If jobz is true, z (n×n, ldz) receives the orthonormal eigenvectors.
+// symmetric/Hermitian matrix in packed storage: the body of the xSPEV/xHPEV
+// and xSPEVD/xHPEVD drivers, Syev on the unpacked matrix. If jobz is true, z
+// (n×n, ldz) receives the orthonormal eigenvectors; ap is left as it was
+// (LAPACK calls it destroyed).
 func Spev[T core.Scalar](cfg *core.Config, jobz bool, uplo Uplo, n int, ap []T, w []float64, z []T, ldz int) int {
-	a := unpackTri(uplo, n, ap)
-	info := Syev[T](cfg, jobz, uplo, n, a, n, w)
-	if jobz && info == 0 {
-		Lacpy('A', n, n, a, n, z, ldz)
-	}
-	repackTri(uplo, n, a, ap)
-	return info
-}
-
-// Spevd is the divide & conquer variant of Spev (the xSPEVD/xHPEVD driver);
-// ap is left as it was.
-func Spevd[T core.Scalar](cfg *core.Config, jobz bool, uplo Uplo, n int, ap []T, w []float64, z []T, ldz int) int {
-	a := unpackTri(uplo, n, ap)
-	info := Syevd[T](cfg, jobz, uplo, n, a, n, w)
-	if jobz && info == 0 {
-		Lacpy('A', n, n, a, n, z, ldz)
-	}
-	return info
+	return syevInto(cfg, jobz, uplo, n, unpackTri(uplo, n, ap), w, z, ldz)
 }
 
 // Spevx computes selected eigenvalues/eigenvectors of a packed
@@ -40,20 +25,16 @@ func Spevx[T core.Scalar](cfg *core.Config, jobz bool, rng EigRange, uplo Uplo, 
 }
 
 // Sbev computes all eigenvalues and, optionally, eigenvectors of a
-// symmetric/Hermitian band matrix (the xSBEV/xHBEV driver).
+// symmetric/Hermitian band matrix: the body of the xSBEV/xHBEV and
+// xSBEVD/xHBEVD drivers, Syev on the expanded matrix.
 func Sbev[T core.Scalar](cfg *core.Config, jobz bool, uplo Uplo, n, kd int, ab []T, ldab int, w []float64, z []T, ldz int) int {
-	a := expandSymBand(uplo, n, kd, ab, ldab)
-	info := Syev[T](cfg, jobz, uplo, n, a, n, w)
-	if jobz && info == 0 {
-		Lacpy('A', n, n, a, n, z, ldz)
-	}
-	return info
+	return syevInto(cfg, jobz, uplo, n, expandSymBand(uplo, n, kd, ab, ldab), w, z, ldz)
 }
 
-// Sbevd is the divide & conquer variant of Sbev (the xSBEVD/xHBEVD driver).
-func Sbevd[T core.Scalar](cfg *core.Config, jobz bool, uplo Uplo, n, kd int, ab []T, ldab int, w []float64, z []T, ldz int) int {
-	a := expandSymBand(uplo, n, kd, ab, ldab)
-	info := Syevd[T](cfg, jobz, uplo, n, a, n, w)
+// syevInto runs Syev on the expanded n×n matrix a and copies the
+// eigenvectors, when wanted, into z.
+func syevInto[T core.Scalar](cfg *core.Config, jobz bool, uplo Uplo, n int, a []T, w []float64, z []T, ldz int) int {
+	info := Syev(cfg, jobz, uplo, n, a, n, w)
 	if jobz && info == 0 {
 		Lacpy('A', n, n, a, n, z, ldz)
 	}

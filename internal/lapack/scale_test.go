@@ -7,10 +7,12 @@ package lapack_test
 // eigenvalues — the regression class behind the xLASSQ/xLAPY2 design.
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
 	"repro/internal/blas"
+	"repro/internal/core"
 	"repro/internal/lapack"
 )
 
@@ -179,47 +181,54 @@ func TestLarfgSubnormalTail(t *testing.T) {
 	}
 }
 
-// TestSyevExtremeScale: the Lascl anrm guard in Syev — eigenvalues of
-// sigma·A are sigma times those of A, even when sigma pushes the entries to
-// 1e300 (squares overflow) or 1e-300 (squares vanish).
+// TestSyevExtremeScale: the scaling of the symmetric eigensolvers — xSYEV's
+// anrm guard in the dense body, and under both bodies xSTEQR's block scaling
+// and xSTEDC's normalization of T, which are xSTEV's tnrm guard — on every
+// name of the family (symEigNames), either side of the route crossover. σ·A
+// (σ·T for STEV) with σ = 1e300 (squares overflow), 1e-20 (below the unit
+// scale the divide & conquer deflation assumes), 1e-290 or 1e-310 (subnormal
+// entries, squares vanish) must give σ times the eigenvalues of A and
+// orthonormal eigenvectors of A. Scaling by a power of two is exact, so the
+// reference is the scaled input brought back to unit scale by one, and a
+// subnormal eigenvalue may be off by its own rounding.
 func TestSyevExtremeScale(t *testing.T) {
-	n := 10
-	rng := lapack.NewRng([4]int{3, 9, 27, 1})
-	base := make([]float64, n*n)
-	lapack.Larnv(2, rng, n*n, base)
-	for j := 0; j < n; j++ { // symmetrize
-		for i := 0; i < j; i++ {
-			base[j+i*n] = base[i+j*n]
-		}
-	}
-	wRef := make([]float64, n)
-	refA := append([]float64(nil), base...)
-	if info := lapack.Syev[float64](tcfg(), false, lapack.Upper, n, refA, n, wRef); info != 0 {
-		t.Fatalf("reference Syev info=%d", info)
-	}
-	for _, sigma := range []float64{1e300, 1e-290} {
-		a := make([]float64, n*n)
-		for i := range a {
-			a[i] = base[i] * sigma
-		}
-		w := make([]float64, n)
-		if info := lapack.Syev[float64](tcfg(), true, lapack.Upper, n, a, n, w); info != 0 {
-			t.Fatalf("sigma=%g Syev info=%d", sigma, info)
-		}
-		for i := range w {
-			want := wRef[i] * sigma
-			if math.IsInf(w[i], 0) || math.IsNaN(w[i]) {
-				t.Fatalf("sigma=%g w[%d]=%v", sigma, i, w[i])
-			}
-			if math.Abs(w[i]-want) > 1e-10*math.Abs(want)+1e-305 {
-				t.Fatalf("sigma=%g w[%d]=%v, want %v", sigma, i, w[i], want)
-			}
-		}
-		// Eigenvectors stay orthonormal (they are scale-free).
-		for j := 0; j < n; j++ {
-			nrm := blas.Nrm2(n, a[j*n:j*n+n], 1)
-			if math.Abs(nrm-1) > 1e-12 {
-				t.Fatalf("sigma=%g eigenvector %d norm %v", sigma, j, nrm)
+	for _, n := range []int{10, 60, 200} {
+		rng := lapack.NewRng([4]int{3, 9, 27, n})
+		dense := randHerm[float64](rng, n, n)
+		d, e := make([]float64, n), make([]float64, n-1)
+		lapack.Larnv(2, rng, n, d)
+		lapack.Larnv(2, rng, n-1, e)
+		tri := tridiagDense[float64](d, e)
+		for _, sigma := range []float64{1e300, 1e-20, 1e-290, 1e-310} {
+			exp := math.Ilogb(sigma)
+			for _, nm := range symEigNames[float64]() {
+				name := fmt.Sprintf("%s/n=%d/sigma=%g", nm.name, n, sigma)
+				a0 := dense
+				if nm.tridiag {
+					a0 = tri
+				}
+				a, ref := make([]float64, n*n), make([]float64, n*n)
+				for i := range a {
+					a[i] = a0[i] * sigma
+					ref[i] = math.Ldexp(a[i], -exp)
+				}
+				wref := make([]float64, n)
+				if info := lapack.Syev(tcfg(), false, lapack.Upper, n, append([]float64(nil), ref...), n, wref); info != 0 {
+					t.Fatalf("%s: reference info %d", name, info)
+				}
+				w, z := make([]float64, n), make([]float64, n*n)
+				if info := nm.run(lapack.Upper, n, a, w, z); info != 0 {
+					t.Fatalf("%s: info %d", name, info)
+				}
+				tol := 64*float64(n)*core.EpsDouble*lapack.Lange(lapack.MaxAbs, n, n, ref, n) +
+					math.Ldexp(math.SmallestNonzeroFloat64, -exp)
+				for i := range w {
+					w[i] = math.Ldexp(w[i], -exp)
+					if !(math.Abs(w[i]-wref[i]) <= tol) {
+						t.Fatalf("%s: λ[%d]/σ = %v, want %v", name, i, w[i], wref[i])
+					}
+				}
+				checkEig(t, name, n, ref, w, z)
 			}
 		}
 	}

@@ -122,11 +122,6 @@ func Sygv[T core.Scalar](cfg *core.Config, itype int, jobz bool, uplo Uplo, n in
 	return 0
 }
 
-// Hegv is the Hermitian name for Sygv (xHEGV).
-func Hegv[T core.Scalar](cfg *core.Config, itype int, jobz bool, uplo Uplo, n int, a []T, lda int, b []T, ldb int, w []float64) int {
-	return Sygv(cfg, itype, jobz, uplo, n, a, lda, b, ldb, w)
-}
-
 // Spgv computes all eigenvalues and, optionally, eigenvectors of a
 // generalized symmetric-definite eigenproblem in packed storage (the
 // xSPGV/xHPGV driver, via dense expansion — see DESIGN.md). z (n×n)

@@ -293,10 +293,13 @@ func Ormtr[T core.Scalar](cfg *core.Config, uplo Uplo, trans Trans, m, n int, a 
 }
 
 // Syev computes all eigenvalues and, optionally, eigenvectors of a
-// symmetric (Hermitian for complex element types) matrix (the xSYEV/xHEEV
-// driver). If jobz is true, a is overwritten with the orthonormal
-// eigenvectors; w receives the eigenvalues in ascending order. Returns the
-// Steqr failure count (0 on success).
+// symmetric (Hermitian for complex element types) matrix: the one body of
+// the xSYEV/xHEEV and xSYEVD/xHEEVD drivers. If jobz is true, a is
+// overwritten with the orthonormal eigenvectors; w receives the eigenvalues
+// in ascending order. After the reduction the vectors come, up to order
+// syevCrossover, from the QL/QR iteration on the formed Q (Orgtr, Steqr) and,
+// above it, from divide & conquer on T with Q applied to them (Stevd, Ormtr).
+// Returns the tridiagonal solver's failure count (0 on success).
 func Syev[T core.Scalar](cfg *core.Config, jobz bool, uplo Uplo, n int, a []T, lda int, w []float64) int {
 	if n == 0 {
 		return 0
@@ -326,12 +329,20 @@ func Syev[T core.Scalar](cfg *core.Config, jobz bool, uplo Uplo, n int, a []T, l
 	defer blas.PutScratch(e)
 	defer blas.PutScratch(tau)
 	Sytrd(cfg, uplo, n, a, lda, w, e, tau)
-	info := 0
-	if !jobz {
+	var info int
+	switch {
+	case !jobz:
 		info = Sterf(cfg, n, w, e)
-	} else {
+	case n <= syevCrossover:
 		Orgtr(cfg, uplo, n, a, lda, tau)
 		info = Steqr(cfg, n, w, e, a, lda)
+	default:
+		z := blas.GetScratch[T](n * n)
+		defer blas.PutScratch(z)
+		if info = Stevd(cfg, n, w, e, z, n); info == 0 {
+			Ormtr(cfg, uplo, NoTrans, n, n, a, lda, tau, z, n)
+			Lacpy('A', n, n, z, n, a, lda)
+		}
 	}
 	if sigma != 1 {
 		for i := range w {
@@ -341,22 +352,25 @@ func Syev[T core.Scalar](cfg *core.Config, jobz bool, uplo Uplo, n int, a []T, l
 	return info
 }
 
-// Heev is the Hermitian driver name for Syev (xHEEV); for complex element
-// types Syev already performs the Hermitian reduction.
-func Heev[T core.Scalar](cfg *core.Config, jobz bool, uplo Uplo, n int, a []T, lda int, w []float64) int {
+// Syevd is the divide & conquer driver name for Syev (xSYEVD/xHEEVD).
+func Syevd[T core.Scalar](cfg *core.Config, jobz bool, uplo Uplo, n int, a []T, lda int, w []float64) int {
 	return Syev(cfg, jobz, uplo, n, a, lda, w)
 }
 
 // Stev computes all eigenvalues and, optionally, eigenvectors of a real
-// symmetric tridiagonal matrix (the xSTEV driver). If z is non-nil it is
-// overwritten with the eigenvectors (ldz stride).
+// symmetric tridiagonal matrix: the one body of the xSTEV and xSTEVD drivers.
+// If z is non-nil it is overwritten with the eigenvectors (ldz stride), by the
+// QL/QR iteration on the identity up to order syevCrossover and by the divide
+// & conquer tree (Stevd) above it. Both solvers scale T into their safe range
+// themselves — Steqr each block as xSTEQR, Stevd all of T as xSTEDC — which
+// is the xSTEV tnrm guard, with or without vectors.
 func Stev[T core.Scalar](cfg *core.Config, n int, d, e []float64, z []T, ldz int) int {
-	if n == 0 {
-		return 0
-	}
-	if z == nil {
+	switch {
+	case z == nil:
 		return Sterf(cfg, n, d, e)
+	case n <= syevCrossover:
+		Laset('A', n, n, core.FromFloat[T](0), core.FromFloat[T](1), z, ldz)
+		return Steqr(cfg, n, d, e, z, ldz)
 	}
-	Laset('A', n, n, core.FromFloat[T](0), core.FromFloat[T](1), z, ldz)
-	return Steqr(cfg, n, d, e, z, ldz)
+	return Stevd(cfg, n, d, e, z, ldz)
 }

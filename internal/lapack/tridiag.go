@@ -107,6 +107,15 @@ func Lae2(a, b, c float64) (rt1, rt2 float64) {
 	return rt1, rt2
 }
 
+// The safe range of a symmetric tridiagonal matrix (xSTEQR's ssfmin and
+// ssfmax): Steqr's splitting test adds safmin to products of entries, and
+// squares of entries above √safmax overflow, so Steqr scales a block whose
+// largest entry lies outside [ssfmin, ssfmax] into it, as Stevd does T.
+var (
+	ssfmin = math.Sqrt(0x1p-1022) / (core.EpsDouble * core.EpsDouble)
+	ssfmax = math.Sqrt(0x1p1022) / 3
+)
+
 // Steqr computes all eigenvalues and, optionally, eigenvectors of a
 // symmetric tridiagonal matrix by the implicit QL/QR method (xSTEQR).
 // d (length n) and e (length n-1) are the diagonal and sub-diagonal and
@@ -163,6 +172,18 @@ func Steqr[T core.Scalar](cfg *core.Config, n int, d, e []float64, z []T, ldz in
 		l1 = m + 1
 		if lend == l {
 			continue
+		}
+		// Scale the block into the safe range; a NaN block, which Lascl
+		// refuses, stays as it is.
+		lsv, nb := l, lend-l+1
+		anorm := math.Abs(d[lend])
+		for i := l; i < lend; i++ {
+			anorm = max(anorm, math.Abs(d[i]), math.Abs(e[i]))
+		}
+		scale := min(max(anorm, ssfmin), ssfmax)
+		if scale != anorm {
+			Lascl(MatGeneral, anorm, scale, nb, 1, d[lsv:], nb)
+			Lascl(MatGeneral, anorm, scale, nb-1, 1, e[lsv:], nb)
 		}
 		// Choose between QL (lend > l) and QR based on the larger end.
 		if math.Abs(d[lend]) < math.Abs(d[l]) {
@@ -327,6 +348,10 @@ func Steqr[T core.Scalar](cfg *core.Config, n int, d, e []float64, z []T, ldz in
 					e[m-1] = 0
 				}
 			}
+		}
+		if scale != anorm {
+			Lascl(MatGeneral, scale, anorm, nb, 1, d[lsv:], nb)
+			Lascl(MatGeneral, scale, anorm, nb-1, 1, e[lsv:], nb)
 		}
 		if jtot >= nmaxit {
 			break

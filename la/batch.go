@@ -188,7 +188,7 @@ func BatchSyev[T Scalar](as []*Matrix[T], opts ...Opt) (ws [][]float64, errs []e
 			}
 		}
 		info := lapack.Syev[T](cfg, o.vectors, o.uplo, a.Rows, a.Data, a.Stride, ws[i])
-		errs[i] = erdiag(routine, info, "the QL/QR iteration failed to converge", DiagNotConverged)
+		errs[i] = erdiag(routine, info, eigFailed, DiagNotConverged)
 	}, func(i int, pe *blas.PanicError) {
 		errs[i] = batchItemError(routine, pe)
 	})

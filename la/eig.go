@@ -4,8 +4,7 @@ import "repro/internal/lapack"
 
 // What the symmetric eigenproblem drivers report when INFO > 0.
 const (
-	qlFailed   = "the QL/QR iteration failed to converge"
-	dcFailed   = "the divide & conquer iteration failed"
+	eigFailed  = "the tridiagonal eigenvalue iteration failed to converge"
 	ifailSet   = "some eigenvectors failed to converge"
 	notPosDefB = "B is not positive definite or the reduction failed"
 )
@@ -32,9 +31,15 @@ func evxResult[T Scalar](routine string, res lapack.SyevxResult, z *Matrix[T]) (
 // eigenvectors of a real symmetric matrix — and, by genericity, of a
 // complex Hermitian one (the paper's LA_SYEV / LA_HEEV). Only the
 // WithUpLo triangle of A is referenced; with WithVectors A is overwritten
-// by the eigenvectors. The eigenvalues are returned ascending.
+// by the eigenvectors. The eigenvalues are returned ascending. The
+// eigenvectors of the tridiagonal form come from the QL/QR iteration on
+// small matrices and from divide & conquer on larger ones.
 func SYEV[T Scalar](a *Matrix[T], opts ...Opt) (w []float64, err error) {
-	const routine = "LA_SYEV"
+	return syev("LA_SYEV", a, opts)
+}
+
+// syev is the body of SYEV and of SYEVD, the paper's other name for it.
+func syev[T Scalar](routine string, a *Matrix[T], opts []Opt) (w []float64, err error) {
 	defer guard(routine, &err)
 	o := apply(opts)
 	n, err := symArgs(routine, o.check, a)
@@ -43,7 +48,7 @@ func SYEV[T Scalar](a *Matrix[T], opts ...Opt) (w []float64, err error) {
 	}
 	w = make([]float64, n)
 	info := lapack.Syev[T](o.cfg, o.vectors, o.uplo, n, a.Data, a.Stride, w)
-	return w, erdiag(routine, info, qlFailed, DiagNotConverged)
+	return w, erdiag(routine, info, eigFailed, DiagNotConverged)
 }
 
 // HEEV is the Hermitian name for SYEV (the paper's LA_HEEV).
@@ -51,20 +56,11 @@ func HEEV[T Scalar](a *Matrix[T], opts ...Opt) (w []float64, err error) {
 	return SYEV(a, opts...)
 }
 
-// SYEVD computes all eigenvalues and, with WithVectors, eigenvectors of a
-// symmetric/Hermitian matrix using the divide & conquer algorithm (the
-// paper's LA_SYEVD / LA_HEEVD).
+// SYEVD is SYEV under the paper's divide & conquer name (LA_SYEVD /
+// LA_HEEVD): one routine serves both and takes divide & conquer wherever
+// it is the faster route.
 func SYEVD[T Scalar](a *Matrix[T], opts ...Opt) (w []float64, err error) {
-	const routine = "LA_SYEVD"
-	defer guard(routine, &err)
-	o := apply(opts)
-	n, err := symArgs(routine, o.check, a)
-	if err != nil {
-		return nil, err
-	}
-	w = make([]float64, n)
-	info := lapack.Syevd[T](o.cfg, o.vectors, o.uplo, n, a.Data, a.Stride, w)
-	return w, erinfo(routine, info, dcFailed)
+	return syev("LA_SYEVD", a, opts)
 }
 
 // HEEVD is the Hermitian name for SYEVD (the paper's LA_HEEVD).
@@ -99,7 +95,11 @@ func HEEVX[T Scalar](a *Matrix[T], opts ...Opt) (*EigXResult[T], error) {
 // symmetric/Hermitian matrix in packed storage (the paper's LA_SPEV /
 // LA_HPEV). The eigenvectors, when requested, are returned in z.
 func SPEV[T Scalar](ap []T, opts ...Opt) (w []float64, z *Matrix[T], err error) {
-	const routine = "LA_SPEV"
+	return spev("LA_SPEV", ap, opts)
+}
+
+// spev is the body of SPEV and SPEVD.
+func spev[T Scalar](routine string, ap []T, opts []Opt) (w []float64, z *Matrix[T], err error) {
 	defer guard(routine, &err)
 	o := apply(opts)
 	n, err := packedEigArgs(routine, o.check, ap)
@@ -109,7 +109,7 @@ func SPEV[T Scalar](ap []T, opts ...Opt) (w []float64, z *Matrix[T], err error) 
 	w = make([]float64, n)
 	z, zdata, ldz := vecOut[T](o.vectors, n, n)
 	info := lapack.Spev(o.cfg, o.vectors, o.uplo, n, ap, w, zdata, ldz)
-	return w, z, erdiag(routine, info, qlFailed, DiagNotConverged)
+	return w, z, erdiag(routine, info, eigFailed, DiagNotConverged)
 }
 
 // HPEV is the Hermitian name for SPEV (the paper's LA_HPEV).
@@ -117,20 +117,10 @@ func HPEV[T Scalar](ap []T, opts ...Opt) (w []float64, z *Matrix[T], err error) 
 	return SPEV(ap, opts...)
 }
 
-// SPEVD is the divide & conquer variant of SPEV (the paper's LA_SPEVD /
-// LA_HPEVD; the dense D&C kernel runs after unpacking).
+// SPEVD is SPEV under the paper's divide & conquer name (LA_SPEVD /
+// LA_HPEVD).
 func SPEVD[T Scalar](ap []T, opts ...Opt) (w []float64, z *Matrix[T], err error) {
-	const routine = "LA_SPEVD"
-	defer guard(routine, &err)
-	o := apply(opts)
-	n, err := packedEigArgs(routine, o.check, ap)
-	if err != nil {
-		return nil, nil, err
-	}
-	w = make([]float64, n)
-	z, zdata, ldz := vecOut[T](o.vectors, n, n)
-	info := lapack.Spevd(o.cfg, o.vectors, o.uplo, n, ap, w, zdata, ldz)
-	return w, z, erinfo(routine, info, dcFailed)
+	return spev("LA_SPEVD", ap, opts)
 }
 
 // HPEVD is the Hermitian name for SPEVD.
@@ -162,7 +152,11 @@ func HPEVX[T Scalar](ap []T, opts ...Opt) (*EigXResult[T], error) {
 // symmetric/Hermitian band matrix (the paper's LA_SBEV / LA_HBEV). AB is
 // in symmetric band storage with kd = AB.Rows−1 off-diagonals.
 func SBEV[T Scalar](ab *Matrix[T], opts ...Opt) (w []float64, z *Matrix[T], err error) {
-	const routine = "LA_SBEV"
+	return sbev("LA_SBEV", ab, opts)
+}
+
+// sbev is the body of SBEV and SBEVD.
+func sbev[T Scalar](routine string, ab *Matrix[T], opts []Opt) (w []float64, z *Matrix[T], err error) {
 	defer guard(routine, &err)
 	o := apply(opts)
 	n, err := bandEigArgs(routine, o.check, ab)
@@ -172,7 +166,7 @@ func SBEV[T Scalar](ab *Matrix[T], opts ...Opt) (w []float64, z *Matrix[T], err 
 	w = make([]float64, n)
 	z, zdata, ldz := vecOut[T](o.vectors, n, n)
 	info := lapack.Sbev(o.cfg, o.vectors, o.uplo, n, ab.Rows-1, ab.Data, ab.Stride, w, zdata, ldz)
-	return w, z, erdiag(routine, info, qlFailed, DiagNotConverged)
+	return w, z, erdiag(routine, info, eigFailed, DiagNotConverged)
 }
 
 // HBEV is the Hermitian name for SBEV (the paper's LA_HBEV).
@@ -180,20 +174,10 @@ func HBEV[T Scalar](ab *Matrix[T], opts ...Opt) (w []float64, z *Matrix[T], err 
 	return SBEV(ab, opts...)
 }
 
-// SBEVD is the divide & conquer variant of SBEV (the paper's LA_SBEVD /
+// SBEVD is SBEV under the paper's divide & conquer name (LA_SBEVD /
 // LA_HBEVD).
 func SBEVD[T Scalar](ab *Matrix[T], opts ...Opt) (w []float64, z *Matrix[T], err error) {
-	const routine = "LA_SBEVD"
-	defer guard(routine, &err)
-	o := apply(opts)
-	n, err := bandEigArgs(routine, o.check, ab)
-	if err != nil {
-		return nil, nil, err
-	}
-	w = make([]float64, n)
-	z, zdata, ldz := vecOut[T](o.vectors, n, n)
-	info := lapack.Sbevd(o.cfg, o.vectors, o.uplo, n, ab.Rows-1, ab.Data, ab.Stride, w, zdata, ldz)
-	return w, z, erinfo(routine, info, dcFailed)
+	return sbev("LA_SBEVD", ab, opts)
 }
 
 // HBEVD is the Hermitian name for SBEVD.
@@ -225,7 +209,11 @@ func HBEVX[T Scalar](ab *Matrix[T], opts ...Opt) (*EigXResult[T], error) {
 // real symmetric tridiagonal matrix (the paper's LA_STEV). d and e are
 // overwritten; on success d holds the eigenvalues ascending.
 func STEV[T Scalar](d, e []float64, opts ...Opt) (z *Matrix[T], err error) {
-	const routine = "LA_STEV"
+	return stev[T]("LA_STEV", d, e, opts)
+}
+
+// stev is the body of STEV and STEVD.
+func stev[T Scalar](routine string, d, e []float64, opts []Opt) (z *Matrix[T], err error) {
 	defer guard(routine, &err)
 	o := apply(opts)
 	n, err := tridiagArgs(routine, o.check, d, e)
@@ -234,21 +222,12 @@ func STEV[T Scalar](d, e []float64, opts ...Opt) (z *Matrix[T], err error) {
 	}
 	z, zdata, ldz := vecOut[T](o.vectors, n, n)
 	info := lapack.Stev(o.cfg, n, d, e, zdata, ldz)
-	return z, erdiag(routine, info, qlFailed, DiagNotConverged)
+	return z, erdiag(routine, info, eigFailed, DiagNotConverged)
 }
 
-// STEVD is the divide & conquer variant of STEV (the paper's LA_STEVD).
+// STEVD is STEV under the paper's divide & conquer name (LA_STEVD).
 func STEVD[T Scalar](d, e []float64, opts ...Opt) (z *Matrix[T], err error) {
-	const routine = "LA_STEVD"
-	defer guard(routine, &err)
-	o := apply(opts)
-	n, err := tridiagArgs(routine, o.check, d, e)
-	if err != nil {
-		return nil, err
-	}
-	z, zdata, ldz := vecOut[T](o.vectors, n, n)
-	info := lapack.Stevd[T](o.cfg, n, d, e, zdata, ldz)
-	return z, erinfo(routine, info, dcFailed)
+	return stev[T]("LA_STEVD", d, e, opts)
 }
 
 // STEVX computes selected eigenvalues/eigenvectors of a real symmetric
