@@ -38,7 +38,7 @@ lint-globals:
 # KNOB_ENV_MAX names and non-test la/*.go may declare at most LA_OPTIONS_MAX
 # `func With…` options (none of which selects an algorithm).
 KNOB_ENV_MAX = 17
-LA_OPTIONS_MAX = 24
+LA_OPTIONS_MAX = 23
 lint-knobs:
 	@src=$$(grep -rhoE 'LA90_[A-Z0-9_]+' --include='*.go' --exclude='*_test.go' --exclude-dir=bench . | sort -u); \
 	tab=$$(grep -oE 'Env: "LA90_[A-Z0-9_]+"' internal/core/config.go | grep -oE 'LA90_[A-Z0-9_]+' | sort -u); \
@@ -71,7 +71,8 @@ lint-knobs:
 # block-size scaling in blockFor (tuning.go), and the three lines of the
 # subFma8 shim (level3.go; a typed shim because a pointer handed to a func
 # value escapes, measured there) — and the Level-1/2 and pack-free files may
-# contain none at all.
+# contain none at all. In non-test la/*.go no wrapper switches on its
+# element type either (`any(x.Data).(…)`): every driver is one generic call.
 DISPATCH_MAX = 6
 lint-dispatch:
 	@n=$$(grep -nE 'any\([A-Za-z0-9]+\)\.\(' internal/blas/*.go | grep -vc '_test\.go:'); \
@@ -83,6 +84,11 @@ lint-dispatch:
 		internal/blas/gemmsmall.go internal/blas/leaves.go internal/blas/iterate.go); \
 	if [ -n "$$bad" ]; then \
 		echo 'lint-dispatch: type assertions below the kernel table:'; \
+		echo "$$bad"; exit 1; \
+	fi
+	@bad=$$(grep -nE 'any\([A-Za-z0-9_.]*\.Data\)\.\(' la/*.go | grep -v '_test\.go:'); \
+	if [ -n "$$bad" ]; then \
+		echo 'lint-dispatch: per-type switches in la:'; \
 		echo "$$bad"; exit 1; \
 	fi
 	@echo "lint-dispatch: ok"
@@ -101,8 +107,16 @@ lint-dispatch:
 # between them by order — Syev and Stev (sytrd.go) — by Stedc, by the tree's
 # own leaves (stedcRec) and by f77's STEQR; a census of the calling functions
 # catches a second driver body that chooses its own tridiagonal solver.
+# Likewise the nonsymmetric drivers (xGEES/xGEESX/xGEEV/xGEEVX, and xGEGS/xGEGV
+# above them) are one body, geev (geev.go): outside bench/ and cmd/ the
+# Hessenberg reduction and the QR iteration (Gehrd, Hseqr, HseqrC) are called
+# by it, by the RCONDV step that triangularises a real Schur form
+# (sepPerEigenvalue, expertnonsym.go) and by f77's GEHRD — a census of the
+# calling functions, as for the symmetric ones.
 EIG_SITES = f77/f77ext.go:STEQR internal/lapack/dc.go:Stedc internal/lapack/dc.go:stedcRec \
 	internal/lapack/sytrd.go:Stev internal/lapack/sytrd.go:Stev internal/lapack/sytrd.go:Syev internal/lapack/sytrd.go:Syev
+NONSYM_SITES = f77/f77ext.go:GEHRD internal/lapack/expertnonsym.go:sepPerEigenvalue \
+	internal/lapack/geev.go:geev internal/lapack/geev.go:geev internal/lapack/geev.go:geev
 lint-once:
 	@fact=$$(grep -nE '[!=]= FactFact' internal/lapack/*.go | grep -v '_test\.go:'); \
 	rcond=$$(grep -n 'rcondFromEst(' internal/lapack/*.go | grep -v '_test\.go:' | grep -v 'func rcondFromEst('); \
@@ -117,6 +131,13 @@ lint-once:
 		| sed 's|^\./||' | sort | tr '\n' ' '); \
 	if [ "$$sites" != "$(strip $(EIG_SITES)) " ]; then \
 		echo 'lint-once: Steqr/Stevd called outside the symmetric eigensolver bodies:'; \
+		echo "$$sites"; exit 1; \
+	fi
+	@sites=$$(find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' ! -path './cmd/*' | sort | xargs awk \
+		'/^func /{f=$$0; sub(/^func (\([^)]*\) )?/, "", f); sub(/[[(].*/, "", f)} !/^func / && /(^|[^A-Za-z])(Gehrd|Hseqr|HseqrC)\(/{print FILENAME ":" f}' \
+		| sed 's|^\./||' | sort | tr '\n' ' '); \
+	if [ "$$sites" != "$(strip $(NONSYM_SITES)) " ]; then \
+		echo 'lint-once: Gehrd/Hseqr/HseqrC called outside the nonsymmetric eigensolver body:'; \
 		echo "$$sites"; exit 1; \
 	fi
 	@echo "lint-once: ok"

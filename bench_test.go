@@ -1267,10 +1267,10 @@ func BenchmarkTrevc(b *testing.B) {
 	}
 	v := make([]float64, n*n)
 	b.Run("right/f64", func(b *testing.B) {
-		benchLoop(b, func() { lapack.TrevcRight(cfg, n, t, n, wr, wi, z, n, v, n) })
+		benchLoop(b, func() { lapack.Trevc(cfg, false, n, t, n, wr, wi, z, n, v, n) })
 	})
 	b.Run("left/f64", func(b *testing.B) {
-		benchLoop(b, func() { lapack.TrevcLeft(cfg, n, t, n, wr, wi, z, n, v, n) })
+		benchLoop(b, func() { lapack.Trevc(cfg, true, n, t, n, wr, wi, z, n, v, n) })
 	})
 	tc, zc, vc := make([]complex128, n*n), make([]complex128, n*n), make([]complex128, n*n)
 	lapack.Larnv(2, rng, n*n, tc)
@@ -1279,10 +1279,10 @@ func BenchmarkTrevc(b *testing.B) {
 		clear(tc[j+1+j*n : (j+1)*n])
 	}
 	b.Run("right/c128", func(b *testing.B) {
-		benchLoop(b, func() { lapack.TrevcRightC(cfg, n, tc, n, zc, n, vc, n) })
+		benchLoop(b, func() { lapack.Trevc(cfg, false, n, tc, n, nil, nil, zc, n, vc, n) })
 	})
 	b.Run("left/c128", func(b *testing.B) {
-		benchLoop(b, func() { lapack.TrevcLeftC(cfg, n, tc, n, zc, n, vc, n) })
+		benchLoop(b, func() { lapack.Trevc(cfg, true, n, tc, n, nil, nil, zc, n, vc, n) })
 	})
 }
 
@@ -1368,18 +1368,43 @@ func BenchmarkGesdd(b *testing.B) {
 	})
 }
 
+// BenchmarkGeev's right leg is the eig_svd op; the other legs run the Schur
+// and expert drivers on the same matrix through la, all of them the one geev
+// body: GEES with Schur vectors, GEESX selecting the right half-plane (so the
+// Sylvester condition estimate runs), GEEVX with both vector sides.
 func BenchmarkGeev(b *testing.B) {
 	const n = 192
 	a0 := make([]float64, n*n)
 	lapack.Larnv(2, lapack.NewRng([4]int{n, 9, 6, 1}), n*n, a0)
 	a, vr := make([]float64, n*n), make([]float64, n*n)
 	wr, wi := make([]float64, n), make([]float64, n)
-	benchLoop(b, func() {
-		copy(a, a0)
-		if info := lapack.Geev(core.Default(), false, true, n, a, n, wr, wi, nil, 1, vr, n); info != 0 {
-			b.Fatalf("Geev: info %d", info)
-		}
+	b.Run("right", func(b *testing.B) {
+		benchLoop(b, func() {
+			copy(a, a0)
+			if info := lapack.Geev(core.Default(), false, true, n, a, n, wr, wi, nil, 1, vr, n); info != 0 {
+				b.Fatalf("Geev: info %d", info)
+			}
+		})
 	})
+	right := la.WithSelect(func(re, im float64) bool { return re > 0 })
+	for _, leg := range []struct {
+		name string
+		run  func(a *la.Matrix[float64]) error
+	}{
+		{"GEES", func(a *la.Matrix[float64]) error { _, _, _, err := la.GEES(a, la.WithSchurVectors()); return err }},
+		{"GEESX", func(a *la.Matrix[float64]) error { _, err := la.GEESX(a, right); return err }},
+		{"GEEVX", func(a *la.Matrix[float64]) error { _, err := la.GEEVX(a, la.WithLeft(), la.WithRight()); return err }},
+	} {
+		b.Run(leg.name, func(b *testing.B) {
+			m := la.NewMatrix[float64](n, n)
+			benchLoop(b, func() {
+				copy(m.Data, a0)
+				if err := leg.run(m); err != nil {
+					b.Fatal(err)
+				}
+			})
+		})
+	}
 }
 
 // BenchmarkRotSeq sweeps 383 rotations forward and backward over a 384×384

@@ -30,14 +30,28 @@ func GEEVC[T interface{ complex64 | complex128 }](jobvl, jobvr bool, n int, a []
 // GEES computes the real Schur factorization (xGEES). sel may be nil for
 // no ordering; sdim counts the selected leading eigenvalues.
 func GEES[T interface{ float32 | float64 }](jobvs bool, sel func(wr, wi float64) bool, n int, a []T, lda int, wr, wi []float64, vs []T, ldvs int) (sdim, info int) {
-	cfg := core.Default()
-	return lapack.Gees(cfg, jobvs, sel, n, a, lda, wr, wi, vs, ldvs)
+	if !jobvs {
+		vs = nil
+	}
+	w := make([]complex128, n)
+	res := lapack.Geesx(core.Default(), false, sel, n, a, lda, w, vs, ldvs)
+	for i, v := range w {
+		wr[i], wi[i] = real(v), imag(v)
+	}
+	return res.SDim, res.Info
 }
 
 // GEESC is the complex counterpart of GEES.
 func GEESC[T interface{ complex64 | complex128 }](jobvs bool, sel func(w complex128) bool, n int, a []T, lda int, w []complex128, vs []T, ldvs int) (sdim, info int) {
-	cfg := core.Default()
-	return lapack.GeesC(cfg, jobvs, sel, n, a, lda, w, vs, ldvs)
+	var s func(re, im float64) bool
+	if sel != nil {
+		s = func(re, im float64) bool { return sel(complex(re, im)) }
+	}
+	if !jobvs {
+		vs = nil
+	}
+	res := lapack.Geesx(core.Default(), false, s, n, a, lda, w, vs, ldvs)
+	return res.SDim, res.Info
 }
 
 // GELSS computes the minimum-norm least squares solution by SVD

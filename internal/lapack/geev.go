@@ -8,30 +8,13 @@ import (
 	"repro/internal/core"
 )
 
-// The nonsymmetric eigensolvers compute internally in float64 (real types)
-// or complex128 (complex types); float32/complex64 inputs are promoted on
-// entry and demoted on return (see DESIGN.md). This only ever increases
-// accuracy relative to the reference single-precision paths.
-
-func promoteReal[T core.Scalar](m, n int, a []T, lda int) []float64 {
-	out := make([]float64, m*n)
-	convertMat(m, n, a, lda, out, m)
-	return out
-}
-
-func demoteReal[T core.Scalar](m, n int, src []float64, a []T, lda int) {
-	convertMat(m, n, src, m, a, lda)
-}
-
-func promoteCmplx[T core.Scalar](m, n int, a []T, lda int) []complex128 {
-	out := make([]complex128, m*n)
-	convertMat(m, n, a, lda, out, m)
-	return out
-}
-
-func demoteCmplx[T core.Scalar](m, n int, src []complex128, a []T, lda int) {
-	convertMat(m, n, src, m, a, lda)
-}
+// The standard nonsymmetric eigensolvers — xGEES, xGEESX, xGEEV and xGEEVX,
+// and xGEGS/xGEGV on top of them — are one body, geev, in a work type E:
+// float64 for the real types, complex128 for the complex ones. float32 and
+// complex64 inputs are converted on entry and the outputs on exit, nowhere
+// else (see DESIGN.md); this only ever increases accuracy relative to the
+// reference single-precision paths. Eigenvalues come out as w []complex128 for
+// all four types.
 
 // convertMat copies the m×n matrix src into dst in dst's element type (a
 // real destination takes the real part).
@@ -60,89 +43,208 @@ func workLd[E core.Scalar](n int) int {
 	return (n+per-1)/per*per | per
 }
 
-// Geev computes the eigenvalues and, optionally, the left and/or right
-// eigenvectors of a real general matrix (the xGEEV driver). Eigenvalues
-// are (wr[i], wi[i]); complex pairs occupy consecutive entries with
-// positive imaginary part first. Eigenvectors use the LAPACK real packing
-// (see TrevcRight). a is destroyed. Returns i > 0 if the QR algorithm
-// failed to converge.
-func Geev[T core.Float](cfg *core.Config, jobvl, jobvr bool, n int, a []T, lda int, wr, wi []float64, vl []T, ldvl int, vr []T, ldvr int) int {
-	return geev(cfg, jobvl, jobvr, n, a, lda, wr, wi, vl, ldvl, vr, ldvr,
-		func(ilo, ihi int, h, z []float64, ld int) int {
-			return Hseqr(cfg, z != nil, n, ilo, ihi, h, ld, wr, wi, z, ld)
-		})
+// NonsymResult carries what the nonsymmetric drivers report besides the
+// eigenvalues and vectors. SDim counts the eigenvalues a Schur driver's
+// selector moved to the top left. With sense an eigenvector driver reports
+// its balancing (ILo, IHi, Scale, ABNrm) and one RCondE (|uᴴ·v| of the unit
+// left and right vectors) and RCondV (a sep estimate, see DESIGN.md) per
+// eigenvalue; a Schur driver one of each, for the average of the selected
+// cluster and for its right invariant subspace. Info > 0 reports that the QR
+// algorithm failed.
+type NonsymResult struct {
+	SDim           int
+	ILo, IHi       int
+	Scale          []float64
+	ABNrm          float64
+	RCondE, RCondV []float64
+	Info           int
 }
 
-// GeevC computes the eigenvalues and, optionally, eigenvectors of a
-// complex general matrix (the xGEEV complex driver). w receives the
-// eigenvalues; eigenvectors are returned as complex columns.
-func GeevC[T core.Cmplx](cfg *core.Config, jobvl, jobvr bool, n int, a []T, lda int, w []complex128, vl []T, ldvl int, vr []T, ldvr int) int {
-	return geev(cfg, jobvl, jobvr, n, a, lda, nil, nil, vl, ldvl, vr, ldvr,
-		func(ilo, ihi int, h, z []complex128, ld int) int {
-			return HseqrC(cfg, z != nil, n, ilo, ihi, h, ld, w, z, ld)
-		})
+// Geesx computes the Schur factorization A = Z·T·Zᴴ of a general matrix (the
+// xGEES driver, with sense xGEESX). On return a holds T — for the real types
+// in real Schur form, standardized 2×2 blocks carrying the complex pairs — w
+// the eigenvalues and, if vs is non-nil, vs the Schur vectors Z. With sel the
+// eigenvalues for which sel(re, im) holds are moved to the top left of T and
+// SDim counts them. A is not balanced.
+func Geesx[T core.Scalar](cfg *core.Config, sense bool, sel func(wr, wi float64) bool, n int, a []T, lda int, w []complex128, vs []T, ldvs int) NonsymResult {
+	return nonsym(cfg, eigJob{schur: true, sel: sel, sense: sense}, n, a, lda, w, nil, 1, vs, ldvs)
 }
 
-// geev is the body of both drivers in their work type E (float64 or
-// complex128): balance, reduce, generate Q, iterate (hseqr, on h and — when
-// vectors are wanted — z, both ld apart), then per wanted side the
-// eigenvectors of the Schur form back-transformed by z, the balancing undone,
-// normalised. wr/wi are the real packing's eigenvalues, nil for complex E.
-// Every work array is pooled scratch that is written before it is read.
-func geev[T, E core.Scalar](cfg *core.Config, jobvl, jobvr bool, n int, a []T, lda int, wr, wi []float64, vl []T, ldvl int, vr []T, ldvr int,
-	hseqr func(ilo, ihi int, h, z []E, ld int) int) int {
-	if n == 0 {
-		return 0
+// Geevx computes the eigenvalues w and, per jobvl/jobvr, the left (uᴴ·A =
+// λ·uᴴ) and right eigenvectors of a general matrix (the xGEEV driver, with
+// sense xGEEVX; BALANC = 'B' always, the paper's LA_GEEVX default). Every
+// vector has unit norm and its largest component real; for the real types
+// they use the real packing (see Trevc). a is overwritten.
+func Geevx[T core.Scalar](cfg *core.Config, sense, jobvl, jobvr bool, n int, a []T, lda int, w []complex128, vl []T, ldvl int, vr []T, ldvr int) NonsymResult {
+	return nonsym(cfg, eigJob{sense: sense, vl: jobvl, vr: jobvr}, n, a, lda, w, vl, ldvl, vr, ldvr)
+}
+
+// Geev is Geevx without condition numbers, the eigenvalues in the real
+// packing: (wr[i], wi[i]), a complex pair at consecutive entries with the
+// positive imaginary part first. Returns i > 0 if the QR algorithm failed.
+func Geev[T core.Scalar](cfg *core.Config, jobvl, jobvr bool, n int, a []T, lda int, wr, wi []float64, vl []T, ldvl int, vr []T, ldvr int) int {
+	w := blas.GetScratch[complex128](n)
+	defer blas.PutScratch(w)
+	info := Geevx(cfg, false, jobvl, jobvr, n, a, lda, w, vl, ldvl, vr, ldvr).Info
+	for i, v := range w {
+		wr[i], wi[i] = real(v), imag(v)
 	}
+	return info
+}
+
+// GeevC is Geev for the complex types, the eigenvalues in w.
+func GeevC[T core.Cmplx](cfg *core.Config, jobvl, jobvr bool, n int, a []T, lda int, w []complex128, vl []T, ldvl int, vr []T, ldvr int) int {
+	return Geevx(cfg, false, jobvl, jobvr, n, a, lda, w, vl, ldvl, vr, ldvr).Info
+}
+
+// eigJob selects the optional stages of geev.
+type eigJob struct {
+	schur  bool                      // xGEES: no balancing; T, and the Schur vectors in vr
+	sel    func(wr, wi float64) bool // schur: the eigenvalues moved to the top left
+	sense  bool                      // the condition numbers of xGEESX / xGEEVX
+	vl, vr bool                      // the eigenvectors handed out
+}
+
+// nonsym runs geev in the work type of T.
+func nonsym[T core.Scalar](cfg *core.Config, job eigJob, n int, a []T, lda int, w []complex128, vl []T, ldvl int, vr []T, ldvr int) NonsymResult {
+	if core.IsComplex[T]() {
+		return geev[T, complex128](cfg, job, n, a, lda, w, vl, ldvl, vr, ldvr)
+	}
+	return geev[T, float64](cfg, job, n, a, lda, w, vl, ldvl, vr, ldvr)
+}
+
+// geev is the one body of the standard nonsymmetric eigenproblem in its work
+// type E: a converted into h, balanced (not for the Schur drivers), reduced
+// to Hessenberg form, Q generated into z, the QR iteration (Hseqr or HseqrC)
+// on h and z — z only when T or vectors are wanted. Then the Schur drivers
+// reorder by sel, estimate the cluster's conditioning and hand out z; the
+// eigenvector drivers compute per side the eigenvectors of T back-transformed
+// by z, with sense both sides first for the condition numbers, then undo the
+// balancing and normalise. h goes back into a last. For real E the iteration
+// writes the real packing wr, wi, copied into w. Every work array is pooled
+// scratch that is written before it is read.
+func geev[T, E core.Scalar](cfg *core.Config, job eigJob, n int, a []T, lda int, w []complex128, vl []T, ldvl int, vr []T, ldvr int) (res NonsymResult) {
+	if job.sense {
+		m := n
+		if job.schur {
+			m = 1
+		} else {
+			res.Scale = make([]float64, n)
+		}
+		res.RCondE, res.RCondV = make([]float64, m), make([]float64, m)
+		if job.schur {
+			res.RCondE[0] = 1 // of the empty cluster
+		}
+	}
+	if n == 0 {
+		return res
+	}
+	w = w[:n]
+	eigvecs := !job.schur && (job.vl || job.vr || job.sense)
 	ld := workLd[E](n)
-	nmat := 1
-	if jobvl || jobvr {
+	nmat := 1 // h, then z, then the vectors: one side at a time, or with sense both
+	switch {
+	case job.schur:
+		nmat = 2
+	case job.sense:
+		nmat = 4
+	case eigvecs:
 		nmat = 3
 	}
 	work := blas.GetScratch[E](nmat*ld*n + n)
 	defer blas.PutScratch(work)
-	scale := blas.GetScratch[float64](n)
-	defer blas.PutScratch(scale)
+	scale := res.Scale
+	if scale == nil {
+		scale = blas.GetScratch[float64](n)
+		defer blas.PutScratch(scale)
+	}
+	var wr, wi []float64
+	if !core.IsComplex[E]() {
+		wr, wi = blas.GetScratch[float64](n), blas.GetScratch[float64](n)
+		defer blas.PutScratch(wr)
+		defer blas.PutScratch(wi)
+		clear(wr)
+		clear(wi)
+	}
 	h, tau := work[:ld*n], work[nmat*ld*n:]
 	convertMat(n, n, a, lda, h, ld)
-	ilo, ihi := Gebal('B', n, h, ld, scale)
+	balanc := byte('B')
+	if job.schur {
+		balanc = 'N'
+	}
+	ilo, ihi := Gebal(balanc, n, h, ld, scale)
+	if res.Scale != nil {
+		res.ILo, res.IHi, res.ABNrm = ilo, ihi, Lange(OneNorm, n, n, h, ld)
+	}
 	Gehrd(cfg, n, ilo, ihi, h, ld, tau)
-	var z, v []E
-	if nmat == 3 {
-		z, v = work[ld*n:2*ld*n], work[2*ld*n:3*ld*n]
+	var z []E
+	if nmat > 1 {
+		z = work[ld*n : 2*ld*n]
 		Lacpy('A', n, n, h, ld, z, ld)
 		Orghr(cfg, n, ilo, ihi, z, ld, tau)
 	}
-	if info := hseqr(ilo, ihi, h, z, ld); info != 0 {
-		return info
+	switch h := any(h).(type) {
+	case []float64:
+		res.Info = Hseqr(cfg, z != nil, n, ilo, ihi, h, ld, wr, wi, any(z).([]float64), ld)
+		for i := range w {
+			w[i] = complex(wr[i], wi[i])
+		}
+	case []complex128:
+		res.Info = HseqrC(cfg, z != nil, n, ilo, ihi, h, ld, w, any(z).([]complex128), ld)
 	}
-	vectors := func(left bool, side byte, out []T, ldo int) {
-		trevc(cfg, left, n, h, ld, wr, wi, z, ld, v, ld)
-		Gebak('B', side, n, ilo, ihi, scale, n, v, ld)
-		normalizeEvecs(n, wi, v, ld)
-		convertMat(n, n, v, ld, out, ldo)
+	if res.Info != 0 {
+		return res
 	}
-	if jobvr {
-		vectors(false, 'R', vr, ldvr)
+	if job.schur {
+		if job.sel != nil {
+			res.SDim = reorder(cfg, n, h, z, ld, wr, wi, w, job.sel)
+		}
+		if job.sense {
+			res.RCondE[0], res.RCondV[0] = sepEstimates(cfg, n, res.SDim, h, ld)
+		}
+		if vr != nil {
+			convertMat(n, n, z, ld, vr, ldvr)
+		}
 	}
-	if jobvl {
-		vectors(true, 'L', vl, ldvl)
+	if eigvecs {
+		// One matrix serves both sides in turn; with sense each side has its own.
+		right, left := work[2*ld*n:3*ld*n], work[(nmat-1)*ld*n:nmat*ld*n]
+		if job.sense {
+			Trevc(cfg, false, n, h, ld, wr, wi, z, ld, right, ld)
+			Trevc(cfg, true, n, h, ld, wr, wi, z, ld, left, ld)
+			condFromVectors(n, w, left, right, ld, res.RCondE)
+			sepPerEigenvalue(cfg, n, h, ld, w, res.RCondV)
+		}
+		vectors := func(isLeft bool, side byte, v []E, out []T, ldo int) {
+			if !job.sense {
+				Trevc(cfg, isLeft, n, h, ld, wr, wi, z, ld, v, ld)
+			}
+			Gebak('B', side, n, ilo, ihi, scale, n, v, ld)
+			normalizeEvecs(n, w, v, ld)
+			convertMat(n, n, v, ld, out, ldo)
+		}
+		if job.vr {
+			vectors(false, 'R', right, vr, ldvr)
+		}
+		if job.vl {
+			vectors(true, 'L', left, vl, ldvl)
+		}
 	}
 	convertMat(n, n, h, ld, a, lda)
-	return 0
+	return res
 }
 
 // normalizeEvecs scales each eigenvector in the columns of v to unit
-// Euclidean norm and rotates a complex one so that its largest component is
-// real (the xGEEV convention). wi marks the real packing's pairs — real part
-// in column j, imaginary part in column j+1 — and is nil for complex E. The
+// Euclidean norm and rotates it so that its largest component is real (the
+// xGEEV convention). For real E a complex eigenvalue w[j] marks a pair of the
+// real packing — real part in column j, imaginary part in column j+1. The
 // norm is Nrm2's, so components that Gebak scaled beyond the square root of
 // the range neither overflow it nor vanish from it.
-func normalizeEvecs[E core.Scalar](n int, wi []float64, v []E, ldv int) {
+func normalizeEvecs[E core.Scalar](n int, w []complex128, v []E, ldv int) {
 	for j := 0; j < n; j++ {
 		x := v[j*ldv:][:n]
 		y := x[:0] // the imaginary column of a pair
-		if wi != nil && wi[j] != 0 {
+		if !core.IsComplex[E]() && imag(w[j]) != 0 {
 			j++
 			y = v[j*ldv:][:n]
 		}
@@ -181,78 +283,85 @@ func normalizeEvecs[E core.Scalar](n int, wi []float64, v []E, ldv int) {
 	}
 }
 
-// Gees computes the real Schur factorization A = Z·T·Zᵀ of a real general
-// matrix (the xGEES driver). On return a holds T and, if jobvs, vs holds
-// the orthogonal Schur vectors Z. If sel is non-nil the eigenvalues for
-// which sel returns true are reordered to the top-left of T and sdim
-// reports their count. Returns info > 0 on QR failure.
-func Gees[T core.Float](cfg *core.Config, jobvs bool, sel func(wr, wi float64) bool, n int, a []T, lda int, wr, wi []float64, vs []T, ldvs int) (sdim, info int) {
-	if n == 0 {
-		return 0, 0
-	}
-	h := promoteReal(n, n, a, lda)
-	tau := make([]float64, max(0, n-1))
-	Gehrd(cfg, n, 0, n-1, h, n, tau)
-	z := make([]float64, n*n)
-	Lacpy('A', n, n, h, n, z, n)
-	Orghr(cfg, n, 0, n-1, z, n, tau)
-	info = Hseqr(cfg, true, n, 0, n-1, h, n, wr, wi, z, n)
-	if info != 0 {
-		return 0, info
-	}
-	if sel != nil {
-		sdim = reorderSchur(cfg, n, h, n, z, n, wr, wi, sel)
-	}
-	demoteReal(n, n, h, a, lda)
-	if jobvs {
-		demoteReal(n, n, z, vs, ldvs)
-	}
-	return sdim, 0
-}
-
-// GeesC computes the complex Schur factorization A = Z·T·Zᴴ (the complex
-// xGEES driver), with optional eigenvalue reordering by sel.
-func GeesC[T core.Cmplx](cfg *core.Config, jobvs bool, sel func(w complex128) bool, n int, a []T, lda int, w []complex128, vs []T, ldvs int) (sdim, info int) {
-	if n == 0 {
-		return 0, 0
-	}
-	h := promoteCmplx(n, n, a, lda)
-	tau := make([]complex128, max(0, n-1))
-	Gehrd(cfg, n, 0, n-1, h, n, tau)
-	z := make([]complex128, n*n)
-	Lacpy('A', n, n, h, n, z, n)
-	Orghr(cfg, n, 0, n-1, z, n, tau)
-	info = HseqrC(cfg, true, n, 0, n-1, h, n, w, z, n)
-	if info != 0 {
-		return 0, info
-	}
-	if sel != nil {
-		// Selection sort on the diagonal using unitary swaps (xTREXC).
+// reorder moves the eigenvalues of the Schur form t for which sel(re, im)
+// holds to its top left by similarity swaps of adjacent diagonal blocks,
+// updating q and the eigenvalues, and returns their number (xTRSEN's
+// reordering): Laexc swaps on a real quasi-triangular t, whose complex pairs
+// move together, TrexcC on a complex triangular one. A real swap too
+// ill-conditioned to perform leaves its block where it is.
+func reorder[E core.Scalar](cfg *core.Config, n int, t, q []E, ld int, wr, wi []float64, w []complex128, sel func(wr, wi float64) bool) (sdim int) {
+	if tc, ok := any(t).([]complex128); ok {
+		qc := any(q).([]complex128)
 		for target := 0; target < n; target++ {
-			src := -1
-			for j := target; j < n; j++ {
-				if sel(h[j+j*n]) {
-					src = j
-					break
-				}
+			src := target
+			for src < n && !sel(real(tc[src+src*ld]), imag(tc[src+src*ld])) {
+				src++
 			}
-			if src < 0 {
+			if src == n {
 				break
 			}
 			for j := src; j > target; j-- {
-				TrexcC(n, h, n, z, n, j, j-1)
+				TrexcC(n, tc, ld, qc, ld, j, j-1)
 			}
 			sdim++
 		}
-		for i := 0; i < n; i++ {
-			w[i] = h[i+i*n]
+		for i := range w {
+			w[i] = tc[i+i*ld]
+		}
+		return sdim
+	}
+	tr, qr := any(t).([]float64), any(q).([]float64)
+	for target := 0; target < n; {
+		// The next selected block at or after target.
+		src, size := target, 1
+		for ; src < n; src += size {
+			size = 1
+			if src < n-1 && tr[src+1+src*ld] != 0 {
+				size = 2
+			}
+			if sel(wr[src], wi[src]) || (size == 2 && sel(wr[src+1], wi[src+1])) {
+				break
+			}
+		}
+		if src >= n {
+			break
+		}
+		// Bubble it up to target with adjacent swaps.
+		for src > target {
+			above, aboveSize := src-1, 1
+			if above > 0 && tr[above+(above-1)*ld] != 0 {
+				above, aboveSize = above-1, 2
+			}
+			if Laexc(cfg, true, n, tr, ld, qr, ld, above, aboveSize, size) != 0 {
+				break
+			}
+			src = above
+		}
+		schurEigenvalues(n, tr, ld, wr, wi)
+		sdim += size
+		target = src + size
+	}
+	schurEigenvalues(n, tr, ld, wr, wi)
+	for i := range w {
+		w[i] = complex(wr[i], wi[i])
+	}
+	return sdim
+}
+
+// schurEigenvalues reads the eigenvalues off a real Schur form.
+func schurEigenvalues(n int, t []float64, ldt int, wr, wi []float64) {
+	for i := 0; i < n; {
+		if i < n-1 && t[i+1+i*ldt] != 0 {
+			_, _, _, _, r1r, r1i, r2r, r2i, _, _ := Lanv2(t[i+i*ldt], t[i+(i+1)*ldt], t[i+1+i*ldt], t[i+1+(i+1)*ldt])
+			wr[i], wi[i] = r1r, r1i
+			wr[i+1], wi[i+1] = r2r, r2i
+			i += 2
+		} else {
+			wr[i] = t[i+i*ldt]
+			wi[i] = 0
+			i++
 		}
 	}
-	demoteCmplx(n, n, h, a, lda)
-	if jobvs {
-		demoteCmplx(n, n, z, vs, ldvs)
-	}
-	return sdim, 0
 }
 
 // TrexcC swaps adjacent diagonal elements ifst and ilst (|ifst−ilst| = 1)
@@ -305,72 +414,4 @@ func zlartg(f, g complex128) (cs float64, sn, r complex128) {
 	sn = fa * cmplx.Conj(g) / complex(d, 0)
 	r = fa * complex(d, 0)
 	return cs, sn, r
-}
-
-// reorderSchur moves the eigenvalues selected by sel to the top-left of a
-// real Schur form by repeated adjacent swaps (xTRSEN's reordering, built
-// on Laexc). It returns the number of selected eigenvalues. Complex pairs
-// are kept together.
-func reorderSchur(cfg *core.Config, n int, t []float64, ldt int, q []float64, ldq int, wr, wi []float64, sel func(wr, wi float64) bool) int {
-	// Determine block starts.
-	sdim := 0
-	target := 0
-	for target < n {
-		// Find the next selected block at or after target.
-		src := -1
-		var srcSize int
-		j := target
-		for j < n {
-			size := 1
-			if j < n-1 && t[j+1+j*ldt] != 0 {
-				size = 2
-			}
-			if sel(wr[j], wi[j]) || (size == 2 && sel(wr[j+1], wi[j+1])) {
-				src = j
-				srcSize = size
-				break
-			}
-			j += size
-		}
-		if src < 0 {
-			break
-		}
-		// Bubble the block up to target with adjacent swaps.
-		for src > target {
-			// Block immediately above src.
-			above := src - 1
-			aboveSize := 1
-			if above > 0 && t[above+(above-1)*ldt] != 0 {
-				above--
-				aboveSize = 2
-			}
-			if Laexc(cfg, true, n, t, ldt, q, ldq, above, aboveSize, srcSize) != 0 {
-				// Swap too ill-conditioned; give up on this block.
-				break
-			}
-			src = above
-		}
-		// Refresh the eigenvalues from the (possibly modified) T.
-		extractSchurEigenvalues(n, t, ldt, wr, wi)
-		sdim += srcSize
-		target = src + srcSize
-	}
-	extractSchurEigenvalues(n, t, ldt, wr, wi)
-	return sdim
-}
-
-// extractSchurEigenvalues reads the eigenvalues off a real Schur form.
-func extractSchurEigenvalues(n int, t []float64, ldt int, wr, wi []float64) {
-	for i := 0; i < n; {
-		if i < n-1 && t[i+1+i*ldt] != 0 {
-			_, _, _, _, r1r, r1i, r2r, r2i, _, _ := Lanv2(t[i+i*ldt], t[i+(i+1)*ldt], t[i+1+i*ldt], t[i+1+(i+1)*ldt])
-			wr[i], wi[i] = r1r, r1i
-			wr[i+1], wi[i+1] = r2r, r2i
-			i += 2
-		} else {
-			wr[i] = t[i+i*ldt]
-			wi[i] = 0
-			i++
-		}
-	}
 }

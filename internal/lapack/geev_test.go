@@ -229,10 +229,9 @@ func TestGeesReal(t *testing.T) {
 		rng := lapack.NewRng([4]int{n, 9, 1, 1})
 		a := testutil.RandGeneral[float64](rng, n, n, n)
 		tm := append([]float64(nil), a...)
-		wr := make([]float64, n)
-		wi := make([]float64, n)
+		w := make([]complex128, n)
 		vs := make([]float64, n*n)
-		_, info := lapack.Gees[float64](tcfg(), true, nil, n, tm, n, wr, wi, vs, n)
+		info := lapack.Geesx(tcfg(), false, nil, n, tm, n, w, vs, n).Info
 		if info != 0 {
 			t.Fatalf("n=%d gees info=%d", n, info)
 		}
@@ -265,11 +264,11 @@ func TestGeesSelect(t *testing.T) {
 		rng := lapack.NewRng([4]int{n, 4, 2, 0})
 		a := testutil.RandGeneral[float64](rng, n, n, n)
 		tm := append([]float64(nil), a...)
-		wr := make([]float64, n)
-		wi := make([]float64, n)
+		w := make([]complex128, n)
 		vs := make([]float64, n*n)
 		sel := func(re, im float64) bool { return re > 0 }
-		sdim, info := lapack.Gees[float64](tcfg(), true, sel, n, tm, n, wr, wi, vs, n)
+		res := lapack.Geesx(tcfg(), false, sel, n, tm, n, w, vs, n)
+		sdim, info := res.SDim, res.Info
 		if info != 0 {
 			t.Fatalf("n=%d gees(select) info=%d", n, info)
 		}
@@ -280,16 +279,16 @@ func TestGeesSelect(t *testing.T) {
 		// Count positives and verify they are leading.
 		want := 0
 		for i := 0; i < n; i++ {
-			if wr[i] > 0 {
+			if real(w[i]) > 0 {
 				want++
 			}
 		}
 		if sdim != want {
-			t.Fatalf("n=%d sdim=%d want %d (wr=%v)", n, sdim, want, wr)
+			t.Fatalf("n=%d sdim=%d want %d (w=%v)", n, sdim, want, w)
 		}
 		for i := 0; i < sdim; i++ {
-			if wr[i] <= 0 {
-				t.Fatalf("n=%d: eigenvalue %d (%v) not positive after reorder", n, i, wr[i])
+			if real(w[i]) <= 0 {
+				t.Fatalf("n=%d: eigenvalue %d (%v) not positive after reorder", n, i, w[i])
 			}
 		}
 	}
@@ -302,7 +301,7 @@ func TestGeesComplex(t *testing.T) {
 		tm := append([]complex128(nil), a...)
 		w := make([]complex128, n)
 		vs := make([]complex128, n*n)
-		_, info := lapack.GeesC[complex128](tcfg(), true, nil, n, tm, n, w, vs, n)
+		info := lapack.Geesx(tcfg(), false, nil, n, tm, n, w, vs, n).Info
 		if info != 0 {
 			t.Fatalf("n=%d geesc info=%d", n, info)
 		}
@@ -338,13 +337,13 @@ func TestGeesComplex(t *testing.T) {
 		tm2 := append([]complex128(nil), a...)
 		w2 := make([]complex128, n)
 		vs2 := make([]complex128, n*n)
-		selC := func(z complex128) bool { return cmplx.Abs(z) > cutoff }
-		sdim, info := lapack.GeesC[complex128](tcfg(), true, selC, n, tm2, n, w2, vs2, n)
-		if info != 0 {
-			t.Fatalf("n=%d geesc(select) info=%d", n, info)
+		sel := func(re, im float64) bool { return math.Hypot(re, im) > cutoff }
+		res := lapack.Geesx(tcfg(), false, sel, n, tm2, n, w2, vs2, n)
+		if res.Info != 0 {
+			t.Fatalf("n=%d geesc(select) info=%d", n, res.Info)
 		}
-		for i := 0; i < sdim; i++ {
-			if !selC(w2[i]) {
+		for i := 0; i < res.SDim; i++ {
+			if !sel(real(w2[i]), imag(w2[i])) {
 				t.Fatalf("n=%d: reordered eigenvalue %d not selected", n, i)
 			}
 		}

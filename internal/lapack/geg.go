@@ -15,47 +15,52 @@ import (
 // difference from reference QZ is numerical behaviour when B is
 // ill-conditioned, which the info return flags.
 
-// Gegs computes the generalized real Schur decomposition of the pencil
-// (A, B): A = Q·S·Zᵀ, B = Q·T·Zᵀ with S quasi-triangular and T upper
-// triangular. On exit a holds S and b holds T; the generalized eigenvalues
-// are (alphar[i], alphai[i]) / beta[i]. vsl (Q) and vsr (Z) may be nil.
-// Returns info > 0 if B is singular to working precision or the QR
+// Gegs computes the generalized Schur decomposition of the pencil (A, B):
+// A = Q·S·Zᴴ, B = Q·T·Zᴴ with T upper triangular and S upper triangular —
+// for the real types quasi-triangular, in real Schur form. On exit a holds S
+// and b holds T; the generalized eigenvalues are alpha[i]/beta[i], a complex
+// pair of a real S (a 2×2 block) with beta = 1. vsl (Q) and vsr (Z) may be
+// nil. Returns info > 0 if B is singular to working precision or the QR
 // iteration fails.
-func Gegs[T core.Float](cfg *core.Config, n int, a []T, lda int, b []T, ldb int, alphar, alphai, beta []float64, vsl []T, ldvsl int, vsr []T, ldvsr int) int {
+func Gegs[T core.Scalar](cfg *core.Config, n int, a []T, lda int, b []T, ldb int, alpha, beta []complex128, vsl []T, ldvsl int, vsr []T, ldvsr int) int {
+	if core.IsComplex[T]() {
+		return gegs[T, complex128](cfg, n, a, lda, b, ldb, alpha, beta, vsl, ldvsl, vsr, ldvsr)
+	}
+	return gegs[T, float64](cfg, n, a, lda, b, ldb, alpha, beta, vsl, ldvsl, vsr, ldvsr)
+}
+
+// gegs is Gegs in geev's work type E.
+func gegs[T, E core.Scalar](cfg *core.Config, n int, a []T, lda int, b []T, ldb int, alpha, beta []complex128, vsl []T, ldvsl int, vsr []T, ldvsr int) int {
 	if n == 0 {
 		return 0
 	}
-	// Promote to float64 (as the other nonsymmetric drivers do).
-	af := promoteReal(n, n, a, lda)
-	bf := promoteReal(n, n, b, ldb)
 	// M = B⁻¹·A.
-	blu := append([]float64(nil), bf...)
+	m, bf, blu := make([]E, n*n), make([]E, n*n), make([]E, n*n)
+	convertMat(n, n, a, lda, m, n)
+	convertMat(n, n, b, ldb, bf, n)
+	copy(blu, bf)
 	ipiv := make([]int, n)
 	if info := Getrf(cfg, n, n, blu, n, ipiv); info != 0 {
 		return info
 	}
-	m := append([]float64(nil), af...)
 	Getrs(cfg, NoTrans, n, n, blu, n, ipiv, m, n)
-	// Real Schur of M: M = Z·S′·Zᵀ.
-	wr := make([]float64, n)
-	wi := make([]float64, n)
-	z := make([]float64, n*n)
-	if _, info := Gees[float64](cfg, true, nil, n, m, n, wr, wi, z, n); info != 0 {
+	// Schur form of M: M = Z·S′·Zᴴ.
+	z := make([]E, n*n)
+	if info := geev[E, E](cfg, eigJob{schur: true}, n, m, n, alpha, nil, 1, z, n).Info; info != 0 {
 		return info
 	}
 	// Q·T = B·Z.
-	bz := make([]float64, n*n)
-	blas.Gemm(cfg, NoTrans, NoTrans, n, n, n, 1.0, bf, n, z, n, 0.0, bz, n)
-	tau := make([]float64, n)
-	Geqrf(cfg, n, n, bz, n, tau)
-	tmat := make([]float64, n*n)
-	Lacpy('U', n, n, bz, n, tmat, n)
-	q := append([]float64(nil), bz...)
+	q := make([]E, n*n)
+	blas.Gemm(cfg, NoTrans, NoTrans, n, n, n, 1, bf, n, z, n, 0, q, n)
+	tau := make([]E, n)
+	Geqrf(cfg, n, n, q, n, tau)
+	tmat := make([]E, n*n)
+	Lacpy('U', n, n, q, n, tmat, n)
 	Orgqr(cfg, n, n, n, q, n, tau)
-	// S = T·S′ (upper-triangular times quasi-triangular).
-	s := make([]float64, n*n)
-	blas.Gemm(cfg, NoTrans, NoTrans, n, n, n, 1.0, tmat, n, m, n, 0.0, s, n)
-	// Zero the below-subdiagonal roundoff so S is exactly quasi-triangular.
+	// S = T·S′ (upper triangular times quasi-triangular), the roundoff below
+	// S′'s pattern zeroed.
+	s := make([]E, n*n)
+	blas.Gemm(cfg, NoTrans, NoTrans, n, n, n, 1, tmat, n, m, n, 0, s, n)
 	for j := 0; j < n; j++ {
 		for i := j + 2; i < n; i++ {
 			s[i+j*n] = 0
@@ -64,168 +69,85 @@ func Gegs[T core.Float](cfg *core.Config, n int, a []T, lda int, b []T, ldb int,
 			s[j+(j-1)*n] = 0
 		}
 	}
-	// Eigenvalue pairs: 1×1 blocks give (s_ii, t_ii); 2×2 blocks give the
-	// complex pair of the block pencil with beta = 1 (see DESIGN.md).
+	// A 1×1 block gives (s_ii, t_ii); a 2×2 one the complex pair of the
+	// block pencil with beta = 1 (see DESIGN.md), whose alpha geev set.
 	for i := 0; i < n; {
 		if i < n-1 && s[i+1+i*n] != 0 {
-			alphar[i], alphar[i+1] = wr[i], wr[i+1]
-			alphai[i], alphai[i+1] = wi[i], wi[i+1]
 			beta[i], beta[i+1] = 1, 1
 			i += 2
 		} else {
-			alphar[i] = s[i+i*n]
-			alphai[i] = 0
-			beta[i] = tmat[i+i*n]
+			alpha[i], beta[i] = core.ToComplex(s[i+i*n]), core.ToComplex(tmat[i+i*n])
 			i++
 		}
 	}
-	demoteReal(n, n, s, a, lda)
-	demoteReal(n, n, tmat, b, ldb)
+	convertMat(n, n, s, n, a, lda)
+	convertMat(n, n, tmat, n, b, ldb)
 	if vsl != nil {
-		demoteReal(n, n, q, vsl, ldvsl)
+		convertMat(n, n, q, n, vsl, ldvsl)
 	}
 	if vsr != nil {
-		demoteReal(n, n, z, vsr, ldvsr)
-	}
-	return 0
-}
-
-// GegsC is the complex counterpart of Gegs: A = Q·S·Zᴴ, B = Q·T·Zᴴ with
-// both S and T upper triangular; alpha[i]/beta[i] are the generalized
-// eigenvalues.
-func GegsC[T core.Cmplx](cfg *core.Config, n int, a []T, lda int, b []T, ldb int, alpha, beta []complex128, vsl []T, ldvsl int, vsr []T, ldvsr int) int {
-	if n == 0 {
-		return 0
-	}
-	af := promoteCmplx(n, n, a, lda)
-	bf := promoteCmplx(n, n, b, ldb)
-	blu := append([]complex128(nil), bf...)
-	ipiv := make([]int, n)
-	if info := Getrf(cfg, n, n, blu, n, ipiv); info != 0 {
-		return info
-	}
-	m := append([]complex128(nil), af...)
-	Getrs(cfg, NoTrans, n, n, blu, n, ipiv, m, n)
-	w := make([]complex128, n)
-	z := make([]complex128, n*n)
-	if _, info := GeesC[complex128](cfg, true, nil, n, m, n, w, z, n); info != 0 {
-		return info
-	}
-	bz := make([]complex128, n*n)
-	blas.Gemm(cfg, NoTrans, NoTrans, n, n, n, 1, bf, n, z, n, 0, bz, n)
-	tau := make([]complex128, n)
-	Geqrf(cfg, n, n, bz, n, tau)
-	tmat := make([]complex128, n*n)
-	Lacpy('U', n, n, bz, n, tmat, n)
-	q := append([]complex128(nil), bz...)
-	Orgqr(cfg, n, n, n, q, n, tau)
-	s := make([]complex128, n*n)
-	blas.Gemm(cfg, NoTrans, NoTrans, n, n, n, 1, tmat, n, m, n, 0, s, n)
-	for j := 0; j < n; j++ {
-		for i := j + 1; i < n; i++ {
-			s[i+j*n] = 0
-		}
-	}
-	for i := 0; i < n; i++ {
-		alpha[i] = s[i+i*n]
-		beta[i] = tmat[i+i*n]
-	}
-	demoteCmplx(n, n, s, a, lda)
-	demoteCmplx(n, n, tmat, b, ldb)
-	if vsl != nil {
-		demoteCmplx(n, n, q, vsl, ldvsl)
-	}
-	if vsr != nil {
-		demoteCmplx(n, n, z, vsr, ldvsr)
+		convertMat(n, n, z, n, vsr, ldvsr)
 	}
 	return 0
 }
 
 // Gegv computes the generalized eigenvalues and, optionally, the left
-// and/or right generalized eigenvectors of the real pencil (A, B):
-// A·v = λ·B·v and uᴴ·A = λ·uᴴ·B, with λᵢ = (alphar[i] + i·alphai[i]) /
-// beta[i]. Eigenvectors use the LAPACK real packing (see TrevcRight).
-// a and b are destroyed. Requires B nonsingular (info > 0 otherwise).
-func Gegv[T core.Float](cfg *core.Config, jobvl, jobvr bool, n int, a []T, lda int, b []T, ldb int, alphar, alphai, beta []float64, vl []T, ldvl int, vr []T, ldvr int) int {
-	if n == 0 {
-		return 0
+// and/or right generalized eigenvectors of the pencil (A, B): A·v = λ·B·v
+// and uᴴ·A = λ·uᴴ·B, with λᵢ = alpha[i]/beta[i] (beta = 1). The eigenvectors
+// of the real types use the real packing (see Trevc). a and b are destroyed.
+// Requires B nonsingular (info > 0 otherwise).
+func Gegv[T core.Scalar](cfg *core.Config, jobvl, jobvr bool, n int, a []T, lda int, b []T, ldb int, alpha, beta []complex128, vl []T, ldvl int, vr []T, ldvr int) int {
+	if core.IsComplex[T]() {
+		return gegv[T, complex128](cfg, jobvl, jobvr, n, a, lda, b, ldb, alpha, beta, vl, ldvl, vr, ldvr)
 	}
-	af := promoteReal(n, n, a, lda)
-	bf := promoteReal(n, n, b, ldb)
-	blu := append([]float64(nil), bf...)
-	ipiv := make([]int, n)
-	if info := Getrf(cfg, n, n, blu, n, ipiv); info != 0 {
-		return info
-	}
-	// Right eigenvectors of the pencil = eigenvectors of M = B⁻¹·A.
-	m := append([]float64(nil), af...)
-	Getrs(cfg, NoTrans, n, n, blu, n, ipiv, m, n)
-	var vrf, vlf []float64
-	if jobvr {
-		vrf = make([]float64, n*n)
-	}
-	if jobvl {
-		vlf = make([]float64, n*n)
-	}
-	if info := Geev[float64](cfg, jobvl, jobvr, n, m, n, alphar, alphai, vlf, n, vrf, n); info != 0 {
-		return info
-	}
-	for i := range beta {
-		beta[i] = 1
-	}
-	if jobvr {
-		demoteReal(n, n, vrf, vr, ldvr)
-	}
-	if jobvl {
-		// Left eigenvectors of the pencil: v = B⁻ᴴ·u where u is a left
-		// eigenvector of M (uᴴ·B⁻¹·A = λ·uᴴ ⇒ vᴴ·A = λ·vᴴ·B).
-		Getrs(cfg, TransT, n, n, blu, n, ipiv, vlf, n)
-		// Renormalize each (possibly paired) column set.
-		normalizeEvecs(n, alphai, vlf, n)
-		demoteReal(n, n, vlf, vl, ldvl)
-	}
-	return 0
+	return gegv[T, float64](cfg, jobvl, jobvr, n, a, lda, b, ldb, alpha, beta, vl, ldvl, vr, ldvr)
 }
 
-// GegvC is the complex counterpart of Gegv.
-func GegvC[T core.Cmplx](cfg *core.Config, jobvl, jobvr bool, n int, a []T, lda int, b []T, ldb int, alpha, beta []complex128, vl []T, ldvl int, vr []T, ldvr int) int {
+// gegv is Gegv in geev's work type E.
+func gegv[T, E core.Scalar](cfg *core.Config, jobvl, jobvr bool, n int, a []T, lda int, b []T, ldb int, alpha, beta []complex128, vl []T, ldvl int, vr []T, ldvr int) int {
 	if n == 0 {
 		return 0
 	}
-	af := promoteCmplx(n, n, a, lda)
-	bf := promoteCmplx(n, n, b, ldb)
-	blu := append([]complex128(nil), bf...)
+	// The right eigenvectors of the pencil are those of M = B⁻¹·A.
+	m, blu := make([]E, n*n), make([]E, n*n)
+	convertMat(n, n, a, lda, m, n)
+	convertMat(n, n, b, ldb, blu, n)
 	ipiv := make([]int, n)
 	if info := Getrf(cfg, n, n, blu, n, ipiv); info != 0 {
 		return info
 	}
-	m := append([]complex128(nil), af...)
 	Getrs(cfg, NoTrans, n, n, blu, n, ipiv, m, n)
-	var vrf, vlf []complex128
+	var vrf, vlf []E
 	if jobvr {
-		vrf = make([]complex128, n*n)
+		vrf = make([]E, n*n)
 	}
 	if jobvl {
-		vlf = make([]complex128, n*n)
+		vlf = make([]E, n*n)
 	}
-	if info := GeevC[complex128](cfg, jobvl, jobvr, n, m, n, alpha, vlf, n, vrf, n); info != 0 {
+	if info := geev[E, E](cfg, eigJob{vl: jobvl, vr: jobvr}, n, m, n, alpha, vlf, n, vrf, n).Info; info != 0 {
 		return info
 	}
 	for i := range beta {
 		beta[i] = 1
 	}
 	if jobvr {
-		demoteCmplx(n, n, vrf, vr, ldvr)
+		convertMat(n, n, vrf, n, vr, ldvr)
 	}
 	if jobvl {
+		// The left ones are v = B⁻ᴴ·u for u a left eigenvector of M
+		// (uᴴ·B⁻¹·A = λ·uᴴ ⇒ vᴴ·A = λ·vᴴ·B), normalised again — a complex
+		// column to unit norm only, without xGEEV's rotation.
 		Getrs(cfg, ConjTrans, n, n, blu, n, ipiv, vlf, n)
-		for j := 0; j < n; j++ {
-			nrm := blas.Nrm2(n, vlf[j*n:j*n+n], 1)
-			if nrm > 0 {
-				blas.ScalReal(n, 1/nrm, vlf[j*n:], 1)
+		if core.IsComplex[E]() {
+			for j := 0; j < n; j++ {
+				if nrm := blas.Nrm2(n, vlf[j*n:j*n+n], 1); nrm > 0 {
+					blas.ScalReal(n, 1/nrm, vlf[j*n:], 1)
+				}
 			}
+		} else {
+			normalizeEvecs(n, alpha, vlf, n)
 		}
-		demoteCmplx(n, n, vlf, vl, ldvl)
+		convertMat(n, n, vlf, n, vl, ldvl)
 	}
 	return 0
 }

@@ -99,12 +99,11 @@ func TestGegsReal(t *testing.T) {
 		}
 		s := append([]float64(nil), a...)
 		tt := append([]float64(nil), b...)
-		alphar := make([]float64, n)
-		alphai := make([]float64, n)
-		beta := make([]float64, n)
+		alpha := make([]complex128, n)
+		beta := make([]complex128, n)
 		q := make([]float64, n*n)
 		z := make([]float64, n*n)
-		if info := lapack.Gegs(tcfg(), n, s, n, tt, n, alphar, alphai, beta, q, n, z, n); info != 0 {
+		if info := lapack.Gegs(tcfg(), n, s, n, tt, n, alpha, beta, q, n, z, n); info != 0 {
 			t.Fatalf("n=%d gegs info=%d", n, info)
 		}
 		// Q, Z orthogonal; A = Q·S·Zᵀ; B = Q·T·Zᵀ.
@@ -126,7 +125,7 @@ func TestGegsReal(t *testing.T) {
 		wi := make([]float64, n)
 		lapack.Geev[float64](tcfg(), false, false, n, m, n, wr, wi, nil, 0, nil, 0)
 		for i := 0; i < n; i++ {
-			lam := complex(alphar[i], alphai[i]) / complex(beta[i], 0)
+			lam := alpha[i] / beta[i]
 			found := false
 			for j := 0; j < n; j++ {
 				if cmplx.Abs(lam-complex(wr[j], wi[j])) < 1e-7*(1+cmplx.Abs(lam)) {
@@ -171,20 +170,19 @@ func TestGegvReal(t *testing.T) {
 	}
 	ac := append([]float64(nil), a...)
 	bc := append([]float64(nil), b...)
-	alphar := make([]float64, n)
-	alphai := make([]float64, n)
-	beta := make([]float64, n)
+	alpha := make([]complex128, n)
+	beta := make([]complex128, n)
 	vl := make([]float64, n*n)
 	vr := make([]float64, n*n)
-	if info := lapack.Gegv(tcfg(), true, true, n, ac, n, bc, n, alphar, alphai, beta, vl, n, vr, n); info != 0 {
+	if info := lapack.Gegv(tcfg(), true, true, n, ac, n, bc, n, alpha, beta, vl, n, vr, n); info != 0 {
 		t.Fatalf("gegv info=%d", info)
 	}
 	// Right: A·v = λ·B·v; Left: uᵀ·A = λ·uᵀ·B (real-packed columns).
 	for j := 0; j < n; j++ {
-		lam := complex(alphar[j]/beta[j], alphai[j]/beta[j])
+		lam := alpha[j] / beta[j]
 		vjr := make([]complex128, n)
 		ujr := make([]complex128, n)
-		if alphai[j] == 0 {
+		if imag(alpha[j]) == 0 {
 			for i := 0; i < n; i++ {
 				vjr[i] = complex(vr[i+j*n], 0)
 				ujr[i] = complex(vl[i+j*n], 0)
@@ -210,7 +208,7 @@ func TestGegvReal(t *testing.T) {
 				t.Fatalf("left pair %d row %d: %v vs %v", j, i, ua, lam*ub)
 			}
 		}
-		if alphai[j] != 0 {
+		if imag(alpha[j]) != 0 {
 			j++
 		}
 	}
@@ -230,7 +228,7 @@ func TestGegsGegvComplex(t *testing.T) {
 	beta := make([]complex128, n)
 	q := make([]complex128, n*n)
 	z := make([]complex128, n*n)
-	if info := lapack.GegsC(tcfg(), n, s, n, tt, n, alpha, beta, q, n, z, n); info != 0 {
+	if info := lapack.Gegs(tcfg(), n, s, n, tt, n, alpha, beta, q, n, z, n); info != 0 {
 		t.Fatalf("gegsc info=%d", info)
 	}
 	// A = Q·S·Zᴴ and B = Q·T·Zᴴ with triangular S, T.
@@ -251,7 +249,7 @@ func TestGegsGegvComplex(t *testing.T) {
 	ac := append([]complex128(nil), a...)
 	bc := append([]complex128(nil), b...)
 	vr := make([]complex128, n*n)
-	if info := lapack.GegvC(tcfg(), false, true, n, ac, n, bc, n, alpha, beta, nil, 0, vr, n); info != 0 {
+	if info := lapack.Gegv(tcfg(), false, true, n, ac, n, bc, n, alpha, beta, nil, 0, vr, n); info != 0 {
 		t.Fatalf("gegvc info=%d", info)
 	}
 	for j := 0; j < n; j++ {

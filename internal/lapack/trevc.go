@@ -8,47 +8,23 @@ import (
 	"repro/internal/core"
 )
 
-// TrevcRight computes the right eigenvectors of a real quasi-triangular
-// Schur matrix T and back-transforms them by z (xTREVC3 side='R',
-// howmny='B' semantics; a nil z leaves the eigenvectors of T itself). The
-// eigenvalues (wr, wi) must come from Hseqr on the same T. On return vr
-// (n×n) holds the eigenvectors in the LAPACK packing: a real eigenvalue's
-// vector occupies one column; a complex conjugate pair (wr±i·wi at columns
-// ki, ki+1) stores the real part in column ki and the imaginary part in
-// column ki+1.
-func TrevcRight(cfg *core.Config, n int, t []float64, ldt int, wr, wi []float64, z []float64, ldz int, vr []float64, ldvr int) {
-	trevc(cfg, false, n, t, ldt, wr, wi, z, ldz, vr, ldvr)
-}
-
-// TrevcLeft computes the left eigenvectors uᴴ·A = λ·uᴴ of a real
-// quasi-triangular Schur matrix, back-transformed by z (xTREVC3 side='L',
-// same packing as TrevcRight).
-func TrevcLeft(cfg *core.Config, n int, t []float64, ldt int, wr, wi []float64, z []float64, ldz int, vl []float64, ldvl int) {
-	trevc(cfg, true, n, t, ldt, wr, wi, z, ldz, vl, ldvl)
-}
-
-// TrevcRightC computes the right eigenvectors of a complex upper triangular
-// Schur matrix T, back-transformed by z (xTREVC3 complex, side='R').
-func TrevcRightC(cfg *core.Config, n int, t []complex128, ldt int, z []complex128, ldz int, vr []complex128, ldvr int) {
-	trevc(cfg, false, n, t, ldt, nil, nil, z, ldz, vr, ldvr)
-}
-
-// TrevcLeftC computes the left eigenvectors of a complex upper triangular
-// Schur matrix, back-transformed by z (xTREVC3 complex, side='L').
-func TrevcLeftC(cfg *core.Config, n int, t []complex128, ldt int, z []complex128, ldz int, vl []complex128, ldvl int) {
-	trevc(cfg, true, n, t, ldt, nil, nil, z, ldz, vl, ldvl)
-}
-
 // trevcNB is the number of eigenvectors one Gemm back-transforms.
 const trevcNB = 64
 
-// trevc is the one body of the four routines, in the xTREVC3 shape: the
-// eigenvectors of T are built trevcNB at a time as columns of a scratch block
-// — in the arithmetic of T, the vector of a complex pair of a real T as a
-// real and an imaginary column — and each block is back-transformed by one
-// Gemm against the columns of z its rows reach, written straight into v.
-// wi == nil means a complex triangular T, whose eigenvalues are its diagonal.
-func trevc[E core.Scalar](cfg *core.Config, left bool, n int, t []E, ldt int, wr, wi []float64, z []E, ldz int, v []E, ldv int) {
+// Trevc computes the right (left: uᴴ·T = λ·uᴴ) eigenvectors of a Schur
+// matrix T — real quasi-triangular with its eigenvalues (wr, wi) from Hseqr,
+// or complex triangular with wr = wi = nil — back-transformed by z (xTREVC3,
+// howmny = 'B'; a nil z leaves the eigenvectors of T itself). On return v
+// (n×n) holds them; for a real T in the real packing: a real eigenvalue's
+// vector occupies one column, a complex conjugate pair (wr±i·wi at columns k,
+// k+1) stores the real part in column k and the imaginary part in column k+1.
+//
+// It runs in the xTREVC3 shape: the eigenvectors of T are built trevcNB at a
+// time as columns of a scratch block — in the arithmetic of T, the vector of
+// a complex pair of a real T as a real and an imaginary column — and each
+// block is back-transformed by one Gemm against the columns of z its rows
+// reach, written straight into v.
+func Trevc[E core.Scalar](cfg *core.Config, left bool, n int, t []E, ldt int, wr, wi []float64, z []E, ldz int, v []E, ldv int) {
 	if n == 0 {
 		return
 	}

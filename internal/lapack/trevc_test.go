@@ -473,10 +473,10 @@ func TestTrevcAgainstReference(t *testing.T) {
 					zr = ident
 				}
 				if left {
-					TrevcLeft(cfg, n, tm, n, wr, wi, zz, n, got, n)
+					Trevc(cfg, true, n, tm, n, wr, wi, zz, n, got, n)
 					trevcRefLeft(n, tm, n, wr, wi, zr, n, want, n)
 				} else {
-					TrevcRight(cfg, n, tm, n, wr, wi, zz, n, got, n)
+					Trevc(cfg, false, n, tm, n, wr, wi, zz, n, got, n)
 					trevcRefRight(n, tm, n, wr, wi, zr, n, want, n)
 				}
 				if !withZ {
@@ -519,10 +519,10 @@ func TestTrevcComplexAgainstReference(t *testing.T) {
 					zz, zr = nil, ident
 				}
 				if left {
-					TrevcLeftC(cfg, n, tm, n, zz, n, got, n)
+					Trevc(cfg, true, n, tm, n, nil, nil, zz, n, got, n)
 					trevcRefLeftC(n, tm, n, zr, n, want, n)
 				} else {
-					TrevcRightC(cfg, n, tm, n, zz, n, got, n)
+					Trevc(cfg, false, n, tm, n, nil, nil, zz, n, got, n)
 					trevcRefRightC(n, tm, n, zr, n, want, n)
 				}
 				if !withZ {
@@ -554,10 +554,10 @@ func TestTrevcRepeatedEigenvalue(t *testing.T) {
 		ident := make([]float64, n*n)
 		Laset('A', n, n, 0.0, 1.0, ident, n)
 		if left {
-			TrevcLeft(cfg, n, tm, n, wr, wi, nil, n, got, n)
+			Trevc(cfg, true, n, tm, n, wr, wi, nil, n, got, n)
 			trevcRefLeft(n, tm, n, wr, wi, ident, n, want, n)
 		} else {
-			TrevcRight(cfg, n, tm, n, wr, wi, nil, n, got, n)
+			Trevc(cfg, false, n, tm, n, wr, wi, nil, n, got, n)
 			trevcRefRight(n, tm, n, wr, wi, ident, n, want, n)
 		}
 		if !core.AllFinite(got) {
@@ -589,9 +589,9 @@ func TestTrevcGraded(t *testing.T) {
 				name := fmt.Sprintf("grade=%d/n=%d/left=%v", grade, n, left)
 				got := make([]float64, n*n)
 				if left {
-					TrevcLeft(cfg, n, tm, n, wr, wi, nil, n, got, n)
+					Trevc(cfg, true, n, tm, n, wr, wi, nil, n, got, n)
 				} else {
-					TrevcRight(cfg, n, tm, n, wr, wi, nil, n, got, n)
+					Trevc(cfg, false, n, tm, n, wr, wi, nil, n, got, n)
 				}
 				if !core.AllFinite(got) {
 					t.Fatalf("%s: non-finite eigenvector", name)

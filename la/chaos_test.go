@@ -371,10 +371,7 @@ func err3[A, B any](_ A, _ B, err error) error { return err }
 func TestWithCheckSymmetricEigen(t *testing.T) {
 	type operands = []eigOperand
 	chk := la.WithCheck()
-	cases := []struct {
-		name, routine, kinds string
-		call                 func(x operands) error
-	}{
+	cases := []checkCase{
 		{"SYEV", "LA_SYEV", "S", func(x operands) error { return err2(la.SYEV(x[0].mat, chk)) }},
 		{"HEEV", "LA_SYEV", "S", func(x operands) error { return err2(la.HEEV(x[0].mat, chk)) }},
 		{"SYEVD", "LA_SYEVD", "S", func(x operands) error { return err2(la.SYEVD(x[0].mat, chk)) }},
@@ -403,6 +400,38 @@ func TestWithCheckSymmetricEigen(t *testing.T) {
 		{"SBGV", "LA_SBGV", "BB", func(x operands) error { return err3(la.SBGV(x[0].mat, x[1].mat, chk)) }},
 		{"HBGV", "LA_SBGV", "BB", func(x operands) error { return err3(la.HBGV(x[0].mat, x[1].mat, chk)) }},
 	}
+	screensEveryArgument(t, cases)
+}
+
+// TestWithCheckNonsymmetric is TestWithCheckSymmetricEigen for the wrappers
+// of la/nonsym.go and la/gen.go.
+func TestWithCheckNonsymmetric(t *testing.T) {
+	chk := la.WithCheck()
+	err4 := func(_, _, _ any, err error) error { return err }
+	screensEveryArgument(t, []checkCase{
+		{"GEES", "LA_GEES", "S", func(x []eigOperand) error { return err4(la.GEES(x[0].mat, chk)) }},
+		{"GEEV", "LA_GEEV", "S", func(x []eigOperand) error { return err4(la.GEEV(x[0].mat, chk)) }},
+		{"GEESX", "LA_GEESX", "S", func(x []eigOperand) error { return err2(la.GEESX(x[0].mat, chk)) }},
+		{"GEEVX", "LA_GEEVX", "S", func(x []eigOperand) error { return err2(la.GEEVX(x[0].mat, chk)) }},
+		{"GEGS", "LA_GEGS", "SS", func(x []eigOperand) error { return err4(la.GEGS(x[0].mat, x[1].mat, chk)) }},
+		{"GEGV", "LA_GEGV", "SS", func(x []eigOperand) error { return err4(la.GEGV(x[0].mat, x[1].mat, chk)) }},
+		{"GGSVD", "LA_GGSVD", "SS", func(x []eigOperand) error { return err2(la.GGSVD(x[0].mat, x[1].mat, chk)) }},
+	})
+}
+
+// checkCase is one wrapper of a WithCheck table: its routine name, the kinds
+// of its operands (see newEigOperand) and the call.
+type checkCase struct {
+	name, routine, kinds string
+	call                 func(x []eigOperand) error
+}
+
+// screensEveryArgument runs each case on the clean problem and then with a
+// NaN or +Inf at the first, an interior and the last position of each
+// argument: every one must be the ERINFO argument error of that argument,
+// with every input untouched.
+func screensEveryArgument(t *testing.T, cases []checkCase) {
+	type operands = []eigOperand
 	const n = 5
 	build := func(kinds string) operands {
 		x := make(operands, len(kinds))

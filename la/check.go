@@ -240,14 +240,14 @@ func ptArgs[T Scalar](routine string, check bool, d []float64, e []T, b *Matrix[
 	return nil
 }
 
-// The argument checks of the symmetric eigenproblem drivers (la/eig.go), one
-// per storage format. Each takes A and, for the generalized problem, the B of
-// the same order, checks them like the helpers above — shapes first, in
-// argument order, then with check the non-finite entries — and returns the
-// order of the problem.
+// The argument checks of the eigenproblem drivers (la/eig.go, nonsym.go,
+// gen.go), one per storage format. Each takes A and, for the generalized
+// problem, the B of the same order, checks them like the helpers above —
+// shapes first, in argument order, then with check the non-finite entries —
+// and returns the order of the problem.
 
-// symArgs checks the square dense A (and B).
-func symArgs[T Scalar](routine string, check bool, ms ...*Matrix[T]) (int, error) {
+// squareArgs checks the square dense A (and B).
+func squareArgs[T Scalar](routine string, check bool, ms ...*Matrix[T]) (int, error) {
 	for i, m := range ms {
 		if !square(m) || m.Rows != ms[0].Rows {
 			return 0, erinfo(routine, -(i + 1), "")

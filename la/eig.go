@@ -42,7 +42,7 @@ func SYEV[T Scalar](a *Matrix[T], opts ...Opt) (w []float64, err error) {
 func syev[T Scalar](routine string, a *Matrix[T], opts []Opt) (w []float64, err error) {
 	defer guard(routine, &err)
 	o := apply(opts)
-	n, err := symArgs(routine, o.check, a)
+	n, err := squareArgs(routine, o.check, a)
 	if err != nil {
 		return nil, err
 	}
@@ -77,7 +77,7 @@ func SYEVX[T Scalar](a *Matrix[T], opts ...Opt) (result *EigXResult[T], err erro
 	const routine = "LA_SYEVX"
 	defer guard(routine, &err)
 	o := apply(opts)
-	n, err := symArgs(routine, o.check, a)
+	n, err := squareArgs(routine, o.check, a)
 	if err != nil {
 		return nil, err
 	}
@@ -257,7 +257,7 @@ func SYGV[T Scalar](a, b *Matrix[T], opts ...Opt) (w []float64, err error) {
 	const routine = "LA_SYGV"
 	defer guard(routine, &err)
 	o := apply(opts)
-	n, err := symArgs(routine, o.check, a, b)
+	n, err := squareArgs(routine, o.check, a, b)
 	if err != nil {
 		return nil, err
 	}

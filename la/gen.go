@@ -1,9 +1,6 @@
 package la
 
-import (
-	"repro/internal/core"
-	"repro/internal/lapack"
-)
+import "repro/internal/lapack"
 
 // GegResult carries the outputs of LA_GEGS/LA_GEGV: the generalized
 // eigenvalues λᵢ = Alpha[i]/Beta[i] (the paper's ALPHAR/ALPHAI/BETA or
@@ -17,45 +14,17 @@ type GegResult struct {
 // A = Q·S·Zᴴ, B = Q·T·Zᴴ (the paper's LA_GEGS). On exit A holds S and B
 // holds T; vsl and vsr receive Q and Z. Requires B nonsingular (the
 // QZ-lite route; see DESIGN.md).
-func GEGS[T Scalar](a, b *Matrix[T]) (res *GegResult, vsl, vsr *Matrix[T], err error) {
-	cfg := core.Default()
+func GEGS[T Scalar](a, b *Matrix[T], opts ...Opt) (res *GegResult, vsl, vsr *Matrix[T], err error) {
 	const routine = "LA_GEGS"
 	defer guard(routine, &err)
-	if !square(a) {
-		return nil, nil, nil, erinfo(routine, -1, "")
+	o := apply(opts)
+	n, err := squareArgs(routine, o.check, a, b)
+	if err != nil {
+		return nil, nil, nil, err
 	}
-	if !square(b) || b.Rows != a.Rows {
-		return nil, nil, nil, erinfo(routine, -2, "")
-	}
-	n := a.Rows
 	res = &GegResult{Alpha: make([]complex128, n), Beta: make([]complex128, n)}
-	vsl = NewMatrix[T](n, n)
-	vsr = NewMatrix[T](n, n)
-	var info int
-	switch ad := any(a.Data).(type) {
-	case []float32:
-		ar, ai, be := make([]float64, n), make([]float64, n), make([]float64, n)
-		info = lapack.Gegs[float32](cfg, n, ad, a.Stride, any(b.Data).([]float32), b.Stride, ar, ai, be,
-			any(vsl.Data).([]float32), vsl.Stride, any(vsr.Data).([]float32), vsr.Stride)
-		for i := 0; i < n; i++ {
-			res.Alpha[i] = complex(ar[i], ai[i])
-			res.Beta[i] = complex(be[i], 0)
-		}
-	case []float64:
-		ar, ai, be := make([]float64, n), make([]float64, n), make([]float64, n)
-		info = lapack.Gegs[float64](cfg, n, ad, a.Stride, any(b.Data).([]float64), b.Stride, ar, ai, be,
-			any(vsl.Data).([]float64), vsl.Stride, any(vsr.Data).([]float64), vsr.Stride)
-		for i := 0; i < n; i++ {
-			res.Alpha[i] = complex(ar[i], ai[i])
-			res.Beta[i] = complex(be[i], 0)
-		}
-	case []complex64:
-		info = lapack.GegsC[complex64](cfg, n, ad, a.Stride, any(b.Data).([]complex64), b.Stride, res.Alpha, res.Beta,
-			any(vsl.Data).([]complex64), vsl.Stride, any(vsr.Data).([]complex64), vsr.Stride)
-	case []complex128:
-		info = lapack.GegsC[complex128](cfg, n, ad, a.Stride, any(b.Data).([]complex128), b.Stride, res.Alpha, res.Beta,
-			any(vsl.Data).([]complex128), vsl.Stride, any(vsr.Data).([]complex128), vsr.Stride)
-	}
+	vsl, vsr = NewMatrix[T](n, n), NewMatrix[T](n, n)
+	info := lapack.Gegs(o.cfg, n, a.Data, a.Stride, b.Data, b.Stride, res.Alpha, res.Beta, vsl.Data, vsl.Stride, vsr.Data, vsr.Stride)
 	return res, vsl, vsr, erinfo(routine, info, "B is singular or the QR iteration failed")
 }
 
@@ -67,50 +36,14 @@ func GEGV[T Scalar](a, b *Matrix[T], opts ...Opt) (res *GegResult, vl, vr *Matri
 	const routine = "LA_GEGV"
 	defer guard(routine, &err)
 	o := apply(opts)
-	cfg := o.cfg
-	if !square(a) {
-		return nil, nil, nil, erinfo(routine, -1, "")
+	n, err := squareArgs(routine, o.check, a, b)
+	if err != nil {
+		return nil, nil, nil, err
 	}
-	if !square(b) || b.Rows != a.Rows {
-		return nil, nil, nil, erinfo(routine, -2, "")
-	}
-	n := a.Rows
 	res = &GegResult{Alpha: make([]complex128, n), Beta: make([]complex128, n)}
-	if o.left {
-		vl = NewMatrix[T](n, n)
-	}
-	if o.right {
-		vr = NewMatrix[T](n, n)
-	}
-	var info int
-	switch ad := any(a.Data).(type) {
-	case []float32:
-		ar, ai, be := make([]float64, n), make([]float64, n), make([]float64, n)
-		vld, lvl := matData[float32](vl)
-		vrd, lvr := matData[float32](vr)
-		info = lapack.Gegv[float32](cfg, o.left, o.right, n, ad, a.Stride, any(b.Data).([]float32), b.Stride, ar, ai, be, vld, lvl, vrd, lvr)
-		for i := 0; i < n; i++ {
-			res.Alpha[i] = complex(ar[i], ai[i])
-			res.Beta[i] = complex(be[i], 0)
-		}
-	case []float64:
-		ar, ai, be := make([]float64, n), make([]float64, n), make([]float64, n)
-		vld, lvl := matData[float64](vl)
-		vrd, lvr := matData[float64](vr)
-		info = lapack.Gegv[float64](cfg, o.left, o.right, n, ad, a.Stride, any(b.Data).([]float64), b.Stride, ar, ai, be, vld, lvl, vrd, lvr)
-		for i := 0; i < n; i++ {
-			res.Alpha[i] = complex(ar[i], ai[i])
-			res.Beta[i] = complex(be[i], 0)
-		}
-	case []complex64:
-		vld, lvl := matData[complex64](vl)
-		vrd, lvr := matData[complex64](vr)
-		info = lapack.GegvC[complex64](cfg, o.left, o.right, n, ad, a.Stride, any(b.Data).([]complex64), b.Stride, res.Alpha, res.Beta, vld, lvl, vrd, lvr)
-	case []complex128:
-		vld, lvl := matData[complex128](vl)
-		vrd, lvr := matData[complex128](vr)
-		info = lapack.GegvC[complex128](cfg, o.left, o.right, n, ad, a.Stride, any(b.Data).([]complex128), b.Stride, res.Alpha, res.Beta, vld, lvl, vrd, lvr)
-	}
+	vl, vld, ldvl := vecOut[T](o.left, n, n)
+	vr, vrd, ldvr := vecOut[T](o.right, n, n)
+	info := lapack.Gegv(o.cfg, o.left, o.right, n, a.Data, a.Stride, b.Data, b.Stride, res.Alpha, res.Beta, vld, ldvl, vrd, ldvr)
 	return res, vl, vr, erinfo(routine, info, "B is singular or the QR iteration failed")
 }
 
@@ -129,25 +62,27 @@ type GGSVDResult[T Scalar] struct {
 // GGSVD computes the generalized singular value decomposition of the pair
 // (A, B) (the paper's LA_GGSVD): A = U·diag(Alpha)·R·Qᴴ and
 // B = V·diag(Beta)·R·Qᴴ with Alpha² + Beta² = 1. A and B are destroyed.
-func GGSVD[T Scalar](a, b *Matrix[T]) (result *GGSVDResult[T], err error) {
-	cfg := core.Default()
+func GGSVD[T Scalar](a, b *Matrix[T], opts ...Opt) (result *GGSVDResult[T], err error) {
 	const routine = "LA_GGSVD"
 	defer guard(routine, &err)
+	o := apply(opts)
 	if a == nil {
 		return nil, erinfo(routine, -1, "")
 	}
-	if b == nil || b.Cols != a.Cols {
+	if b == nil || b.Cols != a.Cols || a.Rows+b.Rows < a.Cols {
 		return nil, erinfo(routine, -2, "")
+	}
+	if o.check {
+		if err := firstErr(finiteMat(routine, 1, "A", a), finiteMat(routine, 2, "B", b)); err != nil {
+			return nil, err
+		}
 	}
 	m, p, n := a.Rows, b.Rows, a.Cols
-	if m+p < n {
-		return nil, erinfo(routine, -2, "")
-	}
 	u := NewMatrix[T](m, n)
 	v := NewMatrix[T](p, n)
 	q := NewMatrix[T](n, n)
 	r := NewMatrix[T](n, n)
-	res := lapack.Ggsvd(cfg, m, p, n, a.Data, a.Stride, b.Data, b.Stride,
+	res := lapack.Ggsvd(o.cfg, m, p, n, a.Data, a.Stride, b.Data, b.Stride,
 		u.Data, u.Stride, v.Data, v.Stride, q.Data, q.Stride, r.Data, r.Stride)
 	out := &GGSVDResult[T]{K: res.K, L: res.L, Alpha: res.Alpha, Beta: res.Beta, U: u, V: v, Q: q, R: r}
 	return out, erinfo(routine, res.Info, "the stacked matrix is rank deficient or the SVD failed")
@@ -164,57 +99,21 @@ type SchurXResult[T Scalar] struct {
 
 // GEESX is the expert Schur driver (the paper's LA_GEESX): LA_GEES plus
 // reciprocal condition numbers for the selected eigenvalue cluster and its
-// right invariant subspace. Supply the selection with WithSelect (real) or
-// WithSelectC (complex).
+// right invariant subspace. Supply the selection with WithSelect, for
+// every element type.
 func GEESX[T Scalar](a *Matrix[T], opts ...Opt) (result *SchurXResult[T], err error) {
 	const routine = "LA_GEESX"
 	defer guard(routine, &err)
 	o := apply(opts)
-	cfg := o.cfg
-	if !square(a) {
-		return nil, erinfo(routine, -1, "")
+	n, err := squareArgs(routine, o.check, a)
+	if err != nil {
+		return nil, err
 	}
-	n := a.Rows
-	out := &SchurXResult[T]{W: make([]complex128, n)}
-	vs := NewMatrix[T](n, n)
-	var info int
-	switch ad := any(a.Data).(type) {
-	case []float32:
-		wr, wi := make([]float64, n), make([]float64, n)
-		res := lapack.Geesx[float32](cfg, true, o.selReal, n, ad, a.Stride, wr, wi, any(vs.Data).([]float32), vs.Stride)
-		for i := range out.W {
-			out.W[i] = complex(wr[i], wi[i])
-		}
-		out.SDim, out.RCondE, out.RCondV, info = res.SDim, res.RCondE, res.RCondV, res.Info
-	case []float64:
-		wr, wi := make([]float64, n), make([]float64, n)
-		res := lapack.Geesx[float64](cfg, true, o.selReal, n, ad, a.Stride, wr, wi, any(vs.Data).([]float64), vs.Stride)
-		for i := range out.W {
-			out.W[i] = complex(wr[i], wi[i])
-		}
-		out.SDim, out.RCondE, out.RCondV, info = res.SDim, res.RCondE, res.RCondV, res.Info
-	case []complex64:
-		sel := selC(o)
-		res := lapack.GeesxC[complex64](cfg, true, sel, n, ad, a.Stride, out.W, any(vs.Data).([]complex64), vs.Stride)
-		out.SDim, out.RCondE, out.RCondV, info = res.SDim, res.RCondE, res.RCondV, res.Info
-	case []complex128:
-		sel := selC(o)
-		res := lapack.GeesxC[complex128](cfg, true, sel, n, ad, a.Stride, out.W, any(vs.Data).([]complex128), vs.Stride)
-		out.SDim, out.RCondE, out.RCondV, info = res.SDim, res.RCondE, res.RCondV, res.Info
-	}
-	out.VS = vs
-	return out, erdiag(routine, info, "the QR algorithm failed to converge", DiagNotConverged)
-}
-
-func selC(o options) func(complex128) bool {
-	if o.selCmplx != nil {
-		return o.selCmplx
-	}
-	if o.selReal != nil {
-		sr := o.selReal
-		return func(z complex128) bool { return sr(real(z), imag(z)) }
-	}
-	return nil
+	w := make([]complex128, n)
+	vs, vsd, ldvs := vecOut[T](true, n, n)
+	res := lapack.Geesx(o.cfg, true, o.sel, n, a.Data, a.Stride, w, vsd, ldvs)
+	out := &SchurXResult[T]{W: w, VS: vs, SDim: res.SDim, RCondE: res.RCondE[0], RCondV: res.RCondV[0]}
+	return out, erdiag(routine, res.Info, "the QR algorithm failed to converge", DiagNotConverged)
 }
 
 // EigenXResult carries the extra outputs of LA_GEEVX.
@@ -235,52 +134,15 @@ func GEEVX[T Scalar](a *Matrix[T], opts ...Opt) (result *EigenXResult[T], err er
 	const routine = "LA_GEEVX"
 	defer guard(routine, &err)
 	o := apply(opts)
-	cfg := o.cfg
-	if !square(a) {
-		return nil, erinfo(routine, -1, "")
+	n, err := squareArgs(routine, o.check, a)
+	if err != nil {
+		return nil, err
 	}
-	n := a.Rows
-	out := &EigenXResult[T]{W: make([]complex128, n)}
-	if o.left {
-		out.VL = NewMatrix[T](n, n)
-	}
-	if o.right {
-		out.VR = NewMatrix[T](n, n)
-	}
-	var info int
-	switch ad := any(a.Data).(type) {
-	case []float32:
-		wr, wi := make([]float64, n), make([]float64, n)
-		vld, lvl := matData[float32](out.VL)
-		vrd, lvr := matData[float32](out.VR)
-		res := lapack.Geevx[float32](cfg, o.left, o.right, n, ad, a.Stride, wr, wi, vld, lvl, vrd, lvr)
-		for i := range out.W {
-			out.W[i] = complex(wr[i], wi[i])
-		}
-		out.ILo, out.IHi, out.Scale, out.ABNrm = res.ILo, res.IHi, res.Scale, res.ABNrm
-		out.RCondE, out.RCondV, info = res.RCondE, res.RCondV, res.Info
-	case []float64:
-		wr, wi := make([]float64, n), make([]float64, n)
-		vld, lvl := matData[float64](out.VL)
-		vrd, lvr := matData[float64](out.VR)
-		res := lapack.Geevx[float64](cfg, o.left, o.right, n, ad, a.Stride, wr, wi, vld, lvl, vrd, lvr)
-		for i := range out.W {
-			out.W[i] = complex(wr[i], wi[i])
-		}
-		out.ILo, out.IHi, out.Scale, out.ABNrm = res.ILo, res.IHi, res.Scale, res.ABNrm
-		out.RCondE, out.RCondV, info = res.RCondE, res.RCondV, res.Info
-	case []complex64:
-		vld, lvl := matData[complex64](out.VL)
-		vrd, lvr := matData[complex64](out.VR)
-		res := lapack.GeevxC[complex64](cfg, o.left, o.right, n, ad, a.Stride, out.W, vld, lvl, vrd, lvr)
-		out.ILo, out.IHi, out.Scale, out.ABNrm = res.ILo, res.IHi, res.Scale, res.ABNrm
-		out.RCondE, out.RCondV, info = res.RCondE, res.RCondV, res.Info
-	case []complex128:
-		vld, lvl := matData[complex128](out.VL)
-		vrd, lvr := matData[complex128](out.VR)
-		res := lapack.GeevxC[complex128](cfg, o.left, o.right, n, ad, a.Stride, out.W, vld, lvl, vrd, lvr)
-		out.ILo, out.IHi, out.Scale, out.ABNrm = res.ILo, res.IHi, res.Scale, res.ABNrm
-		out.RCondE, out.RCondV, info = res.RCondE, res.RCondV, res.Info
-	}
-	return out, erdiag(routine, info, "the QR algorithm failed to converge", DiagNotConverged)
+	w := make([]complex128, n)
+	vl, vld, ldvl := vecOut[T](o.left, n, n)
+	vr, vrd, ldvr := vecOut[T](o.right, n, n)
+	res := lapack.Geevx(o.cfg, true, o.left, o.right, n, a.Data, a.Stride, w, vld, ldvl, vrd, ldvr)
+	out := &EigenXResult[T]{W: w, VL: vl, VR: vr, ILo: res.ILo, IHi: res.IHi, Scale: res.Scale, ABNrm: res.ABNrm,
+		RCondE: res.RCondE, RCondV: res.RCondV}
+	return out, erdiag(routine, res.Info, "the QR algorithm failed to converge", DiagNotConverged)
 }

@@ -408,12 +408,11 @@ type options struct {
 	kl       int // band structure hints (LA_GBSV, LA_LAGGE)
 	ku       int
 	haveKL   bool
-	schurVec bool // LA_GEES VS wanted
-	left     bool // LA_GEEV VL wanted
-	right    bool // LA_GEEV VR wanted
-	selReal  func(wr, wi float64) bool
-	selCmplx func(w complex128) bool
-	job      lapack.SVDJob // LA_GESVD JOB
+	schurVec bool                      // LA_GEES VS wanted
+	left     bool                      // LA_GEEV VL wanted
+	right    bool                      // LA_GEEV VR wanted
+	sel      func(wr, wi float64) bool // LA_GEES/LA_GEESX SELECT
+	job      lapack.SVDJob             // LA_GESVD JOB
 	jobU     lapack.SVDJob
 	jobVT    lapack.SVDJob
 	iseed    [4]int
@@ -524,16 +523,11 @@ func WithLeft() Opt { return func(o *options) { o.left = true } }
 // WithRight requests right eigenvectors from LA_GEEV.
 func WithRight() Opt { return func(o *options) { o.right = true } }
 
-// WithSelect supplies LA_GEES's SELECT function for real matrices:
-// eigenvalues with sel(wr, wi) true are moved to the top of the Schur
-// form.
+// WithSelect supplies the SELECT function of LA_GEES and LA_GEESX, for
+// every element type: the eigenvalues λ with sel(Re λ, Im λ) true are moved
+// to the top of the Schur form.
 func WithSelect(sel func(wr, wi float64) bool) Opt {
-	return func(o *options) { o.selReal = sel }
-}
-
-// WithSelectC supplies LA_GEES's SELECT function for complex matrices.
-func WithSelectC(sel func(w complex128) bool) Opt {
-	return func(o *options) { o.selCmplx = sel }
+	return func(o *options) { o.sel = sel }
 }
 
 // WithSingularVectors controls which singular vectors LA_GESVD computes

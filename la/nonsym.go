@@ -7,9 +7,8 @@ import "repro/internal/lapack"
 // form T; with WithSchurVectors the unitary Schur vectors are returned in
 // VS. The eigenvalues are returned as complex numbers regardless of the
 // element type — the Go rendering of the paper's "ω is either WR, WI or
-// W". With WithSelect (real) or WithSelectC (complex), the selected
-// eigenvalues are reordered to the top left of T and SDim reports their
-// count.
+// W". With WithSelect the eigenvalues λ for which sel(Re λ, Im λ) holds are
+// reordered to the top left of T and SDim reports their count.
 //
 // For real element types T is in real Schur form: block upper triangular
 // with 1×1 and standardized 2×2 diagonal blocks, the latter carrying
@@ -18,89 +17,14 @@ func GEES[T Scalar](a *Matrix[T], opts ...Opt) (w []complex128, vs *Matrix[T], s
 	const routine = "LA_GEES"
 	defer guard(routine, &err)
 	o := apply(opts)
-	cfg := o.cfg
-	if !square(a) {
-		return nil, nil, 0, erinfo(routine, -1, "")
+	n, err := squareArgs(routine, o.check, a)
+	if err != nil {
+		return nil, nil, 0, err
 	}
-	if o.check {
-		if err := finiteMat(routine, 1, "A", a); err != nil {
-			return nil, nil, 0, err
-		}
-	}
-	n := a.Rows
 	w = make([]complex128, n)
-	wantVS := o.schurVec
-	if wantVS {
-		vs = NewMatrix[T](n, n)
-	}
-	var info int
-	switch data := any(a.Data).(type) {
-	case []float32:
-		wr := make([]float64, n)
-		wi := make([]float64, n)
-		var vsd []float32
-		ldvs := 1
-		if wantVS {
-			vsd = any(vs.Data).([]float32)
-			ldvs = vs.Stride
-		} else {
-			vsd = make([]float32, n*n)
-			ldvs = max(1, n)
-		}
-		sdim, info = lapack.Gees[float32](cfg, true, o.selReal, n, data, a.Stride, wr, wi, vsd, ldvs)
-		for i := range w {
-			w[i] = complex(wr[i], wi[i])
-		}
-	case []float64:
-		wr := make([]float64, n)
-		wi := make([]float64, n)
-		var vsd []float64
-		ldvs := 1
-		if wantVS {
-			vsd = any(vs.Data).([]float64)
-			ldvs = vs.Stride
-		} else {
-			vsd = make([]float64, n*n)
-			ldvs = max(1, n)
-		}
-		sdim, info = lapack.Gees[float64](cfg, true, o.selReal, n, data, a.Stride, wr, wi, vsd, ldvs)
-		for i := range w {
-			w[i] = complex(wr[i], wi[i])
-		}
-	case []complex64:
-		sel := o.selCmplx
-		if sel == nil && o.selReal != nil {
-			sr := o.selReal
-			sel = func(z complex128) bool { return sr(real(z), imag(z)) }
-		}
-		var vsd []complex64
-		ldvs := 1
-		if wantVS {
-			vsd = any(vs.Data).([]complex64)
-			ldvs = vs.Stride
-		} else {
-			vsd = make([]complex64, n*n)
-			ldvs = max(1, n)
-		}
-		sdim, info = lapack.GeesC[complex64](cfg, true, sel, n, data, a.Stride, w, vsd, ldvs)
-	case []complex128:
-		sel := o.selCmplx
-		if sel == nil && o.selReal != nil {
-			sr := o.selReal
-			sel = func(z complex128) bool { return sr(real(z), imag(z)) }
-		}
-		var vsd []complex128
-		ldvs := 1
-		if wantVS {
-			vsd = any(vs.Data).([]complex128)
-			ldvs = vs.Stride
-		} else {
-			vsd = make([]complex128, n*n)
-			ldvs = max(1, n)
-		}
-		sdim, info = lapack.GeesC[complex128](cfg, true, sel, n, data, a.Stride, w, vsd, ldvs)
-	}
-	return w, vs, sdim, erdiag(routine, info, "the QR algorithm failed to converge", DiagNotConverged)
+	vs, vsd, ldvs := vecOut[T](o.schurVec, n, n)
+	res := lapack.Geesx(o.cfg, false, o.sel, n, a.Data, a.Stride, w, vsd, ldvs)
+	return w, vs, res.SDim, erdiag(routine, res.Info, "the QR algorithm failed to converge", DiagNotConverged)
 }
 
 // GEEV computes the eigenvalues and, with WithLeft/WithRight, the left
@@ -116,62 +40,15 @@ func GEEV[T Scalar](a *Matrix[T], opts ...Opt) (w []complex128, vl, vr *Matrix[T
 	const routine = "LA_GEEV"
 	defer guard(routine, &err)
 	o := apply(opts)
-	cfg := o.cfg
-	if !square(a) {
-		return nil, nil, nil, erinfo(routine, -1, "")
+	n, err := squareArgs(routine, o.check, a)
+	if err != nil {
+		return nil, nil, nil, err
 	}
-	if o.check {
-		if err := finiteMat(routine, 1, "A", a); err != nil {
-			return nil, nil, nil, err
-		}
-	}
-	n := a.Rows
 	w = make([]complex128, n)
-	if o.left {
-		vl = NewMatrix[T](n, n)
-	}
-	if o.right {
-		vr = NewMatrix[T](n, n)
-	}
-	var info int
-	switch data := any(a.Data).(type) {
-	case []float32:
-		wr := make([]float64, n)
-		wi := make([]float64, n)
-		vld, lvl := matData[float32](vl)
-		vrd, lvr := matData[float32](vr)
-		info = lapack.Geev[float32](cfg, o.left, o.right, n, data, a.Stride, wr, wi, vld, lvl, vrd, lvr)
-		for i := range w {
-			w[i] = complex(wr[i], wi[i])
-		}
-	case []float64:
-		wr := make([]float64, n)
-		wi := make([]float64, n)
-		vld, lvl := matData[float64](vl)
-		vrd, lvr := matData[float64](vr)
-		info = lapack.Geev[float64](cfg, o.left, o.right, n, data, a.Stride, wr, wi, vld, lvl, vrd, lvr)
-		for i := range w {
-			w[i] = complex(wr[i], wi[i])
-		}
-	case []complex64:
-		vld, lvl := matData[complex64](vl)
-		vrd, lvr := matData[complex64](vr)
-		info = lapack.GeevC[complex64](cfg, o.left, o.right, n, data, a.Stride, w, vld, lvl, vrd, lvr)
-	case []complex128:
-		vld, lvl := matData[complex128](vl)
-		vrd, lvr := matData[complex128](vr)
-		info = lapack.GeevC[complex128](cfg, o.left, o.right, n, data, a.Stride, w, vld, lvl, vrd, lvr)
-	}
+	vl, vld, ldvl := vecOut[T](o.left, n, n)
+	vr, vrd, ldvr := vecOut[T](o.right, n, n)
+	info := lapack.Geevx(o.cfg, false, o.left, o.right, n, a.Data, a.Stride, w, vld, ldvl, vrd, ldvr).Info
 	return w, vl, vr, erdiag(routine, info, "the QR algorithm failed to converge", DiagNotConverged)
-}
-
-// matData extracts the typed backing slice and stride of an optional
-// matrix for handing to the computational core.
-func matData[E Scalar, T Scalar](m *Matrix[T]) ([]E, int) {
-	if m == nil {
-		return nil, 1
-	}
-	return any(m.Data).([]E), m.Stride
 }
 
 // SVDResult carries the outputs of LA_GESVD.
