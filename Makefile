@@ -167,9 +167,13 @@ test-portable:
 # subtests that force it, so this is what runs everything else — every
 # engine, leaf and golden of internal/blas and the factorizations above them
 # — on the row an AVX2-only machine gets. Without AVX-512 it repeats `test`.
+# The last line builds for GOAMD64=v3, where the compiler may fuse x·y − z·w:
+# the Go 1m packers (the AVX2 rows') must still equal the AVX-512 rows' asm
+# packers and TestRowsAgree must still hold.
 test-avx2:
 	$(GO) test -count=1 ./internal/blas/ -args -avx2
 	$(GO) test -count=1 ./internal/lapack/ -run 'Getrf|Getrs|Gesv|SmallLU|Potrf|Potrs|Posv|Placement|Cholesky|Sytrf|Hetrf|Sysv|Hesv|BunchKaufman|Geqrf|Gels|Ormqr|Orgqr' -args -avx2
+	GOAMD64=v3 $(GO) test -count=1 -run 'Pack1m|RowsAgree' ./internal/blas/
 
 # The race run covers the threaded engine, the factorizations driving it,
 # the la boundary — including the chaos tests that panic workers on purpose,
@@ -199,7 +203,8 @@ fuzz:
 	$(GO) test ./la/ -fuzz='^$(TARGET)$$' -fuzztime=10m
 
 # Compile-and-run check for the benchmarks: one iteration each of the GEMM
-# engine (float64, and the complex 1m rows), the factorization benchmarks
+# engine (float64, and the complex 1m rows, and their packers asm against Go
+# in internal/blas), the factorization benchmarks
 # (square and the 4096×256 QR, Cholesky, Bunch–Kaufman on all four types),
 # Trsm on each leaf form, the Level-3 thread-scaling table, the tall GELSD
 # driver, the eigenvalue iteration phase with its kernels and the route sweep
@@ -208,6 +213,7 @@ fuzz:
 # claims.
 benchsmoke:
 	$(GO) test -run=NONE -bench='Getrf|Gemm|Geqrf|GelsdTall|Steqr|Stedc|Bdsdc|Hseqr|Trevc|Orgtr|Ormtr|Syevd|SymEigRoutes|Gesdd|Geev|RotSeq|Secular|ApplyOptions|Level2|Level3Parallel|Sytrf|Trsm|Potrf|PotrsSmall|GetrsSmall|PosvSmallBatch|Example3Small|AblationExpertDriver|AblationSmallCholesky|AblationSmallLU' -benchtime=1x .
+	$(GO) test -run=NONE -bench='Pack1m' -benchtime=1x ./internal/blas/
 	$(GO) run ./cmd/la90bench -reduce -maxn 256 -reps 1 -out /tmp/BENCH_reduce_smoke.json
 	$(GO) run ./cmd/la90bench -batch -maxbatch 64 -reps 1 -out /tmp/BENCH_batch_smoke.json
 	$(GO) run ./cmd/la90bench -cond -maxn 256 -reps 1 -out /tmp/BENCH_cond_smoke.json

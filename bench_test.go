@@ -528,7 +528,8 @@ func benchGemmShape[T core.Scalar](b *testing.B, m, n, k int, naive bool) {
 // BenchmarkGemm compares the packed engine (with its worker pool, sized by
 // GOMAXPROCS or blas.SetThreads) against the retained naive kernel across
 // the size sweep of the acceptance criteria, and runs the packed engine on
-// the two complex types (the 1m rows of the kernel table). The ragged shapes
+// the two complex types (the 1m rows of the kernel table; n = 384 is the
+// order of the benchmark's complex solves). The ragged shapes
 // — no dimension a multiple of any micro-tile, the k = NB panel update, a
 // 37-column block — are where the edge tiles are, and run once more with the
 // AVX2 row forced (the same row again on a machine without AVX-512), as does
@@ -538,7 +539,7 @@ func BenchmarkGemm(b *testing.B) {
 		b.Run("packed/N="+itoa(n), func(b *testing.B) { benchGemmEngine[float64](b, n, false) })
 		b.Run("naive/N="+itoa(n), func(b *testing.B) { benchGemmEngine[float64](b, n, true) })
 	}
-	for _, n := range []int{64, 256, 512} {
+	for _, n := range []int{64, 256, 384, 512, 1024} {
 		b.Run("packed/c64/N="+itoa(n), func(b *testing.B) { benchGemmEngine[complex64](b, n, false) })
 		b.Run("packed/c128/N="+itoa(n), func(b *testing.B) { benchGemmEngine[complex128](b, n, false) })
 	}

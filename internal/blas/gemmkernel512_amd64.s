@@ -276,6 +276,97 @@ one: \
 	CMPQ    CX, $(2*N+2); \
 	JE      done
 
+// The 1m pack kernels of the complex AVX-512 rows (pack512.go), over the real
+// views: c128 is float64 pairs, c64 float32 pairs. A is packed in 1e form —
+// per complex k-step a run [tr, ti, …] of alpha·op(A) and, 192 bytes (three
+// vectors) further, the run [−ti, tr, …] — into panels of 384 bytes per
+// k-step; B in 1r form. They are the Go packers packA1m and packB1m bit for
+// bit: the same products, each rounded, then one add (never an FMA).
+
+// SETUP1E finishes the constants of EXPAND1E: Z28 holds ar and Z29 ai
+// broadcast, Z30 the sign bit in every lane; K7 becomes the even (real)
+// lanes and Z29 [−ai, ai, …]. Clobbers AX.
+#define SETUP1E(XOR) \
+	MOVQ  $0x5555, AX; \
+	KMOVW AX, K7; \
+	XOR   Z30, Z29, K7, Z29
+
+// EXPAND1E writes the 1e pair of the complex values [vr, vi, …] in V, live
+// in the lanes of K (KE: the live even lanes): [ar·vr − ai·vi, ar·vi + ai·vr]
+// at OFF(DI) as the sum of the rounded products V·ar and swap(V)·[−ai, ai],
+// and that run with its pairs swapped and its real lanes negated at
+// 192+OFF(DI). Dead lanes are +0 in both. Clobbers Z16, Z17.
+#define EXPAND1E(MUL, ADD, MOV, XOR, PERM, IMM, V, K, KE, OFF) \
+	PERM  $IMM, V, Z16; \
+	MUL.Z Z28, V, K, V; \
+	MUL.Z Z29, Z16, K, Z16; \
+	ADD   Z16, V, V; \
+	MOV   V, OFF(DI); \
+	PERM  $IMM, V, Z17; \
+	XOR   Z30, Z17, KE, Z17; \
+	MOV   Z17, (192+OFF)(DI)
+
+// PACK1E packs kb complex k-steps of a NoTrans A, each a run of `rows` reals
+// (twice the complex rows, at most three vectors) lds apart, into 1e steps.
+#define PACK1E(MUL, ADD, MOV, XOR, PERM, IMM, LOGES, LANES) \
+	SETUP1E(XOR); \
+	MOVQ  src_base+8(FP), SI; \
+	MOVQ  lds+32(FP), R8; \
+	SHLQ  $LOGES, R8; \
+	MOVQ  dst_base+40(FP), DI; \
+	MOVQ  rows+64(FP), CX; \
+	MASKS512(LANES, K1, K2, K3); \
+	KANDW K1, K7, K4; \
+	KANDW K2, K7, K5; \
+	KANDW K3, K7, K6; \
+	MOVQ  kb+0(FP), CX; \
+loop1e: \
+	MOV.Z (SI), K1, Z0; \
+	MOV.Z 64(SI), K2, Z1; \
+	MOV.Z 128(SI), K3, Z2; \
+	EXPAND1E(MUL, ADD, MOV, XOR, PERM, IMM, Z0, K1, K4, 0); \
+	EXPAND1E(MUL, ADD, MOV, XOR, PERM, IMM, Z1, K2, K5, 64); \
+	EXPAND1E(MUL, ADD, MOV, XOR, PERM, IMM, Z2, K3, K6, 128); \
+	ADDQ  R8, SI; \
+	ADDQ  $384, DI; \
+	DECQ  CX; \
+	JNZ   loop1e; \
+	VZEROUPPER; \
+	RET
+
+// GATHER1EARGS loads the arguments of the transposing 1e kernels: SI the
+// first source column, R8 the column stride in bytes, DI the destination, AX
+// the live column count (rows of op(A)), K2 the lanes they fill (two per
+// complex value) and K3 the even ones among them, K6 the odd (imaginary)
+// lanes, K1 all ones. Needs K7 from SETUP1E.
+#define GATHER1EARGS(LOGES) \
+	MOVQ   src_base+8(FP), SI; \
+	MOVQ   lds+32(FP), R8; \
+	SHLQ   $LOGES, R8; \
+	MOVQ   dst_base+40(FP), DI; \
+	MOVQ   cols+64(FP), CX; \
+	SHLQ   $1, CX; \
+	MOVQ   $1, AX; \
+	SHLQ   CX, AX; \
+	DECQ   AX; \
+	KMOVW  AX, K2; \
+	KANDW  K2, K7, K3; \
+	MOVQ   $0xaaaa, AX; \
+	KMOVW  AX, K6; \
+	KXNORW K1, K1, K1; \
+	MOVQ   cols+64(FP), AX
+
+// KTAIL sets K1 to the lanes of the last CX < one vector's complex k-steps.
+// Clobbers AX and R8.
+#define KTAIL \
+	MOVQ  CX, R8; \
+	SHLQ  $1, CX; \
+	MOVQ  $1, AX; \
+	SHLQ  CX, AX; \
+	DECQ  AX; \
+	KMOVW AX, K1; \
+	MOVQ  R8, CX
+
 // func dgemmKernel24x8(kb int, ap, bp, c []float64, ldc int)
 TEXT ·dgemmKernel24x8(SB), NOSPLIT, $0-88
 	FULL512(3)
@@ -386,5 +477,267 @@ sbody:
 	SUBQ $16, CX
 	JMP  sloop
 done:
+	VZEROUPPER
+	RET
+
+// func zpack1e(kb int, src []float64, lds int, dst []float64, rows int, ar, ai float64)
+TEXT ·zpack1e(SB), NOSPLIT, $0-88
+	VBROADCASTSD ar+72(FP), Z28
+	VBROADCASTSD ai+80(FP), Z29
+	MOVQ         $0x8000000000000000, AX
+	VPBROADCASTQ AX, Z30
+	PACK1E(VMULPD, VADDPD, VMOVUPD, VPXORQ, VPERMILPD, 0x55, 3, 8)
+
+// func cpack1e(kb int, src []float32, lds int, dst []float32, rows int, ar, ai float32)
+TEXT ·cpack1e(SB), NOSPLIT, $0-80
+	VBROADCASTSS ar+72(FP), Z28
+	VBROADCASTSS ai+76(FP), Z29
+	MOVL         $0x80000000, AX
+	VPBROADCASTD AX, Z30
+	PACK1E(VMULPS, VADDPS, VMOVUPS, VPXORD, VPERMILPS, 0xb1, 2, 16)
+
+// ZSTEP1E expands output step N of a zgather1e block and leaves after the
+// last live k-step.
+#define ZSTEP1E(V, N) \
+	EXPAND1E(VMULPD, VADDPD, VMOVUPD, VPXORQ, VPERMILPD, 0x55, V, K2, K3, (N*384)); \
+	CMPQ CX, $(N+1); \
+	JE   done
+
+// func zgather1e(kb int, src []float64, lds int, dst []float64, cols int, ar, ai, neg float64)
+// The transposing 1e pack of four complex rows of op(A), the first cols of
+// them live: column c of src (lds apart, kb complex values) is row c, its
+// imaginary parts XORed with neg; a dead row reads column 0 and packs +0.
+// Four k-steps at a time, the 4×4 transpose of their 128-bit lanes.
+TEXT ·zgather1e(SB), NOSPLIT, $0-96
+	VBROADCASTSD ar+72(FP), Z28
+	VBROADCASTSD ai+80(FP), Z29
+	VBROADCASTSD neg+88(FP), Z31
+	MOVQ         $0x8000000000000000, AX
+	VPBROADCASTQ AX, Z30
+	SETUP1E(VPXORQ)
+	GATHER1EARGS(3)
+	LEAQ    (SI)(R8*1), R11
+	LEAQ    (SI)(R8*2), R12
+	LEAQ    (R8)(R8*2), R13
+	ADDQ    SI, R13
+	CMPQ    AX, $1
+	CMOVQLE SI, R11
+	CMPQ    AX, $2
+	CMOVQLE SI, R12
+	CMPQ    AX, $3
+	CMOVQLE SI, R13
+	MOVQ    kb+0(FP), CX
+zloop:
+	CMPQ  CX, $4
+	JGE   zbody
+	TESTQ CX, CX
+	JZ    done
+	KTAIL
+zbody:
+	VMOVUPD.Z  (SI), K1, Z0
+	VMOVUPD.Z  (R11), K1, Z1
+	VMOVUPD.Z  (R12), K1, Z2
+	VMOVUPD.Z  (R13), K1, Z3
+	VPXORQ     Z31, Z0, K6, Z0
+	VPXORQ     Z31, Z1, K6, Z1
+	VPXORQ     Z31, Z2, K6, Z2
+	VPXORQ     Z31, Z3, K6, Z3
+	VSHUFF64X2 $0x88, Z1, Z0, Z4
+	VSHUFF64X2 $0xdd, Z1, Z0, Z5
+	VSHUFF64X2 $0x88, Z3, Z2, Z6
+	VSHUFF64X2 $0xdd, Z3, Z2, Z7
+	VSHUFF64X2 $0x88, Z6, Z4, Z8
+	VSHUFF64X2 $0x88, Z7, Z5, Z9
+	VSHUFF64X2 $0xdd, Z6, Z4, Z10
+	VSHUFF64X2 $0xdd, Z7, Z5, Z11
+	ZSTEP1E(Z8, 0)
+	ZSTEP1E(Z9, 1)
+	ZSTEP1E(Z10, 2)
+	ZSTEP1E(Z11, 3)
+	ADDQ $64, SI
+	ADDQ $64, R11
+	ADDQ $64, R12
+	ADDQ $64, R13
+	ADDQ $(4*384), DI
+	SUBQ $4, CX
+	JMP  zloop
+done:
+	VZEROUPPER
+	RET
+
+// CSTEP1E is ZSTEP1E of cgather1e.
+#define CSTEP1E(V, N) \
+	EXPAND1E(VMULPS, VADDPS, VMOVUPS, VPXORD, VPERMILPS, 0xb1, V, K2, K3, (N*384)); \
+	CMPQ CX, $(N+1); \
+	JE   done
+
+// func cgather1e(kb int, src []float32, lds int, dst []float32, cols int, ar, ai, neg float32)
+// zgather1e over eight complex64 rows: eight k-steps at a time, the 8×8
+// transpose of their 64-bit units (TRANSPOSE512).
+TEXT ·cgather1e(SB), NOSPLIT, $0-84
+	VBROADCASTSS ar+72(FP), Z28
+	VBROADCASTSS ai+76(FP), Z29
+	VBROADCASTSS neg+80(FP), Z31
+	MOVL         $0x80000000, AX
+	VPBROADCASTD AX, Z30
+	SETUP1E(VPXORD)
+	GATHER1EARGS(2)
+	LEAQ    (R8)(R8*2), CX
+	LEAQ    (SI)(R8*1), R9
+	LEAQ    (SI)(R8*2), R10
+	LEAQ    (SI)(CX*1), R11
+	LEAQ    (SI)(R8*4), BX
+	LEAQ    (BX)(R8*1), R12
+	LEAQ    (BX)(R8*2), R13
+	LEAQ    (BX)(CX*1), DX
+	CMPQ    AX, $1
+	CMOVQLE SI, R9
+	CMPQ    AX, $2
+	CMOVQLE SI, R10
+	CMPQ    AX, $3
+	CMOVQLE SI, R11
+	CMPQ    AX, $4
+	CMOVQLE SI, BX
+	CMPQ    AX, $5
+	CMOVQLE SI, R12
+	CMPQ    AX, $6
+	CMOVQLE SI, R13
+	CMPQ    AX, $7
+	CMOVQLE SI, DX
+	MOVQ    kb+0(FP), CX
+cloop:
+	CMPQ  CX, $8
+	JGE   cbody
+	TESTQ CX, CX
+	JZ    done
+	KTAIL
+cbody:
+	VMOVUPS.Z (SI), K1, Z0
+	VMOVUPS.Z (R9), K1, Z1
+	VMOVUPS.Z (R10), K1, Z2
+	VMOVUPS.Z (R11), K1, Z3
+	VMOVUPS.Z (BX), K1, Z4
+	VMOVUPS.Z (R12), K1, Z5
+	VMOVUPS.Z (R13), K1, Z6
+	VMOVUPS.Z (DX), K1, Z7
+	VPXORD    Z31, Z0, K6, Z0
+	VPXORD    Z31, Z1, K6, Z1
+	VPXORD    Z31, Z2, K6, Z2
+	VPXORD    Z31, Z3, K6, Z3
+	VPXORD    Z31, Z4, K6, Z4
+	VPXORD    Z31, Z5, K6, Z5
+	VPXORD    Z31, Z6, K6, Z6
+	VPXORD    Z31, Z7, K6, Z7
+	TRANSPOSE512
+	CSTEP1E(Z8, 0)
+	CSTEP1E(Z9, 1)
+	CSTEP1E(Z10, 2)
+	CSTEP1E(Z11, 3)
+	CSTEP1E(Z12, 4)
+	CSTEP1E(Z13, 5)
+	CSTEP1E(Z14, 6)
+	CSTEP1E(Z15, 7)
+	ADDQ $64, SI
+	ADDQ $64, R9
+	ADDQ $64, R10
+	ADDQ $64, R11
+	ADDQ $64, BX
+	ADDQ $64, R12
+	ADDQ $64, R13
+	ADDQ $64, DX
+	ADDQ $(8*384), DI
+	SUBQ $8, CX
+	JMP  cloop
+done:
+	VZEROUPPER
+	RET
+
+// The 1r permutations of zpack1r: the real parts of two vectors of four
+// complex128 values, then their imaginary parts.
+DATA z1rIdx<>+0(SB)/8, $0
+DATA z1rIdx<>+8(SB)/8, $2
+DATA z1rIdx<>+16(SB)/8, $4
+DATA z1rIdx<>+24(SB)/8, $6
+DATA z1rIdx<>+32(SB)/8, $8
+DATA z1rIdx<>+40(SB)/8, $10
+DATA z1rIdx<>+48(SB)/8, $12
+DATA z1rIdx<>+56(SB)/8, $14
+DATA z1rIdx<>+64(SB)/8, $1
+DATA z1rIdx<>+72(SB)/8, $3
+DATA z1rIdx<>+80(SB)/8, $5
+DATA z1rIdx<>+88(SB)/8, $7
+DATA z1rIdx<>+96(SB)/8, $9
+DATA z1rIdx<>+104(SB)/8, $11
+DATA z1rIdx<>+112(SB)/8, $13
+DATA z1rIdx<>+120(SB)/8, $15
+GLOBL z1rIdx<>(SB), RODATA|NOPTR, $128
+
+// func zpack1r(kb int, src []float64, lds int, dst []float64, cols int, neg float64)
+// The 1r pack of a transposed B: per k-step a run of cols ≤ 8 complex values
+// (lds apart) becomes the row of their real parts and the row of their
+// imaginary parts XORed with neg, each zero-padded to eight.
+TEXT ·zpack1r(SB), NOSPLIT, $0-80
+	VBROADCASTSD neg+72(FP), Z29
+	VMOVDQU64    z1rIdx<>+0(SB), Z30
+	VMOVDQU64    z1rIdx<>+64(SB), Z31
+	MOVQ         src_base+8(FP), SI
+	MOVQ         lds+32(FP), R8
+	SHLQ         $3, R8
+	MOVQ         dst_base+40(FP), DI
+	MOVQ         cols+64(FP), CX
+	MOVQ         $1, AX
+	SHLQ         CX, AX
+	DECQ         AX
+	KMOVW        AX, K4
+	SHLQ         $1, CX
+	MASKS512(8, K1, K2, K3)
+	MOVQ         kb+0(FP), CX
+zloop1r:
+	VMOVUPD.Z (SI), K1, Z0
+	VMOVUPD.Z 64(SI), K2, Z1
+	VMOVAPD   Z0, Z2
+	VPERMT2PD Z1, Z30, Z2
+	VPERMT2PD Z1, Z31, Z0
+	VPXORQ    Z29, Z0, K4, Z0
+	VMOVUPD   Z2, (DI)
+	VMOVUPD   Z0, 64(DI)
+	ADDQ      R8, SI
+	ADDQ      $128, DI
+	DECQ      CX
+	JNZ       zloop1r
+	VZEROUPPER
+	RET
+
+// func cpack1r(kb int, src []float32, lds int, dst []float32, cols int, neg float32)
+// zpack1r over complex64: one vector per k-step, split by sgatherIdx into the
+// eight real and the eight imaginary parts — the packed step as it stands.
+TEXT ·cpack1r(SB), NOSPLIT, $0-76
+	VBROADCASTSS neg+72(FP), Z29
+	VMOVDQU32    sgatherIdx<>(SB), Z30
+	MOVQ         src_base+8(FP), SI
+	MOVQ         lds+32(FP), R8
+	SHLQ         $2, R8
+	MOVQ         dst_base+40(FP), DI
+	MOVQ         cols+64(FP), CX
+	MOVQ         $1, AX
+	SHLQ         CX, AX
+	DECQ         AX
+	SHLQ         $8, AX
+	KMOVW        AX, K4
+	SHLQ         $1, CX
+	MOVQ         $1, AX
+	SHLQ         CX, AX
+	DECQ         AX
+	KMOVW        AX, K1
+	MOVQ         kb+0(FP), CX
+cloop1r:
+	VMOVUPS.Z (SI), K1, Z0
+	VPERMPS   Z0, Z30, Z0
+	VPXORD    Z29, Z0, K4, Z0
+	VMOVUPS   Z0, (DI)
+	ADDQ      R8, SI
+	ADDQ      $64, DI
+	DECQ      CX
+	JNZ       cloop1r
 	VZEROUPPER
 	RET

@@ -83,6 +83,34 @@ func dgather8(kb int, alpha float64, src []float64, lds int, dst []float64, ld i
 //go:noescape
 func sgather8(kb int, alpha float32, src []float32, lds int, dst []float32, ld int)
 
+// The 1m pack kernels of the complex AVX-512 rows (kernels1m512 in
+// pack512.go), over real views, z… for complex128 and c… for complex64.
+// zpack1e/cpack1e pack a NoTrans A panel in 1e form: kb complex k-steps, each
+// a run of rows reals (2 per complex row, at most three vectors) lds reals
+// apart, alpha = ar+ai·i. zgather1e/cgather1e pack the group of four (eight)
+// rows of a transposed A panel whose first cols are columns of src, the
+// imaginary parts XORed with neg. zpack1r/cpack1r pack a transposed B panel
+// of cols ≤ 8 columns in 1r form, likewise. In gemmkernel512_amd64.s; only
+// the bases of the slices are looked at.
+//
+//go:noescape
+func zpack1e(kb int, src []float64, lds int, dst []float64, rows int, ar, ai float64)
+
+//go:noescape
+func cpack1e(kb int, src []float32, lds int, dst []float32, rows int, ar, ai float32)
+
+//go:noescape
+func zgather1e(kb int, src []float64, lds int, dst []float64, cols int, ar, ai, neg float64)
+
+//go:noescape
+func cgather1e(kb int, src []float32, lds int, dst []float32, cols int, ar, ai, neg float32)
+
+//go:noescape
+func zpack1r(kb int, src []float64, lds int, dst []float64, cols int, neg float64)
+
+//go:noescape
+func cpack1r(kb int, src []float32, lds int, dst []float32, cols int, neg float32)
+
 // dgemmSmallStripF64 is the pack-free small-matrix kernel: it accumulates
 // C(0:8·strips, 0:4) += alpha·A(0:8·strips, 0:k)·B(0:k, 0:4) directly on
 // strided column-major operands, with no packed panels. One call covers a

@@ -45,6 +45,24 @@ func dgather8(kb int, alpha float64, src []float64, lds int, dst []float64, ld i
 func sgather8(kb int, alpha float32, src []float32, lds int, dst []float32, ld int) {
 	panic("blas: no asm kernel")
 }
+func zpack1e(kb int, src []float64, lds int, dst []float64, rows int, ar, ai float64) {
+	panic("blas: no asm kernel")
+}
+func cpack1e(kb int, src []float32, lds int, dst []float32, rows int, ar, ai float32) {
+	panic("blas: no asm kernel")
+}
+func zgather1e(kb int, src []float64, lds int, dst []float64, cols int, ar, ai, neg float64) {
+	panic("blas: no asm kernel")
+}
+func cgather1e(kb int, src []float32, lds int, dst []float32, cols int, ar, ai, neg float32) {
+	panic("blas: no asm kernel")
+}
+func zpack1r(kb int, src []float64, lds int, dst []float64, cols int, neg float64) {
+	panic("blas: no asm kernel")
+}
+func cpack1r(kb int, src []float32, lds int, dst []float32, cols int, neg float32) {
+	panic("blas: no asm kernel")
+}
 func dgemmSmallStripF64(strips, k int64, a *float64, lda int64, b *float64, ldb int64, c *float64, ldc int64, alpha float64) {
 	panic("blas: no asm kernel")
 }

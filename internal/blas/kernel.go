@@ -27,7 +27,8 @@ import (
 //	edge       micro → scratch tile (scratchEdge)      real row's, view   microEdge
 //	           dgemmEdge24x8        sgemmEdge48x8      (opmask rows×cols tile)
 //	packA/B    Go                   spackA16/spackB4   packA1m/packB1m    Go
-//	           dpack512/dgather8    spack512/sgather8  (packers512)
+//	           dpack512/dgather8    spack512/sgather8  z/cpack1e, z/cgather1e,
+//	           (packers512)                            z/cpack1r, d/sgather8
 //	trsvOct    dsubFma8             ssubFma8           view, 1e triangle  Go
 //	gemvSub8   dgemvSub8            sgemvSub8          eight axpy         Go
 //	axpy       daxpyFma             saxpyFma           zaxpyFma/caxpyFma  Go
@@ -200,8 +201,8 @@ func scratchEdge[T core.Scalar](micro func(kb int, ap, bp, c []T, ldc int)) func
 
 // oneM builds the 1m row of complex type C from the real row rk it runs on;
 // view is the matching real view from realview.go, axpy, dot and scal the
-// type's vector kernels.
-func oneM[C core.Cmplx, R core.Float](rk *kernel[R], view func([]C) []R, trsmLeaf int, axpy func(C, []C, []C), dot func([]C, []C, bool) C, scal func(C, []C)) kernel[C] {
+// type's vector kernels, pk the row's 1m packers.
+func oneM[C core.Cmplx, R core.Float](rk *kernel[R], view func([]C) []R, trsmLeaf int, axpy func(C, []C, []C), dot func([]C, []C, bool) C, scal func(C, []C), pk packers1m[R]) kernel[C] {
 	// The Level-1/2 leaves that are not the type's own vector kernels are the
 	// real row's on the real view — the sum of squares, the rotations, the
 	// substitution sweep under trsvOct — or stay on the Go loops.
@@ -220,10 +221,10 @@ func oneM[C core.Cmplx, R core.Float](rk *kernel[R], view func([]C) []R, trsmLea
 		rk.micro(2*kb, view(ap), view(bp), view(c), 2*ldc)
 	}
 	k.packA = func(dst []C, mr int, trans Trans, alpha C, a []C, lda int, i0, mb, p0, kb int) {
-		packA1m(view(dst), mr, trans, R(core.Re(alpha)), R(core.Im(alpha)), view(a), lda, i0, mb, p0, kb)
+		pk.packA(view(dst), mr, trans, R(core.Re(alpha)), R(core.Im(alpha)), view(a), lda, i0, mb, p0, kb)
 	}
 	k.packB = func(dst []C, nr int, trans Trans, b []C, ldb int, p0, kb, j0, nb int) {
-		packB1m(view(dst), nr, trans, view(b), ldb, p0, kb, j0, nb)
+		pk.packB(view(dst), nr, trans, view(b), ldb, p0, kb, j0, nb)
 	}
 	// A ragged tile is the real row's ragged tile of twice the rows.
 	k.edge = func(kb, mr, nr int, ap, bp, c []C, ldc, rows, cols int, tile []C) {
@@ -306,8 +307,8 @@ var (
 		packA: packAF32, packB: packBF32,
 		micro: microAVX2F32, edge: scratchEdge(microAVX2F32),
 	}
-	kern1mC128 = oneM(&kernAsmF64, realView128, trsmLeafSizeC128, zaxpyFma, zdotFma, zscalFma)
-	kern1mC64  = oneM(&kernAsmF32, realView64, trsmLeafSizeC64, caxpyFma, cdotFma, cscalFma)
+	kern1mC128 = oneM(&kernAsmF64, realView128, trsmLeafSizeC128, zaxpyFma, zdotFma, zscalFma, pack1mGoF64)
+	kern1mC64  = oneM(&kernAsmF32, realView64, trsmLeafSizeC64, caxpyFma, cdotFma, cscalFma, pack1mGoF32)
 
 	// The AVX-512 rows are the AVX2 rows with the micro-tile, its packers and
 	// its kernels replaced: every other leaf, and every crossover, is shared,
@@ -327,8 +328,8 @@ var (
 		k.micro, k.edge = sgemmKernel48x8, sgemmEdge48x8
 		return k
 	}()
-	kern1m512C128 = oneM(&kern512F64, realView128, trsmLeafSizeC128, zaxpyFma, zdotFma, zscalFma)
-	kern1m512C64  = oneM(&kern512F32, realView64, trsmLeafSizeC64, caxpyFma, cdotFma, cscalFma)
+	kern1m512C128 = oneM(&kern512F64, realView128, trsmLeafSizeC128, zaxpyFma, zdotFma, zscalFma, pack1m512F64)
+	kern1m512C64  = oneM(&kern512F32, realView64, trsmLeafSizeC64, caxpyFma, cdotFma, cscalFma, pack1m512F32)
 )
 
 func microAVX2F64(kb int, ap, bp, c []float64, ldc int) {
@@ -435,7 +436,10 @@ func packBF32(dst []float32, nr int, trans Trans, b []float32, ldb int, p0, kb, 
 // form. a and dst are real views: a of the complex operand with (complex)
 // leading dimension lda, dst of kb·roundUp(mb, mr)·2 complex elements. A
 // micro-panel holds mr complex rows as 2·mr real ones and 2·kb real k-steps:
-// step 2p is [re, im, …] of column p, step 2p+1 is [−im, re, …].
+// step 2p is [re, im, …] of column p, step 2p+1 is [−im, re, …]. Each
+// product is rounded before the add (the conversions forbid the compiler a
+// fused multiply-add), so the packed values do not depend on GOAMD64 and
+// equal the AVX-512 rows' packers bit for bit.
 func packA1m[R core.Float](dst []R, mr int, trans Trans, ar, ai R, a []R, lda int, i0, mb, p0, kb int) {
 	// Complex element (r, p) of op(A) sits at a[2·(base + r·rs + p·ps)].
 	base, rs, ps := i0+p0*lda, 1, lda
@@ -461,7 +465,7 @@ func packA1m[R core.Float](dst []R, mr int, trans Trans, ar, ai R, a []R, lda in
 				src := a[j:][:len(d0)]
 				for i := 1; i < len(src); i += 2 {
 					vr, vi := src[i-1], src[i]
-					tr, ti := ar*vr-ai*vi, ar*vi+ai*vr
+					tr, ti := R(ar*vr)-R(ai*vi), R(ar*vi)+R(ai*vr)
 					d0[i-1], d0[i] = tr, ti
 					d1[i-1], d1[i] = -ti, tr
 				}
@@ -469,7 +473,7 @@ func packA1m[R core.Float](dst []R, mr int, trans Trans, ar, ai R, a []R, lda in
 			}
 			for i := 1; i < len(d0); i += 2 {
 				vr, vi := a[j], cj*a[j+1]
-				tr, ti := ar*vr-ai*vi, ar*vi+ai*vr
+				tr, ti := R(ar*vr)-R(ai*vi), R(ar*vi)+R(ai*vr)
 				d0[i-1], d0[i] = tr, ti
 				d1[i-1], d1[i] = -ti, tr
 				j += 2 * rs

@@ -346,6 +346,8 @@ func newEigOperand(kind byte, n int) eigOperand {
 			}
 		}
 		return eigOperand{vec: ap}
+	case '-':
+		return eigOperand{}
 	case 'D':
 		v := make([]float64, n)
 		for i := range v {
@@ -419,8 +421,43 @@ func TestWithCheckNonsymmetric(t *testing.T) {
 	})
 }
 
+// TestWithCheckComputational is TestWithCheckSymmetricEigen for the wrappers
+// of la/comp.go: the computational routines and the auxiliaries LANGE and
+// LAGGE, whose output A is not screened.
+func TestWithCheckComputational(t *testing.T) {
+	chk := la.WithCheck()
+	pivots := func() []int {
+		ipiv, _, err := la.GETRF(newEigOperand('S', 5).mat)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ipiv
+	}
+	err6 := func(_, _ []float64, _, _, _ float64, err error) error { return err }
+	err4 := func(_, _, _ []float64, err error) error { return err }
+	screensEveryArgument(t, []checkCase{
+		{"GETRS", "LA_GETRS", "S-S", func(x []eigOperand) error { return la.GETRS(x[0].mat, pivots(), x[2].mat, chk) }},
+		{"GETRI", "LA_GETRI", "S-", func(x []eigOperand) error { return la.GETRI(x[0].mat, pivots(), chk) }},
+		{"GERFS", "LA_GERFS", "SS-SS", func(x []eigOperand) error {
+			return err3(la.GERFS(x[0].mat, x[1].mat, pivots(), x[3].mat, x[4].mat, chk))
+		}},
+		{"GEEQU", "LA_GEEQU", "S", func(x []eigOperand) error { return err6(la.GEEQU(x[0].mat, chk)) }},
+		{"SYTRD", "LA_SYTRD", "S", func(x []eigOperand) error { return err4(la.SYTRD(x[0].mat, chk)) }},
+		{"HETRD", "LA_SYTRD", "S", func(x []eigOperand) error { return err4(la.HETRD(x[0].mat, chk)) }},
+		{"ORGTR", "LA_ORGTR", "SE", func(x []eigOperand) error { return la.ORGTR(x[0].mat, x[1].vec, chk) }},
+		{"UNGTR", "LA_ORGTR", "SE", func(x []eigOperand) error { return la.UNGTR(x[0].mat, x[1].vec, chk) }},
+		{"SYGST", "LA_SYGST", "SS", func(x []eigOperand) error { return la.SYGST(x[0].mat, x[1].mat, chk) }},
+		{"HEGST", "LA_SYGST", "SS", func(x []eigOperand) error { return la.HEGST(x[0].mat, x[1].mat, chk) }},
+		{"LANGE", "LA_LANGE", "S", func(x []eigOperand) error { return err2(la.LANGE(x[0].mat, chk)) }},
+		{"LAGGE", "LA_LAGGE", "---D", func(x []eigOperand) error {
+			return la.LAGGE(la.NewMatrix[float64](5, 5), x[3].vec, chk)
+		}},
+	})
+}
+
 // checkCase is one wrapper of a WithCheck table: its routine name, the kinds
-// of its operands (see newEigOperand) and the call.
+// of its operands (see newEigOperand; '-' is an argument that is not
+// screened — pivots, an output — and only counts for INFO) and the call.
 type checkCase struct {
 	name, routine, kinds string
 	call                 func(x []eigOperand) error
@@ -446,6 +483,9 @@ func screensEveryArgument(t *testing.T, cases []checkCase) {
 				t.Fatalf("clean input rejected: %v", err)
 			}
 			for arg, operand := range build(c.kinds) {
+				if c.kinds[arg] == '-' {
+					continue
+				}
 				last := len(operand.data()) - 1
 				for _, bad := range []float64{math.NaN(), math.Inf(1)} {
 					for _, pos := range []int{0, last / 2, last} {

@@ -1,8 +1,6 @@
 package la
 
 import (
-	"repro/internal/core"
-
 	"repro/internal/lapack"
 	"repro/internal/matgen"
 )
@@ -55,6 +53,11 @@ func GETRS[T Scalar](a *Matrix[T], ipiv []int, b *Matrix[T], opts ...Opt) (err e
 	if !rhsMatch(a.Rows, b) {
 		return erinfo(routine, -3, "")
 	}
+	if o.check {
+		if err := firstErr(finiteMat(routine, 1, "A", a), finiteMat(routine, 3, "B", b)); err != nil {
+			return err
+		}
+	}
 	lapack.Getrs(cfg, o.trans, a.Rows, b.Cols, a.Data, a.Stride, ipiv, b.Data, b.Stride)
 	return nil
 }
@@ -62,15 +65,21 @@ func GETRS[T Scalar](a *Matrix[T], ipiv []int, b *Matrix[T], opts ...Opt) (err e
 // GETRI computes the inverse of a matrix from its LU factorization (the
 // paper's LA_GETRI; its workspace query through ILAENV happens
 // internally, as in the paper's Appendix C listing).
-func GETRI[T Scalar](a *Matrix[T], ipiv []int) (err error) {
-	cfg := core.Default()
+func GETRI[T Scalar](a *Matrix[T], ipiv []int, opts ...Opt) (err error) {
 	const routine = "LA_GETRI"
 	defer guard(routine, &err)
+	o := apply(opts)
+	cfg := o.cfg
 	if !square(a) {
 		return erinfo(routine, -1, "")
 	}
 	if len(ipiv) != a.Rows {
 		return erinfo(routine, -2, "")
+	}
+	if o.check {
+		if err := finiteMat(routine, 1, "A", a); err != nil {
+			return err
+		}
 	}
 	n := a.Rows
 	nb := lapack.Ilaenv(cfg, 1, "GETRI", n, -1, -1, -1)
@@ -97,6 +106,12 @@ func GERFS[T Scalar](a, af *Matrix[T], ipiv []int, b, x *Matrix[T], opts ...Opt)
 	if !rhsMatch(a.Rows, b) || !rhsMatch(a.Rows, x) || b.Cols != x.Cols {
 		return nil, nil, erinfo(routine, -4, "")
 	}
+	if o.check {
+		if err := firstErr(finiteMat(routine, 1, "A", a), finiteMat(routine, 2, "AF", af),
+			finiteMat(routine, 4, "B", b), finiteMat(routine, 5, "X", x)); err != nil {
+			return nil, nil, err
+		}
+	}
 	nrhs := b.Cols
 	ferr = make([]float64, nrhs)
 	berr = make([]float64, nrhs)
@@ -106,11 +121,17 @@ func GERFS[T Scalar](a, af *Matrix[T], ipiv []int, b, x *Matrix[T], opts ...Opt)
 
 // GEEQU computes row and column scalings intended to equilibrate a
 // rectangular matrix (the paper's LA_GEEQU).
-func GEEQU[T Scalar](a *Matrix[T]) (r, c []float64, rowcnd, colcnd, amax float64, err error) {
+func GEEQU[T Scalar](a *Matrix[T], opts ...Opt) (r, c []float64, rowcnd, colcnd, amax float64, err error) {
 	const routine = "LA_GEEQU"
 	defer guard(routine, &err)
+	o := apply(opts)
 	if a == nil {
 		return nil, nil, 0, 0, 0, erinfo(routine, -1, "")
+	}
+	if o.check {
+		if err := finiteMat(routine, 1, "A", a); err != nil {
+			return nil, nil, 0, 0, 0, err
+		}
 	}
 	r = make([]float64, a.Rows)
 	c = make([]float64, a.Cols)
@@ -156,6 +177,11 @@ func SYTRD[T Scalar](a *Matrix[T], opts ...Opt) (d, e []float64, tau []T, err er
 	if !square(a) {
 		return nil, nil, nil, erinfo(routine, -1, "")
 	}
+	if o.check {
+		if err := finiteMat(routine, 1, "A", a); err != nil {
+			return nil, nil, nil, err
+		}
+	}
 	n := a.Rows
 	d = make([]float64, n)
 	e = make([]float64, max(0, n-1))
@@ -182,6 +208,11 @@ func ORGTR[T Scalar](a *Matrix[T], tau []T, opts ...Opt) (err error) {
 	if len(tau) != max(0, a.Rows-1) {
 		return erinfo(routine, -2, "")
 	}
+	if o.check {
+		if err := firstErr(finiteMat(routine, 1, "A", a), finiteSlice(routine, 2, "TAU", tau)); err != nil {
+			return err
+		}
+	}
 	lapack.Orgtr(cfg, o.uplo, a.Rows, a.Data, a.Stride, tau)
 	return nil
 }
@@ -203,6 +234,11 @@ func SYGST[T Scalar](a, b *Matrix[T], opts ...Opt) (err error) {
 	}
 	if !square(b) || b.Rows != a.Rows {
 		return erinfo(routine, -2, "")
+	}
+	if o.check {
+		if err := firstErr(finiteMat(routine, 1, "A", a), finiteMat(routine, 2, "B", b)); err != nil {
+			return err
+		}
 	}
 	lapack.Sygst(o.itype, o.uplo, a.Rows, a.Data, a.Stride, b.Data, b.Stride)
 	return nil
@@ -228,6 +264,11 @@ func LANGE[T Scalar](a *Matrix[T], opts ...Opt) (v float64, err error) {
 	if !norm.Valid() {
 		return 0, erinfo(routine, -2, "")
 	}
+	if o.check {
+		if err := finiteMat(routine, 1, "A", a); err != nil {
+			return 0, err
+		}
+	}
 	return lapack.Lange(norm, a.Rows, a.Cols, a.Data, a.Stride), nil
 }
 
@@ -237,15 +278,21 @@ func LANGE[T Scalar](a *Matrix[T], opts ...Opt) (v float64, err error) {
 // restrict the bandwidth and WithSeed fixes the random stream (the
 // paper's ISEED).
 func LAGGE[T Scalar](a *Matrix[T], d []float64, opts ...Opt) (err error) {
-	cfg := core.Default()
 	const routine = "LA_LAGGE"
 	defer guard(routine, &err)
 	o := apply(opts)
+	cfg := o.cfg
 	if a == nil {
 		return erinfo(routine, -1, "")
 	}
 	if len(d) < min(a.Rows, a.Cols) {
 		return erinfo(routine, -4, "")
+	}
+	// A is output only: its entries are not looked at, nor screened.
+	if o.check {
+		if err := finiteFloats(routine, 4, "D", d[:min(a.Rows, a.Cols)]); err != nil {
+			return err
+		}
 	}
 	kl := a.Rows - 1
 	if o.haveKL {
