@@ -203,21 +203,18 @@ fuzz:
 	$(GO) test ./la/ -fuzz='^$(TARGET)$$' -fuzztime=10m
 
 # Compile-and-run check for the benchmarks: one iteration each of the GEMM
-# engine (float64, and the complex 1m rows, and their packers asm against Go
-# in internal/blas), the factorization benchmarks
-# (square and the 4096×256 QR, Cholesky, Bunch–Kaufman on all four types),
-# Trsm on each leaf form, the Level-3 thread-scaling table, the tall GELSD
-# driver, the eigenvalue iteration phase with its kernels and the route sweep
-# that sets the symmetric eigensolver's crossover, the Level-1/2
-# leaves, the per-call option overhead and the expert-driver legs, no timing
-# claims.
+# engine (float64 and float32, the pack-free small products with and without
+# that path, the complex 1m rows, and their packers asm against Go in
+# internal/blas), the factorization benchmarks (square on all four types and
+# the 4096×256 QR, Cholesky, Bunch–Kaufman), the blocked-vs-unblocked
+# reductions, Trsm on each leaf form, the Level-3 thread-scaling table, the
+# tall GELSD driver, the D&C and QR-iteration SVD, the eigenvalue iteration
+# phase with its kernels and the route sweep that sets the symmetric
+# eigensolver's crossover, the Level-1/2 leaves, the per-call option overhead,
+# the batched small systems and the expert-driver legs, no timing claims.
 benchsmoke:
-	$(GO) test -run=NONE -bench='Getrf|Gemm|Geqrf|GelsdTall|Steqr|Stedc|Bdsdc|Hseqr|Trevc|Orgtr|Ormtr|Syevd|SymEigRoutes|Gesdd|Geev|RotSeq|Secular|ApplyOptions|Level2|Level3Parallel|Sytrf|Trsm|Potrf|PotrsSmall|GetrsSmall|PosvSmallBatch|Example3Small|AblationExpertDriver|AblationSmallCholesky|AblationSmallLU' -benchtime=1x .
+	$(GO) test -run=NONE -bench='Getrf|Gemm|Geqrf|GelsdTall|Reduce|Steqr|Stedc|Bdsdc|Hseqr|Trevc|Orgtr|Ormtr|Syevd|SymEigRoutes|Gesdd|Geev|RotSeq|Secular|ApplyOptions|Level2|Level3Parallel|Sytrf|Trsm|Potrf|PotrsSmall|GetrsSmall|PosvSmallBatch|Example3Small|AblationExpertDriver|AblationSmallCholesky|AblationSmallLU' -benchtime=1x .
 	$(GO) test -run=NONE -bench='Pack1m' -benchtime=1x ./internal/blas/
-	$(GO) run ./cmd/la90bench -reduce -maxn 256 -reps 1 -out /tmp/BENCH_reduce_smoke.json
-	$(GO) run ./cmd/la90bench -batch -maxbatch 64 -reps 1 -out /tmp/BENCH_batch_smoke.json
-	$(GO) run ./cmd/la90bench -cond -maxn 256 -reps 1 -out /tmp/BENCH_cond_smoke.json
-	$(GO) run ./cmd/la90bench -svd -maxn 256 -reps 1 -out /tmp/BENCH_svd_smoke.json
 
 # The repository benchmark's own smoke test (bench/ is a module of its own,
 # so `go test ./...` above does not reach it): every workload's op list runs

@@ -383,7 +383,9 @@ func BenchmarkAblationRankDeficientLS(b *testing.B) {
 // of the simple driver, for the dense, symmetric, packed and band formats of
 // the shared pipeline (internal/lapack/expert.go). n = 200, two right-hand
 // sides; the symmetric legs take A + Aᵀ of the GESVX matrix (plus n·I for the
-// positive definite ones), the band leg its kl = ku = 8 band plus 8·I.
+// positive definite ones), the band leg its kl = ku = 8 band plus 8·I, and
+// the equilibrating leg the system with its rows scaled by powers of two
+// across 2^±40, so that the row scaling fires.
 func BenchmarkAblationExpertDriver(b *testing.B) {
 	const n, kb = 200, 8
 	a0, b0 := exampleSystem(n, 2)
@@ -414,6 +416,13 @@ func BenchmarkAblationExpertDriver(b *testing.B) {
 	for i := range bc {
 		bc[i] = complex(b0[i], -b0[i])
 	}
+	grade := func(x []float64) []float64 { // row i of x (leading dimension n) times 2^(-40+80i/(n-1))
+		g := make([]float64, len(x))
+		for k := range x {
+			g[k] = math.Ldexp(x[k], -40+80*(k%n)/(n-1))
+		}
+		return g
+	}
 	b.Run("GESV", func(b *testing.B) { benchF90GESV(b, n, 2) })
 	b.Run("GESVX", func(b *testing.B) {
 		benchExpert(b, n, n, a0, b0, func(a, bw *la.Matrix[float64]) error { _, err := la.GESVX(a, bw); return err })
@@ -429,6 +438,12 @@ func BenchmarkAblationExpertDriver(b *testing.B) {
 	})
 	b.Run("GBSVX", func(b *testing.B) {
 		benchExpert(b, 2*kb+1, n, band, b0, func(a, bw *la.Matrix[float64]) error { _, err := la.GBSVX(a, bw); return err })
+	})
+	b.Run("GESVXequil", func(b *testing.B) {
+		benchExpert(b, n, n, grade(a0), grade(b0), func(a, bw *la.Matrix[float64]) error {
+			_, err := la.GESVX(a, bw, la.WithEquilibration())
+			return err
+		})
 	})
 	b.Run("GESVXc128", func(b *testing.B) {
 		benchExpert(b, n, n, ac, bc, func(a, bw *la.Matrix[complex128]) error { _, err := la.GESVX(a, bw); return err })
@@ -490,15 +505,15 @@ func BenchmarkAblationGEQRF(b *testing.B) {
 	})
 }
 
-// ---- Level-3 engine benchmarks (PR 1): packed/threaded GEMM vs the naive
-// seed kernel, and the blocked LU riding on it. BENCH_blas.json is the
-// machine-readable form, regenerated with `go run ./cmd/la90bench -blas`.
+// ---- Level-3 engine benchmarks: packed/threaded GEMM vs the naive seed
+// kernel and vs the pack-free small products, and the blocked factorizations
+// riding on it.
 
 func benchGemmEngine[T core.Scalar](b *testing.B, n int, naive bool) {
-	benchGemmShape[T](b, n, n, n, naive)
+	benchGemmShape[T](b, core.Default(), n, n, n, naive)
 }
 
-func benchGemmShape[T core.Scalar](b *testing.B, m, n, k int, naive bool) {
+func benchGemmShape[T core.Scalar](b *testing.B, cfg *core.Config, m, n, k int, naive bool) {
 	rng := lapack.NewRng([4]int{n, 7, 7, 7})
 	a0 := make([]T, m*k)
 	b0 := make([]T, k*n)
@@ -508,13 +523,13 @@ func benchGemmShape[T core.Scalar](b *testing.B, m, n, k int, naive bool) {
 	one := core.FromFloat[T](1)
 	// Untimed warm-up so -benchtime 1x measures steady state, not page
 	// faults on the freshly allocated operands.
-	blas.Gemm(core.Default(), blas.NoTrans, blas.NoTrans, m, n, k, one, a0, m, b0, k, 0, c, m)
+	blas.Gemm(cfg, blas.NoTrans, blas.NoTrans, m, n, k, one, a0, m, b0, k, 0, c, m)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if naive {
 			blas.GemmNaive(blas.NoTrans, blas.NoTrans, m, n, k, one, a0, m, b0, k, 0, c, m)
 		} else {
-			blas.Gemm(core.Default(), blas.NoTrans, blas.NoTrans, m, n, k, one, a0, m, b0, k, 0, c, m)
+			blas.Gemm(cfg, blas.NoTrans, blas.NoTrans, m, n, k, one, a0, m, b0, k, 0, c, m)
 		}
 	}
 	// Real flops: a complex multiply-add is four real ones.
@@ -528,8 +543,11 @@ func benchGemmShape[T core.Scalar](b *testing.B, m, n, k int, naive bool) {
 // BenchmarkGemm compares the packed engine (with its worker pool, sized by
 // GOMAXPROCS or blas.SetThreads) against the retained naive kernel across
 // the size sweep of the acceptance criteria, and runs the packed engine on
-// the two complex types (the 1m rows of the kernel table; n = 384 is the
-// order of the benchmark's complex solves). The ragged shapes
+// float32 and the two complex types (the 1m rows of the kernel table; n = 384
+// is the order of the benchmark's complex solves). The small products run
+// pack-free ("small/packfree") and through the dispatch with that path off
+// (`small` knob 0: the naive kernel below the packed cutoff, the packed
+// engine above it). The ragged shapes
 // — no dimension a multiple of any micro-tile, the k = NB panel update, a
 // 37-column block — are where the edge tiles are, and run once more with the
 // AVX2 row forced (the same row again on a machine without AVX-512), as does
@@ -538,6 +556,12 @@ func BenchmarkGemm(b *testing.B) {
 	for _, n := range []int{64, 256, 512, 1024} {
 		b.Run("packed/N="+itoa(n), func(b *testing.B) { benchGemmEngine[float64](b, n, false) })
 		b.Run("naive/N="+itoa(n), func(b *testing.B) { benchGemmEngine[float64](b, n, true) })
+		b.Run("packed/f32/N="+itoa(n), func(b *testing.B) { benchGemmEngine[float32](b, n, false) })
+	}
+	noSmall := core.Default().With(func(c *core.Config) { c.GemmSmallDim = 0 })
+	for _, n := range []int{16, 32, 48, 64} {
+		b.Run("small/packfree/N="+itoa(n), func(b *testing.B) { benchGemmShape[float64](b, core.Default(), n, n, n, false) })
+		b.Run("small/off/N="+itoa(n), func(b *testing.B) { benchGemmShape[float64](b, noSmall, n, n, n, false) })
 	}
 	for _, n := range []int{64, 256, 384, 512, 1024} {
 		b.Run("packed/c64/N="+itoa(n), func(b *testing.B) { benchGemmEngine[complex64](b, n, false) })
@@ -551,7 +575,7 @@ func BenchmarkGemm(b *testing.B) {
 		for _, sh := range shapes {
 			b.Run(row+"/"+itoa(sh[0])+"x"+itoa(sh[1])+"x"+itoa(sh[2]), func(b *testing.B) {
 				defer faultinject.ForceAVX2(faultinject.ForceAVX2(avx2))
-				benchGemmShape[float64](b, sh[0], sh[1], sh[2], false)
+				benchGemmShape[float64](b, core.Default(), sh[0], sh[1], sh[2], false)
 			})
 		}
 	}
@@ -638,12 +662,14 @@ func BenchmarkLevel3Parallel(b *testing.B) {
 
 // BenchmarkGetrf tracks the lookahead-pipelined LU driver with its
 // recursive panels; the trailing updates are GEMM-shaped and ride the
-// packed engine. BENCH_lapack.json is the machine-readable form,
-// regenerated with `go run ./cmd/la90bench -lapack`.
+// packed engine. The other three element types run at N = 1024.
 func BenchmarkGetrf(b *testing.B) {
 	for _, n := range []int{64, 256, 512, 1024} {
 		b.Run("N="+itoa(n), func(b *testing.B) { benchGetrf[float64](b, n) })
 	}
+	b.Run("f32/N=1024", func(b *testing.B) { benchGetrf[float32](b, 1024) })
+	b.Run("c64/N=1024", func(b *testing.B) { benchGetrf[complex64](b, 1024) })
+	b.Run("c128/N=1024", func(b *testing.B) { benchGetrf[complex128](b, 1024) })
 	b.Run("T=2/N=1024", func(b *testing.B) {
 		defer blas.SetThreads(blas.SetThreads(2))
 		benchGetrf[float64](b, 1024)
@@ -729,6 +755,9 @@ func BenchmarkPotrf(b *testing.B) {
 	for _, n := range []int{64, 256, 512, 1024} {
 		b.Run("N="+itoa(n), func(b *testing.B) { benchPotrf[float64](b, lapack.Lower, n) })
 	}
+	b.Run("f32/N=1024", func(b *testing.B) { benchPotrf[float32](b, lapack.Lower, 1024) })
+	b.Run("c64/N=1024", func(b *testing.B) { benchPotrf[complex64](b, lapack.Lower, 1024) })
+	b.Run("c128/N=1024", func(b *testing.B) { benchPotrf[complex128](b, lapack.Lower, 1024) })
 	b.Run("T=2/N=1024", func(b *testing.B) {
 		defer blas.SetThreads(blas.SetThreads(2))
 		benchPotrf[float64](b, lapack.Lower, 1024)
@@ -1096,7 +1125,8 @@ func benchTrsm[T core.Scalar](b *testing.B, side blas.Side, trans blas.Trans) {
 }
 
 // BenchmarkGeqrf tracks the blocked Householder QR: panel Geqr2 plus a
-// Larft/Larfb pair per panel, both now routed through the GEMM engine.
+// Larft/Larfb pair per panel, both now routed through the GEMM engine. The
+// other three element types run at N = 1024.
 func BenchmarkGeqrf(b *testing.B) {
 	for _, sh := range [][2]int{{64, 64}, {256, 256}, {512, 512}, {1024, 1024}, {4096, 256}} {
 		m, n := sh[0], sh[1]
@@ -1104,23 +1134,29 @@ func BenchmarkGeqrf(b *testing.B) {
 		if m != n {
 			name = "M=" + itoa(m) + "/" + name
 		}
-		rng := lapack.NewRng([4]int{n, 9, 9, 9})
-		a0 := make([]float64, m*n)
-		lapack.Larnv(2, rng, m*n, a0)
-		b.Run(name, func(b *testing.B) {
-			aw := make([]float64, m*n)
-			tau := make([]float64, n)
-			copy(aw, a0)
-			lapack.Geqrf(core.Default(), m, n, aw, m, tau) // untimed warm-up
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				copy(aw, a0)
-				lapack.Geqrf(core.Default(), m, n, aw, m, tau)
-			}
-			flops := 2*float64(m)*float64(n)*float64(n) - 2.0/3.0*float64(n)*float64(n)*float64(n)
-			b.ReportMetric(flops*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOPS")
-		})
+		b.Run(name, func(b *testing.B) { benchGeqrf[float64](b, m, n) })
 	}
+	b.Run("f32/N=1024", func(b *testing.B) { benchGeqrf[float32](b, 1024, 1024) })
+	b.Run("c64/N=1024", func(b *testing.B) { benchGeqrf[complex64](b, 1024, 1024) })
+	b.Run("c128/N=1024", func(b *testing.B) { benchGeqrf[complex128](b, 1024, 1024) })
+}
+
+func benchGeqrf[T core.Scalar](b *testing.B, m, n int) {
+	a0 := make([]T, m*n)
+	lapack.Larnv(2, lapack.NewRng([4]int{n, 9, 9, 9}), m*n, a0)
+	aw, tau := make([]T, m*n), make([]T, n)
+	copy(aw, a0)
+	lapack.Geqrf(core.Default(), m, n, aw, m, tau) // untimed warm-up
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		copy(aw, a0)
+		lapack.Geqrf(core.Default(), m, n, aw, m, tau)
+	}
+	flops := 2*float64(m)*float64(n)*float64(n) - 2.0/3.0*float64(n)*float64(n)*float64(n)
+	if core.IsComplex[T]() {
+		flops *= 4
+	}
+	b.ReportMetric(flops*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOPS")
 }
 
 // BenchmarkGelsdTall times the tall least-squares D&C driver at the
@@ -1148,6 +1184,48 @@ func BenchmarkGelsdTall(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		run()
+	}
+}
+
+// BenchmarkReduce prices the blocked condensed-form reductions under the
+// eigen and SVD drivers against their unblocked forms — panel width 1 (the
+// nbtrd, nbbrd and nbhrd knobs) runs Sytd2, Gebd2 and Gehd2 — on one float64
+// matrix of order 1024 (its symmetric part for Sytrd).
+func BenchmarkReduce(b *testing.B) {
+	const n = 1024
+	a0 := make([]float64, n*n)
+	lapack.Larnv(2, lapack.NewRng([4]int{n, 29, 31, 3}), n*n, a0)
+	sym := make([]float64, n*n)
+	for j := 0; j < n; j++ {
+		for i := 0; i < n; i++ {
+			sym[i+j*n] = a0[i+j*n] + a0[j+i*n]
+		}
+	}
+	a, d, e := make([]float64, n*n), make([]float64, n), make([]float64, n)
+	tau, taup := make([]float64, n), make([]float64, n)
+	unblocked := core.Default().With(func(c *core.Config) { c.NBSytrd, c.NBGebrd, c.NBGehrd = 1, 1, 1 })
+	for _, r := range []struct {
+		name  string
+		a0    []float64
+		flops float64
+		run   func(cfg *core.Config)
+	}{
+		{"Sytrd", sym, 4.0 / 3, func(cfg *core.Config) { lapack.Sytrd(cfg, lapack.Lower, n, a, n, d, e, tau) }},
+		{"Gebrd", a0, 8.0 / 3, func(cfg *core.Config) { lapack.Gebrd(cfg, n, n, a, n, d, e, tau, taup) }},
+		{"Gehrd", a0, 10.0 / 3, func(cfg *core.Config) { lapack.Gehrd(cfg, n, 0, n-1, a, n, tau) }},
+	} {
+		for _, leg := range []struct {
+			name string
+			cfg  *core.Config
+		}{{"blocked", core.Default()}, {"NB=1", unblocked}} {
+			b.Run(r.name+"/"+leg.name, func(b *testing.B) {
+				benchLoop(b, func() {
+					copy(a, r.a0)
+					r.run(leg.cfg)
+				})
+				b.ReportMetric(r.flops*n*n*n*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOPS")
+			})
+		}
 	}
 }
 
@@ -1355,18 +1433,38 @@ func BenchmarkSyevd(b *testing.B) {
 	}
 }
 
+// BenchmarkGesdd prices the divide & conquer SVD ("dc", the eig_svd op at
+// n = 256) against the QR-iteration Gesvd ("qr") on the same input, economy
+// vectors both: square in float64 and complex128, and at the 16:1 shape
+// where both take the QR-first path.
 func BenchmarkGesdd(b *testing.B) {
-	const n = 256
-	a0 := make([]float64, n*n)
-	lapack.Larnv(2, lapack.NewRng([4]int{n, 9, 4, 1}), n*n, a0)
-	a, s := make([]float64, n*n), make([]float64, n)
-	u, vt := make([]float64, n*n), make([]float64, n*n)
-	benchLoop(b, func() {
-		copy(a, a0)
-		if info := lapack.Gesdd(core.Default(), lapack.SVDSome, lapack.SVDSome, n, n, a, n, s, u, n, vt, n); info != 0 {
-			b.Fatalf("Gesdd: info %d", info)
-		}
-	})
+	benchSVD[float64](b, "", 256, 256)
+	benchSVD[complex128](b, "c128/", 256, 256)
+	benchSVD[float64](b, "", 4096, 256)
+}
+
+func benchSVD[T core.Scalar](b *testing.B, prefix string, m, n int) {
+	a0 := make([]T, m*n)
+	lapack.Larnv(2, lapack.NewRng([4]int{n, 9, 4, 1}), m*n, a0)
+	a, s := make([]T, m*n), make([]float64, n)
+	u, vt := make([]T, m*n), make([]T, n*n)
+	shape := "N=" + itoa(n)
+	if m != n {
+		shape = "M=" + itoa(m) + "/" + shape
+	}
+	for _, route := range []struct {
+		name string
+		svd  func(*core.Config, lapack.SVDJob, lapack.SVDJob, int, int, []T, int, []float64, []T, int, []T, int) int
+	}{{"dc", lapack.Gesdd[T]}, {"qr", lapack.Gesvd[T]}} {
+		b.Run(prefix+route.name+"/"+shape, func(b *testing.B) {
+			benchLoop(b, func() {
+				copy(a, a0)
+				if info := route.svd(core.Default(), lapack.SVDSome, lapack.SVDSome, m, n, a, m, s, u, m, vt, n); info != 0 {
+					b.Fatalf("%s: info %d", route.name, info)
+				}
+			})
+		})
+	}
 }
 
 // BenchmarkGeev's right leg is the eig_svd op; the other legs run the Schur

@@ -107,10 +107,10 @@ const (
 // Knob is one row of the configuration table: everything that is said about
 // a setting — its name, where it can be set from, its legal range, what it
 // does and which field holds it — is said here once. Environment parsing,
-// clamping, the per-call overlay behind la.WithConfig, la90bench -config and
-// the README "Configuration" table are all loops over Knobs.
+// clamping, the per-call overlay behind la.WithConfig and the README
+// "Configuration" table are all loops over Knobs.
 type Knob struct {
-	Name   string // la90bench -config key and README row
+	Name   string // README row
 	Env    string // LA90_* variable read once at startup; "" if there is none
 	Lo, Hi int    // legal range of an integer knob
 	Doc    string
@@ -196,16 +196,6 @@ func (k *Knob) Set(t *Tuning, v int) {
 	if k.also != nil {
 		*k.also(t) = v
 	}
-}
-
-// KnobByName returns the row with the given Name, or nil.
-func KnobByName(name string) *Knob {
-	for i := range Knobs {
-		if Knobs[i].Name == name {
-			return &Knobs[i]
-		}
-	}
-	return nil
 }
 
 // Overlay applies the per-call override block ov to t, knob by knob: zero

@@ -137,10 +137,10 @@ func testEnvBoolRow(t *testing.T, k *Knob) {
 	}
 }
 
-// TestOverlay pins the per-call overlay rule behind la.WithConfig and
-// la90bench -config: zero inherits, positive replaces, negative disables a
-// knob whose range starts at 0 and is ignored elsewhere, NBGetrf pins both
-// LU regimes, and NBGetrfLg is not read on its own.
+// TestOverlay pins the per-call overlay rule behind la.WithConfig: zero
+// inherits, positive replaces, negative disables a knob whose range starts
+// at 0 and is ignored elsewhere, NBGetrf pins both LU regimes, and NBGetrfLg
+// is not read on its own.
 func TestOverlay(t *testing.T) {
 	base := baseConfig().Tuning
 	got := base

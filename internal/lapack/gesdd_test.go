@@ -12,7 +12,7 @@ import (
 
 // checkSVD verifies the standard SVD properties for a (possibly economy)
 // factorization of the m×n matrix a: descending non-negative values, U/V
-// orthogonality, and reconstruction.
+// orthogonality, and reconstruction, entrywise and as svdResidual.
 func checkSVD[T core.Scalar](t *testing.T, m, n int, a []T, s []float64, u []T, ldu int, vt []T, ldvt int) {
 	t.Helper()
 	mn := min(m, n)
@@ -44,6 +44,20 @@ func checkSVD[T core.Scalar](t *testing.T, m, n int, a []T, s []float64, u []T, 
 	if d := testutil.MaxDiff(rec, a); d > 1e4*float64(max(m, n))*core.Eps[T]()*math.Max(1, s[0]) {
 		t.Fatalf("SVD reconstruction diff %v", d)
 	}
+	if r := svdResidual(m, n, a, rec); r > 100 {
+		t.Fatalf("SVD residual %v", r)
+	}
+}
+
+// svdResidual returns ‖A − rec‖₁ / (‖A‖₁·max(m, n)·ε) for the m×n matrix a
+// and its reconstruction rec = U·Σ·Vᴴ, both with leading dimension m.
+func svdResidual[T core.Scalar](m, n int, a, rec []T) float64 {
+	r := make([]T, m*n)
+	for i := range r {
+		r[i] = a[i] - rec[i]
+	}
+	anrm := lapack.Lange(lapack.OneNorm, m, n, a, m)
+	return lapack.Lange(lapack.OneNorm, m, n, r, m) / (anrm * float64(max(m, n)) * core.Eps[T]())
 }
 
 // testGesdd drives Gesdd on a random m×n matrix and cross-checks the
@@ -76,8 +90,9 @@ func testGesdd[T core.Scalar](t *testing.T, m, n int) {
 
 func TestGesdd(t *testing.T) {
 	// Shapes covering the square path, the m ≥ 5n/3 QR-first path, the wide
-	// LQ-mirror path, and moderately tall blocks below the crossover.
-	for _, mn := range [][2]int{{1, 1}, {2, 2}, {5, 5}, {12, 7}, {7, 12}, {30, 30}, {40, 10}, {10, 40}, {64, 64}, {100, 24}} {
+	// LQ-mirror path, and moderately tall blocks below the crossover; the last
+	// two hold D&C to the residual bar at benchmark size, square and 16:1.
+	for _, mn := range [][2]int{{1, 1}, {2, 2}, {5, 5}, {12, 7}, {7, 12}, {30, 30}, {40, 10}, {10, 40}, {64, 64}, {100, 24}, {256, 256}, {1024, 64}} {
 		t.Run("float64", func(t *testing.T) { testGesdd[float64](t, mn[0], mn[1]) })
 		t.Run("complex128", func(t *testing.T) { testGesdd[complex128](t, mn[0], mn[1]) })
 	}

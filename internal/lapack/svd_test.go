@@ -57,6 +57,9 @@ func testGesvd[T core.Scalar](t *testing.T, m, n int) {
 	if d := testutil.MaxDiff(rec, a); d > 1e4*float64(max(m, n))*core.Eps[T]() {
 		t.Fatalf("SVD reconstruction diff %v", d)
 	}
+	if r := svdResidual(m, n, a, rec); r > 100 {
+		t.Fatalf("SVD residual %v", r)
+	}
 	// Frobenius norm invariant: ‖A‖F² = Σσᵢ².
 	fro := lapack.Lange(lapack.FrobeniusNorm, m, n, a, m)
 	ss := 0.0
@@ -72,7 +75,7 @@ func testGesvd[T core.Scalar](t *testing.T, m, n int) {
 }
 
 func TestGesvd(t *testing.T) {
-	for _, mn := range [][2]int{{1, 1}, {2, 2}, {5, 5}, {12, 7}, {7, 12}, {30, 30}, {40, 10}, {10, 40}} {
+	for _, mn := range [][2]int{{1, 1}, {2, 2}, {5, 5}, {12, 7}, {7, 12}, {30, 30}, {40, 10}, {10, 40}, {256, 256}, {1024, 64}} {
 		t.Run("float64", func(t *testing.T) { testGesvd[float64](t, mn[0], mn[1]) })
 		t.Run("complex128", func(t *testing.T) { testGesvd[complex128](t, mn[0], mn[1]) })
 	}
