@@ -226,6 +226,37 @@ var level12Golden = map[string][2]uint64{
 	"Trsv/complex64":    {0x090a5ce134413dfd, 0xa48cf226ddeb99b7},
 	"Trsv/float32":      {0xc84b9b29c1ee8a0c, 0x694d949e07744bd4},
 	"Trsv/float64":      {0x7e5bcec9d908674a, 0x362de7483691c60c},
+
+	// The kernel rows' leaves at every length 1…40 (leaves), recorded before
+	// the twin assembly kernels were folded into one macro body each.
+	"Leaves/axpy/complex128":     {0xcff0c1130bd226eb, 0x2cc4f81ecabbba6a},
+	"Leaves/axpy/complex64":      {0xdbdc683be783eeb2, 0xd8a031f00e043199},
+	"Leaves/axpy/float32":        {0x5f9dfdfe32a8c32d, 0x25b8e5f14f3c7fc2},
+	"Leaves/axpy/float64":        {0xec7967fb9c24fbf9, 0x9c0b7b66b33889a9},
+	"Leaves/dot/complex128":      {0x0fa89ce046a8e344, 0xe47e3c71d3d347cf},
+	"Leaves/dot/complex64":       {0x63d6cfca1c72d960, 0x293fc5b7df1ed358},
+	"Leaves/dot/float32":         {0xb20082a5750e5995, 0xa8c6210b97461129},
+	"Leaves/dot/float64":         {0x8d352753ed36f295, 0x72fb4e0498345dd9},
+	"Leaves/gemvSub8/complex128": {0x91e92a721f7ada3a, 0x4a256d3b058d6602},
+	"Leaves/gemvSub8/complex64":  {0xfcd19e2126d641f7, 0x641193c2ad5a5cab},
+	"Leaves/gemvSub8/float32":    {0xb1155a323891d3ec, 0x2cbb7212f4a8e538},
+	"Leaves/gemvSub8/float64":    {0x62160be856076e31, 0xb31330df44117a55},
+	"Leaves/iamax/complex128":    {0xbb8ea24b80977ad5, 0xbb8ea24b80977ad5},
+	"Leaves/iamax/complex64":     {0xbb8ea24b80977ad5, 0xbb8ea24b80977ad5},
+	"Leaves/iamax/float32":       {0x90ec2bc9bc9b900e, 0x90ec2bc9bc9b900e},
+	"Leaves/iamax/float64":       {0xf228f0ef8e92dce5, 0xf228f0ef8e92dce5},
+	"Leaves/micro/complex128":    {0x528d801884a8ad1d, 0xbe55329f18014974},
+	"Leaves/micro/complex64":     {0x7a61234e74aa94e8, 0x039984cfde027838},
+	"Leaves/micro/float32":       {0xb550669031e9cfb0, 0x1f8879f300597fe9},
+	"Leaves/micro/float64":       {0xf1800888937696b4, 0xb809cd872c25b655},
+	"Leaves/scal/complex128":     {0x5a25ef66329190ca, 0xa0d0e164785a4820},
+	"Leaves/scal/complex64":      {0x2689254b7beb0c6d, 0x2689254b7beb0c6d},
+	"Leaves/scal/float32":        {0xb2a3686a998443f9, 0xb2a3686a998443f9},
+	"Leaves/scal/float64":        {0x10e4bdb4f3d6645c, 0x10e4bdb4f3d6645c},
+	"Leaves/trsvOct/complex128":  {0xffcd85ecc006048a, 0x17b2748bc3dcce4d},
+	"Leaves/trsvOct/complex64":   {0x8e871acfd8b56896, 0x9f8ef73cc5319c7d},
+	"Leaves/trsvOct/float32":     {0x29d611fc65a48f21, 0x4025280794a9a660},
+	"Leaves/trsvOct/float64":     {0x549e209686bff88c, 0x1f1798b0a3087755},
 }
 
 var (
@@ -1008,6 +1039,59 @@ func reflRowsF64(s *l12[float64], n int) {
 	}
 }
 
+// leaves fingerprints the kernel row's leaves themselves at unit stride over
+// every length n = 1…40, so each tail of the vector loops is reached (the
+// sizes of l12Sizes are 0, 1 or 3 mod 8): axpy and scal, with the elements
+// past n watched; dot, both conjugations; iamax with a later tie and an
+// interior NaN; trsvOct (the substitution kernel under it) on every
+// uplo/diag and gemvSub8, each over leading dimensions past the rows
+// touched; and micro over k = n on a 48×8 block of full tiles, a shape every
+// row's geometry divides, so the rows with other tiles hash alike. It draws
+// after every older entry has, so adding it left their bits alone.
+func (s *l12[T]) leaves() {
+	k := kernelFor[T]()
+	alpha := s.scalar(0.75, -0.5)
+	for n := 1; n <= 40; n++ {
+		x, y := s.rnd(n), s.rnd(n+2)
+		k.axpy(alpha, x, y)
+		s.sum("Leaves/axpy", y)
+		s.sum("Leaves/dot", []T{k.dot(x, y, false), k.dot(x, y, true)})
+		w := s.rnd(n + 2)
+		k.scal(alpha, w[:n])
+		s.sum("Leaves/scal", w)
+
+		first := k.iamax(x)
+		x[n-1] = x[first]
+		if n >= 3 {
+			x[n/2] = s.scalar(math.NaN(), 0)
+		}
+		s.sumF("Leaves/iamax", float64(first), float64(k.iamax(x)))
+
+		a, lda := s.mat(n, n)
+		ldb := n + 3
+		for _, uplo := range []Uplo{Upper, Lower} {
+			for _, diag := range []Diag{NonUnit, Unit} {
+				b := s.rnd(8 * ldb)
+				k.trsvOct(uplo, diag, n, 8, a, lda, b, ldb)
+				s.sum("Leaves/trsvOct", b)
+			}
+		}
+		var t [8]T
+		copy(t[:], s.rnd(8))
+		b, y8 := s.rnd(8*ldb), s.rnd(n+2)
+		k.gemvSub8(n, t, b, ldb, y8)
+		s.sum("Leaves/gemvSub8", y8)
+
+		const mb, nb, ldc = 48, 8, 49
+		ap, bp := make([]T, mb*n*k.kScale), make([]T, nb*n)
+		k.packA(ap, k.mr, NoTrans, 1, s.rnd(mb*n), mb, 0, mb, 0, n)
+		k.packB(bp, k.nr, NoTrans, s.rnd(n*nb), n, 0, n, 0, nb)
+		c := s.rnd(ldc * nb)
+		macroKernel(k, n, mb, nb, ap, bp, c, ldc, make([]T, tileScratch))
+		s.sum("Leaves/micro", c)
+	}
+}
+
 func level12Fingerprints[T core.Scalar](t *testing.T, out map[string]uint64) {
 	s := &l12[T]{t: t, rng: rand.New(rand.NewSource(16)), h: map[string]hash.Hash64{}}
 	for _, n := range l12Sizes {
@@ -1031,6 +1115,7 @@ func level12Fingerprints[T core.Scalar](t *testing.T, out map[string]uint64) {
 			reflRowsF64(r, n)
 		}
 	}
+	s.leaves()
 	var z T
 	for name, h := range s.h {
 		out[fmt.Sprintf("%s/%T", name, z)] = h.Sum64()
