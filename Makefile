@@ -6,13 +6,16 @@
 
 GO ?= go
 
-.PHONY: ci vet lint-globals lint-knobs lint-dispatch lint-once build test test-portable test-avx2 race bench benchsmoke bench-smoke fuzzsmoke fuzz
+.PHONY: ci vet lint-globals lint-knobs lint-dispatch lint-once lint-asm build test test-portable test-avx2 race bench benchsmoke bench-smoke fuzzsmoke fuzz
 
-ci: vet lint-globals lint-knobs lint-dispatch lint-once build test test-portable test-avx2 race fuzzsmoke benchsmoke bench-smoke
+ci: vet lint-globals lint-knobs lint-dispatch lint-once lint-asm build test test-portable test-avx2 race fuzzsmoke benchsmoke bench-smoke
 
+# The arm64 line builds and vets the other ports' side: the _other.go stand-ins
+# for the amd64 kernels, which no amd64 build compiles.
 vet:
 	$(GO) vet ./...
 	$(GO) vet ./internal/lapack/...
+	GOARCH=arm64 $(GO) vet ./...
 
 # Execution-context hygiene: since the per-call Config refactor, kernels and
 # drivers must read every tunable from the *core.Config threaded down from
@@ -141,6 +144,31 @@ lint-once:
 		echo "$$sites"; exit 1; \
 	fi
 	@echo "lint-once: ok"
+
+# Assembly is written once (DESIGN "Assembly is written once"): the lines of
+# assembly in the repository are counted, so growing them is a decision made
+# here, like KNOB_ENV_MAX; and every TEXT symbol of internal/blas carries a
+# `// func X(…)` comment that is, verbatim, its Go declaration in a
+# *_amd64.go file, so a signature change cannot leave a stale comment behind.
+ASM_MAX = 3809
+lint-asm:
+	@n=$$(find . -name '*.s' | xargs cat | wc -l); \
+	if [ $$n -gt $(ASM_MAX) ]; then \
+		echo "lint-asm: $$n lines of assembly, at most $(ASM_MAX) allowed"; exit 1; \
+	fi
+	@bad=$$(for f in internal/blas/*.s; do \
+		for s in $$(sed -n 's/^TEXT ·\([A-Za-z0-9_]*\)(SB).*/\1/p' $$f); do \
+			grep -q "^// func $$s(" $$f || echo "$$f: TEXT ·$$s has no // func comment"; \
+		done; \
+		grep -h '^// func ' $$f | sed 's|^// ||' | while IFS= read -r d; do \
+			grep -qxF "$$d" internal/blas/*_amd64.go || echo "$$f: $$d"; \
+		done; \
+	done); \
+	if [ -n "$$bad" ]; then \
+		echo 'lint-asm: // func comments that are not a declaration of internal/blas/*_amd64.go:'; \
+		echo "$$bad"; exit 1; \
+	fi
+	@echo "lint-asm: ok"
 
 build:
 	$(GO) build ./...

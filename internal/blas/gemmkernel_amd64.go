@@ -4,16 +4,19 @@ package blas
 
 import "repro/internal/core"
 
-// AVX2+FMA micro-kernels for the packed GEMM engine. The packing layout is
-// the generic one from gemm.go (mr rows / nr columns interleaved k-major);
-// these kernels only replace the innermost register tile, so every transpose,
-// conjugation, edge and threading case still goes through the shared Go code.
-//
-// Geometry: float64 uses an 8×4 tile (eight YMM accumulators, two YMM loads
-// of A and four broadcasts of B per k step), float32 a 16×4 tile with the
-// identical register plan. Both stay well inside the sixteen YMM registers,
-// so the k loop runs load/broadcast/FMA with no spills and no stores.
+// The amd64 assembly kernels, by leaf family; the kernel table (kernel.go)
+// says which row runs which. Each float64/float32 or complex128/complex64
+// pair is one body in assembly, parameterised by mnemonics and element size.
+// The AVX2+FMA rows' kernels need AVX2 and FMA3, the AVX-512 ones AVX512F.
 
+// Geometry of the AVX2 rows: float64 uses an 8×4 tile (eight YMM
+// accumulators, two YMM loads of A and four broadcasts of B per k step),
+// float32 a 16×4 tile with the identical register plan. Both stay well inside
+// the sixteen YMM registers, so the k loop runs load/broadcast/FMA with no
+// spills and no stores. The packing layout is the generic one from gemm.go
+// (mr rows / nr columns interleaved k-major); these kernels only replace the
+// innermost register tile, so every transpose, conjugation, edge and
+// threading case still goes through the shared Go code.
 const (
 	asmF64MR = 8
 	asmF64NR = 4
@@ -31,16 +34,31 @@ const (
 )
 
 // dgemmKernel8x4 accumulates C(0:8, 0:4) += Σ_p ap[p·8 : p·8+8] ⊗
-// bp[p·4 : p·4+4] with C column-major at ldc. Implemented in
-// gemmkernel_amd64.s; requires AVX2 and FMA3.
+// bp[p·4 : p·4+4] with C column-major at ldc, sgemmKernel16x4 the same over a
+// 16×4 float32 tile. spackA16 packs one full 16-row float32 A micro-panel
+// column run, dst[16p:16p+16] = alpha·src[p·lda:p·lda+16] for p in [0,kb);
+// spackB4 interleaves four kb-long float32 columns into a kb×4 row-major
+// micro-panel (dst[p·4+c] = sc[p]), the packB NoTrans full-panel case.
+// dgemmSmallStripF64 is the pack-free small-matrix kernel: it accumulates
+// C(0:8·strips, 0:4) += alpha·A(0:8·strips, 0:k)·B(0:k, 0:4) directly on
+// strided column-major operands, with no packed panels. One call covers a
+// whole m×4 column strip so the per-tile loop overhead stays in assembly.
+// Implemented in gemmkernel_amd64.s.
 //
 //go:noescape
 func dgemmKernel8x4(k int64, ap, bp, c *float64, ldc int64)
 
-// sgemmKernel16x4 is the float32 analogue over a 16×4 tile.
-//
 //go:noescape
 func sgemmKernel16x4(k int64, ap, bp, c *float32, ldc int64)
+
+//go:noescape
+func spackA16(kb int64, alpha float32, src *float32, lda int64, dst *float32)
+
+//go:noescape
+func spackB4(kb int64, s0, s1, s2, s3, dst *float32)
+
+//go:noescape
+func dgemmSmallStripF64(strips, k int64, a *float64, lda int64, b *float64, ldb int64, c *float64, ldc int64, alpha float64)
 
 // dgemmKernel24x8 and sgemmKernel48x8 are the full-tile AVX-512 kernels,
 // dgemmEdge24x8 and sgemmEdge48x8 the same body accumulating only the leading
@@ -48,8 +66,7 @@ func sgemmKernel16x4(k int64, ap, bp, c *float32, ldc int64)
 // loads and stores: the rest of the tile is neither read nor written. They
 // have the signatures of the kernel table's micro and edge leaves and are the
 // AVX-512 rows' entries as they stand; of the slices only the bases are looked
-// at, and mr, nr and tile not at all. Implemented in gemmkernel512_amd64.s;
-// require AVX512F.
+// at, and mr, nr and tile not at all. Implemented in gemmkernel512_amd64.s.
 //
 //go:noescape
 func dgemmKernel24x8(kb int, ap, bp, c []float64, ldc int)
@@ -111,57 +128,51 @@ func zpack1r(kb int, src []float64, lds int, dst []float64, cols int, neg float6
 //go:noescape
 func cpack1r(kb int, src []float32, lds int, dst []float32, cols int, neg float32)
 
-// dgemmSmallStripF64 is the pack-free small-matrix kernel: it accumulates
-// C(0:8·strips, 0:4) += alpha·A(0:8·strips, 0:k)·B(0:k, 0:4) directly on
-// strided column-major operands, with no packed panels. One call covers a
-// whole m×4 column strip so the per-tile loop overhead stays in assembly.
-// Implemented in gemmkernel_amd64.s; requires AVX2 and FMA3.
-//
-//go:noescape
-func dgemmSmallStripF64(strips, k int64, a *float64, lda int64, b *float64, ldb int64, c *float64, ldc int64, alpha float64)
-
-// dcholStep8 is one full-block step of the small Cholesky on the uplo
-// triangle of the m×m matrix a, m a multiple of 8 (Small.CholStep has the
-// contract), and ddot8 the eight column sums Σ_i a(i, q)·x[i] over len(x) ≥ 1
-// rows. Implemented in smallchol_amd64.s; require AVX2 and FMA3.
-//
-//go:noescape
-func dcholStep8(upper bool, m int, a []float64, lda int) int
-
-//go:noescape
-func ddot8(a []float64, lda int, x []float64) [8]float64
-
-// dsubFma8 performs the eight-column substitution sweep
+// dsubFma8 and ssubFma8 perform the eight-column substitution sweep
 // c_q[0:n] -= x[q]·a[0:n] (columns of c spaced ldc elements apart) with
-// fused negate-multiply-adds; it is the inner step of the left-side
-// triangular-solve leaf. Implemented in gemmkernel_amd64.s.
+// fused negate-multiply-adds; they are the inner step of the left-side
+// triangular-solve leaf (trsvOctFma). dgemvSub8 and sgemvSub8 fold eight
+// scaled source columns into y: y[0:n] -= Σ_q t[q]·b_q[0:n] (columns of b
+// spaced ldb elements apart), the inner step of the right-side
+// triangular-solve leaf. Implemented in leaves_amd64.s, as are the
+// Level-1 leaves below.
 //
 //go:noescape
 func dsubFma8(n int64, x, a, c *float64, ldc int64)
 
-// dgemvSub8 folds eight scaled source columns into y:
-// y[0:n] -= Σ_q t[q]·b_q[0:n] (columns of b spaced ldb elements apart),
-// the inner step of the right-side triangular-solve leaf.
-//
+//go:noescape
+func ssubFma8(n int64, x, a, c *float32, ldc int64)
+
 //go:noescape
 func dgemvSub8(n int64, t, b *float64, ldb int64, y *float64)
 
-// daxpyFma computes y[i] += alpha·x[i] over x, the unit-stride column step of
-// Gemv (NoTrans) and Ger. It, ddotFma and daxpyDotFma have the signatures of
-// the kernel table's axpy, dot and axpyDot leaves (kernel.go) and are the
-// float64 asm row's entries as they stand — a Go wrapper between the row and
-// the kernel would cost a second call per matrix column. The length is that
-// of the first vector (at least 1); the other lengths and conj are not looked
-// at. Implemented in gemmkernel_amd64.s.
+//go:noescape
+func sgemvSub8(n int64, t, b *float32, ldb int64, y *float32)
+
+// daxpyFma and saxpyFma compute y[i] += alpha·x[i] over x, the unit-stride
+// column step of Gemv (NoTrans) and Ger; ddotFma and sdotFma return
+// Σ x[i]·y[i], the column step of the transposed Gemv; sscalFma computes
+// x[i] *= alpha (the float64 row scales in Go). With daxpyDotFma they have
+// the signatures of the kernel table's axpy, dot, scal and axpyDot leaves
+// (kernel.go) and are the real asm rows' entries as they stand — a Go
+// wrapper between the row and the kernel would cost a second call per matrix
+// column. The length is that of the first vector (at least 1); the other
+// lengths and conj are not looked at.
 //
 //go:noescape
 func daxpyFma(alpha float64, x, y []float64)
 
-// ddotFma returns Σ x[i]·y[i] over unit-stride vectors, the column step of
-// the transposed Gemv.
-//
+//go:noescape
+func saxpyFma(alpha float32, x, y []float32)
+
 //go:noescape
 func ddotFma(x, y []float64, conj bool) float64
+
+//go:noescape
+func sdotFma(x, y []float32, conj bool) float32
+
+//go:noescape
+func sscalFma(alpha float32, x []float32)
 
 // daxpyDotFma fuses the two passes of a symmetric matrix–vector column:
 // y[0:n] += alpha·a[0:n] and the return value is Σ a[i]·x[i], so the column
@@ -171,33 +182,58 @@ func ddotFma(x, y []float64, conj bool) float64
 //go:noescape
 func daxpyDotFma(alpha float64, a, x, y []float64, conj bool) float64
 
-// zaxpyFma, zdotFma and zscalFma are the complex128 1m row's axpy, dot and
-// scal entries as they stand (see daxpyFma): y[i] += alpha·x[i]; Σ x[i]·y[i],
-// with x conjugated when conj is set; x[i] *= alpha — over len(x) ≥ 1
-// elements, two multiply-adds per vector of two elements on the real view. Nothing is
-// skipped: a zero in alpha or x still multiplies, so NaN and Inf propagate as
-// in the Go loops. Implemented in gemmkernel_amd64.s.
-//
-//go:noescape
-func zaxpyFma(alpha complex128, x, y []complex128)
-
-//go:noescape
-func zdotFma(x, y []complex128, conj bool) complex128
-
-//go:noescape
-func zscalFma(alpha complex128, x []complex128)
-
-// diamaxF64 returns the index of the first element of x[0:n] with the
-// largest |x[i]|: a branch-free vector max pass, then a compare pass that
-// stops at the first equal lane. NaN elements are skipped, matching the
+// diamaxF64 and siamaxF32 return the index of the first element of x[0:n]
+// with the largest |x[i]|: a branch-free vector max pass, then a compare pass
+// that stops at the first equal lane. NaN elements are skipped, matching the
 // scalar loop; callers must guard n >= 1 and x[0] not NaN.
 //
 //go:noescape
 func diamaxF64(n int64, x *float64) int64
 
+//go:noescape
+func siamaxF32(n int64, x *float32) int64
+
+// zaxpyFma, zdotFma and zscalFma are the complex128 1m row's axpy, dot and
+// scal entries as they stand (see daxpyFma): y[i] += alpha·x[i]; Σ x[i]·y[i],
+// with x conjugated when conj is set; x[i] *= alpha — over len(x) ≥ 1
+// elements, two multiply-adds per vector on the real view. Nothing is
+// skipped: a zero in alpha or x still multiplies, so NaN and Inf propagate as
+// in the Go loops. caxpyFma, cdotFma and cscalFma are the complex64 forms:
+// products and sums are rounded to float32, where the Go loops evaluate a
+// complex64 product in float64.
+//
+//go:noescape
+func zaxpyFma(alpha complex128, x, y []complex128)
+
+//go:noescape
+func caxpyFma(alpha complex64, x, y []complex64)
+
+//go:noescape
+func zdotFma(x, y []complex128, conj bool) complex128
+
+//go:noescape
+func cdotFma(x, y []complex64, conj bool) complex64
+
+//go:noescape
+func zscalFma(alpha complex128, x []complex128)
+
+//go:noescape
+func cscalFma(alpha complex64, x []complex64)
+
+// dcholStep8 is one full-block step of the small Cholesky on the uplo
+// triangle of the m×m matrix a, m a multiple of 8 (Small.CholStep has the
+// contract), and ddot8 the eight column sums Σ_i a(i, q)·x[i] over len(x) ≥ 1
+// rows. Implemented in smallchol_amd64.s.
+//
+//go:noescape
+func dcholStep8(upper bool, m int, a []float64, lda int) int
+
+//go:noescape
+func ddot8(a []float64, lda int, x []float64) [8]float64
+
 // dluStep8 is one full-block step of the small LU on the m×(nl+8+nr) row
 // block a: m a multiple of 8, nr a multiple of 4 (Small.LUStep has the
-// contract). Implemented in smalllu_amd64.s; requires AVX2 and FMA3.
+// contract). Implemented in smalllu_amd64.s.
 //
 //go:noescape
 func dluStep8(nl, m, nr int, a []float64, lda int, ipiv []int) int
@@ -206,7 +242,14 @@ func dluStep8(nl, m, nr int, a []float64, lda int, ipiv []int) int
 // adjacent columns (RotSeq's inner step; the formulation is spelled out in
 // iterate.go), srotSeqFma the same on float32 columns. cstep and colStride
 // are in elements and signed, flip is ±0; the coefficients are float64 for
-// both. Implemented in rotseq_amd64.s.
+// both. drefl3Fma applies one three-element Householder reflector from the
+// right to three unit-stride columns (Refl3's asm route): sum = x0 + v2·x1 +
+// v3·x2, then x0 −= sum·t1, x1 −= sum·t2, x2 −= sum·t3, every step one FMA;
+// drefl2Fma is its two-column form. drefl3RowsFma and drefl2RowsFma apply the
+// same reflectors from the left to three (two) adjacent rows of 4·groups
+// columns ldh bytes apart (Refl3Rows' and Refl2Rows' asm route);
+// drefl3RowsFma also reads and rewrites, unchanged, the fourth row of every
+// column. Implemented in iterate_amd64.s.
 //
 //go:noescape
 func drotSeqFma(m, nrot int64, c, s *float64, cstep int64, a *float64, colStride int64, flip float64)
@@ -214,23 +257,12 @@ func drotSeqFma(m, nrot int64, c, s *float64, cstep int64, a *float64, colStride
 //go:noescape
 func srotSeqFma(m, nrot int64, c, s *float64, cstep int64, a *float32, colStride int64, flip float64)
 
-// drefl3Fma applies one three-element Householder reflector from the right
-// to three unit-stride columns (Refl3's asm route): sum = x0 + v2·x1 + v3·x2,
-// then x0 −= sum·t1, x1 −= sum·t2, x2 −= sum·t3, every step one FMA.
-//
 //go:noescape
 func drefl3Fma(n int64, x0, x1, x2 *float64, v2, v3, t1, t2, t3 float64)
 
-// drefl2Fma is the two-column form of drefl3Fma.
-//
 //go:noescape
 func drefl2Fma(n int64, x0, x1 *float64, v2, t1, t2 float64)
 
-// drefl3RowsFma and drefl2RowsFma apply the same reflectors from the left to
-// three (two) adjacent rows of 4·groups columns ldh bytes apart (Refl3Rows'
-// and Refl2Rows' asm route). drefl3RowsFma also reads and rewrites, unchanged,
-// the fourth row of every column.
-//
 //go:noescape
 func drefl3RowsFma(groups int64, h *float64, ldh int64, v2, v3, t1, t2, t3 float64)
 

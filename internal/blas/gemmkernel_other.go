@@ -25,8 +25,12 @@ const (
 
 func dgemmKernel8x4(k int64, ap, bp, c *float64, ldc int64)  { panic("blas: no asm kernel") }
 func sgemmKernel16x4(k int64, ap, bp, c *float32, ldc int64) { panic("blas: no asm kernel") }
-func dgemmKernel24x8(kb int, ap, bp, c []float64, ldc int)   { panic("blas: no asm kernel") }
-func sgemmKernel48x8(kb int, ap, bp, c []float32, ldc int)   { panic("blas: no asm kernel") }
+func spackA16(kb int64, alpha float32, src *float32, lda int64, dst *float32) {
+	panic("blas: no asm kernel")
+}
+func spackB4(kb int64, s0, s1, s2, s3, dst *float32)       { panic("blas: no asm kernel") }
+func dgemmKernel24x8(kb int, ap, bp, c []float64, ldc int) { panic("blas: no asm kernel") }
+func sgemmKernel48x8(kb int, ap, bp, c []float32, ldc int) { panic("blas: no asm kernel") }
 func dgemmEdge24x8(kb, mr, nr int, ap, bp, c []float64, ldc, rows, cols int, tile []float64) {
 	panic("blas: no asm kernel")
 }
@@ -69,10 +73,16 @@ func dgemmSmallStripF64(strips, k int64, a *float64, lda int64, b *float64, ldb 
 func dcholStep8(upper bool, m int, a []float64, lda int) int { panic("blas: no asm kernel") }
 func ddot8(a []float64, lda int, x []float64) [8]float64     { panic("blas: no asm kernel") }
 func dsubFma8(n int64, x, a, c *float64, ldc int64)          { panic("blas: no asm kernel") }
+func ssubFma8(n int64, x, a, c *float32, ldc int64)          { panic("blas: no asm kernel") }
 func dgemvSub8(n int64, t, b *float64, ldb int64, y *float64) {
 	panic("blas: no asm kernel")
 }
-func daxpyFma(alpha float64, x, y []float64) { panic("blas: no asm kernel") }
+func sgemvSub8(n int64, t, b *float32, ldb int64, y *float32) { panic("blas: no asm kernel") }
+func daxpyFma(alpha float64, x, y []float64)                  { panic("blas: no asm kernel") }
+func saxpyFma(alpha float32, x, y []float32)                  { panic("blas: no asm kernel") }
+func sdotFma(x, y []float32, conj bool) float32               { panic("blas: no asm kernel") }
+func sscalFma(alpha float32, x []float32)                     { panic("blas: no asm kernel") }
+func siamaxF32(n int64, x *float32) int64                     { panic("blas: no asm kernel") }
 func dluStep8(nl, m, nr int, a []float64, lda int, ipiv []int) int {
 	panic("blas: no asm kernel")
 }
@@ -98,5 +108,8 @@ func drefl2RowsFma(groups int64, h *float64, ldh int64, v2, t1, t2 float64) {
 	panic("blas: no asm kernel")
 }
 func zaxpyFma(alpha complex128, x, y []complex128)    { panic("blas: no asm kernel") }
+func caxpyFma(alpha complex64, x, y []complex64)      { panic("blas: no asm kernel") }
 func zdotFma(x, y []complex128, conj bool) complex128 { panic("blas: no asm kernel") }
+func cdotFma(x, y []complex64, conj bool) complex64   { panic("blas: no asm kernel") }
 func zscalFma(alpha complex128, x []complex128)       { panic("blas: no asm kernel") }
+func cscalFma(alpha complex64, x []complex64)         { panic("blas: no asm kernel") }
