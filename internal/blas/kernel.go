@@ -50,6 +50,11 @@ import (
 //
 // The asm rows need amd64 with AVX2+FMA, the AVX-512 ones AVX512F on top; the
 // portable row of each type serves LA90_NO_ASM=1, other CPUs and other ports.
+// The assembly is filed by leaf: micro, edge and pack in gemmkernel_amd64.s
+// (AVX2, with the small strip kernel) and gemmkernel512_amd64.s (AVX-512);
+// trsvOct through iamax in leaves_amd64.s; rotRun and the reflectors in
+// iterate_amd64.s; cholStep/dot8 and luStep in smallchol_amd64.s and
+// smalllu_amd64.s.
 //
 // On both asm rows every element of C is one chain of fused multiply-adds
 // over the k-steps of a kc slab, started at zero and added to C once — in a
