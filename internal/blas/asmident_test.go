@@ -4,6 +4,7 @@ import (
 	"debug/elf"
 	"encoding/binary"
 	"flag"
+	"maps"
 	"os/exec"
 	"path/filepath"
 	"sort"
@@ -31,19 +32,14 @@ func TestAsmIdentity(t *testing.T) {
 		t.Fatalf("go test -c: %v\n%s", err, out)
 	}
 	parent, change := loadImage(t, *asmParent), loadImage(t, self)
-	names := map[string]bool{}
-	for name := range parent.text {
-		names[name] = true
+	all := maps.Clone(parent.text)
+	maps.Copy(all, change.text)
+	names := make([]string, 0, len(all))
+	for name := range all {
+		names = append(names, name)
 	}
-	for name := range change.text {
-		names[name] = true
-	}
-	sorted := make([]string, 0, len(names))
-	for name := range names {
-		sorted = append(sorted, name)
-	}
-	sort.Strings(sorted)
-	for _, name := range sorted {
+	sort.Strings(names)
+	for _, name := range names {
 		p, c := parent.text[name], change.text[name]
 		same := p.code != nil && c.code != nil && sameCode(parent, change, p, c)
 		t.Logf("%-20s %6d %6d  identical: %v", name, len(p.code), len(c.code), same)
