@@ -6,9 +6,9 @@
 
 GO ?= go
 
-.PHONY: ci vet lint-globals lint-knobs lint-dispatch lint-once lint-asm build test test-portable test-avx2 race bench benchsmoke bench-smoke fuzzsmoke fuzz
+.PHONY: ci vet lint-globals lint-knobs lint-dispatch lint-once lint-asm lint-tests build test test-portable test-avx2 race bench benchsmoke bench-smoke fuzzsmoke fuzz
 
-ci: vet lint-globals lint-knobs lint-dispatch lint-once lint-asm build test test-portable test-avx2 race fuzzsmoke benchsmoke bench-smoke
+ci: vet lint-globals lint-knobs lint-dispatch lint-once lint-asm lint-tests build test test-portable test-avx2 race fuzzsmoke benchsmoke bench-smoke
 
 # The arm64 line builds and vets the other ports' side: the _other.go stand-ins
 # for the amd64 kernels, which no amd64 build compiles.
@@ -169,6 +169,25 @@ lint-asm:
 		echo "$$bad"; exit 1; \
 	fi
 	@echo "lint-asm: ok"
+
+# One test harness (DESIGN "One test harness"): the lines of test code — every
+# *_test.go outside bench/, plus internal/testutil/ — are counted, so growing
+# them is a decision made here, like ASM_MAX; and no test file declares a flag
+# but -asmparent (asmident_test.go): the suite's other flags, -golden and
+# -avx2, are internal/testutil/diff's, so a sixth print flag cannot come back.
+TEST_MAX = 23823
+lint-tests:
+	@n=$$( (find . -name '*_test.go' ! -path './bench/*'; find internal/testutil -type f ! -name '*_test.go') | xargs cat | wc -l); \
+	if [ $$n -gt $(TEST_MAX) ]; then \
+		echo "lint-tests: $$n lines of tests, at most $(TEST_MAX) allowed"; exit 1; \
+	fi
+	@bad=$$(grep -rn --include='*_test.go' --exclude-dir=bench 'flag\.' . \
+		| grep -v '^\./internal/blas/asmident_test\.go:[0-9]*:var asmParent = flag\.String("asmparent",'); \
+	if [ -n "$$bad" ]; then \
+		echo 'lint-tests: flags declared in test files (only -asmparent may be; see internal/testutil/diff):'; \
+		echo "$$bad"; exit 1; \
+	fi
+	@echo "lint-tests: ok"
 
 build:
 	$(GO) build ./...

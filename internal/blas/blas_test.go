@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/testutil/diff"
 )
 
 // ---------- helpers ----------
@@ -23,14 +24,6 @@ func randSlice[T core.Scalar](rng *rand.Rand, n int) []T {
 }
 
 func tol[T core.Scalar]() float64 { return 64 * core.Eps[T]() }
-
-func diffMax[T core.Scalar](a, b []T) float64 {
-	d := 0.0
-	for i := range a {
-		d = math.Max(d, core.Abs(a[i]-b[i]))
-	}
-	return d
-}
 
 // naive dense matrix type for oracles: row i, col j at m[i][j].
 type dense[T core.Scalar] struct {
@@ -212,7 +205,7 @@ func testGemv[T core.Scalar](t *testing.T, trans Trans) {
 		want[i] = s
 	}
 	Gemv(tcfg(), trans, m, n, alpha, a, lda, x, 1, beta, y, 1)
-	if d := diffMax(y, want); d > tol[T]() {
+	if d := diff.MaxDiff(y, want); d > tol[T]() {
 		t.Fatalf("gemv %v: max diff %v", trans, d)
 	}
 }
@@ -241,7 +234,7 @@ func testTr[T core.Scalar](t *testing.T, uplo Uplo, trans Trans, diag Diag) {
 	// Trmv then Trsv must round-trip.
 	Trmv(uplo, trans, diag, n, a, lda, x, 1)
 	Trsv(uplo, trans, diag, n, a, lda, x, 1)
-	if d := diffMax(x, x0); d > 32*tol[T]() {
+	if d := diff.MaxDiff(x, x0); d > 32*tol[T]() {
 		t.Fatalf("trmv/trsv roundtrip %v %v %v: %v", uplo, trans, diag, d)
 	}
 }
@@ -293,7 +286,7 @@ func testSymHemv[T core.Scalar](t *testing.T, conj bool) {
 		} else {
 			Symv(uplo, n, alpha, full, lda, x, 1, beta, y, 1)
 		}
-		if d := diffMax(y, want); d > 8*tol[T]() {
+		if d := diff.MaxDiff(y, want); d > 8*tol[T]() {
 			t.Fatalf("sym/hemv uplo=%v: %v", uplo, d)
 		}
 	}
@@ -537,7 +530,7 @@ func TestSymmHemm(t *testing.T) {
 	// Oracle via gemm on the full symmetric matrix.
 	want := make([]float64, m*n)
 	Gemm(tcfg(), NoTrans, NoTrans, m, n, m, 1.0, a, lda, b, m, 0.0, want, m)
-	if d := diffMax(c, want); d > 1e-13 {
+	if d := diff.MaxDiff(c, want); d > 1e-13 {
 		t.Fatalf("symm left: %v", d)
 	}
 
@@ -552,7 +545,7 @@ func TestSymmHemm(t *testing.T) {
 	Symm(tcfg(), Right, Lower, m, n, 1.0, as, n+1, b, m, 0.0, c2, m)
 	want2 := make([]float64, m*n)
 	Gemm(tcfg(), NoTrans, NoTrans, m, n, n, 1.0, b, m, as, n+1, 0.0, want2, m)
-	if d := diffMax(c2, want2); d > 1e-13 {
+	if d := diff.MaxDiff(c2, want2); d > 1e-13 {
 		t.Fatalf("symm right: %v", d)
 	}
 }
@@ -578,7 +571,7 @@ func TestBandPacked(t *testing.T) {
 	Gbmv(NoTrans, m, n, kl, ku, 1.0, ab, ldab, x, 1, 0.0, y, 1)
 	want := make([]float64, m)
 	Gemv(tcfg(), NoTrans, m, n, 1.0, full, m, x, 1, 0.0, want, 1)
-	if d := diffMax(y, want); d > 1e-13 {
+	if d := diff.MaxDiff(y, want); d > 1e-13 {
 		t.Fatalf("gbmv: %v", d)
 	}
 	// Transposed.
@@ -587,7 +580,7 @@ func TestBandPacked(t *testing.T) {
 	Gbmv(TransT, m, n, kl, ku, 1.0, ab, ldab, xt, 1, 0.0, yt, 1)
 	wantT := make([]float64, n)
 	Gemv(tcfg(), TransT, m, n, 1.0, full, m, xt, 1, 0.0, wantT, 1)
-	if d := diffMax(yt, wantT); d > 1e-13 {
+	if d := diff.MaxDiff(yt, wantT); d > 1e-13 {
 		t.Fatalf("gbmv-T: %v", d)
 	}
 
@@ -609,7 +602,7 @@ func TestBandPacked(t *testing.T) {
 	Sbmv(Upper, nn, k, 1.0, sb, ldsb, xs, 1, 0.0, ys, 1)
 	wantS := make([]float64, nn)
 	Symv(Upper, nn, 1.0, fullS, nn, xs, 1, 0.0, wantS, 1)
-	if d := diffMax(ys, wantS); d > 1e-13 {
+	if d := diff.MaxDiff(ys, wantS); d > 1e-13 {
 		t.Fatalf("sbmv: %v", d)
 	}
 	// Lower band storage of the same matrix.
@@ -621,7 +614,7 @@ func TestBandPacked(t *testing.T) {
 	}
 	ysl := make([]float64, nn)
 	Sbmv(Lower, nn, k, 1.0, sbl, ldsb, xs, 1, 0.0, ysl, 1)
-	if d := diffMax(ysl, wantS); d > 1e-13 {
+	if d := diff.MaxDiff(ysl, wantS); d > 1e-13 {
 		t.Fatalf("sbmv lower: %v", d)
 	}
 
@@ -634,7 +627,7 @@ func TestBandPacked(t *testing.T) {
 	}
 	yp := make([]float64, nn)
 	Spmv(Upper, nn, 1.0, ap, xs, 1, 0.0, yp, 1)
-	if d := diffMax(yp, wantS); d > 1e-13 {
+	if d := diff.MaxDiff(yp, wantS); d > 1e-13 {
 		t.Fatalf("spmv: %v", d)
 	}
 	apl := make([]float64, nn*(nn+1)/2)
@@ -645,7 +638,7 @@ func TestBandPacked(t *testing.T) {
 	}
 	ypl := make([]float64, nn)
 	Spmv(Lower, nn, 1.0, apl, xs, 1, 0.0, ypl, 1)
-	if d := diffMax(ypl, wantS); d > 1e-13 {
+	if d := diff.MaxDiff(ypl, wantS); d > 1e-13 {
 		t.Fatalf("spmv lower: %v", d)
 	}
 
@@ -669,7 +662,7 @@ func TestBandPacked(t *testing.T) {
 	Hpmv(Upper, nn, 1, hp, xz, 1, 0, yh, 1)
 	wantH := make([]complex128, nn)
 	Hemv(Upper, nn, 1, fullH, nn, xz, 1, 0, wantH, 1)
-	if d := diffMax(yh, wantH); d > 1e-12 {
+	if d := diff.MaxDiff(yh, wantH); d > 1e-12 {
 		t.Fatalf("hpmv: %v", d)
 	}
 }

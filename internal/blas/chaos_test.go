@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/faultinject"
+	"repro/internal/testutil/diff"
 )
 
 // TestForkCapturesWorkerPanic proves that a panic on a spawned Fork goroutine
@@ -219,7 +220,6 @@ func TestPackPoisonPropagates(t *testing.T) {
 // use the identical blocking so f64 accumulation order matches only within a
 // tile; compare against a tolerance).
 func TestForcePortableMatchesAsm(t *testing.T) {
-	defer faultinject.Reset()
 	defer SetThreads(SetThreads(1))
 
 	const n = 64
@@ -232,9 +232,8 @@ func TestForcePortableMatchesAsm(t *testing.T) {
 		b[i] = float64(i%11) - 5
 	}
 	Gemm(tcfg(), NoTrans, NoTrans, n, n, n, 1.0, a, n, b, n, 0.0, c1, n)
-	faultinject.ForcePortable(true)
+	diff.Force(t, diff.Portable)
 	Gemm(tcfg(), NoTrans, NoTrans, n, n, n, 1.0, a, n, b, n, 0.0, c2, n)
-	faultinject.ForcePortable(false)
 	for i := range c1 {
 		if d := math.Abs(c1[i] - c2[i]); d > 1e-9*math.Max(1, math.Abs(c1[i])) {
 			t.Fatalf("portable/asm mismatch at %d: %g vs %g", i, c1[i], c2[i])

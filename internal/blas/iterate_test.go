@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/faultinject"
+	"repro/internal/testutil/diff"
 )
 
 // Tests of the iteration kernels (iterate.go) against their link-by-link
@@ -121,8 +122,7 @@ func eachRotSeqCase(f func(name string, forward bool, m, z, lda, off int)) {
 }
 
 func testRotSeqPortable[T core.Scalar](t *testing.T) {
-	faultinject.ForcePortable(true)
-	defer faultinject.ForcePortable(false)
+	diff.Force(t, diff.Portable)
 	rng := rand.New(rand.NewSource(41))
 	eachRotSeqCase(func(name string, forward bool, m, z, lda, off int) {
 		c, s := randRotations(rng, z)
@@ -136,7 +136,7 @@ func testRotSeqPortable[T core.Scalar](t *testing.T) {
 			rotSeqClose(t, name, z, got, want)
 			return
 		}
-		if !sameBits(got, want) {
+		if !diff.Same(got, want) {
 			t.Errorf("%s: portable route differs from the rotation-by-rotation loop", name)
 		}
 	})
@@ -180,7 +180,7 @@ func testRotSeqAsm[T float32 | float64](t *testing.T) {
 
 		fma := append([]T(nil), a...)
 		rotSeqDefFMA(forward, m, z, c, s, fma[off:], lda)
-		if !sameBits(got, fma) {
+		if !diff.Same(got, fma) {
 			t.Errorf("%s: asm route differs from the FMA-ordered definition", name)
 		}
 
@@ -191,7 +191,7 @@ func testRotSeqAsm[T float32 | float64](t *testing.T) {
 		for i := 0; i < m; i += 5 {
 			RotSeq(forward, min(5, m-i), z, c, s, strips[off+i:], lda)
 		}
-		if !sameBits(got, strips) {
+		if !diff.Same(got, strips) {
 			t.Errorf("%s: asm result depends on the row blocking", name)
 		}
 
@@ -227,7 +227,7 @@ func TestRotSeqIdentityAndSpecials(t *testing.T) {
 		}
 		return 0
 	}
-	eachRoute(t, func(t *testing.T) {
+	diff.Rows(t, func(t *testing.T) {
 		for _, forward := range []bool{true, false} {
 			a := randSlice[float64](rng, lda*z)
 			a[3], a[5+lda], a[7+2*lda], a[9+3*lda] = math.Copysign(0, -1), math.NaN(), math.Inf(1), math.Inf(-1)
@@ -237,7 +237,7 @@ func TestRotSeqIdentityAndSpecials(t *testing.T) {
 				c[j], s[j] = 1, math.Copysign(0, -1)
 			}
 			RotSeq(forward, m, z, c, s, got, lda)
-			if !sameBits(got, a) {
+			if !diff.Same(got, a) {
 				t.Errorf("forward=%v: identity sweep changed the block", forward)
 			}
 
@@ -259,7 +259,7 @@ func TestRotSeqIdentityAndSpecials(t *testing.T) {
 	})
 }
 
-// sameUpToNaN is sameBits with any NaN matching any NaN: the sign and payload
+// sameUpToNaN is diff.Same with any NaN matching any NaN: the sign and payload
 // of a propagated NaN depend on operand order, which FMA forms do not share.
 func sameUpToNaN(a, b []float64) bool {
 	for i := range a {

@@ -2,45 +2,18 @@ package blas
 
 import (
 	"fmt"
-	"hash/fnv"
 	"math"
 	"math/rand"
-	"runtime"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/faultinject"
+	"repro/internal/testutil/diff"
 )
 
 // Tests of the kernel table (kernel.go): every row — the asm rows kernelFor
 // picks on AVX2 hardware and the portable rows forced through faultinject —
 // must agree with the unpacked reference loops on every operand form.
-
-// eachRoute runs f against the row kernelFor selects, against the AVX2 row
-// where that is not the one selected, and against the portable row. Under
-// LA90_NO_ASM=1 or off amd64 all are the portable row.
-func eachRoute(t *testing.T, f func(t *testing.T)) {
-	t.Run("table", f)
-	onAVX2Row(t, f)
-	t.Run("portable", func(t *testing.T) {
-		faultinject.ForcePortable(true)
-		defer faultinject.ForcePortable(false)
-		f(t)
-	})
-}
-
-// onAVX2Row runs f once more as the subtest "avx2", with the AVX2 row forced,
-// where kernelFor selects the AVX-512 row: plain `go test` then covers both
-// asm rows of the machine. (`make test-avx2` forces the AVX2 row for the whole
-// binary, and then there is no second asm row to add.)
-func onAVX2Row(t *testing.T, f func(t *testing.T)) {
-	if kernelFor[float64]() == &kern512F64 {
-		t.Run("avx2", func(t *testing.T) {
-			defer faultinject.ForceAVX2(faultinject.ForceAVX2(true))
-			f(t)
-		})
-	}
-}
 
 // smallBlocks is a configuration whose cache blocks are a few micro-tiles, so
 // modest shapes cross every blocking boundary: several kc slabs, mc tiles and
@@ -90,7 +63,7 @@ func testGemmPacked[T core.Scalar](t *testing.T) {
 					for _, threads := range []int{1, 4} {
 						got := append([]T(nil), c0...)
 						gemmEngine(smallBlocks(threads), ta, tb, m, n, k, alpha, a, lda, b, ldb, got, ldc)
-						if d := diffMax(got, want); d > 8*float64(k)*core.Eps[T]() {
+						if d := diff.MaxDiff(got, want); d > 8*float64(k)*core.Eps[T]() {
 							t.Fatalf("%dx%dx%d %d%d alpha=%v threads=%d: |packed-naive| = %g",
 								m, n, k, ta, tb, al, threads, d)
 						}
@@ -102,7 +75,7 @@ func testGemmPacked[T core.Scalar](t *testing.T) {
 }
 
 func TestGemmPackedComplex(t *testing.T) {
-	eachRoute(t, func(t *testing.T) {
+	diff.Rows(t, func(t *testing.T) {
 		t.Run("complex128", testGemmPacked[complex128])
 		t.Run("complex64", testGemmPacked[complex64])
 	})
@@ -205,43 +178,49 @@ func complement(transA, t Trans) Trans {
 }
 
 func TestRankKPackedComplex(t *testing.T) {
-	eachRoute(t, func(t *testing.T) {
+	diff.Rows(t, func(t *testing.T) {
 		t.Run("complex128", testRankKPacked[complex128])
 		t.Run("complex64", testRankKPacked[complex64])
 	})
 }
 
 // testRoutesAgree runs Gemm and Herk through the public entry points, above
-// every crossover, on the table's row and on the portable row: the two differ
-// only in rounding order, so they must agree to n·ε, and on both the diagonal
-// of Herk's result is exactly real.
+// every crossover, on every row: the rows differ only in rounding order, so
+// they must agree to n·ε, and on each the diagonal of Herk's result is
+// exactly real.
 func testRoutesAgree[T core.Scalar](t *testing.T) {
 	const n = 90
 	rng := rand.New(rand.NewSource(56))
 	a := randSlice[T](rng, n*n)
 	b := randSlice[T](rng, n*n)
 	alpha := core.FromComplex[T](0.75 + 0.25i)
-	var out [2][]T
-	for i, portable := range []bool{false, true} {
-		faultinject.ForcePortable(portable)
-		c := make([]T, 2*n*n)
+	routesAgree(t, make([]T, 2*n*n), 4*n*core.Eps[T](), func(r diff.Row, c []T) {
 		Gemm(tcfg(), ConjTrans, NoTrans, n, n, n, alpha, a, n, b, n, 0, c, n)
 		Herk(tcfg(), Lower, NoTrans, n, n, 1, a, n, 0, c[n*n:], n)
 		for j := 0; j < n; j++ {
 			if im := core.Im(c[n*n+j+j*n]); im != 0 {
-				t.Fatalf("Herk diagonal %d has imaginary part %g (portable=%v)", j, im, portable)
+				t.Fatalf("Herk diagonal %d has imaginary part %g on the %v row", j, im, r)
 			}
 		}
-		out[i] = c
-	}
-	faultinject.ForcePortable(false)
-	if d := diffMax(out[0], out[1]); d > 4*n*core.Eps[T]() {
-		t.Fatalf("table row and portable row differ by %g", d)
-	}
+	})
+}
+
+// routesAgree runs op into a copy of c0 on every row and fails t where a row
+// differs from the selected one by more than tol.
+func routesAgree[T core.Scalar](t *testing.T, c0 []T, tol float64, op func(r diff.Row, c []T)) {
+	var want []T
+	diff.OnRows(t, func(r diff.Row) {
+		c := clone(c0)
+		op(r, c)
+		if want == nil {
+			want = c
+		} else if d := diff.MaxDiff(want, c); d > tol {
+			t.Fatalf("%v row and selected row differ by %g", r, d)
+		}
+	})
 }
 
 func TestKernelRoutesAgree(t *testing.T) {
-	defer faultinject.Reset()
 	t.Run("complex128", testRoutesAgree[complex128])
 	t.Run("complex64", testRoutesAgree[complex64])
 	t.Run("float64", testRoutesAgree[float64])
@@ -281,7 +260,7 @@ func testNaNReachesC[T core.Scalar](t *testing.T) {
 }
 
 func TestPackedNaNNotPositionDependent(t *testing.T) {
-	eachRoute(t, func(t *testing.T) {
+	diff.Rows(t, func(t *testing.T) {
 		t.Run("float64", testNaNReachesC[float64])
 		t.Run("float32", testNaNReachesC[float32])
 		t.Run("complex128", testNaNReachesC[complex128])
@@ -292,13 +271,11 @@ func TestPackedNaNNotPositionDependent(t *testing.T) {
 // realEngineDigest runs the packed engines over float32 and float64 operands
 // from a fixed seed — Gemm in all transpose forms, Syrk on both triangles and
 // a recursive Trsm — and hashes every output bit.
-func realEngineDigest[T core.Scalar](h interface{ Write([]byte) (int, error) }) {
+func realEngineDigest[T core.Scalar](h *diff.Hash) {
 	rng := rand.New(rand.NewSource(90))
 	put := func(s []T) {
 		for _, v := range s {
-			bits := math.Float64bits(core.Re(v))
-			h.Write([]byte{byte(bits), byte(bits >> 8), byte(bits >> 16), byte(bits >> 24),
-				byte(bits >> 32), byte(bits >> 40), byte(bits >> 48), byte(bits >> 56)})
+			h.Float(core.Re(v))
 		}
 	}
 	for _, sh := range [][3]int{{67, 45, 83}, {130, 97, 300}} {
@@ -330,51 +307,25 @@ func realEngineDigest[T core.Scalar](h interface{ Write([]byte) (int, error) }) 
 	}
 }
 
-// The float32/float64 rows of the table must compute exactly what the
-// per-type dispatch they replaced computed: the digests below were recorded
-// from the commit before the kernel table, on both routes. Go does not fuse
-// multiply-adds on amd64, so the portable digests hold there; other ports
-// may fuse and are skipped.
-func TestRealEnginesBitIdenticalToPreTable(t *testing.T) {
-	if runtime.GOARCH != "amd64" {
-		t.Skip("golden digests are recorded on amd64")
-	}
-	defer faultinject.Reset()
-	defer SetThreads(SetThreads(1))
-	golden := map[string]string{
-		"asm/float64":      goldenAsmF64,
-		"asm/float32":      goldenAsmF32,
-		"portable/float64": goldenGoF64,
-		"portable/float32": goldenGoF32,
-	}
-	eachRoute(t, func(t *testing.T) {
-		route := "asm"
-		if !asmF64() {
-			route = "portable"
-		}
-		h64, h32 := fnv.New64a(), fnv.New64a()
-		realEngineDigest[float64](h64)
-		realEngineDigest[float32](h32)
-		if got := fmt.Sprintf("%016x", h64.Sum64()); got != golden[route+"/float64"] {
-			t.Errorf("%s float64 digest %s, recorded %s", route, got, golden[route+"/float64"])
-		}
-		if got := fmt.Sprintf("%016x", h32.Sum64()); got != golden[route+"/float32"] {
-			t.Errorf("%s float32 digest %s, recorded %s", route, got, golden[route+"/float32"])
-		}
-	})
+// The float32/float64 rows of the table must compute exactly what the per-type
+// dispatch they replaced did: digests recorded before the kernel table, the
+// asm ones regenerated once when the ragged tiles went from the scalar
+// microEdge to the full-tile FMA chain (c6d2cda8ef5d0a95 / 0c47848641879fbb
+// before). Both asm rows must produce them. Regenerate with
+// `go test ./internal/blas -run RealEngines -args -golden`.
+var realEngineGolden = diff.Table{
+	"float32": {Hash: [2]uint64{0x9a381d423ec5f8b9, 0x6ac6c6356297af22}},
+	"float64": {Hash: [2]uint64{0xdc265d249bc9fbe3, 0xbc92bbd2a56fa80a}},
 }
 
-// The asm digests were regenerated once, when the asm rows' ragged tiles went
-// from the scalar microEdge (each product rounded, then added) to the
-// full-tile FMA chain (scratchEdge on the AVX2 row, opmask tiles on the
-// AVX-512 row): c6d2cda8ef5d0a95 / 0c47848641879fbb before. Both asm rows
-// must produce them.
-const (
-	goldenAsmF64 = "dc265d249bc9fbe3"
-	goldenAsmF32 = "9a381d423ec5f8b9"
-	goldenGoF64  = "bc92bbd2a56fa80a"
-	goldenGoF32  = "6ac6c6356297af22"
-)
+func TestRealEnginesBitIdenticalToPreTable(t *testing.T) {
+	defer SetThreads(SetThreads(1))
+	realEngineGolden.Check(t, func(t *testing.T, out map[string]*diff.Hash) {
+		out["float64"], out["float32"] = diff.NewHash(), diff.NewHash()
+		realEngineDigest[float64](out["float64"])
+		realEngineDigest[float32](out["float32"])
+	})
+}
 
 // testGemmt checks Gemmt against GemmNaive into a copy, on the stored triangle
 // only: all nine (transA, transB) pairs, both triangles, the alphas and betas
@@ -383,8 +334,8 @@ const (
 // other triangle of C is poisoned with NaN: it must come back bit for bit
 // (never written) and the stored part finite (never read), and with beta = 0
 // a NaN in the stored part is cleared. With the general alpha and beta every
-// shape also runs on 2, 4 and 7 workers, which must reproduce the serial
-// bits.
+// shape also runs at every count of diff.Threads, which must reproduce the
+// serial bits.
 func testGemmt[T core.Scalar](t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	nan := core.NaN[T]()
@@ -421,32 +372,27 @@ func testGemmt[T core.Scalar](t *testing.T) {
 									}
 								}
 							}
-							var serial []T
-							threads := []int{1}
-							if ai == 2 && bi == 2 {
-								threads = []int{1, 2, 4, 7}
-							}
-							for _, th := range threads {
+							name := fmt.Sprintf("n=%d k=%d %v%v %v alpha=%v beta=%v", n, k, ta, tb, uplo, al, be)
+							run := func(th int) []T {
 								got := clone(in)
 								Gemmt(smallBlocks(th), uplo, ta, tb, n, k, alpha, a, lda, b, ldb, beta, got, ldc)
-								name := fmt.Sprintf("n=%d k=%d %v%v %v alpha=%v beta=%v threads=%d", n, k, ta, tb, uplo, al, be, th)
-								if th > 1 {
-									if !sameBits(got, serial) {
-										t.Fatalf("%s: differs from the serial bits", name)
-									}
-									continue
-								}
-								serial = got
-								for j := 0; j < n; j++ {
-									for i := 0; i < ldc; i++ {
-										g := got[i+j*ldc]
-										if i >= n || !stored(i, j) {
-											if !sameBits([]T{g}, []T{in[i+j*ldc]}) {
-												t.Fatalf("%s: wrote (%d,%d) outside the triangle", name, i, j)
-											}
-										} else if d := core.Abs(g - want[i+j*ldc]); !(d <= 8*float64(k+1)*core.Eps[T]()) {
-											t.Fatalf("%s: (%d,%d) = %v, Gemm %v", name, i, j, g, want[i+j*ldc])
+								return got
+							}
+							var got []T
+							if ai == 2 && bi == 2 {
+								got = diff.AcrossThreads(t, name, run)
+							} else {
+								got = run(1)
+							}
+							for j := 0; j < n; j++ {
+								for i := 0; i < ldc; i++ {
+									g := got[i+j*ldc]
+									if i >= n || !stored(i, j) {
+										if !diff.Same([]T{g}, []T{in[i+j*ldc]}) {
+											t.Fatalf("%s: wrote (%d,%d) outside the triangle", name, i, j)
 										}
+									} else if d := core.Abs(g - want[i+j*ldc]); !(d <= 8*float64(k+1)*core.Eps[T]()) {
+										t.Fatalf("%s: (%d,%d) = %v, Gemm %v", name, i, j, g, want[i+j*ldc])
 									}
 								}
 							}
@@ -459,7 +405,7 @@ func testGemmt[T core.Scalar](t *testing.T) {
 }
 
 func TestGemmt(t *testing.T) {
-	eachRoute(t, func(t *testing.T) {
+	diff.Rows(t, func(t *testing.T) {
 		t.Run("float64", testGemmt[float64])
 		t.Run("float32", testGemmt[float32])
 		t.Run("complex128", testGemmt[complex128])
@@ -468,26 +414,17 @@ func TestGemmt(t *testing.T) {
 }
 
 // testGemmtRoutesAgree runs one update above every row's packed crossover on
-// the table's row and on the portable row: they differ only in rounding
-// order.
+// every row: they differ only in rounding order.
 func testGemmtRoutesAgree[T core.Scalar](t *testing.T) {
 	const n, k = 96, 64
 	rng := rand.New(rand.NewSource(22))
 	a, b, c0 := randSlice[T](rng, n*k), randSlice[T](rng, n*k), randSlice[T](rng, n*n)
-	var out [2][]T
-	for i, portable := range []bool{false, true} {
-		faultinject.ForcePortable(portable)
-		out[i] = clone(c0)
-		Gemmt(tcfg(), Lower, NoTrans, ConjTrans, n, k, core.FromFloat[T](-1), a, n, b, n, core.FromFloat[T](1), out[i], n)
-	}
-	faultinject.ForcePortable(false)
-	if d := diffMax(out[0], out[1]); d > 4*k*core.Eps[T]() {
-		t.Fatalf("table row and portable row differ by %g", d)
-	}
+	routesAgree(t, c0, 4*k*core.Eps[T](), func(_ diff.Row, c []T) {
+		Gemmt(tcfg(), Lower, NoTrans, ConjTrans, n, k, core.FromFloat[T](-1), a, n, b, n, core.FromFloat[T](1), c, n)
+	})
 }
 
 func TestGemmtRoutesAgree(t *testing.T) {
-	defer faultinject.Reset()
 	t.Run("float64", testGemmtRoutesAgree[float64])
 	t.Run("float32", testGemmtRoutesAgree[float32])
 	t.Run("complex128", testGemmtRoutesAgree[complex128])
@@ -505,13 +442,12 @@ func testRowsAgree[T core.Scalar](t *testing.T) {
 	// agree runs op into a copy of c0 on each row.
 	agree := func(name string, c0 []T, op func(c []T)) {
 		t.Helper()
-		want := clone(c0)
+		want, got := clone(c0), clone(c0)
 		op(want)
-		got := clone(c0)
-		was := faultinject.ForceAVX2(true)
+		diff.Force(t, diff.AVX2)
 		op(got)
-		faultinject.ForceAVX2(was)
-		if !sameBits(got, want) {
+		diff.Force(t, diff.Selected)
+		if !diff.Same(got, want) {
 			t.Errorf("%s: the AVX2 row differs bitwise from the AVX-512 row", name)
 		}
 	}

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/testutil/diff"
 )
 
 // Tests of the Level-1/2 leaves and packers under the Householder path: the
@@ -55,17 +56,6 @@ func packBRef[T core.Scalar](dst []T, nr int, trans Trans, b []T, ldb int, p0, k
 	}
 }
 
-func sameBits[T core.Scalar](a, b []T) bool {
-	for i := range a {
-		x, y := core.ToComplex(a[i]), core.ToComplex(b[i])
-		if math.Float64bits(real(x)) != math.Float64bits(real(y)) ||
-			math.Float64bits(imag(x)) != math.Float64bits(imag(y)) {
-			return false
-		}
-	}
-	return len(a) == len(b)
-}
-
 // testPackers checks one (packA, packB) pair at geometry mr×nr bit for bit
 // against the reference packers: every trans, the alphas the factorizations
 // use and a general one, extents ragged against 4, 8, 16, 24 and 48, padded
@@ -87,7 +77,7 @@ func testPackers[T core.Scalar](t *testing.T, mr, nr int,
 					alpha := core.FromFloat[T](al)
 					packARef(wantA, mr, trans, alpha, a, lda, i0, ext, p0, kb)
 					pa(gotA, mr, trans, alpha, a, lda, i0, ext, p0, kb)
-					if !sameBits(gotA, wantA) {
+					if !diff.Same(gotA, wantA) {
 						t.Fatalf("packA mr=%d %v alpha=%v mb=%d kb=%d differs from the reference", mr, trans, al, ext, kb)
 					}
 				}
@@ -95,7 +85,7 @@ func testPackers[T core.Scalar](t *testing.T, mr, nr int,
 				gotB := randSlice[T](rng, len(wantB))
 				packBRef(wantB, nr, trans, a, lda, p0, kb, i0, ext)
 				pb(gotB, nr, trans, a, lda, p0, kb, i0, ext)
-				if !sameBits(gotB, wantB) {
+				if !diff.Same(gotB, wantB) {
 					t.Fatalf("packB nr=%d %v nb=%d kb=%d differs from the reference", nr, trans, ext, kb)
 				}
 			}
@@ -114,7 +104,7 @@ func TestPackersMatchReference(t *testing.T) {
 	}
 	// The real rows of the kernel table as the engines use them (the complex
 	// asm rows pack in 1m form, covered by TestGemmPackedComplex).
-	eachRoute(t, func(t *testing.T) {
+	diff.Rows(t, func(t *testing.T) {
 		k64, k32 := kernelFor[float64](), kernelFor[float32]()
 		testPackers(t, k64.mr, k64.nr, k64.packA, k64.packB)
 		testPackers(t, k32.mr, k32.nr, k32.packA, k32.packB)
@@ -168,7 +158,7 @@ func testGerc[T core.Scalar](t *testing.T) {
 			// Real Gerc is Ger.
 			ger := append([]T(nil), a0...)
 			Ger(m, n, alpha, x, incX, y, incY, ger, lda)
-			if !sameBits(got, ger) {
+			if !diff.Same(got, ger) {
 				t.Fatalf("%dx%d inc %v: real Gerc is not Ger", m, n, inc)
 			}
 		}
@@ -176,7 +166,7 @@ func testGerc[T core.Scalar](t *testing.T) {
 }
 
 func TestGercRealIsGer(t *testing.T) {
-	eachRoute(t, func(t *testing.T) {
+	diff.Rows(t, func(t *testing.T) {
 		testGerc[float64](t)
 		testGerc[float32](t)
 		testGerc[complex128](t)
@@ -256,7 +246,7 @@ func testNrm2[T core.Scalar](t *testing.T) {
 }
 
 func TestNrm2FastPath(t *testing.T) {
-	eachRoute(t, func(t *testing.T) {
+	diff.Rows(t, func(t *testing.T) {
 		testNrm2[float64](t)
 		testNrm2[float32](t)
 		testNrm2[complex128](t)
@@ -387,7 +377,7 @@ func testGemvStrided[T core.Scalar](t *testing.T) {
 }
 
 func TestGemvStrided(t *testing.T) {
-	eachRoute(t, func(t *testing.T) {
+	diff.Rows(t, func(t *testing.T) {
 		t.Run("float64", testGemvStrided[float64])
 		t.Run("float32", testGemvStrided[float32])
 		t.Run("complex128", testGemvStrided[complex128])
@@ -475,7 +465,7 @@ func testTrsmLeaves[T core.Scalar](t *testing.T) {
 								}
 							}
 							for j := 0; j < n; j++ {
-								if !sameBits(b[j*ldb+m:(j+1)*ldb], b0[j*ldb+m:(j+1)*ldb]) {
+								if !diff.Same(b[j*ldb+m:(j+1)*ldb], b0[j*ldb+m:(j+1)*ldb]) {
 									t.Fatalf("order %d, %d right-hand sides, %v %v %v %v: wrote the padding of column %d",
 										na, w, side, uplo, trans, diag, j)
 								}
@@ -489,7 +479,7 @@ func testTrsmLeaves[T core.Scalar](t *testing.T) {
 }
 
 func TestTrsmLeaves(t *testing.T) {
-	eachRoute(t, func(t *testing.T) {
+	diff.Rows(t, func(t *testing.T) {
 		t.Run("float64", testTrsmLeaves[float64])
 		t.Run("float32", testTrsmLeaves[float32])
 		t.Run("complex128", testTrsmLeaves[complex128])
@@ -656,7 +646,7 @@ func testComplexLeavesNonFinite[T core.Scalar](t *testing.T) {
 }
 
 func TestComplexLeaves(t *testing.T) {
-	eachRoute(t, func(t *testing.T) {
+	diff.Rows(t, func(t *testing.T) {
 		t.Run("complex128", testComplexLeaves[complex128])
 		t.Run("complex64", testComplexLeaves[complex64])
 		t.Run("complex128/nonfinite", testComplexLeavesNonFinite[complex128])

@@ -1,20 +1,14 @@
 package blas
 
 import (
-	"encoding/binary"
-	"flag"
 	"fmt"
-	"hash"
-	"hash/fnv"
 	"math"
 	"math/cmplx"
 	"math/rand"
-	"runtime"
-	"sort"
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/faultinject"
+	"repro/internal/testutil/diff"
 )
 
 // Golden fingerprints of everything below the packed engines: every exported
@@ -38,231 +32,230 @@ import (
 // the single-column Gemm); every other entry is the PR 16 bits. The asm
 // column of RotSeq/float32 and RotSeq/complex64 was regenerated when the
 // float32 asm rows got the FMA wavefront (srotSeqFma).
-// Regenerate with `go test ./internal/blas -run Level12Golden -l12print -v`.
-var level12Golden = map[string][2]uint64{
-	"Asum/complex128":   {0x536b19813327ac4f, 0x536b19813327ac4f},
-	"Asum/complex64":    {0x7078ce60af8ec7ac, 0x7078ce60af8ec7ac},
-	"Asum/float32":      {0x150edd78a9e921e2, 0x150edd78a9e921e2},
-	"Asum/float64":      {0xf140b5b34f557e02, 0xf140b5b34f557e02},
-	"Axpy/complex128":   {0x794307bffbebcd61, 0x0d921ae21cdcc8f8},
-	"Axpy/complex64":    {0x595c3bcd7954be15, 0x4702472bc29a8dba},
-	"Axpy/float32":      {0xa34c32b66636024b, 0x0d1616ab669b19c0},
-	"Axpy/float64":      {0xc6c62dfcfe2a920d, 0xe80f24e2dbd7e86e},
-	"Copy/complex128":   {0x99327a1c8b275ee1, 0x99327a1c8b275ee1},
-	"Copy/complex64":    {0x81f509170ce18da6, 0x81f509170ce18da6},
-	"Copy/float32":      {0xd3b471e29fa3f5b3, 0xd3b471e29fa3f5b3},
-	"Copy/float64":      {0xe669f1e864287303, 0xe669f1e864287303},
-	"Dot/float32":       {0x7c3ccb4d9bb01be3, 0x7c3ccb4d9bb01be3},
-	"Dot/float64":       {0xbe3490a529699114, 0xbe3490a529699114},
-	"Dotc/complex128":   {0xc7096f0ef984d6a0, 0xc7096f0ef984d6a0},
-	"Dotc/complex64":    {0x141d07a3bdc4dd1e, 0x141d07a3bdc4dd1e},
-	"Dotc/float32":      {0x008c81e1abba2d2b, 0x008c81e1abba2d2b},
-	"Dotc/float64":      {0x9e539b6d6f43d72a, 0x9e539b6d6f43d72a},
-	"Dotu/complex128":   {0xa3e1ef338f23bcfc, 0xa3e1ef338f23bcfc},
-	"Dotu/complex64":    {0x1bd236cad302870f, 0x1bd236cad302870f},
-	"Dotu/float32":      {0x008c81e1abba2d2b, 0x008c81e1abba2d2b},
-	"Dotu/float64":      {0x9e539b6d6f43d72a, 0x9e539b6d6f43d72a},
-	"Gbmv/complex128":   {0xb409f36455f3c0ab, 0xb409f36455f3c0ab},
-	"Gbmv/complex64":    {0xd7380e22a3743d30, 0xd7380e22a3743d30},
-	"Gbmv/float32":      {0x9e285a12a35b4268, 0x9e285a12a35b4268},
-	"Gbmv/float64":      {0x71d29b47265e42c7, 0x71d29b47265e42c7},
-	"Gemm/complex128":   {0xf377f70fbe6f5242, 0x1ff380270fc80cb6},
-	"Gemm/complex64":    {0x9b8f3c63418b8590, 0x2323216fc3bb37f1},
-	"Gemm/float32":      {0xf8b420952ad2d2d1, 0xfa915f8000724342},
-	"Gemm/float64":      {0x33fe53825e5ae465, 0x1e770e628d90958a},
-	"Gemv/complex128":   {0x09bb70ba0e5e3189, 0x1275f715b325d327},
-	"Gemv/complex64":    {0x6c582689be453ed3, 0x80fd19e47d4b2b75},
-	"Gemv/float32":      {0x86c420de17baddbc, 0xe0c209569e95cd0a},
-	"Gemv/float64":      {0x0db59044ee8d07e0, 0x398ba2ffb40a3411},
-	"Ger/complex128":    {0x44c4f3a3c82227a1, 0x3308bf10a8fff100},
-	"Ger/complex64":     {0x77598b0e59de7d1b, 0xdd905a33060fbf79},
-	"Ger/float32":       {0x8a515551a3cf9514, 0xfad8c533e16f6b25},
-	"Ger/float64":       {0xcdea35635cf3c9e5, 0x74e57500b08fbec6},
-	"Gerc/complex128":   {0xf23ad0df506fcad4, 0xe5f4c8a3fd18c0ad},
-	"Gerc/complex64":    {0x3eb9b57b75130dd1, 0x292b90774d3f4c59},
-	"Gerc/float32":      {0x8a515551a3cf9514, 0xfad8c533e16f6b25},
-	"Gerc/float64":      {0xcdea35635cf3c9e5, 0x74e57500b08fbec6},
-	"Hbmv/complex128":   {0x3ddec6963f20b824, 0x3ddec6963f20b824},
-	"Hbmv/complex64":    {0x14ba0a87ef48c35f, 0x14ba0a87ef48c35f},
-	"Hbmv/float32":      {0x866fbf5c6c030cca, 0x866fbf5c6c030cca},
-	"Hbmv/float64":      {0x99adfcce0adf02d2, 0x99adfcce0adf02d2},
-	"Hemm/complex128":   {0xcadf7357cc5b0df6, 0xcadf7357cc5b0df6},
-	"Hemm/complex64":    {0x1d90036b7df6a3f2, 0x1d90036b7df6a3f2},
-	"Hemm/float32":      {0x0babd3cad10bffef, 0x0babd3cad10bffef},
-	"Hemm/float64":      {0x6484bcda891a9520, 0x6484bcda891a9520},
-	"Hemv/complex128":   {0xd7a91f254cd67c99, 0xd7a91f254cd67c99},
-	"Hemv/complex64":    {0xd94d88e391fd5db0, 0xd94d88e391fd5db0},
-	"Hemv/float32":      {0xbcd41eedd6399752, 0xbcd41eedd6399752},
-	"Hemv/float64":      {0x519d6ed8b8e3116f, 0xd0c997bf6458d46a},
-	"Her/complex128":    {0x4298b804b472017f, 0x4298b804b472017f},
-	"Her/complex64":     {0x66512f360ab5d36b, 0x66512f360ab5d36b},
-	"Her/float32":       {0x09676a27c3717903, 0x09676a27c3717903},
-	"Her/float64":       {0xf2aa5cb221ac8aab, 0xf2aa5cb221ac8aab},
-	"Her2/complex128":   {0x309c38f491cf8ec6, 0x309c38f491cf8ec6},
-	"Her2/complex64":    {0xbe69744277732cda, 0xbe69744277732cda},
-	"Her2/float32":      {0x01f0aaf812a49fa1, 0x01f0aaf812a49fa1},
-	"Her2/float64":      {0x15fb77356059056f, 0x15fb77356059056f},
-	"Her2k/complex128":  {0xaeb8d5a4d33bf1cf, 0x2819419901f8aa56},
-	"Her2k/complex64":   {0xf57c46f00b5362cd, 0x9c831e975fea4552},
-	"Her2k/float32":     {0x80da36747429781b, 0x80da36747429781b},
-	"Her2k/float64":     {0x381b6a26bf462bb4, 0x381b6a26bf462bb4},
-	"Herk/complex128":   {0x7ad15b1bd836ef2e, 0xed3127565ce026dc},
-	"Herk/complex64":    {0x65c1a9b89e65e04d, 0x5d3cb1247d2be3d1},
-	"Herk/float32":      {0xac0e178dddb19b81, 0xac0e178dddb19b81},
-	"Herk/float64":      {0x13ad08adbf776c3f, 0x13ad08adbf776c3f},
-	"Hpmv/complex128":   {0xd7a91f254cd67c99, 0xd7a91f254cd67c99},
-	"Hpmv/complex64":    {0xd94d88e391fd5db0, 0xd94d88e391fd5db0},
-	"Hpmv/float32":      {0xbcd41eedd6399752, 0xbcd41eedd6399752},
-	"Hpmv/float64":      {0xd0c997bf6458d46a, 0xd0c997bf6458d46a},
-	"Hpr/complex128":    {0x8485a928f8b24ee8, 0x8485a928f8b24ee8},
-	"Hpr/complex64":     {0x8a01691c478c8727, 0x8a01691c478c8727},
-	"Hpr/float32":       {0x24ab551282064060, 0x24ab551282064060},
-	"Hpr/float64":       {0x25829ac4ba9f6cea, 0x25829ac4ba9f6cea},
-	"Hpr2/complex128":   {0x957e0b658a5da009, 0x957e0b658a5da009},
-	"Hpr2/complex64":    {0x1d573b958cc3279a, 0x1d573b958cc3279a},
-	"Hpr2/float32":      {0xe61e1ea80327c6de, 0xe61e1ea80327c6de},
-	"Hpr2/float64":      {0xa50fa465a9ad9d1e, 0xa50fa465a9ad9d1e},
-	"Iamax/complex128":  {0xfd86ba83d8fc9d53, 0xfd86ba83d8fc9d53},
-	"Iamax/complex64":   {0xfd86ba83d8fc9d53, 0xfd86ba83d8fc9d53},
-	"Iamax/float32":     {0x43016f460e27fd56, 0x43016f460e27fd56},
-	"Iamax/float64":     {0x0629b2c27e1dbbe3, 0x0629b2c27e1dbbe3},
-	"Nrm2/complex128":   {0x294d73200ccc5d9c, 0xe6948cb5a24760e9},
-	"Nrm2/complex64":    {0x51d9d94c1e8e7027, 0x5369887215e20cc4},
-	"Nrm2/float32":      {0x1dff6bc272802829, 0x6c783a01f135425e},
-	"Nrm2/float64":      {0xf4fef05938004dea, 0xf4fef05938004dea},
-	"Refl2/float64":     {0x5c4d762ec14c52dd, 0xb0a2cc829919e5f5},
-	"Refl2Rows/float64": {0xa09061603e950ab7, 0x2bed2e295b08ea75},
-	"Refl3/float64":     {0x123bbe72f9d36d69, 0x5e5b04d49928cfbc},
-	"Refl3Rows/float64": {0xb840ab046b5e5b6e, 0x0da64724c186bd8c},
-	"Rot/float32":       {0xac406c5540bd1942, 0xac406c5540bd1942},
-	"Rot/float64":       {0x02828273d05a61e1, 0x02828273d05a61e1},
-	"RotG/complex128":   {0x4bc1642550a7378a, 0x4bc1642550a7378a},
-	"RotG/complex64":    {0x6d4711fc6f16f054, 0x6d4711fc6f16f054},
-	"RotG/float32":      {0xcfff595df978c402, 0xcfff595df978c402},
-	"RotG/float64":      {0xe5d556df0bf0a7b4, 0xe5d556df0bf0a7b4},
-	"RotSeq/complex128": {0x0a1bb12f1ebc9494, 0x9225ecf4c3689128},
-	"RotSeq/complex64":  {0xecb150483001390f, 0xd981ccd6196e5556},
-	"RotSeq/float32":    {0x544fa116cbaf7b02, 0xcc742df6cbda79fb},
-	"RotSeq/float64":    {0x39185ea7c252ba66, 0xd6614af71cfd9289},
-	"Rotg/float32":      {0x5b44c0a3fc52f9c3, 0x5b44c0a3fc52f9c3},
-	"Rotg/float64":      {0x2594925d1bb55ec0, 0x2594925d1bb55ec0},
-	"Sbmv/complex128":   {0xa9c672f32fa6f36c, 0xa9c672f32fa6f36c},
-	"Sbmv/complex64":    {0x68d3ad0a59840c0d, 0x68d3ad0a59840c0d},
-	"Sbmv/float32":      {0x866fbf5c6c030cca, 0x866fbf5c6c030cca},
-	"Sbmv/float64":      {0x99adfcce0adf02d2, 0x99adfcce0adf02d2},
-	"Scal/complex128":   {0xa983cdfc0988275a, 0x6aaaa3800f476d39},
-	"Scal/complex64":    {0x6620ddbed1d81972, 0x6620ddbed1d81972},
-	"Scal/float32":      {0xf929aade8a69d58d, 0xf929aade8a69d58d},
-	"Scal/float64":      {0x18db60504f95a381, 0x18db60504f95a381},
-	"Spmv/complex128":   {0x22209de13cec3d05, 0x22209de13cec3d05},
-	"Spmv/complex64":    {0x87040b7eebce2b7a, 0x87040b7eebce2b7a},
-	"Spmv/float32":      {0xbcd41eedd6399752, 0xbcd41eedd6399752},
-	"Spmv/float64":      {0xd0c997bf6458d46a, 0xd0c997bf6458d46a},
-	"Spr/complex128":    {0x69cc746a8592a653, 0x69cc746a8592a653},
-	"Spr/complex64":     {0x05235a51b08a999c, 0x05235a51b08a999c},
-	"Spr/float32":       {0x24ab551282064060, 0x24ab551282064060},
-	"Spr/float64":       {0x25829ac4ba9f6cea, 0x25829ac4ba9f6cea},
-	"Spr2/complex128":   {0x6970fb9c8b927f60, 0x6970fb9c8b927f60},
-	"Spr2/complex64":    {0x2bec77bdc9b21f6a, 0x2bec77bdc9b21f6a},
-	"Spr2/float32":      {0xe61e1ea80327c6de, 0xe61e1ea80327c6de},
-	"Spr2/float64":      {0xa50fa465a9ad9d1e, 0xa50fa465a9ad9d1e},
-	"Swap/complex128":   {0xd7facbb1b249f065, 0xd7facbb1b249f065},
-	"Swap/complex64":    {0xe462633141408bd4, 0xe462633141408bd4},
-	"Swap/float32":      {0x5124abd320b9526d, 0x5124abd320b9526d},
-	"Swap/float64":      {0x2a620cb5040dc2d4, 0x2a620cb5040dc2d4},
-	"Symm/complex128":   {0x5497ed13f88a36c5, 0x5497ed13f88a36c5},
-	"Symm/complex64":    {0xf621febd061fd8d6, 0xf621febd061fd8d6},
-	"Symm/float32":      {0x0babd3cad10bffef, 0x0babd3cad10bffef},
-	"Symm/float64":      {0x6484bcda891a9520, 0x6484bcda891a9520},
-	"Symv/complex128":   {0x22209de13cec3d05, 0x22209de13cec3d05},
-	"Symv/complex64":    {0x87040b7eebce2b7a, 0x87040b7eebce2b7a},
-	"Symv/float32":      {0xbcd41eedd6399752, 0xbcd41eedd6399752},
-	"Symv/float64":      {0x519d6ed8b8e3116f, 0xd0c997bf6458d46a},
-	"Syr/complex128":    {0x4b8d84058524d590, 0x4b8d84058524d590},
-	"Syr/complex64":     {0x6d011a5bad03ba30, 0x6d011a5bad03ba30},
-	"Syr/float32":       {0x09676a27c3717903, 0x09676a27c3717903},
-	"Syr/float64":       {0xf2aa5cb221ac8aab, 0xf2aa5cb221ac8aab},
-	"Syr2/complex128":   {0x8f7fad4e5ed5fe9f, 0x8f7fad4e5ed5fe9f},
-	"Syr2/complex64":    {0x42b56959fa85da92, 0x42b56959fa85da92},
-	"Syr2/float32":      {0x01f0aaf812a49fa1, 0x01f0aaf812a49fa1},
-	"Syr2/float64":      {0x15fb77356059056f, 0x15fb77356059056f},
-	"Syr2k/complex128":  {0xb0e4d8fb92d4f574, 0xbdd0434fd09c7a4f},
-	"Syr2k/complex64":   {0x0e752154f2b1ff3c, 0xabbda19451478c3f},
-	"Syr2k/float32":     {0x709c9cc70bffa629, 0x709c9cc70bffa629},
-	"Syr2k/float64":     {0xa9620e8cf54748a7, 0xa9620e8cf54748a7},
-	"Syrk/complex128":   {0x9e1b7317980e9c15, 0xac257a246546f422},
-	"Syrk/complex64":    {0x22ecc0096a4ea618, 0x72dcf814f000b1b2},
-	"Syrk/float32":      {0xac0e178dddb19b81, 0xac0e178dddb19b81},
-	"Syrk/float64":      {0x13ad08adbf776c3f, 0x13ad08adbf776c3f},
-	"Tbmv/complex128":   {0x4115520ada8ed9a1, 0x4115520ada8ed9a1},
-	"Tbmv/complex64":    {0x2915626a693446ab, 0x2915626a693446ab},
-	"Tbmv/float32":      {0x5b65d18226e5b7b0, 0x5b65d18226e5b7b0},
-	"Tbmv/float64":      {0x2f0874ab4edff042, 0x2f0874ab4edff042},
-	"Tbsv/complex128":   {0xcb0368389261e5c4, 0xcb0368389261e5c4},
-	"Tbsv/complex64":    {0x112f7a7061e3dcd9, 0x112f7a7061e3dcd9},
-	"Tbsv/float32":      {0x3913f7b70fa44c0f, 0x3913f7b70fa44c0f},
-	"Tbsv/float64":      {0x0fc6e6c3bd60fd9b, 0x0fc6e6c3bd60fd9b},
-	"Tpmv/complex128":   {0x084259ac1625acb0, 0x084259ac1625acb0},
-	"Tpmv/complex64":    {0x9d007d93a5ac72b8, 0x9d007d93a5ac72b8},
-	"Tpmv/float32":      {0xba5d8732ad0e43c8, 0xba5d8732ad0e43c8},
-	"Tpmv/float64":      {0x44694ff39dbefecc, 0x44694ff39dbefecc},
-	"Tpsv/complex128":   {0x1d0eae99164135ef, 0x1d0eae99164135ef},
-	"Tpsv/complex64":    {0xa48cf226ddeb99b7, 0xa48cf226ddeb99b7},
-	"Tpsv/float32":      {0x694d949e07744bd4, 0x694d949e07744bd4},
-	"Tpsv/float64":      {0x362de7483691c60c, 0x362de7483691c60c},
-	"Trmm/complex128":   {0x7e07125fa6aa9154, 0x47d03c44e3a9365f},
-	"Trmm/complex64":    {0x7eeb10f5135edf20, 0x18ba69bed6583900},
-	"Trmm/float32":      {0x75e9a838a88d0112, 0x2474db5b71bab571},
-	"Trmm/float64":      {0x702adfeaad2da947, 0x43dd852ca0f2d884},
-	"Trmv/complex128":   {0x2e0363c2cf1dd3bd, 0x2e0363c2cf1dd3bd},
-	"Trmv/complex64":    {0x255054816c4533da, 0x255054816c4533da},
-	"Trmv/float32":      {0x413177c6a53a9654, 0x413177c6a53a9654},
-	"Trmv/float64":      {0x4a8cb9ae61507180, 0x4a8cb9ae61507180},
-	"Trsm/complex128":   {0x8637e7a010f0244c, 0x8c3ba6d54a3e526d},
-	"Trsm/complex64":    {0x09137fd1cefa17e0, 0xd508876be5a23620},
-	"Trsm/float32":      {0x82223bcbe8e575be, 0x0de8e5b0a5e0562c},
-	"Trsm/float64":      {0x9e5e9985c3e7d6d7, 0xa6c436d9a68ad7ff},
-	"Trsv/complex128":   {0xe7b16fe436b59bff, 0x1d0eae99164135ef},
-	"Trsv/complex64":    {0x090a5ce134413dfd, 0xa48cf226ddeb99b7},
-	"Trsv/float32":      {0xc84b9b29c1ee8a0c, 0x694d949e07744bd4},
-	"Trsv/float64":      {0x7e5bcec9d908674a, 0x362de7483691c60c},
+// Regenerate with `go test ./internal/blas -run Level12Golden -args -golden`.
+var level12Golden = diff.Table{
+	"Asum/complex128":   {Hash: [2]uint64{0x536b19813327ac4f, 0x536b19813327ac4f}},
+	"Asum/complex64":    {Hash: [2]uint64{0x7078ce60af8ec7ac, 0x7078ce60af8ec7ac}},
+	"Asum/float32":      {Hash: [2]uint64{0x150edd78a9e921e2, 0x150edd78a9e921e2}},
+	"Asum/float64":      {Hash: [2]uint64{0xf140b5b34f557e02, 0xf140b5b34f557e02}},
+	"Axpy/complex128":   {Hash: [2]uint64{0x794307bffbebcd61, 0x0d921ae21cdcc8f8}},
+	"Axpy/complex64":    {Hash: [2]uint64{0x595c3bcd7954be15, 0x4702472bc29a8dba}},
+	"Axpy/float32":      {Hash: [2]uint64{0xa34c32b66636024b, 0x0d1616ab669b19c0}},
+	"Axpy/float64":      {Hash: [2]uint64{0xc6c62dfcfe2a920d, 0xe80f24e2dbd7e86e}},
+	"Copy/complex128":   {Hash: [2]uint64{0x99327a1c8b275ee1, 0x99327a1c8b275ee1}},
+	"Copy/complex64":    {Hash: [2]uint64{0x81f509170ce18da6, 0x81f509170ce18da6}},
+	"Copy/float32":      {Hash: [2]uint64{0xd3b471e29fa3f5b3, 0xd3b471e29fa3f5b3}},
+	"Copy/float64":      {Hash: [2]uint64{0xe669f1e864287303, 0xe669f1e864287303}},
+	"Dot/float32":       {Hash: [2]uint64{0x7c3ccb4d9bb01be3, 0x7c3ccb4d9bb01be3}},
+	"Dot/float64":       {Hash: [2]uint64{0xbe3490a529699114, 0xbe3490a529699114}},
+	"Dotc/complex128":   {Hash: [2]uint64{0xc7096f0ef984d6a0, 0xc7096f0ef984d6a0}},
+	"Dotc/complex64":    {Hash: [2]uint64{0x141d07a3bdc4dd1e, 0x141d07a3bdc4dd1e}},
+	"Dotc/float32":      {Hash: [2]uint64{0x008c81e1abba2d2b, 0x008c81e1abba2d2b}},
+	"Dotc/float64":      {Hash: [2]uint64{0x9e539b6d6f43d72a, 0x9e539b6d6f43d72a}},
+	"Dotu/complex128":   {Hash: [2]uint64{0xa3e1ef338f23bcfc, 0xa3e1ef338f23bcfc}},
+	"Dotu/complex64":    {Hash: [2]uint64{0x1bd236cad302870f, 0x1bd236cad302870f}},
+	"Dotu/float32":      {Hash: [2]uint64{0x008c81e1abba2d2b, 0x008c81e1abba2d2b}},
+	"Dotu/float64":      {Hash: [2]uint64{0x9e539b6d6f43d72a, 0x9e539b6d6f43d72a}},
+	"Gbmv/complex128":   {Hash: [2]uint64{0xb409f36455f3c0ab, 0xb409f36455f3c0ab}},
+	"Gbmv/complex64":    {Hash: [2]uint64{0xd7380e22a3743d30, 0xd7380e22a3743d30}},
+	"Gbmv/float32":      {Hash: [2]uint64{0x9e285a12a35b4268, 0x9e285a12a35b4268}},
+	"Gbmv/float64":      {Hash: [2]uint64{0x71d29b47265e42c7, 0x71d29b47265e42c7}},
+	"Gemm/complex128":   {Hash: [2]uint64{0xf377f70fbe6f5242, 0x1ff380270fc80cb6}},
+	"Gemm/complex64":    {Hash: [2]uint64{0x9b8f3c63418b8590, 0x2323216fc3bb37f1}},
+	"Gemm/float32":      {Hash: [2]uint64{0xf8b420952ad2d2d1, 0xfa915f8000724342}},
+	"Gemm/float64":      {Hash: [2]uint64{0x33fe53825e5ae465, 0x1e770e628d90958a}},
+	"Gemv/complex128":   {Hash: [2]uint64{0x09bb70ba0e5e3189, 0x1275f715b325d327}},
+	"Gemv/complex64":    {Hash: [2]uint64{0x6c582689be453ed3, 0x80fd19e47d4b2b75}},
+	"Gemv/float32":      {Hash: [2]uint64{0x86c420de17baddbc, 0xe0c209569e95cd0a}},
+	"Gemv/float64":      {Hash: [2]uint64{0x0db59044ee8d07e0, 0x398ba2ffb40a3411}},
+	"Ger/complex128":    {Hash: [2]uint64{0x44c4f3a3c82227a1, 0x3308bf10a8fff100}},
+	"Ger/complex64":     {Hash: [2]uint64{0x77598b0e59de7d1b, 0xdd905a33060fbf79}},
+	"Ger/float32":       {Hash: [2]uint64{0x8a515551a3cf9514, 0xfad8c533e16f6b25}},
+	"Ger/float64":       {Hash: [2]uint64{0xcdea35635cf3c9e5, 0x74e57500b08fbec6}},
+	"Gerc/complex128":   {Hash: [2]uint64{0xf23ad0df506fcad4, 0xe5f4c8a3fd18c0ad}},
+	"Gerc/complex64":    {Hash: [2]uint64{0x3eb9b57b75130dd1, 0x292b90774d3f4c59}},
+	"Gerc/float32":      {Hash: [2]uint64{0x8a515551a3cf9514, 0xfad8c533e16f6b25}},
+	"Gerc/float64":      {Hash: [2]uint64{0xcdea35635cf3c9e5, 0x74e57500b08fbec6}},
+	"Hbmv/complex128":   {Hash: [2]uint64{0x3ddec6963f20b824, 0x3ddec6963f20b824}},
+	"Hbmv/complex64":    {Hash: [2]uint64{0x14ba0a87ef48c35f, 0x14ba0a87ef48c35f}},
+	"Hbmv/float32":      {Hash: [2]uint64{0x866fbf5c6c030cca, 0x866fbf5c6c030cca}},
+	"Hbmv/float64":      {Hash: [2]uint64{0x99adfcce0adf02d2, 0x99adfcce0adf02d2}},
+	"Hemm/complex128":   {Hash: [2]uint64{0xcadf7357cc5b0df6, 0xcadf7357cc5b0df6}},
+	"Hemm/complex64":    {Hash: [2]uint64{0x1d90036b7df6a3f2, 0x1d90036b7df6a3f2}},
+	"Hemm/float32":      {Hash: [2]uint64{0x0babd3cad10bffef, 0x0babd3cad10bffef}},
+	"Hemm/float64":      {Hash: [2]uint64{0x6484bcda891a9520, 0x6484bcda891a9520}},
+	"Hemv/complex128":   {Hash: [2]uint64{0xd7a91f254cd67c99, 0xd7a91f254cd67c99}},
+	"Hemv/complex64":    {Hash: [2]uint64{0xd94d88e391fd5db0, 0xd94d88e391fd5db0}},
+	"Hemv/float32":      {Hash: [2]uint64{0xbcd41eedd6399752, 0xbcd41eedd6399752}},
+	"Hemv/float64":      {Hash: [2]uint64{0x519d6ed8b8e3116f, 0xd0c997bf6458d46a}},
+	"Her/complex128":    {Hash: [2]uint64{0x4298b804b472017f, 0x4298b804b472017f}},
+	"Her/complex64":     {Hash: [2]uint64{0x66512f360ab5d36b, 0x66512f360ab5d36b}},
+	"Her/float32":       {Hash: [2]uint64{0x09676a27c3717903, 0x09676a27c3717903}},
+	"Her/float64":       {Hash: [2]uint64{0xf2aa5cb221ac8aab, 0xf2aa5cb221ac8aab}},
+	"Her2/complex128":   {Hash: [2]uint64{0x309c38f491cf8ec6, 0x309c38f491cf8ec6}},
+	"Her2/complex64":    {Hash: [2]uint64{0xbe69744277732cda, 0xbe69744277732cda}},
+	"Her2/float32":      {Hash: [2]uint64{0x01f0aaf812a49fa1, 0x01f0aaf812a49fa1}},
+	"Her2/float64":      {Hash: [2]uint64{0x15fb77356059056f, 0x15fb77356059056f}},
+	"Her2k/complex128":  {Hash: [2]uint64{0xaeb8d5a4d33bf1cf, 0x2819419901f8aa56}},
+	"Her2k/complex64":   {Hash: [2]uint64{0xf57c46f00b5362cd, 0x9c831e975fea4552}},
+	"Her2k/float32":     {Hash: [2]uint64{0x80da36747429781b, 0x80da36747429781b}},
+	"Her2k/float64":     {Hash: [2]uint64{0x381b6a26bf462bb4, 0x381b6a26bf462bb4}},
+	"Herk/complex128":   {Hash: [2]uint64{0x7ad15b1bd836ef2e, 0xed3127565ce026dc}},
+	"Herk/complex64":    {Hash: [2]uint64{0x65c1a9b89e65e04d, 0x5d3cb1247d2be3d1}},
+	"Herk/float32":      {Hash: [2]uint64{0xac0e178dddb19b81, 0xac0e178dddb19b81}},
+	"Herk/float64":      {Hash: [2]uint64{0x13ad08adbf776c3f, 0x13ad08adbf776c3f}},
+	"Hpmv/complex128":   {Hash: [2]uint64{0xd7a91f254cd67c99, 0xd7a91f254cd67c99}},
+	"Hpmv/complex64":    {Hash: [2]uint64{0xd94d88e391fd5db0, 0xd94d88e391fd5db0}},
+	"Hpmv/float32":      {Hash: [2]uint64{0xbcd41eedd6399752, 0xbcd41eedd6399752}},
+	"Hpmv/float64":      {Hash: [2]uint64{0xd0c997bf6458d46a, 0xd0c997bf6458d46a}},
+	"Hpr/complex128":    {Hash: [2]uint64{0x8485a928f8b24ee8, 0x8485a928f8b24ee8}},
+	"Hpr/complex64":     {Hash: [2]uint64{0x8a01691c478c8727, 0x8a01691c478c8727}},
+	"Hpr/float32":       {Hash: [2]uint64{0x24ab551282064060, 0x24ab551282064060}},
+	"Hpr/float64":       {Hash: [2]uint64{0x25829ac4ba9f6cea, 0x25829ac4ba9f6cea}},
+	"Hpr2/complex128":   {Hash: [2]uint64{0x957e0b658a5da009, 0x957e0b658a5da009}},
+	"Hpr2/complex64":    {Hash: [2]uint64{0x1d573b958cc3279a, 0x1d573b958cc3279a}},
+	"Hpr2/float32":      {Hash: [2]uint64{0xe61e1ea80327c6de, 0xe61e1ea80327c6de}},
+	"Hpr2/float64":      {Hash: [2]uint64{0xa50fa465a9ad9d1e, 0xa50fa465a9ad9d1e}},
+	"Iamax/complex128":  {Hash: [2]uint64{0xfd86ba83d8fc9d53, 0xfd86ba83d8fc9d53}},
+	"Iamax/complex64":   {Hash: [2]uint64{0xfd86ba83d8fc9d53, 0xfd86ba83d8fc9d53}},
+	"Iamax/float32":     {Hash: [2]uint64{0x43016f460e27fd56, 0x43016f460e27fd56}},
+	"Iamax/float64":     {Hash: [2]uint64{0x0629b2c27e1dbbe3, 0x0629b2c27e1dbbe3}},
+	"Nrm2/complex128":   {Hash: [2]uint64{0x294d73200ccc5d9c, 0xe6948cb5a24760e9}},
+	"Nrm2/complex64":    {Hash: [2]uint64{0x51d9d94c1e8e7027, 0x5369887215e20cc4}},
+	"Nrm2/float32":      {Hash: [2]uint64{0x1dff6bc272802829, 0x6c783a01f135425e}},
+	"Nrm2/float64":      {Hash: [2]uint64{0xf4fef05938004dea, 0xf4fef05938004dea}},
+	"Refl2/float64":     {Hash: [2]uint64{0x5c4d762ec14c52dd, 0xb0a2cc829919e5f5}},
+	"Refl2Rows/float64": {Hash: [2]uint64{0xa09061603e950ab7, 0x2bed2e295b08ea75}},
+	"Refl3/float64":     {Hash: [2]uint64{0x123bbe72f9d36d69, 0x5e5b04d49928cfbc}},
+	"Refl3Rows/float64": {Hash: [2]uint64{0xb840ab046b5e5b6e, 0x0da64724c186bd8c}},
+	"Rot/float32":       {Hash: [2]uint64{0xac406c5540bd1942, 0xac406c5540bd1942}},
+	"Rot/float64":       {Hash: [2]uint64{0x02828273d05a61e1, 0x02828273d05a61e1}},
+	"RotG/complex128":   {Hash: [2]uint64{0x4bc1642550a7378a, 0x4bc1642550a7378a}},
+	"RotG/complex64":    {Hash: [2]uint64{0x6d4711fc6f16f054, 0x6d4711fc6f16f054}},
+	"RotG/float32":      {Hash: [2]uint64{0xcfff595df978c402, 0xcfff595df978c402}},
+	"RotG/float64":      {Hash: [2]uint64{0xe5d556df0bf0a7b4, 0xe5d556df0bf0a7b4}},
+	"RotSeq/complex128": {Hash: [2]uint64{0x0a1bb12f1ebc9494, 0x9225ecf4c3689128}},
+	"RotSeq/complex64":  {Hash: [2]uint64{0xecb150483001390f, 0xd981ccd6196e5556}},
+	"RotSeq/float32":    {Hash: [2]uint64{0x544fa116cbaf7b02, 0xcc742df6cbda79fb}},
+	"RotSeq/float64":    {Hash: [2]uint64{0x39185ea7c252ba66, 0xd6614af71cfd9289}},
+	"Rotg/float32":      {Hash: [2]uint64{0x5b44c0a3fc52f9c3, 0x5b44c0a3fc52f9c3}},
+	"Rotg/float64":      {Hash: [2]uint64{0x2594925d1bb55ec0, 0x2594925d1bb55ec0}},
+	"Sbmv/complex128":   {Hash: [2]uint64{0xa9c672f32fa6f36c, 0xa9c672f32fa6f36c}},
+	"Sbmv/complex64":    {Hash: [2]uint64{0x68d3ad0a59840c0d, 0x68d3ad0a59840c0d}},
+	"Sbmv/float32":      {Hash: [2]uint64{0x866fbf5c6c030cca, 0x866fbf5c6c030cca}},
+	"Sbmv/float64":      {Hash: [2]uint64{0x99adfcce0adf02d2, 0x99adfcce0adf02d2}},
+	"Scal/complex128":   {Hash: [2]uint64{0xa983cdfc0988275a, 0x6aaaa3800f476d39}},
+	"Scal/complex64":    {Hash: [2]uint64{0x6620ddbed1d81972, 0x6620ddbed1d81972}},
+	"Scal/float32":      {Hash: [2]uint64{0xf929aade8a69d58d, 0xf929aade8a69d58d}},
+	"Scal/float64":      {Hash: [2]uint64{0x18db60504f95a381, 0x18db60504f95a381}},
+	"Spmv/complex128":   {Hash: [2]uint64{0x22209de13cec3d05, 0x22209de13cec3d05}},
+	"Spmv/complex64":    {Hash: [2]uint64{0x87040b7eebce2b7a, 0x87040b7eebce2b7a}},
+	"Spmv/float32":      {Hash: [2]uint64{0xbcd41eedd6399752, 0xbcd41eedd6399752}},
+	"Spmv/float64":      {Hash: [2]uint64{0xd0c997bf6458d46a, 0xd0c997bf6458d46a}},
+	"Spr/complex128":    {Hash: [2]uint64{0x69cc746a8592a653, 0x69cc746a8592a653}},
+	"Spr/complex64":     {Hash: [2]uint64{0x05235a51b08a999c, 0x05235a51b08a999c}},
+	"Spr/float32":       {Hash: [2]uint64{0x24ab551282064060, 0x24ab551282064060}},
+	"Spr/float64":       {Hash: [2]uint64{0x25829ac4ba9f6cea, 0x25829ac4ba9f6cea}},
+	"Spr2/complex128":   {Hash: [2]uint64{0x6970fb9c8b927f60, 0x6970fb9c8b927f60}},
+	"Spr2/complex64":    {Hash: [2]uint64{0x2bec77bdc9b21f6a, 0x2bec77bdc9b21f6a}},
+	"Spr2/float32":      {Hash: [2]uint64{0xe61e1ea80327c6de, 0xe61e1ea80327c6de}},
+	"Spr2/float64":      {Hash: [2]uint64{0xa50fa465a9ad9d1e, 0xa50fa465a9ad9d1e}},
+	"Swap/complex128":   {Hash: [2]uint64{0xd7facbb1b249f065, 0xd7facbb1b249f065}},
+	"Swap/complex64":    {Hash: [2]uint64{0xe462633141408bd4, 0xe462633141408bd4}},
+	"Swap/float32":      {Hash: [2]uint64{0x5124abd320b9526d, 0x5124abd320b9526d}},
+	"Swap/float64":      {Hash: [2]uint64{0x2a620cb5040dc2d4, 0x2a620cb5040dc2d4}},
+	"Symm/complex128":   {Hash: [2]uint64{0x5497ed13f88a36c5, 0x5497ed13f88a36c5}},
+	"Symm/complex64":    {Hash: [2]uint64{0xf621febd061fd8d6, 0xf621febd061fd8d6}},
+	"Symm/float32":      {Hash: [2]uint64{0x0babd3cad10bffef, 0x0babd3cad10bffef}},
+	"Symm/float64":      {Hash: [2]uint64{0x6484bcda891a9520, 0x6484bcda891a9520}},
+	"Symv/complex128":   {Hash: [2]uint64{0x22209de13cec3d05, 0x22209de13cec3d05}},
+	"Symv/complex64":    {Hash: [2]uint64{0x87040b7eebce2b7a, 0x87040b7eebce2b7a}},
+	"Symv/float32":      {Hash: [2]uint64{0xbcd41eedd6399752, 0xbcd41eedd6399752}},
+	"Symv/float64":      {Hash: [2]uint64{0x519d6ed8b8e3116f, 0xd0c997bf6458d46a}},
+	"Syr/complex128":    {Hash: [2]uint64{0x4b8d84058524d590, 0x4b8d84058524d590}},
+	"Syr/complex64":     {Hash: [2]uint64{0x6d011a5bad03ba30, 0x6d011a5bad03ba30}},
+	"Syr/float32":       {Hash: [2]uint64{0x09676a27c3717903, 0x09676a27c3717903}},
+	"Syr/float64":       {Hash: [2]uint64{0xf2aa5cb221ac8aab, 0xf2aa5cb221ac8aab}},
+	"Syr2/complex128":   {Hash: [2]uint64{0x8f7fad4e5ed5fe9f, 0x8f7fad4e5ed5fe9f}},
+	"Syr2/complex64":    {Hash: [2]uint64{0x42b56959fa85da92, 0x42b56959fa85da92}},
+	"Syr2/float32":      {Hash: [2]uint64{0x01f0aaf812a49fa1, 0x01f0aaf812a49fa1}},
+	"Syr2/float64":      {Hash: [2]uint64{0x15fb77356059056f, 0x15fb77356059056f}},
+	"Syr2k/complex128":  {Hash: [2]uint64{0xb0e4d8fb92d4f574, 0xbdd0434fd09c7a4f}},
+	"Syr2k/complex64":   {Hash: [2]uint64{0x0e752154f2b1ff3c, 0xabbda19451478c3f}},
+	"Syr2k/float32":     {Hash: [2]uint64{0x709c9cc70bffa629, 0x709c9cc70bffa629}},
+	"Syr2k/float64":     {Hash: [2]uint64{0xa9620e8cf54748a7, 0xa9620e8cf54748a7}},
+	"Syrk/complex128":   {Hash: [2]uint64{0x9e1b7317980e9c15, 0xac257a246546f422}},
+	"Syrk/complex64":    {Hash: [2]uint64{0x22ecc0096a4ea618, 0x72dcf814f000b1b2}},
+	"Syrk/float32":      {Hash: [2]uint64{0xac0e178dddb19b81, 0xac0e178dddb19b81}},
+	"Syrk/float64":      {Hash: [2]uint64{0x13ad08adbf776c3f, 0x13ad08adbf776c3f}},
+	"Tbmv/complex128":   {Hash: [2]uint64{0x4115520ada8ed9a1, 0x4115520ada8ed9a1}},
+	"Tbmv/complex64":    {Hash: [2]uint64{0x2915626a693446ab, 0x2915626a693446ab}},
+	"Tbmv/float32":      {Hash: [2]uint64{0x5b65d18226e5b7b0, 0x5b65d18226e5b7b0}},
+	"Tbmv/float64":      {Hash: [2]uint64{0x2f0874ab4edff042, 0x2f0874ab4edff042}},
+	"Tbsv/complex128":   {Hash: [2]uint64{0xcb0368389261e5c4, 0xcb0368389261e5c4}},
+	"Tbsv/complex64":    {Hash: [2]uint64{0x112f7a7061e3dcd9, 0x112f7a7061e3dcd9}},
+	"Tbsv/float32":      {Hash: [2]uint64{0x3913f7b70fa44c0f, 0x3913f7b70fa44c0f}},
+	"Tbsv/float64":      {Hash: [2]uint64{0x0fc6e6c3bd60fd9b, 0x0fc6e6c3bd60fd9b}},
+	"Tpmv/complex128":   {Hash: [2]uint64{0x084259ac1625acb0, 0x084259ac1625acb0}},
+	"Tpmv/complex64":    {Hash: [2]uint64{0x9d007d93a5ac72b8, 0x9d007d93a5ac72b8}},
+	"Tpmv/float32":      {Hash: [2]uint64{0xba5d8732ad0e43c8, 0xba5d8732ad0e43c8}},
+	"Tpmv/float64":      {Hash: [2]uint64{0x44694ff39dbefecc, 0x44694ff39dbefecc}},
+	"Tpsv/complex128":   {Hash: [2]uint64{0x1d0eae99164135ef, 0x1d0eae99164135ef}},
+	"Tpsv/complex64":    {Hash: [2]uint64{0xa48cf226ddeb99b7, 0xa48cf226ddeb99b7}},
+	"Tpsv/float32":      {Hash: [2]uint64{0x694d949e07744bd4, 0x694d949e07744bd4}},
+	"Tpsv/float64":      {Hash: [2]uint64{0x362de7483691c60c, 0x362de7483691c60c}},
+	"Trmm/complex128":   {Hash: [2]uint64{0x7e07125fa6aa9154, 0x47d03c44e3a9365f}},
+	"Trmm/complex64":    {Hash: [2]uint64{0x7eeb10f5135edf20, 0x18ba69bed6583900}},
+	"Trmm/float32":      {Hash: [2]uint64{0x75e9a838a88d0112, 0x2474db5b71bab571}},
+	"Trmm/float64":      {Hash: [2]uint64{0x702adfeaad2da947, 0x43dd852ca0f2d884}},
+	"Trmv/complex128":   {Hash: [2]uint64{0x2e0363c2cf1dd3bd, 0x2e0363c2cf1dd3bd}},
+	"Trmv/complex64":    {Hash: [2]uint64{0x255054816c4533da, 0x255054816c4533da}},
+	"Trmv/float32":      {Hash: [2]uint64{0x413177c6a53a9654, 0x413177c6a53a9654}},
+	"Trmv/float64":      {Hash: [2]uint64{0x4a8cb9ae61507180, 0x4a8cb9ae61507180}},
+	"Trsm/complex128":   {Hash: [2]uint64{0x8637e7a010f0244c, 0x8c3ba6d54a3e526d}},
+	"Trsm/complex64":    {Hash: [2]uint64{0x09137fd1cefa17e0, 0xd508876be5a23620}},
+	"Trsm/float32":      {Hash: [2]uint64{0x82223bcbe8e575be, 0x0de8e5b0a5e0562c}},
+	"Trsm/float64":      {Hash: [2]uint64{0x9e5e9985c3e7d6d7, 0xa6c436d9a68ad7ff}},
+	"Trsv/complex128":   {Hash: [2]uint64{0xe7b16fe436b59bff, 0x1d0eae99164135ef}},
+	"Trsv/complex64":    {Hash: [2]uint64{0x090a5ce134413dfd, 0xa48cf226ddeb99b7}},
+	"Trsv/float32":      {Hash: [2]uint64{0xc84b9b29c1ee8a0c, 0x694d949e07744bd4}},
+	"Trsv/float64":      {Hash: [2]uint64{0x7e5bcec9d908674a, 0x362de7483691c60c}},
 
 	// The kernel rows' leaves at every length 1…40 (leaves), recorded before
 	// the twin assembly kernels were folded into one macro body each.
-	"Leaves/axpy/complex128":     {0xcff0c1130bd226eb, 0x2cc4f81ecabbba6a},
-	"Leaves/axpy/complex64":      {0xdbdc683be783eeb2, 0xd8a031f00e043199},
-	"Leaves/axpy/float32":        {0x5f9dfdfe32a8c32d, 0x25b8e5f14f3c7fc2},
-	"Leaves/axpy/float64":        {0xec7967fb9c24fbf9, 0x9c0b7b66b33889a9},
-	"Leaves/dot/complex128":      {0x0fa89ce046a8e344, 0xe47e3c71d3d347cf},
-	"Leaves/dot/complex64":       {0x63d6cfca1c72d960, 0x293fc5b7df1ed358},
-	"Leaves/dot/float32":         {0xb20082a5750e5995, 0xa8c6210b97461129},
-	"Leaves/dot/float64":         {0x8d352753ed36f295, 0x72fb4e0498345dd9},
-	"Leaves/gemvSub8/complex128": {0x91e92a721f7ada3a, 0x4a256d3b058d6602},
-	"Leaves/gemvSub8/complex64":  {0xfcd19e2126d641f7, 0x641193c2ad5a5cab},
-	"Leaves/gemvSub8/float32":    {0xb1155a323891d3ec, 0x2cbb7212f4a8e538},
-	"Leaves/gemvSub8/float64":    {0x62160be856076e31, 0xb31330df44117a55},
-	"Leaves/iamax/complex128":    {0xbb8ea24b80977ad5, 0xbb8ea24b80977ad5},
-	"Leaves/iamax/complex64":     {0xbb8ea24b80977ad5, 0xbb8ea24b80977ad5},
-	"Leaves/iamax/float32":       {0x90ec2bc9bc9b900e, 0x90ec2bc9bc9b900e},
-	"Leaves/iamax/float64":       {0xf228f0ef8e92dce5, 0xf228f0ef8e92dce5},
-	"Leaves/micro/complex128":    {0x528d801884a8ad1d, 0xbe55329f18014974},
-	"Leaves/micro/complex64":     {0x7a61234e74aa94e8, 0x039984cfde027838},
-	"Leaves/micro/float32":       {0xb550669031e9cfb0, 0x1f8879f300597fe9},
-	"Leaves/micro/float64":       {0xf1800888937696b4, 0xb809cd872c25b655},
-	"Leaves/scal/complex128":     {0x5a25ef66329190ca, 0xa0d0e164785a4820},
-	"Leaves/scal/complex64":      {0x2689254b7beb0c6d, 0x2689254b7beb0c6d},
-	"Leaves/scal/float32":        {0xb2a3686a998443f9, 0xb2a3686a998443f9},
-	"Leaves/scal/float64":        {0x10e4bdb4f3d6645c, 0x10e4bdb4f3d6645c},
-	"Leaves/trsvOct/complex128":  {0xffcd85ecc006048a, 0x17b2748bc3dcce4d},
-	"Leaves/trsvOct/complex64":   {0x8e871acfd8b56896, 0x9f8ef73cc5319c7d},
-	"Leaves/trsvOct/float32":     {0x29d611fc65a48f21, 0x4025280794a9a660},
-	"Leaves/trsvOct/float64":     {0x549e209686bff88c, 0x1f1798b0a3087755},
+	"Leaves/axpy/complex128":     {Hash: [2]uint64{0xcff0c1130bd226eb, 0x2cc4f81ecabbba6a}},
+	"Leaves/axpy/complex64":      {Hash: [2]uint64{0xdbdc683be783eeb2, 0xd8a031f00e043199}},
+	"Leaves/axpy/float32":        {Hash: [2]uint64{0x5f9dfdfe32a8c32d, 0x25b8e5f14f3c7fc2}},
+	"Leaves/axpy/float64":        {Hash: [2]uint64{0xec7967fb9c24fbf9, 0x9c0b7b66b33889a9}},
+	"Leaves/dot/complex128":      {Hash: [2]uint64{0x0fa89ce046a8e344, 0xe47e3c71d3d347cf}},
+	"Leaves/dot/complex64":       {Hash: [2]uint64{0x63d6cfca1c72d960, 0x293fc5b7df1ed358}},
+	"Leaves/dot/float32":         {Hash: [2]uint64{0xb20082a5750e5995, 0xa8c6210b97461129}},
+	"Leaves/dot/float64":         {Hash: [2]uint64{0x8d352753ed36f295, 0x72fb4e0498345dd9}},
+	"Leaves/gemvSub8/complex128": {Hash: [2]uint64{0x91e92a721f7ada3a, 0x4a256d3b058d6602}},
+	"Leaves/gemvSub8/complex64":  {Hash: [2]uint64{0xfcd19e2126d641f7, 0x641193c2ad5a5cab}},
+	"Leaves/gemvSub8/float32":    {Hash: [2]uint64{0xb1155a323891d3ec, 0x2cbb7212f4a8e538}},
+	"Leaves/gemvSub8/float64":    {Hash: [2]uint64{0x62160be856076e31, 0xb31330df44117a55}},
+	"Leaves/iamax/complex128":    {Hash: [2]uint64{0xbb8ea24b80977ad5, 0xbb8ea24b80977ad5}},
+	"Leaves/iamax/complex64":     {Hash: [2]uint64{0xbb8ea24b80977ad5, 0xbb8ea24b80977ad5}},
+	"Leaves/iamax/float32":       {Hash: [2]uint64{0x90ec2bc9bc9b900e, 0x90ec2bc9bc9b900e}},
+	"Leaves/iamax/float64":       {Hash: [2]uint64{0xf228f0ef8e92dce5, 0xf228f0ef8e92dce5}},
+	"Leaves/micro/complex128":    {Hash: [2]uint64{0x528d801884a8ad1d, 0xbe55329f18014974}},
+	"Leaves/micro/complex64":     {Hash: [2]uint64{0x7a61234e74aa94e8, 0x039984cfde027838}},
+	"Leaves/micro/float32":       {Hash: [2]uint64{0xb550669031e9cfb0, 0x1f8879f300597fe9}},
+	"Leaves/micro/float64":       {Hash: [2]uint64{0xf1800888937696b4, 0xb809cd872c25b655}},
+	"Leaves/scal/complex128":     {Hash: [2]uint64{0x5a25ef66329190ca, 0xa0d0e164785a4820}},
+	"Leaves/scal/complex64":      {Hash: [2]uint64{0x2689254b7beb0c6d, 0x2689254b7beb0c6d}},
+	"Leaves/scal/float32":        {Hash: [2]uint64{0xb2a3686a998443f9, 0xb2a3686a998443f9}},
+	"Leaves/scal/float64":        {Hash: [2]uint64{0x10e4bdb4f3d6645c, 0x10e4bdb4f3d6645c}},
+	"Leaves/trsvOct/complex128":  {Hash: [2]uint64{0xffcd85ecc006048a, 0x17b2748bc3dcce4d}},
+	"Leaves/trsvOct/complex64":   {Hash: [2]uint64{0x8e871acfd8b56896, 0x9f8ef73cc5319c7d}},
+	"Leaves/trsvOct/float32":     {Hash: [2]uint64{0x29d611fc65a48f21, 0x4025280794a9a660}},
+	"Leaves/trsvOct/float64":     {Hash: [2]uint64{0x549e209686bff88c, 0x1f1798b0a3087755}},
 }
 
 var (
 	l12Sizes = []int{1, 3, 8, 17, 64}
 	l12Incs  = [][2]int{{1, 1}, {2, 3}}
-	l12Print = flag.Bool("l12print", false, "print the level12Golden table instead of checking it")
 )
 
 // cmat is the oracle's working form of every operand: dense, column-major,
@@ -425,38 +418,21 @@ func (s *l12[T]) bandOf(m, n, kl, ku int, a []T, lda int) (ab []T, ldab int) {
 type l12[T core.Scalar] struct {
 	t   *testing.T
 	rng *rand.Rand
-	h   map[string]hash.Hash64
+	h   map[string]*diff.Hash
 }
 
-func (s *l12[T]) hash(name string) hash.Hash64 {
-	if s.h[name] == nil {
-		s.h[name] = fnv.New64a()
+func (s *l12[T]) hash(name string) *diff.Hash {
+	key := fmt.Sprintf("%s/%T", name, *new(T))
+	if s.h[key] == nil {
+		s.h[key] = diff.NewHash()
 	}
-	return s.h[name]
+	return s.h[key]
 }
 
 // sum folds whole output arrays into the routine's fingerprint, sumF scalar
 // results.
-func (s *l12[T]) sum(name string, outs ...[]T) {
-	h := s.hash(name)
-	var buf [16]byte
-	for _, x := range outs {
-		for _, v := range x {
-			c := core.ToComplex(v)
-			binary.LittleEndian.PutUint64(buf[:8], math.Float64bits(real(c)))
-			binary.LittleEndian.PutUint64(buf[8:], math.Float64bits(imag(c)))
-			h.Write(buf[:])
-		}
-	}
-}
-
-func (s *l12[T]) sumF(name string, vals ...float64) {
-	var buf [8]byte
-	for _, v := range vals {
-		binary.LittleEndian.PutUint64(buf[:], math.Float64bits(v))
-		s.hash(name).Write(buf[:])
-	}
-}
+func (s *l12[T]) sum(name string, outs ...[]T)      { diff.Add(s.hash(name), outs...) }
+func (s *l12[T]) sumF(name string, vals ...float64) { s.hash(name).Float(vals...) }
 
 func (s *l12[T]) rnd(n int) []T { return randSlice[T](s.rng, n) }
 
@@ -1092,8 +1068,8 @@ func (s *l12[T]) leaves() {
 	}
 }
 
-func level12Fingerprints[T core.Scalar](t *testing.T, out map[string]uint64) {
-	s := &l12[T]{t: t, rng: rand.New(rand.NewSource(16)), h: map[string]hash.Hash64{}}
+func level12Fingerprints[T core.Scalar](t *testing.T, out map[string]*diff.Hash) {
+	s := &l12[T]{t: t, rng: rand.New(rand.NewSource(16)), h: out}
 	for _, n := range l12Sizes {
 		for _, inc := range l12Incs {
 			s.level1(n, inc[0], inc[1])
@@ -1116,50 +1092,13 @@ func level12Fingerprints[T core.Scalar](t *testing.T, out map[string]uint64) {
 		}
 	}
 	s.leaves()
-	var z T
-	for name, h := range s.h {
-		out[fmt.Sprintf("%s/%T", name, z)] = h.Sum64()
-	}
 }
 
 func TestLevel12Golden(t *testing.T) {
-	if runtime.GOARCH != "amd64" {
-		t.Skip("golden bits were recorded on amd64 (other targets fuse multiply-adds in the portable kernels)")
-	}
-	var got [2]map[string]uint64
-	for route := range got {
-		got[route] = map[string]uint64{}
-		faultinject.ForcePortable(route == 1)
-		level12Fingerprints[float32](t, got[route])
-		level12Fingerprints[float64](t, got[route])
-		level12Fingerprints[complex64](t, got[route])
-		level12Fingerprints[complex128](t, got[route])
-	}
-	faultinject.ForcePortable(false)
-	keys := make([]string, 0, len(got[0]))
-	for k := range got[0] {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	if *l12Print {
-		for _, k := range keys {
-			fmt.Printf("\t%q: {%#016x, %#016x},\n", k, got[0][k], got[1][k])
-		}
-		return
-	}
-	if len(keys) != len(level12Golden) {
-		t.Fatalf("%d fingerprints computed, table has %d", len(keys), len(level12Golden))
-	}
-	for _, k := range keys {
-		want := level12Golden[k]
-		if got[1][k] != want[1] {
-			t.Errorf("%s portable route: %#016x, want %#016x", k, got[1][k], want[1])
-		}
-		// The default route is the assembly one on AVX2 hardware and the
-		// portable one under LA90_NO_ASM=1 or without AVX2; either way it
-		// must land on its recorded bits.
-		if got[0][k] != want[0] && got[0][k] != want[1] {
-			t.Errorf("%s default route: %#016x, want %#016x (asm) or %#016x (portable)", k, got[0][k], want[0], want[1])
-		}
-	}
+	level12Golden.Check(t, func(t *testing.T, out map[string]*diff.Hash) {
+		level12Fingerprints[float32](t, out)
+		level12Fingerprints[float64](t, out)
+		level12Fingerprints[complex64](t, out)
+		level12Fingerprints[complex128](t, out)
+	}, diff.Selected, diff.Portable) // the AVX2 row: make test-avx2
 }

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/testutil/diff"
 )
 
 // Tests of the 1m pack kernels of the complex AVX-512 rows (kernels1m512,
@@ -49,7 +50,7 @@ func canaried[C core.Cmplx](rng *rand.Rand, n int) ([]C, func() bool) {
 	canary := append([]C(nil), buf[:pad]...)
 	canary = append(canary, buf[pad+n:]...)
 	return buf[pad : pad+n], func() bool {
-		return sameBits(buf[:pad], canary[:pad]) && sameBits(buf[pad+n:], canary[pad:])
+		return diff.Same(buf[:pad], canary[:pad]) && diff.Same(buf[pad+n:], canary[pad:])
 	}
 }
 

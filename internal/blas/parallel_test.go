@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/testutil/diff"
 )
 
 // Concurrency-safety and determinism tests for the threaded Level-3 engine.
@@ -91,8 +92,6 @@ func partitionCfg(threads int) *core.Config {
 
 const partitionMinVol = 40 * 40 * 40
 
-var partitionWorkers = []int{2, 3, 4, 7}
-
 // TestPartitionAgreement is the bit-identity claim of parallel.go for every
 // threaded Level-3 routine at once: whatever the worker count — and therefore
 // the tile grid, the slab cuts and which goroutine runs what — the result is
@@ -109,7 +108,7 @@ func TestPartitionAgreement(t *testing.T) {
 		t.Run("complex64", testPartitionAgreement[complex64])
 	}
 	all(t)
-	onAVX2Row(t, all)
+	diff.Run(t, diff.AVX2, all)
 }
 
 func testPartitionAgreement[T core.Scalar](t *testing.T) {
@@ -124,15 +123,11 @@ func testPartitionAgreement[T core.Scalar](t *testing.T) {
 	// agree runs op into a copy of c0 at every worker count.
 	agree := func(name string, c0 []T, op func(cfg *core.Config, c []T)) {
 		t.Helper()
-		want := append([]T(nil), c0...)
-		op(partitionCfg(1), want)
-		for _, w := range partitionWorkers {
-			got := append([]T(nil), c0...)
-			op(partitionCfg(w), got)
-			if !sameBits(got, want) {
-				t.Errorf("%s: %d workers differ bitwise from one", name, w)
-			}
-		}
+		diff.AcrossThreads(t, name, func(w int) []T {
+			c := clone(c0)
+			op(partitionCfg(w), c)
+			return c
+		})
 	}
 
 	for _, sh := range [][3]int{
@@ -240,7 +235,7 @@ func testPartitionAgreement[T core.Scalar](t *testing.T) {
 // stored part of C exactly once: with A and B all ones and k = 1 every stored
 // element must come out as exactly 1 and nothing else be written.
 func TestTileGridPlan(t *testing.T) {
-	eachRoute(t, func(t *testing.T) {
+	diff.Rows(t, func(t *testing.T) {
 		t.Run("float64", testTileGridPlan[float64])
 		t.Run("float32", testTileGridPlan[float32])
 		t.Run("complex128", testTileGridPlan[complex128])
@@ -261,7 +256,7 @@ func testTileGridPlan[T core.Scalar](t *testing.T) {
 		for i := range ones {
 			ones[i] = 1
 		}
-		for _, workers := range partitionWorkers {
+		for _, workers := range diff.Threads[1:] {
 			h, w := tileGrid(m, min(n, nc), mr, nr, mc, workers)
 			if h <= 0 || h%mr != 0 || h > mc || w <= 0 || w%nr != 0 {
 				t.Fatalf("%dx%d, %d workers: tile %dx%d is not a micro-panel multiple within mc = %d", m, n, workers, h, w, mc)

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/testutil/diff"
 )
 
 // cholStepRef is the definition CholStep is checked against: a dense,
@@ -54,14 +55,7 @@ func hpdMatrix[T core.Scalar](rng *rand.Rand, m int) []T {
 
 func randScalar[T core.Scalar](rng *rand.Rand) T {
 	re, im := 2*rng.Float64()-1, 2*rng.Float64()-1
-	var z T
-	switch any(z).(type) {
-	case complex64:
-		return any(complex(float32(re), float32(im))).(T)
-	case complex128:
-		return any(complex(re, im)).(T)
-	}
-	return core.FromFloat[T](re)
+	return core.FromComplex[T](complex(re, im))
 }
 
 // triangleOf copies the uplo triangle of the dense m×m matrix full into an
@@ -118,7 +112,7 @@ func testCholStep[T core.Scalar](t *testing.T) {
 }
 
 func TestCholStep(t *testing.T) {
-	eachRoute(t, func(t *testing.T) {
+	diff.Rows(t, func(t *testing.T) {
 		t.Run("f64", testCholStep[float64])
 		t.Run("f32", testCholStep[float32])
 		t.Run("c128", testCholStep[complex128])
@@ -153,7 +147,7 @@ func exactCholMatrix(rng *rand.Rand, m int) (a, l []float64) {
 // is left in its place, the columns before it are the factor's and every
 // other entry is as it was — on every route, bit for bit.
 func TestCholStepBadPivot(t *testing.T) {
-	eachRoute(t, func(t *testing.T) {
+	diff.Rows(t, func(t *testing.T) {
 		rng := rand.New(rand.NewSource(23))
 		const m, lda = 24, 25
 		for _, uplo := range []Uplo{Upper, Lower} {
@@ -188,7 +182,7 @@ func TestCholStepBadPivot(t *testing.T) {
 }
 
 func TestDot8(t *testing.T) {
-	eachRoute(t, func(t *testing.T) {
+	diff.Rows(t, func(t *testing.T) {
 		t.Run("f64", testDot8[float64])
 		t.Run("c128", testDot8[complex128])
 		t.Run("f32", testDot8[float32])

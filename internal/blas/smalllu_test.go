@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/testutil/diff"
 )
 
 // luStepRef is the definition LUStep is checked against: lapack.Getf2's loop
@@ -170,7 +171,7 @@ func testLUStep[T core.Scalar](t *testing.T) {
 }
 
 func TestLUStep(t *testing.T) {
-	eachRoute(t, func(t *testing.T) {
+	diff.Rows(t, func(t *testing.T) {
 		t.Run("f64", testLUStep[float64])
 		t.Run("f32", testLUStep[float32])
 		t.Run("c128", testLUStep[complex128])
@@ -183,7 +184,7 @@ func TestLUStep(t *testing.T) {
 // column, its row stays where it is, nothing is scaled — and the sweep goes
 // on, to the reference's pivots and factors, past a second one too.
 func TestLUStepZeroPivot(t *testing.T) {
-	eachRoute(t, func(t *testing.T) {
+	diff.Rows(t, func(t *testing.T) {
 		rng := rand.New(rand.NewSource(32))
 		for _, sh := range [][4]int{{0, 8, 24, 24}, {8, 8, 16, 32}, {0, 8, 8, 8}, {0, 5, 13, 13}, {0, 8, 19, 10}} {
 			nl, jb, m, n := sh[0], sh[1], sh[2], sh[3]
@@ -209,7 +210,7 @@ func TestLUStepZeroPivot(t *testing.T) {
 // subnormal has a reciprocal that overflows; the multipliers must come from
 // divisions, as in xGETF2, and be the numbers of modulus at most one they are.
 func TestLUStepSubnormalPivot(t *testing.T) {
-	eachRoute(t, func(t *testing.T) {
+	diff.Rows(t, func(t *testing.T) {
 		rng := rand.New(rand.NewSource(33))
 		for _, sh := range [][4]int{{0, 8, 24, 24}, {8, 8, 16, 32}, {0, 8, 8, 8}, {0, 6, 14, 14}} {
 			nl, jb, m, n := sh[0], sh[1], sh[2], sh[3]

@@ -201,38 +201,6 @@ func TestGecon(t *testing.T) {
 	}
 }
 
-func TestGerfs(t *testing.T) {
-	n, nrhs := 30, 2
-	rng := lapack.NewRng([4]int{3, 1, 4, 1})
-	a := testutil.RandGeneral[float64](rng, n, n, n)
-	xTrue := testutil.RandGeneral[float64](rng, n, nrhs, n)
-	b := make([]float64, n*nrhs)
-	blas.Gemm(tcfg(), blas.NoTrans, blas.NoTrans, n, nrhs, n, 1, a, n, xTrue, n, 0, b, n)
-	af := append([]float64(nil), a...)
-	ipiv := make([]int, n)
-	lapack.Getrf(tcfg(), n, n, af, n, ipiv)
-	x := append([]float64(nil), b...)
-	lapack.Getrs(tcfg(), lapack.NoTrans, n, nrhs, af, n, ipiv, x, n)
-	ferr := make([]float64, nrhs)
-	berr := make([]float64, nrhs)
-	lapack.Gerfs(tcfg(), lapack.NoTrans, n, nrhs, a, n, af, n, ipiv, b, n, x, n, ferr, berr)
-	for j := 0; j < nrhs; j++ {
-		if berr[j] > 10*core.Eps[float64]() {
-			t.Fatalf("backward error %v too large", berr[j])
-		}
-		// The true forward error must be below the bound.
-		errj := 0.0
-		nrm := 0.0
-		for i := 0; i < n; i++ {
-			errj = math.Max(errj, math.Abs(x[i+j*n]-xTrue[i+j*n]))
-			nrm = math.Max(nrm, math.Abs(xTrue[i+j*n]))
-		}
-		if errj/nrm > ferr[j]*10 {
-			t.Fatalf("true error %v exceeds bound %v", errj/nrm, ferr[j])
-		}
-	}
-}
-
 func TestGeequ(t *testing.T) {
 	n := 6
 	a := make([]float64, n*n)

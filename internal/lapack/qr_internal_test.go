@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/blas"
 	"repro/internal/core"
+	"repro/internal/testutil/diff"
 )
 
 // White-box tests of the Householder path: the recursive panel against its
@@ -17,18 +18,6 @@ func randT[T core.Scalar](seed, m, n int) []T {
 	a := make([]T, m*n)
 	Larnv(2, NewRng([4]int{seed, m, n, 1}), m*n, a)
 	return a
-}
-
-// bitsSame reports bit-for-bit equality of two slices of any scalar type.
-func bitsSame[T core.Scalar](a, b []T) bool {
-	for i := range a {
-		x, y := core.ToComplex(a[i]), core.ToComplex(b[i])
-		if math.Float64bits(real(x)) != math.Float64bits(real(y)) ||
-			math.Float64bits(imag(x)) != math.Float64bits(imag(y)) {
-			return false
-		}
-	}
-	return len(a) == len(b)
 }
 
 // qrRatios returns ‖QᴴQ − I‖₁/(m·ε) and ‖A − Q·R‖₁/(‖A‖₁·m·ε) for the
@@ -143,16 +132,16 @@ func testTHandOver[T core.Scalar](t *testing.T, m, n int) {
 		ormqrBlocked(cfg, Left, trans, m, nrhs, n, a, m, tau, built, m, build)
 		ormqrBlocked(cfg, Left, trans, m, nrhs, n, a, m, tau, handed, m, larftStack)
 		ormqrBlocked(cfg, Left, trans, m, nrhs, n, a, m, tau, own, m, ts)
-		if !bitsSame(built, handed) {
+		if !diff.Same(built, handed) {
 			t.Fatalf("%dx%d Left %v: handed-over T changes the bits", m, n, trans)
 		}
-		if d := maxDiff(own, built); d > 50*float64(n)*core.Eps[T]() {
+		if d := diff.MaxDiff(own, built); d > 50*float64(n)*core.Eps[T]() {
 			t.Fatalf("%dx%d Left %v: factorization's T off by %g", m, n, trans, d)
 		}
 		built, handed = append([]T(nil), r0...), append([]T(nil), r0...)
 		ormqrBlocked(cfg, Right, trans, nrhs, m, n, a, m, tau, built, nrhs, build)
 		ormqrBlocked(cfg, Right, trans, nrhs, m, n, a, m, tau, handed, nrhs, larftStack)
-		if !bitsSame(built, handed) {
+		if !diff.Same(built, handed) {
 			t.Fatalf("%dx%d Right %v: handed-over T changes the bits", m, n, trans)
 		}
 	}
@@ -160,20 +149,12 @@ func testTHandOver[T core.Scalar](t *testing.T, m, n int) {
 	orgqrBlocked(cfg, m, n, n, built, m, tau, build)
 	orgqrBlocked(cfg, m, n, n, handed, m, tau, larftStack)
 	orgqrBlocked(cfg, m, n, n, own, m, tau, ts)
-	if !bitsSame(built, handed) {
+	if !diff.Same(built, handed) {
 		t.Fatalf("%dx%d Orgqr: handed-over T changes the bits", m, n)
 	}
-	if d := maxDiff(own, built); d > 50*float64(n)*core.Eps[T]() {
+	if d := diff.MaxDiff(own, built); d > 50*float64(n)*core.Eps[T]() {
 		t.Fatalf("%dx%d Orgqr: factorization's T off by %g", m, n, d)
 	}
-}
-
-func maxDiff[T core.Scalar](a, b []T) float64 {
-	d := 0.0
-	for i := range a {
-		d = math.Max(d, core.Abs(a[i]-b[i]))
-	}
-	return d
 }
 
 func TestQRTHandOver(t *testing.T) {
@@ -233,7 +214,7 @@ func testGelsdTallVsDirect[T core.Scalar](t *testing.T, kind string, m, n, wantR
 		}
 		nt, nd := blas.Nrm2(n, xt[j*m:], 1), blas.Nrm2(n, xd[j*m:], 1)
 		if rt == n && kind == "random" {
-			if d := maxDiff(xt[j*m:j*m+n], xd[j*m:j*m+n]); d > 1e3*float64(n)*eps*nd {
+			if d := diff.MaxDiff(xt[j*m:j*m+n], xd[j*m:j*m+n]); d > 1e3*float64(n)*eps*nd {
 				t.Fatalf("%s: solutions differ by %g", kind, d)
 			}
 		}

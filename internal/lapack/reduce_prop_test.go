@@ -17,6 +17,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/lapack"
 	"repro/internal/testutil"
+	"repro/internal/testutil/diff"
 )
 
 type matKind int
@@ -336,31 +337,19 @@ func TestGehrdBlockedVsUnblocked(t *testing.T) {
 
 // TestSyevThreadedBitIdentical pins the determinism contract of the blocked
 // reduction: at a size where the Her2k trailing update crosses the parallel
-// engine's volume threshold, a 4-worker Syev must produce bit-identical
-// eigenvalues to the single-worker run, because every engine tile has a
-// worker-count-independent floating-point schedule. (Run under -race by
-// make ci, this also exercises the threaded rank-2k for data races.)
+// engine's volume threshold, Syev must produce bit-identical eigenvalues at
+// every worker count, because every engine tile has a worker-count-independent
+// floating-point schedule. (Run under -race by make ci, this also exercises
+// the threaded rank-2k for data races.)
 func TestSyevThreadedBitIdentical(t *testing.T) {
 	const n = 700 // n²·nb/2 comfortably above the engine's parallel threshold
-	rng := lapack.NewRng([4]int{n, 2, 3, 5})
-	lda := n
-	a := buildSym[float64](rng, n, lda, kindRandom)
-
-	run := func(threads int) []float64 {
+	a := buildSym[float64](lapack.NewRng([4]int{n, 2, 3, 5}), n, n, kindRandom)
+	diff.AcrossThreads(t, "Syev eigenvalues", func(threads int) []float64 {
 		defer blas.SetThreads(blas.SetThreads(threads))
-		ac := make([]float64, lda*n)
-		lapack.Lacpy('A', n, n, a, lda, ac, lda)
 		w := make([]float64, n)
-		if info := lapack.Syev(tcfg(), false, lapack.Lower, n, ac, lda, w); info != 0 {
-			t.Fatalf("Syev(tcfg(), threads=%d) info=%d", threads, info)
+		if info := lapack.Syev(tcfg(), false, lapack.Lower, n, append([]float64(nil), a...), n, w); info != 0 {
+			t.Fatalf("Syev threads=%d: info=%d", threads, info)
 		}
 		return w
-	}
-	w1 := run(1)
-	w4 := run(4)
-	for i := range w1 {
-		if w1[i] != w4[i] {
-			t.Fatalf("eig %d differs between 1 and 4 workers: %v vs %v", i, w1[i], w4[i])
-		}
-	}
+	})
 }

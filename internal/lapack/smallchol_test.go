@@ -7,40 +7,10 @@ import (
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/faultinject"
 	"repro/internal/lapack"
 	"repro/internal/testutil"
+	"repro/internal/testutil/diff"
 )
-
-// The three rows of the blas kernel table, in the order eachRoute visits
-// them. On a machine without AVX-512 the first two are the same row.
-var routeNames = [...]string{"table", "avx2", "portable"}
-
-// onRoute runs f with kernel-table row r forced.
-func onRoute(r int, f func()) {
-	was := faultinject.ForceAVX2(r == 1)
-	faultinject.ForcePortable(r == 2)
-	defer func() {
-		faultinject.ForcePortable(false)
-		faultinject.ForceAVX2(was)
-	}()
-	f()
-}
-
-// bitsEqual compares two slices bit for bit (NaN payloads included), so the
-// routes can be checked for exact identity even on poisoned inputs.
-func bitsEqual[T core.Scalar](a, b []T) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	eq64 := func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) }
-	for i := range a {
-		if !eq64(core.Re(a[i]), core.Re(b[i])) || !eq64(core.Im(a[i]), core.Im(b[i])) {
-			return false
-		}
-	}
-	return true
-}
 
 // testPotrfRoutes factors one matrix by the three routes Potrf has under and
 // around the small-matrix crossover — the default one (potrfSmall up to
@@ -60,49 +30,43 @@ func testPotrfRoutes[T core.Scalar](t *testing.T, uplo lapack.Uplo, n int) {
 		{"recursive/NB=8", func(af []T) int { return lapack.Potrf(nb8, uplo, n, af, lda) }},
 		{"Potf2", func(af []T) int { return lapack.Potf2(tcfg(), uplo, n, af, lda) }},
 	}
-	var out [len(routeNames)][][]T
-	for r := range routeNames {
-		onRoute(r, func() {
-			for _, f := range factors {
-				af := append([]T(nil), a...)
-				if info := f.run(af); info != 0 {
-					t.Fatalf("%s on %s: info = %d", f.name, routeNames[r], info)
-				}
-				if res := testutil.CholeskyResidual(uplo, n, a, lda, af, lda); res > thresh {
-					t.Fatalf("%s on %s: residual ratio %v > %v", f.name, routeNames[r], res, thresh)
-				}
-				out[r] = append(out[r], af)
+	var out [3][][]T
+	diff.OnRows(t, func(r diff.Row) {
+		for _, f := range factors {
+			af := append([]T(nil), a...)
+			if info := f.run(af); info != 0 {
+				t.Fatalf("%s on %s: info = %d", f.name, r, info)
 			}
-		})
+			if res := testutil.CholeskyResidual(uplo, n, a, lda, af, lda); res > thresh {
+				t.Fatalf("%s on %s: residual ratio %v > %v", f.name, r, res, thresh)
+			}
+			out[r] = append(out[r], af)
+		}
 		for i, f := range factors[1:] {
 			if d := testutil.MaxDiff(out[r][0], out[r][i+1]); d > 1e3*core.Eps[T]()*float64(n) {
-				t.Fatalf("default vs %s on %s differ by %v", f.name, routeNames[r], d)
+				t.Fatalf("default vs %s on %s differ by %v", f.name, r, d)
 			}
 		}
-	}
+		// The float64 step kernel and the axpy-form ragged step run both
+		// triangles through the same arithmetic in the same order, so under
+		// the crossover a float64 U is Lᵀ to the bit.
+		if _, f64 := any(a).([]float64); f64 && uplo == lapack.Upper && n <= 64 {
+			al := append([]T(nil), a...)
+			lapack.Potrf(tcfg(), lapack.Lower, n, al, lda)
+			for j := 0; j < n; j++ {
+				for i := 0; i <= j; i++ {
+					if u, l := out[r][0][i+j*lda], al[j+i*lda]; u != l {
+						t.Fatalf("%s: U(%d,%d) = %v but L(%d,%d) = %v", r, i, j, u, j, i, l)
+					}
+				}
+			}
+		}
+	})
 	// The two asm rows share every leaf under the small path and differ only
 	// in the micro-tile of the packed engine, whose tiles agree bit for bit.
 	for i, f := range factors {
-		if !bitsEqual(out[0][i], out[1][i]) {
+		if out[diff.AVX2] != nil && !diff.Same(out[diff.Selected][i], out[diff.AVX2][i]) {
 			t.Fatalf("%s: the AVX2 row differs bitwise from the selected row", f.name)
-		}
-	}
-	// The float64 step kernel and the axpy-form ragged step run both
-	// triangles through the same arithmetic in the same order, so under the
-	// crossover a float64 U is Lᵀ to the bit.
-	if _, f64 := any(a).([]float64); f64 && uplo == lapack.Upper && n <= 64 {
-		for r := range routeNames {
-			onRoute(r, func() {
-				al := append([]T(nil), a...)
-				lapack.Potrf(tcfg(), lapack.Lower, n, al, lda)
-				for j := 0; j < n; j++ {
-					for i := 0; i <= j; i++ {
-						if u, l := out[r][0][i+j*lda], al[j+i*lda]; u != l {
-							t.Fatalf("%s: U(%d,%d) = %v but L(%d,%d) = %v", routeNames[r], i, j, u, j, i, l)
-						}
-					}
-				}
-			})
 		}
 	}
 }
@@ -131,27 +95,25 @@ func testPotrsRoutes[T core.Scalar](t *testing.T, uplo lapack.Uplo, n, nrhs int)
 	a := testutil.RandSPD[T](rng, n, lda)
 	b := testutil.RandGeneral[T](rng, n, nrhs, ldb)
 	noSmall := tcfg().With(func(c *core.Config) { c.GemmSmallDim = 0 })
-	var out [len(routeNames)][]T
-	for r := range routeNames {
-		onRoute(r, func() {
-			af := append([]T(nil), a...)
-			if info := lapack.Potrf(tcfg(), uplo, n, af, lda); info != 0 {
-				t.Fatalf("info = %d", info)
-			}
-			x, xt := append([]T(nil), b...), append([]T(nil), b...)
-			lapack.Potrs(tcfg(), uplo, n, nrhs, af, lda, x, ldb)
-			lapack.Potrs(noSmall, uplo, n, nrhs, af, lda, xt, ldb)
-			full := symFull(uplo, n, a, lda)
-			if res := testutil.SolveResidual(n, nrhs, full, n, x, ldb, b, ldb); res > thresh {
-				t.Fatalf("%s: residual ratio %v > %v", routeNames[r], res, thresh)
-			}
-			if d := testutil.MaxDiff(x, xt); d > 1e3*core.Eps[T]()*float64(n) {
-				t.Fatalf("%s: small solve and Trsm pair differ by %v", routeNames[r], d)
-			}
-			out[r] = x
-		})
-	}
-	if !bitsEqual(out[0], out[1]) {
+	var out [3][]T
+	diff.OnRows(t, func(r diff.Row) {
+		af := append([]T(nil), a...)
+		if info := lapack.Potrf(tcfg(), uplo, n, af, lda); info != 0 {
+			t.Fatalf("info = %d", info)
+		}
+		x, xt := append([]T(nil), b...), append([]T(nil), b...)
+		lapack.Potrs(tcfg(), uplo, n, nrhs, af, lda, x, ldb)
+		lapack.Potrs(noSmall, uplo, n, nrhs, af, lda, xt, ldb)
+		full := symFull(uplo, n, a, lda)
+		if res := testutil.SolveResidual(n, nrhs, full, n, x, ldb, b, ldb); res > thresh {
+			t.Fatalf("%s: residual ratio %v > %v", r, res, thresh)
+		}
+		if d := testutil.MaxDiff(x, xt); d > 1e3*core.Eps[T]()*float64(n) {
+			t.Fatalf("%s: small solve and Trsm pair differ by %v", r, d)
+		}
+		out[r] = x
+	})
+	if out[diff.AVX2] != nil && !diff.Same(out[diff.Selected], out[diff.AVX2]) {
 		t.Fatal("the AVX2 row differs bitwise from the selected row")
 	}
 }
@@ -551,14 +513,12 @@ func TestPlacementSweep(t *testing.T) {
 					if d.expect != nil && !d.expect(p, want) {
 						t.Fatalf("%s n=%d %v %+v: oracle reports info=%d pivot=%v", d.name, n, uplo, p, want.info, want.pivot)
 					}
-					for r := range routeNames {
-						onRoute(r, func() {
-							if got := d.run(t, false, uplo, n, p); !d.agree(p, got, want) {
-								t.Fatalf("%s n=%d %v %+v on %s: info=%d pivot=%v ipiv=%v X=%s, oracle info=%d pivot=%v ipiv=%v X=%s",
-									d.name, n, uplo, p, routeNames[r], got.info, got.pivot, got.ipiv, got.class, want.info, want.pivot, want.ipiv, want.class)
-							}
-						})
-					}
+					diff.OnRows(t, func(r diff.Row) {
+						if got := d.run(t, false, uplo, n, p); !d.agree(p, got, want) {
+							t.Fatalf("%s n=%d %v %+v on %s: info=%d pivot=%v ipiv=%v X=%s, oracle info=%d pivot=%v ipiv=%v X=%s",
+								d.name, n, uplo, p, r, got.info, got.pivot, got.ipiv, got.class, want.info, want.pivot, want.ipiv, want.class)
+						}
+					})
 				}
 			}
 		}
@@ -588,7 +548,7 @@ func TestCholeskyUnreferencedTriangle(t *testing.T) {
 				t.Fatalf("info = %d", info)
 			}
 			lapack.Posv(tcfg(), uplo, n, 2, tri, lda, bt, n)
-			if !bitsEqual(bf, bt) {
+			if !diff.Same(bf, bt) {
 				t.Fatalf("n=%d %v: the unreferenced triangle changed the solution", n, uplo)
 			}
 			for j := 0; j < n; j++ {

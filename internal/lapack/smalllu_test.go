@@ -8,6 +8,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/lapack"
 	"repro/internal/testutil"
+	"repro/internal/testutil/diff"
 )
 
 // testGetrfRoutes factors one m×n matrix by the three routes there are under
@@ -29,39 +30,37 @@ func testGetrfRoutes[T core.Scalar](t *testing.T, m, n int) {
 		{"Getrf2", func(af []T, ipiv []int) int { return lapack.Getrf2(tcfg(), m, n, af, lda, ipiv) }},
 		{"Getf2", func(af []T, ipiv []int) int { return lapack.Getf2(m, n, af, lda, ipiv) }},
 	}
-	var out [len(routeNames)][][]T
+	var out [3][][]T
 	var pivots []int
-	for r := range routeNames {
-		onRoute(r, func() {
-			for _, f := range factors {
-				af, ipiv := append([]T(nil), a...), make([]int, mn)
-				if info := f.run(af, ipiv); info != 0 {
-					t.Fatalf("%s on %s: info = %d", f.name, routeNames[r], info)
-				}
-				if res := testutil.LUResidual(m, n, a, lda, af, lda, ipiv); res > thresh {
-					t.Fatalf("%s on %s: residual ratio %v > %v", f.name, routeNames[r], res, thresh)
-				}
-				if pivots == nil {
-					pivots = ipiv
-				}
-				for i := range ipiv {
-					if ipiv[i] != pivots[i] {
-						t.Fatalf("%s on %s: ipiv = %v, elsewhere %v", f.name, routeNames[r], ipiv, pivots)
-					}
-				}
-				out[r] = append(out[r], af)
+	diff.OnRows(t, func(r diff.Row) {
+		for _, f := range factors {
+			af, ipiv := append([]T(nil), a...), make([]int, mn)
+			if info := f.run(af, ipiv); info != 0 {
+				t.Fatalf("%s on %s: info = %d", f.name, r, info)
 			}
-		})
+			if res := testutil.LUResidual(m, n, a, lda, af, lda, ipiv); res > thresh {
+				t.Fatalf("%s on %s: residual ratio %v > %v", f.name, r, res, thresh)
+			}
+			if pivots == nil {
+				pivots = ipiv
+			}
+			for i := range ipiv {
+				if ipiv[i] != pivots[i] {
+					t.Fatalf("%s on %s: ipiv = %v, elsewhere %v", f.name, r, ipiv, pivots)
+				}
+			}
+			out[r] = append(out[r], af)
+		}
 		oracle := out[r][len(factors)-1]
 		luMax := lapack.Lange(lapack.MaxAbs, m, n, oracle, lda)
 		for i, f := range factors[:len(factors)-1] {
 			if d := testutil.MaxDiff(out[r][i], oracle); d > 4*float64(max(m, n))*core.Eps[T]()*luMax {
-				t.Fatalf("%s vs Getf2 on %s differ by %v (max |LU| = %v)", f.name, routeNames[r], d, luMax)
+				t.Fatalf("%s vs Getf2 on %s differ by %v (max |LU| = %v)", f.name, r, d, luMax)
 			}
 		}
-	}
+	})
 	for i, f := range factors {
-		if !bitsEqual(out[0][i], out[1][i]) {
+		if out[diff.AVX2] != nil && !diff.Same(out[diff.Selected][i], out[diff.AVX2][i]) {
 			t.Fatalf("%s: the AVX2 row differs bitwise from the selected row", f.name)
 		}
 	}
@@ -92,42 +91,40 @@ func testGetrsRoutes[T core.Scalar](t *testing.T, n, nrhs int) {
 	a := testutil.RandGeneral[T](rng, n, n, lda)
 	b := testutil.RandGeneral[T](rng, n, nrhs, ldb)
 	noSmall := tcfg().With(func(c *core.Config) { c.GemmSmallDim = 0 })
-	var out [len(routeNames)][]T
-	for r := range routeNames {
-		onRoute(r, func() {
-			af, ipiv := append([]T(nil), a...), make([]int, n)
-			if info := lapack.Getrf(tcfg(), n, n, af, lda, ipiv); info != 0 {
-				t.Fatalf("info = %d", info)
-			}
-			x, xt := append([]T(nil), b...), append([]T(nil), b...)
-			lapack.Getrs(tcfg(), lapack.NoTrans, n, nrhs, af, lda, ipiv, x, ldb)
-			lapack.Getrs(noSmall, lapack.NoTrans, n, nrhs, af, lda, ipiv, xt, ldb)
-			if res := testutil.SolveResidual(n, nrhs, a, lda, x, ldb, b, ldb); res > thresh {
-				t.Fatalf("%s: residual ratio %v > %v", routeNames[r], res, thresh)
-			}
-			if d := testutil.MaxDiff(x, xt); d > 1e3*core.Eps[T]()*float64(n)*lapack.Lange(lapack.MaxAbs, n, nrhs, xt, ldb) {
-				t.Fatalf("%s: small solve and Trsm pair differ by %v", routeNames[r], d)
-			}
-			out[r] = x
-			for _, trans := range []lapack.Trans{lapack.TransT, lapack.ConjTrans} {
-				at := make([]T, lda*n)
-				for j := 0; j < n; j++ {
-					for i := 0; i < n; i++ {
-						at[i+j*lda] = a[j+i*lda]
-						if trans == lapack.ConjTrans {
-							at[i+j*lda] = core.Conj(at[i+j*lda])
-						}
+	var out [3][]T
+	diff.OnRows(t, func(r diff.Row) {
+		af, ipiv := append([]T(nil), a...), make([]int, n)
+		if info := lapack.Getrf(tcfg(), n, n, af, lda, ipiv); info != 0 {
+			t.Fatalf("info = %d", info)
+		}
+		x, xt := append([]T(nil), b...), append([]T(nil), b...)
+		lapack.Getrs(tcfg(), lapack.NoTrans, n, nrhs, af, lda, ipiv, x, ldb)
+		lapack.Getrs(noSmall, lapack.NoTrans, n, nrhs, af, lda, ipiv, xt, ldb)
+		if res := testutil.SolveResidual(n, nrhs, a, lda, x, ldb, b, ldb); res > thresh {
+			t.Fatalf("%s: residual ratio %v > %v", r, res, thresh)
+		}
+		if d := testutil.MaxDiff(x, xt); d > 1e3*core.Eps[T]()*float64(n)*lapack.Lange(lapack.MaxAbs, n, nrhs, xt, ldb) {
+			t.Fatalf("%s: small solve and Trsm pair differ by %v", r, d)
+		}
+		out[r] = x
+		for _, trans := range []lapack.Trans{lapack.TransT, lapack.ConjTrans} {
+			at := make([]T, lda*n)
+			for j := 0; j < n; j++ {
+				for i := 0; i < n; i++ {
+					at[i+j*lda] = a[j+i*lda]
+					if trans == lapack.ConjTrans {
+						at[i+j*lda] = core.Conj(at[i+j*lda])
 					}
 				}
-				x := append([]T(nil), b...)
-				lapack.Getrs(tcfg(), trans, n, nrhs, af, lda, ipiv, x, ldb)
-				if res := testutil.SolveResidual(n, nrhs, at, lda, x, ldb, b, ldb); res > thresh {
-					t.Fatalf("%s %v: residual ratio %v > %v", routeNames[r], trans, res, thresh)
-				}
 			}
-		})
-	}
-	if !bitsEqual(out[0], out[1]) {
+			x := append([]T(nil), b...)
+			lapack.Getrs(tcfg(), trans, n, nrhs, af, lda, ipiv, x, ldb)
+			if res := testutil.SolveResidual(n, nrhs, at, lda, x, ldb, b, ldb); res > thresh {
+				t.Fatalf("%s %v: residual ratio %v > %v", r, trans, res, thresh)
+			}
+		}
+	})
+	if out[diff.AVX2] != nil && !diff.Same(out[diff.Selected], out[diff.AVX2]) {
 		t.Fatal("the AVX2 row differs bitwise from the selected row")
 	}
 }
@@ -161,20 +158,18 @@ func testGetrsTinyDiagonal[T core.Scalar](t *testing.T, n, nrhs int) {
 		}
 	}
 	noSmall := tcfg().With(func(c *core.Config) { c.GemmSmallDim = 0 })
-	for r := range routeNames {
-		onRoute(r, func() {
-			x, xt := append([]T(nil), b...), append([]T(nil), b...)
-			lapack.Getrs(tcfg(), lapack.NoTrans, n, nrhs, af, lda, ipiv, x, ldb)
-			lapack.Getrs(noSmall, lapack.NoTrans, n, nrhs, af, lda, ipiv, xt, ldb)
-			if big := lapack.Lange(lapack.MaxAbs, n, nrhs, xt, ldb); !(big >= 1 && big <= 8) {
-				t.Fatalf("%s: the Trsm pair returns max |x| = %v", routeNames[r], big)
-			}
-			if !bitsEqual(x, xt) {
-				t.Fatalf("%s: small solve and Trsm pair differ by %v (max |x| = %v)", routeNames[r],
-					testutil.MaxDiff(x, xt), lapack.Lange(lapack.MaxAbs, n, nrhs, x, ldb))
-			}
-		})
-	}
+	diff.OnRows(t, func(r diff.Row) {
+		x, xt := append([]T(nil), b...), append([]T(nil), b...)
+		lapack.Getrs(tcfg(), lapack.NoTrans, n, nrhs, af, lda, ipiv, x, ldb)
+		lapack.Getrs(noSmall, lapack.NoTrans, n, nrhs, af, lda, ipiv, xt, ldb)
+		if big := lapack.Lange(lapack.MaxAbs, n, nrhs, xt, ldb); !(big >= 1 && big <= 8) {
+			t.Fatalf("%s: the Trsm pair returns max |x| = %v", r, big)
+		}
+		if !diff.Same(x, xt) {
+			t.Fatalf("%s: small solve and Trsm pair differ by %v (max |x| = %v)", r,
+				testutil.MaxDiff(x, xt), lapack.Lange(lapack.MaxAbs, n, nrhs, x, ldb))
+		}
+	})
 }
 
 func TestGetrsRoutesAgree(t *testing.T) {
@@ -204,46 +199,44 @@ func TestGetrsRoutesAgree(t *testing.T) {
 // it is still taken, so an Inf or NaN in one factor opposite a zero in the
 // other reaches what the arithmetic says it reaches — 0·Inf = NaN.
 func TestSmallLUKeepsNonFinite(t *testing.T) {
-	for r := range routeNames {
-		onRoute(r, func() {
-			for _, n := range []int{3, 8, 13, 24} {
-				// A = L·U with L = I + Inf·e₂e₀ᵀ: b = e₁ leaves the unknown that
-				// multiplies the Inf at zero in the forward sweep.
-				lda := n + 1
-				a := make([]float64, lda*n)
-				for j := 0; j < n; j++ {
-					a[j+j*lda] = float64(n - j) // decreasing: no interchanges
-				}
-				af, ipiv := append([]float64(nil), a...), make([]int, n)
-				if info := lapack.Getrf(tcfg(), n, n, af, lda, ipiv); info != 0 {
-					t.Fatalf("info = %d", info)
-				}
-				af[2] = math.Inf(1) // L(2,0)
-				b := make([]float64, n)
-				b[1] = 1
-				lapack.Getrs(tcfg(), lapack.NoTrans, n, 1, af, lda, ipiv, b, n)
-				if b[2] == b[2] {
-					t.Fatalf("%s n=%d: Inf in L opposite a zero unknown was dropped: x = %v", routeNames[r], n, b)
-				}
-				// U(0,2) = Inf opposite the zero unknown x₂ of b = e₁.
-				af[2], af[2*lda] = 0, math.Inf(1)
-				b = make([]float64, n)
-				b[1] = 1
-				lapack.Getrs(tcfg(), lapack.NoTrans, n, 1, af, lda, ipiv, b, n)
-				if b[0] == b[0] {
-					t.Fatalf("%s n=%d: Inf in U opposite a zero unknown was dropped: x = %v", routeNames[r], n, b)
-				}
-				// In the factorization: row 0 of U is zero past the diagonal,
-				// the multiplier under the pivot is NaN.
-				a[1] = math.NaN()
-				af = append([]float64(nil), a...)
-				lapack.Getrf(tcfg(), n, n, af, lda, ipiv)
-				for j := 1; j < n; j++ {
-					if v := af[1+j*lda]; v == v {
-						t.Fatalf("%s n=%d: NaN multiplier opposite a zero of U was dropped at (1,%d): %v", routeNames[r], n, j, v)
-					}
+	diff.OnRows(t, func(r diff.Row) {
+		for _, n := range []int{3, 8, 13, 24} {
+			// A = L·U with L = I + Inf·e₂e₀ᵀ: b = e₁ leaves the unknown that
+			// multiplies the Inf at zero in the forward sweep.
+			lda := n + 1
+			a := make([]float64, lda*n)
+			for j := 0; j < n; j++ {
+				a[j+j*lda] = float64(n - j) // decreasing: no interchanges
+			}
+			af, ipiv := append([]float64(nil), a...), make([]int, n)
+			if info := lapack.Getrf(tcfg(), n, n, af, lda, ipiv); info != 0 {
+				t.Fatalf("info = %d", info)
+			}
+			af[2] = math.Inf(1) // L(2,0)
+			b := make([]float64, n)
+			b[1] = 1
+			lapack.Getrs(tcfg(), lapack.NoTrans, n, 1, af, lda, ipiv, b, n)
+			if b[2] == b[2] {
+				t.Fatalf("%s n=%d: Inf in L opposite a zero unknown was dropped: x = %v", r, n, b)
+			}
+			// U(0,2) = Inf opposite the zero unknown x₂ of b = e₁.
+			af[2], af[2*lda] = 0, math.Inf(1)
+			b = make([]float64, n)
+			b[1] = 1
+			lapack.Getrs(tcfg(), lapack.NoTrans, n, 1, af, lda, ipiv, b, n)
+			if b[0] == b[0] {
+				t.Fatalf("%s n=%d: Inf in U opposite a zero unknown was dropped: x = %v", r, n, b)
+			}
+			// In the factorization: row 0 of U is zero past the diagonal,
+			// the multiplier under the pivot is NaN.
+			a[1] = math.NaN()
+			af = append([]float64(nil), a...)
+			lapack.Getrf(tcfg(), n, n, af, lda, ipiv)
+			for j := 1; j < n; j++ {
+				if v := af[1+j*lda]; v == v {
+					t.Fatalf("%s n=%d: NaN multiplier opposite a zero of U was dropped at (1,%d): %v", r, n, j, v)
 				}
 			}
-		})
-	}
+		}
+	})
 }

@@ -1,26 +1,18 @@
 package lapack_test
 
 import (
-	"encoding/binary"
-	"flag"
 	"fmt"
-	"hash"
-	"hash/fnv"
 	"math"
-	"runtime"
 	"slices"
-	"sort"
 	"testing"
 
 	"repro/internal/blas"
 	"repro/internal/core"
-	"repro/internal/faultinject"
 	"repro/internal/lapack"
 	"repro/internal/matgen"
 	"repro/internal/testutil"
+	"repro/internal/testutil/diff"
 )
-
-var routePrint = flag.Bool("routeprint", false, "print the TestSyevRoutes fingerprints instead of checking them")
 
 // symEigName is one name of the xSYEV/xSYEVD family at this layer, run with
 // vectors on the Hermitian matrix a (both triangles stored, leading dimension
@@ -179,23 +171,6 @@ func routeCases[T core.Scalar](n, k int) []routeCase[T] {
 	return cs
 }
 
-// hashOut folds eigenvalues and eigenvectors into h.
-func hashOut[T core.Scalar](h hash.Hash64, w []float64, z []T) {
-	var b [8]byte
-	put := func(v float64) {
-		binary.LittleEndian.PutUint64(b[:], math.Float64bits(v))
-		h.Write(b[:])
-	}
-	for _, v := range w {
-		put(v)
-	}
-	for _, v := range z {
-		c := core.ToComplex(v)
-		put(real(c))
-		put(imag(c))
-	}
-}
-
 // syevRouteGolden fingerprints, per element type and order, SYEV's and
 // STEV's outputs on every case of routeCases (FNV-64a; columns: assembly
 // route, portable route). They were generated at the commit before the fold
@@ -203,28 +178,28 @@ func hashOut[T core.Scalar](h hash.Hash64, w []float64, z []T) {
 // SYEVD and STEVD above it. The asm column of float32 and complex64 up to the
 // crossover was regenerated when the float32 asm rows got their rotation
 // kernel (srotSeqFma); every other entry is the earlier commit's bits.
-// Regenerate with `go test ./internal/lapack -run SyevRoutes -routeprint -v`.
-var syevRouteGolden = map[string][2]uint64{
-	"complex128/n=111": {0x864a9c730a4ed475, 0xc88614274fe084bd},
-	"complex128/n=112": {0x2698e3716df71644, 0x44d41c38ad4c266c},
-	"complex128/n=113": {0xd42305de587ea291, 0xd7aa6b4b18c9b112},
-	"complex128/n=224": {0x1b4a0032566d134d, 0x413f280de6bb2a56},
-	"complex128/n=384": {0x3edce468e63aa842, 0xd47f54af75e6e084},
-	"complex64/n=111":  {0xcf56b09c78706fdd, 0x2d734648c82dac1d},
-	"complex64/n=112":  {0xa25353d3d341ab69, 0x026656fb8631485b},
-	"complex64/n=113":  {0xb87a6e37eee0ab6a, 0x9ecd0e45ea19a172},
-	"complex64/n=224":  {0xeb81f5d4a8c66173, 0x8fd224d9b3b98272},
-	"complex64/n=384":  {0xe692b95d4eec4f3b, 0x4cd85d618d9ed26f},
-	"float32/n=111":    {0x65d523e777909f26, 0xdaad89dc0d70a188},
-	"float32/n=112":    {0xf0770466493e7f21, 0x099b93c2cc758fcc},
-	"float32/n=113":    {0x643866a8f3295b8d, 0x51e6e2a3332b686f},
-	"float32/n=224":    {0x2eeba4cf1de3cc5d, 0x6ce4d15ff3d1cb33},
-	"float32/n=384":    {0x351126e40028259f, 0x8855782d2e5cce09},
-	"float64/n=111":    {0xfc322fe9445fe88f, 0x61243c279714e8d4},
-	"float64/n=112":    {0xe763124fe6f1a2d3, 0x41edb1fcf7a13bcb},
-	"float64/n=113":    {0x7cca1f97eb516bbd, 0x6e8ed6d3eafce069},
-	"float64/n=224":    {0x55ff471cf44be029, 0x7e14654f182052b3},
-	"float64/n=384":    {0xd99ef2b5fef5b569, 0x19359254694bddd7},
+// Regenerate with `go test ./internal/lapack -run SyevRoutes -args -golden`.
+var syevRouteGolden = diff.Table{
+	"complex128/n=111": {Hash: [2]uint64{0x864a9c730a4ed475, 0xc88614274fe084bd}},
+	"complex128/n=112": {Hash: [2]uint64{0x2698e3716df71644, 0x44d41c38ad4c266c}},
+	"complex128/n=113": {Hash: [2]uint64{0xd42305de587ea291, 0xd7aa6b4b18c9b112}},
+	"complex128/n=224": {Hash: [2]uint64{0x1b4a0032566d134d, 0x413f280de6bb2a56}},
+	"complex128/n=384": {Hash: [2]uint64{0x3edce468e63aa842, 0xd47f54af75e6e084}},
+	"complex64/n=111":  {Hash: [2]uint64{0xcf56b09c78706fdd, 0x2d734648c82dac1d}},
+	"complex64/n=112":  {Hash: [2]uint64{0xa25353d3d341ab69, 0x026656fb8631485b}},
+	"complex64/n=113":  {Hash: [2]uint64{0xb87a6e37eee0ab6a, 0x9ecd0e45ea19a172}},
+	"complex64/n=224":  {Hash: [2]uint64{0xeb81f5d4a8c66173, 0x8fd224d9b3b98272}},
+	"complex64/n=384":  {Hash: [2]uint64{0xe692b95d4eec4f3b, 0x4cd85d618d9ed26f}},
+	"float32/n=111":    {Hash: [2]uint64{0x65d523e777909f26, 0xdaad89dc0d70a188}},
+	"float32/n=112":    {Hash: [2]uint64{0xf0770466493e7f21, 0x099b93c2cc758fcc}},
+	"float32/n=113":    {Hash: [2]uint64{0x643866a8f3295b8d, 0x51e6e2a3332b686f}},
+	"float32/n=224":    {Hash: [2]uint64{0x2eeba4cf1de3cc5d, 0x6ce4d15ff3d1cb33}},
+	"float32/n=384":    {Hash: [2]uint64{0x351126e40028259f, 0x8855782d2e5cce09}},
+	"float64/n=111":    {Hash: [2]uint64{0xfc322fe9445fe88f, 0x61243c279714e8d4}},
+	"float64/n=112":    {Hash: [2]uint64{0xe763124fe6f1a2d3, 0x41edb1fcf7a13bcb}},
+	"float64/n=113":    {Hash: [2]uint64{0x7cca1f97eb516bbd, 0x6e8ed6d3eafce069}},
+	"float64/n=224":    {Hash: [2]uint64{0x55ff471cf44be029, 0x7e14654f182052b3}},
+	"float64/n=384":    {Hash: [2]uint64{0xd99ef2b5fef5b569, 0x19359254694bddd7}},
 }
 
 // TestSyevRoutes: every name of the xSYEV/xSYEVD family runs one body per
@@ -239,50 +214,24 @@ var syevRouteGolden = map[string][2]uint64{
 //     residual and orthogonality bounds SYEV meets hold for every name;
 //   - the other route's eigenvalues agree to n·ε·‖A‖₁, and STEV on Sytrd's
 //     (d, e) meets the residual and orthogonality bounds too;
-//   - syevRouteGolden pins SYEV's and STEV's bits.
+//   - syevRouteGolden pins SYEV's and STEV's bits, on the selected row (-golden
+//     runs the portable row too, to print its column).
 func TestSyevRoutes(t *testing.T) {
 	x := lapack.SyevCrossover
-	fingerprints := func() map[string]uint64 {
-		got := map[string]uint64{}
+	syevRouteGolden.Check(t, func(t *testing.T, out map[string]*diff.Hash) {
 		for k, n := range []int{x - 1, x, x + 1, 2 * x, 384} {
-			got[fmt.Sprintf("float64/n=%d", n)] = testSyevRoutes[float64](t, n, 2*k)
-			got[fmt.Sprintf("float32/n=%d", n)] = testSyevRoutes[float32](t, n, 2*k)
-			got[fmt.Sprintf("complex128/n=%d", n)] = testSyevRoutes[complex128](t, n, 2*k)
-			got[fmt.Sprintf("complex64/n=%d", n)] = testSyevRoutes[complex64](t, n, 2*k)
+			out[fmt.Sprintf("float64/n=%d", n)] = testSyevRoutes[float64](t, n, 2*k)
+			out[fmt.Sprintf("float32/n=%d", n)] = testSyevRoutes[float32](t, n, 2*k)
+			out[fmt.Sprintf("complex128/n=%d", n)] = testSyevRoutes[complex128](t, n, 2*k)
+			out[fmt.Sprintf("complex64/n=%d", n)] = testSyevRoutes[complex64](t, n, 2*k)
 		}
-		return got
-	}
-	got := fingerprints()
-	keys := make([]string, 0, len(got))
-	for k := range got {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	if *routePrint {
-		faultinject.ForcePortable(true)
-		port := fingerprints()
-		faultinject.ForcePortable(false)
-		for _, k := range keys {
-			fmt.Printf("\t%q: {%#016x, %#016x},\n", k, got[k], port[k])
-		}
-		return
-	}
-	if runtime.GOARCH != "amd64" {
-		t.Skip("golden bits were recorded on amd64 (other targets fuse multiply-adds in the portable kernels)")
-	}
-	for _, k := range keys {
-		// The default route is the assembly one on AVX2 hardware and the
-		// portable one under LA90_NO_ASM=1 or without AVX2.
-		if want := syevRouteGolden[k]; got[k] != want[0] && got[k] != want[1] {
-			t.Errorf("%s: %#016x, want %#016x (asm) or %#016x (portable)", k, got[k], want[0], want[1])
-		}
-	}
+	}, diff.Selected)
 }
 
-func testSyevRoutes[T core.Scalar](t *testing.T, n, k int) uint64 {
+func testSyevRoutes[T core.Scalar](t *testing.T, n, k int) *diff.Hash {
 	t.Helper()
 	cfg := tcfg()
-	h := fnv.New64a()
+	h := diff.NewHash()
 	route := 0
 	if n > lapack.SyevCrossover {
 		route = 1
@@ -331,12 +280,13 @@ func testSyevRoutes[T core.Scalar](t *testing.T, n, k int) uint64 {
 			}
 			if nm.tridiag {
 				checkEig(t, c.name+" "+nm.name, n, a, wn, zn)
-				hashOut(h, wn, zn)
+				h.Float(wn...)
+				diff.Add(h, zn)
 				continue
 			}
 			// SYGV's back-substitution by I may flip the sign of a zero
 			// imaginary part; every other name is bit for bit.
-			same := bitsEqual(wn, w[route]) && bitsEqual(zn, z[route])
+			same := diff.Same(wn, w[route]) && diff.Same(zn, z[route])
 			if nm.name == "SYGV" {
 				same = slices.Equal(wn, w[route]) && slices.Equal(zn, z[route])
 			}
@@ -344,11 +294,12 @@ func testSyevRoutes[T core.Scalar](t *testing.T, n, k int) uint64 {
 				t.Errorf("%s %s: differs from route %d", c.name, nm.name, route)
 			}
 			if nm.name == "SYEV" {
-				hashOut(h, wn, zn)
+				h.Float(wn...)
+				diff.Add(h, zn)
 			}
 		}
 	}
-	return h.Sum64()
+	return h
 }
 
 // checkEig bounds the residual and orthogonality ratios of an

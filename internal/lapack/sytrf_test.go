@@ -1,22 +1,15 @@
 package lapack_test
 
 import (
-	"encoding/binary"
-	"flag"
 	"fmt"
-	"hash"
-	"hash/fnv"
-	"math"
-	"runtime"
-	"sort"
 	"strings"
 	"testing"
 
 	"repro/internal/blas"
 	"repro/internal/core"
-	"repro/internal/faultinject"
 	"repro/internal/lapack"
 	"repro/internal/testutil"
+	"repro/internal/testutil/diff"
 )
 
 // randSym builds a random symmetric (not definite) matrix; for complex T it
@@ -295,54 +288,37 @@ func TestSpsvHpsv(t *testing.T) {
 // folds both uplo, n ∈ bkGoldenN (below, at and past NBSytrf = 48, including
 // the kb = nb−1 panels), three random seeds, and the forced-2×2-pivot and
 // singular matrices. Columns: assembly route — the AVX-512 and the AVX2 row of
-// the kernel table must both produce it — and portable route (LA90_NO_ASM=1,
+// the kernel table both produce it — and portable route (LA90_NO_ASM=1,
 // reached here through the same gate with faultinject.ForcePortable).
-// Regenerate with `go test ./internal/lapack -run BunchKaufmanGolden -bkprint -v`.
-var bkGolden = map[string][2]uint64{
-	"Hetf2/complex128": {0xeb9d0f635df37747, 0xeb9d0f635df37747},
-	"Hetf2/complex64":  {0xf39430b1a81ea159, 0xf39430b1a81ea159},
-	"Hetf2/float32":    {0xdc45b1a664ef604a, 0xdc45b1a664ef604a},
-	"Hetf2/float64":    {0xa388656fe6848271, 0xa388656fe6848271},
-	"Hetrf/complex128": {0x9840feb49d671b4f, 0x62519bbbf7c2ec46},
-	"Hetrf/complex64":  {0x1b4ac25b2ae3e3eb, 0xc5b11cb24b063bd3},
-	"Hetrf/float32":    {0x83a6efde762b2e45, 0x65be993a2dfda706},
-	"Hetrf/float64":    {0x252b02d83ad2e79d, 0xdd824197ac77ecff},
-	"Hetrs/complex128": {0xec740a053745bc69, 0x0a07983b9de8cf64},
-	"Hetrs/complex64":  {0x71a3b5a0474f2847, 0x0985ea43903cd8af},
-	"Hetrs/float32":    {0x0bf30a2456259b74, 0x1d4de17a9a57d42c},
-	"Hetrs/float64":    {0xa8711876f74dffe8, 0xc83e6f908ee82d8b},
-	"Sytf2/complex128": {0x2172136e75661195, 0x1dc460ad59e35ef1},
-	"Sytf2/complex64":  {0xb376099e33a7b86f, 0xe27fc07d80202066},
-	"Sytf2/float32":    {0x0fcdf3412de1d1be, 0x0fcdf3412de1d1be},
-	"Sytf2/float64":    {0xb9e2386413247cf1, 0xb9e2386413247cf1},
-	"Sytrf/complex128": {0x9246c28399f5f59f, 0xa18d3fb3b72680e4},
-	"Sytrf/complex64":  {0x104b505a29ec0fb4, 0x8076af0889fccbed},
-	"Sytrf/float32":    {0xfebbe8ab2b4fdbf9, 0xae8ad73b6f5dd082},
-	"Sytrf/float64":    {0x5630ff73a9d6e69d, 0x905dab92f8e0d3ff},
-	"Sytrs/complex128": {0x243d7ea592bc0f70, 0x60cb40a7ace88194},
-	"Sytrs/complex64":  {0xb6f89d513b378290, 0x22bcf87baa4cccc7},
-	"Sytrs/float32":    {0x9b594425bec09d55, 0xaf13dab78aef976c},
-	"Sytrs/float64":    {0xa8711876f74dffe8, 0xc83e6f908ee82d8b},
+// Regenerate with `go test ./internal/lapack -run BunchKaufmanGolden -args -golden`.
+var bkGolden = diff.Table{
+	"Hetf2/complex128": {Hash: [2]uint64{0xeb9d0f635df37747, 0xeb9d0f635df37747}},
+	"Hetf2/complex64":  {Hash: [2]uint64{0xf39430b1a81ea159, 0xf39430b1a81ea159}},
+	"Hetf2/float32":    {Hash: [2]uint64{0xdc45b1a664ef604a, 0xdc45b1a664ef604a}},
+	"Hetf2/float64":    {Hash: [2]uint64{0xa388656fe6848271, 0xa388656fe6848271}},
+	"Hetrf/complex128": {Hash: [2]uint64{0x9840feb49d671b4f, 0x62519bbbf7c2ec46}},
+	"Hetrf/complex64":  {Hash: [2]uint64{0x1b4ac25b2ae3e3eb, 0xc5b11cb24b063bd3}},
+	"Hetrf/float32":    {Hash: [2]uint64{0x83a6efde762b2e45, 0x65be993a2dfda706}},
+	"Hetrf/float64":    {Hash: [2]uint64{0x252b02d83ad2e79d, 0xdd824197ac77ecff}},
+	"Hetrs/complex128": {Hash: [2]uint64{0xec740a053745bc69, 0x0a07983b9de8cf64}},
+	"Hetrs/complex64":  {Hash: [2]uint64{0x71a3b5a0474f2847, 0x0985ea43903cd8af}},
+	"Hetrs/float32":    {Hash: [2]uint64{0x0bf30a2456259b74, 0x1d4de17a9a57d42c}},
+	"Hetrs/float64":    {Hash: [2]uint64{0xa8711876f74dffe8, 0xc83e6f908ee82d8b}},
+	"Sytf2/complex128": {Hash: [2]uint64{0x2172136e75661195, 0x1dc460ad59e35ef1}},
+	"Sytf2/complex64":  {Hash: [2]uint64{0xb376099e33a7b86f, 0xe27fc07d80202066}},
+	"Sytf2/float32":    {Hash: [2]uint64{0x0fcdf3412de1d1be, 0x0fcdf3412de1d1be}},
+	"Sytf2/float64":    {Hash: [2]uint64{0xb9e2386413247cf1, 0xb9e2386413247cf1}},
+	"Sytrf/complex128": {Hash: [2]uint64{0x9246c28399f5f59f, 0xa18d3fb3b72680e4}},
+	"Sytrf/complex64":  {Hash: [2]uint64{0x104b505a29ec0fb4, 0x8076af0889fccbed}},
+	"Sytrf/float32":    {Hash: [2]uint64{0xfebbe8ab2b4fdbf9, 0xae8ad73b6f5dd082}},
+	"Sytrf/float64":    {Hash: [2]uint64{0x5630ff73a9d6e69d, 0x905dab92f8e0d3ff}},
+	"Sytrs/complex128": {Hash: [2]uint64{0x243d7ea592bc0f70, 0x60cb40a7ace88194}},
+	"Sytrs/complex64":  {Hash: [2]uint64{0xb6f89d513b378290, 0x22bcf87baa4cccc7}},
+	"Sytrs/float32":    {Hash: [2]uint64{0x9b594425bec09d55, 0xaf13dab78aef976c}},
+	"Sytrs/float64":    {Hash: [2]uint64{0xa8711876f74dffe8, 0xc83e6f908ee82d8b}},
 }
 
-var (
-	bkGoldenN = []int{1, 2, 3, 7, 47, 48, 49, 97, 200}
-	bkPrint   = flag.Bool("bkprint", false, "print the bkGolden table instead of checking it")
-)
-
-func bkHash[T core.Scalar](h hash.Hash64, x []T, ipiv []int) {
-	var buf [16]byte
-	for _, v := range x {
-		c := core.ToComplex(v)
-		binary.LittleEndian.PutUint64(buf[:8], math.Float64bits(real(c)))
-		binary.LittleEndian.PutUint64(buf[8:], math.Float64bits(imag(c)))
-		h.Write(buf[:])
-	}
-	for _, p := range ipiv {
-		binary.LittleEndian.PutUint64(buf[:8], uint64(int64(p)))
-		h.Write(buf[:8])
-	}
-}
+var bkGoldenN = []int{1, 2, 3, 7, 47, 48, 49, 97, 200}
 
 // bkMatrices lists the inputs of one (type, n): three random matrices, one
 // with row/column n/2 zeroed (a singular pivot mid-panel), the zero matrix,
@@ -375,7 +351,7 @@ func bkMatrices[T core.Scalar](herm bool, n, lda int) [][]T {
 	return append(ms, f)
 }
 
-func bkFingerprints[T core.Scalar](cfg *core.Config, out map[string]uint64) {
+func bkFingerprints[T core.Scalar](cfg *core.Config, out map[string]*diff.Hash) {
 	var z T
 	type routine struct {
 		name    string
@@ -383,7 +359,7 @@ func bkFingerprints[T core.Scalar](cfg *core.Config, out map[string]uint64) {
 		blocked bool
 	}
 	for _, r := range []routine{{"Sytf2", false, false}, {"Hetf2", true, false}, {"Sytrf", false, true}, {"Hetrf", true, true}} {
-		hf, hs := fnv.New64a(), fnv.New64a()
+		hf, hs := diff.NewHash(), diff.NewHash()
 		for _, uplo := range []lapack.Uplo{lapack.Upper, lapack.Lower} {
 			for _, n := range bkGoldenN {
 				lda := n + 1
@@ -400,7 +376,8 @@ func bkFingerprints[T core.Scalar](cfg *core.Config, out map[string]uint64) {
 					default:
 						info = lapack.Hetrf(cfg, uplo, n, a, lda, ipiv)
 					}
-					bkHash(hf, a, append(ipiv, info))
+					diff.Add(hf, a)
+					hf.Int(append(ipiv, info)...)
 					if !r.blocked || info != 0 {
 						continue
 					}
@@ -410,64 +387,23 @@ func bkFingerprints[T core.Scalar](cfg *core.Config, out map[string]uint64) {
 					} else {
 						lapack.Sytrs(cfg, uplo, n, 4, a, lda, ipiv, b, lda)
 					}
-					bkHash(hs, b, nil)
+					diff.Add(hs, b)
 				}
 			}
 		}
-		out[fmt.Sprintf("%s/%T", r.name, z)] = hf.Sum64()
+		out[fmt.Sprintf("%s/%T", r.name, z)] = hf
 		if r.blocked {
-			out[fmt.Sprintf("%s/%T", strings.Replace(r.name, "trf", "trs", 1), z)] = hs.Sum64()
+			out[fmt.Sprintf("%s/%T", strings.Replace(r.name, "trf", "trs", 1), z)] = hs
 		}
 	}
 }
 
 func TestBunchKaufmanGolden(t *testing.T) {
-	if runtime.GOARCH != "amd64" {
-		t.Skip("golden bits were recorded on amd64 (other targets fuse multiply-adds in the portable kernels)")
-	}
 	cfg := tcfg().With(func(c *core.Config) { c.NBSytrf = 48 })
-	// Routes: the default row, the portable row, and the AVX2 row (the default
-	// one again unless the CPU has AVX-512).
-	var got [3]map[string]uint64
-	avx2 := faultinject.ForceAVX2(false)
-	defer faultinject.ForceAVX2(avx2)
-	for route := range got {
-		got[route] = map[string]uint64{}
-		faultinject.ForcePortable(route == 1)
-		faultinject.ForceAVX2(avx2 || route == 2)
-		bkFingerprints[float32](cfg, got[route])
-		bkFingerprints[float64](cfg, got[route])
-		bkFingerprints[complex64](cfg, got[route])
-		bkFingerprints[complex128](cfg, got[route])
-	}
-	faultinject.ForcePortable(false)
-	keys := make([]string, 0, len(got[0]))
-	for k := range got[0] {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	if *bkPrint {
-		for _, k := range keys {
-			fmt.Printf("\t%q: {%#016x, %#016x},\n", k, got[0][k], got[1][k])
-		}
-		return
-	}
-	if len(keys) != len(bkGolden) {
-		t.Fatalf("%d fingerprints computed, table has %d", len(keys), len(bkGolden))
-	}
-	for _, k := range keys {
-		want := bkGolden[k]
-		if got[1][k] != want[1] {
-			t.Errorf("%s portable route: %#016x, want %#016x", k, got[1][k], want[1])
-		}
-		// The default route is the assembly one on AVX2 hardware and the
-		// portable one under LA90_NO_ASM=1 or without AVX2; either way it
-		// must land on its recorded bits.
-		if got[0][k] != want[0] && got[0][k] != want[1] {
-			t.Errorf("%s default route: %#016x, want %#016x (asm) or %#016x (portable)", k, got[0][k], want[0], want[1])
-		}
-		if got[2][k] != got[0][k] {
-			t.Errorf("%s AVX2 row: %#016x, default row %#016x", k, got[2][k], got[0][k])
-		}
-	}
+	bkGolden.Check(t, func(t *testing.T, out map[string]*diff.Hash) {
+		bkFingerprints[float32](cfg, out)
+		bkFingerprints[float64](cfg, out)
+		bkFingerprints[complex64](cfg, out)
+		bkFingerprints[complex128](cfg, out)
+	})
 }

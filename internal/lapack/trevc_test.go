@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/testutil/diff"
 )
 
 // The scalar eigenvector routines the xTREVC3-shaped trevc replaced, kept
@@ -489,7 +490,7 @@ func TestTrevcAgainstReference(t *testing.T) {
 				// Growth: the vectors of a triangle with clustered diagonal are
 				// themselves ill-conditioned; the reference is no closer to the
 				// exact vector than this.
-				if d := maxDiff(got, want); d > 1e4*float64(n)*core.EpsDouble {
+				if d := diff.MaxDiff(got, want); d > 1e4*float64(n)*core.EpsDouble {
 					t.Errorf("%s: differs from the reference by %.3g", name, d)
 				}
 			}
@@ -532,7 +533,7 @@ func TestTrevcComplexAgainstReference(t *testing.T) {
 				}
 				unitCols[complex128](n, nil, got)
 				unitCols[complex128](n, nil, want)
-				if d := maxDiff(got, want); d > 1e4*float64(n)*core.EpsDouble {
+				if d := diff.MaxDiff(got, want); d > 1e4*float64(n)*core.EpsDouble {
 					t.Errorf("%s: differs from the reference by %.3g", name, d)
 				}
 			}
@@ -568,7 +569,7 @@ func TestTrevcRepeatedEigenvalue(t *testing.T) {
 		}
 		unitCols(n, wi, got)
 		unitCols(n, wi, want)
-		if d := maxDiff(got, want); d > 100*n*core.EpsDouble {
+		if d := diff.MaxDiff(got, want); d > 100*n*core.EpsDouble {
 			t.Errorf("left=%v: differs from the reference by %.3g", left, d)
 		}
 	}

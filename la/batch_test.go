@@ -2,12 +2,15 @@ package la_test
 
 import (
 	"errors"
+	"fmt"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 
 	"repro/internal/blas"
 	"repro/internal/faultinject"
+	"repro/internal/testutil/diff"
 	"repro/la"
 )
 
@@ -27,8 +30,8 @@ func newGen(n, seed int) *la.Matrix[float64] {
 	return a
 }
 
-func cloneBatch(ms []*la.Matrix[float64]) []*la.Matrix[float64] {
-	out := make([]*la.Matrix[float64], len(ms))
+func cloneBatch[T la.Scalar](ms []*la.Matrix[T]) []*la.Matrix[T] {
+	out := make([]*la.Matrix[T], len(ms))
 	for i, m := range ms {
 		if m != nil {
 			out[i] = m.Clone()
@@ -37,88 +40,183 @@ func cloneBatch(ms []*la.Matrix[float64]) []*la.Matrix[float64] {
 	return out
 }
 
-// TestBatchGesvBitIdentical is the batched determinism pin: BatchGesv over
-// mixed problem sizes must produce byte-for-byte the factors, solutions and
-// pivots of a serial loop over la.GESV, at every worker count.
-func TestBatchGesvBitIdentical(t *testing.T) {
-	var as0, bs0 []*la.Matrix[float64]
+// A batchPin is a batched driver with the single-call driver it must
+// reproduce: run hashes every output of every item, and the item's error,
+// from a serial loop over the single-call driver or from one batched call.
+type batchPin struct {
+	name string
+	run  func(t *testing.T, h *diff.Hash, batch bool)
+}
+
+// TestBatchMatchesLoop: every batched driver, over items of mixed sizes, gives
+// the bits of a serial loop over its single-call driver — factors, solutions,
+// pivots, singular values, bounds, EQUED, per-item errors — at every count of
+// diff.Threads. BatchGesv runs on all four types (float64 factors on the
+// vector step kernel under the small-matrix crossover, the others on the
+// generic step) on both sides of the crossover and every order class under it.
+func TestBatchMatchesLoop(t *testing.T) {
+	for _, p := range batchPins() {
+		t.Run(p.name, func(t *testing.T) { matchesLoop(t, p) })
+	}
+}
+
+// matchesLoop checks one pin at every count of diff.Threads.
+func matchesLoop(t *testing.T, p batchPin) {
+	defer blas.SetThreads(blas.Threads())
+	loop := diff.NewHash()
+	p.run(t, loop, false)
+	for _, n := range diff.Threads {
+		blas.SetThreads(n)
+		h := diff.NewHash()
+		if p.run(t, h, true); h.Sum64() != loop.Sum64() {
+			t.Errorf("%s, %d threads: the batch differs bitwise from the loop", p.name, n)
+		}
+	}
+}
+
+func batchPins() []batchPin {
+	var gesvA, gesvB, gesvxA, gesvxB, posvxA, posvxB []*la.Matrix[float64]
 	for i, n := range []int{1, 3, 4, 7, 8, 16, 17, 31, 32, 33, 48, 64, 65, 96} {
-		as0 = append(as0, newGen(n, i))
-		bs0 = append(bs0, newRHS(n, 1+i%3))
+		gesvA, gesvB = append(gesvA, newGen(n, i)), append(gesvB, newRHS(n, 1+i%3))
 	}
-	batchGesvMatchesLooped(t, as0, bs0)
-}
-
-// TestBatchGesvMatchesLooped is the same pin on the other three element
-// types: under the small-matrix crossover float64 factors on the vector step
-// kernel and they on the generic step, and a batch must give the loop's bits
-// there too, on either side of the crossover and on every order class under
-// it (ragged block only, full blocks only, ragged block first).
-func TestBatchGesvMatchesLooped(t *testing.T) {
-	t.Run("float32", randomBatchGesvMatchesLooped[float32])
-	t.Run("complex128", randomBatchGesvMatchesLooped[complex128])
-	t.Run("complex64", randomBatchGesvMatchesLooped[complex64])
-}
-
-func randomBatchGesvMatchesLooped[T la.Scalar](t *testing.T) {
-	var as0, bs0 []*la.Matrix[T]
-	for i, n := range []int{1, 2, 4, 5, 8, 12, 16, 33, 48, 63, 64, 65, 96} {
-		as0 = append(as0, randMat[T](200+i, n, n))
-		bs0 = append(bs0, randMat[T](300+i, n, 1+i%3))
-	}
-	batchGesvMatchesLooped(t, as0, bs0)
-}
-
-func batchGesvMatchesLooped[T la.Scalar](t *testing.T, as0, bs0 []*la.Matrix[T]) {
-	clone := func(ms []*la.Matrix[T]) []*la.Matrix[T] {
-		out := make([]*la.Matrix[T], len(ms))
-		for i, m := range ms {
-			out[i] = m.Clone()
+	for i, n := range []int{1, 3, 7, 13, 16, 24, 33, 48} {
+		a := intMat[float64](i, n)
+		if i%3 == 1 { // grade some items so equilibration actually fires
+			for r := 0; r < n && n > 1; r++ {
+				d := math.Ldexp(1, -100+200*r/(n-1))
+				for c := 0; c < n; c++ {
+					a.Set(r, c, d*a.At(r, c))
+				}
+			}
 		}
-		return out
+		gesvxA, gesvxB = append(gesvxA, a), append(gesvxB, newRHS(n, 1+i%3))
 	}
-	// Serial reference: the single-call driver, looped.
-	asRef, bsRef := clone(as0), clone(bs0)
-	ipivRef := make([][]int, len(as0))
-	for i := range asRef {
-		ipiv, err := la.GESV(asRef[i], bsRef[i])
-		if err != nil {
-			t.Fatalf("reference GESV[%d]: %v", i, err)
-		}
-		ipivRef[i] = ipiv
+	for i, n := range []int{2, 5, 9, 17, 32, 41} {
+		posvxA, posvxB = append(posvxA, intSym[float64](i, n)), append(posvxB, newRHS(n, 1+i%2))
 	}
-	for _, threads := range []int{1, 2, 4, 8} {
-		func() {
-			defer blas.SetThreads(blas.SetThreads(threads))
-			as, bs := clone(as0), clone(bs0)
-			ipivs, errs, err := la.BatchGesv(as, bs)
-			if err != nil {
-				t.Fatalf("threads=%d: batch error: %v", threads, err)
+	return []batchPin{
+		gesvPin(gesvA, gesvB), randomGesvPin[float32](), randomGesvPin[complex128](), randomGesvPin[complex64](),
+		expertPin("GESVX", gesvxA, gesvxB, true, la.GESVX[float64], la.BatchGesvx[float64]),
+		expertPin("POSVX", posvxA, posvxB, false, la.POSVX[float64], la.BatchPosvx[float64]),
+		{"GESDD", func(t *testing.T, h *diff.Hash, batch bool) {
+			var as []*la.Matrix[float64]
+			for i, s := range [][2]int{{12, 12}, {30, 7}, {7, 30}, {20, 20}, {25, 9}, {1, 1}} {
+				as = append(as, randMat[float64](100+i, s[0], s[1]))
+			}
+			res, errs := make([]*la.SVDResult[float64], len(as)), make([]error, len(as))
+			if batch {
+				var err error
+				if res, errs, err = la.BatchGesdd(as); err != nil {
+					t.Fatalf("BatchGesdd: %v", err)
+				}
+			} else {
+				for i, a := range as {
+					res[i], errs[i] = la.GESVD(a)
+				}
+			}
+			for i, r := range res {
+				if errs[i] != nil {
+					t.Fatalf("item %d: %v", i, errs[i])
+				}
+				diff.Add(h, r.S, r.U.Data, r.VT.Data)
+			}
+		}},
+		{"GELSD", func(t *testing.T, h *diff.Hash, batch bool) {
+			var as, bs []*la.Matrix[float64]
+			shapes := [][2]int{{10, 4}, {4, 10}, {8, 8}, {18, 5}, {6, 6}}
+			for i, s := range shapes {
+				as = append(as, randMat[float64](200+i, s[0], s[1]))
+				bs = append(bs, randMat[float64](300+i, max(s[0], s[1]), 2))
+			}
+			bad := len(shapes) - 1
+			bs[bad] = randMat[float64](401, 3, 2) // malformed: B has the wrong number of rows
+			ranks, ss, errs := make([]int, len(as)), make([][]float64, len(as)), make([]error, len(as))
+			if batch {
+				var err error
+				if ranks, ss, errs, err = la.BatchGelsd(as, bs); err != nil {
+					t.Fatalf("BatchGelsd: %v", err)
+				}
+			} else {
+				for i := range as {
+					ranks[i], ss[i], errs[i] = la.GELSD(as[i], bs[i])
+				}
 			}
 			for i := range as {
-				if errs[i] != nil {
-					t.Fatalf("threads=%d: item %d: %v", threads, i, errs[i])
+				var e *la.Error
+				if i == bad && !(errors.As(errs[i], &e) && e.Info == -2) || i != bad && errs[i] != nil {
+					t.Fatalf("batch=%v item %d: error %v", batch, i, errs[i])
 				}
-				for k, p := range ipivs[i] {
-					if p != ipivRef[i][k] {
-						t.Fatalf("threads=%d: item %d: ipiv[%d] = %d, want %d", threads, i, k, p, ipivRef[i][k])
-					}
-				}
-				for k, v := range as[i].Data {
-					if v != asRef[i].Data[k] {
-						t.Fatalf("threads=%d: item %d: factor byte-diff at %d: %v vs %v",
-							threads, i, k, v, asRef[i].Data[k])
-					}
-				}
-				for k, v := range bs[i].Data {
-					if v != bsRef[i].Data[k] {
-						t.Fatalf("threads=%d: item %d: solution byte-diff at %d: %v vs %v",
-							threads, i, k, v, bsRef[i].Data[k])
-					}
-				}
+				h.Int(ranks[i])
+				diff.Add(h, ss[i], bs[i].Data)
 			}
-		}()
+		}},
 	}
+}
+
+func randomGesvPin[T la.Scalar]() batchPin {
+	var as, bs []*la.Matrix[T]
+	for i, n := range []int{1, 2, 4, 5, 8, 12, 16, 33, 48, 63, 64, 65, 96} {
+		as, bs = append(as, randMat[T](200+i, n, n)), append(bs, randMat[T](300+i, n, 1+i%3))
+	}
+	return gesvPin(as, bs)
+}
+
+func gesvPin[T la.Scalar](as0, bs0 []*la.Matrix[T]) batchPin {
+	return batchPin{fmt.Sprintf("GESV/%T", *new(T)), func(t *testing.T, h *diff.Hash, batch bool) {
+		as, bs := cloneBatch(as0), cloneBatch(bs0)
+		ipivs, errs := make([][]int, len(as)), make([]error, len(as))
+		if batch {
+			var err error
+			if ipivs, errs, err = la.BatchGesv(as, bs); err != nil {
+				t.Fatalf("BatchGesv: %v", err)
+			}
+		} else {
+			for i := range as {
+				ipivs[i], errs[i] = la.GESV(as[i], bs[i])
+			}
+		}
+		for i := range as {
+			if errs[i] != nil {
+				t.Fatalf("batch=%v item %d: %v", batch, i, errs[i])
+			}
+			diff.Add(h, as[i].Data, bs[i].Data)
+			h.Int(ipivs[i]...)
+		}
+	}}
+}
+
+// expertPin pins a batched expert driver, equilibration on; errorsOK lets an
+// item fail (the same way in the loop and the batch).
+func expertPin(name string, as0, bs0 []*la.Matrix[float64], errorsOK bool,
+	single func(a, b *la.Matrix[float64], opts ...la.Opt) (*la.ExpertResult[float64], error),
+	batched func(as, bs []*la.Matrix[float64], opts ...la.Opt) ([]*la.ExpertResult[float64], []error, error)) batchPin {
+	return batchPin{name, func(t *testing.T, h *diff.Hash, batch bool) {
+		as, bs := cloneBatch(as0), cloneBatch(bs0)
+		res, errs := make([]*la.ExpertResult[float64], len(as)), make([]error, len(as))
+		if batch {
+			var err error
+			if res, errs, err = batched(as, bs, la.WithEquilibration()); err != nil {
+				t.Fatalf("batch: %v", err)
+			}
+		} else {
+			for i := range as {
+				res[i], errs[i] = single(as[i], bs[i], la.WithEquilibration())
+			}
+		}
+		for i, r := range res {
+			var e *la.Error
+			switch {
+			case errors.As(errs[i], &e) && errorsOK:
+				h.Int(e.Info, int(e.Diag))
+			case errs[i] != nil:
+				t.Fatalf("batch=%v item %d: %v", batch, i, errs[i])
+			}
+			diff.Add(h, r.X.Data)
+			h.Float(slices.Concat([]float64{r.RCond, r.RPvGrw}, r.Ferr, r.Berr)...)
+			h.Int(int(r.Equed))
+			h.Int(r.IPiv...)
+		}
+	}}
 }
 
 // TestBatchGesvPerItemErrors checks the two-level error contract: invalid
@@ -190,85 +288,62 @@ func TestBatchItemErrorsAreSingleCallErrors(t *testing.T) {
 }
 
 // TestBatchPosvMatchesLooped pins BatchPosv against looped la.POSV on both
-// triangles — factor and solution, byte for byte, at every worker count —
-// over orders on both sides of the small-matrix crossover.
+// triangles — factor and solution — over orders on both sides of the
+// small-matrix crossover, as TestBatchMatchesLoop pins the other drivers.
 func TestBatchPosvMatchesLooped(t *testing.T) {
 	for _, uplo := range []la.UpLo{la.Upper, la.Lower} {
-		var as0, bs0 []*la.Matrix[float64]
-		for i, n := range []int{1, 2, 4, 5, 8, 12, 16, 33, 48, 63, 64, 65, 96} {
-			as0 = append(as0, newSPD(n))
-			bs0 = append(bs0, newRHS(n, 1+i%2))
-		}
-		asRef, bsRef := cloneBatch(as0), cloneBatch(bs0)
-		for i := range asRef {
-			if err := la.POSV(asRef[i], bsRef[i], la.WithUpLo(uplo)); err != nil {
-				t.Fatalf("reference POSV[%d]: %v", i, err)
+		matchesLoop(t, batchPin{fmt.Sprintf("uplo=%v", uplo), func(t *testing.T, h *diff.Hash, batch bool) {
+			var as, bs []*la.Matrix[float64]
+			for i, n := range []int{1, 2, 4, 5, 8, 12, 16, 33, 48, 63, 64, 65, 96} {
+				as, bs = append(as, newSPD(n)), append(bs, newRHS(n, 1+i%2))
 			}
-		}
-		for _, threads := range []int{1, 2, 4, 8} {
-			func() {
-				defer blas.SetThreads(blas.SetThreads(threads))
-				as, bs := cloneBatch(as0), cloneBatch(bs0)
-				errs, err := la.BatchPosv(as, bs, la.WithUpLo(uplo))
-				if err != nil {
-					t.Fatalf("batch error: %v", err)
+			errs := make([]error, len(as))
+			if batch {
+				var err error
+				if errs, err = la.BatchPosv(as, bs, la.WithUpLo(uplo)); err != nil {
+					t.Fatalf("BatchPosv: %v", err)
 				}
+			} else {
 				for i := range as {
-					if errs[i] != nil {
-						t.Fatalf("item %d: %v", i, errs[i])
-					}
-					for k, v := range as[i].Data {
-						if v != asRef[i].Data[k] {
-							t.Fatalf("uplo=%v threads=%d item %d: factor byte-diff at %d", uplo, threads, i, k)
-						}
-					}
-					for k, v := range bs[i].Data {
-						if v != bsRef[i].Data[k] {
-							t.Fatalf("uplo=%v threads=%d item %d: solution byte-diff at %d", uplo, threads, i, k)
-						}
-					}
+					errs[i] = la.POSV(as[i], bs[i], la.WithUpLo(uplo))
 				}
-			}()
-		}
+			}
+			for i := range as {
+				if errs[i] != nil {
+					t.Fatalf("uplo=%v batch=%v item %d: %v", uplo, batch, i, errs[i])
+				}
+				diff.Add(h, as[i].Data, bs[i].Data)
+			}
+		}})
 	}
 }
 
 // TestBatchSyevMatchesLooped pins BatchSyev (with vectors) against looped
-// la.SYEV.
+// la.SYEV the same way.
 func TestBatchSyevMatchesLooped(t *testing.T) {
-	defer blas.SetThreads(blas.SetThreads(4))
-	var as0 []*la.Matrix[float64]
-	for _, n := range []int{1, 4, 9, 16, 25} {
-		as0 = append(as0, newSPD(n))
-	}
-	asRef := cloneBatch(as0)
-	wRef := make([][]float64, len(asRef))
-	for i := range asRef {
-		w, err := la.SYEV(asRef[i], la.WithVectors())
-		if err != nil {
-			t.Fatalf("reference SYEV[%d]: %v", i, err)
+	matchesLoop(t, batchPin{"SYEV", func(t *testing.T, h *diff.Hash, batch bool) {
+		var as []*la.Matrix[float64]
+		for _, n := range []int{1, 4, 9, 16, 25} {
+			as = append(as, newSPD(n))
 		}
-		wRef[i] = w
-	}
-	ws, errs, err := la.BatchSyev(as0, la.WithVectors())
-	if err != nil {
-		t.Fatalf("batch error: %v", err)
-	}
-	for i := range as0 {
-		if errs[i] != nil {
-			t.Fatalf("item %d: %v", i, errs[i])
-		}
-		for k, v := range ws[i] {
-			if v != wRef[i][k] {
-				t.Fatalf("item %d: eigenvalue byte-diff at %d: %v vs %v", i, k, v, wRef[i][k])
+		ws, errs := make([][]float64, len(as)), make([]error, len(as))
+		if batch {
+			var err error
+			if ws, errs, err = la.BatchSyev(as, la.WithVectors()); err != nil {
+				t.Fatalf("BatchSyev: %v", err)
+			}
+		} else {
+			for i, a := range as {
+				ws[i], errs[i] = la.SYEV(a, la.WithVectors())
 			}
 		}
-		for k, v := range as0[i].Data {
-			if v != asRef[i].Data[k] {
-				t.Fatalf("item %d: eigenvector byte-diff at %d", i, k)
+		for i := range as {
+			if errs[i] != nil {
+				t.Fatalf("batch=%v item %d: %v", batch, i, errs[i])
 			}
+			diff.Add(h, ws[i], as[i].Data)
 		}
-	}
+	}})
 }
 
 // TestBatchGemm checks the batched product against a scalar oracle across

@@ -9,31 +9,18 @@ package la_test
 // while another goroutine rewrites the process-wide defaults.
 
 import (
-	"math"
+	"fmt"
 	"slices"
 	"sync"
 	"testing"
 
 	"repro/internal/blas"
 	"repro/internal/core"
-	"repro/internal/faultinject"
+	"repro/internal/testutil/diff"
 	"repro/la"
 )
 
-// bitsEqual reports whether a and b are equal bit for bit (NaN == NaN,
-// +0 != -0), which is the contract the execution-context refactor promises
-// for default-config and any-thread-count runs.
-func bitsEqual(a, b []float64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
-			return false
-		}
-	}
-	return true
-}
+func TestMain(m *testing.M) { diff.Main(m) }
 
 // The four driver workloads. Each builds its inputs from a fixed seed, runs
 // one la driver with the given per-call options, and returns a flat
@@ -52,8 +39,7 @@ func gesvSig(t *testing.T, opts ...la.Opt) []float64 {
 	if err != nil {
 		t.Fatalf("GESV: %v", err)
 	}
-	sig := append([]float64(nil), b.Data...)
-	sig = append(sig, a.Data...)
+	sig := slices.Concat(b.Data, a.Data)
 	for _, p := range ipiv {
 		sig = append(sig, float64(p))
 	}
@@ -68,8 +54,7 @@ func posvSig(t *testing.T, opts ...la.Opt) []float64 {
 	if err := la.POSV(a, b, opts...); err != nil {
 		t.Fatalf("POSV: %v", err)
 	}
-	sig := append([]float64(nil), b.Data...)
-	return append(sig, a.Data...)
+	return slices.Concat(b.Data, a.Data)
 }
 
 // smallPosvSig is POSV under the small-matrix crossover, where the factor is
@@ -98,7 +83,7 @@ func smallPosvSig(t *testing.T, opts ...la.Opt) []float64 {
 			if errs[i] != nil {
 				t.Fatalf("BatchPosv item %d: %v", i, errs[i])
 			}
-			if !bitsEqual(asB[i].Data, as[i].Data) || !bitsEqual(bsB[i].Data, bs[i].Data) {
+			if !diff.Same(asB[i].Data, as[i].Data) || !diff.Same(bsB[i].Data, bs[i].Data) {
 				t.Errorf("BatchPosv item %d (n=%d, %v) differs bitwise from looped POSV", i, as[i].Rows, uplo)
 			}
 		}
@@ -136,7 +121,7 @@ func smallGesvSig(t *testing.T, opts ...la.Opt) []float64 {
 		if errs[i] != nil {
 			t.Fatalf("BatchGesv item %d: %v", i, errs[i])
 		}
-		if !bitsEqual(asB[i].Data, as[i].Data) || !bitsEqual(bsB[i].Data, bs[i].Data) || !slices.Equal(ipivsB[i], ipivs[i]) {
+		if !diff.Same(asB[i].Data, as[i].Data) || !diff.Same(bsB[i].Data, bs[i].Data) || !slices.Equal(ipivsB[i], ipivs[i]) {
 			t.Errorf("BatchGesv item %d (n=%d) differs from looped GESV", i, as[i].Rows)
 		}
 	}
@@ -151,8 +136,7 @@ func syevSig(t *testing.T, opts ...la.Opt) []float64 {
 	if err != nil {
 		t.Fatalf("SYEV: %v", err)
 	}
-	sig := append([]float64(nil), w...)
-	return append(sig, a.Data...)
+	return slices.Concat(w, a.Data)
 }
 
 func syevdSig(t *testing.T, opts ...la.Opt) []float64 {
@@ -163,8 +147,7 @@ func syevdSig(t *testing.T, opts ...la.Opt) []float64 {
 	if err != nil {
 		t.Fatalf("SYEVD: %v", err)
 	}
-	sig := append([]float64(nil), w...)
-	return append(sig, a.Data...)
+	return slices.Concat(w, a.Data)
 }
 
 func geevSig(t *testing.T, opts ...la.Opt) []float64 {
@@ -188,9 +171,7 @@ func gesvdSig(t *testing.T, opts ...la.Opt) []float64 {
 	if err != nil {
 		t.Fatalf("GESVD: %v", err)
 	}
-	sig := append([]float64(nil), res.S...)
-	sig = append(sig, res.U.Data...)
-	return append(sig, res.VT.Data...)
+	return slices.Concat(res.S, res.U.Data, res.VT.Data)
 }
 
 // lsSig runs GELS and GELSD on a tall problem past the QR-first crossover and
@@ -204,8 +185,7 @@ func lsSig(t *testing.T, opts ...la.Opt) []float64 {
 	if err := la.GELS(a, b, opts...); err != nil {
 		t.Fatalf("GELS: %v", err)
 	}
-	sig := append([]float64(nil), b.Data...)
-	sig = append(sig, a.Data...)
+	sig := slices.Concat(b.Data, a.Data)
 	a, b = randMat[float64](37, m, n), randMat[float64](38, m, nrhs)
 	rank, s, err := la.GELSD(a, b, opts...)
 	if err != nil || rank != n {
@@ -242,7 +222,7 @@ func TestDefaultConfigBitIdentical(t *testing.T) {
 		t.Run(d.name, func(t *testing.T) {
 			want := d.sig(t) // no options: the plain default path
 			for _, s := range spellings {
-				if got := d.sig(t, s.opts...); !bitsEqual(got, want) {
+				if got := d.sig(t, s.opts...); !diff.Same(got, want) {
 					t.Errorf("%s with %s differs bitwise from the optionless run", d.name, s.name)
 				}
 			}
@@ -252,9 +232,10 @@ func TestDefaultConfigBitIdentical(t *testing.T) {
 
 // TestThreadsBitIdentical checks the per-call version of the engine's core
 // determinism contract: WithThreads(n) produces bit-identical results for
-// every budget, because the worker count never changes any summation order —
-// on each asm row of the kernel table, which moreover agree with each other
-// (on a machine without AVX-512 the second pass repeats the first).
+// every budget of diff.Threads, because the worker count never changes any
+// summation order — on each asm row of the kernel table, which moreover agree
+// with each other (on a machine without AVX-512 the second pass repeats the
+// first).
 func TestThreadsBitIdentical(t *testing.T) {
 	drivers := []struct {
 		name string
@@ -275,17 +256,13 @@ func TestThreadsBitIdentical(t *testing.T) {
 	for _, d := range drivers {
 		t.Run(d.name, func(t *testing.T) {
 			var serial [2][]float64
-			for row, avx2 := range []bool{false, true} {
-				was := faultinject.ForceAVX2(avx2)
-				serial[row] = d.sig(t, la.WithThreads(1))
-				for _, n := range []int{2, 3, 4, 7} {
-					if got := d.sig(t, la.WithThreads(n)); !bitsEqual(got, serial[row]) {
-						t.Errorf("%s with %d workers differs bitwise from serial (AVX2 row forced: %v)", d.name, n, avx2)
-					}
-				}
-				faultinject.ForceAVX2(was)
+			for i, r := range []diff.Row{diff.Selected, diff.AVX2} {
+				diff.Force(t, r)
+				serial[i] = diff.AcrossThreads(t, fmt.Sprintf("%s on the %v row", d.name, r), func(n int) []float64 {
+					return d.sig(t, la.WithThreads(n))
+				})
 			}
-			if !bitsEqual(serial[0], serial[1]) {
+			if !diff.Same(serial[0], serial[1]) {
 				t.Errorf("%s on the AVX2 row differs bitwise from the selected row", d.name)
 			}
 		})
@@ -393,13 +370,13 @@ func TestWithConfigOverlay(t *testing.T) {
 		{"out of range clamps", la.Config{NBGetrf: 1 << 20, GemmKC: 1}, func(c *core.Config) { c.NBGetrf, c.NBGetrfLg, c.GemmKC = core.MaxNB, core.MaxNB, 4 }},
 		{"NBGetrfLg alone is not read", la.Config{NBGetrfLg: 32}, func(*core.Config) {}},
 	} {
-		if !bitsEqual(sig(la.WithConfig(tc.overlay)), underDefault(tc.same)) {
+		if !diff.Same(sig(la.WithConfig(tc.overlay)), underDefault(tc.same)) {
 			t.Errorf("%s: overlay and process default disagree bitwise", tc.name)
 		}
 	}
 	// The pin binds: with only the small regime at 32 the n = 600 factors
 	// differ from the pinned run.
-	if bitsEqual(sig(la.WithConfig(la.Config{NBGetrf: 32})), underDefault(func(c *core.Config) { c.NBGetrf = 32 })) {
+	if diff.Same(sig(la.WithConfig(la.Config{NBGetrf: 32})), underDefault(func(c *core.Config) { c.NBGetrf = 32 })) {
 		t.Error("NBGetrfLg = 256 vs 32 made no difference at n = 600; the pin test is vacuous")
 	}
 }
@@ -484,7 +461,7 @@ func TestConcurrentPerCallConfigs(t *testing.T) {
 		go func(i int, name string, opts []la.Opt, sig func(*testing.T, ...la.Opt) []float64) {
 			defer wg.Done()
 			for it := 0; it < iters; it++ {
-				if got := sig(t, opts...); !bitsEqual(got, want[i]) {
+				if got := sig(t, opts...); !diff.Same(got, want[i]) {
 					t.Errorf("%s: concurrent run %d differs bitwise from its serial baseline", name, it)
 					return
 				}

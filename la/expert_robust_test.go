@@ -1,21 +1,25 @@
 package la_test
 
 // Conditioning and error-bound tests for the expert drivers: FERR must
-// bound the true forward error (checked against systems whose exact
-// solution is known in integer arithmetic, so the bound is tested against
-// the truth, not against another float computation); equilibration must
-// rescue systems whose rows span hundreds of orders of magnitude; a matrix
-// that is singular to working precision must come back as the typed
-// ErrSingularToWorkingPrecision with the condition estimate attached; and
-// the batched expert drivers must be bit-identical to a serial loop of the
-// single-call drivers at every worker count.
+// bound the true forward error (measured against a double-double solution of
+// the stored system, testutil.TrueSolve, so the bound is tested against the
+// truth, not against another float computation); equilibration must rescue
+// systems whose rows span hundreds of orders of magnitude; a matrix that is
+// singular to working precision must come back as the typed
+// ErrSingularToWorkingPrecision with the condition estimate attached.
 
 import (
 	"errors"
+	"fmt"
 	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/blas"
+	"repro/internal/core"
+	"repro/internal/lapack"
+	"repro/internal/matgen"
+	"repro/internal/testutil"
 	"repro/la"
 )
 
@@ -91,39 +95,59 @@ func forwardErr[T la.Scalar](xc, xt *la.Matrix[T]) float64 {
 	return worst
 }
 
-func testFerrBounds[T la.Scalar](t *testing.T, seed, n, nrhs int) {
-	t.Helper()
-	a := intMat[T](seed, n)
-	xt, b := exactRHS(a, nrhs)
-	res, err := la.GESVX(a.Clone(), b.Clone())
-	if err != nil {
-		t.Fatalf("GESVX: %v", err)
+// testFerrBounds checks the bound FERR of GESVX and POSVX, each with and
+// without equilibration, against the true forward error: the distance to
+// testutil.TrueSolve's double-double solution of the stored system, with no
+// slack factor. Inputs: matgen.Latms matrices (RandSPDWithCond ones for
+// POSVX) of condition 10 up to maxCond, as they come and with rows graded by
+// 2^±20 (POSVX's rows and columns), times random right-hand sides. The oracle
+// itself must reproduce the exact solution of an integer system.
+func testFerrBounds[T la.Scalar](t *testing.T, maxCond float64) {
+	cfg, eps := core.Default(), core.Eps[T]()
+	a := intMat[T](3, 20)
+	xt, b := exactRHS(a, 2)
+	if hi, lo := testutil.TrueSolve(20, 2, a.Data, 20, b.Data, 20); slices.Max(testutil.TrueError(20, 2, xt.Data, 20, hi, lo)) > 1e-30 {
+		t.Fatalf("TrueSolve misses the exact solution of an integer system")
 	}
-	if got := forwardErr(res.X, xt); len(res.Ferr) != nrhs || got > res.Ferr[0]+res.Ferr[nrhs-1] {
-		for j := 0; j < nrhs; j++ {
-			if got > res.Ferr[j] {
-				t.Fatalf("GESVX true error %.3e exceeds FERR[%d] = %.3e", got, j, res.Ferr[j])
+	for _, n := range []int{9, 40, 64} {
+		for _, cond := range []float64{10, math.Sqrt(maxCond), maxCond} {
+			for _, graded := range []bool{false, true} {
+				rng := lapack.NewRng([4]int{n, int(math.Log10(cond)), 7, 29})
+				ge, po := la.NewMatrix[T](n, n), la.NewMatrix[T](n, n)
+				matgen.Latms(cfg, rng, n, cond, ge.Data, n)
+				matgen.RandSPDWithCond(cfg, rng, n, cond, po.Data, n)
+				for i := 0; i < n && graded; i++ {
+					d := fromC[T](complex(math.Ldexp(1, 20*(i%3-1)), 0))
+					for j := 0; j < n; j++ {
+						ge.Set(i, j, d*ge.At(i, j))
+						po.Set(i, j, d*po.At(i, j))
+						po.Set(j, i, d*po.At(j, i))
+					}
+				}
+				b := randMat[T](n, n, 2)
+				for _, drv := range []struct {
+					name string
+					a    *la.Matrix[T]
+					call func(a, b *la.Matrix[T], opts ...la.Opt) (*la.ExpertResult[T], error)
+				}{{"GESVX", ge, la.GESVX[T]}, {"POSVX", po, la.POSVX[T]}} {
+					hi, lo := testutil.TrueSolve(n, 2, drv.a.Data, n, b.Data, n)
+					for _, opts := range [][]la.Opt{nil, {la.WithEquilibration()}} {
+						name := fmt.Sprintf("%s n=%d cond=%.0e graded=%v equilibrated=%v", drv.name, n, cond, graded, opts != nil)
+						res, err := drv.call(drv.a.Clone(), b.Clone(), opts...)
+						if res == nil || hi == nil {
+							t.Fatalf("%s: %v", name, err)
+						}
+						for j, e := range testutil.TrueError(n, 2, res.X.Data, n, hi, lo) {
+							if !(e <= res.Ferr[j]) {
+								t.Errorf("%s: true error %.3e exceeds FERR[%d] = %.3e", name, e, j, res.Ferr[j])
+							}
+							if !(res.Berr[j] <= 10*eps) || !(res.RCond > 0 && res.RCond <= 1) {
+								t.Errorf("%s: BERR[%d] = %.3e, RCOND = %.3e", name, j, res.Berr[j], res.RCond)
+							}
+						}
+					}
+				}
 			}
-		}
-	}
-	if res.RCond <= 0 || res.RCond > 1 {
-		t.Fatalf("GESVX RCond = %v out of (0,1]", res.RCond)
-	}
-	for j, be := range res.Berr {
-		if be < 0 || math.IsNaN(be) {
-			t.Fatalf("GESVX Berr[%d] = %v", j, be)
-		}
-	}
-	s := intSym[T](seed+1, n)
-	xts, bs := exactRHS(s, nrhs)
-	resS, err := la.POSVX(s.Clone(), bs.Clone())
-	if err != nil {
-		t.Fatalf("POSVX: %v", err)
-	}
-	got := forwardErr(resS.X, xts)
-	for j := 0; j < nrhs; j++ {
-		if got > resS.Ferr[j] {
-			t.Fatalf("POSVX true error %.3e exceeds FERR[%d] = %.3e", got, j, resS.Ferr[j])
 		}
 	}
 }
@@ -131,12 +155,10 @@ func testFerrBounds[T la.Scalar](t *testing.T, seed, n, nrhs int) {
 // TestFerrBoundsTrueError: the guaranteed-bound property, all four scalar
 // types, through both the LU and the Cholesky expert pipelines.
 func TestFerrBoundsTrueError(t *testing.T) {
-	for _, nr := range [][2]int{{7, 1}, {16, 2}, {33, 3}} {
-		testFerrBounds[float32](t, 2, nr[0], nr[1])
-		testFerrBounds[float64](t, 3, nr[0], nr[1])
-		testFerrBounds[complex64](t, 4, nr[0], nr[1])
-		testFerrBounds[complex128](t, 5, nr[0], nr[1])
-	}
+	t.Run("float32", func(t *testing.T) { testFerrBounds[float32](t, 1e6) })
+	t.Run("float64", func(t *testing.T) { testFerrBounds[float64](t, 1e13) })
+	t.Run("complex64", func(t *testing.T) { testFerrBounds[complex64](t, 1e6) })
+	t.Run("complex128", func(t *testing.T) { testFerrBounds[complex128](t, 1e13) })
 }
 
 // TestGesvxEquilibrationRescue is the acceptance scenario: rows scaled by
@@ -312,119 +334,6 @@ func TestGesvxGradedChaos(t *testing.T) {
 	}
 }
 
-// TestBatchGesvxBitIdentical: the batched expert driver must reproduce a
-// serial loop of GESVX — solution bits, RCOND, FERR, BERR, EQUED and the
-// per-item errors — at every worker count, equilibration on.
-func TestBatchGesvxBitIdentical(t *testing.T) {
-	sizes := []int{1, 3, 7, 13, 16, 24, 33, 48}
-	var as0, bs0 []*la.Matrix[float64]
-	for i, n := range sizes {
-		a := intMat[float64](i, n)
-		if i%3 == 1 { // grade some items so equilibration actually fires
-			for r := 0; r < n && n > 1; r++ {
-				d := math.Ldexp(1, -100+200*r/(n-1))
-				for c := 0; c < n; c++ {
-					a.Set(r, c, d*a.At(r, c))
-				}
-			}
-		}
-		as0 = append(as0, a)
-		bs0 = append(bs0, newRHS(n, 1+i%3))
-	}
-	// Serial reference.
-	type ref struct {
-		res *la.ExpertResult[float64]
-		err error
-	}
-	refs := make([]ref, len(sizes))
-	for i := range as0 {
-		r, err := la.GESVX(as0[i].Clone(), bs0[i].Clone(), la.WithEquilibration())
-		refs[i] = ref{r, err}
-	}
-	for _, threads := range []int{1, 2, 4, 8} {
-		func() {
-			defer blas.SetThreads(blas.SetThreads(threads))
-			as, bs := cloneBatch(as0), cloneBatch(bs0)
-			results, errs, err := la.BatchGesvx(as, bs, la.WithEquilibration())
-			if err != nil {
-				t.Fatalf("threads=%d: %v", threads, err)
-			}
-			for i := range results {
-				if (errs[i] == nil) != (refs[i].err == nil) {
-					t.Fatalf("threads=%d item %d: err %v, serial %v", threads, i, errs[i], refs[i].err)
-				}
-				got, want := results[i], refs[i].res
-				if got.RCond != want.RCond || got.Equed != want.Equed || got.RPvGrw != want.RPvGrw {
-					t.Fatalf("threads=%d item %d: (rcond,equed,rpvgrw) = (%v,%c,%v), serial (%v,%c,%v)",
-						threads, i, got.RCond, got.Equed, got.RPvGrw, want.RCond, want.Equed, want.RPvGrw)
-				}
-				for k := range got.X.Data {
-					if got.X.Data[k] != want.X.Data[k] {
-						t.Fatalf("threads=%d item %d: X byte-diff at %d", threads, i, k)
-					}
-				}
-				for j := range got.Ferr {
-					if got.Ferr[j] != want.Ferr[j] || got.Berr[j] != want.Berr[j] {
-						t.Fatalf("threads=%d item %d: bounds differ at rhs %d", threads, i, j)
-					}
-				}
-				for k := range got.IPiv {
-					if got.IPiv[k] != want.IPiv[k] {
-						t.Fatalf("threads=%d item %d: pivot %d differs", threads, i, k)
-					}
-				}
-			}
-		}()
-	}
-}
-
-// TestBatchPosvxBitIdentical is the Cholesky-route twin.
-func TestBatchPosvxBitIdentical(t *testing.T) {
-	sizes := []int{2, 5, 9, 17, 32, 41}
-	var as0, bs0 []*la.Matrix[float64]
-	for i, n := range sizes {
-		as0 = append(as0, intSym[float64](i, n))
-		bs0 = append(bs0, newRHS(n, 1+i%2))
-	}
-	refs := make([]*la.ExpertResult[float64], len(sizes))
-	for i := range as0 {
-		r, err := la.POSVX(as0[i].Clone(), bs0[i].Clone(), la.WithEquilibration())
-		if err != nil {
-			t.Fatalf("serial POSVX[%d]: %v", i, err)
-		}
-		refs[i] = r
-	}
-	for _, threads := range []int{1, 2, 4, 8} {
-		func() {
-			defer blas.SetThreads(blas.SetThreads(threads))
-			as, bs := cloneBatch(as0), cloneBatch(bs0)
-			results, errs, err := la.BatchPosvx(as, bs, la.WithEquilibration())
-			if err != nil {
-				t.Fatalf("threads=%d: %v", threads, err)
-			}
-			for i := range results {
-				if errs[i] != nil {
-					t.Fatalf("threads=%d item %d: %v", threads, i, errs[i])
-				}
-				got, want := results[i], refs[i]
-				if got.RCond != want.RCond || got.Equed != want.Equed {
-					t.Fatalf("threads=%d item %d: (rcond,equed) differ", threads, i)
-				}
-				for k := range got.X.Data {
-					if got.X.Data[k] != want.X.Data[k] {
-						t.Fatalf("threads=%d item %d: X byte-diff at %d", threads, i, k)
-					}
-				}
-				for j := range got.Ferr {
-					if got.Ferr[j] != want.Ferr[j] || got.Berr[j] != want.Berr[j] {
-						t.Fatalf("threads=%d item %d: bounds differ at rhs %d", threads, i, j)
-					}
-				}
-			}
-		}()
-	}
-}
-
 // TestBatchGesvxItemIsolation: one malformed, one non-finite, one
 // ill-conditioned item — each reports its own typed error; healthy
 // neighbours still solve with full bounds.
@@ -522,7 +431,7 @@ func testEquilibrationOneRule[T la.Scalar](t *testing.T) {
 		return a
 	}
 	off := complex(1, 0)
-	if expertIsComplex[T]() {
+	if core.IsComplex[T]() {
 		off = complex(1, 1)
 	}
 	cases := []struct {

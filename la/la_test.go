@@ -5,6 +5,7 @@ import (
 	"math/cmplx"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/lapack"
 	"repro/la"
 )
@@ -36,36 +37,11 @@ func spdMat[T la.Scalar](seed, n int) *la.Matrix[T] {
 	return a
 }
 
-func toC[T la.Scalar](v T) complex128 {
-	switch x := any(v).(type) {
-	case float32:
-		return complex(float64(x), 0)
-	case float64:
-		return complex(x, 0)
-	case complex64:
-		return complex128(x)
-	case complex128:
-		return x
-	}
-	return 0
-}
+func toC[T la.Scalar](v T) complex128 { return core.ToComplex(v) }
 
 func conjOf[T la.Scalar](v T) complex128 { return cmplx.Conj(toC(v)) }
 
-func fromC[T la.Scalar](v complex128) T {
-	var z T
-	switch any(z).(type) {
-	case float32:
-		return any(float32(real(v))).(T)
-	case float64:
-		return any(real(v)).(T)
-	case complex64:
-		return any(complex64(v)).(T)
-	case complex128:
-		return any(v).(T)
-	}
-	return z
-}
+func fromC[T la.Scalar](v complex128) T { return core.FromComplex[T](v) }
 
 // mulVec computes y = A·x in complex arithmetic for checking.
 func mulVec[T la.Scalar](a *la.Matrix[T], x []T) []complex128 {

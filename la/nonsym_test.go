@@ -2,30 +2,16 @@ package la_test
 
 import (
 	"fmt"
-	"math"
 	"testing"
 
 	"repro/f77"
+	"repro/internal/testutil/diff"
 	"repro/la"
 )
 
-// sameBits reports whether x and y hold bit-identical elements.
-func sameBits[T la.Scalar](x, y []T) bool {
-	if len(x) != len(y) {
-		return false
-	}
-	for i := range x {
-		a, b := toC(x[i]), toC(y[i])
-		if math.Float64bits(real(a)) != math.Float64bits(real(b)) || math.Float64bits(imag(a)) != math.Float64bits(imag(b)) {
-			return false
-		}
-	}
-	return true
-}
-
 func bitsAgree[T la.Scalar](t *testing.T, what string, x, y []T) {
 	t.Helper()
-	if !sameBits(x, y) {
+	if !diff.Same(x, y) {
 		t.Errorf("%s differs", what)
 	}
 }

@@ -79,123 +79,6 @@ func TestGELSDDriver(t *testing.T) {
 	}
 }
 
-// TestBatchGesddBitIdentical: the batched SVD must produce bit-identical
-// results at every worker count, equal to a serial loop over GESVD.
-func TestBatchGesddBitIdentical(t *testing.T) {
-	shapes := [][2]int{{12, 12}, {30, 7}, {7, 30}, {20, 20}, {25, 9}, {1, 1}}
-	mats := func() []*la.Matrix[float64] {
-		as := make([]*la.Matrix[float64], len(shapes))
-		for i, s := range shapes {
-			as[i] = randMat[float64](100+i, s[0], s[1])
-		}
-		return as
-	}
-
-	// Serial reference through the single-call driver.
-	refIn := mats()
-	refs := make([]*la.SVDResult[float64], len(refIn))
-	for i, a := range refIn {
-		r, err := la.GESVD(a)
-		if err != nil {
-			t.Fatalf("GESVD ref %d: %v", i, err)
-		}
-		refs[i] = r
-	}
-
-	for _, workers := range []int{1, 2, 4, 8} {
-		old := blas.SetThreads(workers)
-		res, errs, err := la.BatchGesdd(mats())
-		blas.SetThreads(old)
-		if err != nil {
-			t.Fatalf("BatchGesdd workers=%d: %v", workers, err)
-		}
-		for i := range res {
-			if errs[i] != nil {
-				t.Fatalf("workers=%d item %d: %v", workers, i, errs[i])
-			}
-			for k := range refs[i].S {
-				if res[i].S[k] != refs[i].S[k] {
-					t.Fatalf("workers=%d item %d S[%d] differs", workers, i, k)
-				}
-			}
-			for k := range refs[i].U.Data {
-				if res[i].U.Data[k] != refs[i].U.Data[k] {
-					t.Fatalf("workers=%d item %d U differs at %d", workers, i, k)
-				}
-			}
-			for k := range refs[i].VT.Data {
-				if res[i].VT.Data[k] != refs[i].VT.Data[k] {
-					t.Fatalf("workers=%d item %d VT differs at %d", workers, i, k)
-				}
-			}
-		}
-	}
-}
-
-// TestBatchGelsdBitIdentical: batched least squares, bit-identical across
-// worker counts, with a malformed item reported in errs without disturbing
-// its neighbours.
-func TestBatchGelsdBitIdentical(t *testing.T) {
-	shapes := [][2]int{{10, 4}, {4, 10}, {8, 8}, {18, 5}}
-	build := func() (as, bs []*la.Matrix[float64]) {
-		for i, s := range shapes {
-			as = append(as, randMat[float64](200+i, s[0], s[1]))
-			bs = append(bs, randMat[float64](300+i, max(s[0], s[1]), 2))
-		}
-		// Malformed item: B has the wrong number of rows.
-		as = append(as, randMat[float64](400, 6, 6))
-		bs = append(bs, randMat[float64](401, 3, 2))
-		return as, bs
-	}
-
-	refA, refB := build()
-	refRanks := make([]int, len(shapes))
-	refS := make([][]float64, len(shapes))
-	for i := 0; i < len(shapes); i++ {
-		rank, s, err := la.GELSD(refA[i], refB[i])
-		if err != nil {
-			t.Fatalf("GELSD ref %d: %v", i, err)
-		}
-		refRanks[i], refS[i] = rank, s
-	}
-
-	for _, workers := range []int{1, 2, 4, 8} {
-		as, bs := build()
-		old := blas.SetThreads(workers)
-		ranks, ss, errs, err := la.BatchGelsd(as, bs)
-		blas.SetThreads(old)
-		if err != nil {
-			t.Fatalf("BatchGelsd workers=%d: %v", workers, err)
-		}
-		bad := len(shapes)
-		if errs[bad] == nil {
-			t.Fatalf("workers=%d: malformed item not reported", workers)
-		}
-		var e *la.Error
-		if !errors.As(errs[bad], &e) || e.Info != -2 {
-			t.Fatalf("workers=%d: malformed item error = %v", workers, errs[bad])
-		}
-		for i := 0; i < len(shapes); i++ {
-			if errs[i] != nil {
-				t.Fatalf("workers=%d item %d: %v", workers, i, errs[i])
-			}
-			if ranks[i] != refRanks[i] {
-				t.Fatalf("workers=%d item %d rank %d vs %d", workers, i, ranks[i], refRanks[i])
-			}
-			for k := range refS[i] {
-				if ss[i][k] != refS[i][k] {
-					t.Fatalf("workers=%d item %d s[%d] differs", workers, i, k)
-				}
-			}
-			for k := range refB[i].Data {
-				if bs[i].Data[k] != refB[i].Data[k] {
-					t.Fatalf("workers=%d item %d solution differs at %d", workers, i, k)
-				}
-			}
-		}
-	}
-}
-
 // TestWorkerPanicContainedGesvd arms a worker panic under LA_GESVD: at
 // n = 1024 the D&C back-multiplication GEMMs (and the Orgbr base
 // formation) run on the parallel engine, so the injected fault fires on a
