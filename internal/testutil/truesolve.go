@@ -26,14 +26,14 @@ func (x dd) addProd(a, b float64) dd {
 	return dd{hi, e - (hi - s)}
 }
 
-// TrueSolve returns the solution x* = hi + lo of the n×n system A·X = B to
-// about 106 bits, the ground truth a forward error is measured against. It
+// TrueSolve returns x* = hi + lo solving the n×n system A·X = B to about
+// cond(A)·2⁻¹⁰⁶, the ground truth a forward error is measured against. It
 // refines in double-double from Getrf's LU of the float64 system: each step
-// takes the residual B − A·x exactly summed and solves for the correction
-// with the LU, until the correction is below 2⁻¹⁰⁶ of x. A complex system is
-// embedded as the real one [Re −Im; Im Re] of order 2n, so one real kernel
-// serves all four types; rows are scaled by powers of two first (exact), so
-// the LU pivots on a balanced matrix. It returns nils when the LU is singular.
+// solves with the LU for a correction from the residual B − A·x, summed in
+// double-double, until it is below 2⁻¹⁰⁶ of x or stops shrinking. A complex
+// system is embedded as the real one [Re −Im; Im Re] of order 2n, so one real
+// kernel serves all four types; rows are first scaled by powers of two
+// (exact), so the LU pivots on a balanced matrix. Singular LU: nils.
 func TrueSolve[T core.Scalar](n, nrhs int, a []T, lda int, b []T, ldb int) (hi, lo []complex128) {
 	m, cplx := n, core.IsComplex[T]()
 	if cplx {
