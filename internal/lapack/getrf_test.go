@@ -201,6 +201,26 @@ func TestGecon(t *testing.T) {
 	}
 }
 
+// TestGerfs: Gerfs's refinement of a Getrs solve leaves BERR within 10ε and
+// a FERR that bounds, with no slack, the true error against TrueSolve.
+func TestGerfs(t *testing.T) {
+	n, nrhs := 30, 2
+	rng := lapack.NewRng([4]int{3, 1, 4, 1})
+	a := testutil.RandGeneral[float64](rng, n, n, n)
+	b := testutil.RandGeneral[float64](rng, n, nrhs, n)
+	af, x := append([]float64(nil), a...), append([]float64(nil), b...)
+	ipiv, ferr, berr := make([]int, n), make([]float64, nrhs), make([]float64, nrhs)
+	lapack.Getrf(tcfg(), n, n, af, n, ipiv)
+	lapack.Getrs(tcfg(), lapack.NoTrans, n, nrhs, af, n, ipiv, x, n)
+	lapack.Gerfs(tcfg(), lapack.NoTrans, n, nrhs, a, n, af, n, ipiv, b, n, x, n, ferr, berr)
+	hi, lo := testutil.TrueSolve(n, nrhs, a, n, b, n)
+	for j, e := range testutil.TrueError(n, nrhs, x, n, hi, lo) {
+		if berr[j] > 10*core.Eps[float64]() || e > ferr[j] {
+			t.Fatalf("column %d: BERR %v (want <= 10eps), true error %v vs FERR %v", j, berr[j], e, ferr[j])
+		}
+	}
+}
+
 func TestGeequ(t *testing.T) {
 	n := 6
 	a := make([]float64, n*n)
