@@ -12,4 +12,7 @@ import (
 // exercise Set* shims re-capture after mutating so they observe the update.
 func tcfg() *core.Config { return core.Default() }
 
-func TestMain(m *testing.M) { diff.Main(m) }
+func TestMain(m *testing.M) {
+	diff.AVX512 = useAVX512
+	diff.Main(m)
+}

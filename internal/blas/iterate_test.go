@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/core"
@@ -259,17 +260,6 @@ func TestRotSeqIdentityAndSpecials(t *testing.T) {
 	})
 }
 
-// sameUpToNaN is diff.Same with any NaN matching any NaN: the sign and payload
-// of a propagated NaN depend on operand order, which FMA forms do not share.
-func sameUpToNaN(a, b []float64) bool {
-	for i := range a {
-		if math.Float64bits(a[i]) != math.Float64bits(b[i]) && !(math.IsNaN(a[i]) && math.IsNaN(b[i])) {
-			return false
-		}
-	}
-	return len(a) == len(b)
-}
-
 // refl3Def is the definition of Refl3 (and, with x2 nil, of Refl2): the
 // scalar loop of the double-shift sweep. With fma set it is the same loop in
 // drefl3Fma's contraction order: the sum accumulated by fused multiply-adds
@@ -347,7 +337,7 @@ func TestRefl3(t *testing.T) {
 				port := apply(kernel)
 				faultinject.ForcePortable(false)
 				plain := apply(func(x0, x1, x2 []float64) { refl3Def(false, m, x0, x1, x2, v2, v3, t1, t2, t3) })
-				if !sameUpToNaN(port, plain) {
+				if !slices.EqualFunc(port, plain, sameValue[float64]) {
 					t.Errorf("%s: portable route differs from the scalar loop", name)
 				}
 				if !asmF64() {
@@ -355,7 +345,7 @@ func TestRefl3(t *testing.T) {
 				}
 				got := apply(kernel)
 				fused := apply(func(x0, x1, x2 []float64) { refl3Def(true, m, x0, x1, x2, v2, v3, t1, t2, t3) })
-				if !sameUpToNaN(got, fused) {
+				if !slices.EqualFunc(got, fused, sameValue[float64]) {
 					t.Errorf("%s: asm route differs from the FMA-ordered definition", name)
 				}
 				for i := range got {

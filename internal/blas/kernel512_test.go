@@ -28,7 +28,8 @@ func fmaRef[T core.Float](x, y, z T) T {
 }
 
 // sameValue is bit equality, with any NaN equal to any other: which NaN a
-// chain ends in is the hardware's choice.
+// chain ends in (its sign and payload) is the hardware's and the operand
+// order's choice.
 func sameValue[T core.Float](a, b T) bool {
 	return math.Float64bits(float64(a)) == math.Float64bits(float64(b)) || (a != a && b != b)
 }

@@ -219,7 +219,7 @@ func testNrm2[T core.Scalar](t *testing.T) {
 		}
 		for name, x := range exact {
 			got, want := Nrm2(n, x, 1), nrm2Scaled(n, x, 1)
-			if math.Float64bits(got) != math.Float64bits(want) && !(math.IsNaN(got) && math.IsNaN(want)) {
+			if !sameValue(got, want) {
 				t.Errorf("n=%d %s: Nrm2 = %v, scaled loop %v", n, name, got, want)
 			}
 		}

@@ -8,6 +8,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/lapack"
 	"repro/internal/testutil"
+	"repro/internal/testutil/diff"
 )
 
 // bdsdcCheck runs Bdsdc on the given bidiagonal and verifies the three
@@ -75,7 +76,7 @@ func bdsdcCheck(t *testing.T, n int, d, e []float64) {
 			b[i+(i+1)*n] = e[i]
 		}
 	}
-	if diff := testutil.MaxDiff(rec, b); diff > 40*float64(n)*eps*s0 {
+	if diff := diff.MaxDiff(rec, b); diff > 40*float64(n)*eps*s0 {
 		t.Fatalf("reconstruction diff %v (σ₀=%v)", diff, s0)
 	}
 }

@@ -13,6 +13,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/lapack"
 	"repro/internal/testutil"
+	"repro/internal/testutil/diff"
 )
 
 // testGetrf2VsGetf2 checks that the recursive panel produces exactly the
@@ -43,7 +44,7 @@ func testGetrf2VsGetf2[T core.Scalar](t *testing.T, m, n int) {
 			t.Fatalf("pivot %d: recursive %d vs unblocked %d", i, ipivRec[i], ipivRef[i])
 		}
 	}
-	if d := testutil.MaxDiff(afRec, afRef); d > 1e3*core.Eps[T]()*float64(max(m, n)) {
+	if d := diff.MaxDiff(afRec, afRef); d > 1e3*core.Eps[T]()*float64(max(m, n)) {
 		t.Fatalf("recursive vs unblocked factors differ by %v", d)
 	}
 	if r := testutil.LUResidual(m, n, a, lda, afRec, lda, ipivRec); r > thresh {
@@ -125,7 +126,7 @@ func testPotrfVsPotf2[T core.Scalar](t *testing.T, uplo lapack.Uplo, n int) {
 	}
 	// The recursion reorders the updates, so compare to rounding, scaled by
 	// the O(n) magnitude of the SPD test matrix.
-	if d := testutil.MaxDiff(afRec, afRef); d > 1e3*core.Eps[T]()*float64(n) {
+	if d := diff.MaxDiff(afRec, afRef); d > 1e3*core.Eps[T]()*float64(n) {
 		t.Fatalf("recursive vs unblocked Cholesky differ by %v", d)
 	}
 	if r := testutil.CholeskyResidual(uplo, n, a, lda, afRec, lda); r > thresh {
@@ -360,7 +361,7 @@ func testSytrfBlockedVsUnblocked[T core.Scalar](t *testing.T, uplo lapack.Uplo, 
 			t.Fatalf("pivot %d: blocked %d vs unblocked %d", i, ipivB[i], ipivU[i])
 		}
 	}
-	if d := testutil.MaxDiff(afB, afU); d > 1e4*core.Eps[T]()*float64(n) {
+	if d := diff.MaxDiff(afB, afU); d > 1e4*core.Eps[T]()*float64(n) {
 		t.Fatalf("blocked vs unblocked Sytrf factors differ by %v", d)
 	}
 }
@@ -406,7 +407,7 @@ func testHetrfBlockedVsUnblocked[T core.Scalar](t *testing.T, uplo lapack.Uplo, 
 			t.Fatalf("pivot %d: blocked %d vs unblocked %d", i, ipivB[i], ipivU[i])
 		}
 	}
-	if d := testutil.MaxDiff(afB, afU); d > 1e4*core.Eps[T]()*float64(n) {
+	if d := diff.MaxDiff(afB, afU); d > 1e4*core.Eps[T]()*float64(n) {
 		t.Fatalf("blocked vs unblocked Hetrf factors differ by %v", d)
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/lapack"
 	"repro/internal/testutil"
+	"repro/internal/testutil/diff"
 )
 
 // denseToLUBand packs a dense matrix's band into LU band storage (with kl
@@ -58,7 +59,7 @@ func testGbsv[T core.Scalar](t *testing.T, n, kl, ku, nrhs int) {
 		lapack.Larnv(2, rng, n, xt)
 		blas.Gemv(tcfg(), blas.Trans(tr), n, n, core.FromFloat[T](1), a, n, xt, 1, core.FromFloat[T](0), bt, 1)
 		lapack.Gbtrs(tr, n, kl, ku, 1, ab, ldab, ipiv, bt, n)
-		if d := testutil.MaxDiff(bt, xt); d > 1e6*core.Eps[T]() {
+		if d := diff.MaxDiff(bt, xt); d > 1e6*core.Eps[T]() {
 			t.Fatalf("gbtrs %v error %v", tr, d)
 		}
 	}
@@ -105,7 +106,7 @@ func TestGbconGbrfs(t *testing.T) {
 			t.Fatalf("gbrfs berr=%v", res.Berr[j])
 		}
 	}
-	if d := testutil.MaxDiff(x, xTrue); d > 1e-9 {
+	if d := diff.MaxDiff(x, xTrue); d > 1e-9 {
 		t.Fatalf("refined solution error %v", d)
 	}
 }
@@ -132,7 +133,7 @@ func TestGbsvx(t *testing.T) {
 	if res.Info != 0 {
 		t.Fatalf("gbsvx info=%d", res.Info)
 	}
-	if d := testutil.MaxDiff(x, xTrue); d > 1e-9 {
+	if d := diff.MaxDiff(x, xTrue); d > 1e-9 {
 		t.Fatalf("gbsvx error %v", d)
 	}
 	if res.RCond <= 0 || res.RCond > 1.000001 {
@@ -203,7 +204,7 @@ func testGtsv[T core.Scalar](t *testing.T, n, nrhs int) {
 		bt := make([]T, n)
 		blas.Gemv(tcfg(), blas.Trans(tr), n, n, core.FromFloat[T](1), a, n, xt, 1, core.FromFloat[T](0), bt, 1)
 		lapack.Gttrs(tr, n, 1, dlf, df, duf, du2, ipiv, bt, n)
-		if dd := testutil.MaxDiff(bt, xt); dd > 1e6*core.Eps[T]() {
+		if dd := diff.MaxDiff(bt, xt); dd > 1e6*core.Eps[T]() {
 			t.Fatalf("gttrs %v error %v", tr, dd)
 		}
 	}
@@ -213,7 +214,7 @@ func testGtsv[T core.Scalar](t *testing.T, n, nrhs int) {
 	if res.Info != 0 || res.RCond <= 0 || res.RCond > 1.000001 {
 		t.Fatalf("gtcon info=%d rcond=%v", res.Info, res.RCond)
 	}
-	if dd := testutil.MaxDiff(x, sol); dd > 1e6*core.Eps[T]() {
+	if dd := diff.MaxDiff(x, sol); dd > 1e6*core.Eps[T]() {
 		t.Fatalf("gtsvx vs gtsv %v", dd)
 	}
 }
@@ -256,7 +257,7 @@ func TestGtsvPivoting(t *testing.T) {
 	if info := lapack.Gtsv(n, 1, dl, d, du, b, n); info != 0 {
 		t.Fatalf("gtsv info=%d", info)
 	}
-	if d := testutil.MaxDiff(b, xTrue); d > 1e-6 {
+	if d := diff.MaxDiff(b, xTrue); d > 1e-6 {
 		t.Fatalf("pivoted gtsv error %v", d)
 	}
 }
@@ -294,7 +295,7 @@ func TestGtsvx(t *testing.T) {
 	if res.Info != 0 {
 		t.Fatalf("gtsvx info=%d", res.Info)
 	}
-	if dd := testutil.MaxDiff(x, xTrue); dd > 1e-9 {
+	if dd := diff.MaxDiff(x, xTrue); dd > 1e-9 {
 		t.Fatalf("gtsvx error %v", dd)
 	}
 }

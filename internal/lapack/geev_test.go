@@ -419,7 +419,7 @@ func TestHseqrRoutesAgree(t *testing.T) {
 			wrp, wip := make([]float64, n), make([]float64, n)
 			infop := lapack.Hseqr(tcfg(), true, n, 0, n-1, hp, n+pad, wrp, wip, zp, n+pad)
 			lapack.Lacpy('A', n, n, hp, n+pad, hp, n)
-			if infop != info || testutil.MaxDiff(hp[:n*n], h) > 1e3*float64(n)*core.EpsDouble*lapack.Lange(lapack.MaxAbs, n, n, a, n) {
+			if infop != info || diff.MaxDiff(hp[:n*n], h) > 1e3*float64(n)*core.EpsDouble*lapack.Lange(lapack.MaxAbs, n, n, a, n) {
 				t.Errorf("n=%d %v row: Schur form depends on the leading dimension (info %d/%d)", n, r, info, infop)
 			}
 			if info != 0 {

@@ -8,6 +8,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/lapack"
 	"repro/internal/testutil"
+	"repro/internal/testutil/diff"
 )
 
 // checkSVD verifies the standard SVD properties for a (possibly economy)
@@ -41,7 +42,7 @@ func checkSVD[T core.Scalar](t *testing.T, m, n int, a []T, s []float64, u []T, 
 	}
 	rec := make([]T, m*n)
 	blas.Gemm(tcfg(), blas.NoTrans, blas.NoTrans, m, n, mn, core.FromFloat[T](1), us, m, vt, ldvt, core.FromFloat[T](0), rec, m)
-	if d := testutil.MaxDiff(rec, a); d > 1e4*float64(max(m, n))*core.Eps[T]()*math.Max(1, s[0]) {
+	if d := diff.MaxDiff(rec, a); d > 1e4*float64(max(m, n))*core.Eps[T]()*math.Max(1, s[0]) {
 		t.Fatalf("SVD reconstruction diff %v", d)
 	}
 	if r := svdResidual(m, n, a, rec); r > 100 {

@@ -8,6 +8,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/lapack"
 	"repro/internal/testutil"
+	"repro/internal/testutil/diff"
 )
 
 const thresh = 30.0 // residual-ratio threshold, as in the paper's tests
@@ -40,7 +41,7 @@ func testGetrf[T core.Scalar](t *testing.T, n int) {
 		}
 	}
 	luMax := lapack.Lange(lapack.MaxAbs, n, n, af2, lda)
-	if d := testutil.MaxDiff(af, af2); d > float64(n)*core.Eps[T]()*luMax {
+	if d := diff.MaxDiff(af, af2); d > float64(n)*core.Eps[T]()*luMax {
 		t.Fatalf("blocked vs unblocked factors differ by %v (max |LU| = %v)", d, luMax)
 	}
 }
@@ -135,7 +136,7 @@ func TestGetrsTrans(t *testing.T) {
 		blas.Gemm(tcfg(), blas.Trans(tr), blas.NoTrans, n, nrhs, n, 1, a, n, x, n, 0, b, n)
 		sol := append([]complex128(nil), b...)
 		lapack.Getrs(tcfg(), tr, n, nrhs, af, n, ipiv, sol, n)
-		if d := testutil.MaxDiff(sol, x); d > 1e-10 {
+		if d := diff.MaxDiff(sol, x); d > 1e-10 {
 			t.Fatalf("trans solve %v: max diff %v", tr, d)
 		}
 	}
@@ -294,7 +295,7 @@ func testGesvx[T core.Scalar](t *testing.T, fact lapack.Fact, trans lapack.Trans
 	if res.Info != 0 {
 		t.Fatalf("gesvx info = %d", res.Info)
 	}
-	if d := testutil.MaxDiff(x, xTrue); d > 1e-6 {
+	if d := diff.MaxDiff(x, xTrue); d > 1e-6 {
 		t.Fatalf("gesvx fact=%c trans=%v: solution error %v", fact, trans, d)
 	}
 	if res.RCond <= 0 || res.RCond > 1.000001 {
@@ -325,7 +326,7 @@ func TestLaswpRoundTrip(t *testing.T) {
 	ipiv := []int{3, 1, 5, 3, 7, 5, 6, 7}
 	lapack.Laswp(n, a, n, 0, n, ipiv)
 	lapack.LaswpInv(n, a, n, 0, n, ipiv)
-	if d := testutil.MaxDiff(a, orig); d != 0 {
+	if d := diff.MaxDiff(a, orig); d != 0 {
 		t.Fatalf("laswp roundtrip diff %v", d)
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/lapack"
 	"repro/internal/testutil"
+	"repro/internal/testutil/diff"
 )
 
 // The unblocked generators and the reflector-by-reflector Ormtr that Orgtr,
@@ -171,7 +172,7 @@ func testTridiagBasis[T core.Scalar](t *testing.T, uplo lapack.Uplo, n int) {
 	q, qref := append([]T(nil), a...), append([]T(nil), a...)
 	lapack.Orgtr(cfg, uplo, n, q, n, tau)
 	orgtrRef(cfg, uplo, n, qref, n, tau)
-	if diff := testutil.MaxDiff(q, qref); diff > tol {
+	if diff := diff.MaxDiff(q, qref); diff > tol {
 		t.Errorf("%s: Orgtr differs from the unblocked generator by %.3g", name, diff)
 	}
 	if r := testutil.OrthoResidual(n, n, q, n); r > 10 {
@@ -190,10 +191,10 @@ func testTridiagBasis[T core.Scalar](t *testing.T, uplo lapack.Uplo, n int) {
 		}
 		lapack.Ormtr(cfg, uplo, trans, n, n, a, n, tau, c, n)
 		ormtrRef(cfg, uplo, trans, n, n, a, n, tau, cref, n)
-		if diff := testutil.MaxDiff(c, cref); diff > tol {
+		if diff := diff.MaxDiff(c, cref); diff > tol {
 			t.Errorf("%s trans=%c: Ormtr differs from the reflector loop by %.3g", name, byte(trans), diff)
 		}
-		if diff := testutil.MaxDiff(c, want); diff > tol {
+		if diff := diff.MaxDiff(c, want); diff > tol {
 			t.Errorf("%s trans=%c: Ormtr off Orgtr's Q by %.3g", name, byte(trans), diff)
 		}
 	}
@@ -221,7 +222,7 @@ func testOrglq[T core.Scalar](t *testing.T, m, n, k int) {
 	q, qref := append([]T(nil), a...), append([]T(nil), a...)
 	lapack.Orglq(cfg, m, n, k, q, m, tau)
 	orgl2Ref(cfg, m, n, k, qref, m, tau)
-	if diff := testutil.MaxDiff(q, qref); diff > 4*float64(n)*core.Eps[T]() {
+	if diff := diff.MaxDiff(q, qref); diff > 4*float64(n)*core.Eps[T]() {
 		t.Errorf("%T %dx%d k=%d: Orglq differs from Orgl2 by %.3g", *new(T), m, n, k, diff)
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/lapack"
 	"repro/internal/testutil"
+	"repro/internal/testutil/diff"
 )
 
 func testPosv[T core.Scalar](t *testing.T, uplo lapack.Uplo, n, nrhs int) {
@@ -34,7 +35,7 @@ func testPosv[T core.Scalar](t *testing.T, uplo lapack.Uplo, n, nrhs int) {
 	sol := make([]T, ldb*nrhs)
 	lapack.Lacpy('A', n, nrhs, b, ldb, sol, ldb)
 	lapack.Potrs(tcfg(), uplo, n, nrhs, af, lda, sol, ldb)
-	if d := testutil.MaxDiff(sol[:ldb*nrhs], xTrue[:ldb*nrhs]); d > 1e5*core.Eps[T]() {
+	if d := diff.MaxDiff(sol[:ldb*nrhs], xTrue[:ldb*nrhs]); d > 1e5*core.Eps[T]() {
 		t.Fatalf("potrs error %v", d)
 	}
 	// Driver path.
@@ -162,7 +163,7 @@ func testPosvx[T core.Scalar](t *testing.T, fact lapack.Fact) {
 	if res.Info != 0 {
 		t.Fatalf("posvx info=%d", res.Info)
 	}
-	if d := testutil.MaxDiff(x, xTrue); d > 1e-6 {
+	if d := diff.MaxDiff(x, xTrue); d > 1e-6 {
 		t.Fatalf("posvx error %v", d)
 	}
 }
@@ -206,7 +207,7 @@ func testPpsv[T core.Scalar](t *testing.T, uplo lapack.Uplo, n int) {
 	if info := lapack.Ppsv(uplo, n, nrhs, apf, sol, n); info != 0 {
 		t.Fatalf("ppsv info=%d", info)
 	}
-	if d := testutil.MaxDiff(sol, xTrue); d > 2e5*core.Eps[T]() {
+	if d := diff.MaxDiff(sol, xTrue); d > 2e5*core.Eps[T]() {
 		t.Fatalf("ppsv error %v", d)
 	}
 	// Condition estimate and refinement off the packed factorization; the
@@ -221,7 +222,7 @@ func testPpsv[T core.Scalar](t *testing.T, uplo lapack.Uplo, n int) {
 			t.Fatalf("pprfs berr=%v", res.Berr[j])
 		}
 	}
-	if d := testutil.MaxDiff(x, xTrue); d > 2e5*core.Eps[T]() {
+	if d := diff.MaxDiff(x, xTrue); d > 2e5*core.Eps[T]() {
 		t.Fatalf("ppsvx error %v", d)
 	}
 }
@@ -257,7 +258,7 @@ func TestPpsvx(t *testing.T) {
 	if res.Info != 0 {
 		t.Fatalf("ppsvx info=%d", res.Info)
 	}
-	if d := testutil.MaxDiff(x, xTrue); d > 1e-8 {
+	if d := diff.MaxDiff(x, xTrue); d > 1e-8 {
 		t.Fatalf("ppsvx error %v", d)
 	}
 }
@@ -305,7 +306,7 @@ func testPbsv[T core.Scalar](t *testing.T, uplo lapack.Uplo, n, kd int) {
 	if info := lapack.Pbsv(uplo, n, kd, nrhs, abf, ldab, sol, n); info != 0 {
 		t.Fatalf("pbsv info=%d", info)
 	}
-	if d := testutil.MaxDiff(sol, xTrue); d > 2e5*core.Eps[T]() {
+	if d := diff.MaxDiff(sol, xTrue); d > 2e5*core.Eps[T]() {
 		t.Fatalf("pbsv error %v", d)
 	}
 	x := make([]T, n*nrhs)
@@ -359,7 +360,7 @@ func TestPbsvx(t *testing.T) {
 	if res.Info != 0 {
 		t.Fatalf("pbsvx info=%d", res.Info)
 	}
-	if d := testutil.MaxDiff(x, xTrue); d > 1e-8 {
+	if d := diff.MaxDiff(x, xTrue); d > 1e-8 {
 		t.Fatalf("pbsvx error %v", d)
 	}
 }
@@ -394,7 +395,7 @@ func testPtsv[T core.Scalar](t *testing.T, n int) {
 	if info := lapack.Ptsv(n, nrhs, df, ef, sol, n); info != 0 {
 		t.Fatalf("ptsv info=%d", info)
 	}
-	if dd := testutil.MaxDiff(sol, xTrue); dd > 1e5*core.Eps[T]() {
+	if dd := diff.MaxDiff(sol, xTrue); dd > 1e5*core.Eps[T]() {
 		t.Fatalf("ptsv error %v", dd)
 	}
 	res := lapack.Ptsvx[T](lapack.FactFact, n, nrhs, d, e, df, ef, b, n, sol, n)

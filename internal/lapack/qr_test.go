@@ -8,6 +8,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/lapack"
 	"repro/internal/testutil"
+	"repro/internal/testutil/diff"
 )
 
 func testQR[T core.Scalar](t *testing.T, m, n int) {
@@ -35,7 +36,7 @@ func testQR[T core.Scalar](t *testing.T, m, n int) {
 	}
 	rec := make([]T, m*n)
 	blas.Gemm(tcfg(), blas.NoTrans, blas.NoTrans, m, n, mn, core.FromFloat[T](1), q, m, r, mn, core.FromFloat[T](0), rec, m)
-	if d := testutil.MaxDiff(rec, a); d > 1e4*core.Eps[T]() {
+	if d := diff.MaxDiff(rec, a); d > 1e4*core.Eps[T]() {
 		t.Fatalf("QR reconstruction diff %v", d)
 	}
 
@@ -95,7 +96,7 @@ func testLQ[T core.Scalar](t *testing.T, m, n int) {
 	}
 	rec := make([]T, m*n)
 	blas.Gemm(tcfg(), blas.NoTrans, blas.NoTrans, m, n, mn, core.FromFloat[T](1), l, m, q, mn, core.FromFloat[T](0), rec, m)
-	if d := testutil.MaxDiff(rec, a); d > 1e4*core.Eps[T]() {
+	if d := diff.MaxDiff(rec, a); d > 1e4*core.Eps[T]() {
 		t.Fatalf("LQ reconstruction diff %v", d)
 	}
 
@@ -110,7 +111,7 @@ func testLQ[T core.Scalar](t *testing.T, m, n int) {
 	lapack.Laset('A', n, n, core.FromFloat[T](0), core.FromFloat[T](1), qfull, n)
 	lapack.Ormlq(tcfg(), lapack.Left, lapack.NoTrans, n, n, mn, af, m, tau, qfull, n)
 	blas.Gemm(tcfg(), blas.NoTrans, blas.NoTrans, n, 2, n, core.FromFloat[T](1), qfull, n, c, n, core.FromFloat[T](0), explicit, n)
-	if d := testutil.MaxDiff(viaOrm, explicit); d > 1e4*core.Eps[T]() {
+	if d := diff.MaxDiff(viaOrm, explicit); d > 1e4*core.Eps[T]() {
 		t.Fatalf("ormlq mismatch %v", d)
 	}
 	// The first mn rows of qfull must be the rows of Q.
@@ -390,7 +391,7 @@ func TestTzrzf(t *testing.T) {
 		}
 	}
 	blas.Gemm(tcfg(), blas.NoTrans, blas.NoTrans, m, n, m, 1, r, m, z, n, 0, rz, m)
-	if d := testutil.MaxDiff(rz, a); d > 1e-11 {
+	if d := diff.MaxDiff(rz, a); d > 1e-11 {
 		t.Fatalf("tzrzf reconstruction diff %v", d)
 	}
 	// Z must be orthogonal.
@@ -451,7 +452,7 @@ func TestGeqrfBlockedMatchesUnblocked(t *testing.T) {
 				}
 				rec := make([]complex128, m*n)
 				blas.Gemm(tcfg(), blas.NoTrans, blas.NoTrans, m, n, mn2, 1, q, m, rr, mn2, 0, rec, m)
-				if d := testutil.MaxDiff(rec, a); d > 1e-11*float64(m) {
+				if d := diff.MaxDiff(rec, a); d > 1e-11*float64(m) {
 					t.Fatalf("blocked complex QR reconstruction %v", d)
 				}
 			}

@@ -43,7 +43,7 @@ func testPotrfRoutes[T core.Scalar](t *testing.T, uplo lapack.Uplo, n int) {
 			out[r] = append(out[r], af)
 		}
 		for i, f := range factors[1:] {
-			if d := testutil.MaxDiff(out[r][0], out[r][i+1]); d > 1e3*core.Eps[T]()*float64(n) {
+			if d := diff.MaxDiff(out[r][0], out[r][i+1]); d > 1e3*core.Eps[T]()*float64(n) {
 				t.Fatalf("default vs %s on %s differ by %v", f.name, r, d)
 			}
 		}
@@ -108,7 +108,7 @@ func testPotrsRoutes[T core.Scalar](t *testing.T, uplo lapack.Uplo, n, nrhs int)
 		if res := testutil.SolveResidual(n, nrhs, full, n, x, ldb, b, ldb); res > thresh {
 			t.Fatalf("%s: residual ratio %v > %v", r, res, thresh)
 		}
-		if d := testutil.MaxDiff(x, xt); d > 1e3*core.Eps[T]()*float64(n) {
+		if d := diff.MaxDiff(x, xt); d > 1e3*core.Eps[T]()*float64(n) {
 			t.Fatalf("%s: small solve and Trsm pair differ by %v", r, d)
 		}
 		out[r] = x

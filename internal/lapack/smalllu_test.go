@@ -54,7 +54,7 @@ func testGetrfRoutes[T core.Scalar](t *testing.T, m, n int) {
 		oracle := out[r][len(factors)-1]
 		luMax := lapack.Lange(lapack.MaxAbs, m, n, oracle, lda)
 		for i, f := range factors[:len(factors)-1] {
-			if d := testutil.MaxDiff(out[r][i], oracle); d > 4*float64(max(m, n))*core.Eps[T]()*luMax {
+			if d := diff.MaxDiff(out[r][i], oracle); d > 4*float64(max(m, n))*core.Eps[T]()*luMax {
 				t.Fatalf("%s vs Getf2 on %s differ by %v (max |LU| = %v)", f.name, r, d, luMax)
 			}
 		}
@@ -103,7 +103,7 @@ func testGetrsRoutes[T core.Scalar](t *testing.T, n, nrhs int) {
 		if res := testutil.SolveResidual(n, nrhs, a, lda, x, ldb, b, ldb); res > thresh {
 			t.Fatalf("%s: residual ratio %v > %v", r, res, thresh)
 		}
-		if d := testutil.MaxDiff(x, xt); d > 1e3*core.Eps[T]()*float64(n)*lapack.Lange(lapack.MaxAbs, n, nrhs, xt, ldb) {
+		if d := diff.MaxDiff(x, xt); d > 1e3*core.Eps[T]()*float64(n)*lapack.Lange(lapack.MaxAbs, n, nrhs, xt, ldb) {
 			t.Fatalf("%s: small solve and Trsm pair differ by %v", r, d)
 		}
 		out[r] = x
@@ -167,7 +167,7 @@ func testGetrsTinyDiagonal[T core.Scalar](t *testing.T, n, nrhs int) {
 		}
 		if !diff.Same(x, xt) {
 			t.Fatalf("%s: small solve and Trsm pair differ by %v (max |x| = %v)", r,
-				testutil.MaxDiff(x, xt), lapack.Lange(lapack.MaxAbs, n, nrhs, x, ldb))
+				diff.MaxDiff(x, xt), lapack.Lange(lapack.MaxAbs, n, nrhs, x, ldb))
 		}
 	})
 }

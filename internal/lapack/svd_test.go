@@ -8,6 +8,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/lapack"
 	"repro/internal/testutil"
+	"repro/internal/testutil/diff"
 )
 
 func testGesvd[T core.Scalar](t *testing.T, m, n int) {
@@ -54,7 +55,7 @@ func testGesvd[T core.Scalar](t *testing.T, m, n int) {
 	}
 	rec := make([]T, m*n)
 	blas.Gemm(tcfg(), blas.NoTrans, blas.NoTrans, m, n, mn, core.FromFloat[T](1), us, m, vt, mn, core.FromFloat[T](0), rec, m)
-	if d := testutil.MaxDiff(rec, a); d > 1e4*float64(max(m, n))*core.Eps[T]() {
+	if d := diff.MaxDiff(rec, a); d > 1e4*float64(max(m, n))*core.Eps[T]() {
 		t.Fatalf("SVD reconstruction diff %v", d)
 	}
 	if r := svdResidual(m, n, a, rec); r > 100 {

@@ -160,7 +160,7 @@ func TestSysvForces2x2Pivots(t *testing.T) {
 	if !has2x2 {
 		t.Fatal("expected at least one 2x2 pivot")
 	}
-	if d := testutil.MaxDiff(b, xTrue); d > 1e-10 {
+	if d := diff.MaxDiff(b, xTrue); d > 1e-10 {
 		t.Fatalf("solution error %v", d)
 	}
 }
@@ -189,7 +189,7 @@ func TestSysvx(t *testing.T) {
 	if res.Info != 0 {
 		t.Fatalf("sysvx info=%d", res.Info)
 	}
-	if d := testutil.MaxDiff(x, xTrue); d > 1e-8 {
+	if d := diff.MaxDiff(x, xTrue); d > 1e-8 {
 		t.Fatalf("sysvx error %v", d)
 	}
 }
@@ -208,7 +208,7 @@ func TestHesvx(t *testing.T) {
 	if res.Info != 0 {
 		t.Fatalf("hesvx info=%d", res.Info)
 	}
-	if d := testutil.MaxDiff(x, xTrue); d > 1e-8 {
+	if d := diff.MaxDiff(x, xTrue); d > 1e-8 {
 		t.Fatalf("hesvx error %v", d)
 	}
 }

@@ -7,7 +7,6 @@
 package testutil
 
 import (
-	"math"
 
 	"repro/internal/blas"
 	"repro/internal/core"
@@ -184,14 +183,4 @@ func EigResidual[T core.Scalar](n int, a []T, lda int, w []float64, z []T, ldz i
 		anorm = 1
 	}
 	return rnorm / anorm / (float64(n) * eps)
-}
-
-// MaxDiff returns the largest absolute elementwise difference between two
-// equally shaped slices.
-func MaxDiff[T core.Scalar](a, b []T) float64 {
-	d := 0.0
-	for i := range a {
-		d = math.Max(d, core.Abs(a[i]-b[i]))
-	}
-	return d
 }
