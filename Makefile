@@ -120,6 +120,15 @@ EIG_SITES = f77/f77ext.go:STEQR internal/lapack/dc.go:Stedc internal/lapack/dc.g
 	internal/lapack/sytrd.go:Stev internal/lapack/sytrd.go:Stev internal/lapack/sytrd.go:Syev internal/lapack/sytrd.go:Syev
 NONSYM_SITES = f77/f77ext.go:GEHRD internal/lapack/expertnonsym.go:sepPerEigenvalue \
 	internal/lapack/geev.go:geev internal/lapack/geev.go:geev internal/lapack/geev.go:geev
+# And one la boundary (DESIGN "The la boundary"). Every Batch driver is one
+# call of la's batch helper, which runs the single-call driver's body per
+# item: a census of the functions of non-test la that call blas.BatchRange
+# must read batch alone, so a hand-copied batch body — with argument checks,
+# input screening and error mapping of its own that drift from the single
+# call's — cannot come back. The stored-matrix rule is written once, as
+# core.Stored (one definition outside bench/): no wrapper file of la or f77
+# compares a Stride or leading dimension itself, and the per-wrapper checks
+# it replaced (square, rhsMatch, matOK) are not declared again.
 lint-once:
 	@fact=$$(grep -nE '[!=]= FactFact' internal/lapack/*.go | grep -v '_test\.go:'); \
 	rcond=$$(grep -n 'rcondFromEst(' internal/lapack/*.go | grep -v '_test\.go:' | grep -v 'func rcondFromEst('); \
@@ -142,6 +151,18 @@ lint-once:
 	if [ "$$sites" != "$(strip $(NONSYM_SITES)) " ]; then \
 		echo 'lint-once: Gehrd/Hseqr/HseqrC called outside the nonsymmetric eigensolver body:'; \
 		echo "$$sites"; exit 1; \
+	fi
+	@sites=$$(ls la/*.go | grep -v '_test\.go$$' | xargs awk \
+		'/^func /{f=$$0; sub(/^func (\([^)]*\) )?/, "", f); sub(/[[(].*/, "", f)} /blas\.BatchRange\(/{print FILENAME ":" f}' | tr '\n' ' '); \
+	if [ "$$sites" != "la/batch.go:batch " ]; then \
+		echo 'lint-once: blas.BatchRange called in la outside the batch helper:'; \
+		echo "$$sites"; exit 1; \
+	fi
+	@n=$$(grep -rn --include='*.go' --exclude='*_test.go' --exclude-dir=bench '^func Stored(' . | grep -c .); \
+	bad=$$(grep -nE '(Stride|ld[a-z]*) *(<|>=) *max\(1|^func (square|rhsMatch|matOK)\[' la/*.go f77/*.go | grep -v '_test\.go:'); \
+	if [ $$n -ne 1 ] || [ -n "$$bad" ]; then \
+		echo "lint-once: the stored-matrix rule is defined $$n times (once, as core.Stored), or written again:"; \
+		echo "$$bad"; exit 1; \
 	fi
 	@echo "lint-once: ok"
 
@@ -175,7 +196,7 @@ lint-asm:
 # them is a decision made here, like ASM_MAX; and no test file declares a flag
 # but -asmparent (asmident_test.go): the suite's other flags, -golden and
 # -avx2, are internal/testutil/diff's, so a sixth print flag cannot come back.
-TEST_MAX = 23849
+TEST_MAX = 24387
 lint-tests:
 	@n=$$( (find . -name '*_test.go' ! -path './bench/*'; find internal/testutil -type f ! -name '*_test.go') | xargs cat | wc -l); \
 	if [ $$n -gt $(TEST_MAX) ]; then \
@@ -262,7 +283,7 @@ fuzz:
 # eigensolver's crossover, the Level-1/2 leaves, the per-call option overhead,
 # the batched small systems and the expert-driver legs, no timing claims.
 benchsmoke:
-	$(GO) test -run=NONE -bench='Getrf|Gemm|Geqrf|GelsdTall|Reduce|Steqr|Stedc|Bdsdc|Hseqr|Trevc|Orgtr|Ormtr|Syevd|SymEigRoutes|Gesdd|Geev|RotSeq|Secular|ApplyOptions|Level2|Level3Parallel|Sytrf|Trsm|Potrf|PotrsSmall|GetrsSmall|PosvSmallBatch|Example3Small|AblationExpertDriver|AblationSmallCholesky|AblationSmallLU' -benchtime=1x .
+	$(GO) test -run=NONE -bench='Getrf|Gemm|Geqrf|GelsdTall|Reduce|Steqr|Stedc|Bdsdc|Hseqr|Trevc|Orgtr|Ormtr|Syevd|SymEigRoutes|Gesdd|Geev|RotSeq|Secular|ApplyOptions|Level2|Level3Parallel|Sytrf|Trsm|Potrf|PotrsSmall|GetrsSmall|PosvSmallBatch|BatchVsLoop|Example3Small|AblationExpertDriver|AblationSmallCholesky|AblationSmallLU' -benchtime=1x .
 	$(GO) test -run=NONE -bench='Pack1m' -benchtime=1x ./internal/blas/
 
 # The repository benchmark's own smoke test (bench/ is a module of its own,

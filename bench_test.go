@@ -6,8 +6,10 @@
 package main
 
 import (
+	"fmt"
 	"math"
 	"testing"
+	"time"
 	"unsafe"
 
 	"repro/f77"
@@ -1043,6 +1045,132 @@ func firstError(errs []error, err error) error {
 		}
 	}
 	return err
+}
+
+// BenchmarkBatchVsLoop prices every Batch driver against a loop of its
+// single-call driver under the same WithThreads(1) and WithThreads(2):
+// GESV and POSV on small_batch's 1 024 systems of order 4…64, SYEV (with
+// vectors), GESVX, POSVX and GESVD (BatchGesdd) on 256 problems of order 16,
+// GELSD on 256 24×8 problems with one right-hand side, and GEMM on 1 024
+// products of order 32 (no single-call driver, so its loop is BatchGemm on
+// batches of one). Every iteration runs one loop pass and one batch pass,
+// alternating, each on freshly copied inputs; loop-ms and batch-ms are the
+// mean pass times and speedup is loop-ms/batch-ms, so -count 10 gives ten
+// alternating pairs.
+func BenchmarkBatchVsLoop(b *testing.B) {
+	rng := lapack.NewRng([4]int{2026, 10, 17, 7})
+	gen := func(r, c int) []float64 { g := make([]float64, r*c); lapack.Larnv(2, rng, r*c, g); return g }
+	spd := func(r, _ int) []float64 { return spdMatrix[float64](rng, r) }
+	small := make([]int, 1024)
+	for i := range small {
+		small[i] = []int{4, 8, 16, 32, 48, 64}[i%6]
+	}
+	type M = *la.Matrix[float64]
+	// inputs returns len(orders) problems: A from a(r, c) and a B of brows(r,
+	// c) × 1, and reset, which copies the pristine data back.
+	inputs := func(orders []int, c func(r int) int, a func(r, c int) []float64, brows func(r, c int) int) (as, bs []M, reset func()) {
+		var a0, b0 [][]float64
+		for _, r := range orders {
+			as, bs = append(as, la.NewMatrix[float64](r, c(r))), append(bs, la.NewMatrix[float64](brows(r, c(r)), 1))
+			a0, b0 = append(a0, a(r, c(r))), append(b0, gen(brows(r, c(r)), 1))
+		}
+		return as, bs, func() {
+			for i := range as {
+				copy(as[i].Data, a0[i])
+				copy(bs[i].Data, b0[i])
+			}
+		}
+	}
+	sq, rows := func(r int) int { return r }, func(r, _ int) int { return r }
+	n16 := make([]int, 256)
+	for i := range n16 {
+		n16[i] = 16
+	}
+	each := func(k int, f func(i int) error) error {
+		for i := 0; i < k; i++ {
+			if err := f(i); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	type leg struct {
+		name        string
+		reset       func()
+		loop, batch func(o []la.Opt) error
+	}
+	var legs []leg
+	// add is a leg over problems as, whose loop runs loop(i) for each.
+	add := func(name string, as []M, reset func(), loop func(i int, o []la.Opt) error, batch func(o []la.Opt) error) {
+		legs = append(legs, leg{name, reset, func(o []la.Opt) error {
+			return each(len(as), func(i int) error { return loop(i, o) })
+		}, batch})
+	}
+	as, bs, reset := inputs(small, sq, gen, rows)
+	add("GESV", as, reset, func(i int, o []la.Opt) error { _, err := la.GESV(as[i], bs[i], o...); return err },
+		func(o []la.Opt) error { _, errs, err := la.BatchGesv(as, bs, o...); return firstError(errs, err) })
+	pa, pb, preset := inputs(small, sq, spd, rows)
+	add("POSV", pa, preset, func(i int, o []la.Opt) error { return la.POSV(pa[i], pb[i], o...) },
+		func(o []la.Opt) error { return firstError(la.BatchPosv(pa, pb, o...)) })
+	ya, _, yreset := inputs(n16, sq, spd, rows)
+	add("SYEV", ya, yreset, func(i int, o []la.Opt) error { _, err := la.SYEV(ya[i], append(o, la.WithVectors())...); return err },
+		func(o []la.Opt) error {
+			_, errs, err := la.BatchSyev(ya, append(o, la.WithVectors())...)
+			return firstError(errs, err)
+		})
+	var ga, gb, gc []M // C := A·B overwrites only C: nothing to reset
+	for range small {
+		ga, gb, gc = append(ga, la.NewMatrix[float64](32, 32)), append(gb, la.NewMatrix[float64](32, 32)), append(gc, la.NewMatrix[float64](32, 32))
+		lapack.Larnv(2, rng, 32*32, ga[len(ga)-1].Data)
+		lapack.Larnv(2, rng, 32*32, gb[len(gb)-1].Data)
+	}
+	add("GEMM", ga, func() {}, func(i int, o []la.Opt) error {
+		return firstError(la.BatchGemm(1, ga[i:i+1], gb[i:i+1], 0, gc[i:i+1], o...))
+	}, func(o []la.Opt) error { return firstError(la.BatchGemm(1, ga, gb, 0, gc, o...)) })
+	xa, xb, xreset := inputs(n16, sq, gen, rows)
+	add("GESVX", xa, xreset, func(i int, o []la.Opt) error { _, err := la.GESVX(xa[i], xb[i], o...); return err },
+		func(o []la.Opt) error { _, errs, err := la.BatchGesvx(xa, xb, o...); return firstError(errs, err) })
+	qa, qb, qreset := inputs(n16, sq, spd, rows)
+	add("POSVX", qa, qreset, func(i int, o []la.Opt) error { _, err := la.POSVX(qa[i], qb[i], o...); return err },
+		func(o []la.Opt) error { _, errs, err := la.BatchPosvx(qa, qb, o...); return firstError(errs, err) })
+	da, _, dreset := inputs(n16, sq, gen, rows)
+	add("GESDD", da, dreset, func(i int, o []la.Opt) error { _, err := la.GESVD(da[i], o...); return err },
+		func(o []la.Opt) error { _, errs, err := la.BatchGesdd(da, o...); return firstError(errs, err) })
+	n24 := make([]int, 256)
+	for i := range n24 {
+		n24[i] = 24
+	}
+	la0, lb0, lreset := inputs(n24, func(int) int { return 8 }, gen, rows)
+	add("GELSD", la0, lreset, func(i int, o []la.Opt) error { _, _, err := la.GELSD(la0[i], lb0[i], o...); return err },
+		func(o []la.Opt) error { _, _, errs, err := la.BatchGelsd(la0, lb0, o...); return firstError(errs, err) })
+
+	for _, l := range legs {
+		for _, threads := range []int{1, 2} {
+			o := []la.Opt{la.WithThreads(threads)}
+			b.Run(fmt.Sprintf("%s/threads=%d", l.name, threads), func(b *testing.B) {
+				var tLoop, tBatch time.Duration
+				for i := 0; i < b.N; i++ {
+					for _, batch := range []bool{false, true} {
+						run, t := l.loop, &tLoop
+						if batch {
+							run, t = l.batch, &tBatch
+						}
+						b.StopTimer()
+						l.reset()
+						b.StartTimer()
+						start := time.Now()
+						if err := run(o); err != nil {
+							b.Fatal(err)
+						}
+						*t += time.Since(start)
+					}
+				}
+				b.ReportMetric(float64(tLoop.Microseconds())/1e3/float64(b.N), "loop-ms")
+				b.ReportMetric(float64(tBatch.Microseconds())/1e3/float64(b.N), "batch-ms")
+				b.ReportMetric(float64(tLoop)/float64(tBatch), "speedup")
+			})
+		}
+	}
 }
 
 // BenchmarkSytrf tracks the blocked Bunch–Kaufman factorization on all four

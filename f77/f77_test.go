@@ -159,4 +159,61 @@ func TestF77Primitives(t *testing.T) {
 			t.Fatal("singular values not sorted")
 		}
 	}
+
+	// The stored-matrix rule on every routine, at LAPACK 77's argument
+	// positions: a leading dimension below the rows of its matrix (2 < 3),
+	// an array too short for its matrix, or a negative dimension is
+	// INFO = -i before any work.
+	z := func(k int) []float64 { return make([]float64, k) }
+	c := func(k int) []complex128 { return make([]complex128, k) }
+	p, w3, s3, e2, cw := make([]int, 3), z(3), z(3), z(2), c(3)
+	for _, pr := range []struct {
+		name string
+		want int
+		info int
+	}{
+		{"GETRF", -4, f77.GETRF(3, 3, z(9), 2, p)},
+		{"GETRS", -8, f77.GETRS(f77.NoTrans, 3, 1, z(9), 3, p, z(3), 2)},
+		{"GETRI", -3, f77.GETRI(3, z(9), 2, p, z(9), 9)},
+		{"GESV LDA", -4, f77.GESV(3, 1, z(9), 2, p, z(3), 3)},
+		{"GESV LDB", -7, f77.GESV(3, 1, z(9), 3, p, z(3), 2)},
+		{"GESV N", -1, f77.GESV(-1, 1, z(9), 3, p, z(3), 3)},
+		{"POTRF", -4, f77.POTRF(f77.Upper, 3, z(9), 2)},
+		{"POTRS", -7, f77.POTRS(f77.Upper, 3, 1, z(9), 3, z(3), 2)},
+		{"POSV", -5, f77.POSV(f77.Upper, 3, 1, z(9), 2, z(3), 3)},
+		{"GBSV", -6, f77.GBSV(3, 1, 1, 1, z(12), 3, p, z(3), 3)},
+		{"GTSV", -7, f77.GTSV(3, 1, z(2), z(3), z(2), z(3), 2)},
+		{"PTSV", -5, f77.PTSV(3, 1, z(3), z(2), z(2), 3)},
+		{"PPSV", -6, f77.PPSV(f77.Upper, 3, 1, z(6), z(3), 2)},
+		{"PBSV", -6, f77.PBSV(f77.Upper, 3, 1, 1, z(6), 1, z(3), 3)},
+		{"SYSV", -8, f77.SYSV(f77.Upper, 3, 1, z(9), 3, p, z(3), 2)},
+		{"HESV", -5, f77.HESV(f77.Upper, 3, 1, c(9), 2, p, c(3), 3)},
+		{"GELS", -8, f77.GELS(f77.NoTrans, 3, 2, 1, z(6), 3, z(2), 2, nil, 0)},
+		{"SYEV", -5, f77.SYEV(true, f77.Upper, 3, z(9), 2, w3)},
+		{"SYEVD", -4, f77.SYEVD(false, f77.Upper, 3, z(8), 3, w3)},
+		{"GESVD", -9, f77.GESVD('S', 'S', 3, 3, z(9), 3, s3, z(9), 2, z(9), 3)},
+		{"GEQRF", -4, f77.GEQRF(3, 3, z(9), 2, z(3))},
+		{"GEEV", -11, f77.GEEV(false, true, 3, z(9), 3, w3, s3, nil, 1, z(9), 2)},
+		{"GEEVC", -8, f77.GEEVC(true, false, 3, c(9), 3, cw, c(9), 2, nil, 1)},
+		{"GEES", -10, func() int { _, info := f77.GEES(true, nil, 3, z(9), 3, w3, s3, z(8), 3); return info }()},
+		{"GEESC", -6, func() int { _, info := f77.GEESC(false, nil, 3, c(9), 2, cw, nil, 1); return info }()},
+		{"GELSS", -5, func() int { _, info := f77.GELSS(3, 2, 1, z(6), 2, z(3), 3, s3, -1); return info }()},
+		{"GECON", -4, func() int { _, info := f77.GECON('1', 3, z(9), 2, p, 1); return info }()},
+		{"SYGV", -8, f77.SYGV(1, false, f77.Upper, 3, z(9), 3, z(9), 2, w3)},
+		{"GEHRD", -5, f77.GEHRD(3, 1, 3, z(9), 2, e2)},
+		{"SYTRD", -4, f77.SYTRD(f77.Upper, 3, z(9), 2, w3, e2, e2)},
+		{"ORGTR", -4, f77.ORGTR(f77.Upper, 3, z(9), 2, e2)},
+		{"STEQR", -6, f77.STEQR(3, w3, e2, z(9), 2)},
+		{"GESVX", -16, func() int {
+			_, info := f77.GESVX('N', f77.NoTrans, 3, 1, z(9), 3, z(9), 3, p, z(3), 3, z(3), 2, s3, w3)
+			return info
+		}()},
+	} {
+		if pr.info != pr.want {
+			t.Errorf("%s: INFO = %d, want %d", pr.name, pr.info, pr.want)
+		}
+	}
+	if v := f77.LANGE('1', 3, 3, z(9), 2); !math.IsNaN(v) {
+		t.Errorf("LANGE with LDA < M = %v, want NaN", v)
+	}
 }

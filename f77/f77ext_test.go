@@ -168,9 +168,9 @@ func TestF77ExpertAndLS(t *testing.T) {
 	af2 := append([]float64(nil), a...)
 	ipiv2 := make([]int, n)
 	f77.GETRF(n, n, af2, n, ipiv2)
-	rc2 := f77.GECON[float64]('1', n, af2, n, ipiv2, anorm)
-	if math.Abs(rc2-rcond) > 1e-10*(1+rcond) {
-		t.Fatalf("gecon %v vs gesvx rcond %v", rc2, rcond)
+	rc2, info := f77.GECON[float64]('1', n, af2, n, ipiv2, anorm)
+	if info != 0 || math.Abs(rc2-rcond) > 1e-10*(1+rcond) {
+		t.Fatalf("gecon %v (info %d) vs gesvx rcond %v", rc2, info, rcond)
 	}
 
 	// GELSS through the F77 signature.

@@ -53,3 +53,32 @@ func NaN[T Scalar]() T {
 	}
 	return z
 }
+
+// A Flaw is the clause of the stored-matrix rule (Stored) an argument breaks.
+type Flaw int
+
+// The clauses, in the order Stored checks them.
+const (
+	Sound     Flaw = iota // the rule holds
+	NegDim                // a negative row or column count
+	ShortLD               // a leading dimension below max(1, rows)
+	ShortData             // fewer stored elements than the matrix spans
+)
+
+// Stored is the one well-formedness rule of a column-major matrix argument:
+// rows, cols ≥ 0, ld ≥ max(1, rows) and, unless the matrix has no elements,
+// length ≥ (cols−1)·ld + rows, the span from its first element to its last.
+// Package la applies it to every *Matrix argument, behind a nil check, and
+// package f77 to every explicit (rows, cols, A, LDA); it returns the first
+// clause broken.
+func Stored(rows, cols, ld, length int) Flaw {
+	switch {
+	case rows < 0 || cols < 0:
+		return NegDim
+	case ld < max(1, rows):
+		return ShortLD
+	case rows > 0 && cols > 0 && (length < rows || (length-rows)/ld < cols-1):
+		return ShortData
+	}
+	return Sound
+}

@@ -66,7 +66,7 @@ func Lacpy[T core.Scalar](uplo byte, m, n int, a []T, lda int, b []T, ldb int) {
 			}
 		}
 	default:
-		for j := 0; j < n; j++ {
+		for j := 0; j < n && m > 0; j++ { // an m = 0 matrix may have no storage
 			copy(b[j*ldb:j*ldb+m], a[j*lda:j*lda+m])
 		}
 	}

@@ -53,6 +53,9 @@ func Pbtrf[T core.Scalar](uplo Uplo, n, kd int, ab []T, ldab int) int {
 // Pbtrs solves A·X = B using the band Cholesky factorization from Pbtrf
 // (xPBTRS).
 func Pbtrs[T core.Scalar](uplo Uplo, n, kd, nrhs int, ab []T, ldab int, b []T, ldb int) {
+	if n == 0 {
+		return // B has no elements, and may have no storage
+	}
 	for j := 0; j < nrhs; j++ {
 		col := b[j*ldb:]
 		if uplo == Upper {

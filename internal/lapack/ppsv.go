@@ -47,6 +47,9 @@ func Pptrf[T core.Scalar](uplo Uplo, n int, ap []T) int {
 // Pptrs solves A·X = B using the packed Cholesky factorization from Pptrf
 // (xPPTRS).
 func Pptrs[T core.Scalar](uplo Uplo, n, nrhs int, ap []T, b []T, ldb int) {
+	if n == 0 {
+		return // B has no elements, and may have no storage
+	}
 	for j := 0; j < nrhs; j++ {
 		col := b[j*ldb:]
 		if uplo == Upper {

@@ -1,53 +1,80 @@
 package la
 
-import (
-	"repro/internal/blas"
-	"repro/internal/lapack"
-)
+import "repro/internal/blas"
 
 // Batched drivers. A batched workload — thousands of small independent
-// systems — inverts the economics the rest of the interface layer is tuned
-// for: per-call costs (option parsing, workspace allocation, the threaded
-// engine's hand-off) that are noise against one large factorization
-// dominate when the factorization itself is a few microseconds. The Batch
-// drivers take whole slices of problems and
+// problems — inverts the economics the rest of the interface layer is tuned
+// for: per-call costs (option parsing, the threaded engine's hand-off) that
+// are noise against one large factorization dominate when the factorization
+// itself is a few microseconds. Every Batch driver is one call of batch,
+// which applies the options once and runs, for each problem, the body its
+// single-call driver runs (gesv, posv, syev, gesvx, posvx, gesdd, gelsd)
+// under blas.BatchRange:
 //
-//   - schedule one problem per task across the deterministic worker pool
-//     (blas.BatchRange), so the batch scales with cores while each problem
-//     runs the serial small-matrix fast path;
-//   - allocate every returned array out of one flat backing per batch, so
-//     the steady-state cost of an item is the solve itself — no per-item
-//     garbage;
-//   - contain faults per item: a panic while solving problem i (a corrupted
-//     matrix, an injected worker fault) becomes errs[i] with the
-//     out-of-band InfoPanic code, and every other item still completes.
+//   - one problem per task across the deterministic worker pool, so the
+//     batch scales with cores while each problem runs the serial
+//     small-matrix fast path; the item→worker assignment depends only on the
+//     batch length and the worker budget;
+//   - a problem's argument checks, input screening and error mapping are its
+//     body's, so errs[i] is the error the single call returns for it and a
+//     batch is bit-identical to a serial loop of single calls at any
+//     SetThreads value — it runs the same code;
+//   - a fault while solving problem i (a kernel panic, an injected worker
+//     fault) becomes errs[i] through recoveredError, as the single call's
+//     guard would report it, and every other problem still completes;
+//   - the pivots, eigenvalues and singular values are carved from one flat
+//     backing per batch (carve), so a problem allocates no more than its
+//     single call would and the small-matrix path nothing at all.
 //
-// The item→worker assignment depends only on the batch length and the
-// worker budget, and each item performs exactly the work the corresponding
-// single-call driver would; results are bit-identical to a serial loop over
-// the single-call drivers at any SetThreads value.
-//
-// Error reporting is two-level: the errs slice (always of the batch's
-// length) holds the per-problem outcomes, nil for success; the final error
-// reports batch-level misuse (mismatched slice lengths) that prevents the
-// batch from running at all.
+// Error reporting is two-level: errs (always of the batch's length) holds
+// the per-problem outcomes, nil for success; err reports batch-level misuse
+// (mismatched slice lengths) that keeps any problem from running.
 
-// batchItemError converts a fault captured while running one batch item
-// into that item's ERINFO error: an *Error panic (argument checking,
-// allocation sizing) passes through as the item's own error, anything else
-// is reported as a contained fault with the worker's stack.
-func batchItemError(routine string, pe *blas.PanicError) *Error {
-	if e, ok := pe.Value.(*Error); ok {
-		return e
+// batch runs body(o, i) — problem i of a Batch driver on the applied options
+// — for the n problems under blas.BatchRange. sameLen says that the driver's
+// other slice arguments have length n.
+func batch(routine string, opts []Opt, n int, sameLen bool, body func(o *options, i int) error) (errs []error, err error) {
+	defer guard(routine, &err)
+	if !sameLen {
+		return nil, erinfo(routine, -2, "batch slice lengths differ")
 	}
-	return recoveredError(routine, pe)
+	o := apply(opts)
+	errs = make([]error, n)
+	blas.BatchRange(o.cfg, n, func(i int) {
+		errs[i] = body(&o, i)
+	}, func(i int, pe *blas.PanicError) {
+		errs[i] = recoveredError(routine, pe)
+	})
+	return errs, nil
 }
 
-// matOK reports whether m is a structurally valid matrix with consistent
-// backing storage.
-func matOK[T Scalar](m *Matrix[T]) bool {
-	return m != nil && m.Rows >= 0 && m.Cols >= 0 && m.Stride >= max(1, m.Rows) &&
-		(m.Cols == 0 || len(m.Data) >= (m.Cols-1)*m.Stride+m.Rows)
+// carve cuts one flat backing into a slice per problem: min(Rows, Cols)
+// elements — the pivots, eigenvalues or singular values — for a well-formed
+// as[i], nil for a malformed one, which its body rejects.
+func carve[E any, T Scalar](as []*Matrix[T]) [][]E {
+	backs, total := make([][]E, len(as)), 0
+	for _, a := range as {
+		if stored(a) {
+			total += min(a.Rows, a.Cols)
+		}
+	}
+	flat := make([]E, total)
+	for i, a := range as {
+		if stored(a) {
+			k := min(a.Rows, a.Cols)
+			backs[i], flat = flat[:k:k], flat[k:]
+		}
+	}
+	return backs
+}
+
+// alloc is the other side of carve: back, the slice a Batch driver carved for
+// the problem, or n new elements in a single call.
+func alloc[E any](back []E, n int) []E {
+	if back == nil {
+		return make([]E, n)
+	}
+	return back
 }
 
 // BatchGesv solves the general linear systems A[i]·X[i] = B[i] for every i
@@ -57,55 +84,12 @@ func matOK[T Scalar](m *Matrix[T]) bool {
 // errs[i] is problem i's GESV error (nil on success); err reports only
 // batch-level misuse. Problems need not share a size.
 func BatchGesv[T Scalar](as, bs []*Matrix[T], opts ...Opt) (ipivs [][]int, errs []error, err error) {
-	const routine = "LA_GESV"
-	defer guard(routine, &err)
-	if len(as) != len(bs) {
-		return nil, nil, erinfo(routine, -2, "batch slice lengths differ")
-	}
-	o := apply(opts)
-	cfg := o.cfg
-	errs = make([]error, len(as))
-	ipivs = make([][]int, len(as))
-	// One flat pivot backing for the whole batch; invalid items get an
-	// empty slice and carry their argument error instead.
-	total := 0
-	for i, a := range as {
-		if !square(a) {
-			errs[i] = erinfo(routine, -1, "")
-			continue
-		}
-		if !rhsMatch(a.Rows, bs[i]) {
-			errs[i] = erinfo(routine, -2, "")
-			continue
-		}
-		total += a.Rows
-	}
-	flat := make([]int, total)
-	off := 0
-	for i, a := range as {
-		if errs[i] != nil {
-			continue
-		}
-		ipivs[i] = flat[off : off+a.Rows : off+a.Rows]
-		off += a.Rows
-	}
-	blas.BatchRange(cfg, len(as), func(i int) {
-		if errs[i] != nil {
-			return
-		}
-		a, b := as[i], bs[i]
-		if o.check {
-			if e := firstErr(finiteMat(routine, 1, "A", a), finiteMat(routine, 2, "B", b)); e != nil {
-				errs[i] = e
-				return
-			}
-		}
-		info := lapack.Gesv(cfg, a.Rows, b.Cols, a.Data, a.Stride, ipivs[i], b.Data, b.Stride)
-		errs[i] = erdiag(routine, info, "matrix is exactly singular", DiagSingular)
-	}, func(i int, pe *blas.PanicError) {
-		errs[i] = batchItemError(routine, pe)
+	ipivs = carve[int](as)
+	errs, err = batch("LA_GESV", opts, len(as), len(bs) == len(as), func(o *options, i int) (err error) {
+		ipivs[i], err = gesv("LA_GESV", o, as[i], bs[i], ipivs[i])
+		return err
 	})
-	return ipivs, errs, nil
+	return ipivs, errs, err
 }
 
 // BatchPosv solves the symmetric/Hermitian positive definite systems
@@ -114,36 +98,9 @@ func BatchGesv[T Scalar](as, bs []*Matrix[T], opts ...Opt) (ipivs [][]int, errs 
 // its solution. errs[i] is problem i's POSV error; err reports batch-level
 // misuse.
 func BatchPosv[T Scalar](as, bs []*Matrix[T], opts ...Opt) (errs []error, err error) {
-	const routine = "LA_POSV"
-	defer guard(routine, &err)
-	if len(as) != len(bs) {
-		return nil, erinfo(routine, -2, "batch slice lengths differ")
-	}
-	o := apply(opts)
-	cfg := o.cfg
-	errs = make([]error, len(as))
-	blas.BatchRange(cfg, len(as), func(i int) {
-		a, b := as[i], bs[i]
-		if !square(a) {
-			errs[i] = erinfo(routine, -1, "")
-			return
-		}
-		if !rhsMatch(a.Rows, b) {
-			errs[i] = erinfo(routine, -2, "")
-			return
-		}
-		if o.check {
-			if e := firstErr(finiteMat(routine, 1, "A", a), finiteMat(routine, 2, "B", b)); e != nil {
-				errs[i] = e
-				return
-			}
-		}
-		info := lapack.Posv(cfg, o.uplo, a.Rows, b.Cols, a.Data, a.Stride, b.Data, b.Stride)
-		errs[i] = erdiag(routine, info, "matrix is not positive definite", DiagNotPositiveDefinite)
-	}, func(i int, pe *blas.PanicError) {
-		errs[i] = batchItemError(routine, pe)
+	return batch("LA_POSV", opts, len(as), len(bs) == len(as), func(o *options, i int) error {
+		return posv("LA_POSV", o, as[i], bs[i])
 	})
-	return errs, nil
 }
 
 // BatchSyev computes all eigenvalues — and, with WithVectors, the
@@ -153,46 +110,12 @@ func BatchPosv[T Scalar](as, bs []*Matrix[T], opts ...Opt) (errs []error, err er
 // eigenvectors. errs[i] is problem i's SYEV error; err reports batch-level
 // misuse.
 func BatchSyev[T Scalar](as []*Matrix[T], opts ...Opt) (ws [][]float64, errs []error, err error) {
-	const routine = "LA_SYEV"
-	defer guard(routine, &err)
-	o := apply(opts)
-	cfg := o.cfg
-	errs = make([]error, len(as))
-	ws = make([][]float64, len(as))
-	total := 0
-	for i, a := range as {
-		if !square(a) {
-			errs[i] = erinfo(routine, -1, "")
-			continue
-		}
-		total += a.Rows
-	}
-	flat := make([]float64, total)
-	off := 0
-	for i, a := range as {
-		if errs[i] != nil {
-			continue
-		}
-		ws[i] = flat[off : off+a.Rows : off+a.Rows]
-		off += a.Rows
-	}
-	blas.BatchRange(cfg, len(as), func(i int) {
-		if errs[i] != nil {
-			return
-		}
-		a := as[i]
-		if o.check {
-			if e := finiteMat(routine, 1, "A", a); e != nil {
-				errs[i] = e
-				return
-			}
-		}
-		info := lapack.Syev[T](cfg, o.vectors, o.uplo, a.Rows, a.Data, a.Stride, ws[i])
-		errs[i] = erdiag(routine, info, eigFailed, DiagNotConverged)
-	}, func(i int, pe *blas.PanicError) {
-		errs[i] = batchItemError(routine, pe)
+	ws = carve[float64](as)
+	errs, err = batch("LA_SYEV", opts, len(as), true, func(o *options, i int) (err error) {
+		ws[i], err = syev("LA_SYEV", o, as[i], ws[i])
+		return err
 	})
-	return ws, errs, nil
+	return ws, errs, err
 }
 
 // BatchGemm computes C[i] = alpha·op(A[i])·op(B[i]) + beta·C[i] for every i
@@ -200,29 +123,19 @@ func BatchSyev[T Scalar](as []*Matrix[T], opts ...Opt) (ws [][]float64, errs []e
 // and op(B) by WithTransB. Dimensions are inferred per problem and need not
 // match across the batch; products under the pack-free crossover run the
 // small-matrix kernels with no allocation at all. errs[i] reports a
-// non-conforming problem; err reports batch-level misuse.
+// non-conforming problem; err reports batch-level misuse. The product has
+// no single-call driver, so its body is here.
 func BatchGemm[T Scalar](alpha T, as, bs []*Matrix[T], beta T, cs []*Matrix[T], opts ...Opt) (errs []error, err error) {
 	const routine = "LA_GEMM"
-	defer guard(routine, &err)
-	if len(as) != len(bs) || len(as) != len(cs) {
-		return nil, erinfo(routine, -2, "batch slice lengths differ")
-	}
-	o := apply(opts)
-	cfg := o.cfg
-	errs = make([]error, len(as))
-	blas.BatchRange(cfg, len(as), func(i int) {
+	return batch(routine, opts, len(as), len(bs) == len(as) && len(cs) == len(as), func(o *options, i int) error {
 		a, b, c := as[i], bs[i], cs[i]
-		if !matOK(a) {
-			errs[i] = erinfo(routine, -2, "")
-			return
-		}
-		if !matOK(b) {
-			errs[i] = erinfo(routine, -3, "")
-			return
-		}
-		if !matOK(c) {
-			errs[i] = erinfo(routine, -5, "")
-			return
+		switch {
+		case !stored(a):
+			return erinfo(routine, -2, "")
+		case !stored(b):
+			return erinfo(routine, -3, "")
+		case !stored(c):
+			return erinfo(routine, -5, "")
 		}
 		m, k := a.Rows, a.Cols
 		if o.trans != None {
@@ -233,27 +146,77 @@ func BatchGemm[T Scalar](alpha T, as, bs []*Matrix[T], beta T, cs []*Matrix[T], 
 			kb, n = n, kb
 		}
 		if k != kb {
-			errs[i] = erinfo(routine, -3, "inner dimensions differ")
-			return
+			return erinfo(routine, -3, "inner dimensions differ")
 		}
 		if c.Rows != m || c.Cols != n {
-			errs[i] = erinfo(routine, -5, "result shape does not conform")
-			return
+			return erinfo(routine, -5, "result shape does not conform")
 		}
 		if o.check {
-			if e := firstErr(
-				finiteMat(routine, 2, "A", a),
-				finiteMat(routine, 3, "B", b),
-				finiteMat(routine, 5, "C", c),
-			); e != nil {
-				errs[i] = e
-				return
+			if err := firstErr(finiteMat(routine, 2, "A", a), finiteMat(routine, 3, "B", b), finiteMat(routine, 5, "C", c)); err != nil {
+				return err
 			}
 		}
-		blas.Gemm(cfg, o.trans, o.transB, m, n, k, alpha,
-			a.Data, a.Stride, b.Data, b.Stride, beta, c.Data, c.Stride)
-	}, func(i int, pe *blas.PanicError) {
-		errs[i] = batchItemError(routine, pe)
+		blas.Gemm(o.cfg, o.trans, o.transB, m, n, k, alpha, a.Data, a.Stride, b.Data, b.Stride, beta, c.Data, c.Stride)
+		return nil
 	})
-	return errs, nil
+}
+
+// BatchGesvx solves the general systems A[i]·X[i] = B[i] through the expert
+// pipeline — equilibration, factorization, condition estimation, iterative
+// refinement, error bounds — for every i (the batched LA_GESVX). Options
+// apply to every item: WithTrans selects op(A), WithEquilibration enables
+// FACT = 'E' (A[i] and B[i] are then overwritten by the scaling, exactly as
+// GESVX documents). results[i] is problem i's ExpertResult — non-nil even
+// when errs[i] reports a numerical failure, as from GESVX, and nil only when
+// its arguments were malformed; errs[i] is its GESVX error.
+func BatchGesvx[T Scalar](as, bs []*Matrix[T], opts ...Opt) (results []*ExpertResult[T], errs []error, err error) {
+	results = make([]*ExpertResult[T], len(as))
+	errs, err = batch("LA_GESVX", opts, len(as), len(bs) == len(as), func(o *options, i int) (err error) {
+		results[i], err = gesvx("LA_GESVX", o, as[i], bs[i])
+		return err
+	})
+	return results, errs, err
+}
+
+// BatchPosvx solves the symmetric/Hermitian positive definite systems
+// A[i]·X[i] = B[i] through the expert pipeline for every i (the batched
+// LA_POSVX), with the results and errors of BatchGesvx. The WithUpLo
+// triangle of each A[i] is referenced; WithEquilibration enables the
+// diagonal scaling.
+func BatchPosvx[T Scalar](as, bs []*Matrix[T], opts ...Opt) (results []*ExpertResult[T], errs []error, err error) {
+	results = make([]*ExpertResult[T], len(as))
+	errs, err = batch("LA_POSVX", opts, len(as), len(bs) == len(as), func(o *options, i int) (err error) {
+		results[i], err = posvx("LA_POSVX", o, as[i], bs[i])
+		return err
+	})
+	return results, errs, err
+}
+
+// BatchGesdd computes the singular value decomposition of every A[i] (the
+// batched LA_GESVD on the divide-and-conquer engine); the per-item drives
+// recycle the pooled per-worker workspaces. res[i] carries problem i's
+// factors, its singular values carved from one flat allocation; errs[i] is
+// its GESVD error; err reports batch-level misuse.
+func BatchGesdd[T Scalar](as []*Matrix[T], opts ...Opt) (res []*SVDResult[T], errs []error, err error) {
+	res, ss := make([]*SVDResult[T], len(as)), carve[float64](as)
+	errs, err = batch("LA_GESVD", opts, len(as), true, func(o *options, i int) (err error) {
+		res[i], err = gesdd("LA_GESVD", o, as[i], ss[i])
+		return err
+	})
+	return res, errs, err
+}
+
+// BatchGelsd solves the least squares problems min ‖B[i] − A[i]·X[i]‖₂ for
+// every i on the divide-and-conquer SVD (the batched LA_GELSD). Each B[i] is
+// overwritten with its minimum-norm solution; ranks[i] and ss[i] hold the
+// effective rank and singular values of problem i, the latter carved from
+// one flat allocation. errs[i] is problem i's GELSD error; err reports
+// batch-level misuse.
+func BatchGelsd[T Scalar](as, bs []*Matrix[T], opts ...Opt) (ranks []int, ss [][]float64, errs []error, err error) {
+	ranks, ss = make([]int, len(as)), carve[float64](as)
+	errs, err = batch("LA_GELSD", opts, len(as), len(bs) == len(as), func(o *options, i int) (err error) {
+		ranks[i], ss[i], err = gelsd("LA_GELSD", o, as[i], bs[i], ss[i])
+		return err
+	})
+	return ranks, ss, errs, err
 }

@@ -246,43 +246,88 @@ func TestBatchGesvPerItemErrors(t *testing.T) {
 	}
 }
 
-// TestBatchItemErrorsAreSingleCallErrors: errs[i] of BatchGesv/BatchPosv on a
-// singular / not positive definite item is the error GESV/POSV returns for
-// that item — same sentinel under errors.Is, same text.
+// TestBatchItemErrorsAreSingleCallErrors: errs[i] of every Batch driver is
+// the error its single-call driver returns for problem i — same Info, same
+// Diag, same text — for every input class: nil, non-square, B with the wrong
+// rows, Stride < Rows, short Data and a numerical failure (singular, not
+// positive definite, NaN in an eigen/SVD iteration). BatchGemm, which has no
+// single-call twin, is held to the stored-matrix rule's INFO instead. Item
+// 0 of every batch is well formed and must solve.
 func TestBatchItemErrorsAreSingleCallErrors(t *testing.T) {
-	sing := newGen(5, 1)
+	type M = *la.Matrix[float64]
+	stride, short := strideBelowRows, shortData
+	sing, notPD, nan := newGen(5, 1), newGen(5, 2), newSPD(5)
 	for j := 0; j < 5; j++ {
 		sing.Set(2, j, 0)
 	}
-	notPD := newGen(5, 2)
 	notPD.Set(3, 3, -1)
-	for _, c := range []struct {
-		name     string
-		bad      *la.Matrix[float64]
-		sentinel error
-		single   func(a, b *la.Matrix[float64]) error
-		batch    func(as, bs []*la.Matrix[float64]) []error
+	nan.Set(1, 1, math.NaN())
+	classes := []struct {
+		name string
+		a, b M
 	}{
-		{"GESV", sing, la.ErrSingular,
-			func(a, b *la.Matrix[float64]) error { _, err := la.GESV(a, b); return err },
-			func(as, bs []*la.Matrix[float64]) []error { _, errs, _ := la.BatchGesv(as, bs); return errs }},
-		{"POSV", notPD, la.ErrNotPositiveDefinite,
-			func(a, b *la.Matrix[float64]) error { return la.POSV(a, b) },
-			func(as, bs []*la.Matrix[float64]) []error { errs, _ := la.BatchPosv(as, bs); return errs }},
+		{"nil", nil, newRHS(5, 1)},
+		{"non-square", la.NewMatrix[float64](4, 6), newRHS(4, 1)},
+		{"B rows", newGen(5, 3), newRHS(3, 1)},
+		{"A stride", stride(newGen(5, 4)), newRHS(5, 1)},
+		{"B stride", newGen(5, 4), stride(newRHS(5, 2))},
+		{"A short", short(newGen(5, 5)), newRHS(5, 1)},
+		{"B short", newGen(5, 5), short(newRHS(5, 2))},
+		{"singular", sing, newRHS(5, 1)},
+		{"not PD", notPD, newRHS(5, 1)},
+		{"NaN", nan, newRHS(5, 1)},
+	}
+	sentinel := map[string]error{"GESV singular": la.ErrSingular, "GESVX singular": la.ErrSingular,
+		"POSV not PD": la.ErrNotPositiveDefinite, "POSVX not PD": la.ErrNotPositiveDefinite,
+		"SYEV NaN": la.ErrNotConverged, "GESDD NaN": la.ErrNotConverged, "GELSD NaN": la.ErrNotConverged}
+	for _, d := range []struct {
+		name   string
+		single func(a, b M) error
+		batch  func(as, bs []M) ([]error, error)
+	}{
+		{"GESV", func(a, b M) error { _, err := la.GESV(a, b); return err },
+			func(as, bs []M) ([]error, error) { _, errs, err := la.BatchGesv(as, bs); return errs, err }},
+		{"POSV", func(a, b M) error { return la.POSV(a, b) }, func(as, bs []M) ([]error, error) { return la.BatchPosv(as, bs) }},
+		{"SYEV", func(a, _ M) error { _, err := la.SYEV(a); return err },
+			func(as, _ []M) ([]error, error) { _, errs, err := la.BatchSyev(as); return errs, err }},
+		{"GESVX", func(a, b M) error { _, err := la.GESVX(a, b); return err },
+			func(as, bs []M) ([]error, error) { _, errs, err := la.BatchGesvx(as, bs); return errs, err }},
+		{"POSVX", func(a, b M) error { _, err := la.POSVX(a, b); return err },
+			func(as, bs []M) ([]error, error) { _, errs, err := la.BatchPosvx(as, bs); return errs, err }},
+		{"GESDD", func(a, _ M) error { _, err := la.GESVD(a); return err },
+			func(as, _ []M) ([]error, error) { _, errs, err := la.BatchGesdd(as); return errs, err }},
+		{"GELSD", func(a, b M) error { _, _, err := la.GELSD(a, b); return err },
+			func(as, bs []M) ([]error, error) { _, _, errs, err := la.BatchGelsd(as, bs); return errs, err }},
+		{"GEMM", func(a, b M) error { // the rule's INFO: A is argument 2, B 3
+			switch {
+			case a == nil || a.Stride < a.Rows || len(a.Data) < a.Rows*a.Cols:
+				return &la.Error{Info: -2}
+			case b.Stride < b.Rows || len(b.Data) < b.Rows*b.Cols || b.Rows != a.Cols:
+				return &la.Error{Info: -3}
+			}
+			return nil
+		}, func(as, bs []M) ([]error, error) { return la.BatchGemm(1, as, bs, 0, []M{newRHS(5, 1), newRHS(5, 1)}) }},
 	} {
-		want := c.single(c.bad.Clone(), newRHS(5, 1))
-		errs := c.batch([]*la.Matrix[float64]{newGen(5, 0), c.bad.Clone()}, []*la.Matrix[float64]{newRHS(5, 1), newRHS(5, 1)})
-		if errs[0] != nil {
-			t.Errorf("Batch%s item 0 (valid): %v", c.name, errs[0])
-		}
-		if !errors.Is(want, c.sentinel) {
-			t.Fatalf("%s: %v is not %v", c.name, want, c.sentinel)
-		}
-		if !errors.Is(errs[1], c.sentinel) {
-			t.Errorf("Batch%s: errors.Is(%v, %v) is false", c.name, errs[1], c.sentinel)
-		}
-		if errs[1] == nil || errs[1].Error() != want.Error() {
-			t.Errorf("Batch%s item error %q, %s returns %q", c.name, errs[1], c.name, want)
+		for _, c := range classes {
+			clone := func(m M) M {
+				if m == nil {
+					return nil
+				}
+				return &la.Matrix[float64]{Rows: m.Rows, Cols: m.Cols, Stride: m.Stride, Data: slices.Clone(m.Data)}
+			}
+			want := d.single(clone(c.a), clone(c.b))
+			errs, err := d.batch([]M{newGen(5, 0), clone(c.a)}, []M{newRHS(5, 1), clone(c.b)})
+			if err != nil || errs[0] != nil {
+				t.Fatalf("%s %s: batch error %v, item 0 error %v", d.name, c.name, err, errs[0])
+			}
+			var we, ge *la.Error
+			if (want == nil) != (errs[1] == nil) || want != nil && (!errors.As(want, &we) || !errors.As(errs[1], &ge) ||
+				we.Info != ge.Info || we.Diag != ge.Diag || d.name != "GEMM" && we.Error() != ge.Error()) {
+				t.Errorf("%s %s: Batch item error %v, single call %v", d.name, c.name, errs[1], want)
+			}
+			if s, ok := sentinel[d.name+" "+c.name]; ok && !errors.Is(errs[1], s) {
+				t.Errorf("%s %s: errors.Is(%v, %v) is false", d.name, c.name, errs[1], s)
+			}
 		}
 	}
 }

@@ -41,7 +41,8 @@ func WithCheck() Opt { return func(o *options) { o.check = true } }
 //   - a *Error panic (ERINFO-aware code such as NewMatrix sizing) passes
 //     through as-is;
 //   - a *blas.PanicError (a fault captured on a worker goroutine and
-//     re-raised on the caller) keeps the worker's stack;
+//     re-raised on the caller, or one item of a Batch driver) passes a
+//     *Error through and otherwise keeps the worker's stack;
 //   - anything else is wrapped with the recovering goroutine's stack.
 //
 // Panics raised by Must deliberately do not reach guard: Must runs in the
@@ -53,9 +54,8 @@ func guard(routine string, err *error) {
 }
 
 // recoveredError converts a recovered panic value into the ERINFO error the
-// API reports for it. Shared by guard and by the per-item containment of
-// the batched drivers, so a fault is described identically whether it
-// failed a single call or one item of a batch.
+// API reports for it. Shared by guard and by batch, so a fault is described
+// identically whether it failed a single call or one item of a batch.
 func recoveredError(routine string, r any) *Error {
 	switch v := r.(type) {
 	case *Error:
@@ -63,11 +63,14 @@ func recoveredError(routine string, r any) *Error {
 	case *core.CancelError:
 		return canceledError(routine, v)
 	case *blas.PanicError:
-		if ce, ok := v.Value.(*core.CancelError); ok {
+		switch w := v.Value.(type) {
+		case *Error:
+			return w
+		case *core.CancelError:
 			// A checkpoint fired on a worker goroutine; the pool has already
 			// drained every worker before re-raising, so this is an orderly
 			// cancellation, not a contained fault.
-			return canceledError(routine, ce)
+			return canceledError(routine, w)
 		}
 		return &Error{
 			Routine: routine,
@@ -157,16 +160,42 @@ func nonFinite(routine string, arg int, name string) error {
 	return &Error{Routine: routine, Info: -arg, Detail: name + " contains a non-finite value"}
 }
 
-// The argument checks of the linear-system drivers, one per storage format,
-// shared by the simple driver (LA_xxSV) and the expert one (LA_xxSVX): shapes
-// first, in argument order, then — with check — non-finite entries.
+// The argument checks of the drivers, one per storage format, shared by the
+// simple driver (LA_xxSV) and the expert one (LA_xxSVX): each matrix argument
+// by the stored-matrix rule and its shape, in argument order, then — with
+// check — non-finite entries.
+
+// generalArgs checks the general matrix A of a one-matrix driver.
+func generalArgs[T Scalar](routine string, check bool, a *Matrix[T]) error {
+	if !stored(a) {
+		return erinfo(routine, -1, "")
+	}
+	if check {
+		return finiteMat(routine, 1, "A", a)
+	}
+	return nil
+}
+
+// lsArgs checks the m×n A and the max(m, n)-row B of a least squares driver.
+func lsArgs[T Scalar](routine string, check bool, a, b *Matrix[T]) error {
+	if !stored(a) {
+		return erinfo(routine, -1, "")
+	}
+	if !stored(b) || b.Rows != max(a.Rows, a.Cols) {
+		return erinfo(routine, -2, "")
+	}
+	if check {
+		return firstErr(finiteMat(routine, 1, "A", a), finiteMat(routine, 2, "B", b))
+	}
+	return nil
+}
 
 // denseArgs checks the A and B of a dense n×n system.
 func denseArgs[T Scalar](routine string, check bool, a, b *Matrix[T]) error {
-	if !square(a) {
+	if !stored(a) || a.Rows != a.Cols {
 		return erinfo(routine, -1, "")
 	}
-	if !rhsMatch(a.Rows, b) {
+	if !stored(b) || b.Rows != a.Rows {
 		return erinfo(routine, -2, "")
 	}
 	if check {
@@ -181,7 +210,7 @@ func packedArgs[T Scalar](routine string, check bool, ap []T, b *Matrix[T]) (int
 	if n < 0 {
 		return n, erinfo(routine, -1, "")
 	}
-	if !rhsMatch(n, b) {
+	if !stored(b) || b.Rows != n {
 		return n, erinfo(routine, -2, "")
 	}
 	if check {
@@ -193,10 +222,10 @@ func packedArgs[T Scalar](routine string, check bool, ap []T, b *Matrix[T]) (int
 // bandArgs checks the AB (symmetric band storage, kd = AB.Rows−1) and B of a
 // positive definite band system.
 func bandArgs[T Scalar](routine string, check bool, ab, b *Matrix[T]) error {
-	if ab == nil || ab.Rows < 1 {
+	if !stored(ab) || ab.Rows < 1 {
 		return erinfo(routine, -1, "")
 	}
-	if !rhsMatch(ab.Cols, b) {
+	if !stored(b) || b.Rows != ab.Cols {
 		return erinfo(routine, -2, "")
 	}
 	if check {
@@ -211,7 +240,7 @@ func gtArgs[T Scalar](routine string, check bool, dl, d, du []T, b *Matrix[T]) e
 	if n > 0 && (len(dl) != n-1 || len(du) != n-1) {
 		return erinfo(routine, -1, "")
 	}
-	if !rhsMatch(n, b) {
+	if !stored(b) || b.Rows != n {
 		return erinfo(routine, -4, "")
 	}
 	if check {
@@ -231,7 +260,7 @@ func ptArgs[T Scalar](routine string, check bool, d []float64, e []T, b *Matrix[
 	if n > 0 && len(e) != n-1 {
 		return erinfo(routine, -2, "")
 	}
-	if !rhsMatch(n, b) {
+	if !stored(b) || b.Rows != n {
 		return erinfo(routine, -3, "")
 	}
 	if check {
@@ -249,7 +278,7 @@ func ptArgs[T Scalar](routine string, check bool, d []float64, e []T, b *Matrix[
 // squareArgs checks the square dense A (and B).
 func squareArgs[T Scalar](routine string, check bool, ms ...*Matrix[T]) (int, error) {
 	for i, m := range ms {
-		if !square(m) || m.Rows != ms[0].Rows {
+		if !stored(m) || m.Rows != m.Cols || m.Rows != ms[0].Rows {
 			return 0, erinfo(routine, -(i + 1), "")
 		}
 	}
@@ -285,7 +314,7 @@ func packedEigArgs[T Scalar](routine string, check bool, aps ...[]T) (int, error
 // are Rows−1 and may differ).
 func bandEigArgs[T Scalar](routine string, check bool, abs ...*Matrix[T]) (int, error) {
 	for i, ab := range abs {
-		if ab == nil || ab.Rows < 1 || ab.Cols != abs[0].Cols {
+		if !stored(ab) || ab.Rows < 1 || ab.Cols != abs[0].Cols {
 			return 0, erinfo(routine, -(i + 1), "")
 		}
 	}

@@ -15,13 +15,8 @@ func GETRF[T Scalar](a *Matrix[T], opts ...Opt) (ipiv []int, rcond float64, err 
 	defer guard(routine, &err)
 	o := apply(opts)
 	cfg := o.cfg
-	if a == nil {
-		return nil, 0, erinfo(routine, -1, "")
-	}
-	if o.check {
-		if err := finiteMat(routine, 1, "A", a); err != nil {
-			return nil, 0, err
-		}
+	if err := generalArgs(routine, o.check, a); err != nil {
+		return nil, 0, err
 	}
 	m, n := a.Rows, a.Cols
 	var anorm float64
@@ -44,13 +39,13 @@ func GETRS[T Scalar](a *Matrix[T], ipiv []int, b *Matrix[T], opts ...Opt) (err e
 	defer guard(routine, &err)
 	o := apply(opts)
 	cfg := o.cfg
-	if !square(a) {
+	if !stored(a) || a.Rows != a.Cols {
 		return erinfo(routine, -1, "")
 	}
 	if len(ipiv) != a.Rows {
 		return erinfo(routine, -2, "")
 	}
-	if !rhsMatch(a.Rows, b) {
+	if !stored(b) || b.Rows != a.Rows {
 		return erinfo(routine, -3, "")
 	}
 	if o.check {
@@ -70,18 +65,13 @@ func GETRI[T Scalar](a *Matrix[T], ipiv []int, opts ...Opt) (err error) {
 	defer guard(routine, &err)
 	o := apply(opts)
 	cfg := o.cfg
-	if !square(a) {
-		return erinfo(routine, -1, "")
+	n, err := squareArgs(routine, o.check, a)
+	if err != nil {
+		return err
 	}
-	if len(ipiv) != a.Rows {
+	if len(ipiv) != n {
 		return erinfo(routine, -2, "")
 	}
-	if o.check {
-		if err := finiteMat(routine, 1, "A", a); err != nil {
-			return err
-		}
-	}
-	n := a.Rows
 	nb := lapack.Ilaenv(cfg, 1, "GETRI", n, -1, -1, -1)
 	lwork := max(workSize(routine, n, nb), 1)
 	work := make([]T, lwork)
@@ -97,14 +87,20 @@ func GERFS[T Scalar](a, af *Matrix[T], ipiv []int, b, x *Matrix[T], opts ...Opt)
 	defer guard(routine, &err)
 	o := apply(opts)
 	cfg := o.cfg
-	if !square(a) {
+	if !stored(a) || a.Rows != a.Cols {
 		return nil, nil, erinfo(routine, -1, "")
 	}
-	if !square(af) || af.Rows != a.Rows {
+	if !stored(af) || af.Rows != a.Rows || af.Cols != a.Rows {
 		return nil, nil, erinfo(routine, -2, "")
 	}
-	if !rhsMatch(a.Rows, b) || !rhsMatch(a.Rows, x) || b.Cols != x.Cols {
+	if !stored(b) || b.Rows != a.Rows {
 		return nil, nil, erinfo(routine, -4, "")
+	}
+	if !stored(x) {
+		return nil, nil, erinfo(routine, -5, "")
+	}
+	if x.Rows != a.Rows || x.Cols != b.Cols {
+		return nil, nil, erinfo(routine, -4, "B and X do not conform")
 	}
 	if o.check {
 		if err := firstErr(finiteMat(routine, 1, "A", a), finiteMat(routine, 2, "AF", af),
@@ -125,13 +121,8 @@ func GEEQU[T Scalar](a *Matrix[T], opts ...Opt) (r, c []float64, rowcnd, colcnd,
 	const routine = "LA_GEEQU"
 	defer guard(routine, &err)
 	o := apply(opts)
-	if a == nil {
-		return nil, nil, 0, 0, 0, erinfo(routine, -1, "")
-	}
-	if o.check {
-		if err := finiteMat(routine, 1, "A", a); err != nil {
-			return nil, nil, 0, 0, 0, err
-		}
+	if err := generalArgs(routine, o.check, a); err != nil {
+		return nil, nil, 0, 0, 0, err
 	}
 	r = make([]float64, a.Rows)
 	c = make([]float64, a.Cols)
@@ -148,15 +139,10 @@ func POTRF[T Scalar](a *Matrix[T], opts ...Opt) (rcond float64, err error) {
 	defer guard(routine, &err)
 	o := apply(opts)
 	cfg := o.cfg
-	if !square(a) {
-		return 0, erinfo(routine, -1, "")
+	n, err := squareArgs(routine, o.check, a)
+	if err != nil {
+		return 0, err
 	}
-	if o.check {
-		if err := finiteMat(routine, 1, "A", a); err != nil {
-			return 0, err
-		}
-	}
-	n := a.Rows
 	anorm := lapack.Lansy(lapack.OneNorm, o.uplo, n, a.Data, a.Stride)
 	info := lapack.Potrf(cfg, o.uplo, n, a.Data, a.Stride)
 	if info == 0 {
@@ -174,15 +160,10 @@ func SYTRD[T Scalar](a *Matrix[T], opts ...Opt) (d, e []float64, tau []T, err er
 	defer guard(routine, &err)
 	o := apply(opts)
 	cfg := o.cfg
-	if !square(a) {
-		return nil, nil, nil, erinfo(routine, -1, "")
+	n, err := squareArgs(routine, o.check, a)
+	if err != nil {
+		return nil, nil, nil, err
 	}
-	if o.check {
-		if err := finiteMat(routine, 1, "A", a); err != nil {
-			return nil, nil, nil, err
-		}
-	}
-	n := a.Rows
 	d = make([]float64, n)
 	e = make([]float64, max(0, n-1))
 	tau = make([]T, max(0, n-1))
@@ -202,7 +183,7 @@ func ORGTR[T Scalar](a *Matrix[T], tau []T, opts ...Opt) (err error) {
 	defer guard(routine, &err)
 	o := apply(opts)
 	cfg := o.cfg
-	if !square(a) {
+	if !stored(a) || a.Rows != a.Cols {
 		return erinfo(routine, -1, "")
 	}
 	if len(tau) != max(0, a.Rows-1) {
@@ -229,18 +210,11 @@ func SYGST[T Scalar](a, b *Matrix[T], opts ...Opt) (err error) {
 	const routine = "LA_SYGST"
 	defer guard(routine, &err)
 	o := apply(opts)
-	if !square(a) {
-		return erinfo(routine, -1, "")
+	n, err := squareArgs(routine, o.check, a, b)
+	if err != nil {
+		return err
 	}
-	if !square(b) || b.Rows != a.Rows {
-		return erinfo(routine, -2, "")
-	}
-	if o.check {
-		if err := firstErr(finiteMat(routine, 1, "A", a), finiteMat(routine, 2, "B", b)); err != nil {
-			return err
-		}
-	}
-	lapack.Sygst(o.itype, o.uplo, a.Rows, a.Data, a.Stride, b.Data, b.Stride)
+	lapack.Sygst(o.itype, o.uplo, n, a.Data, a.Stride, b.Data, b.Stride)
 	return nil
 }
 
@@ -257,17 +231,12 @@ func LANGE[T Scalar](a *Matrix[T], opts ...Opt) (v float64, err error) {
 	const routine = "LA_LANGE"
 	defer guard(routine, &err)
 	o := apply(opts)
-	if a == nil {
-		return 0, erinfo(routine, -1, "")
+	if err := generalArgs(routine, o.check, a); err != nil {
+		return 0, err
 	}
 	norm := lapack.Norm(o.norm)
 	if !norm.Valid() {
 		return 0, erinfo(routine, -2, "")
-	}
-	if o.check {
-		if err := finiteMat(routine, 1, "A", a); err != nil {
-			return 0, err
-		}
 	}
 	return lapack.Lange(norm, a.Rows, a.Cols, a.Data, a.Stride), nil
 }
@@ -282,7 +251,7 @@ func LAGGE[T Scalar](a *Matrix[T], d []float64, opts ...Opt) (err error) {
 	defer guard(routine, &err)
 	o := apply(opts)
 	cfg := o.cfg
-	if a == nil {
+	if !stored(a) {
 		return erinfo(routine, -1, "")
 	}
 	if len(d) < min(a.Rows, a.Cols) {

@@ -35,18 +35,19 @@ func evxResult[T Scalar](routine string, res lapack.SyevxResult, z *Matrix[T]) (
 // eigenvectors of the tridiagonal form come from the QL/QR iteration on
 // small matrices and from divide & conquer on larger ones.
 func SYEV[T Scalar](a *Matrix[T], opts ...Opt) (w []float64, err error) {
-	return syev("LA_SYEV", a, opts)
+	defer guard("LA_SYEV", &err)
+	o := apply(opts)
+	return syev("LA_SYEV", &o, a, nil)
 }
 
-// syev is the body of SYEV and of SYEVD, the paper's other name for it.
-func syev[T Scalar](routine string, a *Matrix[T], opts []Opt) (w []float64, err error) {
-	defer guard(routine, &err)
-	o := apply(opts)
+// syev is SYEV and SYEVD, the paper's other name for it, on applied options,
+// into w (see alloc); BatchSyev runs it per item.
+func syev[T Scalar](routine string, o *options, a *Matrix[T], w []float64) ([]float64, error) {
 	n, err := squareArgs(routine, o.check, a)
 	if err != nil {
 		return nil, err
 	}
-	w = make([]float64, n)
+	w = alloc(w, n)
 	info := lapack.Syev[T](o.cfg, o.vectors, o.uplo, n, a.Data, a.Stride, w)
 	return w, erdiag(routine, info, eigFailed, DiagNotConverged)
 }
@@ -60,7 +61,9 @@ func HEEV[T Scalar](a *Matrix[T], opts ...Opt) (w []float64, err error) {
 // LA_HEEVD): one routine serves both and takes divide & conquer wherever
 // it is the faster route.
 func SYEVD[T Scalar](a *Matrix[T], opts ...Opt) (w []float64, err error) {
-	return syev("LA_SYEVD", a, opts)
+	defer guard("LA_SYEVD", &err)
+	o := apply(opts)
+	return syev("LA_SYEVD", &o, a, nil)
 }
 
 // HEEVD is the Hermitian name for SYEVD (the paper's LA_HEEVD).

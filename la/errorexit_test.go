@@ -2,6 +2,7 @@ package la_test
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 
 	"repro/la"
@@ -150,6 +151,7 @@ func TestErrorExitSweep(t *testing.T) {
 	v := func(n int) []float64 { return make([]float64, n) }
 	cv := func(n int) []complex128 { return make([]complex128, n) }
 	band := func(rows int) *la.Matrix[float64] { return la.NewMatrix[float64](rows, 3) }
+	rowv := func(cols int) *la.Matrix[float64] { return la.NewMatrix[float64](1, cols) }
 
 	probes := []struct {
 		name string
@@ -293,6 +295,124 @@ func TestErrorExitSweep(t *testing.T) {
 		{"GEEVX non-square", 1, func() error { _, err := la.GEEVX(rect); return err }},
 	}
 
+	// The stored-matrix rule on every *Matrix argument of every driver and
+	// Batch driver: nil, a negative dimension, Stride < Rows and short Data
+	// are each INFO = -i for the argument's position i. args lists, per
+	// matrix argument, its position and a well-formed shape (S 3×3, b 3×1,
+	// r 1×3, L the 4×3 band of GBSV, P the 2×3 band of PBSV/SBEV); call runs
+	// the driver on them (a Batch driver on batches of one, reporting the
+	// item's error).
+	shape := map[byte]func() *la.Matrix[float64]{'S': sq, 'b': b3, 'r': func() *la.Matrix[float64] { return rowv(3) },
+		'L': func() *la.Matrix[float64] { return band(4) }, 'P': func() *la.Matrix[float64] { return band(2) }}
+	type M = *la.Matrix[float64]
+	for _, d := range []struct {
+		name, args string
+		call       func(m []M) error
+	}{
+		{"GESV", "1S2b", func(m []M) error { _, err := la.GESV(m[0], m[1]); return err }},
+		{"GESV1", "1S", func(m []M) error { _, err := la.GESV1(m[0], v(3)); return err }},
+		{"GBSV", "1L2b", func(m []M) error { _, err := la.GBSV(m[0], m[1]); return err }},
+		{"GBSV1", "1L", func(m []M) error { _, err := la.GBSV1(m[0], v(3)); return err }},
+		{"GTSV", "4b", func(m []M) error { return la.GTSV(v(2), v(3), v(2), m[0]) }},
+		{"POSV", "1S2b", func(m []M) error { return la.POSV(m[0], m[1]) }},
+		{"POSV1", "1S", func(m []M) error { return la.POSV1(m[0], v(3)) }},
+		{"PPSV", "2b", func(m []M) error { return la.PPSV(v(6), m[0]) }},
+		{"PBSV", "1P2b", func(m []M) error { return la.PBSV(m[0], m[1]) }},
+		{"PBSV1", "1P", func(m []M) error { return la.PBSV1(m[0], v(3)) }},
+		{"PTSV", "3b", func(m []M) error { return la.PTSV(v(3), v(2), m[0]) }},
+		{"SYSV", "1S2b", func(m []M) error { _, err := la.SYSV(m[0], m[1]); return err }},
+		{"SYSV1", "1S", func(m []M) error { _, err := la.SYSV1(m[0], v(3)); return err }},
+		{"HESV", "1S2b", func(m []M) error { _, err := la.HESV(m[0], m[1]); return err }},
+		{"HESV1", "1S", func(m []M) error { _, err := la.HESV1(m[0], v(3)); return err }},
+		{"SPSV", "2b", func(m []M) error { _, err := la.SPSV(v(6), m[0]); return err }},
+		{"HPSV", "2b", func(m []M) error { _, err := la.HPSV(v(6), m[0]); return err }},
+		{"GELS", "1S2b", func(m []M) error { return la.GELS(m[0], m[1]) }},
+		{"GELS1", "1S", func(m []M) error { return la.GELS1(m[0], v(3)) }},
+		{"GELSX", "1S2b", func(m []M) error { _, _, err := la.GELSX(m[0], m[1]); return err }},
+		{"GELSS", "1S2b", func(m []M) error { _, _, err := la.GELSS(m[0], m[1]); return err }},
+		{"GELSD", "1S2b", func(m []M) error { _, _, err := la.GELSD(m[0], m[1]); return err }},
+		{"GGLSE", "1S2r", func(m []M) error { _, err := la.GGLSE(m[0], m[1], v(3), v(1)); return err }},
+		{"GGGLM", "1S2b", func(m []M) error { _, _, err := la.GGGLM(m[0], m[1], v(3)); return err }},
+		{"GESVX", "1S2b", func(m []M) error { _, err := la.GESVX(m[0], m[1]); return err }},
+		{"GBSVX", "1S2b", func(m []M) error { _, err := la.GBSVX(m[0], m[1]); return err }},
+		{"GTSVX", "4b", func(m []M) error { _, err := la.GTSVX(v(2), v(3), v(2), m[0]); return err }},
+		{"POSVX", "1S2b", func(m []M) error { _, err := la.POSVX(m[0], m[1]); return err }},
+		{"PPSVX", "2b", func(m []M) error { _, err := la.PPSVX(v(6), m[0]); return err }},
+		{"PBSVX", "1P2b", func(m []M) error { _, err := la.PBSVX(m[0], m[1]); return err }},
+		{"PTSVX", "3b", func(m []M) error { _, err := la.PTSVX(v(3), v(2), m[0]); return err }},
+		{"SYSVX", "1S2b", func(m []M) error { _, err := la.SYSVX(m[0], m[1]); return err }},
+		{"HESVX", "1S2b", func(m []M) error { _, err := la.HESVX(m[0], m[1]); return err }},
+		{"SPSVX", "2b", func(m []M) error { _, err := la.SPSVX(v(6), m[0]); return err }},
+		{"HPSVX", "2b", func(m []M) error { _, err := la.HPSVX(v(6), m[0]); return err }},
+		{"GETRF", "1S", func(m []M) error { _, _, err := la.GETRF(m[0]); return err }},
+		{"GETRS", "1S3b", func(m []M) error { return la.GETRS(m[0], []int{0, 1, 2}, m[1]) }},
+		{"GETRI", "1S", func(m []M) error { return la.GETRI(m[0], []int{0, 1, 2}) }},
+		{"GERFS", "1S2S4b5b", func(m []M) error { _, _, err := la.GERFS(m[0], m[1], []int{0, 1, 2}, m[2], m[3]); return err }},
+		{"GEEQU", "1S", func(m []M) error { _, _, _, _, _, err := la.GEEQU(m[0]); return err }},
+		{"POTRF", "1S", func(m []M) error { _, err := la.POTRF(m[0]); return err }},
+		{"SYTRD", "1S", func(m []M) error { _, _, _, err := la.SYTRD(m[0]); return err }},
+		{"HETRD", "1S", func(m []M) error { _, _, _, err := la.HETRD(m[0]); return err }},
+		{"ORGTR", "1S", func(m []M) error { return la.ORGTR(m[0], v(2)) }},
+		{"UNGTR", "1S", func(m []M) error { return la.UNGTR(m[0], v(2)) }},
+		{"SYGST", "1S2S", func(m []M) error { return la.SYGST(m[0], m[1]) }},
+		{"HEGST", "1S2S", func(m []M) error { return la.HEGST(m[0], m[1]) }},
+		{"LANGE", "1S", func(m []M) error { _, err := la.LANGE(m[0]); return err }},
+		{"LAGGE", "1S", func(m []M) error { return la.LAGGE(m[0], v(3)) }},
+		{"SYEV", "1S", func(m []M) error { _, err := la.SYEV(m[0]); return err }},
+		{"HEEV", "1S", func(m []M) error { _, err := la.HEEV(m[0]); return err }},
+		{"SYEVD", "1S", func(m []M) error { _, err := la.SYEVD(m[0]); return err }},
+		{"HEEVD", "1S", func(m []M) error { _, err := la.HEEVD(m[0]); return err }},
+		{"SYEVX", "1S", func(m []M) error { _, err := la.SYEVX(m[0]); return err }},
+		{"HEEVX", "1S", func(m []M) error { _, err := la.HEEVX(m[0]); return err }},
+		{"SBEV", "1P", func(m []M) error { _, _, err := la.SBEV(m[0]); return err }},
+		{"HBEV", "1P", func(m []M) error { _, _, err := la.HBEV(m[0]); return err }},
+		{"SBEVD", "1P", func(m []M) error { _, _, err := la.SBEVD(m[0]); return err }},
+		{"HBEVD", "1P", func(m []M) error { _, _, err := la.HBEVD(m[0]); return err }},
+		{"SBEVX", "1P", func(m []M) error { _, err := la.SBEVX(m[0]); return err }},
+		{"HBEVX", "1P", func(m []M) error { _, err := la.HBEVX(m[0]); return err }},
+		{"SYGV", "1S2S", func(m []M) error { _, err := la.SYGV(m[0], m[1]); return err }},
+		{"HEGV", "1S2S", func(m []M) error { _, err := la.HEGV(m[0], m[1]); return err }},
+		{"SBGV", "1P2P", func(m []M) error { _, _, err := la.SBGV(m[0], m[1]); return err }},
+		{"HBGV", "1P2P", func(m []M) error { _, _, err := la.HBGV(m[0], m[1]); return err }},
+		{"GEES", "1S", func(m []M) error { _, _, _, err := la.GEES(m[0]); return err }},
+		{"GEEV", "1S", func(m []M) error { _, _, _, err := la.GEEV(m[0]); return err }},
+		{"GESVD", "1S", func(m []M) error { _, err := la.GESVD(m[0]); return err }},
+		{"GEGS", "1S2S", func(m []M) error { _, _, _, err := la.GEGS(m[0], m[1]); return err }},
+		{"GEGV", "1S2S", func(m []M) error { _, _, _, err := la.GEGV(m[0], m[1]); return err }},
+		{"GGSVD", "1S2S", func(m []M) error { _, err := la.GGSVD(m[0], m[1]); return err }},
+		{"GEESX", "1S", func(m []M) error { _, err := la.GEESX(m[0]); return err }},
+		{"GEEVX", "1S", func(m []M) error { _, err := la.GEEVX(m[0]); return err }},
+		{"BatchGesv", "1S2b", func(m []M) error { return itemErr1(la.BatchGesv(m[:1], m[1:])) }},
+		{"BatchPosv", "1S2b", func(m []M) error { return itemErr(la.BatchPosv(m[:1], m[1:])) }},
+		{"BatchSyev", "1S", func(m []M) error { return itemErr1(la.BatchSyev(m)) }},
+		{"BatchGemm", "2S3b5b", func(m []M) error { return itemErr(la.BatchGemm(1, m[:1], m[1:2], 0, m[2:])) }},
+		{"BatchGesvx", "1S2b", func(m []M) error { return itemErr1(la.BatchGesvx(m[:1], m[1:])) }},
+		{"BatchPosvx", "1S2b", func(m []M) error { return itemErr1(la.BatchPosvx(m[:1], m[1:])) }},
+		{"BatchGesdd", "1S", func(m []M) error { return itemErr1(la.BatchGesdd(m)) }},
+		{"BatchGelsd", "1S2b", func(m []M) error { return itemErr2(la.BatchGelsd(m[:1], m[1:])) }},
+	} {
+		for k := 0; k < len(d.args); k += 2 {
+			arg := int(d.args[k] - '0')
+			for flaw, bad := range map[string]func(m M) M{
+				"nil":    func(M) M { return nil },
+				"negdim": func(m M) M { return &la.Matrix[float64]{Rows: -1, Cols: m.Cols, Stride: m.Stride, Data: m.Data} },
+				"stride": strideBelowRows,
+				"short":  shortData,
+			} {
+				ms := make([]M, len(d.args)/2)
+				for j := range ms {
+					ms[j] = shape[d.args[2*j+1]]()
+				}
+				ms[k/2] = bad(ms[k/2])
+				probes = append(probes, struct {
+					name string
+					arg  int
+					call func() error
+				}{fmt.Sprintf("%s arg %d %s", d.name, arg, flaw), arg, func() error { return d.call(ms) }})
+			}
+		}
+	}
+
 	for _, p := range probes {
 		t.Run(p.name, func(t *testing.T) {
 			err := p.call()
@@ -306,6 +426,30 @@ func TestErrorExitSweep(t *testing.T) {
 		})
 	}
 }
+
+// strideBelowRows is m with Stride = Rows − 1, shortData m with one element
+// of Data too few: two malformed matrices the stored-matrix rule rejects.
+func strideBelowRows(m *la.Matrix[float64]) *la.Matrix[float64] {
+	return &la.Matrix[float64]{Rows: m.Rows, Cols: m.Cols, Stride: m.Rows - 1, Data: m.Data}
+}
+
+func shortData(m *la.Matrix[float64]) *la.Matrix[float64] {
+	return &la.Matrix[float64]{Rows: m.Rows, Cols: m.Cols, Stride: m.Stride, Data: m.Data[:len(m.Data)-1]}
+}
+
+// itemErr is the error of a batch of one: the batch-level error, else the
+// item's; itemErr1 and itemErr2 take the results of a Batch driver with one
+// or two more outputs.
+func itemErr(errs []error, err error) error {
+	if err != nil {
+		return err
+	}
+	return errs[0]
+}
+
+func itemErr1[R any](_ R, errs []error, err error) error { return itemErr(errs, err) }
+
+func itemErr2[R, S any](_ R, _ S, errs []error, err error) error { return itemErr(errs, err) }
 
 // TestErrorMessageFormat checks the ERINFO-style rendering.
 func TestErrorMessageFormat(t *testing.T) {

@@ -71,11 +71,11 @@ func GBSVX[T Scalar](ab, b *Matrix[T], opts ...Opt) (result *ExpertResult[T], er
 	const routine = "LA_GBSVX"
 	defer guard(routine, &err)
 	o := apply(opts)
-	if ab == nil || ab.Rows < 1 {
+	if !stored(ab) || ab.Rows < 1 {
 		return nil, erinfo(routine, -1, "")
 	}
 	n := ab.Cols
-	if !rhsMatch(n, b) {
+	if !stored(b) || b.Rows != n {
 		return nil, erinfo(routine, -2, "")
 	}
 	kl := (ab.Rows - 1) / 2

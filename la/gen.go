@@ -66,10 +66,10 @@ func GGSVD[T Scalar](a, b *Matrix[T], opts ...Opt) (result *GGSVDResult[T], err 
 	const routine = "LA_GGSVD"
 	defer guard(routine, &err)
 	o := apply(opts)
-	if a == nil {
+	if !stored(a) {
 		return nil, erinfo(routine, -1, "")
 	}
-	if b == nil || b.Cols != a.Cols || a.Rows+b.Rows < a.Cols {
+	if !stored(b) || b.Cols != a.Cols || a.Rows+b.Rows < a.Cols {
 		return nil, erinfo(routine, -2, "")
 	}
 	if o.check {

@@ -549,15 +549,11 @@ func apply(opts []Opt) options {
 	return o
 }
 
-// square reports whether m is a non-degenerate square matrix.
-func square[T Scalar](m *Matrix[T]) bool {
-	return m != nil && m.Rows == m.Cols && m.Rows >= 0 && m.Stride >= max(1, m.Rows)
-}
-
-// rhsMatch reports whether b is a conforming right-hand side for an n×n
-// system.
-func rhsMatch[T Scalar](n int, b *Matrix[T]) bool {
-	return b != nil && b.Rows == n && b.Cols >= 0 && b.Stride >= max(1, b.Rows)
+// stored is the stored-matrix rule (core.Stored) on a *Matrix argument: m is
+// non-nil and well formed. Every driver checks each of its matrix arguments
+// with it before any work, so a malformed one is INFO = -i, never a fault.
+func stored[T Scalar](m *Matrix[T]) bool {
+	return m != nil && core.Stored(m.Rows, m.Cols, m.Stride, len(m.Data)) == core.Sound
 }
 
 // epsFor returns the FORTRAN 90 EPSILON of the element type, used by

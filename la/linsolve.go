@@ -14,13 +14,17 @@ func GESV[T Scalar](a, b *Matrix[T], opts ...Opt) (ipiv []int, err error) {
 	const routine = "LA_GESV"
 	defer guard(routine, &err)
 	o := apply(opts)
-	cfg := o.cfg
+	return gesv(routine, &o, a, b, nil)
+}
+
+// gesv is GESV on applied options, pivoting into ipiv (see alloc); BatchGesv
+// runs it per item.
+func gesv[T Scalar](routine string, o *options, a, b *Matrix[T], ipiv []int) ([]int, error) {
 	if err := denseArgs(routine, o.check, a, b); err != nil {
 		return nil, err
 	}
-	n := a.Rows
-	ipiv = make([]int, n)
-	info := lapack.Gesv(cfg, n, b.Cols, a.Data, a.Stride, ipiv, b.Data, b.Stride)
+	ipiv = alloc(ipiv, a.Rows)
+	info := lapack.Gesv(o.cfg, a.Rows, b.Cols, a.Data, a.Stride, ipiv, b.Data, b.Stride)
 	return ipiv, erdiag(routine, info, "matrix is exactly singular", DiagSingular)
 }
 
@@ -42,11 +46,11 @@ func GBSV[T Scalar](ab, b *Matrix[T], opts ...Opt) (ipiv []int, err error) {
 	const routine = "LA_GBSV"
 	defer guard(routine, &err)
 	o := apply(opts)
-	if ab == nil || ab.Cols < 0 {
+	if !stored(ab) {
 		return nil, erinfo(routine, -1, "")
 	}
 	n := ab.Cols
-	if !rhsMatch(n, b) {
+	if !stored(b) || b.Rows != n {
 		return nil, erinfo(routine, -2, "")
 	}
 	ldab := ab.Rows
@@ -104,11 +108,15 @@ func POSV[T Scalar](a, b *Matrix[T], opts ...Opt) (err error) {
 	const routine = "LA_POSV"
 	defer guard(routine, &err)
 	o := apply(opts)
-	cfg := o.cfg
+	return posv(routine, &o, a, b)
+}
+
+// posv is POSV on applied options; BatchPosv runs it per item.
+func posv[T Scalar](routine string, o *options, a, b *Matrix[T]) error {
 	if err := denseArgs(routine, o.check, a, b); err != nil {
 		return err
 	}
-	info := lapack.Posv(cfg, o.uplo, a.Rows, b.Cols, a.Data, a.Stride, b.Data, b.Stride)
+	info := lapack.Posv(o.cfg, o.uplo, a.Rows, b.Cols, a.Data, a.Stride, b.Data, b.Stride)
 	return erdiag(routine, info, "matrix is not positive definite", DiagNotPositiveDefinite)
 }
 

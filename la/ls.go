@@ -14,16 +14,8 @@ func GELS[T Scalar](a, b *Matrix[T], opts ...Opt) (err error) {
 	defer guard(routine, &err)
 	o := apply(opts)
 	cfg := o.cfg
-	if a == nil {
-		return erinfo(routine, -1, "")
-	}
-	if b == nil || b.Rows != max(a.Rows, a.Cols) {
-		return erinfo(routine, -2, "")
-	}
-	if o.check {
-		if err := firstErr(finiteMat(routine, 1, "A", a), finiteMat(routine, 2, "B", b)); err != nil {
-			return err
-		}
+	if err := lsArgs(routine, o.check, a, b); err != nil {
+		return err
 	}
 	info := lapack.Gels(cfg, o.trans, a.Rows, a.Cols, b.Cols, a.Data, a.Stride, b.Data, b.Stride)
 	return erinfo(routine, info, "the triangular factor is exactly singular: A does not have full rank")
@@ -46,16 +38,8 @@ func GELSX[T Scalar](a, b *Matrix[T], opts ...Opt) (rank int, jpvt []int, err er
 	defer guard(routine, &err)
 	o := apply(opts)
 	cfg := o.cfg
-	if a == nil {
-		return 0, nil, erinfo(routine, -1, "")
-	}
-	if b == nil || b.Rows != max(a.Rows, a.Cols) {
-		return 0, nil, erinfo(routine, -2, "")
-	}
-	if o.check {
-		if err := firstErr(finiteMat(routine, 1, "A", a), finiteMat(routine, 2, "B", b)); err != nil {
-			return 0, nil, err
-		}
+	if err := lsArgs(routine, o.check, a, b); err != nil {
+		return 0, nil, err
 	}
 	rcond := o.rcond
 	if rcond < 0 {
@@ -72,7 +56,33 @@ func GELSX[T Scalar](a, b *Matrix[T], opts ...Opt) (rank int, jpvt []int, err er
 // values of A. B must have max(m, n) rows and is overwritten with the
 // solution. It is GELSD under the paper's name.
 func GELSS[T Scalar](a, b *Matrix[T], opts ...Opt) (rank int, s []float64, err error) {
-	return gelsd("LA_GELSS", a, b, opts)
+	defer guard("LA_GELSS", &err)
+	o := apply(opts)
+	return gelsd("LA_GELSS", &o, a, b, nil)
+}
+
+// GELSD computes the minimum-norm solution to a possibly rank-deficient
+// least squares problem using the divide-and-conquer SVD (the paper
+// family's LA_GELSD). It returns the effective rank and the singular
+// values of A. B must have max(m, n) rows and is overwritten with the
+// solution. Tall problems take a blocked QR first; the QR-iteration route
+// (lapack.Gelss) is f77's and the reference the agreement tests compare
+// against.
+func GELSD[T Scalar](a, b *Matrix[T], opts ...Opt) (rank int, s []float64, err error) {
+	defer guard("LA_GELSD", &err)
+	o := apply(opts)
+	return gelsd("LA_GELSD", &o, a, b, nil)
+}
+
+// gelsd is GELSD and GELSS, the paper's name for it, on applied options, into
+// the singular values s (see alloc); BatchGelsd runs it per item.
+func gelsd[T Scalar](routine string, o *options, a, b *Matrix[T], s []float64) (int, []float64, error) {
+	if err := lsArgs(routine, o.check, a, b); err != nil {
+		return 0, nil, err
+	}
+	s = alloc(s, min(a.Rows, a.Cols))
+	rank, info := lapack.Gelsd(o.cfg, a.Rows, a.Cols, b.Cols, a.Data, a.Stride, b.Data, b.Stride, s, o.rcond)
+	return rank, s, erdiag(routine, info, "the SVD failed to converge", DiagNotConverged)
 }
 
 // GGLSE solves the linear equality-constrained least squares problem
@@ -84,10 +94,10 @@ func GGLSE[T Scalar](a, b *Matrix[T], c, d []T, opts ...Opt) (x []T, err error) 
 	defer guard(routine, &err)
 	o := apply(opts)
 	cfg := o.cfg
-	if a == nil {
+	if !stored(a) {
 		return nil, erinfo(routine, -1, "")
 	}
-	if b == nil || b.Cols != a.Cols {
+	if !stored(b) || b.Cols != a.Cols {
 		return nil, erinfo(routine, -2, "")
 	}
 	if len(c) != a.Rows {
@@ -122,10 +132,10 @@ func GGGLM[T Scalar](a, b *Matrix[T], d []T, opts ...Opt) (x, y []T, err error) 
 	defer guard(routine, &err)
 	o := apply(opts)
 	cfg := o.cfg
-	if a == nil {
+	if !stored(a) {
 		return nil, nil, erinfo(routine, -1, "")
 	}
-	if b == nil || b.Rows != a.Rows {
+	if !stored(b) || b.Rows != a.Rows {
 		return nil, nil, erinfo(routine, -2, "")
 	}
 	if len(d) != a.Rows {

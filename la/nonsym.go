@@ -65,23 +65,18 @@ func GESVD[T Scalar](a *Matrix[T], opts ...Opt) (result *SVDResult[T], err error
 	const routine = "LA_GESVD"
 	defer guard(routine, &err)
 	o := apply(opts)
-	if a == nil {
-		return nil, erinfo(routine, -1, "")
-	}
-	if o.check {
-		if err := finiteMat(routine, 1, "A", a); err != nil {
-			return nil, err
-		}
-	}
-	res := &SVDResult[T]{S: make([]float64, min(a.Rows, a.Cols))}
-	return res, erdiag(routine, res.gesdd(&o, a), "the SVD iteration failed to converge", DiagNotConverged)
+	return gesdd(routine, &o, a, nil)
 }
 
-// gesdd is the computation of LA_GESVD on one matrix, for GESVD and
-// BatchGesdd: it allocates the U and Vᴴ that WithSingularVectors asks for,
-// runs the divide & conquer driver into them and res.S, and returns INFO.
-func (res *SVDResult[T]) gesdd(o *options, a *Matrix[T]) int {
+// gesdd is GESVD on applied options, into the singular values s (see alloc);
+// BatchGesdd runs it per item. It allocates the U and Vᴴ that
+// WithSingularVectors asks for and runs the divide & conquer driver into them.
+func gesdd[T Scalar](routine string, o *options, a *Matrix[T], s []float64) (*SVDResult[T], error) {
+	if err := generalArgs(routine, o.check, a); err != nil {
+		return nil, err
+	}
 	m, n := a.Rows, a.Cols
+	res := &SVDResult[T]{S: alloc(s, min(m, n))}
 	ucols, vtrows := len(res.S), len(res.S)
 	if o.jobU == lapack.SVDAll {
 		ucols = m
@@ -93,5 +88,6 @@ func (res *SVDResult[T]) gesdd(o *options, a *Matrix[T]) int {
 	var ldu, ldvt int
 	res.U, udata, ldu = vecOut[T](o.jobU != lapack.SVDNone, m, ucols)
 	res.VT, vtdata, ldvt = vecOut[T](o.jobVT != lapack.SVDNone, vtrows, n)
-	return lapack.Gesdd(o.cfg, o.jobU, o.jobVT, m, n, a.Data, a.Stride, res.S, udata, ldu, vtdata, ldvt)
+	info := lapack.Gesdd(o.cfg, o.jobU, o.jobVT, m, n, a.Data, a.Stride, res.S, udata, ldu, vtdata, ldvt)
+	return res, erdiag(routine, info, "the SVD iteration failed to converge", DiagNotConverged)
 }
