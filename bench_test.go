@@ -512,10 +512,12 @@ func BenchmarkAblationGEQRF(b *testing.B) {
 // riding on it.
 
 func benchGemmEngine[T core.Scalar](b *testing.B, n int, naive bool) {
-	benchGemmShape[T](b, core.Default(), n, n, n, naive)
+	benchGemmShape[T](b, core.Default(), blas.NoTrans, n, n, n, naive)
 }
 
-func benchGemmShape[T core.Scalar](b *testing.B, cfg *core.Config, m, n, k int, naive bool) {
+// benchGemmShape times C = op(A)·B, op(A) m×k: A is m×k for NoTrans, else
+// k×m.
+func benchGemmShape[T core.Scalar](b *testing.B, cfg *core.Config, transA blas.Trans, m, n, k int, naive bool) {
 	rng := lapack.NewRng([4]int{n, 7, 7, 7})
 	a0 := make([]T, m*k)
 	b0 := make([]T, k*n)
@@ -523,15 +525,19 @@ func benchGemmShape[T core.Scalar](b *testing.B, cfg *core.Config, m, n, k int, 
 	lapack.Larnv(2, rng, k*n, b0)
 	c := make([]T, m*n)
 	one := core.FromFloat[T](1)
+	lda := m
+	if transA != blas.NoTrans {
+		lda = k
+	}
 	// Untimed warm-up so -benchtime 1x measures steady state, not page
 	// faults on the freshly allocated operands.
-	blas.Gemm(cfg, blas.NoTrans, blas.NoTrans, m, n, k, one, a0, m, b0, k, 0, c, m)
+	blas.Gemm(cfg, transA, blas.NoTrans, m, n, k, one, a0, lda, b0, k, 0, c, m)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if naive {
-			blas.GemmNaive(blas.NoTrans, blas.NoTrans, m, n, k, one, a0, m, b0, k, 0, c, m)
+			blas.GemmNaive(transA, blas.NoTrans, m, n, k, one, a0, lda, b0, k, 0, c, m)
 		} else {
-			blas.Gemm(cfg, blas.NoTrans, blas.NoTrans, m, n, k, one, a0, m, b0, k, 0, c, m)
+			blas.Gemm(cfg, transA, blas.NoTrans, m, n, k, one, a0, lda, b0, k, 0, c, m)
 		}
 	}
 	// Real flops: a complex multiply-add is four real ones.
@@ -553,7 +559,10 @@ func benchGemmShape[T core.Scalar](b *testing.B, cfg *core.Config, m, n, k int, 
 // — no dimension a multiple of any micro-tile, the k = NB panel update, a
 // 37-column block — are where the edge tiles are, and run once more with the
 // AVX2 row forced (the same row again on a machine without AVX-512), as does
-// N=1024, so both asm rows leave a rate behind.
+// N=1024, so both asm rows leave a rate behind. The "ip" cells are the
+// ConjTrans × NoTrans products of few rows over a long k that the
+// inner-product route takes: V1ᴴ·V2 and C2ᴴ·V2 in a tall QR panel split to
+// leaves of 8 columns, and a Qᴴ·B block of eight right-hand sides.
 func BenchmarkGemm(b *testing.B) {
 	for _, n := range []int{64, 256, 512, 1024} {
 		b.Run("packed/N="+itoa(n), func(b *testing.B) { benchGemmEngine[float64](b, n, false) })
@@ -562,8 +571,8 @@ func BenchmarkGemm(b *testing.B) {
 	}
 	noSmall := core.Default().With(func(c *core.Config) { c.GemmSmallDim = 0 })
 	for _, n := range []int{16, 32, 48, 64} {
-		b.Run("small/packfree/N="+itoa(n), func(b *testing.B) { benchGemmShape[float64](b, core.Default(), n, n, n, false) })
-		b.Run("small/off/N="+itoa(n), func(b *testing.B) { benchGemmShape[float64](b, noSmall, n, n, n, false) })
+		b.Run("small/packfree/N="+itoa(n), func(b *testing.B) { benchGemmShape[float64](b, core.Default(), blas.NoTrans, n, n, n, false) })
+		b.Run("small/off/N="+itoa(n), func(b *testing.B) { benchGemmShape[float64](b, noSmall, blas.NoTrans, n, n, n, false) })
 	}
 	for _, n := range []int{64, 256, 384, 512, 1024} {
 		b.Run("packed/c64/N="+itoa(n), func(b *testing.B) { benchGemmEngine[complex64](b, n, false) })
@@ -577,7 +586,7 @@ func BenchmarkGemm(b *testing.B) {
 		for _, sh := range shapes {
 			b.Run(row+"/"+itoa(sh[0])+"x"+itoa(sh[1])+"x"+itoa(sh[2]), func(b *testing.B) {
 				defer faultinject.ForceAVX2(faultinject.ForceAVX2(avx2))
-				benchGemmShape[float64](b, core.Default(), sh[0], sh[1], sh[2], false)
+				benchGemmShape[float64](b, core.Default(), blas.NoTrans, sh[0], sh[1], sh[2], false)
 			})
 		}
 	}
@@ -585,6 +594,11 @@ func BenchmarkGemm(b *testing.B) {
 		defer faultinject.ForceAVX2(faultinject.ForceAVX2(true))
 		benchGemmEngine[complex128](b, 512, false)
 	})
+	for _, sh := range [][3]int{{8, 8, 4096}, {16, 16, 4096}, {8, 32, 4064}} {
+		b.Run("ip/"+itoa(sh[0])+"x"+itoa(sh[1])+"x"+itoa(sh[2]), func(b *testing.B) {
+			benchGemmShape[float64](b, core.Default(), blas.ConjTrans, sh[0], sh[1], sh[2], false)
+		})
+	}
 }
 
 // BenchmarkGemmParallel pins the worker budget explicitly so the scaling of
@@ -1254,7 +1268,7 @@ func benchTrsm[T core.Scalar](b *testing.B, side blas.Side, trans blas.Trans) {
 
 // BenchmarkGeqrf tracks the blocked Householder QR: panel Geqr2 plus a
 // Larft/Larfb pair per panel, both now routed through the GEMM engine. The
-// other three element types run at N = 1024.
+// other three element types run at N = 1024 and at the tall 4096×256 shape.
 func BenchmarkGeqrf(b *testing.B) {
 	for _, sh := range [][2]int{{64, 64}, {256, 256}, {512, 512}, {1024, 1024}, {4096, 256}} {
 		m, n := sh[0], sh[1]
@@ -1267,6 +1281,9 @@ func BenchmarkGeqrf(b *testing.B) {
 	b.Run("f32/N=1024", func(b *testing.B) { benchGeqrf[float32](b, 1024, 1024) })
 	b.Run("c64/N=1024", func(b *testing.B) { benchGeqrf[complex64](b, 1024, 1024) })
 	b.Run("c128/N=1024", func(b *testing.B) { benchGeqrf[complex128](b, 1024, 1024) })
+	b.Run("f32/M=4096/N=256", func(b *testing.B) { benchGeqrf[float32](b, 4096, 256) })
+	b.Run("c64/M=4096/N=256", func(b *testing.B) { benchGeqrf[complex64](b, 4096, 256) })
+	b.Run("c128/M=4096/N=256", func(b *testing.B) { benchGeqrf[complex128](b, 4096, 256) })
 }
 
 func benchGeqrf[T core.Scalar](b *testing.B, m, n int) {

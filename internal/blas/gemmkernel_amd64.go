@@ -151,8 +151,8 @@ func sgemvSub8(n int64, t, b *float32, ldb int64, y *float32)
 
 // daxpyFma and saxpyFma compute y[i] += alpha·x[i] over x, the unit-stride
 // column step of Gemv (NoTrans) and Ger; ddotFma and sdotFma return
-// Σ x[i]·y[i], the column step of the transposed Gemv; sscalFma computes
-// x[i] *= alpha (the float64 row scales in Go). With daxpyDotFma they have
+// Σ x[i]·y[i], the column step of the transposed Gemv; dscalFma and sscalFma
+// compute x[i] *= alpha. With daxpyDotFma they have
 // the signatures of the kernel table's axpy, dot, scal and axpyDot leaves
 // (kernel.go) and are the real asm rows' entries as they stand — a Go
 // wrapper between the row and the kernel would cost a second call per matrix
@@ -170,6 +170,9 @@ func ddotFma(x, y []float64, conj bool) float64
 
 //go:noescape
 func sdotFma(x, y []float32, conj bool) float32
+
+//go:noescape
+func dscalFma(alpha float64, x []float64)
 
 //go:noescape
 func sscalFma(alpha float32, x []float32)
@@ -230,6 +233,13 @@ func dcholStep8(upper bool, m int, a []float64, lda int) int
 
 //go:noescape
 func ddot8(a []float64, lda int, x []float64) [8]float64
+
+// ddot4x3 is ddot8's wider tile under Gemm's inner-product route: the twelve
+// sums Σ_i a(i, q)·b(i, c), q < 4, c < 3, over k ≥ 1 rows, as out[q+4c], each
+// bit for bit ddot8's. Implemented in smallchol_amd64.s.
+//
+//go:noescape
+func ddot4x3(k int, a []float64, lda int, b []float64, ldb int) [12]float64
 
 // dluStep8 is one full-block step of the small LU on the m×(nl+8+nr) row
 // block a: m a multiple of 8, nr a multiple of 4 (Small.LUStep has the

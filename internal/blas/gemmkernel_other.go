@@ -72,8 +72,11 @@ func dgemmSmallStripF64(strips, k int64, a *float64, lda int64, b *float64, ldb 
 }
 func dcholStep8(upper bool, m int, a []float64, lda int) int { panic("blas: no asm kernel") }
 func ddot8(a []float64, lda int, x []float64) [8]float64     { panic("blas: no asm kernel") }
-func dsubFma8(n int64, x, a, c *float64, ldc int64)          { panic("blas: no asm kernel") }
-func ssubFma8(n int64, x, a, c *float32, ldc int64)          { panic("blas: no asm kernel") }
+func ddot4x3(k int, a []float64, lda int, b []float64, ldb int) [12]float64 {
+	panic("blas: no asm kernel")
+}
+func dsubFma8(n int64, x, a, c *float64, ldc int64) { panic("blas: no asm kernel") }
+func ssubFma8(n int64, x, a, c *float32, ldc int64) { panic("blas: no asm kernel") }
 func dgemvSub8(n int64, t, b *float64, ldb int64, y *float64) {
 	panic("blas: no asm kernel")
 }
@@ -81,6 +84,7 @@ func sgemvSub8(n int64, t, b *float32, ldb int64, y *float32) { panic("blas: no 
 func daxpyFma(alpha float64, x, y []float64)                  { panic("blas: no asm kernel") }
 func saxpyFma(alpha float32, x, y []float32)                  { panic("blas: no asm kernel") }
 func sdotFma(x, y []float32, conj bool) float32               { panic("blas: no asm kernel") }
+func dscalFma(alpha float64, x []float64)                     { panic("blas: no asm kernel") }
 func sscalFma(alpha float32, x []float32)                     { panic("blas: no asm kernel") }
 func siamaxF32(n int64, x *float32) int64                     { panic("blas: no asm kernel") }
 func dluStep8(nl, m, nr int, a []float64, lda int, ipiv []int) int {

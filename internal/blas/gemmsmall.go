@@ -158,3 +158,52 @@ func smallTile4x4[T core.Scalar](k int, alpha T, a []T, lda int, b []T, ldb int,
 	col[2] += alpha * c23
 	col[3] += alpha * c33
 }
+
+// gemmDots is Gemm's inner-product route, the counterpart of skinny for
+// C += alpha·op(A)·B with op(A) = Aᵀ or Aᴴ (conj) of few rows over a long k —
+// the V1ᴴ·V2 and C2ᴴ·V2 products of a Householder panel and the Qᴴ·B blocks
+// of a least-squares solve. Packing would copy all of A and B to produce a
+// few elements of C each; here every element of C is one chain of the row's
+// dot8 leaf over the caller's columns of A and B: from eight rows of C on,
+// three columns at a time on the row's dot4x3 tile where it has one, and the
+// rest eight rows per dot8 call. When m is not a multiple of the tile's rows
+// the last call starts at m−8 (m−4) and only its new rows are kept: an
+// element's chain does not depend on its neighbours. Under eight rows each
+// element is one dot. Workers split the columns of C, and the leaf an element
+// gets depends on m alone, so the bits do not depend on the thread count. vol
+// is the whole update's multiply volume, which sets the workers.
+func gemmDots[T core.Scalar](cfg *core.Config, kern *kernel[T], conj bool, m, n, k int, alpha T, a []T, lda int, b []T, ldb int, c []T, ldc int, vol int) {
+	parallelRange(n, level3Workers(cfg, vol), func(lo, hi int) {
+		j := lo
+		if m >= CholNB && kern.dot4x3 != nil {
+			for ; j+3 <= hi; j += 3 {
+				for i := 0; i < m; i += 4 {
+					i0 := min(i, m-4)
+					s := kern.dot4x3(k, a[i0*lda:(i0+3)*lda+k], lda, b[j*ldb:(j+2)*ldb+k], ldb)
+					for p := 0; p < 3; p++ {
+						cj := c[i0+(j+p)*ldc : i0+(j+p)*ldc+4]
+						for q := i - i0; q < 4; q++ {
+							cj[q] += alpha * s[q+4*p]
+						}
+					}
+				}
+			}
+		}
+		for ; j < hi; j++ {
+			x, cj := b[j*ldb:j*ldb+k], c[j*ldc:j*ldc+m]
+			if m < CholNB {
+				for i := range cj {
+					cj[i] += alpha * kern.dot(a[i*lda:i*lda+k], x, conj)
+				}
+				continue
+			}
+			for i := 0; i < m; i += CholNB {
+				i0 := min(i, m-CholNB)
+				s := kern.dot8(kern, a[i0*lda:(i0+CholNB-1)*lda+k], lda, x, conj)
+				for q := i - i0; q < CholNB; q++ {
+					cj[i0+q] += alpha * s[q]
+				}
+			}
+		}
+	})
+}

@@ -1,10 +1,13 @@
 package blas
 
 import (
+	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/testutil/diff"
 )
 
 // Correctness of the pack-free small-matrix path against the naive oracle,
@@ -130,4 +133,84 @@ func TestGemmSmallZeroAlloc(t *testing.T) {
 	if allocs != 0 {
 		t.Errorf("small-path Gemm allocates %v objects per call, want 0", allocs)
 	}
+}
+
+// testGemmDots holds Gemm's inner-product route (gemmDots) to GemmNaive on
+// Trans and ConjTrans × NoTrans shapes around its crossovers: every row count
+// up to one past dotRowsAsm (the ragged tail of the eight-row dot8 leaf),
+// every column count up to 33, k one under, at and one over dotMinK and 4097,
+// alpha ∈ {1, −0.5, 0} and beta ∈ {0, 0.5, 1}. Where the row takes the route,
+// Gemm must give gemmDots's bits, at every thread count. A NaN or an Inf
+// first, inside or last in a column of A or of B must reach exactly the
+// elements of C it is a term of: no term is skipped.
+func testGemmDots[T core.Scalar](t *testing.T) {
+	rng := rand.New(rand.NewSource(35))
+	kern := kernelFor[T]()
+	alphas, betas := []float64{1, -0.5, 0}, []float64{0, 0.5, 1}
+	run := 0
+	for n := 1; n <= 33; n++ {
+		for _, k := range []int{dotMinK - 1, dotMinK, dotMinK + 1, 4097} {
+			m, tr := 1+(n-1)%(dotRowsAsm+1), []Trans{TransT, ConjTrans}[run%2]
+			alpha, beta := core.FromFloat[T](alphas[run%3]), core.FromFloat[T](betas[run/3%3])
+			run++
+			lda, ldb, ldc := k+1, k+2, m+1
+			a, b, c0 := randSlice[T](rng, lda*m), randSlice[T](rng, ldb*n), randSlice[T](rng, ldc*n)
+			name := fmt.Sprintf("%v m=%d n=%d k=%d alpha=%v beta=%v", tr, m, n, k, alpha, beta)
+			want := clone(c0)
+			GemmNaive(tr, NoTrans, m, n, k, alpha, a, lda, b, ldb, beta, want, ldc)
+			got := diff.AcrossThreads(t, name, func(th int) []T {
+				got := clone(c0)
+				cfg := tcfg().With(func(c *core.Config) { c.Threads, c.GemmParallelMinVol = th, 1 })
+				Gemm(cfg, tr, NoTrans, m, n, k, alpha, a, lda, b, ldb, beta, got, ldc)
+				return got
+			})
+			if n > 1 && alpha != 0 && m <= kern.dotRows && k >= kern.dotMinK {
+				direct := clone(c0)
+				scaleMatrix(m, n, beta, direct, ldc)
+				gemmDots(tcfg(), kern, realTrans[T](tr) == ConjTrans, m, n, k, alpha, a, lda, b, ldb, direct, ldc, 0)
+				if !diff.Same(got, direct) {
+					t.Errorf("%s: Gemm did not take the inner-product route", name)
+				}
+			}
+			if d := diff.MaxDiff(got, want); !(d <= 8*float64(k+1)*core.Eps[T]()) {
+				t.Fatalf("%s: |Gemm − GemmNaive| = %g", name, d)
+			}
+		}
+	}
+	// The complex rows' largest route and the real rows' ragged tail; the
+	// bad value sits in the last column of A, or in a column of B under the
+	// real rows' tile (1) or beside it, on dot8 (3).
+	n, k := 4, dotMinK+1
+	for _, m := range []int{dotRows1m, dotRowsAsm + 1} {
+		for _, bad := range []T{core.NaN[T](), core.FromFloat[T](math.Inf(-1))} {
+			for _, col := range []int{-1, 1, n - 1} {
+				for _, p := range []int{0, k / 2, k - 1} {
+					a, b := randSlice[T](rng, k*m), randSlice[T](rng, k*n)
+					if col < 0 {
+						a[p+(m-1)*k] = bad
+					} else {
+						b[p+col*k] = bad
+					}
+					c := make([]T, m*n)
+					Gemm(tcfg(), ConjTrans, NoTrans, m, n, k, 1, a, k, b, k, 0, c, m)
+					for j := 0; j < n; j++ {
+						for i := 0; i < m; i++ {
+							if term := j == col || (col < 0 && i == m-1); core.IsFinite(c[i+j*m]) == term {
+								t.Fatalf("m=%d, %v at %d of column %d of B (−1: of A): C(%d,%d) = %v", m, bad, p, col, i, j, c[i+j*m])
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+func TestGemmDots(t *testing.T) {
+	diff.Rows(t, func(t *testing.T) {
+		t.Run("float64", testGemmDots[float64])
+		t.Run("float32", testGemmDots[float32])
+		t.Run("complex128", testGemmDots[complex128])
+		t.Run("complex64", testGemmDots[complex64])
+	})
 }

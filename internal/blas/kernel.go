@@ -32,7 +32,7 @@ import (
 //	trsvOct    dsubFma8             ssubFma8           view, 1e triangle  Go
 //	gemvSub8   dgemvSub8            sgemvSub8          eight axpy         Go
 //	axpy       daxpyFma             saxpyFma           zaxpyFma/caxpyFma  Go
-//	scal       Go                   sscalFma           zscalFma/cscalFma  Go
+//	scal       dscalFma             sscalFma           zscalFma/cscalFma  Go
 //	dot        ddotFma              sdotFma            zdotFma/cdotFma    Go
 //	axpyDot    daxpyDotFma          Go                 Go                 Go
 //	iamax      diamaxF64, n ≥ 16    siamaxF32, n ≥ 16  Go                 Go
@@ -45,6 +45,7 @@ import (
 //	cholStep   dcholStep8 on full   Go on axpy, scal   Go on axpy, scal   Go (same)
 //	           blocks, else Go      and gemvSub8       and gemvSub8
 //	dot8       ddot8                dot per column     dot per column     dot per column
+//	dot4x3     ddot4x3              none               none               none
 //	luStep     dluStep8 on full     Go on iamax, scal, Go on iamax, scal  Go (same)
 //	           blocks, else Go      axpy and gemvSub8  and axpy
 //
@@ -53,8 +54,10 @@ import (
 // The assembly is filed by leaf: micro, edge and pack in gemmkernel_amd64.s
 // (AVX2, with the small strip kernel) and gemmkernel512_amd64.s (AVX-512);
 // trsvOct through iamax in leaves_amd64.s; rotRun and the reflectors in
-// iterate_amd64.s; cholStep/dot8 and luStep in smallchol_amd64.s and
-// smalllu_amd64.s.
+// iterate_amd64.s; cholStep, dot8, dot4x3 and luStep in smallchol_amd64.s
+// and smalllu_amd64.s. dot8 serves the small Cholesky's solves and, with
+// dot4x3, Gemm's inner-product route (gemmDots), which the portable rows
+// leave off.
 //
 // On both asm rows every element of C is one chain of fused multiply-adds
 // over the k-steps of a kc slab, started at zero and added to C once — in a
@@ -100,8 +103,9 @@ type kernel[T core.Scalar] struct {
 	gemvSub8 func(m int, t [8]T, b []T, ldb int, y []T)
 	// cholStep is one block step of the small Cholesky and dot8 the
 	// transposed counterpart of gemvSub8, out[q] = Σ_i op(a(i, q))·x[i]
-	// (Small.CholStep and Small.Dot8 have the contracts); both take the row
-	// because their portable forms run on its other leaves.
+	// (Small.CholStep and Small.Dot8 have the contracts; dot8 is also the leaf
+	// of Gemm's inner-product route); both take the row because their
+	// portable forms run on its other leaves.
 	cholStep func(k *kernel[T], upper bool, jb, m int, a []T, lda int) int
 	dot8     func(k *kernel[T], a []T, lda int, x []T, conj bool) [CholNB]T
 	// luStep is one block step of the small LU (Small.LUStep has the
@@ -136,6 +140,13 @@ type kernel[T core.Scalar] struct {
 	// of right-hand sides) off the packed engine at any m and k.
 	small  func(m, n, k int, alpha T, a []T, lda int, b []T, ldb int, c []T, ldc int)
 	skinny func(cfg *core.Config, m, n, k int, alpha T, a []T, lda int, b []T, ldb int, c []T, ldc int)
+	// dotRows and dotMinK bound the inner-product route (gemmDots): Trans or
+	// ConjTrans × NoTrans products of at most dotRows rows of C over at least
+	// dotMinK k-steps run pack-free on dot8 and, where a real row has it, on
+	// dot4x3, its wider tile — the twelve sums Σ_i a(i, q)·b(i, c), q < 4,
+	// c < 3, over k rows (out[q+4c]), each bit for bit dot8's.
+	dotRows, dotMinK int
+	dot4x3           func(k int, a []T, lda int, b []T, ldb int) [12]T
 
 	// packA packs alpha·op(A)(i0:i0+mb, p0:p0+kb) into mr-row micro-panels,
 	// packB packs op(B)(p0:p0+kb, j0:j0+nb) into nr-column micro-panels;
@@ -222,6 +233,7 @@ func oneM[C core.Cmplx, R core.Float](rk *kernel[R], view func([]C) []R, trsmLea
 	k.sumSq = func(x []C) (float64, bool) { return rk.sumSq(view(x)) }
 	k.mr, k.nr, k.kScale = rk.mr/2, rk.nr, 2
 	k.minVol, k.smallMaxVol = gemmPackedMinVol1m, gemmPackedMinVol1m
+	k.dotRows, k.dotMinK = dotRows1m, dotMinK
 	k.micro = func(kb int, ap, bp, c []C, ldc int) {
 		rk.micro(2*kb, view(ap), view(bp), view(c), 2*ldc)
 	}
@@ -250,9 +262,8 @@ var (
 		gemvSub8: func(m int, t [8]float64, b []float64, ldb int, y []float64) {
 			dgemvSub8(int64(m), &t[0], &b[0], int64(ldb), &y[0])
 		},
-		cholStep: cholStepF64, dot8: dot8F64, luStep: luStepF64,
-		axpy: daxpyFma, dot: ddotFma, axpyDot: daxpyDotFma,
-		scal: scalGo[float64],
+		cholStep: cholStepF64, dot8: dot8F64, dot4x3: ddot4x3, luStep: luStepF64,
+		axpy: daxpyFma, scal: dscalFma, dot: ddotFma, axpyDot: daxpyDotFma,
 		iamax: func(x []float64) int {
 			if len(x) >= iamaxAsmMin && x[0] == x[0] {
 				return int(diamaxF64(int64(len(x)), &x[0]))
@@ -284,6 +295,7 @@ var (
 			gemmSmallF64(m, n, k, alpha, a, lda, b, ldb, c, ldc)
 		},
 		minVol: gemmPackedMinVolAsm, smallMaxVol: math.MaxInt,
+		dotRows: dotRowsAsm, dotMinK: dotMinK,
 		packA: packA[float64], packB: packB[float64],
 		micro: microAVX2F64, edge: scratchEdge(microAVX2F64),
 	}
@@ -309,6 +321,7 @@ var (
 		refl3Rows: refl3RowsGo[float32], refl2Rows: refl2RowsGo[float32],
 		small:  gemmSmallPortable[float32],
 		minVol: gemmPackedMinVolAsm, smallMaxVol: math.MaxInt,
+		dotRows: dotRowsAsm, dotMinK: dotMinK,
 		packA: packAF32, packB: packBF32,
 		micro: microAVX2F32, edge: scratchEdge(microAVX2F32),
 	}

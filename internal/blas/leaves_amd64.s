@@ -231,6 +231,48 @@ done: \
 	VZEROUPPER; \
 	RET
 
+// SCAL is dscalFma/sscalFma: x[0:n] *= alpha over n = len(x), two vectors
+// per step, then one, then single elements — one rounded product per
+// element, as in the portable loop. The column scaling of Larfg and of the
+// LU and Cholesky panels.
+#define SCAL(BCAST, MOVU, MUL, MOVS, MULS, LOGES) \
+	BCAST alpha+0(FP), Y8; \
+	MOVQ  x_base+8(FP), SI; \
+	MOVQ  x_len+16(FP), CX; \
+	MOVQ  CX, BX; \
+	SHRQ  $(6-LOGES), BX; \
+	JZ    vec; \
+loop: \
+	MOVU  (SI), Y0; \
+	MOVU  32(SI), Y1; \
+	MUL   Y8, Y0, Y0; \
+	MUL   Y8, Y1, Y1; \
+	MOVU  Y0, (SI); \
+	MOVU  Y1, 32(SI); \
+	ADDQ  $64, SI; \
+	DECQ  BX; \
+	JNZ   loop; \
+vec: \
+	TESTQ $(32>>LOGES), CX; \
+	JZ    tail; \
+	MOVU  (SI), Y0; \
+	MUL   Y8, Y0, Y0; \
+	MOVU  Y0, (SI); \
+	ADDQ  $32, SI; \
+tail: \
+	ANDQ  $((32>>LOGES)-1), CX; \
+	JZ    done; \
+loop1: \
+	MOVS  (SI), X0; \
+	MULS  X8, X0, X0; \
+	MOVS  X0, (SI); \
+	ADDQ  $(1<<LOGES), SI; \
+	DECQ  CX; \
+	JNZ   loop1; \
+done: \
+	VZEROUPPER; \
+	RET
+
 // HSUMPD and HSUMPS add the lanes of X0 into its low element: one
 // horizontal add for two float64 lanes, two for four float32 ones.
 #define HSUMPD VHADDPD X0, X0, X0
@@ -749,52 +791,13 @@ daddone:
 	VZEROUPPER
 	RET
 
+// func dscalFma(alpha float64, x []float64)
+TEXT ·dscalFma(SB), NOSPLIT, $0-32
+	SCAL(VBROADCASTSD, VMOVUPD, VMULPD, VMOVSD, VMULSD, 3)
+
 // func sscalFma(alpha float32, x []float32)
-// x[0:n] *= alpha over n = len(x). Unit-stride float32 Scal, the per-column
-// pivot scaling of the single-precision LU panels.
 TEXT ·sscalFma(SB), NOSPLIT, $0-32
-	VBROADCASTSS alpha+0(FP), Y8
-	MOVQ         x_base+8(FP), SI
-	MOVQ         x_len+16(FP), CX
-
-	MOVQ CX, BX
-	SHRQ $4, BX
-	JZ   sscaltail8
-
-sscalloop16:
-	VMOVUPS (SI), Y0
-	VMOVUPS 32(SI), Y1
-	VMULPS  Y8, Y0, Y0
-	VMULPS  Y8, Y1, Y1
-	VMOVUPS Y0, (SI)
-	VMOVUPS Y1, 32(SI)
-	ADDQ    $64, SI
-	DECQ    BX
-	JNZ     sscalloop16
-
-sscaltail8:
-	TESTQ $8, CX
-	JZ    sscaltail1
-	VMOVUPS (SI), Y0
-	VMULPS  Y8, Y0, Y0
-	VMOVUPS Y0, (SI)
-	ADDQ    $32, SI
-
-sscaltail1:
-	ANDQ $7, CX
-	JZ   sscaldone
-
-sscalloop1:
-	VMOVSS (SI), X0
-	VMULSS X8, X0, X0
-	VMOVSS X0, (SI)
-	ADDQ   $4, SI
-	DECQ   CX
-	JNZ    sscalloop1
-
-sscaldone:
-	VZEROUPPER
-	RET
+	SCAL(VBROADCASTSS, VMOVUPS, VMULPS, VMOVSS, VMULSS, 2)
 
 // negEvenPD and negEvenPS flip the sign of the even (real-part) lanes.
 DATA negEvenPD<>+0(SB)/8, $0x8000000000000000

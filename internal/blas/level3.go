@@ -81,6 +81,10 @@ func gemm[T core.Scalar](cfg *core.Config, transA, transB Trans, m, n, k int, al
 	}
 	kern := kernelFor[T]()
 	vol := routeM * routeN * k
+	if transA != NoTrans && transB == NoTrans && routeM <= kern.dotRows && k >= kern.dotMinK {
+		gemmDots(cfg, kern, transA == ConjTrans, m, n, k, alpha, a, lda, b, ldb, c, ldc, vol)
+		return
+	}
 	if gemmSmallOK(cfg, transA, transB, routeM, routeN, k) && vol < kern.smallMaxVol {
 		// Pack-free small-matrix regime: the micro-kernel runs directly on
 		// the caller's strided operands, no pack buffers and no Fork.

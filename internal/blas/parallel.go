@@ -27,8 +27,9 @@ import (
 //   - Trsm forks once per call over what is independent, slabs of B's
 //     columns (left) or rows (right) cut at multiples of the widest leaf
 //     kernel, each slab running the serial recursion. Gemm picks its route
-//     (pack-free, skinny, naive, packed) from the product's shape, so a
-//     slab's updates are routed by the whole call's shape (gemm, level3.go).
+//     (inner-product, pack-free, skinny, naive, packed) from the product's
+//     shape, so a slab's updates are routed by the whole call's shape (gemm,
+//     level3.go). The inner-product route splits the columns of C.
 //   - Gemv cuts its output into one contiguous chunk per worker
 //     (parallelRange); Fork runs unrelated closures that write disjoint
 //     memory (the LU lookahead in internal/lapack).

@@ -259,6 +259,34 @@ GLOBL cholMask<>(SB), RODATA|NOPTR, $256
 	VMASKMOVPD Y10, Y14, (DI)(R8*2);   \
 	VMASKMOVPD Y11, Y15, (DI)(R9*1)
 
+// The steps of ddot4x3. DOT43ROW takes one column of a (at src, four rows)
+// into the accumulators of its three sums, c_q += a·b_c with the columns of
+// b in Y12..Y14; DOT43TAIL takes one column of b (at src, under the mask in
+// Y15) into the accumulators of its four sums; HSUM2 stores the two sums of
+// accumulators ya and yb (xa is ya's low half) at off(DX), as ddot8 does.
+#define DOT43ROW(src, c0, c1, c2) \
+	VMOVUPD     src, Y15;      \
+	VFMADD231PD Y15, Y12, c0; \
+	VFMADD231PD Y15, Y13, c1; \
+	VFMADD231PD Y15, Y14, c2
+
+#define DOT43TAIL(src, c0, c1, c2, c3) \
+	VMASKMOVPD  src, Y15, Y12;         \
+	VMASKMOVPD  (SI), Y15, Y13;        \
+	VFMADD231PD Y13, Y12, c0;          \
+	VMASKMOVPD  (SI)(R8*1), Y15, Y13; \
+	VFMADD231PD Y13, Y12, c1;          \
+	VMASKMOVPD  (SI)(R8*2), Y15, Y13; \
+	VFMADD231PD Y13, Y12, c2;          \
+	VMASKMOVPD  (SI)(R9*1), Y15, Y13; \
+	VFMADD231PD Y13, Y12, c3
+
+#define HSUM2(ya, yb, xa, off) \
+	VHADDPD      yb, ya, ya;  \
+	VEXTRACTF128 $1, ya, X12; \
+	VADDPD       X12, xa, xa; \
+	VMOVUPD      xa, off(DX)
+
 // func dcholStep8(upper bool, m int, a []float64, lda int) int
 //
 // One step of the small Cholesky (Small.CholStep) with a full block: m ≥ 8 a
@@ -629,5 +657,74 @@ ddot8sum:
 	VEXTRACTF128 $1, Y6, X8
 	VADDPD       X8, X6, X6
 	VMOVUPD      X6, 48(DX)
+	VZEROUPPER
+	RET
+
+// func ddot4x3(k int, a []float64, lda int, b []float64, ldb int) [12]float64
+//
+// The wider tile of ddot8 under Gemm's inner-product route: the twelve sums
+// Σ_i a(i, q)·b(i, c), q < 4, c < 3, over k ≥ 1 rows, returned as
+// out[q+4c]. Each column of b is read once for four of a and each column of a
+// once for three of b, where ddot8 reads a once per column of b. Every sum is
+// ddot8's chain — one accumulator, four rows per step, the last one to three
+// rows under the same lane mask, the same horizontal sum — so the bits are
+// ddot8's. The twelve accumulators leave four registers: three columns of b
+// and one of a in the loop, one column of b at a time under the mask.
+TEXT ·ddot4x3(SB), NOSPLIT, $0-168
+	MOVQ   a_base+8(FP), SI
+	MOVQ   lda+32(FP), R8
+	SHLQ   $3, R8
+	LEAQ   (R8)(R8*2), R9
+	MOVQ   b_base+40(FP), DI
+	MOVQ   ldb+64(FP), R10
+	SHLQ   $3, R10
+	MOVQ   k+0(FP), CX
+	VXORPD Y0, Y0, Y0
+	VXORPD Y1, Y1, Y1
+	VXORPD Y2, Y2, Y2
+	VXORPD Y3, Y3, Y3
+	VXORPD Y4, Y4, Y4
+	VXORPD Y5, Y5, Y5
+	VXORPD Y6, Y6, Y6
+	VXORPD Y7, Y7, Y7
+	VXORPD Y8, Y8, Y8
+	VXORPD Y9, Y9, Y9
+	VXORPD Y10, Y10, Y10
+	VXORPD Y11, Y11, Y11
+	MOVQ   CX, BX
+	SHRQ   $2, BX
+	JZ     dot43tail
+
+dot43loop:
+	VMOVUPD (DI), Y12
+	VMOVUPD (DI)(R10*1), Y13
+	VMOVUPD (DI)(R10*2), Y14
+	DOT43ROW((SI), Y0, Y4, Y8)
+	DOT43ROW((SI)(R8*1), Y1, Y5, Y9)
+	DOT43ROW((SI)(R8*2), Y2, Y6, Y10)
+	DOT43ROW((SI)(R9*1), Y3, Y7, Y11)
+	ADDQ    $32, SI
+	ADDQ    $32, DI
+	DECQ    BX
+	JNZ     dot43loop
+
+dot43tail:
+	ANDQ    $3, CX
+	JZ      dot43sum
+	LEAQ    cholMask<>(SB), DX
+	SHLQ    $5, CX
+	VMOVUPD 96(DX)(CX*1), Y15
+	DOT43TAIL((DI), Y0, Y1, Y2, Y3)
+	DOT43TAIL((DI)(R10*1), Y4, Y5, Y6, Y7)
+	DOT43TAIL((DI)(R10*2), Y8, Y9, Y10, Y11)
+
+dot43sum:
+	LEAQ ret+72(FP), DX
+	HSUM2(Y0, Y1, X0, 0)
+	HSUM2(Y2, Y3, X2, 16)
+	HSUM2(Y4, Y5, X4, 32)
+	HSUM2(Y6, Y7, X6, 48)
+	HSUM2(Y8, Y9, X8, 64)
+	HSUM2(Y10, Y11, X10, 80)
 	VZEROUPPER
 	RET

@@ -217,5 +217,16 @@ func testDot8[T core.Scalar](t *testing.T) {
 				}
 			}
 		}
+		// The wider tile, where the row has one, runs dot8's chains.
+		if tile := kernelFor[T]().dot4x3; tile != nil && m > 0 {
+			b := a[lda:]
+			got := tile(m, a, lda, b, lda)
+			for c := 0; c < 3; c++ {
+				want := SmallFor[T]().Dot8(a, lda, b[c*lda:c*lda+m], false)
+				if !diff.Same(got[4*c:4*c+4], want[:4]) {
+					t.Fatalf("m=%d: dot4x3 column %d = %v, dot8 %v", m, c, got[4*c:4*c+4], want[:4])
+				}
+			}
+		}
 	}
 }

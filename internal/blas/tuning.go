@@ -50,6 +50,14 @@ const (
 	// longer.
 	gemmPackedMinVol1m = 16 * 16 * 16
 
+	// dotRowsAsm and dotRows1m are the row-count crossovers of Gemm's
+	// inner-product route (gemmDots) on the real asm rows and the complex 1m
+	// rows, dotMinK its k crossover on both; the portable rows leave the
+	// route off.
+	dotRowsAsm = 16
+	dotRows1m  = 8
+	dotMinK    = 256
+
 	// level3BlockSize is the diagonal block size used when Symm/Hemm are
 	// decomposed into GEMM-shaped updates, and the problem size below which
 	// the triangular kernels stay on their unblocked forms.

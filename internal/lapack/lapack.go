@@ -89,11 +89,14 @@ const nxOrgqr = 240
 
 // Leaves of the recursive QR panel (geqrt3), from the EXPERIMENTS.md table
 // "QR panel leaf width". A panel no wider than qrLeafWidth, or shorter than
-// qrRecurseMinRows, is factored by Geqr2 plus the Level-2 Larft: every split
-// adds a Larfb and a T12 fill whose k-long, width-wide products only reach
-// the packed engine (and beat the vector Level-2 leaves) on tall panels.
+// qrRecurseMinRows, is factored by Geqr2 plus the Level-2 Larft. A split's
+// k-long products, V1ᴴ·V2 and C2ᴴ·V2 (8×8×k and 16×16×k on a 32-column
+// panel), run on Gemm's inner-product route from k = 256 on, which is what
+// makes the 8-column leaf pay on tall panels; below 512 rows the rest of a
+// split — the Larfb and Trmm steps, the T12 fill — still costs more than the
+// vector Level-2 leaves.
 const (
-	qrLeafWidth      = 16
+	qrLeafWidth      = 8
 	qrRecurseMinRows = 512
 )
 

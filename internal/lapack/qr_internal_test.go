@@ -90,8 +90,11 @@ func testGeqrt3[T core.Scalar](t *testing.T, m, n int) {
 
 func TestGeqrt3(t *testing.T) {
 	// Tall enough to recurse (ragged, odd and even widths, one column),
-	// square with a full-depth recursion, and shapes that are a leaf outright.
-	shapes := [][2]int{{700, 29}, {640, 32}, {530, 17}, {600, 1}, {520, 520}, {7, 7}, {5, 3}, {100, 32}}
+	// square with a full-depth recursion, and shapes that are a leaf outright;
+	// then either side of qrLeafWidth on a tall panel and of qrRecurseMinRows
+	// on a full-width one.
+	shapes := [][2]int{{700, 29}, {640, 32}, {530, 17}, {600, 1}, {520, 520}, {7, 7}, {5, 3}, {100, 32},
+		{4096, qrLeafWidth}, {4096, qrLeafWidth + 1}, {qrRecurseMinRows - 1, 32}, {qrRecurseMinRows, 32}}
 	for _, sh := range shapes {
 		m, n := sh[0], sh[1]
 		t.Run(fmt.Sprintf("%dx%d", m, n), func(t *testing.T) {

@@ -403,7 +403,7 @@ func TestTzrzf(t *testing.T) {
 func TestGeqrfBlockedMatchesUnblocked(t *testing.T) {
 	// The blocked path (used above the crossover) must agree with the
 	// unblocked oracle to roundoff.
-	for _, mn := range [][2]int{{100, 80}, {150, 150}, {90, 130}} {
+	for _, mn := range [][2]int{{100, 80}, {150, 150}, {90, 130}, {4096, 256}} {
 		m, n := mn[0], mn[1]
 		for _, cplx := range []bool{false, true} {
 			rng := lapack.NewRng([4]int{m, n, 77, 99})
