@@ -36,11 +36,15 @@ lint-globals:
 # core.Knobs table and vice versa, so a variable cannot be parsed, or
 # documented, anywhere the table does not know about; and blas.SetThreads is
 # the only process-wide setter — everything else is a With* option per call
-# or a table variable per process. Both surfaces are counted, so growing
-# either is a decision made here: the env column may hold at most
-# KNOB_ENV_MAX names and non-test la/*.go may declare at most LA_OPTIONS_MAX
-# `func With…` options (none of which selects an algorithm).
-KNOB_ENV_MAX = 17
+# or a table variable per process. The surfaces are counted, so growing any
+# of them is a decision made here: the env column may hold at most
+# KNOB_ENV_MAX names, core.Tuning (la.Config) at most TUNING_MAX fields, and
+# non-test la/*.go may declare at most LA_OPTIONS_MAX `func With…` options
+# (none of which selects an algorithm). A block size or crossover with one
+# value in use is a constant (lapack.Ilaenv, internal/blas/tuning.go), not a
+# knob.
+KNOB_ENV_MAX = 7
+TUNING_MAX = 6
 LA_OPTIONS_MAX = 23
 lint-knobs:
 	@src=$$(grep -rhoE 'LA90_[A-Z0-9_]+' --include='*.go' --exclude='*_test.go' --exclude-dir=bench . | sort -u); \
@@ -52,6 +56,10 @@ lint-knobs:
 	n=$$(printf '%s\n' "$$tab" | grep -c .); \
 	if [ $$n -gt $(KNOB_ENV_MAX) ]; then \
 		echo "lint-knobs: $$n LA90_* names in core.Knobs, at most $(KNOB_ENV_MAX) allowed"; exit 1; \
+	fi
+	@n=$$(sed -n '/^type Tuning struct {/,/^}/{/^type/d;s|//.*||;p;}' internal/core/config.go | grep -oE '\<[A-Z][A-Za-z0-9]*\>' | grep -c .); \
+	if [ $$n -gt $(TUNING_MAX) ]; then \
+		echo "lint-knobs: $$n core.Tuning fields, at most $(TUNING_MAX) allowed"; exit 1; \
 	fi
 	@n=$$(grep -hE '^func With[A-Z]' --exclude='*_test.go' la/*.go | grep -c .); \
 	if [ $$n -gt $(LA_OPTIONS_MAX) ]; then \

@@ -1333,9 +1333,9 @@ func BenchmarkGelsdTall(b *testing.B) {
 }
 
 // BenchmarkReduce prices the blocked condensed-form reductions under the
-// eigen and SVD drivers against their unblocked forms — panel width 1 (the
-// nbtrd, nbbrd and nbhrd knobs) runs Sytd2, Gebd2 and Gehd2 — on one float64
-// matrix of order 1024 (its symmetric part for Sytrd).
+// eigen and SVD drivers against their unblocked forms — the NB=1 legs call
+// Sytd2, Gebd2 and Gehd2 — on one float64 matrix of order 1024 (its
+// symmetric part for Sytrd).
 func BenchmarkReduce(b *testing.B) {
 	const n = 1024
 	a0 := make([]float64, n*n)
@@ -1348,25 +1348,31 @@ func BenchmarkReduce(b *testing.B) {
 	}
 	a, d, e := make([]float64, n*n), make([]float64, n), make([]float64, n)
 	tau, taup := make([]float64, n), make([]float64, n)
-	unblocked := core.Default().With(func(c *core.Config) { c.NBSytrd, c.NBGebrd, c.NBGehrd = 1, 1, 1 })
+	cfg := core.Default()
 	for _, r := range []struct {
-		name  string
-		a0    []float64
-		flops float64
-		run   func(cfg *core.Config)
+		name             string
+		a0               []float64
+		flops            float64
+		blocked, unblock func()
 	}{
-		{"Sytrd", sym, 4.0 / 3, func(cfg *core.Config) { lapack.Sytrd(cfg, lapack.Lower, n, a, n, d, e, tau) }},
-		{"Gebrd", a0, 8.0 / 3, func(cfg *core.Config) { lapack.Gebrd(cfg, n, n, a, n, d, e, tau, taup) }},
-		{"Gehrd", a0, 10.0 / 3, func(cfg *core.Config) { lapack.Gehrd(cfg, n, 0, n-1, a, n, tau) }},
+		{"Sytrd", sym, 4.0 / 3,
+			func() { lapack.Sytrd(cfg, lapack.Lower, n, a, n, d, e, tau) },
+			func() { lapack.Sytd2(lapack.Lower, n, a, n, d, e, tau) }},
+		{"Gebrd", a0, 8.0 / 3,
+			func() { lapack.Gebrd(cfg, n, n, a, n, d, e, tau, taup) },
+			func() { lapack.Gebd2(cfg, n, n, a, n, d, e, tau, taup) }},
+		{"Gehrd", a0, 10.0 / 3,
+			func() { lapack.Gehrd(cfg, n, 0, n-1, a, n, tau) },
+			func() { lapack.Gehd2(cfg, n, 0, n-1, a, n, tau) }},
 	} {
 		for _, leg := range []struct {
 			name string
-			cfg  *core.Config
-		}{{"blocked", core.Default()}, {"NB=1", unblocked}} {
+			run  func()
+		}{{"blocked", r.blocked}, {"NB=1", r.unblock}} {
 			b.Run(r.name+"/"+leg.name, func(b *testing.B) {
 				benchLoop(b, func() {
 					copy(a, r.a0)
-					r.run(leg.cfg)
+					leg.run()
 				})
 				b.ReportMetric(r.flops*n*n*n*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOPS")
 			})

@@ -21,6 +21,8 @@
 package f77
 
 import (
+	"strings"
+
 	"repro/internal/core"
 	"repro/internal/lapack"
 )
@@ -333,10 +335,26 @@ func GEQRF[T Scalar](m, n int, a []T, lda int, tau []T) (info int) {
 }
 
 // ILAENV returns tuning parameters, the hook the paper's LA_GETRI listing
-// queries for its workspace size.
+// queries for its workspace size. NAME is spelled as in LAPACK, in either
+// case: a type letter and the routine (DGETRF, ZUNGQR), the complex UN…
+// routines taking the values of their real OR… twins; the bare routine
+// (GETRF, SYTRF) is read as it stands. An ispec outside 1..17 returns −1,
+// the reference ILAENV's "argument 1 is illegal".
 func ILAENV(ispec int, name string, n1, n2, n3, n4 int) int {
-	cfg := core.Default()
-	return lapack.Ilaenv(cfg, ispec, name, n1, n2, n3, n4)
+	if ispec < 1 || ispec > 17 {
+		return -1
+	}
+	name = strings.ToUpper(name)
+	// Every bare name of the table has five letters but GETRF2, which no
+	// type letter starts, so only a longer name carries one: SYTRF keeps
+	// its S.
+	if len(name) > 5 && strings.IndexByte("SDCZ", name[0]) >= 0 {
+		name = name[1:]
+	}
+	if rest, ok := strings.CutPrefix(name, "UN"); ok {
+		name = "OR" + rest
+	}
+	return lapack.Ilaenv(ispec, name, n1, n2, n3, n4)
 }
 
 // LAMCH returns machine parameters in the FORTRAN 90 EPSILON convention

@@ -217,3 +217,42 @@ func TestF77Primitives(t *testing.T) {
 		t.Errorf("LANGE with LDA < M = %v, want NaN", v)
 	}
 }
+
+// TestILAENVNames checks that ILAENV reads NAME as LAPACK spells it: either
+// case, with or without the type letter (SYTRF keeps its S), the complex
+// UN… routines as their real OR… twins, and −1 for an illegal ispec.
+func TestILAENVNames(t *testing.T) {
+	for _, c := range []struct {
+		ispec int
+		name  string
+		n1    int
+		want  int
+	}{
+		{1, "GETRF", 1000, 256},
+		{1, "DGETRF", 1000, 256},
+		{1, "sgetrf", 100, 64},
+		{1, "zGetrf", 1000, 256},
+		{1, "DGETRF2", 1000, 8},
+		{1, "GETRI", 1000, 48},
+		{1, "DGETRI", 1000, 48},
+		{1, "CPOTRF", 1000, 64},
+		{1, "SYTRF", 1000, 48},
+		{1, "SSYTRF", 1000, 48},
+		{1, "DSYTRF", 1000, 48},
+		{1, "ZHETRF", 1000, 48},
+		{3, "DGEQRF", 1000, 64},
+		{3, "DORGQR", 1000, 8},
+		{3, "ZUNGQR", 1000, 8},
+		{3, "ZUNGQR", 200, 200},
+		{3, "CUNMLQ", 1000, 8},
+		{3, "ZHETRD", 1000, 128},
+		{3, "dgebrd", 1000, 128},
+		{1, "DXYZZY", 1000, 32},
+		{0, "DGETRF", 1000, -1},
+		{18, "DGETRF", 1000, -1},
+	} {
+		if got := f77.ILAENV(c.ispec, c.name, c.n1, c.n1, -1, -1); got != c.want {
+			t.Errorf("ILAENV(%d, %q, %d) = %d, want %d", c.ispec, c.name, c.n1, got, c.want)
+		}
+	}
+}

@@ -49,7 +49,7 @@ func Gemv[T core.Scalar](cfg *core.Config, trans Trans, m, n int, alpha T, a []T
 	cfg = core.Cfg(cfg)
 	k := kernelFor[T]()
 	workers := cfg.Threads
-	if workers > 1 && m*n < cfg.GemvParallelMinVol {
+	if workers > 1 && m*n < gemvParallelMinVol {
 		workers = 1
 	}
 	if trans == NoTrans {

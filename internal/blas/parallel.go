@@ -46,7 +46,7 @@ import (
 // run with different budgets side by side. The process-wide default comes
 // from runtime.GOMAXPROCS(0), may be pinned with LA90_NUM_THREADS at startup
 // and changed at any time with SetThreads. Level-3 calls below
-// Config.GemmParallelMinVol (Gemv: GemvParallelMinVol) run serially, so
+// Config.GemmParallelMinVol (Gemv: gemvParallelMinVol) run serially, so
 // small-matrix latency does not pay goroutine hand-off costs. A budget above
 // GOMAXPROCS is harmless: the surplus workers find the counter exhausted.
 //

@@ -24,9 +24,11 @@ import "repro/internal/core"
 // kc also fixes the length of the FMA chains, so moving it moves every bit
 // above one slab (alternatives measured in EXPERIMENTS.md, "AVX-512 row").
 //
-// Every tunable lives in core.Config (the core.Knobs table lists them with
-// their ranges and environment variables): kernels read the *Config threaded
-// down from the API boundary and never consult package state mid-kernel.
+// The block sizes, the pack-free crossover and the Level-3 serial cutoff are
+// knobs of core.Config (the core.Knobs table lists them with their ranges and
+// environment variables): kernels read the *Config threaded down from the API
+// boundary and never consult package state mid-kernel. The crossovers below
+// are constants.
 const (
 	// gemmPackedMinVol is the m·n·k volume below which Gemm stays on the
 	// naive column-walking kernel: packing two operands only pays for
@@ -87,6 +89,10 @@ const (
 	// Level-3 rate").
 	trsmLeafSizeC128 = 32
 	trsmLeafSizeC64  = 32
+
+	// gemvParallelMinVol is the m·n element count below which Gemv stays
+	// serial, so small sweeps do not pay goroutine hand-off.
+	gemvParallelMinVol = 512 * 512
 )
 
 // level3Workers is the one shared serial small-size cutoff for the Level-3

@@ -11,41 +11,39 @@ import (
 )
 
 // TestTuningEnvKnobs re-executes the test binary with the LA90_GEMM_SMALL
-// and LA90_GEMV_MINVOL knobs set (both are read once at init) and checks
-// each override lands, including core.EnvInt's clamping: garbage keeps the
-// default and out-of-range values degrade to the nearest bound. Being in
-// package blas, the helper can print the tuning variables directly.
+// knob set (it is read once at init) and checks each override lands,
+// including core.EnvInt's clamping: garbage keeps the default and
+// out-of-range values degrade to the nearest bound.
 func TestTuningEnvKnobs(t *testing.T) {
 	if os.Getenv("LA90_TUNING_HELPER") == "1" {
-		fmt.Printf("TUNING %d %d\n", core.Default().GemmSmallDim, core.Default().GemvParallelMinVol)
+		fmt.Printf("TUNING %d\n", core.Default().GemmSmallDim)
 		return
 	}
 	cases := []struct {
-		small, minvol     string
-		wantSmall, wantMV int
+		small     string
+		wantSmall int
 	}{
 		// Plain overrides; 0 disables the pack-free path entirely.
-		{"48", "1024", 48, 1024},
-		{"0", "1", 0, 1},
-		// Out of range clamps ([0, 256] and [1, 1<<30]); garbage keeps the
-		// defaults.
-		{"100000", "0", core.MaxGemmSmallDim, 1},
-		{"banana", "porridge", 64, 512 * 512},
+		{"48", 48},
+		{"0", 0},
+		// Out of range clamps to [0, 256]; garbage keeps the default.
+		{"100000", core.MaxGemmSmallDim},
+		{"banana", 64},
 	}
 	for _, c := range cases {
 		cmd := exec.Command(os.Args[0], "-test.run", "TestTuningEnvKnobs$", "-test.v")
 		cmd.Env = append(os.Environ(),
 			"LA90_TUNING_HELPER=1",
-			"LA90_GEMM_SMALL="+c.small, "LA90_GEMV_MINVOL="+c.minvol)
+			"LA90_GEMM_SMALL="+c.small)
 		out, err := cmd.CombinedOutput()
 		if err != nil {
 			t.Fatalf("helper process failed: %v\n%s", err, out)
 		}
 		got := false
-		var gotSmall, gotMV int
+		var gotSmall int
 		for _, line := range strings.Split(string(out), "\n") {
 			if strings.HasPrefix(line, "TUNING ") {
-				if _, err := fmt.Sscanf(line, "TUNING %d %d", &gotSmall, &gotMV); err != nil {
+				if _, err := fmt.Sscanf(line, "TUNING %d", &gotSmall); err != nil {
 					t.Fatalf("parsing helper output %q: %v", line, err)
 				}
 				got = true
@@ -54,9 +52,8 @@ func TestTuningEnvKnobs(t *testing.T) {
 		if !got {
 			t.Fatalf("helper printed no TUNING line:\n%s", out)
 		}
-		if gotSmall != c.wantSmall || gotMV != c.wantMV {
-			t.Errorf("SMALL=%q MINVOL=%q: got (%d, %d), want (%d, %d)",
-				c.small, c.minvol, gotSmall, gotMV, c.wantSmall, c.wantMV)
+		if gotSmall != c.wantSmall {
+			t.Errorf("SMALL=%q: got %d, want %d", c.small, gotSmall, c.wantSmall)
 		}
 	}
 }

@@ -63,23 +63,6 @@ type Tuning struct {
 	// GemmParallelMinVol is the m·n·k multiply volume below which Level-3
 	// operations stay serial even when Threads > 1.
 	GemmParallelMinVol int
-
-	// GemvParallelMinVol is the m·n element count below which Gemv stays
-	// serial.
-	GemvParallelMinVol int
-
-	// Ilaenv block sizes for the blocked factorizations and condensed-form
-	// reductions (see lapack.Ilaenv).
-	NBGetrf   int // LU block, n < 512; setting it pins NBGetrfLg too
-	NBGetrfLg int // LU block, n >= 512; set only through NBGetrf
-	NBPotrf   int // recursive Cholesky leaf
-	NBGeqrf   int // QR/LQ/Orgqr/Ormqr block
-	NBSytrf   int // Bunch–Kaufman panel width
-	NXGeqrf   int // QR/LQ unblocked crossover on min(m, n)
-	NBGetrf2  int // recursive LU panel leaf
-	NBSytrd   int // tridiagonal reduction panel width
-	NBGebrd   int // bidiagonal reduction panel width
-	NBGehrd   int // Hessenberg reduction panel width
 }
 
 // Clamp bounds of the table below, shared by every route a value can arrive
@@ -98,9 +81,7 @@ const (
 	// MaxGemmSmallDim bounds the pack-free crossover: above it the strided
 	// reads blow past L1 and the packed engine is strictly better.
 	MaxGemmSmallDim = 256
-	// MaxNB bounds the Ilaenv factorization block sizes.
-	MaxNB = 1 << 12
-	// MaxParallelMinVol bounds the serial-cutoff volumes.
+	// MaxParallelMinVol bounds the serial-cutoff volume.
 	MaxParallelMinVol = 1 << 30
 )
 
@@ -116,7 +97,6 @@ type Knob struct {
 	Doc    string
 
 	ptr  func(*Tuning) *int  // the integer knob's field; nil on boolean rows
-	also func(*Tuning) *int  // a second field that takes the same value
 	flag func(*Config) *bool // the boolean policy's field; nil on a row read only at startup
 }
 
@@ -143,37 +123,6 @@ var Knobs = []Knob{
 	{Name: "minvol", Lo: 1, Hi: MaxParallelMinVol,
 		Doc: "m·n·k volume below which Level-3 operations stay serial",
 		ptr: func(t *Tuning) *int { return &t.GemmParallelMinVol }},
-	{Name: "gemvminvol", Env: "LA90_GEMV_MINVOL", Lo: 1, Hi: MaxParallelMinVol,
-		Doc: "m·n element count below which Gemv stays serial",
-		ptr: func(t *Tuning) *int { return &t.GemvParallelMinVol }},
-	{Name: "nbgetrf", Env: "LA90_NB_GETRF", Lo: 1, Hi: MaxNB,
-		Doc:  "LU block size; setting it pins both size regimes (default 64 below n = 512, 256 from there)",
-		ptr:  func(t *Tuning) *int { return &t.NBGetrf },
-		also: func(t *Tuning) *int { return &t.NBGetrfLg }},
-	{Name: "nbpotrf", Env: "LA90_NB_POTRF", Lo: 1, Hi: MaxNB,
-		Doc: "recursive Cholesky leaf size",
-		ptr: func(t *Tuning) *int { return &t.NBPotrf }},
-	{Name: "nbgeqrf", Env: "LA90_NB_GEQRF", Lo: 1, Hi: MaxNB,
-		Doc: "QR/LQ/Orgqr/Ormqr block size",
-		ptr: func(t *Tuning) *int { return &t.NBGeqrf }},
-	{Name: "nbsytrf", Env: "LA90_NB_SYTRF", Lo: 1, Hi: MaxNB,
-		Doc: "Bunch–Kaufman panel width",
-		ptr: func(t *Tuning) *int { return &t.NBSytrf }},
-	{Name: "nxgeqrf", Env: "LA90_NX_GEQRF", Lo: 1, Hi: MaxNB,
-		Doc: "min(m, n) at or below which QR/LQ stay unblocked",
-		ptr: func(t *Tuning) *int { return &t.NXGeqrf }},
-	{Name: "nbgetrf2", Env: "LA90_NB_GETRF2", Lo: 1, Hi: MaxNB,
-		Doc: "recursive LU panel leaf width",
-		ptr: func(t *Tuning) *int { return &t.NBGetrf2 }},
-	{Name: "nbtrd", Env: "LA90_NB_TRD", Lo: 1, Hi: MaxNB,
-		Doc: "tridiagonal reduction panel width; 1 forces the unblocked Sytd2",
-		ptr: func(t *Tuning) *int { return &t.NBSytrd }},
-	{Name: "nbbrd", Env: "LA90_NB_BRD", Lo: 1, Hi: MaxNB,
-		Doc: "bidiagonal reduction panel width; 1 forces the unblocked Gebd2",
-		ptr: func(t *Tuning) *int { return &t.NBGebrd }},
-	{Name: "nbhrd", Env: "LA90_NB_HRD", Lo: 1, Hi: MaxNB,
-		Doc: "Hessenberg reduction panel width; 1 forces the unblocked Gehd2",
-		ptr: func(t *Tuning) *int { return &t.NBGehrd }},
 
 	{Name: "check", Env: "LA90_CHECK_INPUTS",
 		Doc:  "screen matrix arguments for NaN/Inf at the la boundary (per call: la.WithCheck)",
@@ -190,19 +139,10 @@ func (k *Knob) IsInt() bool { return k.ptr != nil }
 // Value returns the knob's current value in t.
 func (k *Knob) Value(t *Tuning) int { return *k.ptr(t) }
 
-// Set stores v in the knob's field of t, and in the field it pins.
-func (k *Knob) Set(t *Tuning, v int) {
-	*k.ptr(t) = v
-	if k.also != nil {
-		*k.also(t) = v
-	}
-}
-
 // Overlay applies the per-call override block ov to t, knob by knob: zero
 // inherits t's value, a positive value replaces it, and a negative value on
 // a knob whose range starts at 0 (GemmSmallDim) sets 0, which disables the
-// path. Fields that are only pinned by another knob (NBGetrfLg) are not read
-// from ov; ov is only read. The caller re-clamps (Config.With does).
+// path; ov is only read. The caller re-clamps (Config.With does).
 func (t *Tuning) Overlay(ov *Tuning) {
 	for i := range Knobs {
 		k := &Knobs[i]
@@ -210,9 +150,9 @@ func (t *Tuning) Overlay(ov *Tuning) {
 			continue
 		}
 		if v := k.Value(ov); v > 0 {
-			k.Set(t, v)
+			*k.ptr(t) = v
 		} else if v < 0 && k.Lo == 0 {
-			k.Set(t, 0)
+			*k.ptr(t) = 0
 		}
 	}
 }
@@ -228,17 +168,6 @@ func baseConfig() Config {
 		GemmNC:             2048,
 		GemmSmallDim:       64,
 		GemmParallelMinVol: 192 * 192 * 192,
-		GemvParallelMinVol: 512 * 512,
-		NBGetrf:            64,
-		NBGetrfLg:          256,
-		NBPotrf:            64,
-		NBGeqrf:            32,
-		NBSytrf:            48,
-		NXGeqrf:            64,
-		NBGetrf2:           8,
-		NBSytrd:            32,
-		NBGebrd:            32,
-		NBGehrd:            32,
 	}}
 }
 
@@ -254,10 +183,9 @@ func FromEnv(base Config) Config {
 		case k.Env == "":
 		case k.ptr != nil:
 			// Lo-1 cannot come back from a parsed (hence clamped) value, so
-			// it marks "unset or garbage": the field, and the one it would
-			// pin, keep their defaults.
+			// it marks "unset or garbage": the field keeps its default.
 			if v := EnvInt(k.Env, k.Lo-1, k.Lo, k.Hi); v >= k.Lo {
-				k.Set(&base.Tuning, v)
+				*k.ptr(&base.Tuning) = v
 			}
 		case k.flag != nil:
 			if EnvFlag(k.Env) {
@@ -282,10 +210,6 @@ func (c *Config) clamp() {
 		}
 		p := k.ptr(&c.Tuning)
 		*p = ClampInt(*p, k.Lo, k.Hi)
-		if k.also != nil {
-			p = k.also(&c.Tuning)
-			*p = ClampInt(*p, k.Lo, k.Hi)
-		}
 	}
 }
 

@@ -13,7 +13,7 @@ import (
 
 // TestKnobTable checks the table against the struct it describes, by
 // reflection (the library itself never reflects): every int field of Tuning
-// is addressed by exactly one row's ptr or also, every default lies inside
+// is addressed by exactly one row's ptr, every default lies inside
 // its row's range, and names and environment names are unique.
 func TestKnobTable(t *testing.T) {
 	var probe Tuning
@@ -40,19 +40,14 @@ func TestKnobTable(t *testing.T) {
 			t.Errorf("%s: both an integer and a boolean row", k.Name)
 		}
 		if k.ptr == nil {
-			if k.also != nil || k.Env == "" {
-				t.Errorf("%s: a non-integer row needs an env and no also", k.Name)
+			if k.Env == "" {
+				t.Errorf("%s: a non-integer row needs an env", k.Name)
 			}
 			continue
 		}
-		for _, f := range []func(*Tuning) *int{k.ptr, k.also} {
-			if f == nil {
-				continue
-			}
-			owners[reflect.ValueOf(f(&probe)).Pointer()]++
-			if def := *f(&base.Tuning); def < k.Lo || def > k.Hi {
-				t.Errorf("%s: default %d outside [%d, %d]", k.Name, def, k.Lo, k.Hi)
-			}
+		owners[reflect.ValueOf(k.ptr(&probe)).Pointer()]++
+		if def := k.Value(&base.Tuning); def < k.Lo || def > k.Hi {
+			t.Errorf("%s: default %d outside [%d, %d]", k.Name, def, k.Lo, k.Hi)
 		}
 	}
 	for i := 0; i < rv.NumField(); i++ {
@@ -69,7 +64,7 @@ func TestKnobTable(t *testing.T) {
 
 // TestFromEnvEveryKnob round-trips every environment row of the table,
 // one subtest per variable. Integer rows: an in-range value lands on its
-// field (and the field it pins), values below and above the range clamp,
+// field, values below and above the range clamp,
 // garbage keeps the default — the EnvInt hardening policy. Boolean rows:
 // the one rule, set and not "0" means on.
 func TestFromEnvEveryKnob(t *testing.T) {
@@ -105,16 +100,6 @@ func testEnvIntRow(t *testing.T, k *Knob, base *Tuning) {
 		if v := k.Value(&got.Tuning); v != tc.want {
 			t.Errorf("%s=%q: got %d, want %d", k.Env, tc.set, v, tc.want)
 		}
-		if k.also == nil {
-			continue
-		}
-		wantAlso := tc.want
-		if tc.set == "banana" || tc.set == "" { // the pinned field keeps its own default
-			wantAlso = *k.also(base)
-		}
-		if v := *k.also(&got.Tuning); v != wantAlso {
-			t.Errorf("%s=%q: pinned field got %d, want %d", k.Env, tc.set, v, wantAlso)
-		}
 	}
 }
 
@@ -139,8 +124,7 @@ func testEnvBoolRow(t *testing.T, k *Knob) {
 
 // TestOverlay pins the per-call overlay rule behind la.WithConfig: zero
 // inherits, positive replaces, negative disables a knob whose range starts
-// at 0 and is ignored elsewhere, NBGetrf pins both LU regimes, and NBGetrfLg
-// is not read on its own.
+// at 0 and is ignored elsewhere.
 func TestOverlay(t *testing.T) {
 	base := baseConfig().Tuning
 	got := base
@@ -148,16 +132,11 @@ func TestOverlay(t *testing.T) {
 	if got != base {
 		t.Errorf("zero overlay changed the tuning: %+v", got)
 	}
-	got.Overlay(&Tuning{GemmMC: 128, GemmSmallDim: -1, NBPotrf: -5, NBGetrf: 32})
+	got.Overlay(&Tuning{GemmMC: 128, GemmSmallDim: -1, GemmKC: -5})
 	want := base
-	want.GemmMC, want.GemmSmallDim, want.NBGetrf, want.NBGetrfLg = 128, 0, 32, 32
+	want.GemmMC, want.GemmSmallDim = 128, 0
 	if got != want {
 		t.Errorf("overlay: got %+v, want %+v", got, want)
-	}
-	got = base
-	got.Overlay(&Tuning{NBGetrfLg: 17})
-	if got != base {
-		t.Errorf("NBGetrfLg must only be set through NBGetrf: %+v", got)
 	}
 }
 

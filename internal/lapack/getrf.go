@@ -61,7 +61,7 @@ func Getrf2[T core.Scalar](cfg *core.Config, m, n int, a []T, lda int, ipiv []in
 	if mn == 0 {
 		return 0
 	}
-	if leaf := Ilaenv(cfg, 1, "GETRF2", m, n, -1, -1); n <= leaf || m == 1 {
+	if leaf := Ilaenv(1, "GETRF2", m, n, -1, -1); n <= leaf || m == 1 {
 		return Getf2(m, n, a, lda, ipiv)
 	}
 	one := core.FromFloat[T](1)
@@ -110,8 +110,8 @@ func Getrf[T core.Scalar](cfg *core.Config, m, n int, a []T, lda int, ipiv []int
 		// (see smalllu.go).
 		return getrfSmall(m, n, a, lda, ipiv)
 	}
-	nb := Ilaenv(cfg, 1, "GETRF", m, n, -1, -1)
-	if nb <= 1 || nb >= mn {
+	nb := Ilaenv(1, "GETRF", m, n, -1, -1)
+	if nb >= mn {
 		return Getrf2(cfg, m, n, a, lda, ipiv)
 	}
 	// The blocked loop lives in a helper whose cfg parameter is never

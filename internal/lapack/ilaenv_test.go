@@ -1,82 +1,61 @@
 package lapack_test
 
 import (
-	"fmt"
-	"os"
-	"os/exec"
-	"strings"
 	"testing"
 
 	"repro/internal/lapack"
 )
 
-// TestIlaenvReductionParams pins the tuning table for the condensed-form
-// reductions: panel widths at ispec 1 and the unblocked crossovers at
-// ispec 3 (below which Sytrd/Gebrd/Gehrd must not pay panel bookkeeping).
+// TestIlaenvReductionParams pins the whole tuning table: every name's block
+// size at ispec 1 and unblocked crossover at ispec 3, GETRF on both sides of
+// its 512 switch, ORGQR just inside and just outside the nxOrgqr² = 240²
+// area, and the values an unknown name gets.
 func TestIlaenvReductionParams(t *testing.T) {
 	cases := []struct {
-		ispec int
-		name  string
-		want  int
+		ispec  int
+		name   string
+		n1, n2 int
+		want   int
 	}{
-		{1, "SYTRD", 32},
-		{1, "HETRD", 32},
-		{1, "GEBRD", 32},
-		{1, "GEHRD", 32},
-		{3, "SYTRD", 128},
-		{3, "HETRD", 128},
-		{3, "GEBRD", 128},
-		{3, "GEHRD", 128},
-	}
-	for _, c := range cases {
-		if got := lapack.Ilaenv(tcfg(), c.ispec, c.name, 1000, -1, -1, -1); got != c.want {
-			t.Errorf("Ilaenv(tcfg(), %d, %q) = %d, want %d", c.ispec, c.name, got, c.want)
-		}
-	}
-}
+		{1, "GETRF", 511, 511, 64},
+		{1, "GETRF", 512, 512, 256},
+		{1, "GETRF", 100, 512, 256},
+		{1, "GETRF2", 1000, 1000, 8},
+		{1, "POTRF", 1000, -1, 64},
+		{1, "GETRI", 1000, -1, 48},
+		{1, "SYTRF", 1000, -1, 48},
+		{1, "HETRF", 1000, -1, 48},
+		{1, "GEQRF", 1000, 1000, 32},
+		{1, "GELQF", 1000, 1000, 32},
+		{1, "ORGQR", 1000, 1000, 32},
+		{1, "ORMQR", 1000, 1000, 32},
+		{1, "ORGLQ", 1000, 1000, 32},
+		{1, "ORMLQ", 1000, 1000, 32},
+		{1, "SYTRD", 1000, -1, 32},
+		{1, "HETRD", 1000, -1, 32},
+		{1, "GEBRD", 1000, 1000, 32},
+		{1, "GEHRD", 1000, 1, 32},
+		{1, "XYZZY", 1000, 1000, 32},
 
-// TestIlaenvReductionEnvKnobs re-executes the test binary with the
-// LA90_NB_TRD/BRD/HRD knobs set (the values are read once at init) and
-// checks each override lands, including the clamping behaviour of
-// core.EnvInt: garbage is ignored and out-of-range values degrade to the
-// nearest bound instead of producing zero-width panels.
-func TestIlaenvReductionEnvKnobs(t *testing.T) {
-	if os.Getenv("LA90_ILAENV_HELPER") == "1" {
-		fmt.Printf("KNOBS %d %d %d\n",
-			lapack.Ilaenv(tcfg(), 1, "SYTRD", 1000, -1, -1, -1),
-			lapack.Ilaenv(tcfg(), 1, "GEBRD", 1000, -1, -1, -1),
-			lapack.Ilaenv(tcfg(), 1, "GEHRD", 1000, -1, -1, -1))
-		return
-	}
-	cases := []struct {
-		trd, brd, hrd       string
-		wantT, wantB, wantH int
-	}{
-		// Plain overrides.
-		{"64", "16", "48", 64, 16, 48},
-		// Out of range clamps to [1, 4096]; garbage keeps the default.
-		{"1000000", "0", "banana", 4096, 1, 32},
+		{3, "GETRF", 1000, 1000, 128},
+		{3, "GEQRF", 1000, 1000, 64},
+		{3, "GELQF", 1000, 1000, 64},
+		{3, "ORGQR", 240, 240, 240},
+		{3, "ORGQR", 241, 240, 8},
+		{3, "ORGQR", 960, 60, 960},
+		{3, "ORGQR", 961, 60, 8},
+		{3, "ORMQR", 1000, 1000, 8},
+		{3, "ORGLQ", 1000, 1000, 8},
+		{3, "ORMLQ", 1000, 1000, 8},
+		{3, "SYTRD", 1000, -1, 128},
+		{3, "HETRD", 1000, -1, 128},
+		{3, "GEBRD", 1000, 1000, 128},
+		{3, "GEHRD", 1000, 1, 128},
+		{3, "XYZZY", 1000, 1000, 128},
 	}
 	for _, c := range cases {
-		cmd := exec.Command(os.Args[0], "-test.run", "TestIlaenvReductionEnvKnobs$", "-test.v")
-		cmd.Env = append(os.Environ(),
-			"LA90_ILAENV_HELPER=1",
-			"LA90_NB_TRD="+c.trd, "LA90_NB_BRD="+c.brd, "LA90_NB_HRD="+c.hrd)
-		out, err := cmd.CombinedOutput()
-		if err != nil {
-			t.Fatalf("helper process failed: %v\n%s", err, out)
-		}
-		var gotT, gotB, gotH int
-		for _, line := range strings.Split(string(out), "\n") {
-			if strings.HasPrefix(line, "KNOBS ") {
-				if _, err := fmt.Sscanf(line, "KNOBS %d %d %d", &gotT, &gotB, &gotH); err != nil {
-					t.Fatalf("parsing helper output %q: %v", line, err)
-				}
-			}
-		}
-		if gotT != c.wantT || gotB != c.wantB || gotH != c.wantH {
-			t.Errorf("TRD=%q BRD=%q HRD=%q: got (%d, %d, %d), want (%d, %d, %d)",
-				c.trd, c.brd, c.hrd, gotT, gotB, gotH, c.wantT, c.wantB, c.wantH)
+		if got := lapack.Ilaenv(c.ispec, c.name, c.n1, c.n2, -1, -1); got != c.want {
+			t.Errorf("Ilaenv(%d, %q, %d, %d) = %d, want %d", c.ispec, c.name, c.n1, c.n2, got, c.want)
 		}
 	}
 }

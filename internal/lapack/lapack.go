@@ -18,10 +18,7 @@
 // conjugation the implementation is shared across all four element types.
 package lapack
 
-import (
-	"repro/internal/blas"
-	"repro/internal/core"
-)
+import "repro/internal/blas"
 
 // Norm selects which matrix norm a xLANxx routine computes.
 type Norm byte
@@ -105,47 +102,34 @@ const (
 // (name "GETRF2" is the leaf order below which the recursive LU panel falls
 // back to Getf2); ispec 3 is the crossover dimension below which the named
 // routine should use unblocked code. The LA_GETRI wrapper in the paper's
-// Appendix C queries exactly this hook to size its workspace.
+// Appendix C queries exactly this hook to size its workspace. Names are
+// LAPACK's without the type letter (f77.ILAENV strips it).
 //
-// Block sizes come from the execution context threaded down from the API
-// boundary (cfg may be nil, meaning the process default): the NB* fields of
-// core.Config carry measured defaults, may be pinned at startup with their
-// environment variables (the nb… and nx… rows of core.Knobs, parsed once by
-// core.FromEnv), and may be overridden per call. The defaults were
-// re-measured against the packed Level-3 engine when the factorizations
-// moved their panels onto it: with recursive, Level-3 panels the old nb²
-// unblocked-panel penalty is gone, so LU prefers wider panels at large n
-// (deeper GEMM k per update, fewer pivot sweeps), while QR keeps nb=32
-// (Larft/Larfb overhead grows as nb²·n). The condensed reductions keep
+// The table is constant, like every other route number of the package. The
+// block sizes were measured against the packed Level-3 engine when the
+// factorizations moved their panels onto it: with recursive, Level-3 panels
+// the old nb² unblocked-panel penalty is gone, so LU prefers wider panels at
+// large n (deeper GEMM k per update, fewer pivot sweeps), while QR keeps
+// nb=32 (Larft/Larfb overhead grows as nb²·n). The condensed reductions keep
 // nb=32 as well: their panels are Level-2 bound (each Latrd/Labrd/Lahr2
 // column touches the whole trailing matrix), so wider panels shrink the
-// Level-3 fraction without saving panel work.
-func Ilaenv(cfg *core.Config, ispec int, name string, n1, n2, n3, n4 int) int {
-	cfg = core.Cfg(cfg)
+// Level-3 fraction without saving panel work. Every name not listed at
+// ispec 1 — the QR/LQ family and the reductions among them — gets 32.
+func Ilaenv(ispec int, name string, n1, n2, n3, n4 int) int {
 	switch ispec {
 	case 1: // optimal block size
 		switch name {
 		case "GETRF":
 			if max(n1, n2) >= 512 {
-				return cfg.NBGetrfLg
+				return 256
 			}
-			return cfg.NBGetrf
+			return 64
 		case "GETRF2":
-			return cfg.NBGetrf2
+			return 8
 		case "POTRF":
-			return cfg.NBPotrf
-		case "GETRI":
+			return 64
+		case "GETRI", "SYTRF", "HETRF":
 			return 48
-		case "SYTRF", "HETRF":
-			return cfg.NBSytrf
-		case "GEQRF", "GELQF", "ORGQR", "ORMQR", "ORGLQ", "ORMLQ":
-			return cfg.NBGeqrf
-		case "SYTRD", "HETRD":
-			return cfg.NBSytrd
-		case "GEBRD":
-			return cfg.NBGebrd
-		case "GEHRD":
-			return cfg.NBGehrd
 		}
 		return 32
 	case 2: // minimum block size
@@ -153,7 +137,7 @@ func Ilaenv(cfg *core.Config, ispec int, name string, n1, n2, n3, n4 int) int {
 	case 3: // crossover point below which unblocked code is used
 		switch name {
 		case "GEQRF", "GELQF":
-			return cfg.NXGeqrf
+			return 64
 		case "ORGQR":
 			if n1*n2 <= nxOrgqr*nxOrgqr {
 				return max(n1, n2) // no reflector count k ≤ min(m, n) exceeds it

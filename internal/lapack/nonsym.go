@@ -273,10 +273,10 @@ func Gehrd[T core.Scalar](cfg *core.Config, n, ilo, ihi int, a []T, lda int, tau
 	for i := ihi; i < n-1; i++ {
 		tau[i] = 0
 	}
-	nb := Ilaenv(cfg, 1, "GEHRD", n, ilo, ihi, -1)
-	nx := max(nb, Ilaenv(cfg, 3, "GEHRD", n, ilo, ihi, -1))
+	nb := Ilaenv(1, "GEHRD", n, ilo, ihi, -1)
+	nx := max(nb, Ilaenv(3, "GEHRD", n, ilo, ihi, -1))
 	nh := ihi - ilo + 1
-	if nh <= nx || nb <= 1 {
+	if nh <= nx {
 		Gehd2(cfg, n, ilo, ihi, a, lda, tau)
 		return
 	}

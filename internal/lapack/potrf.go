@@ -82,8 +82,8 @@ func lacgv[T core.Scalar](n int, x []T, incX int) {
 // GEMM engine at its favourite shapes instead of as rank-nb updates.
 // Semantics are identical to Potf2.
 func Potrf[T core.Scalar](cfg *core.Config, uplo Uplo, n int, a []T, lda int) int {
-	nb := Ilaenv(cfg, 1, "POTRF", n, -1, -1, -1)
-	if nb <= 1 || n <= nb {
+	nb := Ilaenv(1, "POTRF", n, -1, -1, -1)
+	if n <= nb {
 		if smallCholOK(cfg, n) {
 			return potrfSmall(uplo, n, a, lda)
 		}

@@ -94,8 +94,8 @@ func Geqrf[T core.Scalar](cfg *core.Config, m, n int, a []T, lda int, tau []T) {
 // reflector triangles of the blocked path (nil when the unblocked one ran)
 // for ormqr/orgqr. The caller releases the stack when done.
 func geqrfT[T core.Scalar](cfg *core.Config, m, n int, a []T, lda int, tau []T) *blockT[T] {
-	nb := Ilaenv(cfg, 1, "GEQRF", m, n, -1, -1)
-	if nb > 1 && min(m, n) > Ilaenv(cfg, 3, "GEQRF", m, n, -1, -1) {
+	nb := Ilaenv(1, "GEQRF", m, n, -1, -1)
+	if min(m, n) > Ilaenv(3, "GEQRF", m, n, -1, -1) {
 		return geqrfBlocked(cfg, m, n, a, lda, tau, nb)
 	}
 	work := blas.GetScratch[T](max(1, n))
@@ -148,8 +148,8 @@ func orgqr[T core.Scalar](cfg *core.Config, m, n, k int, a []T, lda int, tau []T
 		orgqrBlocked(cfg, m, n, k, a, lda, tau, ts)
 		return
 	}
-	nb := Ilaenv(cfg, 1, "ORGQR", m, n, k, -1)
-	if nb > 1 && k > Ilaenv(cfg, 3, "ORGQR", m, n, k, -1) {
+	nb := Ilaenv(1, "ORGQR", m, n, k, -1)
+	if k > Ilaenv(3, "ORGQR", m, n, k, -1) {
 		orgqrBlocked(cfg, m, n, k, a, lda, tau, &blockT[T]{nb: nb})
 		return
 	}
@@ -174,8 +174,8 @@ func ormqr[T core.Scalar](cfg *core.Config, side Side, trans Trans, m, n, k int,
 		ormqrBlocked(cfg, side, trans, m, n, k, a, lda, tau, c, ldc, ts)
 		return
 	}
-	nb := Ilaenv(cfg, 1, "ORMQR", m, n, k, -1)
-	if nb > 1 && k > Ilaenv(cfg, 3, "ORMQR", m, n, k, -1) {
+	nb := Ilaenv(1, "ORMQR", m, n, k, -1)
+	if k > Ilaenv(3, "ORMQR", m, n, k, -1) {
 		ormqrBlocked(cfg, side, trans, m, n, k, a, lda, tau, c, ldc, &blockT[T]{nb: nb})
 		return
 	}
@@ -226,8 +226,8 @@ func Gelq2[T core.Scalar](cfg *core.Config, m, n int, a []T, lda int, tau []T, w
 // Gelqf computes the LQ factorization of an m×n matrix (xGELQF), using
 // blocked Level-3 updates above the ILAENV crossover.
 func Gelqf[T core.Scalar](cfg *core.Config, m, n int, a []T, lda int, tau []T) {
-	nb := Ilaenv(cfg, 1, "GELQF", m, n, -1, -1)
-	if nb > 1 && min(m, n) > Ilaenv(cfg, 3, "GELQF", m, n, -1, -1) {
+	nb := Ilaenv(1, "GELQF", m, n, -1, -1)
+	if min(m, n) > Ilaenv(3, "GELQF", m, n, -1, -1) {
 		gelqfBlocked(cfg, m, n, a, lda, tau, nb)
 		return
 	}

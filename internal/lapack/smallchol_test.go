@@ -12,22 +12,18 @@ import (
 	"repro/internal/testutil/diff"
 )
 
-// testPotrfRoutes factors one matrix by the three routes Potrf has under and
-// around the small-matrix crossover — the default one (potrfSmall up to
-// NBPotrf = 64, the recursion on potrfSmall leaves above), the recursion
-// forced down to leaves of eight, and Potf2 — on every row of the kernel
-// table.
+// testPotrfRoutes factors one matrix by Potrf and by Potf2 on every row of
+// the kernel table. Potrf's route is set by the order: potrfSmall up to the
+// Ilaenv block of 64, the recursion on potrfSmall leaves above it.
 func testPotrfRoutes[T core.Scalar](t *testing.T, uplo lapack.Uplo, n int) {
 	rng := lapack.NewRng([4]int{n, 22, 5, 1})
 	lda := n + 3
 	a := testutil.RandSPD[T](rng, n, lda)
-	nb8 := tcfg().With(func(c *core.Config) { c.NBPotrf = 8 })
 	factors := []struct {
 		name string
 		run  func(af []T) int
 	}{
 		{"default", func(af []T) int { return lapack.Potrf(tcfg(), uplo, n, af, lda) }},
-		{"recursive/NB=8", func(af []T) int { return lapack.Potrf(nb8, uplo, n, af, lda) }},
 		{"Potf2", func(af []T) int { return lapack.Potf2(tcfg(), uplo, n, af, lda) }},
 	}
 	var out [3][][]T
@@ -72,7 +68,7 @@ func testPotrfRoutes[T core.Scalar](t *testing.T, uplo lapack.Uplo, n int) {
 }
 
 func TestPotrfRoutesAgree(t *testing.T) {
-	sizes := []int{96, 128}
+	sizes := []int{96, 128, 130}
 	for n := 1; n <= 65; n++ {
 		sizes = append(sizes, n)
 	}

@@ -123,9 +123,9 @@ func Labrd[T core.Scalar](cfg *core.Config, m, n, nb int, a []T, lda int, d, e [
 // Gebd2's panic path handles) the unblocked Gebd2 runs directly. The
 // floating-point schedule is worker-count independent.
 func Gebrd[T core.Scalar](cfg *core.Config, m, n int, a []T, lda int, d, e []float64, tauq, taup []T) {
-	nb := Ilaenv(cfg, 1, "GEBRD", m, n, -1, -1)
-	nx := max(nb, Ilaenv(cfg, 3, "GEBRD", m, n, -1, -1))
-	if m < n || n <= nx || nb <= 1 {
+	nb := Ilaenv(1, "GEBRD", m, n, -1, -1)
+	nx := max(nb, Ilaenv(3, "GEBRD", m, n, -1, -1))
+	if m < n || n <= nx {
 		Gebd2(cfg, m, n, a, lda, d, e, tauq, taup)
 		return
 	}

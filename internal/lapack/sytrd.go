@@ -168,15 +168,15 @@ func Latrd[T core.Scalar](cfg *core.Config, uplo Uplo, n, nb int, a []T, lda int
 // Latrd reduces an nb-column panel accumulating the update matrix W, and
 // the unreduced part takes a single Hermitian rank-2k update
 // A := A − V·Wᴴ − W·Vᴴ through the packed Level-3 engine, so roughly half
-// the flops run at GEMM speed. Below the crossover (or with nb == 1) the
-// unblocked Sytd2 is used directly. Both paths produce the LAPACK storage
-// convention, and the floating-point schedule is independent of the worker
-// count (the Level-3 engine is deterministic), so threaded runs are
-// bit-identical to serial ones.
+// the flops run at GEMM speed. Below the crossover the unblocked Sytd2 is
+// used directly. Both paths produce the LAPACK storage convention, and the
+// floating-point schedule is independent of the worker count (the Level-3
+// engine is deterministic), so threaded runs are bit-identical to serial
+// ones.
 func Sytrd[T core.Scalar](cfg *core.Config, uplo Uplo, n int, a []T, lda int, d, e []float64, tau []T) {
-	nb := Ilaenv(cfg, 1, "SYTRD", n, -1, -1, -1)
-	nx := max(nb, Ilaenv(cfg, 3, "SYTRD", n, -1, -1, -1))
-	if n <= nx || nb <= 1 {
+	nb := Ilaenv(1, "SYTRD", n, -1, -1, -1)
+	nx := max(nb, Ilaenv(3, "SYTRD", n, -1, -1, -1))
+	if n <= nx {
 		Sytd2(uplo, n, a, lda, d, e, tau)
 		return
 	}

@@ -634,8 +634,8 @@ func sytrf[T core.Scalar](cfg *core.Config, herm bool, uplo Uplo, n int, a []T, 
 	if herm {
 		name = "HETRF"
 	}
-	nb := Ilaenv(cfg, 1, name, n, -1, -1, -1)
-	if nb <= 1 || nb >= n {
+	nb := Ilaenv(1, name, n, -1, -1, -1)
+	if nb >= n {
 		return sytf2(herm, uplo, n, a, lda, ipiv)
 	}
 	info := 0

@@ -276,7 +276,7 @@ func TestSpsvHpsv(t *testing.T) {
 // Golden fingerprints of the Bunch–Kaufman family, generated at the commit
 // before Sytrf and Hetrf were folded into one body (PR 15) and regenerated
 // once since, on purpose: PR 17 made the trailing update one blas.Gemmt per
-// panel (the blocked rows round in a new order for n > NBSytrf) and gave the
+// panel (the blocked rows round in a new order for n > nb) and gave the
 // complex asm rows vector axpy/dot/scal kernels (their Sytf2 column); the
 // real Sytf2/Hetf2 rows are the PR 15 bits; PR 21 put the ragged micro-tiles
 // of the real asm rows on the full tile's FMA chain (blas.scratchEdge and the
@@ -285,7 +285,7 @@ func TestSpsvHpsv(t *testing.T) {
 // An FNV-64a over the factor array (all lda×n elements, so the unreferenced
 // triangle and the padding row are covered) and ipiv for the factorizations,
 // and over the solution for Sytrs/Hetrs with 4 right-hand sides. Each entry
-// folds both uplo, n ∈ bkGoldenN (below, at and past NBSytrf = 48, including
+// folds both uplo, n ∈ bkGoldenN (below, at and past the panel width nb = 48, including
 // the kb = nb−1 panels), three random seeds, and the forced-2×2-pivot and
 // singular matrices. Columns: assembly route — the AVX-512 and the AVX2 row of
 // the kernel table both produce it — and portable route (LA90_NO_ASM=1,
@@ -399,7 +399,7 @@ func bkFingerprints[T core.Scalar](cfg *core.Config, out map[string]*diff.Hash) 
 }
 
 func TestBunchKaufmanGolden(t *testing.T) {
-	cfg := tcfg().With(func(c *core.Config) { c.NBSytrf = 48 })
+	cfg := tcfg()
 	bkGolden.Check(t, func(t *testing.T, out map[string]*diff.Hash) {
 		bkFingerprints[float32](cfg, out)
 		bkFingerprints[float64](cfg, out)

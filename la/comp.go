@@ -72,7 +72,7 @@ func GETRI[T Scalar](a *Matrix[T], ipiv []int, opts ...Opt) (err error) {
 	if len(ipiv) != n {
 		return erinfo(routine, -2, "")
 	}
-	nb := lapack.Ilaenv(cfg, 1, "GETRI", n, -1, -1, -1)
+	nb := lapack.Ilaenv(1, "GETRI", n, -1, -1, -1)
 	lwork := max(workSize(routine, n, nb), 1)
 	work := make([]T, lwork)
 	info := lapack.Getri(cfg, n, a.Data, a.Stride, ipiv, work)

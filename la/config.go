@@ -30,14 +30,13 @@ import (
 // and parses them). The zero value of every field means "inherit the
 // process-wide default", so callers set only the knobs they care about:
 //
-//	la.WithConfig(la.Config{Threads: 1, NBGetrf: 32})
+//	la.WithConfig(la.Config{Threads: 1, GemmKC: 128})
 //
 // GemmSmallDim is the one knob whose useful values include zero (disable
 // the pack-free path); pass a negative value to disable it explicitly.
-// NBGetrf pins both LU size regimes, exactly like the LA90_NB_GETRF
-// variable; NBGetrfLg reports the large-n regime in DefaultConfig and is
-// not read by WithConfig. Input screening, the one boolean policy, has its
-// own option: WithCheck.
+// Input screening, the one boolean policy, has its own option: WithCheck.
+// Block sizes of the factorizations are not knobs: they are the constant
+// table of LAPACK's ILAENV (f77.ILAENV).
 type Config = core.Tuning
 
 // DefaultConfig returns a snapshot of the process-wide default tuning

@@ -338,10 +338,8 @@ func solveSig[T la.Scalar](t *testing.T, n, nrhs int, opts ...la.Opt) []float64 
 // TestWithConfigOverlay pins the overlay conventions of la.Config by
 // comparing each spelling, bit for bit, with the same values installed as
 // the process default: a negative GemmSmallDim disables the pack-free path,
-// NBGetrf pins both LU size regimes (n = 600 sits in the large one),
-// out-of-range values clamp to the table's bounds, and NBGetrfLg on its own
-// is not read. (A zero overlay inheriting everything is a spelling in
-// TestDefaultConfigBitIdentical.)
+// and out-of-range values clamp to the table's bounds. (A zero overlay
+// inheriting everything is a spelling in TestDefaultConfigBitIdentical.)
 func TestWithConfigOverlay(t *testing.T) {
 	sig := func(opts ...la.Opt) []float64 {
 		const n = 600
@@ -366,18 +364,11 @@ func TestWithConfigOverlay(t *testing.T) {
 		same    func(*core.Config) // the default this overlay must reproduce
 	}{
 		{"GemmSmallDim<0 disables", la.Config{GemmSmallDim: -1}, func(c *core.Config) { c.GemmSmallDim = 0 }},
-		{"NBGetrf pins both regimes", la.Config{NBGetrf: 32}, func(c *core.Config) { c.NBGetrf, c.NBGetrfLg = 32, 32 }},
-		{"out of range clamps", la.Config{NBGetrf: 1 << 20, GemmKC: 1}, func(c *core.Config) { c.NBGetrf, c.NBGetrfLg, c.GemmKC = core.MaxNB, core.MaxNB, 4 }},
-		{"NBGetrfLg alone is not read", la.Config{NBGetrfLg: 32}, func(*core.Config) {}},
+		{"out of range clamps", la.Config{GemmMC: 1 << 20, GemmKC: 1}, func(c *core.Config) { c.GemmMC, c.GemmKC = core.MaxBlockDim, 4 }},
 	} {
 		if !diff.Same(sig(la.WithConfig(tc.overlay)), underDefault(tc.same)) {
 			t.Errorf("%s: overlay and process default disagree bitwise", tc.name)
 		}
-	}
-	// The pin binds: with only the small regime at 32 the n = 600 factors
-	// differ from the pinned run.
-	if diff.Same(sig(la.WithConfig(la.Config{NBGetrf: 32})), underDefault(func(c *core.Config) { c.NBGetrf = 32 })) {
-		t.Error("NBGetrfLg = 256 vs 32 made no difference at n = 600; the pin test is vacuous")
 	}
 }
 
@@ -393,16 +384,6 @@ func fullPin(threads, base int) la.Config {
 		GemmNC:             4 * base,
 		GemmSmallDim:       -1, // pack-free path off: one fixed kernel family
 		GemmParallelMinVol: 1 << 18,
-		GemvParallelMinVol: 1 << 15,
-		NBGetrf:            base / 2,
-		NBPotrf:            base / 2,
-		NBGeqrf:            base / 4,
-		NBSytrf:            base / 4,
-		NXGeqrf:            base,
-		NBGetrf2:           16,
-		NBSytrd:            base / 4,
-		NBGebrd:            base / 4,
-		NBGehrd:            base / 4,
 	}
 }
 
