@@ -72,21 +72,19 @@ func BenchmarkExample3_F77GESV_N500(b *testing.B) { benchF77GESV(b, 500, 2) }
 func BenchmarkExample3_F90GESV_N500(b *testing.B) { benchF90GESV(b, 500, 2) }
 
 // BenchmarkApplyOptions prices per-call option application: la.GESV on n = 4,
-// where the solve is a few dozen flops, with no option, with WithThreads(1)
-// and with a full WithConfig overlay. Each option derives a Config (copy,
-// overlay, re-clamp — the clamp and the overlay are loops over core.Knobs),
+// where the solve is a few dozen flops, with no option and with
+// WithThreads(1). The option derives a Config from the default (copy,
+// re-clamp; core.Config.WithThreads keeps the derivation for the next call),
 // and the looped small-system workloads make thousands of such calls per
 // pass, so ns/op and allocs/op here must stay at the straight-line cost.
 func BenchmarkApplyOptions(b *testing.B) {
 	a0, b0 := exampleSystem(4, 1)
-	cfg := la.DefaultConfig()
 	for _, c := range []struct {
 		name string
 		opts []la.Opt
 	}{
 		{"none", nil},
 		{"WithThreads", []la.Opt{la.WithThreads(1)}},
-		{"WithConfig", []la.Opt{la.WithConfig(cfg)}},
 	} {
 		b.Run(c.name, func(b *testing.B) {
 			aw := la.NewMatrix[float64](4, 4)

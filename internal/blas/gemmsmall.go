@@ -15,7 +15,7 @@ import "repro/internal/core"
 // worker with zero steady-state garbage.
 //
 // Dispatch is gated by gemmSmallOK: NoTrans/NoTrans products with every
-// dimension at or below Config.GemmSmallDim (LA90_GEMM_SMALL).
+// dimension at or below Config.GemmSmallDim.
 // The float64 asm row of the kernel table rides an AVX2 strip kernel
 // (gemmSmallF64); every other row uses the portable strided 4×4 micro-tile
 // (gemmSmallPortable).

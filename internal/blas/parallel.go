@@ -45,9 +45,9 @@ import (
 // the *core.Config captured at the API boundary, so concurrent callers can
 // run with different budgets side by side. The process-wide default comes
 // from runtime.GOMAXPROCS(0), may be pinned with LA90_NUM_THREADS at startup
-// and changed at any time with SetThreads. Level-3 calls below
-// Config.GemmParallelMinVol (Gemv: gemvParallelMinVol) run serially, so
-// small-matrix latency does not pay goroutine hand-off costs. A budget above
+// and changed at any time with SetThreads. Level-3 calls below the fixed
+// Config.GemmParallelMinVol (Gemv: gemvParallelMinVol) run serially, so small
+// problems do not pay goroutine hand-off. A budget above
 // GOMAXPROCS is harmless: the surplus workers find the counter exhausted.
 //
 // Fault containment: a panic on a worker goroutine would normally kill the
@@ -64,8 +64,8 @@ import (
 
 // SetThreads sets the default maximum number of goroutines Level-3 kernels
 // may use and returns the previous setting — the one process-wide default
-// that can change at run time (every other knob is fixed at startup by its
-// environment variable and overridden per call). n < 1 leaves the setting
+// that can change at run time (the screening switch is fixed at startup by
+// its environment variable and set per call). n < 1 leaves the setting
 // unchanged; n == 1 forces fully serial execution; values above
 // core.MaxThreads are clamped. Safe to call concurrently; calls already in
 // flight keep the budget they captured at their API boundary.

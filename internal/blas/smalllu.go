@@ -117,13 +117,16 @@ func luStepGo[T core.Scalar](k *kernel[T], nl, jb, m, n int, a []T, lda int, ipi
 	return info
 }
 
+// dluStep8MaxRows bounds the rows dluStep8 takes: its frame holds the
+// interchanges as a map of one entry per row (FROM in smalllu_amd64.s).
+const dluStep8MaxRows = 256
+
 // luStepF64 is the float64 asm rows' luStep: dluStep8 takes the full blocks
 // on a row count that is a multiple of the block width with whole groups of
 // four columns on their right, which in a square factorization that puts its
-// ragged block first is every step but that one. Its frame has room for the
-// rows of the largest pack-free crossover, core.MaxGemmSmallDim.
+// ragged block first is every step but that one.
 func luStepF64(k *kernel[float64], nl, jb, m, n int, a []float64, lda int, ipiv []int) int {
-	if nr := n - nl - jb; jb == CholNB && m%CholNB == 0 && m <= core.MaxGemmSmallDim && nr%4 == 0 {
+	if nr := n - nl - jb; jb == CholNB && m%CholNB == 0 && m <= dluStep8MaxRows && nr%4 == 0 {
 		return dluStep8(nl, m, nr, a, lda, ipiv)
 	}
 	return luStepGo(k, nl, jb, m, n, a, lda, ipiv)

@@ -25,8 +25,8 @@ import "repro/internal/core"
 // above one slab (alternatives measured in EXPERIMENTS.md, "AVX-512 row").
 //
 // The block sizes, the pack-free crossover and the Level-3 serial cutoff are
-// knobs of core.Config (the core.Knobs table lists them with their ranges and
-// environment variables): kernels read the *Config threaded down from the API
+// fixed fields of core.Config that only tests move (no option or variable
+// sets them): kernels read the *Config threaded down from the API
 // boundary and never consult package state mid-kernel. The crossovers below
 // are constants.
 const (

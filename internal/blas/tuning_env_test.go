@@ -10,50 +10,40 @@ import (
 	"repro/internal/core"
 )
 
-// TestTuningEnvKnobs re-executes the test binary with the LA90_GEMM_SMALL
-// knob set (it is read once at init) and checks each override lands,
-// including core.EnvInt's clamping: garbage keeps the default and
-// out-of-range values degrade to the nearest bound.
+// TestTuningEnvKnobs re-executes the test binary with odd values in the
+// LA90_GEMM_{MC,KC,NC,SMALL} variables (the default is built once at init)
+// and checks that the packed engine's blocking and crossover keep their
+// built-in values: they are the library's decision, and the environment
+// reaches only the rows of core.Knobs.
 func TestTuningEnvKnobs(t *testing.T) {
+	blocking := func(c *core.Config) string {
+		return fmt.Sprintf("TUNING %d %d %d %d", c.GemmMC, c.GemmKC, c.GemmNC, c.GemmSmallDim)
+	}
 	if os.Getenv("LA90_TUNING_HELPER") == "1" {
-		fmt.Printf("TUNING %d\n", core.Default().GemmSmallDim)
+		fmt.Println(blocking(core.Default()))
 		return
 	}
-	cases := []struct {
-		small     string
-		wantSmall int
-	}{
-		// Plain overrides; 0 disables the pack-free path entirely.
-		{"48", 48},
-		{"0", 0},
-		// Out of range clamps to [0, 256]; garbage keeps the default.
-		{"100000", core.MaxGemmSmallDim},
-		{"banana", 64},
-	}
-	for _, c := range cases {
+	want := blocking(core.Default())
+	for _, set := range [][4]string{
+		{"1", "3", "7", "0"},
+		{"100000", "100000", "100000", "100000"},
+		{"48", "96", "512", "banana"},
+	} {
 		cmd := exec.Command(os.Args[0], "-test.run", "TestTuningEnvKnobs$", "-test.v")
-		cmd.Env = append(os.Environ(),
-			"LA90_TUNING_HELPER=1",
-			"LA90_GEMM_SMALL="+c.small)
+		cmd.Env = append(os.Environ(), "LA90_TUNING_HELPER=1",
+			"LA90_GEMM_MC="+set[0], "LA90_GEMM_KC="+set[1], "LA90_GEMM_NC="+set[2], "LA90_GEMM_SMALL="+set[3])
 		out, err := cmd.CombinedOutput()
 		if err != nil {
 			t.Fatalf("helper process failed: %v\n%s", err, out)
 		}
-		got := false
-		var gotSmall int
+		got := ""
 		for _, line := range strings.Split(string(out), "\n") {
 			if strings.HasPrefix(line, "TUNING ") {
-				if _, err := fmt.Sscanf(line, "TUNING %d", &gotSmall); err != nil {
-					t.Fatalf("parsing helper output %q: %v", line, err)
-				}
-				got = true
+				got = line
 			}
 		}
-		if !got {
-			t.Fatalf("helper printed no TUNING line:\n%s", out)
-		}
-		if gotSmall != c.wantSmall {
-			t.Errorf("SMALL=%q: got %d, want %d", c.small, gotSmall, c.wantSmall)
+		if got != want {
+			t.Errorf("LA90_GEMM_{MC,KC,NC,SMALL}=%v: helper reads %q, want the built-in %q", set, got, want)
 		}
 	}
 }

@@ -8,24 +8,47 @@ import (
 )
 
 // Config is the per-call execution context of the whole numerical stack: one
-// immutable value carrying every tuning and policy knob the la → lapack →
-// blas layers used to read from package globals, plus an optional
-// context.Context for cooperative cancellation.
+// immutable value carrying the worker budget, the packed engine's blocking
+// and crossovers, the input-screening policy and an optional context.Context
+// for cooperative cancellation.
 //
 // A Config is captured exactly once, at the la API boundary (from the
-// process-wide default merged with per-call options), and then passed
+// process-wide default refined by per-call options), and then passed
 // explicitly down through every lapack driver into the blas engines. Nothing
 // below the boundary re-reads ambient state mid-kernel, so two concurrent
-// calls with different Configs — different thread budgets, block sizes,
-// screening policies — never observe each other.
+// calls with different Configs — different thread budgets, screening
+// policies — never observe each other.
 //
 // Configs are immutable by convention: once a *Config has been handed to a
 // driver it must never be written again. Derive variants with With, which
 // copies, mutates and re-clamps.
 type Config struct {
-	// Tuning is the block of integer knobs (worker budget, block sizes,
-	// crossovers); its fields are promoted, so kernels read cfg.GemmMC.
-	Tuning
+	// Threads is the maximum number of goroutines the Level-3 engines may
+	// use for this call. 1 forces fully serial execution. The floating-point
+	// schedule never depends on it: results are bit-identical at any budget.
+	// It is the one engine setting a caller reaches (la.WithThreads,
+	// LA90_NUM_THREADS, blas.SetThreads).
+	Threads int
+
+	// GemmMC, GemmKC, GemmNC are the packed-engine cache block sizes
+	// (element counts calibrated for float64; other types are re-scaled so
+	// packed-panel byte footprints stay constant — see blas.blockFor). They
+	// change the summation blocking, so another value changes results at the
+	// rounding level. Like the two crossovers below they are the library's
+	// decision, not a caller's: no option or environment variable sets them,
+	// and only tests move them, to cross every block boundary at small
+	// shapes or to take the other side of a crossover.
+	GemmMC, GemmKC, GemmNC int
+
+	// GemmSmallDim is the pack-free small-matrix crossover: a NoTrans
+	// product, and an LU or Cholesky factorization, with every dimension at
+	// or below it runs BLASFEO-style register kernels directly on the
+	// strided operands. 0 disables the path.
+	GemmSmallDim int
+
+	// GemmParallelMinVol is the m·n·k multiply volume below which Level-3
+	// operations stay serial even when Threads > 1.
+	GemmParallelMinVol int
 
 	// CheckInputs screens matrix arguments for non-finite values at the la
 	// boundary before any computation.
@@ -37,180 +60,66 @@ type Config struct {
 	Ctx context.Context
 }
 
-// Tuning holds every integer knob of the execution context. It is the type
-// behind la.Config, so its zero value is the "inherit everything" overlay
-// (see Overlay). Each field is described, bounded and bound to its -config
-// key and environment variable by exactly one row of Knobs.
-type Tuning struct {
-	// Threads is the maximum number of goroutines the Level-3 engines may
-	// use for this call. 1 forces fully serial execution. The floating-point
-	// schedule never depends on it: results are bit-identical at any budget.
-	Threads int
+// MaxThreads bounds the worker budget; far above useful oversubscription, it
+// only keeps a mistyped LA90_NUM_THREADS from provisioning absurd goroutine
+// counts.
+const MaxThreads = 1024
 
-	// GemmMC, GemmKC, GemmNC are the packed-engine cache block sizes
-	// (element counts calibrated for float64; other types are re-scaled so
-	// packed-panel byte footprints stay constant — see blas.blockFor). They
-	// change the summation blocking, so overriding them changes results at
-	// the rounding level — deterministically for a fixed Tuning.
-	GemmMC, GemmKC, GemmNC int
-
-	// GemmSmallDim is the pack-free small-matrix crossover: a NoTrans
-	// product with every dimension at or below it runs BLASFEO-style
-	// register kernels directly on the strided operands. 0 disables the
-	// path (in an overlay: negative disables, 0 inherits).
-	GemmSmallDim int
-
-	// GemmParallelMinVol is the m·n·k multiply volume below which Level-3
-	// operations stay serial even when Threads > 1.
-	GemmParallelMinVol int
-}
-
-// Clamp bounds of the table below, shared by every route a value can arrive
-// by (environment, per-call overlay, UpdateDefault, -config), so none can
-// smuggle in a value that would allocate absurd workspaces or zero-width
-// loops.
-const (
-	// MaxThreads bounds the worker budget; far above useful
-	// oversubscription, it only keeps a mistyped LA90_NUM_THREADS from
-	// provisioning absurd goroutine counts.
-	MaxThreads = 1024
-	// MaxBlockDim bounds the packed-engine cache block sizes: a mistyped
-	// LA90_GEMM_MC degrades to a slow-but-safe blocking instead of a packed
-	// panel measured in gigabytes.
-	MaxBlockDim = 1 << 16
-	// MaxGemmSmallDim bounds the pack-free crossover: above it the strided
-	// reads blow past L1 and the packed engine is strictly better.
-	MaxGemmSmallDim = 256
-	// MaxParallelMinVol bounds the serial-cutoff volume.
-	MaxParallelMinVol = 1 << 30
-)
-
-// Knob is one row of the configuration table: everything that is said about
-// a setting — its name, where it can be set from, its legal range, what it
-// does and which field holds it — is said here once. Environment parsing,
-// clamping, the per-call overlay behind la.WithConfig and the README
-// "Configuration" table are all loops over Knobs.
+// Knob is one row of the configuration table: a setting a caller can reach,
+// with its name, its environment variable and what it does. A test keeps the
+// README "Configuration" table equal to Knobs, and make lint-knobs holds
+// every LA90_* name in the sources to its Env column.
 type Knob struct {
-	Name   string // README row
-	Env    string // LA90_* variable read once at startup; "" if there is none
-	Lo, Hi int    // legal range of an integer knob
-	Doc    string
-
-	ptr  func(*Tuning) *int  // the integer knob's field; nil on boolean rows
-	flag func(*Config) *bool // the boolean policy's field; nil on a row read only at startup
+	Name string // README row
+	Env  string // LA90_* variable read once at startup
+	Doc  string
 }
 
-// Knobs is the complete list of settings. Integer rows first, in Tuning
-// field order; then the boolean policy (set and not "0" means on), which is
-// set per call by its la.With* option; then the row read once at package
-// initialisation by the package that owns it.
+// Knobs is the complete list of settings: the worker budget, the screening
+// policy (per call: la.WithCheck) and the switch read once at package
+// initialisation by blas.
 var Knobs = []Knob{
-	{Name: "threads", Env: "LA90_NUM_THREADS", Lo: 1, Hi: MaxThreads,
-		Doc: "worker budget of the Level-3 engines; 1 is fully serial; results are bit-identical at any value",
-		ptr: func(t *Tuning) *int { return &t.Threads }},
-	{Name: "mc", Env: "LA90_GEMM_MC", Lo: 4, Hi: MaxBlockDim,
-		Doc: "packed GEMM row block (float64 elements; the A block mc·kc stays in L2)",
-		ptr: func(t *Tuning) *int { return &t.GemmMC }},
-	{Name: "kc", Env: "LA90_GEMM_KC", Lo: 4, Hi: MaxBlockDim,
-		Doc: "packed GEMM depth block (one kc·nr B micro-panel stays in L1)",
-		ptr: func(t *Tuning) *int { return &t.GemmKC }},
-	{Name: "nc", Env: "LA90_GEMM_NC", Lo: 4, Hi: MaxBlockDim,
-		Doc: "packed GEMM column block (the B slab kc·nc targets L3)",
-		ptr: func(t *Tuning) *int { return &t.GemmNC }},
-	{Name: "small", Env: "LA90_GEMM_SMALL", Lo: 0, Hi: MaxGemmSmallDim,
-		Doc: "pack-free small-matrix crossover: products and LU panels with every dimension at or below it skip packing; 0 disables the path",
-		ptr: func(t *Tuning) *int { return &t.GemmSmallDim }},
-	{Name: "minvol", Lo: 1, Hi: MaxParallelMinVol,
-		Doc: "m·n·k volume below which Level-3 operations stay serial",
-		ptr: func(t *Tuning) *int { return &t.GemmParallelMinVol }},
-
+	{Name: "threads", Env: "LA90_NUM_THREADS",
+		Doc: "worker budget of the Level-3 engines; 1 is fully serial; results are bit-identical at any value"},
 	{Name: "check", Env: "LA90_CHECK_INPUTS",
-		Doc:  "screen matrix arguments for NaN/Inf at the la boundary (per call: la.WithCheck)",
-		flag: func(c *Config) *bool { return &c.CheckInputs }},
-
+		Doc: "screen matrix arguments for NaN/Inf at the la boundary (per call: la.WithCheck)"},
 	{Name: "noasm", Env: "LA90_NO_ASM",
 		Doc: "run the portable Go kernels instead of the AVX-512/AVX2 assembly; read by blas at startup only"},
 }
 
-// IsInt reports whether the row is an integer knob (a Tuning field) rather
-// than a boolean policy or a startup-only switch.
-func (k *Knob) IsInt() bool { return k.ptr != nil }
-
-// Value returns the knob's current value in t.
-func (k *Knob) Value(t *Tuning) int { return *k.ptr(t) }
-
-// Overlay applies the per-call override block ov to t, knob by knob: zero
-// inherits t's value, a positive value replaces it, and a negative value on
-// a knob whose range starts at 0 (GemmSmallDim) sets 0, which disables the
-// path; ov is only read. The caller re-clamps (Config.With does).
-func (t *Tuning) Overlay(ov *Tuning) {
-	for i := range Knobs {
-		k := &Knobs[i]
-		if !k.IsInt() {
-			continue
-		}
-		if v := k.Value(ov); v > 0 {
-			*k.ptr(t) = v
-		} else if v < 0 && k.Lo == 0 {
-			*k.ptr(t) = 0
-		}
-	}
-}
-
 // baseConfig returns the hard-coded defaults, before environment overrides:
-// the block sizes and crossovers measured in PRs 1–9 and a thread budget of
-// GOMAXPROCS.
+// the block sizes and crossovers the engine was calibrated with (EXPERIMENTS.md)
+// and a thread budget of GOMAXPROCS.
 func baseConfig() Config {
-	return Config{Tuning: Tuning{
+	return Config{
 		Threads:            runtime.GOMAXPROCS(0),
 		GemmMC:             256,
 		GemmKC:             256,
 		GemmNC:             2048,
 		GemmSmallDim:       64,
 		GemmParallelMinVol: 192 * 192 * 192,
-	}}
+	}
 }
 
-// FromEnv applies every environment row of Knobs to base and returns the
-// result. Together with EnvFlag — which blas calls at initialisation for the
-// startup-only LA90_NO_ASM row — this is the one place the environment is
-// parsed. Integers follow the EnvInt hardening policy: garbage is ignored,
-// out-of-range values are clamped. Booleans follow EnvFlag.
+// FromEnv applies the environment rows of Knobs that land in a Config to
+// base and returns the result. Together with EnvFlag — which blas calls at
+// initialisation for the startup-only LA90_NO_ASM row — this is the one
+// place the environment is parsed: the worker budget by the EnvInt hardening
+// policy (garbage ignored, out of range clamped), the screening switch by
+// EnvFlag's.
 func FromEnv(base Config) Config {
-	for i := range Knobs {
-		k := &Knobs[i]
-		switch {
-		case k.Env == "":
-		case k.ptr != nil:
-			// Lo-1 cannot come back from a parsed (hence clamped) value, so
-			// it marks "unset or garbage": the field keeps its default.
-			if v := EnvInt(k.Env, k.Lo-1, k.Lo, k.Hi); v >= k.Lo {
-				*k.ptr(&base.Tuning) = v
-			}
-		case k.flag != nil:
-			if EnvFlag(k.Env) {
-				*k.flag(&base) = true
-			}
-		}
+	base.Threads = EnvInt("LA90_NUM_THREADS", base.Threads, 1, MaxThreads)
+	if EnvFlag("LA90_CHECK_INPUTS") {
+		base.CheckInputs = true
 	}
 	base.clamp()
 	return base
 }
 
-// clamp forces every knob of c into its legal range, so a hand-built Config
-// cannot produce zero-width panels, absurd workspaces or a non-positive
-// worker budget no matter how it was constructed. It works in place, on a
-// Config that is already on the heap: a field pointer obtained through a
-// table row's func value escapes, and With runs on every optioned call.
+// clamp forces the worker budget, the one setting that arrives from outside,
+// into [1, MaxThreads], however the Config was built.
 func (c *Config) clamp() {
-	for i := range Knobs {
-		k := &Knobs[i]
-		if k.ptr == nil {
-			continue
-		}
-		p := k.ptr(&c.Tuning)
-		*p = ClampInt(*p, k.Lo, k.Hi)
-	}
+	c.Threads = ClampInt(c.Threads, 1, MaxThreads)
 }
 
 // defaultConfig is the process-wide default-config store. Readers load the
@@ -261,9 +170,9 @@ func ResetDefault(c Config) *Config {
 	return old
 }
 
-// With returns a copy of c with mutate applied and every knob re-clamped —
-// the derivation step the la boundary uses to fold per-call options into the
-// captured default. c itself is never modified.
+// With returns a copy of c with mutate applied and the worker budget
+// re-clamped — the derivation step the la boundary uses to fold per-call
+// options into the captured default. c itself is never modified.
 func (c *Config) With(mutate func(*Config)) *Config {
 	next := *c
 	mutate(&next)

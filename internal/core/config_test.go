@@ -5,105 +5,78 @@ import (
 	"errors"
 	"fmt"
 	"os"
-	"reflect"
-	"strconv"
 	"strings"
 	"testing"
 )
 
-// TestKnobTable checks the table against the struct it describes, by
-// reflection (the library itself never reflects): every int field of Tuning
-// is addressed by exactly one row's ptr, every default lies inside
-// its row's range, and names and environment names are unique.
+// TestKnobTable checks the table's own rules: names and environment names
+// are unique and LA90_*, every row has a doc, and the worker budget's
+// default lies inside its range.
 func TestKnobTable(t *testing.T) {
-	var probe Tuning
-	base := baseConfig()
-	rv := reflect.ValueOf(&probe).Elem()
-	owners := map[uintptr]int{}
 	names, envs := map[string]bool{}, map[string]bool{}
-	for i := range Knobs {
-		k := &Knobs[i]
+	for _, k := range Knobs {
 		if names[k.Name] || k.Name == "" {
-			t.Errorf("row %d: name %q empty or repeated", i, k.Name)
+			t.Errorf("name %q empty or repeated", k.Name)
 		}
 		names[k.Name] = true
-		if k.Env != "" {
-			if envs[k.Env] || !strings.HasPrefix(k.Env, "LA90_") {
-				t.Errorf("%s: env %q repeated or not LA90_*", k.Name, k.Env)
-			}
-			envs[k.Env] = true
+		if envs[k.Env] || !strings.HasPrefix(k.Env, "LA90_") {
+			t.Errorf("%s: env %q repeated or not LA90_*", k.Name, k.Env)
 		}
+		envs[k.Env] = true
 		if k.Doc == "" {
 			t.Errorf("%s: no doc", k.Name)
 		}
-		if k.ptr != nil && k.flag != nil {
-			t.Errorf("%s: both an integer and a boolean row", k.Name)
-		}
-		if k.ptr == nil {
-			if k.Env == "" {
-				t.Errorf("%s: a non-integer row needs an env", k.Name)
-			}
-			continue
-		}
-		owners[reflect.ValueOf(k.ptr(&probe)).Pointer()]++
-		if def := k.Value(&base.Tuning); def < k.Lo || def > k.Hi {
-			t.Errorf("%s: default %d outside [%d, %d]", k.Name, def, k.Lo, k.Hi)
-		}
 	}
-	for i := 0; i < rv.NumField(); i++ {
-		f := rv.Field(i)
-		if f.Kind() != reflect.Int {
-			t.Errorf("Tuning.%s is not an int", rv.Type().Field(i).Name)
-			continue
-		}
-		if n := owners[f.Addr().Pointer()]; n != 1 {
-			t.Errorf("Tuning.%s is addressed by %d rows, want exactly 1", rv.Type().Field(i).Name, n)
-		}
+	if def := baseConfig().Threads; def < 1 || def > MaxThreads {
+		t.Errorf("threads: default %d outside [1, %d]", def, MaxThreads)
 	}
 }
 
-// TestFromEnvEveryKnob round-trips every environment row of the table,
-// one subtest per variable. Integer rows: an in-range value lands on its
-// field, values below and above the range clamp,
-// garbage keeps the default — the EnvInt hardening policy. Boolean rows:
-// the one rule, set and not "0" means on.
+// TestFromEnvEveryKnob round-trips every row of the table, one subtest per
+// variable. The worker budget: an in-range value lands on its field, values
+// below and above [1, MaxThreads] clamp, garbage keeps the default — the
+// EnvInt hardening policy. The switches: the one rule, set and not "0" means
+// on.
 func TestFromEnvEveryKnob(t *testing.T) {
-	base := baseConfig()
 	for i := range Knobs {
 		k := &Knobs[i]
-		switch {
-		case k.Env == "":
-		case k.IsInt():
-			t.Run(k.Env, func(t *testing.T) { testEnvIntRow(t, k, &base.Tuning) })
-		default:
-			t.Run(k.Env, func(t *testing.T) { testEnvBoolRow(t, k) })
-		}
+		t.Run(k.Env, func(t *testing.T) {
+			switch k.Name {
+			case "threads":
+				testEnvThreadsRow(t, k)
+			case "check":
+				testEnvBoolRow(t, k, func(c *Config) bool { return c.CheckInputs })
+			case "noasm":
+				testEnvBoolRow(t, k, nil) // startup-only row: its owner calls EnvFlag
+			default:
+				t.Fatalf("row %s has no round trip here", k.Name)
+			}
+		})
 	}
 }
 
-func testEnvIntRow(t *testing.T, k *Knob, base *Tuning) {
-	def := k.Value(base)
-	in := k.Lo + (k.Hi-k.Lo)/3
+func testEnvThreadsRow(t *testing.T, k *Knob) {
+	def := baseConfig().Threads
 	for _, tc := range []struct {
 		set  string
 		want int
 	}{
-		{strconv.Itoa(in), in},
-		{strconv.Itoa(k.Lo - 1), k.Lo},
-		{"-7", k.Lo},
-		{"1099511627776", k.Hi}, // 1<<40
+		{"341", 341},
+		{"0", 1},
+		{"-7", 1},
+		{"1099511627776", MaxThreads}, // 1<<40
 		{"banana", def},
 		{"", def},
 	} {
 		t.Setenv(k.Env, tc.set)
 		got := FromEnv(baseConfig())
-		if v := k.Value(&got.Tuning); v != tc.want {
+		if v := got.Threads; v != tc.want {
 			t.Errorf("%s=%q: got %d, want %d", k.Env, tc.set, v, tc.want)
 		}
 	}
 }
 
-func testEnvBoolRow(t *testing.T, k *Knob) {
+func testEnvBoolRow(t *testing.T, k *Knob, field func(*Config) bool) {
 	for _, tc := range []struct {
 		set  string
 		want bool
@@ -112,31 +85,13 @@ func testEnvBoolRow(t *testing.T, k *Knob) {
 		if got := EnvFlag(k.Env); got != tc.want {
 			t.Errorf("EnvFlag(%s=%q) = %v, want %v", k.Env, tc.set, got, tc.want)
 		}
-		if k.flag == nil {
-			continue // startup-only row: its owner calls EnvFlag
+		if field == nil {
+			continue
 		}
 		c := FromEnv(baseConfig())
-		if got := *k.flag(&c); got != tc.want {
+		if got := field(&c); got != tc.want {
 			t.Errorf("%s=%q: policy %v, want %v", k.Env, tc.set, got, tc.want)
 		}
-	}
-}
-
-// TestOverlay pins the per-call overlay rule behind la.WithConfig: zero
-// inherits, positive replaces, negative disables a knob whose range starts
-// at 0 and is ignored elsewhere.
-func TestOverlay(t *testing.T) {
-	base := baseConfig().Tuning
-	got := base
-	got.Overlay(&Tuning{})
-	if got != base {
-		t.Errorf("zero overlay changed the tuning: %+v", got)
-	}
-	got.Overlay(&Tuning{GemmMC: 128, GemmSmallDim: -1, GemmKC: -5})
-	want := base
-	want.GemmMC, want.GemmSmallDim = 128, 0
-	if got != want {
-		t.Errorf("overlay: got %+v, want %+v", got, want)
 	}
 }
 
@@ -162,22 +117,13 @@ func TestReadmeConfigurationTable(t *testing.T) {
 			rows = append(rows, line)
 		}
 	}
-	base := baseConfig()
 	var want []string
-	for i := range Knobs {
-		k := &Knobs[i]
-		env, rng, def := "—", "on/off", "off"
-		if k.Env != "" {
-			env = "`" + k.Env + "`"
+	for _, k := range Knobs {
+		rng, def := "on/off", "off"
+		if k.Name == "threads" {
+			rng, def = fmt.Sprintf("1–%d", MaxThreads), "GOMAXPROCS"
 		}
-		if k.IsInt() {
-			rng = fmt.Sprintf("%d–%d", k.Lo, k.Hi)
-			def = strconv.Itoa(k.Value(&base.Tuning))
-			if k.Name == "threads" {
-				def = "GOMAXPROCS"
-			}
-		}
-		want = append(want, fmt.Sprintf("| `%s` | %s | %s | %s | %s |", k.Name, env, rng, def, k.Doc))
+		want = append(want, fmt.Sprintf("| `%s` | `%s` | %s | %s | %s |", k.Name, k.Env, rng, def, k.Doc))
 	}
 	if len(rows) != len(want) {
 		t.Errorf("README table has %d rows, core.Knobs has %d", len(rows), len(want))
@@ -210,8 +156,8 @@ func TestUpdateDefaultIsolatedFromSnapshots(t *testing.T) {
 func TestWithClampsAndPreservesReceiver(t *testing.T) {
 	base := Default()
 	derived := base.With(func(c *Config) { c.Threads = -5; c.GemmKC = 1 << 30 })
-	if derived.Threads != 1 || derived.GemmKC != MaxBlockDim {
-		t.Fatalf("derived not clamped: %+v", derived)
+	if derived.Threads != 1 || derived.GemmKC != 1<<30 {
+		t.Fatalf("derived clamps the budget only: %+v", derived)
 	}
 	if base.Threads == 1 && base == derived {
 		t.Fatal("With returned the receiver")
@@ -248,7 +194,8 @@ func TestWithThreadsMemo(t *testing.T) {
 	if got := base.WithThreads(2); got.GemmKC != base.GemmKC {
 		t.Fatalf("derivation of the old snapshot is %+v", got)
 	}
-	own := &Config{Tuning: base.Tuning}
+	own := new(Config)
+	*own = *base
 	if a, b := own.WithThreads(2), own.WithThreads(2); a == b || a.Threads != 2 {
 		t.Fatal("a Config that is not the default was memoised")
 	}

@@ -5,13 +5,12 @@ import (
 	"strconv"
 )
 
-// EnvInt reads an integer tuning parameter from the environment with the
-// hardening policy shared by every LA90_* knob: a missing, empty, or
-// non-numeric value leaves the default untouched, a parsable value is clamped
-// into [lo, hi]. Tuning knobs must never be able to crash or wedge the
-// process — a deployment typo like LA90_NUM_THREADS=1e9 or a negative block
-// size degrades to the nearest sane setting instead of a multi-gigabyte
-// allocation or a zero-width loop.
+// EnvInt reads an integer setting from the environment with the hardening
+// policy of the LA90_* variables: a missing, empty, or non-numeric value
+// leaves the default untouched, a parsable value is clamped into [lo, hi].
+// A setting must never be able to crash or wedge the process — a deployment
+// typo like LA90_NUM_THREADS=1e9 or =-4 degrades to the nearest sane value
+// instead of absurd goroutine counts or a zero-worker loop.
 func EnvInt(name string, def, lo, hi int) int {
 	s := os.Getenv(name)
 	if s == "" {

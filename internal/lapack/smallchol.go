@@ -12,7 +12,7 @@ import (
 // is a right-looking factorization in blocks of blas.CholNB whose every step
 // is one leaf of the kernel table (blas.Small.CholStep: diagonal block,
 // panel, trailing triangle), potrsSmall substitutes in blocks of the same
-// width. Both are gated by the LA90_GEMM_SMALL knob and by problem shape
+// width. Both are gated by the GemmSmallDim crossover and by problem shape
 // only, so what a batch driver computes stays bit-identical to the looped
 // driver at any thread count.
 

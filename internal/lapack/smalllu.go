@@ -13,7 +13,7 @@ import (
 // is one leaf of the kernel table (blas.Small.LUStep: panel with its pivot
 // search, interchanges on either side, U block row, trailing update),
 // getrsSmall substitutes in blocks of the same width. Both are gated by the
-// LA90_GEMM_SMALL knob and by problem shape only, so what a batch driver
+// GemmSmallDim crossover and by problem shape only, so what a batch driver
 // computes stays bit-identical to the looped driver at any thread count.
 
 // smallLUOK reports whether the m×n factorization, or the solve from it,

@@ -8,42 +8,20 @@ package la
 // The options below refine that captured snapshot for a single call:
 //
 //	x, err := la.GESV(a, b, la.WithThreads(2))
-//	cfg := la.DefaultConfig()
-//	cfg.GemmMC, cfg.GemmKC = 128, 128
-//	x, err = la.GESV(a, b, la.WithConfig(cfg))
 //	x, err = la.GESV(a, b, la.WithContext(ctx)) // cancelable
 //
-// Concurrent calls with different per-call settings are fully isolated: a
-// call keeps the configuration it captured even if the process default
-// changes mid-flight.
+// The worker budget is the one engine setting a caller reaches. Block sizes
+// and crossovers — the packed engine's, and the factorizations' table of
+// LAPACK's ILAENV (f77.ILAENV) — are the library's decision, as they are in
+// LAPACK90. Concurrent calls with different per-call settings are fully
+// isolated: a call keeps the configuration it captured even if the process
+// default changes mid-flight.
 
 import (
 	"context"
 
 	"repro/internal/core"
 )
-
-// Config is the public per-call tuning surface: the integer knobs of the
-// execution context, in the units of the corresponding LA90_* environment
-// variables. The README's "Configuration" table lists every field with its
-// range, default and effect (a test keeps it equal to the table that bounds
-// and parses them). The zero value of every field means "inherit the
-// process-wide default", so callers set only the knobs they care about:
-//
-//	la.WithConfig(la.Config{Threads: 1, GemmKC: 128})
-//
-// GemmSmallDim is the one knob whose useful values include zero (disable
-// the pack-free path); pass a negative value to disable it explicitly.
-// Input screening, the one boolean policy, has its own option: WithCheck.
-// Block sizes of the factorizations are not knobs: they are the constant
-// table of LAPACK's ILAENV (f77.ILAENV).
-type Config = core.Tuning
-
-// DefaultConfig returns a snapshot of the process-wide default tuning
-// configuration, ready to be edited and passed to WithConfig. The snapshot
-// reflects the built-in defaults and the LA90_* environment variables parsed
-// at startup.
-func DefaultConfig() Config { return core.Default().Tuning }
 
 // WithThreads sets this call's Level-3 worker budget: 1 forces fully serial
 // execution, higher values allow up to that many goroutines. Values below 1
@@ -54,16 +32,6 @@ func WithThreads(n int) Opt {
 		if n >= 1 {
 			o.cfg = o.cfg.WithThreads(n)
 		}
-	}
-}
-
-// WithConfig overlays every non-zero field of cfg onto this call's execution
-// context (see Config for the inherit/disable conventions). The overlay is
-// captured at the API boundary: later default-store changes never affect the
-// call.
-func WithConfig(cfg Config) Opt {
-	return func(o *options) {
-		o.cfg = o.cfg.With(func(c *core.Config) { c.Overlay(&cfg) })
 	}
 }
 

@@ -2,11 +2,11 @@ package la_test
 
 // Tests for the per-call execution contexts (la/config.go): capture-once
 // isolation under concurrent default-store churn, bit-identity of the
-// default configuration across every way of spelling it, and bit-identity
-// of serial versus multi-worker execution. The concurrency test is the
-// designated -race workload for the atomic default-config store: four-plus
-// drivers run simultaneously with distinct thread budgets and block sizes
-// while another goroutine rewrites the process-wide defaults.
+// default configuration however it is spelled, and bit-identity of serial
+// versus multi-worker execution. The concurrency test is the designated
+// -race workload for the atomic default-config store: five drivers run
+// simultaneously with distinct thread budgets while another goroutine
+// rewrites the process-wide defaults.
 
 import (
 	"fmt"
@@ -22,10 +22,10 @@ import (
 
 func TestMain(m *testing.M) { diff.Main(m) }
 
-// The four driver workloads. Each builds its inputs from a fixed seed, runs
-// one la driver with the given per-call options, and returns a flat
-// signature of every output so runs can be compared bitwise. Sizes sit well
-// above the blocked-path crossovers so the block-size knobs actually bind.
+// The driver workloads. Each builds its inputs from a fixed seed, runs one
+// la driver with the given per-call options, and returns a flat signature of
+// every output so runs can be compared bitwise. Sizes sit well above the
+// blocked-path crossovers so the packed engine's blocking binds.
 
 func gesvSig(t *testing.T, opts ...la.Opt) []float64 {
 	t.Helper()
@@ -176,11 +176,11 @@ func gesvdSig(t *testing.T, opts ...la.Opt) []float64 {
 
 // lsSig runs GELS and GELSD on a tall problem past the QR-first crossover and
 // the blocked-QR one (recursive panels, T hand-over, apply-Qᴴ GELSD), with the
-// parallel cutoffs lowered so the panel-shaped products really fan out.
+// parallel cutoff lowered so the panel-shaped products really fan out.
 func lsSig(t *testing.T, opts ...la.Opt) []float64 {
 	t.Helper()
 	const m, n, nrhs = 700, 96, 3
-	opts = append(opts, la.WithConfig(la.Config{GemmParallelMinVol: 1 << 12}))
+	defer lowerParallelCutoff()()
 	a, b := randMat[float64](37, m, n), randMat[float64](38, m, nrhs)
 	if err := la.GELS(a, b, opts...); err != nil {
 		t.Fatalf("GELS: %v", err)
@@ -199,10 +199,9 @@ func lsSig(t *testing.T, opts ...la.Opt) []float64 {
 }
 
 // TestDefaultConfigBitIdentical checks that the default execution context is
-// the same object no matter how it is spelled: no options at all, an empty
-// WithConfig overlay (every field inherits), an overlay of the full default
-// snapshot, and an explicit WithThreads at the default budget must all
-// produce bit-identical outputs for GESV, POSV, SYEV and GESVD.
+// the same object no matter how it is spelled: no options at all, an explicit
+// WithThreads at the default budget and a WithThreads(0) that inherits it
+// must all produce bit-identical outputs for GESV, POSV, SYEV and GESVD.
 func TestDefaultConfigBitIdentical(t *testing.T) {
 	drivers := []struct {
 		name string
@@ -214,9 +213,8 @@ func TestDefaultConfigBitIdentical(t *testing.T) {
 		name string
 		opts []la.Opt
 	}{
-		{"zero overlay", []la.Opt{la.WithConfig(la.Config{})}},
-		{"default snapshot", []la.Opt{la.WithConfig(la.DefaultConfig())}},
-		{"explicit default threads", []la.Opt{la.WithThreads(la.DefaultConfig().Threads)}},
+		{"explicit default threads", []la.Opt{la.WithThreads(blas.Threads())}},
+		{"inherited threads", []la.Opt{la.WithThreads(0)}},
 	}
 	for _, d := range drivers {
 		t.Run(d.name, func(t *testing.T) {
@@ -271,10 +269,26 @@ func TestThreadsBitIdentical(t *testing.T) {
 
 // complexSolveSig is solveSig on complex operands large enough for the packed
 // engine, with the parallel cutoff lowered so the tile groups and Trsm's slab
-// fork really run. The complex types ride the real micro-kernels through the
-// 1m packing, whose tiles are as disjoint per worker as the real ones.
+// fork really run: at order 150 every product stays under the default cutoff
+// of 192³, so without it each budget would run the serial schedule and the
+// comparison across budgets would hold trivially. The complex types ride the
+// real micro-kernels through the 1m packing, whose tiles are as disjoint per
+// worker as the real ones.
 func complexSolveSig[T la.Scalar](t *testing.T, opts ...la.Opt) []float64 {
-	return solveSig[T](t, 150, 5, append(opts, la.WithConfig(la.Config{GemmParallelMinVol: 1 << 12}))...)
+	defer lowerParallelCutoff()()
+	return solveSig[T](t, 150, 5, opts...)
+}
+
+// lowerParallelCutoff lowers the process default's Level-3 serial cutoff to
+// 16³ and returns the function that restores the default. The default store
+// is the cutoff's one seam — no option or variable reaches it — and a call
+// captures the default at its boundary, so the drivers run in between fork
+// at every budget above one. The cutoff decides only how many workers run,
+// never a bit of the result, so a concurrent test sees no difference.
+func lowerParallelCutoff() (restore func()) {
+	saved := *core.Default()
+	core.UpdateDefault(func(c *core.Config) { c.GemmParallelMinVol = 1 << 12 })
+	return func() { core.ResetDefault(saved) }
 }
 
 // solveSig runs GESV, POSV (both triangles) and SYSV at order n with nrhs
@@ -335,80 +349,30 @@ func solveSig[T la.Scalar](t *testing.T, n, nrhs int, opts ...la.Opt) []float64 
 	return sig
 }
 
-// TestWithConfigOverlay pins the overlay conventions of la.Config by
-// comparing each spelling, bit for bit, with the same values installed as
-// the process default: a negative GemmSmallDim disables the pack-free path,
-// and out-of-range values clamp to the table's bounds. (A zero overlay
-// inheriting everything is a spelling in TestDefaultConfigBitIdentical.)
-func TestWithConfigOverlay(t *testing.T) {
-	sig := func(opts ...la.Opt) []float64 {
-		const n = 600
-		a := randMat[float64](51, n, n)
-		for i := 0; i < n; i++ {
-			a.Set(i, i, a.At(i, i)+float64(n))
-		}
-		b := randMat[float64](52, n, 2)
-		if _, err := la.GESV(a, b, opts...); err != nil {
-			t.Fatalf("GESV: %v", err)
-		}
-		return append(b.Data, a.Data...)
-	}
-	underDefault := func(mutate func(*core.Config)) []float64 {
-		defer core.ResetDefault(*core.Default())
-		core.UpdateDefault(mutate)
-		return sig()
-	}
-	for _, tc := range []struct {
-		name    string
-		overlay la.Config
-		same    func(*core.Config) // the default this overlay must reproduce
-	}{
-		{"GemmSmallDim<0 disables", la.Config{GemmSmallDim: -1}, func(c *core.Config) { c.GemmSmallDim = 0 }},
-		{"out of range clamps", la.Config{GemmMC: 1 << 20, GemmKC: 1}, func(c *core.Config) { c.GemmMC, c.GemmKC = core.MaxBlockDim, 4 }},
-	} {
-		if !diff.Same(sig(la.WithConfig(tc.overlay)), underDefault(tc.same)) {
-			t.Errorf("%s: overlay and process default disagree bitwise", tc.name)
-		}
-	}
-}
-
-// fullPin returns a Config that pins every numerics-affecting knob, so a job
-// carrying it is completely insulated from concurrent default-store churn:
-// nothing is left to inherit. base chooses the block-size family so distinct
-// jobs exercise distinct cache blockings.
-func fullPin(threads, base int) la.Config {
-	return la.Config{
-		Threads:            threads,
-		GemmMC:             base,
-		GemmKC:             base,
-		GemmNC:             4 * base,
-		GemmSmallDim:       -1, // pack-free path off: one fixed kernel family
-		GemmParallelMinVol: 1 << 18,
-	}
-}
-
 // TestConcurrentPerCallConfigs runs five drivers simultaneously, each with
-// its own thread budget and fully pinned block sizes, while a sixth
-// goroutine hammers the process-wide default store (blas.SetThreads and
-// core.UpdateDefault on the block sizes and the pack-free crossover). Every
-// concurrent result must match the
-// job's own serial baseline bit for bit: per-call configs are captured once
-// at the API boundary and never see mid-flight default changes. Run under
-// -race this is also the data-race gate for the atomic default store.
+// its own thread budget, while a sixth goroutine hammers the process-wide
+// default store: blas.SetThreads, and core.UpdateDefault on the Level-3
+// serial cutoff, swinging it between 16³ (every product forks) and 2²⁴.
+// The churn rewrites only defaults that decide how many workers run, never a
+// bit of the result, so every concurrent result must match the job's own
+// baseline bit for bit: per-call configs are captured once at the API
+// boundary, and whichever snapshot a call captured, the drivers' outputs do
+// not depend on it. Run under -race this is also the data-race gate for the
+// atomic default store.
 func TestConcurrentPerCallConfigs(t *testing.T) {
 	jobs := []struct {
 		name string
 		opts []la.Opt
 		sig  func(*testing.T, ...la.Opt) []float64
 	}{
-		{"GESV/t1/b64", []la.Opt{la.WithConfig(fullPin(1, 64))}, gesvSig},
-		{"POSV/t2/b96", []la.Opt{la.WithConfig(fullPin(2, 96))}, posvSig},
-		{"SYEV/t3/b128", []la.Opt{la.WithConfig(fullPin(3, 128))}, syevSig},
-		{"GESVD/t4/b64", []la.Opt{la.WithConfig(fullPin(4, 64))}, gesvdSig},
-		{"GESV/t2/b32", []la.Opt{la.WithConfig(fullPin(2, 32))}, gesvSig},
+		{"GESV/t1", []la.Opt{la.WithThreads(1)}, gesvSig},
+		{"POSV/t2", []la.Opt{la.WithThreads(2)}, posvSig},
+		{"SYEV/t3", []la.Opt{la.WithThreads(3)}, syevSig},
+		{"GESVD/t4", []la.Opt{la.WithThreads(4)}, gesvdSig},
+		{"GESV/t2", []la.Opt{la.WithThreads(2)}, gesvSig},
 	}
 
-	// Serial baselines, computed before any default-store churn.
+	// Baselines, computed before any default-store churn.
 	want := make([][]float64, len(jobs))
 	for i, j := range jobs {
 		want[i] = j.sig(t, j.opts...)
@@ -431,8 +395,7 @@ func TestConcurrentPerCallConfigs(t *testing.T) {
 			}
 			blas.SetThreads(1 + k%8)
 			core.UpdateDefault(func(c *core.Config) {
-				c.GemmMC, c.GemmKC, c.GemmNC = 32+32*(k%4), 32+32*((k+1)%4), 256+128*(k%3)
-				c.GemmSmallDim = 8 * (k % 5)
+				c.GemmParallelMinVol = 1 << (12 + 2*(k%7)) // 16³ … 2²⁴, either side of 192³
 			})
 		}
 	}()

@@ -421,7 +421,7 @@ type options struct {
 
 	// cfg is the execution context of the call: the process-wide default
 	// configuration captured exactly once, here at the API boundary, then
-	// refined by WithThreads / WithConfig / WithContext and passed explicitly
+	// refined by WithThreads / WithContext and passed explicitly
 	// through every lapack driver into the blas engines. Nothing below the
 	// boundary re-reads ambient state, so concurrent calls with different
 	// contexts never observe each other.
