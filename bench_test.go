@@ -1228,36 +1228,58 @@ func benchSytrf[T core.Scalar](b *testing.B, uplo lapack.Uplo, n int) {
 
 // BenchmarkTrsm tracks the triangular solve with as many right-hand sides as
 // the triangle has rows, on both sides and with and without transposition:
-// the four leaf forms of trsmBase around the same GEMM updates.
+// the four leaf forms of trsmBase around the same GEMM updates. The leaf
+// cells solve at the order of one leaf (m = 32, 64) against 512 columns — the
+// left-side leaf alone, untransposed on both diagonals and through the
+// transposed copy.
 func BenchmarkTrsm(b *testing.B) {
 	for _, side := range []blas.Side{blas.Left, blas.Right} {
 		for _, trans := range []blas.Trans{blas.NoTrans, blas.TransT} {
 			name := map[blas.Side]string{blas.Left: "Left", blas.Right: "Right"}[side] + "/" + trans.String()
-			b.Run(name+"/f64", func(b *testing.B) { benchTrsm[float64](b, side, trans) })
-			b.Run(name+"/f32", func(b *testing.B) { benchTrsm[float32](b, side, trans) })
-			b.Run(name+"/c128", func(b *testing.B) { benchTrsm[complex128](b, side, trans) })
+			b.Run(name+"/f64", func(b *testing.B) { benchTrsm[float64](b, side, blas.Lower, trans, blas.NonUnit, 512) })
+			b.Run(name+"/f32", func(b *testing.B) { benchTrsm[float32](b, side, blas.Lower, trans, blas.NonUnit, 512) })
+			b.Run(name+"/c128", func(b *testing.B) { benchTrsm[complex128](b, side, blas.Lower, trans, blas.NonUnit, 512) })
+		}
+	}
+	for _, m := range []int{32, 64} {
+		for _, f := range []struct {
+			name  string
+			uplo  blas.Uplo
+			trans blas.Trans
+			diag  blas.Diag
+		}{{"L/N/Unit", blas.Lower, blas.NoTrans, blas.Unit}, {"L/N/NonUnit", blas.Lower, blas.NoTrans, blas.NonUnit}, {"U/T/NonUnit", blas.Upper, blas.TransT, blas.NonUnit}} {
+			name := "leaf/m=" + itoa(m) + "/" + f.name
+			b.Run(name+"/f64", func(b *testing.B) { benchTrsm[float64](b, blas.Left, f.uplo, f.trans, f.diag, m) })
+			b.Run(name+"/f32", func(b *testing.B) { benchTrsm[float32](b, blas.Left, f.uplo, f.trans, f.diag, m) })
+			b.Run(name+"/c128", func(b *testing.B) { benchTrsm[complex128](b, blas.Left, f.uplo, f.trans, f.diag, m) })
 		}
 	}
 }
 
-func benchTrsm[T core.Scalar](b *testing.B, side blas.Side, trans blas.Trans) {
+// benchTrsm solves with the m×m triangle against 512 right-hand sides (rows
+// on the right side).
+func benchTrsm[T core.Scalar](b *testing.B, side blas.Side, uplo blas.Uplo, trans blas.Trans, diag blas.Diag, m int) {
 	const n = 512
 	rng := lapack.NewRng([4]int{n, 13, 13, 13})
-	a := make([]T, n*n)
-	x0 := make([]T, n*n)
-	lapack.Larnv(2, rng, n*n, a)
-	lapack.Larnv(2, rng, n*n, x0)
-	for j := 0; j < n; j++ {
-		a[j+j*n] += core.FromFloat[T](float64(n)) // a well-conditioned triangle
+	a := make([]T, m*m)
+	x0 := make([]T, m*n)
+	lapack.Larnv(2, rng, m*m, a)
+	lapack.Larnv(2, rng, m*n, x0)
+	for j := 0; j < m; j++ {
+		a[j+j*m] += core.FromFloat[T](float64(m)) // a well-conditioned triangle
 	}
-	x := make([]T, n*n)
+	x := make([]T, m*n)
 	one := core.FromFloat[T](1)
+	rows, cols := m, n
+	if side == blas.Right {
+		rows, cols = n, m
+	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		copy(x, x0)
-		blas.Trsm(core.Default(), side, blas.Lower, trans, blas.NonUnit, n, n, one, a, n, x, n)
+		blas.Trsm(core.Default(), side, uplo, trans, diag, rows, cols, one, a, m, x, rows)
 	}
-	flops := float64(n) * float64(n) * float64(n)
+	flops := float64(m) * float64(m) * float64(n)
 	if core.IsComplex[T]() {
 		flops *= 4
 	}

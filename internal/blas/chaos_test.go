@@ -35,7 +35,7 @@ func TestForkCapturesWorkerPanic(t *testing.T) {
 			t.Fatalf("PanicError.Error() = %q", pe.Error())
 		}
 	}()
-	Fork(tcfg(), 
+	Fork(tcfg(),
 		func() {},
 		func() { panic("boom") },
 	)
@@ -84,7 +84,7 @@ func TestForkCallerTaskPanic(t *testing.T) {
 			t.Fatal("caller panic unwound before the worker finished")
 		}
 	}()
-	Fork(tcfg(), 
+	Fork(tcfg(),
 		func() { panic("caller") },
 		func() { workerDone = true },
 	)

@@ -21,6 +21,40 @@
 //   Z0..Z23   accumulators, three per C column
 //   Z24..Z26  the current A step     Z27..Z31 broadcast B elements
 //   K1..K3    live rows of the three vectors of a column
+//
+// The file also holds the float64 AVX-512 row's trsvOct leaf, dtrsvOct512:
+// A·X = B in place for eight columns of B at a time, as 8×8 register tiles.
+// For each block of eight rows of B — from the top for Lower, from the
+// bottom for Upper — and each octet of columns (blocks outside, so that
+// consecutive tiles are independent and the divisions of one overlap the
+// folds of the next): load the tile, one column per register; fold in every
+// row solved in earlier blocks, one FNMADD per column per row, in the sweep's
+// order (ascending k for Lower, descending for Upper); transpose it
+// (TRANSPOSE512, as the gather packers); solve the block's 8×8 triangle on
+// the rows — divide the row by its broadcast diagonal, then FNMADD it into
+// every row still to come; transpose back and store. A ragged block is
+// loaded and stored under K1 and solved on a copy of its diagonal block
+// padded to 8×8 (tail), whose padding lanes come after the real rows in the
+// order of the solve, so they never feed one. dfold512 is the fold alone,
+// for the Lower blocks of the complex128 1m row's leaf (trsvOct1e).
+//
+// Bit identity with the AVX2 row's sweep (trsvOctFma over dsubFma8): every
+// element of B receives the same single-rounded FNMADDs c − x·a in the same
+// order — the rows of earlier blocks by the fold, then the block's own by
+// the solve — each with x as the first multiplicand and A as the second, so
+// that of two NaNs the same payload wins; then the same IEEE division by the
+// same diagonal (Unit: none). Only where the operations are issued changes.
+//
+//   R8  lda in bytes                   R10, R11  ldb, 3·ldb in bytes
+//   SI  the block's first row (negative for Upper's ragged block)
+//   DI  the octet's first column       BX  octets left
+//   AX, DX, R12, CX  the fold: A(r0, k), B(k, 0), B(k, 4), steps left
+//   R13, R14, CX, AX the solve: the diagonal block's columns 0 and 4, its
+//            leading dimension and three times it in bytes
+//   Z0..Z7   the tile's columns, then the solved rows
+//   Z8..Z15  the tile's rows, then its solved columns
+//   Z16..Z23 the fold's broadcast solved values, Z24 its A segment
+//   K1       the block's live rows
 
 // The macros come first and the entry points after them: go vet checks the
 // argument names of every line against the TEXT symbol last seen, a macro's
@@ -366,6 +400,147 @@ loop1e: \
 	DECQ  AX; \
 	KMOVW AX, K1; \
 	MOVQ  R8, CX
+
+// The substitution tile of the float64 AVX-512 row's trsvOct leaf
+// (dtrsvOct512, header above). FOLD512 folds one solved row k into the
+// tile: the A segment A(r0:r0+8, k) at AX under K1 (zero beyond it) and the
+// eight solved values X(k, q) at DX and R12 broadcast, then one
+// fused negate-multiply-add per column — X as the first multiplicand and A
+// as the second, as in dsubFma8, so that even a NaN's payload is the sweep's
+// — and steps to row k ± 1 (ADD = ADDQ or SUBQ).
+#define FOLD512(ADD) \
+	VMOVUPD.Z    (AX), K1, Z24; \
+	VBROADCASTSD (DX), Z16; \
+	VBROADCASTSD (DX)(R10*1), Z17; \
+	VBROADCASTSD (DX)(R10*2), Z18; \
+	VBROADCASTSD (DX)(R11*1), Z19; \
+	VBROADCASTSD (R12), Z20; \
+	VBROADCASTSD (R12)(R10*1), Z21; \
+	VBROADCASTSD (R12)(R10*2), Z22; \
+	VBROADCASTSD (R12)(R11*1), Z23; \
+	VFNMADD231PD Z24, Z16, Z0; \
+	VFNMADD231PD Z24, Z17, Z1; \
+	VFNMADD231PD Z24, Z18, Z2; \
+	VFNMADD231PD Z24, Z19, Z3; \
+	VFNMADD231PD Z24, Z20, Z4; \
+	VFNMADD231PD Z24, Z21, Z5; \
+	VFNMADD231PD Z24, Z22, Z6; \
+	VFNMADD231PD Z24, Z23, Z7; \
+	ADD          R8, AX; \
+	ADD          $8, DX; \
+	ADD          $8, R12
+
+// LOADTILE512 loads the tile's eight columns at DX and R12 into Z0..Z7,
+// STORETILE512 stores them from T0..T7, both under the live rows K1.
+#define LOADTILE512 \
+	VMOVUPD.Z (DX), K1, Z0; \
+	VMOVUPD.Z (DX)(R10*1), K1, Z1; \
+	VMOVUPD.Z (DX)(R10*2), K1, Z2; \
+	VMOVUPD.Z (DX)(R11*1), K1, Z3; \
+	VMOVUPD.Z (R12), K1, Z4; \
+	VMOVUPD.Z (R12)(R10*1), K1, Z5; \
+	VMOVUPD.Z (R12)(R10*2), K1, Z6; \
+	VMOVUPD.Z (R12)(R11*1), K1, Z7
+
+#define STORETILE512(T0, T1, T2, T3, T4, T5, T6, T7) \
+	VMOVUPD T0, K1, (DX); \
+	VMOVUPD T1, K1, (DX)(R10*1); \
+	VMOVUPD T2, K1, (DX)(R10*2); \
+	VMOVUPD T3, K1, (DX)(R11*1); \
+	VMOVUPD T4, K1, (R12); \
+	VMOVUPD T5, K1, (R12)(R10*1); \
+	VMOVUPD T6, K1, (R12)(R10*2); \
+	VMOVUPD T7, K1, (R12)(R11*1)
+
+// PIVOTN and PIVOTU finish a row of the block once it has every update:
+// NonUnit divides it by its broadcast diagonal entry at OFF — the sweep's
+// IEEE division — into its output register, Unit moves it there.
+#define PIVOTN(ROW, OUT, OFF) VDIVPD.BCST OFF, ROW, OUT
+#define PIVOTU(ROW, OUT, OFF) VMOVAPD ROW, OUT
+
+// ELIM512 subtracts A(I, J)·X(J, :) from row I, A(I, J) broadcast from OFF.
+#define ELIM512(OFF, X, ROW) VFNMADD231PD.BCST OFF, X, ROW
+
+// SOLVEL512 and SOLVEU512 solve the diagonal block on its transposed rows
+// Z8..Z15 into Z0..Z7: forward for Lower, backward for Upper, each row
+// pivoted once every earlier row has been eliminated from it in the sweep's
+// order. The block's columns 0..3 are R13 + {0, 1, 2, 3}·CX (AX = 3·CX),
+// 4..7 the same from R14.
+#define SOLVEL512(PIVOT) \
+	PIVOT(Z8, Z0, 0(R13)); \
+	ELIM512(8(R13), Z0, Z9); \
+	ELIM512(16(R13), Z0, Z10); \
+	ELIM512(24(R13), Z0, Z11); \
+	ELIM512(32(R13), Z0, Z12); \
+	ELIM512(40(R13), Z0, Z13); \
+	ELIM512(48(R13), Z0, Z14); \
+	ELIM512(56(R13), Z0, Z15); \
+	PIVOT(Z9, Z1, 8(R13)(CX*1)); \
+	ELIM512(16(R13)(CX*1), Z1, Z10); \
+	ELIM512(24(R13)(CX*1), Z1, Z11); \
+	ELIM512(32(R13)(CX*1), Z1, Z12); \
+	ELIM512(40(R13)(CX*1), Z1, Z13); \
+	ELIM512(48(R13)(CX*1), Z1, Z14); \
+	ELIM512(56(R13)(CX*1), Z1, Z15); \
+	PIVOT(Z10, Z2, 16(R13)(CX*2)); \
+	ELIM512(24(R13)(CX*2), Z2, Z11); \
+	ELIM512(32(R13)(CX*2), Z2, Z12); \
+	ELIM512(40(R13)(CX*2), Z2, Z13); \
+	ELIM512(48(R13)(CX*2), Z2, Z14); \
+	ELIM512(56(R13)(CX*2), Z2, Z15); \
+	PIVOT(Z11, Z3, 24(R13)(AX*1)); \
+	ELIM512(32(R13)(AX*1), Z3, Z12); \
+	ELIM512(40(R13)(AX*1), Z3, Z13); \
+	ELIM512(48(R13)(AX*1), Z3, Z14); \
+	ELIM512(56(R13)(AX*1), Z3, Z15); \
+	PIVOT(Z12, Z4, 32(R14)); \
+	ELIM512(40(R14), Z4, Z13); \
+	ELIM512(48(R14), Z4, Z14); \
+	ELIM512(56(R14), Z4, Z15); \
+	PIVOT(Z13, Z5, 40(R14)(CX*1)); \
+	ELIM512(48(R14)(CX*1), Z5, Z14); \
+	ELIM512(56(R14)(CX*1), Z5, Z15); \
+	PIVOT(Z14, Z6, 48(R14)(CX*2)); \
+	ELIM512(56(R14)(CX*2), Z6, Z15); \
+	PIVOT(Z15, Z7, 56(R14)(AX*1))
+
+#define SOLVEU512(PIVOT) \
+	PIVOT(Z15, Z7, 56(R14)(AX*1)); \
+	ELIM512(0(R14)(AX*1), Z7, Z8); \
+	ELIM512(8(R14)(AX*1), Z7, Z9); \
+	ELIM512(16(R14)(AX*1), Z7, Z10); \
+	ELIM512(24(R14)(AX*1), Z7, Z11); \
+	ELIM512(32(R14)(AX*1), Z7, Z12); \
+	ELIM512(40(R14)(AX*1), Z7, Z13); \
+	ELIM512(48(R14)(AX*1), Z7, Z14); \
+	PIVOT(Z14, Z6, 48(R14)(CX*2)); \
+	ELIM512(0(R14)(CX*2), Z6, Z8); \
+	ELIM512(8(R14)(CX*2), Z6, Z9); \
+	ELIM512(16(R14)(CX*2), Z6, Z10); \
+	ELIM512(24(R14)(CX*2), Z6, Z11); \
+	ELIM512(32(R14)(CX*2), Z6, Z12); \
+	ELIM512(40(R14)(CX*2), Z6, Z13); \
+	PIVOT(Z13, Z5, 40(R14)(CX*1)); \
+	ELIM512(0(R14)(CX*1), Z5, Z8); \
+	ELIM512(8(R14)(CX*1), Z5, Z9); \
+	ELIM512(16(R14)(CX*1), Z5, Z10); \
+	ELIM512(24(R14)(CX*1), Z5, Z11); \
+	ELIM512(32(R14)(CX*1), Z5, Z12); \
+	PIVOT(Z12, Z4, 32(R14)); \
+	ELIM512(0(R14), Z4, Z8); \
+	ELIM512(8(R14), Z4, Z9); \
+	ELIM512(16(R14), Z4, Z10); \
+	ELIM512(24(R14), Z4, Z11); \
+	PIVOT(Z11, Z3, 24(R13)(AX*1)); \
+	ELIM512(0(R13)(AX*1), Z3, Z8); \
+	ELIM512(8(R13)(AX*1), Z3, Z9); \
+	ELIM512(16(R13)(AX*1), Z3, Z10); \
+	PIVOT(Z10, Z2, 16(R13)(CX*2)); \
+	ELIM512(0(R13)(CX*2), Z2, Z8); \
+	ELIM512(8(R13)(CX*2), Z2, Z9); \
+	PIVOT(Z9, Z1, 8(R13)(CX*1)); \
+	ELIM512(0(R13)(CX*1), Z1, Z8); \
+	PIVOT(Z8, Z0, 0(R13))
 
 // func dgemmKernel24x8(kb int, ap, bp, c []float64, ldc int)
 TEXT ·dgemmKernel24x8(SB), NOSPLIT, $0-88
@@ -739,5 +914,186 @@ cloop1r:
 	ADDQ      $64, DI
 	DECQ      CX
 	JNZ       cloop1r
+	VZEROUPPER
+	RET
+
+// func dtrsvOct512(upper, unit bool, m, n int, a []float64, lda int, b []float64, ldb int, tail *[64]float64)
+// For each block of eight rows, from the top for Lower and from the bottom
+// for Upper (the ragged one last, its live lanes in K1), and each octet of
+// columns: load, fold, transpose, solve on the block of A or on tail,
+// transpose back, store.
+TEXT ·dtrsvOct512(SB), NOSPLIT, $0-96
+	MOVQ lda+48(FP), R8
+	SHLQ $3, R8
+	MOVQ ldb+80(FP), R10
+	SHLQ $3, R10
+	LEAQ (R10)(R10*2), R11
+	XORQ SI, SI
+	CMPB upper+0(FP), $0
+	JE   block
+	MOVQ m+8(FP), SI
+	SUBQ $8, SI
+
+block:
+	MOVQ  m+8(FP), CX
+	SUBQ  SI, CX
+	CMPQ  CX, $8
+	JLE   rowsbelow
+	MOVQ  $8, CX
+
+rowsbelow:
+	MOVL  $1, AX
+	SHLL  CX, AX
+	DECL  AX
+	MOVQ  SI, CX
+	NEGQ  CX
+	JLE   mask
+	SHRL  CX, AX
+	SHLL  CX, AX
+
+mask:
+	KMOVW AX, K1
+	MOVQ  b_base+56(FP), DI
+	MOVQ  n+16(FP), BX
+	SHRQ  $3, BX
+
+octet:
+	LEAQ  (DI)(SI*8), DX
+	LEAQ  (DX)(R10*4), R12
+	LOADTILE512
+	MOVQ  a_base+24(FP), AX
+	LEAQ  (AX)(SI*8), AX
+	CMPB  upper+0(FP), $0
+	JNE   ufoldstart
+	MOVQ  DI, DX
+	LEAQ  (DI)(R10*4), R12
+	MOVQ  SI, CX
+	TESTQ CX, CX
+	JZ    solve
+
+lfold:
+	FOLD512(ADDQ)
+	DECQ CX
+	JNZ  lfold
+	JMP  solve
+
+ufoldstart:
+	MOVQ  m+8(FP), CX
+	DECQ  CX
+	MOVQ  CX, DX
+	IMULQ R8, DX
+	ADDQ  DX, AX
+	LEAQ  (DI)(CX*8), DX
+	LEAQ  (DX)(R10*4), R12
+	SUBQ  SI, CX
+	SUBQ  $7, CX
+	JLE   solve
+
+ufold:
+	FOLD512(SUBQ)
+	DECQ CX
+	JNZ  ufold
+
+solve:
+	TRANSPOSE512
+	KMOVW K1, CX
+	CMPL  CX, $0xff
+	JNE   ragged
+	MOVQ  SI, R13
+	IMULQ R8, R13
+	ADDQ  a_base+24(FP), R13
+	LEAQ  (R13)(SI*8), R13
+	MOVQ  R8, CX
+	JMP   pivot
+
+ragged:
+	MOVQ tail+88(FP), R13
+	MOVQ $64, CX
+
+pivot:
+	LEAQ (CX)(CX*2), AX
+	LEAQ (R13)(CX*4), R14
+	CMPB upper+0(FP), $0
+	JNE  usolve
+	CMPB unit+1(FP), $0
+	JNE  lunit
+	SOLVEL512(PIVOTN)
+	JMP  store
+
+lunit:
+	SOLVEL512(PIVOTU)
+	JMP  store
+
+usolve:
+	CMPB unit+1(FP), $0
+	JNE  uunit
+	SOLVEU512(PIVOTN)
+	JMP  store
+
+uunit:
+	SOLVEU512(PIVOTU)
+
+store:
+	TRANSPOSE512
+	LEAQ (DI)(SI*8), DX
+	LEAQ (DX)(R10*4), R12
+	STORETILE512(Z8, Z9, Z10, Z11, Z12, Z13, Z14, Z15)
+	LEAQ (DI)(R10*8), DI
+	DECQ BX
+	JNZ  octet
+	CMPB upper+0(FP), $0
+	JNE  nextup
+	ADDQ $8, SI
+	CMPQ SI, m+8(FP)
+	JL   block
+	VZEROUPPER
+	RET
+
+nextup:
+	SUBQ $8, SI
+	CMPQ SI, $-8
+	JG   block
+	VZEROUPPER
+	RET
+
+// func dfold512(n, k int, a []float64, lda int, b []float64, ldb int, r0, rows int)
+// B(r0:r0+rows, q) −= Σ_{p<k} A(r0:r0+rows, p)·B(p, q) for the n columns of
+// B, by the FNMADD chain of dtrsvOct512's fold, p ascending.
+TEXT ·dfold512(SB), NOSPLIT, $0-96
+	MOVQ lda+40(FP), R8
+	SHLQ $3, R8
+	MOVQ ldb+72(FP), R10
+	SHLQ $3, R10
+	LEAQ (R10)(R10*2), R11
+	MOVQ rows+88(FP), CX
+	MOVL $1, AX
+	SHLL CX, AX
+	DECL AX
+	KMOVW AX, K1
+	MOVQ b_base+48(FP), DI
+	MOVQ r0+80(FP), SI
+	MOVQ n+0(FP), BX
+	SHRQ $3, BX
+
+foctet:
+	LEAQ (DI)(SI*8), DX
+	LEAQ (DX)(R10*4), R12
+	LOADTILE512
+	MOVQ a_base+16(FP), AX
+	LEAQ (AX)(SI*8), AX
+	MOVQ DI, DX
+	LEAQ (DI)(R10*4), R12
+	MOVQ k+8(FP), CX
+
+ffold:
+	FOLD512(ADDQ)
+	DECQ CX
+	JNZ  ffold
+	LEAQ (DI)(SI*8), DX
+	LEAQ (DX)(R10*4), R12
+	STORETILE512(Z0, Z1, Z2, Z3, Z4, Z5, Z6, Z7)
+	LEAQ (DI)(R10*8), DI
+	DECQ BX
+	JNZ  foctet
 	VZEROUPPER
 	RET

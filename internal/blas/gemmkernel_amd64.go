@@ -128,6 +128,23 @@ func zpack1r(kb int, src []float64, lds int, dst []float64, cols int, neg float6
 //go:noescape
 func cpack1r(kb int, src []float32, lds int, dst []float32, cols int, neg float32)
 
+// dtrsvOct512 is the trsvOct leaf of the float64 AVX-512 row on its
+// arguments as trsvOct512F64 checks them (level3.go): A·X = B in place for
+// the n ≥ 8 columns of b, n a multiple of eight, by 8×8 register tiles, tail
+// the ragged diagonal block padded to 8×8. In gemmkernel512_amd64.s; only the
+// bases of the slices are looked at.
+//
+//go:noescape
+func dtrsvOct512(upper, unit bool, m, n int, a []float64, lda int, b []float64, ldb int, tail *[64]float64)
+
+// dfold512 is that leaf's fold alone, for the 1m row's Lower blocks
+// (trsvOct1e): the rows r0..r0+rows (at most eight) of the n columns of b,
+// n a multiple of eight, have the k ≥ 1 rows above them folded in,
+// b(r0+i, q) −= a(r0+i, p)·b(p, q) for p = 0, 1, …, k−1, one FNMADD each.
+//
+//go:noescape
+func dfold512(n, k int, a []float64, lda int, b []float64, ldb int, r0, rows int)
+
 // dsubFma8 and ssubFma8 perform the eight-column substitution sweep
 // c_q[0:n] -= x[q]·a[0:n] (columns of c spaced ldc elements apart) with
 // fused negate-multiply-adds; they are the inner step of the left-side

@@ -76,6 +76,12 @@ func ddot4x3(k int, a []float64, lda int, b []float64, ldb int) [12]float64 {
 	panic("blas: no asm kernel")
 }
 func dsubFma8(n int64, x, a, c *float64, ldc int64) { panic("blas: no asm kernel") }
+func dfold512(n, k int, a []float64, lda int, b []float64, ldb int, r0, rows int) {
+	panic("blas: no asm kernel")
+}
+func dtrsvOct512(upper, unit bool, m, n int, a []float64, lda int, b []float64, ldb int, tail *[64]float64) {
+	panic("blas: no asm kernel")
+}
 func ssubFma8(n int64, x, a, c *float32, ldc int64) { panic("blas: no asm kernel") }
 func dgemvSub8(n int64, t, b *float64, ldb int64, y *float64) {
 	panic("blas: no asm kernel")

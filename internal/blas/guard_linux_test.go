@@ -31,7 +31,7 @@ func guarded[T core.Scalar](t *testing.T, n int) []T {
 // operand ending on a guard page: a ragged tile of C, the ragged runs packA
 // and packB read under NoTrans and TransT, and the short last rows of a
 // gather — on the complex rows the 1m packers' runs and transposes, whose
-// dead rows read the panel's first.
+// dead rows read the panel's first — and the trsvOct leaf's ragged blocks.
 func testMaskedLanes512[T core.Scalar](t *testing.T, kern *kernel[T]) {
 	mr, nr := kern.mr, kern.nr
 	rng := rand.New(rand.NewSource(4096))
@@ -54,6 +54,17 @@ func testMaskedLanes512[T core.Scalar](t *testing.T, kern *kernel[T]) {
 			kern.packB(dst, nr, NoTrans, src, kb+2, 0, kb, 0, cols)
 			src = guarded[T](t, (kb-1)*(nr+1)+cols)
 			kern.packB(dst, nr, TransT, src, nr+1, 0, kb, 0, cols)
+		}
+	}
+	// The trsvOct leaf's ragged blocks, A and B ending their slices.
+	for _, m := range []int{5, 13} {
+		for _, uplo := range []Uplo{Upper, Lower} {
+			a := guarded[T](t, m*m)
+			copy(a, randSlice[T](rng, m*m))
+			for i := range m {
+				a[i+i*m] += core.FromFloat[T](float64(m))
+			}
+			kern.trsvOct(uplo, NonUnit, m, 8, a, m, guarded[T](t, 7*m+m), m)
 		}
 	}
 }

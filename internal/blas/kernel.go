@@ -17,9 +17,10 @@ import (
 // portable loop of that leaf (leaves.go, and beside each engine), "view" the
 // real row's entry on the real view of the complex data. Each type has three
 // rows: AVX-512, AVX2 and portable. The two asm rows differ in the micro-tile
-// only — its geometry, kernels and packers, the first three lines below,
-// where the AVX-512 entry stands under the AVX2 one — and share every other
-// leaf and every crossover:
+// — its geometry, kernels and packers, the first three lines below, where
+// the AVX-512 entry stands under the AVX2 one — and in the register tiles
+// of the float64 and complex128 trsvOct, which keep the sweep's bits; they
+// share every other leaf and every crossover:
 //
 //	leaf       float64 asm          float32 asm        complex 1m         portable
 //	micro      8×4 dgemmKernel8x4   16×4 sgemmKernel   real row's, 1m     4×4 Go
@@ -30,6 +31,7 @@ import (
 //	           dpack512/dgather8    spack512/sgather8  z/cpack1e, z/cgather1e,
 //	           (packers512)                            z/cpack1r, d/sgather8
 //	trsvOct    dsubFma8             ssubFma8           view, 1e triangle  Go
+//	           dtrsvOct512 (tiles)                     + dfold512, Lower
 //	gemvSub8   dgemvSub8            sgemvSub8          eight axpy         Go
 //	axpy       daxpyFma             saxpyFma           zaxpyFma/caxpyFma  Go
 //	scal       dscalFma             sscalFma           zscalFma/cscalFma  Go
@@ -55,9 +57,11 @@ import (
 // (AVX2, with the small strip kernel) and gemmkernel512_amd64.s (AVX-512);
 // trsvOct through iamax in leaves_amd64.s; rotRun and the reflectors in
 // iterate_amd64.s; cholStep, dot8, dot4x3 and luStep in smallchol_amd64.s
-// and smalllu_amd64.s. dot8 serves the small Cholesky's solves and, with
-// dot4x3, Gemm's inner-product route (gemmDots), which the portable rows
-// leave off.
+// and smalllu_amd64.s. The AVX-512 trsvOct kernels — dtrsvOct512, and the
+// fold dfold512 of the complex128 row — sit with the tiles in
+// gemmkernel512_amd64.s, whose transpose they share with the gather packers.
+// dot8 serves the small Cholesky's solves and, with dot4x3, Gemm's
+// inner-product route (gemmDots), which the portable rows leave off.
 //
 // On both asm rows every element of C is one chain of fused multiply-adds
 // over the k-steps of a kc slab, started at zero and added to C once — in a
@@ -217,14 +221,15 @@ func scratchEdge[T core.Scalar](micro func(kb int, ap, bp, c []T, ldc int)) func
 
 // oneM builds the 1m row of complex type C from the real row rk it runs on;
 // view is the matching real view from realview.go, axpy, dot and scal the
-// type's vector kernels, pk the row's 1m packers.
-func oneM[C core.Cmplx, R core.Float](rk *kernel[R], view func([]C) []R, trsmLeaf int, axpy func(C, []C, []C), dot func([]C, []C, bool) C, scal func(C, []C), pk packers1m[R]) kernel[C] {
+// type's vector kernels, pk the row's 1m packers, fold the register fold of
+// trsvOct1e's Lower blocks (nil: the sweeps alone).
+func oneM[C core.Cmplx, R core.Float](rk *kernel[R], view func([]C) []R, trsmLeaf int, axpy func(C, []C, []C), dot func([]C, []C, bool) C, scal func(C, []C), pk packers1m[R], fold func(n, k int, a []R, lda int, b []R, ldb int, r0, rows int)) kernel[C] {
 	// The Level-1/2 leaves that are not the type's own vector kernels are the
 	// real row's on the real view — the sum of squares, the rotations, the
 	// substitution sweep under trsvOct — or stay on the Go loops.
 	k := portableKernel(trsmLeaf, rotView(view, rk.rotRun), iamaxGo[C])
 	k.axpy, k.dot, k.scal = axpy, dot, scal
-	k.trsvOct = trsvOct1e(view)
+	k.trsvOct = trsvOct1e(view, fold)
 	k.gemvSub8 = func(m int, t [8]C, b []C, ldb int, y []C) {
 		for q, tq := range t {
 			axpy(-tq, b[q*ldb:q*ldb+m], y)
@@ -325,18 +330,20 @@ var (
 		packA: packAF32, packB: packBF32,
 		micro: microAVX2F32, edge: scratchEdge(microAVX2F32),
 	}
-	kern1mC128 = oneM(&kernAsmF64, realView128, trsmLeafSizeC128, zaxpyFma, zdotFma, zscalFma, pack1mGoF64)
-	kern1mC64  = oneM(&kernAsmF32, realView64, trsmLeafSizeC64, caxpyFma, cdotFma, cscalFma, pack1mGoF32)
+	kern1mC128 = oneM(&kernAsmF64, realView128, trsmLeafSizeC128, zaxpyFma, zdotFma, zscalFma, pack1mGoF64, nil)
+	kern1mC64  = oneM(&kernAsmF32, realView64, trsmLeafSizeC64, caxpyFma, cdotFma, cscalFma, pack1mGoF32, nil)
 
 	// The AVX-512 rows are the AVX2 rows with the micro-tile, its packers and
-	// its kernels replaced: every other leaf, and every crossover, is shared,
-	// so the two asm rows take the same routes and — each C(i,j) being one FMA
-	// chain over a kc slab on both — produce the same bits.
+	// its kernels replaced, and float64's trsvOct (complex128's fold): every
+	// other leaf, and every crossover, is shared, so the two asm rows take the
+	// same routes and — each C(i,j) being one FMA chain over a kc slab on
+	// both, each solved element the sweep's chain — produce the same bits.
 	kern512F64 = func() kernel[float64] {
 		k := kernAsmF64
 		k.mr, k.nr = avx512F64MR, avx512NR
 		k.packA, k.packB = pack512F64.packA, pack512F64.packB
 		k.micro, k.edge = dgemmKernel24x8, dgemmEdge24x8
+		k.trsvOct = trsvOct512F64
 		return k
 	}()
 	kern512F32 = func() kernel[float32] {
@@ -346,8 +353,8 @@ var (
 		k.micro, k.edge = sgemmKernel48x8, sgemmEdge48x8
 		return k
 	}()
-	kern1m512C128 = oneM(&kern512F64, realView128, trsmLeafSizeC128, zaxpyFma, zdotFma, zscalFma, pack1m512F64)
-	kern1m512C64  = oneM(&kern512F32, realView64, trsmLeafSizeC64, caxpyFma, cdotFma, cscalFma, pack1m512F32)
+	kern1m512C128 = oneM(&kern512F64, realView128, trsmLeafSizeC128, zaxpyFma, zdotFma, zscalFma, pack1m512F64, dfold512)
+	kern1m512C64  = oneM(&kern512F32, realView64, trsmLeafSizeC64, caxpyFma, cdotFma, cscalFma, pack1m512F32, nil)
 )
 
 func microAVX2F64(kb int, ap, bp, c []float64, ldc int) {

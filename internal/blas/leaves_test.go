@@ -487,6 +487,77 @@ func TestTrsmLeaves(t *testing.T) {
 	})
 }
 
+// TestTrsvOctRowsAgree holds the float64 trsvOct leaf of each asm row — on
+// the AVX-512 row the register tile, on the AVX2 row the sweep — to the other
+// bit for bit: at every order 1…65 (each ragged block, one past trsmLeaf),
+// one to three octets, both triangles and diagonals, ldb > m with the rows
+// past m watched; with NaNs in B and A (of four payloads) and an Inf and a
+// zero on A's diagonal; and through Trsm at 512×37, which reaches it by the
+// recursion beside trsvQuad and Trsv.
+func TestTrsvOctRowsAgree(t *testing.T) {
+	rng := rand.New(rand.NewSource(64))
+	agree := func(name string, m, ldb int, b0 []float64, op func(b []float64)) {
+		var want []float64
+		diff.OnRows(t, func(r diff.Row) {
+			if r == diff.Portable {
+				return
+			}
+			b := clone(b0)
+			op(b)
+			for j := 0; j*ldb+m < len(b); j++ {
+				if !diff.Same(b[j*ldb+m:min((j+1)*ldb, len(b))], b0[j*ldb+m:min((j+1)*ldb, len(b))]) {
+					t.Fatalf("%s: the %v row wrote past row m of column %d", name, r, j)
+				}
+			}
+			if want == nil {
+				want = b
+			} else if !diff.Same(b, want) {
+				t.Fatalf("%s: the %v row differs bitwise from the selected row", name, r)
+			}
+		})
+	}
+	for m := 1; m <= 65; m++ {
+		lda, ldb := m+1, m+3
+		a := randSlice[float64](rng, lda*m)
+		for i := range m {
+			a[i+i*lda] += float64(m)
+		}
+		for _, n := range []int{8, 16, 24} {
+			for nonfinite := range 2 {
+				a, b0 := a, randSlice[float64](rng, ldb*n)
+				if nonfinite == 1 {
+					a = clone(a)
+					a[m/2*(lda+1)], a[m/3*(lda+1)] = math.Inf(-1), 0
+					// A NaN pivot row meets a NaN of A in the last update of
+					// the next row, where the operands' order picks the payload.
+					p := m / 4
+					a[p*lda+min(p+1, m-1)], a[p*lda+max(p-1, 0)] = math.Float64frombits(0x7ff8000000000002), math.Float64frombits(0x7ff8000000000003)
+					b0[(n-1)*ldb+p], b0[p] = math.NaN(), math.Float64frombits(0x7ff8000000000004)
+				}
+				for _, uplo := range []Uplo{Upper, Lower} {
+					for _, diag := range []Diag{NonUnit, Unit} {
+						agree(fmt.Sprintf("m=%d n=%d %v %v nonfinite=%d", m, n, uplo, diag, nonfinite), m, ldb, b0, func(b []float64) {
+							kernelFor[float64]().trsvOct(uplo, diag, m, n, a, lda, b, ldb)
+						})
+					}
+				}
+			}
+		}
+	}
+	const m, n = 512, 37
+	a, b0 := randSlice[float64](rng, m*m), randSlice[float64](rng, (m+1)*n)
+	for i := range m {
+		a[i+i*m] += m
+	}
+	for _, uplo := range []Uplo{Upper, Lower} {
+		for _, trans := range []Trans{NoTrans, TransT} {
+			agree(fmt.Sprintf("Trsm %dx%d %v %v", m, n, uplo, trans), m, m+1, b0, func(b []float64) {
+				Trsm(tcfg(), Left, uplo, trans, NonUnit, m, n, 0.5, a, m, b, m+1)
+			})
+		}
+	}
+}
+
 // bigParts is v's components at 200 bits.
 func bigParts[T core.Scalar](v T) (re, im *big.Float) {
 	return new(big.Float).SetPrec(200).SetFloat64(core.Re(v)), new(big.Float).SetPrec(200).SetFloat64(core.Im(v))

@@ -949,7 +949,8 @@ func transposeTriangle[T core.Scalar](uplo Uplo, conj bool, m int, a []T, lda in
 // multiple of eight, eight columns per sweep of the triangle. Columns must
 // already carry any alpha scaling. This is the portable form (the trsvOct
 // entry of the portable rows of the kernel table); the real asm rows run
-// trsvOctFma, the complex 1m rows trsvOct1e.
+// trsvOctFma (the float64 AVX-512 row trsvOct512F64), the complex 1m rows
+// trsvOct1e.
 func trsvOct[T core.Scalar](uplo Uplo, diag Diag, m, n int, a []T, lda int, b []T, ldb int) {
 	nonUnit := diag == NonUnit
 	for j := 0; j < n; j += 8 {
@@ -1025,13 +1026,49 @@ func trsvOctFma[F core.Float](uplo Uplo, diag Diag, m, n int, a []F, lda int, b 
 	}
 }
 
+// trsvOct512F64 is trsvOct on the float64 AVX-512 row: dtrsvOct512 solves
+// each octet of columns by 8×8 register tiles, folding the rows already
+// solved into a tile and solving its diagonal block on the tile's transposed
+// rows, in the operations trsvOctFma performs on each element and in their
+// order, so that the AVX2 row's sweep is its oracle bit for bit. A ragged
+// block — the last m mod 8 rows of Lower, the first of Upper — is solved on
+// a copy of its diagonal block padded to 8×8 at the lanes the kernel masks
+// off, and with the unit diagonal there, so that no read leaves A.
+func trsvOct512F64(uplo Uplo, diag Diag, m, n int, a []float64, lda int, b []float64, ldb int) {
+	if m == 0 || n == 0 {
+		return
+	}
+	_, _ = a[(m-1)*lda+m-1], b[(n-1)*ldb+m-1]
+	var tail [64]float64
+	if h := m % 8; h != 0 {
+		r0, p := m-h, 0 // the block's first row of A and its first lane
+		if uplo == Upper {
+			r0, p = 0, 8-h
+		}
+		for j := range 8 {
+			if j < p || j >= p+h {
+				tail[8*j+j] = 1
+				continue
+			}
+			copy(tail[8*j+p:8*j+p+h], a[(r0+j-p)*lda+r0:])
+		}
+	}
+	dtrsvOct512(uplo == Upper, diag == Unit, m, n, a, lda, b, ldb, &tail)
+}
+
 // trsvOct1e builds the trsvOct of a complex 1m row: the real row's
 // substitution kernel on the real views. Eliminating the complex entry
 // x = xr + xi·i with the column t of A is, on the view of B, subtracting
 // xr·[t.re, t.im, …] and xi·[−t.im, t.re, …]: two real sweeps over the
 // triangle in the 1e form of packA1m, expanded once per call into pooled
 // scratch. A pivot row is divided by one reciprocal of its diagonal entry.
-func trsvOct1e[C core.Cmplx, R core.Float](view func([]C) []R) func(uplo Uplo, diag Diag, m, n int, a []C, lda int, b []C, ldb int) {
+// With a fold (complex128 on the AVX-512 row: dfold512), a Lower triangle
+// is solved by blocks of four complex rows: the rows already solved are
+// folded into the block's eight real rows in registers — the sweeps' real
+// chain, 2i then 2i+1 per pivot i — and the sweeps run within the block.
+// Upper keeps the sweeps: its real order, 2i then 2i+1 for i descending, is
+// not the fold's.
+func trsvOct1e[C core.Cmplx, R core.Float](view func([]C) []R, fold func(n, k int, a []R, lda int, b []R, ldb int, r0, rows int)) func(uplo Uplo, diag Diag, m, n int, a []C, lda int, b []C, ldb int) {
 	return func(uplo Uplo, diag Diag, m, n int, a []C, lda int, b []C, ldb int) {
 		ld := 2 * m
 		e := getScratch[R](2 * m * ld)
@@ -1049,32 +1086,42 @@ func trsvOct1e[C core.Cmplx, R core.Float](view func([]C) []R) func(uplo Uplo, d
 			}
 		}
 		bv := view(b[:(n-1)*ldb+m])
+		blk := m
+		if fold != nil && uplo == Lower {
+			blk = 4
+		}
 		var xr, xi [8]R
-		for j := 0; j < n; j += 8 {
-			for s := 0; s < m; s++ {
-				i, lo, hi := s, s+1, m
-				if uplo == Upper {
-					i, lo, hi = m-1-s, 0, m-1-s
-				}
-				row := bv[2*(j*ldb+i):]
-				if diag == NonUnit {
-					r := core.Div(1, a[i*lda+i])
-					rr, ri := R(core.Re(r)), R(core.Im(r))
-					for q := 0; q < 8; q++ {
-						vr, vi := row[2*q*ldb], row[2*q*ldb+1]
-						vr, vi = vr*rr-vi*ri, vr*ri+vi*rr
-						row[2*q*ldb], row[2*q*ldb+1] = vr, vi
-						xr[q], xi[q] = vr, vi
+		for s0 := 0; s0 < m; s0 += blk {
+			s1 := min(s0+blk, m)
+			if s0 > 0 {
+				fold(n, 2*s0, e, ld, bv, 2*ldb, 2*s0, 2*(s1-s0))
+			}
+			for j := 0; j < n; j += 8 {
+				for s := s0; s < s1; s++ {
+					i, lo, hi := s, s+1, s1
+					if uplo == Upper {
+						i, lo, hi = m-1-s, 0, m-1-s
 					}
-				} else {
-					for q := 0; q < 8; q++ {
-						xr[q], xi[q] = row[2*q*ldb], row[2*q*ldb+1]
+					row := bv[2*(j*ldb+i):]
+					if diag == NonUnit {
+						r := core.Div(1, a[i*lda+i])
+						rr, ri := R(core.Re(r)), R(core.Im(r))
+						for q := 0; q < 8; q++ {
+							vr, vi := row[2*q*ldb], row[2*q*ldb+1]
+							vr, vi = vr*rr-vi*ri, vr*ri+vi*rr
+							row[2*q*ldb], row[2*q*ldb+1] = vr, vi
+							xr[q], xi[q] = vr, vi
+						}
+					} else {
+						for q := 0; q < 8; q++ {
+							xr[q], xi[q] = row[2*q*ldb], row[2*q*ldb+1]
+						}
 					}
-				}
-				if hi > lo {
-					c := &bv[2*(j*ldb+lo)]
-					subFma8(int64(2*(hi-lo)), &xr, &e[2*i*ld+2*lo], c, int64(2*ldb))
-					subFma8(int64(2*(hi-lo)), &xi, &e[(2*i+1)*ld+2*lo], c, int64(2*ldb))
+					if hi > lo {
+						c := &bv[2*(j*ldb+lo)]
+						subFma8(int64(2*(hi-lo)), &xr, &e[2*i*ld+2*lo], c, int64(2*ldb))
+						subFma8(int64(2*(hi-lo)), &xi, &e[(2*i+1)*ld+2*lo], c, int64(2*ldb))
+					}
 				}
 			}
 		}

@@ -7,28 +7,19 @@ import (
 	"repro/internal/core"
 )
 
-// laswpBlock is the column-block width of the pivot sweeps in Laswp and
-// LaswpInv. The whole panel's interchanges are applied to one block of
-// columns before moving to the next, and within the block each column runs
-// the full pivot sequence while it is resident in L1 — both elements of
-// every swap live in the same contiguous column — instead of streaming
-// every row pair across the full matrix width once per pivot.
-const laswpBlock = 32
-
 // Laswp performs the row interchanges recorded in ipiv[k1:k2] on the n
 // columns of a: for each k in [k1, k2), row k is swapped with row ipiv[k]
 // (0-based), applied in increasing k as in xLASWP with incx=1. Columns are
-// independent (each sees the same swap sequence), so the sweep is batched
-// column-blocked for cache locality.
+// independent (each sees the same swap sequence), so the sweep runs column
+// by column: both elements of every swap lie in the one contiguous column,
+// which stays in L1 for the whole pivot sequence, where the reference's
+// row-wise order would stream every row pair across the matrix per pivot.
 func Laswp[T core.Scalar](n int, a []T, lda int, k1, k2 int, ipiv []int) {
-	for j0 := 0; j0 < n; j0 += laswpBlock {
-		j1 := min(j0+laswpBlock, n)
-		for j := j0; j < j1; j++ {
-			col := a[j*lda:]
-			for k := k1; k < k2; k++ {
-				if p := ipiv[k]; p != k {
-					col[k], col[p] = col[p], col[k]
-				}
+	for j := 0; j < n; j++ {
+		col := a[j*lda:]
+		for k := k1; k < k2; k++ {
+			if p := ipiv[k]; p != k {
+				col[k], col[p] = col[p], col[k]
 			}
 		}
 	}
@@ -36,14 +27,11 @@ func Laswp[T core.Scalar](n int, a []T, lda int, k1, k2 int, ipiv []int) {
 
 // LaswpInv undoes Laswp by applying the interchanges in decreasing order.
 func LaswpInv[T core.Scalar](n int, a []T, lda int, k1, k2 int, ipiv []int) {
-	for j0 := 0; j0 < n; j0 += laswpBlock {
-		j1 := min(j0+laswpBlock, n)
-		for j := j0; j < j1; j++ {
-			col := a[j*lda:]
-			for k := k2 - 1; k >= k1; k-- {
-				if p := ipiv[k]; p != k {
-					col[k], col[p] = col[p], col[k]
-				}
+	for j := 0; j < n; j++ {
+		col := a[j*lda:]
+		for k := k2 - 1; k >= k1; k-- {
+			if p := ipiv[k]; p != k {
+				col[k], col[p] = col[p], col[k]
 			}
 		}
 	}

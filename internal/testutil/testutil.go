@@ -7,7 +7,6 @@
 package testutil
 
 import (
-
 	"repro/internal/blas"
 	"repro/internal/core"
 	"repro/internal/lapack"
