@@ -24,10 +24,12 @@ vet:
 	fi
 
 # Execution-context hygiene: since the per-call Config refactor, kernels and
-# drivers must read every tunable from the *core.Config threaded down from
-# the API boundary — never from the process-wide default store mid-call.
-# A direct default read anywhere in internal/lapack would let a concurrent
-# SetThreads change a call's behavior mid-flight.
+# drivers read what a caller sets — the worker budget, the screening policy,
+# the context — from the *core.Config threaded down from the API boundary,
+# never from the process-wide default store mid-call (block sizes and
+# crossovers are constants, not Config fields). A direct default read anywhere
+# in internal/lapack would let a concurrent SetThreads change a call's
+# behavior mid-flight.
 lint-globals:
 	@bad=$$(grep -rn 'blas\.Threads()\|core\.Default()' \
 		internal/lapack --include='*.go' | grep -v '_test\.go'); \
@@ -47,14 +49,15 @@ lint-globals:
 # KNOB_ENV_MAX names, core.Config at most CONFIG_MAX fields, and non-test
 # la/*.go may declare at most LA_OPTIONS_MAX `func With…` options (none of
 # which selects an algorithm). A block size or crossover with one value in
-# use is a constant (lapack.Ilaenv, internal/blas/tuning.go) or a fixed
-# core.Config field, not a knob: the engine fields GEMM_FIELDS are the
-# library's decision, moved only by tests, so no non-test Go under la/, f77/,
-# cmd/ or examples/ may name one.
+# use is a constant (lapack.Ilaenv, internal/blas/tuning.go), not a knob: the
+# packed engine's blocking and crossovers move only in tests, through the
+# internal/faultinject hook, so no non-test Go outside internal/blas (which
+# reads its overrides) and internal/testutil (which sets them for tests) may
+# import internal/faultinject — that also keeps ForcePortable and ForceAVX2
+# out of the library.
 KNOB_ENV_MAX = 3
-CONFIG_MAX = 8
+CONFIG_MAX = 3
 LA_OPTIONS_MAX = 22
-GEMM_FIELDS = GemmMC|GemmKC|GemmNC|GemmSmallDim|GemmParallelMinVol
 lint-knobs:
 	@src=$$(grep -rhoE 'LA90_[A-Z0-9_]+' --include='*.go' --exclude='*_test.go' --exclude-dir=bench . | sort -u); \
 	tab=$$(grep -oE 'Env: "LA90_[A-Z0-9_]+"' internal/core/config.go | grep -oE 'LA90_[A-Z0-9_]+' | sort -u); \
@@ -71,9 +74,10 @@ lint-knobs:
 	if [ $$n -gt $(CONFIG_MAX) ]; then \
 		echo "lint-knobs: $$n core.Config fields, at most $(CONFIG_MAX) allowed"; exit 1; \
 	fi
-	@bad=$$(grep -rnwE '$(GEMM_FIELDS)' --include='*.go' --exclude='*_test.go' la f77 cmd examples); \
+	@bad=$$(grep -rln --include='*.go' --exclude='*_test.go' '"repro/internal/faultinject"' . \
+		| grep -vE '^\./internal/(blas|testutil)/'); \
 	if [ -n "$$bad" ]; then \
-		echo 'lint-knobs: engine blocking or crossovers named above internal/ (they are not settings):'; \
+		echo 'lint-knobs: internal/faultinject imported outside internal/blas and internal/testutil (its overrides are for tests):'; \
 		echo "$$bad"; exit 1; \
 	fi
 	@n=$$(grep -hE '^func With[A-Z]' --exclude='*_test.go' la/*.go | grep -c .); \
@@ -219,7 +223,7 @@ lint-asm:
 # them is a decision made here, like ASM_MAX; and no test file declares a flag
 # but -asmparent (asmident_test.go): the suite's other flags, -golden and
 # -avx2, are internal/testutil/diff's, so a sixth print flag cannot come back.
-TEST_MAX = 24479
+TEST_MAX = 24461
 lint-tests:
 	@n=$$( (find . -name '*_test.go' ! -path './bench/*'; find internal/testutil -type f ! -name '*_test.go') | xargs cat | wc -l); \
 	if [ $$n -gt $(TEST_MAX) ]; then \

@@ -17,6 +17,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/faultinject"
 	"repro/internal/lapack"
+	"repro/internal/testutil/diff"
 	"repro/la"
 )
 
@@ -552,8 +553,8 @@ func benchGemmShape[T core.Scalar](b *testing.B, cfg *core.Config, transA blas.T
 // float32 and the two complex types (the 1m rows of the kernel table; n = 384
 // is the order of the benchmark's complex solves). The small products run
 // pack-free ("small/packfree") and through the dispatch with that path off
-// (`small` knob 0: the naive kernel below the packed cutoff, the packed
-// engine above it). The ragged shapes
+// (the crossover moved to 0 through diff.Engine: the naive kernel below the
+// packed cutoff, the packed engine above it). The ragged shapes
 // — no dimension a multiple of any micro-tile, the k = NB panel update, a
 // 37-column block — are where the edge tiles are, and run once more with the
 // AVX2 row forced (the same row again on a machine without AVX-512), as does
@@ -567,10 +568,12 @@ func BenchmarkGemm(b *testing.B) {
 		b.Run("naive/N="+itoa(n), func(b *testing.B) { benchGemmEngine[float64](b, n, true) })
 		b.Run("packed/f32/N="+itoa(n), func(b *testing.B) { benchGemmEngine[float32](b, n, false) })
 	}
-	noSmall := core.Default().With(func(c *core.Config) { c.GemmSmallDim = 0 })
 	for _, n := range []int{16, 32, 48, 64} {
 		b.Run("small/packfree/N="+itoa(n), func(b *testing.B) { benchGemmShape[float64](b, core.Default(), blas.NoTrans, n, n, n, false) })
-		b.Run("small/off/N="+itoa(n), func(b *testing.B) { benchGemmShape[float64](b, noSmall, blas.NoTrans, n, n, n, false) })
+		b.Run("small/off/N="+itoa(n), func(b *testing.B) {
+			diff.Engine(b, func(e *faultinject.Engine) { e.SmallDim = 0 })
+			benchGemmShape[float64](b, core.Default(), blas.NoTrans, n, n, n, false)
+		})
 	}
 	for _, n := range []int{64, 256, 384, 512, 1024} {
 		b.Run("packed/c64/N="+itoa(n), func(b *testing.B) { benchGemmEngine[complex64](b, n, false) })

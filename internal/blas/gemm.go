@@ -125,7 +125,7 @@ const wholeMatrix Uplo = Lower + 1
 func packedEngine[T core.Scalar](cfg *core.Config, uplo Uplo, transA, transB Trans, m, n, k int, alpha T, a []T, lda int, b []T, ldb int, c []T, ldc int) {
 	kern := kernelFor[T]()
 	mr, nr := kern.mr, kern.nr
-	mc, kc, nc := blockFor(cfg, kern)
+	mc, kc, nc := blockFor(kern)
 	vol := m * n * k
 	if uplo != wholeMatrix {
 		vol /= 2

@@ -14,20 +14,10 @@ import "repro/internal/core"
 // goroutine, so batch drivers can run thousands of these per second per
 // worker with zero steady-state garbage.
 //
-// Dispatch is gated by gemmSmallOK: NoTrans/NoTrans products with every
-// dimension at or below Config.GemmSmallDim.
-// The float64 asm row of the kernel table rides an AVX2 strip kernel
-// (gemmSmallF64); every other row uses the portable strided 4×4 micro-tile
-// (gemmSmallPortable).
-
-// gemmSmallOK reports whether the pack-free small-matrix path handles this
-// product: path enabled, both operands untransposed, and every dimension
-// within the crossover.
-func gemmSmallOK(cfg *core.Config, transA, transB Trans, m, n, k int) bool {
-	d := cfg.GemmSmallDim
-	return d > 0 && transA == NoTrans && transB == NoTrans &&
-		m <= d && n <= d && k <= d
-}
+// Gemm takes the path for NoTrans/NoTrans products with every dimension within
+// SmallOK's crossover. The float64 asm row of the kernel table rides an AVX2
+// strip kernel (gemmSmallF64); every other row uses the portable strided 4×4
+// micro-tile (gemmSmallPortable).
 
 // The row's small leaf accumulates C += alpha·A·B (beta already applied by
 // the caller) over column-major operands A (m×k, stride lda) and B (k×n,

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/faultinject"
 	"repro/internal/testutil/diff"
 )
 
@@ -16,7 +17,8 @@ import (
 
 func testGemmSmallVsNaive[T core.Scalar](t *testing.T, tol float64) {
 	rng := rand.New(rand.NewSource(7))
-	cfg := tcfg().With(func(c *core.Config) { c.GemmSmallDim = 64 })
+	diff.Engine(t, func(e *faultinject.Engine) { e.SmallDim = 64 })
+	cfg := tcfg()
 	for trial := 0; trial < 200; trial++ {
 		m := 1 + rng.Intn(64)
 		n := 1 + rng.Intn(64)
@@ -31,8 +33,8 @@ func testGemmSmallVsNaive[T core.Scalar](t *testing.T, tol float64) {
 		alpha := core.FromFloat[T](float64(rng.Intn(5)) - 2)
 		beta := core.FromFloat[T](float64(rng.Intn(3)) - 1)
 
-		if !gemmSmallOK(cfg, NoTrans, NoTrans, m, n, k) {
-			t.Fatalf("gemmSmallOK false for m=%d n=%d k=%d", m, n, k)
+		if !SmallOK(max(m, n, k)) {
+			t.Fatalf("SmallOK false for m=%d n=%d k=%d", m, n, k)
 		}
 		Gemm(cfg, NoTrans, NoTrans, m, n, k, alpha, a, lda, b, ldb, beta, c, ldc)
 		GemmNaive(NoTrans, NoTrans, m, n, k, alpha, a, lda, b, ldb, beta, want, ldc)
@@ -80,13 +82,14 @@ func TestGemmSmallPortableVsAsm(t *testing.T) {
 	}
 }
 
-// TestGemmSmallDisabled checks that GemmSmallDim = 0 routes small products
-// back through the seed dispatch (the result must still be right, and
-// gemmSmallOK must not claim them).
+// TestGemmSmallDisabled checks that a small-path crossover of 0 routes small
+// products back through the seed dispatch (the result must still be right,
+// and SmallOK must not claim them).
 func TestGemmSmallDisabled(t *testing.T) {
-	cfg := tcfg().With(func(c *core.Config) { c.GemmSmallDim = 0 })
-	if gemmSmallOK(cfg, NoTrans, NoTrans, 8, 8, 8) {
-		t.Fatal("gemmSmallOK claims products with the path disabled")
+	diff.Engine(t, func(e *faultinject.Engine) { e.SmallDim = 0 })
+	cfg := tcfg()
+	if SmallOK(8) {
+		t.Fatal("SmallOK claims products with the path disabled")
 	}
 	rng := rand.New(rand.NewSource(3))
 	const n = 32
@@ -104,15 +107,23 @@ func TestGemmSmallDisabled(t *testing.T) {
 }
 
 // TestGemmSmallTransExcluded pins the gate: transposed operands never take
-// the pack-free path.
+// the pack-free path, whose kernels read both operands untransposed (a
+// transposed product routed there comes out as A·B), and SmallOK turns down
+// an order above the crossover.
 func TestGemmSmallTransExcluded(t *testing.T) {
-	for _, tr := range []Trans{TransT, ConjTrans} {
-		if gemmSmallOK(tcfg(), tr, NoTrans, 8, 8, 8) || gemmSmallOK(tcfg(), NoTrans, tr, 8, 8, 8) {
-			t.Fatalf("gemmSmallOK claims trans=%v products", tr)
+	rng := rand.New(rand.NewSource(5))
+	const n = 8
+	a, b := randSlice[float64](rng, n*n), randSlice[float64](rng, n*n)
+	for _, tr := range [][2]Trans{{TransT, NoTrans}, {NoTrans, ConjTrans}, {TransT, TransT}} {
+		c, want := make([]float64, n*n), make([]float64, n*n)
+		Gemm(tcfg(), tr[0], tr[1], n, n, n, 1, a, n, b, n, 0, c, n)
+		GemmNaive(tr[0], tr[1], n, n, n, 1, a, n, b, n, 0, want, n)
+		if d := diff.MaxDiff(c, want); d > 1e-12 {
+			t.Fatalf("trans=%v: |Gemm − GemmNaive| = %g", tr, d)
 		}
 	}
-	if gemmSmallOK(tcfg(), NoTrans, NoTrans, tcfg().GemmSmallDim+1, 4, 4) {
-		t.Fatal("gemmSmallOK claims m above the crossover")
+	if SmallOK(gemmSmallDim + 1) {
+		t.Fatal("SmallOK claims an order above the crossover")
 	}
 }
 
@@ -146,6 +157,7 @@ func TestGemmSmallZeroAlloc(t *testing.T) {
 func testGemmDots[T core.Scalar](t *testing.T) {
 	rng := rand.New(rand.NewSource(35))
 	kern := kernelFor[T]()
+	diff.Engine(t, func(e *faultinject.Engine) { e.ParallelMinVol = 1 })
 	alphas, betas := []float64{1, -0.5, 0}, []float64{0, 0.5, 1}
 	run := 0
 	for n := 1; n <= 33; n++ {
@@ -160,8 +172,7 @@ func testGemmDots[T core.Scalar](t *testing.T) {
 			GemmNaive(tr, NoTrans, m, n, k, alpha, a, lda, b, ldb, beta, want, ldc)
 			got := diff.AcrossThreads(t, name, func(th int) []T {
 				got := clone(c0)
-				cfg := tcfg().With(func(c *core.Config) { c.Threads, c.GemmParallelMinVol = th, 1 })
-				Gemm(cfg, tr, NoTrans, m, n, k, alpha, a, lda, b, ldb, beta, got, ldc)
+				Gemm(tcfg().WithThreads(th), tr, NoTrans, m, n, k, alpha, a, lda, b, ldb, beta, got, ldc)
 				return got
 			})
 			if n > 1 && alpha != 0 && m <= kern.dotRows && k >= kern.dotMinK {

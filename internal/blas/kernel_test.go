@@ -15,14 +15,14 @@ import (
 // picks on AVX2 hardware and the portable rows forced through faultinject —
 // must agree with the unpacked reference loops on every operand form.
 
-// smallBlocks is a configuration whose cache blocks are a few micro-tiles, so
+// smallBlocks moves the cache blocks to a few micro-tiles until t ends, so
 // modest shapes cross every blocking boundary: several kc slabs, mc tiles and
-// nc slabs, each with a ragged last one.
-func smallBlocks(threads int) *core.Config {
-	return core.Default().With(func(c *core.Config) {
-		c.Threads = threads
-		c.GemmMC, c.GemmKC, c.GemmNC = 24, 10, 12
-		c.GemmParallelMinVol = 1
+// nc slabs, each with a ragged last one; and the serial cutoff to 1, so every
+// shape forks at more than one worker.
+func smallBlocks(t testing.TB) {
+	diff.Engine(t, func(e *faultinject.Engine) {
+		e.MC, e.KC, e.NC = 24, 10, 12
+		e.ParallelMinVol = 1
 	})
 }
 
@@ -37,6 +37,7 @@ var complexAlphas = []complex128{1, -1, 1.5 - 0.5i}
 // ragged against the micro-tile of every row (4 to 24 complex rows, 4 or 8
 // columns) and the block sizes of smallBlocks, on one and on four workers.
 func testGemmPacked[T core.Scalar](t *testing.T) {
+	smallBlocks(t)
 	rng := rand.New(rand.NewSource(12))
 	shapes := [][3]int{{1, 1, 1}, {3, 2, 5}, {4, 4, 10}, {9, 5, 11}, {17, 13, 7}, {31, 9, 23}, {50, 27, 41}}
 	for _, sh := range shapes {
@@ -62,7 +63,7 @@ func testGemmPacked[T core.Scalar](t *testing.T) {
 					GemmNaive(ta, tb, m, n, k, alpha, a, lda, b, ldb, 1, want, ldc)
 					for _, threads := range []int{1, 4} {
 						got := append([]T(nil), c0...)
-						gemmEngine(smallBlocks(threads), ta, tb, m, n, k, alpha, a, lda, b, ldb, got, ldc)
+						gemmEngine(tcfg().WithThreads(threads), ta, tb, m, n, k, alpha, a, lda, b, ldb, got, ldc)
 						if d := diff.MaxDiff(got, want); d > 8*float64(k)*core.Eps[T]() {
 							t.Fatalf("%dx%dx%d %d%d alpha=%v threads=%d: |packed-naive| = %g",
 								m, n, k, ta, tb, al, threads, d)
@@ -85,8 +86,9 @@ func TestGemmPackedComplex(t *testing.T) {
 // Her2k against the direct loops on both triangles and both operand forms:
 // stored part within k·ε of the reference and the other triangle untouched.
 func testRankKPacked[T core.Scalar](t *testing.T) {
+	smallBlocks(t)
 	rng := rand.New(rand.NewSource(34))
-	cfg := smallBlocks(1)
+	cfg := tcfg().WithThreads(1)
 	for _, sh := range [][2]int{{5, 3}, {13, 21}, {30, 7}, {41, 25}} {
 		n, k := sh[0], sh[1]
 		for _, uplo := range []Uplo{Upper, Lower} {
@@ -343,6 +345,7 @@ func TestRealEnginesBitIdenticalToPreTable(t *testing.T) {
 // shape also runs at every count of diff.Threads, which must reproduce the
 // serial bits.
 func testGemmt[T core.Scalar](t *testing.T) {
+	smallBlocks(t)
 	rng := rand.New(rand.NewSource(21))
 	nan := core.NaN[T]()
 	for _, sh := range [][2]int{{1, 1}, {5, 3}, {13, 21}, {30, 23}, {50, 41}, {90, 70}} {
@@ -381,7 +384,7 @@ func testGemmt[T core.Scalar](t *testing.T) {
 							name := fmt.Sprintf("n=%d k=%d %v%v %v alpha=%v beta=%v", n, k, ta, tb, uplo, al, be)
 							run := func(th int) []T {
 								got := clone(in)
-								Gemmt(smallBlocks(th), uplo, ta, tb, n, k, alpha, a, lda, b, ldb, beta, got, ldc)
+								Gemmt(tcfg().WithThreads(th), uplo, ta, tb, n, k, alpha, a, lda, b, ldb, beta, got, ldc)
 								return got
 							}
 							var got []T

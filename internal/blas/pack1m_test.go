@@ -67,7 +67,7 @@ func sameReals[R core.Float](got, want []R) int {
 
 func testPack1m[C core.Cmplx, R core.Float](t *testing.T, kern *kernel[C], view func([]C) []R) {
 	mr, nr := kern.mr, kern.nr
-	_, kc, _ := blockFor(core.Default(), kern)
+	_, kc, _ := blockFor(kern)
 	rng := rand.New(rand.NewSource(1))
 
 	// The fused-product case must be able to tell an FMA from two roundings.

@@ -45,8 +45,8 @@ import (
 // the *core.Config captured at the API boundary, so concurrent callers can
 // run with different budgets side by side. The process-wide default comes
 // from runtime.GOMAXPROCS(0), may be pinned with LA90_NUM_THREADS at startup
-// and changed at any time with SetThreads. Level-3 calls below the fixed
-// Config.GemmParallelMinVol (Gemv: gemvParallelMinVol) run serially, so small
+// and changed at any time with SetThreads. Level-3 calls below the constant
+// gemmParallelMinVol (Gemv: gemvParallelMinVol) run serially, so small
 // problems do not pay goroutine hand-off. A budget above
 // GOMAXPROCS is harmless: the surplus workers find the counter exhausted.
 //

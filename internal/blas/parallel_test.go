@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/faultinject"
 	"repro/internal/testutil/diff"
 )
 
@@ -79,18 +80,15 @@ func TestGemmParallelRaceSharedRead(t *testing.T) {
 	wg.Wait()
 }
 
-// partitionCfg is a configuration with small cache blocks and a low threading
-// cutoff, so modest shapes span several tiles of every kind at any worker
-// count: shapes are given in units of the type's mc under it.
-func partitionCfg(threads int) *core.Config {
-	return core.Default().With(func(c *core.Config) {
-		c.Threads = threads
-		c.GemmMC, c.GemmKC, c.GemmNC = 64, 48, 512
-		c.GemmParallelMinVol = partitionMinVol
+// partitionBlocks moves the engine to small cache blocks and a low threading
+// cutoff until t ends, so modest shapes span several tiles of every kind at
+// any worker count: shapes are given in units of the type's mc under it.
+func partitionBlocks(t testing.TB) {
+	diff.Engine(t, func(e *faultinject.Engine) {
+		e.MC, e.KC, e.NC = 64, 48, 512
+		e.ParallelMinVol = 40 * 40 * 40
 	})
 }
-
-const partitionMinVol = 40 * 40 * 40
 
 // TestPartitionAgreement is the bit-identity claim of parallel.go for every
 // threaded Level-3 routine at once: whatever the worker count — and therefore
@@ -112,8 +110,9 @@ func TestPartitionAgreement(t *testing.T) {
 }
 
 func testPartitionAgreement[T core.Scalar](t *testing.T) {
+	partitionBlocks(t)
 	rng := rand.New(rand.NewSource(18))
-	mc, _, _ := blockFor(partitionCfg(1), kernelFor[T]())
+	mc, _, _ := blockFor(kernelFor[T]())
 	alpha := core.FromComplex[T](1.25 - 0.5i)
 	// Below Gemm's own nine pairs, ConjTrans on real data is TransT again.
 	trans := allTrans
@@ -125,7 +124,7 @@ func testPartitionAgreement[T core.Scalar](t *testing.T) {
 		t.Helper()
 		diff.AcrossThreads(t, name, func(w int) []T {
 			c := clone(c0)
-			op(partitionCfg(w), c)
+			op(tcfg().WithThreads(w), c)
 			return c
 		})
 	}
@@ -246,7 +245,8 @@ func TestTileGridPlan(t *testing.T) {
 func testTileGridPlan[T core.Scalar](t *testing.T) {
 	kern := kernelFor[T]()
 	mr, nr := kern.mr, kern.nr
-	mc, _, nc := blockFor(core.Default(), kern)
+	mc, _, nc := blockFor(kern)
+	diff.Engine(t, func(e *faultinject.Engine) { e.ParallelMinVol = 1 })
 	stored := func(uplo Uplo, i, j int) bool {
 		return uplo == wholeMatrix || (uplo == Lower && i >= j) || (uplo == Upper && i <= j)
 	}
@@ -279,7 +279,7 @@ func testTileGridPlan[T core.Scalar](t *testing.T) {
 				if tiles < 2*workers {
 					t.Errorf("%dx%d uplo=%d, %d workers: %d tiles of %dx%d, want at least two per worker", m, n, uplo, workers, tiles, h, w)
 				}
-				cfg := core.Default().With(func(c *core.Config) { c.Threads, c.GemmParallelMinVol = workers, 1 })
+				cfg := tcfg().WithThreads(workers)
 				c := make([]T, m*n)
 				packedEngine(cfg, uplo, NoTrans, NoTrans, m, n, 1, 1, ones, m, ones, 1, c, m)
 				for j := 0; j < n; j++ {

@@ -1,6 +1,9 @@
 package blas
 
-import "repro/internal/core"
+import (
+	"repro/internal/core"
+	"repro/internal/faultinject"
+)
 
 // Cache-blocking parameters for the packed Level-3 engine (gemm.go), following
 // the three-level BLIS/GotoBLAS decomposition: C is updated in nc-wide column
@@ -11,7 +14,7 @@ import "repro/internal/core"
 //
 // The block sizes are element counts for float64 and are scaled by element
 // size in blockFor, so the byte footprint of a packed panel is roughly
-// type-independent. At the defaults (mc = kc = 256, nc = 2048):
+// type-independent. At gemmMC = gemmKC = 256, gemmNC = 2048:
 //
 //   - kc·nr·8 = 16 KiB on the AVX-512 rows (nr = 8), 8 KiB on the others
 //     (nr = 4) — one B micro-panel stays resident in L1 (48 KiB on the
@@ -25,11 +28,18 @@ import "repro/internal/core"
 // above one slab (alternatives measured in EXPERIMENTS.md, "AVX-512 row").
 //
 // The block sizes, the pack-free crossover and the Level-3 serial cutoff are
-// fixed fields of core.Config that only tests move (no option or variable
-// sets them): kernels read the *Config threaded down from the API
-// boundary and never consult package state mid-kernel. The crossovers below
-// are constants.
+// the library's decision, not a caller's: no option, variable or Config field
+// sets them. They are read through engine, where a test may move them with
+// faultinject.ForceEngine (diff.Engine); every other crossover below is a
+// plain constant.
 const (
+	// The cache block sizes above, the pack-free small-matrix crossover
+	// (SmallOK) and the m·n·k volume below which Level-3 operations stay
+	// serial even when Threads > 1 (level3Workers).
+	gemmMC, gemmKC, gemmNC = 256, 256, 2048
+	gemmSmallDim           = 64
+	gemmParallelMinVol     = 192 * 192 * 192
+
 	// gemmPackedMinVol is the m·n·k volume below which Gemm stays on the
 	// naive column-walking kernel: packing two operands only pays for
 	// itself once each packed element is reused across enough micro-tiles.
@@ -104,11 +114,30 @@ const (
 // multiply volume (m·n·k for Gemm, half that for a stored triangle, and
 // for a triangular solve).
 func level3Workers(cfg *core.Config, vol int) int {
-	workers := cfg.Threads
-	if workers > 1 && vol < cfg.GemmParallelMinVol {
+	if cfg.Threads > 1 && vol < engine().ParallelMinVol {
 		return 1
 	}
-	return workers
+	return cfg.Threads
+}
+
+// engine is the one reader of gemmMC … gemmParallelMinVol: their values, with
+// a test's faultinject.ForceEngine hook applied when one is set.
+func engine() faultinject.Engine {
+	e := faultinject.Engine{MC: gemmMC, KC: gemmKC, NC: gemmNC, SmallDim: gemmSmallDim, ParallelMinVol: gemmParallelMinVol}
+	if mutate := faultinject.EngineHook(); mutate != nil {
+		moved := e // a copy of its own, so that e stays off the heap
+		mutate(&moved)
+		return moved
+	}
+	return e
+}
+
+// SmallOK reports whether a problem whose every dimension is at most n takes
+// the pack-free small-matrix path: the one crossover of Gemm's NoTrans small
+// products (gemmsmall.go) and of lapack's small LU and Cholesky.
+func SmallOK(n int) bool {
+	d := engine().SmallDim
+	return d > 0 && n <= d
 }
 
 // packedMinVol is the companion crossover: the multiply volume below which a
@@ -120,15 +149,16 @@ func packedMinVol[T core.Scalar]() int {
 	return kernelFor[T]().minVol
 }
 
-// blockFor returns the (mc, kc, nc) block sizes for element type T from the
-// call's configuration, scaling the float64-calibrated values so
+// blockFor returns the (mc, kc, nc) block sizes for element type T, scaling
+// the float64-calibrated values of engine so
 // packed-panel byte footprints stay roughly constant across the four scalar
 // types (float32 panels get 2× the elements, complex128 panels half) and
 // rounding mc/nc down to whole micro-panels of the row kern. kc does not
 // depend on the row: it is the length of the FMA chains, so the rows of one
 // type agree on it and with it on every bit.
-func blockFor[T core.Scalar](cfg *core.Config, kern *kernel[T]) (mc, kc, nc int) {
+func blockFor[T core.Scalar](kern *kernel[T]) (mc, kc, nc int) {
 	var z T
+	e := engine()
 	scale := func(v, unit int) int {
 		switch any(z).(type) {
 		case float32:
@@ -138,5 +168,5 @@ func blockFor[T core.Scalar](cfg *core.Config, kern *kernel[T]) (mc, kc, nc int)
 		}
 		return max(unit, v-v%unit)
 	}
-	return scale(cfg.GemmMC, kern.mr), max(4, scale(cfg.GemmKC, 1)), scale(cfg.GemmNC, kern.nr)
+	return scale(e.MC, kern.mr), max(4, scale(e.KC, 1)), scale(e.NC, kern.nr)
 }

@@ -8,9 +8,9 @@ import (
 )
 
 // Config is the per-call execution context of the whole numerical stack: one
-// immutable value carrying the worker budget, the packed engine's blocking
-// and crossovers, the input-screening policy and an optional context.Context
-// for cooperative cancellation.
+// immutable value carrying what a caller sets — the worker budget, the
+// input-screening policy and an optional context.Context for cooperative
+// cancellation. Block sizes and crossovers are blas constants (tuning.go).
 //
 // A Config is captured exactly once, at the la API boundary (from the
 // process-wide default refined by per-call options), and then passed
@@ -29,26 +29,6 @@ type Config struct {
 	// It is the one engine setting a caller reaches (la.WithThreads,
 	// LA90_NUM_THREADS, blas.SetThreads).
 	Threads int
-
-	// GemmMC, GemmKC, GemmNC are the packed-engine cache block sizes
-	// (element counts calibrated for float64; other types are re-scaled so
-	// packed-panel byte footprints stay constant — see blas.blockFor). They
-	// change the summation blocking, so another value changes results at the
-	// rounding level. Like the two crossovers below they are the library's
-	// decision, not a caller's: no option or environment variable sets them,
-	// and only tests move them, to cross every block boundary at small
-	// shapes or to take the other side of a crossover.
-	GemmMC, GemmKC, GemmNC int
-
-	// GemmSmallDim is the pack-free small-matrix crossover: a NoTrans
-	// product, and an LU or Cholesky factorization, with every dimension at
-	// or below it runs BLASFEO-style register kernels directly on the
-	// strided operands. 0 disables the path.
-	GemmSmallDim int
-
-	// GemmParallelMinVol is the m·n·k multiply volume below which Level-3
-	// operations stay serial even when Threads > 1.
-	GemmParallelMinVol int
 
 	// CheckInputs screens matrix arguments for non-finite values at the la
 	// boundary before any computation.
@@ -87,19 +67,9 @@ var Knobs = []Knob{
 		Doc: "run the portable Go kernels instead of the AVX-512/AVX2 assembly; read by blas at startup only"},
 }
 
-// baseConfig returns the hard-coded defaults, before environment overrides:
-// the block sizes and crossovers the engine was calibrated with (EXPERIMENTS.md)
-// and a thread budget of GOMAXPROCS.
-func baseConfig() Config {
-	return Config{
-		Threads:            runtime.GOMAXPROCS(0),
-		GemmMC:             256,
-		GemmKC:             256,
-		GemmNC:             2048,
-		GemmSmallDim:       64,
-		GemmParallelMinVol: 192 * 192 * 192,
-	}
-}
+// baseConfig returns the default before environment overrides: a thread
+// budget of GOMAXPROCS, no screening, no context.
+func baseConfig() Config { return Config{Threads: runtime.GOMAXPROCS(0)} }
 
 // FromEnv applies the environment rows of Knobs that land in a Config to
 // base and returns the result. Together with EnvFlag — which blas calls at

@@ -143,20 +143,20 @@ func TestUpdateDefaultIsolatedFromSnapshots(t *testing.T) {
 	defer ResetDefault(saved)
 
 	snap := Default()
-	before := snap.GemmMC
-	UpdateDefault(func(c *Config) { c.GemmMC = 128 })
-	if snap.GemmMC != before {
-		t.Fatalf("captured snapshot mutated by UpdateDefault: %d", snap.GemmMC)
+	before := snap.CheckInputs
+	UpdateDefault(func(c *Config) { c.CheckInputs = !before })
+	if snap.CheckInputs != before {
+		t.Fatalf("captured snapshot mutated by UpdateDefault: %v", snap.CheckInputs)
 	}
-	if Default().GemmMC != 128 {
-		t.Fatalf("default not updated: %d", Default().GemmMC)
+	if Default().CheckInputs == before {
+		t.Fatalf("default not updated: %v", Default().CheckInputs)
 	}
 }
 
 func TestWithClampsAndPreservesReceiver(t *testing.T) {
 	base := Default()
-	derived := base.With(func(c *Config) { c.Threads = -5; c.GemmKC = 1 << 30 })
-	if derived.Threads != 1 || derived.GemmKC != 1<<30 {
+	derived := base.With(func(c *Config) { c.Threads = -5; c.CheckInputs = !base.CheckInputs })
+	if derived.Threads != 1 || derived.CheckInputs == base.CheckInputs {
 		t.Fatalf("derived clamps the budget only: %+v", derived)
 	}
 	if base.Threads == 1 && base == derived {
@@ -174,7 +174,7 @@ func TestWithThreadsMemo(t *testing.T) {
 
 	base := Default()
 	d := base.WithThreads(3)
-	if d.Threads != 3 || d.GemmKC != base.GemmKC || d == base {
+	if d.Threads != 3 || d.CheckInputs != base.CheckInputs || d == base {
 		t.Fatalf("derived %+v from %+v", d, base)
 	}
 	if base.WithThreads(3) != d {
@@ -187,11 +187,11 @@ func TestWithThreadsMemo(t *testing.T) {
 		t.Fatalf("repeated derivation allocates %v times", n)
 	}
 
-	UpdateDefault(func(c *Config) { c.GemmKC = 128 })
-	if got := Default().WithThreads(2); got.GemmKC != 128 || got.Threads != 2 {
+	UpdateDefault(func(c *Config) { c.CheckInputs = !base.CheckInputs })
+	if got := Default().WithThreads(2); got.CheckInputs == base.CheckInputs || got.Threads != 2 {
 		t.Fatalf("derivation of the new default is %+v", got)
 	}
-	if got := base.WithThreads(2); got.GemmKC != base.GemmKC {
+	if got := base.WithThreads(2); got.CheckInputs != base.CheckInputs {
 		t.Fatalf("derivation of the old snapshot is %+v", got)
 	}
 	own := new(Config)

@@ -5,7 +5,7 @@
 // internal/blas/parallel.go and the panic-to-*la.Error recovery at the la
 // boundary — actually contains them.
 //
-// Three fault classes are supported:
+// Three fault classes are supported, and one override:
 //
 //   - injected worker panics: the next n parallel worker goroutines panic on
 //     entry, exercising the Fork/parallelRange capture path;
@@ -16,13 +16,16 @@
 //     suspected asm fault can be separated from the blocking logic at runtime
 //     (the env-var LA90_NO_ASM does the same at process start), or only the
 //     AVX-512 row of the kernel table is, so a machine that has it can test
-//     the AVX2 row it would otherwise never select.
+//     the AVX2 row it would otherwise never select;
+//   - ForceEngine, the one way a test moves the packed engine's constant
+//     blocking and crossovers (internal/blas/tuning.go).
 //
 // All state is manipulated with atomics so faults can be armed from a test
 // while worker goroutines consume them. The injection points are single
 // atomic loads of zero-valued counters when nothing is armed, so the
 // production cost is negligible (they sit at per-tile, not per-element,
-// granularity). This package must never be imported for non-test purposes.
+// granularity). Outside tests only internal/blas and internal/testutil may
+// import this package (make lint-knobs).
 package faultinject
 
 import "sync/atomic"
@@ -36,7 +39,16 @@ var (
 	packPoisons  atomic.Int64 // pending packed-panel NaN poisonings
 	portableOnly atomic.Bool  // bypass assembly micro-kernels
 	avx2Only     atomic.Bool  // bypass the AVX-512 row of the kernel table
+	engineHook   atomic.Pointer[func(*Engine)]
 )
+
+// Engine is the packed engine's blocking and crossovers as blas reads them:
+// the constants of internal/blas/tuning.go with the ForceEngine hook applied.
+type Engine struct {
+	MC, KC, NC     int // cache block sizes, in float64 elements
+	SmallDim       int // pack-free small-matrix crossover; 0 turns the path off
+	ParallelMinVol int // Level-3 serial cutoff, an m·n·k volume
+}
 
 // ArmWorkerPanics makes the next n parallel worker goroutines panic with
 // PanicMessage on entry.
@@ -55,6 +67,17 @@ func ForcePortable(on bool) { portableOnly.Store(on) }
 // two correct kernels rather than arming a fault, and `make test-avx2` sets it
 // for a whole test binary, so Reset leaves it alone.
 func ForceAVX2(on bool) bool { return avx2Only.Swap(on) }
+
+// ForceEngine makes blas apply mutate (nil: nothing) to its engine values on
+// every read and returns the previous hook. blas reads them more than once per
+// call: change the hook only between calls (diff.Engine sets it for a test).
+func ForceEngine(mutate func(*Engine)) (prev func(*Engine)) { return *engineHook.Swap(&mutate) }
+
+// EngineHook returns the hook ForceEngine set, or nil (engineHook itself is
+// never nil: init stores a nil func).
+func EngineHook() func(*Engine) { return *engineHook.Load() }
+
+func init() { engineHook.Store(new(func(*Engine))) }
 
 // Reset disarms every fault.
 func Reset() {

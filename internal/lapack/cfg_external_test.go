@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/faultinject"
 	"repro/internal/testutil/diff"
 )
 
@@ -13,11 +14,11 @@ func TestMain(m *testing.M) { diff.Main(m) }
 // the cfg-threaded routines directly.
 func tcfg() *core.Config { return core.Default() }
 
-// withDefault installs mutate(current default) as the process default for
-// the rest of the test and restores the previous default afterwards.
-func withDefault(t *testing.T, mutate func(*core.Config)) {
-	t.Helper()
-	saved := *core.Default()
-	t.Cleanup(func() { core.ResetDefault(saved) })
-	core.UpdateDefault(mutate)
+// withoutSmall runs f with the pack-free small-matrix path off: the other
+// route of the tests that cross-check getrfSmall, getrsSmall, potrfSmall and
+// potrsSmall.
+func withoutSmall(t testing.TB, f func()) {
+	diff.Engine(t, func(e *faultinject.Engine) { e.SmallDim = 0 })
+	f()
+	diff.Engine(t, nil)
 }

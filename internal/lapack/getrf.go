@@ -104,7 +104,7 @@ func Getrf[T core.Scalar](cfg *core.Config, m, n int, a []T, lda int, ipiv []int
 	if mn == 0 {
 		return 0
 	}
-	if smallLUOK(cfg, m, n) {
+	if blas.SmallOK(max(m, n)) {
 		// The whole problem sits under the pack-free crossover: one leaf per
 		// block step beats both the recursion and the blocked loop there
 		// (see smalllu.go).
@@ -200,7 +200,7 @@ func Getrs[T core.Scalar](cfg *core.Config, trans Trans, n, nrhs int, a []T, lda
 	if n == 0 || nrhs == 0 {
 		return
 	}
-	if trans == NoTrans && nrhs < 8 && smallLUOK(cfg, n, n) {
+	if trans == NoTrans && nrhs < 8 && blas.SmallOK(n) {
 		// Narrow right-hand sides under the small crossover: direct
 		// substitution, skipping the Trsm recursion entirely.
 		getrsSmall(n, nrhs, a, lda, ipiv, b, ldb)

@@ -84,7 +84,7 @@ func lacgv[T core.Scalar](n int, x []T, incX int) {
 func Potrf[T core.Scalar](cfg *core.Config, uplo Uplo, n int, a []T, lda int) int {
 	nb := Ilaenv(1, "POTRF", n, -1, -1, -1)
 	if n <= nb {
-		if smallCholOK(cfg, n) {
+		if blas.SmallOK(n) {
 			return potrfSmall(uplo, n, a, lda)
 		}
 		return Potf2(cfg, uplo, n, a, lda)
@@ -119,7 +119,7 @@ func Potrs[T core.Scalar](cfg *core.Config, uplo Uplo, n, nrhs int, a []T, lda i
 	if n == 0 || nrhs == 0 {
 		return
 	}
-	if nrhs < blas.CholNB && smallCholOK(cfg, n) {
+	if nrhs < blas.CholNB && blas.SmallOK(n) {
 		potrsSmall(uplo, n, nrhs, a, lda, b, ldb)
 		return
 	}

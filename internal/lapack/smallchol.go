@@ -6,22 +6,15 @@ import (
 )
 
 // Small-matrix Cholesky, beside smalllu.go the other factorization of the
-// pack-free regime: under the Config.GemmSmallDim crossover a Level-2 Potf2
-// spends its time entering one leaf per column per step, and the Trsm
-// recursion under Potrs does the same per column of the triangle. potrfSmall
+// pack-free regime: under blas.SmallOK's crossover a Level-2 Potf2 spends its
+// time entering one leaf per column per step, and the Trsm recursion under
+// Potrs does the same per column of the triangle. potrfSmall
 // is a right-looking factorization in blocks of blas.CholNB whose every step
 // is one leaf of the kernel table (blas.Small.CholStep: diagonal block,
 // panel, trailing triangle), potrsSmall substitutes in blocks of the same
-// width. Both are gated by the GemmSmallDim crossover and by problem shape
-// only, so what a batch driver computes stays bit-identical to the looped
-// driver at any thread count.
-
-// smallCholOK reports whether the order-n factorization, or the solve from
-// it, takes the small-matrix path.
-func smallCholOK(cfg *core.Config, n int) bool {
-	d := core.Cfg(cfg).GemmSmallDim
-	return d > 0 && n <= d
-}
+// width. Both are gated by blas.SmallOK and by problem shape only, so what a
+// batch driver computes stays bit-identical to the looped driver at any
+// thread count.
 
 // potrfSmall computes the Cholesky factorization of the uplo triangle of a,
 // with Potf2's INFO and pivot semantics. The ragged block of n mod CholNB

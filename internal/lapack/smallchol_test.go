@@ -90,7 +90,6 @@ func testPotrsRoutes[T core.Scalar](t *testing.T, uplo lapack.Uplo, n, nrhs int)
 	lda, ldb := n+3, n+1
 	a := testutil.RandSPD[T](rng, n, lda)
 	b := testutil.RandGeneral[T](rng, n, nrhs, ldb)
-	noSmall := tcfg().With(func(c *core.Config) { c.GemmSmallDim = 0 })
 	var out [3][]T
 	diff.OnRows(t, func(r diff.Row) {
 		af := append([]T(nil), a...)
@@ -99,7 +98,7 @@ func testPotrsRoutes[T core.Scalar](t *testing.T, uplo lapack.Uplo, n, nrhs int)
 		}
 		x, xt := append([]T(nil), b...), append([]T(nil), b...)
 		lapack.Potrs(tcfg(), uplo, n, nrhs, af, lda, x, ldb)
-		lapack.Potrs(noSmall, uplo, n, nrhs, af, lda, xt, ldb)
+		withoutSmall(t, func() { lapack.Potrs(tcfg(), uplo, n, nrhs, af, lda, xt, ldb) })
 		full := symFull(uplo, n, a, lda)
 		if res := testutil.SolveResidual(n, nrhs, full, n, x, ldb, b, ldb); res > thresh {
 			t.Fatalf("%s: residual ratio %v > %v", r, res, thresh)
@@ -278,11 +277,6 @@ var placementDrivers = []placementDriver{{
 		return true
 	},
 	run: func(t *testing.T, oracle bool, uplo lapack.Uplo, n int, p placement) outcome {
-		cfg := tcfg()
-		if oracle {
-			// Potf2 and the Trsm pair.
-			cfg = cfg.With(func(c *core.Config) { c.GemmSmallDim = 0 })
-		}
 		lda := n + 2
 		a, l := exactSPD(lapack.NewRng([4]int{n, 3, 3, 1}), uplo, n, lda)
 		b := make([]float64, n)
@@ -306,7 +300,13 @@ var placementDrivers = []placementDriver{{
 			*at(p.i, p.j) = p.v
 		}
 		canary := append([]float64(nil), a...)
-		info := lapack.Posv(cfg, uplo, n, 1, a, lda, b, n)
+		var info int
+		posv := func() { info = lapack.Posv(tcfg(), uplo, n, 1, a, lda, b, n) }
+		if oracle {
+			withoutSmall(t, posv) // Potf2 and the Trsm pair
+		} else {
+			posv()
+		}
 		for j := 0; j < n; j++ {
 			for i := 0; i < lda; i++ {
 				if stored := i < n && (uplo == lapack.Upper && i <= j || uplo == lapack.Lower && i >= j); !stored {
@@ -414,9 +414,8 @@ var placementDrivers = []placementDriver{{
 		var info int
 		if oracle {
 			// Getf2, the interchanges and the Trsm pair.
-			noSmall := tcfg().With(func(c *core.Config) { c.GemmSmallDim = 0 })
 			if info = lapack.Getf2(n, n, a, lda, ipiv); info == 0 {
-				lapack.Getrs(noSmall, lapack.NoTrans, n, 1, a, lda, ipiv, b, ldb)
+				withoutSmall(t, func() { lapack.Getrs(tcfg(), lapack.NoTrans, n, 1, a, lda, ipiv, b, ldb) })
 			}
 		} else {
 			info = lapack.Gesv(tcfg(), n, 1, a, lda, ipiv, b, ldb)

@@ -6,22 +6,15 @@ import (
 )
 
 // Small-matrix LU, beside smallchol.go the other factorization of the
-// pack-free regime: under the Config.GemmSmallDim crossover the general
-// machinery (Ilaenv lookup, recursion, lookahead plumbing, a Laswp, a Trsm
-// and a Gemm per panel) costs more than the factorization itself. getrfSmall
+// pack-free regime: under blas.SmallOK's crossover the general machinery
+// (Ilaenv lookup, recursion, lookahead plumbing, a Laswp, a Trsm and a Gemm
+// per panel) costs more than the factorization itself. getrfSmall
 // is a right-looking factorization in blocks of blas.CholNB whose every step
 // is one leaf of the kernel table (blas.Small.LUStep: panel with its pivot
 // search, interchanges on either side, U block row, trailing update),
-// getrsSmall substitutes in blocks of the same width. Both are gated by the
-// GemmSmallDim crossover and by problem shape only, so what a batch driver
-// computes stays bit-identical to the looped driver at any thread count.
-
-// smallLUOK reports whether the m×n factorization, or the solve from it,
-// takes the small-matrix path.
-func smallLUOK(cfg *core.Config, m, n int) bool {
-	d := core.Cfg(cfg).GemmSmallDim
-	return d > 0 && m <= d && n <= d
-}
+// getrsSmall substitutes in blocks of the same width. Both are gated by
+// blas.SmallOK and by problem shape only, so what a batch driver computes
+// stays bit-identical to the looped driver at any thread count.
 
 // getrfSmall computes the LU factorization with partial pivoting of the m×n
 // matrix a, with Getf2's ipiv and INFO. The ragged block of min(m, n) mod

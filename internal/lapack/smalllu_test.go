@@ -13,7 +13,7 @@ import (
 
 // testGetrfRoutes factors one m×n matrix by the three routes there are under
 // and around the small-matrix crossover — Getrf's own (getrfSmall up to
-// GemmSmallDim = 64, the blocked loop above), the recursive Getrf2 and the
+// blas.SmallOK's 64, the blocked loop above), the recursive Getrf2 and the
 // unblocked Getf2 — on every row of the kernel table: the pivots and INFO are
 // the same everywhere, the factors within n·ε of Getf2's, and the two asm
 // rows, which share every leaf under the small path, agree bit for bit.
@@ -90,7 +90,6 @@ func testGetrsRoutes[T core.Scalar](t *testing.T, n, nrhs int) {
 	lda, ldb := n+3, n+1
 	a := testutil.RandGeneral[T](rng, n, n, lda)
 	b := testutil.RandGeneral[T](rng, n, nrhs, ldb)
-	noSmall := tcfg().With(func(c *core.Config) { c.GemmSmallDim = 0 })
 	var out [3][]T
 	diff.OnRows(t, func(r diff.Row) {
 		af, ipiv := append([]T(nil), a...), make([]int, n)
@@ -99,7 +98,7 @@ func testGetrsRoutes[T core.Scalar](t *testing.T, n, nrhs int) {
 		}
 		x, xt := append([]T(nil), b...), append([]T(nil), b...)
 		lapack.Getrs(tcfg(), lapack.NoTrans, n, nrhs, af, lda, ipiv, x, ldb)
-		lapack.Getrs(noSmall, lapack.NoTrans, n, nrhs, af, lda, ipiv, xt, ldb)
+		withoutSmall(t, func() { lapack.Getrs(tcfg(), lapack.NoTrans, n, nrhs, af, lda, ipiv, xt, ldb) })
 		if res := testutil.SolveResidual(n, nrhs, a, lda, x, ldb, b, ldb); res > thresh {
 			t.Fatalf("%s: residual ratio %v > %v", r, res, thresh)
 		}
@@ -157,11 +156,10 @@ func testGetrsTinyDiagonal[T core.Scalar](t *testing.T, n, nrhs int) {
 			b[i+r*ldb] = d * core.FromFloat[T](float64(1+(i+2*r)%5))
 		}
 	}
-	noSmall := tcfg().With(func(c *core.Config) { c.GemmSmallDim = 0 })
 	diff.OnRows(t, func(r diff.Row) {
 		x, xt := append([]T(nil), b...), append([]T(nil), b...)
 		lapack.Getrs(tcfg(), lapack.NoTrans, n, nrhs, af, lda, ipiv, x, ldb)
-		lapack.Getrs(noSmall, lapack.NoTrans, n, nrhs, af, lda, ipiv, xt, ldb)
+		withoutSmall(t, func() { lapack.Getrs(tcfg(), lapack.NoTrans, n, nrhs, af, lda, ipiv, xt, ldb) })
 		if big := lapack.Lange(lapack.MaxAbs, n, nrhs, xt, ldb); !(big >= 1 && big <= 8) {
 			t.Fatalf("%s: the Trsm pair returns max |x| = %v", r, big)
 		}

@@ -81,6 +81,16 @@ func Force(t testing.TB, r Row) {
 	faultinject.ForcePortable(r == Portable)
 }
 
+// Engine moves the packed engine's blocking and crossovers until t ends
+// (t.Cleanup restores the hook before it) or the next Engine: blas applies
+// mutate to its internal/blas/tuning.go values on every read, and nil puts
+// them back. The hook is process-wide and read more than once per call, so a
+// test that sets it must not call t.Parallel, and sets it between calls only.
+func Engine(t testing.TB, mutate func(*faultinject.Engine)) {
+	prev := faultinject.ForceEngine(mutate)
+	t.Cleanup(func() { faultinject.ForceEngine(prev) })
+}
+
 // Run runs f as the subtest named after row r with r forced, if r is in
 // RowSet.
 func Run(t *testing.T, r Row, f func(t *testing.T)) {

@@ -16,6 +16,7 @@ import (
 
 	"repro/internal/blas"
 	"repro/internal/core"
+	"repro/internal/faultinject"
 	"repro/internal/testutil/diff"
 	"repro/la"
 )
@@ -180,7 +181,7 @@ func gesvdSig(t *testing.T, opts ...la.Opt) []float64 {
 func lsSig(t *testing.T, opts ...la.Opt) []float64 {
 	t.Helper()
 	const m, n, nrhs = 700, 96, 3
-	defer lowerParallelCutoff()()
+	lowerParallelCutoff(t)
 	a, b := randMat[float64](37, m, n), randMat[float64](38, m, nrhs)
 	if err := la.GELS(a, b, opts...); err != nil {
 		t.Fatalf("GELS: %v", err)
@@ -246,7 +247,7 @@ func TestThreadsBitIdentical(t *testing.T) {
 		{"solves/complex64", complexSolveSig[complex64]},
 		{"solves/float64/n=640", func(t *testing.T, opts ...la.Opt) []float64 {
 			// The size at which the drivers fork at the default
-			// GemmParallelMinVol: the cases above either stay under it
+			// serial cutoff: the cases above either stay under it
 			// (130³ < 192³) or lower it.
 			return solveSig[float64](t, 640, 16, opts...)
 		}},
@@ -275,20 +276,16 @@ func TestThreadsBitIdentical(t *testing.T) {
 // real micro-kernels through the 1m packing, whose tiles are as disjoint per
 // worker as the real ones.
 func complexSolveSig[T la.Scalar](t *testing.T, opts ...la.Opt) []float64 {
-	defer lowerParallelCutoff()()
+	lowerParallelCutoff(t)
 	return solveSig[T](t, 150, 5, opts...)
 }
 
-// lowerParallelCutoff lowers the process default's Level-3 serial cutoff to
-// 16³ and returns the function that restores the default. The default store
-// is the cutoff's one seam — no option or variable reaches it — and a call
-// captures the default at its boundary, so the drivers run in between fork
-// at every budget above one. The cutoff decides only how many workers run,
-// never a bit of the result, so a concurrent test sees no difference.
-func lowerParallelCutoff() (restore func()) {
-	saved := *core.Default()
-	core.UpdateDefault(func(c *core.Config) { c.GemmParallelMinVol = 1 << 12 })
-	return func() { core.ResetDefault(saved) }
+// lowerParallelCutoff lowers the Level-3 serial cutoff to 16³ until t ends,
+// through the engine hook (diff.Engine), the cutoff's one seam, so the
+// drivers run in between fork at every budget above one. The cutoff decides
+// only how many workers run, never a bit of the result.
+func lowerParallelCutoff(t *testing.T) {
+	diff.Engine(t, func(e *faultinject.Engine) { e.ParallelMinVol = 1 << 12 })
 }
 
 // solveSig runs GESV, POSV (both triangles) and SYSV at order n with nrhs
@@ -351,10 +348,10 @@ func solveSig[T la.Scalar](t *testing.T, n, nrhs int, opts ...la.Opt) []float64 
 
 // TestConcurrentPerCallConfigs runs five drivers simultaneously, each with
 // its own thread budget, while a sixth goroutine hammers the process-wide
-// default store: blas.SetThreads, and core.UpdateDefault on the Level-3
-// serial cutoff, swinging it between 16³ (every product forks) and 2²⁴.
-// The churn rewrites only defaults that decide how many workers run, never a
-// bit of the result, so every concurrent result must match the job's own
+// default store through blas.SetThreads. The churn rewrites only the default
+// budget, which decides how many workers run, never a bit of the result
+// (the engine hook, which moves blocking read more than once per call, is
+// never set here), so every concurrent result must match the job's own
 // baseline bit for bit: per-call configs are captured once at the API
 // boundary, and whichever snapshot a call captured, the drivers' outputs do
 // not depend on it. Run under -race this is also the data-race gate for the
@@ -394,9 +391,6 @@ func TestConcurrentPerCallConfigs(t *testing.T) {
 			default:
 			}
 			blas.SetThreads(1 + k%8)
-			core.UpdateDefault(func(c *core.Config) {
-				c.GemmParallelMinVol = 1 << (12 + 2*(k%7)) // 16³ … 2²⁴, either side of 192³
-			})
 		}
 	}()
 	var wg sync.WaitGroup
