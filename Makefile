@@ -223,7 +223,7 @@ lint-asm:
 # them is a decision made here, like ASM_MAX; and no test file declares a flag
 # but -asmparent (asmident_test.go): the suite's other flags, -golden and
 # -avx2, are internal/testutil/diff's, so a sixth print flag cannot come back.
-TEST_MAX = 24461
+TEST_MAX = 24387
 lint-tests:
 	@n=$$( (find . -name '*_test.go' ! -path './bench/*'; find internal/testutil -type f ! -name '*_test.go') | xargs cat | wc -l); \
 	if [ $$n -gt $(TEST_MAX) ]; then \
@@ -243,18 +243,16 @@ build:
 test:
 	$(GO) test ./...
 
-# The BLAS suite again with the assembly kernels off: on AVX2 hardware plain
-# `go test` only ever selects the asm rows of the kernel table
-# (internal/blas/kernel.go), so this is what exercises the portable row of
-# every type — including the complex fallback from 1m to the generic 4×4 —
-# on every gate rather than only on machines without AVX2. The eigenvalue
-# iterations run again too: their rotation and reflector kernels
-# (internal/blas/iterate.go) have a portable route of their own, and so do
-# the small-matrix Cholesky and LU (smallchol.go, smalllu.go: the Go steps
-# under potrfSmall and getrfSmall).
+# The BLAS, LAPACK and la suites again with the assembly kernels off: on AVX2
+# hardware plain `go test` selects the asm rows of the kernel table
+# (internal/blas/kernel.go) and visits the portable row only where a test
+# forces it, so this is what runs everything — every golden, engine,
+# factorization and driver — on the portable row, the AVX2 row with each
+# assembly kernel replaced by its Go twin (internal/blas/twins.go). The
+# goldens hold one hash per key, so the portable row must give the asm rows'
+# bits.
 test-portable:
-	LA90_NO_ASM=1 $(GO) test -count=1 ./internal/blas/
-	LA90_NO_ASM=1 $(GO) test -count=1 ./internal/lapack/ -run 'Steqr|Syev|Stedc|Bdsdc|Hseqr|Geev|Trevc|Orgtr|Ormtr|Potrf|Potrs|Posv|Placement|Cholesky|Getrf|Getrs|Gesv|SmallLU'
+	LA90_NO_ASM=1 $(GO) test -count=1 ./internal/blas/ ./internal/lapack/ ./la/
 
 # The same two suites with the AVX-512 row of the kernel table bypassed (the
 # -avx2 test flag sets faultinject.ForceAVX2 for the whole binary): on a
@@ -262,9 +260,10 @@ test-portable:
 # subtests that force it, so this is what runs everything else — every
 # engine, leaf and golden of internal/blas and the factorizations above them
 # — on the row an AVX2-only machine gets. Without AVX-512 it repeats `test`.
-# The last line builds for GOAMD64=v3, where the compiler may fuse x·y − z·w:
-# the Go 1m packers (the AVX2 rows') must still equal the AVX-512 rows' asm
-# packers and TestRowsAgree must still hold.
+# The last line builds for GOAMD64=v3, where math.FMA is one instruction and
+# no feature test: the Go 1m packers (the AVX2 rows') must still equal the
+# AVX-512 rows' asm packers, and TestRowsAgree must still hold every row, the
+# portable one and its Go twins included, to the selected one.
 test-avx2:
 	$(GO) test -count=1 ./internal/blas/ -args -avx2
 	$(GO) test -count=1 ./internal/lapack/ -run 'Getrf|Getrs|Gesv|SmallLU|Potrf|Potrs|Posv|Placement|Cholesky|Sytrf|Hetrf|Sysv|Hesv|BunchKaufman|Geqrf|Gels|Ormqr|Orgqr' -args -avx2
@@ -279,11 +278,14 @@ test-avx2:
 # scheduler (blas/parallel.go) must neither deadlock nor change a bit with
 # fewer Ps than workers (-cpu 1 against Threads up to 7) or with more. The
 # blas package took 225-255 s of that in two 7-9-minute `make ci` runs on a
-# 2-vCPU VM, and up to 690 s on a slower run of the same VM, so it gets twice
-# go test's 10-minute default.
+# 2-vCPU VM, and up to 690 s on a slower run of the same VM. Since its
+# portable-row checks run the Go twins of the kernels, whose arithmetic the
+# detector instruments, it takes 819 s beside la's 215 s on that VM, so it
+# gets four times go test's 10-minute default: room for a run 2.9 times
+# slower, as that 690 s one was. (lapack took 156 s of its 10 minutes.)
 race:
 	$(GO) test -race ./internal/core/ ./internal/lapack/
-	$(GO) test -race -timeout 20m -cpu 1,2,4 ./internal/blas/ ./la/
+	$(GO) test -race -timeout 40m -cpu 1,2,4 ./internal/blas/ ./la/
 
 # Bounded fuzz gate: a short randomized burst per target on every CI run.
 # Failures minimize into la/testdata/fuzz/ and then replay forever under

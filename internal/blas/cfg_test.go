@@ -13,6 +13,6 @@ import (
 func tcfg() *core.Config { return core.Default() }
 
 func TestMain(m *testing.M) {
-	diff.AVX512 = useAVX512
+	diff.Asm, diff.AVX512 = useAsmF64, useAVX512
 	diff.Main(m)
 }

@@ -8,7 +8,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/faultinject"
-	"repro/internal/testutil/diff"
 )
 
 // TestForkCapturesWorkerPanic proves that a panic on a spawned Fork goroutine
@@ -190,7 +189,7 @@ func TestPackPoisonPropagates(t *testing.T) {
 	defer faultinject.Reset()
 	defer SetThreads(SetThreads(1))
 
-	const n = 96 // above gemmPackedMinVol for f64: the packed engine engages
+	const n = 96 // above gemmPackedMinVolAsm for f64: the packed engine engages
 	a := make([]float64, n*n)
 	b := make([]float64, n*n)
 	c := make([]float64, n*n)
@@ -212,31 +211,5 @@ func TestPackPoisonPropagates(t *testing.T) {
 	}
 	if core.AllFinite(c) {
 		t.Fatal("AllFinite failed to flag the poisoned result")
-	}
-}
-
-// TestForcePortableMatchesAsm checks the portable-kernel override produces
-// the same result as the default dispatch (up to exact equality — both paths
-// use the identical blocking so f64 accumulation order matches only within a
-// tile; compare against a tolerance).
-func TestForcePortableMatchesAsm(t *testing.T) {
-	defer SetThreads(SetThreads(1))
-
-	const n = 64
-	a := make([]float64, n*n)
-	b := make([]float64, n*n)
-	c1 := make([]float64, n*n)
-	c2 := make([]float64, n*n)
-	for i := range a {
-		a[i] = float64(i%13) - 6
-		b[i] = float64(i%11) - 5
-	}
-	Gemm(tcfg(), NoTrans, NoTrans, n, n, n, 1.0, a, n, b, n, 0.0, c1, n)
-	diff.Force(t, diff.Portable)
-	Gemm(tcfg(), NoTrans, NoTrans, n, n, n, 1.0, a, n, b, n, 0.0, c2, n)
-	for i := range c1 {
-		if d := math.Abs(c1[i] - c2[i]); d > 1e-9*math.Max(1, math.Abs(c1[i])) {
-			t.Fatalf("portable/asm mismatch at %d: %g vs %g", i, c1[i], c2[i])
-		}
 	}
 }

@@ -400,89 +400,3 @@ func macroKernel[T core.Scalar](kern *kernel[T], kb, mb, nb int, aPack, bPack []
 		}
 	}
 }
-
-// microKernel4x4 accumulates a full 4×4 register tile: C(0:4, 0:4) +=
-// Σ_p ap[p·4 : p·4+4] ⊗ bp[p·4 : p·4+4]. The sixteen accumulators live in
-// locals for the whole k loop — 8 loads per 32 flops and no stores.
-func microKernel4x4[T core.Scalar](kb int, ap, bp []T, c []T, ldc int) {
-	var c00, c01, c02, c03 T
-	var c10, c11, c12, c13 T
-	var c20, c21, c22, c23 T
-	var c30, c31, c32, c33 T
-	ap = ap[: 4*kb : 4*kb]
-	bp = bp[: 4*kb : 4*kb]
-	for p := 0; p < kb; p++ {
-		av := ap[4*p : 4*p+4 : 4*p+4]
-		bv := bp[4*p : 4*p+4 : 4*p+4]
-		a0, a1, a2, a3 := av[0], av[1], av[2], av[3]
-		b0, b1, b2, b3 := bv[0], bv[1], bv[2], bv[3]
-		c00 += a0 * b0
-		c10 += a1 * b0
-		c20 += a2 * b0
-		c30 += a3 * b0
-		c01 += a0 * b1
-		c11 += a1 * b1
-		c21 += a2 * b1
-		c31 += a3 * b1
-		c02 += a0 * b2
-		c12 += a1 * b2
-		c22 += a2 * b2
-		c32 += a3 * b2
-		c03 += a0 * b3
-		c13 += a1 * b3
-		c23 += a2 * b3
-		c33 += a3 * b3
-	}
-	col := c[0*ldc : 0*ldc+4 : 0*ldc+4]
-	col[0] += c00
-	col[1] += c10
-	col[2] += c20
-	col[3] += c30
-	col = c[1*ldc : 1*ldc+4 : 1*ldc+4]
-	col[0] += c01
-	col[1] += c11
-	col[2] += c21
-	col[3] += c31
-	col = c[2*ldc : 2*ldc+4 : 2*ldc+4]
-	col[0] += c02
-	col[1] += c12
-	col[2] += c22
-	col[3] += c32
-	col = c[3*ldc : 3*ldc+4 : 3*ldc+4]
-	col[0] += c03
-	col[1] += c13
-	col[2] += c23
-	col[3] += c33
-}
-
-// microEdge is the portable rows' variable-size kernel for ragged tiles at
-// the right and bottom borders of a macro-tile (the asm rows run their
-// full-tile kernel masked or into a scratch tile, kernel.go): it accumulates
-// the live part of the padded mr×nr tile in the scratch tile, each element in
-// microKernel4x4's order, and scatters the rows×cols region into C.
-// Zeros in the packed panels are multiplied like any other value, never
-// skipped: 0·NaN and 0·Inf must reach C here exactly as they do through the
-// full-tile kernels, or whether a NaN in A propagates would depend on which
-// tile its row falls in.
-func microEdge[T core.Scalar](kb, mr, nr int, ap, bp []T, c []T, ldc, rows, cols int, tile []T) {
-	acc := tile[: mr*nr : mr*nr]
-	clear(acc)
-	for p := 0; p < kb; p++ {
-		av := ap[p*mr : p*mr+mr]
-		bv := bp[p*nr : p*nr+nr]
-		for j := 0; j < cols; j++ {
-			bj := bv[j]
-			arow := acc[j*mr : j*mr+mr]
-			for i := 0; i < rows; i++ {
-				arow[i] += av[i] * bj
-			}
-		}
-	}
-	for j := 0; j < cols; j++ {
-		col := c[j*ldc:]
-		arow := acc[j*mr:]
-		for i := 0; i < rows; i++ {
-			col[i] += arow[i]
-		}
-	}
-}

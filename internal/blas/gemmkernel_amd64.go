@@ -329,8 +329,8 @@ var haveAVX2FMA, haveAVX512 = func() (avx2, avx512 bool) {
 }()
 
 // useAsmF64 gates the assembly kernels of all four types; LA90_NO_ASM=1 (the "noasm"
-// row of core.Knobs, read here once) forces the portable Go kernels, for
-// debugging and for apples-to-apples comparisons of the blocking itself.
+// row of core.Knobs, read here once) forces the portable row — the Go twins of
+// these kernels, the same bits — for debugging and for the other ports' view.
 // useAVX512 selects the AVX-512 row of the kernel table over the AVX2 one.
 var (
 	useAsmF64 = haveAVX2FMA && !core.EnvFlag("LA90_NO_ASM")

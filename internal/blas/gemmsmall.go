@@ -15,35 +15,42 @@ import "repro/internal/core"
 // worker with zero steady-state garbage.
 //
 // Gemm takes the path for NoTrans/NoTrans products with every dimension within
-// SmallOK's crossover. The float64 asm row of the kernel table rides an AVX2
-// strip kernel (gemmSmallF64); every other row uses the portable strided 4×4
-// micro-tile (gemmSmallPortable).
+// SmallOK's crossover. The float64 rows of the kernel table ride an AVX2
+// strip kernel, or its Go twin (gemmSmallF64); every other row uses the
+// strided 4×4 micro-tile (gemmSmallPortable).
 
 // The row's small leaf accumulates C += alpha·A·B (beta already applied by
 // the caller) over column-major operands A (m×k, stride lda) and B (k×n,
 // stride ldb). alpha must be non-zero and m, n, k positive.
 
-// gemmSmallF64 tiles the product for the assembly strip kernel: each group
-// of four C columns is one kernel call covering every full 8-row strip, with
-// the ragged rows (m mod 8) and columns (n mod 4) finished by the portable
-// micro-tile.
-func gemmSmallF64(m, n, k int, alpha float64, a []float64, lda int, b []float64, ldb int, c []float64, ldc int) {
-	strips := m / 8
-	mEdge := strips * 8
-	jr := 0
-	for ; jr+4 <= n; jr += 4 {
-		if strips > 0 {
-			dgemmSmallStripF64(int64(strips), int64(k), &a[0], int64(lda),
-				&b[jr*ldb], int64(ldb), &c[jr*ldc], int64(ldc), alpha)
+// gemmSmallF64 builds the float64 AVX2 rows' small leaf, which tiles the
+// product for the strip kernel — the assembly, or with twin set its Go twin:
+// each group of four C columns is one kernel call covering every full 8-row
+// strip, with the ragged rows (m mod 8) and columns (n mod 4) finished by the
+// portable micro-tile.
+func gemmSmallF64(twin bool) func(m, n, k int, alpha float64, a []float64, lda int, b []float64, ldb int, c []float64, ldc int) {
+	return func(m, n, k int, alpha float64, a []float64, lda int, b []float64, ldb int, c []float64, ldc int) {
+		strips := m / 8
+		mEdge := strips * 8
+		jr := 0
+		for ; jr+4 <= n; jr += 4 {
+			switch {
+			case strips == 0:
+			case twin:
+				gemmSmallStripFma(strips, k, a, lda, b[jr*ldb:], ldb, c[jr*ldc:], ldc, alpha)
+			default:
+				dgemmSmallStripF64(int64(strips), int64(k), &a[0], int64(lda),
+					&b[jr*ldb], int64(ldb), &c[jr*ldc], int64(ldc), alpha)
+			}
+			if mEdge < m {
+				smallTile(m-mEdge, 4, k, alpha, a[mEdge:], lda, b[jr*ldb:], ldb, c[mEdge+jr*ldc:], ldc)
+			}
 		}
-		if mEdge < m {
-			smallTile(m-mEdge, 4, k, alpha, a[mEdge:], lda, b[jr*ldb:], ldb, c[mEdge+jr*ldc:], ldc)
-		}
-	}
-	if cols := n - jr; cols > 0 {
-		for ir := 0; ir < m; ir += 4 {
-			rows := min(4, m-ir)
-			smallTile(rows, cols, k, alpha, a[ir:], lda, b[jr*ldb:], ldb, c[ir+jr*ldc:], ldc)
+		if cols := n - jr; cols > 0 {
+			for ir := 0; ir < m; ir += 4 {
+				rows := min(4, m-ir)
+				smallTile(rows, cols, k, alpha, a[ir:], lda, b[jr*ldb:], ldb, c[ir+jr*ldc:], ldc)
+			}
 		}
 	}
 }

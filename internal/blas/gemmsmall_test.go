@@ -56,32 +56,6 @@ func TestGemmSmallVsNaive(t *testing.T) {
 	t.Run("complex128", func(t *testing.T) { testGemmSmallVsNaive[complex128](t, 1e-12) })
 }
 
-// TestGemmSmallPortableVsAsm pins the assembly strip kernel against the
-// portable tile on identical inputs (only meaningful where the asm kernel
-// exists; elsewhere both sides take the portable path and the test is
-// vacuous but still runs).
-func TestGemmSmallPortableVsAsm(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	for trial := 0; trial < 100; trial++ {
-		m := 1 + rng.Intn(64)
-		n := 1 + rng.Intn(64)
-		k := 1 + rng.Intn(64)
-		lda, ldb, ldc := m+1, k+2, m
-		a := randSlice[float64](rng, lda*k)
-		b := randSlice[float64](rng, ldb*n)
-		c := randSlice[float64](rng, ldc*n)
-		want := append([]float64(nil), c...)
-		kernelFor[float64]().small(m, n, k, 1.5, a, lda, b, ldb, c, ldc)
-		gemmSmallPortable(m, n, k, 1.5, a, lda, b, ldb, want, ldc)
-		for i := range c {
-			if core.Abs(c[i]-want[i]) > 1e-12 {
-				t.Fatalf("m=%d n=%d k=%d: asm/portable mismatch at %d: %v vs %v",
-					m, n, k, i, c[i], want[i])
-			}
-		}
-	}
-}
-
 // TestGemmSmallDisabled checks that a small-path crossover of 0 routes small
 // products back through the seed dispatch (the result must still be right,
 // and SmallOK must not claim them).

@@ -75,51 +75,6 @@ func rotRunFma[T float32 | float64](seq func(m, nrot int64, c, s *float64, cstep
 	}
 }
 
-// rotRun is the portable wavefront: four rows at a time cross the whole
-// chain with the carried column in locals. Bit for bit the rotation-by-
-// rotation loop (negating s is exact and x + (−y) = x − y).
-func rotRun[T core.Float](forward bool, m, nrot int, c, s []float64, a []T, lda int) {
-	// Link t applies rotation j0 + t·step, its carried column is stride
-	// elements before the one it loads.
-	j0, p0, step, stride, sign := 0, 0, 1, lda, 1.0
-	if !forward {
-		j0, p0, step, stride, sign = nrot-1, nrot*lda, -1, -lda, -1.0
-	}
-	i := 0
-	for ; i+4 <= m; i += 4 {
-		off := p0 + i
-		x0, x1, x2, x3 := a[off], a[off+1], a[off+2], a[off+3]
-		for t, j := 0, j0; t < nrot; t, j = t+1, j+step {
-			ct, st := T(c[j]), T(sign*s[j])
-			p := a[off : off+4 : off+4]
-			off += stride
-			q := a[off : off+4 : off+4]
-			y0, y1, y2, y3 := q[0], q[1], q[2], q[3]
-			p[0] = st*y0 + ct*x0
-			p[1] = st*y1 + ct*x1
-			p[2] = st*y2 + ct*x2
-			p[3] = st*y3 + ct*x3
-			x0 = ct*y0 - st*x0
-			x1 = ct*y1 - st*x1
-			x2 = ct*y2 - st*x2
-			x3 = ct*y3 - st*x3
-		}
-		a[off], a[off+1], a[off+2], a[off+3] = x0, x1, x2, x3
-	}
-	for ; i < m; i++ {
-		off := p0 + i
-		x := a[off]
-		for t, j := 0, j0; t < nrot; t, j = t+1, j+step {
-			ct, st := T(c[j]), T(sign*s[j])
-			y := a[off+stride]
-			a[off] = st*y + ct*x
-			x = ct*y - st*x
-			off += stride
-		}
-		a[off] = x
-	}
-}
-
 // Refl3 applies the Householder reflector H = I − τ·v·vᵀ with v = (1, v2, v3)
 // from the right to the three m-row columns x0, x1, x2 — the step of the
 // double-shift QR sweep (xLAHQR) on the Schur vectors and on the columns of
@@ -159,38 +114,45 @@ func Refl2Rows(n int, h []float64, ldh int, v2, t1, t2 float64) {
 	kernelFor[float64]().refl2Rows(n, h, ldh, v2, t1, t2)
 }
 
-// refl3RowsAsm and refl2RowsAsm are the AVX2+FMA route: four columns per
-// step through drefl3RowsFma/drefl2RowsFma, the columns left over by the same
-// fused operations in Go, so a column's result does not depend on where the
-// groups fall. The three-row kernel reads a fourth row, so it stops a group
-// early when the last column's fourth row would lie past the end of h.
-func refl3RowsAsm(n int, h []float64, ldh int, v2, v3, t1, t2, t3 float64) {
-	nv := n &^ 3
-	if nv > 0 && (nv-1)*ldh+3 >= len(h) {
-		nv -= 4
-	}
-	if nv > 0 {
-		drefl3RowsFma(int64(nv/4), &h[0], int64(8*ldh), v2, v3, t1, t2, t3)
-	}
-	for j := nv; j < n; j++ {
-		c := h[j*ldh : j*ldh+3 : j*ldh+3]
-		sum := math.FMA(v3, c[2], math.FMA(v2, c[1], c[0]))
-		c[0] = math.FMA(-sum, t1, c[0])
-		c[1] = math.FMA(-sum, t2, c[1])
-		c[2] = math.FMA(-sum, t3, c[2])
+// refl3RowsOn and refl2RowsOn build the float64 rows' Refl3Rows and
+// Refl2Rows on the group kernel groups — drefl3RowsFma/drefl2RowsFma, or on
+// the portable row their Go twins: four columns per step through the kernel,
+// the columns left over by the same fused operations in Go, so a column's
+// result does not depend on where the groups fall (but for the sign of a NaN,
+// which the kernel's fused negation keeps and Go's minus flips). The
+// three-row kernel reads a fourth row, so it stops a group early when the
+// last column's fourth row would lie past the end of h.
+func refl3RowsOn(groups func(groups int64, h *float64, ldh int64, v2, v3, t1, t2, t3 float64)) func(n int, h []float64, ldh int, v2, v3, t1, t2, t3 float64) {
+	return func(n int, h []float64, ldh int, v2, v3, t1, t2, t3 float64) {
+		nv := n &^ 3
+		if nv > 0 && (nv-1)*ldh+3 >= len(h) {
+			nv -= 4
+		}
+		if nv > 0 {
+			groups(int64(nv/4), &h[0], int64(8*ldh), v2, v3, t1, t2, t3)
+		}
+		for j := nv; j < n; j++ {
+			c := h[j*ldh : j*ldh+3 : j*ldh+3]
+			sum := math.FMA(v3, c[2], math.FMA(v2, c[1], c[0]))
+			c[0] = math.FMA(-sum, t1, c[0])
+			c[1] = math.FMA(-sum, t2, c[1])
+			c[2] = math.FMA(-sum, t3, c[2])
+		}
 	}
 }
 
-func refl2RowsAsm(n int, h []float64, ldh int, v2, t1, t2 float64) {
-	nv := n &^ 3
-	if nv > 0 {
-		_ = h[(nv-1)*ldh+1]
-		drefl2RowsFma(int64(nv/4), &h[0], int64(8*ldh), v2, t1, t2)
-	}
-	for j := nv; j < n; j++ {
-		c := h[j*ldh : j*ldh+2 : j*ldh+2]
-		sum := math.FMA(v2, c[1], c[0])
-		c[0] = math.FMA(-sum, t1, c[0])
-		c[1] = math.FMA(-sum, t2, c[1])
+func refl2RowsOn(groups func(groups int64, h *float64, ldh int64, v2, t1, t2 float64)) func(n int, h []float64, ldh int, v2, t1, t2 float64) {
+	return func(n int, h []float64, ldh int, v2, t1, t2 float64) {
+		nv := n &^ 3
+		if nv > 0 {
+			_ = h[(nv-1)*ldh+1]
+			groups(int64(nv/4), &h[0], int64(8*ldh), v2, t1, t2)
+		}
+		for j := nv; j < n; j++ {
+			c := h[j*ldh : j*ldh+2 : j*ldh+2]
+			sum := math.FMA(v2, c[1], c[0])
+			c[0] = math.FMA(-sum, t1, c[0])
+			c[1] = math.FMA(-sum, t2, c[1])
+		}
 	}
 }

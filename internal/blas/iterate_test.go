@@ -13,9 +13,9 @@ import (
 )
 
 // Tests of the iteration kernels (iterate.go) against their link-by-link
-// scalar definitions: the portable route bit for bit, the asm route bit for
-// bit against the same loop with math.FMA in the kernel's contraction order,
-// and the two routes against each other to rounding.
+// scalar definitions: both routes bit for bit against the loop with fused
+// multiply-adds in the asm kernels' contraction order (the portable route
+// runs their Go twins), and so bit for bit against each other.
 
 // sweep calls apply for every proper rotation of a sweep in application
 // order: ascending when forward, descending otherwise, identities skipped.
@@ -65,21 +65,12 @@ func rotSeqDefFMA[T float32 | float64](forward bool, m, z int, c, s []float64, a
 	})
 }
 
-// fmaT is x·y + w rounded once in T. For float32 the product is exact in
-// float64 and the sum is rounded to odd there (53 ≥ 2·24 + 2 bits), so the
-// final rounding to float32 is the single rounding of a float32 FMA
-// (Boldo–Melquiond).
+// fmaT is x·y + w rounded once in T: math.FMA, or fma32 for float32.
 func fmaT[T float32 | float64](x, y, w T) T {
 	if _, ok := any(x).(float64); ok {
 		return T(math.FMA(float64(x), float64(y), float64(w)))
 	}
-	p, q := float64(x)*float64(y), float64(w)
-	sum := p + q
-	bq := sum - p
-	if err := (p - (sum - bq)) + (q - bq); err != 0 && math.Float64bits(sum)&1 == 0 {
-		sum = math.Nextafter(sum, math.Copysign(math.Inf(1), err))
-	}
-	return T(float32(sum))
+	return fma32(x, y, w)
 }
 
 // rotSeqClose fails unless got is within 2 ulp of the block's scale per
@@ -130,15 +121,20 @@ func testRotSeqPortable[T core.Scalar](t *testing.T) {
 		got := randSlice[T](rng, off+lda*z)
 		want := append([]T(nil), got...)
 		RotSeq(forward, m, z, c, s, got[off:], lda)
-		rotSeqDef(forward, m, z, c, s, want[off:], lda)
-		if core.IsComplex[T]() {
+		switch w := any(want).(type) {
+		case []float64:
+			rotSeqDefFMA(forward, m, z, c, s, w[off:], lda)
+		case []float32:
+			rotSeqDefFMA(forward, m, z, c, s, w[off:], lda)
+		default:
 			// Through the real view a real·complex product is two real
 			// products, not the four of the generic complex multiply.
+			rotSeqDef(forward, m, z, c, s, want[off:], lda)
 			rotSeqClose(t, name, z, got, want)
 			return
 		}
 		if !diff.Same(got, want) {
-			t.Errorf("%s: portable route differs from the rotation-by-rotation loop", name)
+			t.Errorf("%s: portable route differs from the FMA-ordered definition", name)
 		}
 	})
 }
@@ -196,12 +192,15 @@ func testRotSeqAsm[T float32 | float64](t *testing.T) {
 			t.Errorf("%s: asm result depends on the row blocking", name)
 		}
 
-		// Against the portable route: 2 ulp of the block's scale per rotation.
+		// Against the portable route, which runs the kernels' Go twins: bit
+		// for bit.
 		port := append([]T(nil), a...)
 		faultinject.ForcePortable(true)
 		RotSeq(forward, m, z, c, s, port[off:], lda)
 		faultinject.ForcePortable(false)
-		rotSeqClose(t, name+" asm vs portable", z, got, port)
+		if !diff.Same(got, port) {
+			t.Errorf("%s: the portable route differs from the asm route", name)
+		}
 	})
 }
 
@@ -293,67 +292,58 @@ func refl3Def(fma bool, m int, x0, x1, x2 []float64, v2, v3, t1, t2, t3 float64)
 	}
 }
 
-// TestRefl3 checks both reflector kernels on both routes: bit for bit
-// against the definition in the route's own arithmetic (plain on the
-// portable route, FMA-ordered on the asm route), to rounding between the
-// routes, at every row count around the 4- and 8-row vector blocks, on
-// columns that start at odd offsets of a padded block, and with a NaN and an
-// infinity in a column ending up in the same elements as the definition
-// puts them.
+// TestRefl3 checks both reflector kernels on every row: bit for bit against
+// the definition in drefl3Fma's contraction order, to rounding against the
+// plain scalar loop, at every row count around the 4- and 8-row vector
+// blocks, on columns that start at odd offsets of a padded block, and with a
+// NaN and an infinity in a column ending up in the same elements as the
+// definition puts them.
 func TestRefl3(t *testing.T) {
 	rng := rand.New(rand.NewSource(45))
-	for _, cols := range []int{3, 2} {
-		for _, m := range rotSeqRows {
-			for _, special := range []float64{0, math.NaN(), math.Inf(-1)} {
-				lda, off := m+5, 3
-				a := randSlice[float64](rng, off+3*lda)
-				if special != 0 && m > 2 {
-					a[off+lda+m/2] = special
-				}
-				v2, v3 := rng.Float64()-0.5, rng.Float64()-0.5
-				if cols == 2 {
-					v3 = 0
-				}
-				t1 := 2 / (1 + v2*v2 + v3*v3)
-				t2, t3 := t1*v2, t1*v3
-				apply := func(f func(x0, x1, x2 []float64)) []float64 {
-					b := append([]float64(nil), a...)
-					x2 := b[off+2*lda:]
+	diff.Rows(t, func(t *testing.T) {
+		for _, cols := range []int{3, 2} {
+			for _, m := range rotSeqRows {
+				for _, special := range []float64{0, math.NaN(), math.Inf(-1)} {
+					lda, off := m+5, 3
+					a := randSlice[float64](rng, off+3*lda)
+					if special != 0 && m > 2 {
+						a[off+lda+m/2] = special
+					}
+					v2, v3 := rng.Float64()-0.5, rng.Float64()-0.5
 					if cols == 2 {
-						x2 = nil
+						v3 = 0
 					}
-					f(b[off:], b[off+lda:], x2)
-					return b
-				}
-				kernel := func(x0, x1, x2 []float64) {
-					if x2 == nil {
-						Refl2(m, x0, x1, v2, t1, t2)
-					} else {
-						Refl3(m, x0, x1, x2, v2, v3, t1, t2, t3)
+					t1 := 2 / (1 + v2*v2 + v3*v3)
+					t2, t3 := t1*v2, t1*v3
+					apply := func(f func(x0, x1, x2 []float64)) []float64 {
+						b := append([]float64(nil), a...)
+						x2 := b[off+2*lda:]
+						if cols == 2 {
+							x2 = nil
+						}
+						f(b[off:], b[off+lda:], x2)
+						return b
 					}
-				}
-				name := fmt.Sprintf("cols=%d/m=%d/special=%v", cols, m, special)
-				faultinject.ForcePortable(true)
-				port := apply(kernel)
-				faultinject.ForcePortable(false)
-				plain := apply(func(x0, x1, x2 []float64) { refl3Def(false, m, x0, x1, x2, v2, v3, t1, t2, t3) })
-				if !slices.EqualFunc(port, plain, sameValue[float64]) {
-					t.Errorf("%s: portable route differs from the scalar loop", name)
-				}
-				if !asmF64() {
-					continue
-				}
-				got := apply(kernel)
-				fused := apply(func(x0, x1, x2 []float64) { refl3Def(true, m, x0, x1, x2, v2, v3, t1, t2, t3) })
-				if !slices.EqualFunc(got, fused, sameValue[float64]) {
-					t.Errorf("%s: asm route differs from the FMA-ordered definition", name)
-				}
-				for i := range got {
-					if special == 0 && math.Abs(got[i]-port[i]) > 8*core.EpsDouble {
-						t.Fatalf("%s: element %d: asm %v portable %v", name, i, got[i], port[i])
+					name := fmt.Sprintf("cols=%d/m=%d/special=%v", cols, m, special)
+					got := apply(func(x0, x1, x2 []float64) {
+						if x2 == nil {
+							Refl2(m, x0, x1, v2, t1, t2)
+						} else {
+							Refl3(m, x0, x1, x2, v2, v3, t1, t2, t3)
+						}
+					})
+					fused := apply(func(x0, x1, x2 []float64) { refl3Def(true, m, x0, x1, x2, v2, v3, t1, t2, t3) })
+					if !slices.EqualFunc(got, fused, sameValue[float64]) {
+						t.Errorf("%s: differs from the FMA-ordered definition", name)
+					}
+					plain := apply(func(x0, x1, x2 []float64) { refl3Def(false, m, x0, x1, x2, v2, v3, t1, t2, t3) })
+					for i := range got {
+						if special == 0 && math.Abs(got[i]-plain[i]) > 8*core.EpsDouble {
+							t.Fatalf("%s: element %d: %v, plain loop %v", name, i, got[i], plain[i])
+						}
 					}
 				}
 			}
 		}
-	}
+	})
 }

@@ -14,41 +14,44 @@ import (
 // descriptor — the tile geometry, how operands are packed, and the leaves —
 // so supporting an element type, or moving one onto a vector kernel, means
 // editing a row here, not another type switch in the loops. "Go" is the
-// portable loop of that leaf (leaves.go, and beside each engine), "view" the
+// plain Go loop of that leaf (leaves.go, and beside each engine), "view" the
 // real row's entry on the real view of the complex data. Each type has three
 // rows: AVX-512, AVX2 and portable. The two asm rows differ in the micro-tile
 // — its geometry, kernels and packers, the first three lines below, where
 // the AVX-512 entry stands under the AVX2 one — and in the register tiles
 // of the float64 and complex128 trsvOct, which keep the sweep's bits; they
-// share every other leaf and every crossover:
+// share every other leaf and every crossover. The portable row is the AVX2
+// row with every assembly entry replaced by its Go twin (twins.go: the same
+// operations in the same order), built by the same avx2F64/avx2F32 and oneM,
+// so it has no column of its own and computes the same bits:
 //
-//	leaf       float64 asm          float32 asm        complex 1m         portable
-//	micro      8×4 dgemmKernel8x4   16×4 sgemmKernel   real row's, 1m     4×4 Go
+//	leaf       float64 asm          float32 asm        complex 1m
+//	micro      8×4 dgemmKernel8x4   16×4 sgemmKernel   real row's, 1m
 //	           24×8 dgemmKernel24x8 48×8 sgemmKernel48x8
-//	edge       micro → scratch tile (scratchEdge)      real row's, view   microEdge
+//	edge       micro → scratch tile (scratchEdge)      real row's, view
 //	           dgemmEdge24x8        sgemmEdge48x8      (opmask rows×cols tile)
-//	packA/B    Go                   spackA16/spackB4   packA1m/packB1m    Go
+//	packA/B    Go                   spackA16/spackB4   packA1m/packB1m
 //	           dpack512/dgather8    spack512/sgather8  z/cpack1e, z/cgather1e,
 //	           (packers512)                            z/cpack1r, d/sgather8
-//	trsvOct    dsubFma8             ssubFma8           view, 1e triangle  Go
+//	trsvOct    dsubFma8             ssubFma8           view, 1e triangle
 //	           dtrsvOct512 (tiles)                     + dfold512, Lower
-//	gemvSub8   dgemvSub8            sgemvSub8          eight axpy         Go
-//	axpy       daxpyFma             saxpyFma           zaxpyFma/caxpyFma  Go
-//	scal       dscalFma             sscalFma           zscalFma/cscalFma  Go
-//	dot        ddotFma              sdotFma            zdotFma/cdotFma    Go
-//	axpyDot    daxpyDotFma          Go                 Go                 Go
-//	iamax      diamaxF64, n ≥ 16    siamaxF32, n ≥ 16  Go                 Go
-//	sumSq      ddotFma              sdotFma            view               none
-//	rotRun     drotSeqFma           srotSeqFma         view               Go (view)
-//	refl3/2    drefl3Fma/drefl2Fma  Go                 Go                 Go
-//	refl·Rows  drefl3/2RowsFma      Go                 Go                 Go
-//	small      dgemmSmallStripF64   Go 4×4 tile        Go 4×4 tile        Go 4×4 tile
-//	skinny     strip kernel         Gemv per column    none               none
-//	cholStep   dcholStep8 on full   Go on axpy, scal   Go on axpy, scal   Go (same)
+//	gemvSub8   dgemvSub8            sgemvSub8          eight axpy
+//	axpy       daxpyFma             saxpyFma           zaxpyFma/caxpyFma
+//	scal       dscalFma             sscalFma           zscalFma/cscalFma
+//	dot        ddotFma              sdotFma            zdotFma/cdotFma
+//	axpyDot    daxpyDotFma          Go                 Go
+//	iamax      diamaxF64, n ≥ 16    siamaxF32, n ≥ 16  Go
+//	sumSq      ddotFma              sdotFma            view
+//	rotRun     drotSeqFma           srotSeqFma         view
+//	refl3/2    drefl3Fma/drefl2Fma  Go                 Go
+//	refl·Rows  drefl3/2RowsFma      Go                 Go
+//	small      dgemmSmallStripF64   Go 4×4 tile        Go 4×4 tile
+//	skinny     strip kernel         Gemv per column    none
+//	cholStep   dcholStep8 on full   Go on axpy, scal   Go on axpy, scal
 //	           blocks, else Go      and gemvSub8       and gemvSub8
-//	dot8       ddot8                dot per column     dot per column     dot per column
-//	dot4x3     ddot4x3              none               none               none
-//	luStep     dluStep8 on full     Go on iamax, scal, Go on iamax, scal  Go (same)
+//	dot8       ddot8                dot per column     dot per column
+//	dot4x3     ddot4x3              none               none
+//	luStep     dluStep8 on full     Go on iamax, scal, Go on iamax, scal
 //	           blocks, else Go      axpy and gemvSub8  and axpy
 //
 // The asm rows need amd64 with AVX2+FMA, the AVX-512 ones AVX512F on top; the
@@ -61,15 +64,15 @@ import (
 // fold dfold512 of the complex128 row — sit with the tiles in
 // gemmkernel512_amd64.s, whose transpose they share with the gather packers.
 // dot8 serves the small Cholesky's solves and, with dot4x3, Gemm's
-// inner-product route (gemmDots), which the portable rows leave off.
+// inner-product route (gemmDots).
 //
-// On both asm rows every element of C is one chain of fused multiply-adds
-// over the k-steps of a kc slab, started at zero and added to C once — in a
-// full tile, in a ragged one (masked on the AVX-512 rows, through the scratch
-// tile on the AVX2 rows) and in a tile that crosses a stored diagonal. What
-// the engines compute therefore does not depend on the geometry or on where
-// a tile grid or a Trsm slab cuts, and the two asm rows, which share kc and
-// the crossovers that pick a route, agree bit for bit (TestRowsAgree).
+// On every row each element of C is one chain of fused multiply-adds over
+// the k-steps of a kc slab, started at zero and added to C once — in a full
+// tile, in a ragged one (masked on the AVX-512 rows, through the scratch
+// tile on the others) and in a tile that crosses a stored diagonal. What the
+// engines compute therefore does not depend on the geometry or on where a
+// tile grid or a Trsm slab cuts, and the rows, which share kc and the
+// crossovers that pick a route, agree bit for bit (TestRowsAgree).
 //
 // The complex asm rows use the 1m method (Van Zee, "Implementing
 // high-performance complex matrix multiplication via the 1m method"): a
@@ -108,8 +111,8 @@ type kernel[T core.Scalar] struct {
 	// cholStep is one block step of the small Cholesky and dot8 the
 	// transposed counterpart of gemvSub8, out[q] = Σ_i op(a(i, q))·x[i]
 	// (Small.CholStep and Small.Dot8 have the contracts; dot8 is also the leaf
-	// of Gemm's inner-product route); both take the row because their
-	// portable forms run on its other leaves.
+	// of Gemm's inner-product route); both take the row because their Go
+	// forms run on its other leaves.
 	cholStep func(k *kernel[T], upper bool, jb, m int, a []T, lda int) int
 	dot8     func(k *kernel[T], a []T, lda int, x []T, conj bool) [CholNB]T
 	// luStep is one block step of the small LU (Small.LUStep has the
@@ -117,7 +120,7 @@ type kernel[T core.Scalar] struct {
 	luStep func(k *kernel[T], nl, jb, m, n int, a []T, lda int, ipiv []int) int
 
 	// The Level-1/2 leaves, over unit-stride vectors as long as the first one
-	// (at least one element; leaves.go has the portable form of each):
+	// (at least one element; leaves.go has the Go form of each):
 	// y += alpha·x; x *= alpha; Σ op(x_i)·y_i; the symmetric column
 	// y += alpha·a returning Σ op(a_i)·x_i; the first largest |re|+|im|. op
 	// conjugates when conj is set, which callers only do for complex T. sumSq
@@ -166,30 +169,10 @@ type kernel[T core.Scalar] struct {
 	edge  func(kb, mr, nr int, ap, bp, c []T, ldc, rows, cols int, tile []T)
 }
 
-// Geometry of the portable register kernel, and the scratch the engines
-// carve off their pooled pack buffer for macroKernelTri's crossing tile and
-// the scratch-tile edge kernels: two tiles of the largest geometry in the
-// table.
-const (
-	gemmMR      = 4
-	gemmNR      = 4
-	tileScratch = 2 * avx512F32MR * avx512NR
-)
-
-// portableKernel is the all-Go row of element type T. rotRun and iamax are
-// the two leaves whose Go form differs between real and complex types.
-func portableKernel[T core.Scalar](trsmLeaf int, rotRun func(bool, int, int, []float64, []float64, []T, int), iamax func([]T) int) kernel[T] {
-	return kernel[T]{
-		mr: gemmMR, nr: gemmNR, kScale: 1, trsmLeaf: trsmLeaf,
-		trsvOct: trsvOct[T], gemvSub8: gemvSub8[T], cholStep: cholStepGo[T], dot8: dot8Go[T], luStep: luStepGo[T],
-		axpy: axpyGo[T], scal: scalGo[T], dot: dotGo[T], axpyDot: axpyDotGo[T], iamax: iamax,
-		rotRun: rotRun, refl3: refl3Go[T], refl2: refl2Go[T], small: gemmSmallPortable[T],
-		refl3Rows: refl3RowsGo[T], refl2Rows: refl2RowsGo[T],
-		minVol: gemmPackedMinVol, smallMaxVol: math.MaxInt,
-		packA: packA[T], packB: packB[T],
-		micro: microKernel4x4[T], edge: microEdge[T],
-	}
-}
+// The scratch the engines carve off their pooled pack buffer for
+// macroKernelTri's crossing tile and the scratch-tile edge kernels: two tiles
+// of the largest geometry in the table.
+const tileScratch = 2 * avx512F32MR * avx512NR
 
 // rotView is a complex row's rotRun: the rotations are real, so the block is
 // swept as the real block of twice the height by the real row's run.
@@ -203,8 +186,7 @@ func rotView[C core.Cmplx, R core.Float](view func([]C) []R, run func(bool, int,
 // tiles: the full-tile kernel runs into the zeroed scratch tile (the packed
 // panels are zero-padded) and the live part is added to C, so that a ragged
 // tile's elements are the same chain of fused multiply-adds, added to C once,
-// as a full tile's — and as the AVX-512 rows' masked tiles. The scalar
-// microEdge rounds each product and is several times slower per flop.
+// as a full tile's — and as the AVX-512 rows' masked tiles.
 func scratchEdge[T core.Scalar](micro func(kb int, ap, bp, c []T, ldc int)) func(kb, mr, nr int, ap, bp, c []T, ldc, rows, cols int, tile []T) {
 	return func(kb, mr, nr int, ap, bp, c []T, ldc, rows, cols int, tile []T) {
 		tile = tile[:mr*nr]
@@ -222,23 +204,29 @@ func scratchEdge[T core.Scalar](micro func(kb int, ap, bp, c []T, ldc int)) func
 // oneM builds the 1m row of complex type C from the real row rk it runs on;
 // view is the matching real view from realview.go, axpy, dot and scal the
 // type's vector kernels, pk the row's 1m packers, fold the register fold of
-// trsvOct1e's Lower blocks (nil: the sweeps alone).
-func oneM[C core.Cmplx, R core.Float](rk *kernel[R], view func([]C) []R, trsmLeaf int, axpy func(C, []C, []C), dot func([]C, []C, bool) C, scal func(C, []C), pk packers1m[R], fold func(n, k int, a []R, lda int, b []R, ldb int, r0, rows int)) kernel[C] {
+// trsvOct1e's Lower blocks (nil: the sweeps alone) and twin whether rk is a
+// portable row, whose sweeps run subFma8's Go twin.
+func oneM[C core.Cmplx, R core.Float](rk *kernel[R], view func([]C) []R, trsmLeaf int, axpy func(C, []C, []C), dot func([]C, []C, bool) C, scal func(C, []C), pk packers1m[R], fold func(n, k int, a []R, lda int, b []R, ldb int, r0, rows int), twin bool) kernel[C] {
 	// The Level-1/2 leaves that are not the type's own vector kernels are the
 	// real row's on the real view — the sum of squares, the rotations, the
 	// substitution sweep under trsvOct — or stay on the Go loops.
-	k := portableKernel(trsmLeaf, rotView(view, rk.rotRun), iamaxGo[C])
-	k.axpy, k.dot, k.scal = axpy, dot, scal
-	k.trsvOct = trsvOct1e(view, fold)
-	k.gemvSub8 = func(m int, t [8]C, b []C, ldb int, y []C) {
-		for q, tq := range t {
-			axpy(-tq, b[q*ldb:q*ldb+m], y)
-		}
+	k := kernel[C]{
+		mr: rk.mr / 2, nr: rk.nr, kScale: 2, trsmLeaf: trsmLeaf,
+		trsvOct: trsvOct1e(view, fold, twin),
+		gemvSub8: func(m int, t [8]C, b []C, ldb int, y []C) {
+			for q, tq := range t {
+				axpy(-tq, b[q*ldb:q*ldb+m], y)
+			}
+		},
+		cholStep: cholStepGo[C], dot8: dot8Go[C], luStep: luStepGo[C],
+		axpy: axpy, scal: scal, dot: dot, axpyDot: axpyDotGo[C], iamax: iamaxGo[C],
+		sumSq:  func(x []C) (float64, bool) { return rk.sumSq(view(x)) },
+		rotRun: rotView(view, rk.rotRun), refl3: refl3Go[C], refl2: refl2Go[C],
+		refl3Rows: refl3RowsGo[C], refl2Rows: refl2RowsGo[C],
+		small:  gemmSmallPortable[C],
+		minVol: gemmPackedMinVol1m, smallMaxVol: gemmPackedMinVol1m,
+		dotRows: dotRows1m, dotMinK: dotMinK,
 	}
-	k.sumSq = func(x []C) (float64, bool) { return rk.sumSq(view(x)) }
-	k.mr, k.nr, k.kScale = rk.mr/2, rk.nr, 2
-	k.minVol, k.smallMaxVol = gemmPackedMinVol1m, gemmPackedMinVol1m
-	k.dotRows, k.dotMinK = dotRows1m, dotMinK
 	k.micro = func(kb int, ap, bp, c []C, ldc int) {
 		rk.micro(2*kb, view(ap), view(bp), view(c), 2*ldc)
 	}
@@ -255,83 +243,128 @@ func oneM[C core.Cmplx, R core.Float](rk *kernel[R], view func([]C) []R, trsmLea
 	return k
 }
 
-var (
-	kernGoF64  = portableKernel(trsmLeafSize, rotRun[float64], iamaxFloat[float64])
-	kernGoF32  = portableKernel(trsmLeafSizeF32, rotRun[float32], iamaxFloat[float32])
-	kernGoC128 = portableKernel(trsmLeafSize, rotView(realView128, rotRun[float64]), iamaxGo[complex128])
-	kernGoC64  = portableKernel(trsmLeafSize, rotView(realView64, rotRun[float32]), iamaxGo[complex64])
-
-	kernAsmF64 = kernel[float64]{
+// avx2F64 and avx2F32 build the AVX2 row of their type from its leaves: the
+// assembly kernels or, with twin set, their Go twins (twins.go), which makes
+// the portable row. Everything else — geometry, crossovers, packers and the
+// Go leaves — is one list, so the two rows take the same routes and, each
+// twin doing its kernel's operations in its order, compute the same bits.
+func avx2F64(twin bool) kernel[float64] {
+	k := kernel[float64]{
 		mr: asmF64MR, nr: asmF64NR, kScale: 1, trsmLeaf: trsmLeafSize,
-		trsvOct: trsvOctFma[float64],
-		gemvSub8: func(m int, t [8]float64, b []float64, ldb int, y []float64) {
+		trsvOct: trsvOctFma[float64](twin), cholStep: cholStepF64(twin), luStep: luStepF64(twin),
+		small:  gemmSmallF64(twin),
+		minVol: gemmPackedMinVolAsm, smallMaxVol: math.MaxInt,
+		dotRows: dotRowsAsm, dotMinK: dotMinK,
+		packA: packA[float64], packB: packB[float64],
+	}
+	if twin {
+		k.gemvSub8, k.dot8, k.dot4x3 = gemvSub8Fma[float64], dot8Fma, dot4x3Fma
+		k.axpy, k.scal, k.dot, k.axpyDot = axpyFma[float64], scalFma[float64], dotFma[float64], axpyDotFma
+		k.iamax = iamaxFloat[float64]
+		k.sumSq = func(x []float64) (float64, bool) {
+			s := dotFma(x, x, false)
+			return s, s > 1e-280 && s < 1e280
+		}
+		k.rotRun, k.refl3, k.refl2 = rotSeqFma[float64], refl3Fma, refl2Fma
+		k.refl3Rows, k.refl2Rows = refl3RowsOn(refl3GroupsFma), refl2RowsOn(refl2GroupsFma)
+		k.micro = gemmKernelFma[float64](asmF64MR)
+	} else {
+		k.gemvSub8 = func(m int, t [8]float64, b []float64, ldb int, y []float64) {
 			dgemvSub8(int64(m), &t[0], &b[0], int64(ldb), &y[0])
-		},
-		cholStep: cholStepF64, dot8: dot8F64, dot4x3: ddot4x3, luStep: luStepF64,
-		axpy: daxpyFma, scal: dscalFma, dot: ddotFma, axpyDot: daxpyDotFma,
-		iamax: func(x []float64) int {
+		}
+		k.dot8, k.dot4x3 = dot8F64, ddot4x3
+		k.axpy, k.scal, k.dot, k.axpyDot = daxpyFma, dscalFma, ddotFma, daxpyDotFma
+		k.iamax = func(x []float64) int {
 			if len(x) >= iamaxAsmMin && x[0] == x[0] {
 				return int(diamaxF64(int64(len(x)), &x[0]))
 			}
 			return iamaxFloat(x)
-		},
+		}
 		// The sum-of-squares windows: a sum of non-negative FMA terms is only
 		// ever wrong by overflow — then it is Inf, as it is for Inf input, and
 		// NaN input gives NaN — or by terms lost below the subnormal
 		// threshold, which cannot matter once the total is a factor 1/ε clear
 		// of it; 1e±280 for float64 lanes and 1e±28 for float32 keep a wide
 		// margin on top of that.
-		sumSq: func(x []float64) (float64, bool) {
+		k.sumSq = func(x []float64) (float64, bool) {
 			s := ddotFma(x, x, false)
 			return s, s > 1e-280 && s < 1e280
-		},
-		rotRun: rotRunFma(drotSeqFma),
-		refl3: func(x0, x1, x2 []float64, v2, v3, t1, t2, t3 float64) {
+		}
+		k.rotRun = rotRunFma(drotSeqFma)
+		k.refl3 = func(x0, x1, x2 []float64, v2, v3, t1, t2, t3 float64) {
 			drefl3Fma(int64(len(x0)), &x0[0], &x1[0], &x2[0], v2, v3, t1, t2, t3)
-		},
-		refl2: func(x0, x1 []float64, v2, t1, t2 float64) {
+		}
+		k.refl2 = func(x0, x1 []float64, v2, t1, t2 float64) {
 			drefl2Fma(int64(len(x0)), &x0[0], &x1[0], v2, t1, t2)
-		},
-		refl3Rows: refl3RowsAsm, refl2Rows: refl2RowsAsm,
-		small: gemmSmallF64,
-		// The packed engine would copy all of A to produce a few columns;
-		// the strip kernel makes one pass of A per four columns of C.
-		skinny: func(_ *core.Config, m, n, k int, alpha float64, a []float64, lda int, b []float64, ldb int, c []float64, ldc int) {
-			gemmSmallF64(m, n, k, alpha, a, lda, b, ldb, c, ldc)
-		},
-		minVol: gemmPackedMinVolAsm, smallMaxVol: math.MaxInt,
-		dotRows: dotRowsAsm, dotMinK: dotMinK,
-		packA: packA[float64], packB: packB[float64],
-		micro: microAVX2F64, edge: scratchEdge(microAVX2F64),
+		}
+		k.refl3Rows, k.refl2Rows = refl3RowsOn(drefl3RowsFma), refl2RowsOn(drefl2RowsFma)
+		k.micro = microAVX2F64
 	}
-	kernAsmF32 = kernel[float32]{
+	k.edge = scratchEdge(k.micro)
+	// The packed engine would copy all of A to produce a few columns; the
+	// strip kernel makes one pass of A per four columns of C.
+	small := k.small
+	k.skinny = func(_ *core.Config, m, n, kk int, alpha float64, a []float64, lda int, b []float64, ldb int, c []float64, ldc int) {
+		small(m, n, kk, alpha, a, lda, b, ldb, c, ldc)
+	}
+	return k
+}
+
+func avx2F32(twin bool) kernel[float32] {
+	k := kernel[float32]{
 		mr: asmF32MR, nr: asmF32NR, kScale: 1, trsmLeaf: trsmLeafSizeF32,
-		trsvOct: trsvOctFma[float32],
-		gemvSub8: func(m int, t [8]float32, b []float32, ldb int, y []float32) {
-			sgemvSub8(int64(m), &t[0], &b[0], int64(ldb), &y[0])
-		},
+		trsvOct:  trsvOctFma[float32](twin),
 		cholStep: cholStepGo[float32], dot8: dot8Go[float32], luStep: luStepGo[float32],
-		axpy: saxpyFma, scal: sscalFma, dot: sdotFma, axpyDot: axpyDotGo[float32],
-		iamax: func(x []float32) int {
-			if len(x) >= iamaxAsmMin && x[0] == x[0] {
-				return int(siamaxF32(int64(len(x)), &x[0]))
-			}
-			return iamaxFloat(x)
-		},
-		sumSq: func(x []float32) (float64, bool) {
-			s := float64(sdotFma(x, x, false))
-			return s, s > 1e-28 && s < 1e28
-		},
-		rotRun: rotRunFma(srotSeqFma), refl3: refl3Go[float32], refl2: refl2Go[float32],
+		axpyDot: axpyDotGo[float32], refl3: refl3Go[float32], refl2: refl2Go[float32],
 		refl3Rows: refl3RowsGo[float32], refl2Rows: refl2RowsGo[float32],
 		small:  gemmSmallPortable[float32],
 		minVol: gemmPackedMinVolAsm, smallMaxVol: math.MaxInt,
 		dotRows: dotRowsAsm, dotMinK: dotMinK,
-		packA: packAF32, packB: packBF32,
-		micro: microAVX2F32, edge: scratchEdge(microAVX2F32),
 	}
-	kern1mC128 = oneM(&kernAsmF64, realView128, trsmLeafSizeC128, zaxpyFma, zdotFma, zscalFma, pack1mGoF64, nil)
-	kern1mC64  = oneM(&kernAsmF32, realView64, trsmLeafSizeC64, caxpyFma, cdotFma, cscalFma, pack1mGoF32, nil)
+	if twin {
+		k.gemvSub8 = gemvSub8Fma[float32]
+		k.axpy, k.scal, k.dot = axpyFma[float32], scalFma[float32], dotFma[float32]
+		k.iamax = iamaxFloat[float32]
+		k.sumSq = func(x []float32) (float64, bool) {
+			s := float64(dotFma(x, x, false))
+			return s, s > 1e-28 && s < 1e28
+		}
+		k.rotRun = rotSeqFma[float32]
+		k.packA, k.packB = packA[float32], packB[float32]
+		k.micro = gemmKernelFma[float32](asmF32MR)
+	} else {
+		k.gemvSub8 = func(m int, t [8]float32, b []float32, ldb int, y []float32) {
+			sgemvSub8(int64(m), &t[0], &b[0], int64(ldb), &y[0])
+		}
+		k.axpy, k.scal, k.dot = saxpyFma, sscalFma, sdotFma
+		k.iamax = func(x []float32) int {
+			if len(x) >= iamaxAsmMin && x[0] == x[0] {
+				return int(siamaxF32(int64(len(x)), &x[0]))
+			}
+			return iamaxFloat(x)
+		}
+		k.sumSq = func(x []float32) (float64, bool) {
+			s := float64(sdotFma(x, x, false))
+			return s, s > 1e-28 && s < 1e28
+		}
+		k.rotRun = rotRunFma(srotSeqFma)
+		k.packA, k.packB = packAF32, packBF32
+		k.micro = microAVX2F32
+	}
+	k.edge = scratchEdge(k.micro)
+	return k
+}
+
+var (
+	kernGoF64  = avx2F64(true)
+	kernGoF32  = avx2F32(true)
+	kernGoC128 = oneM(&kernGoF64, realView128, trsmLeafSizeC128, complexAxpyFma[complex128](realView128), complexDotFma[complex128](realView128), complexScalFma[complex128](realView128), pack1mGoF64, nil, true)
+	kernGoC64  = oneM(&kernGoF32, realView64, trsmLeafSizeC64, complexAxpyFma[complex64](realView64), complexDotFma[complex64](realView64), complexScalFma[complex64](realView64), pack1mGoF32, nil, true)
+
+	kernAsmF64 = avx2F64(false)
+	kernAsmF32 = avx2F32(false)
+	kern1mC128 = oneM(&kernAsmF64, realView128, trsmLeafSizeC128, zaxpyFma, zdotFma, zscalFma, pack1mGoF64, nil, false)
+	kern1mC64  = oneM(&kernAsmF32, realView64, trsmLeafSizeC64, caxpyFma, cdotFma, cscalFma, pack1mGoF32, nil, false)
 
 	// The AVX-512 rows are the AVX2 rows with the micro-tile, its packers and
 	// its kernels replaced, and float64's trsvOct (complex128's fold): every
@@ -353,8 +386,8 @@ var (
 		k.micro, k.edge = sgemmKernel48x8, sgemmEdge48x8
 		return k
 	}()
-	kern1m512C128 = oneM(&kern512F64, realView128, trsmLeafSizeC128, zaxpyFma, zdotFma, zscalFma, pack1m512F64, dfold512)
-	kern1m512C64  = oneM(&kern512F32, realView64, trsmLeafSizeC64, caxpyFma, cdotFma, cscalFma, pack1m512F32, nil)
+	kern1m512C128 = oneM(&kern512F64, realView128, trsmLeafSizeC128, zaxpyFma, zdotFma, zscalFma, pack1m512F64, dfold512, false)
+	kern1m512C64  = oneM(&kern512F32, realView64, trsmLeafSizeC64, caxpyFma, cdotFma, cscalFma, pack1m512F32, nil, false)
 )
 
 func microAVX2F64(kb int, ap, bp, c []float64, ldc int) {
@@ -375,7 +408,7 @@ func init() {
 			Gemv(cfg, NoTrans, m, k, alpha, a, lda, b[j*ldb:], 1, 1, c[j*ldc:], 1)
 		}
 	}
-	kernAsmF32.skinny, kern512F32.skinny = skinny, skinny
+	kernGoF32.skinny, kernAsmF32.skinny, kern512F32.skinny = skinny, skinny, skinny
 }
 
 // asmF64 reports whether the assembly kernels, of every element type, may be

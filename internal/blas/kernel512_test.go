@@ -27,6 +27,57 @@ func fmaRef[T core.Float](x, y, z T) T {
 	return T(f)
 }
 
+// TestFma32 holds fma32, the float32 FMA of the portable rows' twins, to
+// fmaRef: products whose float64 sum lands exactly on a float32 halfway point
+// with the exact sum a hair off it (where rounding twice goes wrong), subnormal
+// results, overflow, signed zeros, NaN and Inf — and random operands over the
+// whole exponent range, subnormal ones included.
+func TestFma32(t *testing.T) {
+	p := func(e int) float32 { return float32(math.Ldexp(1, e)) }
+	m := float32(math.MaxFloat32)
+	inf, nan := float32(math.Inf(1)), float32(math.NaN())
+	negz := float32(math.Copysign(0, -1))
+	x := 1 + p(-12) // x·x = 1 + 2⁻¹¹ + 2⁻²⁴, a float32 halfway point
+	s := 3 * p(-76) // s·2⁻⁷⁴ = 1.5·2⁻¹⁴⁹, halfway between the two smallest subnormals
+	cases := [][3]float32{
+		{x, x, 0}, {x, x, p(-80)}, {x, x, -p(-80)}, {-x, x, p(-80)}, {x, -x, -p(-80)},
+		{s, p(-74), 0}, {s, p(-74), p(-149)}, {s, -p(-74), p(-149)}, {p(-70), p(-70), 0},
+		{p(-75), p(-75), p(-149)}, {p(-126), 0.5, p(-149)}, {3 * p(-75), p(-75), -p(-149)},
+		{p(100), p(100), 0}, {m, 1, m}, {m, -1, -m}, {m, 1 + p(-23), -m}, {m, 2, -m},
+		{negz, 1, 0}, {negz, 1, negz}, {1, -1, 1}, {negz, negz, negz}, {0, negz, negz},
+		{inf, 0, 1}, {inf, 1, -inf}, {inf, 2, 1}, {-inf, 2, inf}, {nan, 1, 1}, {1, 1, nan}, {0, inf, nan},
+	}
+	rng := rand.New(rand.NewSource(70))
+	for range 20000 {
+		r := func() float32 { return float32(math.Ldexp(rng.Float64()-0.5, rng.Intn(300)-150)) }
+		cases = append(cases, [3]float32{r(), r(), r()})
+	}
+	for _, c := range cases {
+		if got, want := fma32(c[0], c[1], c[2]), fmaRef(c[0], c[1], c[2]); !sameValue(got, want) {
+			t.Errorf("fma32(%g, %g, %g) = %g (%#08x), want %g (%#08x)", c[0], c[1], c[2], got, math.Float32bits(got), want, math.Float32bits(want))
+		}
+	}
+	// The portable float32 micro-tile takes its chains on a fast path that
+	// must hand over where a sum lands on a halfway point: 2⁻⁸⁰ from the
+	// first step, then ±x·x.
+	const mr, kb = asmF32MR, 2
+	ap, bp, c := make([]float32, mr*kb), make([]float32, 4*kb), make([]float32, mr*4)
+	for i := range mr {
+		ap[i], ap[mr+i] = p(-40), x*float32(1-2*(i%2))
+	}
+	for j := range 4 {
+		bp[j], bp[4+j] = p(-40), x
+	}
+	gemmKernelFma[float32](mr)(kb, ap, bp, c, mr)
+	for j := range 4 {
+		for i := range mr {
+			if want := fmaRef(bp[4+j], ap[mr+i], fmaRef(bp[j], ap[i], 0)); c[j*mr+i] != want {
+				t.Errorf("micro-tile (%d, %d) = %g, want %g", i, j, c[j*mr+i], want)
+			}
+		}
+	}
+}
+
 // sameValue is bit equality, with any NaN equal to any other: which NaN a
 // chain ends in (its sign and payload) is the hardware's and the operand
 // order's choice.

@@ -187,16 +187,15 @@ func TestRankKPackedComplex(t *testing.T) {
 }
 
 // testRoutesAgree runs Gemm and Herk through the public entry points, above
-// every crossover, on every row: the rows differ only in rounding order, so
-// they must agree to n·ε, and on each the diagonal of Herk's result is
-// exactly real.
+// every crossover, on every row: the rows compute the same bits, and on each
+// the diagonal of Herk's result is exactly real.
 func testRoutesAgree[T core.Scalar](t *testing.T) {
 	const n = 90
 	rng := rand.New(rand.NewSource(56))
 	a := randSlice[T](rng, n*n)
 	b := randSlice[T](rng, n*n)
 	alpha := core.FromComplex[T](0.75 + 0.25i)
-	routesAgree(t, make([]T, 2*n*n), 4*n*core.Eps[T](), func(r diff.Row, c []T) {
+	routesAgree(t, make([]T, 2*n*n), func(r diff.Row, c []T) {
 		Gemm(tcfg(), ConjTrans, NoTrans, n, n, n, alpha, a, n, b, n, 0, c, n)
 		Herk(tcfg(), Lower, NoTrans, n, n, 1, a, n, 0, c[n*n:], n)
 		for j := 0; j < n; j++ {
@@ -208,16 +207,16 @@ func testRoutesAgree[T core.Scalar](t *testing.T) {
 }
 
 // routesAgree runs op into a copy of c0 on every row and fails t where a row
-// differs from the selected one by more than tol.
-func routesAgree[T core.Scalar](t *testing.T, c0 []T, tol float64, op func(r diff.Row, c []T)) {
+// differs bitwise from the selected one.
+func routesAgree[T core.Scalar](t *testing.T, c0 []T, op func(r diff.Row, c []T)) {
 	var want []T
 	diff.OnRows(t, func(r diff.Row) {
 		c := clone(c0)
 		op(r, c)
 		if want == nil {
 			want = c
-		} else if d := diff.MaxDiff(want, c); d > tol {
-			t.Fatalf("%v row and selected row differ by %g", r, d)
+		} else if !diff.Same(want, c) {
+			t.Fatalf("%v row and selected row differ bitwise (by up to %g)", r, diff.MaxDiff(want, c))
 		}
 	})
 }
@@ -310,15 +309,14 @@ func realEngineDigest[T core.Scalar](h *diff.Hash) {
 }
 
 // The float32/float64 rows of the table must compute exactly what the per-type
-// dispatch they replaced did: digests recorded before the kernel table, the
-// asm ones regenerated once when the ragged tiles went from the scalar
-// microEdge to the full-tile FMA chain (c6d2cda8ef5d0a95 / 0c47848641879fbb
-// before). Both asm rows must produce them: a row that runs the asm kernels
-// (asmF64) is held to column 0 alone, not to either column. Regenerate with
+// dispatch they replaced did: digests recorded before the kernel table,
+// regenerated once when the ragged tiles went from a scalar edge kernel to
+// the full-tile FMA chain (c6d2cda8ef5d0a95 / 0c47848641879fbb before). Every
+// row, the portable one included, must produce them. Regenerate with
 // `go test ./internal/blas -run RealEngines -args -golden`.
 var realEngineGolden = diff.Table{
-	"float32": {Hash: [2]uint64{0x9a381d423ec5f8b9, 0x6ac6c6356297af22}},
-	"float64": {Hash: [2]uint64{0xdc265d249bc9fbe3, 0xbc92bbd2a56fa80a}},
+	"float32": {Hash: 0x9a381d423ec5f8b9},
+	"float64": {Hash: 0xdc265d249bc9fbe3},
 }
 
 func TestRealEnginesBitIdenticalToPreTable(t *testing.T) {
@@ -327,11 +325,6 @@ func TestRealEnginesBitIdenticalToPreTable(t *testing.T) {
 		out["float64"], out["float32"] = diff.NewHash(), diff.NewHash()
 		realEngineDigest[float64](out["float64"])
 		realEngineDigest[float32](out["float32"])
-		for k, h := range out {
-			if want := realEngineGolden[k].Hash[0]; asmF64() && h.Sum64() != want {
-				t.Errorf("%s: %#016x on the asm kernels, recorded %#016x", k, h.Sum64(), want)
-			}
-		}
 	})
 }
 
@@ -423,12 +416,12 @@ func TestGemmt(t *testing.T) {
 }
 
 // testGemmtRoutesAgree runs one update above every row's packed crossover on
-// every row: they differ only in rounding order.
+// every row: they compute the same bits.
 func testGemmtRoutesAgree[T core.Scalar](t *testing.T) {
 	const n, k = 96, 64
 	rng := rand.New(rand.NewSource(22))
 	a, b, c0 := randSlice[T](rng, n*k), randSlice[T](rng, n*k), randSlice[T](rng, n*n)
-	routesAgree(t, c0, 4*k*core.Eps[T](), func(_ diff.Row, c []T) {
+	routesAgree(t, c0, func(_ diff.Row, c []T) {
 		Gemmt(tcfg(), Lower, NoTrans, ConjTrans, n, k, core.FromFloat[T](-1), a, n, b, n, core.FromFloat[T](1), c, n)
 	})
 }
@@ -441,27 +434,53 @@ func TestGemmtRoutesAgree(t *testing.T) {
 }
 
 // testRowsAgree runs every packed Level-3 routine above the packed crossover,
-// on shapes ragged against both asm rows' micro-tiles and with operand slices
-// that end on their last element, on the AVX-512 row and on the AVX2 row: the
-// two take the same routes and every element is the same chain of fused
-// multiply-adds per kc slab on both, so they must agree bit for bit.
+// on shapes ragged against every row's micro-tile and with operand slices
+// that end on their last element, and the pack-free small products, on every
+// row of diff.RowSet: the rows take the same routes and every element is the
+// same chain of fused multiply-adds per kc slab on each — the portable row
+// running the asm kernels' Go twins — so they must agree bit for bit with the
+// selected row.
 func testRowsAgree[T core.Scalar](t *testing.T) {
 	rng := rand.New(rand.NewSource(512))
 	alpha := core.FromComplex[T](1.25 - 0.5i)
 	// agree runs op into a copy of c0 on each row.
 	agree := func(name string, c0 []T, op func(c []T)) {
 		t.Helper()
-		want, got := clone(c0), clone(c0)
+		want := clone(c0)
 		op(want)
-		diff.Force(t, diff.AVX2)
-		op(got)
-		diff.Force(t, diff.Selected)
-		if !diff.Same(got, want) {
-			t.Errorf("%s: the AVX2 row differs bitwise from the AVX-512 row", name)
+		for _, r := range diff.RowSet()[1:] {
+			got := clone(c0)
+			diff.Force(t, r)
+			op(got)
+			diff.Force(t, diff.Selected)
+			if !diff.Same(got, want) {
+				t.Errorf("%s: the %v row differs bitwise from the selected row", name, r)
+			}
 		}
 	}
 	// exact is a random m×n operand whose slice ends with its last element.
 	exact := func(m, n, ld int) []T { return randSlice[T](rng, (n-1)*ld+m) }
+
+	// Small integer-valued operands at n = 64, and products under the
+	// pack-free crossover (SmallOK) at every m, n, k up to it.
+	{
+		const n = 64
+		a, b := make([]T, n*n), make([]T, n*n)
+		for i := range a {
+			a[i], b[i] = core.FromFloat[T](float64(i%13-6)), core.FromFloat[T](float64(i%11-5))
+		}
+		agree("Gemm integers 64", make([]T, n*n), func(c []T) {
+			Gemm(tcfg(), NoTrans, NoTrans, n, n, n, 1, a, n, b, n, 0, c, n)
+		})
+	}
+	for trial := 0; trial < 40; trial++ {
+		m, n, k := 1+rng.Intn(64), 1+rng.Intn(64), 1+rng.Intn(64)
+		lda, ldb, ldc := m+1, k+2, m
+		a, b := randSlice[T](rng, lda*k), randSlice[T](rng, ldb*n)
+		agree(fmt.Sprintf("Gemm small %dx%dx%d", m, n, k), randSlice[T](rng, ldc*n), func(c []T) {
+			Gemm(tcfg(), NoTrans, NoTrans, m, n, k, 1.5, a, lda, b, ldb, 1, c, ldc)
+		})
+	}
 
 	for _, sh := range [][3]int{{67, 45, 83}, {131, 98, 300}, {56, 40, 100}, {25, 203, 64}} {
 		m, n, k := sh[0], sh[1], sh[2]
@@ -537,9 +556,6 @@ func testRowsAgree[T core.Scalar](t *testing.T) {
 }
 
 func TestRowsAgree(t *testing.T) {
-	if kernelFor[float64]() != &kern512F64 {
-		t.Skip("the AVX-512 row is not selected (no AVX-512, LA90_NO_ASM=1 or the AVX2 row forced): nothing to compare the AVX2 row with")
-	}
 	t.Run("float64", testRowsAgree[float64])
 	t.Run("float32", testRowsAgree[float32])
 	t.Run("complex128", testRowsAgree[complex128])

@@ -6,11 +6,12 @@ import (
 	"repro/internal/core"
 )
 
-// The portable Level-1/2 leaves of the kernel table (kernel.go): the plain Go
-// loop of every leaf, written once for all four element types. They are the
-// entries of the portable rows, of the complex 1m rows, and of the asm rows
-// wherever a type has no vector kernel for a leaf; the strided forms are also
-// what the Level-2 routines run when an operand is not unit-stride.
+// The Go Level-1/2 leaves of the kernel table (kernel.go): the plain Go loop
+// of every leaf, written once for all four element types. They are the
+// entries of every row wherever a type has no vector kernel for a leaf (the
+// portable rows run the Go twins of the vector kernels, twins.go); the
+// strided forms are also what the Level-2 routines run when an operand is
+// not unit-stride.
 // Conjugation comes in as a flag the callers resolve once per call (false for
 // real element types), so no loop here conjugates real data.
 
@@ -29,9 +30,9 @@ func axpyInc[T core.Scalar](alpha T, x, y []T, incY int, sub bool) {
 	}
 }
 
-// axpyGo, scalGo and dotGo are the unit-stride row entries, range loops with
-// the bounds checks hoisted: the index arithmetic of the strided forms costs
-// the complex Gemv/Ger columns a third of their speed.
+// axpyGo, scalGo and dotGo are the plain unit-stride loops, range loops with
+// the bounds checks hoisted: the Go loops the vector kernels' non-finite
+// classes are held to (TestComplexLeaves).
 func axpyGo[T core.Scalar](alpha T, x, y []T) {
 	y = y[:len(x)]
 	for i, v := range x {

@@ -487,9 +487,9 @@ func TestTrsmLeaves(t *testing.T) {
 	})
 }
 
-// TestTrsvOctRowsAgree holds the float64 trsvOct leaf of each asm row — on
-// the AVX-512 row the register tile, on the AVX2 row the sweep — to the other
-// bit for bit: at every order 1…65 (each ragged block, one past trsmLeaf),
+// TestTrsvOctRowsAgree holds the float64 trsvOct leaf of each row — on the
+// AVX-512 row the register tile, on the AVX2 row the sweep, on the portable
+// row the sweep's Go twin — to the selected row's bit for bit: at every order 1…65 (each ragged block, one past trsmLeaf),
 // one to three octets, both triangles and diagonals, ldb > m with the rows
 // past m watched; with NaNs in B and A (of four payloads) and an Inf and a
 // zero on A's diagonal; and through Trsm at 512×37, which reaches it by the
@@ -499,9 +499,6 @@ func TestTrsvOctRowsAgree(t *testing.T) {
 	agree := func(name string, m, ldb int, b0 []float64, op func(b []float64)) {
 		var want []float64
 		diff.OnRows(t, func(r diff.Row) {
-			if r == diff.Portable {
-				return
-			}
 			b := clone(b0)
 			op(b)
 			for j := 0; j*ldb+m < len(b); j++ {
@@ -726,11 +723,12 @@ func TestComplexLeaves(t *testing.T) {
 }
 
 // TestReflRows checks the row reflector leaves — what Hseqr sweeps H's rows
-// with — on the asm row against the portable one: every column count 0…40
-// (groups of four, the remainder, and the group held back when the last
-// column's fourth row would lie past the slice), leading dimensions beyond
-// the rows touched, agreement within 2 ulp of the largest term, and the rows
-// above and below the three (two) active ones bit-identical afterwards.
+// with — on the asm row against the portable one, bit for bit, and against
+// the plain Go loop: every column count 0…40 (groups of four, the remainder,
+// and the group held back when the last column's fourth row would lie past
+// the slice), leading dimensions beyond the rows touched, agreement with the
+// loop within 2 ulp of the largest term, and the rows above and below the
+// three (two) active ones bit-identical afterwards.
 func TestReflRows(t *testing.T) {
 	if !asmF64() {
 		t.Skip("no asm row")
@@ -752,18 +750,21 @@ func TestReflRows(t *testing.T) {
 				if n > 0 && ld == lead+rows {
 					end = (n-1)*ld + lead + rows
 				}
-				run := func(k *kernel[float64]) []float64 {
+				run := func(r3 func(int, []float64, int, float64, float64, float64, float64, float64), r2 func(int, []float64, int, float64, float64, float64)) []float64 {
 					out := append([]float64(nil), full...)
 					if n > 0 {
 						if rows == 3 {
-							k.refl3Rows(n, out[lead:end], ld, v2, v3, t1, t2, t3)
+							r3(n, out[lead:end], ld, v2, v3, t1, t2, t3)
 						} else {
-							k.refl2Rows(n, out[lead:end], ld, v2, t1, t2)
+							r2(n, out[lead:end], ld, v2, t1, t2)
 						}
 					}
 					return out
 				}
-				got, want := run(&kernAsmF64), run(&kernGoF64)
+				got, want := run(kernAsmF64.refl3Rows, kernAsmF64.refl2Rows), run(refl3RowsGo[float64], refl2RowsGo[float64])
+				if !diff.Same(got, run(kernGoF64.refl3Rows, kernGoF64.refl2Rows)) {
+					t.Fatalf("rows=%d ld=%d n=%d: the asm and portable rows differ bitwise", rows, ld, n)
+				}
 				for j := 0; j < n; j++ {
 					c := full[j*ld+lead:]
 					sum := math.Abs(c[0]) + math.Abs(v2*c[1])
@@ -780,7 +781,7 @@ func TestReflRows(t *testing.T) {
 						}
 						ti := []float64{t1, t2, t3}[i-lead]
 						if scale := math.Abs(c[i-lead]) + sum*math.Abs(ti); math.Abs(g-w) > 2*0x1p-52*scale {
-							t.Fatalf("rows=%d ld=%d n=%d: (%d,%d) asm %v portable %v", rows, ld, n, i, j, g, w)
+							t.Fatalf("rows=%d ld=%d n=%d: (%d,%d) asm %v Go loop %v", rows, ld, n, i, j, g, w)
 						}
 					}
 				}

@@ -95,12 +95,11 @@ func gemm[T core.Scalar](cfg *core.Config, transA, transB Trans, m, n, k int, al
 		kern.skinny(cfg, m, n, k, alpha, a, lda, b, ldb, c, ldc)
 		return
 	}
-	// With an assembly micro-kernel the packed engine overtakes the naive
-	// loop far sooner: packing cost is linear in the operand sizes while the
-	// kernel runs several times faster, so only truly small products stay on
-	// the low-latency path. This matters for the factorizations, whose
-	// recursive panels issue many tall-skinny products well under the
-	// portable crossover.
+	// The packed engine overtakes the naive loop early: packing cost is
+	// linear in the operand sizes while the micro-kernel runs several times
+	// faster, so only truly small products stay on the low-latency path.
+	// This matters for the factorizations, whose recursive panels issue many
+	// tall-skinny products.
 	if vol < kern.minVol {
 		gemmAccumNaive(transA, transB, m, n, k, alpha, a, lda, b, ldb, c, ldc)
 		return
@@ -776,7 +775,7 @@ func trsmRec[T core.Scalar](cfg *core.Config, side Side, uplo Uplo, trans Trans,
 		return
 	}
 	one := core.FromFloat[T](1)
-	n1 := nt / 2 / gemmMR * gemmMR
+	n1 := nt / 2 &^ 3 // a multiple of four
 	n2 := nt - n1
 	a11 := a
 	a21 := a[n1:]
@@ -945,82 +944,38 @@ func transposeTriangle[T core.Scalar](uplo Uplo, conj bool, m int, a []T, lda in
 	}
 }
 
-// trsvOct solves A·X = B in place for n right-hand-side columns of b, n a
-// multiple of eight, eight columns per sweep of the triangle. Columns must
-// already carry any alpha scaling. This is the portable form (the trsvOct
-// entry of the portable rows of the kernel table); the real asm rows run
-// trsvOctFma (the float64 AVX-512 row trsvOct512F64), the complex 1m rows
-// trsvOct1e.
-func trsvOct[T core.Scalar](uplo Uplo, diag Diag, m, n int, a []T, lda int, b []T, ldb int) {
-	nonUnit := diag == NonUnit
-	for j := 0; j < n; j += 8 {
-		b := b[j*ldb:]
-		c0 := b[0*ldb : 0*ldb+m]
-		c1 := b[1*ldb : 1*ldb+m]
-		c2 := b[2*ldb : 2*ldb+m]
-		c3 := b[3*ldb : 3*ldb+m]
-		c4 := b[4*ldb : 4*ldb+m]
-		c5 := b[5*ldb : 5*ldb+m]
-		c6 := b[6*ldb : 6*ldb+m]
-		c7 := b[7*ldb : 7*ldb+m]
-		// Forward substitution for Lower, backward for Upper: step s
-		// eliminates row i from the rows [lo, hi) still to come.
-		for s := 0; s < m; s++ {
-			i, lo, hi := s, s+1, m
-			if uplo == Upper {
-				i, lo, hi = m-1-s, 0, m-1-s
-			}
-			acol := a[i*lda : i*lda+m]
-			x0, x1, x2, x3 := c0[i], c1[i], c2[i], c3[i]
-			x4, x5, x6, x7 := c4[i], c5[i], c6[i], c7[i]
-			if nonUnit {
-				d := acol[i]
-				x0, x1, x2, x3 = core.Div(x0, d), core.Div(x1, d), core.Div(x2, d), core.Div(x3, d)
-				x4, x5, x6, x7 = core.Div(x4, d), core.Div(x5, d), core.Div(x6, d), core.Div(x7, d)
-				c0[i], c1[i], c2[i], c3[i] = x0, x1, x2, x3
-				c4[i], c5[i], c6[i], c7[i] = x4, x5, x6, x7
-			}
-			for r := lo; r < hi; r++ {
-				t := acol[r]
-				c0[r] -= t * x0
-				c1[r] -= t * x1
-				c2[r] -= t * x2
-				c3[r] -= t * x3
-				c4[r] -= t * x4
-				c5[r] -= t * x5
-				c6[r] -= t * x6
-				c7[r] -= t * x7
-			}
-		}
-	}
-}
-
-// trsvOctFma is trsvOct on the real asm rows (float64 and float32): the
-// per-step update of the trailing rows runs in the eight-column substitution
-// kernel behind subFma8, whose fused negate-multiply-adds roughly halve the
-// arithmetic of the portable loop.
-func trsvOctFma[F core.Float](uplo Uplo, diag Diag, m, n int, a []F, lda int, b []F, ldb int) {
-	nonUnit := diag == NonUnit
-	var x [8]F
-	for j := 0; j < n; j += 8 {
-		b := b[j*ldb:]
-		for s := 0; s < m; s++ {
-			i, lo, hi := s, s+1, m
-			if uplo == Upper {
-				i, lo, hi = m-1-s, 0, m-1-s
-			}
-			for q := 0; q < 8; q++ {
-				x[q] = b[q*ldb+i]
-			}
-			if nonUnit {
-				d := a[i*lda+i]
-				for q := 0; q < 8; q++ {
-					x[q] /= d
-					b[q*ldb+i] = x[q]
+// trsvOctFma builds the trsvOct leaf of the real AVX2 rows (float64 and
+// float32): it solves A·X = B in place for n right-hand-side columns of b, n
+// a multiple of eight, eight columns per sweep of the triangle, the columns
+// already carrying any alpha scaling. The per-step update of the trailing
+// rows runs in the eight-column substitution kernel behind subFma8, whose
+// fused negate-multiply-adds roughly halve the arithmetic of a plain loop —
+// its Go twin on the portable rows (twin). The float64 AVX-512 row runs
+// trsvOct512F64, the complex 1m rows trsvOct1e.
+func trsvOctFma[F core.Float](twin bool) func(uplo Uplo, diag Diag, m, n int, a []F, lda int, b []F, ldb int) {
+	return func(uplo Uplo, diag Diag, m, n int, a []F, lda int, b []F, ldb int) {
+		nonUnit := diag == NonUnit
+		var x [8]F
+		for j := 0; j < n; j += 8 {
+			b := b[j*ldb:]
+			for s := 0; s < m; s++ {
+				i, lo, hi := s, s+1, m
+				if uplo == Upper {
+					i, lo, hi = m-1-s, 0, m-1-s
 				}
-			}
-			if hi > lo {
-				subFma8(int64(hi-lo), &x, &a[i*lda+lo], &b[lo], int64(ldb))
+				for q := 0; q < 8; q++ {
+					x[q] = b[q*ldb+i]
+				}
+				if nonUnit {
+					d := a[i*lda+i]
+					for q := 0; q < 8; q++ {
+						x[q] /= d
+						b[q*ldb+i] = x[q]
+					}
+				}
+				if hi > lo {
+					subFma8(twin, int64(hi-lo), &x, &a[i*lda+lo], &b[lo], int64(ldb))
+				}
 			}
 		}
 	}
@@ -1062,13 +1017,14 @@ func trsvOct512F64(uplo Uplo, diag Diag, m, n int, a []float64, lda int, b []flo
 // xr·[t.re, t.im, …] and xi·[−t.im, t.re, …]: two real sweeps over the
 // triangle in the 1e form of packA1m, expanded once per call into pooled
 // scratch. A pivot row is divided by one reciprocal of its diagonal entry.
+// With twin set (the portable rows) the sweeps run subFma8's Go twin.
 // With a fold (complex128 on the AVX-512 row: dfold512), a Lower triangle
 // is solved by blocks of four complex rows: the rows already solved are
 // folded into the block's eight real rows in registers — the sweeps' real
 // chain, 2i then 2i+1 per pivot i — and the sweeps run within the block.
 // Upper keeps the sweeps: its real order, 2i then 2i+1 for i descending, is
 // not the fold's.
-func trsvOct1e[C core.Cmplx, R core.Float](view func([]C) []R, fold func(n, k int, a []R, lda int, b []R, ldb int, r0, rows int)) func(uplo Uplo, diag Diag, m, n int, a []C, lda int, b []C, ldb int) {
+func trsvOct1e[C core.Cmplx, R core.Float](view func([]C) []R, fold func(n, k int, a []R, lda int, b []R, ldb int, r0, rows int), twin bool) func(uplo Uplo, diag Diag, m, n int, a []C, lda int, b []C, ldb int) {
 	return func(uplo Uplo, diag Diag, m, n int, a []C, lda int, b []C, ldb int) {
 		ld := 2 * m
 		e := getScratch[R](2 * m * ld)
@@ -1119,8 +1075,8 @@ func trsvOct1e[C core.Cmplx, R core.Float](view func([]C) []R, fold func(n, k in
 					}
 					if hi > lo {
 						c := &bv[2*(j*ldb+lo)]
-						subFma8(int64(2*(hi-lo)), &xr, &e[2*i*ld+2*lo], c, int64(2*ldb))
-						subFma8(int64(2*(hi-lo)), &xi, &e[(2*i+1)*ld+2*lo], c, int64(2*ldb))
+						subFma8(twin, int64(2*(hi-lo)), &xr, &e[2*i*ld+2*lo], c, int64(2*ldb))
+						subFma8(twin, int64(2*(hi-lo)), &xi, &e[(2*i+1)*ld+2*lo], c, int64(2*ldb))
 					}
 				}
 			}
@@ -1130,30 +1086,22 @@ func trsvOct1e[C core.Cmplx, R core.Float](view func([]C) []R, fold func(n, k in
 }
 
 // subFma8 is the substitution sweep c(r, q) -= a(r)·x[q], q < 8, under
-// trsvOctFma: dsubFma8 (four rows per step) or ssubFma8 (eight float32
-// lanes) by element type. The kernel is named here rather than passed to
-// trsvOctFma as a func value because a pointer handed to a func value
-// escapes: x would cost a heap allocation per leaf or, copied by value,
-// ~8 ns per elimination step (13 % of Getrf at n = 256, measured).
-func subFma8[F core.Float](n int64, x *[8]F, a, c *F, ldc int64) {
+// trsvOctFma and trsvOct1e: dsubFma8 (four rows per step) or ssubFma8 (eight
+// float32 lanes) by element type, or with twin set their Go twin. The kernel
+// is named here rather than passed to trsvOctFma as a func value because a
+// pointer handed to a func value escapes: x would cost a heap allocation per
+// leaf or, copied by value, ~8 ns per elimination step (13 % of Getrf at
+// n = 256, measured).
+func subFma8[F core.Float](twin bool, n int64, x *[8]F, a, c *F, ldc int64) {
+	if twin {
+		sub8Fma(int(n), x, a, c, int(ldc))
+		return
+	}
 	switch x := any(x).(type) {
 	case *[8]float64:
 		dsubFma8(n, &x[0], any(a).(*float64), any(c).(*float64), ldc)
 	case *[8]float32:
 		ssubFma8(n, &x[0], any(a).(*float32), any(c).(*float32), ldc)
-	}
-}
-
-// gemvSub8 folds eight scaled source columns into y, y -= Σ_q t[q]·b(:,q):
-// the portable form of the kernel table's gemvSub8 entry (the real asm rows
-// run dgemvSub8/sgemvSub8).
-func gemvSub8[T core.Scalar](m int, t [8]T, b []T, ldb int, y []T) {
-	b0, b1, b2, b3 := b[:m], b[ldb:ldb+m], b[2*ldb:2*ldb+m], b[3*ldb:3*ldb+m]
-	b4, b5, b6, b7 := b[4*ldb:4*ldb+m], b[5*ldb:5*ldb+m], b[6*ldb:6*ldb+m], b[7*ldb:7*ldb+m]
-	for i := range y[:m] {
-		s := t[0]*b0[i] + t[1]*b1[i] + t[2]*b2[i] + t[3]*b3[i]
-		s += t[4]*b4[i] + t[5]*b5[i] + t[6]*b6[i] + t[7]*b7[i]
-		y[i] -= s
 	}
 }
 

@@ -180,14 +180,20 @@ func dot8Go[T core.Scalar](k *kernel[T], a []T, lda int, x []T, conj bool) (out 
 	return out
 }
 
-// cholStepF64 is the float64 asm rows' cholStep: dcholStep8 takes the full
-// blocks of an order that is a multiple of the block width, which is every
-// step but the first of a factorization that puts its ragged block first.
-func cholStepF64(k *kernel[float64], upper bool, jb, m int, a []float64, lda int) int {
-	if jb == CholNB && m%CholNB == 0 {
+// cholStepF64 builds the float64 rows' cholStep: dcholStep8 — or with twin
+// set its Go twin — takes the full blocks of an order that is a multiple of
+// the block width, which is every step but the first of a factorization that
+// puts its ragged block first.
+func cholStepF64(twin bool) func(k *kernel[float64], upper bool, jb, m int, a []float64, lda int) int {
+	return func(k *kernel[float64], upper bool, jb, m int, a []float64, lda int) int {
+		switch {
+		case jb != CholNB || m%CholNB != 0:
+			return cholStepGo(k, upper, jb, m, a, lda)
+		case twin:
+			return cholStep8Fma(upper, m, a, lda)
+		}
 		return dcholStep8(upper, m, a, lda)
 	}
-	return cholStepGo(k, upper, jb, m, a, lda)
 }
 
 // dot8F64 is the float64 asm rows' dot8.

@@ -121,13 +121,20 @@ func luStepGo[T core.Scalar](k *kernel[T], nl, jb, m, n int, a []T, lda int, ipi
 // interchanges as a map of one entry per row (FROM in smalllu_amd64.s).
 const dluStep8MaxRows = 256
 
-// luStepF64 is the float64 asm rows' luStep: dluStep8 takes the full blocks
-// on a row count that is a multiple of the block width with whole groups of
-// four columns on their right, which in a square factorization that puts its
-// ragged block first is every step but that one.
-func luStepF64(k *kernel[float64], nl, jb, m, n int, a []float64, lda int, ipiv []int) int {
-	if nr := n - nl - jb; jb == CholNB && m%CholNB == 0 && m <= dluStep8MaxRows && nr%4 == 0 {
-		return dluStep8(nl, m, nr, a, lda, ipiv)
+// luStepF64 builds the float64 rows' luStep: dluStep8 — or with twin set its
+// Go twin — takes the full blocks on a row count that is a multiple of the
+// block width with whole groups of four columns on their right, which in a
+// square factorization that puts its ragged block first is every step but
+// that one.
+func luStepF64(twin bool) func(k *kernel[float64], nl, jb, m, n int, a []float64, lda int, ipiv []int) int {
+	return func(k *kernel[float64], nl, jb, m, n int, a []float64, lda int, ipiv []int) int {
+		switch nr := n - nl - jb; {
+		case jb != CholNB || m%CholNB != 0 || m > dluStep8MaxRows || nr%4 != 0:
+			return luStepGo(k, nl, jb, m, n, a, lda, ipiv)
+		case twin:
+			return luStep8Fma(nl, m, nr, a, lda, ipiv)
+		default:
+			return dluStep8(nl, m, nr, a, lda, ipiv)
+		}
 	}
-	return luStepGo(k, nl, jb, m, n, a, lda, ipiv)
 }

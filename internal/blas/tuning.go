@@ -40,18 +40,12 @@ const (
 	gemmSmallDim           = 64
 	gemmParallelMinVol     = 192 * 192 * 192
 
-	// gemmPackedMinVol is the m·n·k volume below which Gemm stays on the
-	// naive column-walking kernel: packing two operands only pays for
-	// itself once each packed element is reused across enough micro-tiles.
-	// 80³ keeps every n ≤ 64 problem (and the skinny updates of small
-	// factorizations) on the low-latency path.
-	gemmPackedMinVol = 80 * 80 * 80
-
-	// gemmPackedMinVolAsm replaces gemmPackedMinVol on the asm rows of the
-	// kernel table (all four types on AVX2 or AVX-512 hardware): the kernel's
-	// higher flop rate amortizes packing at a fraction of the portable
-	// crossover. The two asm rows share it, and every other crossover, so that
-	// they take the same route for the same shape and agree bit for bit.
+	// gemmPackedMinVolAsm is the m·n·k volume below which Gemm stays on the
+	// naive column-walking kernel on the real rows of the kernel table:
+	// packing two operands only pays for itself once each packed element is
+	// reused across enough micro-tiles. The real rows of a type — AVX-512,
+	// AVX2 and portable — share it, and every other crossover, so that they
+	// take the same route for the same shape and agree bit for bit.
 	gemmPackedMinVolAsm = 44 * 44 * 44
 
 	// gemmPackedMinVol1m is the crossover of the complex 1m rows. Their
@@ -63,9 +57,8 @@ const (
 	gemmPackedMinVol1m = 16 * 16 * 16
 
 	// dotRowsAsm and dotRows1m are the row-count crossovers of Gemm's
-	// inner-product route (gemmDots) on the real asm rows and the complex 1m
-	// rows, dotMinK its k crossover on both; the portable rows leave the
-	// route off.
+	// inner-product route (gemmDots) on the real rows and the complex 1m
+	// rows, dotMinK its k crossover on both.
 	dotRowsAsm = 16
 	dotRows1m  = 8
 	dotMinK    = 256
@@ -80,8 +73,7 @@ const (
 	// leaf flops into rectangular GEMM updates but pays a packing pass per
 	// recursion level; with the FMA substitution kernels the leaf is cheap
 	// enough that 64 beats both finer and coarser splits on the LU/Cholesky
-	// benchmark shapes. The portable rows of every type keep it too: their
-	// GEMM is no faster than the substitution loops.
+	// benchmark shapes.
 	trsmLeafSize = 64
 
 	// trsmLeafSizeF32 replaces trsmLeafSize for float32 operands. The

@@ -53,17 +53,20 @@ const (
 
 func (r Row) String() string { return [...]string{"table", "avx2", "portable"}[r] }
 
-// AVX512 says whether the kernel table selects its AVX-512 row, so that
-// forcing the AVX2 row runs a second asm row. The tests of package blas set it
-// from the table before any test runs; other packages cannot see the table
-// and keep true, so on an AVX2 machine without AVX-512 their AVX2 row repeats
-// the selected one.
-var AVX512 = true
+// Asm and AVX512 say whether the kernel table selects an asm row and its
+// AVX-512 row. The tests of package blas set them from the table before any
+// test runs; other packages cannot see it and keep true, so without AVX2+FMA
+// or AVX-512 their forced rows can repeat the selected one.
+var Asm, AVX512 = true, true
 
-// RowSet lists the rows a cross-check visits. The AVX2 row is left out where
-// it is the selected one (-avx2, LA90_NO_ASM=1, not amd64, !AVX512).
+// RowSet lists the rows a cross-check visits, each once: the AVX2 row is left
+// out where it is the selected one (-avx2, !AVX512) and both forced rows where
+// the portable row is (!Asm, LA90_NO_ASM=1, not amd64).
 func RowSet() []Row {
-	if *avx2 || !AVX512 || core.EnvFlag("LA90_NO_ASM") || runtime.GOARCH != "amd64" {
+	switch {
+	case !Asm || core.EnvFlag("LA90_NO_ASM") || runtime.GOARCH != "amd64":
+		return []Row{Selected}
+	case *avx2 || !AVX512:
 		return []Row{Selected, Portable}
 	}
 	return []Row{Selected, AVX2, Portable}
@@ -208,30 +211,26 @@ func (h *Hash) Approx(k int, v float64, terms int) {
 
 func (h *Hash) Sum64() uint64 { return h.h }
 
-// Entry is one key of a golden table: its hash on the asm rows and on the
-// portable row (columns 0 and 1) and, on the tolerance level, its sums.
+// Entry is one key of a golden table: its hash on every row and, on the
+// tolerance level, its sums.
 type Entry struct {
-	Hash [2]uint64
-	Sums [2][]float64
+	Hash uint64
+	Sums []float64
 }
 
 // Table is a golden table: per key, the fingerprints a commit recorded.
 type Table map[string]Entry
 
 // Check runs fp on rows (every row of RowSet when none is given), each as a
-// subtest, and checks what it computed against the table: the portable row
-// must equal column 1, every other row must land on one recorded column, a
-// hash bit for bit and a sum to 1e-12 per term (1e-4 for the keys of
-// single-precision types). Under -golden it prints the table instead, from
-// the selected row and the portable row. The bits were recorded on amd64;
-// other targets may fuse multiply-adds in the portable kernels, so there fp
-// runs (and makes its own assertions) but the comparison is skipped.
+// subtest, and holds every row to the table: a hash bit for bit and a sum to
+// 1e-12 per term (1e-4 for the keys of single-precision types). Under -golden
+// it prints the table instead, from the selected row. The bits were recorded
+// on amd64; on arm64 the compiler fuses x·y + z in any Go code, the Go loops
+// of every row included, so on other targets fp runs (and makes its own
+// assertions) but the comparison is skipped.
 func (tab Table) Check(t *testing.T, fp func(t *testing.T, out map[string]*Hash), rows ...Row) {
 	if len(rows) == 0 {
 		rows = RowSet()
-	}
-	if *golden && !slices.Contains(rows, Portable) {
-		rows = append(rows, Portable)
 	}
 	got := map[Row]map[string]*Hash{}
 	for _, r := range rows {
@@ -241,33 +240,32 @@ func (tab Table) Check(t *testing.T, fp func(t *testing.T, out map[string]*Hash)
 			switch {
 			case *golden:
 			case runtime.GOARCH != "amd64":
-				t.Skip("golden bits were recorded on amd64 (other targets fuse multiply-adds in the portable kernels)")
+				t.Skip("golden bits were recorded on amd64 (other targets fuse x·y + z in Go code)")
 			default:
-				tab.check(t, r, got[r])
+				tab.check(t, got[r])
 			}
 		})
 	}
 	if *golden {
 		for _, k := range sortedKeys(got[Selected]) {
-			fmt.Printf("\t%q: %s,\n", k, format(got[Selected][k], got[Portable][k]))
+			fmt.Printf("\t%q: %s,\n", k, format(got[Selected][k]))
 		}
 	}
 }
 
-func (tab Table) check(t *testing.T, r Row, out map[string]*Hash) {
+func (tab Table) check(t *testing.T, out map[string]*Hash) {
 	if len(out) != len(tab) {
 		t.Fatalf("%d fingerprints computed, table has %d", len(out), len(tab))
 	}
 	for _, k := range sortedKeys(out) {
-		want, h := tab[k], out[k]
-		if !want.matches(1, k, h) && (r == Portable || !want.matches(0, k, h)) {
-			t.Errorf("%s: %#016x %v, recorded %#016x %v (asm) or %#016x %v (portable)", k, h.h, h.Sums, want.Hash[0], want.Sums[0], want.Hash[1], want.Sums[1])
+		if want, h := tab[k], out[k]; !want.matches(k, h) {
+			t.Errorf("%s: %#016x %v, recorded %#016x %v", k, h.h, h.Sums, want.Hash, want.Sums)
 		}
 	}
 }
 
-func (e Entry) matches(col int, key string, h *Hash) bool {
-	if h.h != e.Hash[col] || len(h.Sums) != len(e.Sums[col]) {
+func (e Entry) matches(key string, h *Hash) bool {
+	if h.h != e.Hash || len(h.Sums) != len(e.Sums) {
 		return false
 	}
 	tol := 1e-12
@@ -275,7 +273,7 @@ func (e Entry) matches(col int, key string, h *Hash) bool {
 		tol = 1e-4
 	}
 	for f, s := range h.Sums {
-		if !(math.Abs(s-e.Sums[col][f]) <= tol*float64(max(1, h.Terms[f]))) {
+		if !(math.Abs(s-e.Sums[f]) <= tol*float64(max(1, h.Terms[f]))) {
 			return false
 		}
 	}
@@ -283,12 +281,11 @@ func (e Entry) matches(col int, key string, h *Hash) bool {
 }
 
 // format is the value of a table entry as it is stored.
-func format(asm, portable *Hash) string {
-	s := fmt.Sprintf("{Hash: [2]uint64{%#016x, %#016x}", asm.h, portable.h)
-	if len(asm.Sums) > 0 {
-		s += fmt.Sprintf(", Sums: [2][]float64{\n\t\t{%s},\n\t\t{%s}}", floats(asm.Sums), floats(portable.Sums))
+func format(h *Hash) string {
+	if len(h.Sums) > 0 {
+		return fmt.Sprintf("{Hash: %#016x, Sums: []float64{%s}}", h.h, floats(h.Sums))
 	}
-	return s + "}"
+	return fmt.Sprintf("{Hash: %#016x}", h.h)
 }
 
 func floats(v []float64) string {

@@ -3,6 +3,8 @@ package diff
 import (
 	"os"
 	"os/exec"
+	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
@@ -29,5 +31,22 @@ func TestForceUndoneAfterFailure(t *testing.T) {
 	out, err := cmd.CombinedOutput()
 	if err == nil || strings.Count(string(out), "deliberate failure") != 2 || strings.Contains(string(out), "LEAKED") {
 		t.Fatalf("a forced row outlived its failing subtest, or the child did not fail as planned (%v):\n%s", err, out)
+	}
+}
+
+// TestRowSetVisitsEachRowOnce: RowSet lists a selected portable row once
+// (LA90_NO_ASM=1, no AVX2+FMA), a selected AVX2 row once beside it.
+func TestRowSetVisitsEachRowOnce(t *testing.T) {
+	defer func(asm, avx512 bool) { Asm, AVX512 = asm, avx512 }(Asm, AVX512)
+	for _, c := range []struct {
+		noAsm string
+		asm   bool
+		want  []Row
+	}{{"1", true, []Row{Selected}}, {"0", false, []Row{Selected}}, {"0", true, []Row{Selected, Portable}}} {
+		t.Setenv("LA90_NO_ASM", c.noAsm)
+		Asm, AVX512 = c.asm, false
+		if got := RowSet(); (runtime.GOARCH == "amd64" || c.noAsm == "1") && !slices.Equal(got, c.want) {
+			t.Errorf("LA90_NO_ASM=%s, Asm=%v, no AVX-512: RowSet() = %v, want %v", c.noAsm, c.asm, got, c.want)
+		}
 	}
 }
