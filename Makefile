@@ -147,6 +147,12 @@ EIG_SITES = f77/f77ext.go:STEQR internal/lapack/dc.go:Stedc internal/lapack/dc.g
 	internal/lapack/sytrd.go:Stev internal/lapack/sytrd.go:Stev internal/lapack/sytrd.go:Syev internal/lapack/sytrd.go:Syev
 NONSYM_SITES = f77/f77ext.go:GEHRD internal/lapack/expertnonsym.go:sepPerEigenvalue \
 	internal/lapack/geev.go:geev internal/lapack/geev.go:geev internal/lapack/geev.go:geev
+# And the SVD drivers (xGESVD/xGESDD, xGELSS/xGELSD, xGGSVD's step 2, f77 and
+# la alike) are one drive, gesddScaled (gesdd.go): outside bench/ the
+# bidiagonal solvers are called by it — Bdsdc with vectors, the values-only
+# Bdsqr without — and by Bdsdc's own leaves (bdsdcLeaf), so a second SVD
+# driver that runs its own bidiagonal iteration cannot come back.
+SVD_SITES = internal/lapack/bdsdc.go:bdsdcLeaf internal/lapack/gesdd.go:gesddScaled internal/lapack/gesdd.go:gesddScaled
 # And one la boundary (DESIGN "The la boundary"). Every Batch driver is one
 # call of la's batch helper, which runs the single-call driver's body per
 # item: a census of the functions of non-test la that call blas.BatchRange
@@ -177,6 +183,13 @@ lint-once:
 		| sed 's|^\./||' | sort | tr '\n' ' '); \
 	if [ "$$sites" != "$(strip $(NONSYM_SITES)) " ]; then \
 		echo 'lint-once: Gehrd/Hseqr/HseqrC called outside the nonsymmetric eigensolver body:'; \
+		echo "$$sites"; exit 1; \
+	fi
+	@sites=$$(find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' | sort | xargs awk \
+		'/^func /{f=$$0; sub(/^func (\([^)]*\) )?/, "", f); sub(/[[(].*/, "", f)} !/^func / && /(^|[^A-Za-z])(Bdsqr|Bdsdc)(\[[^]]*\])?\(/{print FILENAME ":" f}' \
+		| sed 's|^\./||' | sort | tr '\n' ' '); \
+	if [ "$$sites" != "$(strip $(SVD_SITES)) " ]; then \
+		echo 'lint-once: Bdsqr/Bdsdc called outside the one SVD drive:'; \
 		echo "$$sites"; exit 1; \
 	fi
 	@sites=$$(ls la/*.go | grep -v '_test\.go$$' | xargs awk \
@@ -223,7 +236,7 @@ lint-asm:
 # them is a decision made here, like ASM_MAX; and no test file declares a flag
 # but -asmparent (asmident_test.go): the suite's other flags, -golden and
 # -avx2, are internal/testutil/diff's, so a sixth print flag cannot come back.
-TEST_MAX = 24387
+TEST_MAX = 24273
 lint-tests:
 	@n=$$( (find . -name '*_test.go' ! -path './bench/*'; find internal/testutil -type f ! -name '*_test.go') | xargs cat | wc -l); \
 	if [ $$n -gt $(TEST_MAX) ]; then \

@@ -348,7 +348,7 @@ func benchSymEigRoutes[T core.Scalar](b *testing.B, suffix string, n int) {
 }
 
 // Rank-deficient least squares: complete orthogonal factorization versus
-// SVD (GELSX vs GELSS).
+// SVD (GELSX vs GELSS, whose body is Gelsd).
 func BenchmarkAblationRankDeficientLS(b *testing.B) {
 	m, n := 200, 80
 	rng := lapack.NewRng([4]int{m, n, 5, 5})
@@ -375,7 +375,7 @@ func BenchmarkAblationRankDeficientLS(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			copy(aw, a0)
 			copy(bw, b0)
-			lapack.Gelss(core.Default(), m, n, 1, aw, m, bw, m, s, -1)
+			lapack.Gelsd(core.Default(), m, n, 1, aw, m, bw, m, s, -1)
 		}
 	})
 }
@@ -1607,10 +1607,9 @@ func BenchmarkSyevd(b *testing.B) {
 	}
 }
 
-// BenchmarkGesdd prices the divide & conquer SVD ("dc", the eig_svd op at
-// n = 256) against the QR-iteration Gesvd ("qr") on the same input, economy
-// vectors both: square in float64 and complex128, and at the 16:1 shape
-// where both take the QR-first path.
+// BenchmarkGesdd prices the SVD with economy vectors (the eig_svd op at
+// n = 256): square in float64 and complex128, and at the 16:1 shape that
+// takes the QR-first path.
 func BenchmarkGesdd(b *testing.B) {
 	benchSVD[float64](b, "", 256, 256)
 	benchSVD[complex128](b, "c128/", 256, 256)
@@ -1626,19 +1625,14 @@ func benchSVD[T core.Scalar](b *testing.B, prefix string, m, n int) {
 	if m != n {
 		shape = "M=" + itoa(m) + "/" + shape
 	}
-	for _, route := range []struct {
-		name string
-		svd  func(*core.Config, lapack.SVDJob, lapack.SVDJob, int, int, []T, int, []float64, []T, int, []T, int) int
-	}{{"dc", lapack.Gesdd[T]}, {"qr", lapack.Gesvd[T]}} {
-		b.Run(prefix+route.name+"/"+shape, func(b *testing.B) {
-			benchLoop(b, func() {
-				copy(a, a0)
-				if info := route.svd(core.Default(), lapack.SVDSome, lapack.SVDSome, m, n, a, m, s, u, m, vt, n); info != 0 {
-					b.Fatalf("%s: info %d", route.name, info)
-				}
-			})
+	b.Run(prefix+"dc/"+shape, func(b *testing.B) {
+		benchLoop(b, func() {
+			copy(a, a0)
+			if info := lapack.Gesdd(core.Default(), lapack.SVDSome, lapack.SVDSome, m, n, a, m, s, u, m, vt, n); info != 0 {
+				b.Fatalf("Gesdd: info %d", info)
+			}
 		})
-	}
+	})
 }
 
 // BenchmarkGeev's right leg is the eig_svd op; the other legs run the Schur

@@ -301,7 +301,9 @@ func SYEV[T Scalar](jobz bool, uplo UpLo, n int, a []T, lda int, w []float64) (i
 
 // GESVD computes a singular value decomposition
 // (xGESVD: JOBU, JOBVT, M, N, A, LDA, S, U, LDU, VT, LDVT, INFO with the
-// job characters 'A', 'S' or 'N').
+// job characters 'A', 'S' or 'N'). It runs the library's one SVD drive,
+// lapack.Gesdd, the body of LA_GESVD, so both interfaces return the same
+// bits.
 func GESVD[T Scalar](jobu, jobvt byte, m, n int, a []T, lda int, s []float64, u []T, ldu int, vt []T, ldvt int) (info int) {
 	k := min(m, n)
 	if info = check(dim(m, 3), dim(n, 4), mat(m, n, a, lda, 5), mat(svdDim(jobu, m, m), svdDim(jobu, m, k), u, ldu, 8),
@@ -309,7 +311,7 @@ func GESVD[T Scalar](jobu, jobvt byte, m, n int, a []T, lda int, s []float64, u 
 		return info
 	}
 	cfg := core.Default()
-	return lapack.Gesvd(cfg, lapack.SVDJob(jobu), lapack.SVDJob(jobvt), m, n, a, lda, s, u, ldu, vt, ldvt)
+	return lapack.Gesdd(cfg, lapack.SVDJob(jobu), lapack.SVDJob(jobvt), m, n, a, lda, s, u, ldu, vt, ldvt)
 }
 
 // svdDim is an extent of U or Vᴴ under its job: all for 'A', some for 'S',

@@ -6,6 +6,7 @@ import (
 
 	"repro/f77"
 	"repro/internal/lapack"
+	"repro/internal/testutil/diff"
 	"repro/la"
 )
 
@@ -80,6 +81,52 @@ func TestF77AgreesWithLA90(t *testing.T) {
 	for i := range ipiv {
 		if ipiv[i] != ipiv90[i]+1 {
 			t.Fatalf("pivots differ at %d: f77 %d vs la %d (0-based)", i, ipiv[i], ipiv90[i])
+		}
+	}
+}
+
+// TestF77SVDAgreesWithLA90 holds Example 3's invariant for the SVD family:
+// GESVD and GELSS through the F77 signatures run the same body as LA_GESVD
+// and LA_GELSS, so every output is bit-identical — square, tall past the
+// QR-first crossover and wide, in float64 and complex128.
+func TestF77SVDAgreesWithLA90(t *testing.T) {
+	testF77SVDAgrees[float64](t)
+	testF77SVDAgrees[complex128](t)
+}
+
+func testF77SVDAgrees[T la.Scalar](t *testing.T) {
+	for _, dims := range [][2]int{{24, 24}, {60, 13}, {13, 60}} {
+		m, n := dims[0], dims[1]
+		mn := min(m, n)
+		a0 := la.NewMatrix[T](m, n)
+		lapack.Larnv(2, lapack.NewRng([4]int{m, n, 5, 3}), m*n, a0.Data)
+
+		r, err := la.GESVD(a0.Clone())
+		if err != nil {
+			t.Fatalf("%dx%d: LA_GESVD: %v", m, n, err)
+		}
+		a := append([]T(nil), a0.Data...)
+		s := make([]float64, mn)
+		u, vt := make([]T, len(r.U.Data)), make([]T, len(r.VT.Data))
+		if info := f77.GESVD('S', 'S', m, n, a, m, s, u, r.U.Stride, vt, r.VT.Stride); info != 0 {
+			t.Fatalf("%dx%d: GESVD info=%d", m, n, info)
+		}
+		if !diff.Same(s, r.S) || !diff.Same(u, r.U.Data) || !diff.Same(vt, r.VT.Data) {
+			t.Fatalf("%dx%d: f77.GESVD and LA_GESVD differ", m, n)
+		}
+
+		const nrhs = 2
+		b0 := la.NewMatrix[T](max(m, n), nrhs)
+		lapack.Larnv(2, lapack.NewRng([4]int{m, n, 7, 9}), len(b0.Data), b0.Data)
+		b90 := b0.Clone()
+		rank90, s90, err := la.GELSS(a0.Clone(), b90)
+		if err != nil {
+			t.Fatalf("%dx%d: LA_GELSS: %v", m, n, err)
+		}
+		a, b := append([]T(nil), a0.Data...), append([]T(nil), b0.Data...)
+		rank, info := f77.GELSS(m, n, nrhs, a, m, b, b0.Stride, s, -1)
+		if info != 0 || rank != rank90 || !diff.Same(s, s90) || !diff.Same(b, b90.Data) {
+			t.Fatalf("%dx%d: f77.GELSS (rank %d, info %d) and LA_GELSS (rank %d) differ", m, n, rank, info, rank90)
 		}
 	}
 }

@@ -68,13 +68,15 @@ func GEESC[T interface{ complex64 | complex128 }](jobvs bool, sel func(w complex
 }
 
 // GELSS computes the minimum-norm least squares solution by SVD
-// (xGELSS: M, N, NRHS, A, LDA, B, LDB, S, RCOND, RANK, INFO).
+// (xGELSS: M, N, NRHS, A, LDA, B, LDB, S, RCOND, RANK, INFO). It runs
+// lapack.Gelsd, the body of LA_GELSS and LA_GELSD, so the interfaces return
+// the same bits.
 func GELSS[T Scalar](m, n, nrhs int, a []T, lda int, b []T, ldb int, s []float64, rcond float64) (rank, info int) {
 	if info = check(dim(m, 1), dim(n, 2), dim(nrhs, 3), mat(m, n, a, lda, 4), mat(max(m, n), nrhs, b, ldb, 6)); info != 0 {
 		return 0, info
 	}
 	cfg := core.Default()
-	return lapack.Gelss(cfg, m, n, nrhs, a, lda, b, ldb, s, rcond)
+	return lapack.Gelsd(cfg, m, n, nrhs, a, lda, b, ldb, s, rcond)
 }
 
 // GECON estimates the reciprocal condition number from a GETRF

@@ -117,11 +117,10 @@ func Refl2Rows(n int, h []float64, ldh int, v2, t1, t2 float64) {
 // refl3RowsOn and refl2RowsOn build the float64 rows' Refl3Rows and
 // Refl2Rows on the group kernel groups — drefl3RowsFma/drefl2RowsFma, or on
 // the portable row their Go twins: four columns per step through the kernel,
-// the columns left over by the same fused operations in Go, so a column's
-// result does not depend on where the groups fall (but for the sign of a NaN,
-// which the kernel's fused negation keeps and Go's minus flips). The
-// three-row kernel reads a fourth row, so it stops a group early when the
-// last column's fourth row would lie past the end of h.
+// the columns left over by the twins' column body (refl3Col, refl2Col), so a
+// column's result, NaN payload and sign included, does not depend on where
+// the groups fall. The three-row kernel reads a fourth row, so it stops a
+// group early when the last column's fourth row would lie past the end of h.
 func refl3RowsOn(groups func(groups int64, h *float64, ldh int64, v2, v3, t1, t2, t3 float64)) func(n int, h []float64, ldh int, v2, v3, t1, t2, t3 float64) {
 	return func(n int, h []float64, ldh int, v2, v3, t1, t2, t3 float64) {
 		nv := n &^ 3
@@ -132,11 +131,7 @@ func refl3RowsOn(groups func(groups int64, h *float64, ldh int64, v2, v3, t1, t2
 			groups(int64(nv/4), &h[0], int64(8*ldh), v2, v3, t1, t2, t3)
 		}
 		for j := nv; j < n; j++ {
-			c := h[j*ldh : j*ldh+3 : j*ldh+3]
-			sum := math.FMA(v3, c[2], math.FMA(v2, c[1], c[0]))
-			c[0] = math.FMA(-sum, t1, c[0])
-			c[1] = math.FMA(-sum, t2, c[1])
-			c[2] = math.FMA(-sum, t3, c[2])
+			refl3Col(h[j*ldh:j*ldh+3:j*ldh+3], v2, v3, t1, t2, t3)
 		}
 	}
 }
@@ -149,10 +144,7 @@ func refl2RowsOn(groups func(groups int64, h *float64, ldh int64, v2, t1, t2 flo
 			groups(int64(nv/4), &h[0], int64(8*ldh), v2, t1, t2)
 		}
 		for j := nv; j < n; j++ {
-			c := h[j*ldh : j*ldh+2 : j*ldh+2]
-			sum := math.FMA(v2, c[1], c[0])
-			c[0] = math.FMA(-sum, t1, c[0])
-			c[1] = math.FMA(-sum, t2, c[1])
+			refl2Col(h[j*ldh:j*ldh+2:j*ldh+2], v2, t1, t2)
 		}
 	}
 }

@@ -728,8 +728,38 @@ func TestComplexLeaves(t *testing.T) {
 // and the group held back when the last column's fourth row would lie past
 // the slice), leading dimensions beyond the rows touched, agreement with the
 // loop within 2 ulp of the largest term, and the rows above and below the
-// three (two) active ones bit-identical afterwards.
+// three (two) active ones bit-identical afterwards. First, on every row that
+// runs, n = 1…9 equal columns with a NaN in row 0 must come out equal, NaN
+// sign and payload included, whether a column fell in a group of four or in
+// the remainder.
 func TestReflRows(t *testing.T) {
+	kerns := []kernel[float64]{kernGoF64}
+	if asmF64() {
+		kerns = append(kerns, kernAsmF64)
+	}
+	nan := math.Float64frombits(0x7ff8000000000abc)
+	for ki, k := range kerns {
+		for _, rows := range []int{3, 2} {
+			for n := 1; n <= 9; n++ {
+				const ld = 4
+				h := make([]float64, ld*n)
+				for j := 0; j < n; j++ {
+					copy(h[j*ld:], []float64{nan, 0.5, -0.25})
+				}
+				if rows == 3 {
+					k.refl3Rows(n, h, ld, 0.75, -1.5, 1.25, 0.5, 2)
+				} else {
+					k.refl2Rows(n, h, ld, 0.75, 1.25, 0.5)
+				}
+				for j := 1; j < n; j++ {
+					if !diff.Same(h[j*ld:j*ld+rows], h[:rows]) {
+						t.Fatalf("kernel %d rows=%d n=%d: column %d = %x, column 0 = %x", ki, rows, n, j,
+							math.Float64bits(h[j*ld]), math.Float64bits(h[0]))
+					}
+				}
+			}
+		}
+	}
 	if !asmF64() {
 		t.Skip("no asm row")
 	}

@@ -522,11 +522,7 @@ func refl3GroupsFma(groups int64, h *float64, ldh int64, v2, v3, t1, t2, t3 floa
 	ld, n := int(ldh/8), 4*int(groups)
 	hv := unsafe.Slice(h, (n-1)*ld+3)
 	for j := 0; j < n; j++ {
-		c := hv[j*ld : j*ld+3 : j*ld+3]
-		sum := fmadd64(fmadd64(c[0], v2, c[1]), v3, c[2])
-		c[0] = fnmadd64(c[0], t1, sum)
-		c[1] = fnmadd64(c[1], t2, sum)
-		c[2] = fnmadd64(c[2], t3, sum)
+		refl3Col(hv[j*ld:j*ld+3:j*ld+3], v2, v3, t1, t2, t3)
 	}
 }
 
@@ -534,11 +530,24 @@ func refl2GroupsFma(groups int64, h *float64, ldh int64, v2, t1, t2 float64) {
 	ld, n := int(ldh/8), 4*int(groups)
 	hv := unsafe.Slice(h, (n-1)*ld+2)
 	for j := 0; j < n; j++ {
-		c := hv[j*ld : j*ld+2 : j*ld+2]
-		sum := fmadd64(c[0], v2, c[1])
-		c[0] = fnmadd64(c[0], t1, sum)
-		c[1] = fnmadd64(c[1], t2, sum)
+		refl2Col(hv[j*ld:j*ld+2:j*ld+2], v2, t1, t2)
 	}
+}
+
+// refl3Col and refl2Col are one column of the row kernels, c[0:3] (c[0:2])
+// -= (c[0] + v2·c[1] + v3·c[2])·(t1, t2, t3), with the kernels' operand
+// order, so NaN payloads and signs come out as the assembly's.
+func refl3Col(c []float64, v2, v3, t1, t2, t3 float64) {
+	sum := fmadd64(fmadd64(c[0], v2, c[1]), v3, c[2])
+	c[0] = fnmadd64(c[0], t1, sum)
+	c[1] = fnmadd64(c[1], t2, sum)
+	c[2] = fnmadd64(c[2], t3, sum)
+}
+
+func refl2Col(c []float64, v2, t1, t2 float64) {
+	sum := fmadd64(c[0], v2, c[1])
+	c[0] = fnmadd64(c[0], t1, sum)
+	c[1] = fnmadd64(c[1], t2, sum)
 }
 
 // dot8Chain is one sum of ddot8 and ddot4x3: Σ x[i]·a[i] on four lanes, four

@@ -64,15 +64,15 @@ func TestSyevNaNBounded(t *testing.T) {
 	})
 }
 
-// TestGesvdNaNBounded: the SVD's bidiagonal QR (Bdsqr, maxit-capped) must
-// terminate on NaN input.
+// TestGesvdNaNBounded: the SVD drive with vectors (Bdsdc over maxit-capped
+// Bdsqr leaves) must terminate on NaN input.
 func TestGesvdNaNBounded(t *testing.T) {
-	bounded(t, 30*time.Second, "Gesvd", func() {
+	bounded(t, 30*time.Second, "Gesdd", func() {
 		a := nanMatrix(chaosN)
 		s := make([]float64, chaosN)
 		u := make([]float64, chaosN*chaosN)
 		vt := make([]float64, chaosN*chaosN)
-		Gesvd(tcfg(), SVDAll, SVDAll, chaosN, chaosN, a, chaosN, s, u, chaosN, vt, chaosN)
+		Gesdd(tcfg(), SVDAll, SVDAll, chaosN, chaosN, a, chaosN, s, u, chaosN, vt, chaosN)
 	})
 }
 

@@ -121,35 +121,10 @@ func sepPerEigenvalue[E core.Scalar](cfg *core.Config, n int, t []E, ldt int, w 
 			}
 			jj++
 		}
-		lam := w[i]
-		smin := math.SmallestNonzeroFloat64 * 0x1p52
+		lam := []complex128{w[i]}
 		est := Lacn2(m, func(conjTrans bool, v []complex128) {
 			// Solve (sub − λI) x = v (or its conjugate transpose).
-			if !conjTrans {
-				for k := m - 1; k >= 0; k-- {
-					s := v[k]
-					for p := k + 1; p < m; p++ {
-						s -= sub[k+p*m] * v[p]
-					}
-					d := sub[k+k*m] - lam
-					if cmplx.Abs(d) < smin {
-						d = complex(smin, 0)
-					}
-					v[k] = s / d
-				}
-			} else {
-				for k := 0; k < m; k++ {
-					s := v[k]
-					for p := 0; p < k; p++ {
-						s -= cmplx.Conj(sub[p+k*m]) * v[p]
-					}
-					d := cmplx.Conj(sub[k+k*m] - lam)
-					if cmplx.Abs(d) < smin {
-						d = complex(smin, 0)
-					}
-					v[k] = s / d
-				}
-			}
+			TrsylC(conjTrans, -1, m, 1, sub, m, lam, 1, v, m)
 		})
 		if est == 0 {
 			rcondv[i] = Lange(OneNorm, m, m, sub, m)

@@ -14,16 +14,16 @@ func svdQRCross(m, n int) bool {
 	return m > n && 3*m >= 5*n
 }
 
-// svdDriver is the common shape of the square/tall SVD kernels that
-// svdTallQRFirst can delegate to (Gesdd or Gesvd).
-type svdDriver[T core.Scalar] func(cfg *core.Config, jobu, jobvt SVDJob, m, n int, a []T, lda int, s []float64, u []T, ldu int, vt []T, ldvt int) int
-
 // svdTallQRFirst implements xGESDD path 1 for m ≥ 5n/3: factor A = Q·R
-// with a blocked Geqrf, SVD the n×n R through inner, and recover
-// U = Q·U_R with one GEMM. Vᴴ comes out of the inner drive directly. The
-// wide mirror (LQ-first) is reached through the callers' conjugate
-// transpose path.
-func svdTallQRFirst[T core.Scalar](cfg *core.Config, inner svdDriver[T], jobu, jobvt SVDJob, m, n int, a []T, lda int, s []float64, u []T, ldu int, vt []T, ldvt int) int {
+// with a blocked Geqrf, SVD the n×n R, and recover U = Q·U_R with one
+// GEMM. Vᴴ comes out of the inner drive directly. The wide mirror
+// (LQ-first) is reached through the callers' conjugate transpose path.
+//
+// With vectors the SVD of R is Gesdd, which scales R again if the QR took
+// it out of the safely squarable range (‖R‖max can reach √m·‖A‖max). The
+// values-only drive, Gebrd and Bdsqr, squares entries only in its shifts,
+// which stay finite for the R of any scaled A, so it runs on R as it stands.
+func svdTallQRFirst[T core.Scalar](cfg *core.Config, jobu, jobvt SVDJob, m, n int, a []T, lda int, s []float64, u []T, ldu int, vt []T, ldvt int) int {
 	one := core.FromFloat[T](1)
 	zero := core.FromFloat[T](0)
 	tau := make([]T, n)
@@ -41,6 +41,10 @@ func svdTallQRFirst[T core.Scalar](cfg *core.Config, inner svdDriver[T], jobu, j
 		ur = blas.GetScratch[T](n * n)
 		defer blas.PutScratch(ur)
 		ldur = n
+	}
+	inner := Gesdd[T]
+	if jobu == SVDNone && jobvt == SVDNone {
+		inner = gesddScaled[T]
 	}
 	if info := inner(cfg, jobuR, jobvt, n, n, r, n, s, ur, ldur, vt, ldvt); info != 0 {
 		return info
@@ -62,20 +66,21 @@ func svdTallQRFirst[T core.Scalar](cfg *core.Config, inner svdDriver[T], jobu, j
 	return 0
 }
 
-// Gesdd computes the singular value decomposition A = U·Σ·Vᴴ by bidiagonal
-// divide & conquer (the xGESDD driver). The interface matches Gesvd: s
-// receives the min(m,n) singular values in descending order and jobu/jobvt
-// select how much of U (m×m or m×min(m,n)) and Vᴴ (n×n or min(m,n)×n) is
-// formed. a is destroyed. Returns non-zero if the D&C kernel fails.
+// Gesdd computes the singular value decomposition A = U·Σ·Vᴴ of an m×n
+// matrix (the xGESDD driver, and every SVD of the library: f77's GESVD,
+// la's GESVD and Ggsvd's step 2). s receives the min(m,n) singular values
+// in descending order and jobu/jobvt select how much of U (m×m or
+// m×min(m,n)) and Vᴴ (n×n or min(m,n)×n) is formed. a is destroyed.
+// Returns non-zero if the bidiagonal iteration fails.
 //
-// The drive differs from Gesvd in where the flops go: the bidiagonal
-// singular vectors are accumulated in float64 by Bdsdc and applied to the
-// Orgbr bases with one GEMM each, instead of Bdsqr's O(mn²) Level-1
-// rotation traffic. Tall matrices with m ≥ 5n/3 take a blocked Geqrf first
-// and run the SVD on the n×n R (U = Q·U_R with one more GEMM); wide
-// matrices transpose into the tall path at the symmetric n ≥ 5m/3
-// crossover. When neither U nor Vᴴ is wanted the values-only Bdsqr
-// iteration is cheaper than D&C and is used directly.
+// There is one drive: A is scaled into the safely squarable range, wide
+// matrices transpose into the tall path, matrices with m ≥ 5n/3 take a
+// blocked Geqrf first and run the SVD on the n×n R (U = Q·U_R with one
+// GEMM), and the rest is bidiagonalized. With vectors the bidiagonal
+// singular vectors are accumulated in float64 by Bdsdc (divide & conquer)
+// and applied to the Orgbr bases with one GEMM each; with neither U nor Vᴴ
+// wanted the values-only Bdsqr iteration does less work than the D&C merge
+// tree and runs instead.
 func Gesdd[T core.Scalar](cfg *core.Config, jobu, jobvt SVDJob, m, n int, a []T, lda int, s []float64, u []T, ldu int, vt []T, ldvt int) int {
 	mn := min(m, n)
 	if mn == 0 {
@@ -171,14 +176,9 @@ func gesddScaled[T core.Scalar](cfg *core.Config, jobu, jobvt SVDJob, m, n int, 
 		}
 		return info
 	}
-	if jobu == SVDNone && jobvt == SVDNone {
-		// Values only: QR iteration without vector accumulation does less
-		// work than the D&C merge tree.
-		return Gesvd(cfg, jobu, jobvt, m, n, a, lda, s, u, ldu, vt, ldvt)
-	}
 	if svdQRCross(m, n) {
 		// Path 1: A = Q·R, SVD the n×n R, then U = Q·U_R with one GEMM.
-		return svdTallQRFirst(cfg, Gesdd[T], jobu, jobvt, m, n, a, lda, s, u, ldu, vt, ldvt)
+		return svdTallQRFirst(cfg, jobu, jobvt, m, n, a, lda, s, u, ldu, vt, ldvt)
 	}
 	// Square / moderately tall: bidiagonalize, run the f64 D&C, and apply
 	// the accumulated singular vector matrices to the Orgbr bases with one
@@ -188,6 +188,12 @@ func gesddScaled[T core.Scalar](cfg *core.Config, jobu, jobvt SVDJob, m, n int, 
 	defer blas.PutScratch(tau)
 	d, e, tauq, taup := de[:n], de[n:2*n-1], tau[:n], tau[n:]
 	Gebrd(cfg, m, n, a, lda, d, e, tauq, taup)
+	if jobu == SVDNone && jobvt == SVDNone {
+		// Values only: the QR iteration without vectors.
+		info := Bdsqr[T](cfg, n, d, e, nil, 0, 0, nil, 0, 0)
+		copy(s[:n], d)
+		return info
+	}
 	u0 := blas.GetScratch[float64](n * n)
 	defer blas.PutScratch(u0)
 	vt0 := blas.GetScratch[float64](n * n)
@@ -227,14 +233,14 @@ func gesddScaled[T core.Scalar](cfg *core.Config, jobu, jobvt SVDJob, m, n int, 
 
 // Gelsd computes the minimum-norm solution to a possibly rank-deficient
 // least squares problem min ‖b − A·x‖₂ using the divide-and-conquer SVD
-// (the xGELSD driver). The interface matches Gelss: b is max(m, n)×nrhs
-// and is overwritten with the solution, s receives the singular values,
-// and rank counts σᵢ > rcond·σ₀.
+// (the xGELSD driver, and f77's GELSS and la's GELSS/GELSD): b is
+// max(m, n)×nrhs and is overwritten with the solution, s receives the
+// singular values, and rank counts σᵢ > rcond·σ₀ (rcond < 0 means ε).
 //
-// Unlike Gelss's per-column Gemv sweeps, the pseudo-inverse application
-// x = V·Σ⁺·Uᴴ·b runs as two multi-RHS GEMM calls, so the whole drive —
-// bidiagonal D&C included — stays on the Level-3 engine. Tall problems past
-// the svdQRCross crossover never form U at all (gelsdTall).
+// The pseudo-inverse application x = V·Σ⁺·Uᴴ·b runs as two multi-RHS GEMM
+// calls, so the whole drive — bidiagonal D&C included — stays on the
+// Level-3 engine. Tall problems past the svdQRCross crossover never form U
+// at all (gelsdTall).
 func Gelsd[T core.Scalar](cfg *core.Config, m, n, nrhs int, a []T, lda int, b []T, ldb int, s []float64, rcond float64) (rank, info int) {
 	if svdQRCross(m, n) && n > 0 {
 		return gelsdTall(cfg, m, n, nrhs, a, lda, b, ldb, s, rcond)

@@ -69,7 +69,7 @@ func Ggsvd[T core.Scalar](cfg *core.Config, m, p, n int, a []T, lda int, b []T, 
 	q2c := make([]T, max(1, p)*n)
 	Lacpy('A', p, n, q2, mp, q2c, max(1, p))
 	if p > 0 {
-		if info := Gesvd(cfg, SVDSome, SVDAll, p, n, q2c, max(1, p), s2, v2, ldv2, w1t, n); info != 0 {
+		if info := Gesdd(cfg, SVDSome, SVDAll, p, n, q2c, max(1, p), s2, v2, ldv2, w1t, n); info != 0 {
 			res.Info = info
 			return res
 		}

@@ -6,57 +6,6 @@ import (
 	"repro/internal/core"
 )
 
-// lasy2 solves the small Sylvester equation TL·X − X·TR = scale·B for
-// n1×n2 blocks with n1, n2 ∈ {1, 2} (xLASY2 with isgn = −1 semantics).
-// The Kronecker system is assembled explicitly and solved with complete
-// pivoting via the dense LU kernel; if the system is numerically singular
-// the pivot is perturbed, as in the reference (see DESIGN.md). Returns the
-// solution, the applied scale (1 or a power of two protecting against
-// overflow), and max|X|.
-func lasy2(cfg *core.Config, n1, n2 int, tl []float64, ldtl int, tr []float64, ldtr int, b []float64, ldb int) (x [4]float64, scale, xnorm float64) {
-	nn := n1 * n2
-	var m [16]float64
-	var rhs [4]float64
-	for j := 0; j < n2; j++ {
-		for i := 0; i < n1; i++ {
-			row := i + j*n1
-			rhs[row] = b[i+j*ldb]
-			for l := 0; l < n2; l++ {
-				for k := 0; k < n1; k++ {
-					col := k + l*n1
-					v := 0.0
-					if j == l {
-						v += tl[i+k*ldtl]
-					}
-					if i == k {
-						v -= tr[l+j*ldtr]
-					}
-					m[row+col*nn] += v
-				}
-			}
-		}
-	}
-	scale = 1
-	// Guard: scale the right-hand side down if the system is badly scaled.
-	mnorm := 0.0
-	for i := 0; i < nn*nn; i++ {
-		mnorm = math.Max(mnorm, math.Abs(m[i]))
-	}
-	smin := math.Max(core64eps*mnorm, math.SmallestNonzeroFloat64*0x1p52)
-	ipiv := make([]int, nn)
-	if info := Getrf(cfg, nn, nn, m[:nn*nn], nn, ipiv); info != 0 {
-		// Perturb the zero pivot.
-		k := info - 1
-		m[k+k*nn] = smin
-	}
-	Getrs(cfg, NoTrans, nn, 1, m[:nn*nn], nn, ipiv, rhs[:nn], nn)
-	for i := 0; i < nn; i++ {
-		x[i] = rhs[i]
-		xnorm = math.Max(xnorm, math.Abs(rhs[i]))
-	}
-	return x, scale, xnorm
-}
-
 const core64eps = 0x1p-52
 
 // Laexc swaps adjacent diagonal blocks of sizes n1 and n2 (each 1 or 2) in
@@ -101,7 +50,8 @@ func Laexc(cfg *core.Config, wantq bool, n int, t []float64, ldt int, q []float6
 		}
 	}
 	thresh := math.Max(10*eps*dnorm, smlnum)
-	x, scale, _ := lasy2(cfg, n1, n2, d[:], nd, d[n1+n1*nd:], nd, d[n1*nd:], nd)
+	// TL·X − X·TR = B: xLASY2's scale is 1 here, as lasy2g never scales.
+	x, _ := lasy2g(cfg, -1, n1, n2, d[:], nd, d[n1+n1*nd:], nd, d[n1*nd:], nd)
 
 	work := make([]float64, max(4, n))
 	applyLR := func(u []float64, tau float64, dst []float64, ld int, rows, cols int) {
@@ -110,8 +60,8 @@ func Laexc(cfg *core.Config, wantq bool, n int, t []float64, ldt int, q []float6
 	}
 	switch {
 	case n1 == 1 && n2 == 2:
-		// Reflector H with (scale, X11, X12)·H = (0, 0, *).
-		u := []float64{scale, x[0], x[1], 0}
+		// Reflector H with (1, X11, X12)·H = (0, 0, *).
+		u := []float64{1, x[0], x[1], 0}
 		tau := Larfg(3, &u[2], u[:2], 1)
 		u[2] = 1
 		t11 := t[j1+j1*ldt]
@@ -128,8 +78,8 @@ func Laexc(cfg *core.Config, wantq bool, n int, t []float64, ldt int, q []float6
 			Larf(cfg, Right, n, 3, u, 1, tau, q[j1*ldq:], ldq, work)
 		}
 	case n1 == 2 && n2 == 1:
-		// Reflector H with H·(−X11, −X21, scale)ᵀ = (*, 0, 0)ᵀ.
-		u := []float64{-x[0], -x[1], scale, 0}
+		// Reflector H with H·(−X11, −X21, 1)ᵀ = (*, 0, 0)ᵀ.
+		u := []float64{-x[0], -x[1], 1, 0}
 		tau := Larfg(3, &u[0], u[1:3], 1)
 		u[0] = 1
 		t33 := t[j3+j3*ldt]
@@ -146,11 +96,11 @@ func Laexc(cfg *core.Config, wantq bool, n int, t []float64, ldt int, q []float6
 			Larf(cfg, Right, n, 3, u, 1, tau, q[j1*ldq:], ldq, work)
 		}
 	default: // 2×2 and 2×2
-		u1 := []float64{-x[0], -x[1], scale, 0}
+		u1 := []float64{-x[0], -x[1], 1, 0}
 		tau1 := Larfg(3, &u1[0], u1[1:3], 1)
 		u1[0] = 1
 		temp := -tau1 * (x[2] + u1[1]*x[3])
-		u2 := []float64{-temp*u1[1] - x[3], -temp * u1[2], scale, 0}
+		u2 := []float64{-temp*u1[1] - x[3], -temp * u1[2], 1, 0}
 		tau2 := Larfg(3, &u2[0], u2[1:3], 1)
 		u2[0] = 1
 		Larf(cfg, Left, 3, 4, u1, 1, tau1, d[:], nd, work)

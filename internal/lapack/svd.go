@@ -10,7 +10,7 @@ import (
 // Gebd2 reduces an m×n matrix with m >= n to upper bidiagonal form by
 // unitary transformations Qᴴ·A·P = B (xGEBD2, tall case). d (n) and e
 // (n-1) receive the real diagonal and super-diagonal; tauq/taup the column
-// and row reflector scalars. Only the m >= n path is implemented; Gesvd
+// and row reflector scalars. Only the m >= n path is implemented; Gesdd
 // handles wide matrices by conjugate transposition (see DESIGN.md).
 func Gebd2[T core.Scalar](cfg *core.Config, m, n int, a []T, lda int, d, e []float64, tauq, taup []T) {
 	if m < n {
@@ -350,7 +350,7 @@ func Bdsqr[T core.Scalar](cfg *core.Config, n int, d, e []float64, vt []T, ldvt,
 	return info
 }
 
-// SVDJob selects how much of U or Vᴴ Gesvd computes.
+// SVDJob selects how much of U or Vᴴ Gesdd computes.
 type SVDJob byte
 
 // SVDJob values, matching LAPACK's JOBU/JOBVT characters.
@@ -359,139 +359,3 @@ const (
 	SVDSome SVDJob = 'S' // the leading min(m,n) columns/rows
 	SVDNone SVDJob = 'N' // not computed
 )
-
-// Gesvd computes the singular value decomposition A = U·Σ·Vᴴ of an m×n
-// matrix (the xGESVD driver). s receives the min(m,n) singular values in
-// descending order. Depending on jobu/jobvt, u (m×m or m×min(m,n)) and vt
-// (n×n or min(m,n)×n) receive the singular vectors. a is destroyed.
-// Returns the Bdsqr failure count (0 on success).
-func Gesvd[T core.Scalar](cfg *core.Config, jobu, jobvt SVDJob, m, n int, a []T, lda int, s []float64, u []T, ldu int, vt []T, ldvt int) int {
-	mn := min(m, n)
-	if mn == 0 {
-		return 0
-	}
-	if m < n {
-		// Wide case: work on Aᴴ = V·Σ·Uᴴ and swap the roles of U and Vᴴ.
-		// The copies in and out run through the blocked transpose so neither
-		// side pays a fully strided element sweep. Note n ≥ 5m/3 then lands
-		// in the tall branch's QR-first path, i.e. an LQ-first drive of A.
-		ah := make([]T, n*m)
-		blas.ConjTransposeTo(m, n, a, lda, ah, n)
-		// SVD of Aᴴ (n×m, tall): Aᴴ = U'·Σ·V'ᴴ, so A = V'·Σ·U'ᴴ.
-		urows := n
-		var up, vtp []T
-		var ldup, ldvtp int
-		if jobvt != SVDNone {
-			cols := mn
-			if jobvt == SVDAll {
-				cols = n
-			}
-			up = make([]T, urows*cols)
-			ldup = urows
-		}
-		if jobu != SVDNone {
-			rows := mn
-			if jobu == SVDAll {
-				rows = m
-			}
-			vtp = make([]T, rows*m)
-			ldvtp = rows
-		}
-		info := Gesvd(cfg, jobvt, jobu, n, m, ah, n, s, up, ldup, vtp, ldvtp)
-		// U of A = (V'ᴴ)ᴴ.
-		if jobu != SVDNone {
-			cols := mn
-			if jobu == SVDAll {
-				cols = m
-			}
-			blas.ConjTransposeTo(cols, m, vtp, ldvtp, u, ldu)
-		}
-		// Vᴴ of A = U'ᴴ.
-		if jobvt != SVDNone {
-			rows := mn
-			if jobvt == SVDAll {
-				rows = n
-			}
-			blas.ConjTransposeTo(n, rows, up, ldup, vt, ldvt)
-		}
-		return info
-	}
-	if svdQRCross(m, n) {
-		// Tall fast path at the same 5n/3 crossover as Gesdd: blocked QR
-		// first, QR-iteration SVD of the n×n R, U = Q·U_R by one GEMM.
-		return svdTallQRFirst(cfg, Gesvd[T], jobu, jobvt, m, n, a, lda, s, u, ldu, vt, ldvt)
-	}
-	// Tall case: bidiagonalize.
-	d := make([]float64, mn)
-	e := make([]float64, max(0, mn-1))
-	tauq := make([]T, mn)
-	taup := make([]T, mn)
-	Gebrd(cfg, m, n, a, lda, d, e, tauq, taup)
-	// Form the requested parts of Q and Pᴴ.
-	var uw []T
-	nru := 0
-	if jobu != SVDNone {
-		ucols := mn
-		if jobu == SVDAll {
-			ucols = m
-		}
-		Lacpy('L', m, n, a, lda, u, ldu)
-		Orgbr(cfg, 'Q', m, ucols, n, u, ldu, tauq)
-		uw = u
-		nru = m
-	}
-	var vtw []T
-	ncvt := 0
-	if jobvt != SVDNone {
-		Lacpy('U', min(m, n), n, a, lda, vt, ldvt)
-		Orgbr(cfg, 'P', n, n, n, vt, ldvt, taup)
-		vtw = vt
-		ncvt = n
-	}
-	info := Bdsqr(cfg, mn, d, e, vtw, ldvt, ncvt, uw, ldu, nru)
-	copy(s[:mn], d)
-	return info
-}
-
-// Gelss computes the minimum-norm solution to a possibly rank-deficient
-// least squares problem min ‖b − A·x‖₂ using the SVD (the xGELSS driver).
-// B is max(m, n)×nrhs and is overwritten with the solution. s receives the
-// singular values; rank is determined by rcond (σᵢ > rcond·σ₀).
-func Gelss[T core.Scalar](cfg *core.Config, m, n, nrhs int, a []T, lda int, b []T, ldb int, s []float64, rcond float64) (rank, info int) {
-	mn := min(m, n)
-	if mn == 0 {
-		return 0, 0
-	}
-	if rcond < 0 {
-		rcond = core.Eps[T]()
-	}
-	u := make([]T, m*mn)
-	vt := make([]T, mn*n)
-	info = Gesvd(cfg, SVDSome, SVDSome, m, n, a, lda, s, u, m, vt, mn)
-	if info != 0 {
-		return 0, info
-	}
-	for i := 0; i < mn; i++ {
-		if s[i] > rcond*s[0] {
-			rank++
-		}
-	}
-	// x = V·Σ⁺·Uᴴ·b column by column.
-	one := core.FromFloat[T](1)
-	zero := core.FromFloat[T](0)
-	w := make([]T, mn)
-	for j := 0; j < nrhs; j++ {
-		bj := b[j*ldb:]
-		blas.Gemv(cfg, ConjTrans, m, mn, one, u, m, bj, 1, zero, w, 1)
-		for i := 0; i < rank; i++ {
-			w[i] = core.FromFloat[T](1/s[i]) * w[i]
-		}
-		for i := rank; i < mn; i++ {
-			w[i] = 0
-		}
-		x := make([]T, n)
-		blas.Gemv(cfg, ConjTrans, rank, n, one, vt, mn, w, 1, zero, x, 1)
-		copy(bj[:n], x)
-	}
-	return rank, 0
-}

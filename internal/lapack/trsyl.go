@@ -8,8 +8,11 @@ import (
 )
 
 // lasy2g solves the small Sylvester equation TL·X + isgn·X·TR = B for
-// n1×n2 blocks with n1, n2 ∈ {1, 2} (the general-sign xLASY2), by the same
-// Kronecker assembly as lasy2.
+// n1×n2 blocks with n1, n2 ∈ {1, 2} (xLASY2 without its scale, which is
+// always 1 here). The Kronecker system is assembled explicitly and solved
+// with the dense LU kernel; if the system is numerically singular the pivot
+// is perturbed, as in the reference (see DESIGN.md). Returns the solution
+// and max|X|.
 func lasy2g(cfg *core.Config, isgn int, n1, n2 int, tl []float64, ldtl int, tr []float64, ldtr int, b []float64, ldb int) (x [4]float64, xnorm float64) {
 	nn := n1 * n2
 	var m [16]float64

@@ -17,8 +17,8 @@ func TestLaggeSingularValues(t *testing.T) {
 	a := make([]float64, m*n)
 	Lagge(core.Default(), rng, m, n, m-1, n-1, d, a, m)
 	s := make([]float64, n)
-	if info := lapack.Gesvd(core.Default(), lapack.SVDNone, lapack.SVDNone, m, n, a, m, s, nil, 0, nil, 0); info != 0 {
-		t.Fatalf("gesvd info=%d", info)
+	if info := lapack.Gesdd(core.Default(), lapack.SVDNone, lapack.SVDNone, m, n, a, m, s, nil, 0, nil, 0); info != 0 {
+		t.Fatalf("gesdd info=%d", info)
 	}
 	for i := range d {
 		if math.Abs(s[i]-d[i]) > 1e-12*(1+d[i])*float64(m) {
@@ -34,7 +34,7 @@ func TestLatmsCondition(t *testing.T) {
 	a := make([]float64, n*n)
 	Latms(core.Default(), rng, n, cond, a, n)
 	s := make([]float64, n)
-	lapack.Gesvd(core.Default(), lapack.SVDNone, lapack.SVDNone, n, n, a, n, s, nil, 0, nil, 0)
+	lapack.Gesdd(core.Default(), lapack.SVDNone, lapack.SVDNone, n, n, a, n, s, nil, 0, nil, 0)
 	got := s[0] / s[n-1]
 	if math.Abs(got-cond) > 1e-4*cond {
 		t.Fatalf("condition %v, want %v", got, cond)

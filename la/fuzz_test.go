@@ -4,8 +4,7 @@ import (
 	"math"
 	"testing"
 
-	"repro/internal/core"
-	"repro/internal/lapack"
+	"repro/f77"
 	"repro/la"
 )
 
@@ -157,8 +156,8 @@ func FuzzGELS(f *testing.F) {
 
 // FuzzGELSD drives the divide-and-conquer least squares stack — Gesdd's
 // QR-first/wide/square routing, Bdsdc's recursion and deflation, and the
-// rank decision — over the pathological input space, alternating with the
-// QR-iteration routine lapack.Gelss. Beyond never panicking, a successful
+// rank decision — over the pathological input space, through LA_GELSD and,
+// alternately, the F77 entry f77.GELSS. Beyond never panicking, a successful
 // return must report a rank within [0, min(m, n)], and for finite input of
 // moderate magnitude the singular values must be finite and descending.
 // (Entries near MaxFloat64 are excluded from the value assertions: σ₀ can
@@ -170,7 +169,7 @@ func FuzzGELSD(f *testing.F) {
 	f.Add(uint8(13), uint8(3), uint8(1), uint8(1), false, false, []byte{5, 11, 6, 2, 0, 13, 7, 1, 3}) // QR-first path
 	f.Add(uint8(7), uint8(3), uint8(1), uint8(1), true, true, []byte{10, 4, 4, 200})                  // Inf + padding
 
-	f.Fuzz(func(t *testing.T, m, n, nrhs, pad uint8, check, qrit bool, data []byte) {
+	f.Fuzz(func(t *testing.T, m, n, nrhs, pad uint8, check, viaF77 bool, data []byte) {
 		mm := int(m % 16)
 		nn := int(n % 16)
 		rhs := int(nrhs % 4)
@@ -197,11 +196,10 @@ func FuzzGELSD(f *testing.F) {
 		}
 		var rank int
 		var s []float64
-		if qrit {
-			// The QR-iteration routine, called as f77.GELSS calls it.
+		if viaF77 {
 			var info int
 			s = make([]float64, min(mm, nn))
-			rank, info = lapack.Gelss(core.Default(), mm, nn, rhs, a.Data, a.Stride, b.Data, b.Stride, s, -1)
+			rank, info = f77.GELSS(mm, nn, rhs, a.Data, a.Stride, b.Data, b.Stride, s, -1)
 			if info != 0 {
 				return
 			}

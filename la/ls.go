@@ -65,9 +65,8 @@ func GELSS[T Scalar](a, b *Matrix[T], opts ...Opt) (rank int, s []float64, err e
 // least squares problem using the divide-and-conquer SVD (the paper
 // family's LA_GELSD). It returns the effective rank and the singular
 // values of A. B must have max(m, n) rows and is overwritten with the
-// solution. Tall problems take a blocked QR first; the QR-iteration route
-// (lapack.Gelss) is f77's and the reference the agreement tests compare
-// against.
+// solution. Tall problems take a blocked QR first. f77.GELSS runs the same
+// body, lapack.Gelsd.
 func GELSD[T Scalar](a, b *Matrix[T], opts ...Opt) (rank int, s []float64, err error) {
 	defer guard("LA_GELSD", &err)
 	o := apply(opts)

@@ -1,8 +1,6 @@
 package la_test
 
 import (
-	"repro/internal/core"
-
 	"errors"
 	"math"
 	"strings"
@@ -10,71 +8,57 @@ import (
 
 	"repro/internal/blas"
 	"repro/internal/faultinject"
-	"repro/internal/lapack"
 	"repro/la"
 )
 
-// TestGESVDKillSwitch: the D&C path GESVD takes must agree with the
-// QR-iteration routine lapack.Gesvd (f77.GESVD's route) to factorization
-// accuracy. (The name is from when an option selected that routine.)
+// TestGESVDKillSwitch: the D&C path GESVD takes with vectors must agree
+// with its values-only route (the bidiagonal QR iteration, a separate
+// algorithm) to factorization accuracy. (The name is from when an option
+// selected the QR-iteration driver.)
 func TestGESVDKillSwitch(t *testing.T) {
 	for _, dims := range [][2]int{{24, 24}, {60, 13}, {13, 60}} {
 		m, n := dims[0], dims[1]
-		mn := min(m, n)
 		a0 := randMat[float64](31, m, n)
 
-		// Reference: the computational core's QR-iteration driver.
-		aref := a0.Clone()
-		sref := make([]float64, mn)
-		uref := make([]float64, m*mn)
-		vtref := make([]float64, mn*n)
-		if info := lapack.Gesvd(core.Default(), lapack.SVDSome, lapack.SVDSome, m, n, aref.Data, aref.Stride, sref, uref, m, vtref, mn); info != 0 {
-			t.Fatalf("gesvd info=%d", info)
+		ref, err := la.GESVD(a0.Clone(), la.WithSingularVectors('N', 'N'))
+		if err != nil {
+			t.Fatalf("GESVD values only: %v", err)
 		}
-
-		// Default D&C path: same spectrum to factorization accuracy.
-		adc := a0.Clone()
-		resd, err := la.GESVD(adc)
+		resd, err := la.GESVD(a0.Clone())
 		if err != nil {
 			t.Fatalf("GESVD: %v", err)
 		}
-		for i := range sref {
-			if math.Abs(resd.S[i]-sref[i]) > 1e-11*(1+sref[0]) {
-				t.Fatalf("D&C S[%d]=%v vs QR %v", i, resd.S[i], sref[i])
+		for i, want := range ref.S {
+			if math.Abs(resd.S[i]-want) > 1e-11*(1+ref.S[0]) {
+				t.Fatalf("D&C S[%d]=%v vs QR %v", i, resd.S[i], want)
 			}
 		}
 	}
 }
 
-// TestGELSDDriver: the D&C least squares driver solves the problem like
-// the QR-iteration routine lapack.Gelss.
+// TestGELSDDriver: the D&C least squares driver solves a full-rank problem
+// like the pivoted-QR driver GELSX.
 func TestGELSDDriver(t *testing.T) {
 	m, n := 14, 9
 	a0 := randMat[float64](37, m, n)
 	b0 := randMat[float64](38, m, 1)
 
 	asd, bsd := a0.Clone(), b0.Clone()
-	rankD, sD, err := la.GELSD(asd, bsd)
+	rankD, _, err := la.GELSD(asd, bsd)
 	if err != nil {
 		t.Fatalf("GELSD: %v", err)
 	}
-	ass, bss := a0.Clone(), b0.Clone()
-	sS := make([]float64, n)
-	rankS, info := lapack.Gelss(core.Default(), m, n, 1, ass.Data, ass.Stride, bss.Data, bss.Stride, sS, -1)
-	if info != 0 {
-		t.Fatalf("Gelss info=%d", info)
+	asx, bsx := a0.Clone(), b0.Clone()
+	rankX, _, err := la.GELSX(asx, bsx)
+	if err != nil {
+		t.Fatalf("GELSX: %v", err)
 	}
-	if rankD != rankS {
-		t.Fatalf("rank %d vs %d", rankD, rankS)
-	}
-	for i := range sD {
-		if math.Abs(sD[i]-sS[i]) > 1e-11*(1+sS[0]) {
-			t.Fatalf("s[%d]: %v vs %v", i, sD[i], sS[i])
-		}
+	if rankD != n || rankX != n {
+		t.Fatalf("rank %d vs %d, want %d", rankD, rankX, n)
 	}
 	for i := 0; i < n; i++ {
-		if math.Abs(bsd.At(i, 0)-bss.At(i, 0)) > 1e-9 {
-			t.Fatalf("solution differs at %d: %v vs %v", i, bsd.At(i, 0), bss.At(i, 0))
+		if math.Abs(bsd.At(i, 0)-bsx.At(i, 0)) > 1e-9 {
+			t.Fatalf("solution differs at %d: %v vs %v", i, bsd.At(i, 0), bsx.At(i, 0))
 		}
 	}
 }
