@@ -103,12 +103,24 @@ lint-knobs:
 # value escapes, measured there) — and the Level-1/2 and pack-free files may
 # contain none at all. In non-test la/*.go no wrapper switches on its
 # element type either (`any(x.Data).(…)`): every driver is one generic call.
+# Non-test internal/lapack holds its type-assertion lines to
+# LAPACK_DISPATCH_MAX — the float fast path of Lange (aux.go), Stedc's own
+# eigenvector buffer (dc.go), the segment switch of the expert pipeline
+# (expert.go), geev's choice of the Francis body per field (three lines) and
+# the real 2×2 swaps of reorder (geev.go) — so a routine that one generic body
+# serves on both fields cannot split into per-type copies again.
 DISPATCH_MAX = 6
+LAPACK_DISPATCH_MAX = 7
 lint-dispatch:
 	@n=$$(grep -nE 'any\([A-Za-z0-9]+\)\.\(' internal/blas/*.go | grep -vc '_test\.go:'); \
 	if [ $$n -gt $(DISPATCH_MAX) ]; then \
 		echo "lint-dispatch: $$n type-assertion lines in internal/blas, at most $(DISPATCH_MAX) allowed:"; \
 		grep -nE 'any\([A-Za-z0-9]+\)\.\(' internal/blas/*.go | grep -v '_test\.go:'; exit 1; \
+	fi
+	@n=$$(grep -nE 'any\([A-Za-z0-9]+\)\.\(' internal/lapack/*.go | grep -vc '_test\.go:'); \
+	if [ $$n -gt $(LAPACK_DISPATCH_MAX) ]; then \
+		echo "lint-dispatch: $$n type-assertion lines in internal/lapack, at most $(LAPACK_DISPATCH_MAX) allowed:"; \
+		grep -nE 'any\([A-Za-z0-9]+\)\.\(' internal/lapack/*.go | grep -v '_test\.go:'; exit 1; \
 	fi
 	@bad=$$(grep -nE 'any\([A-Za-z0-9]+\)\.\(' internal/blas/level1.go internal/blas/level2*.go \
 		internal/blas/gemmsmall.go internal/blas/leaves.go internal/blas/iterate.go); \
@@ -140,13 +152,13 @@ lint-dispatch:
 # Likewise the nonsymmetric drivers (xGEES/xGEESX/xGEEV/xGEEVX, and xGEGS/xGEGV
 # above them) are one body, geev (geev.go): outside bench/ and cmd/ the
 # Hessenberg reduction and the QR iteration (Gehrd, Hseqr, HseqrC) are called
-# by it, by the RCONDV step that triangularises a real Schur form
-# (sepPerEigenvalue, expertnonsym.go) and by f77's GEHRD — a census of the
-# calling functions, as for the symmetric ones.
+# by it and by f77's GEHRD alone — the RCONDV step makes a real Schur form
+# triangular by rotations, not by a second iteration — a census of the calling
+# functions, as for the symmetric ones.
 EIG_SITES = f77/f77ext.go:STEQR internal/lapack/dc.go:Stedc internal/lapack/dc.go:stedcRec \
 	internal/lapack/sytrd.go:Stev internal/lapack/sytrd.go:Stev internal/lapack/sytrd.go:Syev internal/lapack/sytrd.go:Syev
-NONSYM_SITES = f77/f77ext.go:GEHRD internal/lapack/expertnonsym.go:sepPerEigenvalue \
-	internal/lapack/geev.go:geev internal/lapack/geev.go:geev internal/lapack/geev.go:geev
+NONSYM_SITES = f77/f77ext.go:GEHRD internal/lapack/geev.go:geev internal/lapack/geev.go:geev \
+	internal/lapack/geev.go:geev
 # And the SVD drivers (xGESVD/xGESDD, xGELSS/xGELSD, xGGSVD's step 2, f77 and
 # la alike) are one drive, gesddScaled (gesdd.go): outside bench/ the
 # bidiagonal solvers are called by it — Bdsdc with vectors, the values-only

@@ -83,9 +83,6 @@ func smallTile[T core.Scalar](rows, cols, k int, alpha T, a []T, lda int, b []T,
 		brow := b[p:]
 		for q := 0; q < cols; q++ {
 			bq := brow[q*ldb]
-			if bq == 0 {
-				continue
-			}
 			arow := acc[q*8 : q*8+rows]
 			for i := range av {
 				arow[i] += av[i] * bq

@@ -56,6 +56,31 @@ func TestGemmSmallVsNaive(t *testing.T) {
 	t.Run("complex128", func(t *testing.T) { testGemmSmallVsNaive[complex128](t, 1e-12) })
 }
 
+// TestGemmSmallInfTimesZero: an Inf of A times a zero of B is a NaN term of
+// C on the full 4×4 tiles, the strips and the ragged tiles alike.
+func TestGemmSmallInfTimesZero(t *testing.T) {
+	diff.Rows(t, func(t *testing.T) {
+		t.Run("float32", testGemmSmallInfTimesZero[float32])
+		t.Run("float64", testGemmSmallInfTimesZero[float64])
+		t.Run("complex64", testGemmSmallInfTimesZero[complex64])
+		t.Run("complex128", testGemmSmallInfTimesZero[complex128])
+	})
+}
+
+func testGemmSmallInfTimesZero[T core.Scalar](t *testing.T) {
+	for _, m := range []int{4, 5, 8, 9} {
+		a, b, c := make([]T, m*4), make([]T, 16), make([]T, m*4)
+		a[m-1] = core.FromFloat[T](math.Inf(1))
+		for i := 1; i < 16; i++ {
+			b[i] = core.FromFloat[T](float64(i % 4)) // B(0, :) = 0
+		}
+		Gemm(tcfg(), NoTrans, NoTrans, m, 4, 4, core.FromFloat[T](1), a, m, b, 4, 0, c, m)
+		if !math.IsNaN(core.Re(c[m-1])) {
+			t.Fatalf("m=%d: C(m−1, 0) = %v, want NaN", m, c[m-1])
+		}
+	}
+}
+
 // TestGemmSmallDisabled checks that a small-path crossover of 0 routes small
 // products back through the seed dispatch (the result must still be right,
 // and SmallOK must not claim them).

@@ -4,100 +4,50 @@ import (
 	"math"
 	"testing"
 
+	"repro/internal/blas"
+	"repro/internal/core"
 	"repro/internal/lapack"
 	"repro/internal/testutil"
 )
 
-func TestTrsylReal(t *testing.T) {
-	// Solve A·X − X·B = C with quasi-triangular A, B built from real Schur
-	// forms, and verify by substitution.
+// testTrsyl solves op(A)·X − X·op(B) = C on both ops, A and B Schur forms
+// (2×2 blocks for the real field), and checks the residual. A last row pins
+// the one pivot rule of a 1×1 block: a divisor of modulus below SafeMin, zero
+// or subnormal, becomes SafeMin on both fields.
+func TestTrsylReal(t *testing.T)    { testTrsyl[float64](t) }
+func TestTrsylComplex(t *testing.T) { testTrsyl[complex128](t) }
+
+func testTrsyl[E float64 | complex128](t *testing.T) {
 	for _, mn := range [][2]int{{4, 3}, {7, 6}, {10, 9}} {
 		m, n := mn[0], mn[1]
 		rng := lapack.NewRng([4]int{m, n, 5, 6})
-		ga := testutil.RandGeneral[float64](rng, m, m, m)
-		gb := testutil.RandGeneral[float64](rng, n, n, n)
-		w := make([]complex128, max(m, n))
-		// Real Schur forms as the quasi-triangular operands.
-		lapack.Geesx(tcfg(), false, nil, m, ga, m, w, nil, 1)
+		a := testutil.RandGeneral[E](rng, m, m, m)
+		b := testutil.RandGeneral[E](rng, n, n, n)
 		// Shift B's spectrum away from A's to keep the equation well posed.
 		for i := 0; i < n; i++ {
-			gb[i+i*n] += 10
+			b[i+i*n] += 10
 		}
-		lapack.Geesx(tcfg(), false, nil, n, gb, n, w, nil, 1)
-
-		c := testutil.RandGeneral[float64](rng, m, n, m)
-		x := append([]float64(nil), c...)
-		lapack.Trsyl(tcfg(), false, -1, m, n, ga, m, gb, n, x, m)
-		// Residual A·X − X·B − C.
-		maxr := 0.0
-		for j := 0; j < n; j++ {
-			for i := 0; i < m; i++ {
-				s := -c[i+j*m]
-				for k := 0; k < m; k++ {
-					s += ga[i+k*m] * x[k+j*m]
-				}
-				for k := 0; k < n; k++ {
-					s -= x[i+k*m] * gb[k+j*n]
-				}
-				maxr = math.Max(maxr, math.Abs(s))
-			}
-		}
-		if maxr > 1e-10 {
-			t.Fatalf("m=%d n=%d trsyl residual %v", m, n, maxr)
-		}
-		// Transposed variant: Aᵀ·X − X·Bᵀ = C.
-		xt := append([]float64(nil), c...)
-		lapack.Trsyl(tcfg(), true, -1, m, n, ga, m, gb, n, xt, m)
-		maxr = 0.0
-		for j := 0; j < n; j++ {
-			for i := 0; i < m; i++ {
-				s := -c[i+j*m]
-				for k := 0; k < m; k++ {
-					s += ga[k+i*m] * xt[k+j*m]
-				}
-				for k := 0; k < n; k++ {
-					s -= xt[i+k*m] * gb[j+k*n]
-				}
-				maxr = math.Max(maxr, math.Abs(s))
-			}
-		}
-		if maxr > 1e-10 {
-			t.Fatalf("m=%d n=%d trsyl-T residual %v", m, n, maxr)
-		}
-	}
-}
-
-func TestTrsylComplex(t *testing.T) {
-	m, n := 6, 5
-	rng := lapack.NewRng([4]int{m, n, 7, 8})
-	ga := testutil.RandGeneral[complex128](rng, m, m, m)
-	gb := testutil.RandGeneral[complex128](rng, n, n, n)
-	for i := 0; i < n; i++ {
-		gb[i+i*n] += 8
-	}
-	w := make([]complex128, max(m, n))
-	lapack.Geesx(tcfg(), false, nil, m, ga, m, w, nil, 1)
-	lapack.Geesx(tcfg(), false, nil, n, gb, n, w, nil, 1)
-	c := testutil.RandGeneral[complex128](rng, m, n, m)
-	x := append([]complex128(nil), c...)
-	lapack.TrsylC(false, -1, m, n, ga, m, gb, n, x, m)
-	maxr := 0.0
-	for j := 0; j < n; j++ {
-		for i := 0; i < m; i++ {
-			s := -c[i+j*m]
-			for k := 0; k < m; k++ {
-				s += ga[i+k*m] * x[k+j*m]
-			}
-			for k := 0; k < n; k++ {
-				s -= x[i+k*m] * gb[k+j*n]
-			}
-			if v := real(s)*real(s) + imag(s)*imag(s); v > maxr {
-				maxr = v
+		w := make([]complex128, max(m, n))
+		lapack.Geesx(tcfg(), false, nil, m, a, m, w, nil, 1)
+		lapack.Geesx(tcfg(), false, nil, n, b, n, w, nil, 1)
+		c := testutil.RandGeneral[E](rng, m, n, m)
+		for _, op := range []blas.Trans{blas.NoTrans, blas.ConjTrans} {
+			x, r := append([]E(nil), c...), append([]E(nil), c...)
+			lapack.Trsyl(tcfg(), op == blas.ConjTrans, -1, m, n, a, m, b, n, x, m)
+			blas.Gemm(tcfg(), op, blas.NoTrans, m, n, m, 1, a, m, x, m, -1, r, m)
+			blas.Gemm(tcfg(), blas.NoTrans, op, m, n, n, -1, x, m, b, n, 1, r, m)
+			if res := lapack.Lange(lapack.MaxAbs, m, n, r, m); res > 1e-10 {
+				t.Fatalf("%T m=%d n=%d op %v: residual %v", c[0], m, n, op, res)
 			}
 		}
 	}
-	if math.Sqrt(maxr) > 1e-10 {
-		t.Fatalf("complex trsyl residual %v", math.Sqrt(maxr))
+	safmin := core.SafeMin[float64]()
+	for _, d := range []float64{0, 0x1p-1030} {
+		a, b, x := []E{core.FromFloat[E](d)}, []E{0}, []E{1e-300}
+		lapack.Trsyl(tcfg(), false, -1, 1, 1, a, 1, b, 1, x, 1)
+		if x[0] != core.FromFloat[E](1e-300/safmin) {
+			t.Fatalf("%T divisor %v: x = %v, want 1e-300/SafeMin", x[0], d, x[0])
+		}
 	}
 }
 
@@ -142,7 +92,6 @@ func TestGeesxComplex(t *testing.T) {
 	n := 6
 	rng := lapack.NewRng([4]int{n, 3, 1, 4})
 	a := testutil.RandGeneral[complex128](rng, n, n, n)
-	orig := append([]complex128(nil), a...)
 	w := make([]complex128, n)
 	vs := make([]complex128, n*n)
 	res := lapack.Geesx(tcfg(), true, func(re, im float64) bool { return re > 0 }, n, a, n, w, vs, n)
@@ -157,7 +106,6 @@ func TestGeesxComplex(t *testing.T) {
 			t.Fatalf("selected eigenvalue %d not positive", i)
 		}
 	}
-	_ = orig
 }
 
 func TestGeevxConditionNumbers(t *testing.T) {

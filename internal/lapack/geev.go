@@ -14,7 +14,9 @@ import (
 // complex64 inputs are converted on entry and the outputs on exit, nowhere
 // else (see DESIGN.md); this only ever increases accuracy relative to the
 // reference single-precision paths. Eigenvalues come out as w []complex128 for
-// all four types.
+// all four types. Below geev only the QR iteration (Hseqr, HseqrC) and the
+// swaps with a 2×2 block (Laexc) are written per field; the reordering, the
+// Sylvester solver and the condition stage are one generic body each.
 
 // convertMat copies the m×n matrix src into dst in dst's element type (a
 // real destination takes the real part).
@@ -197,7 +199,7 @@ func geev[T, E core.Scalar](cfg *core.Config, job eigJob, n int, a []T, lda int,
 	}
 	if job.schur {
 		if job.sel != nil {
-			res.SDim = reorder(cfg, n, h, z, ld, wr, wi, w, job.sel)
+			res.SDim = reorder(cfg, n, h, z, ld, w, job.sel)
 		}
 		if job.sense {
 			res.RCondE[0], res.RCondV[0] = sepEstimates(cfg, n, res.SDim, h, ld)
@@ -285,41 +287,19 @@ func normalizeEvecs[E core.Scalar](n int, w []complex128, v []E, ldv int) {
 
 // reorder moves the eigenvalues of the Schur form t for which sel(re, im)
 // holds to its top left by similarity swaps of adjacent diagonal blocks,
-// updating q and the eigenvalues, and returns their number (xTRSEN's
-// reordering): Laexc swaps on a real quasi-triangular t, whose complex pairs
-// move together, TrexcC on a complex triangular one. A real swap too
-// ill-conditioned to perform leaves its block where it is.
-func reorder[E core.Scalar](cfg *core.Config, n int, t, q []E, ld int, wr, wi []float64, w []complex128, sel func(wr, wi float64) bool) (sdim int) {
-	if tc, ok := any(t).([]complex128); ok {
-		qc := any(q).([]complex128)
-		for target := 0; target < n; target++ {
-			src := target
-			for src < n && !sel(real(tc[src+src*ld]), imag(tc[src+src*ld])) {
-				src++
-			}
-			if src == n {
-				break
-			}
-			for j := src; j > target; j-- {
-				TrexcC(n, tc, ld, qc, ld, j, j-1)
-			}
-			sdim++
-		}
-		for i := range w {
-			w[i] = tc[i+i*ld]
-		}
-		return sdim
-	}
-	tr, qr := any(t).([]float64), any(q).([]float64)
+// updating q and the eigenvalues w, and returns their number (xTRSEN's
+// reordering). A real quasi-triangular t moves its complex pairs as 2×2
+// blocks, which Laexc swaps; two 1×1 blocks, the only kind of a complex
+// triangular t, are swap11's. A swap too ill-conditioned to perform leaves
+// its block where it is.
+func reorder[E core.Scalar](cfg *core.Config, n int, t, q []E, ld int, w []complex128, sel func(wr, wi float64) bool) (sdim int) {
+	var sw *swapWork
 	for target := 0; target < n; {
 		// The next selected block at or after target.
 		src, size := target, 1
 		for ; src < n; src += size {
-			size = 1
-			if src < n-1 && tr[src+1+src*ld] != 0 {
-				size = 2
-			}
-			if sel(wr[src], wi[src]) || (size == 2 && sel(wr[src+1], wi[src+1])) {
+			size = blockEnd(n, t, ld, src) - src
+			if sel(real(w[src]), imag(w[src])) || (size == 2 && sel(real(w[src+1]), imag(w[src+1]))) {
 				break
 			}
 		}
@@ -328,73 +308,79 @@ func reorder[E core.Scalar](cfg *core.Config, n int, t, q []E, ld int, wr, wi []
 		}
 		// Bubble it up to target with adjacent swaps.
 		for src > target {
-			above, aboveSize := src-1, 1
-			if above > 0 && tr[above+(above-1)*ld] != 0 {
-				above, aboveSize = above-1, 2
-			}
-			if Laexc(cfg, true, n, tr, ld, qr, ld, above, aboveSize, size) != 0 {
-				break
+			above := blockStart(t, ld, src)
+			aboveSize := src - above
+			if aboveSize+size == 2 {
+				swap11(n, t, ld, q, ld, above)
+			} else {
+				if sw == nil {
+					sw = &swapWork{larf: make([]float64, max(4, n))}
+				}
+				// Only a real t has 2×2 blocks.
+				if Laexc(cfg, n, any(t).([]float64), ld, any(q).([]float64), ld, above, aboveSize, size, sw) != 0 {
+					break
+				}
 			}
 			src = above
 		}
-		schurEigenvalues(n, tr, ld, wr, wi)
+		schurEigenvalues(n, t, ld, w)
 		sdim += size
 		target = src + size
 	}
-	schurEigenvalues(n, tr, ld, wr, wi)
-	for i := range w {
-		w[i] = complex(wr[i], wi[i])
-	}
+	schurEigenvalues(n, t, ld, w)
 	return sdim
 }
 
-// schurEigenvalues reads the eigenvalues off a real Schur form.
-func schurEigenvalues(n int, t []float64, ldt int, wr, wi []float64) {
+// schurEigenvalues reads the eigenvalues off a Schur form: the diagonal,
+// and Lanv2's pair for each 2×2 block of a real one.
+func schurEigenvalues[E core.Scalar](n int, t []E, ldt int, w []complex128) {
 	for i := 0; i < n; {
 		if i < n-1 && t[i+1+i*ldt] != 0 {
-			_, _, _, _, r1r, r1i, r2r, r2i, _, _ := Lanv2(t[i+i*ldt], t[i+(i+1)*ldt], t[i+1+i*ldt], t[i+1+(i+1)*ldt])
-			wr[i], wi[i] = r1r, r1i
-			wr[i+1], wi[i+1] = r2r, r2i
+			_, _, _, _, r1r, r1i, r2r, r2i, _, _ := Lanv2(core.Re(t[i+i*ldt]), core.Re(t[i+(i+1)*ldt]), core.Re(t[i+1+i*ldt]), core.Re(t[i+1+(i+1)*ldt]))
+			w[i], w[i+1] = complex(r1r, r1i), complex(r2r, r2i)
 			i += 2
 		} else {
-			wr[i] = t[i+i*ldt]
-			wi[i] = 0
+			w[i] = core.ToComplex(t[i+i*ldt])
 			i++
 		}
 	}
 }
 
-// TrexcC swaps adjacent diagonal elements ifst and ilst (|ifst−ilst| = 1)
-// of a complex upper triangular Schur matrix by a unitary similarity
-// transformation, updating q (xTREXC for adjacent positions).
-func TrexcC(n int, t []complex128, ldt int, q []complex128, ldq int, ifst, ilst int) {
-	j := min(ifst, ilst)
-	// Rotation that swaps T(j,j) and T(j+1,j+1).
-	t11 := t[j+j*ldt]
-	t22 := t[j+1+(j+1)*ldt]
-	t12 := t[j+(j+1)*ldt]
-	cs, sn, _ := zlartg(t12, t22-t11)
-	// Apply from the left and right. T(j, j+1) is invariant under this
-	// particular rotation (r·cs = t12), so rows start at column j+2.
-	for k := j + 2; k < n; k++ {
-		x, y := t[j+k*ldt], t[j+1+k*ldt]
-		t[j+k*ldt] = complex(cs, 0)*x + sn*y
-		t[j+1+k*ldt] = complex(cs, 0)*y - cmplx.Conj(sn)*x
+// swap11 swaps the adjacent 1×1 diagonal blocks j and j+1 of a Schur form t
+// by one plane rotation — Lartg's for a real t, zlartg's for a complex one —
+// and applies it to q (xLAEXC's and xTREXC's 1×1 case). T(j, j+1) is
+// invariant under this particular rotation (r·cs = t12), so the rows start at
+// column j+2.
+func swap11[E core.Scalar](n int, t []E, ldt int, q []E, ldq int, j int) {
+	t11, t22 := t[j+j*ldt], t[j+1+(j+1)*ldt]
+	var cs float64
+	var sn E
+	if core.IsComplex[E]() {
+		var s complex128
+		cs, s, _ = zlartg(core.ToComplex(t[j+(j+1)*ldt]), core.ToComplex(t22-t11))
+		sn = core.FromComplex[E](s)
+	} else {
+		var s float64
+		cs, s, _ = Lartg(core.Re(t[j+(j+1)*ldt]), core.Re(t22-t11))
+		sn = core.FromFloat[E](s)
 	}
-	for k := 0; k < j; k++ {
-		x, y := t[k+j*ldt], t[k+(j+1)*ldt]
-		t[k+j*ldt] = complex(cs, 0)*x + cmplx.Conj(sn)*y
-		t[k+(j+1)*ldt] = complex(cs, 0)*y - sn*x
+	c, snc := core.FromFloat[E](cs), core.Conj(sn)
+	if j+2 < n {
+		planeRot(n-j-2, t[j+(j+2)*ldt:], ldt, t[j+1+(j+2)*ldt:], ldt, c, sn, snc)
 	}
-	t[j+j*ldt] = t22
-	t[j+1+(j+1)*ldt] = t11
-	t[j+1+j*ldt] = 0
-	if q != nil {
-		for k := 0; k < n; k++ {
-			x, y := q[k+j*ldq], q[k+(j+1)*ldq]
-			q[k+j*ldq] = complex(cs, 0)*x + cmplx.Conj(sn)*y
-			q[k+(j+1)*ldq] = complex(cs, 0)*y - sn*x
-		}
+	planeRot(j, t[j*ldt:], 1, t[(j+1)*ldt:], 1, c, snc, sn)
+	planeRot(n, q[j*ldq:], 1, q[(j+1)*ldq:], 1, c, snc, sn)
+	t[j+j*ldt], t[j+1+(j+1)*ldt], t[j+1+j*ldt] = t22, t11, 0
+}
+
+// planeRot sets x, y = c·x + s1·y, c·y − s2·x over n elements of x and y at
+// strides incx and incy: with (s1, s2) = (s, s̄) the rotation [c s; −s̄ c]
+// from the left on two rows, with (s̄, s) from the right on two columns.
+func planeRot[E core.Scalar](n int, x []E, incx int, y []E, incy int, c, s1, s2 E) {
+	for i, ix, iy := 0, 0, 0; i < n; i, ix, iy = i+1, ix+incx, iy+incy {
+		tx := c*x[ix] + s1*y[iy]
+		y[iy] = c*y[iy] - s2*x[ix]
+		x[ix] = tx
 	}
 }
 

@@ -62,43 +62,21 @@ func TestGeevReal(t *testing.T) {
 		rng := lapack.NewRng([4]int{n, 3, 3, 3})
 		a := testutil.RandGeneral[float64](rng, n, n, n)
 		ac := append([]float64(nil), a...)
-		wr := make([]float64, n)
-		wi := make([]float64, n)
-		vr := make([]float64, n*n)
-		vl := make([]float64, n*n)
+		wr, wi := make([]float64, n), make([]float64, n)
+		vr, vl := make([]float64, n*n), make([]float64, n*n)
 		if info := lapack.Geev[float64](tcfg(), true, true, n, ac, n, wr, wi, vl, n, vr, n); info != 0 {
 			t.Fatalf("n=%d: geev info=%d", n, info)
 		}
 		checkRightEvecs(t, n, a, wr, wi, vr, 1e-11*float64(n))
-		// Left eigenvectors: uᴴ·A = λ·uᴴ.
-		anorm := lapack.Lange(lapack.OneNorm, n, n, a, n)
+		// Left eigenvectors: uᴴ·A = λ·uᴴ, so Aᵀ·u = λ̄·u.
+		at, wic := make([]float64, n*n), make([]float64, n)
 		for j := 0; j < n; j++ {
-			u := make([]complex128, n)
-			if wi[j] == 0 {
-				for i := 0; i < n; i++ {
-					u[i] = complex(vl[i+j*n], 0)
-				}
-			} else {
-				for i := 0; i < n; i++ {
-					u[i] = complex(vl[i+j*n], vl[i+(j+1)*n])
-				}
-			}
-			lambda := complex(wr[j], wi[j])
-			res := 0.0
-			for k := 0; k < n; k++ {
-				var s complex128
-				for i := 0; i < n; i++ {
-					s += cmplx.Conj(u[i]) * complex(a[i+k*n], 0)
-				}
-				res = math.Max(res, cmplx.Abs(s-lambda*cmplx.Conj(u[k])))
-			}
-			if res > 1e-10*float64(n)*(anorm+cmplx.Abs(lambda)) {
-				t.Fatalf("n=%d: left eigenpair %d residual %v", n, j, res)
-			}
-			if wi[j] != 0 {
-				j++
+			wic[j] = -wi[j]
+			for i := 0; i < n; i++ {
+				at[j+i*n] = a[i+j*n]
 			}
 		}
+		checkRightEvecs(t, n, at, wr, wic, vl, 1e-10*float64(n))
 		// Trace invariant.
 		tr := 0.0
 		for i := 0; i < n; i++ {
@@ -118,8 +96,7 @@ func TestGeevRotationMatrix(t *testing.T) {
 	// 2D rotation by θ has eigenvalues cos θ ± i sin θ.
 	th := 0.3
 	a := []float64{math.Cos(th), math.Sin(th), -math.Sin(th), math.Cos(th)}
-	wr := make([]float64, 2)
-	wi := make([]float64, 2)
+	wr, wi := make([]float64, 2), make([]float64, 2)
 	if info := lapack.Geev[float64](tcfg(), false, false, 2, a, 2, wr, wi, nil, 0, nil, 0); info != 0 {
 		t.Fatalf("info=%d", info)
 	}
@@ -135,13 +112,8 @@ func TestGeevCompanion(t *testing.T) {
 	// Companion matrix of p(x) = x³ − 6x² + 11x − 6 = (x−1)(x−2)(x−3).
 	n := 3
 	a := make([]float64, n*n)
-	a[0+2*n] = 6
-	a[1+2*n] = -11
-	a[2+2*n] = 6
-	a[1] = 1
-	a[2+n] = 1
-	wr := make([]float64, n)
-	wi := make([]float64, n)
+	a[0+2*n], a[1+2*n], a[2+2*n], a[1], a[2+n] = 6, -11, 6, 1, 1
+	wr, wi := make([]float64, n), make([]float64, n)
 	if info := lapack.Geev[float64](tcfg(), false, false, n, a, n, wr, wi, nil, 0, nil, 0); info != 0 {
 		t.Fatalf("info=%d", info)
 	}
@@ -159,15 +131,13 @@ func TestGeevComplex(t *testing.T) {
 		a := testutil.RandGeneral[complex128](rng, n, n, n)
 		ac := append([]complex128(nil), a...)
 		w := make([]complex128, n)
-		vr := make([]complex128, n*n)
-		vl := make([]complex128, n*n)
+		vr, vl := make([]complex128, n*n), make([]complex128, n*n)
 		if info := lapack.GeevC[complex128](tcfg(), true, true, n, ac, n, w, vl, n, vr, n); info != 0 {
 			t.Fatalf("n=%d: geevc info=%d", n, info)
 		}
 		anorm := lapack.Lange(lapack.OneNorm, n, n, a, n)
 		for j := 0; j < n; j++ {
-			res := 0.0
-			lres := 0.0
+			res, lres := 0.0, 0.0
 			for i := 0; i < n; i++ {
 				var s, sl complex128
 				for k := 0; k < n; k++ {
@@ -195,8 +165,7 @@ func TestGeevFloat32(t *testing.T) {
 	for i := range a {
 		a64[i] = float64(a[i])
 	}
-	wr := make([]float64, n)
-	wi := make([]float64, n)
+	wr, wi := make([]float64, n), make([]float64, n)
 	vr := make([]float32, n*n)
 	if info := lapack.Geev[float32](tcfg(), false, true, n, a, n, wr, wi, nil, 0, vr, n); info != 0 {
 		t.Fatalf("info=%d", info)
@@ -208,12 +177,11 @@ func TestGeevFloat32(t *testing.T) {
 	checkRightEvecs(t, n, a64, wr, wi, vr64, 1e-5)
 }
 
-func schurResidual(n int, a, tm, z []float64) float64 {
-	// ‖A − Z·T·Zᵀ‖₁ / (‖A‖₁ n ε)
-	tmp := make([]float64, n*n)
-	rec := make([]float64, n*n)
+func schurResidual[T core.Scalar](n int, a, tm, z []T) float64 {
+	// ‖A − Z·T·Zᴴ‖₁ / (‖A‖₁ n ε)
+	tmp, rec := make([]T, n*n), make([]T, n*n)
 	blas.Gemm(tcfg(), blas.NoTrans, blas.NoTrans, n, n, n, 1, z, n, tm, n, 0, tmp, n)
-	blas.Gemm(tcfg(), blas.NoTrans, blas.TransT, n, n, n, 1, tmp, n, z, n, 0, rec, n)
+	blas.Gemm(tcfg(), blas.NoTrans, blas.ConjTrans, n, n, n, 1, tmp, n, z, n, 0, rec, n)
 	for i := range rec {
 		rec[i] -= a[i]
 	}
@@ -254,6 +222,77 @@ func TestGeesReal(t *testing.T) {
 			if tm[i+1+i*n] != 0 && tm[i+2+(i+1)*n] != 0 {
 				t.Fatalf("n=%d: consecutive 2x2 blocks at %d", n, i)
 			}
+		}
+	}
+}
+
+// TestGeevIsolated: Gebal isolates every eigenvalue of a triangular matrix,
+// and Hseqr must still report them.
+func TestGeevIsolated(t *testing.T) {
+	a := []float64{1, 0, 0, 2, 3, 0, 4, 5, 6}
+	wr, wi, vr := make([]float64, 3), make([]float64, 3), make([]float64, 9)
+	info := lapack.Geev(tcfg(), false, true, 3, append([]float64(nil), a...), 3, wr, wi, nil, 1, vr, 3)
+	w := make([]complex128, 3)
+	lapack.GeevC(tcfg(), false, false, 3, []complex128{1, 0, 0, 2, 3, 0, 4, 5, 6}, 3, w, nil, 1, nil, 1)
+	if info != 0 || wr[1] != 3 || wr[2] != 6 || w[1] != 3 || w[2] != 6 {
+		t.Fatalf("info %d, eigenvalues %v and %v, want the diagonal 1 3 6", info, wr, w)
+	}
+	checkRightEvecs(t, 3, a, wr, wi, vr, 1e-14)
+}
+
+// TestSchurToComplex: the complex triangular form that RCONDV builds from a
+// real Schur form, one rotation per 2×2 block, carries w on its diagonal in
+// order and is unitarily similar to T.
+func TestSchurToComplex(t *testing.T) {
+	n := 12
+	tm := testutil.RandGeneral[float64](lapack.NewRng([4]int{n, 2, 4, 8}), n, n, n)
+	w := make([]complex128, n)
+	lapack.Geesx(tcfg(), false, nil, n, tm, n, w, nil, 1)
+	t0, tc, z := make([]complex128, n*n), make([]complex128, n*n), make([]complex128, n*n)
+	for i, v := range tm {
+		t0[i] = complex(v, 0)
+	}
+	copy(tc, t0)
+	lapack.Laset('A', n, n, 0, 1, z, n)
+	lapack.SchurToComplex(n, tc, n, w, z, n)
+	for j := 0; j < n; j++ {
+		for i := j + 1; i < n; i++ {
+			if tc[i+j*n] != 0 {
+				t.Fatalf("T(%d,%d) = %v below the diagonal", i, j, tc[i+j*n])
+			}
+		}
+		if tc[j+j*n] != w[j] {
+			t.Fatalf("T(%d,%d) = %v, want w = %v", j, j, tc[j+j*n], w[j])
+		}
+	}
+	if r := schurResidual(n, t0, tc, z); r > 10*thresh {
+		t.Fatalf("complex Schur residual %v", r)
+	}
+}
+
+// TestReorderFieldsAgree: a real matrix and the same matrix as complex128
+// move the same eigenvalues to the top left.
+func TestReorderFieldsAgree(t *testing.T) {
+	n := 16
+	a := testutil.RandGeneral[float64](lapack.NewRng([4]int{n, 6, 1, 9}), n, n, n)
+	ac := make([]complex128, n*n)
+	for i, v := range a {
+		ac[i] = complex(v, 0)
+	}
+	w, wc := make([]complex128, n), make([]complex128, n)
+	sel := func(re, im float64) bool { return re > 0 }
+	sdim, sdimc := lapack.Geesx(tcfg(), false, sel, n, a, n, w, nil, 1).SDim, lapack.Geesx(tcfg(), false, sel, n, ac, n, wc, nil, 1).SDim
+	near := func(x []complex128, v complex128) bool {
+		for _, u := range x {
+			if cmplx.Abs(u-v) < 1e-12*float64(n) {
+				return true
+			}
+		}
+		return false
+	}
+	for i := 0; i < sdim; i++ {
+		if sdim != sdimc || !near(wc[:sdim], w[i]) || !near(w[:sdim], wc[i]) {
+			t.Fatalf("SDim %d and %d, selected %v and %v", sdim, sdimc, w[:sdim], wc[:sdimc])
 		}
 	}
 }
@@ -308,16 +347,7 @@ func TestGeesComplex(t *testing.T) {
 		if r := testutil.OrthoResidual(n, n, vs, n); r > thresh {
 			t.Fatalf("n=%d Z orthogonality %v", n, r)
 		}
-		// A = Z·T·Zᴴ.
-		tmp := make([]complex128, n*n)
-		rec := make([]complex128, n*n)
-		blas.Gemm(tcfg(), blas.NoTrans, blas.NoTrans, n, n, n, 1, vs, n, tm, n, 0, tmp, n)
-		blas.Gemm(tcfg(), blas.NoTrans, blas.ConjTrans, n, n, n, 1, tmp, n, vs, n, 0, rec, n)
-		for i := range rec {
-			rec[i] -= a[i]
-		}
-		anorm := lapack.Lange(lapack.OneNorm, n, n, a, n)
-		if r := lapack.Lange(lapack.OneNorm, n, n, rec, n) / (anorm * float64(n) * core.EpsDouble); r > 10*thresh {
+		if r := schurResidual(n, a, tm, vs); r > 10*thresh {
 			t.Fatalf("n=%d complex Schur residual %v", n, r)
 		}
 		// Strictly upper triangular T.
@@ -347,14 +377,7 @@ func TestGeesComplex(t *testing.T) {
 				t.Fatalf("n=%d: reordered eigenvalue %d not selected", n, i)
 			}
 		}
-		tmp2 := make([]complex128, n*n)
-		rec2 := make([]complex128, n*n)
-		blas.Gemm(tcfg(), blas.NoTrans, blas.NoTrans, n, n, n, 1, vs2, n, tm2, n, 0, tmp2, n)
-		blas.Gemm(tcfg(), blas.NoTrans, blas.ConjTrans, n, n, n, 1, tmp2, n, vs2, n, 0, rec2, n)
-		for i := range rec2 {
-			rec2[i] -= a[i]
-		}
-		if r := lapack.Lange(lapack.OneNorm, n, n, rec2, n) / (anorm * float64(n) * core.EpsDouble); r > 20*thresh {
+		if r := schurResidual(n, a, tm2, vs2); r > 20*thresh {
 			t.Fatalf("n=%d reordered complex Schur residual %v", n, r)
 		}
 	}
@@ -373,12 +396,10 @@ func TestGebalIdentityInvariance(t *testing.T) {
 			b[i+j*n] = a[i+j*n] * math.Pow(10, float64(i-j))
 		}
 	}
-	wr1 := make([]float64, n)
-	wi1 := make([]float64, n)
+	wr1, wi1 := make([]float64, n), make([]float64, n)
 	ac := append([]float64(nil), a...)
 	lapack.Geev[float64](tcfg(), false, false, n, ac, n, wr1, wi1, nil, 0, nil, 0)
-	wr2 := make([]float64, n)
-	wi2 := make([]float64, n)
+	wr2, wi2 := make([]float64, n), make([]float64, n)
 	lapack.Geev[float64](tcfg(), false, false, n, b, n, wr2, wi2, nil, 0, nil, 0)
 	sort.Float64s(wr1)
 	sort.Float64s(wr2)

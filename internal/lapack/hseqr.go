@@ -27,9 +27,12 @@ func Hseqr(cfg *core.Config, wantt bool, n, ilo, ihi int, h []float64, ldh int, 
 		return 0
 	}
 	wantz := z != nil
-	if ilo == ihi {
-		wr[ilo] = h[ilo+ilo*ldh]
-		wi[ilo] = 0
+	// The eigenvalues outside the active block, which Gebal isolated, and that
+	// of a 1×1 active block are on the diagonal already.
+	for i := 0; i < n; i++ {
+		if i < ilo || i > ihi || ilo == ihi {
+			wr[i], wi[i] = h[i+i*ldh], 0
+		}
 	}
 	// Zero everything below the first subdiagonal: the caller typically
 	// passes the Gehrd output whose lower triangle still holds reflector
@@ -40,9 +43,8 @@ func Hseqr(cfg *core.Config, wantt bool, n, ilo, ihi int, h []float64, ldh int, 
 		}
 	}
 	nh := ihi - ilo + 1
-	safmin := math.SmallestNonzeroFloat64 * 0x1p52
-	ulp := 0x1p-52
-	smlnum := safmin * (float64(nh) / ulp)
+	const ulp = core.EpsDouble
+	smlnum := core.SafeMin[float64]() * (float64(nh) / ulp)
 	i1, i2 := 0, n-1
 	itmax := 30 * max(10, nh)
 	kdefl := 0
@@ -284,8 +286,10 @@ func HseqrC(cfg *core.Config, wantt bool, n, ilo, ihi int, h []complex128, ldh i
 		return 0
 	}
 	wantz := z != nil
-	if ilo == ihi {
-		w[ilo] = h[ilo+ilo*ldh]
+	for i := 0; i < n; i++ {
+		if i < ilo || i > ihi || ilo == ihi {
+			w[i] = h[i+i*ldh]
+		}
 	}
 	for j := 0; j < n; j++ {
 		for i := j + 2; i < n; i++ {
@@ -294,9 +298,8 @@ func HseqrC(cfg *core.Config, wantt bool, n, ilo, ihi int, h []complex128, ldh i
 	}
 	cabs1 := func(c complex128) float64 { return math.Abs(real(c)) + math.Abs(imag(c)) }
 	nh := ihi - ilo + 1
-	safmin := math.SmallestNonzeroFloat64 * 0x1p52
-	ulp := 0x1p-52
-	smlnum := safmin * (float64(nh) / ulp)
+	const ulp = core.EpsDouble
+	smlnum := core.SafeMin[float64]() * (float64(nh) / ulp)
 	i1, i2 := 0, n-1
 	itmax := 30 * max(10, nh)
 	kdefl := 0
@@ -446,11 +449,11 @@ func HseqrC(cfg *core.Config, wantt bool, n, ilo, ihi int, h []complex128, ldh i
 					for j := m; j <= i; j++ {
 						if j != m+1 {
 							if i2 > j {
-								blasScalC(i2-j, temp, h[j+(j+1)*ldh:], ldh)
+								blas.Scal(i2-j, temp, h[j+(j+1)*ldh:], ldh)
 							}
-							blasScalC(j-i1, cmplx.Conj(temp), h[i1+j*ldh:], 1)
+							scaleCol(cmplx.Conj(temp), h[i1+j*ldh:j+j*ldh])
 							if wantz {
-								blasScalC(n, cmplx.Conj(temp), z[j*ldz:], 1)
+								scaleCol(cmplx.Conj(temp), z[j*ldz:j*ldz+n])
 							}
 						}
 					}
@@ -463,11 +466,11 @@ func HseqrC(cfg *core.Config, wantt bool, n, ilo, ihi int, h []complex128, ldh i
 				h[i+(i-1)*ldh] = complex(rtemp, 0)
 				temp /= complex(rtemp, 0)
 				if i2 > i {
-					blasScalC(i2-i, cmplx.Conj(temp), h[i+(i+1)*ldh:], ldh)
+					blas.Scal(i2-i, cmplx.Conj(temp), h[i+(i+1)*ldh:], ldh)
 				}
-				blasScalC(i-i1, temp, h[i1+i*ldh:], 1)
+				scaleCol(temp, h[i1+i*ldh:i+i*ldh])
 				if wantz {
-					blasScalC(n, temp, z[i*ldz:], 1)
+					scaleCol(temp, z[i*ldz:i*ldz+n])
 				}
 			}
 		}
@@ -481,8 +484,10 @@ func HseqrC(cfg *core.Config, wantt bool, n, ilo, ihi int, h []complex128, ldh i
 	return 0
 }
 
-func blasScalC(n int, alpha complex128, x []complex128, inc int) {
-	for i, ix := 0, 0; i < n; i, ix = i+1, ix+inc {
-		x[ix] *= alpha
+// scaleCol multiplies x by alpha element by element: blas.Scal's unit-stride
+// kernel would round the complex products differently.
+func scaleCol(alpha complex128, x []complex128) {
+	for k := range x {
+		x[k] *= alpha
 	}
 }

@@ -28,8 +28,8 @@ func Trevc[E core.Scalar](cfg *core.Config, left bool, n int, t []E, ldt int, wr
 	if n == 0 {
 		return
 	}
-	const ulp = 0x1p-52
-	smlnum := math.SmallestNonzeroFloat64 * 0x1p52 * float64(n) / ulp
+	const ulp = core.EpsDouble
+	smlnum := core.SafeMin[float64]() * float64(n) / ulp
 	s := trevcSolver[E]{left: left, n: n, t: t, ldt: ldt, bignum: (1 - ulp) / smlnum, cnorm: blas.GetScratch[float64](n)}
 	defer blas.PutScratch(s.cnorm)
 	// The 1-norms of the strictly upper columns of T bound every update of

@@ -2,22 +2,36 @@ package lapack
 
 import (
 	"math"
-	"math/cmplx"
 
 	"repro/internal/core"
 )
 
+// lasy2Work is lasy2g's scratch: the Kronecker system, its right-hand side
+// and pivots. Getrf and Getrs keep what they are handed, so a system on the
+// stack would move to the heap at every solve; one of these per Trsyl or
+// reorder call serves all its blocks.
+type lasy2Work[E core.Scalar] struct {
+	m    [16]E
+	rhs  [4]E
+	ipiv [4]int
+}
+
 // lasy2g solves the small Sylvester equation TL·X + isgn·X·TR = B for
 // n1×n2 blocks with n1, n2 ∈ {1, 2} (xLASY2 without its scale, which is
-// always 1 here). The Kronecker system is assembled explicitly and solved
-// with the dense LU kernel; if the system is numerically singular the pivot
-// is perturbed, as in the reference (see DESIGN.md). Returns the solution
-// and max|X|.
-func lasy2g(cfg *core.Config, isgn int, n1, n2 int, tl []float64, ldtl int, tr []float64, ldtr int, b []float64, ldb int) (x [4]float64, xnorm float64) {
+// always 1 here). Element (i, k) of TL is tl[i+k·ldtl], or tl[k+i·ldtl] with
+// trans, and likewise for TR, so the transposed blocks of Trsyl's second op
+// are read in place. The Kronecker system is assembled explicitly in w and
+// solved with the dense LU kernel; if the system is numerically singular the
+// pivot is perturbed, as in the reference (see DESIGN.md).
+func lasy2g[E core.Scalar](cfg *core.Config, w *lasy2Work[E], trans bool, isgn, n1, n2 int, tl []E, ldtl int, tr []E, ldtr int, b []E, ldb int) (x [4]E) {
 	nn := n1 * n2
-	var m [16]float64
-	var rhs [4]float64
-	sg := float64(isgn)
+	rl, cl, rr, cr := 1, ldtl, 1, ldtr // element (i, k) of TL is tl[i·rl+k·cl]
+	if trans {
+		rl, cl, rr, cr = ldtl, 1, ldtr, 1
+	}
+	m, rhs := w.m[:nn*nn], w.rhs[:nn]
+	clear(m)
+	sg := core.FromFloat[E](float64(isgn))
 	for j := 0; j < n2; j++ {
 		for i := 0; i < n1; i++ {
 			row := i + j*n1
@@ -25,12 +39,12 @@ func lasy2g(cfg *core.Config, isgn int, n1, n2 int, tl []float64, ldtl int, tr [
 			for l := 0; l < n2; l++ {
 				for k := 0; k < n1; k++ {
 					col := k + l*n1
-					v := 0.0
+					var v E
 					if j == l {
-						v += tl[i+k*ldtl]
+						v += tl[i*rl+k*cl]
 					}
 					if i == k {
-						v += sg * tr[l+j*ldtr]
+						v += sg * tr[l*rr+j*cr]
 					}
 					m[row+col*nn] += v
 				}
@@ -38,71 +52,98 @@ func lasy2g(cfg *core.Config, isgn int, n1, n2 int, tl []float64, ldtl int, tr [
 		}
 	}
 	mnorm := 0.0
-	for i := 0; i < nn*nn; i++ {
-		mnorm = math.Max(mnorm, math.Abs(m[i]))
+	for _, v := range m {
+		mnorm = math.Max(mnorm, core.Abs(v))
 	}
-	smin := math.Max(core64eps*mnorm, math.SmallestNonzeroFloat64*0x1p52)
-	ipiv := make([]int, nn)
-	if info := Getrf(cfg, nn, nn, m[:nn*nn], nn, ipiv); info != 0 {
+	if info := Getrf(cfg, nn, nn, m, nn, w.ipiv[:nn]); info != 0 {
 		k := info - 1
-		m[k+k*nn] = smin
+		m[k+k*nn] = core.FromFloat[E](math.Max(core.EpsDouble*mnorm, core.SafeMin[float64]()))
 	}
-	Getrs(cfg, NoTrans, nn, 1, m[:nn*nn], nn, ipiv, rhs[:nn], nn)
-	for i := 0; i < nn; i++ {
-		x[i] = rhs[i]
-		xnorm = math.Max(xnorm, math.Abs(rhs[i]))
-	}
-	return x, xnorm
+	Getrs(cfg, NoTrans, nn, 1, m, nn, w.ipiv[:nn], rhs, nn)
+	copy(x[:], rhs)
+	return x
 }
 
-// schurBlocks returns the starting indices of the diagonal blocks of a
-// real quasi-triangular matrix.
-func schurBlocks(n int, t []float64, ldt int) []int {
-	var starts []int
-	for i := 0; i < n; {
-		starts = append(starts, i)
-		if i < n-1 && t[i+1+i*ldt] != 0 {
-			i += 2
-		} else {
-			i++
-		}
+// blockEnd returns the end (exclusive) of the diagonal block of a Schur form
+// that starts at k: k+2 where the subdiagonal is nonzero, a 2×2 block of a
+// real quasi-triangular t, else k+1 — always for a complex triangular t.
+func blockEnd[E core.Scalar](n int, t []E, ldt, k int) int {
+	if k < n-1 && t[k+1+k*ldt] != 0 {
+		return k + 2
 	}
-	return starts
+	return k + 1
 }
 
-// Trsyl solves the real quasi-triangular Sylvester equation
+// blockStart returns the start of the diagonal block that ends (exclusive)
+// at k.
+func blockStart[E core.Scalar](t []E, ldt, k int) int {
+	if k > 1 && t[k-1+(k-2)*ldt] != 0 {
+		return k - 2
+	}
+	return k - 1
+}
+
+// Trsyl solves the Sylvester equation
 //
 //	op(A)·X + isgn·X·op(B) = C
 //
-// for X (m×n), where A (m×m) and B (n×n) are upper quasi-triangular Schur
-// forms and op is the identity (trans false) or the transpose (trans true,
-// applied to both A and B as xTRSEN requires) (xTRSYL). C is overwritten
-// by X. The solve is blockwise with the xLASY2 kernel; near-singular small
+// for X (m×n), where A (m×m) and B (n×n) are Schur forms — upper
+// quasi-triangular for the real types, upper triangular for the complex ones
+// — and op is the identity (trans false) or, applied to both A and B as
+// xTRSEN requires, the transpose (trans true; the conjugate transpose for
+// complex E) (xTRSYL). C is overwritten by X. The solve is blockwise: a
+// block with a 2×2 side runs the xLASY2 kernel, a 1×1 block is one division
+// whose divisor is raised to SafeMin when its modulus lies below. Near-singular
 // systems are perturbed rather than scaled, so the scale factor of the
 // reference interface is always reported as 1 (see DESIGN.md).
-func Trsyl(cfg *core.Config, trans bool, isgn, m, n int, a []float64, lda int, b []float64, ldb int, c []float64, ldc int) float64 {
+func Trsyl[E core.Scalar](cfg *core.Config, trans bool, isgn, m, n int, a []E, lda int, b []E, ldb int, c []E, ldc int) float64 {
 	if m == 0 || n == 0 {
 		return 1
 	}
-	ab := schurBlocks(m, a, lda)
-	bb := schurBlocks(n, b, ldb)
-	sg := float64(isgn)
-	blockSize := func(starts []int, idx, n int) int {
-		if idx == len(starts)-1 {
-			return n - starts[idx]
+	if trans && core.IsComplex[E]() {
+		// conj(Aᴴ·X + isgn·X·Bᴴ − C) = Aᵀ·X̄ + isgn·X̄·Bᵀ − C̄: the transposed
+		// loops below solve for X̄ from C̄, with no conjugation inside them.
+		conjC := func() {
+			for j := 0; j < n; j++ {
+				lacgv(m, c[j*ldc:], 1)
+			}
 		}
-		return starts[idx+1] - starts[idx]
+		conjC()
+		defer conjC()
+	}
+	sg := core.FromFloat[E](float64(isgn))
+	safmin := core.SafeMin[float64]()
+	var w *lasy2Work[E]
+	// solve overwrites C(K, L), K = k1:k2 and L = l1:l2, with the solution of
+	// the diagonal block's equation for the right-hand side rhs.
+	solve := func(k1, k2, l1, l2 int, rhs *[4]E) {
+		nk := k2 - k1
+		if nk == 1 && l2-l1 == 1 {
+			d := a[k1+k1*lda] + sg*b[l1+l1*ldb]
+			if core.Abs(d) < safmin {
+				d = core.FromFloat[E](safmin)
+			}
+			c[k1+l1*ldc] = rhs[0] / d
+			return
+		}
+		if w == nil {
+			w = new(lasy2Work[E])
+		}
+		x := lasy2g(cfg, w, trans, isgn, nk, l2-l1, a[k1+k1*lda:], lda, b[l1+l1*ldb:], ldb, rhs[:], nk)
+		for j := l1; j < l2; j++ {
+			for i := k1; i < k2; i++ {
+				c[i+j*ldc] = x[(i-k1)+(j-l1)*nk]
+			}
+		}
 	}
 	if !trans {
 		// A·X + isgn·X·B = C: K from bottom to top, L from left to right.
-		for li := 0; li < len(bb); li++ {
-			l1 := bb[li]
-			l2 := l1 + blockSize(bb, li, n) // exclusive
-			for ki := len(ab) - 1; ki >= 0; ki-- {
-				k1 := ab[ki]
-				k2 := k1 + blockSize(ab, ki, m)
+		for l1, l2 := 0, 0; l1 < n; l1 = l2 {
+			l2 = blockEnd(n, b, ldb, l1)
+			for k1, k2 := m, m; k2 > 0; k2 = k1 {
+				k1 = blockStart(a, lda, k2)
 				// RHS block = C(K,L) − A(K, K2:)·X(K2:, L) − isgn·X(K, :L1)·B(:L1, L).
-				var rhs [4]float64
+				var rhs [4]E
 				for j := l1; j < l2; j++ {
 					for i := k1; i < k2; i++ {
 						s := c[i+j*ldc]
@@ -115,24 +156,17 @@ func Trsyl(cfg *core.Config, trans bool, isgn, m, n int, a []float64, lda int, b
 						rhs[(i-k1)+(j-l1)*(k2-k1)] = s
 					}
 				}
-				x, _ := lasy2g(cfg, isgn, k2-k1, l2-l1, a[k1+k1*lda:], lda, b[l1+l1*ldb:], ldb, rhs[:], k2-k1)
-				for j := l1; j < l2; j++ {
-					for i := k1; i < k2; i++ {
-						c[i+j*ldc] = x[(i-k1)+(j-l1)*(k2-k1)]
-					}
-				}
+				solve(k1, k2, l1, l2, &rhs)
 			}
 		}
 		return 1
 	}
 	// Aᵀ·X + isgn·X·Bᵀ = C: K from top to bottom, L from right to left.
-	for li := len(bb) - 1; li >= 0; li-- {
-		l1 := bb[li]
-		l2 := l1 + blockSize(bb, li, n)
-		for ki := 0; ki < len(ab); ki++ {
-			k1 := ab[ki]
-			k2 := k1 + blockSize(ab, ki, m)
-			var rhs [4]float64
+	for l1, l2 := n, n; l2 > 0; l2 = l1 {
+		l1 = blockStart(b, ldb, l2)
+		for k1, k2 := 0, 0; k1 < m; k1 = k2 {
+			k2 = blockEnd(m, a, lda, k1)
+			var rhs [4]E
 			for j := l1; j < l2; j++ {
 				for i := k1; i < k2; i++ {
 					s := c[i+j*ldc]
@@ -145,71 +179,7 @@ func Trsyl(cfg *core.Config, trans bool, isgn, m, n int, a []float64, lda int, b
 					rhs[(i-k1)+(j-l1)*(k2-k1)] = s
 				}
 			}
-			// Transposed diagonal blocks.
-			var tlt, trt [4]float64
-			nk := k2 - k1
-			nl := l2 - l1
-			for i := 0; i < nk; i++ {
-				for j := 0; j < nk; j++ {
-					tlt[i+j*nk] = a[k1+j+(k1+i)*lda]
-				}
-			}
-			for i := 0; i < nl; i++ {
-				for j := 0; j < nl; j++ {
-					trt[i+j*nl] = b[l1+j+(l1+i)*ldb]
-				}
-			}
-			x, _ := lasy2g(cfg, isgn, nk, nl, tlt[:], nk, trt[:], nl, rhs[:], nk)
-			for j := l1; j < l2; j++ {
-				for i := k1; i < k2; i++ {
-					c[i+j*ldc] = x[(i-k1)+(j-l1)*nk]
-				}
-			}
-		}
-	}
-	return 1
-}
-
-// TrsylC solves the complex triangular Sylvester equation
-// op(A)·X + isgn·X·op(B) = C with upper triangular A (m×m) and B (n×n);
-// op is the identity or the conjugate transpose. C is overwritten by X.
-func TrsylC(conjTrans bool, isgn, m, n int, a []complex128, lda int, b []complex128, ldb int, c []complex128, ldc int) float64 {
-	if m == 0 || n == 0 {
-		return 1
-	}
-	sg := complex(float64(isgn), 0)
-	smin := math.SmallestNonzeroFloat64 * 0x1p52
-	guard := func(d complex128) complex128 {
-		if cmplx.Abs(d) < smin {
-			return complex(smin, 0)
-		}
-		return d
-	}
-	if !conjTrans {
-		for l := 0; l < n; l++ {
-			for k := m - 1; k >= 0; k-- {
-				s := c[k+l*ldc]
-				for p := k + 1; p < m; p++ {
-					s -= a[k+p*lda] * c[p+l*ldc]
-				}
-				for q := 0; q < l; q++ {
-					s -= sg * c[k+q*ldc] * b[q+l*ldb]
-				}
-				c[k+l*ldc] = s / guard(a[k+k*lda]+sg*b[l+l*ldb])
-			}
-		}
-		return 1
-	}
-	for l := n - 1; l >= 0; l-- {
-		for k := 0; k < m; k++ {
-			s := c[k+l*ldc]
-			for p := 0; p < k; p++ {
-				s -= cmplx.Conj(a[p+k*lda]) * c[p+l*ldc]
-			}
-			for q := l + 1; q < n; q++ {
-				s -= sg * c[k+q*ldc] * cmplx.Conj(b[l+q*ldb])
-			}
-			c[k+l*ldc] = s / guard(cmplx.Conj(a[k+k*lda])+sg*cmplx.Conj(b[l+l*ldb]))
+			solve(k1, k2, l1, l2, &rhs)
 		}
 	}
 	return 1
