@@ -174,6 +174,14 @@ SVD_SITES = internal/lapack/bdsdc.go:bdsdcLeaf internal/lapack/gesdd.go:gesddSca
 # core.Stored (one definition outside bench/): no wrapper file of la or f77
 # compares a Stride or leading dimension itself, and the per-wrapper checks
 # it replaced (square, rhsMatch, matOK) are not declared again.
+# And one Bunch–Kaufman sweep (DESIGN "Bunch–Kaufman: one body"): sytf2,
+# lasyf and sytrf factor the Upper triangle only, and Lower runs that body on
+# the point reflection of the matrix (reflected, sytrf.go). Outside comments
+# the identifier Lower appears in non-test sytrf.go only in the entry tests
+# of sytf2 and sytrf — a census of the enclosing functions — so a second
+# factorization sweep cannot come back. (Sytrs keeps both solve sweeps,
+# branching on uplo == Upper.)
+BK_LOWER_SITES = sytf2 sytrf
 lint-once:
 	@fact=$$(grep -nE '[!=]= FactFact' internal/lapack/*.go | grep -v '_test\.go:'); \
 	rcond=$$(grep -n 'rcondFromEst(' internal/lapack/*.go | grep -v '_test\.go:' | grep -v 'func rcondFromEst('); \
@@ -216,6 +224,12 @@ lint-once:
 		echo "lint-once: the stored-matrix rule is defined $$n times (once, as core.Stored), or written again:"; \
 		echo "$$bad"; exit 1; \
 	fi
+	@sites=$$(awk '/^func /{f=$$0; sub(/^func (\([^)]*\) )?/, "", f); sub(/[[(].*/, "", f)} {l=$$0; sub(/\/\/.*/, "", l)} l ~ /(^|[^A-Za-z0-9_])Lower([^A-Za-z0-9_]|$$)/{print f}' \
+		internal/lapack/sytrf.go | tr '\n' ' '); \
+	if [ "$$sites" != "$(strip $(BK_LOWER_SITES)) " ]; then \
+		echo 'lint-once: Lower used in sytrf.go outside the reflection entry of sytf2 and sytrf:'; \
+		echo "$$sites"; exit 1; \
+	fi
 	@echo "lint-once: ok"
 
 # Assembly is written once (DESIGN "Assembly is written once"): the lines of
@@ -248,7 +262,7 @@ lint-asm:
 # them is a decision made here, like ASM_MAX; and no test file declares a flag
 # but -asmparent (asmident_test.go): the suite's other flags, -golden and
 # -avx2, are internal/testutil/diff's, so a sixth print flag cannot come back.
-TEST_MAX = 24273
+TEST_MAX = 24216
 lint-tests:
 	@n=$$( (find . -name '*_test.go' ! -path './bench/*'; find internal/testutil -type f ! -name '*_test.go') | xargs cat | wc -l); \
 	if [ $$n -gt $(TEST_MAX) ]; then \

@@ -328,31 +328,28 @@ func TestOrmqrBlockedVsExplicitQ(t *testing.T) {
 }
 
 // testSytrfBlockedVsUnblocked checks the LASYF-panel driver against the
-// unblocked kernel: identical pivot sequence and factors agreeing to
-// rounding, both triangles, padded lda.
-func testSytrfBlockedVsUnblocked[T core.Scalar](t *testing.T, uplo lapack.Uplo, n int) {
+// unblocked kernel — the LAHEF panels when herm — with identical pivot
+// sequence and factors agreeing to rounding, both triangles, padded lda.
+func testSytrfBlockedVsUnblocked[T core.Scalar](t *testing.T, herm bool, uplo lapack.Uplo, n int) {
 	t.Helper()
-	rng := lapack.NewRng([4]int{n, 47, 53, 59})
+	seed, blocked, unblocked, conj := [4]int{n, 47, 53, 59}, lapack.Sytrf[T], lapack.Sytf2[T], func(v T) T { return v }
+	if herm {
+		seed, blocked, unblocked, conj = [4]int{n, 61, 67, 71}, lapack.Hetrf[T], lapack.Hetf2[T], core.Conj[T]
+	}
+	rng := lapack.NewRng(seed)
 	lda := n + 2
 	g := testutil.RandGeneral[T](rng, n, n, lda)
-	// Symmetrize (complex symmetric, not Hermitian, matching Sytrf).
+	// A = G + Gᵀ (complex symmetric, matching Sytrf), or G + Gᴴ when herm.
 	a := make([]T, lda*n)
 	for j := 0; j < n; j++ {
 		for i := 0; i < n; i++ {
-			a[i+j*lda] = g[i+j*lda] + g[j+i*lda]
+			a[i+j*lda] = g[i+j*lda] + conj(g[j+i*lda])
 		}
 	}
-
-	afB := make([]T, lda*n)
-	lapack.Lacpy('A', n, n, a, lda, afB, lda)
-	ipivB := make([]int, n)
-	infoB := lapack.Sytrf(tcfg(), uplo, n, afB, lda, ipivB)
-
-	afU := make([]T, lda*n)
-	lapack.Lacpy('A', n, n, a, lda, afU, lda)
-	ipivU := make([]int, n)
-	infoU := lapack.Sytf2(uplo, n, afU, lda, ipivU)
-
+	afB, afU := append([]T(nil), a...), append([]T(nil), a...)
+	ipivB, ipivU := make([]int, n), make([]int, n)
+	infoB := blocked(tcfg(), uplo, n, afB, lda, ipivB)
+	infoU := unblocked(uplo, n, afU, lda, ipivU)
 	if infoB != infoU {
 		t.Fatalf("info: blocked %d vs unblocked %d", infoB, infoU)
 	}
@@ -362,61 +359,24 @@ func testSytrfBlockedVsUnblocked[T core.Scalar](t *testing.T, uplo lapack.Uplo, 
 		}
 	}
 	if d := diff.MaxDiff(afB, afU); d > 1e4*core.Eps[T]()*float64(n) {
-		t.Fatalf("blocked vs unblocked Sytrf factors differ by %v", d)
+		t.Fatalf("blocked vs unblocked factors differ by %v", d)
 	}
 }
 
 func TestSytrfBlockedVsUnblocked(t *testing.T) {
 	for _, n := range []int{49, 60, 97, 130} {
 		for _, uplo := range []lapack.Uplo{lapack.Upper, lapack.Lower} {
-			t.Run("float64", func(t *testing.T) { testSytrfBlockedVsUnblocked[float64](t, uplo, n) })
-			t.Run("complex128", func(t *testing.T) { testSytrfBlockedVsUnblocked[complex128](t, uplo, n) })
+			t.Run("float64", func(t *testing.T) { testSytrfBlockedVsUnblocked[float64](t, false, uplo, n) })
+			t.Run("complex128", func(t *testing.T) { testSytrfBlockedVsUnblocked[complex128](t, false, uplo, n) })
 		}
-	}
-}
-
-// testHetrfBlockedVsUnblocked does the same for the Hermitian LAHEF panels.
-func testHetrfBlockedVsUnblocked[T core.Scalar](t *testing.T, uplo lapack.Uplo, n int) {
-	t.Helper()
-	rng := lapack.NewRng([4]int{n, 61, 67, 71})
-	lda := n + 2
-	g := testutil.RandGeneral[T](rng, n, n, lda)
-	// Hermitian: A = G + Gᴴ.
-	a := make([]T, lda*n)
-	for j := 0; j < n; j++ {
-		for i := 0; i < n; i++ {
-			a[i+j*lda] = g[i+j*lda] + core.Conj(g[j+i*lda])
-		}
-	}
-
-	afB := make([]T, lda*n)
-	lapack.Lacpy('A', n, n, a, lda, afB, lda)
-	ipivB := make([]int, n)
-	infoB := lapack.Hetrf(tcfg(), uplo, n, afB, lda, ipivB)
-
-	afU := make([]T, lda*n)
-	lapack.Lacpy('A', n, n, a, lda, afU, lda)
-	ipivU := make([]int, n)
-	infoU := lapack.Hetf2(uplo, n, afU, lda, ipivU)
-
-	if infoB != infoU {
-		t.Fatalf("info: blocked %d vs unblocked %d", infoB, infoU)
-	}
-	for i := range ipivB {
-		if ipivB[i] != ipivU[i] {
-			t.Fatalf("pivot %d: blocked %d vs unblocked %d", i, ipivB[i], ipivU[i])
-		}
-	}
-	if d := diff.MaxDiff(afB, afU); d > 1e4*core.Eps[T]()*float64(n) {
-		t.Fatalf("blocked vs unblocked Hetrf factors differ by %v", d)
 	}
 }
 
 func TestHetrfBlockedVsUnblocked(t *testing.T) {
 	for _, n := range []int{49, 60, 97, 130} {
 		for _, uplo := range []lapack.Uplo{lapack.Upper, lapack.Lower} {
-			t.Run("complex128", func(t *testing.T) { testHetrfBlockedVsUnblocked[complex128](t, uplo, n) })
-			t.Run("complex64", func(t *testing.T) { testHetrfBlockedVsUnblocked[complex64](t, uplo, n) })
+			t.Run("complex128", func(t *testing.T) { testSytrfBlockedVsUnblocked[complex128](t, true, uplo, n) })
+			t.Run("complex64", func(t *testing.T) { testSytrfBlockedVsUnblocked[complex64](t, true, uplo, n) })
 		}
 	}
 }

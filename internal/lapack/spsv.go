@@ -45,33 +45,13 @@ func repackTri[T core.Scalar](uplo Uplo, n int, a []T, ap []T) {
 // Each packed routine has one body taking herm (false: xSP*, symmetric;
 // true: xHP*, Hermitian), like the dense family in sytrf.go.
 
-// Sptrf computes the Bunch–Kaufman factorization of a symmetric matrix in
-// packed storage (xSPTRF).
-func Sptrf[T core.Scalar](uplo Uplo, n int, ap []T, ipiv []int) int {
-	return sptrf(false, uplo, n, ap, ipiv)
-}
-
-// Hptrf is Sptrf for a Hermitian matrix (xHPTRF).
-func Hptrf[T core.Scalar](uplo Uplo, n int, ap []T, ipiv []int) int {
-	return sptrf(true, uplo, n, ap, ipiv)
-}
-
+// sptrf computes the Bunch–Kaufman factorization of a symmetric (herm false,
+// xSPTRF) or Hermitian (xHPTRF) matrix in packed storage.
 func sptrf[T core.Scalar](herm bool, uplo Uplo, n int, ap []T, ipiv []int) int {
 	a := unpackTri(uplo, n, ap)
 	info := sytf2(herm, uplo, n, a, n, ipiv)
 	repackTri(uplo, n, a, ap)
 	return info
-}
-
-// Sptrs solves A·X = B using the packed factorization from Sptrf (xSPTRS).
-func Sptrs[T core.Scalar](cfg *core.Config, uplo Uplo, n, nrhs int, ap []T, ipiv []int, b []T, ldb int) {
-	sytrs(cfg, false, uplo, n, nrhs, unpackTri(uplo, n, ap), n, ipiv, b, ldb)
-}
-
-// Hptrs solves A·X = B using the packed Hermitian factorization from Hptrf
-// (xHPTRS).
-func Hptrs[T core.Scalar](cfg *core.Config, uplo Uplo, n, nrhs int, ap []T, ipiv []int, b []T, ldb int) {
-	sytrs(cfg, true, uplo, n, nrhs, unpackTri(uplo, n, ap), n, ipiv, b, ldb)
 }
 
 // Spsv solves A·X = B for a symmetric indefinite matrix in packed storage

@@ -216,12 +216,6 @@ func Sytrd[T core.Scalar](cfg *core.Config, uplo Uplo, n int, a []T, lda int, d,
 	Sytd2(Lower, n-i1, a[i1+i1*lda:], lda, d[i1:], e[i1:], tau[i1:])
 }
 
-// Hetrd is the Hermitian driver name for Sytrd (xHETRD); the generic Sytrd
-// already performs the Hermitian reduction for complex element types.
-func Hetrd[T core.Scalar](cfg *core.Config, uplo Uplo, n int, a []T, lda int, d, e []float64, tau []T) {
-	Sytrd(cfg, uplo, n, a, lda, d, e, tau)
-}
-
 // tridiagQR hands out, in pooled scratch the caller releases, the n
 // reflectors of Sytrd's Q as a QR-stored set of order n — b (n×n, leading
 // dimension n; only the part below the diagonal is written, which is all the

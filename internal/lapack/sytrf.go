@@ -2,6 +2,7 @@ package lapack
 
 import (
 	"math"
+	"slices"
 
 	"repro/internal/blas"
 	"repro/internal/core"
@@ -20,6 +21,18 @@ import (
 // take the herm branch too when called through the He*/Hp* names: its
 // rank-1 step (reciprocal formed in float64, Her) does not round like the
 // symmetric one, and both are pinned bit for bit (TestBunchKaufmanGolden).
+//
+// The factorization is written once, for the Upper triangle. The point
+// reflection P = J·A·J (J reverses 0..n−1) carries A's lower triangle onto
+// P's upper one, and the Upper sweep over P, last column first, visits A's
+// columns first to last and makes the Lower sweep's choices, so Lower runs
+// the Upper body on a reflected copy (reflected). Upper was kept: every
+// benchmarked solve runs it, and it was the faster sweep. Iamax takes the
+// first of exactly equal candidates in P's order, the last in A's, so on
+// exact ties Lower takes the last where reference LAPACK takes the first;
+// otherwise pivots and INFO are LAPACK's and the factor agrees to rounding.
+// Sytrs keeps both sweeps: a reflected solve would add an O(n²) pass to
+// every refinement step and norm-estimator solve of the expert drivers.
 
 // bkAlpha is the Bunch–Kaufman pivot threshold (1+sqrt(17))/8.
 var bkAlpha = (1 + math.Sqrt(17)) / 8
@@ -40,6 +53,49 @@ func realPart[T core.Scalar](v T) T { return core.FromFloat[T](core.Re(v)) }
 func realDiag[T core.Scalar](n int, a []T, lda int) {
 	for j := 0; j < n; j++ {
 		a[j+j*lda] = realPart(a[j+j*lda])
+	}
+}
+
+// reflected factors the Lower triangle of the leading n×n block of a by
+// running upper, an Upper factorization of p (leading dimension ldp) into
+// ipiv, on the point reflection P in pooled scratch. The factor is copied
+// back reflected (a's strictly upper triangle is never written), each row
+// index q in ipiv maps to n−1−q in reverse order, and INFO i ≠ 0 to n−i+1.
+// ldp is an odd multiple of 8, so from n = 8 on no walk along a row of P
+// strides a power of two (lda = 1024 costs the Upper sweep 10–20 %).
+func reflected[T core.Scalar](n int, a []T, lda int, ipiv []int, upper func(p []T, ldp int) int) int {
+	ldp := (n+8)/16*16 + 8
+	p := blas.GetScratch[T](n * ldp)
+	defer blas.PutScratch(p)
+	for j := 0; j < n; j++ {
+		revCopy(p[(n-1-j)*ldp:(n-1-j)*ldp+n-j], a[j+j*lda:n+j*lda])
+	}
+	info := upper(p, ldp)
+	for j := 0; j < n; j++ {
+		revCopy(a[j+j*lda:n+j*lda], p[(n-1-j)*ldp:(n-1-j)*ldp+n-j])
+	}
+	for k, q := range ipiv[:n] {
+		ipiv[k] = n - 1 - q
+		if q < 0 {
+			ipiv[k] = -(n + q + 1) // a 2×2 mark -(q'+1) ↦ -(n-q')
+		}
+	}
+	slices.Reverse(ipiv[:n])
+	if info != 0 {
+		info = n - info + 1
+	}
+	return info
+}
+
+// revCopy sets d[i] = s[len(s)-1-i], eight at a time (2× a per-element loop).
+func revCopy[T core.Scalar](d, s []T) {
+	for len(s) >= 8 && len(d) >= 8 {
+		s8, d8 := s[len(s)-8:], d[:8]
+		d8[0], d8[1], d8[2], d8[3], d8[4], d8[5], d8[6], d8[7] = s8[7], s8[6], s8[5], s8[4], s8[3], s8[2], s8[1], s8[0]
+		s, d = s[:len(s)-8], d[8:]
+	}
+	for i := range d {
+		d[i] = s[len(s)-1-i]
 	}
 }
 
@@ -64,6 +120,9 @@ func Hetf2[T core.Scalar](uplo Uplo, n int, a []T, lda int, ipiv []int) int {
 }
 
 func sytf2[T core.Scalar](herm bool, uplo Uplo, n int, a []T, lda int, ipiv []int) int {
+	if uplo == Lower {
+		return reflected(n, a, lda, ipiv, func(p []T, ldp int) int { return sytf2(herm, Upper, n, p, ldp, ipiv) })
+	}
 	info := 0
 	at := func(i, j int) T { return a[i+j*lda] }
 	set := func(i, j int, v T) { a[i+j*lda] = v }
@@ -77,122 +136,13 @@ func sytf2[T core.Scalar](herm bool, uplo Uplo, n int, a []T, lda int, ipiv []in
 		}
 	}
 	one := core.FromFloat[T](1)
-	if uplo == Upper {
-		for k := n - 1; k >= 0; {
-			kstep := 1
-			kp := k
-			absakk := absDiag(herm, at(k, k))
-			imax, colmax := 0, 0.0
-			if k > 0 {
-				imax = blas.Iamax(k, a[k*lda:], 1)
-				colmax = core.Abs1(at(imax, k))
-			}
-			if math.Max(absakk, colmax) == 0 {
-				if info == 0 {
-					info = k + 1
-				}
-				fixDiag(k)
-			} else {
-				if absakk >= bkAlpha*colmax {
-					kp = k
-				} else {
-					rowmax := 0.0
-					for j := imax + 1; j <= k; j++ {
-						rowmax = math.Max(rowmax, core.Abs1(at(imax, j)))
-					}
-					if imax > 0 {
-						jmax := blas.Iamax(imax, a[imax*lda:], 1)
-						rowmax = math.Max(rowmax, core.Abs1(at(jmax, imax)))
-					}
-					if absakk >= bkAlpha*colmax*(colmax/rowmax) {
-						kp = k
-					} else if absDiag(herm, at(imax, imax)) >= bkAlpha*rowmax {
-						kp = imax
-					} else {
-						kp = imax
-						kstep = 2
-					}
-				}
-				kk := k - kstep + 1
-				if kp != kk {
-					blas.Swap(kp, a[kk*lda:], 1, a[kp*lda:], 1)
-					blas.Swap(kk-kp-1, a[kp+1+kk*lda:], 1, a[kp+(kp+1)*lda:], lda)
-					if herm {
-						lacgv(kk-kp-1, a[kp+1+kk*lda:], 1)
-						lacgv(kk-kp-1, a[kp+(kp+1)*lda:], lda)
-						set(kp, kk, core.Conj(at(kp, kk)))
-					}
-					t := at(kk, kk)
-					set(kk, kk, at(kp, kp))
-					set(kp, kp, t)
-					if kstep == 2 {
-						t = at(k-1, k)
-						set(k-1, k, at(kp, k))
-						set(kp, k, t)
-					}
-				}
-				fixDiag(k, kk, kp)
-				switch {
-				case kstep == 1 && herm:
-					r1 := 1 / core.Re(at(k, k))
-					blas.Her(Upper, k, -r1, a[k*lda:], 1, a, lda)
-					blas.ScalReal(k, r1, a[k*lda:], 1)
-				case kstep == 1:
-					r1 := core.Div(one, at(k, k))
-					blas.Syr(Upper, k, -r1, a[k*lda:], 1, a, lda)
-					blas.Scal(k, r1, a[k*lda:], 1)
-				case k > 1 && herm:
-					d := core.Abs(at(k-1, k))
-					d22 := core.Re(at(k-1, k-1)) / d
-					d11 := core.Re(at(k, k)) / d
-					tt := 1 / (d11*d22 - 1)
-					d12 := core.FromComplex[T](core.ToComplex(at(k-1, k)) / complex(d, 0))
-					dd := core.FromFloat[T](tt / d)
-					for j := k - 2; j >= 0; j-- {
-						wkm1 := dd * (core.FromFloat[T](d11)*at(j, k-1) - core.Conj(d12)*at(j, k))
-						wk := dd * (core.FromFloat[T](d22)*at(j, k) - d12*at(j, k-1))
-						for i := j; i >= 0; i-- {
-							set(i, j, at(i, j)-at(i, k)*core.Conj(wk)-at(i, k-1)*core.Conj(wkm1))
-						}
-						set(j, k, wk)
-						set(j, k-1, wkm1)
-						set(j, j, realPart(at(j, j)))
-					}
-				case k > 1:
-					d12 := at(k-1, k)
-					d22 := core.Div(at(k-1, k-1), d12)
-					d11 := core.Div(at(k, k), d12)
-					t := core.Div(one, d11*d22-one)
-					d12 = core.Div(t, d12)
-					for j := k - 2; j >= 0; j-- {
-						wkm1 := d12 * (d11*at(j, k-1) - at(j, k))
-						wk := d12 * (d22*at(j, k) - at(j, k-1))
-						for i := j; i >= 0; i-- {
-							set(i, j, at(i, j)-at(i, k)*wk-at(i, k-1)*wkm1)
-						}
-						set(j, k, wk)
-						set(j, k-1, wkm1)
-					}
-				}
-			}
-			if kstep == 1 {
-				ipiv[k] = kp
-			} else {
-				ipiv[k] = -(kp + 1)
-				ipiv[k-1] = -(kp + 1)
-			}
-			k -= kstep
-		}
-		return info
-	}
-	// Lower triangle.
-	for k := 0; k < n; {
+	for k := n - 1; k >= 0; {
 		kstep := 1
 		kp := k
 		absakk := absDiag(herm, at(k, k))
 		imax, colmax := 0, 0.0
-		if k < n-1 {
-			imax = k + 1 + blas.Iamax(n-k-1, a[k+1+k*lda:], 1)
+		if k > 0 {
+			imax = blas.Iamax(k, a[k*lda:], 1)
 			colmax = core.Abs1(at(imax, k))
 		}
 		if math.Max(absakk, colmax) == 0 {
@@ -205,11 +155,11 @@ func sytf2[T core.Scalar](herm bool, uplo Uplo, n int, a []T, lda int, ipiv []in
 				kp = k
 			} else {
 				rowmax := 0.0
-				for j := k; j < imax; j++ {
+				for j := imax + 1; j <= k; j++ {
 					rowmax = math.Max(rowmax, core.Abs1(at(imax, j)))
 				}
-				if imax < n-1 {
-					jmax := imax + 1 + blas.Iamax(n-imax-1, a[imax+1+imax*lda:], 1)
+				if imax > 0 {
+					jmax := blas.Iamax(imax, a[imax*lda:], 1)
 					rowmax = math.Max(rowmax, core.Abs1(at(jmax, imax)))
 				}
 				if absakk >= bkAlpha*colmax*(colmax/rowmax) {
@@ -221,69 +171,65 @@ func sytf2[T core.Scalar](herm bool, uplo Uplo, n int, a []T, lda int, ipiv []in
 					kstep = 2
 				}
 			}
-			kk := k + kstep - 1
+			kk := k - kstep + 1
 			if kp != kk {
-				if kp < n-1 {
-					blas.Swap(n-kp-1, a[kp+1+kk*lda:], 1, a[kp+1+kp*lda:], 1)
-				}
-				blas.Swap(kp-kk-1, a[kk+1+kk*lda:], 1, a[kp+(kk+1)*lda:], lda)
+				blas.Swap(kp, a[kk*lda:], 1, a[kp*lda:], 1)
+				blas.Swap(kk-kp-1, a[kp+1+kk*lda:], 1, a[kp+(kp+1)*lda:], lda)
 				if herm {
-					lacgv(kp-kk-1, a[kk+1+kk*lda:], 1)
-					lacgv(kp-kk-1, a[kp+(kk+1)*lda:], lda)
+					lacgv(kk-kp-1, a[kp+1+kk*lda:], 1)
+					lacgv(kk-kp-1, a[kp+(kp+1)*lda:], lda)
 					set(kp, kk, core.Conj(at(kp, kk)))
 				}
 				t := at(kk, kk)
 				set(kk, kk, at(kp, kp))
 				set(kp, kp, t)
 				if kstep == 2 {
-					t = at(k+1, k)
-					set(k+1, k, at(kp, k))
+					t = at(k-1, k)
+					set(k-1, k, at(kp, k))
 					set(kp, k, t)
 				}
 			}
 			fixDiag(k, kk, kp)
 			switch {
-			case kstep == 1 && k == n-1:
-				// last column: nothing below the pivot to update
 			case kstep == 1 && herm:
 				r1 := 1 / core.Re(at(k, k))
-				blas.Her(Lower, n-k-1, -r1, a[k+1+k*lda:], 1, a[k+1+(k+1)*lda:], lda)
-				blas.ScalReal(n-k-1, r1, a[k+1+k*lda:], 1)
+				blas.Her(Upper, k, -r1, a[k*lda:], 1, a, lda)
+				blas.ScalReal(k, r1, a[k*lda:], 1)
 			case kstep == 1:
 				r1 := core.Div(one, at(k, k))
-				blas.Syr(Lower, n-k-1, -r1, a[k+1+k*lda:], 1, a[k+1+(k+1)*lda:], lda)
-				blas.Scal(n-k-1, r1, a[k+1+k*lda:], 1)
-			case k < n-2 && herm:
-				d := core.Abs(at(k+1, k))
-				d11 := core.Re(at(k+1, k+1)) / d
-				d22 := core.Re(at(k, k)) / d
+				blas.Syr(Upper, k, -r1, a[k*lda:], 1, a, lda)
+				blas.Scal(k, r1, a[k*lda:], 1)
+			case k > 1 && herm:
+				d := core.Abs(at(k-1, k))
+				d22 := core.Re(at(k-1, k-1)) / d
+				d11 := core.Re(at(k, k)) / d
 				tt := 1 / (d11*d22 - 1)
-				d21 := core.FromComplex[T](core.ToComplex(at(k+1, k)) / complex(d, 0))
+				d12 := core.FromComplex[T](core.ToComplex(at(k-1, k)) / complex(d, 0))
 				dd := core.FromFloat[T](tt / d)
-				for j := k + 2; j < n; j++ {
-					wk := dd * (core.FromFloat[T](d11)*at(j, k) - d21*at(j, k+1))
-					wkp1 := dd * (core.FromFloat[T](d22)*at(j, k+1) - core.Conj(d21)*at(j, k))
-					for i := j; i < n; i++ {
-						set(i, j, at(i, j)-at(i, k)*core.Conj(wk)-at(i, k+1)*core.Conj(wkp1))
+				for j := k - 2; j >= 0; j-- {
+					wkm1 := dd * (core.FromFloat[T](d11)*at(j, k-1) - core.Conj(d12)*at(j, k))
+					wk := dd * (core.FromFloat[T](d22)*at(j, k) - d12*at(j, k-1))
+					for i := j; i >= 0; i-- {
+						set(i, j, at(i, j)-at(i, k)*core.Conj(wk)-at(i, k-1)*core.Conj(wkm1))
 					}
 					set(j, k, wk)
-					set(j, k+1, wkp1)
+					set(j, k-1, wkm1)
 					set(j, j, realPart(at(j, j)))
 				}
-			case k < n-2:
-				d21 := at(k+1, k)
-				d11 := core.Div(at(k+1, k+1), d21)
-				d22 := core.Div(at(k, k), d21)
+			case k > 1:
+				d12 := at(k-1, k)
+				d22 := core.Div(at(k-1, k-1), d12)
+				d11 := core.Div(at(k, k), d12)
 				t := core.Div(one, d11*d22-one)
-				d21 = core.Div(t, d21)
-				for j := k + 2; j < n; j++ {
-					wk := d21 * (d11*at(j, k) - at(j, k+1))
-					wkp1 := d21 * (d22*at(j, k+1) - at(j, k))
-					for i := j; i < n; i++ {
-						set(i, j, at(i, j)-at(i, k)*wk-at(i, k+1)*wkp1)
+				d12 = core.Div(t, d12)
+				for j := k - 2; j >= 0; j-- {
+					wkm1 := d12 * (d11*at(j, k-1) - at(j, k))
+					wk := d12 * (d22*at(j, k) - at(j, k-1))
+					for i := j; i >= 0; i-- {
+						set(i, j, at(i, j)-at(i, k)*wk-at(i, k-1)*wkm1)
 					}
 					set(j, k, wk)
-					set(j, k+1, wkp1)
+					set(j, k-1, wkm1)
 				}
 			}
 		}
@@ -291,21 +237,22 @@ func sytf2[T core.Scalar](herm bool, uplo Uplo, n int, a []T, lda int, ipiv []in
 			ipiv[k] = kp
 		} else {
 			ipiv[k] = -(kp + 1)
-			ipiv[k+1] = -(kp + 1)
+			ipiv[k-1] = -(kp + 1)
 		}
-		k += kstep
+		k -= kstep
 	}
 	return info
 }
 
-// lasyf factors the last (Upper) or first (Lower) panel of a symmetric or
+// lasyf factors the last panel of the Upper triangle of a symmetric or
 // Hermitian matrix with the Bunch–Kaufman pivoting strategy and applies the
 // panel's transformations to the rest of the matrix with Level-3 updates
-// (xLASYF / xLAHEF). w is an n×nb workspace holding the updated panel columns
-// (the columns of U·D or L·D); kb is the number of columns actually factored
-// — possibly nb-1, and one less than requested when the last pivot turned out
-// 2×2. Pivots in ipiv and the info return follow Sytf2.
-func lasyf[T core.Scalar](cfg *core.Config, herm bool, uplo Uplo, n, nb int, a []T, lda int, ipiv []int, w []T, ldw int) (kb, info int) {
+// (xLASYF / xLAHEF; Sytrf reaches Lower through the reflection). w is an
+// n×nb workspace holding the updated panel columns (the columns of U·D); kb
+// is the number of columns actually factored — possibly nb-1, and one less
+// than requested when the last pivot turned out 2×2. Pivots in ipiv and the
+// info return follow Sytf2.
+func lasyf[T core.Scalar](cfg *core.Config, herm bool, n, nb int, a []T, lda int, ipiv []int, w []T, ldw int) (kb, info int) {
 	one := core.FromFloat[T](1)
 	trans := TransT
 	if herm {
@@ -324,295 +271,155 @@ func lasyf[T core.Scalar](cfg *core.Config, herm bool, uplo Uplo, n, nb int, a [
 			*diag = realPart(*diag)
 		}
 	}
-	if uplo == Upper {
-		// Factor columns n-1 down to at most n-nb+1, storing updated
-		// columns in the trailing columns of w: A column k lives in w
-		// column kw = nb-n+k.
-		k := n - 1
-		for !((k <= n-nb && nb < n) || k < 0) {
-			kw := nb - n + k
-			// Copy column k and apply the updates from the columns already
-			// factored in this panel.
-			blas.Copy(k+1, a[k*lda:], 1, w[kw*ldw:], 1)
-			if herm {
-				w[k+kw*ldw] = realPart(w[k+kw*ldw])
-			}
-			if k < n-1 {
-				update(k+1, n-1-k, a[(k+1)*lda:], w[k+(kw+1)*ldw:], w[kw*ldw:], &w[k+kw*ldw])
-			}
-			kstep := 1
-			absakk := absDiag(herm, w[k+kw*ldw])
-			imax, colmax := 0, 0.0
-			if k > 0 {
-				imax = blas.Iamax(k, w[kw*ldw:], 1)
-				colmax = core.Abs1(w[imax+kw*ldw])
-			}
-			kp := k
-			if math.Max(absakk, colmax) == 0 {
-				if info == 0 {
-					info = k + 1
-				}
-				blas.Copy(k+1, w[kw*ldw:], 1, a[k*lda:], 1)
-			} else {
-				if absakk < bkAlpha*colmax {
-					// Build the updated column imax in w column kw-1 to run
-					// the rook-style comparison against its row maximum:
-					// rows above the diagonal from the column, rows below
-					// from the (conjugated, when herm) row.
-					blas.Copy(imax+1, a[imax*lda:], 1, w[(kw-1)*ldw:], 1)
-					for j := imax + 1; j <= k; j++ {
-						w[j+(kw-1)*ldw] = a[imax+j*lda]
-					}
-					if herm {
-						w[imax+(kw-1)*ldw] = realPart(w[imax+(kw-1)*ldw])
-						lacgv(k-imax, w[imax+1+(kw-1)*ldw:], 1)
-					}
-					if k < n-1 {
-						update(k+1, n-1-k, a[(k+1)*lda:], w[imax+(kw+1)*ldw:], w[(kw-1)*ldw:], &w[imax+(kw-1)*ldw])
-					}
-					jmax := imax + 1 + blas.Iamax(k-imax, w[imax+1+(kw-1)*ldw:], 1)
-					rowmax := core.Abs1(w[jmax+(kw-1)*ldw])
-					if imax > 0 {
-						jmax = blas.Iamax(imax, w[(kw-1)*ldw:], 1)
-						rowmax = math.Max(rowmax, core.Abs1(w[jmax+(kw-1)*ldw]))
-					}
-					switch {
-					case absakk >= bkAlpha*colmax*(colmax/rowmax):
-						// kp = k: 1×1 pivot, no interchange.
-					case absDiag(herm, w[imax+(kw-1)*ldw]) >= bkAlpha*rowmax:
-						kp = imax
-						blas.Copy(k+1, w[(kw-1)*ldw:], 1, w[kw*ldw:], 1)
-					default:
-						kp = imax
-						kstep = 2
-					}
-				}
-				kk := k - kstep + 1
-				kkw := nb - n + kk
-				if kp != kk {
-					// Move row/column kk of the leading block to position kp
-					// (column kk's data survives in w).
-					a[kp+kp*lda] = a[kk+kk*lda]
-					for j := kp + 1; j < kk; j++ {
-						a[kp+j*lda] = a[j+kk*lda]
-					}
-					if herm {
-						a[kp+kp*lda] = realPart(a[kp+kp*lda])
-						lacgv(kk-kp-1, a[kp+(kp+1)*lda:], lda)
-					}
-					if kp > 0 {
-						blas.Copy(kp, a[kk*lda:], 1, a[kp*lda:], 1)
-					}
-					if k < n-1 {
-						blas.Swap(n-1-k, a[kk+(k+1)*lda:], lda, a[kp+(k+1)*lda:], lda)
-					}
-					blas.Swap(n-kk, w[kk+kkw*ldw:], ldw, w[kp+kkw*ldw:], ldw)
-				}
-				if kstep == 1 {
-					// Store U(:,k) = w(:,kw)/d(k,k).
-					blas.Copy(k+1, w[kw*ldw:], 1, a[k*lda:], 1)
-					if herm {
-						blas.ScalReal(k, 1/core.Re(a[k+k*lda]), a[k*lda:], 1)
-					} else {
-						blas.Scal(k, core.Div(one, a[k+k*lda]), a[k*lda:], 1)
-					}
-				} else {
-					// 2×2 pivot in rows/columns k-1:k (herm: D = [d11̂ d12;
-					// conj(d12) d22̂]); store the two columns of U = W·D⁻¹.
-					if k > 1 {
-						d12 := w[k-1+kw*ldw]
-						d22 := core.Div(w[k-1+(kw-1)*ldw], d12)
-						var d11, d12c T
-						if herm {
-							d11 = core.Div(w[k+kw*ldw], core.Conj(d12))
-							d12 = core.Div(core.FromFloat[T](1/(core.Re(d11*d22)-1)), d12)
-							d12c = core.Conj(d12)
-						} else {
-							d11 = core.Div(w[k+kw*ldw], d12)
-							d12 = core.Div(core.Div(one, d11*d22-one), d12)
-							d12c = d12
-						}
-						for j := 0; j < k-1; j++ {
-							a[j+(k-1)*lda] = d12 * (d11*w[j+(kw-1)*ldw] - w[j+kw*ldw])
-							a[j+k*lda] = d12c * (d22*w[j+kw*ldw] - w[j+(kw-1)*ldw])
-						}
-					}
-					a[k-1+(k-1)*lda] = w[k-1+(kw-1)*ldw]
-					a[k-1+k*lda] = w[k-1+kw*ldw]
-					a[k+k*lda] = w[k+kw*ldw]
-				}
-			}
-			if kstep == 1 {
-				ipiv[k] = kp
-			} else {
-				ipiv[k] = -(kp + 1)
-				ipiv[k-1] = -(kp + 1)
-			}
-			k -= kstep
-		}
-		// Level-3 update of the unfactored leading block
-		// A(0:k+1, 0:k+1) -= U12·(D·U12ᵀ) (ᴴ when herm, keeping the diagonal
-		// real): one triangle update per panel.
-		kRem := k + 1
-		kwr := nb - n + kRem
-		blas.Gemmt(cfg, Upper, NoTrans, trans, kRem, n-kRem, -one, a[kRem*lda:], lda,
-			w[kwr*ldw:], ldw, one, a, lda)
+	// Factor columns n-1 down to at most n-nb+1, storing updated columns in
+	// the trailing columns of w: A column k lives in w column kw = nb-n+k.
+	k := n - 1
+	for !((k <= n-nb && nb < n) || k < 0) {
+		kw := nb - n + k
+		// Copy column k and apply the updates from the columns already
+		// factored in this panel.
+		blas.Copy(k+1, a[k*lda:], 1, w[kw*ldw:], 1)
 		if herm {
-			realDiag(kRem, a, lda)
+			w[k+kw*ldw] = realPart(w[k+kw*ldw])
 		}
-		// Put U12 in standard form: partially undo the interchanges in the
-		// factored columns so Sytrs can apply ipiv sequentially.
-		for j := kRem; j < n; {
-			jj := j
-			jp := ipiv[j]
-			if jp < 0 {
-				jp = -jp - 1
-				j++
-			}
-			j++
-			if jp != jj && j < n {
-				blas.Swap(n-j, a[jp+j*lda:], lda, a[jj+j*lda:], lda)
-			}
-		}
-		return n - kRem, info
-	}
-	// Lower triangle: factor columns 0 .. at most nb-2, A column k in w
-	// column k.
-	k := 0
-	for !((k >= nb-1 && nb < n) || k >= n) {
-		blas.Copy(n-k, a[k+k*lda:], 1, w[k+k*ldw:], 1)
-		if herm {
-			w[k+k*ldw] = realPart(w[k+k*ldw])
-		}
-		if k > 0 {
-			update(n-k, k, a[k:], w[k:], w[k+k*ldw:], &w[k+k*ldw])
+		if k < n-1 {
+			update(k+1, n-1-k, a[(k+1)*lda:], w[k+(kw+1)*ldw:], w[kw*ldw:], &w[k+kw*ldw])
 		}
 		kstep := 1
-		absakk := absDiag(herm, w[k+k*ldw])
+		absakk := absDiag(herm, w[k+kw*ldw])
 		imax, colmax := 0, 0.0
-		if k < n-1 {
-			imax = k + 1 + blas.Iamax(n-k-1, w[k+1+k*ldw:], 1)
-			colmax = core.Abs1(w[imax+k*ldw])
+		if k > 0 {
+			imax = blas.Iamax(k, w[kw*ldw:], 1)
+			colmax = core.Abs1(w[imax+kw*ldw])
 		}
 		kp := k
 		if math.Max(absakk, colmax) == 0 {
 			if info == 0 {
 				info = k + 1
 			}
-			blas.Copy(n-k, w[k+k*ldw:], 1, a[k+k*lda:], 1)
+			blas.Copy(k+1, w[kw*ldw:], 1, a[k*lda:], 1)
 		} else {
 			if absakk < bkAlpha*colmax {
-				// Updated column imax into w column k+1.
-				for j := k; j < imax; j++ {
-					w[j+(k+1)*ldw] = a[imax+j*lda]
+				// Build the updated column imax in w column kw-1 to run
+				// the rook-style comparison against its row maximum:
+				// rows above the diagonal from the column, rows below
+				// from the (conjugated, when herm) row.
+				blas.Copy(imax+1, a[imax*lda:], 1, w[(kw-1)*ldw:], 1)
+				for j := imax + 1; j <= k; j++ {
+					w[j+(kw-1)*ldw] = a[imax+j*lda]
 				}
-				blas.Copy(n-imax, a[imax+imax*lda:], 1, w[imax+(k+1)*ldw:], 1)
 				if herm {
-					lacgv(imax-k, w[k+(k+1)*ldw:], 1)
-					w[imax+(k+1)*ldw] = realPart(w[imax+(k+1)*ldw])
+					w[imax+(kw-1)*ldw] = realPart(w[imax+(kw-1)*ldw])
+					lacgv(k-imax, w[imax+1+(kw-1)*ldw:], 1)
 				}
-				if k > 0 {
-					update(n-k, k, a[k:], w[imax:], w[k+(k+1)*ldw:], &w[imax+(k+1)*ldw])
+				if k < n-1 {
+					update(k+1, n-1-k, a[(k+1)*lda:], w[imax+(kw+1)*ldw:], w[(kw-1)*ldw:], &w[imax+(kw-1)*ldw])
 				}
-				jmax := k + blas.Iamax(imax-k, w[k+(k+1)*ldw:], 1)
-				rowmax := core.Abs1(w[jmax+(k+1)*ldw])
-				if imax < n-1 {
-					jmax = imax + 1 + blas.Iamax(n-imax-1, w[imax+1+(k+1)*ldw:], 1)
-					rowmax = math.Max(rowmax, core.Abs1(w[jmax+(k+1)*ldw]))
+				jmax := imax + 1 + blas.Iamax(k-imax, w[imax+1+(kw-1)*ldw:], 1)
+				rowmax := core.Abs1(w[jmax+(kw-1)*ldw])
+				if imax > 0 {
+					jmax = blas.Iamax(imax, w[(kw-1)*ldw:], 1)
+					rowmax = math.Max(rowmax, core.Abs1(w[jmax+(kw-1)*ldw]))
 				}
 				switch {
 				case absakk >= bkAlpha*colmax*(colmax/rowmax):
 					// kp = k: 1×1 pivot, no interchange.
-				case absDiag(herm, w[imax+(k+1)*ldw]) >= bkAlpha*rowmax:
+				case absDiag(herm, w[imax+(kw-1)*ldw]) >= bkAlpha*rowmax:
 					kp = imax
-					blas.Copy(n-k, w[k+(k+1)*ldw:], 1, w[k+k*ldw:], 1)
+					blas.Copy(k+1, w[(kw-1)*ldw:], 1, w[kw*ldw:], 1)
 				default:
 					kp = imax
 					kstep = 2
 				}
 			}
-			kk := k + kstep - 1
+			kk := k - kstep + 1
+			kkw := nb - n + kk
 			if kp != kk {
+				// Move row/column kk of the leading block to position kp
+				// (column kk's data survives in w).
 				a[kp+kp*lda] = a[kk+kk*lda]
-				for j := kk + 1; j < kp; j++ {
+				for j := kp + 1; j < kk; j++ {
 					a[kp+j*lda] = a[j+kk*lda]
 				}
 				if herm {
 					a[kp+kp*lda] = realPart(a[kp+kp*lda])
-					lacgv(kp-kk-1, a[kp+(kk+1)*lda:], lda)
+					lacgv(kk-kp-1, a[kp+(kp+1)*lda:], lda)
 				}
-				if kp < n-1 {
-					blas.Copy(n-kp-1, a[kp+1+kk*lda:], 1, a[kp+1+kp*lda:], 1)
+				if kp > 0 {
+					blas.Copy(kp, a[kk*lda:], 1, a[kp*lda:], 1)
 				}
-				if k > 0 {
-					blas.Swap(k, a[kk:], lda, a[kp:], lda)
+				if k < n-1 {
+					blas.Swap(n-1-k, a[kk+(k+1)*lda:], lda, a[kp+(k+1)*lda:], lda)
 				}
-				blas.Swap(kk+1, w[kk:], ldw, w[kp:], ldw)
+				blas.Swap(n-kk, w[kk+kkw*ldw:], ldw, w[kp+kkw*ldw:], ldw)
 			}
 			if kstep == 1 {
-				blas.Copy(n-k, w[k+k*ldw:], 1, a[k+k*lda:], 1)
-				switch {
-				case k == n-1:
-					// last column: nothing below the pivot to scale
-				case herm:
-					blas.ScalReal(n-k-1, 1/core.Re(a[k+k*lda]), a[k+1+k*lda:], 1)
-				default:
-					blas.Scal(n-k-1, core.Div(one, a[k+k*lda]), a[k+1+k*lda:], 1)
+				// Store U(:,k) = w(:,kw)/d(k,k).
+				blas.Copy(k+1, w[kw*ldw:], 1, a[k*lda:], 1)
+				if herm {
+					blas.ScalReal(k, 1/core.Re(a[k+k*lda]), a[k*lda:], 1)
+				} else {
+					blas.Scal(k, core.Div(one, a[k+k*lda]), a[k*lda:], 1)
 				}
 			} else {
-				// 2×2 pivot in rows/columns k:k+1 (herm: D = [d11̂ conj(d21);
-				// d21 d22̂]).
-				if k < n-2 {
-					d21 := w[k+1+k*ldw]
-					d11 := core.Div(w[k+1+(k+1)*ldw], d21)
-					var d22, d21c T
+				// 2×2 pivot in rows/columns k-1:k (herm: D = [d11̂ d12;
+				// conj(d12) d22̂]); store the two columns of U = W·D⁻¹.
+				if k > 1 {
+					d12 := w[k-1+kw*ldw]
+					d22 := core.Div(w[k-1+(kw-1)*ldw], d12)
+					var d11, d12c T
 					if herm {
-						d22 = core.Div(w[k+k*ldw], core.Conj(d21))
-						d21 = core.Div(core.FromFloat[T](1/(core.Re(d11*d22)-1)), d21)
-						d21c = core.Conj(d21)
+						d11 = core.Div(w[k+kw*ldw], core.Conj(d12))
+						d12 = core.Div(core.FromFloat[T](1/(core.Re(d11*d22)-1)), d12)
+						d12c = core.Conj(d12)
 					} else {
-						d22 = core.Div(w[k+k*ldw], d21)
-						d21 = core.Div(core.Div(one, d11*d22-one), d21)
-						d21c = d21
+						d11 = core.Div(w[k+kw*ldw], d12)
+						d12 = core.Div(core.Div(one, d11*d22-one), d12)
+						d12c = d12
 					}
-					for j := k + 2; j < n; j++ {
-						a[j+k*lda] = d21c * (d11*w[j+k*ldw] - w[j+(k+1)*ldw])
-						a[j+(k+1)*lda] = d21 * (d22*w[j+(k+1)*ldw] - w[j+k*ldw])
+					for j := 0; j < k-1; j++ {
+						a[j+(k-1)*lda] = d12 * (d11*w[j+(kw-1)*ldw] - w[j+kw*ldw])
+						a[j+k*lda] = d12c * (d22*w[j+kw*ldw] - w[j+(kw-1)*ldw])
 					}
 				}
-				a[k+k*lda] = w[k+k*ldw]
-				a[k+1+k*lda] = w[k+1+k*ldw]
-				a[k+1+(k+1)*lda] = w[k+1+(k+1)*ldw]
+				a[k-1+(k-1)*lda] = w[k-1+(kw-1)*ldw]
+				a[k-1+k*lda] = w[k-1+kw*ldw]
+				a[k+k*lda] = w[k+kw*ldw]
 			}
 		}
 		if kstep == 1 {
 			ipiv[k] = kp
 		} else {
 			ipiv[k] = -(kp + 1)
-			ipiv[k+1] = -(kp + 1)
+			ipiv[k-1] = -(kp + 1)
 		}
-		k += kstep
+		k -= kstep
 	}
-	// Level-3 update of the trailing block A(k:n, k:n) -= L21·(D·L21ᵀ) (ᴴ
-	// when herm).
-	blas.Gemmt(cfg, Lower, NoTrans, trans, n-k, k, -one, a[k:], lda, w[k:], ldw, one, a[k+k*lda:], lda)
+	// Level-3 update of the unfactored leading block
+	// A(0:k+1, 0:k+1) -= U12·(D·U12ᵀ) (ᴴ when herm, keeping the diagonal
+	// real): one triangle update per panel.
+	kRem := k + 1
+	kwr := nb - n + kRem
+	blas.Gemmt(cfg, Upper, NoTrans, trans, kRem, n-kRem, -one, a[kRem*lda:], lda,
+		w[kwr*ldw:], ldw, one, a, lda)
 	if herm {
-		realDiag(n-k, a[k+k*lda:], lda)
+		realDiag(kRem, a, lda)
 	}
-	// Partially undo the interchanges to put L21 in standard form.
-	for j := k - 1; j > 0; {
+	// Put U12 in standard form: partially undo the interchanges in the
+	// factored columns so Sytrs can apply ipiv sequentially.
+	for j := kRem; j < n; {
 		jj := j
 		jp := ipiv[j]
 		if jp < 0 {
 			jp = -jp - 1
-			j--
+			j++
 		}
-		j--
-		if jp != jj && j >= 0 {
-			blas.Swap(j+1, a[jp:], lda, a[jj:], lda)
+		j++
+		if jp != jj && j < n {
+			blas.Swap(n-j, a[jp+j*lda:], lda, a[jj+j*lda:], lda)
 		}
 	}
-	return k, info
+	return n - kRem, info
 }
 
 // Sytrf computes the Bunch–Kaufman factorization of a symmetric matrix
@@ -630,61 +437,31 @@ func Hetrf[T core.Scalar](cfg *core.Config, uplo Uplo, n int, a []T, lda int, ip
 }
 
 func sytrf[T core.Scalar](cfg *core.Config, herm bool, uplo Uplo, n int, a []T, lda int, ipiv []int) int {
-	name := "SYTRF"
-	if herm {
-		name = "HETRF"
+	if uplo == Lower {
+		return reflected(n, a, lda, ipiv, func(p []T, ldp int) int { return sytrf(cfg, herm, Upper, n, p, ldp, ipiv) })
 	}
-	nb := Ilaenv(1, name, n, -1, -1, -1)
+	nb := Ilaenv(1, "SYTRF", n, -1, -1, -1) // HETRF's is the same
 	if nb >= n {
-		return sytf2(herm, uplo, n, a, lda, ipiv)
+		return sytf2(herm, Upper, n, a, lda, ipiv)
 	}
 	info := 0
 	// lasyf writes every element of w it reads, so the panel workspace is
 	// pooled scratch.
 	w := blas.GetScratch[T](n * nb)
 	defer blas.PutScratch(w)
-	if uplo == Upper {
-		// Peel panels off the trailing columns; the leading block shrinks.
-		for k := n; k > 0; {
-			if k <= nb {
-				if iinfo := sytf2(herm, Upper, k, a, lda, ipiv[:k]); iinfo != 0 && info == 0 {
-					info = iinfo
-				}
-				break
-			}
-			kb, iinfo := lasyf(cfg, herm, Upper, k, nb, a, lda, ipiv, w, n)
-			if iinfo != 0 && info == 0 {
+	// Peel panels off the trailing columns; the leading block shrinks.
+	for k := n; k > 0; {
+		if k <= nb {
+			if iinfo := sytf2(herm, Upper, k, a, lda, ipiv[:k]); iinfo != 0 && info == 0 {
 				info = iinfo
 			}
-			k -= kb
-		}
-		return info
-	}
-	// Lower: peel panels off the leading columns; pivot indices and info
-	// come back relative to the submatrix and are shifted to global rows.
-	adjust := func(lo, hi, off int) {
-		for j := lo; j < hi; j++ {
-			if ipiv[j] >= 0 {
-				ipiv[j] += off
-			} else {
-				ipiv[j] -= off
-			}
-		}
-	}
-	for k := 0; k < n; {
-		if n-k <= nb {
-			if iinfo := sytf2(herm, Lower, n-k, a[k+k*lda:], lda, ipiv[k:]); iinfo != 0 && info == 0 {
-				info = iinfo + k
-			}
-			adjust(k, n, k)
 			break
 		}
-		kb, iinfo := lasyf(cfg, herm, Lower, n-k, nb, a[k+k*lda:], lda, ipiv[k:], w, n-k)
+		kb, iinfo := lasyf(cfg, herm, k, nb, a, lda, ipiv, w, n)
 		if iinfo != 0 && info == 0 {
-			info = iinfo + k
+			info = iinfo
 		}
-		adjust(k, k+kb, k)
-		k += kb
+		k -= kb
 	}
 	return info
 }

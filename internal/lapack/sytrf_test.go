@@ -2,6 +2,7 @@ package lapack_test
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
@@ -50,28 +51,34 @@ func symMul[T core.Scalar](uplo lapack.Uplo, herm bool, n, nrhs int, a []T, lda 
 	}
 }
 
-func testSysv[T core.Scalar](t *testing.T, uplo lapack.Uplo, n int) {
+// testSysv solves with Sysv (Hesv when herm) and checks the residual, then
+// the condition estimate and refinement of Sysvx (Hesvx) off the same
+// factorization.
+func testSysv[T core.Scalar](t *testing.T, herm bool, uplo lapack.Uplo, n int) {
 	t.Helper()
 	nrhs := 2
-	rng := lapack.NewRng([4]int{int(uplo), n, 11, 13})
+	seed, gen, full, driver, expert := 11, randSym[T], symFullSym[T], lapack.Sysv[T], lapack.Sysvx[T]
+	if herm {
+		seed, gen, full, driver, expert = 17, randHerm[T], symFull[T], lapack.Hesv[T], lapack.Hesvx[T]
+	}
+	rng := lapack.NewRng([4]int{int(uplo), n, seed, seed + 2})
 	lda := n + 1
-	a := randSym[T](rng, n, lda)
+	a := gen(rng, n, lda)
 	xTrue := testutil.RandGeneral[T](rng, n, nrhs, n)
 	b := make([]T, n*nrhs)
-	symMul(uplo, false, n, nrhs, a, lda, xTrue, n, b, n)
+	symMul(uplo, herm, n, nrhs, a, lda, xTrue, n, b, n)
 	af := make([]T, lda*n)
 	lapack.Lacpy('A', n, n, a, lda, af, lda)
 	ipiv := make([]int, n)
 	sol := append([]T(nil), b...)
-	if info := lapack.Sysv(tcfg(), uplo, n, nrhs, af, lda, ipiv, sol, n); info != 0 {
+	if info := driver(tcfg(), uplo, n, nrhs, af, lda, ipiv, sol, n); info != 0 {
 		t.Fatalf("sysv info=%d", info)
 	}
-	if r := testutil.SolveResidual(n, nrhs, symFullSym(uplo, n, a, lda), n, sol, n, b, n); r > thresh {
+	if r := testutil.SolveResidual(n, nrhs, full(uplo, n, a, lda), n, sol, n, b, n); r > thresh {
 		t.Fatalf("sysv residual %v", r)
 	}
-	// Condition estimate and refinement off the same factorization.
 	x := make([]T, n*nrhs)
-	res := lapack.Sysvx(tcfg(), lapack.FactFact, uplo, n, nrhs, a, lda, af, lda, ipiv, b, n, x, n)
+	res := expert(tcfg(), lapack.FactFact, uplo, n, nrhs, a, lda, af, lda, ipiv, b, n, x, n)
 	if res.Info != 0 || res.RCond <= 0 || res.RCond > 1.000001 {
 		t.Fatalf("sycon info=%d rcond=%v", res.Info, res.RCond)
 	}
@@ -85,52 +92,27 @@ func testSysv[T core.Scalar](t *testing.T, uplo lapack.Uplo, n int) {
 func TestSysv(t *testing.T) {
 	for _, uplo := range []lapack.Uplo{lapack.Upper, lapack.Lower} {
 		for _, n := range []int{1, 2, 3, 8, 25, 60} {
-			t.Run("float64", func(t *testing.T) { testSysv[float64](t, uplo, n) })
-			t.Run("complex128", func(t *testing.T) { testSysv[complex128](t, uplo, n) })
+			t.Run("float64", func(t *testing.T) { testSysv[float64](t, false, uplo, n) })
+			t.Run("complex128", func(t *testing.T) { testSysv[complex128](t, false, uplo, n) })
 		}
-		t.Run("float32", func(t *testing.T) { testSysv[float32](t, uplo, 12) })
-	}
-}
-
-func testHesv[T core.Scalar](t *testing.T, uplo lapack.Uplo, n int) {
-	t.Helper()
-	nrhs := 2
-	rng := lapack.NewRng([4]int{int(uplo), n, 17, 19})
-	lda := n + 1
-	a := randHerm[T](rng, n, lda)
-	xTrue := testutil.RandGeneral[T](rng, n, nrhs, n)
-	b := make([]T, n*nrhs)
-	symMul(uplo, true, n, nrhs, a, lda, xTrue, n, b, n)
-	af := make([]T, lda*n)
-	lapack.Lacpy('A', n, n, a, lda, af, lda)
-	ipiv := make([]int, n)
-	sol := append([]T(nil), b...)
-	if info := lapack.Hesv(tcfg(), uplo, n, nrhs, af, lda, ipiv, sol, n); info != 0 {
-		t.Fatalf("hesv info=%d", info)
-	}
-	if r := testutil.SolveResidual(n, nrhs, symFull(uplo, n, a, lda), n, sol, n, b, n); r > thresh {
-		t.Fatalf("hesv residual %v", r)
-	}
-	x := make([]T, n*nrhs)
-	res := lapack.Hesvx(tcfg(), lapack.FactFact, uplo, n, nrhs, a, lda, af, lda, ipiv, b, n, x, n)
-	if res.Info != 0 || res.RCond <= 0 || res.RCond > 1.000001 {
-		t.Fatalf("hecon info=%d rcond=%v", res.Info, res.RCond)
+		t.Run("float32", func(t *testing.T) { testSysv[float32](t, false, uplo, 12) })
 	}
 }
 
 func TestHesv(t *testing.T) {
 	for _, uplo := range []lapack.Uplo{lapack.Upper, lapack.Lower} {
 		for _, n := range []int{1, 2, 3, 8, 25, 60} {
-			t.Run("complex128", func(t *testing.T) { testHesv[complex128](t, uplo, n) })
+			t.Run("complex128", func(t *testing.T) { testSysv[complex128](t, true, uplo, n) })
 		}
-		t.Run("complex64", func(t *testing.T) { testHesv[complex64](t, uplo, 10) })
+		t.Run("complex64", func(t *testing.T) { testSysv[complex64](t, true, uplo, 10) })
 		// For real types Hesv must agree with Sysv semantics.
-		t.Run("float64", func(t *testing.T) { testHesv[float64](t, uplo, 14) })
+		t.Run("float64", func(t *testing.T) { testSysv[float64](t, true, uplo, 14) })
 	}
 }
 
 func TestSysvForces2x2Pivots(t *testing.T) {
-	// A zero-diagonal symmetric matrix forces 2×2 pivot blocks.
+	// A zero-diagonal symmetric matrix forces 2×2 pivot blocks in both
+	// triangles.
 	n := 6
 	a := make([]float64, n*n)
 	for j := 0; j < n; j++ {
@@ -144,48 +126,58 @@ func TestSysvForces2x2Pivots(t *testing.T) {
 	for i := range xTrue {
 		xTrue[i] = float64(i) - 2.5
 	}
-	b := make([]float64, n)
-	blas.Symv(blas.Upper, n, 1, a, n, xTrue, 1, 0, b, 1)
-	af := append([]float64(nil), a...)
-	ipiv := make([]int, n)
-	if info := lapack.Sysv(tcfg(), lapack.Upper, n, 1, af, n, ipiv, b, n); info != 0 {
-		t.Fatalf("sysv info=%d", info)
-	}
-	has2x2 := false
-	for _, p := range ipiv {
-		if p < 0 {
-			has2x2 = true
+	b0 := make([]float64, n)
+	blas.Symv(blas.Upper, n, 1, a, n, xTrue, 1, 0, b0, 1)
+	for _, uplo := range []lapack.Uplo{lapack.Upper, lapack.Lower} {
+		af, b, ipiv := append([]float64(nil), a...), append([]float64(nil), b0...), make([]int, n)
+		if info := lapack.Sysv(tcfg(), uplo, n, 1, af, n, ipiv, b, n); info != 0 {
+			t.Fatalf("%v: sysv info=%d", uplo, info)
+		}
+		if !slices.ContainsFunc(ipiv, func(p int) bool { return p < 0 }) {
+			t.Fatalf("%v: expected at least one 2x2 pivot, ipiv %v", uplo, ipiv)
+		}
+		if d := diff.MaxDiff(b, xTrue); d > 1e-10 {
+			t.Fatalf("%v: solution error %v", uplo, d)
 		}
 	}
-	if !has2x2 {
-		t.Fatal("expected at least one 2x2 pivot")
-	}
-	if d := diff.MaxDiff(b, xTrue); d > 1e-10 {
-		t.Fatalf("solution error %v", d)
-	}
 }
 
+// TestSysvSingular: INFO names the first zero pivot in the sweep's order —
+// the last column for Upper, the first for Lower.
 func TestSysvSingular(t *testing.T) {
 	n := 4
-	a := make([]float64, n*n) // zero matrix
-	ipiv := make([]int, n)
-	b := make([]float64, n)
-	if info := lapack.Sysv(tcfg(), lapack.Upper, n, 1, a, n, ipiv, b, n); info <= 0 {
-		t.Fatalf("expected positive info, got %d", info)
+	for _, c := range []struct {
+		diag  [4]float64
+		lower int
+	}{{lower: 1}, {[4]float64{1, 0, 2, 0}, 2}} {
+		for uplo, want := range map[lapack.Uplo]int{lapack.Upper: 4, lapack.Lower: c.lower} {
+			a := make([]float64, n*n)
+			for i, d := range c.diag {
+				a[i+i*n] = d
+			}
+			if info := lapack.Sysv(tcfg(), uplo, n, 1, a, n, make([]int, n), make([]float64, n), n); info != want {
+				t.Errorf("%v diag %v: info %d, want %d", uplo, c.diag, info, want)
+			}
+		}
 	}
 }
 
-func TestSysvx(t *testing.T) {
-	n, nrhs := 18, 2
-	rng := lapack.NewRng([4]int{21, 22, 23, 24})
-	a := randSym[float64](rng, n, n)
-	xTrue := testutil.RandGeneral[float64](rng, n, nrhs, n)
-	b := make([]float64, n*nrhs)
-	symMul(lapack.Upper, false, n, nrhs, a, n, xTrue, n, b, n)
-	af := make([]float64, n*n)
-	ipiv := make([]int, n)
-	x := make([]float64, n*nrhs)
-	res := lapack.Sysvx(tcfg(), lapack.FactNone, lapack.Upper, n, nrhs, a, n, af, n, ipiv, b, n, x, n)
+// testSysvx runs the expert driver from scratch (FactNone): Sysvx on the
+// Upper triangle of a symmetric matrix, Hesvx on the Lower triangle of a
+// Hermitian one.
+func testSysvx[T core.Scalar](t *testing.T, herm bool, n, seed int) {
+	t.Helper()
+	nrhs, uplo, gen, expert := 2, lapack.Upper, randSym[T], lapack.Sysvx[T]
+	if herm {
+		uplo, gen, expert = lapack.Lower, randHerm[T], lapack.Hesvx[T]
+	}
+	rng := lapack.NewRng([4]int{seed, seed + 1, seed + 2, seed + 3})
+	a := gen(rng, n, n)
+	xTrue := testutil.RandGeneral[T](rng, n, nrhs, n)
+	b := make([]T, n*nrhs)
+	symMul(uplo, herm, n, nrhs, a, n, xTrue, n, b, n)
+	af, ipiv, x := make([]T, n*n), make([]int, n), make([]T, n*nrhs)
+	res := expert(tcfg(), lapack.FactNone, uplo, n, nrhs, a, n, af, n, ipiv, b, n, x, n)
 	if res.Info != 0 {
 		t.Fatalf("sysvx info=%d", res.Info)
 	}
@@ -194,24 +186,9 @@ func TestSysvx(t *testing.T) {
 	}
 }
 
-func TestHesvx(t *testing.T) {
-	n, nrhs := 14, 2
-	rng := lapack.NewRng([4]int{31, 32, 33, 34})
-	a := randHerm[complex128](rng, n, n)
-	xTrue := testutil.RandGeneral[complex128](rng, n, nrhs, n)
-	b := make([]complex128, n*nrhs)
-	symMul(lapack.Lower, true, n, nrhs, a, n, xTrue, n, b, n)
-	af := make([]complex128, n*n)
-	ipiv := make([]int, n)
-	x := make([]complex128, n*nrhs)
-	res := lapack.Hesvx(tcfg(), lapack.FactNone, lapack.Lower, n, nrhs, a, n, af, n, ipiv, b, n, x, n)
-	if res.Info != 0 {
-		t.Fatalf("hesvx info=%d", res.Info)
-	}
-	if d := diff.MaxDiff(x, xTrue); d > 1e-8 {
-		t.Fatalf("hesvx error %v", d)
-	}
-}
+func TestSysvx(t *testing.T) { testSysvx[float64](t, false, 18, 21) }
+
+func TestHesvx(t *testing.T) { testSysvx[complex128](t, true, 14, 31) }
 
 func testSpsv[T core.Scalar](t *testing.T, uplo lapack.Uplo, n int, herm bool) {
 	t.Helper()
@@ -281,7 +258,9 @@ func TestSpsvHpsv(t *testing.T) {
 // real Sytf2/Hetf2 rows are the PR 15 bits; PR 21 put the ragged micro-tiles
 // of the real asm rows on the full tile's FMA chain (blas.scratchEdge and the
 // AVX-512 opmask tiles, where the scalar edge kernel rounded every product),
-// which moved the assembly column of the blocked float32/float64 rows.
+// which moved the assembly column of the blocked float32/float64 rows; and
+// when Lower became the Upper body run on the point reflection, which moved
+// every key (each folds both uplo) while the Upper half kept its bits.
 // An FNV-64a over the factor array (all lda×n elements, so the unreferenced
 // triangle and the padding row are covered) and ipiv for the factorizations,
 // and over the solution for Sytrs/Hetrs with 4 right-hand sides. Each entry
@@ -294,30 +273,30 @@ func TestSpsvHpsv(t *testing.T) {
 // bits, every asm value kept.
 // Regenerate with `go test ./internal/lapack -run BunchKaufmanGolden -args -golden`.
 var bkGolden = diff.Table{
-	"Hetf2/complex128": {Hash: 0xeb9d0f635df37747},
-	"Hetf2/complex64":  {Hash: 0xf39430b1a81ea159},
-	"Hetf2/float32":    {Hash: 0xdc45b1a664ef604a},
-	"Hetf2/float64":    {Hash: 0xa388656fe6848271},
-	"Hetrf/complex128": {Hash: 0x9840feb49d671b4f},
-	"Hetrf/complex64":  {Hash: 0x1b4ac25b2ae3e3eb},
-	"Hetrf/float32":    {Hash: 0x83a6efde762b2e45},
-	"Hetrf/float64":    {Hash: 0x252b02d83ad2e79d},
-	"Hetrs/complex128": {Hash: 0xec740a053745bc69},
-	"Hetrs/complex64":  {Hash: 0x71a3b5a0474f2847},
-	"Hetrs/float32":    {Hash: 0x0bf30a2456259b74},
-	"Hetrs/float64":    {Hash: 0xa8711876f74dffe8},
-	"Sytf2/complex128": {Hash: 0x2172136e75661195},
-	"Sytf2/complex64":  {Hash: 0xb376099e33a7b86f},
-	"Sytf2/float32":    {Hash: 0x0fcdf3412de1d1be},
-	"Sytf2/float64":    {Hash: 0xb9e2386413247cf1},
-	"Sytrf/complex128": {Hash: 0x9246c28399f5f59f},
-	"Sytrf/complex64":  {Hash: 0x104b505a29ec0fb4},
-	"Sytrf/float32":    {Hash: 0xfebbe8ab2b4fdbf9},
-	"Sytrf/float64":    {Hash: 0x5630ff73a9d6e69d},
-	"Sytrs/complex128": {Hash: 0x243d7ea592bc0f70},
-	"Sytrs/complex64":  {Hash: 0xb6f89d513b378290},
-	"Sytrs/float32":    {Hash: 0x9b594425bec09d55},
-	"Sytrs/float64":    {Hash: 0xa8711876f74dffe8},
+	"Hetf2/complex128": {Hash: 0xd15321a14b6f19fa},
+	"Hetf2/complex64":  {Hash: 0x32cae449e5af6696},
+	"Hetf2/float32":    {Hash: 0x28fd09ccffd96017},
+	"Hetf2/float64":    {Hash: 0xf770a999dcc4e736},
+	"Hetrf/complex128": {Hash: 0xee74ff6a7b8a560c},
+	"Hetrf/complex64":  {Hash: 0x5020134d00a5aebc},
+	"Hetrf/float32":    {Hash: 0x8d17c5121b87a74b},
+	"Hetrf/float64":    {Hash: 0x0d78c44855c93ccc},
+	"Hetrs/complex128": {Hash: 0xd458ac74b60f34ac},
+	"Hetrs/complex64":  {Hash: 0xb3e50f9c545a582a},
+	"Hetrs/float32":    {Hash: 0x73cf3af1c38d87f8},
+	"Hetrs/float64":    {Hash: 0xe5f9308ee56d5730},
+	"Sytf2/complex128": {Hash: 0xf31e18fe773009ed},
+	"Sytf2/complex64":  {Hash: 0xd0e1e8329395aeab},
+	"Sytf2/float32":    {Hash: 0xdb998d5a885ce48a},
+	"Sytf2/float64":    {Hash: 0xc96684bafe463e36},
+	"Sytrf/complex128": {Hash: 0x7a913095941b58d7},
+	"Sytrf/complex64":  {Hash: 0x8624db4f7823195f},
+	"Sytrf/float32":    {Hash: 0xf9924f4ea09cffc5},
+	"Sytrf/float64":    {Hash: 0x9d2b47e6838779cc},
+	"Sytrs/complex128": {Hash: 0x001760e591a10ff3},
+	"Sytrs/complex64":  {Hash: 0x64241751feb86ebf},
+	"Sytrs/float32":    {Hash: 0xdb6afa32d6d7b8b2},
+	"Sytrs/float64":    {Hash: 0xe5f9308ee56d5730},
 }
 
 var bkGoldenN = []int{1, 2, 3, 7, 47, 48, 49, 97, 200}
@@ -353,7 +332,9 @@ func bkMatrices[T core.Scalar](herm bool, n, lda int) [][]T {
 	return append(ms, f)
 }
 
-func bkFingerprints[T core.Scalar](cfg *core.Config, out map[string]*diff.Hash) {
+// bkFingerprints also checks that the Lower factorizations leave the strictly
+// upper triangle and the padding row as they were, bit for bit.
+func bkFingerprints[T core.Scalar](t *testing.T, cfg *core.Config, out map[string]*diff.Hash) {
 	var z T
 	type routine struct {
 		name    string
@@ -366,7 +347,7 @@ func bkFingerprints[T core.Scalar](cfg *core.Config, out map[string]*diff.Hash) 
 			for _, n := range bkGoldenN {
 				lda := n + 1
 				for _, a := range bkMatrices[T](r.herm, n, lda) {
-					ipiv := make([]int, n)
+					ipiv, a0 := make([]int, n), slices.Clone(a)
 					var info int
 					switch {
 					case !r.blocked && !r.herm:
@@ -377,6 +358,11 @@ func bkFingerprints[T core.Scalar](cfg *core.Config, out map[string]*diff.Hash) 
 						info = lapack.Sytrf(cfg, uplo, n, a, lda, ipiv)
 					default:
 						info = lapack.Hetrf(cfg, uplo, n, a, lda, ipiv)
+					}
+					for j, s := 0, 0; uplo == lapack.Lower && j < n; j, s = j+1, s+lda {
+						if !diff.Same(a[s:s+j], a0[s:s+j]) || !diff.Same(a[s+n:s+lda], a0[s+n:s+lda]) {
+							t.Errorf("%s/%T Lower n=%d: column %d changed outside the lower triangle", r.name, z, n, j)
+						}
 					}
 					diff.Add(hf, a)
 					hf.Int(append(ipiv, info)...)
@@ -403,9 +389,9 @@ func bkFingerprints[T core.Scalar](cfg *core.Config, out map[string]*diff.Hash) 
 func TestBunchKaufmanGolden(t *testing.T) {
 	cfg := tcfg()
 	bkGolden.Check(t, func(t *testing.T, out map[string]*diff.Hash) {
-		bkFingerprints[float32](cfg, out)
-		bkFingerprints[float64](cfg, out)
-		bkFingerprints[complex64](cfg, out)
-		bkFingerprints[complex128](cfg, out)
+		bkFingerprints[float32](t, cfg, out)
+		bkFingerprints[float64](t, cfg, out)
+		bkFingerprints[complex64](t, cfg, out)
+		bkFingerprints[complex128](t, cfg, out)
 	})
 }
